@@ -7,7 +7,8 @@
 //! baseline to reach 50 % of the final accuracy, while accuracy per model
 //! update is unchanged.
 //!
-//! This reproduction trains the proxy model (see DESIGN.md §2) with the same
+//! This reproduction trains the proxy model (see the `agg_data` crate docs for
+//! why a synthetic task stands in for CIFAR-10) with the same
 //! worker count, GARs and declared `f`, charging simulated time as if the
 //! model were the paper CNN, and prints the same comparisons.
 

@@ -8,7 +8,8 @@
 //!
 //! The reproduction measures the aggregation kernels for real on random
 //! gradients, rescales the measurement to the paper CNN's 1.75 M dimensions,
-//! and charges computation/communication analytically (see DESIGN.md §6).
+//! and charges computation/communication analytically (see the
+//! `agg_ps::cost` module docs).
 
 use agg_core::{GarConfig, GarKind};
 use agg_metrics::Table;

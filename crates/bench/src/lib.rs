@@ -37,7 +37,7 @@ pub fn proxy_experiment() -> ExperimentKind {
 /// Baseline runner configuration shared by the figure experiments: 19
 /// workers (the paper's deployment), RMSProp, fixed learning rate, and a cost
 /// model that charges time as if the model were the paper's 1.75 M-parameter
-/// CNN (see DESIGN.md §6).
+/// CNN (see the `agg_ps::cost` module docs).
 pub fn paper_runner(gar: GarKind, f: usize, batch_size: usize, max_steps: u64) -> RunnerConfig {
     RunnerConfig {
         experiment: proxy_experiment(),

@@ -7,8 +7,7 @@
 //! self-contained and laptop-scale. The Byzantine-resilience results the
 //! reproduction targets depend on gradient statistics (i.i.d., unbiased,
 //! bounded variance) rather than on natural-image content, so the shape of
-//! every comparison carries over. See DESIGN.md §2 for the substitution
-//! rationale.
+//! every comparison carries over — that is the whole substitution rationale.
 //!
 //! * [`dataset::Dataset`] — an in-memory labelled dataset with train/test
 //!   split.

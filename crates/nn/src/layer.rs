@@ -47,6 +47,18 @@ pub trait Layer: Send + fmt::Debug {
     /// is cached.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
+    /// Backward pass for a layer whose input gradient nobody reads (the first
+    /// layer of a model): accumulates the parameter gradients exactly as
+    /// [`Layer::backward`] does. The default runs `backward` and drops the
+    /// result; a layer whose input gradient is costly overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0
@@ -119,6 +131,7 @@ mod tests {
         let out = layer.forward(&t, true).unwrap();
         assert_eq!(out, t);
         assert_eq!(layer.backward(&t).unwrap(), t);
+        layer.backward_params_only(&t).unwrap();
         assert_eq!(layer.output_shape(&[3]).unwrap(), vec![3]);
     }
 }

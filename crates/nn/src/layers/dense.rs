@@ -1,9 +1,16 @@
 //! Fully connected (dense) layer.
+//!
+//! The three products — forward, weight gradient, input gradient — run on the
+//! register-tiled slice kernels in [`agg_tensor::gemm`], called directly on
+//! the layer's flat weight buffers (the layer holds no `Matrix`). The kernels
+//! add the terms of every output element in the order the sample-at-a-time
+//! loops did, so gradients are bit-identical to that scalar form; the test
+//! module keeps those loops as the oracle.
 
 use crate::init::Init;
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use agg_tensor::Tensor;
+use agg_tensor::{gemm, Tensor};
 
 /// A fully connected layer: `y = x · W + b`.
 ///
@@ -19,6 +26,9 @@ pub struct Dense {
     grad_weights: Vec<f32>,
     grad_bias: Vec<f32>,
     cached_input: Option<Tensor>,
+    /// Transposed `grad_output` for the input-gradient kernel, kept across
+    /// calls so `backward` does not allocate it anew each time.
+    grad_output_t: Vec<f32>,
 }
 
 impl Dense {
@@ -32,6 +42,7 @@ impl Dense {
             grad_weights: vec![0.0; in_features * out_features],
             grad_bias: vec![0.0; out_features],
             cached_input: None,
+            grad_output_t: Vec::new(),
         }
     }
 
@@ -56,6 +67,37 @@ impl Dense {
         }
         Ok(shape[0])
     }
+
+    /// The parameter half of the backward pass: consumes the cached input,
+    /// adds this batch's bias and weight gradients to the accumulated ones
+    /// (samples in order) and returns the batch size.
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<usize> {
+        let input = self.cached_input.take().ok_or(NnError::BackwardBeforeForward("dense"))?;
+        let batch = input.shape()[0];
+        if grad_output.shape() != [batch, self.out_features] {
+            return Err(NnError::BadInputShape {
+                layer: "dense",
+                expected: format!("grad_output [{batch}, {}]", self.out_features),
+                actual: grad_output.shape().to_vec(),
+            });
+        }
+        let go = grad_output.as_slice();
+        for n in 0..batch {
+            let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
+            for (gb, &g) in self.grad_bias.iter_mut().zip(go_row) {
+                *gb += g;
+            }
+        }
+        gemm::matmul_tn_acc(
+            input.as_slice(),
+            go,
+            &mut self.grad_weights,
+            batch,
+            self.in_features,
+            self.out_features,
+        );
+        Ok(batch)
+    }
 }
 
 impl Layer for Dense {
@@ -76,52 +118,39 @@ impl Layer for Dense {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let batch = self.check_input(input)?;
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; batch * self.out_features];
-        for n in 0..batch {
-            let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
-            let out_row = &mut out[n * self.out_features..(n + 1) * self.out_features];
-            out_row.copy_from_slice(&self.bias);
-            for (i, &xi) in x_row.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
-                for (o, &w) in w_row.iter().enumerate() {
-                    out_row[o] += xi * w;
-                }
-            }
+        let mut out = Vec::with_capacity(batch * self.out_features);
+        for _ in 0..batch {
+            out.extend_from_slice(&self.bias);
         }
+        gemm::matmul_acc(
+            input.as_slice(),
+            &self.weights,
+            &mut out,
+            batch,
+            self.in_features,
+            self.out_features,
+        );
         self.cached_input = Some(input.clone());
         Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self.cached_input.take().ok_or(NnError::BackwardBeforeForward("dense"))?;
-        let batch = input.shape()[0];
-        let go = grad_output.as_slice();
-        let x = input.as_slice();
+        let batch = self.accumulate_param_grads(grad_output)?;
         let mut grad_input = vec![0.0f32; batch * self.in_features];
-        for n in 0..batch {
-            let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
-            let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
-            for (o, &g) in go_row.iter().enumerate() {
-                self.grad_bias[o] += g;
-            }
-            let gi_row = &mut grad_input[n * self.in_features..(n + 1) * self.in_features];
-            for (i, &xi) in x_row.iter().enumerate() {
-                let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
-                let gw_row =
-                    &mut self.grad_weights[i * self.out_features..(i + 1) * self.out_features];
-                let mut acc = 0.0;
-                for (o, &g) in go_row.iter().enumerate() {
-                    gw_row[o] += xi * g;
-                    acc += w_row[o] * g;
-                }
-                gi_row[i] += acc;
-            }
-        }
+        gemm::matmul_nt(
+            grad_output.as_slice(),
+            &self.weights,
+            &mut grad_input,
+            &mut self.grad_output_t,
+            batch,
+            self.in_features,
+            self.out_features,
+        );
         Tensor::from_vec(&[batch, self.in_features], grad_input).map_err(NnError::from)
+    }
+
+    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.accumulate_param_grads(grad_output).map(drop)
     }
 
     fn param_count(&self) -> usize {
@@ -156,9 +185,137 @@ impl Layer for Dense {
     }
 }
 
+/// The sample-at-a-time loops `Dense` ran before it moved onto the tiled
+/// kernels, kept as the reference the kernels must equal bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// A dense layer computed one sample and one input at a time.
+    #[derive(Debug)]
+    pub(crate) struct ScalarDense {
+        in_features: usize,
+        out_features: usize,
+        weights: Vec<f32>,
+        bias: Vec<f32>,
+        grad_weights: Vec<f32>,
+        grad_bias: Vec<f32>,
+        cached_input: Option<Tensor>,
+    }
+
+    impl ScalarDense {
+        /// A layer holding `params` (weights then bias, as `collect_params`
+        /// lays them out).
+        pub(crate) fn with_params(in_features: usize, out_features: usize, params: &[f32]) -> Self {
+            let (weights, bias) = params.split_at(in_features * out_features);
+            assert_eq!(bias.len(), out_features);
+            ScalarDense {
+                in_features,
+                out_features,
+                weights: weights.to_vec(),
+                bias: bias.to_vec(),
+                grad_weights: vec![0.0; in_features * out_features],
+                grad_bias: vec![0.0; out_features],
+                cached_input: None,
+            }
+        }
+    }
+
+    impl Layer for ScalarDense {
+        fn name(&self) -> &'static str {
+            "scalar-dense"
+        }
+
+        fn output_shape(&self, _input_shape: &[usize]) -> Result<Vec<usize>> {
+            Ok(vec![self.out_features])
+        }
+
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+            let batch = input.shape()[0];
+            let x = input.as_slice();
+            let mut out = vec![0.0f32; batch * self.out_features];
+            for n in 0..batch {
+                let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
+                let out_row = &mut out[n * self.out_features..(n + 1) * self.out_features];
+                out_row.copy_from_slice(&self.bias);
+                for (i, &xi) in x_row.iter().enumerate() {
+                    if xi == 0.0 {
+                        continue;
+                    }
+                    let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
+                    for (o, &w) in w_row.iter().enumerate() {
+                        out_row[o] += xi * w;
+                    }
+                }
+            }
+            self.cached_input = Some(input.clone());
+            Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+            let input =
+                self.cached_input.take().ok_or(NnError::BackwardBeforeForward("scalar-dense"))?;
+            let batch = input.shape()[0];
+            let go = grad_output.as_slice();
+            let x = input.as_slice();
+            let mut grad_input = vec![0.0f32; batch * self.in_features];
+            for n in 0..batch {
+                let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
+                let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
+                for (o, &g) in go_row.iter().enumerate() {
+                    self.grad_bias[o] += g;
+                }
+                let gi_row = &mut grad_input[n * self.in_features..(n + 1) * self.in_features];
+                for (i, &xi) in x_row.iter().enumerate() {
+                    let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
+                    let gw_row =
+                        &mut self.grad_weights[i * self.out_features..(i + 1) * self.out_features];
+                    let mut acc = 0.0;
+                    for (o, &g) in go_row.iter().enumerate() {
+                        gw_row[o] += xi * g;
+                        acc += w_row[o] * g;
+                    }
+                    gi_row[i] += acc;
+                }
+            }
+            Tensor::from_vec(&[batch, self.in_features], grad_input).map_err(NnError::from)
+        }
+
+        fn param_count(&self) -> usize {
+            self.weights.len() + self.bias.len()
+        }
+
+        fn collect_grads(&self, out: &mut Vec<f32>) {
+            out.extend_from_slice(&self.grad_weights);
+            out.extend_from_slice(&self.grad_bias);
+        }
+
+        fn zero_grads(&mut self) {
+            self.grad_weights.iter_mut().for_each(|g| *g = 0.0);
+            self.grad_bias.iter_mut().for_each(|g| *g = 0.0);
+        }
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which payload an
+    /// operation on two NaNs returns is not something Rust pins down.
+    pub(crate) fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {idx} is {g:e} ({:#x}), the scalar loops give {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{assert_same_bits, ScalarDense};
     use super::*;
+    use proptest::prelude::*;
 
     fn simple_dense() -> Dense {
         // 2 -> 2 with known weights: W = [[1, 2], [3, 4]], b = [0.5, -0.5]
@@ -248,5 +405,131 @@ mod tests {
     #[test]
     fn flops_estimate_is_positive() {
         assert_eq!(Dense::new(10, 20, Init::Zeros, 0).forward_flops(&[10]), 400);
+    }
+
+    #[test]
+    fn backward_rejects_a_mis_shaped_grad_output() {
+        let mut layer = Dense::new(2, 3, Init::Zeros, 0);
+        layer.forward(&Tensor::zeros(&[2, 2]), true).unwrap();
+        assert!(matches!(
+            layer.backward(&Tensor::zeros(&[2, 2])).unwrap_err(),
+            NnError::BadInputShape { .. }
+        ));
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let mut layer = simple_dense();
+        let y = layer.forward(&Tensor::zeros(&[0, 2]), true).unwrap();
+        assert_eq!(y.shape(), &[0, 2]);
+        let gi = layer.backward(&Tensor::zeros(&[0, 2])).unwrap();
+        assert_eq!(gi.shape(), &[0, 2]);
+        let mut grads = Vec::new();
+        layer.collect_grads(&mut grads);
+        assert!(grads.iter().all(|&g| g == 0.0));
+    }
+
+    /// A layer input or parameter: mostly ordinary values, a fifth exact
+    /// zeros (what a ReLU hands the next layer), some `-0.0`, huge and tiny
+    /// magnitudes and, when `specials` is set, the occasional ±∞ or NaN.
+    fn value(specials: bool) -> impl Strategy<Value = f32> {
+        (0u32..64, -2.0f32..2.0).prop_map(move |(pick, v)| match pick {
+            0..=11 => 0.0,
+            12 | 13 => -0.0,
+            14 if specials => f32::INFINITY,
+            15 if specials => f32::NEG_INFINITY,
+            16 if specials => f32::NAN,
+            17 => v * 1e30,
+            18 => v * 1e-30,
+            _ => v,
+        })
+    }
+
+    /// Everything one comparison needs: the shape (batch sizes around the
+    /// four-row tile, output widths around the sixteen-column tile, input
+    /// widths that are not multiples of four), the parameters, one input and
+    /// two output gradients.
+    #[derive(Debug)]
+    struct Case {
+        batch: usize,
+        in_features: usize,
+        out_features: usize,
+        params: Vec<f32>,
+        input: Vec<f32>,
+        grad_outputs: [Vec<f32>; 2],
+    }
+
+    const BATCHES: [usize; 7] = [0, 1, 2, 3, 4, 5, 25];
+    const IN_FEATURES: [usize; 5] = [1, 3, 6, 13, 30];
+    const OUT_FEATURES: [usize; 6] = [1, 10, 15, 16, 17, 384];
+
+    fn case(specials: bool) -> impl Strategy<Value = Case> {
+        (0..BATCHES.len(), 0..IN_FEATURES.len(), 0..OUT_FEATURES.len()).prop_flat_map(
+            move |(b, i, o)| {
+                let (batch, in_features, out_features) =
+                    (BATCHES[b], IN_FEATURES[i], OUT_FEATURES[o]);
+                let values = |len| prop::collection::vec(value(specials), len);
+                (
+                    values((in_features + 1) * out_features),
+                    values(batch * in_features),
+                    values(batch * out_features),
+                    values(batch * out_features),
+                )
+                    .prop_map(move |(params, input, g0, g1)| Case {
+                        batch,
+                        in_features,
+                        out_features,
+                        params,
+                        input,
+                        grad_outputs: [g0, g1],
+                    })
+            },
+        )
+    }
+
+    /// Forward, then two forward/backward rounds without `zero_grads` in
+    /// between (so the second weight gradient starts from a non-zero sum),
+    /// comparing every output with the scalar loops.
+    fn check_against_the_scalar_loops(case: &Case) {
+        let Case { batch, in_features, out_features, .. } = *case;
+        let mut tiled = Dense::new(in_features, out_features, Init::Zeros, 0);
+        tiled.load_params(&case.params);
+        let mut params_only = tiled.clone();
+        let mut scalar = ScalarDense::with_params(in_features, out_features, &case.params);
+        let input = Tensor::from_vec(&[batch, in_features], case.input.clone()).unwrap();
+        for grad_output in &case.grad_outputs {
+            let grad_output =
+                Tensor::from_vec(&[batch, out_features], grad_output.clone()).unwrap();
+            let want = scalar.forward(&input, true).unwrap();
+            let got = tiled.forward(&input, true).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            assert_same_bits(got.as_slice(), want.as_slice(), "forward");
+            let want = scalar.backward(&grad_output).unwrap();
+            let got = tiled.backward(&grad_output).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            assert_same_bits(got.as_slice(), want.as_slice(), "input gradient");
+            params_only.forward(&input, true).unwrap();
+            params_only.backward_params_only(&grad_output).unwrap();
+        }
+        let (mut want, mut got, mut got_params_only) = (Vec::new(), Vec::new(), Vec::new());
+        scalar.collect_grads(&mut want);
+        tiled.collect_grads(&mut got);
+        params_only.collect_grads(&mut got_params_only);
+        assert_same_bits(&got, &want, "parameter gradients");
+        assert_same_bits(&got_params_only, &want, "parameter gradients, params-only backward");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tiled_kernels_equal_the_scalar_loops_bit_for_bit(case in case(false)) {
+            check_against_the_scalar_loops(&case);
+        }
+
+        #[test]
+        fn tiled_kernels_equal_the_scalar_loops_on_infinities_and_nan(case in case(true)) {
+            check_against_the_scalar_loops(&case);
+        }
     }
 }

@@ -42,13 +42,14 @@ impl SoftmaxCrossEntropy {
     ///
     /// Returns [`NnError::LabelCountMismatch`] or [`NnError::LabelOutOfRange`]
     /// when labels and logits disagree, and [`NnError::BadInputShape`] when
-    /// the logits are not rank 2.
+    /// the logits are not rank 2 or the batch is empty (the mean over zero
+    /// samples is undefined, not `NaN`).
     pub fn evaluate(&self, logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
         let shape = logits.shape();
-        if shape.len() != 2 {
+        if shape.len() != 2 || shape[0] == 0 {
             return Err(NnError::BadInputShape {
                 layer: "softmax-cross-entropy",
-                expected: "[batch, classes]".to_string(),
+                expected: "[batch >= 1, classes]".to_string(),
                 actual: shape.to_vec(),
             });
         }
@@ -160,5 +161,10 @@ mod tests {
             NnError::LabelOutOfRange { .. }
         ));
         assert!(loss.evaluate(&Tensor::zeros(&[3]), &[0]).is_err());
+        // An empty batch has no mean loss: a typed error, not 0/0.
+        assert!(matches!(
+            loss.evaluate(&Tensor::zeros(&[0, 3]), &[]).unwrap_err(),
+            NnError::BadInputShape { actual, .. } if actual == [0, 3]
+        ));
     }
 }

@@ -197,14 +197,19 @@ impl Sequential {
     ///
     /// # Errors
     ///
-    /// Propagates layer and loss errors.
+    /// Propagates layer and loss errors; an empty batch is a
+    /// [`NnError::BadInputShape`] (its mean loss is undefined).
     pub fn gradient(&mut self, input: &Tensor, labels: &[usize]) -> Result<BatchEvaluation> {
         self.zero_gradients();
         let logits = self.forward(input, true)?;
         let loss_out = self.loss.evaluate(&logits, labels)?;
         let mut grad = loss_out.grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                grad = layer.backward(&grad)?;
+            }
+            // Nobody reads the gradient with respect to the model's input.
+            first.backward_params_only(&grad)?;
         }
         Ok(BatchEvaluation {
             loss: loss_out.loss,
@@ -218,7 +223,10 @@ impl Sequential {
 mod tests {
     use super::*;
     use crate::init::Init;
+    use crate::layers::dense::oracle::{assert_same_bits, ScalarDense};
     use crate::layers::{Dense, Relu};
+    use crate::models::synthetic_mlp;
+    use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn tiny_model(seed: u64) -> Sequential {
         Sequential::new("tiny", &[4])
@@ -313,5 +321,53 @@ mod tests {
         let (x, labels) = batch();
         let acc = model.accuracy(&x, &labels).unwrap();
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn empty_batch_is_a_typed_error_not_a_nan_loss() {
+        let mut model = tiny_model(8);
+        let empty = Tensor::zeros(&[0, 4]);
+        assert!(matches!(
+            model.gradient(&empty, &[]).unwrap_err(),
+            NnError::BadInputShape { layer: "softmax-cross-entropy", .. }
+        ));
+        assert!(matches!(
+            model.evaluate_loss(&empty, &[]).unwrap_err(),
+            NnError::BadInputShape { .. }
+        ));
+        // The failed call leaves the model usable.
+        let (x, labels) = batch();
+        assert!(model.gradient(&x, &labels).unwrap().loss.is_finite());
+    }
+
+    /// The benchmark's 256→384→10 proxy at the batch sizes its workloads run
+    /// yields, bit for bit, the gradient and loss of the same model built on
+    /// the sample-at-a-time loops: the training trajectory does not depend on
+    /// which kernels computed it.
+    #[test]
+    fn proxy_mlp_gradient_equals_the_scalar_loops_bit_for_bit() {
+        let mut model = synthetic_mlp(256, &[384], 10, 11);
+        let params = model.parameters();
+        let (first, second) = params.as_slice().split_at(256 * 384 + 384);
+        let mut scalar = Sequential::new("scalar-mlp", &[256])
+            .with_layer(Box::new(ScalarDense::with_params(256, 384, first)))
+            .with_layer(Box::new(Relu::new()))
+            .with_layer(Box::new(ScalarDense::with_params(384, 10, second)));
+        let mut rng = seeded_rng(12);
+        for batch in [1usize, 2, 25] {
+            let x = gaussian_vector(&mut rng, batch * 256, 0.0, 1.0);
+            let x = Tensor::from_vec(&[batch, 256], x.as_slice().to_vec()).unwrap();
+            let labels: Vec<usize> = (0..batch).map(|n| n % 10).collect();
+            let got = model.gradient(&x, &labels).unwrap();
+            let want = scalar.gradient(&x, &labels).unwrap();
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "loss at batch {batch}");
+            assert_eq!(got.accuracy, want.accuracy);
+            assert!(got.gradient.iter().any(|&g| g != 0.0));
+            assert_same_bits(
+                got.gradient.as_slice(),
+                want.gradient.as_slice(),
+                &format!("gradient at batch {batch}"),
+            );
+        }
     }
 }

@@ -16,8 +16,7 @@
 //! Figure 3–8 experiments train a small proxy model for accuracy while
 //! charging time as if the model were the paper's 1.75 M-parameter CNN (or
 //! the ResNet50 stand-in), which preserves the compute/communication/
-//! aggregation ratios the figures depend on. DESIGN.md §6 documents this
-//! substitution.
+//! aggregation ratios the figures depend on.
 
 use serde::{Deserialize, Serialize};
 

@@ -310,8 +310,9 @@ impl SyncTrainingEngine {
 
     /// Measures the configured GAR for real at (close to) the virtual model's
     /// dimension and rescales linearly, so the simulated aggregation time is
-    /// faithful to the large model the experiment pretends to train (see
-    /// DESIGN.md §6). Without a virtual model no calibration is needed.
+    /// faithful to the large model the experiment pretends to train (see the
+    /// [`crate::cost`] module docs). Without a virtual model no calibration is
+    /// needed.
     fn calibrate_aggregation(config: &RunnerConfig, workers: usize) -> Result<Option<f64>> {
         let Some(virtual_model) = config.cost.virtual_model else {
             return Ok(None);

@@ -5,7 +5,11 @@
 //! * [`Vector`] — a flat `f32` vector, the representation of a gradient or a
 //!   flattened model. All gradient aggregation rules (GARs) operate on slices
 //!   of these.
-//! * [`Matrix`] — a row-major 2-D matrix used by dense layers.
+//! * [`Matrix`] — a row-major 2-D matrix with shape-checked products; a
+//!   convenience type for tests and examples, not held by any layer.
+//! * [`gemm`] — the register-tiled dense products over plain slices that
+//!   `agg-nn`'s `Dense` layer runs its forward and backward passes on (and
+//!   that [`Matrix::matmul`] wraps), bit-identical to the scalar triple loop.
 //! * [`Tensor`] — an n-dimensional array (row-major) used by convolutional
 //!   layers and data pipelines.
 //! * [`GradientBatch`] — a contiguous row-major `n×d` arena holding one
@@ -26,9 +30,9 @@
 //! * [`rng`] — small deterministic RNG helpers so every experiment in the
 //!   reproduction is seedable and repeatable.
 //!
-//! The crate intentionally avoids BLAS or SIMD intrinsics: the reproduction
-//! targets correctness and *relative* performance shape, not absolute FLOP
-//! throughput.
+//! The crate intentionally avoids BLAS or SIMD intrinsics: kernels are safe
+//! loops shaped so the autovectoriser does the work, and every one keeps the
+//! summation order of its scalar form so results do not depend on the kernel.
 //!
 //! ```
 //! use agg_tensor::Vector;
@@ -40,6 +44,7 @@
 
 pub mod batch;
 pub mod error;
+pub mod gemm;
 pub mod matrix;
 pub mod ops;
 pub mod rng;

@@ -1,7 +1,13 @@
-//! Row-major 2-D matrices used by dense layers and by the im2col convolution
-//! lowering in `agg-nn`.
+//! Row-major 2-D matrices: a small owned-matrix API for tests, examples and
+//! callers that want shape checking.
+//!
+//! Nothing on the training path holds a [`Matrix`]: `agg-nn`'s `Dense` keeps
+//! its weights as flat slices and calls the [`crate::gemm`] kernels directly,
+//! and `Conv2d` is direct loops (there is no im2col lowering).
+//! [`Matrix::matmul`] is a shape-checked wrapper over the same
+//! [`crate::gemm::matmul_acc`] kernel `Dense::forward` uses.
 
-use crate::{Result, TensorError, Vector};
+use crate::{gemm, Result, TensorError, Vector};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -147,7 +153,9 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs`: each element sums its terms in ascending
+    /// inner-index order, skipping those whose left factor is exactly zero
+    /// (see [`gemm::matmul_acc`]).
     ///
     /// # Errors
     ///
@@ -162,21 +170,7 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // Loop order (i, k, j) keeps the inner loop contiguous in both
-        // operands, which matters for the larger models in the benchmarks.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm::matmul_acc(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.cols);
         Ok(out)
     }
 
