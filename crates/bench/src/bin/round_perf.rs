@@ -44,6 +44,7 @@
 //! override with `--out <path>`) so CI can archive the trajectory, and
 //! printed as a table for humans.
 
+use agg_bench::clock::process_cpu_ns;
 use agg_core::{Gar, GarConfig, GarKind};
 use agg_net::{
     ChaosConfig, ChaosPlan, GradientCodec, LinkConfig, LossPolicy, LossyLink, LossyTransport,
@@ -83,48 +84,16 @@ const MAX_SAMPLES: usize = 60;
 /// anchored under sequential sampling.)
 const REPS: usize = 5;
 
-/// Process-CPU-clock ns (`CLOCK_PROCESS_CPUTIME_ID`): robust to scheduler
-/// preemption and hypervisor steal on shared bench boxes, where stolen
-/// wall time inflates an `Instant` window by 2× or more without any extra
-/// work being done. On the single-core CI runner every thread serialises
-/// onto the one CPU, so process CPU time is exactly the round's compute
-/// cost (including any rayon pool threads the kernels fan out to).
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn bench_clock_ns() -> u128 {
-    const SYS_CLOCK_GETTIME: u64 = 228;
-    const CLOCK_PROCESS_CPUTIME_ID: u64 = 2;
-    let mut timespec = [0i64; 2];
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            in("rax") SYS_CLOCK_GETTIME,
-            in("rdi") CLOCK_PROCESS_CPUTIME_ID,
-            in("rsi") timespec.as_mut_ptr(),
-            lateout("rax") _,
-            out("rcx") _,
-            out("r11") _,
-        );
-    }
-    timespec[0] as u128 * 1_000_000_000 + timespec[1] as u128
-}
-
-/// Wall-clock fallback where the raw clock syscall isn't wired up.
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-fn bench_clock_ns() -> u128 {
-    use std::time::Instant;
-    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_nanos()
-}
-
-/// Median ns/round of repeated timed runs (first run is warm-up).
+/// Median process-CPU ns/round of repeated timed runs (first run is
+/// warm-up); see [`agg_bench::clock`] for why CPU time and not wall time.
 fn median_round_ns(mut run: impl FnMut()) -> u128 {
     run();
     let mut samples: Vec<u128> = Vec::new();
     let mut total = 0u128;
     while samples.len() < MIN_SAMPLES || (total < BUDGET_NS && samples.len() < MAX_SAMPLES) {
-        let start = bench_clock_ns();
+        let start = process_cpu_ns();
         run();
-        let ns = (bench_clock_ns() - start).max(1);
+        let ns = (process_cpu_ns() - start).max(1);
         total += ns;
         samples.push(ns);
     }

@@ -43,7 +43,14 @@ use std::time::Instant;
 /// model, sampler and transport (each with its own derived RNG stream) and
 /// delivers its gradient into its own pre-assigned row of one reused
 /// submissions arena, so the round is bit-for-bit identical to the
-/// sequential ordering regardless of thread schedule.
+/// sequential ordering regardless of thread schedule. The threads claim
+/// runs of workers from a shared cursor (the rayon shim's guided claiming),
+/// so the attacker and crashed slots, which return at once, leave no core
+/// waiting at the barrier.
+///
+/// Phase 3 runs at most one O(n²·d) distance pass per flat or sharded
+/// round — the streamed matrix, or one batch pass — which the rule and the
+/// selection feedback both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -483,9 +490,12 @@ impl SyncTrainingEngine {
         // tier. Quorum accounting and the adversary's declared-f knowledge
         // both see this figure.
         let declared_f = self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f());
-        // Selection feedback costs one selection pass per round (free when
-        // the streaming matrix is available); run it only when someone reads
-        // it: the Byzantine-selection counter or the adaptive adversary.
+        // Selection feedback reads the round's own distance matrix (the
+        // streamed one, or the single pass Phase 3 builds for the rule), so
+        // it costs a selection over n scores, not a second O(n²·d) pass —
+        // on the flat and sharded tiers; the tree tier still re-runs its
+        // group stage. Run it only when someone reads it: the
+        // Byzantine-selection counter or the adaptive adversary.
         let wants_selection = self.config.gar.kind.uses_distances()
             && (elastic
                 || self.config.byzantine_count > 0
@@ -718,7 +728,8 @@ impl SyncTrainingEngine {
             // fanned out over rayon. Worker `i` delivers straight into arena
             // row `i` (disjoint mutable slices), results are collected in
             // worker-id order, and every worker draws only from its own RNG
-            // streams — so the round is deterministic under any schedule.
+            // streams — so the round is deterministic under any schedule,
+            // including which thread claims which run of workers.
             // `begin_round` flips the double buffer: this round's ingest
             // lands in the arena the previous round's aggregation was not
             // reading.
@@ -849,7 +860,8 @@ impl SyncTrainingEngine {
             // dropped exactly like a transport loss. Under the default
             // `All` policy every delivered row is accepted and the round
             // waits for the slowest worker — the seed accounting,
-            // unchanged bit for bit.
+            // unchanged bit for bit. The distance rules then read one
+            // matrix per round, shared with the selection feedback.
             // The quorum is computed on the *live* worker count: under
             // churn, `n − f` means "all but f of the workers actually in
             // the view", not of the configured roster. With static
@@ -966,9 +978,21 @@ impl SyncTrainingEngine {
                 .tree_plan
                 .as_ref()
                 .map(|plan| kept_slots.iter().map(|&slot| plan.group_of(slot)).collect());
-            let distances = self.pipeline.matrix(&kept_slots);
+            let mut distances = self.pipeline.matrix(&kept_slots);
             self.pipeline.arena_mut().retain_rows(&keep);
             let submitted = self.pipeline.arena().n() as u64;
+            // One distance pass per round: when the pipeline streamed no
+            // matrix and the selection feedback will want one, build the
+            // matrix the rule would build and let the round and the feedback
+            // both read it. The pass is the GAR's own work moved out of
+            // `apply_round_batch`, so its time stays in the aggregation
+            // figure the simulated clock charges.
+            let mut distance_wall_sec = 0.0;
+            if distances.is_none() && tree_groups.is_none() && wants_selection {
+                let pass = Instant::now();
+                distances = self.server.round_distances(self.pipeline.arena());
+                distance_wall_sec = pass.elapsed().as_secs_f64();
+            }
             let mut aggregation_time = 0.0;
             // Simulated wall time of the group-aggregator → root legs (tree
             // mode only): the legs run in parallel, so the round pays the
@@ -992,7 +1016,7 @@ impl SyncTrainingEngine {
                     let kernel_sec = match self.calibrated_aggregation_sec {
                         Some(calibrated) => calibrated,
                         None => cost.scale_aggregation_time(
-                            outcome.aggregation_wall_sec,
+                            outcome.aggregation_wall_sec + distance_wall_sec,
                             self.actual_dimension,
                         ),
                     };

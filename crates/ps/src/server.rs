@@ -362,6 +362,25 @@ impl ParameterServer {
         self.finish_round(aggregated, start)
     }
 
+    /// The pairwise distance matrix this tier's own
+    /// [`ParameterServer::apply_round_batch`] would build for `batch`: the
+    /// flat kernel for the distance rules (Krum, Multi-Krum, Bulyan), the
+    /// shard-reduced matrix on the sharded tier, `None` for rules that read
+    /// no distances. Handing it to
+    /// [`ParameterServer::apply_round_batch_with_distances`] and
+    /// [`ParameterServer::selected_rows`] makes a round and its selection
+    /// feedback share one O(n²·d) pass. A pure read; preconditions are left
+    /// to the round itself.
+    pub fn round_distances(&self, batch: &GradientBatch) -> Option<DistanceMatrix> {
+        if !self.gar_config.kind.uses_distances() {
+            return None;
+        }
+        Some(match &self.sharded {
+            Some(sharded) => sharded.global_distances(batch),
+            None => batch.pairwise_squared_distances(),
+        })
+    }
+
     /// The row indices the active rule's selection phase would pick for this
     /// batch (`None` for rules without a selection phase). Works on both the
     /// monolithic and the sharded tier, and reads a pre-accumulated distance
@@ -577,6 +596,75 @@ mod tests {
         assert_eq!(krum.selected_rows(&batch, None).unwrap().unwrap().len(), 1);
         let median = server(GarKind::Median, 2, 3);
         assert_eq!(median.selected_rows(&batch, None).unwrap(), None);
+    }
+
+    #[test]
+    fn one_distance_pass_serves_the_round_and_its_selection_feedback() {
+        use agg_core::resilience::resilience_floor;
+        use agg_tensor::rng::{gaussian_fill, seeded_rng};
+
+        let (d, f) = (37, 2);
+        let batch_of = |n: usize| {
+            let mut rng = seeded_rng(n as u64);
+            let mut batch = GradientBatch::with_capacity(d, n);
+            for _ in 0..n {
+                batch.push_row_with(|dst| gaussian_fill(&mut rng, dst, 0.0, 1.0));
+            }
+            batch.row_mut(1)[5] = f32::NAN;
+            batch.row_mut(2)[0] = f32::INFINITY;
+            batch.row_mut(2)[d - 1] = f32::NEG_INFINITY;
+            batch
+        };
+        for kind in [GarKind::Krum, GarKind::MultiKrum, GarKind::Bulyan] {
+            for shards in [1, 4] {
+                let tier = || {
+                    let mut s = server(kind, f, d);
+                    s.set_shards(shards).unwrap();
+                    s
+                };
+                let floor = resilience_floor(kind, f);
+                for n in [floor, 19] {
+                    let batch = batch_of(n);
+                    let (mut two_pass, mut one_pass) = (tier(), tier());
+                    let distances = one_pass.round_distances(&batch).expect("a distance rule");
+                    two_pass.apply_round_batch(&batch).unwrap();
+                    one_pass.apply_round_batch_with_distances(&batch, &distances).unwrap();
+                    let bits = |s: &ParameterServer| -> Vec<u32> {
+                        s.parameters().as_slice().iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&two_pass), bits(&one_pass), "{kind} S={shards} n={n}");
+                    assert_eq!(
+                        one_pass.selected_rows(&batch, None).unwrap(),
+                        one_pass.selected_rows(&batch, Some(&distances)).unwrap(),
+                        "{kind} S={shards} n={n}"
+                    );
+                }
+                // One row short of the floor: the same refusal either way,
+                // and neither server steps.
+                let starved = batch_of(floor - 1);
+                let (mut two_pass, mut one_pass) = (tier(), tier());
+                let distances = one_pass.round_distances(&starved).expect("a distance rule");
+                let refused = two_pass.apply_round_batch(&starved).unwrap_err();
+                assert!(matches!(refused, PsError::Aggregation(_)));
+                assert_eq!(
+                    one_pass
+                        .apply_round_batch_with_distances(&starved, &distances)
+                        .unwrap_err()
+                        .to_string(),
+                    refused.to_string()
+                );
+                assert_eq!((two_pass.step(), one_pass.step()), (0, 0));
+                // A round nothing survived has an empty matrix, not a panic.
+                assert_eq!(tier().round_distances(&GradientBatch::new(d)).map(|m| m.n()), Some(0));
+            }
+        }
+        // Rules that read no distances have no matrix to share.
+        for kind in [GarKind::Average, GarKind::Median, GarKind::GeometricMedian] {
+            let mut s = server(kind, f, d);
+            assert!(s.round_distances(&batch_of(19)).is_none());
+            s.set_shards(4).unwrap();
+            assert!(s.round_distances(&batch_of(19)).is_none());
+        }
     }
 
     #[test]

@@ -280,3 +280,44 @@ fn parallel_engine_matches_sequential_with_random_fill_and_byzantine_workers() {
     // meaningful (all-zero traces would match trivially).
     assert!(parallel.final_accuracy() > 0.4, "accuracy {}", parallel.final_accuracy());
 }
+
+/// What the selection feedback determines in a report: the
+/// Byzantine-selection count and the bits of the final accuracy and loss.
+fn selection_fingerprint(report: &TrainingReport) -> (u64, u64, u64) {
+    let last = report.trace.points().last().expect("the run evaluates at the end");
+    (report.byzantine_selected_rounds, last.accuracy.to_bits(), last.loss.to_bits())
+}
+
+#[test]
+fn selection_feedback_reports_are_pinned_across_the_single_distance_pass() {
+    // The engine builds one distance matrix per round and hands it to both
+    // the rule and the selection feedback. The expected values were captured
+    // from the engine that ran two passes (`apply_round_batch`, then
+    // `selected_rows(.., None)`): a sign-flip run, whose feedback only
+    // counts, and an adaptive run, whose adversary consumes
+    // `previous_selection` and so steers every later round by it.
+    let mut sign_flip = base_config(GarKind::MultiKrum, 2, 9);
+    sign_flip.byzantine_count = 2;
+    sign_flip.attack = AttackKind::SignFlip;
+    let mut adaptive = base_config(GarKind::MultiKrum, 2, 9);
+    adaptive.byzantine_count = 2;
+    adaptive.attack = AttackKind::Adaptive;
+    let pins = [
+        (sign_flip, (0u64, 0x3ff0_0000_0000_0000u64, 0x3fd7_f9cd_2000_0000u64)),
+        (adaptive, (24, 0x3ff0_0000_0000_0000, 0x3fd5_c656_2000_0000)),
+    ];
+    for (config, expected) in pins {
+        for parallel in [true, false] {
+            let mut engine = SyncTrainingEngine::new(config.clone()).expect("valid config");
+            engine.set_phase1_parallel(parallel);
+            let report = engine.run().expect("run");
+            assert_eq!(report.steps_completed, 24);
+            assert_eq!(
+                selection_fingerprint(&report),
+                expected,
+                "{:?}, phase 1 parallel = {parallel}",
+                config.attack
+            );
+        }
+    }
+}
