@@ -7,8 +7,10 @@
 //! claims can be checked from the Criterion report.
 
 use agg_core::{
-    reference, Average, Bulyan, CoordinateMedian, Gar, GarKind, Krum, MultiKrum, TrimmedMean,
+    reference, Average, Bulyan, CoordinateMedian, Gar, GarKind, Krum, MultiKrum, TreeAggregator,
+    TreeConfig, TrimmedMean,
 };
+use agg_ps::reputation::{affinity_sample_indices, collusion_flags};
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use agg_tensor::{GradientBatch, Vector};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -168,12 +170,57 @@ fn bench_selection_networks(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reputation ledger's collusion-affinity sketch at the scale tier's
+/// shape (n = 256 rows of d = 4138, m = 256 sampled coordinates, the default
+/// ε = 0.05 and cluster minimum 3): all-honest traffic, where every pair
+/// leaves at its first 16-coordinate check, and the same round with a
+/// jittered 6-clique, whose 15 pairs are summed to the end.
+fn bench_collusion_sketch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("collusion_flags_n256_m256");
+    group.sample_size(10);
+    let sample = affinity_sample_indices(7, 4_138, 256);
+    let honest = gradients(256, 4_138, 6);
+    let mut with_clique = honest.clone();
+    for (k, row) in with_clique.iter_mut().enumerate().take(6).skip(1) {
+        *row = Vector::from_iter(honest[0].as_slice().iter().map(|&x| x + 1e-4 * k as f32));
+    }
+    for (name, rows) in [("honest", &honest), ("clique6", &with_clique)] {
+        let views: Vec<Option<&[f32]>> = rows.iter().map(|r| Some(r.as_slice())).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &views, |b, views| {
+            b.iter(|| collusion_flags(black_box(views), &sample, 0.05, 3))
+        });
+    }
+    group.finish();
+}
+
+/// The tree tier's selection feedback at the scale tier's shape (n = 256 in
+/// groups of 32, d = 4138, Multi-Krum at both levels): `selected_rows`
+/// re-runs the group stage from the batch, `selected_rows_of` reads a round
+/// the caller already holds — the call the engine makes after applying it.
+fn bench_tree_feedback(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tree_feedback_n256_g32_d4138");
+    group.sample_size(10);
+    let batch = GradientBatch::from_vectors(&gradients(256, 4_138, 8)).unwrap();
+    let groups: Vec<usize> = (0..256).map(|row| row / 32).collect();
+    let tree = TreeAggregator::new(TreeConfig::uniform(GarKind::MultiKrum, 6, 1, 32)).unwrap();
+    let round = tree.group_outputs(&batch, &groups).unwrap();
+    group.bench_function("selected_rows", |b| {
+        b.iter(|| tree.selected_rows(black_box(&batch), &groups).unwrap())
+    });
+    group.bench_function("selected_rows_of", |b| {
+        b.iter(|| tree.selected_rows_of(black_box(&round)).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dimension_sweep,
     bench_worker_sweep,
     bench_f_ablation,
     bench_arena_vs_reference,
-    bench_selection_networks
+    bench_selection_networks,
+    bench_collusion_sketch,
+    bench_tree_feedback
 );
 criterion_main!(benches);

@@ -28,11 +28,12 @@
 //! the flat path's refusal below `resilience_floor`.
 
 use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
-use crate::{resilience, AggregationError, GarConfig, GarKind, Result};
+use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, MultiKrum, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
-use agg_tensor::{GradientBatch, GroupPlan, Vector};
+use agg_tensor::{DistanceMatrix, GradientBatch, GroupPlan, Vector};
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 
 /// Configuration of a two-level aggregation tree: the per-group rule, the
 /// root rule over group outputs, and the group size `g`.
@@ -87,6 +88,10 @@ pub struct GroupOutput {
     pub members: Vec<usize>,
     /// The group GAR's aggregate over those rows.
     pub output: Vector,
+    /// The batch rows the group rule's selection phase kept — the subset of
+    /// `members` that reached `output` — or `None` when the group rule has
+    /// no selection phase (every member contributed).
+    pub kept: Option<Vec<usize>>,
 }
 
 /// The per-group stage of a tree round: the contributing groups' outputs (in
@@ -98,6 +103,17 @@ pub struct TreeRound {
     pub outputs: Vec<GroupOutput>,
     /// `(group id, live member count)` of every excluded group.
     pub skipped: Vec<(usize, usize)>,
+}
+
+impl TreeRound {
+    /// The live size of every group the round saw, contributing or excluded
+    /// — what [`resilience::check_tree`] judges the round by.
+    pub fn group_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outputs
+            .iter()
+            .map(|group| group.members.len())
+            .chain(self.skipped.iter().map(|&(_, size)| size))
+    }
 }
 
 /// A gradient aggregation rule evaluated as a two-level tree over worker
@@ -191,21 +207,22 @@ impl TreeAggregator {
                 ),
             });
         }
-        let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (row, &gid) in groups.iter().enumerate() {
-            match buckets.iter_mut().find(|(g, _)| *g == gid) {
-                Some((_, members)) => members.push(row),
-                None => buckets.push((gid, vec![row])),
-            }
+            buckets.entry(gid).or_default().push(row);
         }
-        buckets.sort_by_key(|&(gid, _)| gid);
-        Ok(buckets)
+        Ok(buckets.into_iter().collect())
     }
 
     /// Runs the per-group stage: every group whose live member count clears
     /// the group rule's resilience floor is aggregated with the group GAR
     /// (in parallel over groups, results in ascending group order);
     /// undersized groups are excluded and reported, never panicked over.
+    ///
+    /// A distance-rule group builds its distance matrix once and reads both
+    /// the selection ([`GroupOutput::kept`]) and the aggregate from it, so
+    /// the round carries its own selection feedback
+    /// ([`TreeAggregator::selected_rows_of`]).
     ///
     /// # Errors
     ///
@@ -225,20 +242,26 @@ impl TreeAggregator {
                 skipped.push((gid, members.len()));
             }
         }
-        let aggregate_group = |(gid, members): &(usize, Vec<usize>)| -> Result<GroupOutput> {
+        let aggregate_group = |(group, members): (usize, Vec<usize>)| -> Result<GroupOutput> {
             let mut scratch = GradientBatch::with_capacity(batch.dim(), members.len());
-            for &row in members {
+            for &row in &members {
                 scratch.push_row(batch.row(row))?;
             }
-            let output = self.group_rule.aggregate_batch(&scratch)?;
-            Ok(GroupOutput { group: *gid, members: members.clone(), output })
+            let (output, kept) = match Self::level_selection(&self.config.group, &scratch)? {
+                Some((distances, picked)) => (
+                    self.group_rule.aggregate_batch_with_distances(&scratch, &distances)?,
+                    Some(picked.into_iter().map(|r| members[r]).collect()),
+                ),
+                None => (self.group_rule.aggregate_batch(&scratch)?, None),
+            };
+            Ok(GroupOutput { group, members, output, kept })
         };
         let total_work = batch.n().saturating_mul(batch.dim());
         let results: Vec<Result<GroupOutput>> =
             if self.parallel && contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
-                contributing.par_iter().map(aggregate_group).collect()
+                contributing.into_par_iter().map(aggregate_group).collect()
             } else {
-                contributing.iter().map(aggregate_group).collect()
+                contributing.into_iter().map(aggregate_group).collect()
             };
         let outputs = results.into_iter().collect::<Result<Vec<GroupOutput>>>()?;
         Ok(TreeRound { outputs, skipped })
@@ -296,32 +319,85 @@ impl TreeAggregator {
         self.root_aggregate(&outputs)
     }
 
-    /// Runs `level`'s selection phase over `batch`, returning the picked row
-    /// indices, or `None` when the level's rule has no selection phase.
-    fn level_selection(level: &GarConfig, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
-        use crate::{Bulyan, MultiKrum};
+    /// Runs `level`'s selection phase over `batch`: the distance matrix it
+    /// built and the picked row indices, or `None` (and no distance pass)
+    /// when the level's rule has no selection phase.
+    fn level_selection(
+        level: &GarConfig,
+        batch: &GradientBatch,
+    ) -> Result<Option<(DistanceMatrix, Vec<usize>)>> {
+        if !level.kind.uses_distances() {
+            return Ok(None);
+        }
         let f = level.f;
-        let picked = match level.kind {
-            GarKind::Krum => MultiKrum::with_selection(f, 1)?.select_batch(batch)?,
-            GarKind::MultiKrum => match level.m {
-                Some(m) => MultiKrum::with_selection(f, m)?,
-                None => MultiKrum::new(f)?,
+        let distances = batch.pairwise_squared_distances();
+        let picked = match (level.kind, level.m) {
+            (GarKind::Bulyan, _) => Bulyan::new(f)?.select_with_distances(&distances),
+            (GarKind::Krum, _) => {
+                MultiKrum::with_selection(f, 1)?.select_with_distances(&distances)
             }
-            .select_batch(batch)?,
-            GarKind::Bulyan => Bulyan::new(f)?.select_batch(batch)?,
-            _ => return Ok(None),
-        };
-        Ok(Some(picked))
+            (_, Some(m)) => MultiKrum::with_selection(f, m)?.select_with_distances(&distances),
+            (_, None) => MultiKrum::new(f)?.select_with_distances(&distances),
+        }?;
+        Ok(Some((distances, picked)))
     }
 
-    /// The batch row indices that contributed to the root rule's selection,
-    /// ascending (`None` for non-selecting root rules) — the tree tier's
-    /// selection-feedback signal. A row is "selected" iff its group's output
-    /// made the root selection AND the group rule's own selection phase kept
-    /// the row (all live members count when the group rule has no selection
-    /// phase, e.g. Median groups). The second condition matters for
-    /// attribution: a root-selected group may itself have excluded an
-    /// outlier member, and that member did not touch the applied update.
+    /// The selection feedback of a round that already ran: the batch row
+    /// indices that contributed to the root rule's selection, ascending
+    /// (`None` for non-selecting root rules). A row is "selected" iff its
+    /// group's output made the root selection AND the group rule's own
+    /// selection phase kept the row ([`GroupOutput::kept`]; all live members
+    /// count when the group rule has no selection phase, e.g. Median
+    /// groups). The second condition matters for attribution: a
+    /// root-selected group may itself have excluded an outlier member, and
+    /// that member did not touch the applied update.
+    ///
+    /// Costs one root selection over `round.outputs` and a union of row
+    /// lists; the group stage is not re-run.
+    ///
+    /// The root selection here runs over *every* group output of the round,
+    /// although the engine's root rule only saw the outputs that survived
+    /// their group→root legs: a group whose output was dropped on the wire
+    /// can still be credited. That is the behaviour the committed digests
+    /// pin; aligning the feedback with the delivered set moves the ledger's
+    /// evidence and is scheduled with ROADMAP item 2's digest-changing PR.
+    ///
+    /// # Errors
+    ///
+    /// Refuses like [`TreeAggregator::aggregate_batch_grouped`] when the
+    /// round's groups fall below the composed floor, plus any root-selection
+    /// error.
+    pub fn selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
+        if !self.config.root.kind.uses_distances() {
+            return Ok(None);
+        }
+        resilience::check_tree(
+            self.config.group.kind,
+            self.config.group.f,
+            self.config.root.kind,
+            self.config.root.f,
+            round.group_sizes(),
+        )?;
+        let dim = round.outputs.first().map_or(0, |group| group.output.len());
+        let mut output_batch = GradientBatch::with_capacity(dim, round.outputs.len());
+        for group in &round.outputs {
+            output_batch.push_row(group.output.as_slice())?;
+        }
+        let (_, picked) = Self::level_selection(&self.config.root, &output_batch)?
+            .expect("selecting root rules matched above");
+        let mut rows: Vec<usize> = Vec::new();
+        for i in picked {
+            let group = &round.outputs[i];
+            rows.extend(group.kept.as_ref().unwrap_or(&group.members));
+        }
+        rows.sort_unstable();
+        Ok(Some(rows))
+    }
+
+    /// [`TreeAggregator::selected_rows_of`] for callers that hold no round:
+    /// runs the group stage over `batch` and reads the feedback from it.
+    /// An engine that applied the round already holds its [`TreeRound`] and
+    /// should hand that back instead of paying for a second group stage.
     ///
     /// # Errors
     ///
@@ -331,41 +407,10 @@ impl TreeAggregator {
         batch: &GradientBatch,
         groups: &[usize],
     ) -> Result<Option<Vec<usize>>> {
-        let selecting =
-            matches!(self.config.root.kind, GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan);
-        if !selecting {
+        if !self.config.root.kind.uses_distances() {
             return Ok(None);
         }
-        let round = self.group_outputs(batch, groups)?;
-        resilience::check_tree(
-            self.config.group.kind,
-            self.config.group.f,
-            self.config.root.kind,
-            self.config.root.f,
-            round
-                .outputs
-                .iter()
-                .map(|g| g.members.len())
-                .chain(round.skipped.iter().map(|&(_, size)| size)),
-        )?;
-        let outputs: Vec<Vector> = round.outputs.iter().map(|g| g.output.clone()).collect();
-        let output_batch = GradientBatch::from_vectors(&outputs)?;
-        let picked = Self::level_selection(&self.config.root, &output_batch)?
-            .expect("selecting root rules matched above");
-        let mut rows: Vec<usize> = Vec::new();
-        for i in picked {
-            let group = &round.outputs[i];
-            let mut scratch = GradientBatch::with_capacity(batch.dim(), group.members.len());
-            for &row in &group.members {
-                scratch.push_row(batch.row(row))?;
-            }
-            match Self::level_selection(&self.config.group, &scratch)? {
-                Some(inner) => rows.extend(inner.into_iter().map(|r| group.members[r])),
-                None => rows.extend(group.members.iter().copied()),
-            }
-        }
-        rows.sort_unstable();
-        Ok(Some(rows))
+        self.selected_rows_of(&self.group_outputs(batch, groups)?)
     }
 }
 
@@ -591,6 +636,210 @@ mod tests {
         })
         .unwrap();
         assert_eq!(flat_root.selected_rows(&batch, &groups).unwrap(), None);
+    }
+
+    /// The rows of `batch` named by `members`, gathered into their own arena.
+    fn gather(batch: &GradientBatch, members: &[usize]) -> GradientBatch {
+        let mut scratch = GradientBatch::with_capacity(batch.dim(), members.len());
+        for &row in members {
+            scratch.push_row(batch.row(row)).unwrap();
+        }
+        scratch
+    }
+
+    /// The pre-change `level_selection`: a level's selection phase through
+    /// the rule's own `select_batch` (its own distance pass).
+    fn select_batch_oracle(level: &GarConfig, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
+        let f = level.f;
+        let picked = match level.kind {
+            GarKind::Krum => MultiKrum::with_selection(f, 1)?.select_batch(batch)?,
+            GarKind::MultiKrum => match level.m {
+                Some(m) => MultiKrum::with_selection(f, m)?,
+                None => MultiKrum::new(f)?,
+            }
+            .select_batch(batch)?,
+            GarKind::Bulyan => Bulyan::new(f)?.select_batch(batch)?,
+            _ => return Ok(None),
+        };
+        Ok(Some(picked))
+    }
+
+    /// The pre-change `selected_rows`, ported as the oracle: every group
+    /// re-aggregated with `aggregate_batch` (linear-find bucketing and all),
+    /// the root selected over the outputs, then one more distance pass
+    /// inside each root-picked group.
+    fn selected_rows_oracle(
+        config: TreeConfig,
+        batch: &GradientBatch,
+        groups: &[usize],
+    ) -> Result<Option<Vec<usize>>> {
+        if !matches!(config.root.kind, GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan) {
+            return Ok(None);
+        }
+        let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (row, &gid) in groups.iter().enumerate() {
+            match buckets.iter_mut().find(|(g, _)| *g == gid) {
+                Some((_, members)) => members.push(row),
+                None => buckets.push((gid, vec![row])),
+            }
+        }
+        buckets.sort_by_key(|&(gid, _)| gid);
+        let group_rule = config.group.build()?;
+        let mut contributing: Vec<Vec<usize>> = Vec::new();
+        let mut outputs: Vec<Vector> = Vec::new();
+        for (_, members) in &buckets {
+            if members.len() >= config.group_floor() {
+                outputs.push(group_rule.aggregate_batch(&gather(batch, members))?);
+                contributing.push(members.clone());
+            }
+        }
+        resilience::check_tree(
+            config.group.kind,
+            config.group.f,
+            config.root.kind,
+            config.root.f,
+            buckets.iter().map(|(_, members)| members.len()),
+        )?;
+        let picked =
+            select_batch_oracle(&config.root, &GradientBatch::from_vectors(&outputs)?)?.unwrap();
+        let mut rows: Vec<usize> = Vec::new();
+        for i in picked {
+            let members = &contributing[i];
+            match select_batch_oracle(&config.group, &gather(batch, members))? {
+                Some(inner) => rows.extend(inner.into_iter().map(|r| members[r])),
+                None => rows.extend(members.iter().copied()),
+            }
+        }
+        rows.sort_unstable();
+        Ok(Some(rows))
+    }
+
+    /// 67 rows of d = 3200 (past the rayon work threshold at 64 rows): honest
+    /// noise, every eighth row an in-group outlier, rows 16..24 shifted (a
+    /// root-level outlier group under the contiguous layouts, more in-group
+    /// outliers under the shuffled one); optionally a NaN coordinate in row
+    /// 10 and an all-`+∞` row 33.
+    fn feedback_batch(non_finite: bool) -> GradientBatch {
+        let mut batch = random_batch(67, 3_200, 41);
+        for row in 0..67 {
+            if row % 8 == 0 {
+                batch.row_mut(row).iter_mut().for_each(|x| *x -= 30.0);
+            }
+            if (16..24).contains(&row) {
+                batch.row_mut(row).iter_mut().for_each(|x| *x += 50.0);
+            }
+        }
+        if non_finite {
+            batch.row_mut(10)[3] = f32::NAN;
+            batch.row_mut(33).fill(f32::INFINITY);
+        }
+        batch
+    }
+
+    /// Row→group layouts over 67 rows in groups of 8: contiguous with a
+    /// ragged 3-row tail, the same with sparse group ids, and a seeded
+    /// shuffle that scatters every group's rows across the batch.
+    fn feedback_layouts() -> Vec<(&'static str, Vec<usize>)> {
+        let contiguous: Vec<usize> = (0..67).map(|row| row / 8).collect();
+        let sparse: Vec<usize> = contiguous.iter().map(|gid| 5 + 3 * gid).collect();
+        // 29 is coprime to 67, so `row ↦ 29·row mod 67` is a permutation.
+        let shuffled: Vec<usize> = (0..67).map(|row| 40 - 5 * ((row * 29 % 67) / 8)).collect();
+        vec![("ragged", contiguous), ("non-dense", sparse), ("shuffled", shuffled)]
+    }
+
+    /// One cell of the feedback matrix: the round's own feedback, and the
+    /// kept public `selected_rows`, against the oracle, with the group stage
+    /// fanned out and sequential; every group output against the group rule
+    /// on the gathered rows, bit for bit.
+    fn check_feedback(config: TreeConfig, batch: &GradientBatch, groups: &[usize], label: &str) {
+        let bits = |v: &Vector| -> Vec<u32> { v.as_slice().iter().map(|x| x.to_bits()).collect() };
+        let expected = selected_rows_oracle(config, batch, groups);
+        let rows = expected.as_ref().unwrap().as_ref().unwrap();
+        assert!(!rows.is_empty() && rows.len() < 60, "{label}: degenerate selection {rows:?}");
+        let group_rule = config.group.build().unwrap();
+        let mut tree = TreeAggregator::new(config).unwrap();
+        for parallel in [true, false] {
+            tree.set_parallel(parallel);
+            let round = tree.group_outputs(batch, groups).unwrap();
+            assert_eq!(tree.selected_rows_of(&round), expected, "{label}");
+            assert_eq!(tree.selected_rows(batch, groups), expected, "{label}");
+            assert!(round.outputs.windows(2).all(|w| w[0].group < w[1].group), "{label}");
+            for group in &round.outputs {
+                assert!(group.members.windows(2).all(|w| w[0] < w[1]), "{label}");
+                let flat = group_rule.aggregate_batch(&gather(batch, &group.members)).unwrap();
+                assert_eq!(bits(&group.output), bits(&flat), "{label}: group {}", group.group);
+                assert_eq!(group.kept.is_some(), config.group.kind.uses_distances(), "{label}");
+                let kept = group.kept.as_deref().unwrap_or_default();
+                assert!(kept.iter().all(|row| group.members.contains(row)), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn feedback_of_a_held_round_matches_the_pre_change_selected_rows() {
+        let group_kinds = [GarKind::Krum, GarKind::MultiKrum, GarKind::Bulyan, GarKind::Median];
+        let root_kinds = [GarKind::Krum, GarKind::MultiKrum, GarKind::Bulyan];
+        for non_finite in [false, true] {
+            let batch = feedback_batch(non_finite);
+            for (layout, groups) in feedback_layouts() {
+                for group_kind in group_kinds {
+                    for root_kind in root_kinds {
+                        let config = TreeConfig {
+                            group: GarConfig::new(group_kind, 1),
+                            root: GarConfig::new(root_kind, 1),
+                            group_size: 8,
+                        };
+                        let label = format!(
+                            "{group_kind} groups, {root_kind} root, {layout}, \
+                             non-finite rows: {non_finite}"
+                        );
+                        check_feedback(config, &batch, &groups, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feedback_refuses_below_the_composed_floor_like_the_pre_change_path() {
+        // 24 rows in 3 groups: a Multi-Krum root with f = 1 needs 5.
+        let batch = random_batch(24, 16, 43);
+        let groups: Vec<usize> = (0..24).map(|row| row / 8).collect();
+        let config = TreeConfig::uniform(GarKind::MultiKrum, 1, 1, 8);
+        let tree = TreeAggregator::new(config).unwrap();
+        let round = tree.group_outputs(&batch, &groups).unwrap();
+        let expected = selected_rows_oracle(config, &batch, &groups);
+        assert!(matches!(expected, Err(AggregationError::NotEnoughWorkers { .. })));
+        assert_eq!(tree.selected_rows_of(&round), expected);
+        assert_eq!(tree.selected_rows(&batch, &groups), expected);
+        // A round with nothing in it is refused the same way, not indexed.
+        let empty = TreeRound { outputs: Vec::new(), skipped: Vec::new() };
+        assert!(tree.selected_rows_of(&empty).is_err());
+    }
+
+    #[test]
+    fn feedback_credits_a_group_whose_output_was_lost_on_the_wire() {
+        // The stated wart: `selected_rows_of` selects over every group
+        // output of the round, not over the ones that reached the root. Drop
+        // a root-picked group's output from the delivered set — the root
+        // rule still applies over the other seven, and the round's feedback
+        // (which never sees the delivered set) still lists the dropped
+        // group's kept rows.
+        let batch = feedback_batch(false);
+        let groups: Vec<usize> = (0..67).map(|row| row / 8).collect();
+        let tree = TreeAggregator::new(TreeConfig::uniform(GarKind::MultiKrum, 1, 1, 8)).unwrap();
+        let round = tree.group_outputs(&batch, &groups).unwrap();
+        let feedback = tree.selected_rows_of(&round).unwrap().unwrap();
+        let lost = round.outputs.iter().find(|g| feedback.contains(&g.members[1])).unwrap();
+        let delivered: Vec<Vector> = round
+            .outputs
+            .iter()
+            .filter(|g| g.group != lost.group)
+            .map(|g| g.output.clone())
+            .collect();
+        assert_eq!(delivered.len(), round.outputs.len() - 1);
+        tree.root_aggregate(&delivered).expect("seven outputs clear the root floor of five");
+        assert!(lost.kept.as_ref().unwrap().iter().all(|row| feedback.contains(row)));
     }
 
     #[test]

@@ -7,12 +7,12 @@ use crate::cost::CostModel;
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
 use crate::report::{TrainingReport, WorkerReport};
 use crate::reputation::{self, ReputationLedger, RoundEvidence};
-use crate::server::ParameterServer;
+use crate::server::{ParameterServer, RoundOutcome};
 use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
 use agg_attacks::{Attack, AttackContext, AttackKind, ChurnDirective};
-use agg_core::{resilience, GarConfig};
+use agg_core::{resilience, GarConfig, TreeRound};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
 use agg_metrics::{LatencyBreakdown, ThroughputMeter, TracePoint, TrainingTrace};
@@ -490,12 +490,14 @@ impl SyncTrainingEngine {
         // tier. Quorum accounting and the adversary's declared-f knowledge
         // both see this figure.
         let declared_f = self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f());
-        // Selection feedback reads the round's own distance matrix (the
-        // streamed one, or the single pass Phase 3 builds for the rule), so
-        // it costs a selection over n scores, not a second O(n²·d) pass —
-        // on the flat and sharded tiers; the tree tier still re-runs its
-        // group stage. Run it only when someone reads it: the
-        // Byzantine-selection counter or the adaptive adversary.
+        // Selection feedback is read from the round that ran: the flat and
+        // sharded tiers select on the round's own distance matrix (the
+        // streamed one, or the single pass Phase 3 builds for the rule), the
+        // tree tier on the `TreeRound` it applied (one root selection over
+        // the group outputs plus the rows each group's rule kept). No tier
+        // pays a second distance pass or group stage. Run it only when
+        // someone reads it: the Byzantine-selection counter or the adaptive
+        // adversary.
         let wants_selection = self.config.gar.kind.uses_distances()
             && (elastic
                 || self.config.byzantine_count > 0
@@ -998,10 +1000,13 @@ impl SyncTrainingEngine {
             // mode only): the legs run in parallel, so the round pays the
             // slowest one.
             let mut tree_wire_wait = 0.0f64;
+            // An applied tree round comes back with the `TreeRound` it
+            // reduced, which is what the selection feedback below reads.
             let round_result = if self.pipeline.arena().is_empty() {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
             } else if let Some(groups) = &tree_groups {
                 self.apply_tree_round(step, groups, dim_scale, &mut tree_wire_wait)
+                    .map(|(outcome, round)| (outcome, Some(round)))
             } else {
                 match &distances {
                     Some(distances) => self
@@ -1009,10 +1014,11 @@ impl SyncTrainingEngine {
                         .apply_round_batch_with_distances(self.pipeline.arena(), distances),
                     None => self.server.apply_round_batch(self.pipeline.arena()),
                 }
+                .map(|outcome| (outcome, None))
             };
             let round_wait = round_wait + tree_wire_wait;
             match round_result {
-                Ok(outcome) => {
+                Ok((outcome, tree_round)) => {
                     let kernel_sec = match self.calibrated_aggregation_sec {
                         Some(calibrated) => calibrated,
                         None => cost.scale_aggregation_time(
@@ -1022,10 +1028,8 @@ impl SyncTrainingEngine {
                     };
                     aggregation_time = kernel_sec + cost.update_time(self.actual_dimension);
                     if wants_selection {
-                        let selection = match &tree_groups {
-                            Some(groups) => {
-                                self.server.tree_selected_rows(self.pipeline.arena(), groups)?
-                            }
+                        let selection = match &tree_round {
+                            Some(round) => self.server.tree_selected_rows_of(round)?,
                             None => self
                                 .server
                                 .selected_rows(self.pipeline.arena(), distances.as_ref())?,
@@ -1101,14 +1105,16 @@ impl SyncTrainingEngine {
     /// (chaos, retransmit and all — a dropped output simply leaves the root
     /// with one fewer input), then the root rule and the optimizer step.
     /// `wire_wait` receives the slowest leg's simulated transfer time; the
-    /// measured aggregation wall time covers both kernel stages.
+    /// measured aggregation wall time covers both kernel stages. An applied
+    /// round hands its group stage back for the caller's selection feedback;
+    /// a refused or skipped one returns only the error.
     fn apply_tree_round(
         &mut self,
         step: u64,
         groups: &[usize],
         dim_scale: f64,
         wire_wait: &mut f64,
-    ) -> Result<crate::server::RoundOutcome> {
+    ) -> Result<(RoundOutcome, TreeRound)> {
         let group_stage = Instant::now();
         let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
         let group_wall_sec = group_stage.elapsed().as_secs_f64();
@@ -1126,7 +1132,7 @@ impl SyncTrainingEngine {
         }
         let mut outcome = self.server.apply_round_tree_outputs(&delivered)?;
         outcome.aggregation_wall_sec += group_wall_sec;
-        Ok(outcome)
+        Ok((outcome, round))
     }
 
     /// Evaluates test accuracy at the current parameters and records a trace

@@ -460,9 +460,19 @@ pub fn affinity_sample_indices(seed: u64, dimension: usize, max_coords: usize) -
 /// themselves); connected components of size ≥ `min_cluster` are flagged.
 /// Zero-norm pairs never form an edge — two silent rows are not evidence.
 ///
-/// Cost is `O(n·m + n²·m)` over the `m` sampled coordinates, computed
-/// sequentially — cheap enough for the bench floor and bit-deterministic
-/// under any thread schedule.
+/// Cost is `O(n·m)` for the gather plus `O(n²·m)` worst case for the pair
+/// pass over the `m` sampled coordinates — but a pair stops at the first
+/// [`AFFINITY_CHECK_EVERY`]-coordinate check that proves it too far apart,
+/// so honest traffic (independent rows, apart at the scale of the gradients
+/// themselves) pays `O(n²·16)` and only near-duplicates are summed to the
+/// end. The exit is exact, not a heuristic: the squared differences are
+/// added in the same left-to-right `f64` order as a full sum, partial sums
+/// of non-negative terms never decrease under round-to-nearest and `sqrt`
+/// is monotone, so a partial sum already past `epsilon × scale` means the
+/// full sum is too (or is NaN, which fails the edge test as well); NaN
+/// partials never compare greater, run to the end and fall to the final
+/// comparison. Computed sequentially — bit-deterministic under any thread
+/// schedule.
 pub fn collusion_flags(
     rows: &[Option<&[f32]>],
     sample: &[usize],
@@ -497,8 +507,7 @@ pub fn collusion_flags(
             if scale <= 0.0 {
                 continue;
             }
-            let dist_sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-            if dist_sq.sqrt() <= epsilon * scale {
+            if sketches_within(a, b, epsilon * scale) {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;
@@ -516,6 +525,26 @@ pub fn collusion_flags(
     (0..n)
         .map(|i| sketches[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
         .collect()
+}
+
+/// How many sampled coordinates [`collusion_flags`] adds to a pair's
+/// distance between checks for the early exit.
+const AFFINITY_CHECK_EVERY: usize = 16;
+
+/// Whether two sketches lie within `threshold` of each other in Euclidean
+/// distance: `(Σ (aᵢ − bᵢ)²).sqrt() <= threshold`, summed left to right,
+/// stopping at the first check that proves the answer is no.
+fn sketches_within(a: &[f64], b: &[f64], threshold: f64) -> bool {
+    let mut dist_sq = 0.0f64;
+    for (xs, ys) in a.chunks(AFFINITY_CHECK_EVERY).zip(b.chunks(AFFINITY_CHECK_EVERY)) {
+        for (x, y) in xs.iter().zip(ys) {
+            dist_sq += (x - y) * (x - y);
+        }
+        if dist_sq.sqrt() > threshold {
+            return false;
+        }
+    }
+    dist_sq.sqrt() <= threshold
 }
 
 /// The suspicion-ranked containment placement of workers into groups of the
@@ -666,6 +695,7 @@ pub fn containment_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn evidence(colluding: bool, stale: bool) -> RoundEvidence {
         RoundEvidence { colluding, stale, ..Default::default() }
@@ -852,6 +882,170 @@ mod tests {
         // Two identical zero rows never form an edge.
         let rows: Vec<Option<&[f32]>> = vec![Some(&zero), Some(&zero), Some(&zero)];
         assert_eq!(collusion_flags(&rows, &sample, 0.05, 2), vec![false, false, false]);
+    }
+
+    /// The pre-early-exit `collusion_flags`, kept verbatim as the oracle:
+    /// every pair's squared differences summed to the end before the one
+    /// comparison.
+    fn collusion_flags_full_sum(
+        rows: &[Option<&[f32]>],
+        sample: &[usize],
+        epsilon: f64,
+        min_cluster: usize,
+    ) -> Vec<bool> {
+        let n = rows.len();
+        let sketches: Vec<Option<Vec<f64>>> = rows
+            .iter()
+            .map(|row| row.map(|r| sample.iter().map(|&i| f64::from(r[i])).collect()))
+            .collect();
+        let norms: Vec<f64> = sketches
+            .iter()
+            .map(|s| s.as_ref().map_or(0.0, |v| v.iter().map(|x| x * x).sum::<f64>().sqrt()))
+            .collect();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        for i in 0..n {
+            let Some(a) = &sketches[i] else { continue };
+            for j in (i + 1)..n {
+                let Some(b) = &sketches[j] else { continue };
+                let scale = norms[i].max(norms[j]);
+                if scale <= 0.0 {
+                    continue;
+                }
+                let dist_sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+                if dist_sq.sqrt() <= epsilon * scale {
+                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                    if ri != rj {
+                        parent[ri] = rj;
+                    }
+                }
+            }
+        }
+        let mut component_size = vec![0usize; n];
+        for (i, sketch) in sketches.iter().enumerate() {
+            if sketch.is_some() {
+                let root = find(&mut parent, i);
+                component_size[root] += 1;
+            }
+        }
+        (0..n)
+            .map(|i| sketches[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
+            .collect()
+    }
+
+    /// One round's worth of rows for the sketch, drawn from `seed`: a
+    /// jittered clique of `clique` rows in the leading slots, then a mix of
+    /// absent rows, all-zero rows, independent Gaussian rows, Gaussian rows
+    /// with a NaN / `+∞` / `−∞` at a sampled coordinate before (position 3)
+    /// or after (position 20) the first 16-coordinate check, and the
+    /// `[1, 0, …]` / `[2, 0, …]` pair whose distance sits exactly on
+    /// `0.5 × scale` (the differing coordinate at sampled position 0 or 20).
+    fn sketch_rows(
+        seed: u64,
+        n: usize,
+        d: usize,
+        sample: &[usize],
+        clique: usize,
+    ) -> Vec<Option<Vec<f32>>> {
+        let mut rng = seeded_rng(derive_seed(seed, 1));
+        let base = agg_tensor::rng::gaussian_vector(&mut rng, d, 0.0, 1.0);
+        let at = |position: usize| sample[position.min(sample.len() - 1)];
+        (0..n)
+            .map(|w| {
+                if w < clique {
+                    return Some(base.as_slice().iter().map(|&x| x + 1e-4 * w as f32).collect());
+                }
+                let mut row =
+                    agg_tensor::rng::gaussian_vector(&mut rng, d, 0.0, 1.0).as_slice().to_vec();
+                let draw = derive_seed(seed, 100 + w as u64);
+                let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(draw >> 8) as usize % 3];
+                match draw % 12 {
+                    0 => return None,
+                    1 => row.fill(0.0),
+                    2 => row[at(3)] = poison,
+                    3 => row[at(20)] = poison,
+                    4 | 5 => {
+                        row.fill(0.0);
+                        row[at(if draw % 12 == 4 { 0 } else { 20 })] = 1.0 + (w % 2) as f32;
+                    }
+                    _ => {}
+                }
+                Some(row)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The early exit is exact: the flags equal the full-sum oracle's
+        /// over the shapes, thresholds and hostile rows above.
+        #[test]
+        fn collusion_flags_match_the_full_sum_oracle(
+            n in prop_oneof![Just(0usize), Just(1), Just(2), Just(7), Just(40)],
+            m in prop_oneof![Just(1usize), Just(15), Just(16), Just(17), Just(33), Just(256)],
+            epsilon in prop_oneof![Just(1e-6f64), Just(0.05), Just(0.5), Just(10.0)],
+            (min_cluster, clique_shape, seed) in (2usize..6, 0usize..4, 0u64..u64::MAX),
+        ) {
+            // Sample every other coordinate, so sketch position ≠ row index.
+            let d = 2 * m;
+            let sample: Vec<usize> = (0..m).map(|i| 2 * i + 1).collect();
+            let clique = [0, min_cluster - 1, min_cluster, n][clique_shape].min(n);
+            let rows = sketch_rows(seed, n, d, &sample, clique);
+            let views: Vec<Option<&[f32]>> = rows.iter().map(|r| r.as_deref()).collect();
+            let flags = collusion_flags(&views, &sample, epsilon, min_cluster);
+            prop_assert_eq!(
+                &flags,
+                &collusion_flags_full_sum(&views, &sample, epsilon, min_cluster),
+                "n={} m={} eps={} min_cluster={} clique={} seed={}",
+                n, m, epsilon, min_cluster, clique, seed
+            );
+            // The planted clique is what the sketch exists to find.
+            if epsilon >= 0.05 && clique >= min_cluster {
+                prop_assert!(flags[..clique].iter().all(|&f| f), "clique of {} missed", clique);
+            }
+        }
+    }
+
+    #[test]
+    fn the_early_exit_keeps_the_boundary_and_non_finite_cases() {
+        // 33 sampled coordinates: checks fall after 16, 32 and 33.
+        let sample: Vec<usize> = (0..33).collect();
+        let unit = |position: usize, value: f32| {
+            let mut row = vec![0.0f32; 33];
+            row[position] = value;
+            row
+        };
+        for position in [0, 15, 16, 20, 32] {
+            // Distance 1 against scale 2: exactly on 0.5 × scale is an edge,
+            // a hair under it is not.
+            let (a, b) = (unit(position, 1.0), unit(position, 2.0));
+            let rows: Vec<Option<&[f32]>> = vec![Some(&a), Some(&b)];
+            assert_eq!(collusion_flags(&rows, &sample, 0.5, 2), vec![true, true], "{position}");
+            assert_eq!(
+                collusion_flags(&rows, &sample, 0.499_999, 2),
+                vec![false, false],
+                "{position}"
+            );
+            // A NaN or an infinity anywhere in a pair is never an edge,
+            // whether it lands before or after the first check.
+            for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut c = a.clone();
+                c[(position + 7) % 33] = poison;
+                let rows: Vec<Option<&[f32]>> = vec![Some(&a), Some(&c), Some(&c)];
+                assert_eq!(
+                    collusion_flags(&rows, &sample, 10.0, 2),
+                    collusion_flags_full_sum(&rows, &sample, 10.0, 2),
+                    "{poison} near {position}"
+                );
+            }
+        }
     }
 
     #[test]

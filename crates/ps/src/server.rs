@@ -208,11 +208,7 @@ impl ParameterServer {
             config.group.f,
             config.root.kind,
             config.root.f,
-            round
-                .outputs
-                .iter()
-                .map(|o| o.members.len())
-                .chain(round.skipped.iter().map(|&(_, size)| size)),
+            round.group_sizes(),
         )
         .map_err(PsError::from)?;
         Ok(round)
@@ -260,9 +256,27 @@ impl ParameterServer {
         self.finish_round(aggregated, start)
     }
 
-    /// Tree-tier counterpart of [`ParameterServer::selected_rows`]: the batch
-    /// rows whose *groups* the root rule's selection phase picks (`None` when
-    /// the root rule has no selection phase). A pure read.
+    /// Tree-tier counterpart of [`ParameterServer::selected_rows`], read from
+    /// the round that ran: the batch rows whose *groups* the root rule's
+    /// selection phase picks and whose group rule kept them (`None` when the
+    /// root rule has no selection phase). `round` is what
+    /// [`ParameterServer::tree_group_outputs`] returned for the applied
+    /// round, so the feedback costs one root selection, not a second group
+    /// stage. A pure read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
+    /// [`PsError::Aggregation`] when the composed bound fails for the round.
+    pub fn tree_selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
+        let tree = self.tree.as_ref().ok_or_else(|| {
+            PsError::InvalidConfig("tree_selected_rows_of requires an installed tree tier".into())
+        })?;
+        tree.selected_rows_of(round).map_err(PsError::from)
+    }
+
+    /// [`ParameterServer::tree_selected_rows_of`] for callers that hold no
+    /// round: runs the group stage over `batch` first.
     ///
     /// # Errors
     ///
@@ -722,9 +736,14 @@ mod tests {
         };
         let selected = selector.tree_selected_rows(&batch, &groups).unwrap().unwrap();
         assert!(!selected.iter().any(|&r| r >= 8), "garbage rows must not be selected");
+        // The same feedback read from a round the caller already holds, as
+        // the engine does after applying it.
+        let held = selector.tree_group_outputs(&batch, &groups).unwrap();
+        assert_eq!(selector.tree_selected_rows_of(&held).unwrap().unwrap(), selected);
 
         // The flat entry points stay flat, and the tiers stay exclusive.
         let mut s = server(GarKind::Median, 1, 2);
+        assert!(matches!(s.tree_selected_rows_of(&held), Err(PsError::InvalidConfig(_))));
         assert!(matches!(s.apply_round_tree(&batch, &groups), Err(PsError::InvalidConfig(_))));
         s.set_tree(Some(tree)).unwrap();
         assert!(s.set_shards(3).is_err(), "tree + shards is rejected");

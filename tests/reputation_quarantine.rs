@@ -369,6 +369,37 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
     let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
     assert_eq!(parallel.byzantine_selected_rounds, 0);
+
+    // The ledger's outcome on the tree tier, captured from the engine that
+    // re-ran the group stage for its selection feedback; the engine now
+    // folds the feedback out of the round it applied, and the exclusion
+    // history that feeds these scores must not move by a bit.
+    let transitions: Vec<(u64, usize, bool)> = parallel
+        .quarantine_events
+        .iter()
+        .map(|e| (e.round, e.worker, e.change == StandingChange::Quarantined))
+        .collect();
+    assert_eq!(
+        transitions,
+        vec![
+            (3, 15, true),
+            (3, 21, true),
+            (3, 27, true),
+            (15, 15, false),
+            (15, 21, false),
+            (15, 27, false),
+            (15, 16, true),
+            (15, 23, true),
+            (16, 17, true),
+        ]
+    );
+    let suspicion = parallel.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
+        (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(suspicion, 0x4341_25f6_7901_be74, "FNV-1a fold of the final_suspicion bits");
+    let last = parallel.trace.points().last().expect("the run evaluates at the end");
+    assert_eq!(last.accuracy.to_bits(), 0x3fef_bbbb_bbbb_bbbc);
+    assert_eq!(last.loss.to_bits(), 0x3fd9_4971_8000_0000);
 }
 
 // ---------------------------------------------------------------------------

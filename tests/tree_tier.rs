@@ -1,6 +1,6 @@
 //! The hierarchical (two-level) aggregation tier, end to end.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * **Tree == flat where the math composes exactly.** A single-group tree
 //!   (g ≥ n) runs the group rule over the whole batch and a degenerate
@@ -21,11 +21,20 @@
 //!   cluster-placement + per-group-link path, and the colluding-group
 //!   adversary that concentrates all its workers into the fewest groups is
 //!   still rejected at the root under the composed bound.
+//! * **Selection feedback is a fold over the round that ran.** The engine
+//!   reads the tree tier's feedback from the `TreeRound` it applied; what
+//!   that feedback determines (Byzantine-selection count, ledger
+//!   transitions and scores, the adaptive adversary's steering) is pinned to
+//!   values captured from the engine that re-ran the group stage instead.
 
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind, TreeAggregator, TreeConfig};
+use agg_net::{LinkConfig, LossPolicy};
 use agg_nn::schedule::LearningRate;
-use agg_ps::{RunnerConfig, SyncTrainingEngine, TrainingReport};
+use agg_ps::{
+    FaultPlan, ReputationConfig, RunnerConfig, StandingChange, SyncTrainingEngine, TrainingReport,
+    TransportKind,
+};
 use agg_tensor::{GradientBatch, Vector};
 use proptest::prelude::*;
 
@@ -132,6 +141,109 @@ fn midscale_tree_round_trains_with_multikrum_at_both_levels() {
     assert_eq!(report.steps_completed, 12);
     assert_eq!(report.refused_rounds, 0);
     assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
+}
+
+/// What the tree tier's selection feedback determines in a report: the
+/// Byzantine-selection count, the skipped rounds, the ledger's transitions as
+/// `(round, worker, quarantined?)`, an FNV-1a fold of the per-worker
+/// `final_suspicion` bits, and the bits of the final accuracy and loss.
+type FeedbackFingerprint = (u64, u64, Vec<(u64, usize, bool)>, u64, u64, u64);
+
+fn feedback_fingerprint(report: &TrainingReport) -> FeedbackFingerprint {
+    let last = report.trace.points().last().expect("the run evaluates at the end");
+    let suspicion = report.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
+        (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let events = report
+        .quarantine_events
+        .iter()
+        .map(|e| (e.round, e.worker, e.change == StandingChange::Quarantined))
+        .collect();
+    (
+        report.byzantine_selected_rounds,
+        report.skipped_updates,
+        events,
+        suspicion,
+        last.accuracy.to_bits(),
+        last.loss.to_bits(),
+    )
+}
+
+/// n = 48 in 6 groups of 8, Multi-Krum at both levels (f = 1, so the root
+/// needs 5 of the 6 outputs), the last two groups and their root-ward legs
+/// on a 10 %-drop wire with no retransmit, seeded churn, and a ledger that
+/// reshuffles every third round.
+fn feedback_config(attack: AttackKind) -> RunnerConfig {
+    let tree = TreeConfig::uniform(GarKind::MultiKrum, 1, 1, 8);
+    let mut config = base_config(tree, 48);
+    config.max_steps = 30;
+    config.eval_every = 10;
+    config.byzantine_count = 3;
+    config.attack = attack;
+    config.reputation = Some(ReputationConfig { reshuffle_every: 3, ..Default::default() });
+    config.fault_plan = FaultPlan::seeded_churn(config.seed, 48, 30, 4);
+    config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+    config.lossy_links = 16;
+    config.link = LinkConfig::datacenter().with_drop_rate(0.10);
+    config
+}
+
+#[test]
+fn tree_feedback_reports_are_pinned_across_the_single_group_stage() {
+    // The engine reads the selection feedback from the `TreeRound` it
+    // applied. The expected values were captured from the engine that re-ran
+    // the group stage (`tree_selected_rows(arena, groups)`) after every
+    // applied round: a colluding clique, whose feedback feeds the ledger's
+    // exclusion history and the Byzantine-selection count, and an adaptive
+    // adversary, which also consumes `previous_selection` and so steers
+    // every later round by it. Both runs lose group outputs on the lossy
+    // root-ward legs and skip rounds, so the pins also cover the two rules a
+    // fold over the applied round must keep: a round that did not apply
+    // feeds nothing back (`previous_selection` and the exclusion history
+    // stay as the last applied round left them), and a group whose output
+    // was lost on the wire is still credited (see `selected_rows_of`).
+    let events = vec![
+        (5, 47, true),
+        (5, 45, true),
+        (5, 46, true),
+        (17, 45, false),
+        (17, 46, false),
+        (17, 47, false),
+        (21, 47, true),
+        (21, 46, true),
+        (21, 45, true),
+    ];
+    let pins: [(AttackKind, FeedbackFingerprint); 2] = [
+        (
+            AttackKind::GroupCollusion { scale: 8.0, group_size: 8 },
+            (
+                0,
+                2,
+                events.clone(),
+                0x04fa_43df_80a8_8ed1,
+                0x3ff0_0000_0000_0000,
+                0x3fd4_ef3f_e000_0000,
+            ),
+        ),
+        (
+            AttackKind::Adaptive,
+            (4, 2, events, 0xc01a_f752_9300_ec6d, 0x3ff0_0000_0000_0000, 0x3fd4_35cd_e000_0000),
+        ),
+    ];
+    for (attack, expected) in pins {
+        for tree_parallel in [true, false] {
+            let mut engine =
+                SyncTrainingEngine::new(feedback_config(attack)).expect("valid config");
+            engine.set_tree_parallel(tree_parallel);
+            let report = engine.run().expect("run");
+            assert!(report.skipped_updates > 0, "{attack:?}: no round lost its root quorum");
+            assert_eq!(
+                feedback_fingerprint(&report),
+                expected,
+                "{attack:?}, tree parallel = {tree_parallel}"
+            );
+        }
+    }
 }
 
 /// The flat aggregate of `rows` under `kind`/`f`, as raw bits.
