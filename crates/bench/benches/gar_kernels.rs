@@ -11,9 +11,10 @@ use agg_core::{
     TreeConfig, TrimmedMean,
 };
 use agg_ps::reputation::{affinity_sample_indices, collusion_flags};
+use agg_tensor::ops;
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use agg_tensor::{GradientBatch, Vector};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn gradients(n: usize, d: usize, seed: u64) -> Vec<Vector> {
     let mut rng = seeded_rng(seed);
@@ -213,8 +214,48 @@ fn bench_tree_feedback(c: &mut Criterion) {
     group.finish();
 }
 
+/// The flat distance pass at the shapes the repo benchmark runs it: the
+/// paper's round (n = 19, d = 102 538: `paper19`, `gar19_bulyan`) and one
+/// tree group (n = 32, d = 4138: `elastic_tree256`). Three walks over the
+/// same rows: `blocked_pair_tiled` is `pairwise_squared_distances` (cache
+/// blocks outermost, four pairs side by side; parallel over tile groups
+/// under the thread budget — run with `RAYON_NUM_THREADS=1` to compare
+/// walks, not schedules), `per_pair_rows` is one `ops::squared_distance`
+/// per pair over two whole rows (the walk the kernel replaced, sequential),
+/// `partials_s1` is the sharded tier's sixteen-lane kernel with one shard
+/// (different bits). `thrpt` counts pair-coordinates, so ns per
+/// pair-coordinate is its reciprocal and the nominal read rate in GB/s —
+/// two `f32` per pair-coordinate, the figure to hold against the traced
+/// run's `roofline.stream_sum_gbps` — is 8 × `thrpt`.
+fn bench_pairwise_distances(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pairwise_distances");
+    group.sample_size(20);
+    for &(n, d) in &[(19usize, 102_538usize), (32, 4_138)] {
+        let batch = GradientBatch::from_vectors(&gradients(n, d, 9)).unwrap();
+        let shape = format!("n{n}_d{d}");
+        group.throughput(Throughput::Elements((n * (n - 1) / 2 * d) as u64));
+        group.bench_with_input(BenchmarkId::new("blocked_pair_tiled", &shape), &batch, |b, g| {
+            b.iter(|| black_box(g).pairwise_squared_distances())
+        });
+        group.bench_with_input(BenchmarkId::new("per_pair_rows", &shape), &batch, |b, g| {
+            b.iter(|| {
+                let g = black_box(g);
+                (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .map(|(i, j)| ops::squared_distance(g.row(i), g.row(j)))
+                    .collect::<Vec<f32>>()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("partials_s1", &shape), &batch, |b, g| {
+            b.iter(|| black_box(g).pairwise_squared_distance_partials(0..d))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_pairwise_distances,
     bench_dimension_sweep,
     bench_worker_sweep,
     bench_f_ablation,

@@ -59,12 +59,26 @@ const WIDE_LANES: usize = 16;
 /// through the 8-lane monomorphisation instead of padding half a wide tile.
 const NARROW_LANES: usize = 8;
 
-/// Columns per tile of the sharded partial-distance kernel. Each pair reads
-/// two `4096 × 4 B = 16 KiB` row slices — together a third of L1 — and the
-/// whole tile across all rows (`19 × 16 KiB ≈ 304 KiB` at the paper's n)
-/// stays L2-resident while every pair revisits it, which is where the
-/// blocked kernel's speedup over the full-row walk comes from.
+/// Columns per block of both distance walks — the flat
+/// [`GradientBatch::tile_distances`] and the sharded
+/// [`GradientBatch::pairwise_squared_distance_partials`]. Each pair reads two
+/// `4096 × 4 B = 16 KiB` row slices — together a third of L1 — and the whole
+/// block across all rows (`19 × 16 KiB ≈ 304 KiB` at the paper's n) stays
+/// L2-resident while every pair revisits it, instead of every pair pulling
+/// two whole rows through the shared L3. A multiple of four, so a block
+/// boundary never splits a 4-chunk of the flat kernel's pinned order.
 pub(crate) const DISTANCE_BLOCK: usize = 4096;
+const _: () = assert!(DISTANCE_BLOCK % 4 == 0);
+
+/// Later rows one row meets at a time in the flat distance walk: four pairs'
+/// independent accumulator chains hide the add latency that bounds one.
+pub(crate) const PAIR_TILE: usize = 4;
+
+/// Contiguous groups the flat distance walk's tile list is cut into — its
+/// parallel items. Fixed, so the cut does not depend on the thread budget;
+/// small, because every group pulls its own copy of each column block
+/// through L2.
+const DISTANCE_GROUPS: usize = 8;
 
 /// A round of gradients stored contiguously, row-major `n × d`.
 ///
@@ -248,30 +262,86 @@ impl GradientBatch {
     /// Upper-triangular pairwise squared-distance matrix.
     ///
     /// Each unordered pair `(i, j)` is computed exactly once — the O(n²·d)
-    /// kernel that dominates Multi-Krum's cost and that Bulyan reuses across
-    /// its selection iterations. Distances involving non-finite coordinates
-    /// map to `+∞` so corrupt gradients are never preferred by any score
-    /// built on top. Parallel over pairs when `pairs·d` clears
-    /// [`PARALLEL_MIN_WORK`].
+    /// kernel that is Multi-Krum's distance phase and that Bulyan reuses
+    /// across its selection iterations. Every entry has the bits of
+    /// [`ops::squared_distance`] on the two full rows (the order pinned
+    /// there; `tests/distance_kernels.rs` checks it entry for entry), then
+    /// distances involving non-finite coordinates map to `+∞` so corrupt
+    /// gradients are never preferred by any score built on top.
+    ///
+    /// The walk is cache-blocked and pair-tiled (`tile_distances`): row `i`
+    /// meets up to `PAIR_TILE` = 4 consecutive later rows at a time, and the
+    /// tiles, taken in flat-triangle order, are cut into `DISTANCE_GROUPS` = 8
+    /// contiguous groups. The groups are the parallel items when `pairs·d`
+    /// clears [`PARALLEL_MIN_WORK`]; a pair's bits depend on neither the cut
+    /// nor the thread count.
     pub fn pairwise_squared_distances(&self) -> DistanceMatrix {
         let n = self.n;
         let pair_count = n.saturating_sub(1) * n / 2;
-        let pair_dist = |(i, j): (usize, usize)| -> f32 {
-            let dist = ops::squared_distance(self.row(i), self.row(j));
-            if dist.is_finite() {
-                dist
-            } else {
-                f32::INFINITY
-            }
-        };
-        // Enumerating i then j > i writes the flat triangle in index order.
-        let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
-        let data: Vec<f32> = if pair_count.saturating_mul(self.d) >= PARALLEL_MIN_WORK {
-            pairs.collect::<Vec<_>>().into_par_iter().map(pair_dist).collect()
+        let later: Vec<usize> = (0..n).collect();
+        // Enumerating i, then j > i in steps, keeps the flat triangle's order.
+        let tiles: Vec<(usize, &[usize])> =
+            (0..n).flat_map(|i| later[i + 1..].chunks(PAIR_TILE).map(move |js| (i, js))).collect();
+        let groups: Vec<&[(usize, &[usize])]> =
+            tiles.chunks(tiles.len().div_ceil(DISTANCE_GROUPS).max(1)).collect();
+        let run = |group: &[(usize, &[usize])]| self.tile_distances(group);
+        let parts: Vec<Vec<f32>> = if pair_count.saturating_mul(self.d) >= PARALLEL_MIN_WORK {
+            groups.into_par_iter().map(run).collect()
         } else {
-            pairs.map(pair_dist).collect()
+            groups.into_iter().map(run).collect()
         };
-        DistanceMatrix { n, data }
+        let mut matrix = DistanceMatrix { n, data: parts.concat() };
+        matrix.map_non_finite_to_infinity();
+        matrix
+    }
+
+    /// Raw full-row squared distances for a list of tiles — each a row and the
+    /// other rows it is paired with, [`PAIR_TILE`] of them in a full tile — in
+    /// tile order, one entry per pair, each with the bits of
+    /// [`ops::squared_distance`] on the two rows (non-finite sums are left as
+    /// they are).
+    ///
+    /// This is the one flat distance walk: the barrier kernel above and
+    /// [`crate::StreamingDistances`]' flat mode both call it. Column blocks
+    /// of [`DISTANCE_BLOCK`] run outermost, so every tile revisits the same
+    /// L2-resident block of the rows before the walk moves on; inside a
+    /// block a full tile continues its four pairs' accumulator chains side
+    /// by side ([`ops::continue_distance_chains`]) — a chain is
+    /// latency-bound on its own — and a tile of any other size one chain at a
+    /// time. The only state carried across blocks is the four lanes per pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row index is out of range.
+    pub(crate) fn tile_distances(&self, tiles: &[(usize, &[usize])]) -> Vec<f32> {
+        let d = self.d;
+        let pairs = || tiles.iter().flat_map(|&(i, others)| others.iter().map(move |&j| (i, j)));
+        let mut lanes = vec![[0.0f32; 4]; pairs().count()];
+        for start in (0..d).step_by(DISTANCE_BLOCK) {
+            let cols = start..(start + DISTANCE_BLOCK).min(d);
+            let mut rest = lanes.as_mut_slice();
+            for &(i, others) in tiles {
+                let a = &self.row(i)[cols.clone()];
+                let (tile_lanes, later_tiles) = rest.split_at_mut(others.len());
+                rest = later_tiles;
+                if let Ok(js) = <[usize; PAIR_TILE]>::try_from(others) {
+                    let acc = tile_lanes.try_into().expect("one lane set per row of the tile");
+                    ops::continue_distance_chains(a, js.map(|j| &self.row(j)[cols.clone()]), acc);
+                } else {
+                    for (&j, acc) in others.iter().zip(tile_lanes) {
+                        let b = &self.row(j)[cols.clone()];
+                        ops::continue_distance_chains(a, [b], std::array::from_mut(acc));
+                    }
+                }
+            }
+        }
+        let tail = d - d % 4;
+        pairs()
+            .zip(lanes)
+            .map(|((i, j), lanes)| {
+                ops::finish_distance_chain(lanes, &self.row(i)[tail..], &self.row(j)[tail..])
+            })
+            .collect()
     }
 
     /// Raw per-pair partial squared distances over the column range `cols`:
@@ -1252,9 +1322,9 @@ impl DistanceMatrix {
     }
 
     /// Maps every non-finite pair distance to `+∞`, the paper's corrupt-
-    /// gradient policy ([`GradientBatch::pairwise_squared_distances`] applies
-    /// the same mapping per pair; raw partial sums defer it to here so NaN
-    /// propagates faithfully through the cross-shard reduce).
+    /// gradient policy ([`GradientBatch::pairwise_squared_distances`] ends
+    /// with it; raw partial sums defer it to here so NaN propagates
+    /// faithfully through the cross-shard reduce).
     pub fn map_non_finite_to_infinity(&mut self) {
         for v in &mut self.data {
             if !v.is_finite() {

@@ -15,16 +15,46 @@
 //! any one output element is exactly that of the plain triple loop** (the
 //! summation index ascending, one rounding per multiply and per add, no fused
 //! multiply-add), so results are bit-identical to the scalar form — the
-//! training trajectories the determinism suites pin do not move. Tiles are
-//! plain loops over fixed-size arrays, which the autovectoriser turns into
-//! 128-bit arithmetic on the baseline x86-64 target; there is no `unsafe` and
-//! no feature dispatch. Rows left over after the last full tile run as one-row
-//! tiles (the operand block is in L1 by then), leftover columns run the same
-//! order in scalar form, and every kernel is a no-op on an empty operand.
+//! training trajectories the determinism suites pin do not move. Rows left
+//! over after the last full tile run as one-row tiles (the operand block is in
+//! L1 by then), leftover columns run the same order in scalar form, and every
+//! kernel is a no-op on an empty operand.
+//!
+//! # Vector width
+//!
+//! Tiles are plain loops over fixed-size arrays — no intrinsics — that the
+//! autovectoriser lowers to whatever width the enclosing function is compiled
+//! for. Each kernel's tile loops are one `#[inline(always)]` function
+//! (`matmul_acc_tiles`, `matmul_tn_acc_tiles`, `matmul_nt_tiles`) with two
+//! instantiations: the baseline one (128-bit SSE2 on x86-64, the only one on
+//! other targets) and, on x86-64, a `#[target_feature(enable = "avx2")]`
+//! wrapper of the same body, which the public entry calls when
+//! `is_x86_feature_detected!("avx2")` says the CPU has it. A vector lane is a
+//! different *output element* (or, in `matmul_nt`, a different sample), never
+//! a different term of one sum; Rust never lets the compiler reassociate a
+//! float sum or contract a multiply and an add, and `fma` is not in the
+//! feature list. So both instantiations add the same terms in the same order
+//! with the same roundings, and the
+//! `*_equals_the_scalar_loop_on_every_edge_shape` tests hold each of them to
+//! the scalar loop bit for bit.
+//!
+//! The at most fifteen leftover columns stay in the public entry at baseline
+//! width: a 256-bit copy of a loop that short only pays its set-up (measured
+//! 1.6–2× slower at the ten-column output layer).
+//!
+//! The three dispatch calls are the crate's only `unsafe`. Calling a
+//! `#[target_feature]` function is undefined behaviour on a CPU without the
+//! feature; each call sits directly under the runtime check for the one
+//! feature its callee enables, and the callees are private to this module.
+//! What the `unsafe` buys is measured: at `paper19`'s 25×256×384 layer the
+//! weight-gradient kernel runs 2.4× faster and the whole per-worker gradient
+//! 1.4× (`cargo bench -p agg-bench --bench nn_kernels`, groups `gemm_dispatch`
+//! and `nn_engine_gradient`).
 
 /// Output rows held by one register tile.
 const TILE_ROWS: usize = 4;
-/// Output columns held by one register tile (four 128-bit vectors).
+/// Output columns held by one register tile (four 128-bit vectors, or two
+/// 256-bit ones).
 const TILE_COLS: usize = 16;
 /// Rows of `a` that [`matmul_nt`] carries side by side (one 128-bit vector).
 const LANES: usize = 4;
@@ -40,16 +70,7 @@ pub fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), m * k, "matmul_acc: a is not [m, k]");
     assert_eq!(b.len(), k * n, "matmul_acc: b is not [k, n]");
     assert_eq!(out.len(), m * n, "matmul_acc: out is not [m, n]");
-    let m_tiled = m - m % TILE_ROWS;
     let n_tiled = n - n % TILE_COLS;
-    for j0 in (0..n_tiled).step_by(TILE_COLS) {
-        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
-            matmul_acc_tile::<TILE_ROWS>(a, b, out, k, n, i0, j0);
-        }
-        for i in m_tiled..m {
-            matmul_acc_tile::<1>(a, b, out, k, n, i, j0);
-        }
-    }
     if n_tiled < n {
         for i in 0..m {
             let out_edge = &mut out[i * n + n_tiled..(i + 1) * n];
@@ -62,6 +83,46 @@ pub fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
                     *o += av * bv;
                 }
             }
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2, the one feature `matmul_acc_tiles_avx2` enables, was
+        // just detected on the running CPU.
+        return unsafe { matmul_acc_tiles_avx2(a, b, out, m, k, n) };
+    }
+    matmul_acc_tiles(a, b, out, m, k, n)
+}
+
+/// [`matmul_acc_tiles`] compiled for 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_acc_tiles_avx2(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_acc_tiles(a, b, out, m, k, n)
+}
+
+/// The register-tiled columns of [`matmul_acc`] (`0..n − n % TILE_COLS`), at
+/// the vector width of whichever function it is inlined into.
+#[inline(always)]
+fn matmul_acc_tiles(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let m_tiled = m - m % TILE_ROWS;
+    for j0 in (0..n - n % TILE_COLS).step_by(TILE_COLS) {
+        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
+            matmul_acc_tile::<TILE_ROWS>(a, b, out, k, n, i0, j0);
+        }
+        for i in m_tiled..m {
+            matmul_acc_tile::<1>(a, b, out, k, n, i, j0);
         }
     }
 }
@@ -110,16 +171,7 @@ pub fn matmul_tn_acc(a: &[f32], b: &[f32], out: &mut [f32], batch: usize, m: usi
     assert_eq!(a.len(), batch * m, "matmul_tn_acc: a is not [batch, m]");
     assert_eq!(b.len(), batch * n, "matmul_tn_acc: b is not [batch, n]");
     assert_eq!(out.len(), m * n, "matmul_tn_acc: out is not [m, n]");
-    let m_tiled = m - m % TILE_ROWS;
     let n_tiled = n - n % TILE_COLS;
-    for j0 in (0..n_tiled).step_by(TILE_COLS) {
-        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
-            matmul_tn_acc_tile::<TILE_ROWS>(a, b, out, batch, m, n, i0, j0);
-        }
-        for i in m_tiled..m {
-            matmul_tn_acc_tile::<1>(a, b, out, batch, m, n, i, j0);
-        }
-    }
     if n_tiled < n {
         for s in 0..batch {
             let b_edge = &b[s * n + n_tiled..(s + 1) * n];
@@ -129,6 +181,46 @@ pub fn matmul_tn_acc(a: &[f32], b: &[f32], out: &mut [f32], batch: usize, m: usi
                     *o += av * bv;
                 }
             }
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2, the one feature `matmul_tn_acc_tiles_avx2` enables,
+        // was just detected on the running CPU.
+        return unsafe { matmul_tn_acc_tiles_avx2(a, b, out, batch, m, n) };
+    }
+    matmul_tn_acc_tiles(a, b, out, batch, m, n)
+}
+
+/// [`matmul_tn_acc_tiles`] compiled for 256-bit vectors.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_tn_acc_tiles_avx2(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    batch: usize,
+    m: usize,
+    n: usize,
+) {
+    matmul_tn_acc_tiles(a, b, out, batch, m, n)
+}
+
+/// The register-tiled columns of [`matmul_tn_acc`] (`0..n − n % TILE_COLS`),
+/// at the vector width of whichever function it is inlined into.
+#[inline(always)]
+fn matmul_tn_acc_tiles(a: &[f32], b: &[f32], out: &mut [f32], batch: usize, m: usize, n: usize) {
+    let m_tiled = m - m % TILE_ROWS;
+    for j0 in (0..n - n % TILE_COLS).step_by(TILE_COLS) {
+        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
+            matmul_tn_acc_tile::<TILE_ROWS>(a, b, out, batch, m, n, i0, j0);
+        }
+        for i in m_tiled..m {
+            matmul_tn_acc_tile::<1>(a, b, out, batch, m, n, i, j0);
         }
     }
 }
@@ -188,6 +280,46 @@ pub fn matmul_nt(
     assert_eq!(a.len(), batch * n, "matmul_nt: a is not [batch, n]");
     assert_eq!(b.len(), m * n, "matmul_nt: b is not [m, n]");
     assert_eq!(out.len(), batch * m, "matmul_nt: out is not [batch, m]");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2, the one feature `matmul_nt_tiles_avx2` enables, was
+        // just detected on the running CPU.
+        return unsafe { matmul_nt_tiles_avx2(a, b, out, scratch, batch, m, n) };
+    }
+    matmul_nt_tiles(a, b, out, scratch, batch, m, n)
+}
+
+/// [`matmul_nt_tiles`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_nt_tiles_avx2(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+    batch: usize,
+    m: usize,
+    n: usize,
+) {
+    matmul_nt_tiles(a, b, out, scratch, batch, m, n)
+}
+
+/// All of [`matmul_nt`] after its shape checks (it has no scalar edge), at
+/// the vector width of whichever function it is inlined into.
+#[inline(always)]
+fn matmul_nt_tiles(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+    batch: usize,
+    m: usize,
+    n: usize,
+) {
     let groups = batch.div_ceil(LANES);
     // scratch[(g * n + j) * LANES + l] = a[g * LANES + l][j], zero past `batch`.
     scratch.clear();
@@ -334,23 +466,51 @@ mod tests {
     const ROWS: [usize; 8] = [0, 1, 2, 3, 4, 5, 9, 25];
     const INNER: [usize; 5] = [0, 1, 3, 7, 33];
     const COLS: [usize; 8] = [0, 1, 10, 15, 16, 17, 33, 48];
+    /// The layer shapes the repo benchmark's workloads run (batch, in, out).
+    const ENGINE: [(usize, usize, usize); 4] =
+        [(25, 256, 384), (25, 384, 10), (2, 256, 384), (8, 32, 96)];
+
+    /// Every edge shape (first dimension from `ROWS`, second from `INNER`,
+    /// third from `COLS`), then the engine's.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for &r in &ROWS {
+            for &i in &INNER {
+                shapes.extend(COLS.iter().map(|&c| (r, i, c)));
+            }
+        }
+        shapes.extend(ENGINE);
+        shapes
+    }
+
+    /// What a tiles-only call must leave behind: the scalar result on the
+    /// tiled columns, the starting value on the edge columns.
+    fn tiled_columns_of(want: &[f32], start: &[f32], n: usize) -> Vec<f32> {
+        let n_tiled = n - n % TILE_COLS;
+        (0..want.len()).map(|idx| if idx % n < n_tiled { want[idx] } else { start[idx] }).collect()
+    }
+
+    // Each sweep runs a shape twice: through the public entry, which on a CPU
+    // with AVX2 executes the 256-bit instantiation of the tiles, and through
+    // the tiles called directly from this (baseline-compiled) function. Both
+    // must equal the scalar loop, so the two instantiations equal each other;
+    // without AVX2 the comparison degenerates to baseline against baseline.
 
     #[test]
     fn matmul_acc_equals_the_scalar_loop_on_every_edge_shape() {
         for (case, specials) in [false, true].into_iter().enumerate() {
-            for &m in &ROWS {
-                for &k in &INNER {
-                    for &n in &COLS {
-                        let seed = (case + 2 * (m + 31 * (k + 37 * n))) as u32;
-                        let a = operand(m * k, seed, specials);
-                        let b = operand(k * n, seed ^ 0x5bd1, specials);
-                        let start = operand(m * n, seed ^ 0x9e37, false);
-                        let (mut got, mut want) = (start.clone(), start);
-                        matmul_acc(&a, &b, &mut got, m, k, n);
-                        scalar::matmul_acc(&a, &b, &mut want, m, k, n);
-                        assert_same_bits(&got, &want, &format!("matmul_acc {m}x{k}x{n}"));
-                    }
-                }
+            for (m, k, n) in shapes() {
+                let seed = (case + 2 * (m + 31 * (k + 37 * n))) as u32;
+                let a = operand(m * k, seed, specials);
+                let b = operand(k * n, seed ^ 0x5bd1, specials);
+                let start = operand(m * n, seed ^ 0x9e37, false);
+                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start.clone());
+                matmul_acc(&a, &b, &mut got, m, k, n);
+                matmul_acc_tiles(&a, &b, &mut base, m, k, n);
+                scalar::matmul_acc(&a, &b, &mut want, m, k, n);
+                assert_same_bits(&got, &want, &format!("matmul_acc {m}x{k}x{n}"));
+                let want_tiles = tiled_columns_of(&want, &start, n);
+                assert_same_bits(&base, &want_tiles, &format!("matmul_acc_tiles {m}x{k}x{n}"));
             }
         }
     }
@@ -358,22 +518,25 @@ mod tests {
     #[test]
     fn matmul_tn_acc_equals_the_scalar_loop_on_every_edge_shape() {
         for (case, specials) in [false, true].into_iter().enumerate() {
-            for &batch in &ROWS {
-                for &m in &INNER {
-                    for &n in &COLS {
-                        let seed = (case + 2 * (batch + 31 * (m + 37 * n))) as u32;
-                        let a = operand(batch * m, seed, specials);
-                        let b = operand(batch * n, seed ^ 0x5bd1, specials);
-                        let start = operand(m * n, seed ^ 0x9e37, false);
-                        let (mut got, mut want) = (start.clone(), start);
-                        // Twice: the second call starts from a non-trivial sum.
-                        for _ in 0..2 {
-                            matmul_tn_acc(&a, &b, &mut got, batch, m, n);
-                            scalar::matmul_tn_acc(&a, &b, &mut want, batch, m, n);
-                        }
-                        assert_same_bits(&got, &want, &format!("matmul_tn_acc {batch}x{m}x{n}"));
-                    }
+            for (batch, m, n) in shapes() {
+                let seed = (case + 2 * (batch + 31 * (m + 37 * n))) as u32;
+                let a = operand(batch * m, seed, specials);
+                let b = operand(batch * n, seed ^ 0x5bd1, specials);
+                let start = operand(m * n, seed ^ 0x9e37, false);
+                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start.clone());
+                // Twice: the second call starts from a non-trivial sum.
+                for _ in 0..2 {
+                    matmul_tn_acc(&a, &b, &mut got, batch, m, n);
+                    matmul_tn_acc_tiles(&a, &b, &mut base, batch, m, n);
+                    scalar::matmul_tn_acc(&a, &b, &mut want, batch, m, n);
                 }
+                assert_same_bits(&got, &want, &format!("matmul_tn_acc {batch}x{m}x{n}"));
+                let want_tiles = tiled_columns_of(&want, &start, n);
+                assert_same_bits(
+                    &base,
+                    &want_tiles,
+                    &format!("matmul_tn_acc_tiles {batch}x{m}x{n}"),
+                );
             }
         }
     }
@@ -382,20 +545,19 @@ mod tests {
     fn matmul_nt_equals_the_scalar_loop_on_every_edge_shape() {
         let mut scratch = Vec::new();
         for (case, specials) in [false, true].into_iter().enumerate() {
-            for &batch in &ROWS {
-                for &m in &INNER {
-                    for &n in &COLS {
-                        let seed = (case + 2 * (batch + 31 * (m + 37 * n))) as u32;
-                        let a = operand(batch * n, seed, specials);
-                        let b = operand(m * n, seed ^ 0x5bd1, specials);
-                        // Stale output and scratch must both be overwritten.
-                        let mut got = vec![f32::NAN; batch * m];
-                        let mut want = vec![0.0; batch * m];
-                        matmul_nt(&a, &b, &mut got, &mut scratch, batch, m, n);
-                        scalar::matmul_nt(&a, &b, &mut want, batch, m, n);
-                        assert_same_bits(&got, &want, &format!("matmul_nt {batch}x{m}x{n}"));
-                    }
-                }
+            for (batch, m, n) in shapes() {
+                let seed = (case + 2 * (batch + 31 * (m + 37 * n))) as u32;
+                let a = operand(batch * n, seed, specials);
+                let b = operand(m * n, seed ^ 0x5bd1, specials);
+                // Stale output and scratch must both be overwritten.
+                let mut got = vec![f32::NAN; batch * m];
+                let mut base = vec![f32::NAN; batch * m];
+                let mut want = vec![0.0; batch * m];
+                matmul_nt(&a, &b, &mut got, &mut scratch, batch, m, n);
+                matmul_nt_tiles(&a, &b, &mut base, &mut scratch, batch, m, n);
+                scalar::matmul_nt(&a, &b, &mut want, batch, m, n);
+                assert_same_bits(&got, &want, &format!("matmul_nt {batch}x{m}x{n}"));
+                assert_same_bits(&base, &want, &format!("matmul_nt_tiles {batch}x{m}x{n}"));
             }
         }
     }

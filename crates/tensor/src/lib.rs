@@ -32,7 +32,10 @@
 //!
 //! The crate intentionally avoids BLAS or SIMD intrinsics: kernels are safe
 //! loops shaped so the autovectoriser does the work, and every one keeps the
-//! summation order of its scalar form so results do not depend on the kernel.
+//! summation order of its scalar form so results do not depend on the kernel
+//! — nor on the vector width: [`gemm`] runs the same loops at 256 bits where
+//! the CPU has AVX2, behind the crate's only `unsafe` (three feature-checked
+//! dispatch calls).
 //!
 //! ```
 //! use agg_tensor::Vector;

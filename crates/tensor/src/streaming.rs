@@ -11,10 +11,12 @@
 //! arrivals. Its contract is *bit-identity* with the batch pipeline it
 //! replaces, which pins two things:
 //!
-//! - **Kernel choice.** [`Mode::Flat`] replays the unsharded path: one
-//!   [`ops::squared_distance`] call per pair over the full rows, the exact
-//!   four-lane kernel and summation order of
-//!   [`GradientBatch::pairwise_squared_distances`]. [`Mode::Sharded`]
+//! - **Kernel choice.** [`Mode::Flat`] replays the unsharded path by
+//!   calling it: the arriving row against the prior rows, four at a time,
+//!   through the same blocked walk (`GradientBatch::tile_distances`) that
+//!   [`GradientBatch::pairwise_squared_distances`] is built on, so each pair
+//!   has the bits of [`ops::squared_distance`] on its two full rows (whose
+//!   value does not depend on which row is named first). [`Mode::Sharded`]
 //!   replays the decomposed path: per-shard partial sums fed by
 //!   [`ops::squared_distance_wide`] over [`DISTANCE_BLOCK`]-column tiles in
 //!   ascending block order — the fold of
@@ -31,15 +33,15 @@
 //! to `+∞` once at extraction, matching both batch kernels' published
 //! policy.
 
-use crate::batch::{DistanceMatrix, GradientBatch, DISTANCE_BLOCK};
+use crate::batch::{DistanceMatrix, GradientBatch, DISTANCE_BLOCK, PAIR_TILE};
 use crate::shard::ShardPlan;
 use crate::{ops, Result};
 
 /// Which batch distance pipeline the accumulator replays bit-for-bit.
 #[derive(Debug, Clone)]
 enum Mode {
-    /// The unsharded four-lane kernel of
-    /// [`GradientBatch::pairwise_squared_distances`].
+    /// The unsharded four-lane walk
+    /// [`GradientBatch::pairwise_squared_distances`] is built on.
     Flat,
     /// The column-blocked sixteen-lane partial pipeline of
     /// [`GradientBatch::pairwise_squared_distance_partials`], folded across
@@ -149,6 +151,10 @@ impl StreamingDistances {
     /// the streaming round. `batch` is the submission arena: it must hold one
     /// row per slot at the accumulator's dimension.
     ///
+    /// The flat walk is the barrier kernel's: the arriving row meets the
+    /// prior rows four at a time, column blocks outermost, and each pair is
+    /// closed once the row's last block has passed.
+    ///
     /// The sharded walk is tile-ordered for cache warmth: the arriving row's
     /// [`DISTANCE_BLOCK`] slice stays register/L1-hot while every prior row's
     /// matching slice streams past it, and per (shard, pair) the blocks fold
@@ -168,11 +174,12 @@ impl StreamingDistances {
         let pair_count = self.slots.saturating_sub(1) * self.slots / 2;
         match &self.mode {
             Mode::Flat => {
-                let row = batch.row(slot);
-                for &prior in &self.arrived {
-                    let (lo, hi) = if prior < slot { (prior, slot) } else { (slot, prior) };
-                    let p = self.pair_index(lo, hi);
-                    self.sums[p] = ops::squared_distance(row, batch.row(prior));
+                let tiles: Vec<(usize, &[usize])> =
+                    self.arrived.chunks(PAIR_TILE).map(|priors| (slot, priors)).collect();
+                let dists = batch.tile_distances(&tiles);
+                for (&prior, dist) in self.arrived.iter().zip(dists) {
+                    let p = self.pair_index(prior.min(slot), prior.max(slot));
+                    self.sums[p] = dist;
                 }
             }
             Mode::Sharded(plan) => {
