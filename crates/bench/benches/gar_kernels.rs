@@ -253,9 +253,69 @@ fn bench_pairwise_distances(c: &mut Criterion) {
     group.finish();
 }
 
+/// The order-statistic tile (gather → selection network → finish, the one
+/// driver under median, trimmed mean, MeaMed and Bulyan's second phase) at
+/// the shapes the repo benchmark runs it: the paper's round (`gar19_bulyan`:
+/// n = 19, f = 4, so phase 2 reads θ = 11 selected rows of the arena and
+/// keeps β = 3) with the other three rules over all 19 rows beside it, and
+/// one tree group (`elastic_tree256`'s shape, n = 32, f = 6: θ = 20, β = 8).
+/// The `*_quickselect` lines are the scalar kernels the dispatch falls back
+/// to above 32 rows — the in-file reference. `thrpt` counts row-coordinates
+/// (rows read × d), so ns per row-coordinate is its reciprocal and the
+/// nominal read rate in GB/s — one `f32` per row-coordinate, the figure to
+/// hold against the traced run's `roofline.stream_sum_gbps` — is 4 × `thrpt`.
+/// Blocks run in parallel under the thread budget: `RAYON_NUM_THREADS=1`
+/// compares kernels, not schedules.
+fn bench_order_statistic_tiles(c: &mut Criterion) {
+    let mut group = c.benchmark_group("order_statistic_tiles");
+    group.sample_size(20);
+    let (n, d) = (19usize, 102_538usize);
+    let batch = GradientBatch::from_vectors(&gradients(n, d, 10)).unwrap();
+    let shape = format!("n{n}_d{d}");
+    // Eleven rows in no particular order, as iterated Krum extracts them.
+    let selected = [7usize, 2, 16, 11, 0, 18, 5, 13, 9, 3, 14];
+    group.throughput(Throughput::Elements((selected.len() * d) as u64));
+    group.bench_with_input(BenchmarkId::new("bulyan_phase2_t11_b3", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).mean_around_median_of_rows(&selected, 3).unwrap())
+    });
+    group.throughput(Throughput::Elements((n * d) as u64));
+    group.bench_with_input(BenchmarkId::new("meamed_keep15", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).mean_around_median(15).unwrap())
+    });
+    group.bench_with_input(BenchmarkId::new("median", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).coordinate_median().unwrap())
+    });
+    group.bench_with_input(BenchmarkId::new("trimmed_f4", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).coordinate_trimmed_mean(4).unwrap())
+    });
+    group.bench_with_input(
+        BenchmarkId::new("meamed_keep15_quickselect", &shape),
+        &batch,
+        |b, g| b.iter(|| black_box(g).coordinate_mean_around_median_quickselect(15).unwrap()),
+    );
+    group.bench_with_input(BenchmarkId::new("median_quickselect", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).coordinate_median_quickselect().unwrap())
+    });
+    group.bench_with_input(BenchmarkId::new("trimmed_f4_quickselect", &shape), &batch, |b, g| {
+        b.iter(|| black_box(g).coordinate_trimmed_mean_quickselect(4).unwrap())
+    });
+
+    let (n, d) = (32usize, 4_138usize);
+    let batch = GradientBatch::from_vectors(&gradients(n, d, 11)).unwrap();
+    let selected: Vec<usize> = (0..20).map(|i| (i * 13 + 5) % n).collect();
+    group.throughput(Throughput::Elements((selected.len() * d) as u64));
+    group.bench_with_input(
+        BenchmarkId::new("bulyan_phase2_t20_b8", format!("n{n}_d{d}")),
+        &batch,
+        |b, g| b.iter(|| black_box(g).mean_around_median_of_rows(&selected, 8).unwrap()),
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_pairwise_distances,
+    bench_order_statistic_tiles,
     bench_dimension_sweep,
     bench_worker_sweep,
     bench_f_ablation,

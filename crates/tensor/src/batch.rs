@@ -16,15 +16,16 @@
 //!   row counts (`n ≤ 32`) each block is processed as lane-major tiles of
 //!   W = 8–16 columns through a branch-free [`crate::sortnet`] selection
 //!   network — every compare–exchange is an elementwise min/max over a
-//!   whole lane, after a NaN → `+∞` canonicalisation pre-pass that keeps
-//!   the scalar kernels' NaN policy intact. Larger batches fall back to the
-//!   scalar quickselect kernels (`select_nth_unstable` over a reused
-//!   per-column gather).
+//!   whole lane — and finished over whole lanes too, at 256 bits where the
+//!   CPU has AVX2; a tile carrying a NaN is canonicalised (NaN → `+∞`) and
+//!   finished lane by lane, which keeps the scalar kernels' NaN policy
+//!   intact. Larger batches fall back to the scalar quickselect kernels
+//!   (`select_nth_unstable` over a reused per-column gather).
 //!
 //! All kernels keep the paper's non-finite policy: corrupt gradients map to
 //! `+∞` distance and are never selected while enough finite candidates exist.
 
-use crate::sortnet::{SelectionNetwork, MAX_NETWORK_N};
+use crate::sortnet::{self, SelectionNetwork, MAX_NETWORK_N};
 use crate::stats::{mean_of_closest_to_median_sorted, median_of_scratch, SMALL_SORT};
 use crate::{ops, Result, TensorError, Vector};
 use rayon::prelude::*;
@@ -50,9 +51,11 @@ const COLUMN_BLOCK: usize = 512;
 
 /// Lane width of the vertical selection-network kernels: columns processed
 /// side by side as `[f32; W]` rows of a lane-major tile. Sixteen f32 lanes
-/// are one AVX-512 register or two AVX2/NEON registers — wide enough to
-/// saturate the vector units, while the tile (`n × 16 × 4 B ≈ 1.2 KiB` at
-/// the paper's n = 19) stays L1-resident.
+/// are four 128-bit registers in the baseline instantiation of the tile body
+/// and two 256-bit ones in the AVX2 instantiation (nothing here is compiled
+/// for AVX-512) — enough independent rows in flight to cover the min/max
+/// latency, one cache line of every gathered row, and a tile
+/// (`n × 16 × 4 B ≈ 1.2 KiB` at the paper's n = 19) that stays L1-resident.
 const WIDE_LANES: usize = 16;
 
 /// Narrow lane width for ragged tails: a residual group of ≤ 8 columns runs
@@ -458,7 +461,7 @@ impl GradientBatch {
     /// coordinate that is NaN in every row.
     pub fn coordinate_median(&self) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.median_impl(None, 0..self.d, &mut out)?;
+        self.order_statistic(OrderStatistic::Median, None, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -470,7 +473,7 @@ impl GradientBatch {
     /// [`TensorError::IndexOutOfBounds`] for an invalid row index.
     pub fn coordinate_median_of_rows(&self, rows: &[usize]) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.median_impl(Some(rows), 0..self.d, &mut out)?;
+        self.order_statistic(OrderStatistic::Median, Some(rows), 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -510,44 +513,9 @@ impl GradientBatch {
     /// coordinate that is NaN in every row.
     pub fn coordinate_trimmed_mean(&self, trim: usize) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.trimmed_mean_impl(trim, 0..self.d, &mut out)?;
+        let rule = OrderStatistic::TrimmedMean { trim };
+        self.order_statistic(rule, None, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
-    }
-
-    fn trimmed_mean_impl(&self, trim: usize, cols: Range<usize>, out: &mut [f32]) -> Result<()> {
-        let m = self.n;
-        if m == 0 {
-            return Err(TensorError::EmptyInput("coordinate_trimmed_mean"));
-        }
-        if m > MAX_NETWORK_N {
-            return self.trimmed_mean_quickselect(trim, cols, out);
-        }
-        let full = SelectionNetwork::sorting_cached(m);
-        // NaN-free tiles have all m values in play: either the kept middle
-        // window, or — when the trim swallows everything — the median
-        // positions of the fallback.
-        let fast = if m > 2 * trim {
-            SelectionNetwork::selecting_cached(m, trim..m - trim)
-        } else {
-            SelectionNetwork::selecting_cached(m, (m - 1) / 2..m / 2 + 1)
-        };
-        self.network_reduce(None, "coordinate_trimmed_mean", cols, out, full, fast, || {
-            move |lane: &SortedLane<'_>| {
-                let k = lane.finite;
-                if k == 0 {
-                    return Err(TensorError::EmptyInput("coordinate_trimmed_mean"));
-                }
-                if k <= 2 * trim {
-                    // Fallback: median of whatever finite values remain.
-                    return Ok(lane.prefix_median(k));
-                }
-                let mut sum = 0.0f32;
-                for p in trim..k - trim {
-                    sum += lane.get(p);
-                }
-                Ok(sum / (k - 2 * trim) as f32)
-            }
-        })
     }
 
     /// The scalar quickselect trimmed mean: the fallback for batches of more
@@ -560,17 +528,18 @@ impl GradientBatch {
     /// Same conditions as [`GradientBatch::coordinate_trimmed_mean`].
     pub fn coordinate_trimmed_mean_quickselect(&self, trim: usize) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.trimmed_mean_quickselect(trim, 0..self.d, &mut out)?;
+        self.trimmed_mean_quickselect(None, trim, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
     fn trimmed_mean_quickselect(
         &self,
+        rows: Option<&[usize]>,
         trim: usize,
         cols: Range<usize>,
         out: &mut [f32],
     ) -> Result<()> {
-        self.column_reduce(None, "coordinate_trimmed_mean", cols, out, || {
+        self.column_reduce(rows, "coordinate_trimmed_mean", cols, out, || {
             move |column: &mut Vec<f32>| {
                 column.retain(|x| !x.is_nan());
                 let len = column.len();
@@ -622,7 +591,8 @@ impl GradientBatch {
     /// coordinate that is NaN in every row.
     pub fn mean_around_median(&self, keep: usize) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.mean_around_median_impl(None, keep, 0..self.d, &mut out)?;
+        let rule = OrderStatistic::MeanAroundMedian { keep };
+        self.order_statistic(rule, None, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -634,40 +604,9 @@ impl GradientBatch {
     /// invalid row index.
     pub fn mean_around_median_of_rows(&self, rows: &[usize], keep: usize) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
-        self.mean_around_median_impl(Some(rows), keep, 0..self.d, &mut out)?;
+        let rule = OrderStatistic::MeanAroundMedian { keep };
+        self.order_statistic(rule, Some(rows), 0..self.d, &mut out)?;
         Ok(Vector::from(out))
-    }
-
-    fn mean_around_median_impl(
-        &self,
-        rows: Option<&[usize]>,
-        keep: usize,
-        cols: Range<usize>,
-        out: &mut [f32],
-    ) -> Result<()> {
-        let m = rows.map_or(self.n, <[usize]>::len);
-        if m == 0 {
-            return Err(TensorError::EmptyInput("mean_around_median"));
-        }
-        if m > MAX_NETWORK_N {
-            return self.mean_around_median_quickselect(rows, keep, cols, out);
-        }
-        // The window can reach anywhere in the column (MeaMed keeps n − f
-        // values), so the network path needs the full sorted order on both
-        // the NaN-carrying and NaN-free tiles.
-        let full = SelectionNetwork::sorting_cached(m);
-        self.network_reduce(rows, "mean_around_median", cols, out, full, full, || {
-            let mut sorted: Vec<f32> = Vec::with_capacity(m);
-            move |lane: &SortedLane<'_>| {
-                let k = lane.finite;
-                if k == 0 {
-                    return Err(TensorError::EmptyInput("mean_around_median"));
-                }
-                sorted.clear();
-                sorted.extend((0..k).map(|p| lane.get(p)));
-                Ok(mean_of_closest_to_median_sorted(&sorted, m, keep))
-            }
-        })
     }
 
     /// The scalar sort-and-walk mean-around-median over the full column
@@ -689,7 +628,8 @@ impl GradientBatch {
     ///
     /// One small sort serves both the median and the closest-to-median
     /// selection (the window kernel itself is
-    /// [`mean_of_closest_to_median_sorted`], shared with the network path).
+    /// [`mean_of_closest_to_median_sorted`], shared with the network path's
+    /// NaN-carrying tiles).
     fn mean_around_median_quickselect(
         &self,
         rows: Option<&[usize]>,
@@ -707,32 +647,6 @@ impl GradientBatch {
                 }
                 finite.sort_unstable_by(f32::total_cmp);
                 Ok(mean_of_closest_to_median_sorted(&finite, column.len(), keep))
-            }
-        })
-    }
-
-    fn median_impl(
-        &self,
-        rows: Option<&[usize]>,
-        cols: Range<usize>,
-        out: &mut [f32],
-    ) -> Result<()> {
-        let m = rows.map_or(self.n, <[usize]>::len);
-        if m == 0 {
-            return Err(TensorError::EmptyInput("coordinate_median"));
-        }
-        if m > MAX_NETWORK_N {
-            return self.median_quickselect(rows, cols, out);
-        }
-        let full = SelectionNetwork::sorting_cached(m);
-        let fast = SelectionNetwork::selecting_cached(m, (m - 1) / 2..m / 2 + 1);
-        self.network_reduce(rows, "coordinate_median", cols, out, full, fast, || {
-            move |lane: &SortedLane<'_>| {
-                let k = lane.finite;
-                if k == 0 {
-                    return Err(TensorError::EmptyInput("coordinate_median"));
-                }
-                Ok(lane.prefix_median(k))
             }
         })
     }
@@ -928,146 +842,325 @@ impl GradientBatch {
         parts.into_iter().collect()
     }
 
+    /// One order-statistic rule over `cols` of `rows` (all rows when `None`),
+    /// one result per column into `out`: the selection-network tiles at
+    /// worker-count row counts, the scalar quickselect kernels above
+    /// [`MAX_NETWORK_N`].
+    fn order_statistic(
+        &self,
+        rule: OrderStatistic,
+        rows: Option<&[usize]>,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        self.order_statistic_at_width(rule, rows, cols, out, TileWidth::Detected)
+    }
+
+    fn order_statistic_at_width(
+        &self,
+        rule: OrderStatistic,
+        rows: Option<&[usize]>,
+        cols: Range<usize>,
+        out: &mut [f32],
+        width: TileWidth,
+    ) -> Result<()> {
+        let m = rows.map_or(self.n, <[usize]>::len);
+        if m == 0 {
+            return Err(TensorError::EmptyInput(rule.label()));
+        }
+        if m > MAX_NETWORK_N {
+            return match rule {
+                OrderStatistic::Median => self.median_quickselect(rows, cols, out),
+                OrderStatistic::TrimmedMean { trim } => {
+                    self.trimmed_mean_quickselect(rows, trim, cols, out)
+                }
+                OrderStatistic::MeanAroundMedian { keep } => {
+                    self.mean_around_median_quickselect(rows, keep, cols, out)
+                }
+            };
+        }
+        self.network_reduce(rule, rows, cols, out, width)
+    }
+
+    /// `rule` over every column through the tile body's baseline
+    /// instantiation, whatever the running CPU supports: what
+    /// `tests/order_statistic_tiles.rs` holds the dispatched entry points
+    /// against, bit for bit. Not part of the API.
+    #[doc(hidden)]
+    pub fn order_statistic_at_baseline_width(
+        &self,
+        rule: OrderStatistic,
+        rows: Option<&[usize]>,
+    ) -> Result<Vector> {
+        let mut out = vec![0.0f32; self.d];
+        self.order_statistic_at_width(rule, rows, 0..self.d, &mut out, TileWidth::Baseline)?;
+        Ok(Vector::from(out))
+    }
+
     /// Vertical selection-network reduction driver (the `n ≤ 32` fast path
     /// of the order-statistic kernels).
     ///
     /// Each column block is processed as lane-major tiles of
     /// [`WIDE_LANES`] columns (ragged tails of ≤ [`NARROW_LANES`] columns
-    /// take the narrow monomorphisation): the gather pre-pass copies each
-    /// row's slice into the tile, canonicalising NaN to `+∞` and counting
-    /// the replacements per lane, then one network execution sorts every
-    /// lane at once with branch-free min/max. NaN-free tiles — the
-    /// overwhelmingly common case — run the pruned `fast` network; a tile
-    /// carrying any NaN runs the `full` sorting network so per-lane order
-    /// statistics relative to the finite count stay exact. Per-column
-    /// results depend only on that column's values (each lane is sorted
-    /// independently and `kernel` sees one lane at a time), so the output
-    /// is bit-identical under any column blocking, lane grouping or thread
-    /// count — which is what keeps sharded and unsharded aggregation
-    /// bitwise equal.
-    ///
-    /// `kernel` receives each lane as a [`SortedLane`] (sorted positions
-    /// plus the lane's non-NaN count); `make_kernel` is called once per
-    /// block so kernels can own per-thread scratch, exactly like
-    /// [`GradientBatch::column_reduce`].
-    #[allow(clippy::too_many_arguments)]
-    fn network_reduce<K, M>(
+    /// take the narrow monomorphisation) by [`TileReduce`]: gather, one
+    /// network execution that sorts every lane at once with branch-free
+    /// min/max, and a finish that is lane arithmetic too. NaN-free tiles —
+    /// the overwhelmingly common case — run the network pruned to the
+    /// positions the rule reads and finish vertically; a tile carrying any
+    /// NaN runs the full sorting network and finishes lane by lane, so
+    /// order statistics relative to each lane's own finite count stay
+    /// exact. Per-column results depend only on that column's values (each
+    /// lane is sorted and reduced independently), so the output is
+    /// bit-identical under any column blocking, lane grouping, vector width
+    /// or thread count — which is what keeps sharded and unsharded
+    /// aggregation bitwise equal.
+    fn network_reduce(
         &self,
+        rule: OrderStatistic,
         rows: Option<&[usize]>,
-        label: &'static str,
         cols: Range<usize>,
         out: &mut [f32],
-        full: &SelectionNetwork,
-        fast: &SelectionNetwork,
-        make_kernel: M,
-    ) -> Result<()>
-    where
-        K: FnMut(&SortedLane<'_>) -> Result<f32>,
-        M: Fn() -> K + Sync,
-    {
-        let m = self.check_rows(rows, label)?;
-        let width = cols.len();
+        width: TileWidth,
+    ) -> Result<()> {
+        let m = self.check_rows(rows, rule.label())?;
         debug_assert!(m <= MAX_NETWORK_N);
-        debug_assert_eq!(out.len(), width, "output slice must cover the column range");
-        let run = |(range, dst): (Range<usize>, &mut [f32])| -> Result<()> {
-            let mut kernel = make_kernel();
-            let mut tile = vec![0.0f32; m * WIDE_LANES];
-            let mut start = range.start;
-            let mut done = 0usize;
-            while start < range.end {
-                // Tiles snap to the global W-column grid rather than to the
-                // range start: a shard or block boundary can land anywhere,
-                // and an off-grid tile makes every row gather straddle two
-                // cache lines (measured ~4% on the whole kernel). One short
-                // leading tile per off-grid range restores alignment for
-                // everything that follows.
-                let grid_next = (start / WIDE_LANES + 1) * WIDE_LANES;
-                let width = range.end.min(grid_next) - start;
-                let slot = &mut dst[done..done + width];
-                if width > NARROW_LANES {
-                    self.network_tile::<WIDE_LANES, K>(
-                        rows,
-                        m,
-                        start,
-                        &mut tile,
-                        full,
-                        fast,
-                        &mut kernel,
-                        slot,
-                    )?;
-                } else {
-                    self.network_tile::<NARROW_LANES, K>(
-                        rows,
-                        m,
-                        start,
-                        &mut tile[..m * NARROW_LANES],
-                        full,
-                        fast,
-                        &mut kernel,
-                        slot,
-                    )?;
-                }
-                start += width;
-                done += width;
-            }
-            Ok(())
+        debug_assert_eq!(out.len(), cols.len(), "output slice must cover the column range");
+        let full_rule = rule.for_full_column(m);
+        let tiles = TileReduce {
+            batch: self,
+            rows,
+            m,
+            rule,
+            full_rule,
+            sort: SelectionNetwork::sorting_cached(m),
+            select: SelectionNetwork::selecting_cached(m, full_rule.window(m)),
         };
+        let run = |(range, dst): (Range<usize>, &mut [f32])| tiles.block(range, dst, width);
+        let parallel = m.saturating_mul(cols.len()) >= PARALLEL_MIN_WORK;
         let chunks = Self::block_chunks(self.column_blocks(&cols), out);
-        let parts: Vec<Result<()>> = if m.saturating_mul(width) >= PARALLEL_MIN_WORK {
+        let parts: Vec<Result<()>> = if parallel {
             chunks.into_par_iter().map(run).collect()
         } else {
             chunks.into_iter().map(run).collect()
         };
         parts.into_iter().collect()
     }
+}
 
-    /// Gathers, canonicalises, sorts and reduces one lane-major tile of
-    /// `out.len() ≤ W` columns starting at `col0`, writing one result per
-    /// column into `out`. See [`GradientBatch::network_reduce`].
-    #[allow(clippy::too_many_arguments)]
-    fn network_tile<const W: usize, K>(
-        &self,
-        rows: Option<&[usize]>,
-        m: usize,
-        col0: usize,
-        tile: &mut [f32],
-        full: &SelectionNetwork,
-        fast: &SelectionNetwork,
-        kernel: &mut K,
-        out: &mut [f32],
-    ) -> Result<()>
-    where
-        K: FnMut(&SortedLane<'_>) -> Result<f32>,
-    {
-        let width = out.len();
+/// The per-coordinate reductions the selection-network tiles serve. Public
+/// (and hidden) only so `tests/order_statistic_tiles.rs` can name a rule to
+/// [`GradientBatch::order_statistic_at_baseline_width`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrderStatistic {
+    /// [`GradientBatch::coordinate_median`].
+    Median,
+    /// [`GradientBatch::coordinate_trimmed_mean`].
+    TrimmedMean { trim: usize },
+    /// [`GradientBatch::mean_around_median`].
+    MeanAroundMedian { keep: usize },
+}
+
+impl OrderStatistic {
+    /// The name the rule's errors carry.
+    fn label(self) -> &'static str {
+        match self {
+            OrderStatistic::Median => "coordinate_median",
+            OrderStatistic::TrimmedMean { .. } => "coordinate_trimmed_mean",
+            OrderStatistic::MeanAroundMedian { .. } => "mean_around_median",
+        }
+    }
+
+    /// The rule as a NaN-free column of `m ≥ 1` values runs it: a trim that
+    /// swallows the column falls back to the median, and `keep` is clamped
+    /// into `1..=m`.
+    fn for_full_column(self, m: usize) -> Self {
+        match self {
+            OrderStatistic::TrimmedMean { trim } if m <= 2 * trim => OrderStatistic::Median,
+            OrderStatistic::MeanAroundMedian { keep } => {
+                OrderStatistic::MeanAroundMedian { keep: keep.min(m).max(1) }
+            }
+            rule => rule,
+        }
+    }
+
+    /// Sorted positions a rule returned by [`OrderStatistic::for_full_column`]
+    /// reads of its `m` values — all the pruned network has to place.
+    fn window(self, m: usize) -> Range<usize> {
+        match self {
+            OrderStatistic::Median => (m - 1) / 2..m / 2 + 1,
+            OrderStatistic::TrimmedMean { trim } => trim..m - trim,
+            // The walk starts at m/2 and takes `keep` steps, looking one
+            // position past the window it has on either side.
+            OrderStatistic::MeanAroundMedian { keep } => {
+                (m / 2).saturating_sub(keep)..(m / 2 + keep).min(m)
+            }
+        }
+    }
+}
+
+/// Which instantiation of the tile body a reduction runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TileWidth {
+    /// 256-bit where the running CPU has AVX2, baseline otherwise.
+    Detected,
+    /// Baseline whatever the CPU has: the copy tests hold `Detected` against.
+    Baseline,
+}
+
+/// Scratch for one lane-major tile, cache-line aligned so a row of lanes
+/// never straddles two lines. On the stack: a reduction allocates nothing.
+#[repr(align(64))]
+struct TileScratch([f32; MAX_NETWORK_N * WIDE_LANES]);
+
+/// One order-statistic reduction over the tiles of a batch: everything
+/// [`GradientBatch::network_reduce`] fixes before it fans out over column
+/// blocks.
+///
+/// # Vector width
+///
+/// Gather → network → finish is one `#[inline(always)]` body
+/// ([`TileReduce::block_body`]) of plain loops over fixed-size lane arrays
+/// with two instantiations, exactly like [`crate::gemm`]'s tiles: the
+/// baseline one (128-bit on x86-64, the only one elsewhere) and a
+/// `#[target_feature(enable = "avx2")]` wrapper that [`TileReduce::block`]
+/// calls when the CPU has AVX2. A lane is a different *column*; no operation
+/// crosses lanes, Rust never reassociates float arithmetic and `fma` is not
+/// enabled, so both copies compute every column with the same operations in
+/// the same order — `tests/order_statistic_tiles.rs` runs both on every
+/// case.
+struct TileReduce<'a> {
+    batch: &'a GradientBatch,
+    rows: Option<&'a [usize]>,
+    /// Rows reduced per column.
+    m: usize,
+    /// The rule as asked — what a lane holding fewer than `m` non-NaN values
+    /// needs, relative to its own count.
+    rule: OrderStatistic,
+    /// The rule [`OrderStatistic::for_full_column`] of `m`: the vertical
+    /// finish of NaN-free tiles.
+    full_rule: OrderStatistic,
+    /// Full sort, for tiles carrying a NaN.
+    sort: &'static SelectionNetwork,
+    /// Pruned to `full_rule`'s window, for NaN-free tiles.
+    select: &'static SelectionNetwork,
+}
+
+impl TileReduce<'_> {
+    /// Reduces the columns `range` into `dst` at the widest instantiation
+    /// `width` allows.
+    fn block(&self, range: Range<usize>, dst: &mut [f32], width: TileWidth) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        if width == TileWidth::Detected && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2, the one feature `block_avx2` enables, was just
+            // detected on the running CPU.
+            return unsafe { self.block_avx2(range, dst) };
+        }
+        let _ = width; // read only where there is a wider copy to choose
+        self.block_body(range, dst)
+    }
+
+    /// [`TileReduce::block_body`] compiled for 256-bit vectors.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_avx2(&self, range: Range<usize>, dst: &mut [f32]) -> Result<()> {
+        self.block_body(range, dst)
+    }
+
+    /// The tiles of one column block, at the vector width of whichever
+    /// function this is inlined into.
+    #[inline(always)]
+    fn block_body(&self, range: Range<usize>, dst: &mut [f32]) -> Result<()> {
+        let mut scratch = TileScratch([0.0; MAX_NETWORK_N * WIDE_LANES]);
+        let mut start = range.start;
+        let mut done = 0usize;
+        while start < range.end {
+            // Tiles snap to the global W-column grid rather than to the
+            // range start: a shard or block boundary can land anywhere, and
+            // an off-grid tile makes every row gather straddle two cache
+            // lines (measured ~4% on the whole kernel). One short leading
+            // tile per off-grid range restores alignment for everything
+            // that follows.
+            let grid_next = (start / WIDE_LANES + 1) * WIDE_LANES;
+            let width = range.end.min(grid_next) - start;
+            let slot = &mut dst[done..done + width];
+            if width > NARROW_LANES {
+                self.tile::<WIDE_LANES>(start, &mut scratch.0[..self.m * WIDE_LANES], slot)?;
+            } else {
+                self.tile::<NARROW_LANES>(start, &mut scratch.0[..self.m * NARROW_LANES], slot)?;
+            }
+            start += width;
+            done += width;
+        }
+        Ok(())
+    }
+
+    /// Gathers, sorts and reduces one lane-major tile of `out.len() ≤ W`
+    /// columns starting at `col0`, writing one result per column into `out`.
+    #[inline(always)]
+    fn tile<const W: usize>(&self, col0: usize, tile: &mut [f32], out: &mut [f32]) -> Result<()> {
+        let (m, width) = (self.m, out.len());
         debug_assert!(width <= W && tile.len() == m * W);
-        let mut nan_counts = [0u32; W];
-        {
-            let mut gather = |slot: usize, row: &[f32]| {
-                let src = &row[col0..col0 + width];
-                let dst = &mut tile[slot * W..(slot + 1) * W];
-                for w in 0..width {
-                    let v = src[w];
-                    let nan = v.is_nan();
-                    nan_counts[w] += u32::from(nan);
-                    dst[w] = if nan { f32::INFINITY } else { v };
+        // A plain copy of each row's slice, noting only *whether* a NaN came
+        // along: per-lane counts are the NaN tile's business.
+        let mut nan = [0u32; W];
+        for (slot, dst) in tile.chunks_exact_mut(W).enumerate() {
+            let dst: &mut [f32; W] = dst.try_into().expect("lane width");
+            let row = self.batch.row(self.rows.map_or(slot, |rows| rows[slot]));
+            let src = &row[col0..col0 + width];
+            match <&[f32; W]>::try_from(src) {
+                Ok(src) => *dst = *src,
+                Err(_) => {
+                    // Padding lanes of a ragged tail ride through the
+                    // network as zeros and are never read back.
+                    dst[..width].copy_from_slice(src);
+                    dst[width..].fill(0.0);
                 }
-                // Padding lanes of a ragged tail ride through the network
-                // as zeros and are never read back.
-                dst[width..].fill(0.0);
-            };
-            match rows {
-                None => (0..m).for_each(|r| gather(r, self.row(r))),
-                Some(rows) => {
-                    rows.iter().enumerate().for_each(|(slot, &r)| gather(slot, self.row(r)));
+            }
+            for w in 0..W {
+                nan[w] |= u32::from(dst[w].is_nan());
+            }
+        }
+        if nan.iter().any(|&lane| lane != 0) {
+            return self.nan_tile::<W>(tile, out);
+        }
+        self.select.apply_lanes::<W>(tile);
+        let lanes: [f32; W] = match self.full_rule {
+            OrderStatistic::Median => sortnet::median_lanes(tile, m),
+            OrderStatistic::TrimmedMean { trim } => {
+                sortnet::mean_of_rows_lanes(tile, trim..m - trim)
+            }
+            OrderStatistic::MeanAroundMedian { keep } => {
+                sortnet::mean_around_median_lanes(tile, m, keep)
+            }
+        };
+        out.copy_from_slice(&lanes[..width]);
+        Ok(())
+    }
+
+    /// Finishes a gathered tile that carries a NaN: canonicalises NaN to
+    /// `+∞` counting what is left per lane, runs the full sorting network,
+    /// and reduces each lane by its own finite count (see the
+    /// [`crate::sortnet`] module docs on canonicalisation).
+    #[inline(always)]
+    fn nan_tile<const W: usize>(&self, tile: &mut [f32], out: &mut [f32]) -> Result<()> {
+        let mut finite = [self.m; W];
+        for row in tile.chunks_exact_mut(W) {
+            for (v, k) in row.iter_mut().zip(&mut finite) {
+                if v.is_nan() {
+                    *v = f32::INFINITY;
+                    *k -= 1;
                 }
             }
         }
-        let net = if nan_counts[..width].iter().any(|&c| c > 0) { full } else { fast };
-        net.apply_lanes::<W>(tile);
+        self.sort.apply_lanes::<W>(tile);
         for (w, slot) in out.iter_mut().enumerate() {
-            let lane = SortedLane { tile, lanes: W, lane: w, finite: m - nan_counts[w] as usize };
-            *slot = kernel(&lane)?;
+            let lane = SortedLane { tile, lanes: W, lane: w, finite: finite[w] };
+            *slot = lane.reduce(self.rule, self.m)?;
         }
         Ok(())
     }
@@ -1102,6 +1195,33 @@ impl SortedLane<'_> {
         } else {
             0.5 * (self.get(k / 2 - 1) + self.get(k / 2))
         }
+    }
+
+    /// `rule` over this column of `m` submissions, `finite` of them not NaN.
+    fn reduce(&self, rule: OrderStatistic, m: usize) -> Result<f32> {
+        let k = self.finite;
+        if k == 0 {
+            return Err(TensorError::EmptyInput(rule.label()));
+        }
+        Ok(match rule {
+            OrderStatistic::Median => self.prefix_median(k),
+            // Fallback: median of whatever finite values remain.
+            OrderStatistic::TrimmedMean { trim } if k <= 2 * trim => self.prefix_median(k),
+            OrderStatistic::TrimmedMean { trim } => {
+                let mut sum = 0.0f32;
+                for p in trim..k - trim {
+                    sum += self.get(p);
+                }
+                sum / (k - 2 * trim) as f32
+            }
+            OrderStatistic::MeanAroundMedian { keep } => {
+                let mut sorted = [0.0f32; MAX_NETWORK_N];
+                for (p, v) in sorted[..k].iter_mut().enumerate() {
+                    *v = self.get(p);
+                }
+                mean_of_closest_to_median_sorted(&sorted[..k], m, keep)
+            }
+        })
     }
 }
 
@@ -1213,7 +1333,7 @@ impl BatchColumns<'_> {
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn median_into(&self, rows: Option<&[usize]>, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
-        self.batch.median_impl(rows, self.cols.clone(), out)
+        self.batch.order_statistic(OrderStatistic::Median, rows, self.cols.clone(), out)
     }
 
     /// Coordinate-wise trimmed mean over these columns.
@@ -1233,7 +1353,12 @@ impl BatchColumns<'_> {
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn trimmed_mean_into(&self, trim: usize, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
-        self.batch.trimmed_mean_impl(trim, self.cols.clone(), out)
+        self.batch.order_statistic(
+            OrderStatistic::TrimmedMean { trim },
+            None,
+            self.cols.clone(),
+            out,
+        )
     }
 
     /// Mean of the `keep` values closest to the coordinate-wise median, over
@@ -1259,7 +1384,8 @@ impl BatchColumns<'_> {
         out: &mut [f32],
     ) -> Result<()> {
         self.check_out(out)?;
-        self.batch.mean_around_median_impl(rows, keep, self.cols.clone(), out)
+        let rule = OrderStatistic::MeanAroundMedian { keep };
+        self.batch.order_statistic(rule, rows, self.cols.clone(), out)
     }
 
     /// Raw per-pair partial squared distances over these columns (see

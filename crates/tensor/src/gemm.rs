@@ -42,7 +42,8 @@
 //! width: a 256-bit copy of a loop that short only pays its set-up (measured
 //! 1.6–2× slower at the ten-column output layer).
 //!
-//! The three dispatch calls are the crate's only `unsafe`. Calling a
+//! The three dispatch calls are this module's only `unsafe` (the crate's one
+//! other is the same call in `batch.rs`, for the order-statistic tiles). Calling a
 //! `#[target_feature]` function is undefined behaviour on a CPU without the
 //! feature; each call sits directly under the runtime check for the one
 //! feature its callee enables, and the callees are private to this module.

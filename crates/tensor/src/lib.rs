@@ -33,9 +33,10 @@
 //! The crate intentionally avoids BLAS or SIMD intrinsics: kernels are safe
 //! loops shaped so the autovectoriser does the work, and every one keeps the
 //! summation order of its scalar form so results do not depend on the kernel
-//! — nor on the vector width: [`gemm`] runs the same loops at 256 bits where
-//! the CPU has AVX2, behind the crate's only `unsafe` (three feature-checked
-//! dispatch calls).
+//! — nor on the vector width: [`gemm`]'s tiles and the order-statistic tiles
+//! of [`batch`] run the same loops at 256 bits where the CPU has AVX2, behind
+//! the crate's only `unsafe` (four feature-checked dispatch calls: three in
+//! `gemm`, one in `batch`).
 //!
 //! ```
 //! use agg_tensor::Vector;

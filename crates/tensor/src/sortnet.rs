@@ -18,11 +18,36 @@
 //! input. No data-dependent control flow exists, so the same network can be
 //! executed **vertically**: lay W columns side by side (`[f32; W]` lanes,
 //! W = 8–16), and run each compare–exchange as an elementwise min/max over
-//! whole lanes. Every operation is a two-instruction vector min/max the
-//! autovectoriser emits readily on stable Rust, the tile (`n × W × 4` bytes,
-//! ~1.2 KiB at the paper's n = 19) lives in L1, and one pass sorts sixteen
-//! columns at once. The per-coordinate cost drops from ~250 ns to a handful
-//! of nanoseconds.
+//! whole lanes. Every operation is a vector min/max the autovectoriser emits
+//! readily on stable Rust, the tile (`n × W × 4` bytes, ~1.2 KiB at the
+//! paper's n = 19) lives in L1, and one pass sorts sixteen columns at once.
+//!
+//! # The finish is vertical too
+//!
+//! Sorting sixteen columns at once buys little if each is then reduced on
+//! its own: with the sort vertical and the finish a scalar per-lane loop,
+//! Bulyan's second phase (θ = 11 rows, the β = 3 values closest to the
+//! median) spent more than half its time in that loop, whose "left or right"
+//! branch is a coin flip. On a NaN-free tile every lane holds the same number
+//! of values, so the finish is the same fixed sequence of operations in every
+//! lane and runs over whole rows of the sorted tile as well:
+//! `median_lanes` copies the middle row or halves the sum of the two middle
+//! rows, `mean_of_rows_lanes` adds the trimmed mean's kept rows in
+//! ascending order, and `mean_around_median_lanes` replays the
+//! closest-to-median walk with selects in place of branches. Each lane does
+//! exactly the `f32` operations, in exactly the order, of the scalar rule, so
+//! the bits do not move. Only a tile that carries a NaN — whose lanes then
+//! hold *different* numbers of values — is still finished lane by lane.
+//!
+//! Gather, network and finish are therefore all plain loops over lane
+//! arrays, which `batch.rs` compiles once for baseline x86-64 and once for
+//! AVX2 (lanes are independent columns, so the width cannot change a bit
+//! either). Measured at the paper's d = 102 538 on one thread
+//! (`cargo bench -p agg-bench --bench gar_kernels`, group
+//! `order_statistic_tiles`), in nanoseconds per row-coordinate read:
+//! Bulyan's second phase ≈ 4.2 with the scalar finish → ≈ 1.6; the median at
+//! n = 19 ≈ 2.3 → ≈ 1.1; the trimmed mean ≈ 2.8 → ≈ 1.3; MeaMed keeping 15 of
+//! 19 ≈ 8.9 → ≈ 5.2 — against ~12 for the quickselect median.
 //!
 //! # The Batcher construction
 //!
@@ -70,7 +95,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Largest wire count (row count `n`) the network kernels serve. Above this
 /// the O(n log² n) comparator count loses to quickselect and callers use
@@ -199,7 +224,13 @@ impl SelectionNetwork {
     pub fn selecting_cached(n: usize, window: Range<usize>) -> &'static SelectionNetwork {
         type Cache = Mutex<HashMap<(usize, usize, usize), &'static SelectionNetwork>>;
         static CACHE: OnceLock<Cache> = OnceLock::new();
-        let mut cache = CACHE.get_or_init(Default::default).lock().expect("network cache poisoned");
+        // A panic under the lock (an out-of-range window failing `selecting`'s
+        // assert) poisons the mutex, but the map is insert-only and an entry
+        // is inserted whole or not at all, so the guard is still good — and
+        // one bad call must not turn every later median in the process into
+        // a panic.
+        let mut cache =
+            CACHE.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner);
         cache
             .entry((n, window.start, window.end))
             .or_insert_with(|| Box::leak(Box::new(Self::selecting(n, window))))
@@ -224,10 +255,14 @@ impl SelectionNetwork {
     /// the comparison selects compile to plain vector min/max whose NaN
     /// behaviour would silently differ from the scalar kernels' NaN policy.
     ///
+    /// `#[inline(always)]` because the batch driver compiles its tile body
+    /// twice — baseline and AVX2 — and the min/max rows must be lowered at the
+    /// width of whichever copy they are inlined into.
+    ///
     /// # Panics
     ///
     /// Panics when the tile is shorter than `wires() * W`.
-    #[inline]
+    #[inline(always)]
     pub fn apply_lanes<const W: usize>(&self, tile: &mut [f32]) {
         assert!(tile.len() >= self.n * W, "tile holds fewer than {} rows of {W} lanes", self.n);
         for &(lo, hi) in &self.ces {
@@ -252,6 +287,113 @@ impl SelectionNetwork {
             }
         }
     }
+}
+
+/// Row `p` of a lane-major tile as a fixed-width lane array — the static
+/// width is what lets the lane loops below unroll into whole-register
+/// operations.
+#[inline(always)]
+fn lane_row<const W: usize>(tile: &[f32], p: usize) -> &[f32; W] {
+    tile[p * W..(p + 1) * W].try_into().expect("lane width")
+}
+
+/// Median of every lane of a tile whose median positions are placed: row
+/// `m / 2`, or half the sum of the two middle rows (lower + upper, the order
+/// the scalar kernels add them in).
+#[inline(always)]
+pub(crate) fn median_lanes<const W: usize>(tile: &[f32], m: usize) -> [f32; W] {
+    let mut out = *lane_row::<W>(tile, m / 2);
+    if m % 2 == 0 {
+        let lower = lane_row::<W>(tile, m / 2 - 1);
+        for w in 0..W {
+            out[w] = 0.5 * (lower[w] + out[w]);
+        }
+    }
+    out
+}
+
+/// Mean of rows `kept` of every lane, added in ascending row order from
+/// `0.0` and divided once — the trimmed mean's finish on a tile whose `kept`
+/// positions are placed.
+#[inline(always)]
+pub(crate) fn mean_of_rows_lanes<const W: usize>(tile: &[f32], kept: Range<usize>) -> [f32; W] {
+    let count = kept.len() as f32;
+    let mut sum = [0.0f32; W];
+    for p in kept {
+        let row = lane_row::<W>(tile, p);
+        for w in 0..W {
+            sum[w] += row[w];
+        }
+    }
+    for s in &mut sum {
+        *s /= count;
+    }
+    sum
+}
+
+/// The closest-to-median window of every lane at once: the vertical twin of
+/// [`crate::stats::mean_of_closest_to_median_sorted`] for NaN-free columns,
+/// replaying its two-pointer walk step for step with selects in place of
+/// branches. `tests/order_statistic_tiles.rs` holds the two together bit for
+/// bit.
+///
+/// The tile holds `m` NaN-free values per lane with positions
+/// `m/2 − keep .. m/2 + keep` (clamped into `0..m`) placed, and
+/// `1 ≤ keep ≤ m`. After `t` steps a lane that went left `a` times stands at
+/// `l = m/2 − a`, `r = m/2 + t − a`, so its two candidates are rows
+/// `m/2 − 1 − a` and `m/2 + t − a`: each step picks them out of the at most
+/// `t + 1` possible rows by comparing the lane's own `a` — O(keep²) selects
+/// per tile, which still beats `keep` mispredicted branches per column at
+/// MeaMed's `keep = n − f`. Then, per lane and exactly as the scalar walk:
+/// no left candidate (`l == 0`) takes right, no right candidate (`r ≥ m`)
+/// takes left, otherwise left wins iff
+/// `|left − centre| ≤ |right − centre|` (a tie goes left; a NaN difference,
+/// `∞ − ∞`, compares false and goes right); the value taken is added to the
+/// lane's sum in the order taken, and the sum is divided by `keep` once.
+#[inline(always)]
+pub(crate) fn mean_around_median_lanes<const W: usize>(
+    tile: &[f32],
+    m: usize,
+    keep: usize,
+) -> [f32; W] {
+    let mid = m / 2;
+    let above = m - mid;
+    let centre = median_lanes::<W>(tile, m);
+    let mut lefts = [0u32; W];
+    let mut sum = [0.0f32; W];
+    for t in 0..keep {
+        let mut left = [0.0f32; W];
+        let mut right = [0.0f32; W];
+        // A lane cannot have gone left more than `mid` times, nor right more
+        // than `above`.
+        for a in t.saturating_sub(above)..=t.min(mid) {
+            if a < mid {
+                let row = lane_row::<W>(tile, mid - 1 - a);
+                for w in 0..W {
+                    left[w] = if lefts[w] == a as u32 { row[w] } else { left[w] };
+                }
+            }
+            if t - a < above {
+                let row = lane_row::<W>(tile, mid + t - a);
+                for w in 0..W {
+                    right[w] = if lefts[w] == a as u32 { row[w] } else { right[w] };
+                }
+            }
+        }
+        for w in 0..W {
+            let has_left = lefts[w] < mid as u32;
+            let has_right = t as u32 - lefts[w] < above as u32;
+            let closer = (left[w] - centre[w]).abs() <= (right[w] - centre[w]).abs();
+            let take_left = has_left & (!has_right | closer);
+            sum[w] += if take_left { left[w] } else { right[w] };
+            lefts[w] += u32::from(take_left);
+        }
+    }
+    let count = keep as f32;
+    for s in &mut sum {
+        *s /= count;
+    }
+    sum
 }
 
 #[cfg(test)]

@@ -251,9 +251,13 @@ pub(crate) fn median_of_scratch(column: &mut [f32]) -> Result<f32> {
 }
 
 /// Mean of the values closest to the median of an already-sorted, NaN-free
-/// column — the one closest-to-median window kernel shared by MeaMed and
-/// Bulyan's second phase, on both the scalar and the selection-network
-/// paths.
+/// column — the closest-to-median window rule of MeaMed and Bulyan's second
+/// phase in scalar form: what the quickselect path above 32 rows and the
+/// selection-network tiles that carry a NaN run. NaN-free tiles run its
+/// vertical twin, [`crate::sortnet`]'s `mean_around_median_lanes`, which
+/// replays this walk in every lane at once;
+/// `tests/order_statistic_tiles.rs` holds both to one transcription of the
+/// rule, bit for bit.
 ///
 /// `sorted` holds the column's non-NaN values in ascending order (`±∞`
 /// included — they rank infinitely far from the median and are only taken
