@@ -1,54 +1,26 @@
-//! Criterion benchmarks of the communication layer: packetisation,
-//! reassembly, the bulk codec against the legacy per-coordinate codec, and
-//! the lossy-link simulation behind the Figure 8 experiments.
+//! Criterion benchmarks of the communication layer: the wire codec's
+//! encode + reassemble leg, and the two transports behind the Figure 8
+//! experiments.
 
 use agg_net::{
-    GradientCodec, LinkConfig, LossPolicy, LossyTransport, Packet, ReliableTransport,
-    RoundAssembler, Transport,
+    GradientCodec, LinkConfig, LossPolicy, LossyTransport, ReliableTransport, RoundAssembler,
+    Transport,
 };
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+/// The wire leg of one gradient without a link: `split_bytes` (one
+/// contiguous buffer, zero-copy `Bytes` slices) into `RoundAssembler`
+/// (verify, bitset scatter into a reused row).
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_codec");
     group.sample_size(20);
     let codec = GradientCodec::default_mtu();
     for &d in &[10_000usize, 100_000] {
-        let gradient = gaussian_vector(&mut seeded_rng(1), d, 0.0, 1.0);
-        group.bench_with_input(BenchmarkId::new("split", d), &gradient, |b, g| {
-            b.iter(|| codec.split(0, 0, black_box(g)))
-        });
-        let packets = codec.split(0, 0, &gradient);
-        group.bench_with_input(BenchmarkId::new("reassemble", d), &packets, |b, p| {
-            b.iter(|| codec.reassemble(black_box(p), d).unwrap())
-        });
-    }
-    group.finish();
-}
-
-/// Old vs bulk codec on the full wire leg of one gradient: split + encode +
-/// decode + reassemble. The legacy arm runs the per-coordinate
-/// `put_f32_le`/`get_f32_le` loops through `Vec<f32>`-payload packets and a
-/// fresh `Vector`; the bulk arm runs `split_bytes` (one contiguous buffer,
-/// zero-copy `Bytes` slices) + `RoundAssembler` (bitset scatter into a
-/// reused row).
-fn bench_codec_comparison(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_codec_bulk_vs_legacy");
-    group.sample_size(20);
-    let codec = GradientCodec::default_mtu();
-    for &d in &[10_000usize, 100_000] {
         let gradient = gaussian_vector(&mut seeded_rng(4), d, 0.0, 1.0);
-        group.bench_with_input(BenchmarkId::new("encode_decode_legacy", d), &gradient, |b, g| {
-            b.iter(|| {
-                let encoded: Vec<_> = codec.split(0, 0, g).iter().map(Packet::encode).collect();
-                let decoded: Vec<Packet> =
-                    encoded.into_iter().map(|p| Packet::decode(p).unwrap()).collect();
-                codec.reassemble(black_box(&decoded), d).unwrap()
-            })
-        });
         let mut assembler = RoundAssembler::new(d);
         let mut row = vec![0.0f32; d];
-        group.bench_with_input(BenchmarkId::new("encode_decode_bulk", d), &gradient, |b, g| {
+        group.bench_with_input(BenchmarkId::new("encode_decode", d), &gradient, |b, g| {
             b.iter(|| {
                 let packets = codec.split_bytes(0, 0, g.as_slice());
                 assembler.assemble_into(black_box(&packets), &mut row).unwrap()
@@ -83,5 +55,5 @@ fn bench_transports(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_codec_comparison, bench_transports);
+criterion_group!(benches, bench_codec, bench_transports);
 criterion_main!(benches);

@@ -67,65 +67,6 @@ pub const FLOORS: &[(&str, &str, f64)] = &[
     ("BENCH_shard.json", "trimmed-mean@S2", 0.98),
     ("BENCH_shard.json", "trimmed-mean@S4", 0.98),
     ("BENCH_shard.json", "trimmed-mean@S8", 0.98),
-    // BENCH_round.json — round pipeline vs the pre-pipeline reference.
-    //
-    // Re-anchored in PR 8: wire format v2 seals every packet with a
-    // CRC-32C and the receiver verifies before a byte reaches an arena
-    // row, so the live bytes path now pays two hardware-CRC passes the
-    // frozen struct-packet reference never does. The lossy-udp and codec
-    // floors drop accordingly — a conscious trade of ~1.5 ms/round at
-    // n = 19, d = 100k for end-to-end integrity; the pipeline must still
-    // beat the (checksum-free) reference outright.
-    ("BENCH_round.json", "tcp:average", 1.3),
-    ("BENCH_round.json", "tcp:average:wire", 2.2),
-    ("BENCH_round.json", "tcp:multi-krum", 1.0),
-    ("BENCH_round.json", "tcp:multi-krum:wire", 2.1),
-    ("BENCH_round.json", "lossy-udp:average", 1.0),
-    ("BENCH_round.json", "lossy-udp:average:wire", 1.05),
-    ("BENCH_round.json", "lossy-udp:multi-krum", 1.05),
-    ("BENCH_round.json", "lossy-udp:multi-krum:wire", 1.15),
-    ("BENCH_round.json", "codec", 5.0),
-    // BENCH_round.json streaming arms — the event-driven round engine vs
-    // the pre-pipeline reference. The full-streaming arm is pinned
-    // bit-identical to the batch kernels, so on one core it can only match
-    // them (its floor guards against the event plumbing adding real cost);
-    // the quorum arm is where the wall-clock win lives.
-    ("BENCH_round.json", "tcp:average:streaming", 1.6),
-    ("BENCH_round.json", "tcp:multi-krum:streaming", 0.95),
-    ("BENCH_round.json", "lossy-udp:average:streaming", 0.9),
-    ("BENCH_round.json", "lossy-udp:multi-krum:streaming", 0.9),
-    // Acceptance anchor (PR 6): the n − f quorum round beats the seed's
-    // synchronous reference by ≥1.8× on tcp multi-krum at the paper's
-    // deployment size (n = 19, f = 4, d = 100k).
-    ("BENCH_round.json", "tcp:average:quorum", 1.9),
-    ("BENCH_round.json", "tcp:multi-krum:quorum", 1.8),
-    ("BENCH_round.json", "lossy-udp:average:quorum", 1.15),
-    ("BENCH_round.json", "lossy-udp:multi-krum:quorum", 1.1),
-    // Acceptance anchor (PR 7): the elastic-membership machinery — per-round
-    // epoch restamp, receiver fence checks and fenced-row compaction — costs
-    // at most ~5% of a static pipeline round (`pipeline_ns / churn_ns`).
-    ("BENCH_round.json", "tcp:average:churn", 0.95),
-    ("BENCH_round.json", "tcp:multi-krum:churn", 0.95),
-    ("BENCH_round.json", "lossy-udp:average:churn", 0.95),
-    ("BENCH_round.json", "lossy-udp:multi-krum:churn", 0.95),
-    // Acceptance anchor (PR 8): the chaos machinery — CRC-32C verification,
-    // the moderate seeded wire-fault plan on every link, and the bounded
-    // NACK/retransmit recovery protocol — together cost at most ~5% of a
-    // static pipeline round (`pipeline_ns / chaos_ns`). On tcp the chaos
-    // hooks are no-ops, so those cells gate the hook plumbing alone.
-    ("BENCH_round.json", "tcp:average:chaos", 0.95),
-    ("BENCH_round.json", "tcp:multi-krum:chaos", 0.95),
-    ("BENCH_round.json", "lossy-udp:average:chaos", 0.95),
-    ("BENCH_round.json", "lossy-udp:multi-krum:chaos", 0.95),
-    // Acceptance anchor (PR 10): the reputation ledger — the affinity
-    // collusion sketch over every delivered row, the six-stream evidence
-    // fold into the decayed suspicion scores, and the quarantine-candidate
-    // scan — costs at most ~5% of a static pipeline round
-    // (`pipeline_ns / reputation_ns`).
-    ("BENCH_round.json", "tcp:average:reputation", 0.95),
-    ("BENCH_round.json", "tcp:multi-krum:reputation", 0.95),
-    ("BENCH_round.json", "lossy-udp:average:reputation", 0.95),
-    ("BENCH_round.json", "lossy-udp:multi-krum:reputation", 0.95),
     // BENCH_tree.json — the two-level group-wise tier vs the flat GAR at
     // the same n (`flat_ns / tree_ns`), Multi-Krum at both levels, g = 32.
     // Acceptance anchor (PR 9): the tree changes the asymptotics
@@ -155,7 +96,6 @@ pub type Extractor = fn(&Value, &mut Vec<Recorded>);
 pub const FILES: &[(&str, Extractor)] = &[
     ("BENCH_gar.json", extract_gar),
     ("BENCH_shard.json", extract_shard),
-    ("BENCH_round.json", extract_round),
     ("BENCH_tree.json", extract_tree),
 ];
 
@@ -211,38 +151,6 @@ fn extract_shard(doc: &Value, out: &mut Vec<Recorded>) {
                     speedup,
                 });
             }
-        }
-    }
-}
-
-/// `BENCH_round.json`: `{transport, rule, speedup, wire_speedup, ...}` per
-/// cell plus the one codec comparison.
-fn extract_round(doc: &Value, out: &mut Vec<Recorded>) {
-    const ARMS: &[(&str, &str)] = &[
-        ("speedup", ""),
-        ("wire_speedup", ":wire"),
-        ("streaming_speedup", ":streaming"),
-        ("quorum_speedup", ":quorum"),
-        ("churn_speedup", ":churn"),
-        ("chaos_speedup", ":chaos"),
-        ("reputation_speedup", ":reputation"),
-    ];
-    for cell in seq(doc, "results") {
-        let transport = field_str(cell, "transport");
-        let rule = field_str(cell, "rule");
-        for (field, suffix) in ARMS {
-            if let Some(speedup) = field_f64(cell, field) {
-                out.push(Recorded {
-                    file: "BENCH_round.json",
-                    label: format!("{transport}:{rule}{suffix}"),
-                    speedup,
-                });
-            }
-        }
-    }
-    if let Ok(codec) = doc.get_field("codec") {
-        if let Some(speedup) = field_f64(codec, "speedup") {
-            out.push(Recorded { file: "BENCH_round.json", label: "codec".into(), speedup });
         }
     }
 }

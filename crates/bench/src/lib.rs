@@ -19,7 +19,6 @@
 //! Criterion micro-benchmarks of the GAR kernels (the §4.2 cost analysis)
 //! live under `benches/`.
 
-pub mod clock;
 pub mod floor;
 
 use agg_core::{GarConfig, GarKind};

@@ -1,41 +1,58 @@
-//! Zero-copy reassembly of wire packets straight into an arena row.
+//! The receiving end of the wire: reassembly of whatever packets arrived,
+//! straight into an arena row.
 //!
 //! The paper keeps UDP viable for gradient traffic by adding a small
 //! **reliable metadata scheme** on top of the unreliable payload: every
 //! packet carries worker id, step, sequence number, total packet count, and
-//! the offset of its first coordinate, so a delivered packet always knows
-//! where its coordinates belong no matter how the link dropped, duplicated
-//! or reordered the rest of the gradient. [`RoundAssembler`] preserves that
-//! scheme exactly — it validates the same header fields and tolerates the
-//! same arrival pathologies as the legacy [`crate::GradientCodec::reassemble`]
-//! — but delivers the payload without the legacy path's intermediate
-//! allocations:
+//! the offset of its first coordinate (layout in [`crate::packet`]), so a
+//! delivered packet always knows where its coordinates belong no matter how
+//! the link dropped, duplicated or reordered the rest of the gradient.
+//! [`RoundAssembler`] is the one place those packets are decoded:
 //!
 //! * payloads are **scattered directly into a caller-provided arena row**
-//!   (`&mut [f32]`, e.g. one row of `agg_tensor::GradientBatch`) via the bulk
-//!   little-endian decode, instead of building a fresh `Vec<f32>` and then a
-//!   `Vector`;
+//!   (`&mut [f32]`, e.g. one row of `agg_tensor::GradientBatch`) in one bulk
+//!   little-endian pass;
 //! * received coordinates are tracked in a **compact bitset** (one bit per
-//!   coordinate, reused across rounds) instead of a `Vec<bool>`, so counting
-//!   what went missing is a popcount over `d/64` words;
+//!   coordinate, reused across rounds), so counting what went missing is a
+//!   popcount over `d/64` words;
 //! * packets arrive as cheap [`Bytes`] views of the sender's contiguous
 //!   encode buffer, so the whole wire → arena path copies each coordinate
 //!   exactly once.
 //!
-//! Missing coordinates surface as `NaN` in the destination row, matching the
-//! legacy reassembly contract: the caller's loss policy decides what to do
-//! with them.
+//! Every packet goes through [`RoundAssembler::feed`], which is the wire's
+//! only validator. It checks, in this order, and stops at the first failure:
+//!
+//! 1. **dimension** — the destination row matches the assembler
+//!    ([`NetError::InvalidConfig`]);
+//! 2. **integrity** — length, wire version and CRC-32C
+//!    ([`FeedOutcome::Corrupt`]: wire damage, counted and skipped like a
+//!    loss, because no field of a corrupt packet can be trusted);
+//! 3. **header** — the payload length matches the declared coordinate count;
+//! 4. **fence** — the epoch stamp matches the expected membership epoch
+//!    ([`FeedOutcome::StaleEpoch`], before the stream check so an evicted
+//!    worker's stragglers can never become the round's reference);
+//! 5. **stream** — same `(worker, step)` as the round's first accepted packet
+//!    ([`NetError::InconsistentStream`]);
+//! 6. **bounds** — `offset + count` lies inside the row;
+//! 7. **sequence** — `sequence < total` and `total` is no larger than a
+//!    gradient of this dimension can be split into;
+//! 8. **dedup** — a packet id already fed this round is accepted with zero
+//!    new coverage and never written (first delivery wins);
+//! 9. **scatter** — the payload lands in `row[offset..offset + count]`.
+//!
+//! From step 3 on the header is checksum-valid, so a failure means a broken
+//! or malicious *sender*, not wire damage, and is a hard
+//! [`NetError::MalformedPacket`]. Missing coordinates surface as `NaN` in the
+//! destination row; the caller's loss policy decides what to do with them.
 
 use crate::packet::{get_f32_slice_le, wire_integrity_error, HEADER_BYTES};
 use crate::{NetError, Result};
-use agg_tensor::ShardPlan;
 use bytes::Bytes;
 
 /// One bit per coordinate, tracking which coordinates any delivered packet
-/// covered. Shared by the single-row [`RoundAssembler`] and the
-/// [`ShardedRoundAssembler`]: the words are reused across rounds, marking a
-/// coordinate range is a handful of word ORs, and finding what went missing
-/// is a popcount-driven walk of the zero bits.
+/// covered: the words are reused across rounds, marking a coordinate range is
+/// a handful of word ORs, and finding what went missing is a popcount-driven
+/// walk of the zero bits.
 #[derive(Debug, Clone)]
 struct CoordinateBitset {
     words: Vec<u64>,
@@ -53,10 +70,9 @@ impl CoordinateBitset {
     }
 
     /// Sets the bits for coordinates `start..start + len`, word at a time,
-    /// and returns how many of them were newly set. The return value is what
-    /// makes completion accounting exact under duplication and overlap: a
-    /// re-delivered range contributes zero, no matter how the packets were
-    /// split or how many shard boundaries they straddle.
+    /// and returns how many of them were newly set. The return value is what makes completion
+    /// accounting exact under duplication and overlap: a re-delivered range
+    /// contributes zero, no matter how the packets were split.
     fn mark(&mut self, start: usize, len: usize) -> usize {
         let end = start + len;
         let mut i = start;
@@ -73,8 +89,8 @@ impl CoordinateBitset {
     }
 
     /// Invokes `gap` for every unset coordinate, in increasing order, and
-    /// returns how many there were. At realistic loss rates most words are
-    /// fully covered and skipped outright.
+    /// returns how many there were. At realistic loss rates most words are fully
+    /// covered and skipped outright.
     fn for_each_gap(&self, mut gap: impl FnMut(usize)) -> usize {
         let mut missing = 0usize;
         for (w, &word) in self.words.iter().enumerate() {
@@ -99,28 +115,19 @@ impl CoordinateBitset {
 struct WireHeader {
     worker: u32,
     step: u64,
-    /// Pre-split packet id: the sequence number the *sender* stamped before
-    /// any shard routing. This is the dedup key of the streaming feed path —
-    /// a shard-straddling duplicate is one wire packet, not two.
+    /// The sender's packet id — the dedup key of the round.
     sequence: usize,
     total: usize,
     offset: usize,
     count: usize,
-    /// Membership epoch the sender stamped. Assemblers fencing on an
-    /// expected epoch reject packets stamped with any other value before
-    /// they can touch a row.
+    /// Membership epoch the sender stamped.
     epoch: u32,
 }
 
 /// Parses the fixed-size header of an encoded packet without consuming the
-/// buffer. The format is byte-identical to [`crate::Packet::encode`].
-///
-/// Callers run the integrity envelope ([`wire_integrity_error`]) first, so a
-/// header reaching this point is checksum-valid: any inconsistency found
-/// here means a broken or malicious *sender*, not wire damage, and is a hard
-/// [`NetError::MalformedPacket`]. The payload length must match the declared
-/// coordinate count exactly — an over-length payload is as suspect as a
-/// short one.
+/// buffer — the decoder of the layout [`crate::packet`] documents. The
+/// payload length must match the declared coordinate count exactly: an
+/// over-length payload is as suspect as a short one.
 fn parse_header(data: &[u8]) -> Result<WireHeader> {
     if data.len() < HEADER_BYTES {
         return Err(NetError::MalformedPacket(format!(
@@ -147,9 +154,34 @@ fn parse_header(data: &[u8]) -> Result<WireHeader> {
     Ok(WireHeader { worker, step, sequence, total, offset, count, epoch })
 }
 
+/// Rejects a packet whose (worker, step) identity disagrees with the round's
+/// reference packet.
+fn check_same_stream(header: &WireHeader, reference: &WireHeader) -> Result<()> {
+    if header.worker != reference.worker || header.step != reference.step {
+        return Err(NetError::InconsistentStream(format!(
+            "packet from worker {} step {} mixed with worker {} step {}",
+            header.worker, header.step, reference.worker, reference.step
+        )));
+    }
+    Ok(())
+}
+
+/// Rejects a packet whose coordinate range extends beyond the gradient.
+fn check_in_bounds(header: &WireHeader, dimension: usize) -> Result<()> {
+    if header.offset + header.count > dimension {
+        return Err(NetError::MalformedPacket(format!(
+            "packet covers coordinates {}..{} of a {dimension}-dimensional gradient",
+            header.offset,
+            header.offset + header.count,
+        )));
+    }
+    Ok(())
+}
+
 /// Marks `sequence` in the seen-set, returning `false` when it was already
-/// there. The word vector grows lazily to the stream's packet count and is
-/// reused (zeroed) across rounds.
+/// there. The word vector grows lazily to the stream's packet count — which
+/// [`check_sequence`] has bounded by the gradient — and is reused (zeroed)
+/// across rounds.
 fn note_sequence(seen: &mut Vec<u64>, sequence: usize) -> bool {
     let word = sequence / 64;
     if word >= seen.len() {
@@ -163,18 +195,20 @@ fn note_sequence(seen: &mut Vec<u64>, sequence: usize) -> bool {
     true
 }
 
-/// `true` when `sequence` is already marked in the seen-set (never grows the
-/// word vector — the read-only counterpart of [`note_sequence`]).
-fn sequence_is_seen(seen: &[u64], sequence: usize) -> bool {
-    seen.get(sequence / 64).is_some_and(|word| word & (1u64 << (sequence % 64)) != 0)
-}
-
 /// Rejects a packet whose sequence number is not below its declared total —
-/// which also rejects a declared total of zero (every sequence is at or
-/// above it), so a zero-`total` header can never pass.
-fn check_sequence(header: &WireHeader) -> Result<()> {
+/// which also rejects a declared total of zero — or whose declared total is
+/// more packets than a `dimension`-coordinate gradient can be split into: one
+/// per coordinate, and one header-only packet for an empty gradient. The
+/// bound is what keeps a header from sizing the dedup set.
+fn check_sequence(header: &WireHeader, dimension: usize) -> Result<()> {
     if header.total == 0 {
         return Err(NetError::MalformedPacket("packet declares a zero-packet stream".to_string()));
+    }
+    if header.total > dimension.max(1) {
+        return Err(NetError::MalformedPacket(format!(
+            "packet declares a {}-packet stream for a {dimension}-dimensional gradient",
+            header.total
+        )));
     }
     if header.sequence >= header.total {
         return Err(NetError::MalformedPacket(format!(
@@ -185,8 +219,64 @@ fn check_sequence(header: &WireHeader) -> Result<()> {
     Ok(())
 }
 
-/// Reassembles one gradient per call from whichever encoded packets arrived,
-/// scattering payloads straight into a caller-provided row.
+/// What one [`RoundAssembler::feed`] call changed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedOutcome {
+    /// The packet passed every check; unless it was a duplicate, its payload
+    /// was scattered into the row.
+    Accepted {
+        /// Coordinates this packet newly covered (zero for a duplicate or a
+        /// header-only packet; exact under overlap).
+        newly_covered: usize,
+    },
+    /// The packet's epoch stamp did not match the assembler's expected
+    /// epoch — a late packet from an evicted worker or a stale-epoch
+    /// rejoin. Nothing was written; the reject is counted in
+    /// `stale_rejects()`.
+    StaleEpoch {
+        /// The epoch the sender stamped into the packet.
+        packet_epoch: u32,
+        /// The epoch the assembler currently fences on.
+        expected_epoch: u32,
+    },
+    /// The packet failed the integrity envelope — too short to hold a
+    /// header, stamped with an unknown wire version, or its CRC32 disagrees
+    /// with the bytes. Nothing was parsed (not even the epoch stamp, which
+    /// is as untrustworthy as the rest of the packet), nothing was written;
+    /// the reject is counted in `corrupt_rejects()`.
+    Corrupt {
+        /// Which integrity check failed.
+        reason: &'static str,
+    },
+}
+
+impl FeedOutcome {
+    /// Coordinates newly covered by this feed (zero for duplicates,
+    /// stale-epoch rejects and corrupt rejects).
+    pub fn newly_covered(&self) -> usize {
+        match self {
+            FeedOutcome::Accepted { newly_covered } => *newly_covered,
+            FeedOutcome::StaleEpoch { .. } | FeedOutcome::Corrupt { .. } => 0,
+        }
+    }
+
+    /// Whether the packet was fenced off for carrying a stale epoch.
+    pub fn is_stale(&self) -> bool {
+        matches!(self, FeedOutcome::StaleEpoch { .. })
+    }
+
+    /// Whether the packet was rejected by the integrity envelope.
+    pub fn is_corrupt(&self) -> bool {
+        matches!(self, FeedOutcome::Corrupt { .. })
+    }
+}
+
+/// Reassembles one gradient per round from whichever encoded packets
+/// arrived, scattering payloads straight into a caller-provided row:
+/// [`RoundAssembler::begin_round`], [`RoundAssembler::feed`] per packet as it
+/// drains off the wire (the caller may watch [`RoundAssembler::is_complete`]
+/// to fire per-row work the moment the row is in), then
+/// [`RoundAssembler::finish_round`] to NaN-fill whatever never arrived.
 ///
 /// The bitset buffer is owned and reused, so a long-lived transport performs
 /// zero reassembly allocations after the first round.
@@ -195,11 +285,11 @@ pub struct RoundAssembler {
     dimension: usize,
     /// One bit per coordinate, set when any delivered packet covered it.
     filled: CoordinateBitset,
-    /// Streaming-path state (see [`RoundAssembler::begin_round`]): newly
-    /// covered coordinate count, the round's (worker, step) reference, and
-    /// the pre-split packet ids already fed.
+    /// Coordinates covered so far this round.
     received: usize,
+    /// The round's first accepted header: its (worker, step) reference.
     reference: Option<WireHeader>,
+    /// One bit per packet id fed (and accepted) this round.
     seen: Vec<u64>,
     /// Epoch fence: `Some(e)` rejects every packet not stamped with `e`
     /// (counted in `stale_rejects`), `None` accepts any epoch (the static
@@ -237,43 +327,37 @@ impl RoundAssembler {
         self.expected_epoch = epoch;
     }
 
-    /// Packets rejected by the epoch fence since the last
-    /// `begin_round`/`assemble_into`.
+    /// Packets rejected by the epoch fence this round.
     pub fn stale_rejects(&self) -> usize {
         self.stale_rejects
     }
 
     /// Packets rejected by the integrity envelope (short, wrong wire
-    /// version, checksum mismatch) since the last
-    /// `begin_round`/`assemble_into`.
+    /// version, checksum mismatch) this round.
     pub fn corrupt_rejects(&self) -> usize {
         self.corrupt_rejects
     }
 
-    /// Whether the pre-split packet id `sequence` has been fed (and
-    /// accepted) this streaming round — the receiver-side state a NACK
-    /// protocol inspects to decide which packets to request again.
+    /// Whether packet id `sequence` has been fed (and accepted) this round —
+    /// the receiver-side state a NACK protocol inspects to decide which
+    /// packets to request again.
     pub fn sequence_seen(&self, sequence: usize) -> bool {
-        sequence_is_seen(&self.seen, sequence)
+        self.seen.get(sequence / 64).is_some_and(|word| word & (1u64 << (sequence % 64)) != 0)
     }
 
-    /// `Some(packet_epoch)` when the fence rejects this header.
-    fn fence(&self, header: &WireHeader) -> Option<u32> {
-        match self.expected_epoch {
-            Some(expected) if header.epoch != expected => Some(header.epoch),
-            _ => None,
+    fn check_row(&self, dst: &[f32]) -> Result<()> {
+        if dst.len() != self.dimension {
+            return Err(NetError::InvalidConfig(format!(
+                "destination row has {} coordinates, assembler expects {}",
+                dst.len(),
+                self.dimension
+            )));
         }
+        Ok(())
     }
 
-    /// Starts a streaming round: clears the coverage bitset, the received
-    /// count, the stream reference and the packet-id dedup set.
-    ///
-    /// Where [`RoundAssembler::assemble_into`] consumes a round's packets in
-    /// one batch call, the streaming path feeds them as they drain off the
-    /// wire — `begin_round`, then [`RoundAssembler::feed`] per packet (the
-    /// caller watches [`RoundAssembler::is_complete`] to fire per-row work
-    /// the moment the row is in), then [`RoundAssembler::finish_round`] to
-    /// NaN-fill whatever never arrived.
+    /// Starts a round: clears the coverage bitset, the received count, the
+    /// stream reference, the packet-id dedup set and the reject counters.
     pub fn begin_round(&mut self) {
         self.filled.reset();
         self.received = 0;
@@ -283,574 +367,91 @@ impl RoundAssembler {
         self.corrupt_rejects = 0;
     }
 
-    /// Feeds one delivered packet, scattering its payload into `dst`, and
-    /// reports what it changed.
-    ///
-    /// A packet whose pre-split id was already fed this round is accepted
-    /// with zero new coverage and without touching `dst` (first delivery
-    /// wins), so completion accounting stays exact under wire duplication.
-    /// A packet failing the integrity envelope is rejected first of all —
-    /// [`FeedOutcome::Corrupt`], nothing parsed or written — because no
-    /// field of a corrupt packet can be trusted, not even its epoch stamp.
-    /// A packet stamped with the wrong membership epoch is fenced off —
-    /// [`FeedOutcome::StaleEpoch`], nothing written — *before* the stream
-    /// identity check, so an evicted worker's stragglers can never poison
-    /// the round's reference.
+    /// Feeds one delivered packet through the validation order in the
+    /// [module docs](crate::assembler), scattering its payload into `dst`, and reports
+    /// what it changed. A packet that is not [`FeedOutcome::Accepted`] never
+    /// writes to `dst`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`RoundAssembler::assemble_into`], plus
-    /// [`NetError::MalformedPacket`] for a sequence number at or above the
-    /// declared stream total.
+    /// Returns [`NetError::InvalidConfig`] when `dst` does not match the
+    /// assembler's dimension, [`NetError::InconsistentStream`] when packets
+    /// disagree about the worker or step, and [`NetError::MalformedPacket`]
+    /// for checksum-valid packets whose headers are nonsensical (over-length
+    /// payload, coordinates outside the gradient, a sequence number at or
+    /// above the declared total, a total the gradient cannot have).
     pub fn feed(&mut self, packet: &Bytes, dst: &mut [f32]) -> Result<FeedOutcome> {
-        if dst.len() != self.dimension {
-            return Err(NetError::InvalidConfig(format!(
-                "destination row has {} coordinates, assembler expects {}",
-                dst.len(),
-                self.dimension
-            )));
-        }
+        self.check_row(dst)?;
         if let Some(reason) = wire_integrity_error(packet) {
             self.corrupt_rejects += 1;
             return Ok(FeedOutcome::Corrupt { reason });
         }
         let header = parse_header(packet)?;
-        if let Some(packet_epoch) = self.fence(&header) {
-            self.stale_rejects += 1;
-            return Ok(FeedOutcome::StaleEpoch {
-                packet_epoch,
-                expected_epoch: self.expected_epoch.expect("fence implies an expected epoch"),
-            });
+        if let Some(expected_epoch) = self.expected_epoch {
+            if header.epoch != expected_epoch {
+                self.stale_rejects += 1;
+                return Ok(FeedOutcome::StaleEpoch { packet_epoch: header.epoch, expected_epoch });
+            }
         }
         match &self.reference {
             Some(reference) => check_same_stream(&header, reference)?,
             None => self.reference = Some(header),
         }
         check_in_bounds(&header, self.dimension)?;
-        check_sequence(&header)?;
+        check_sequence(&header, self.dimension)?;
         if !note_sequence(&mut self.seen, header.sequence) {
-            return Ok(FeedOutcome::Accepted { newly_covered: 0, shards: 0..0 });
+            return Ok(FeedOutcome::Accepted { newly_covered: 0 });
         }
         let payload = &packet[HEADER_BYTES..HEADER_BYTES + 4 * header.count];
         get_f32_slice_le(payload, &mut dst[header.offset..header.offset + header.count]);
-        let newly = self.filled.mark(header.offset, header.count);
-        self.received += newly;
-        Ok(FeedOutcome::Accepted { newly_covered: newly, shards: 0..1 })
+        let newly_covered = self.filled.mark(header.offset, header.count);
+        self.received += newly_covered;
+        Ok(FeedOutcome::Accepted { newly_covered })
     }
 
-    /// Coordinates covered so far in the current streaming round.
+    /// Coordinates covered so far this round.
     pub fn received(&self) -> usize {
         self.received
     }
 
     /// Whether every coordinate of the row has been covered — the per-row
-    /// completion event of the streaming round.
+    /// completion event of the round.
     pub fn is_complete(&self) -> bool {
         self.received == self.dimension
     }
 
-    /// Ends a streaming round: NaN-fills every coordinate no packet covered
-    /// and returns how many there were (the same missing count
-    /// [`RoundAssembler::assemble_into`] reports).
+    /// Ends a round: NaN-fills every coordinate no packet covered and returns
+    /// how many there were. A delivered `NaN` payload coordinate counts as
+    /// received — only coordinates missing from every packet count as lost,
+    /// which is why the bitset (not a NaN scan of `dst`) is the source of
+    /// truth. Only the gaps are written, so the row is written once (by
+    /// payloads), not twice (NaN pre-fill + payloads).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidConfig`] when `dst` does not match the
     /// assembler's dimension.
     pub fn finish_round(&mut self, dst: &mut [f32]) -> Result<usize> {
-        if dst.len() != self.dimension {
-            return Err(NetError::InvalidConfig(format!(
-                "destination row has {} coordinates, assembler expects {}",
-                dst.len(),
-                self.dimension
-            )));
-        }
+        self.check_row(dst)?;
         Ok(self.filled.for_each_gap(|c| dst[c] = f32::NAN))
     }
 
-    /// Scatters the delivered packets of one gradient into `dst` and returns
-    /// the number of coordinates no packet covered (left as `NaN`).
-    ///
-    /// Packets may arrive out of order, duplicated or truncated to a subset;
-    /// the metadata header of each one says exactly where its payload
-    /// belongs. A delivered `NaN` payload coordinate counts as received —
-    /// only coordinates missing from every packet count as lost, which is
-    /// why the bitset (not a NaN scan of `dst`) is the source of truth.
+    /// One whole round over a batch of delivered packets (out of order,
+    /// duplicated or a subset): [`RoundAssembler::begin_round`],
+    /// [`RoundAssembler::feed`] each, [`RoundAssembler::finish_round`].
+    /// Returns the number of coordinates no packet covered (left as `NaN`).
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::InconsistentStream`] when packets disagree about
-    /// the worker or step, and [`NetError::MalformedPacket`] for
-    /// checksum-valid packets whose headers are nonsensical (bad sequence,
-    /// over-length payload, coordinates outside the gradient) — the same
-    /// contract as the legacy [`crate::GradientCodec::reassemble`]. A
-    /// packet failing the integrity envelope (truncated, bit-flipped,
-    /// unknown wire version) is *not* an error: it is counted in
-    /// [`RoundAssembler::corrupt_rejects`] and skipped, exactly like a
-    /// packet the link dropped.
+    /// The first error [`RoundAssembler::feed`] returns; corrupt and
+    /// stale-epoch packets are counted and skipped, exactly like packets the
+    /// link dropped.
     pub fn assemble_into(&mut self, packets: &[Bytes], dst: &mut [f32]) -> Result<usize> {
-        if dst.len() != self.dimension {
-            return Err(NetError::InvalidConfig(format!(
-                "destination row has {} coordinates, assembler expects {}",
-                dst.len(),
-                self.dimension
-            )));
-        }
-        self.filled.reset();
-        self.stale_rejects = 0;
-        self.corrupt_rejects = 0;
-        if packets.is_empty() {
-            dst.fill(f32::NAN);
-            return Ok(self.dimension);
-        }
-        // The reference is the first packet that clears the integrity
-        // envelope and the epoch fence: corrupt packets are counted and
-        // skipped before anything is parsed, stale packets before any
-        // identity check, so neither can poison the stream reference (or
-        // fill a coordinate).
-        let mut reference: Option<WireHeader> = None;
+        self.begin_round();
         for packet in packets {
-            if wire_integrity_error(packet).is_some() {
-                self.corrupt_rejects += 1;
-                continue;
-            }
-            let header = parse_header(packet)?;
-            if self.fence(&header).is_some() {
-                self.stale_rejects += 1;
-                continue;
-            }
-            match &reference {
-                Some(reference) => check_same_stream(&header, reference)?,
-                None => reference = Some(header),
-            }
-            check_in_bounds(&header, self.dimension)?;
-            check_sequence(&header)?;
-            let payload = &packet[HEADER_BYTES..HEADER_BYTES + 4 * header.count];
-            get_f32_slice_le(payload, &mut dst[header.offset..header.offset + header.count]);
-            self.filled.mark(header.offset, header.count);
+            self.feed(packet, dst)?;
         }
-        // NaN-fill only the gaps, found by walking the bitset's zero bits:
-        // at realistic loss rates most words are fully covered and skipped
-        // outright, so the row is written once (by payloads), not twice
-        // (NaN pre-fill + payloads).
-        Ok(self.filled.for_each_gap(|c| dst[c] = f32::NAN))
-    }
-}
-
-/// Rejects a packet whose (worker, step) identity disagrees with the round's
-/// reference packet.
-fn check_same_stream(header: &WireHeader, reference: &WireHeader) -> Result<()> {
-    if header.worker != reference.worker || header.step != reference.step {
-        return Err(NetError::InconsistentStream(format!(
-            "packet from worker {} step {} mixed with worker {} step {}",
-            header.worker, header.step, reference.worker, reference.step
-        )));
-    }
-    Ok(())
-}
-
-/// Rejects a packet whose coordinate range extends beyond the gradient.
-fn check_in_bounds(header: &WireHeader, dimension: usize) -> Result<()> {
-    if header.offset + header.count > dimension {
-        return Err(NetError::MalformedPacket(format!(
-            "packet covers coordinates {}..{} of a {dimension}-dimensional gradient",
-            header.offset,
-            header.offset + header.count,
-        )));
-    }
-    Ok(())
-}
-
-/// Reassembles one gradient per call into **per-shard rows**, routing every
-/// packet payload to the shard(s) owning its coordinate range.
-///
-/// This is the wire side of the sharded parameter server: the sender splits
-/// a gradient into MTU-sized packets oblivious to sharding, and each
-/// delivered packet's metadata header (coordinate offset + count) decides
-/// which shard arena row its payload lands in. A packet whose coordinate
-/// range straddles a shard boundary is split — each shard receives exactly
-/// the sub-slice of the payload it owns, still decoded in one bulk pass, so
-/// routing adds no per-coordinate work. Validation and loss semantics are
-/// identical to [`RoundAssembler`]: same header checks, lost coordinates
-/// surface as `NaN` in the owning shard's row, and a delivered `NaN`
-/// coordinate counts as received.
-///
-/// The [`ShardPlan`] is the same type the aggregation layer partitions the
-/// arena with, so a coordinate routed to shard `s` here is by construction
-/// the coordinate shard `s`'s kernels aggregate.
-/// What one streaming `feed` call changed.
-///
-/// For an accepted packet: how many coordinates it newly covered, and which
-/// shards' completion state may have flipped (poll
-/// [`ShardedRoundAssembler::shard_complete`] over the range — always `0..1`
-/// for the single-row [`RoundAssembler`]). A duplicate contributes nothing
-/// and touches no shards. A packet stamped with the wrong membership epoch
-/// is fenced off entirely: [`FeedOutcome::StaleEpoch`] reports the mismatch
-/// and guarantees no row byte was written.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FeedOutcome {
-    /// The packet passed every check and was scattered into the row(s).
-    Accepted {
-        /// Coordinates this packet newly covered (exact under duplication
-        /// and shard-boundary splits).
-        newly_covered: usize,
-        /// The contiguous shard range the packet's coordinate range touches
-        /// — empty for duplicates and header-only packets.
-        shards: std::ops::Range<usize>,
-    },
-    /// The packet's epoch stamp did not match the assembler's expected
-    /// epoch — a late packet from an evicted worker or a stale-epoch
-    /// rejoin. Nothing was written; the reject is counted in
-    /// `stale_rejects()`.
-    StaleEpoch {
-        /// The epoch the sender stamped into the packet.
-        packet_epoch: u32,
-        /// The epoch the assembler currently fences on.
-        expected_epoch: u32,
-    },
-    /// The packet failed the integrity envelope — too short to hold a
-    /// header, stamped with an unknown wire version, or its CRC32 disagrees
-    /// with the bytes. Nothing was parsed (not even the epoch stamp, which
-    /// is as untrustworthy as the rest of the packet), nothing was written;
-    /// the reject is counted in `corrupt_rejects()`.
-    Corrupt {
-        /// Which integrity check failed.
-        reason: &'static str,
-    },
-}
-
-impl FeedOutcome {
-    /// Coordinates newly covered by this feed (zero for duplicates,
-    /// stale-epoch rejects and corrupt rejects).
-    pub fn newly_covered(&self) -> usize {
-        match self {
-            FeedOutcome::Accepted { newly_covered, .. } => *newly_covered,
-            FeedOutcome::StaleEpoch { .. } | FeedOutcome::Corrupt { .. } => 0,
-        }
-    }
-
-    /// Whether the packet was fenced off for carrying a stale epoch.
-    pub fn is_stale(&self) -> bool {
-        matches!(self, FeedOutcome::StaleEpoch { .. })
-    }
-
-    /// Whether the packet was rejected by the integrity envelope.
-    pub fn is_corrupt(&self) -> bool {
-        matches!(self, FeedOutcome::Corrupt { .. })
-    }
-}
-
-#[derive(Debug, Clone)]
-pub struct ShardedRoundAssembler {
-    plan: ShardPlan,
-    /// One bit per (global) coordinate, set when any packet covered it.
-    filled: CoordinateBitset,
-    /// Streaming-path state: newly covered coordinates per shard, the
-    /// round's stream reference, and the pre-split packet ids already fed.
-    shard_received: Vec<usize>,
-    reference: Option<WireHeader>,
-    seen: Vec<u64>,
-    /// Epoch fence, identical semantics to [`RoundAssembler`]'s.
-    expected_epoch: Option<u32>,
-    stale_rejects: usize,
-    corrupt_rejects: usize,
-}
-
-impl ShardedRoundAssembler {
-    /// Creates an assembler routing into the shards of `plan`.
-    pub fn new(plan: ShardPlan) -> Self {
-        let filled = CoordinateBitset::new(plan.dimension());
-        let shard_received = vec![0usize; plan.shard_count()];
-        ShardedRoundAssembler {
-            plan,
-            filled,
-            shard_received,
-            reference: None,
-            seen: Vec::new(),
-            expected_epoch: None,
-            stale_rejects: 0,
-            corrupt_rejects: 0,
-        }
-    }
-
-    /// The shard partition this assembler routes into.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Sets the membership-epoch fence: packets stamped with a different
-    /// epoch are rejected before routing — no shard row is touched, not
-    /// even the partial slices of a boundary-straddling packet. `None`
-    /// (default) accepts any epoch.
-    pub fn set_expected_epoch(&mut self, epoch: Option<u32>) {
-        self.expected_epoch = epoch;
-    }
-
-    /// Packets rejected by the epoch fence since the last
-    /// `begin_round`/`assemble_into`.
-    pub fn stale_rejects(&self) -> usize {
-        self.stale_rejects
-    }
-
-    /// Packets rejected by the integrity envelope since the last
-    /// `begin_round`/`assemble_into`.
-    pub fn corrupt_rejects(&self) -> usize {
-        self.corrupt_rejects
-    }
-
-    /// Whether the pre-split packet id `sequence` has been fed (and
-    /// accepted) this streaming round — see
-    /// [`RoundAssembler::sequence_seen`].
-    pub fn sequence_seen(&self, sequence: usize) -> bool {
-        sequence_is_seen(&self.seen, sequence)
-    }
-
-    /// `Some(packet_epoch)` when the fence rejects this header.
-    fn fence(&self, header: &WireHeader) -> Option<u32> {
-        match self.expected_epoch {
-            Some(expected) if header.epoch != expected => Some(header.epoch),
-            _ => None,
-        }
-    }
-
-    /// Scatters the delivered packets of one gradient into the per-shard
-    /// rows and returns the number of coordinates no packet covered (left as
-    /// `NaN` in the owning shard's row).
-    ///
-    /// `rows` must hold one row per shard, each exactly as wide as its
-    /// shard's coordinate range — e.g. row `s` of shard `s`'s
-    /// `agg_tensor::GradientBatch` arena.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidConfig`] when the row layout does not
-    /// match the shard plan, and the same [`NetError::InconsistentStream`] /
-    /// [`NetError::MalformedPacket`] conditions as
-    /// [`RoundAssembler::assemble_into`].
-    pub fn assemble_into(&mut self, packets: &[Bytes], rows: &mut [&mut [f32]]) -> Result<usize> {
-        if rows.len() != self.plan.shard_count() {
-            return Err(NetError::InvalidConfig(format!(
-                "{} destination rows for a {}-shard plan",
-                rows.len(),
-                self.plan.shard_count()
-            )));
-        }
-        for (s, row) in rows.iter().enumerate() {
-            let width = self.plan.range(s).len();
-            if row.len() != width {
-                return Err(NetError::InvalidConfig(format!(
-                    "shard {s} row has {} coordinates, its shard range holds {width}",
-                    row.len()
-                )));
-            }
-        }
-        self.filled.reset();
-        self.stale_rejects = 0;
-        self.corrupt_rejects = 0;
-        let dimension = self.plan.dimension();
-        if packets.is_empty() {
-            rows.iter_mut().for_each(|row| row.fill(f32::NAN));
-            return Ok(dimension);
-        }
-        let mut reference: Option<WireHeader> = None;
-        for packet in packets {
-            if wire_integrity_error(packet).is_some() {
-                self.corrupt_rejects += 1;
-                continue;
-            }
-            let header = parse_header(packet)?;
-            if self.fence(&header).is_some() {
-                self.stale_rejects += 1;
-                continue;
-            }
-            match &reference {
-                Some(reference) => check_same_stream(&header, reference)?,
-                None => reference = Some(header),
-            }
-            check_in_bounds(&header, dimension)?;
-            check_sequence(&header)?;
-            // Route the payload shard by shard: `consumed` counts payload
-            // coordinates already scattered, `global` the coordinate the
-            // next one lands on. A straddling packet takes several laps.
-            let end = header.offset + header.count;
-            let mut global = header.offset;
-            let mut consumed = 0usize;
-            while global < end {
-                let shard = self.plan.shard_of(global);
-                let range = self.plan.range(shard);
-                let take = (end - global).min(range.end - global);
-                let payload =
-                    &packet[HEADER_BYTES + 4 * consumed..HEADER_BYTES + 4 * (consumed + take)];
-                let local = global - range.start;
-                get_f32_slice_le(payload, &mut rows[shard][local..local + take]);
-                consumed += take;
-                global += take;
-            }
-            self.filled.mark(header.offset, header.count);
-        }
-        // Walk the global gap bits in increasing coordinate order; the shard
-        // cursor only ever advances, so routing the NaN fills is O(1)
-        // amortised per gap.
-        let plan = &self.plan;
-        let mut shard = 0usize;
-        let missing = self.filled.for_each_gap(|c| {
-            while c >= plan.range(shard).end {
-                shard += 1;
-            }
-            rows[shard][c - plan.range(shard).start] = f32::NAN;
-        });
-        Ok(missing)
-    }
-
-    /// Starts a streaming round: clears coverage, per-shard received counts,
-    /// the stream reference and the packet-id dedup set. The streaming
-    /// counterpart of [`ShardedRoundAssembler::assemble_into`]: feed packets
-    /// as they arrive and fire a shard's kernels the moment
-    /// [`ShardedRoundAssembler::shard_complete`] flips.
-    pub fn begin_round(&mut self) {
-        self.filled.reset();
-        self.shard_received.fill(0);
-        self.reference = None;
-        self.seen.fill(0);
-        self.stale_rejects = 0;
-        self.corrupt_rejects = 0;
-    }
-
-    /// Feeds one delivered packet, routing its payload into the per-shard
-    /// rows, and reports what it changed.
-    ///
-    /// Deduplication happens on the **pre-split packet id** (the sender's
-    /// sequence number), not on the post-split shard pieces: a re-delivered
-    /// packet that straddles a shard boundary is dropped before routing, so
-    /// it cannot count toward *either* shard's completion total. Coverage is
-    /// additionally counted from newly set coverage bits, so even partially
-    /// overlapping ranges (distinct ids, shared coordinates) never inflate
-    /// the quorum accounting.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedRoundAssembler::assemble_into`], plus
-    /// [`NetError::MalformedPacket`] for a sequence number at or above the
-    /// declared stream total. Row-width validation covers the shards the
-    /// packet touches.
-    pub fn feed(&mut self, packet: &Bytes, rows: &mut [&mut [f32]]) -> Result<FeedOutcome> {
-        if rows.len() != self.plan.shard_count() {
-            return Err(NetError::InvalidConfig(format!(
-                "{} destination rows for a {}-shard plan",
-                rows.len(),
-                self.plan.shard_count()
-            )));
-        }
-        let dimension = self.plan.dimension();
-        if let Some(reason) = wire_integrity_error(packet) {
-            self.corrupt_rejects += 1;
-            return Ok(FeedOutcome::Corrupt { reason });
-        }
-        let header = parse_header(packet)?;
-        if let Some(packet_epoch) = self.fence(&header) {
-            self.stale_rejects += 1;
-            return Ok(FeedOutcome::StaleEpoch {
-                packet_epoch,
-                expected_epoch: self.expected_epoch.expect("fence implies an expected epoch"),
-            });
-        }
-        match &self.reference {
-            Some(reference) => check_same_stream(&header, reference)?,
-            None => self.reference = Some(header),
-        }
-        check_in_bounds(&header, dimension)?;
-        check_sequence(&header)?;
-        if header.count == 0 || !note_sequence(&mut self.seen, header.sequence) {
-            return Ok(FeedOutcome::Accepted { newly_covered: 0, shards: 0..0 });
-        }
-        let end = header.offset + header.count;
-        let first_shard = self.plan.shard_of(header.offset);
-        let mut global = header.offset;
-        let mut consumed = 0usize;
-        let mut newly = 0usize;
-        let mut shard = first_shard;
-        while global < end {
-            shard = self.plan.shard_of(global);
-            let range = self.plan.range(shard);
-            if rows[shard].len() != range.len() {
-                return Err(NetError::InvalidConfig(format!(
-                    "shard {shard} row has {} coordinates, its shard range holds {}",
-                    rows[shard].len(),
-                    range.len()
-                )));
-            }
-            let take = (end - global).min(range.end - global);
-            let payload =
-                &packet[HEADER_BYTES + 4 * consumed..HEADER_BYTES + 4 * (consumed + take)];
-            let local = global - range.start;
-            get_f32_slice_le(payload, &mut rows[shard][local..local + take]);
-            let covered = self.filled.mark(global, take);
-            self.shard_received[shard] += covered;
-            newly += covered;
-            consumed += take;
-            global += take;
-        }
-        Ok(FeedOutcome::Accepted { newly_covered: newly, shards: first_shard..shard + 1 })
-    }
-
-    /// Coordinates of shard `s` covered so far in the current round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn shard_received(&self, s: usize) -> usize {
-        self.shard_received[s]
-    }
-
-    /// Whether every coordinate of shard `s` has been covered — the
-    /// per-shard completion event that lets a coordinate rule start shard
-    /// `s`'s kernels before the rest of the gradient is in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn shard_complete(&self, s: usize) -> bool {
-        self.shard_received[s] == self.plan.range(s).len()
-    }
-
-    /// Whether every coordinate of every shard has been covered.
-    pub fn is_complete(&self) -> bool {
-        self.shard_received.iter().sum::<usize>() == self.plan.dimension()
-    }
-
-    /// Ends a streaming round: NaN-fills every coordinate no packet covered
-    /// (in its owning shard's row) and returns how many there were.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidConfig`] when the row layout does not
-    /// match the shard plan.
-    pub fn finish_round(&mut self, rows: &mut [&mut [f32]]) -> Result<usize> {
-        if rows.len() != self.plan.shard_count() {
-            return Err(NetError::InvalidConfig(format!(
-                "{} destination rows for a {}-shard plan",
-                rows.len(),
-                self.plan.shard_count()
-            )));
-        }
-        for (s, row) in rows.iter().enumerate() {
-            let width = self.plan.range(s).len();
-            if row.len() != width {
-                return Err(NetError::InvalidConfig(format!(
-                    "shard {s} row has {} coordinates, its shard range holds {width}",
-                    row.len()
-                )));
-            }
-        }
-        let plan = &self.plan;
-        let mut shard = 0usize;
-        let missing = self.filled.for_each_gap(|c| {
-            while c >= plan.range(shard).end {
-                shard += 1;
-            }
-            rows[shard][c - plan.range(shard).start] = f32::NAN;
-        });
-        Ok(missing)
+        self.finish_round(dst)
     }
 }
 
@@ -972,8 +573,7 @@ mod tests {
     fn duplicate_packet_over_already_filled_coordinates_is_idempotent() {
         // The UDP link can deliver the same datagram twice; the second copy
         // rewrites identical bytes over coordinates the bitset already marks,
-        // so values and the missing count are unchanged — in both the
-        // single-row and the sharded assembler.
+        // so values and the missing count are unchanged.
         let codec = GradientCodec::new(6).unwrap();
         let g = gradient(14);
         let mut packets = codec.split_bytes(3, 2, &g);
@@ -983,53 +583,6 @@ mod tests {
         let mut row = vec![0.0f32; 14];
         assert_eq!(assembler.assemble_into(&packets, &mut row).unwrap(), 0);
         assert_eq!(row, g);
-
-        let plan = agg_tensor::ShardPlan::new(14, 3).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&packets, &mut views).unwrap(), 0);
-        let flat: Vec<f32> = shard_rows.concat();
-        assert_eq!(flat, g);
-    }
-
-    #[test]
-    fn straddling_packets_split_across_shard_boundaries() {
-        // 8 coordinates per packet against shards of width 5: every packet
-        // except the aligned first one straddles a boundary and must be
-        // split between two shard rows.
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let packets = codec.split_bytes(0, 0, &g);
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        assert_eq!(plan.range(0), 0..5);
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&packets, &mut views).unwrap(), 0);
-        for (s, range) in plan.ranges().enumerate() {
-            assert_eq!(shard_rows[s], g[range], "shard {s}");
-        }
-    }
-
-    #[test]
-    fn straddling_packet_loss_leaves_nan_in_both_touched_shards() {
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let mut packets = codec.split_bytes(0, 0, &g);
-        // Coordinates 8..16 go missing: they span shard 1 (5..10), all of
-        // shard 2 (10..15) and the first coordinate of shard 3 (15..20).
-        packets.remove(1);
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&packets, &mut views).unwrap(), 8);
-        assert_eq!(shard_rows[1][..3], g[5..8]);
-        assert!(shard_rows[1][3..].iter().all(|v| v.is_nan()));
-        assert!(shard_rows[2].iter().all(|v| v.is_nan()));
-        assert!(shard_rows[3][0].is_nan());
-        assert_eq!(shard_rows[3][1..], g[16..20]);
     }
 
     #[test]
@@ -1042,74 +595,26 @@ mod tests {
 
         let mut assembler = RoundAssembler::new(0);
         assert_eq!(assembler.assemble_into(&packets, &mut []).unwrap(), 0);
-
-        let plan = agg_tensor::ShardPlan::new(0, 3).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan);
-        let mut shard_rows: Vec<Vec<f32>> = vec![vec![]; 3];
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&packets, &mut views).unwrap(), 0);
-    }
-
-    #[test]
-    fn sharded_assembler_matches_single_row_assembler_under_loss() {
-        // Same packets, same loss pattern: concatenating the shard rows must
-        // reproduce the single-row reassembly bit for bit (NaN positions
-        // included), for several shard counts including empty shards.
-        let codec = GradientCodec::new(7).unwrap();
-        let g: Vec<f32> = (0..53).map(|i| (i as f32).sin()).collect();
-        let mut packets = codec.split_bytes(2, 4, &g);
-        packets.remove(5);
-        packets.remove(2);
-        packets.push(packets[0].clone()); // and a duplicate
-        let mut reference = RoundAssembler::new(53);
-        let mut flat = vec![0.0f32; 53];
-        let expected_missing = reference.assemble_into(&packets, &mut flat).unwrap();
-        for shards in [1usize, 2, 5, 60] {
-            let plan = agg_tensor::ShardPlan::new(53, shards).unwrap();
-            let mut sharded = ShardedRoundAssembler::new(plan.clone());
-            let mut shard_rows: Vec<Vec<f32>> =
-                plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-            let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-            assert_eq!(sharded.assemble_into(&packets, &mut views).unwrap(), expected_missing);
-            let rebuilt: Vec<f32> = shard_rows.concat();
-            for (c, (a, b)) in rebuilt.iter().zip(&flat).enumerate() {
-                assert!(a.to_bits() == b.to_bits(), "shards={shards} coordinate {c}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_assembler_rejects_wrong_row_layouts() {
-        let plan = agg_tensor::ShardPlan::new(10, 2).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan);
-        let mut one = vec![0.0f32; 5];
-        assert!(matches!(
-            sharded.assemble_into(&[], &mut [one.as_mut_slice()]),
-            Err(NetError::InvalidConfig(_))
-        ));
-        let mut a = vec![0.0f32; 5];
-        let mut b = vec![0.0f32; 4];
-        assert!(matches!(
-            sharded.assemble_into(&[], &mut [a.as_mut_slice(), b.as_mut_slice()]),
-            Err(NetError::InvalidConfig(_))
-        ));
     }
 
     #[test]
     fn streaming_feed_matches_batch_assembly_bit_for_bit() {
-        // begin_round/feed/finish_round over the same packet multiset must
-        // reproduce assemble_into exactly: same row bits, same missing count,
-        // for both assemblers.
+        // begin_round/feed/finish_round packet by packet and assemble_into
+        // over the same packet multiset both produce exactly what arrived:
+        // packet 4 (coordinates 28..35) was lost, the rest came reversed with
+        // one duplicate.
         let codec = GradientCodec::new(7).unwrap();
         let g: Vec<f32> = (0..53).map(|i| (i as f32).cos()).collect();
         let mut packets = codec.split_bytes(4, 8, &g);
         packets.remove(4);
         packets.reverse();
         packets.push(packets[2].clone());
+        let mut expected = g.clone();
+        expected[28..35].fill(f32::NAN);
 
         let mut batch = RoundAssembler::new(53);
-        let mut expected = vec![0.0f32; 53];
-        let expected_missing = batch.assemble_into(&packets, &mut expected).unwrap();
+        let mut batch_row = vec![0.0f32; 53];
+        assert_eq!(batch.assemble_into(&packets, &mut batch_row).unwrap(), 7);
 
         let mut streaming = RoundAssembler::new(53);
         streaming.begin_round();
@@ -1118,23 +623,10 @@ mod tests {
             streaming.feed(p, &mut row).unwrap();
         }
         assert!(!streaming.is_complete());
-        assert_eq!(streaming.finish_round(&mut row).unwrap(), expected_missing);
-        for (c, (a, b)) in row.iter().zip(&expected).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "coordinate {c}");
-        }
-
-        let plan = agg_tensor::ShardPlan::new(53, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        sharded.begin_round();
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        for p in &packets {
-            sharded.feed(p, &mut views).unwrap();
-        }
-        assert_eq!(sharded.finish_round(&mut views).unwrap(), expected_missing);
-        let rebuilt: Vec<f32> = shard_rows.concat();
-        for (c, (a, b)) in rebuilt.iter().zip(&expected).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "sharded coordinate {c}");
+        assert_eq!(streaming.finish_round(&mut row).unwrap(), 7);
+        for (c, ((a, b), e)) in row.iter().zip(&batch_row).zip(&expected).enumerate() {
+            assert_eq!(a.to_bits(), e.to_bits(), "coordinate {c}");
+            assert_eq!(b.to_bits(), e.to_bits(), "batch coordinate {c}");
         }
     }
 
@@ -1148,51 +640,22 @@ mod tests {
         let mut row = vec![0.0f32; 20];
         for (i, p) in packets.iter().enumerate() {
             assert!(!assembler.is_complete(), "complete before packet {i}");
-            assembler.feed(p, &mut row).unwrap();
+            let first = assembler.feed(p, &mut row).unwrap();
+            assert_eq!(
+                first,
+                FeedOutcome::Accepted { newly_covered: (p.len() - HEADER_BYTES) / 4 }
+            );
+            // A re-delivered packet id is dropped before the scatter, so it
+            // cannot count toward completion.
+            let received = assembler.received();
+            let duplicate = assembler.feed(p, &mut row).unwrap();
+            assert_eq!(duplicate, FeedOutcome::Accepted { newly_covered: 0 });
+            assert_eq!(assembler.received(), received);
         }
         assert!(assembler.is_complete());
         assert_eq!(assembler.received(), 20);
         assert_eq!(assembler.finish_round(&mut row).unwrap(), 0);
         assert_eq!(row, g);
-    }
-
-    #[test]
-    fn duplicate_straddling_packet_counts_toward_neither_shards_total() {
-        // The quorum-accounting regression: shards of width 5, packets of 8
-        // coordinates, so packet 0 covers 0..8 — it straddles the shard 0/1
-        // boundary. Feeding it twice must leave shard 0 at 5 and shard 1 at
-        // 3 covered coordinates: the duplicate is dropped on its pre-split
-        // id *before* shard routing, so neither shard's completion total
-        // moves, and shard 1 only completes when packet 1 (8..16) arrives.
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let packets = codec.split_bytes(0, 0, &g);
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        sharded.begin_round();
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-
-        let first = sharded.feed(&packets[0], &mut views).unwrap();
-        assert_eq!(first, FeedOutcome::Accepted { newly_covered: 8, shards: 0..2 });
-        assert!(sharded.shard_complete(0));
-        assert_eq!(sharded.shard_received(1), 3);
-
-        let duplicate = sharded.feed(&packets[0], &mut views).unwrap();
-        assert_eq!(duplicate, FeedOutcome::Accepted { newly_covered: 0, shards: 0..0 });
-        assert_eq!(sharded.shard_received(0), 5, "duplicate must not inflate shard 0");
-        assert_eq!(sharded.shard_received(1), 3, "duplicate must not inflate shard 1");
-        assert!(!sharded.shard_complete(1));
-
-        let second = sharded.feed(&packets[1], &mut views).unwrap();
-        assert_eq!(second.newly_covered(), 8);
-        assert!(sharded.shard_complete(1));
-        assert!(sharded.shard_complete(2));
-        assert!(!sharded.is_complete());
-        sharded.feed(&packets[2], &mut views).unwrap();
-        assert!(sharded.is_complete());
-        assert_eq!(sharded.finish_round(&mut views).unwrap(), 0);
-        assert_eq!(shard_rows.concat(), g);
     }
 
     #[test]
@@ -1229,8 +692,8 @@ mod tests {
     #[test]
     fn malformed_header_shapes_are_rejected_up_front() {
         // Checksum-valid but semantically broken headers: each shape must be
-        // a hard MalformedPacket in both the feed and the batch path of both
-        // assemblers — never scattered, never silently skipped.
+        // a hard MalformedPacket whether fed singly or as a batch — never
+        // scattered, never silently skipped.
         let codec = GradientCodec::new(8).unwrap();
         let g = gradient(16);
         let a = codec.split_bytes(0, 0, &g);
@@ -1259,24 +722,6 @@ mod tests {
                 "assemble_into must reject {shape}"
             );
             assert_eq!(assembler.corrupt_rejects(), 0, "{shape} is malformed, not corrupt");
-
-            let plan = agg_tensor::ShardPlan::new(16, 3).unwrap();
-            let mut sharded = ShardedRoundAssembler::new(plan.clone());
-            let mut shard_rows: Vec<Vec<f32>> =
-                plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-            let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-            sharded.begin_round();
-            assert!(
-                matches!(sharded.feed(packet, &mut views), Err(NetError::MalformedPacket(_))),
-                "sharded feed must reject {shape}"
-            );
-            assert!(
-                matches!(
-                    sharded.assemble_into(std::slice::from_ref(packet), &mut views),
-                    Err(NetError::MalformedPacket(_))
-                ),
-                "sharded assemble_into must reject {shape}"
-            );
         }
     }
 
@@ -1285,8 +730,7 @@ mod tests {
         // Wire-damage shapes: short header, truncated payload, flipped
         // payload bit, flipped header bit, unknown wire version. Each is a
         // FeedOutcome::Corrupt — counted, skipped, and provably absent from
-        // the row — in both assemblers, and the intact remainder of the
-        // round still lands.
+        // the row — and the intact remainder of the round still lands.
         let codec = GradientCodec::new(8).unwrap();
         let g = gradient(20);
         let packets = codec.split_bytes(0, 0, &g);
@@ -1336,23 +780,6 @@ mod tests {
         assert_eq!(batch.assemble_into(&mixed, &mut batch_row).unwrap(), 0);
         assert_eq!(batch.corrupt_rejects(), corrupted.len());
         assert_eq!(batch_row, g);
-
-        // Sharded, straddling packets: same guarantees per shard row.
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        sharded.begin_round();
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![-4.5f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        for c in &corrupted {
-            assert!(sharded.feed(c, &mut views).unwrap().is_corrupt());
-        }
-        assert!(shard_rows.iter().flatten().all(|&v| v == -4.5));
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&mixed, &mut views).unwrap(), 0);
-        assert_eq!(sharded.corrupt_rejects(), corrupted.len());
-        assert_eq!(shard_rows.concat(), g);
     }
 
     #[test]
@@ -1402,30 +829,53 @@ mod tests {
     #[test]
     fn begin_round_resets_streaming_state_between_rounds() {
         let codec = GradientCodec::new(8).unwrap();
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut assembler = RoundAssembler::new(20);
+        let mut row = vec![0.0f32; 20];
 
         let g = gradient(20);
-        sharded.begin_round();
+        assembler.begin_round();
         for p in codec.split_bytes(0, 0, &g) {
-            sharded.feed(&p, &mut views).unwrap();
+            assembler.feed(&p, &mut row).unwrap();
         }
-        assert!(sharded.is_complete());
+        assert!(assembler.is_complete());
 
         // Next round, next step: the dedup set and counters must start
         // fresh, so the same sequence numbers land again.
-        sharded.begin_round();
-        assert!(!sharded.is_complete());
-        assert_eq!(sharded.shard_received(0), 0);
+        assembler.begin_round();
+        assert!(!assembler.is_complete());
+        assert_eq!(assembler.received(), 0);
+        assert!(!assembler.sequence_seen(0));
         let next: Vec<f32> = g.iter().map(|x| x + 1.0).collect();
         for p in codec.split_bytes(0, 1, &next) {
-            sharded.feed(&p, &mut views).unwrap();
+            assembler.feed(&p, &mut row).unwrap();
         }
-        assert!(sharded.is_complete());
-        assert_eq!(sharded.finish_round(&mut views).unwrap(), 0);
-        assert_eq!(shard_rows.concat(), next);
+        assert!(assembler.is_complete());
+        assert_eq!(assembler.finish_round(&mut row).unwrap(), 0);
+        assert_eq!(row, next);
+    }
+
+    #[test]
+    fn hostile_total_cannot_grow_the_dedup_set() {
+        // A Byzantine worker's 56-byte packet, resealed so the checksum is
+        // valid, claiming to be packet 2^32 - 2 of 2^32 - 1: no 16-coordinate
+        // gradient splits into that many packets, so it is malformed — and
+        // rejected before the dedup set sees the sequence number.
+        let packets = GradientCodec::new(4).unwrap().split_bytes(0, 0, &gradient(16));
+        let hostile = resealed(&packets[0], |b| {
+            b[12..16].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+            b[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let mut assembler = RoundAssembler::new(16);
+        assembler.begin_round();
+        let seen_words = assembler.seen.capacity();
+        let mut row = vec![-2.5f32; 16];
+        assert!(matches!(assembler.feed(&hostile, &mut row), Err(NetError::MalformedPacket(_))));
+        assert!(row.iter().all(|&v| v == -2.5));
+        assert_eq!(assembler.seen.capacity(), seen_words);
+        assert!(!assembler.sequence_seen(u32::MAX as usize - 1));
+        // The largest total the codec itself can produce still passes.
+        let per_coordinate = GradientCodec::new(1).unwrap().split_bytes(0, 0, &gradient(16));
+        assert_eq!(assembler.assemble_into(&per_coordinate, &mut row).unwrap(), 0);
     }
 
     #[test]
@@ -1489,64 +939,5 @@ mod tests {
         assert_eq!(assembler.assemble_into(&stale, &mut all_stale_row).unwrap(), 20);
         assert_eq!(assembler.stale_rejects(), stale.len());
         assert!(all_stale_row.iter().all(|v| v.is_nan()));
-    }
-
-    #[test]
-    fn stale_epoch_straddling_packet_touches_neither_shard() {
-        // The sharded straddle path: packet 0 covers 0..8 and would split
-        // across shards 0 (0..5) and 1 (5..10). Stamped with a stale epoch
-        // it must be fenced *before* routing — neither shard's row nor its
-        // completion total may move, even for the partial slice.
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let stale = codec.split_bytes_epoch(0, 0, 4, &g);
-        let plan = agg_tensor::ShardPlan::new(20, 4).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        sharded.set_expected_epoch(Some(5));
-        sharded.begin_round();
-        let mut shard_rows: Vec<Vec<f32>> =
-            plan.ranges().map(|r| vec![-3.25f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-
-        let outcome = sharded.feed(&stale[0], &mut views).unwrap();
-        assert_eq!(outcome, FeedOutcome::StaleEpoch { packet_epoch: 4, expected_epoch: 5 });
-        assert_eq!(sharded.shard_received(0), 0, "stale straddler must not fill shard 0");
-        assert_eq!(sharded.shard_received(1), 0, "stale straddler must not fill shard 1");
-        assert_eq!(sharded.stale_rejects(), 1);
-        assert!(
-            shard_rows.iter().flatten().all(|&v| v == -3.25),
-            "no shard row byte may change on a stale packet"
-        );
-
-        // The batch path fences the same straddler identically.
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        sharded.set_expected_epoch(Some(5));
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        {
-            let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-            assert_eq!(sharded.assemble_into(&stale, &mut views).unwrap(), 20);
-        }
-        assert_eq!(sharded.stale_rejects(), stale.len());
-        assert!(shard_rows.iter().flatten().all(|v| v.is_nan()));
-
-        // And a current-epoch round through the same fence is untouched.
-        let current = codec.split_bytes_epoch(0, 0, 5, &g);
-        {
-            let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-            assert_eq!(sharded.assemble_into(&current, &mut views).unwrap(), 0);
-        }
-        assert_eq!(sharded.stale_rejects(), 0);
-        assert_eq!(shard_rows.concat(), g);
-    }
-
-    #[test]
-    fn sharded_assembler_empty_round_nan_fills_every_shard() {
-        let plan = agg_tensor::ShardPlan::new(9, 2).unwrap();
-        let mut sharded = ShardedRoundAssembler::new(plan.clone());
-        assert_eq!(sharded.plan().shard_count(), 2);
-        let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-        let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-        assert_eq!(sharded.assemble_into(&[], &mut views).unwrap(), 9);
-        assert!(shard_rows.iter().flatten().all(|v| v.is_nan()));
     }
 }

@@ -5,18 +5,18 @@
 //! Byzantine-resilient GAR above it to absorb whatever the transport loses
 //! (§3.3). This crate reproduces that layer as a discrete simulation:
 //!
-//! * [`packet`] — gradients are split into MTU-sized packets with sequence
-//!   numbers and a small reliable metadata header, exactly the scheme the
-//!   paper describes for packet ordering.
+//! * [`packet`] — the wire format: gradients are split into MTU-sized packets
+//!   with sequence numbers and a small reliable metadata header, exactly the
+//!   scheme the paper describes for packet ordering, sealed with a CRC-32C.
 //! * [`link`] — a lossy link model: independent packet drops, reordering and
 //!   duplication at configurable rates (the paper injects a 10 % drop rate
 //!   with `tc`), plus [`link::ChaosPlan`] — a seeded schedule of dirtier
 //!   wire faults (bit flips, truncation, mutated duplicates, reorder
-//!   bursts, delay spikes, transient partitions) that the v2 wire format's
-//!   CRC32 integrity envelope must catch.
-//! * [`assembler`] — [`assembler::RoundAssembler`]: zero-copy reassembly of
-//!   whatever arrived straight into a caller-provided arena row, tracking
-//!   missing coordinates with a compact bitset.
+//!   bursts, delay spikes, transient partitions) that the integrity envelope
+//!   must catch.
+//! * [`assembler`] — [`assembler::RoundAssembler`]: validation and zero-copy
+//!   reassembly of whatever arrived straight into a caller-provided arena
+//!   row, tracking missing coordinates with a compact bitset.
 //! * [`transport`] — the two transports compared in Figure 8:
 //!   [`transport::ReliableTransport`] (TCP/gRPC-like: delivers everything,
 //!   pays for it with retransmissions and congestion back-off under loss) and
@@ -24,6 +24,14 @@
 //!   coordinates surface according to a [`transport::LossPolicy`]). Both
 //!   deliver in place via [`transport::Transport::transfer_into`], so one
 //!   training round goes wire → arena with no intermediate `Vector`.
+//!
+//! There is one wire. Every byte a worker sends over the lossy transport
+//! takes the same five calls: [`GradientCodec::split_bytes_epoch`] (encode and
+//! seal) → [`LossyLink::transmit_bytes`] (drop / duplicate / reorder) →
+//! [`ChaosPlan::apply`] (damage, when a plan is installed) →
+//! [`RoundAssembler::feed`] (verify, validate, scatter) →
+//! [`RoundAssembler::finish_round`] (NaN-fill what never arrived). Retransmit
+//! rounds repeat the middle three for the packets still missing.
 //!
 //! Nothing here opens real sockets: the parameter-server simulator in
 //! `agg-ps` drives these models and charges the returned transfer times to
@@ -35,12 +43,12 @@ pub mod link;
 pub mod packet;
 pub mod transport;
 
-pub use assembler::{FeedOutcome, RoundAssembler, ShardedRoundAssembler};
+pub use assembler::{FeedOutcome, RoundAssembler};
 pub use error::NetError;
 pub use link::{ChaosConfig, ChaosMode, ChaosPlan, ChaosStats, LinkConfig, LinkStats, LossyLink};
 pub use packet::{
     crc32, get_f32_slice_le, put_f32_slice_le, reseal_packet_bytes, wire_integrity_error,
-    GradientCodec, Packet, WIRE_VERSION,
+    GradientCodec, WIRE_VERSION,
 };
 pub use transport::{
     LossPolicy, LossyTransport, ReliableTransport, RetransmitConfig, RowTransfer, TransferOutcome,

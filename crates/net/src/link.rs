@@ -4,7 +4,6 @@
 //! link *does* deliver: bit flips, truncation, duplication-with-mutation,
 //! reorder bursts, delay spikes and transient partitions.
 
-use crate::packet::Packet;
 use crate::{NetError, Result};
 use agg_tensor::rng::{derive_seed, seeded_rng};
 use bytes::Bytes;
@@ -122,23 +121,13 @@ impl LossyLink {
         &self.config
     }
 
-    /// Pushes a batch of packets through the link, returning the delivered
-    /// packets (in arrival order) and the statistics of what happened.
-    pub fn transmit(&mut self, packets: &[Packet]) -> (Vec<Packet>, LinkStats) {
-        self.transmit_impl(packets)
-    }
-
-    /// [`LossyLink::transmit`] for encoded wire packets: `Bytes` views are
-    /// reference-counted, so delivery (and duplication) clones a pointer, not
-    /// a payload. Draws the exact same RNG sequence as the legacy path, so a
-    /// given seed drops/duplicates/reorders the same packet indices on both.
+    /// Pushes a batch of encoded packets through the link, returning the
+    /// delivered packets (in arrival order) and the statistics of what
+    /// happened. `Bytes` views are reference-counted, so delivery (and
+    /// duplication) clones a pointer, not a payload.
     pub fn transmit_bytes(&mut self, packets: &[Bytes]) -> (Vec<Bytes>, LinkStats) {
-        self.transmit_impl(packets)
-    }
-
-    fn transmit_impl<T: Clone>(&mut self, packets: &[T]) -> (Vec<T>, LinkStats) {
         let mut stats = LinkStats { sent: packets.len(), ..Default::default() };
-        let mut delivered: Vec<T> = Vec::with_capacity(packets.len());
+        let mut delivered: Vec<Bytes> = Vec::with_capacity(packets.len());
         for p in packets {
             if self.rng.gen::<f64>() < self.config.drop_rate {
                 stats.dropped += 1;
@@ -435,13 +424,12 @@ impl ChaosPlan {
 mod tests {
     use super::*;
     use crate::packet::GradientCodec;
-    use agg_tensor::Vector;
 
-    fn packets(n_coords: usize) -> Vec<Packet> {
-        GradientCodec::new(10).unwrap().split(
+    fn wire_packets(n_coords: usize, step: u64) -> Vec<Bytes> {
+        GradientCodec::new(10).unwrap().split_bytes(
             0,
-            0,
-            &Vector::from_iter((0..n_coords).map(|i| i as f32)),
+            step,
+            &(0..n_coords).map(|i| i as f32).collect::<Vec<_>>(),
         )
     }
 
@@ -469,8 +457,8 @@ mod tests {
     #[test]
     fn lossless_link_delivers_everything_in_order() {
         let mut link = LossyLink::new(LinkConfig::datacenter(), 1, 0).unwrap();
-        let ps = packets(100);
-        let (delivered, stats) = link.transmit(&ps);
+        let ps = wire_packets(100, 0);
+        let (delivered, stats) = link.transmit_bytes(&ps);
         assert_eq!(delivered, ps);
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.delivered, ps.len());
@@ -480,8 +468,8 @@ mod tests {
     fn drop_rate_drops_about_the_right_fraction() {
         let config = LinkConfig::datacenter().with_drop_rate(0.3);
         let mut link = LossyLink::new(config, 2, 0).unwrap();
-        let ps = packets(10_000);
-        let (_, stats) = link.transmit(&ps);
+        let ps = wire_packets(10_000, 0);
+        let (_, stats) = link.transmit_bytes(&ps);
         let rate = stats.dropped as f64 / stats.sent as f64;
         assert!((rate - 0.3).abs() < 0.05, "observed drop rate {rate}");
     }
@@ -491,8 +479,8 @@ mod tests {
         let config =
             LinkConfig { duplicate_rate: 0.2, reorder_rate: 0.5, ..LinkConfig::datacenter() };
         let mut link = LossyLink::new(config, 3, 0).unwrap();
-        let ps = packets(1000);
-        let (delivered, stats) = link.transmit(&ps);
+        let ps = wire_packets(1000, 0);
+        let (delivered, stats) = link.transmit_bytes(&ps);
         assert!(stats.duplicated > 0);
         assert!(stats.reordered > 0);
         assert_eq!(delivered.len(), stats.delivered);
@@ -502,25 +490,17 @@ mod tests {
     #[test]
     fn link_is_deterministic_per_seed() {
         let config = LinkConfig::datacenter().with_drop_rate(0.2);
-        let ps = packets(500);
-        let (a, _) = LossyLink::new(config, 7, 1).unwrap().transmit(&ps);
-        let (b, _) = LossyLink::new(config, 7, 1).unwrap().transmit(&ps);
+        let ps = wire_packets(500, 0);
+        let (a, _) = LossyLink::new(config, 7, 1).unwrap().transmit_bytes(&ps);
+        let (b, _) = LossyLink::new(config, 7, 1).unwrap().transmit_bytes(&ps);
         assert_eq!(a, b);
-        let (c, _) = LossyLink::new(config, 8, 1).unwrap().transmit(&ps);
+        let (c, _) = LossyLink::new(config, 8, 1).unwrap().transmit_bytes(&ps);
         assert_ne!(a, c);
     }
 
     #[test]
     fn invalid_config_is_rejected_at_construction() {
         assert!(LossyLink::new(LinkConfig::datacenter().with_drop_rate(2.0), 0, 0).is_err());
-    }
-
-    fn wire_packets(n_coords: usize, step: u64) -> Vec<Bytes> {
-        GradientCodec::new(10).unwrap().split_bytes(
-            0,
-            step,
-            &(0..n_coords).map(|i| i as f32).collect::<Vec<_>>(),
-        )
     }
 
     #[test]
@@ -562,12 +542,13 @@ mod tests {
     fn every_injected_corruption_is_detected_and_counted() {
         // Across many rounds of moderate chaos, the number of packets the
         // integrity envelope rejects equals injected_corrupt() exactly, and
-        // every surviving packet decodes cleanly — no silent corruption, no
-        // over-counting.
+        // every surviving packet is one that was sent — no silent
+        // corruption, no over-counting.
         let plan = ChaosPlan::new(ChaosConfig::moderate(), 7).unwrap();
         let mut saw_each = ChaosStats::default();
         for step in 0..200u64 {
-            let mut batch = wire_packets(120, step);
+            let original = wire_packets(120, step);
+            let mut batch = original.clone();
             let sent = batch.len();
             let stats = plan.apply(step, 1, 0, &mut batch);
             if stats.partitioned {
@@ -584,7 +565,7 @@ mod tests {
             );
             for p in &batch {
                 if crate::packet::wire_integrity_error(p).is_none() {
-                    crate::Packet::decode(p.clone()).expect("intact packets decode");
+                    assert!(original.contains(p), "step {step}: an intact packet nobody sent");
                 }
             }
             saw_each.bit_flips += stats.bit_flips;

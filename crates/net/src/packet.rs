@@ -1,43 +1,33 @@
-//! Packetisation of gradients.
+//! The wire format: one gradient as a run of self-describing packets.
 //!
 //! A gradient of dimension `d` is split into packets carrying at most
-//! `coords_per_packet` consecutive `f32` coordinates. Every packet carries a
-//! small header — worker id, step, sequence number, total packet count,
-//! coordinate offset, count, membership epoch, wire version and a CRC32
-//! checksum — which is exactly the "reliability scheme for metadata
-//! (accompanying gradients) and packets ordering" the paper adds on top of
-//! UDP: the payload may be lost, but a delivered packet always knows where
-//! its coordinates belong. The epoch stamp lets the receiver fence off late
-//! packets from evicted workers and stale-epoch rejoins under elastic
-//! membership; the checksum (wire format v2) covers header and payload so a
+//! `coords_per_packet` consecutive `f32` coordinates. Every packet opens with
+//! a fixed 40-byte little-endian header — the "reliability scheme for
+//! metadata (accompanying gradients) and packets ordering" the paper adds on
+//! top of UDP — followed by the payload coordinates:
+//!
+//! | bytes | field | meaning |
+//! |---|---|---|
+//! | 0..4 | `worker` | worker that produced the gradient |
+//! | 4..12 | `step` | model-update step the gradient belongs to |
+//! | 12..16 | `sequence` | 0-based packet id within the gradient |
+//! | 16..20 | `total` | number of packets the gradient was split into |
+//! | 20..24 | `offset` | index of the first coordinate carried |
+//! | 24..28 | `count` | coordinates carried (`4 * count` payload bytes follow) |
+//! | 28..32 | `epoch` | membership epoch the sender believed current (0 = static membership) |
+//! | 32..36 | `version` | [`WIRE_VERSION`] |
+//! | 36..40 | `checksum` | CRC-32C of every other byte of the packet |
+//!
+//! The payload may be lost, but a delivered packet always knows where its
+//! coordinates belong; the epoch stamp lets the receiver fence off late
+//! packets from evicted workers; the checksum covers header and payload, so a
 //! bit-flipped or truncated packet is rejected instead of scattered into a
-//! gradient row.
+//! gradient row. [`GradientCodec::split_bytes_epoch`] is the format's only
+//! encoder; its only decoder is the header parse inside
+//! [`crate::RoundAssembler::feed`], behind [`wire_integrity_error`].
 
 use crate::{NetError, Result};
-use agg_tensor::Vector;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
-/// Header + payload of one gradient packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Packet {
-    /// Worker that produced the gradient.
-    pub worker: u32,
-    /// Model-update step the gradient belongs to.
-    pub step: u64,
-    /// Sequence number of this packet within the gradient (0-based).
-    pub sequence: u32,
-    /// Total number of packets the gradient was split into.
-    pub total: u32,
-    /// Index of the first coordinate carried by this packet.
-    pub offset: u32,
-    /// Membership epoch the sender believed was current. Receivers that
-    /// fence on an expected epoch reject packets stamped with any other
-    /// value; epoch 0 is the static-membership default.
-    pub epoch: u32,
-    /// The coordinates carried by this packet.
-    pub payload: Vec<f32>,
-}
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Number of header bytes in the wire format: worker (4), step (8),
 /// sequence (4), total (4), offset (4), count (4), epoch (4), version (4),
@@ -214,9 +204,8 @@ pub fn wire_integrity_error(data: &[u8]) -> Option<&'static str> {
 }
 
 /// Bulk little-endian encode: appends `values` to `buf` in one pass over
-/// 4-byte chunks. This is the hot-path replacement for per-element
-/// `put_f32_le` loops — the reserved region is written in place and the
-/// chunked copy vectorises to a straight memcpy on little-endian targets.
+/// 4-byte chunks — the reserved region is written in place and the chunked
+/// copy vectorises to a straight memcpy on little-endian targets.
 pub fn put_f32_slice_le(buf: &mut BytesMut, values: &[f32]) {
     let start = buf.len();
     buf.resize(start + 4 * values.len(), 0);
@@ -239,66 +228,7 @@ pub fn get_f32_slice_le(src: &[u8], dst: &mut [f32]) {
     }
 }
 
-impl Packet {
-    /// Serialises the packet into a length-delimited byte buffer
-    /// (little-endian).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_BYTES + 4 * self.payload.len());
-        buf.put_u32_le(self.worker);
-        buf.put_u64_le(self.step);
-        buf.put_u32_le(self.sequence);
-        buf.put_u32_le(self.total);
-        buf.put_u32_le(self.offset);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_u32_le(self.epoch);
-        buf.put_u32_le(WIRE_VERSION);
-        buf.put_u32_le(0); // checksum placeholder, patched by seal_packet
-        for &v in &self.payload {
-            buf.put_f32_le(v);
-        }
-        seal_packet(&mut buf, 0);
-        buf.freeze()
-    }
-
-    /// Parses a packet from a byte buffer produced by [`Packet::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::MalformedPacket`] for truncated or inconsistent
-    /// buffers.
-    pub fn decode(mut data: Bytes) -> Result<Packet> {
-        if let Some(reason) = wire_integrity_error(&data) {
-            return Err(NetError::MalformedPacket(format!(
-                "{reason} ({} bytes on the wire)",
-                data.len()
-            )));
-        }
-        let worker = data.get_u32_le();
-        let step = data.get_u64_le();
-        let sequence = data.get_u32_le();
-        let total = data.get_u32_le();
-        let offset = data.get_u32_le();
-        let count = data.get_u32_le() as usize;
-        let epoch = data.get_u32_le();
-        let _version = data.get_u32_le();
-        let _checksum = data.get_u32_le();
-        if data.remaining() < count * 4 {
-            return Err(NetError::MalformedPacket(format!(
-                "payload declares {count} coordinates but only {} bytes remain",
-                data.remaining()
-            )));
-        }
-        let payload = (0..count).map(|_| data.get_f32_le()).collect();
-        Ok(Packet { worker, step, sequence, total, offset, epoch, payload })
-    }
-
-    /// Number of bytes this packet occupies on the wire.
-    pub fn wire_bytes(&self) -> usize {
-        HEADER_BYTES + 4 * self.payload.len()
-    }
-}
-
-/// Splits gradients into packets and reassembles them.
+/// Splits gradients into encoded wire packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GradientCodec {
     coords_per_packet: usize,
@@ -337,66 +267,15 @@ impl GradientCodec {
     }
 
     /// Total wire bytes (headers + payload) of a gradient of dimension `d` —
-    /// the analytic form of summing [`Packet::wire_bytes`] over a split,
-    /// without materialising any packet.
+    /// the summed length of a split, without materialising any packet.
     pub fn wire_bytes_total(&self, d: usize) -> usize {
         self.packet_count(d) * HEADER_BYTES + 4 * d
-    }
-
-    /// Splits a gradient into packets (stamped with epoch 0, the static
-    /// membership default; see [`GradientCodec::split_epoch`]).
-    pub fn split(&self, worker: u32, step: u64, gradient: &Vector) -> Vec<Packet> {
-        self.split_epoch(worker, step, 0, gradient)
-    }
-
-    /// Splits a gradient into packets stamped with a membership epoch.
-    pub fn split_epoch(
-        &self,
-        worker: u32,
-        step: u64,
-        epoch: u32,
-        gradient: &Vector,
-    ) -> Vec<Packet> {
-        let d = gradient.len();
-        let total = d.div_ceil(self.coords_per_packet).max(1) as u32;
-        let mut packets = Vec::with_capacity(total as usize);
-        let data = gradient.as_slice();
-        for (seq, chunk) in data.chunks(self.coords_per_packet).enumerate() {
-            packets.push(Packet {
-                worker,
-                step,
-                sequence: seq as u32,
-                total,
-                offset: (seq * self.coords_per_packet) as u32,
-                epoch,
-                payload: chunk.to_vec(),
-            });
-        }
-        if packets.is_empty() {
-            // Zero-dimensional gradient still produces one empty packet so
-            // the receiver learns the step happened.
-            packets.push(Packet {
-                worker,
-                step,
-                sequence: 0,
-                total: 1,
-                offset: 0,
-                epoch,
-                payload: vec![],
-            });
-        }
-        packets
     }
 
     /// Splits a gradient into **encoded wire packets**: every packet of the
     /// gradient is written into one contiguous `BytesMut` (headers via the
     /// header writers, payload via the bulk [`put_f32_slice_le`] pass) and
     /// handed out as zero-copy [`Bytes`] slices of that single buffer.
-    ///
-    /// The wire format of each slice is byte-identical to
-    /// [`Packet::encode`], so the two codecs interoperate packet-for-packet;
-    /// this path just skips the per-packet `Vec<f32>` payloads and
-    /// per-element `put_f32_le` loops of the legacy split-then-encode pair.
     ///
     /// Packets are stamped with epoch 0 (static membership); see
     /// [`GradientCodec::split_bytes_epoch`].
@@ -442,48 +321,6 @@ impl GradientCodec {
         let frozen = buf.freeze();
         bounds.into_iter().map(|range| frozen.slice(range)).collect()
     }
-
-    /// Reassembles a gradient of dimension `dimension` from whichever packets
-    /// arrived (possibly out of order, duplicated or incomplete).
-    ///
-    /// Missing coordinates are set to `NaN`; the caller's loss policy decides
-    /// what to do with them. Returns the reassembled vector and the number of
-    /// missing coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InconsistentStream`] when packets disagree about
-    /// the worker or step, and [`NetError::MalformedPacket`] when a packet's
-    /// coordinates fall outside the gradient.
-    pub fn reassemble(&self, packets: &[Packet], dimension: usize) -> Result<(Vector, usize)> {
-        let mut data = vec![f32::NAN; dimension];
-        let mut filled = vec![false; dimension];
-        if let Some(first) = packets.first() {
-            for p in packets {
-                if p.worker != first.worker || p.step != first.step {
-                    return Err(NetError::InconsistentStream(format!(
-                        "packet from worker {} step {} mixed with worker {} step {}",
-                        p.worker, p.step, first.worker, first.step
-                    )));
-                }
-                let offset = p.offset as usize;
-                if offset + p.payload.len() > dimension {
-                    return Err(NetError::MalformedPacket(format!(
-                        "packet covers coordinates {}..{} of a {}-dimensional gradient",
-                        offset,
-                        offset + p.payload.len(),
-                        dimension
-                    )));
-                }
-                for (i, &v) in p.payload.iter().enumerate() {
-                    data[offset + i] = v;
-                    filled[offset + i] = true;
-                }
-            }
-        }
-        let missing = filled.iter().filter(|&&f| !f).count();
-        Ok((Vector::from(data), missing))
-    }
 }
 
 impl Default for GradientCodec {
@@ -495,131 +332,88 @@ impl Default for GradientCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FeedOutcome, RoundAssembler};
 
-    fn gradient(d: usize) -> Vector {
-        Vector::from_iter((0..d).map(|i| i as f32))
+    fn gradient(d: usize) -> Vec<f32> {
+        (0..d).map(|i| i as f32).collect()
+    }
+
+    /// Reads the little-endian `u32` header field at byte offset `at`.
+    fn field(packet: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(packet[at..at + 4].try_into().unwrap())
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let p = Packet {
-            worker: 3,
-            step: 42,
-            sequence: 7,
-            total: 9,
-            offset: 700,
-            epoch: 6,
-            payload: vec![1.5, -2.5, f32::NAN],
-        };
-        let decoded = Packet::decode(p.encode()).unwrap();
-        assert_eq!(decoded.worker, 3);
-        assert_eq!(decoded.step, 42);
-        assert_eq!(decoded.sequence, 7);
-        assert_eq!(decoded.offset, 700);
-        assert_eq!(decoded.epoch, 6);
-        assert_eq!(decoded.payload.len(), 3);
-        assert!(decoded.payload[2].is_nan());
-        assert_eq!(p.wire_bytes(), HEADER_BYTES + 12);
+        let g = [1.5f32, -2.5, f32::NAN];
+        let packets = GradientCodec::new(8).unwrap().split_bytes_epoch(3, 42, 6, &g);
+        assert_eq!(packets.len(), 1);
+        assert_eq!(packets[0].len(), HEADER_BYTES + 12);
+        // Decoded behind a fence on the stamped epoch, so the stamp is read
+        // back too.
+        let mut assembler = RoundAssembler::new(3);
+        assembler.set_expected_epoch(Some(6));
+        let mut row = [0.0f32; 3];
+        assert_eq!(assembler.assemble_into(&packets, &mut row).unwrap(), 0);
+        assert_eq!(assembler.stale_rejects(), 0);
+        assert_eq!(row.map(f32::to_bits), g.map(f32::to_bits));
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let p = Packet {
-            worker: 0,
-            step: 0,
-            sequence: 0,
-            total: 1,
-            offset: 0,
-            epoch: 0,
-            payload: vec![1.0; 10],
-        };
-        let encoded = p.encode();
-        assert!(Packet::decode(encoded.slice(0..10)).is_err());
-        assert!(Packet::decode(encoded.slice(0..HEADER_BYTES + 4)).is_err());
+        let encoded = GradientCodec::new(10).unwrap().split_bytes(0, 0, &[1.0; 10])[0].clone();
+        let mut assembler = RoundAssembler::new(10);
+        assembler.begin_round();
+        let mut row = [0.0f32; 10];
+        for cut in [10, HEADER_BYTES + 4] {
+            let truncated = encoded.slice(0..cut);
+            assert!(wire_integrity_error(&truncated).is_some());
+            assert!(assembler.feed(&truncated, &mut row).unwrap().is_corrupt());
+        }
+        assert_eq!(row, [0.0f32; 10]);
     }
 
     #[test]
     fn split_covers_every_coordinate_exactly_once() {
         let codec = GradientCodec::new(10).unwrap();
         let g = gradient(35);
-        let packets = codec.split(1, 5, &g);
+        let packets = codec.split_bytes(1, 5, &g);
         assert_eq!(packets.len(), 4);
-        assert_eq!(packets[3].payload.len(), 5);
-        assert!(packets.iter().all(|p| p.total == 4));
-        let (restored, missing) = codec.reassemble(&packets, 35).unwrap();
-        assert_eq!(missing, 0);
-        assert_eq!(restored, g);
-    }
-
-    #[test]
-    fn reassembly_tolerates_reordering_and_duplication() {
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let mut packets = codec.split(0, 0, &g);
-        packets.reverse();
-        packets.push(packets[0].clone()); // duplicate
-        let (restored, missing) = codec.reassemble(&packets, 20).unwrap();
-        assert_eq!(missing, 0);
-        assert_eq!(restored, g);
-    }
-
-    #[test]
-    fn missing_packets_surface_as_nan() {
-        let codec = GradientCodec::new(8).unwrap();
-        let g = gradient(20);
-        let mut packets = codec.split(0, 0, &g);
-        packets.remove(1); // drop coordinates 8..16
-        let (restored, missing) = codec.reassemble(&packets, 20).unwrap();
-        assert_eq!(missing, 8);
-        assert!(restored[8].is_nan());
-        assert!(restored[15].is_nan());
-        assert_eq!(restored[0], 0.0);
-        assert_eq!(restored[19], 19.0);
-    }
-
-    #[test]
-    fn reassembly_rejects_mixed_streams_and_bad_offsets() {
-        let codec = GradientCodec::new(8).unwrap();
-        let a = codec.split(0, 0, &gradient(16));
-        let b = codec.split(1, 0, &gradient(16));
-        let mixed: Vec<Packet> = a.iter().chain(b.iter()).cloned().collect();
-        assert!(codec.reassemble(&mixed, 16).is_err());
-        // A packet that claims to extend beyond the gradient.
-        let too_far = vec![Packet {
-            worker: 0,
-            step: 0,
-            sequence: 0,
-            total: 1,
-            offset: 14,
-            epoch: 0,
-            payload: vec![0.0; 8],
-        }];
-        assert!(codec.reassemble(&too_far, 16).is_err());
+        assert_eq!(packets.len(), codec.packet_count(35));
+        assert_eq!(packets.iter().map(Bytes::len).sum::<usize>(), codec.wire_bytes_total(35));
+        let mut next = 0u32;
+        for (seq, p) in packets.iter().enumerate() {
+            assert_eq!(field(p, 12), seq as u32, "sequence");
+            assert_eq!(field(p, 16), 4, "total");
+            assert_eq!(field(p, 20), next, "offset continues where the last packet ended");
+            assert_eq!(p.len(), HEADER_BYTES + 4 * field(p, 24) as usize);
+            next += field(p, 24);
+        }
+        assert_eq!(next, 35);
+        assert_eq!(field(&packets[3], 24), 5);
+        let mut row = vec![-1.0f32; 35];
+        assert_eq!(RoundAssembler::new(35).assemble_into(&packets, &mut row).unwrap(), 0);
+        assert_eq!(row, g);
     }
 
     #[test]
     fn empty_gradient_still_produces_a_packet() {
-        let codec = GradientCodec::default();
-        let packets = codec.split(2, 9, &Vector::zeros(0));
+        // A zero-dimensional gradient costs one header-only packet, so the
+        // receiver learns the step happened.
+        let packets = GradientCodec::default().split_bytes(2, 9, &[]);
         assert_eq!(packets.len(), 1);
-        let (restored, missing) = codec.reassemble(&packets, 0).unwrap();
-        assert_eq!(restored.len(), 0);
-        assert_eq!(missing, 0);
+        assert_eq!(packets[0].len(), HEADER_BYTES);
+        assert_eq!((field(&packets[0], 12), field(&packets[0], 16)), (0, 1));
+        assert_eq!(RoundAssembler::new(0).assemble_into(&packets, &mut []).unwrap(), 0);
     }
 
     #[test]
     fn epoch_stamp_round_trips_through_both_split_paths() {
         let codec = GradientCodec::new(8).unwrap();
         let g = gradient(20);
-        assert!(codec.split_epoch(1, 2, 7, &g).iter().all(|p| p.epoch == 7));
-        for bytes in codec.split_bytes_epoch(1, 2, 7, g.as_slice()) {
-            assert_eq!(Packet::decode(bytes).unwrap().epoch, 7);
-        }
-        // The legacy entry points stamp the static-membership epoch 0.
-        assert!(codec.split(1, 2, &g).iter().all(|p| p.epoch == 0));
-        for bytes in codec.split_bytes(1, 2, g.as_slice()) {
-            assert_eq!(Packet::decode(bytes).unwrap().epoch, 0);
-        }
+        assert!(codec.split_bytes_epoch(1, 2, 7, &g).iter().all(|p| field(p, 28) == 7));
+        // The epoch-less entry point stamps the static-membership epoch 0.
+        assert!(codec.split_bytes(1, 2, &g).iter().all(|p| field(p, 28) == 0));
     }
 
     #[test]
@@ -656,17 +450,12 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let p = Packet {
-            worker: 1,
-            step: 3,
-            sequence: 0,
-            total: 1,
-            offset: 0,
-            epoch: 2,
-            payload: vec![0.5, -1.5, 2.0],
-        };
-        let encoded = p.encode();
+        let encoded =
+            GradientCodec::new(4).unwrap().split_bytes_epoch(1, 3, 2, &[0.5, -1.5, 2.0])[0].clone();
         assert!(wire_integrity_error(&encoded).is_none());
+        let mut assembler = RoundAssembler::new(3);
+        assembler.begin_round();
+        let mut row = [7.0f32; 3];
         for byte in 0..encoded.len() {
             for bit in 0..8 {
                 let mut flipped = encoded.to_vec();
@@ -679,24 +468,18 @@ mod tests {
                     wire_integrity_error(&flipped).is_some(),
                     "bit {bit} of byte {byte} flipped undetected"
                 );
-                assert!(Packet::decode(Bytes::from(flipped)).is_err());
+                assert!(matches!(
+                    assembler.feed(&Bytes::from(flipped), &mut row),
+                    Ok(FeedOutcome::Corrupt { .. })
+                ));
             }
         }
+        assert_eq!(row, [7.0f32; 3]);
     }
 
     #[test]
     fn unknown_wire_version_is_rejected() {
-        let encoded = Packet {
-            worker: 0,
-            step: 0,
-            sequence: 0,
-            total: 1,
-            offset: 0,
-            epoch: 0,
-            payload: vec![1.0],
-        }
-        .encode();
-        let mut v1 = encoded.to_vec();
+        let mut v1 = GradientCodec::new(4).unwrap().split_bytes(0, 0, &[1.0])[0].to_vec();
         v1[CHECKSUM_OFFSET - 4..CHECKSUM_OFFSET].copy_from_slice(&1u32.to_le_bytes());
         reseal_packet_bytes(&mut v1);
         assert_eq!(wire_integrity_error(&v1), Some("unknown wire version"));
@@ -704,22 +487,13 @@ mod tests {
 
     #[test]
     fn reseal_restores_integrity_after_header_mutation() {
-        let encoded = Packet {
-            worker: 4,
-            step: 8,
-            sequence: 1,
-            total: 2,
-            offset: 8,
-            epoch: 0,
-            payload: vec![3.0; 8],
-        }
-        .encode();
-        let mut mutated = encoded.to_vec();
+        let g = gradient(16);
+        let mut mutated = GradientCodec::new(8).unwrap().split_bytes(4, 8, &g)[1].to_vec();
         mutated[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // sequence
         assert_eq!(wire_integrity_error(&mutated), Some("checksum mismatch"));
         reseal_packet_bytes(&mut mutated);
         assert!(wire_integrity_error(&mutated).is_none());
-        assert_eq!(Packet::decode(Bytes::from(mutated)).unwrap().sequence, u32::MAX);
+        assert_eq!(field(&mutated, 12), u32::MAX);
     }
 
     #[test]

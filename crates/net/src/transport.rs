@@ -363,7 +363,8 @@ impl Transport for ReliableTransport {
 /// The wire path is zero-copy: the gradient is encoded into one contiguous
 /// buffer, the link shuffles reference-counted views of it, and the
 /// [`RoundAssembler`] scatters whatever arrives straight into the caller's
-/// arena row.
+/// arena row. Optional [`ChaosPlan`] damage and bounded
+/// [`RetransmitConfig`] recovery are parameters of the same transfer.
 #[derive(Debug)]
 pub struct LossyTransport {
     link: LossyLink,
@@ -445,13 +446,35 @@ impl LossyTransport {
             }
         }
     }
+}
 
-    /// The chaos/recovery transfer path: streaming reassembly of the first
-    /// transmission, then bounded NACK/retransmit rounds under exponential
-    /// backoff and the per-round deadline. Only taken when chaos injection
-    /// or retransmission is configured — the plain path below stays
-    /// byte-and-draw identical to the pre-chaos transport.
-    fn transfer_recovering(
+impl Transport for LossyTransport {
+    fn name(&self) -> &'static str {
+        "lossy-udp"
+    }
+
+    fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+
+    fn set_expected_epoch(&mut self, epoch: Option<u32>) {
+        self.expected_epoch = epoch;
+    }
+
+    fn set_chaos(&mut self, chaos: Option<ChaosPlan>) {
+        self.chaos = chaos;
+    }
+
+    fn set_retransmit(&mut self, config: Option<RetransmitConfig>) {
+        self.retransmit = config;
+    }
+
+    /// One send, then — only with recovery configured — bounded
+    /// NACK/retransmit rounds under exponential backoff and the per-round
+    /// deadline. An unset chaos plan draws no fault and an unset retransmit
+    /// config never retries: the plain lossy transfer is this body with both
+    /// left at `None`.
+    fn transfer_into(
         &mut self,
         worker: u32,
         step: u64,
@@ -477,6 +500,9 @@ impl LossyTransport {
         for p in &delivered {
             assembler.feed(p, dst)?;
         }
+        // UDP pays no congestion penalty: time is bytes / bandwidth + latency,
+        // independent of the drop rate (only a tiny metadata retransmission
+        // overhead is charged per lost packet).
         let metadata_overhead = link_stats.dropped * crate::packet::HEADER_BYTES;
         let mut time_sec =
             self.link_config.transfer_time(bytes_sent + metadata_overhead) + chaos_delay;
@@ -490,11 +516,11 @@ impl LossyTransport {
                 && assembler.stale_rejects() == 0
                 && time_sec + backoff <= config.round_deadline_sec
             {
-                // The NACK names exactly the pre-split packet ids the
-                // assembler has not accepted; the sender re-sends those
-                // packets unchanged (packet `s` of the split is sequence
-                // `s`). Each retry pays its backoff, its wire time, and a
-                // fresh fault draw on the chaos plan's `attempt` axis.
+                // The NACK names exactly the packet ids the assembler has
+                // not accepted; the sender re-sends those packets unchanged
+                // (packet `s` of the split is sequence `s`). Each retry pays
+                // its backoff, its wire time, and a fresh fault draw on the
+                // chaos plan's `attempt` axis.
                 let resend: Vec<Bytes> = (0..total)
                     .filter(|&s| !assembler.sequence_seen(s))
                     .map(|s| packets[s].clone())
@@ -524,114 +550,24 @@ impl LossyTransport {
         }
         let missing = assembler.finish_round(dst)?;
         let stale_epoch_rejects = assembler.stale_rejects();
-        let corrupt_rejects = assembler.corrupt_rejects();
-        if stale_epoch_rejects > 0 {
-            // A fenced round never retried, so its budget was not exhausted —
-            // the fence, not the wire, stopped the row.
-            return Ok(RowTransfer {
-                delivered: false,
-                time_sec,
-                bytes_sent,
-                missing_coordinates: missing,
-                stale_epoch_rejects,
-                corrupt_rejects,
-                retransmits,
-                retransmit_exhausted: false,
-                link_stats,
-            });
-        }
-        // The recovery protocol was on and the row still ended incomplete:
-        // the retry budget / round deadline ran out with coordinates missing.
-        let retransmit_exhausted = self.retransmit.is_some() && missing > 0;
-        let delivered = Self::apply_policy(self.policy, missing, dst);
+        // Every packet of a gradient shares one epoch stamp, so any fenced
+        // packet means the whole gradient was fenced: nothing of it may reach
+        // aggregation, and the loss policy must not manufacture a row out of
+        // the NaN fill. A fenced round never retried either, so its budget
+        // was not exhausted — the fence, not the wire, stopped the row.
+        let fenced = stale_epoch_rejects > 0;
         Ok(RowTransfer {
-            delivered,
+            delivered: !fenced && Self::apply_policy(self.policy, missing, dst),
             time_sec,
             bytes_sent,
             missing_coordinates: missing,
-            stale_epoch_rejects: 0,
-            corrupt_rejects,
+            stale_epoch_rejects,
+            corrupt_rejects: assembler.corrupt_rejects(),
             retransmits,
-            retransmit_exhausted,
-            link_stats,
-        })
-    }
-}
-
-impl Transport for LossyTransport {
-    fn name(&self) -> &'static str {
-        "lossy-udp"
-    }
-
-    fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-    }
-
-    fn set_expected_epoch(&mut self, epoch: Option<u32>) {
-        self.expected_epoch = epoch;
-    }
-
-    fn set_chaos(&mut self, chaos: Option<ChaosPlan>) {
-        self.chaos = chaos;
-    }
-
-    fn set_retransmit(&mut self, config: Option<RetransmitConfig>) {
-        self.retransmit = config;
-    }
-
-    fn transfer_into(
-        &mut self,
-        worker: u32,
-        step: u64,
-        gradient: &[f32],
-        dst: &mut [f32],
-    ) -> Result<RowTransfer> {
-        if self.chaos.is_some() || self.retransmit.is_some() {
-            return self.transfer_recovering(worker, step, gradient, dst);
-        }
-        let packets = self.codec.split_bytes_epoch(worker, step, self.epoch, gradient);
-        let bytes_sent: usize = packets.iter().map(Bytes::len).sum();
-        let (delivered, link_stats) = self.link.transmit_bytes(&packets);
-        let assembler = match &mut self.assembler {
-            Some(a) if a.dimension() == gradient.len() => a,
-            slot => slot.insert(RoundAssembler::new(gradient.len())),
-        };
-        assembler.set_expected_epoch(self.expected_epoch);
-        let missing = assembler.assemble_into(&delivered, dst)?;
-        let stale_epoch_rejects = assembler.stale_rejects();
-        let corrupt_rejects = assembler.corrupt_rejects();
-        // UDP pays no congestion penalty: time is bytes / bandwidth + latency,
-        // independent of the drop rate (only a tiny metadata retransmission
-        // overhead is charged per lost packet).
-        let metadata_overhead = link_stats.dropped * crate::packet::HEADER_BYTES;
-        let time_sec = self.link_config.transfer_time(bytes_sent + metadata_overhead);
-        if stale_epoch_rejects > 0 {
-            // Every packet of a gradient shares one epoch stamp, so any
-            // fenced packet means the whole gradient was fenced: nothing of
-            // it may reach aggregation, and the loss policy must not
-            // manufacture a row out of the NaN fill.
-            return Ok(RowTransfer {
-                delivered: false,
-                time_sec,
-                bytes_sent,
-                missing_coordinates: missing,
-                stale_epoch_rejects,
-                corrupt_rejects,
-                retransmits: 0,
-                retransmit_exhausted: false,
-                link_stats,
-            });
-        }
-        let delivered = Self::apply_policy(self.policy, missing, dst);
-        Ok(RowTransfer {
-            delivered,
-            time_sec,
-            bytes_sent,
-            missing_coordinates: missing,
-            stale_epoch_rejects: 0,
-            corrupt_rejects,
-            retransmits: 0,
-            retransmit_exhausted: false,
+            // The recovery protocol was on and the row still ended
+            // incomplete: the retry budget / round deadline ran out with
+            // coordinates missing.
+            retransmit_exhausted: !fenced && self.retransmit.is_some() && missing > 0,
             link_stats,
         })
     }
@@ -891,26 +827,58 @@ mod tests {
     }
 
     #[test]
-    fn clean_link_recovery_path_matches_the_plain_path() {
-        // With a clean wire the streaming recovery path must be
-        // indistinguishable from the legacy batch path: same row bits, same
-        // simulated time, zero retries.
-        let link = LinkConfig::datacenter();
-        let codec = GradientCodec::new(16).unwrap();
-        let g = gradient(333);
-        let mut plain = LossyTransport::new(link, codec, LossPolicy::RandomFill, 4, 2).unwrap();
-        let mut recovering =
-            LossyTransport::new(link, codec, LossPolicy::RandomFill, 4, 2).unwrap();
-        recovering.set_retransmit(Some(RetransmitConfig::default()));
-        let mut row_a = vec![0.0f32; 333];
-        let mut row_b = vec![0.0f32; 333];
-        let a = plain.transfer_into(0, 0, g.as_slice(), &mut row_a).unwrap();
-        let b = recovering.transfer_into(0, 0, g.as_slice(), &mut row_b).unwrap();
-        assert_eq!(row_a, row_b);
-        assert_eq!(a.time_sec, b.time_sec);
-        assert_eq!(a.bytes_sent, b.bytes_sent);
-        assert_eq!(b.retransmits, 0);
-        assert!(!b.retransmit_exhausted);
+    fn unconfigured_lossy_transfer_matches_the_captured_row_transfers() {
+        // Every field of `RowTransfer`, and a CRC of the row's bytes, for a
+        // `LossyTransport` with neither chaos nor retransmit configured —
+        // values captured at ee85c5f, where that configuration ran a
+        // transfer body of its own.
+        let clean = LinkConfig::datacenter();
+        let dirty =
+            LinkConfig { drop_rate: 0.10, duplicate_rate: 0.05, reorder_rate: 0.05, ..clean };
+        let g: Vec<f32> = (0..1029).map(|i| (i as f32 * 0.37).sin()).collect();
+        let clean_stats = LinkStats { sent: 65, delivered: 65, ..Default::default() };
+        let dirty_stats =
+            LinkStats { sent: 65, delivered: 61, dropped: 6, duplicated: 2, reordered: 5 };
+        // (link, fenced, policy) -> (delivered, time bits, missing, stale, stats, row crc)
+        use LossPolicy::{DropGradient, RandomFill, SelectiveNan};
+        let clean_pin = (true, 0x3f1b9f72eb67bf18u64, 0, 0, clean_stats, 0x95c7d7ccu32);
+        let dirty_time = 0x3f1bac557455dc39u64;
+        let fenced_pin = (false, dirty_time, 1029, 61, dirty_stats, 0xc06530c2u32);
+        for (link, fenced, policy, pin) in [
+            (clean, false, DropGradient, clean_pin),
+            (clean, false, SelectiveNan, clean_pin),
+            (clean, false, RandomFill, clean_pin),
+            (dirty, false, DropGradient, (false, dirty_time, 96, 0, dirty_stats, 0x657d8d31)),
+            (dirty, false, SelectiveNan, (true, dirty_time, 96, 0, dirty_stats, 0x657d8d31)),
+            (dirty, false, RandomFill, (true, dirty_time, 96, 0, dirty_stats, 0x79e006bf)),
+            (dirty, true, DropGradient, fenced_pin),
+            (dirty, true, SelectiveNan, fenced_pin),
+            (dirty, true, RandomFill, fenced_pin),
+        ] {
+            let codec = GradientCodec::new(16).unwrap();
+            let mut t = LossyTransport::new(link, codec, policy, 42, 7).unwrap();
+            if fenced {
+                t.set_epoch(1);
+                t.set_expected_epoch(Some(2));
+            }
+            let mut row = vec![0.0f32; g.len()];
+            let out = t.transfer_into(3, 5, &g, &mut row).unwrap();
+            let (delivered, time_bits, missing, stale, link_stats, row_crc) = pin;
+            let expected = RowTransfer {
+                delivered,
+                time_sec: f64::from_bits(time_bits),
+                bytes_sent: 6716,
+                missing_coordinates: missing,
+                stale_epoch_rejects: stale,
+                corrupt_rejects: 0,
+                retransmits: 0,
+                retransmit_exhausted: false,
+                link_stats,
+            };
+            assert_eq!(out, expected, "drop {} fenced {fenced} {policy:?}", link.drop_rate);
+            let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(crate::crc32(&bytes), row_crc, "row of {policy:?}, fenced {fenced}");
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * **Epochs.** Every change to the *live set* (a crash or a rejoin)
 //!   increments the view's epoch. The epoch is stamped into every wire packet
-//!   ([`agg_net::Packet::epoch`]) and fenced at the server's assemblers, so a
-//!   late packet from an evicted worker — or a rejoiner that has not yet
-//!   learned the new view — can never fill a row of the current round.
+//!   ([`agg_net::GradientCodec::split_bytes_epoch`]) and fenced at the
+//!   server's assemblers, so a late packet from an evicted worker — or a
+//!   rejoiner that has not yet learned the new view — can never fill a row of
+//!   the current round.
 //! * **Resilience floor.** After every transition the engine re-derives the
 //!   active rule's minimum worker count via
 //!   [`agg_core::resilience::resilience_floor`] and *refuses to aggregate*

@@ -3,7 +3,7 @@
 
 use crate::{PsError, Result};
 use agg_data::{Dataset, MiniBatchSampler};
-use agg_net::{RowTransfer, TransferOutcome, Transport};
+use agg_net::{RowTransfer, Transport};
 use agg_nn::Sequential;
 use agg_tensor::Vector;
 use std::sync::Arc;
@@ -106,16 +106,6 @@ impl Worker {
             loss: evaluation.loss,
             compute_time_sec: time,
         })
-    }
-
-    /// Sends a gradient to the parameter server over this worker's transport.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::Network`] for structural transport failures (loss is
-    /// not an error).
-    pub fn send_gradient(&mut self, step: u64, gradient: &Vector) -> Result<TransferOutcome> {
-        self.transport.transfer(self.id as u32, step, gradient).map_err(PsError::from)
     }
 
     /// Sends a gradient straight into the server's arena row for this worker
@@ -230,9 +220,11 @@ mod tests {
     #[test]
     fn send_gradient_goes_through_the_transport() {
         let mut worker = make_worker(WorkerRole::Honest);
-        let g = Vector::from(vec![1.0; 100]);
-        let outcome = worker.send_gradient(0, &g).unwrap();
-        assert_eq!(outcome.gradient.unwrap(), g);
+        let g = vec![1.0f32; 100];
+        let mut row = vec![0.0f32; 100];
+        let outcome = worker.send_gradient_into(0, &g, &mut row).unwrap();
+        assert!(outcome.delivered);
+        assert_eq!(row, g);
         assert_eq!(worker.transport_name(), "tcp");
         assert_eq!(worker.id(), 0);
         assert_eq!(worker.node_flops_per_sec(), 5e10);

@@ -15,9 +15,9 @@
 //! ```
 
 use agg_core::{Gar, GarConfig, GarKind, MultiKrum, ShardedAggregator};
-use agg_net::{GradientCodec, ShardedRoundAssembler};
+use agg_net::{GradientCodec, RoundAssembler};
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
-use agg_tensor::{GradientBatch, ShardPlan, Vector};
+use agg_tensor::{GradientBatch, Vector};
 
 const N: usize = 19; // the paper's worker count
 const F: usize = 4; // declared Byzantine workers
@@ -28,39 +28,47 @@ fn main() {
     // One synchronous round: 15 honest gradients around a common descent
     // direction, 4 Byzantine submissions pulling somewhere else entirely.
     let mut rng = seeded_rng(7);
-    let mut batch = GradientBatch::with_capacity(D, N);
+    let mut sent: Vec<Vector> = Vec::with_capacity(N);
     for _ in 0..N - F {
         let mut v = Vector::filled(D, 1.0);
         v.axpy(1.0, &gaussian_vector(&mut rng, D, 0.0, 0.05)).expect("same dimension");
-        batch.push_row(v.as_slice()).expect("same dimension");
+        sent.push(v);
     }
-    for _ in 0..F {
-        batch.push_row(Vector::filled(D, -75.0).as_slice()).expect("same dimension");
-    }
+    sent.resize(N, Vector::filled(D, -75.0));
 
-    // The wire side: a sender splits gradients into MTU-sized packets
-    // oblivious to sharding; the sharded assembler routes each payload to
-    // the shard owning its coordinates, splitting straddling packets.
-    let plan = ShardPlan::new(D, SHARDS).expect("at least one shard");
+    // The wire side, as the engine runs it: every worker splits its gradient
+    // into MTU-sized packets oblivious to sharding, and the server assembles
+    // each worker's packets into that worker's row of one arena.
     let codec = GradientCodec::default_mtu();
-    let packets = codec.split_bytes(0, 0, batch.row(0));
-    let mut assembler = ShardedRoundAssembler::new(plan.clone());
-    let mut shard_rows: Vec<Vec<f32>> = plan.ranges().map(|r| vec![0.0f32; r.len()]).collect();
-    let mut views: Vec<&mut [f32]> = shard_rows.iter_mut().map(Vec::as_mut_slice).collect();
-    let missing = assembler.assemble_into(&packets, &mut views).expect("consistent round");
-    println!(
-        "wire: {} packets routed into {SHARDS} shard rows ({} coordinates missing)",
-        packets.len(),
-        missing
-    );
-    for (s, range) in plan.ranges().enumerate() {
-        println!("  shard {s}: coordinates {}..{} ({} wide)", range.start, range.end, range.len());
+    let mut assembler = RoundAssembler::new(D);
+    let mut batch = GradientBatch::with_capacity(D, N);
+    let mut packets_sent = 0;
+    for (worker, gradient) in sent.iter().enumerate() {
+        let packets = codec.split_bytes(worker as u32, 0, gradient.as_slice());
+        packets_sent += packets.len();
+        batch.push_row_with(|row| {
+            let missing = assembler.assemble_into(&packets, row).expect("consistent round");
+            assert_eq!(missing, 0, "a clean wire loses nothing");
+        });
+    }
+    println!("wire: {packets_sent} packets assembled into {N} arena rows of {D} coordinates");
+
+    // What is sharded is the arena: each shard reads its column slice of
+    // the same rows, so no packet is ever routed per shard.
+    let config = GarConfig::new(GarKind::MultiKrum, F);
+    let sharded = ShardedAggregator::new(config, SHARDS).expect("valid shard count");
+    for (s, range) in sharded.plan(D).ranges().enumerate() {
+        let columns = batch.columns(range.clone());
+        println!(
+            "  shard {s}: coordinates {}..{} ({} wide)",
+            range.start,
+            range.end,
+            columns.width()
+        );
     }
 
     // The aggregation side: Multi-Krum over the sharded tier vs the
     // monolithic server.
-    let config = GarConfig::new(GarKind::MultiKrum, F);
-    let sharded = ShardedAggregator::new(config, SHARDS).expect("valid shard count");
     let monolithic = MultiKrum::new(F).expect("valid f");
 
     let sharded_selection =

@@ -1,13 +1,56 @@
-//! Property tests pinning the bulk wire codec to the legacy per-coordinate
-//! codec: `GradientCodec::split_bytes` + `RoundAssembler` must be
-//! wire-compatible and value-identical (bit-for-bit, including NaN payloads)
-//! with `split` + `Packet::encode/decode` + `reassemble`, under arbitrary
-//! packet reordering, duplication and loss, and must reject the same
-//! malformed inputs.
+//! The wire codec's own pin: the byte layout `GradientCodec::split_bytes_epoch`
+//! writes, held to a hand-assembled golden vector, and property tests that
+//! `RoundAssembler` recovers exactly what arrived — bit for bit, NaN payloads
+//! included — under arbitrary packet reordering, duplication and loss, and
+//! rejects truncated packets and mixed streams.
 
-use agg_net::{GradientCodec, Packet, RoundAssembler};
-use agg_tensor::Vector;
+use agg_net::{crc32, GradientCodec, NetError, RoundAssembler};
 use proptest::prelude::*;
+
+/// One packet of the golden gradient (worker 3, step 7, epoch 5, three
+/// packets), assembled field by field in the documented order without
+/// touching the codec.
+fn golden_packet(sequence: u32, offset: u32, coordinates: &[f32]) -> Vec<u8> {
+    let mut header = Vec::new();
+    header.extend(3u32.to_le_bytes()); // worker
+    header.extend(7u64.to_le_bytes()); // step
+    header.extend(sequence.to_le_bytes());
+    header.extend(3u32.to_le_bytes()); // total
+    header.extend(offset.to_le_bytes());
+    header.extend((coordinates.len() as u32).to_le_bytes()); // count
+    header.extend(5u32.to_le_bytes()); // epoch
+    header.extend(2u32.to_le_bytes()); // wire version
+    let payload: Vec<u8> = coordinates.iter().flat_map(|c| c.to_le_bytes()).collect();
+    // The checksum covers every byte of the packet except its own field.
+    let checksum = crc32(&[header.as_slice(), payload.as_slice()].concat());
+    [header, checksum.to_le_bytes().to_vec(), payload].concat()
+}
+
+#[test]
+fn split_bytes_matches_the_hand_assembled_golden_vector() {
+    // The checksum the vector is sealed with is itself pinned: CRC-32C of the
+    // ASCII digits 1-9 (RFC 3720 B.4).
+    assert_eq!(crc32(b"123456789"), 0xE306_9283);
+
+    let gradient = [1.5f32, f32::NAN, -0.0, f32::MAX, -2.25];
+    let golden = [
+        golden_packet(0, 0, &gradient[0..2]),
+        golden_packet(1, 2, &gradient[2..4]),
+        golden_packet(2, 4, &gradient[4..5]),
+    ];
+    assert_eq!(golden.each_ref().map(Vec::len), [48, 48, 44]);
+    // Spot bytes, so the vector cannot drift together with its builder.
+    assert_eq!(golden[1][..4], [3, 0, 0, 0], "worker");
+    assert_eq!(golden[1][12..16], [1, 0, 0, 0], "sequence");
+    assert_eq!(golden[1][20..28], [2, 0, 0, 0, 2, 0, 0, 0], "offset, count");
+    assert_eq!(golden[1][40..48], [0, 0, 0, 0x80, 0xFF, 0xFF, 0x7F, 0x7F], "-0.0, f32::MAX");
+
+    let packets = GradientCodec::new(2).unwrap().split_bytes_epoch(3, 7, 5, &gradient);
+    assert_eq!(packets.len(), golden.len());
+    for (sequence, (packet, expected)) in packets.iter().zip(&golden).enumerate() {
+        assert_eq!(packet.as_ref(), expected.as_slice(), "packet {sequence}");
+    }
+}
 
 /// Wire payloads include everything a malicious worker or a lossy link can
 /// produce: normal values, zeros, NaN and both infinities.
@@ -27,82 +70,39 @@ fn gradient() -> impl Strategy<Value = Vec<f32>> {
 
 proptest! {
     #[test]
-    fn bulk_split_is_byte_identical_to_legacy_encode(
-        g in gradient(),
-        cpp in 1usize..97,
-        worker in 0u32..64,
-        step in 0u64..1000,
-    ) {
-        let codec = GradientCodec::new(cpp).unwrap();
-        let legacy: Vec<_> = codec
-            .split(worker, step, &Vector::from(g.clone()))
-            .iter()
-            .map(Packet::encode)
-            .collect();
-        let bulk = codec.split_bytes(worker, step, &g);
-        prop_assert_eq!(legacy.len(), bulk.len());
-        for (l, b) in legacy.iter().zip(&bulk) {
-            prop_assert_eq!(l.as_ref(), b.as_ref());
-        }
-    }
-
-    #[test]
-    fn legacy_decode_reads_bulk_packets(g in gradient(), cpp in 1usize..97) {
-        let codec = GradientCodec::new(cpp).unwrap();
-        let structured = codec.split(3, 7, &Vector::from(g.clone()));
-        let bulk = codec.split_bytes(3, 7, &g);
-        for (expected, wire) in structured.iter().zip(bulk) {
-            let decoded = Packet::decode(wire).unwrap();
-            prop_assert_eq!(decoded.worker, expected.worker);
-            prop_assert_eq!(decoded.step, expected.step);
-            prop_assert_eq!(decoded.sequence, expected.sequence);
-            prop_assert_eq!(decoded.total, expected.total);
-            prop_assert_eq!(decoded.offset, expected.offset);
-            prop_assert_eq!(decoded.payload.len(), expected.payload.len());
-            for (d, e) in decoded.payload.iter().zip(&expected.payload) {
-                prop_assert_eq!(d.to_bits(), e.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn assembler_matches_legacy_reassembly_under_reordering_duplication_and_loss(
+    fn assembly_recovers_what_arrived_under_reorder_duplication_and_loss(
         g in gradient(),
         cpp in 1usize..97,
         selection in prop::collection::vec(0usize..1024, 0..40),
     ) {
         let codec = GradientCodec::new(cpp).unwrap();
-        let structured = codec.split(5, 11, &Vector::from(g.clone()));
-        let bulk = codec.split_bytes(5, 11, &g);
+        let packets = codec.split_bytes(5, 11, &g);
         // An arbitrary multiset of packet indices: drops, duplicates and
-        // reorderings all at once, applied identically to both codecs.
-        let picked: Vec<usize> = selection.iter().map(|i| i % structured.len()).collect();
-        let legacy_arrivals: Vec<Packet> =
-            picked.iter().map(|&i| structured[i].clone()).collect();
-        let bulk_arrivals: Vec<_> = picked.iter().map(|&i| bulk[i].clone()).collect();
+        // reorderings all at once.
+        let picked: Vec<usize> = selection.iter().map(|i| i % packets.len()).collect();
+        let arrivals: Vec<_> = picked.iter().map(|&i| packets[i].clone()).collect();
 
-        let (reference, legacy_missing) = codec.reassemble(&legacy_arrivals, g.len()).unwrap();
         let mut assembler = RoundAssembler::new(g.len());
         let mut row = vec![0.0f32; g.len()];
-        let missing = assembler.assemble_into(&bulk_arrivals, &mut row).unwrap();
+        let missing = assembler.assemble_into(&arrivals, &mut row).unwrap();
 
-        prop_assert_eq!(missing, legacy_missing);
-        for (a, b) in row.iter().zip(reference.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let arrived = |c: usize| picked.contains(&(c / cpp));
+        prop_assert_eq!(missing, (0..g.len()).filter(|&c| !arrived(c)).count());
+        for (c, (got, sent)) in row.iter().zip(&g).enumerate() {
+            let expected = if arrived(c) { *sent } else { f32::NAN };
+            prop_assert_eq!(got.to_bits(), expected.to_bits(), "coordinate {}", c);
         }
     }
 
     #[test]
-    fn both_codecs_reject_the_same_truncations(g in gradient(), cut in 0usize..32) {
+    fn truncated_packets_are_rejected_as_corrupt(g in gradient(), cut in 0usize..32) {
         let codec = GradientCodec::new(50).unwrap();
-        let bulk = codec.split_bytes(0, 0, &g);
-        let first = bulk[0].clone();
+        let first = codec.split_bytes(0, 0, &g)[0].clone();
         // Truncate somewhere inside the header or the declared payload.
         let cut = cut.min(first.len().saturating_sub(1));
         let truncated = first.slice(0..cut);
-        prop_assert!(Packet::decode(truncated.clone()).is_err());
-        // The assembler treats a truncation as wire damage: it is skipped and
-        // counted, never scattered into the row, and the row stays missing.
+        // A truncation is wire damage: it is skipped and counted, never
+        // scattered into the row, and the row stays missing.
         let mut assembler = RoundAssembler::new(g.len());
         let mut row = vec![0.0f32; g.len()];
         let missing = assembler.assemble_into(&[truncated], &mut row).unwrap();
@@ -111,17 +111,16 @@ proptest! {
     }
 
     #[test]
-    fn both_codecs_reject_mixed_streams(g in prop::collection::vec(wire_f32(), 1..80)) {
+    fn mixed_streams_are_rejected(g in prop::collection::vec(wire_f32(), 1..80)) {
         let codec = GradientCodec::new(16).unwrap();
         let a = codec.split_bytes(0, 0, &g);
         let b = codec.split_bytes(1, 0, &g);
         let mixed: Vec<_> = a.iter().chain(b.iter()).cloned().collect();
         let mut assembler = RoundAssembler::new(g.len());
         let mut row = vec![0.0f32; g.len()];
-        prop_assert!(assembler.assemble_into(&mixed, &mut row).is_err());
-
-        let legacy_mixed: Vec<Packet> =
-            mixed.into_iter().map(|p| Packet::decode(p).unwrap()).collect();
-        prop_assert!(codec.reassemble(&legacy_mixed, g.len()).is_err());
+        prop_assert!(matches!(
+            assembler.assemble_into(&mixed, &mut row),
+            Err(NetError::InconsistentStream(_))
+        ));
     }
 }
