@@ -76,3 +76,16 @@ pub use trimmed_mean::TrimmedMean;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AggregationError>;
+
+/// Runs `op` under rayon thread budgets of 1, 2 and 4, returning the three
+/// results in that order: the determinism pins of the parallel regions.
+#[cfg(test)]
+pub(crate) fn at_budgets<R: Send>(op: impl Fn() -> R + Sync) -> Vec<R> {
+    [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            pool.expect("the shim's pools always build").install(&op)
+        })
+        .collect()
+}

@@ -404,6 +404,21 @@ mod tests {
     }
 
     #[test]
+    fn parallel_scores_are_bit_identical_at_every_thread_budget() {
+        // 460² member-distance ops clear PARALLEL_MIN_WORK, so the scores fan
+        // out in chunks of 64 members above budget 1.
+        let mut rng = seeded_rng(19);
+        let gs: Vec<Vector> = (0..460).map(|_| gaussian_vector(&mut rng, 3, 0.0, 1.0)).collect();
+        let d = distance_matrix(&gs);
+        let active: Vec<usize> = (0..gs.len()).rev().collect();
+        assert!(active.len() * active.len() >= PARALLEL_MIN_WORK);
+        let runs = crate::at_budgets(|| {
+            krum_scores(&d, &active, 400).iter().map(|s| s.to_bits()).collect::<Vec<u32>>()
+        });
+        assert!(runs.iter().all(|bits| *bits == runs[0]));
+    }
+
+    #[test]
     fn scores_match_the_reference_implementation() {
         let gs = batch(9, 1.0, 2, &[40.0, -40.0]);
         let d = distance_matrix(&gs);

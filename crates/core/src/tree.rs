@@ -141,10 +141,6 @@ pub struct TreeAggregator {
     group_rule: Box<dyn Gar>,
     /// The root rule over group outputs.
     root_rule: Box<dyn Gar>,
-    /// `false` forces the per-group work through a plain sequential
-    /// iterator; the determinism tests pin both modes bit-identical, exactly
-    /// like [`crate::ShardedAggregator::set_parallel`].
-    parallel: bool,
 }
 
 impl TreeAggregator {
@@ -169,19 +165,12 @@ impl TreeAggregator {
         }
         let group_rule = config.group.build()?;
         let root_rule = config.root.build()?;
-        Ok(TreeAggregator { config, group_rule, root_rule, parallel: true })
+        Ok(TreeAggregator { config, group_rule, root_rule })
     }
 
     /// The tree configuration.
     pub fn config(&self) -> TreeConfig {
         self.config
-    }
-
-    /// Forces the per-group work through the sequential group ordering. Both
-    /// modes must produce bit-identical aggregates — the determinism test
-    /// asserts exactly that.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
     }
 
     /// The group partition for `n` workers.
@@ -258,7 +247,7 @@ impl TreeAggregator {
         };
         let total_work = batch.n().saturating_mul(batch.dim());
         let results: Vec<Result<GroupOutput>> =
-            if self.parallel && contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
+            if contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
                 contributing.into_par_iter().map(aggregate_group).collect()
             } else {
                 contributing.into_iter().map(aggregate_group).collect()
@@ -564,21 +553,28 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_groups_agree_bitwise() {
+        // The group stage's own outputs are compared too: the Median root is
+        // permutation-invariant, so the aggregate alone cannot see the
+        // group order.
         let batch = random_batch(96, 4_000, 13);
+        let groups: Vec<usize> = (0..96).map(|w| w / 32).collect();
+        let bits = |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for kind in [GarKind::MultiKrum, GarKind::Median, GarKind::TrimmedMean] {
-            let mut tree = TreeAggregator::new(TreeConfig {
+            let tree = TreeAggregator::new(TreeConfig {
                 group: GarConfig::new(kind, 2),
                 root: GarConfig::new(GarKind::Median, 1),
                 group_size: 32,
             })
             .unwrap();
-            let parallel = tree.aggregate_batch(&batch).unwrap();
-            tree.set_parallel(false);
-            let sequential = tree.aggregate_batch(&batch).unwrap();
-            assert_eq!(
-                parallel.as_slice(),
-                sequential.as_slice(),
-                "{kind}: group-parallel aggregation must be bit-identical to group order"
+            let runs = crate::at_budgets(|| {
+                let round = tree.group_outputs(&batch, &groups).unwrap();
+                let outputs: Vec<(usize, Vec<u32>)> =
+                    round.outputs.iter().map(|g| (g.group, bits(&g.output))).collect();
+                (outputs, bits(&tree.aggregate_batch(&batch).unwrap()))
+            });
+            assert!(
+                runs.iter().all(|bits| *bits == runs[0]),
+                "{kind}: group-parallel aggregation must be bit-identical at budgets 1, 2, 4"
             );
         }
     }
@@ -749,17 +745,16 @@ mod tests {
 
     /// One cell of the feedback matrix: the round's own feedback, and the
     /// kept public `selected_rows`, against the oracle, with the group stage
-    /// fanned out and sequential; every group output against the group rule
-    /// on the gathered rows, bit for bit.
+    /// at thread budgets 1, 2 and 4; every group output against the group
+    /// rule on the gathered rows, bit for bit.
     fn check_feedback(config: TreeConfig, batch: &GradientBatch, groups: &[usize], label: &str) {
         let bits = |v: &Vector| -> Vec<u32> { v.as_slice().iter().map(|x| x.to_bits()).collect() };
         let expected = selected_rows_oracle(config, batch, groups);
         let rows = expected.as_ref().unwrap().as_ref().unwrap();
         assert!(!rows.is_empty() && rows.len() < 60, "{label}: degenerate selection {rows:?}");
         let group_rule = config.group.build().unwrap();
-        let mut tree = TreeAggregator::new(config).unwrap();
-        for parallel in [true, false] {
-            tree.set_parallel(parallel);
+        let tree = TreeAggregator::new(config).unwrap();
+        crate::at_budgets(|| {
             let round = tree.group_outputs(batch, groups).unwrap();
             assert_eq!(tree.selected_rows_of(&round), expected, "{label}");
             assert_eq!(tree.selected_rows(batch, groups), expected, "{label}");
@@ -772,7 +767,7 @@ mod tests {
                 let kept = group.kept.as_deref().unwrap_or_default();
                 assert!(kept.iter().all(|row| group.members.contains(row)), "{label}");
             }
-        }
+        });
     }
 
     #[test]

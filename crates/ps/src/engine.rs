@@ -42,8 +42,8 @@ use std::time::Instant;
 /// Phase 1 fans the honest workers out over rayon: every worker owns its
 /// model, sampler and transport (each with its own derived RNG stream) and
 /// delivers its gradient into its own pre-assigned row of one reused
-/// submissions arena, so the round is bit-for-bit identical to the
-/// sequential ordering regardless of thread schedule. The threads claim
+/// submissions arena, so the round is bit-for-bit identical at any thread
+/// budget (the determinism suites pin budgets 1, 2 and 4). The threads claim
 /// runs of workers from a shared cursor (the rayon shim's guided claiming),
 /// so the attacker and crashed slots, which return at once, leave no core
 /// waiting at the barrier.
@@ -102,10 +102,6 @@ pub struct SyncTrainingEngine {
     /// (every coordinate for small models, a capped sample for large ones).
     /// Empty without a ledger.
     affinity_sample: Vec<usize>,
-    /// `false` forces Phase 1 through the plain sequential iterator (the
-    /// seed ordering). The determinism test runs both modes and asserts
-    /// identical reports.
-    phase1_parallel: bool,
 }
 
 /// What one worker contributed to a round (collected in worker-id order, so
@@ -277,7 +273,6 @@ impl SyncTrainingEngine {
             group_epochs,
             reputation: ledger,
             affinity_sample,
-            phase1_parallel: true,
         })
     }
 
@@ -289,30 +284,6 @@ impl SyncTrainingEngine {
     /// The reputation ledger driving quarantine decisions, when configured.
     pub fn reputation(&self) -> Option<&ReputationLedger> {
         self.reputation.as_ref()
-    }
-
-    /// Forces Phase 1 through the sequential iterator (the seed ordering)
-    /// instead of the rayon fan-out. The two modes must produce bit-identical
-    /// reports — the determinism test asserts exactly that.
-    pub fn set_phase1_parallel(&mut self, parallel: bool) {
-        self.phase1_parallel = parallel;
-    }
-
-    /// Forces the sharded aggregation tier through the sequential shard
-    /// ordering instead of the rayon fan-out (no-op for a monolithic
-    /// server). Like [`SyncTrainingEngine::set_phase1_parallel`], the two
-    /// modes must produce bit-identical reports — the shard determinism test
-    /// asserts exactly that.
-    pub fn set_shard_parallel(&mut self, parallel: bool) {
-        self.server.set_shard_parallel(parallel);
-    }
-
-    /// Forces the tree tier's group stage through the sequential group
-    /// ordering instead of the rayon fan-out (no-op on the flat path). The
-    /// two modes must produce bit-identical reports — the tree determinism
-    /// test asserts exactly that.
-    pub fn set_tree_parallel(&mut self, parallel: bool) {
-        self.server.set_tree_parallel(parallel);
     }
 
     /// Measures the configured GAR for real at (close to) the virtual model's
@@ -450,11 +421,9 @@ impl SyncTrainingEngine {
         let mut latency = LatencyBreakdown::new();
         let mut skipped = 0u64;
         let mut refused = 0u64;
-        let mut stale_epoch_rejects = 0u64;
-        let mut corrupt_rejects = 0u64;
         let mut byzantine_selected_rounds = 0u64;
-        let mut retransmit_exhaustions = 0u64;
-        // Per-worker wire/ledger counters, accumulated alongside the globals.
+        // Per-worker wire/ledger counters; the report's global wire counters
+        // are their sums.
         let mut worker_stats: Vec<WorkerReport> = (0..self.workers.len())
             .map(|worker| WorkerReport { worker, ..Default::default() })
             .collect();
@@ -549,39 +518,11 @@ impl SyncTrainingEngine {
                             }
                             let was_live = live_sim[candidate];
                             live_sim[candidate] = false;
-                            let floor_ok = match (&self.tree_plan, &self.config.tree) {
-                                (Some(tree_plan), Some(tree)) => {
-                                    let mut live_sizes = vec![0usize; tree_plan.group_count()];
-                                    for (w, &live) in live_sim.iter().enumerate() {
-                                        if live {
-                                            live_sizes[tree_plan.group_of(w)] += 1;
-                                        }
-                                    }
-                                    resilience::check_tree(
-                                        tree.group.kind,
-                                        tree.group.f,
-                                        tree.root.kind,
-                                        tree.root.f,
-                                        live_sizes,
-                                    )
-                                    .is_ok()
-                                }
-                                _ => {
-                                    // A quarantined slot no longer counts
-                                    // against the adversary's budget, so the
-                                    // floor re-derives from the suspicion-
-                                    // aware effective f.
-                                    let f_eff = self
-                                        .config
-                                        .gar
-                                        .f
-                                        .saturating_sub(ledger.quarantined_count() + 1);
-                                    let live_after = live_sim.iter().filter(|&&l| l).count();
-                                    live_after
-                                        >= resilience::resilience_floor(self.config.gar.kind, f_eff)
-                                }
-                            };
-                            if !floor_ok {
+                            // `+ 1`: the candidate's own quarantine.
+                            let f_eff =
+                                self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
+                            let tree_plan = self.tree_plan.as_ref();
+                            if !Self::floor_holds(&self.config, tree_plan, f_eff, |w| live_sim[w]) {
                                 live_sim[candidate] = was_live;
                                 continue;
                             }
@@ -630,81 +571,41 @@ impl SyncTrainingEngine {
                 };
                 let round_plan = merged_plan.as_ref().unwrap_or(&fault_plan);
                 let transitions = self.membership.apply_round(round_plan, step);
+                // Tree mode fences per group: a crash or rejoin bumps only
+                // the epoch of the group it happened in, so view changes
+                // never invalidate in-flight rounds of untouched groups. The
+                // flat tier fences at the view's epoch.
                 if let Some(plan) = &self.tree_plan {
-                    // Tree mode fences per group: a crash or rejoin bumps
-                    // only the epoch of the group it happened in, and every
-                    // worker is stamped against its *group's* epoch, so view
-                    // changes never invalidate in-flight rounds of untouched
-                    // groups.
                     for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
                         self.group_epochs[plan.group_of(w)] += 1;
                     }
-                    for worker in &mut self.workers {
-                        let id = worker.id();
-                        let group_epoch = self.group_epochs[plan.group_of(id)];
-                        worker.set_transport_expected_epoch(Some(group_epoch));
-                        if self.membership.health(id).is_live()
-                            && !transitions.rejoined.contains(&id)
-                        {
-                            worker.set_transport_epoch(group_epoch);
-                        }
-                    }
-                } else {
-                    let epoch = self.membership.epoch();
-                    for worker in &mut self.workers {
-                        // The server side of every link fences at the current
-                        // view's epoch.
-                        worker.set_transport_expected_epoch(Some(epoch));
-                        // Live workers that did not just rejoin have taken
-                        // part in the view change and stamp the new epoch; a
-                        // rejoiner still carries the epoch it crashed with,
-                        // so its first round back is fenced, and it syncs at
-                        // the next round's broadcast.
-                        let id = worker.id();
-                        if self.membership.health(id).is_live()
-                            && !transitions.rejoined.contains(&id)
-                        {
-                            worker.set_transport_epoch(epoch);
-                        }
+                }
+                for worker in &mut self.workers {
+                    let id = worker.id();
+                    let epoch = match &self.tree_plan {
+                        Some(plan) => self.group_epochs[plan.group_of(id)],
+                        None => self.membership.epoch(),
+                    };
+                    // The server side of every link fences at this worker's
+                    // epoch. Live workers that did not just rejoin have taken
+                    // part in the view change and stamp it too; a rejoiner
+                    // still carries the epoch it crashed with, so its first
+                    // round back is fenced, and it syncs at the next round's
+                    // broadcast.
+                    worker.set_transport_expected_epoch(Some(epoch));
+                    if self.membership.health(id).is_live() && !transitions.rejoined.contains(&id) {
+                        worker.set_transport_epoch(epoch);
                     }
                 }
                 // Every transition re-derives the active rule's floor: a
-                // live set below `g(f)` — or, in tree mode, a live partition
-                // that cannot seat the composed two-level bound — voids the
-                // resilience proof, so the server refuses the round and
-                // degrades per policy instead of aggregating on borrowed
-                // assumptions.
-                let floor_ok = match (&self.tree_plan, &self.config.tree) {
-                    (Some(plan), Some(tree)) => {
-                        let mut live_sizes = vec![0usize; plan.group_count()];
-                        for w in 0..self.workers.len() {
-                            if self.membership.health(w).is_live() {
-                                live_sizes[plan.group_of(w)] += 1;
-                            }
-                        }
-                        resilience::check_tree(
-                            tree.group.kind,
-                            tree.group.f,
-                            tree.root.kind,
-                            tree.root.f,
-                            live_sizes,
-                        )
-                        .is_ok()
-                    }
-                    _ => {
-                        // Quarantined slots no longer count against the
-                        // adversary's budget: the floor re-derives each
-                        // transition from the suspicion-aware effective f.
-                        let f_eff = match &self.reputation {
-                            Some(ledger) => {
-                                self.config.gar.f.saturating_sub(ledger.quarantined_count())
-                            }
-                            None => self.config.gar.f,
-                        };
-                        self.membership.satisfies_floor(self.config.gar.kind, f_eff)
-                    }
-                };
-                if !floor_ok {
+                // live set that cannot seat it voids the resilience proof,
+                // so the server refuses the round and degrades per policy
+                // instead of aggregating on borrowed assumptions.
+                let quarantined =
+                    self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
+                let f_eff = self.config.gar.f.saturating_sub(quarantined);
+                let live = |w| self.membership.health(w).is_live();
+                if !Self::floor_holds(&self.config, self.tree_plan.as_ref(), f_eff, live) {
                     refused += 1;
                     if self.config.refusal == RefusalPolicy::HoldLastRound {
                         // The held model is still broadcast, so the clock
@@ -768,11 +669,7 @@ impl SyncTrainingEngine {
             };
             let jobs: Vec<(&mut Worker, &mut [f32])> =
                 self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
-            let results: Vec<Result<WorkerRound>> = if self.phase1_parallel {
-                jobs.into_par_iter().map(run_worker).collect()
-            } else {
-                jobs.into_iter().map(run_worker).collect()
-            };
+            let results: Vec<Result<WorkerRound>> = jobs.into_par_iter().map(run_worker).collect();
             let mut rounds = Vec::with_capacity(results.len());
             for result in results {
                 rounds.push(result?);
@@ -844,15 +741,10 @@ impl SyncTrainingEngine {
                     }
                 }
             }
-            stale_epoch_rejects += rounds.iter().map(|r| r.stale_rejects as u64).sum::<u64>();
-            corrupt_rejects += rounds.iter().map(|r| r.corrupt_rejects as u64).sum::<u64>();
-            for (worker, round) in rounds.iter().enumerate() {
-                worker_stats[worker].stale_epoch_rejects += round.stale_rejects as u64;
-                worker_stats[worker].corrupt_rejects += round.corrupt_rejects as u64;
-                if round.retransmit_exhausted {
-                    worker_stats[worker].retransmit_exhaustions += 1;
-                    retransmit_exhaustions += 1;
-                }
+            for (stat, round) in worker_stats.iter_mut().zip(&rounds) {
+                stat.stale_epoch_rejects += round.stale_rejects as u64;
+                stat.corrupt_rejects += round.corrupt_rejects as u64;
+                stat.retransmit_exhaustions += u64::from(round.retransmit_exhausted);
             }
 
             // Phase 3: aggregation and model update at the server. The
@@ -1087,10 +979,10 @@ impl SyncTrainingEngine {
             steps_completed: self.server.step(),
             skipped_updates: skipped,
             refused_rounds: refused,
-            stale_epoch_rejects,
-            corrupt_rejects,
+            stale_epoch_rejects: worker_stats.iter().map(|s| s.stale_epoch_rejects).sum(),
+            corrupt_rejects: worker_stats.iter().map(|s| s.corrupt_rejects).sum(),
             byzantine_selected_rounds,
-            retransmit_exhaustions,
+            retransmit_exhaustions: worker_stats.iter().map(|s| s.retransmit_exhaustions).sum(),
             per_worker: worker_stats,
             quarantine_events: self
                 .reputation
@@ -1098,6 +990,37 @@ impl SyncTrainingEngine {
                 .map_or_else(Vec::new, |ledger| ledger.events().to_vec()),
             simulated_time_sec: self.clock_sec,
         })
+    }
+
+    /// Whether the live set (`live` by worker id) still seats the active
+    /// rule's resilience proof: the composed two-level bound over the live
+    /// partition on the tree tier, `g(f_eff)` live workers on the flat tier.
+    /// `f_eff` is the declared `f` less the slots the ledger holds in
+    /// quarantine, which no longer count against the adversary's budget.
+    fn floor_holds(
+        config: &RunnerConfig,
+        tree_plan: Option<&GroupPlan>,
+        f_eff: usize,
+        live: impl Fn(usize) -> bool,
+    ) -> bool {
+        let live_workers = (0..config.workers).filter(|&w| live(w));
+        match (tree_plan, &config.tree) {
+            (Some(plan), Some(tree)) => {
+                let mut live_sizes = vec![0usize; plan.group_count()];
+                for w in live_workers {
+                    live_sizes[plan.group_of(w)] += 1;
+                }
+                resilience::check_tree(
+                    tree.group.kind,
+                    tree.group.f,
+                    tree.root.kind,
+                    tree.root.f,
+                    live_sizes,
+                )
+                .is_ok()
+            }
+            _ => live_workers.count() >= resilience::resilience_floor(config.gar.kind, f_eff),
+        }
     }
 
     /// One hierarchical aggregation round: the group stage on the compacted

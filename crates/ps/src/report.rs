@@ -52,13 +52,14 @@ pub struct TrainingReport {
     /// last model is held or the round pauses.
     pub refused_rounds: u64,
     /// Packets rejected by the epoch fence across the run: late packets from
-    /// evicted workers and first-round submissions of stale-epoch rejoiners.
+    /// evicted workers and first-round submissions of stale-epoch rejoiners
+    /// (the sum of `per_worker`).
     pub stale_epoch_rejects: u64,
     /// Packets rejected by the wire-integrity check (CRC32 mismatch,
     /// truncation, unknown wire version) across the run. Every fault the
     /// chaos plan injects lands here — a corrupted packet never reaches an
     /// arena row; its coordinates are either retransmitted or degrade like a
-    /// transport loss.
+    /// transport loss (the sum of `per_worker`).
     pub corrupt_rejects: u64,
     /// Rounds in which the GAR's selection set contained at least one row
     /// submitted by a Byzantine worker (0 means the selected set stayed
@@ -66,10 +67,11 @@ pub struct TrainingReport {
     /// feedback — distance-based rules with Byzantine workers, an adaptive
     /// attack, or a fault plan.
     pub byzantine_selected_rounds: u64,
-    /// Rounds in which some worker's retransmit recovery ran out of budget
-    /// or deadline with the row still incomplete — previously
-    /// indistinguishable from a plain transport loss; counted separately so
-    /// the reputation ledger (and operators) can see it.
+    /// Worker-rounds in which a worker's retransmit recovery ran out of
+    /// budget or deadline with the row still incomplete (the sum of
+    /// `per_worker`) — previously indistinguishable from a plain transport
+    /// loss; counted separately so the reputation ledger (and operators) can
+    /// see it.
     pub retransmit_exhaustions: u64,
     /// Per-worker breakdown of the wire counters and ledger outcomes, one
     /// entry per worker slot. Empty when the engine ran without the

@@ -133,15 +133,6 @@ impl ParameterServer {
         self.sharded.as_ref().map_or(1, ShardedAggregator::shards)
     }
 
-    /// Forces sharded aggregation through the sequential shard ordering (the
-    /// determinism tests compare this against the rayon fan-out bit for
-    /// bit). A no-op on the monolithic server.
-    pub fn set_shard_parallel(&mut self, parallel: bool) {
-        if let Some(sharded) = self.sharded.as_mut() {
-            sharded.set_parallel(parallel);
-        }
-    }
-
     /// Name of the active aggregation rule.
     pub fn gar_name(&self) -> &'static str {
         self.gar.name()
@@ -173,15 +164,6 @@ impl ParameterServer {
     /// The active hierarchical tier, if any.
     pub fn tree(&self) -> Option<&TreeAggregator> {
         self.tree.as_ref()
-    }
-
-    /// Forces the tree tier's group stage through the sequential ordering
-    /// (the determinism tests compare this against the rayon fan-out bit for
-    /// bit). A no-op on the flat server.
-    pub fn set_tree_parallel(&mut self, parallel: bool) {
-        if let Some(tree) = self.tree.as_mut() {
-            tree.set_parallel(parallel);
-        }
     }
 
     /// Stage 1 of a hierarchical round: aggregates each group of the batch
@@ -232,27 +214,6 @@ impl ParameterServer {
             )
         })?;
         let aggregated = tree.root_aggregate(outputs).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
-    }
-
-    /// One-shot hierarchical round: both tree stages back to back on a
-    /// loss-free interconnect (group aggregation, then the root rule over
-    /// every group output), plus the optimizer step.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ParameterServer::tree_group_outputs`] and
-    /// [`ParameterServer::apply_round_tree_outputs`].
-    pub fn apply_round_tree(
-        &mut self,
-        batch: &GradientBatch,
-        groups: &[usize],
-    ) -> Result<RoundOutcome> {
-        let start = Instant::now();
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            PsError::InvalidConfig("apply_round_tree requires an installed tree tier".into())
-        })?;
-        let aggregated = tree.aggregate_batch_grouped(batch, groups).map_err(PsError::from)?;
         self.finish_round(aggregated, start)
     }
 
@@ -317,28 +278,15 @@ impl ParameterServer {
         Ok(())
     }
 
-    /// Aggregates one round of submitted gradients and applies the optimizer
-    /// step. Returns the measured aggregation time.
+    /// Aggregates one round of submitted gradients, packed into a contiguous
+    /// [`GradientBatch`] (the engine packs each round's submissions once),
+    /// and applies the optimizer step. Returns the measured aggregation time.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::Aggregation`] when the GAR rejects the submission
     /// (e.g. not enough gradients for the declared `f`), and [`PsError::Model`]
     /// when the optimizer step fails.
-    pub fn apply_round(&mut self, gradients: &[Vector]) -> Result<RoundOutcome> {
-        let start = Instant::now();
-        let aggregated = self.gar.aggregate(gradients).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
-    }
-
-    /// Arena variant of [`ParameterServer::apply_round`]: the gradients are
-    /// already packed into a contiguous [`GradientBatch`], so aggregation
-    /// runs straight on the arena with no further copies. This is the path
-    /// the training engine uses — it packs each round's submissions once.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ParameterServer::apply_round`].
     pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
         let start = Instant::now();
         // A sharded tier routes the round through the shard-parallel
@@ -472,11 +420,23 @@ mod tests {
         .unwrap()
     }
 
+    fn batch_of(gradients: &[Vector]) -> GradientBatch {
+        GradientBatch::from_vectors(gradients).unwrap()
+    }
+
+    /// The parameters a fresh [`server`] holds after one SGD step along
+    /// `aggregate`.
+    fn stepped_from_zero(aggregate: &Vector) -> Vector {
+        let mut params = Vector::zeros(aggregate.len());
+        OptimizerKind::Sgd.build().step(&mut params, aggregate, 0.1).unwrap();
+        params
+    }
+
     #[test]
     fn apply_round_moves_parameters_against_the_gradient() {
         let mut s = server(GarKind::Average, 0, 3);
         let gradients = vec![Vector::from(vec![1.0, 0.0, -1.0]); 4];
-        let outcome = s.apply_round(&gradients).unwrap();
+        let outcome = s.apply_round_batch(&batch_of(&gradients)).unwrap();
         assert_eq!(outcome.step, 1);
         assert_eq!(outcome.learning_rate, 0.1);
         assert!(outcome.aggregation_wall_sec >= 0.0);
@@ -486,15 +446,16 @@ mod tests {
 
     #[test]
     fn batch_and_slice_rounds_agree() {
-        let mut by_slice = server(GarKind::MultiKrum, 1, 3);
+        // A batch round steps the model exactly as the rule applied to the
+        // gradient slices by hand, followed by one SGD step.
         let mut by_batch = server(GarKind::MultiKrum, 1, 3);
         let gradients: Vec<Vector> =
             (0..7).map(|i| Vector::from(vec![1.0 + 0.01 * i as f32, 0.0, -1.0])).collect();
-        let batch = GradientBatch::from_vectors(&gradients).unwrap();
-        by_slice.apply_round(&gradients).unwrap();
-        let outcome = by_batch.apply_round_batch(&batch).unwrap();
+        let by_slice = GarConfig::new(GarKind::MultiKrum, 1).build().unwrap();
+        let expected = stepped_from_zero(&by_slice.aggregate(&gradients).unwrap());
+        let outcome = by_batch.apply_round_batch(&batch_of(&gradients)).unwrap();
         assert_eq!(outcome.step, 1);
-        assert_eq!(by_slice.parameters().as_slice(), by_batch.parameters().as_slice());
+        assert_eq!(expected.as_slice(), by_batch.parameters().as_slice());
     }
 
     #[test]
@@ -502,7 +463,7 @@ mod tests {
         let mut s = server(GarKind::MultiKrum, 4, 2);
         // Multi-Krum with f = 4 needs 11 gradients.
         let gradients = vec![Vector::zeros(2); 5];
-        assert!(matches!(s.apply_round(&gradients), Err(PsError::Aggregation(_))));
+        assert!(matches!(s.apply_round_batch(&batch_of(&gradients)), Err(PsError::Aggregation(_))));
         assert_eq!(s.step(), 0, "a failed round must not advance the step");
     }
 
@@ -535,7 +496,7 @@ mod tests {
         )
         .unwrap();
         // Zero data gradient: only the L2 pull towards zero acts.
-        s.apply_round(&[Vector::zeros(2)]).unwrap();
+        s.apply_round_batch(&batch_of(&[Vector::zeros(2)])).unwrap();
         assert!(s.parameters()[0] < 1.0);
         assert!(s.parameters()[1] > -1.0);
     }
@@ -695,22 +656,23 @@ mod tests {
         let groups: Vec<usize> = (0..12).map(|w| w / 4).collect();
         let tree = TreeConfig::uniform(GarKind::Median, 1, 1, 4);
 
-        let mut one_shot = server(GarKind::Median, 1, 2);
-        one_shot.set_tree(Some(tree)).unwrap();
-        assert!(one_shot.tree().is_some());
-        let outcome = one_shot.apply_round_tree(&batch, &groups).unwrap();
-        assert_eq!(outcome.step, 1);
-        assert!(one_shot.parameters()[0].abs() < 1.0, "the garbage group must not move the model");
-
-        // The staged path (group outputs, then root) lands on the same model.
         let mut staged = server(GarKind::Median, 1, 2);
         staged.set_tree(Some(tree)).unwrap();
+        assert!(staged.tree().is_some());
         let round = staged.tree_group_outputs(&batch, &groups).unwrap();
         assert_eq!(round.outputs.len(), 3);
         assert!(round.skipped.is_empty());
         let outputs: Vec<Vector> = round.outputs.iter().map(|o| o.output.clone()).collect();
-        staged.apply_round_tree_outputs(&outputs).unwrap();
-        assert_eq!(staged.parameters().as_slice(), one_shot.parameters().as_slice());
+        let outcome = staged.apply_round_tree_outputs(&outputs).unwrap();
+        assert_eq!(outcome.step, 1);
+        assert!(staged.parameters()[0].abs() < 1.0, "the garbage group must not move the model");
+
+        // The staged path (group outputs, then root) lands on the model of
+        // both tree stages back to back on a loss-free interconnect.
+        let one_shot = TreeAggregator::new(tree).unwrap();
+        let expected =
+            stepped_from_zero(&one_shot.aggregate_batch_grouped(&batch, &groups).unwrap());
+        assert_eq!(staged.parameters().as_slice(), expected.as_slice());
 
         // Dropping outputs below the root floor refuses the round and does
         // not advance the step.
@@ -744,7 +706,8 @@ mod tests {
         // The flat entry points stay flat, and the tiers stay exclusive.
         let mut s = server(GarKind::Median, 1, 2);
         assert!(matches!(s.tree_selected_rows_of(&held), Err(PsError::InvalidConfig(_))));
-        assert!(matches!(s.apply_round_tree(&batch, &groups), Err(PsError::InvalidConfig(_))));
+        assert!(matches!(s.tree_group_outputs(&batch, &groups), Err(PsError::InvalidConfig(_))));
+        assert!(matches!(s.apply_round_tree_outputs(&outputs), Err(PsError::InvalidConfig(_))));
         s.set_tree(Some(tree)).unwrap();
         assert!(s.set_shards(3).is_err(), "tree + shards is rejected");
         s.set_tree(None).unwrap();

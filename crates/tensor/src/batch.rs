@@ -1625,6 +1625,52 @@ mod tests {
     }
 
     #[test]
+    fn every_parallel_region_is_bit_identical_at_every_thread_budget() {
+        // n·d and pairs·d clear PARALLEL_MIN_WORK, so the distance walk's tile
+        // groups, the coordinate blocks (`mean_blocks`, `column_reduce`) and
+        // the order-statistic blocks (`network_reduce`) all fan out above
+        // budget 1; a NaN and a +∞ coordinate take their non-finite paths.
+        let (n, d) = (19, 40_000);
+        assert!(n * d >= PARALLEL_MIN_WORK);
+        let mut b = GradientBatch::with_capacity(d, n);
+        for i in 0..n {
+            b.push_row_with(|row| {
+                for (c, x) in row.iter_mut().enumerate() {
+                    *x = ((i * 31 + c * 7) % 113) as f32 * 0.37 - 20.0;
+                }
+            });
+        }
+        b.row_mut(4)[123] = f32::NAN;
+        b.row_mut(9)[d - 1] = f32::INFINITY;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let kernels = || -> Vec<Vec<u32>> {
+            vec![
+                bits(&b.pairwise_squared_distances().data),
+                bits(b.coordinate_mean().unwrap().as_slice()),
+                bits(b.coordinate_nan_mean().unwrap().as_slice()),
+                bits(b.mean_of_rows(&[0, 2, 3, 5, 7, 11, 13, 17]).unwrap().as_slice()),
+                bits(b.coordinate_std().unwrap().as_slice()),
+                bits(b.coordinate_median_quickselect().unwrap().as_slice()),
+                bits(b.coordinate_median().unwrap().as_slice()),
+                bits(b.coordinate_trimmed_mean(4).unwrap().as_slice()),
+                bits(b.mean_around_median(11).unwrap().as_slice()),
+            ]
+        };
+        let runs: Vec<Vec<Vec<u32>>> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                pool.expect("the shim's pools always build").install(kernels)
+            })
+            .collect();
+        for (kernel, sequential) in runs[0].iter().enumerate() {
+            for (run, budget) in runs[1..].iter().zip([2, 4]) {
+                assert!(run[kernel] == *sequential, "kernel {kernel} diverged at budget {budget}");
+            }
+        }
+    }
+
+    #[test]
     fn clear_and_push_row_with_reuse_the_allocation() {
         let mut b = GradientBatch::with_capacity(3, 2);
         b.push_row_with(|dst| dst.copy_from_slice(&[1.0, 2.0, 3.0]));

@@ -17,9 +17,9 @@
 //!   its retry budget degrades exactly like a quorum straggler: the row is
 //!   compacted away and the `n − f` round aggregates the same survivor set.
 //!
-//! CI runs this suite under `RAYON_NUM_THREADS={1,4}` ×
-//! `AGG_STREAMING={on,off}`, closing the determinism argument for the
-//! recovery path the same way `round_determinism` does for the clean one.
+//! Each training-loop contract is checked on both round pipelines
+//! (`streaming.enabled` off and on), as `round_determinism` does for the
+//! clean wire.
 
 use agg_core::{GarConfig, GarKind};
 use agg_net::{
@@ -34,7 +34,7 @@ use proptest::prelude::*;
 /// `elastic_membership`: d = 508 parameters → exactly 2 packets per gradient
 /// under the default 350-coordinate codec.
 fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
-    let mut config = RunnerConfig {
+    RunnerConfig {
         experiment: agg_ps::ExperimentKind::MlpBlobs {
             input_dim: 16,
             hidden: 24,
@@ -50,11 +50,7 @@ fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
         learning_rate: LearningRate::Fixed { rate: 0.01 },
         seed: 31,
         ..RunnerConfig::quick_default()
-    };
-    if matches!(std::env::var("AGG_STREAMING").as_deref(), Ok("on") | Ok("1") | Ok("true")) {
-        config.streaming.enabled = true;
     }
-    config
 }
 
 /// Bit-for-bit equality of everything the gradient path determines. The
@@ -98,9 +94,10 @@ fn corruption_detected_trains_identically_to_corruption_dropped() {
         (GarKind::Bulyan, 1),
     ];
     for (gar, f) in grid {
-        for shards in [1usize, 3] {
+        for (shards, streaming) in [(1usize, false), (1, true), (3, false), (3, true)] {
             let mut config = base_config(gar, f, 9);
             config.shards = shards;
+            config.streaming.enabled = streaming;
             config.transport = TransportKind::Lossy { policy: LossPolicy::RandomFill };
             config.lossy_links = 3;
             config.chaos = Some(ChaosConfig::moderate());
@@ -108,7 +105,7 @@ fn corruption_detected_trains_identically_to_corruption_dropped() {
                 SyncTrainingEngine::new(config.clone()).expect("valid").run().expect("runs");
             config.chaos = Some(ChaosConfig { mode: ChaosMode::Drop, ..ChaosConfig::moderate() });
             let dropped = SyncTrainingEngine::new(config).expect("valid").run().expect("runs");
-            let label = format!("{gar} f={f} shards={shards}");
+            let label = format!("{gar} f={f} shards={shards} streaming={streaming}");
             assert_same_training(&corrupt, &dropped, &label);
             assert!(corrupt.corrupt_rejects > 0, "{label}: chaos never landed a fault");
             assert_eq!(dropped.corrupt_rejects, 0, "{label}: dropped packets are not corrupt");
@@ -122,27 +119,31 @@ fn retransmit_within_budget_is_bit_identical_to_a_fault_free_run() {
     // chaos schedule, every damaged coordinate is re-delivered and the run
     // trains bit-for-bit like a clean wire — the faults exist only in the
     // `corrupt_rejects` ledger and the simulated clock.
-    let mut config = base_config(GarKind::MultiKrum, 2, 9);
-    config.max_steps = 12;
-    config.eval_every = 4;
-    config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
-    config.lossy_links = 3;
-    let baseline = SyncTrainingEngine::new(config.clone()).expect("valid").run().expect("runs");
-    assert_eq!(baseline.corrupt_rejects, 0);
+    for streaming in [false, true] {
+        let mut config = base_config(GarKind::MultiKrum, 2, 9);
+        config.max_steps = 12;
+        config.eval_every = 4;
+        config.streaming.enabled = streaming;
+        config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+        config.lossy_links = 3;
+        let baseline = SyncTrainingEngine::new(config.clone()).expect("valid").run().expect("runs");
+        assert_eq!(baseline.corrupt_rejects, 0);
 
-    config.chaos = Some(ChaosConfig::moderate());
-    config.retransmit = Some(RetransmitConfig {
-        max_retries: 16,
-        round_deadline_sec: 10.0,
-        ..RetransmitConfig::default()
-    });
-    let recovered = SyncTrainingEngine::new(config).expect("valid").run().expect("runs");
-    assert_same_training(&baseline, &recovered, "recovered vs fault-free");
-    assert!(recovered.corrupt_rejects > 0, "the chaos schedule must actually fire");
-    assert!(
-        recovered.simulated_time_sec > baseline.simulated_time_sec,
-        "retries charge backoff and resend time to the clock"
-    );
+        config.chaos = Some(ChaosConfig::moderate());
+        config.retransmit = Some(RetransmitConfig {
+            max_retries: 16,
+            round_deadline_sec: 10.0,
+            ..RetransmitConfig::default()
+        });
+        let recovered = SyncTrainingEngine::new(config).expect("valid").run().expect("runs");
+        let label = format!("recovered vs fault-free, streaming={streaming}");
+        assert_same_training(&baseline, &recovered, &label);
+        assert!(recovered.corrupt_rejects > 0, "{label}: the chaos schedule must actually fire");
+        assert!(
+            recovered.simulated_time_sec > baseline.simulated_time_sec,
+            "{label}: retries charge backoff and resend time to the clock"
+        );
+    }
 }
 
 #[test]
@@ -151,29 +152,34 @@ fn exhausted_recovery_degrades_exactly_like_a_quorum_straggler() {
     // partitioned and its retries exhaust, so its row is compacted away —
     // and the n − f quorum round must aggregate the *same* survivor set,
     // bit for bit, as a run where worker 8 is merely a hopeless straggler.
-    let mut config = base_config(GarKind::MultiKrum, 2, 9);
-    config.max_steps = 12;
-    config.eval_every = 4;
-    config.streaming.quorum = QuorumPolicy::NMinusF;
-    config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
-    config.lossy_links = 1; // worker 8 only
+    for streaming in [false, true] {
+        let mut config = base_config(GarKind::MultiKrum, 2, 9);
+        config.max_steps = 12;
+        config.eval_every = 4;
+        config.streaming.enabled = streaming;
+        config.streaming.quorum = QuorumPolicy::NMinusF;
+        config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+        config.lossy_links = 1; // worker 8 only
 
-    let mut partitioned_cfg = config.clone();
-    partitioned_cfg.chaos = Some(ChaosConfig { partition_rate: 1.0, ..ChaosConfig::default() });
-    partitioned_cfg.retransmit = Some(RetransmitConfig::default());
-    let partitioned = SyncTrainingEngine::new(partitioned_cfg).expect("valid").run().expect("runs");
+        let mut partitioned_cfg = config.clone();
+        partitioned_cfg.chaos = Some(ChaosConfig { partition_rate: 1.0, ..ChaosConfig::default() });
+        partitioned_cfg.retransmit = Some(RetransmitConfig::default());
+        let partitioned =
+            SyncTrainingEngine::new(partitioned_cfg).expect("valid").run().expect("runs");
 
-    let mut straggler_cfg = config;
-    straggler_cfg.worker_extra_delay_sec = vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0];
-    let straggler = SyncTrainingEngine::new(straggler_cfg).expect("valid").run().expect("runs");
+        let mut straggler_cfg = config;
+        straggler_cfg.worker_extra_delay_sec = vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0];
+        let straggler = SyncTrainingEngine::new(straggler_cfg).expect("valid").run().expect("runs");
 
-    assert_same_training(&partitioned, &straggler, "partitioned vs straggler");
-    assert_eq!(partitioned.steps_completed, 12, "n − f quorum absorbs the lost row");
-    assert_eq!(partitioned.skipped_updates, 0);
-    assert_eq!(
-        partitioned.corrupt_rejects, 0,
-        "a partition delivers nothing — there is nothing to reject"
-    );
+        let label = format!("partitioned vs straggler, streaming={streaming}");
+        assert_same_training(&partitioned, &straggler, &label);
+        assert_eq!(partitioned.steps_completed, 12, "{label}: n − f quorum absorbs the lost row");
+        assert_eq!(partitioned.skipped_updates, 0, "{label}");
+        assert_eq!(
+            partitioned.corrupt_rejects, 0,
+            "{label}: a partition delivers nothing — there is nothing to reject"
+        );
+    }
 }
 
 #[test]
@@ -241,38 +247,42 @@ fn retry_delay_spikes_are_charged_to_the_reported_round_wait() {
     // bit-for-bit — recovery re-delivers everything either way under a
     // generous deadline — while the delay-heavy run's simulated clock, which
     // aggregates the per-round `round_wait`, is strictly larger.
-    let mut config = base_config(GarKind::MultiKrum, 2, 9);
-    config.max_steps = 12;
-    config.eval_every = 4;
-    config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
-    config.lossy_links = 3;
-    config.retransmit = Some(RetransmitConfig {
-        max_retries: 16,
-        round_deadline_sec: 10.0,
-        ..RetransmitConfig::default()
-    });
-    config.chaos = Some(ChaosConfig {
-        delay_spike_rate: 1.0,
-        delay_spike_sec: 0.0,
-        ..ChaosConfig::moderate()
-    });
-    let free = SyncTrainingEngine::new(config.clone()).expect("valid").run().expect("runs");
-    config.chaos = Some(ChaosConfig {
-        delay_spike_rate: 1.0,
-        delay_spike_sec: 2e-3,
-        ..ChaosConfig::moderate()
-    });
-    let heavy = SyncTrainingEngine::new(config).expect("valid").run().expect("runs");
+    for streaming in [false, true] {
+        let mut config = base_config(GarKind::MultiKrum, 2, 9);
+        config.max_steps = 12;
+        config.eval_every = 4;
+        config.streaming.enabled = streaming;
+        config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+        config.lossy_links = 3;
+        config.retransmit = Some(RetransmitConfig {
+            max_retries: 16,
+            round_deadline_sec: 10.0,
+            ..RetransmitConfig::default()
+        });
+        config.chaos = Some(ChaosConfig {
+            delay_spike_rate: 1.0,
+            delay_spike_sec: 0.0,
+            ..ChaosConfig::moderate()
+        });
+        let free = SyncTrainingEngine::new(config.clone()).expect("valid").run().expect("runs");
+        config.chaos = Some(ChaosConfig {
+            delay_spike_rate: 1.0,
+            delay_spike_sec: 2e-3,
+            ..ChaosConfig::moderate()
+        });
+        let heavy = SyncTrainingEngine::new(config).expect("valid").run().expect("runs");
 
-    assert_same_training(&free, &heavy, "delay-heavy vs delay-free");
-    assert!(heavy.corrupt_rejects > 0, "the chaos schedule must actually fire");
-    assert!(
-        heavy.simulated_time_sec > free.simulated_time_sec,
-        "retry delay spikes must be charged to the reported round_wait \
-         (heavy {} vs free {})",
-        heavy.simulated_time_sec,
-        free.simulated_time_sec
-    );
+        let label = format!("delay-heavy vs delay-free, streaming={streaming}");
+        assert_same_training(&free, &heavy, &label);
+        assert!(heavy.corrupt_rejects > 0, "{label}: the chaos schedule must actually fire");
+        assert!(
+            heavy.simulated_time_sec > free.simulated_time_sec,
+            "{label}: retry delay spikes must be charged to the reported round_wait \
+             (heavy {} vs free {})",
+            heavy.simulated_time_sec,
+            free.simulated_time_sec
+        );
+    }
 }
 
 /// Flips one payload bit of each selected packet and reseals nothing — the

@@ -7,9 +7,8 @@
 //!   parallel phase-1 fan-out, the sharded tier and the streaming round
 //!   pipeline must all produce bit-identical reports (traces *and* the
 //!   elastic counters: refused rounds, stale-epoch rejects, Byzantine
-//!   selections) against the sequential ordering. CI runs this suite under
-//!   `RAYON_NUM_THREADS={1,4}` × `AGG_STREAMING={on,off}`, which closes the
-//!   thread-count-independence argument exactly as in `round_determinism`.
+//!   selections) at thread budgets 1, 2 and 4 with streaming off and on,
+//!   exactly as in `round_determinism`.
 //!
 //! * **Semantics** — a crash→rejoin schedule at the paper's deployment size
 //!   behaves identically under every attack in the new family: rounds below
@@ -22,19 +21,21 @@
 //!   faithfully-reported `byzantine_selected_rounds` counter plus the
 //!   run's accuracy, not an empty selection.
 
+mod common;
+
 use agg_attacks::AttackKind;
 use agg_core::{resilience, GarConfig, GarKind};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
     FaultAction, FaultPlan, QuorumPolicy, RefusalPolicy, RunnerConfig, SyncTrainingEngine,
-    TrainingReport,
 };
+use common::{assert_deterministic, run};
 
 /// The light proxy experiment shared with `round_determinism`: d = 508
 /// parameters, which the default 350-coordinate packet codec splits into
 /// exactly 2 packets per gradient — the number the stale-epoch pins use.
 fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
-    let mut config = RunnerConfig {
+    RunnerConfig {
         experiment: agg_ps::ExperimentKind::MlpBlobs {
             input_dim: 16,
             hidden: 24,
@@ -50,33 +51,6 @@ fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
         learning_rate: LearningRate::Fixed { rate: 0.01 },
         seed: 23,
         ..RunnerConfig::quick_default()
-    };
-    if matches!(std::env::var("AGG_STREAMING").as_deref(), Ok("on") | Ok("1") | Ok("true")) {
-        config.streaming.enabled = true;
-    }
-    config
-}
-
-/// Bit-for-bit equality of everything the gradient path and the membership
-/// machinery determine — the `round_determinism` comparison plus the
-/// elastic counters.
-fn assert_reports_identical(parallel: &TrainingReport, sequential: &TrainingReport) {
-    assert_eq!(parallel.steps_completed, sequential.steps_completed);
-    assert_eq!(parallel.skipped_updates, sequential.skipped_updates);
-    assert_eq!(parallel.refused_rounds, sequential.refused_rounds);
-    assert_eq!(parallel.stale_epoch_rejects, sequential.stale_epoch_rejects);
-    assert_eq!(parallel.corrupt_rejects, sequential.corrupt_rejects);
-    assert_eq!(parallel.byzantine_selected_rounds, sequential.byzantine_selected_rounds);
-    assert_eq!(parallel.trace.len(), sequential.trace.len());
-    for (p, s) in parallel.trace.points().iter().zip(sequential.trace.points()) {
-        assert_eq!(p.step, s.step);
-        assert_eq!(
-            p.accuracy.to_bits(),
-            s.accuracy.to_bits(),
-            "accuracy diverged at step {}",
-            p.step
-        );
-        assert_eq!(p.loss.to_bits(), s.loss.to_bits(), "loss diverged at step {}", p.step);
     }
 }
 
@@ -100,15 +74,10 @@ fn churn_schedule_is_bit_identical_across_parallel_and_sequential() {
     config.byzantine_count = 2;
     config.attack = AttackKind::Adaptive;
     config.fault_plan = churn_plan();
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    let parallel = parallel.run().expect("parallel run");
-    let sequential = sequential.run().expect("sequential run");
-    assert_reports_identical(&parallel, &sequential);
+    let report = assert_deterministic(&config);
     // Both fenced rejoins fired: 2 rejoiners × 2 packets each.
-    assert_eq!(parallel.stale_epoch_rejects, 4);
-    assert_eq!(parallel.steps_completed, 24);
+    assert_eq!(report.stale_epoch_rejects, 4);
+    assert_eq!(report.steps_completed, 24);
 }
 
 #[test]
@@ -118,13 +87,7 @@ fn churn_on_the_sharded_tier_matches_sequential_shard_order() {
     config.byzantine_count = 2;
     config.attack = AttackKind::Alie { z: 0.0 };
     config.fault_plan = churn_plan();
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    sequential.set_shard_parallel(false);
-    let parallel = parallel.run().expect("shard-parallel run");
-    let sequential = sequential.run().expect("shard-sequential run");
-    assert_reports_identical(&parallel, &sequential);
+    assert_deterministic(&config);
 }
 
 #[test]
@@ -138,11 +101,7 @@ fn churn_streaming_quorum_matches_the_barrier_path() {
     config.attack = AttackKind::MinSum;
     config.fault_plan = churn_plan();
     config.streaming.quorum = QuorumPolicy::NMinusF;
-    config.streaming.enabled = false;
-    let barrier = SyncTrainingEngine::new(config.clone()).expect("valid config").run().unwrap();
-    config.streaming.enabled = true;
-    let streaming = SyncTrainingEngine::new(config).expect("valid config").run().unwrap();
-    assert_reports_identical(&barrier, &streaming);
+    assert_deterministic(&config);
 }
 
 #[test]
@@ -153,19 +112,13 @@ fn seeded_churn_plans_are_deterministic_and_runnable() {
     assert_eq!(a, b);
     assert!(!a.is_empty());
     // …and its schedules pass config validation and run to completion with
-    // the same bits on both engine orderings.
+    // the same bits at every thread budget.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.byzantine_count = 2;
     config.attack = AttackKind::MinMax;
     config.fault_plan = a;
     config.validate().expect("generated plans are always valid");
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    assert_reports_identical(
-        &parallel.run().expect("parallel run"),
-        &sequential.run().expect("sequential run"),
-    );
+    assert_deterministic(&config);
 }
 
 #[test]
@@ -178,7 +131,7 @@ fn crude_attacks_under_churn_keep_the_selection_set_honest() {
     config.attack = AttackKind::Reversed { scale: 50.0 };
     config.fault_plan =
         FaultPlan::empty().with(5, 1, FaultAction::Crash).with(8, 1, FaultAction::Rejoin);
-    let report = SyncTrainingEngine::new(config).expect("valid config").run().expect("runs");
+    let report = run(config);
     assert_eq!(report.byzantine_selected_rounds, 0, "selection admitted a Byzantine row");
     assert_eq!(report.refused_rounds, 0, "9 − 1 live workers stay above Multi-Krum's floor");
     assert_eq!(report.stale_epoch_rejects, 2, "one fenced rejoin × two packets");
@@ -201,8 +154,7 @@ fn crash_rejoin_with_every_new_attack_under_multi_krum_and_bulyan() {
             config.attack = attack;
             config.fault_plan =
                 FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
-            let report =
-                SyncTrainingEngine::new(config).expect("valid config").run().expect("runs");
+            let report = run(config);
             match gar {
                 GarKind::MultiKrum => {
                     // 18 live workers stay above the floor: nothing refused,
@@ -249,19 +201,16 @@ fn adaptive_churn_times_crashes_from_selection_feedback() {
     config.byzantine_count = 2;
     config.attack = AttackKind::Adaptive;
     config.adaptive_churn = true;
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    let parallel_report = parallel.run().expect("parallel run");
-    let sequential_report = sequential.run().expect("sequential run");
     // The attacker's timing decisions are deterministic functions of the
-    // feedback, so the run stays bit-identical across phase-1 orderings.
-    assert_reports_identical(&parallel_report, &sequential_report);
+    // feedback, so the run stays bit-identical at every thread budget.
+    let report = assert_deterministic(&config);
     // The adversary actually churned: the epoch advanced without any
     // scheduled fault plan, and the fence caught the timed rejoin.
-    assert!(parallel.membership().epoch() > 0, "the adversary never exercised its churn channel");
+    let mut churned = SyncTrainingEngine::new(config.clone()).expect("valid config");
+    churned.run().expect("churned run");
+    assert!(churned.membership().epoch() > 0, "the adversary never exercised its churn channel");
     assert!(
-        parallel_report.stale_epoch_rejects > 0,
+        report.stale_epoch_rejects > 0,
         "a timed rejoin must be fenced exactly like a scheduled one"
     );
     // Flipping the knob off with everything else identical restores the
@@ -271,7 +220,7 @@ fn adaptive_churn_times_crashes_from_selection_feedback() {
     let baseline_report = baseline.run().expect("static run");
     assert_eq!(baseline.membership().epoch(), 0);
     assert_eq!(baseline_report.stale_epoch_rejects, 0);
-    assert_eq!(parallel_report.steps_completed, 24, "churn never costs a MultiKrum round here");
+    assert_eq!(report.steps_completed, 24, "churn never costs a MultiKrum round here");
 }
 
 #[test]
@@ -286,7 +235,7 @@ fn refusal_policies_degrade_gracefully_not_fatally() {
         config.refusal = refusal;
         config.fault_plan =
             FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
-        let report = SyncTrainingEngine::new(config).expect("valid config").run().expect("runs");
+        let report = run(config);
         assert_eq!(report.refused_rounds, 3, "{refusal:?}");
         assert_eq!(report.steps_completed, 20, "{refusal:?}");
         let expected_rounds = match refusal {

@@ -23,23 +23,24 @@
 //!   captured, then out-voted at the root) while every other group stays
 //!   below its clique-capture threshold.
 //!
-//! Everything is seeded; CI's determinism matrix re-runs this suite across
-//! `RAYON_NUM_THREADS={1,4}` × `AGG_STREAMING={on,off}` and the
-//! determinism test below asserts the parallel and sequential engines
-//! agree bit for bit, ledger state included.
+//! Everything is seeded; the determinism tests below run the flat ledger
+//! and the tree reshuffles at thread budgets 1, 2 and 4 with streaming off
+//! and on, and assert the reports agree bit for bit, ledger state included.
+
+mod common;
 
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    ReputationConfig, ReputationLedger, RoundEvidence, RunnerConfig, StandingChange,
-    SyncTrainingEngine, TrainingReport, TransportKind,
+    ReputationConfig, ReputationLedger, RoundEvidence, RunnerConfig, StandingChange, TransportKind,
 };
+use common::{assert_deterministic, run};
 use proptest::prelude::*;
 
 fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
-    let mut config = RunnerConfig {
+    RunnerConfig {
         experiment: agg_ps::ExperimentKind::MlpBlobs {
             input_dim: 16,
             hidden: 24,
@@ -56,13 +57,7 @@ fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
         seed: 23,
         reputation: Some(ReputationConfig::default()),
         ..RunnerConfig::quick_default()
-    };
-    // The CI matrix hook: `AGG_STREAMING=on` reruns the whole suite on the
-    // streaming round pipeline.
-    if matches!(std::env::var("AGG_STREAMING").as_deref(), Ok("on") | Ok("1") | Ok("true")) {
-        config.streaming.enabled = true;
     }
-    config
 }
 
 /// Degrades the trailing `lossy` links with the moderate chaos mix and the
@@ -74,10 +69,6 @@ fn degrade(config: &mut RunnerConfig, lossy: usize) {
     config.link = LinkConfig::datacenter().with_drop_rate(0.05);
     config.chaos = Some(ChaosConfig::moderate());
     config.retransmit = Some(RetransmitConfig::default());
-}
-
-fn run(config: RunnerConfig) -> TrainingReport {
-    SyncTrainingEngine::new(config).expect("valid config").run().expect("runs")
 }
 
 // ---------------------------------------------------------------------------
@@ -275,53 +266,15 @@ fn reputation_reshuffles_contain_group_collusion_far_beyond_the_composed_bound()
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across the CI matrix
+// Determinism across thread budgets and round pipelines
 // ---------------------------------------------------------------------------
-
-/// Bit-for-bit equality of everything the gradient path and the ledger
-/// determine (wall-clock derived fields excluded, as in the seed suite).
-fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport) {
-    assert_eq!(a.label, b.label);
-    assert_eq!(a.steps_completed, b.steps_completed);
-    assert_eq!(a.skipped_updates, b.skipped_updates);
-    assert_eq!(a.refused_rounds, b.refused_rounds);
-    assert_eq!(a.stale_epoch_rejects, b.stale_epoch_rejects);
-    assert_eq!(a.corrupt_rejects, b.corrupt_rejects);
-    assert_eq!(a.retransmit_exhaustions, b.retransmit_exhaustions);
-    assert_eq!(a.byzantine_selected_rounds, b.byzantine_selected_rounds);
-    assert_eq!(a.quarantine_events, b.quarantine_events, "ledger transitions diverged");
-    assert_eq!(a.per_worker.len(), b.per_worker.len());
-    for (x, y) in a.per_worker.iter().zip(&b.per_worker) {
-        assert_eq!(x.worker, y.worker);
-        assert_eq!(x.stale_epoch_rejects, y.stale_epoch_rejects, "worker {}", x.worker);
-        assert_eq!(x.corrupt_rejects, y.corrupt_rejects, "worker {}", x.worker);
-        assert_eq!(x.retransmit_exhaustions, y.retransmit_exhaustions, "worker {}", x.worker);
-        assert_eq!(x.quarantines, y.quarantines, "worker {}", x.worker);
-        assert_eq!(x.readmissions, y.readmissions, "worker {}", x.worker);
-        assert_eq!(
-            x.final_suspicion.to_bits(),
-            y.final_suspicion.to_bits(),
-            "suspicion diverged for worker {}: {} vs {}",
-            x.worker,
-            x.final_suspicion,
-            y.final_suspicion
-        );
-    }
-    for (p, s) in a.trace.points().iter().zip(b.trace.points()) {
-        assert_eq!(p.step, s.step);
-        assert_eq!(p.accuracy.to_bits(), s.accuracy.to_bits(), "accuracy at step {}", p.step);
-        assert_eq!(p.loss.to_bits(), s.loss.to_bits(), "loss at step {}", p.step);
-    }
-}
 
 #[test]
 fn quarantine_rounds_are_bit_identical_across_thread_and_streaming_modes() {
     // The full ledger pipeline (evidence fold, affinity sketch, quarantine
-    // synthesis, readmission) under the adaptive rotation: the rayon
-    // fan-out and the sequential seed ordering must agree bit for bit —
-    // scores, events and per-worker counters included. CI crosses this
-    // with RAYON_NUM_THREADS={1,4} and AGG_STREAMING={on,off}; the explicit
-    // streaming flip below ties the two pipelines to each other in-process.
+    // synthesis, readmission) under the adaptive rotation: every thread
+    // budget, on both round pipelines, must agree bit for bit — scores,
+    // events and per-worker counters included.
     let mut config = base_config(GarKind::MultiKrum, 4, 19);
     config.max_steps = 24;
     config.eval_every = 6;
@@ -329,22 +282,11 @@ fn quarantine_rounds_are_bit_identical_across_thread_and_streaming_modes() {
     config.attack = AttackKind::Adaptive;
     config.adaptive_churn = true;
     degrade(&mut config, 8);
-
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    let parallel = parallel.run().expect("parallel run");
-    let sequential = sequential.run().expect("sequential run");
-    assert_reports_identical(&parallel, &sequential);
+    let report = assert_deterministic(&config);
     assert!(
-        parallel.quarantine_count() > 0,
+        report.quarantine_count() > 0,
         "the determinism pin must cover actual quarantine traffic"
     );
-
-    let mut flipped_cfg = config;
-    flipped_cfg.streaming.enabled = !flipped_cfg.streaming.enabled;
-    let flipped = SyncTrainingEngine::new(flipped_cfg).expect("valid config").run().expect("runs");
-    assert_reports_identical(&parallel, &flipped);
 }
 
 #[test]
@@ -360,21 +302,14 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
     config.byzantine_count = 15;
     config.attack = AttackKind::GroupCollusion { scale: 100.0, group_size: 6 };
     config.reputation = Some(ReputationConfig { reshuffle_every: 1, ..Default::default() });
-
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    sequential.set_tree_parallel(false);
-    let parallel = parallel.run().expect("parallel run");
-    let sequential = sequential.run().expect("sequential run");
-    assert_reports_identical(&parallel, &sequential);
-    assert_eq!(parallel.byzantine_selected_rounds, 0);
+    let report = assert_deterministic(&config);
+    assert_eq!(report.byzantine_selected_rounds, 0);
 
     // The ledger's outcome on the tree tier, captured from the engine that
     // re-ran the group stage for its selection feedback; the engine now
     // folds the feedback out of the round it applied, and the exclusion
     // history that feeds these scores must not move by a bit.
-    let transitions: Vec<(u64, usize, bool)> = parallel
+    let transitions: Vec<(u64, usize, bool)> = report
         .quarantine_events
         .iter()
         .map(|e| (e.round, e.worker, e.change == StandingChange::Quarantined))
@@ -393,11 +328,11 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
             (16, 17, true),
         ]
     );
-    let suspicion = parallel.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
+    let suspicion = report.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
         (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(suspicion, 0x4341_25f6_7901_be74, "FNV-1a fold of the final_suspicion bits");
-    let last = parallel.trace.points().last().expect("the run evaluates at the end");
+    let last = report.trace.points().last().expect("the run evaluates at the end");
     assert_eq!(last.accuracy.to_bits(), 0x3fef_bbbb_bbbb_bbbc);
     assert_eq!(last.loss.to_bits(), 0x3fd9_4971_8000_0000);
 }

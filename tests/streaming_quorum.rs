@@ -16,11 +16,18 @@
 //! Byzantine ones, an `n − f` quorum excludes them before they can steer
 //! the aggregate, so even the non-resilient average survives an attack
 //! that ruins it in full synchronous rounds.
+//!
+//! And the quorum cut is decided on simulated arrival times, not host
+//! scheduling: a quorum run gives the same report at thread budgets 1, 2
+//! and 4, streaming on and off.
+
+mod common;
 
 use agg_attacks::AttackKind;
 use agg_core::{Gar, GarConfig, GarKind, ShardedAggregator};
-use agg_ps::{QuorumPolicy, RoundPipeline, RunnerConfig, SyncTrainingEngine};
+use agg_ps::{QuorumPolicy, RoundPipeline, RunnerConfig};
 use agg_tensor::{GradientBatch, Vector};
+use common::{assert_deterministic, run};
 use proptest::prelude::*;
 
 /// The nine registry kinds plus Multi-Krum with an explicit `m`: every GAR
@@ -204,10 +211,10 @@ fn quorum_excludes_byzantine_stragglers() {
     delays[8] = 5.0;
     config.worker_extra_delay_sec = delays;
 
-    let ruined = SyncTrainingEngine::new(config.clone()).expect("valid config").run().unwrap();
+    let ruined = run(config.clone());
 
     config.streaming.quorum = QuorumPolicy::NMinusF;
-    let defended = SyncTrainingEngine::new(config).expect("valid config").run().unwrap();
+    let defended = run(config);
 
     assert!(
         defended.final_accuracy() > ruined.final_accuracy() + 0.2,
@@ -222,8 +229,8 @@ fn quorum_excludes_byzantine_stragglers() {
 #[test]
 fn quorum_rounds_remain_deterministic_across_thread_modes() {
     // The quorum accept set is decided on simulated arrival times, not host
-    // scheduling, so the parallel and sequential engines must agree bit for
-    // bit under a quorum too — streaming on for good measure.
+    // scheduling, so every thread budget must agree bit for bit under a
+    // quorum too, on both round pipelines.
     let mut config = engine_config(GarKind::MultiKrum, 2, 9);
     config.byzantine_count = 2;
     config.attack = AttackKind::Reversed { scale: 50.0 };
@@ -233,15 +240,5 @@ fn quorum_rounds_remain_deterministic_across_thread_modes() {
     delays[3] = 2.0;
     delays[5] = 3.0;
     config.worker_extra_delay_sec = delays;
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    let parallel = parallel.run().expect("parallel run");
-    let sequential = sequential.run().expect("sequential run");
-    assert_eq!(parallel.steps_completed, sequential.steps_completed);
-    assert_eq!(parallel.skipped_updates, sequential.skipped_updates);
-    for (p, s) in parallel.trace.points().iter().zip(sequential.trace.points()) {
-        assert_eq!(p.accuracy.to_bits(), s.accuracy.to_bits(), "step {}", p.step);
-        assert_eq!(p.loss.to_bits(), s.loss.to_bits(), "step {}", p.step);
-    }
+    assert_deterministic(&config);
 }

@@ -10,12 +10,10 @@
 //!   batches.
 //! * **The tree tier is a pure performance change.** Like the phase-1 and
 //!   shard tiers, the grouped stage fans out over rayon but reduces in
-//!   ascending group order, so every point of the
-//!   `set_phase1_parallel × set_tree_parallel` grid must produce the same
-//!   `TrainingReport` bits. CI reruns this suite under
-//!   `RAYON_NUM_THREADS={1,4}` × `AGG_STREAMING={on,off}` — streaming
-//!   distance accumulation is deliberately a no-op in tree mode, and these
-//!   pins prove the flag stays inert.
+//!   ascending group order, so the same `TrainingReport` bits must come out
+//!   at thread budgets 1, 2 and 4. Each pin also flips `streaming.enabled`:
+//!   streaming distance accumulation is deliberately a no-op in tree mode,
+//!   and the pins prove the flag stays inert.
 //! * **Composed resilience holds at engine scale.** A mid-scale tree run
 //!   (n = 64, Multi-Krum at both levels) trains through the full
 //!   cluster-placement + per-group-link path, and the colluding-group
@@ -27,19 +25,21 @@
 //!   transitions and scores, the adaptive adversary's steering) is pinned to
 //!   values captured from the engine that re-ran the group stage instead.
 
+mod common;
+
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind, TreeAggregator, TreeConfig};
 use agg_net::{LinkConfig, LossPolicy};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    FaultPlan, ReputationConfig, RunnerConfig, StandingChange, SyncTrainingEngine, TrainingReport,
-    TransportKind,
+    FaultPlan, ReputationConfig, RunnerConfig, StandingChange, TrainingReport, TransportKind,
 };
 use agg_tensor::{GradientBatch, Vector};
+use common::assert_deterministic;
 use proptest::prelude::*;
 
 fn base_config(tree: TreeConfig, workers: usize) -> RunnerConfig {
-    let mut config = RunnerConfig {
+    RunnerConfig {
         experiment: agg_ps::ExperimentKind::MlpBlobs {
             input_dim: 16,
             hidden: 24,
@@ -56,58 +56,21 @@ fn base_config(tree: TreeConfig, workers: usize) -> RunnerConfig {
         learning_rate: LearningRate::Fixed { rate: 0.01 },
         seed: 37,
         ..RunnerConfig::quick_default()
-    };
-    // The CI matrix hook: tree mode must be bit-identical whether or not the
-    // streaming flag is set, because streaming accumulation is inert here.
-    if matches!(std::env::var("AGG_STREAMING").as_deref(), Ok("on") | Ok("1") | Ok("true")) {
-        config.streaming.enabled = true;
-    }
-    config
-}
-
-/// Bit-for-bit equality of everything the gradient path determines.
-fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, label: &str) {
-    assert_eq!(a.label, b.label, "{label}: labels");
-    assert_eq!(a.steps_completed, b.steps_completed, "{label}: steps");
-    assert_eq!(a.skipped_updates, b.skipped_updates, "{label}: skips");
-    assert_eq!(a.refused_rounds, b.refused_rounds, "{label}: refusals");
-    assert_eq!(a.trace.len(), b.trace.len(), "{label}: trace length");
-    for (p, q) in a.trace.points().iter().zip(b.trace.points()) {
-        assert_eq!(p.step, q.step, "{label}: trace steps");
-        assert_eq!(
-            p.accuracy.to_bits(),
-            q.accuracy.to_bits(),
-            "{label}: accuracy diverged at step {}",
-            p.step
-        );
-        assert_eq!(p.loss.to_bits(), q.loss.to_bits(), "{label}: loss diverged at step {}", p.step);
     }
 }
 
 #[test]
 fn tree_engine_is_deterministic_across_the_parallel_grid() {
     // d = 5380 and n = 40 puts the grouped stage past the rayon work
-    // threshold, so the parallel arms genuinely fan groups out; all four
-    // grid points must still agree bit-for-bit.
+    // threshold, so budgets 2 and 4 genuinely fan groups out.
     let tree = TreeConfig::uniform(GarKind::Median, 1, 2, 8);
     let mut config = base_config(tree, 40);
     config.experiment =
         agg_ps::ExperimentKind::MlpBlobs { input_dim: 16, hidden: 256, classes: 4, samples: 600 };
     config.max_steps = 8;
-    let mut reports = Vec::new();
-    for phase1 in [false, true] {
-        for tree_parallel in [false, true] {
-            let mut engine = SyncTrainingEngine::new(config.clone()).expect("valid config");
-            engine.set_phase1_parallel(phase1);
-            engine.set_tree_parallel(tree_parallel);
-            reports.push(engine.run().expect("run"));
-        }
-    }
-    for report in &reports[1..] {
-        assert_reports_identical(&reports[0], report, "parallel grid");
-    }
-    assert_eq!(reports[0].steps_completed, 8);
-    assert!(reports[0].label.contains("tree(g=8)"), "label: {}", reports[0].label);
+    let report = assert_deterministic(&config);
+    assert_eq!(report.steps_completed, 8);
+    assert!(report.label.contains("tree(g=8)"), "label: {}", report.label);
 }
 
 #[test]
@@ -120,14 +83,8 @@ fn tree_engine_is_deterministic_under_attack() {
     let mut config = base_config(tree, 30);
     config.byzantine_count = 3;
     config.attack = AttackKind::GroupCollusion { scale: 8.0, group_size: 6 };
-    let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
-    let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_phase1_parallel(false);
-    sequential.set_tree_parallel(false);
-    let parallel = parallel.run().expect("parallel run");
-    let sequential = sequential.run().expect("sequential run");
-    assert_reports_identical(&parallel, &sequential, "collusion grid");
-    assert_eq!(parallel.steps_completed, 12);
+    let report = assert_deterministic(&config);
+    assert_eq!(report.steps_completed, 12);
 }
 
 #[test]
@@ -137,7 +94,7 @@ fn midscale_tree_round_trains_with_multikrum_at_both_levels() {
     // one aggregator job per group plus a root, and the run learns.
     let tree = TreeConfig::uniform(GarKind::MultiKrum, 6, 0, 16);
     let config = base_config(tree, 64);
-    let report = SyncTrainingEngine::new(config).expect("valid config").run().expect("runs");
+    let report = common::run(config);
     assert_eq!(report.steps_completed, 12);
     assert_eq!(report.refused_rounds, 0);
     assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
@@ -231,18 +188,9 @@ fn tree_feedback_reports_are_pinned_across_the_single_group_stage() {
         ),
     ];
     for (attack, expected) in pins {
-        for tree_parallel in [true, false] {
-            let mut engine =
-                SyncTrainingEngine::new(feedback_config(attack)).expect("valid config");
-            engine.set_tree_parallel(tree_parallel);
-            let report = engine.run().expect("run");
-            assert!(report.skipped_updates > 0, "{attack:?}: no round lost its root quorum");
-            assert_eq!(
-                feedback_fingerprint(&report),
-                expected,
-                "{attack:?}, tree parallel = {tree_parallel}"
-            );
-        }
+        let report = assert_deterministic(&feedback_config(attack));
+        assert!(report.skipped_updates > 0, "{attack:?}: no round lost its root quorum");
+        assert_eq!(feedback_fingerprint(&report), expected, "{attack:?}");
     }
 }
 
