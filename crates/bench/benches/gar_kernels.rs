@@ -89,7 +89,7 @@ fn bench_f_ablation(c: &mut Criterion) {
 /// Arena kernels versus the frozen pre-arena reference implementations, side
 /// by side: the before/after evidence for the contiguous `GradientBatch`
 /// refactor (triangular distances computed once, fused phase-2, clone-free
-/// averaging). The `gar_perf` binary emits the same comparison as JSON.
+/// averaging).
 fn bench_arena_vs_reference(c: &mut Criterion) {
     let mut group = c.benchmark_group("gar_arena_vs_reference_n19_f4");
     group.sample_size(10);

@@ -19,8 +19,6 @@
 //! Criterion micro-benchmarks of the GAR kernels (the §4.2 cost analysis)
 //! live under `benches/`.
 
-pub mod floor;
-
 use agg_core::{GarConfig, GarKind};
 use agg_nn::optim::OptimizerKind;
 use agg_nn::schedule::LearningRate;

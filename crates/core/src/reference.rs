@@ -10,9 +10,9 @@
 //!    `tests/batch_matches_reference.rs` assert that every fused batch
 //!    kernel reproduces these reference implementations within 1e-5,
 //!    including NaN/±∞ handling.
-//! 2. **Performance baseline** — the `gar_perf` bench binary reports the
-//!    arena kernels' speedup over these implementations, giving the repo a
-//!    stable before/after perf trajectory (`BENCH_gar.json`).
+//! 2. **Performance baseline** — the `gar_arena_vs_reference_n19_f4`
+//!    criterion group in `crates/bench/benches/gar_kernels.rs` times the
+//!    arena kernels and these implementations side by side.
 
 use crate::gar::validate_batch;
 use crate::registry::GarKind;

@@ -135,12 +135,8 @@ impl ShardedAggregator {
     /// Deliberately sequential over shards: the column kernels already
     /// parallelise over `PARALLEL_MIN_WORK`-gated column blocks inside each
     /// shard, so a shard-level rayon fan-out on top adds nothing but nested
-    /// dispatch — and together with the per-shard output vectors it is what
-    /// made the coordinate-wise rules *regress* under sharding
-    /// (BENCH_shard recorded 0.95× for the median at S ∈ {2, 4, 8} before
-    /// this loop went shard-sequential and zero-copy). Per-column
-    /// reductions are independent, so running the shards in shard order is
-    /// bit-identical to any other schedule.
+    /// dispatch. Per-column reductions are independent, so running the
+    /// shards in shard order is bit-identical to any other schedule.
     fn coordinate_sharded(
         &self,
         batch: &GradientBatch,

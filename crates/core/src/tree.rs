@@ -349,7 +349,8 @@ impl TreeAggregator {
     /// their group→root legs: a group whose output was dropped on the wire
     /// can still be credited. That is the behaviour the committed digests
     /// pin; aligning the feedback with the delivered set moves the ledger's
-    /// evidence and is scheduled with ROADMAP item 2's digest-changing PR.
+    /// evidence and is scheduled with ROADMAP item 6, the one change that
+    /// re-pins the digests.
     ///
     /// # Errors
     ///

@@ -108,8 +108,11 @@ mod tests {
     fn paper_cnn_has_about_1_75_million_parameters() {
         let model = paper_cnn(0);
         let d = model.param_count();
-        // The paper reports "a total of 1.75M parameters".
-        assert!((1_700_000..=1_800_000).contains(&d), "expected ~1.75M parameters, got {d}");
+        // The paper reports "a total of 1.75M parameters"; this is the exact
+        // total `table1` prints, and its per-layer rows sum to it.
+        assert_eq!(d, 1_756_426);
+        let per_layer: usize = model.layer_summary().iter().map(|&(_, p)| p).sum();
+        assert_eq!(per_layer, d);
         assert_eq!(model.output_shape().unwrap(), vec![10]);
     }
 

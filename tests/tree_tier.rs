@@ -1,6 +1,6 @@
 //! The hierarchical (two-level) aggregation tier, end to end.
 //!
-//! Four contracts:
+//! Five contracts:
 //!
 //! * **Tree == flat where the math composes exactly.** A single-group tree
 //!   (g ≥ n) runs the group rule over the whole batch and a degenerate
@@ -19,6 +19,10 @@
 //!   cluster-placement + per-group-link path, and the colluding-group
 //!   adversary that concentrates all its workers into the fewest groups is
 //!   still rejected at the root under the composed bound.
+//! * **The tree changes the asymptotics.** A Multi-Krum round at g = 32
+//!   evaluates (n/g)·C(g, 2)·d + C(n/g, 2)·d pair-coordinates, counted from
+//!   the `TreeRound` it returns, against the flat rule's C(n, 2)·d: 4.1×
+//!   fewer at n = 128, then 8.2×, 16.2× and 32× at n = 256, 512 and 1024.
 //! * **Selection feedback is a fold over the round that ran.** The engine
 //!   reads the tree tier's feedback from the `TreeRound` it applied; what
 //!   that feedback determines (Byzantine-selection count, ledger
@@ -34,6 +38,7 @@ use agg_nn::schedule::LearningRate;
 use agg_ps::{
     FaultPlan, ReputationConfig, RunnerConfig, StandingChange, TrainingReport, TransportKind,
 };
+use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use agg_tensor::{GradientBatch, Vector};
 use common::assert_deterministic;
 use proptest::prelude::*;
@@ -191,6 +196,47 @@ fn tree_feedback_reports_are_pinned_across_the_single_group_stage() {
         let report = assert_deterministic(&feedback_config(attack));
         assert!(report.skipped_updates > 0, "{attack:?}: no round lost its root quorum");
         assert_eq!(feedback_fingerprint(&report), expected, "{attack:?}");
+    }
+}
+
+#[test]
+fn tree_round_evaluates_a_fraction_of_the_flat_pair_coordinates() {
+    // The tier's scale claim, counted instead of timed: Multi-Krum at both
+    // levels, g = 32, f ≈ n/5 at every level (capped by the 2f + 3 floor).
+    // The pair-coordinates the round evaluated are read off the member lists
+    // of the `TreeRound` it returned, and held against the flat C(n, 2)·d.
+    const G: usize = 32;
+    const D: usize = 8;
+    let declared_f = |n: usize| (n / 5).min(n.saturating_sub(3) / 2);
+    let pairs = |rows: usize| rows * rows.saturating_sub(1) / 2;
+    let bits = |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for (n, min_saving) in [(128, 1.5), (256, 3.0), (512, 3.0), (1024, 3.0)] {
+        let groups = n / G;
+        let tree = TreeAggregator::new(TreeConfig {
+            group: GarConfig::new(GarKind::MultiKrum, declared_f(G)),
+            root: GarConfig::new(GarKind::MultiKrum, declared_f(groups)),
+            group_size: G,
+        })
+        .expect("tree");
+        let mut rng = seeded_rng(0x7BEE ^ n as u64);
+        let rows: Vec<Vector> = (0..n).map(|_| gaussian_vector(&mut rng, D, 0.0, 1.0)).collect();
+        let batch = GradientBatch::from_vectors(&rows).expect("batch");
+        let assignment: Vec<usize> = (0..n).map(|i| i / G).collect();
+
+        let round = tree.group_outputs(&batch, &assignment).expect("group stage");
+        let evaluated = round.outputs.iter().map(|g| pairs(g.members.len()) * D).sum::<usize>()
+            + pairs(round.outputs.len()) * D;
+        assert_eq!(evaluated, groups * pairs(G) * D + pairs(groups) * D, "n = {n}");
+        let flat = pairs(n) * D;
+        assert!(
+            flat as f64 >= min_saving * evaluated as f64,
+            "n = {n}: flat {flat} pair-coordinates vs tree {evaluated}"
+        );
+
+        let outputs: Vec<Vector> = round.outputs.into_iter().map(|g| g.output).collect();
+        let update = tree.root_aggregate(&outputs).expect("root stage");
+        let grouped = tree.aggregate_batch_grouped(&batch, &assignment).expect("grouped round");
+        assert_eq!(bits(&update), bits(&grouped), "n = {n}");
     }
 }
 
