@@ -6,10 +6,10 @@
 //! Multi-Krum and ≈52 % for Bulyan (and a negligible share for plain
 //! TensorFlow averaging).
 //!
-//! The reproduction measures the aggregation kernels for real on random
-//! gradients, rescales the measurement to the paper CNN's 1.75 M dimensions,
-//! and charges computation/communication analytically (see the
-//! `agg_ps::cost` module docs).
+//! The reproduction charges every part in closed form at the paper CNN's
+//! 1.75 M dimensions: computation and communication analytically, and
+//! aggregation as each rule's counted work times per-unit kernel rates (see
+//! the `agg_ps::cost` module docs).
 
 use agg_core::{GarConfig, GarKind};
 use agg_metrics::Table;
@@ -45,8 +45,6 @@ fn main() {
             cost,
             link: LinkConfig::datacenter(),
             proxy_dimension: 200_000,
-            rounds: 6,
-            seed: 7,
         };
         let result = sim.run().expect("simulation runs");
         let share = result.aggregation_time_sec / result.round_time_sec;

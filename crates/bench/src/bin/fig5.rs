@@ -32,8 +32,6 @@ fn simulate(system: &System, workers: usize, virtual_model: VirtualModelCost) ->
                 cost,
                 link: LinkConfig::datacenter(),
                 proxy_dimension: 100_000,
-                rounds: 4,
-                seed: 11,
             };
             sim.run().ok().map(|r| r.batches_per_sec)
         }

@@ -12,6 +12,10 @@ use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::{ops, GradientBatch, Vector};
 
+/// Weiszfeld iterations of [`GeometricMedian::new`], the rule the registry
+/// builds.
+pub(crate) const WEISZFELD_ITERATIONS: usize = 8;
+
 /// Weiszfeld-iteration approximation of the geometric median.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometricMedian {
@@ -23,7 +27,7 @@ pub struct GeometricMedian {
 impl GeometricMedian {
     /// Creates the rule with the default 8 Weiszfeld iterations.
     pub fn new(f: usize) -> Self {
-        GeometricMedian { f, iterations: 8, tolerance: 1e-6 }
+        GeometricMedian { f, iterations: WEISZFELD_ITERATIONS, tolerance: 1e-6 }
     }
 
     /// Overrides the number of refinement iterations.

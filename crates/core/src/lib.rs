@@ -68,7 +68,7 @@ pub use krum::Krum;
 pub use meamed::MeaMed;
 pub use median::CoordinateMedian;
 pub use multi_krum::MultiKrum;
-pub use registry::{GarConfig, GarKind};
+pub use registry::{GarConfig, GarKind, GarWork};
 pub use selective::SelectiveAverage;
 pub use sharded::ShardedAggregator;
 pub use tree::{GroupOutput, TreeAggregator, TreeConfig, TreeRound};

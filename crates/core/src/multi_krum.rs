@@ -174,7 +174,7 @@ impl MultiKrum {
     }
 
     /// Resolves the selection size for a batch of `n` gradients.
-    fn resolve_m(&self, n: usize) -> Result<usize> {
+    pub(crate) fn resolve_m(&self, n: usize) -> Result<usize> {
         let max_m = resilience::multi_krum_max_m(n, self.f)?;
         match self.m {
             None => Ok(max_m),

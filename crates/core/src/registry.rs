@@ -2,10 +2,10 @@
 //! `--aggregator` / `--aggregator-args` flags of the original AggregaThor
 //! runner (`runner.py`).
 
-use crate::AggregationError;
+use crate::geometric_median::WEISZFELD_ITERATIONS;
 use crate::{
-    Average, Bulyan, CoordinateMedian, Gar, GeometricMedian, Krum, MeaMed, MultiKrum, Result,
-    SelectiveAverage, TrimmedMean,
+    resilience, AggregationError, Average, Bulyan, CoordinateMedian, Gar, GeometricMedian, Krum,
+    MeaMed, MultiKrum, Result, SelectiveAverage, TrimmedMean,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -97,6 +97,19 @@ impl FromStr for GarKind {
     }
 }
 
+/// The work of one round per gradient coordinate: times `d`, the
+/// pair-coordinates and row-coordinates the kernels' benchmarks count.
+/// Selection bookkeeping that does not scale with `d` is left out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GarWork {
+    /// Row pairs whose squared distance is walked.
+    pub pairs: usize,
+    /// Rows read through the order-statistic tiles.
+    pub tile_rows: usize,
+    /// Rows averaged.
+    pub mean_rows: usize,
+}
+
 /// A declarative GAR configuration: which rule, the declared number of
 /// Byzantine workers `f`, and (for Multi-Krum) an optional selection size.
 ///
@@ -138,12 +151,58 @@ impl GarConfig {
             GarKind::MeaMed => Box::new(MeaMed::new(self.f)),
             GarKind::GeometricMedian => Box::new(GeometricMedian::new(self.f)),
             GarKind::Krum => Box::new(Krum::new(self.f)),
-            GarKind::MultiKrum => match self.m {
-                Some(m) => Box::new(MultiKrum::with_selection(self.f, m)?),
-                None => Box::new(MultiKrum::new(self.f)?),
-            },
+            GarKind::MultiKrum => Box::new(self.krum_selection()?),
             GarKind::Bulyan => Box::new(Bulyan::new(self.f)?),
         })
+    }
+
+    /// The Multi-Krum selection behind a Krum-family configuration: `m = 1`
+    /// for Krum, the configured `m` (or the largest admissible one) for
+    /// Multi-Krum.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AggregationError::InvalidSelectionSize`] when `m == 0`.
+    pub fn krum_selection(&self) -> Result<MultiKrum> {
+        match (self.kind, self.m) {
+            (GarKind::Krum, _) => MultiKrum::with_selection(self.f, 1),
+            (_, Some(m)) => MultiKrum::with_selection(self.f, m),
+            (_, None) => MultiKrum::new(self.f),
+        }
+    }
+
+    /// The [`GarWork`] of one round over `n` rows: `C(n, 2)` pairs for the
+    /// Krum family and Bulyan; `n` tile rows for median, trimmed mean and
+    /// MeaMed, `θ = n − 2f` for Bulyan's second phase; `m` averaged rows for
+    /// Multi-Krum (1 for Krum), `β = n − 4f` for Bulyan, `n` for averaging.
+    /// The geometric median starts from the coordinate median (`n` tile rows)
+    /// and then, per Weiszfeld iteration, distances and averages every row.
+    ///
+    /// # Errors
+    ///
+    /// The error the round itself returns when `n` does not seat the rule.
+    pub fn work(&self, n: usize) -> Result<GarWork> {
+        let (f, all_pairs) = (self.f, n * n.saturating_sub(1) / 2);
+        let (pairs, tile_rows, mean_rows) = match self.kind {
+            GarKind::Average | GarKind::SelectiveAverage => (0, 0, n),
+            GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed => {
+                resilience::check_median(self.kind.name(), n, f)?;
+                (0, n, 0)
+            }
+            GarKind::GeometricMedian => {
+                resilience::check_median(self.kind.name(), n, f)?;
+                (WEISZFELD_ITERATIONS * n, n, WEISZFELD_ITERATIONS * n)
+            }
+            GarKind::Krum | GarKind::MultiKrum => {
+                (all_pairs, 0, self.krum_selection()?.resolve_m(n)?)
+            }
+            GarKind::Bulyan => (
+                all_pairs,
+                resilience::bulyan_selection_count(n, f)?,
+                resilience::bulyan_beta(n, f)?,
+            ),
+        };
+        Ok(GarWork { pairs, tile_rows, mean_rows })
     }
 
     /// Parses a runner-style specification of the form
@@ -248,6 +307,47 @@ mod tests {
         let c = GarConfig::new(GarKind::MultiKrum, 4).with_selection(9);
         let reparsed = GarConfig::parse(&c.to_string()).unwrap();
         assert_eq!(reparsed, c);
+    }
+
+    #[test]
+    fn work_counts_the_paper_deployment() {
+        // n = 19, f = 4: C(19, 2) = 171 pairs, m̃ = 13, θ = 11, β = 3.
+        let work = |kind| GarConfig::new(kind, 4).work(19).unwrap();
+        assert_eq!(work(GarKind::Average), GarWork { pairs: 0, tile_rows: 0, mean_rows: 19 });
+        assert_eq!(work(GarKind::Median), GarWork { pairs: 0, tile_rows: 19, mean_rows: 0 });
+        assert_eq!(work(GarKind::Krum), GarWork { pairs: 171, tile_rows: 0, mean_rows: 1 });
+        assert_eq!(work(GarKind::MultiKrum), GarWork { pairs: 171, tile_rows: 0, mean_rows: 13 });
+        assert_eq!(work(GarKind::Bulyan), GarWork { pairs: 171, tile_rows: 11, mean_rows: 3 });
+        let explicit = GarConfig::new(GarKind::MultiKrum, 4).with_selection(5);
+        assert_eq!(explicit.work(19).unwrap().mean_rows, 5);
+        let per_iteration = WEISZFELD_ITERATIONS * 19;
+        assert_eq!(
+            work(GarKind::GeometricMedian),
+            GarWork { pairs: per_iteration, tile_rows: 19, mean_rows: per_iteration }
+        );
+    }
+
+    #[test]
+    fn work_is_refused_exactly_where_the_round_is() {
+        use agg_tensor::{GradientBatch, Vector};
+        for kind in GarKind::ALL {
+            for f in 0..5 {
+                for m in [None, Some(1), Some(6)] {
+                    let config = GarConfig { kind, f, m };
+                    let Ok(gar) = config.build() else { continue };
+                    for n in 1..24 {
+                        let rows: Vec<Vector> =
+                            (0..n).map(|i| Vector::from(vec![i as f32, 1.0])).collect();
+                        let batch = GradientBatch::from_vectors(&rows).unwrap();
+                        assert_eq!(
+                            config.work(n).is_ok(),
+                            gar.aggregate_batch(&batch).is_ok(),
+                            "{config} over {n} rows"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

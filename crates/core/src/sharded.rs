@@ -39,7 +39,7 @@
 //! thread budget (pinned at budgets 1, 2 and 4 by the unit tests below).
 
 use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
-use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, MultiKrum, Result};
+use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan, TensorError, Vector};
 use rayon::prelude::*;
@@ -221,7 +221,7 @@ impl ShardedAggregator {
                 if distances.n() != n {
                     return Err(TensorError::dim(n, distances.n()).into());
                 }
-                let rule = self.multi_krum_rule()?;
+                let rule = self.config.krum_selection()?;
                 Ok(Some(rule.select_with_distances(distances)?))
             }
             GarKind::Bulyan => {
@@ -233,19 +233,6 @@ impl ShardedAggregator {
                 Ok(Some(Bulyan::new(self.config.f)?.select_with_distances(distances)?))
             }
             _ => Ok(None),
-        }
-    }
-
-    /// The Multi-Krum instance backing the Krum / Multi-Krum decomposition
-    /// (Krum is Multi-Krum with `m = 1`, exactly as in [`crate::Krum`]).
-    fn multi_krum_rule(&self) -> Result<MultiKrum> {
-        match self.config.kind {
-            GarKind::Krum => MultiKrum::with_selection(self.config.f, 1),
-            GarKind::MultiKrum => match self.config.m {
-                Some(m) => MultiKrum::with_selection(self.config.f, m),
-                None => MultiKrum::new(self.config.f),
-            },
-            other => unreachable!("{other} has no Multi-Krum selection phase"),
         }
     }
 }
@@ -368,6 +355,7 @@ impl Gar for ShardedAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiKrum;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn random_batch(n: usize, d: usize, seed: u64) -> GradientBatch {

@@ -28,7 +28,7 @@
 //! the flat path's refusal below `resilience_floor`.
 
 use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
-use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, MultiKrum, Result};
+use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
 use agg_tensor::{DistanceMatrix, GradientBatch, GroupPlan, Vector};
@@ -320,13 +320,9 @@ impl TreeAggregator {
         }
         let f = level.f;
         let distances = batch.pairwise_squared_distances();
-        let picked = match (level.kind, level.m) {
-            (GarKind::Bulyan, _) => Bulyan::new(f)?.select_with_distances(&distances),
-            (GarKind::Krum, _) => {
-                MultiKrum::with_selection(f, 1)?.select_with_distances(&distances)
-            }
-            (_, Some(m)) => MultiKrum::with_selection(f, m)?.select_with_distances(&distances),
-            (_, None) => MultiKrum::new(f)?.select_with_distances(&distances),
+        let picked = match level.kind {
+            GarKind::Bulyan => Bulyan::new(f)?.select_with_distances(&distances),
+            _ => level.krum_selection()?.select_with_distances(&distances),
         }?;
         Ok(Some((distances, picked)))
     }
@@ -423,7 +419,7 @@ impl Gar for TreeAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Gar;
+    use crate::{Gar, MultiKrum};
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn random_batch(n: usize, d: usize, seed: u64) -> GradientBatch {

@@ -7,18 +7,35 @@
 //!   plus a fixed per-batch overhead (framework/launch cost).
 //! * **Communication** — handled by `agg-net`'s transports (bytes over a
 //!   bandwidth/latency link, with the TCP congestion model under loss).
-//! * **Aggregation** — the GAR kernel is executed and *measured* for real,
-//!   then linearly rescaled when the experiment asks to model a larger
-//!   gradient dimension than the proxy model actually has (all implemented
-//!   GARs are `O(n²·d)`, i.e. linear in `d` for a fixed worker count).
+//! * **Aggregation** — *counted*, not timed: the rule's [`GarWork`] over the
+//!   rows it reduces (pairs of the distance walk, rows through the
+//!   order-statistic tiles, rows averaged) times the effective dimension
+//!   times the per-unit rates below, so the clock is a pure function of the
+//!   configuration and the seed.
 //!
-//! The optional [`VirtualModelCost`] is the knob for that rescaling: the
+//! The optional [`VirtualModelCost`] sets that effective dimension: the
 //! Figure 3–8 experiments train a small proxy model for accuracy while
 //! charging time as if the model were the paper's 1.75 M-parameter CNN (or
 //! the ResNet50 stand-in), which preserves the compute/communication/
 //! aggregation ratios the figures depend on.
 
+use crate::{PsError, Result};
+use agg_core::{GarConfig, GarWork};
 use serde::{Deserialize, Serialize};
+
+// The aggregation rates, in ns per unit of `GarWork` × coordinate: the
+// single-thread (`RAYON_NUM_THREADS=1`) medians of the `gar_kernels`
+// criterion lines named below, on a 2-core Intel Xeon.
+
+/// Per pair-coordinate of the distance walk:
+/// `pairwise_distances/blocked_pair_tiled/n19_d102538` (6.62 Gelem/s).
+const DISTANCE_NS_PER_PAIR_COORD: f64 = 0.151;
+/// Per row-coordinate through the order-statistic tiles:
+/// `order_statistic_tiles/median/n19_d102538` (1.15 Gelem/s).
+const TILE_NS_PER_ROW_COORD: f64 = 0.87;
+/// Per row-coordinate averaged: `gar_dimension_sweep_n19_f4/average/100000`
+/// (934 µs over 19 × 100 000).
+const MEAN_NS_PER_ROW_COORD: f64 = 0.49;
 
 /// Pretend-costs of a model larger than the proxy actually trained.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -109,14 +126,20 @@ impl CostModel {
         self.update_sec_per_million_params * d / 1e6
     }
 
-    /// Rescales a measured aggregation wall-clock time from the proxy
-    /// dimension to the effective dimension (linear in `d`).
-    pub fn scale_aggregation_time(&self, measured_sec: f64, actual_dimension: usize) -> f64 {
-        if actual_dimension == 0 {
-            return measured_sec;
-        }
-        let factor = self.effective_dimension(actual_dimension) as f64 / actual_dimension as f64;
-        measured_sec * factor
+    /// Seconds one aggregator node is charged for running `gar` over `rows`
+    /// gradients of `dim` coordinates (the effective dimension, or one
+    /// shard's columns of it): the rule's counted work times the rates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PsError::Aggregation`] when `rows` does not seat the rule —
+    /// the resilience error the round itself would return.
+    pub fn aggregation_time(gar: GarConfig, rows: usize, dim: usize) -> Result<f64> {
+        let GarWork { pairs, tile_rows, mean_rows } = gar.work(rows).map_err(PsError::from)?;
+        let ns_per_coord = pairs as f64 * DISTANCE_NS_PER_PAIR_COORD
+            + tile_rows as f64 * TILE_NS_PER_ROW_COORD
+            + mean_rows as f64 * MEAN_NS_PER_ROW_COORD;
+        Ok(ns_per_coord * dim as f64 * 1e-9)
     }
 
     /// Number of bytes exchanged for one gradient or one model copy.
@@ -165,15 +188,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_scaling_is_linear_in_dimension() {
-        let cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
-        let measured = 1e-3;
-        let scaled = cost.scale_aggregation_time(measured, 1756);
-        assert!((scaled / measured - 1000.0).abs() / 1000.0 < 0.01);
-        // Without a virtual model the measurement passes through.
-        assert_eq!(CostModel::paper_like().scale_aggregation_time(1e-3, 1756), 1e-3);
-        // Degenerate dimension does not divide by zero.
-        assert_eq!(cost.scale_aggregation_time(1e-3, 0), 1e-3);
+    fn aggregation_time_is_the_counted_work_at_the_rates() {
+        use agg_core::GarKind;
+        let time = |kind, f| CostModel::aggregation_time(GarConfig::new(kind, f), 19, 1000);
+        // Multi-Krum at n = 19, f = 4: 171 pairs and 13 averaged rows.
+        let ns_per_coord = 171.0 * DISTANCE_NS_PER_PAIR_COORD + 13.0 * MEAN_NS_PER_ROW_COORD;
+        let expected = ns_per_coord * 1000.0 * 1e-9;
+        assert_eq!(time(GarKind::MultiKrum, 4).unwrap(), expected);
+        // Linear in the dimension, and the paper's ordering holds.
+        let avg = time(GarKind::Average, 0).unwrap();
+        let bulyan = time(GarKind::Bulyan, 4).unwrap();
+        assert!(avg < expected && expected < bulyan);
+        let doubled = CostModel::aggregation_time(GarConfig::new(GarKind::Bulyan, 4), 19, 2000);
+        assert!((doubled.unwrap() / bulyan - 2.0).abs() < 1e-12);
+        // A roster below the rule's floor is the round's own refusal.
+        assert!(matches!(time(GarKind::Bulyan, 5), Err(PsError::Aggregation(_))));
     }
 
     #[test]

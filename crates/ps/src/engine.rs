@@ -7,22 +7,21 @@ use crate::cost::CostModel;
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
 use crate::report::{TrainingReport, WorkerReport};
 use crate::reputation::{self, ReputationLedger, RoundEvidence};
-use crate::server::{ParameterServer, RoundOutcome};
+use crate::server::ParameterServer;
 use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
 use agg_attacks::{Attack, AttackContext, AttackKind, ChurnDirective};
-use agg_core::{resilience, GarConfig, TreeRound};
+use agg_core::{resilience, GarConfig, TreeConfig, TreeRound};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
 use agg_metrics::{LatencyBreakdown, ThroughputMeter, TracePoint, TrainingTrace};
 use agg_net::{ChaosPlan, GradientCodec, LinkConfig, LossyTransport, ReliableTransport, Transport};
 use agg_nn::Sequential;
-use agg_tensor::rng::{derive_seed, gaussian_fill, seeded_rng};
-use agg_tensor::{GradientBatch, GroupPlan, Vector};
+use agg_tensor::rng::derive_seed;
+use agg_tensor::{GroupPlan, Vector};
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The synchronous parameter-server training loop.
 ///
@@ -37,7 +36,8 @@ use std::time::Instant;
 ///
 /// Simulated time advances by the broadcast time plus the slowest worker's
 /// compute+transfer time (synchronous training: the server waits for all)
-/// plus the measured-and-rescaled aggregation time.
+/// plus the aggregation the round counted — [`CostModel::aggregation_time`]
+/// of the rule over the rows it reduced — and the optimizer step.
 ///
 /// Phase 1 fans the honest workers out over rayon: every worker owns its
 /// model, sampler and transport (each with its own derived RNG stream) and
@@ -62,11 +62,6 @@ pub struct SyncTrainingEngine {
     test_set: Dataset,
     actual_dimension: usize,
     model_flops: u64,
-    /// Per-round aggregation time calibrated by running the GAR for real at
-    /// (close to) the virtual model's dimension; `None` when no virtual model
-    /// is configured, in which case the per-round measurement is used
-    /// directly.
-    calibrated_aggregation_sec: Option<f64>,
     clock_sec: f64,
     /// The round pipeline: two submission arenas flipped every round (worker
     /// `i` owns row `i`; undelivered rows are compacted away before
@@ -235,7 +230,6 @@ impl SyncTrainingEngine {
             tree_plan.as_ref().map_or_else(Vec::new, |plan| vec![0; plan.group_count()]);
 
         let attack = config.attack.build();
-        let calibrated_aggregation_sec = Self::calibrate_aggregation(&config, config.workers)?;
         let mut pipeline = RoundPipeline::new(actual_dimension, config.workers);
         // Distance streaming accumulates the *flat* pairwise matrix, which
         // the per-group rules of the tree tier never read — the flag is a
@@ -264,7 +258,6 @@ impl SyncTrainingEngine {
             test_set: test,
             actual_dimension,
             model_flops,
-            calibrated_aggregation_sec,
             clock_sec: 0.0,
             pipeline,
             membership,
@@ -284,48 +277,6 @@ impl SyncTrainingEngine {
     /// The reputation ledger driving quarantine decisions, when configured.
     pub fn reputation(&self) -> Option<&ReputationLedger> {
         self.reputation.as_ref()
-    }
-
-    /// Measures the configured GAR for real at (close to) the virtual model's
-    /// dimension and rescales linearly, so the simulated aggregation time is
-    /// faithful to the large model the experiment pretends to train (see the
-    /// [`crate::cost`] module docs). Without a virtual model no calibration is
-    /// needed.
-    fn calibrate_aggregation(config: &RunnerConfig, workers: usize) -> Result<Option<f64>> {
-        let Some(virtual_model) = config.cost.virtual_model else {
-            return Ok(None);
-        };
-        let calibration_dim = virtual_model.dimension.min(200_000);
-        // Calibrate the same aggregation path the rounds will run: the
-        // shard-parallel evaluation when the tier is sharded.
-        let gar: Box<dyn agg_core::Gar> = if config.shards > 1 {
-            Box::new(
-                agg_core::ShardedAggregator::new(config.gar, config.shards)
-                    .map_err(PsError::from)?,
-            )
-        } else {
-            config.gar.build().map_err(PsError::from)?
-        };
-        let mut rng = seeded_rng(derive_seed(config.seed, 0xCA11));
-        // The calibration batch is packed into the arena once, outside the
-        // timed region, mirroring how the training loop hands rounds to the
-        // server.
-        let mut gradients = GradientBatch::with_capacity(calibration_dim, workers);
-        for _ in 0..workers {
-            gradients.push_row_with(|dst| gaussian_fill(&mut rng, dst, 0.0, 1.0));
-        }
-        // Best of two runs: the first may pay one-time warm-up costs.
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let start = Instant::now();
-            if gar.aggregate_batch(&gradients).is_err() {
-                // Preconditions not met (e.g. too few workers for f): the
-                // run will skip every round anyway, so no calibration.
-                return Ok(None);
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(Some(best * virtual_model.dimension as f64 / calibration_dim as f64))
     }
 
     fn build_transport(config: &RunnerConfig, worker_id: usize) -> Result<Box<dyn Transport>> {
@@ -440,6 +391,10 @@ impl SyncTrainingEngine {
         let cost = self.config.cost;
         let dim_scale = cost.effective_dimension(self.actual_dimension) as f64
             / self.actual_dimension.max(1) as f64;
+        // The coordinates one aggregator node reduces: every shard of the
+        // sharded tier runs on its own node, so a round pays one shard's
+        // columns (all of them when S = 1).
+        let node_dim = cost.effective_dimension(self.actual_dimension).div_ceil(self.config.shards);
 
         // Elastic membership engages only when a fault plan is configured;
         // with an empty plan the loop below is the static-membership seed
@@ -879,26 +834,23 @@ impl SyncTrainingEngine {
             // matrix and the selection feedback will want one, build the
             // matrix the rule would build and let the round and the feedback
             // both read it. The pass is the GAR's own work moved out of
-            // `apply_round_batch`, so its time stays in the aggregation
-            // figure the simulated clock charges.
-            let mut distance_wall_sec = 0.0;
+            // `apply_round_batch`; the rule's counted work includes it.
             if distances.is_none() && tree_groups.is_none() && wants_selection {
-                let pass = Instant::now();
                 distances = self.server.round_distances(self.pipeline.arena());
-                distance_wall_sec = pass.elapsed().as_secs_f64();
             }
             let mut aggregation_time = 0.0;
             // Simulated wall time of the group-aggregator → root legs (tree
             // mode only): the legs run in parallel, so the round pays the
             // slowest one.
             let mut tree_wire_wait = 0.0f64;
-            // An applied tree round comes back with the `TreeRound` it
-            // reduced, which is what the selection feedback below reads.
+            // An applied round comes back with its counted kernel seconds
+            // and, on the tree tier, the `TreeRound` it reduced, which is
+            // what the selection feedback below reads.
             let round_result = if self.pipeline.arena().is_empty() {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
-            } else if let Some(groups) = &tree_groups {
-                self.apply_tree_round(step, groups, dim_scale, &mut tree_wire_wait)
-                    .map(|(outcome, round)| (outcome, Some(round)))
+            } else if let (Some(groups), Some(tree)) = (&tree_groups, self.config.tree) {
+                self.apply_tree_round(step, groups, tree, dim_scale, &mut tree_wire_wait)
+                    .map(|(kernel_sec, round)| (kernel_sec, Some(round)))
             } else {
                 match &distances {
                     Some(distances) => self
@@ -906,18 +858,14 @@ impl SyncTrainingEngine {
                         .apply_round_batch_with_distances(self.pipeline.arena(), distances),
                     None => self.server.apply_round_batch(self.pipeline.arena()),
                 }
-                .map(|outcome| (outcome, None))
+                .and_then(|_| {
+                    CostModel::aggregation_time(self.config.gar, submitted as usize, node_dim)
+                })
+                .map(|kernel_sec| (kernel_sec, None))
             };
             let round_wait = round_wait + tree_wire_wait;
             match round_result {
-                Ok((outcome, tree_round)) => {
-                    let kernel_sec = match self.calibrated_aggregation_sec {
-                        Some(calibrated) => calibrated,
-                        None => cost.scale_aggregation_time(
-                            outcome.aggregation_wall_sec + distance_wall_sec,
-                            self.actual_dimension,
-                        ),
-                    };
+                Ok((kernel_sec, tree_round)) => {
                     aggregation_time = kernel_sec + cost.update_time(self.actual_dimension);
                     if wants_selection {
                         let selection = match &tree_round {
@@ -1027,20 +975,26 @@ impl SyncTrainingEngine {
     /// arena, the group outputs shipped root-ward over the per-group links
     /// (chaos, retransmit and all — a dropped output simply leaves the root
     /// with one fewer input), then the root rule and the optimizer step.
-    /// `wire_wait` receives the slowest leg's simulated transfer time; the
-    /// measured aggregation wall time covers both kernel stages. An applied
-    /// round hands its group stage back for the caller's selection feedback;
-    /// a refused or skipped one returns only the error.
+    /// `wire_wait` receives the slowest leg's simulated transfer time. An
+    /// applied round returns its counted kernel seconds — the slowest group
+    /// (the groups run on their own nodes in parallel) plus the root over the
+    /// delivered outputs — and its group stage for the caller's selection
+    /// feedback; a refused or skipped one returns only the error.
     fn apply_tree_round(
         &mut self,
         step: u64,
         groups: &[usize],
+        tree: TreeConfig,
         dim_scale: f64,
         wire_wait: &mut f64,
-    ) -> Result<(RoundOutcome, TreeRound)> {
-        let group_stage = Instant::now();
+    ) -> Result<(f64, TreeRound)> {
         let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
-        let group_wall_sec = group_stage.elapsed().as_secs_f64();
+        let dim = self.config.cost.effective_dimension(self.actual_dimension);
+        let mut kernel_sec = 0.0f64;
+        for group in &round.outputs {
+            let group_sec = CostModel::aggregation_time(tree.group, group.members.len(), dim)?;
+            kernel_sec = kernel_sec.max(group_sec);
+        }
         let total_workers = self.workers.len();
         let mut delivered = Vec::with_capacity(round.outputs.len());
         for output in &round.outputs {
@@ -1053,9 +1007,9 @@ impl SyncTrainingEngine {
                 delivered.push(gradient);
             }
         }
-        let mut outcome = self.server.apply_round_tree_outputs(&delivered)?;
-        outcome.aggregation_wall_sec += group_wall_sec;
-        Ok((outcome, round))
+        self.server.apply_round_tree_outputs(&delivered)?;
+        kernel_sec += CostModel::aggregation_time(tree.root, delivered.len(), dim)?;
+        Ok((kernel_sec, round))
     }
 
     /// Evaluates test accuracy at the current parameters and records a trace
@@ -1078,10 +1032,10 @@ impl SyncTrainingEngine {
     }
 }
 
-/// Cost-only simulation of aggregator throughput (Figure 5): no model is
-/// trained; random gradients of a proxy dimension are aggregated for real
-/// (wall-clock measured) while computation and communication are charged
-/// analytically from the cost model.
+/// Cost-only simulation of aggregator throughput (Figures 4 and 5), in closed
+/// form: no model is trained and no gradient is aggregated — one round's
+/// computation, communication and counted aggregation are charged from the
+/// cost model.
 #[derive(Debug, Clone)]
 pub struct ThroughputSimulation {
     /// Number of workers `n`.
@@ -1094,13 +1048,8 @@ pub struct ThroughputSimulation {
     pub cost: CostModel,
     /// Link characteristics.
     pub link: LinkConfig,
-    /// Dimension of the random gradients actually aggregated (the measured
-    /// kernel time is rescaled to the virtual dimension).
+    /// Gradient dimension charged when the cost model sets no virtual model.
     pub proxy_dimension: usize,
-    /// Number of rounds to average over.
-    pub rounds: usize,
-    /// Seed for the random gradients.
-    pub seed: u64,
 }
 
 /// Result of a throughput simulation.
@@ -1108,11 +1057,11 @@ pub struct ThroughputSimulation {
 pub struct ThroughputResult {
     /// Gradients (mini-batches) processed per second of simulated time.
     pub batches_per_sec: f64,
-    /// Mean simulated round time in seconds.
+    /// Simulated round time in seconds.
     pub round_time_sec: f64,
-    /// Mean (rescaled) aggregation time per round in seconds.
+    /// Counted aggregation plus optimizer-step time per round in seconds.
     pub aggregation_time_sec: f64,
-    /// Mean per-worker computation + communication time per round.
+    /// Per-worker computation + communication time per round.
     pub compute_comm_time_sec: f64,
 }
 
@@ -1121,37 +1070,18 @@ impl ThroughputSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`PsError`] when the GAR configuration is invalid or its
-    /// preconditions cannot be met with the configured worker count.
+    /// Returns [`PsError::InvalidConfig`] for zero workers or dimension, and
+    /// [`PsError::Aggregation`] when the rule's resilience precondition
+    /// cannot be met with the configured worker count.
     pub fn run(&self) -> Result<ThroughputResult> {
-        if self.workers == 0 || self.rounds == 0 || self.proxy_dimension == 0 {
+        if self.workers == 0 || self.proxy_dimension == 0 {
             return Err(PsError::InvalidConfig(
-                "workers, rounds and proxy_dimension must be positive".into(),
+                "workers and proxy_dimension must be positive".into(),
             ));
         }
-        let gar = self.gar.build().map_err(PsError::from)?;
-        let mut rng = seeded_rng(derive_seed(self.seed, 0xF16));
         let node = crate::cluster::Node::grid5000_cpu(0);
-
-        // One proxy arena reused for every round: cleared and refilled in
-        // place, so the simulation measures the kernel, not the allocator.
-        let mut gradients = GradientBatch::with_capacity(self.proxy_dimension, self.workers);
-        let mut total_aggregation = 0.0;
-        for round in 0..self.rounds {
-            gradients.clear();
-            for _ in 0..self.workers {
-                gradients.push_row_with(|dst| gaussian_fill(&mut rng, dst, 0.0, 1.0));
-            }
-            let start = Instant::now();
-            gar.aggregate_batch(&gradients).map_err(PsError::from)?;
-            let wall = start.elapsed().as_secs_f64();
-            // Skip the first (warm-up) round if there is more than one.
-            if round > 0 || self.rounds == 1 {
-                total_aggregation += self.cost.scale_aggregation_time(wall, self.proxy_dimension);
-            }
-        }
-        let measured_rounds = if self.rounds == 1 { 1 } else { self.rounds - 1 };
-        let aggregation_time = total_aggregation / measured_rounds as f64
+        let dim = self.cost.effective_dimension(self.proxy_dimension);
+        let aggregation_time = CostModel::aggregation_time(self.gar, self.workers, dim)?
             + self.cost.update_time(self.proxy_dimension);
 
         let compute = self.cost.gradient_time(1, self.batch_size, node.flops_per_sec);
@@ -1511,8 +1441,6 @@ mod tests {
             cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
             link: LinkConfig::datacenter(),
             proxy_dimension: 20_000,
-            rounds: 3,
-            seed: 0,
         };
         let result = sim.run().unwrap();
         assert!(result.batches_per_sec > 0.0);
@@ -1533,9 +1461,53 @@ mod tests {
             cost: CostModel::paper_like(),
             link: LinkConfig::datacenter(),
             proxy_dimension: 100,
-            rounds: 1,
-            seed: 0,
         };
-        assert!(sim.run().is_err());
+        assert!(matches!(sim.run(), Err(PsError::InvalidConfig(_))));
+        // Below the rule's floor the error is the resilience precondition's.
+        let bulyan =
+            ThroughputSimulation { workers: 18, gar: GarConfig::new(GarKind::Bulyan, 4), ..sim };
+        assert!(matches!(bulyan.run(), Err(PsError::Aggregation(e)) if e.contains("bulyan")));
+    }
+
+    /// `rounds` copies of `per_round` summed in order, the way the latency
+    /// breakdown accumulates them.
+    fn summed(per_round: f64, rounds: u64) -> f64 {
+        (0..rounds).fold(0.0, |total, _| total + per_round)
+    }
+
+    #[test]
+    fn tree_rounds_are_charged_the_slowest_group_plus_the_root() {
+        use agg_core::TreeConfig;
+        // n = 64 in 4 groups of 16, Multi-Krum at both levels, charged at
+        // the paper CNN's dimension: each round pays one 16-row group and
+        // the root over the 4 outputs — not a flat pass over 64 rows.
+        let tree = TreeConfig::uniform(GarKind::MultiKrum, 2, 0, 16);
+        let mut config = quick_config(GarKind::MultiKrum, 0, 64);
+        config.tree = Some(tree);
+        config.gar = tree.root;
+        config.max_steps = 3;
+        config.cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
+        let report = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
+        assert_eq!(report.steps_completed, 3);
+        let dim = VirtualModelCost::paper_cnn().dimension;
+        let per_round = CostModel::aggregation_time(tree.group, 16, dim).unwrap()
+            + CostModel::aggregation_time(tree.root, 4, dim).unwrap()
+            + config.cost.update_time(dim);
+        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 3));
+    }
+
+    #[test]
+    fn quorum_rounds_are_charged_the_accepted_rows_only() {
+        // n = 9, f = 2 under an n − f quorum: the rule reduces 7 rows.
+        let mut config = quick_config(GarKind::MultiKrum, 2, 9);
+        config.max_steps = 3;
+        config.streaming.quorum = crate::streaming::QuorumPolicy::NMinusF;
+        config.cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
+        let report = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
+        assert_eq!(report.steps_completed, 3);
+        let dim = VirtualModelCost::paper_cnn().dimension;
+        let per_round =
+            CostModel::aggregation_time(config.gar, 7, dim).unwrap() + config.cost.update_time(dim);
+        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 3));
     }
 }

@@ -16,7 +16,7 @@
 //!   of `runner.py` (`--aggregator`, `--optimizer`, `--learning-rate`,
 //!   `--nb-workers`, …).
 //! * [`cost`] — the time model: analytic gradient-computation and
-//!   communication costs, measured (and dimension-scaled) aggregation cost.
+//!   communication costs, and aggregation cost counted from each rule's work.
 //! * [`membership`] — elastic membership: epoch-fenced views over a churning
 //!   worker set, deterministic fault plans, and the resilience-floor refusal
 //!   policy.

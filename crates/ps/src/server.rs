@@ -10,8 +10,7 @@
 
 use crate::{PsError, Result};
 use agg_core::{
-    Bulyan, Gar, GarConfig, GarKind, MultiKrum, ShardedAggregator, TreeAggregator, TreeConfig,
-    TreeRound,
+    Bulyan, Gar, GarConfig, GarKind, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound,
 };
 use agg_nn::optim::{Optimizer, OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
@@ -368,12 +367,7 @@ impl ParameterServer {
         }
         match self.gar_config.kind {
             GarKind::Krum | GarKind::MultiKrum => {
-                let rule = match (self.gar_config.kind, self.gar_config.m) {
-                    (GarKind::Krum, _) => MultiKrum::with_selection(self.gar_config.f, 1),
-                    (_, Some(m)) => MultiKrum::with_selection(self.gar_config.f, m),
-                    (_, None) => MultiKrum::new(self.gar_config.f),
-                }
-                .map_err(PsError::from)?;
+                let rule = self.gar_config.krum_selection().map_err(PsError::from)?;
                 match distances {
                     Some(d) => rule.select_with_distances(d),
                     None => rule.select_batch(batch),
@@ -407,7 +401,7 @@ impl ParameterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agg_core::GarKind;
+    use agg_core::{GarKind, MultiKrum};
 
     fn server(kind: GarKind, f: usize, d: usize) -> ParameterServer {
         ParameterServer::new(

@@ -9,10 +9,6 @@
 //! tensor kernels' blocks. Budgets 2 and 4 deal the same items to threads
 //! differently, so equal reports pin that no region's result depends on
 //! the schedule.
-//!
-//! Only the deterministic fields are compared: the wall-clock derived ones
-//! (`time_sec`, `simulated_time_sec`, latency/throughput seconds) embed real
-//! `Instant` measurements of the aggregation kernel.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -57,11 +53,40 @@ pub fn assert_deterministic(config: &RunnerConfig) -> TrainingReport {
     report
 }
 
-/// Bit-for-bit equality of everything the gradient path, the membership
-/// machinery and the reputation ledger determine: the counters, the
-/// per-worker breakdown, the ledger's transitions and the trace.
+/// Bit-for-bit equality of the whole report: the counters, the per-worker
+/// breakdown, the ledger's transitions, the trace and the simulated clock
+/// (the run's seconds, their latency split and the throughput meter).
 pub fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, context: &str) {
     assert_eq!(a.label, b.label, "{context}: labels");
+    assert_eq!(
+        a.simulated_time_sec.to_bits(),
+        b.simulated_time_sec.to_bits(),
+        "{context}: simulated time {} vs {}",
+        a.simulated_time_sec,
+        b.simulated_time_sec
+    );
+    let (la, lb) = (&a.latency, &b.latency);
+    assert_eq!(la.rounds(), lb.rounds(), "{context}: latency rounds");
+    assert_eq!(
+        la.compute_comm_sec().to_bits(),
+        lb.compute_comm_sec().to_bits(),
+        "{context}: compute+comm seconds"
+    );
+    assert_eq!(
+        la.aggregation_sec().to_bits(),
+        lb.aggregation_sec().to_bits(),
+        "{context}: aggregation seconds {} vs {}",
+        la.aggregation_sec(),
+        lb.aggregation_sec()
+    );
+    let (ta, tb) = (&a.throughput, &b.throughput);
+    assert_eq!(ta.gradients_received(), tb.gradients_received(), "{context}: gradients");
+    assert_eq!(ta.model_updates(), tb.model_updates(), "{context}: throughput rounds");
+    assert_eq!(
+        ta.elapsed_sec().to_bits(),
+        tb.elapsed_sec().to_bits(),
+        "{context}: throughput seconds"
+    );
     assert_eq!(a.steps_completed, b.steps_completed, "{context}: steps");
     assert_eq!(a.skipped_updates, b.skipped_updates, "{context}: skips");
     assert_eq!(a.refused_rounds, b.refused_rounds, "{context}: refusals");
@@ -93,6 +118,14 @@ pub fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, context:
     assert_eq!(a.trace.len(), b.trace.len(), "{context}: trace length");
     for (p, q) in a.trace.points().iter().zip(b.trace.points()) {
         assert_eq!(p.step, q.step, "{context}: trace steps");
+        assert_eq!(
+            p.time_sec.to_bits(),
+            q.time_sec.to_bits(),
+            "{context}: clock diverged at step {}: {} vs {}",
+            p.step,
+            p.time_sec,
+            q.time_sec
+        );
         assert_eq!(
             p.accuracy.to_bits(),
             q.accuracy.to_bits(),

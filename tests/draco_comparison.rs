@@ -73,9 +73,7 @@ fn both_systems_reach_comparable_final_accuracy() {
 fn draco_is_slower_in_simulated_time_than_the_baseline_for_the_same_number_of_steps() {
     // The redundancy (2f + 1 gradients' worth of work per useful batch) plus
     // the linear-in-n·d decode make Draco's rounds much longer than the
-    // TensorFlow baseline's. The comparison against the robust GARs (which
-    // depends on measuring their kernels) is produced by the fig3/fig5/fig6
-    // binaries and recorded in EXPERIMENTS.md.
+    // TensorFlow baseline's.
     let draco = DracoTrainer::new(draco_config(19, 4)).unwrap().run().unwrap();
     let baseline = SyncTrainingEngine::new(aggregathor_config(GarKind::Average, 0, 19))
         .unwrap()
@@ -99,8 +97,6 @@ fn draco_throughput_is_an_order_of_magnitude_below_averaging() {
         cost,
         link: LinkConfig::datacenter(),
         proxy_dimension: 50_000,
-        rounds: 3,
-        seed: 2,
     }
     .run()
     .unwrap()

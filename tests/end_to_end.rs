@@ -91,20 +91,39 @@ fn runs_are_reproducible_for_a_fixed_seed() {
 fn byzantine_resilience_costs_simulated_time() {
     // The 19%/43% story in miniature: with the paper-CNN cost model the
     // robust rules take longer in simulated time for the same number of
-    // steps.
-    use agg_ps::{CostModel, VirtualModelCost};
+    // steps, and the whole difference is the aggregation the clock counts —
+    // the three runs wait for their workers the same, bit for bit.
+    use agg_ps::{CostModel, TrainingReport, VirtualModelCost};
     let with_cost = |gar, f| {
         let mut config = clean_config(gar, f);
         config.workers = 19;
         config.max_steps = 20;
         config.cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
-        SyncTrainingEngine::new(config).unwrap().run().unwrap().simulated_time_sec
+        SyncTrainingEngine::new(config).unwrap().run().unwrap()
     };
     let avg = with_cost(GarKind::Average, 0);
     let mk = with_cost(GarKind::MultiKrum, 4);
     let bulyan = with_cost(GarKind::Bulyan, 4);
-    assert!(mk > avg, "Multi-Krum ({mk:.2}s) should cost more time than averaging ({avg:.2}s)");
-    assert!(bulyan > mk, "Bulyan ({bulyan:.2}s) should cost more time than Multi-Krum ({mk:.2}s)");
+    let (t_avg, t_mk, t_bulyan) =
+        (avg.simulated_time_sec, mk.simulated_time_sec, bulyan.simulated_time_sec);
+    assert!(t_avg < t_mk, "Multi-Krum ({t_mk:.3}s) should cost more than averaging ({t_avg:.3}s)");
+    assert!(
+        t_mk < t_bulyan,
+        "Bulyan ({t_bulyan:.3}s) should cost more than Multi-Krum ({t_mk:.3}s)"
+    );
+    let waited = |r: &TrainingReport| r.latency.compute_comm_sec().to_bits();
+    assert_eq!(waited(&avg), waited(&mk));
+    assert_eq!(waited(&mk), waited(&bulyan));
+    // Each gap in simulated time is the gap in counted aggregation time, up
+    // to the rounding of the two running sums.
+    for (slow, fast) in [(&mk, &avg), (&bulyan, &mk)] {
+        let clock_gap = slow.simulated_time_sec - fast.simulated_time_sec;
+        let aggregation_gap = slow.latency.aggregation_sec() - fast.latency.aggregation_sec();
+        assert!(
+            (clock_gap - aggregation_gap).abs() <= 1e-12 * slow.simulated_time_sec,
+            "clock gap {clock_gap} vs aggregation gap {aggregation_gap}"
+        );
+    }
 }
 
 #[test]
