@@ -5,52 +5,69 @@ use crate::cluster::{ClusterSpec, PlacementPolicy};
 use crate::config::{RunnerConfig, TransportKind};
 use crate::cost::CostModel;
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
-use crate::report::{TrainingReport, WorkerReport};
-use crate::reputation::{self, ReputationLedger, RoundEvidence};
+use crate::report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport, WorkerReport};
+use crate::reputation::{self, ReputationLedger, RoundEvidence, StandingChange};
 use crate::server::ParameterServer;
 use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
 use agg_attacks::{Attack, AttackContext, AttackKind, ChurnDirective};
-use agg_core::{resilience, GarConfig, TreeConfig, TreeRound};
+use agg_core::{resilience, GarConfig, TreeConfig};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
-use agg_metrics::{LatencyBreakdown, ThroughputMeter, TracePoint, TrainingTrace};
-use agg_net::{ChaosPlan, GradientCodec, LinkConfig, LossyTransport, ReliableTransport, Transport};
+use agg_metrics::{TracePoint, TrainingTrace};
+use agg_net::{
+    ChaosPlan, GradientCodec, LinkConfig, LossyTransport, ReliableTransport, RowTransfer, Transport,
+};
 use agg_nn::Sequential;
 use agg_tensor::rng::derive_seed;
-use agg_tensor::{GroupPlan, Vector};
+use agg_tensor::{DistanceMatrix, GroupPlan, Vector};
 use rayon::prelude::*;
 use std::sync::Arc;
 
 /// The synchronous parameter-server training loop.
 ///
-/// One round:
-/// 1. the server broadcasts the model to every worker;
-/// 2. every honest (and data-poisoned) worker computes a mini-batch gradient;
-/// 3. the adversary crafts the Byzantine submissions, knowing every honest
-///    gradient (omniscient attacker, §3.1);
-/// 4. gradients travel over each worker's transport (possibly lossy);
-/// 5. the server aggregates with the configured GAR and applies the
-///    optimizer step.
+/// [`SyncTrainingEngine::run`] is a loop of rounds (Equation 4 of the
+/// paper). Each round runs six stages, and each stage fills the round's one
+/// [`RoundRecord`]:
+/// 1. **membership** — the ledger's readmissions and quarantines and the
+///    adversary's churn directives join the round's scheduled faults, the
+///    view advances, every link is stamped with its epoch, and a live set
+///    below the resilience floor refuses the round;
+/// 2. **gradients** — the live honest (and data-poisoned) workers compute a
+///    mini-batch gradient at the broadcast model and send it over their
+///    transports (possibly lossy), then the adversary crafts the Byzantine
+///    submissions knowing every honest gradient (omniscient attacker, §3.1);
+/// 3. **quorum cut** — the delivered rows in simulated arrival order, the
+///    first `quorum` of them accepted;
+/// 4. **ledger** — the round's evidence folds into the suspicion ledger, and
+///    the tree tier's containment reshuffle runs;
+/// 5. **aggregate** — the flat, sharded or tree rule over the accepted rows,
+///    the optimizer step, and the rule's selection;
+/// 6. **charge** — the verdict and the round's simulated seconds.
+///
+/// The report folds every record as it arrives and keeps it
+/// ([`TrainingReport::rounds`]). The adversary's selection feedback and the
+/// ledger's exclusion evidence are read off the earlier records.
 ///
 /// Simulated time advances by the broadcast time plus the slowest worker's
-/// compute+transfer time (synchronous training: the server waits for all)
-/// plus the aggregation the round counted — [`CostModel::aggregation_time`]
-/// of the rule over the rows it reduced — and the optimizer step.
+/// compute+transfer time (synchronous training: the server waits for all, or
+/// for the quorum) plus the aggregation the round counted —
+/// [`CostModel::aggregation_time`] of the rule over the rows it reduced —
+/// and the optimizer step.
 ///
-/// Phase 1 fans the honest workers out over rayon: every worker owns its
-/// model, sampler and transport (each with its own derived RNG stream) and
-/// delivers its gradient into its own pre-assigned row of one reused
-/// submissions arena, so the round is bit-for-bit identical at any thread
-/// budget (the determinism suites pin budgets 1, 2 and 4). The threads claim
-/// runs of workers from a shared cursor (the rayon shim's guided claiming),
-/// so the attacker and crashed slots, which return at once, leave no core
-/// waiting at the barrier.
+/// The gradients stage fans the honest workers out over rayon: every worker
+/// owns its model, sampler and transport (each with its own derived RNG
+/// stream) and delivers its gradient into its own pre-assigned row of one
+/// reused submissions arena, so the round is bit-for-bit identical at any
+/// thread budget (the determinism suites pin budgets 1, 2 and 4). The
+/// threads claim runs of workers from a shared cursor (the rayon shim's
+/// guided claiming), so the attacker and crashed slots, which return at
+/// once, leave no core waiting at the barrier.
 ///
-/// Phase 3 runs at most one O(n²·d) distance pass per flat or sharded
-/// round — the streamed matrix, or one batch pass — which the rule and the
-/// selection feedback both read.
+/// The aggregate stage runs at most one O(n²·d) distance pass per flat or
+/// sharded round — the streamed matrix, or one batch pass — which the rule
+/// and the selection both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -62,7 +79,6 @@ pub struct SyncTrainingEngine {
     test_set: Dataset,
     actual_dimension: usize,
     model_flops: u64,
-    clock_sec: f64,
     /// The round pipeline: two submission arenas flipped every round (worker
     /// `i` owns row `i`; undelivered rows are compacted away before
     /// aggregation) plus, when streaming is enabled for a distance-based
@@ -99,28 +115,22 @@ pub struct SyncTrainingEngine {
     affinity_sample: Vec<usize>,
 }
 
-/// What one worker contributed to a round (collected in worker-id order, so
-/// the parallel fan-out reduces deterministically).
-#[derive(Debug)]
-struct WorkerRound {
-    /// The pre-wire gradient of an honest worker (the omniscient adversary
-    /// sees these); `None` for attackers and data-poisoned workers.
-    honest_gradient: Option<Vector>,
-    /// Whether the transport delivered the submission into the worker's
-    /// arena row.
-    delivered: bool,
-    /// Simulated compute + transfer seconds.
-    worker_time: f64,
-    /// Packets of this submission rejected by the epoch fence (a stale-epoch
-    /// rejoiner or an evicted worker's stragglers).
-    stale_rejects: usize,
-    /// Packets of this submission rejected by the wire-integrity check (chaos
-    /// damage caught by the CRC32 envelope).
-    corrupt_rejects: usize,
-    /// Whether this submission's retransmit recovery ran out of budget or
-    /// deadline with the row still incomplete — a distinct evidence stream
-    /// from a plain transport loss.
-    retransmit_exhausted: bool,
+/// What the aggregate stage hands the charge stage.
+struct Aggregation {
+    /// The counted kernel seconds of an applied round, or the error that
+    /// stopped it (the rule's precondition for a skipped round).
+    kernel_sec: Result<f64>,
+    /// The tree tier's slowest group → root leg (0 on the flat tiers): the
+    /// legs run in parallel, and a round skipped at the root still waited.
+    wire_wait: f64,
+    /// The rule's selection as slots, when the engine reads one.
+    selection: Option<Vec<usize>>,
+}
+
+/// The adversary's feedback channel: the last selection an earlier round
+/// made, as slots.
+fn last_selection(history: &[RoundRecord]) -> Option<&[usize]> {
+    history.iter().rev().find_map(|round| round.selection.as_deref())
 }
 
 impl SyncTrainingEngine {
@@ -258,7 +268,6 @@ impl SyncTrainingEngine {
             test_set: test,
             actual_dimension,
             model_flops,
-            clock_sec: 0.0,
             pipeline,
             membership,
             tree_plan,
@@ -352,7 +361,49 @@ impl SyncTrainingEngine {
     /// structural transport failures). GAR rejections and dropped gradients
     /// are recorded in the report, not raised.
     pub fn run(&mut self) -> Result<TrainingReport> {
-        let label = format!(
+        let label = self.label();
+        let mut report = TrainingReport {
+            trace: TrainingTrace::new(label.clone()),
+            label,
+            per_worker: (0..self.workers.len())
+                .map(|worker| WorkerReport { worker, ..Default::default() })
+                .collect(),
+            ..Default::default()
+        };
+        let byzantine: Vec<bool> = self.workers.iter().map(|w| w.role().is_byzantine()).collect();
+        self.evaluate(&mut report)?;
+        for step in 0..self.config.max_steps {
+            let record = self.round(step, &report.rounds)?;
+            report.fold(record, &byzantine);
+            if (step + 1) % self.config.eval_every == 0 || step + 1 == self.config.max_steps {
+                self.evaluate(&mut report)?;
+            }
+        }
+        report.steps_completed = self.server.step();
+        if let Some(ledger) = &self.reputation {
+            report.fold_ledger(ledger.events(), ledger.scores());
+        }
+        Ok(report)
+    }
+
+    /// One round, stage by stage. A refused round ends after the membership
+    /// stage.
+    fn round(&mut self, step: u64, history: &[RoundRecord]) -> Result<RoundRecord> {
+        let mut record = RoundRecord { step, ..Default::default() };
+        if !self.advance_membership(history, &mut record) {
+            return Ok(record);
+        }
+        let arrival_sec = self.gradients(history, &mut record)?;
+        self.quorum_cut(&arrival_sec, &mut record);
+        self.ledger(history, &record)?;
+        let aggregation = self.aggregate(&record);
+        self.charge(aggregation, &mut record)?;
+        Ok(record)
+    }
+
+    /// The run's label: rule, `f`, batch size, workers, tier and wire.
+    fn label(&self) -> String {
+        format!(
             "{} f={} b={} n={}{}{}",
             self.server.gar_name(),
             self.config.gar.f,
@@ -366,578 +417,512 @@ impl SyncTrainingEngine {
                 TransportKind::Reliable => String::new(),
                 TransportKind::Lossy { .. } => format!(" lossy({} links)", self.config.lossy_links),
             }
-        );
-        let mut trace = TrainingTrace::new(label.clone());
-        let mut throughput = ThroughputMeter::new();
-        let mut latency = LatencyBreakdown::new();
-        let mut skipped = 0u64;
-        let mut refused = 0u64;
-        let mut byzantine_selected_rounds = 0u64;
-        // Per-worker wire/ledger counters; the report's global wire counters
-        // are their sums.
-        let mut worker_stats: Vec<WorkerReport> = (0..self.workers.len())
-            .map(|worker| WorkerReport { worker, ..Default::default() })
-            .collect();
-        // The previous round's selection, as *worker slots* — the adaptive
-        // adversary's feedback channel and the Byzantine-selection counter.
-        let mut previous_selection: Option<Vec<usize>> = None;
-        // Which workers the previous aggregated round's selection left out —
-        // the ledger's selection-exclusion evidence stream (one round of
-        // history, consumed by the next fold).
-        let mut prev_excluded = vec![false; self.workers.len()];
+        )
+    }
 
-        self.evaluate(&mut trace, 0)?;
+    /// What the run tolerates: the flat rule's declared `f`, or the composed
+    /// bound `(f_group + 1)(f_root + 1) − 1` of the tree tier. Quorum
+    /// accounting and the adversary's declared-f knowledge both see this
+    /// figure.
+    fn declared_f(&self) -> usize {
+        self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f())
+    }
 
-        let cost = self.config.cost;
-        let dim_scale = cost.effective_dimension(self.actual_dimension) as f64
-            / self.actual_dimension.max(1) as f64;
-        // The coordinates one aggregator node reduces: every shard of the
-        // sharded tier runs on its own node, so a round pays one shard's
-        // columns (all of them when S = 1).
-        let node_dim = cost.effective_dimension(self.actual_dimension).div_ceil(self.config.shards);
+    /// Attacker-controlled churn timing: the adversary chooses crash and
+    /// rejoin rounds for its own workers from selection feedback instead of
+    /// following a pre-declared schedule.
+    fn adaptive_churn(&self) -> bool {
+        self.config.adaptive_churn && self.config.byzantine_count > 0
+    }
 
-        // Elastic membership engages only when a fault plan is configured;
-        // with an empty plan the loop below is the static-membership seed
-        // path, bit for bit (epoch stays 0, nothing is fenced or refused).
-        let fault_plan = self.config.fault_plan.clone();
-        // Attacker-controlled churn timing: the adversary chooses crash and
-        // rejoin rounds for its own workers from selection feedback instead
-        // of following a pre-declared schedule. Engages the same epoch-fenced
-        // elastic machinery as a fault plan.
-        let adaptive_churn = self.config.adaptive_churn && self.config.byzantine_count > 0;
-        // A reputation ledger needs the epoch-fenced elastic machinery even
-        // without a fault plan: its quarantines and readmissions are
-        // engine-synthesized membership transitions.
-        let elastic = !fault_plan.is_empty() || adaptive_churn || self.reputation.is_some();
-        // What the run actually tolerates: the flat rule's declared `f`, or
-        // the composed bound `(f_group + 1)(f_root + 1) − 1` of the tree
-        // tier. Quorum accounting and the adversary's declared-f knowledge
-        // both see this figure.
-        let declared_f = self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f());
-        // Selection feedback is read from the round that ran: the flat and
-        // sharded tiers select on the round's own distance matrix (the
-        // streamed one, or the single pass Phase 3 builds for the rule), the
-        // tree tier on the `TreeRound` it applied (one root selection over
-        // the group outputs plus the rows each group's rule kept). No tier
-        // pays a second distance pass or group stage. Run it only when
-        // someone reads it: the Byzantine-selection counter or the adaptive
-        // adversary.
-        let wants_selection = self.config.gar.kind.uses_distances()
-            && (elastic
+    /// Whether the epoch-fenced elastic machinery engages: a fault plan,
+    /// attacker-timed churn, or a ledger (whose quarantines and readmissions
+    /// are engine-synthesized transitions). Otherwise the epoch stays 0 and
+    /// nothing is fenced or refused — static membership, bit for bit.
+    fn elastic(&self) -> bool {
+        !self.config.fault_plan.is_empty() || self.adaptive_churn() || self.reputation.is_some()
+    }
+
+    /// Whether the round computes the rule's selection: only distance-based
+    /// rules select, and only someone must read it — the Byzantine-selection
+    /// counter, the adaptive adversary or the ledger.
+    fn wants_selection(&self) -> bool {
+        self.config.gar.kind.uses_distances()
+            && (self.elastic()
                 || self.config.byzantine_count > 0
-                || matches!(self.config.attack, AttackKind::Adaptive));
+                || matches!(self.config.attack, AttackKind::Adaptive))
+    }
 
-        for step in 0..self.config.max_steps {
-            let model_bytes = cost.payload_bytes(self.actual_dimension);
-            let broadcast_time = self.config.link.transfer_time(model_bytes);
+    /// The factor wire seconds scale by when the cost model charges a larger
+    /// virtual model than the proxy that travels.
+    fn dim_scale(&self) -> f64 {
+        self.config.cost.effective_dimension(self.actual_dimension) as f64
+            / self.actual_dimension.max(1) as f64
+    }
 
-            // Workers the ledger readmits *this* round: their fenced
-            // first-round packets are by design, not stale-epoch evidence.
-            let mut readmitted_now = vec![false; self.workers.len()];
-            if elastic {
-                // The ledger's synthesized transitions and the adversary's
-                // churn directives join this round's scheduled events: all
-                // run through the same MembershipView transition rules, so
-                // none can do more than a fault plan could have scheduled
-                // (redundant directives are no-ops, rejoiners are fenced for
-                // one round).
-                let needs_merge = adaptive_churn || self.reputation.is_some();
-                let merged_plan = if needs_merge {
-                    let mut plan = fault_plan.clone();
-                    if let Some(ledger) = &mut self.reputation {
-                        // Readmissions first: a lapsed quarantine rejoins on
-                        // probation this round (epoch-fenced like any other
-                        // rejoiner), so its stale first-round packets are by
-                        // design, not fresh evidence against it.
-                        for worker in ledger.due_for_readmission(step) {
-                            plan = plan.with(step, worker, FaultAction::Rejoin);
-                            ledger.readmit(step, worker);
-                            readmitted_now[worker] = true;
-                            worker_stats[worker].readmissions += 1;
-                        }
-                        // Quarantine evictions: rank by suspicion, cap
-                        // concurrent quarantines at the declared-f budget,
-                        // and gate every eviction on the post-eviction
-                        // resilience floor — an eviction the floor cannot
-                        // absorb yet is deferred, never dropped.
-                        let budget = match ledger.config().max_quarantined {
-                            0 => declared_f,
-                            cap => cap,
-                        };
-                        let mut live_sim: Vec<bool> = (0..self.workers.len())
-                            .map(|w| self.membership.health(w).is_live() || readmitted_now[w])
-                            .collect();
-                        for candidate in ledger.quarantine_candidates() {
-                            if ledger.quarantined_count() >= budget {
-                                break;
-                            }
-                            let was_live = live_sim[candidate];
-                            live_sim[candidate] = false;
-                            // `+ 1`: the candidate's own quarantine.
-                            let f_eff =
-                                self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
-                            let tree_plan = self.tree_plan.as_ref();
-                            if !Self::floor_holds(&self.config, tree_plan, f_eff, |w| live_sim[w]) {
-                                live_sim[candidate] = was_live;
-                                continue;
-                            }
-                            plan = plan.with(step, candidate, FaultAction::Crash);
-                            ledger.begin_quarantine(step, candidate);
-                            worker_stats[candidate].quarantines += 1;
-                        }
-                    }
-                    if adaptive_churn {
-                        let ctx = AttackContext {
-                            honest_gradients: &[],
-                            model: self.server.parameters(),
-                            byzantine_count: self.config.byzantine_count,
-                            declared_f,
-                            step,
-                            seed: self.config.seed,
-                            total_workers: self.workers.len(),
-                            previous_selection: previous_selection.as_deref(),
-                        };
-                        for directive in self.attack.plan_churn(&ctx) {
-                            let (worker, action) = match directive {
-                                ChurnDirective::Crash(w) => (w, FaultAction::Crash),
-                                ChurnDirective::Rejoin(w) => (w, FaultAction::Rejoin),
-                            };
-                            // The adversary only controls its own workers —
-                            // a directive naming an honest slot is ignored —
-                            // and a quarantined slot stays evicted: the
-                            // ledger's Crash outranks the adversary's Rejoin.
-                            let quarantined = self
-                                .reputation
-                                .as_ref()
-                                .is_some_and(|ledger| ledger.is_quarantined(worker));
-                            if !quarantined
-                                && self
-                                    .workers
-                                    .get(worker)
-                                    .is_some_and(|w| w.role() == WorkerRole::Attacker)
-                            {
-                                plan = plan.with(step, worker, action);
-                            }
-                        }
-                    }
-                    Some(plan)
-                } else {
-                    None
-                };
-                let round_plan = merged_plan.as_ref().unwrap_or(&fault_plan);
-                let transitions = self.membership.apply_round(round_plan, step);
-                // Tree mode fences per group: a crash or rejoin bumps only
-                // the epoch of the group it happened in, so view changes
-                // never invalidate in-flight rounds of untouched groups. The
-                // flat tier fences at the view's epoch.
-                if let Some(plan) = &self.tree_plan {
-                    for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
-                        self.group_epochs[plan.group_of(w)] += 1;
-                    }
+    /// Simulated seconds of the model broadcast that opens every round.
+    fn broadcast_time(&self) -> f64 {
+        self.config.link.transfer_time(self.config.cost.payload_bytes(self.actual_dimension))
+    }
+
+    /// Membership: the ledger's synthesized transitions and the adversary's
+    /// churn directives join this round's scheduled events. All run through
+    /// the same [`MembershipView`] transition rules, so none can do more than
+    /// a fault plan could have scheduled (redundant directives are no-ops,
+    /// rejoiners are fenced for one round). Then every link is stamped and
+    /// the floor re-derived; returns `false` when the round is refused.
+    fn advance_membership(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> bool {
+        if !self.elastic() {
+            return true;
+        }
+        let (step, n, declared_f) = (record.step, self.workers.len(), self.declared_f());
+        let mut plan = self.config.fault_plan.clone();
+        if let Some(ledger) = &mut self.reputation {
+            // Readmissions first: a lapsed quarantine rejoins on probation
+            // this round (epoch-fenced like any other rejoiner), so its stale
+            // first-round packets are by design, not fresh evidence against
+            // it.
+            let readmitted = ledger.due_for_readmission(step);
+            for &worker in &readmitted {
+                plan = plan.with(step, worker, FaultAction::Rejoin);
+                ledger.readmit(step, worker);
+            }
+            // Quarantine evictions: rank by suspicion, cap concurrent
+            // quarantines at the declared-f budget, and gate every eviction
+            // on the post-eviction resilience floor — an eviction the floor
+            // cannot absorb yet is deferred, never dropped.
+            let budget = match ledger.config().max_quarantined {
+                0 => declared_f,
+                cap => cap,
+            };
+            let mut live_sim: Vec<bool> = (0..n)
+                .map(|w| self.membership.health(w).is_live() || readmitted.contains(&w))
+                .collect();
+            for candidate in ledger.quarantine_candidates() {
+                if ledger.quarantined_count() >= budget {
+                    break;
                 }
-                for worker in &mut self.workers {
-                    let id = worker.id();
-                    let epoch = match &self.tree_plan {
-                        Some(plan) => self.group_epochs[plan.group_of(id)],
-                        None => self.membership.epoch(),
-                    };
-                    // The server side of every link fences at this worker's
-                    // epoch. Live workers that did not just rejoin have taken
-                    // part in the view change and stamp it too; a rejoiner
-                    // still carries the epoch it crashed with, so its first
-                    // round back is fenced, and it syncs at the next round's
-                    // broadcast.
-                    worker.set_transport_expected_epoch(Some(epoch));
-                    if self.membership.health(id).is_live() && !transitions.rejoined.contains(&id) {
-                        worker.set_transport_epoch(epoch);
-                    }
-                }
-                // Every transition re-derives the active rule's floor: a
-                // live set that cannot seat it voids the resilience proof,
-                // so the server refuses the round and degrades per policy
-                // instead of aggregating on borrowed assumptions.
-                let quarantined =
-                    self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
-                let f_eff = self.config.gar.f.saturating_sub(quarantined);
-                let live = |w| self.membership.health(w).is_live();
-                if !Self::floor_holds(&self.config, self.tree_plan.as_ref(), f_eff, live) {
-                    refused += 1;
-                    if self.config.refusal == RefusalPolicy::HoldLastRound {
-                        // The held model is still broadcast, so the clock
-                        // pays for the round; a paused server stays silent.
-                        self.clock_sec += broadcast_time;
-                        latency.record_round(broadcast_time, 0.0);
-                        throughput.record_round(0, broadcast_time);
-                    }
-                    if (step + 1) % self.config.eval_every == 0 || step + 1 == self.config.max_steps
-                    {
-                        self.evaluate(&mut trace, self.server.step())?;
-                    }
+                let was_live = live_sim[candidate];
+                live_sim[candidate] = false;
+                // `+ 1`: the candidate's own quarantine.
+                let f_eff = self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
+                let tree_plan = self.tree_plan.as_ref();
+                if !Self::floor_holds(&self.config, tree_plan, f_eff, |w| live_sim[w]) {
+                    live_sim[candidate] = was_live;
                     continue;
                 }
+                plan = plan.with(step, candidate, FaultAction::Crash);
+                ledger.begin_quarantine(step, candidate);
             }
-            let health: Vec<WorkerHealth> =
-                (0..self.workers.len()).map(|i| self.membership.health(i)).collect();
-            let live_n = health.iter().filter(|h| h.is_live()).count();
-
-            let params = self.server.parameters().clone();
-
-            // Phase 1: honest (and data-poisoned) workers compute and send,
-            // fanned out over rayon. Worker `i` delivers straight into arena
-            // row `i` (disjoint mutable slices), results are collected in
-            // worker-id order, and every worker draws only from its own RNG
-            // streams — so the round is deterministic under any schedule,
-            // including which thread claims which run of workers.
-            // `begin_round` flips the double buffer: this round's ingest
-            // lands in the arena the previous round's aggregation was not
-            // reading.
-            self.pipeline.begin_round(self.workers.len());
-            let run_worker = |(worker, dst): (&mut Worker, &mut [f32])| -> Result<WorkerRound> {
-                if !health[worker.id()].is_live() || worker.role() == WorkerRole::Attacker {
-                    // Crashed workers compute and submit nothing; attackers
-                    // are crafted centrally in Phase 2 (their channels are
-                    // "arbitrarily fast" and never extend the round).
-                    return Ok(WorkerRound {
-                        honest_gradient: None,
-                        delivered: false,
-                        worker_time: 0.0,
-                        stale_rejects: 0,
-                        corrupt_rejects: 0,
-                        retransmit_exhausted: false,
-                    });
+        }
+        if self.adaptive_churn() {
+            let ctx = AttackContext {
+                honest_gradients: &[],
+                model: self.server.parameters(),
+                byzantine_count: self.config.byzantine_count,
+                declared_f,
+                step,
+                seed: self.config.seed,
+                total_workers: n,
+                previous_selection: last_selection(history),
+            };
+            for directive in self.attack.plan_churn(&ctx) {
+                let (worker, action) = match directive {
+                    ChurnDirective::Crash(w) => (w, FaultAction::Crash),
+                    ChurnDirective::Rejoin(w) => (w, FaultAction::Rejoin),
+                };
+                // The adversary only controls its own workers — a directive
+                // naming an honest slot is ignored — and a quarantined slot
+                // stays evicted: the ledger's Crash outranks the adversary's
+                // Rejoin.
+                let quarantined =
+                    self.reputation.as_ref().is_some_and(|ledger| ledger.is_quarantined(worker));
+                let attacker =
+                    self.workers.get(worker).is_some_and(|w| w.role() == WorkerRole::Attacker);
+                if attacker && !quarantined {
+                    plan = plan.with(step, worker, action);
                 }
-                let node_flops = worker.node_flops_per_sec();
-                let computation = worker.compute_gradient(&params, |model, batch| {
-                    cost.gradient_time(model.flops_per_sample(), batch, node_flops)
-                })?;
+            }
+        }
+        let transitions = self.membership.apply_round(&plan, step);
+        // Tree mode fences per group: a crash or rejoin bumps only the epoch
+        // of the group it happened in, so view changes never invalidate
+        // in-flight rounds of untouched groups. The flat tier fences at the
+        // view's epoch.
+        if let Some(plan) = &self.tree_plan {
+            for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
+                self.group_epochs[plan.group_of(w)] += 1;
+            }
+        }
+        for worker in &mut self.workers {
+            let id = worker.id();
+            let epoch = match &self.tree_plan {
+                Some(plan) => self.group_epochs[plan.group_of(id)],
+                None => self.membership.epoch(),
+            };
+            // The server side of every link fences at this worker's epoch.
+            // Live workers that did not just rejoin have taken part in the
+            // view change and stamp it too; a rejoiner still carries the
+            // epoch it crashed with, so its first round back is fenced, and
+            // it syncs at the next round's broadcast.
+            worker.set_transport_expected_epoch(Some(epoch));
+            if self.membership.health(id).is_live() && !transitions.rejoined.contains(&id) {
+                worker.set_transport_epoch(epoch);
+            }
+        }
+        record.epoch = self.membership.epoch();
+        // Every transition re-derives the active rule's floor: a live set
+        // that cannot seat it voids the resilience proof, so the server
+        // refuses the round and degrades per policy instead of aggregating
+        // on borrowed assumptions.
+        let quarantined = self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
+        let f_eff = self.config.gar.f.saturating_sub(quarantined);
+        let live = |w| self.membership.health(w).is_live();
+        if Self::floor_holds(&self.config, self.tree_plan.as_ref(), f_eff, live) {
+            return true;
+        }
+        let held = self.config.refusal == RefusalPolicy::HoldLastRound;
+        record.verdict = RoundVerdict::Refused { held };
+        // The held model is still broadcast, so the clock pays for the
+        // round; a paused server stays silent.
+        if held {
+            record.round_wait_sec = self.broadcast_time();
+        }
+        false
+    }
+
+    /// Gradients: Phase 1 fans the live honest (and data-poisoned) workers
+    /// out over rayon, then Phase 2 has the adversary craft the attacker
+    /// rows. Fills the record's wire outcomes and returns every slot's
+    /// simulated arrival time.
+    fn gradients(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> Result<Vec<f64>> {
+        let (step, n, dim_scale) = (record.step, self.workers.len(), self.dim_scale());
+
+        // Phase 1: worker `i` delivers straight into arena row `i` (disjoint
+        // mutable slices), results are collected in worker-id order, and
+        // every worker draws only from its own RNG streams — so the round is
+        // deterministic under any schedule, including which thread claims
+        // which run of workers. `begin_round` flips the double buffer: this
+        // round's ingest lands in the arena the previous round's aggregation
+        // was not reading.
+        self.pipeline.begin_round(n);
+        let params = self.server.parameters();
+        let (membership, cost) = (&self.membership, self.config.cost);
+        type Sent = Option<(Option<Vector>, RowTransfer, f64)>;
+        let run_worker = |(worker, dst): (&mut Worker, &mut [f32])| -> Result<Sent> {
+            if !membership.health(worker.id()).is_live() || worker.role() == WorkerRole::Attacker {
+                // Crashed workers compute and submit nothing; attackers are
+                // crafted centrally in Phase 2 (their channels are
+                // "arbitrarily fast" and never extend the round).
+                return Ok(None);
+            }
+            let node_flops = worker.node_flops_per_sec();
+            let computation = worker.compute_gradient(params, |model, batch| {
+                cost.gradient_time(model.flops_per_sample(), batch, node_flops)
+            })?;
+            let transfer = worker.send_gradient_into(step, computation.gradient.as_slice(), dst)?;
+            let arrival = computation.compute_time_sec + transfer.time_sec * dim_scale;
+            let honest = (worker.role() == WorkerRole::Honest).then_some(computation.gradient);
+            Ok(Some((honest, transfer, arrival)))
+        };
+        let jobs: Vec<(&mut Worker, &mut [f32])> =
+            self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
+        let results: Vec<Result<Sent>> = jobs.into_par_iter().map(run_worker).collect();
+        let mut honest = Vec::new();
+        let mut arrival_sec = vec![0.0f64; n];
+        record.wire = vec![None; n];
+        for (slot, result) in results.into_iter().enumerate() {
+            let Some((gradient, transfer, sec)) = result? else { continue };
+            honest.extend(gradient);
+            record.wire[slot] = Some(SlotWire::from(&transfer));
+            arrival_sec[slot] = sec;
+        }
+        // The straggler knob and slow-by demotions stretch the simulated
+        // arrival times (Byzantine submissions included — their channels are
+        // only "arbitrarily fast" by default).
+        for (slot, sec) in arrival_sec.iter_mut().enumerate() {
+            if let Some(delay) = self.config.worker_extra_delay_sec.get(slot) {
+                *sec += delay;
+            }
+            if let WorkerHealth::Slowed { delay_sec } = self.membership.health(slot) {
+                *sec += delay_sec;
+            }
+        }
+
+        // Phase 2: the adversary crafts the Byzantine submissions, seeing
+        // every honest gradient as a borrowed row view (§3.1's omniscient
+        // attacker, without cloning a coordinate).
+        let attacker_ids: Vec<usize> = (0..n)
+            .filter(|&w| self.membership.health(w).is_live())
+            .filter(|&w| self.workers[w].role() == WorkerRole::Attacker)
+            .collect();
+        if !attacker_ids.is_empty() {
+            let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
+            let ctx = AttackContext {
+                honest_gradients: &honest_views,
+                model: self.server.parameters(),
+                byzantine_count: attacker_ids.len(),
+                declared_f: self.declared_f(),
+                step,
+                seed: self.config.seed,
+                total_workers: n,
+                previous_selection: last_selection(history),
+            };
+            let crafted = self.attack.craft(&ctx);
+            for (&slot, gradient) in attacker_ids.iter().zip(&crafted) {
+                let row = self.pipeline.arena_mut().row_mut(slot);
                 let transfer =
-                    worker.send_gradient_into(step, computation.gradient.as_slice(), dst)?;
-                Ok(WorkerRound {
-                    honest_gradient: (worker.role() == WorkerRole::Honest)
-                        .then_some(computation.gradient),
-                    delivered: transfer.delivered,
-                    worker_time: computation.compute_time_sec + transfer.time_sec * dim_scale,
-                    stale_rejects: transfer.stale_epoch_rejects,
-                    corrupt_rejects: transfer.corrupt_rejects,
-                    retransmit_exhausted: transfer.retransmit_exhausted,
-                })
-            };
-            let jobs: Vec<(&mut Worker, &mut [f32])> =
-                self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
-            let results: Vec<Result<WorkerRound>> = jobs.into_par_iter().map(run_worker).collect();
-            let mut rounds = Vec::with_capacity(results.len());
-            for result in results {
-                rounds.push(result?);
+                    self.workers[slot].send_gradient_into(step, gradient.as_slice(), row)?;
+                record.wire[slot] = Some(SlotWire::from(&transfer));
             }
-            // The straggler knob: configured per-worker delays stretch the
-            // simulated arrival times (Byzantine submissions included —
-            // their channels are only "arbitrarily fast" by default).
-            if !self.config.worker_extra_delay_sec.is_empty() {
-                for (round, &delay) in rounds.iter_mut().zip(&self.config.worker_extra_delay_sec) {
-                    round.worker_time += delay;
-                }
-            }
-            // Slow-by demotions from the fault plan stretch the affected
-            // workers' arrivals exactly like the static straggler knob.
-            if elastic {
-                for (round, h) in rounds.iter_mut().zip(&health) {
-                    if let WorkerHealth::Slowed { delay_sec } = *h {
-                        round.worker_time += delay_sec;
-                    }
-                }
-            }
-            let mut dropped_gradients = rounds
-                .iter()
-                .zip(&self.workers)
-                .filter(|(r, w)| {
-                    w.role() != WorkerRole::Attacker && health[w.id()].is_live() && !r.delivered
-                })
-                .count() as u64;
-            let max_worker_time = rounds.iter().map(|r| r.worker_time).fold(0.0f64, f64::max);
+        }
+        Ok(arrival_sec)
+    }
 
-            // Phase 2: the adversary crafts the Byzantine submissions,
-            // seeing every honest gradient as a borrowed row view (§3.1's
-            // omniscient attacker, without cloning a coordinate).
-            let attacker_ids: Vec<usize> = self
-                .workers
-                .iter()
-                .filter(|w| w.role() == WorkerRole::Attacker && health[w.id()].is_live())
-                .map(Worker::id)
-                .collect();
-            if !attacker_ids.is_empty() {
-                let honest_views: Vec<&[f32]> = rounds
-                    .iter()
-                    .filter_map(|r| r.honest_gradient.as_ref().map(Vector::as_slice))
-                    .collect();
-                let ctx = AttackContext {
-                    honest_gradients: &honest_views,
-                    model: &params,
-                    byzantine_count: attacker_ids.len(),
-                    declared_f,
-                    step,
-                    seed: self.config.seed,
-                    total_workers: self.workers.len(),
-                    previous_selection: previous_selection.as_deref(),
-                };
-                let crafted = self.attack.craft(&ctx);
-                for (&slot, gradient) in attacker_ids.iter().zip(&crafted) {
-                    let worker = &mut self.workers[slot];
-                    let transfer = worker.send_gradient_into(
-                        step,
-                        gradient.as_slice(),
-                        self.pipeline.arena_mut().row_mut(slot),
-                    )?;
-                    rounds[slot].delivered = transfer.delivered;
-                    rounds[slot].stale_rejects = transfer.stale_epoch_rejects;
-                    rounds[slot].corrupt_rejects = transfer.corrupt_rejects;
-                    rounds[slot].retransmit_exhausted = transfer.retransmit_exhausted;
-                    if !transfer.delivered {
-                        dropped_gradients += 1;
-                    }
-                }
-            }
-            for (stat, round) in worker_stats.iter_mut().zip(&rounds) {
-                stat.stale_epoch_rejects += round.stale_rejects as u64;
-                stat.corrupt_rejects += round.corrupt_rejects as u64;
-                stat.retransmit_exhaustions += u64::from(round.retransmit_exhausted);
-            }
-
-            // Phase 3: aggregation and model update at the server. The
-            // quorum policy decides how many arrivals the round waits for:
-            // delivered submissions are ordered by simulated arrival time
-            // (worker id breaking ties) and everything past the quorum is
-            // dropped exactly like a transport loss. Under the default
-            // `All` policy every delivered row is accepted and the round
-            // waits for the slowest worker — the seed accounting,
-            // unchanged bit for bit. The distance rules then read one
-            // matrix per round, shared with the selection feedback.
-            // The quorum is computed on the *live* worker count: under
-            // churn, `n − f` means "all but f of the workers actually in
-            // the view", not of the configured roster. With static
-            // membership the two coincide.
-            let quorum = self.config.streaming.quorum.accept_count(live_n, declared_f);
-            let mut arrivals: Vec<usize> =
-                (0..rounds.len()).filter(|&i| rounds[i].delivered).collect();
-            arrivals.sort_by(|&a, &b| {
-                rounds[a].worker_time.total_cmp(&rounds[b].worker_time).then(a.cmp(&b))
-            });
-            let accepted = &arrivals[..quorum.min(arrivals.len())];
-            dropped_gradients += (arrivals.len() - accepted.len()) as u64;
-            let round_wait = if accepted.len() == arrivals.len() {
-                // Full synchronous round: the server waits for the slowest
-                // worker, delivered or not.
-                broadcast_time + max_worker_time
-            } else {
-                // Quorum round: the clock stops at the last accepted
-                // arrival; the stragglers' remaining time is the round's
-                // saving.
-                broadcast_time
-                    + accepted.iter().map(|&i| rounds[i].worker_time).fold(0.0f64, f64::max)
-            };
-
-            // Streaming: each accepted row's distance contributions fold in
-            // at its (simulated) arrival — the per-row completion event —
-            // so the matrix is ready the moment the quorum is. The batch
-            // path recomputes it from the compacted arena instead; both are
-            // pinned bit-identical at the tensor layer.
-            if self.pipeline.distance_streaming() {
-                for &slot in accepted {
-                    self.pipeline.row_done(slot);
-                }
-            }
-            let mut keep = vec![false; rounds.len()];
+    /// Quorum cut: the delivered rows in simulated arrival order (slot id
+    /// breaking ties), the first `quorum` accepted and the rest dropped
+    /// exactly like a transport loss. The quorum counts the *live* workers:
+    /// under churn, `n − f` means all but `f` of the view. Under the default
+    /// `All` policy every delivered row is accepted and the round waits for
+    /// the slowest worker, delivered or not; a quorum round stops the clock
+    /// at its last accepted arrival — the stragglers' remaining time is its
+    /// saving.
+    fn quorum_cut(&mut self, arrival_sec: &[f64], record: &mut RoundRecord) {
+        let live = self.membership.live_count();
+        let quorum = self.config.streaming.quorum.accept_count(live, self.declared_f());
+        let mut arrivals: Vec<usize> = (0..arrival_sec.len())
+            .filter(|&slot| record.wire[slot].is_some_and(|wire| wire.delivered))
+            .collect();
+        arrivals.sort_by(|&a, &b| arrival_sec[a].total_cmp(&arrival_sec[b]).then(a.cmp(&b)));
+        let accepted = &arrivals[..quorum.min(arrivals.len())];
+        let slowest = if accepted.len() == arrivals.len() {
+            arrival_sec.iter().copied().fold(0.0f64, f64::max)
+        } else {
+            accepted.iter().map(|&slot| arrival_sec[slot]).fold(0.0f64, f64::max)
+        };
+        record.round_wait_sec = self.broadcast_time() + slowest;
+        // Streaming: each accepted row's distance contributions fold in at
+        // its (simulated) arrival — the per-row completion event — so the
+        // matrix is ready the moment the quorum is. The batch path computes
+        // it from the compacted arena instead; both are pinned bit-identical
+        // at the tensor layer.
+        if self.pipeline.distance_streaming() {
             for &slot in accepted {
-                keep[slot] = true;
+                self.pipeline.row_done(slot);
             }
-            let kept_slots: Vec<usize> = (0..rounds.len()).filter(|&i| keep[i]).collect();
-            // The reputation fold runs *before* aggregation: every evidence
-            // stream of this round is already decided at the quorum cut, and
-            // folding here lets the containment reshuffle below re-seat a
-            // colluding clique before the round's tree is even formed — so a
-            // readmitted colluder is re-contained with zero exposure.
-            if let Some(ledger_cfg) = self.reputation.as_ref().map(|l| *l.config()) {
-                // Collusion-affinity sketches over the delivered arena rows
-                // (worker-indexed — the arena is compacted only after this).
-                let colluding = {
-                    let arena = self.pipeline.arena();
-                    let row_views: Vec<Option<&[f32]>> = rounds
-                        .iter()
-                        .enumerate()
-                        .map(|(w, r)| r.delivered.then(|| arena.row(w)))
-                        .collect();
-                    reputation::collusion_flags(
-                        &row_views,
-                        &self.affinity_sample,
-                        ledger_cfg.affinity_epsilon,
-                        ledger_cfg.affinity_min_cluster,
-                    )
-                };
-                let evidence: Vec<RoundEvidence> = rounds
-                    .iter()
-                    .enumerate()
-                    .map(|(w, r)| RoundEvidence {
-                        corrupt: r.corrupt_rejects > 0,
-                        stale: r.stale_rejects > 0 && !readmitted_now[w],
-                        exhausted: r.retransmit_exhausted,
-                        straggled: r.delivered && !keep[w],
-                        excluded: prev_excluded[w],
-                        colluding: colluding[w],
-                    })
-                    .collect();
-                let ledger = self.reputation.as_mut().expect("checked above");
-                ledger.observe(step, &evidence);
-                // One round of exclusion history: consumed by this fold,
-                // rebuilt by this round's selection feedback below.
-                prev_excluded.fill(false);
-                // Epoch-boundary containment reshuffle of the tree tier:
-                // re-seat the most-suspect workers into sacrificial groups
-                // whose per-level f budget covers them, then bump every
-                // group's epoch — a view change for the whole tier.
-                if ledger_cfg.reshuffle_every > 0 && step % ledger_cfg.reshuffle_every == 0 {
-                    if let Some(plan) = &mut self.tree_plan {
-                        let sizes: Vec<usize> = plan.sizes().collect();
-                        // Quarantined/crashed slots deliver nothing; the
-                        // placement must know, or it will starve a group
-                        // below its floor by piling dead seats into it.
-                        let live: Vec<bool> = (0..self.workers.len())
-                            .map(|w| self.membership.health(w).is_live())
-                            .collect();
-                        let next = reputation::containment_assignment(
-                            ledger.scores(),
-                            &live,
-                            &sizes,
-                            ledger_cfg.suspect_cutoff,
-                            self.config.seed,
-                            step,
-                        );
-                        let current: Vec<usize> =
-                            (0..self.workers.len()).map(|w| plan.group_of(w)).collect();
-                        if next != current {
-                            plan.set_assignment(next).map_err(PsError::from)?;
-                            for epoch in &mut self.group_epochs {
-                                *epoch += 1;
-                            }
-                        }
+        }
+        record.accepted = accepted.to_vec();
+        record.accepted.sort_unstable();
+    }
+
+    /// Ledger: the reputation fold runs *before* aggregation. Every evidence
+    /// stream of the round is decided at the quorum cut, and folding here
+    /// lets the containment reshuffle re-seat a colluding clique before the
+    /// round's tree is even formed — so a readmitted colluder is re-contained
+    /// with zero exposure.
+    fn ledger(&mut self, history: &[RoundRecord], record: &RoundRecord) -> Result<()> {
+        let Some(ledger) = self.reputation.as_mut() else { return Ok(()) };
+        let (step, cfg) = (record.step, *ledger.config());
+        // Collusion-affinity sketches over the delivered arena rows
+        // (slot-indexed — the arena is compacted only after this).
+        let arena = self.pipeline.arena();
+        let rows: Vec<Option<&[f32]>> = (0..record.wire.len())
+            .map(|w| record.wire[w].is_some_and(|wire| wire.delivered).then(|| arena.row(w)))
+            .collect();
+        let colluding = reputation::collusion_flags(
+            &rows,
+            &self.affinity_sample,
+            cfg.affinity_epsilon,
+            cfg.affinity_min_cluster,
+        );
+        // Workers the ledger readmitted this round: their fenced first-round
+        // packets are by design, not stale-epoch evidence.
+        let readmitted = |w| {
+            let mut this_round = ledger.events().iter().rev().take_while(|e| e.round == step);
+            this_round.any(|e| e.worker == w && e.change == StandingChange::Readmitted)
+        };
+        // Selection-exclusion evidence: the slots the previous non-refused
+        // round accepted but its selection passed over. A refused round never
+        // folds the ledger, so it leaves this evidence to the next one that
+        // does.
+        let last =
+            history.iter().rev().find(|r| !matches!(r.verdict, RoundVerdict::Refused { .. }));
+        let excluded = |w| {
+            last.is_some_and(|r| {
+                r.selection.as_ref().is_some_and(|s| r.accepted.contains(&w) && !s.contains(&w))
+            })
+        };
+        let evidence: Vec<RoundEvidence> = (0..record.wire.len())
+            .map(|w| {
+                let wire = record.wire[w].unwrap_or_default();
+                RoundEvidence {
+                    corrupt: wire.corrupt_rejects > 0,
+                    stale: wire.stale_epoch_rejects > 0 && !readmitted(w),
+                    exhausted: wire.retransmit_exhausted,
+                    straggled: wire.delivered && record.accepted.binary_search(&w).is_err(),
+                    excluded: excluded(w),
+                    colluding: colluding[w],
+                }
+            })
+            .collect();
+        ledger.observe(step, &evidence);
+        // Epoch-boundary containment reshuffle of the tree tier: re-seat the
+        // most-suspect workers into sacrificial groups whose per-level f
+        // budget covers them, then bump every group's epoch — a view change
+        // for the whole tier.
+        if cfg.reshuffle_every > 0 && step % cfg.reshuffle_every == 0 {
+            if let Some(plan) = &mut self.tree_plan {
+                let sizes: Vec<usize> = plan.sizes().collect();
+                // Quarantined/crashed slots deliver nothing; the placement
+                // must know, or it will starve a group below its floor by
+                // piling dead seats into it.
+                let live: Vec<bool> =
+                    (0..self.workers.len()).map(|w| self.membership.health(w).is_live()).collect();
+                let next = reputation::containment_assignment(
+                    ledger.scores(),
+                    &live,
+                    &sizes,
+                    cfg.suspect_cutoff,
+                    self.config.seed,
+                    step,
+                );
+                let current: Vec<usize> =
+                    (0..self.workers.len()).map(|w| plan.group_of(w)).collect();
+                if next != current {
+                    plan.set_assignment(next).map_err(PsError::from)?;
+                    for epoch in &mut self.group_epochs {
+                        *epoch += 1;
                     }
                 }
             }
-            // The group id of every surviving row, in arena order — the tree
-            // tier's counterpart of the distance matrix.
-            let tree_groups: Option<Vec<usize>> = self
-                .tree_plan
-                .as_ref()
-                .map(|plan| kept_slots.iter().map(|&slot| plan.group_of(slot)).collect());
-            let mut distances = self.pipeline.matrix(&kept_slots);
-            self.pipeline.arena_mut().retain_rows(&keep);
-            let submitted = self.pipeline.arena().n() as u64;
-            // One distance pass per round: when the pipeline streamed no
-            // matrix and the selection feedback will want one, build the
-            // matrix the rule would build and let the round and the feedback
-            // both read it. The pass is the GAR's own work moved out of
-            // `apply_round_batch`; the rule's counted work includes it.
-            if distances.is_none() && tree_groups.is_none() && wants_selection {
-                distances = self.server.round_distances(self.pipeline.arena());
-            }
-            let mut aggregation_time = 0.0;
-            // Simulated wall time of the group-aggregator → root legs (tree
-            // mode only): the legs run in parallel, so the round pays the
-            // slowest one.
-            let mut tree_wire_wait = 0.0f64;
-            // An applied round comes back with its counted kernel seconds
-            // and, on the tree tier, the `TreeRound` it reduced, which is
-            // what the selection feedback below reads.
-            let round_result = if self.pipeline.arena().is_empty() {
+        }
+        Ok(())
+    }
+
+    /// Aggregate: compacts the arena to the accepted rows, then the round's
+    /// one entry for the flat, sharded and tree tiers — the rule, the
+    /// optimizer step and the selection, mapped back to slots. An error
+    /// before the tree legs shipped comes back as a round that waited for
+    /// no leg; the charge stage tells a skip from a failure.
+    fn aggregate(&mut self, record: &RoundRecord) -> Aggregation {
+        let mut keep = vec![false; record.wire.len()];
+        for &slot in &record.accepted {
+            keep[slot] = true;
+        }
+        // The group id of every surviving row, in arena order — the tree
+        // tier's counterpart of the distance matrix.
+        let groups: Option<Vec<usize>> = self
+            .tree_plan
+            .as_ref()
+            .map(|plan| record.accepted.iter().map(|&slot| plan.group_of(slot)).collect());
+        let streamed = self.pipeline.matrix(&record.accepted);
+        self.pipeline.arena_mut().retain_rows(&keep);
+        let aggregation = match (groups, self.config.tree) {
+            _ if self.pipeline.arena().is_empty() => {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
-            } else if let (Some(groups), Some(tree)) = (&tree_groups, self.config.tree) {
-                self.apply_tree_round(step, groups, tree, dim_scale, &mut tree_wire_wait)
-                    .map(|(kernel_sec, round)| (kernel_sec, Some(round)))
-            } else {
-                match &distances {
-                    Some(distances) => self
-                        .server
-                        .apply_round_batch_with_distances(self.pipeline.arena(), distances),
-                    None => self.server.apply_round_batch(self.pipeline.arena()),
-                }
-                .and_then(|_| {
-                    CostModel::aggregation_time(self.config.gar, submitted as usize, node_dim)
-                })
-                .map(|kernel_sec| (kernel_sec, None))
-            };
-            let round_wait = round_wait + tree_wire_wait;
-            match round_result {
-                Ok((kernel_sec, tree_round)) => {
-                    aggregation_time = kernel_sec + cost.update_time(self.actual_dimension);
-                    if wants_selection {
-                        let selection = match &tree_round {
-                            Some(round) => self.server.tree_selected_rows_of(round)?,
-                            None => self
-                                .server
-                                .selected_rows(self.pipeline.arena(), distances.as_ref())?,
-                        };
-                        if let Some(rows) = selection {
-                            if rows
-                                .iter()
-                                .any(|&r| self.workers[kept_slots[r]].role().is_byzantine())
-                            {
-                                byzantine_selected_rounds += 1;
-                            }
-                            // The adversary's feedback channel sees worker
-                            // identities, so map compacted rows back to
-                            // their slots.
-                            if self.reputation.is_some() {
-                                // Exclusion history for the next fold: every
-                                // kept row the selection passed over.
-                                for &slot in &kept_slots {
-                                    prev_excluded[slot] = true;
-                                }
-                                for &r in &rows {
-                                    prev_excluded[kept_slots[r]] = false;
-                                }
-                            }
-                            previous_selection =
-                                Some(rows.iter().map(|&r| kept_slots[r]).collect());
-                        }
-                    }
-                }
-                Err(PsError::Aggregation(_)) => {
-                    skipped += 1;
-                }
-                Err(other) => return Err(other),
             }
+            (Some(groups), Some(tree)) => self.aggregate_tree(record.step, &groups, tree),
+            _ => self.aggregate_flat(streamed),
+        };
+        let Aggregation { kernel_sec, wire_wait, selection } =
+            aggregation.unwrap_or_else(|error| Aggregation {
+                kernel_sec: Err(error),
+                wire_wait: 0.0,
+                selection: None,
+            });
+        let selection =
+            selection.map(|rows| rows.iter().map(|&row| record.accepted[row]).collect());
+        Aggregation { kernel_sec, wire_wait, selection }
+    }
 
-            self.clock_sec += round_wait + aggregation_time;
-            latency.record_round(round_wait, aggregation_time);
-            throughput.record_round(submitted + dropped_gradients, round_wait + aggregation_time);
+    /// The flat and sharded round. One distance pass per round: when the
+    /// pipeline streamed no matrix and the selection will want one, build the
+    /// matrix the rule would build and let the round and the selection both
+    /// read it. The pass is the rule's own work moved out of
+    /// `apply_round_batch`; its counted work includes it. The rule is charged
+    /// the compacted rows over one shard's columns: every shard runs on its
+    /// own node (all columns when S = 1).
+    fn aggregate_flat(&mut self, streamed: Option<DistanceMatrix>) -> Result<Aggregation> {
+        let wants_selection = self.wants_selection();
+        let arena = self.pipeline.arena();
+        let distances = match streamed {
+            None if wants_selection => self.server.round_distances(arena),
+            streamed => streamed,
+        };
+        match &distances {
+            Some(distances) => self.server.apply_round_batch_with_distances(arena, distances),
+            None => self.server.apply_round_batch(arena),
+        }?;
+        let node_dim = self.config.cost.effective_dimension(self.actual_dimension);
+        let node_dim = node_dim.div_ceil(self.config.shards);
+        let kernel_sec = CostModel::aggregation_time(self.config.gar, arena.n(), node_dim)?;
+        let selection = if wants_selection {
+            self.server.selected_rows(arena, distances.as_ref())?
+        } else {
+            None
+        };
+        Ok(Aggregation { kernel_sec: Ok(kernel_sec), wire_wait: 0.0, selection })
+    }
 
-            if (step + 1) % self.config.eval_every == 0 || step + 1 == self.config.max_steps {
-                self.evaluate(&mut trace, self.server.step())?;
-            }
+    /// The hierarchical round: the group stage on the compacted arena, the
+    /// group outputs shipped root-ward over the per-group links (chaos,
+    /// retransmit and all — a dropped output leaves the root one input
+    /// fewer), then the root rule and the optimizer step. The kernel charge
+    /// is the slowest group (the groups run on their own nodes in parallel)
+    /// plus the root over the delivered outputs; the selection is read off
+    /// the group stage that ran, not a second one.
+    fn aggregate_tree(
+        &mut self,
+        step: u64,
+        groups: &[usize],
+        tree: TreeConfig,
+    ) -> Result<Aggregation> {
+        let dim = self.config.cost.effective_dimension(self.actual_dimension);
+        let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
+        let mut group_sec = 0.0f64;
+        for group in &round.outputs {
+            let sec = CostModel::aggregation_time(tree.group, group.members.len(), dim)?;
+            group_sec = group_sec.max(sec);
         }
-
-        if let Some(ledger) = &self.reputation {
-            for stat in &mut worker_stats {
-                stat.final_suspicion = ledger.score(stat.worker);
-            }
+        let (n, dim_scale) = (self.workers.len(), self.dim_scale());
+        let mut wire_wait = 0.0f64;
+        let mut delivered = Vec::with_capacity(round.outputs.len());
+        for output in &round.outputs {
+            let link = &mut self.tree_links[output.group];
+            let outcome = link
+                .transfer((n + output.group) as u32, step, &output.output)
+                .map_err(PsError::from)?;
+            wire_wait = wire_wait.max(outcome.time_sec * dim_scale);
+            delivered.extend(outcome.gradient);
         }
-        Ok(TrainingReport {
-            label,
-            trace,
-            throughput,
-            latency,
-            steps_completed: self.server.step(),
-            skipped_updates: skipped,
-            refused_rounds: refused,
-            stale_epoch_rejects: worker_stats.iter().map(|s| s.stale_epoch_rejects).sum(),
-            corrupt_rejects: worker_stats.iter().map(|s| s.corrupt_rejects).sum(),
-            byzantine_selected_rounds,
-            retransmit_exhaustions: worker_stats.iter().map(|s| s.retransmit_exhaustions).sum(),
-            per_worker: worker_stats,
-            quarantine_events: self
-                .reputation
-                .as_ref()
-                .map_or_else(Vec::new, |ledger| ledger.events().to_vec()),
-            simulated_time_sec: self.clock_sec,
-        })
+        let kernel_sec = self
+            .server
+            .apply_round_tree_outputs(&delivered)
+            .and_then(|_| CostModel::aggregation_time(tree.root, delivered.len(), dim))
+            .map(|root_sec| group_sec + root_sec);
+        let selection = match kernel_sec {
+            Ok(_) if self.wants_selection() => self.server.tree_selected_rows_of(&round)?,
+            _ => None,
+        };
+        Ok(Aggregation { kernel_sec, wire_wait, selection })
+    }
+
+    /// Charge: the verdict, and the round's seconds beyond the wait — the
+    /// counted kernel plus the optimizer step for an applied round, nothing
+    /// for a round the rule's precondition skipped. The tree legs' wait
+    /// joins the round's wait either way.
+    fn charge(&self, aggregation: Aggregation, record: &mut RoundRecord) -> Result<()> {
+        record.round_wait_sec += aggregation.wire_wait;
+        match aggregation.kernel_sec {
+            Ok(kernel_sec) => {
+                record.aggregation_sec =
+                    kernel_sec + self.config.cost.update_time(self.actual_dimension);
+                record.selection = aggregation.selection;
+            }
+            Err(PsError::Aggregation(_)) => record.verdict = RoundVerdict::Skipped,
+            Err(other) => return Err(other),
+        }
+        Ok(())
     }
 
     /// Whether the live set (`live` by worker id) still seats the active
@@ -971,60 +956,19 @@ impl SyncTrainingEngine {
         }
     }
 
-    /// One hierarchical aggregation round: the group stage on the compacted
-    /// arena, the group outputs shipped root-ward over the per-group links
-    /// (chaos, retransmit and all — a dropped output simply leaves the root
-    /// with one fewer input), then the root rule and the optimizer step.
-    /// `wire_wait` receives the slowest leg's simulated transfer time. An
-    /// applied round returns its counted kernel seconds — the slowest group
-    /// (the groups run on their own nodes in parallel) plus the root over the
-    /// delivered outputs — and its group stage for the caller's selection
-    /// feedback; a refused or skipped one returns only the error.
-    fn apply_tree_round(
-        &mut self,
-        step: u64,
-        groups: &[usize],
-        tree: TreeConfig,
-        dim_scale: f64,
-        wire_wait: &mut f64,
-    ) -> Result<(f64, TreeRound)> {
-        let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
-        let dim = self.config.cost.effective_dimension(self.actual_dimension);
-        let mut kernel_sec = 0.0f64;
-        for group in &round.outputs {
-            let group_sec = CostModel::aggregation_time(tree.group, group.members.len(), dim)?;
-            kernel_sec = kernel_sec.max(group_sec);
-        }
-        let total_workers = self.workers.len();
-        let mut delivered = Vec::with_capacity(round.outputs.len());
-        for output in &round.outputs {
-            let link = &mut self.tree_links[output.group];
-            let outcome = link
-                .transfer((total_workers + output.group) as u32, step, &output.output)
-                .map_err(PsError::from)?;
-            *wire_wait = wire_wait.max(outcome.time_sec * dim_scale);
-            if let Some(gradient) = outcome.gradient {
-                delivered.push(gradient);
-            }
-        }
-        self.server.apply_round_tree_outputs(&delivered)?;
-        kernel_sec += CostModel::aggregation_time(tree.root, delivered.len(), dim)?;
-        Ok((kernel_sec, round))
-    }
-
     /// Evaluates test accuracy at the current parameters and records a trace
-    /// point. Evaluation runs on the dedicated evaluator node, out of band,
-    /// so it does not advance the simulated clock (matching the paper's
-    /// `/job:eval` design).
-    fn evaluate(&mut self, trace: &mut TrainingTrace, step: u64) -> Result<()> {
+    /// point at the report's clock. Evaluation runs on the dedicated
+    /// evaluator node, out of band, so it does not advance the simulated
+    /// clock (matching the paper's `/job:eval` design).
+    fn evaluate(&mut self, report: &mut TrainingReport) -> Result<()> {
         self.eval_model.set_parameters(self.server.parameters()).map_err(PsError::from)?;
         let (batch, labels) =
             self.test_set.head_batch(self.config.eval_samples).map_err(PsError::from)?;
         let out = self.eval_model.evaluate_loss(&batch, &labels).map_err(PsError::from)?;
         let accuracy = out.correct_predictions as f64 / labels.len().max(1) as f64;
-        trace.record(TracePoint {
-            step,
-            time_sec: self.clock_sec,
+        report.trace.record(TracePoint {
+            step: self.server.step(),
+            time_sec: report.simulated_time_sec,
             accuracy,
             loss: out.loss as f64,
         });

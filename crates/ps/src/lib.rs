@@ -33,8 +33,8 @@
 //!   the tree tier.
 //! * [`engine`] — the synchronous training loop (Equation 4) and the
 //!   throughput simulator used by the scalability experiments.
-//! * [`report`] — the structured result of a run (traces, throughput,
-//!   latency breakdown).
+//! * [`report`] — the structured result of a run: one record per round and
+//!   the report folded from them (traces, throughput, latency breakdown).
 
 pub mod cluster;
 pub mod config;
@@ -56,7 +56,7 @@ pub use error::PsError;
 pub use membership::{
     FaultAction, FaultEvent, FaultPlan, MembershipView, RefusalPolicy, WorkerHealth,
 };
-pub use report::{TrainingReport, WorkerReport};
+pub use report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport, WorkerReport};
 pub use reputation::{
     QuarantineEvent, ReputationConfig, ReputationLedger, RoundEvidence, StandingChange,
     WorkerStanding,

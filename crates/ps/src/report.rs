@@ -1,8 +1,85 @@
-//! Structured results of a training run.
+//! Structured results of a training run: one [`RoundRecord`] per round, and
+//! the [`TrainingReport`] whose counters are a fold over those records.
 
 use crate::reputation::{QuarantineEvent, StandingChange};
 use agg_metrics::{LatencyBreakdown, ThroughputMeter, TrainingTrace};
+use agg_net::RowTransfer;
 use serde::{Deserialize, Serialize};
+
+/// How a round ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RoundVerdict {
+    /// The server aggregated the round and applied the optimizer step.
+    #[default]
+    Applied,
+    /// The GAR's precondition rejected the rows that survived the wire and
+    /// the quorum cut (e.g. too few of them); no update was applied.
+    Skipped,
+    /// The live set was below the active rule's resilience floor, so the
+    /// server refused the round before any worker computed. `held` is the
+    /// [`crate::membership::RefusalPolicy`]: a held round still broadcast the
+    /// last model (and is charged for it), a paused one did nothing.
+    Refused {
+        /// Whether the held model was broadcast.
+        held: bool,
+    },
+}
+
+/// What the wire did with one slot's submission in one round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SlotWire {
+    /// Whether the row reached the server's arena.
+    pub delivered: bool,
+    /// Packets the epoch fence rejected.
+    pub stale_epoch_rejects: u64,
+    /// Packets the wire-integrity check rejected.
+    pub corrupt_rejects: u64,
+    /// Whether retransmit recovery ran out of budget or deadline with the
+    /// row still incomplete.
+    pub retransmit_exhausted: bool,
+}
+
+impl From<&RowTransfer> for SlotWire {
+    fn from(transfer: &RowTransfer) -> Self {
+        SlotWire {
+            delivered: transfer.delivered,
+            stale_epoch_rejects: transfer.stale_epoch_rejects as u64,
+            corrupt_rejects: transfer.corrupt_rejects as u64,
+            retransmit_exhausted: transfer.retransmit_exhausted,
+        }
+    }
+}
+
+/// Everything the run keeps of one round: what the engine's stages decided,
+/// in the order they decided it. The report's counters, the adversary's
+/// selection feedback and the ledger's exclusion evidence are all read off
+/// these records.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RoundRecord {
+    /// Engine step of the round.
+    pub step: u64,
+    /// Membership view epoch the round ran under (0 under static
+    /// membership).
+    pub epoch: u32,
+    /// How the round ended.
+    pub verdict: RoundVerdict,
+    /// One entry per worker slot: the wire outcome of its submission, `None`
+    /// when the slot submitted nothing (crashed or quarantined). Empty for a
+    /// refused round.
+    pub wire: Vec<Option<SlotWire>>,
+    /// The slots whose rows made the quorum cut, ascending.
+    pub accepted: Vec<usize>,
+    /// The slots the rule's selection phase picked, when the engine computed
+    /// a selection for an applied round (distance-based rules, when someone
+    /// reads it).
+    pub selection: Option<Vec<usize>>,
+    /// Simulated seconds the server waited: the broadcast plus the slowest
+    /// counted arrival, plus the tree tier's slowest group → root leg.
+    pub round_wait_sec: f64,
+    /// Simulated seconds of counted aggregation and the optimizer step (0
+    /// unless applied).
+    pub aggregation_sec: f64,
+}
 
 /// Per-worker breakdown of the wire and control-plane counters the run
 /// aggregates globally — the operator's view of *which* worker produced the
@@ -82,9 +159,63 @@ pub struct TrainingReport {
     pub quarantine_events: Vec<QuarantineEvent>,
     /// Total simulated wall-clock time of the run, in seconds.
     pub simulated_time_sec: f64,
+    /// One record per round, in step order. Every counter above except
+    /// `steps_completed`, the trace and the ledger's transitions is a fold
+    /// over these.
+    pub rounds: Vec<RoundRecord>,
 }
 
 impl TrainingReport {
+    /// Folds one round into the counters, the clock, the latency split and
+    /// the throughput meter, then keeps the record. `byzantine` marks the
+    /// slots whose selection counts against the GAR.
+    pub(crate) fn fold(&mut self, record: RoundRecord, byzantine: &[bool]) {
+        match record.verdict {
+            RoundVerdict::Applied => {}
+            RoundVerdict::Skipped => self.skipped_updates += 1,
+            RoundVerdict::Refused { .. } => self.refused_rounds += 1,
+        }
+        if record.selection.as_ref().is_some_and(|s| s.iter().any(|&slot| byzantine[slot])) {
+            self.byzantine_selected_rounds += 1;
+        }
+        for (stat, wire) in self.per_worker.iter_mut().zip(&record.wire) {
+            let Some(wire) = wire else { continue };
+            stat.stale_epoch_rejects += wire.stale_epoch_rejects;
+            stat.corrupt_rejects += wire.corrupt_rejects;
+            stat.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
+            self.stale_epoch_rejects += wire.stale_epoch_rejects;
+            self.corrupt_rejects += wire.corrupt_rejects;
+            self.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
+        }
+        // Every round advances the clock except a paused refusal; the meter
+        // counts every slot that submitted, delivered or not.
+        if record.verdict != (RoundVerdict::Refused { held: false }) {
+            let round_sec = record.round_wait_sec + record.aggregation_sec;
+            self.simulated_time_sec += round_sec;
+            self.latency.record_round(record.round_wait_sec, record.aggregation_sec);
+            let submissions = record.wire.iter().flatten().count() as u64;
+            self.throughput.record_round(submissions, round_sec);
+        }
+        self.rounds.push(record);
+    }
+
+    /// Closes the run with the ledger's view: its transition log, each
+    /// worker's quarantines and readmissions counted off that log, and the
+    /// final suspicion scores.
+    pub(crate) fn fold_ledger(&mut self, events: &[QuarantineEvent], scores: &[f64]) {
+        for event in events {
+            let stat = &mut self.per_worker[event.worker];
+            match event.change {
+                StandingChange::Quarantined => stat.quarantines += 1,
+                StandingChange::Readmitted => stat.readmissions += 1,
+            }
+        }
+        for (stat, &score) in self.per_worker.iter_mut().zip(scores) {
+            stat.final_suspicion = score;
+        }
+        self.quarantine_events = events.to_vec();
+    }
+
     /// Final test accuracy (0 when nothing was evaluated).
     pub fn final_accuracy(&self) -> f64 {
         self.trace.final_accuracy()
