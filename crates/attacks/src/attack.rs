@@ -13,7 +13,11 @@ pub struct AttackContext<'a> {
     pub honest_gradients: &'a [&'a [f32]],
     /// The current global model parameters.
     pub model: &'a Vector,
-    /// How many Byzantine gradients to produce.
+    /// The adversary's roster: how many Byzantine gradients to produce, one
+    /// per attacker slot. Attacker slots are the trailing `byzantine_count`
+    /// worker ids, counted whether or not churn or quarantine has taken some
+    /// of them out of the round; the engine sends row `k` from slot
+    /// `total_workers − byzantine_count + k` when that slot is live.
     pub byzantine_count: usize,
     /// The `f` the server has declared to its GAR (the adversary knows the
     /// defence configuration).
@@ -22,10 +26,10 @@ pub struct AttackContext<'a> {
     pub step: u64,
     /// Experiment seed (attacks derive their own deterministic streams).
     pub seed: u64,
-    /// Total number of workers submitting this round (honest + Byzantine).
-    /// Lets n-aware attacks (ALIE) derive the exact within-variance budget
-    /// and lets the adaptive attacker recognise its own slots in the
-    /// selection set.
+    /// The configured number of workers `n` (honest + Byzantine), crashed
+    /// and quarantined slots included. Lets n-aware attacks (ALIE) derive
+    /// the exact within-variance budget and lets the adaptive attacker
+    /// recognise its own slots in the selection set.
     pub total_workers: usize,
     /// The worker indices the GAR selected in the *previous* round, when
     /// the server computed a selection (`None` on the first round and for
@@ -77,8 +81,9 @@ pub enum ChurnDirective {
 
 /// A Byzantine worker behaviour.
 ///
-/// `craft` returns exactly `ctx.byzantine_count` gradients; the parameter
-/// server simulator submits them alongside the honest ones. Implementations
+/// `craft` returns exactly `ctx.byzantine_count` gradients, row `k` for the
+/// `k`-th attacker slot; the parameter server simulator submits the rows of
+/// the live slots alongside the honest ones. Implementations
 /// must be deterministic functions of the context (including `seed` and
 /// `step`) so experiments replay exactly.
 pub trait Attack: Send + Sync + fmt::Debug {

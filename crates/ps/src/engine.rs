@@ -127,12 +127,6 @@ struct Aggregation {
     selection: Option<Vec<usize>>,
 }
 
-/// The adversary's feedback channel: the last selection an earlier round
-/// made, as slots.
-fn last_selection(history: &[RoundRecord]) -> Option<&[usize]> {
-    history.iter().rev().find_map(|round| round.selection.as_deref())
-}
-
 impl SyncTrainingEngine {
     /// Builds the engine from a runner configuration.
     ///
@@ -428,6 +422,28 @@ impl SyncTrainingEngine {
         self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f())
     }
 
+    /// What the adversary knows this round (§3.1), over its configured
+    /// roster: the trailing `byzantine_count` of all the workers, whether or
+    /// not churn or the ledger has taken some of them out of the view. Its
+    /// selection feedback is the last selection an earlier round made.
+    fn attack_context<'a>(
+        &'a self,
+        honest: &'a [&'a [f32]],
+        step: u64,
+        history: &'a [RoundRecord],
+    ) -> AttackContext<'a> {
+        AttackContext {
+            honest_gradients: honest,
+            model: self.server.parameters(),
+            byzantine_count: self.config.byzantine_count,
+            declared_f: self.declared_f(),
+            step,
+            seed: self.config.seed,
+            total_workers: self.workers.len(),
+            previous_selection: history.iter().rev().find_map(|r| r.selection.as_deref()),
+        }
+    }
+
     /// Attacker-controlled churn timing: the adversary chooses crash and
     /// rejoin rounds for its own workers from selection feedback instead of
     /// following a pre-declared schedule.
@@ -516,17 +532,7 @@ impl SyncTrainingEngine {
             }
         }
         if self.adaptive_churn() {
-            let ctx = AttackContext {
-                honest_gradients: &[],
-                model: self.server.parameters(),
-                byzantine_count: self.config.byzantine_count,
-                declared_f,
-                step,
-                seed: self.config.seed,
-                total_workers: n,
-                previous_selection: last_selection(history),
-            };
-            for directive in self.attack.plan_churn(&ctx) {
+            for directive in self.attack.plan_churn(&self.attack_context(&[], step, history)) {
                 let (worker, action) = match directive {
                     ChurnDirective::Crash(w) => (w, FaultAction::Crash),
                     ChurnDirective::Rejoin(w) => (w, FaultAction::Rejoin),
@@ -649,27 +655,21 @@ impl SyncTrainingEngine {
             }
         }
 
-        // Phase 2: the adversary crafts the Byzantine submissions, seeing
-        // every honest gradient as a borrowed row view (§3.1's omniscient
-        // attacker, without cloning a coordinate).
-        let attacker_ids: Vec<usize> = (0..n)
-            .filter(|&w| self.membership.health(w).is_live())
-            .filter(|&w| self.workers[w].role() == WorkerRole::Attacker)
-            .collect();
-        if !attacker_ids.is_empty() {
+        // Phase 2: the adversary crafts one submission per slot of its roster,
+        // seeing every honest gradient as a borrowed row view (§3.1's
+        // omniscient attacker, without cloning a coordinate). Roster slot `s`
+        // owns `crafted[s − first]`; only the live ones send.
+        let roster = n - self.config.byzantine_count..n;
+        let attacking = roster.clone().any(|w| {
+            self.workers[w].role() == WorkerRole::Attacker && self.membership.health(w).is_live()
+        });
+        if attacking {
             let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
-            let ctx = AttackContext {
-                honest_gradients: &honest_views,
-                model: self.server.parameters(),
-                byzantine_count: attacker_ids.len(),
-                declared_f: self.declared_f(),
-                step,
-                seed: self.config.seed,
-                total_workers: n,
-                previous_selection: last_selection(history),
-            };
-            let crafted = self.attack.craft(&ctx);
-            for (&slot, gradient) in attacker_ids.iter().zip(&crafted) {
+            let crafted = self.attack.craft(&self.attack_context(&honest_views, step, history));
+            for (slot, gradient) in roster.zip(&crafted) {
+                if !self.membership.health(slot).is_live() {
+                    continue;
+                }
                 let row = self.pipeline.arena_mut().row_mut(slot);
                 let transfer =
                     self.workers[slot].send_gradient_into(step, gradient.as_slice(), row)?;
@@ -1296,6 +1296,43 @@ mod tests {
         assert_eq!(paused.refused_rounds, 3);
         assert_eq!(paused.steps_completed, held.steps_completed);
         assert_eq!(paused.latency.rounds(), 8 - 3);
+    }
+
+    #[test]
+    fn the_adversary_crafts_for_its_configured_roster_under_churn() {
+        use crate::membership::{FaultAction, FaultPlan};
+        // Attackers are slots 7 and 8 of 9, and one of them crashes at round
+        // 1. Adaptive: slot 7 was selected in round 0, so it must press its
+        // advantage; read as a roster of one, slot 8 alone would look
+        // excluded. Random: live slot 8 must send its own row (seed k = 1),
+        // not the first row of a one-slot roster.
+        let cases = [(AttackKind::Adaptive, 8, 7), (AttackKind::Random { magnitude: 10.0 }, 7, 8)];
+        for (attack, crashed, sender) in cases {
+            let mut config = quick_config(GarKind::MultiKrum, 2, 9);
+            config.byzantine_count = 2;
+            config.attack = attack;
+            config.fault_plan = FaultPlan::empty().with(1, crashed, FaultAction::Crash);
+            let mut engine = SyncTrainingEngine::new(config.clone()).unwrap();
+            let history = [RoundRecord { selection: Some(vec![7, 0, 1]), ..Default::default() }];
+            let mut record = RoundRecord { step: 1, ..Default::default() };
+            assert!(engine.advance_membership(&history, &mut record));
+            engine.gradients(&history, &mut record).unwrap();
+            assert_eq!(record.wire[crashed], None, "{attack:?}: a crashed slot sends nothing");
+            let arena = engine.pipeline.arena();
+            let honest: Vec<&[f32]> = (0..7).map(|w| arena.row(w)).collect();
+            let roster = AttackContext {
+                honest_gradients: &honest,
+                model: engine.server.parameters(),
+                byzantine_count: 2,
+                declared_f: 2,
+                step: 1,
+                seed: config.seed,
+                total_workers: 9,
+                previous_selection: Some(&[7, 0, 1]),
+            };
+            let crafted = config.attack.build().craft(&roster);
+            assert_eq!(arena.row(sender), crafted[sender - 7].as_slice(), "{attack:?}");
+        }
     }
 
     #[test]

@@ -305,10 +305,11 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
     let report = assert_deterministic(&config);
     assert_eq!(report.byzantine_selected_rounds, 0);
 
-    // The ledger's outcome on the tree tier, captured from the engine that
-    // re-ran the group stage for its selection feedback; the engine now
-    // folds the feedback out of the round it applied, and the exclusion
-    // history that feeds these scores must not move by a bit.
+    // The ledger's outcome on the tree tier. The exclusion history that
+    // feeds these scores must not move by a bit. The round-15/16 evictions
+    // depend on the colluders staying group-aligned after three of them are
+    // quarantined, which holds because the adversary crafts for its whole
+    // configured roster.
     let transitions: Vec<(u64, usize, bool)> = report
         .quarantine_events
         .iter()
@@ -323,15 +324,15 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
             (15, 15, false),
             (15, 21, false),
             (15, 27, false),
-            (15, 16, true),
-            (15, 23, true),
-            (16, 17, true),
+            (15, 18, true),
+            (15, 25, true),
+            (16, 19, true),
         ]
     );
     let suspicion = report.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
         (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(suspicion, 0x4341_25f6_7901_be74, "FNV-1a fold of the final_suspicion bits");
+    assert_eq!(suspicion, 0xbb6c_f736_6aff_0916, "FNV-1a fold of the final_suspicion bits");
     let last = report.trace.points().last().expect("the run evaluates at the end");
     assert_eq!(last.accuracy.to_bits(), 0x3fef_bbbb_bbbb_bbbc);
     assert_eq!(last.loss.to_bits(), 0x3fd9_4971_8000_0000);
