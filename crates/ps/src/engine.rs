@@ -749,7 +749,8 @@ impl SyncTrainingEngine {
             history.iter().rev().find(|r| !matches!(r.verdict, RoundVerdict::Refused { .. }));
         let excluded = |w| {
             last.is_some_and(|r| {
-                r.selection.as_ref().is_some_and(|s| r.accepted.contains(&w) && !s.contains(&w))
+                let accepted = r.accepted.binary_search(&w).is_ok();
+                r.selection.as_ref().is_some_and(|s| accepted && !s.contains(&w))
             })
         };
         let evidence: Vec<RoundEvidence> = (0..record.wire.len())
@@ -1284,6 +1285,13 @@ mod tests {
         assert_eq!(held.skipped_updates, 1);
         assert_eq!(held.steps_completed, 8 - 3 - 1);
         assert!(held.stale_epoch_rejects > 0);
+        let verdicts = |report: &TrainingReport| -> Vec<RoundVerdict> {
+            report.rounds.iter().map(|round| round.verdict).collect()
+        };
+        let (applied, skipped) = (RoundVerdict::Applied, RoundVerdict::Skipped);
+        let refused = RoundVerdict::Refused { held: true };
+        let expected = [applied, applied, refused, refused, refused, skipped, applied, applied];
+        assert_eq!(verdicts(&held), expected);
 
         // Hold-last-round still broadcasts the held model, so the refused
         // rounds appear in the latency accounting.
@@ -1296,6 +1304,9 @@ mod tests {
         assert_eq!(paused.refused_rounds, 3);
         assert_eq!(paused.steps_completed, held.steps_completed);
         assert_eq!(paused.latency.rounds(), 8 - 3);
+        let paused_refusal = RoundVerdict::Refused { held: false };
+        let expected = expected.map(|v| if v == refused { paused_refusal } else { v });
+        assert_eq!(verdicts(&paused), expected);
     }
 
     #[test]
@@ -1411,6 +1422,11 @@ mod tests {
         // the skip stay distinguishable, exactly like the flat tier.
         assert_eq!(report.skipped_updates, 1);
         assert_eq!(report.steps_completed, 10 - 3 - 1);
+        let verdicts: Vec<RoundVerdict> = report.rounds.iter().map(|r| r.verdict).collect();
+        let mut expected = vec![RoundVerdict::Applied; 10];
+        expected[3..6].fill(RoundVerdict::Refused { held: true });
+        expected[6] = RoundVerdict::Skipped;
+        assert_eq!(verdicts, expected);
     }
 
     #[test]

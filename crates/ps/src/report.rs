@@ -159,9 +159,10 @@ pub struct TrainingReport {
     pub quarantine_events: Vec<QuarantineEvent>,
     /// Total simulated wall-clock time of the run, in seconds.
     pub simulated_time_sec: f64,
-    /// One record per round, in step order. Every counter above except
-    /// `steps_completed`, the trace and the ledger's transitions is a fold
-    /// over these.
+    /// One record per round of a `SyncTrainingEngine` run, in step order
+    /// (empty for the Draco baseline, which keeps none). Every counter above
+    /// except `steps_completed`, the trace and the ledger's transitions is a
+    /// fold over these.
     pub rounds: Vec<RoundRecord>,
 }
 
@@ -337,6 +338,27 @@ mod tests {
                     final_suspicion: 0.75,
                 },
             ],
+            rounds: vec![
+                RoundRecord {
+                    step: 3,
+                    epoch: 1,
+                    wire: vec![
+                        Some(SlotWire { delivered: true, ..Default::default() }),
+                        None,
+                        Some(SlotWire { stale_epoch_rejects: 4, ..Default::default() }),
+                    ],
+                    accepted: vec![0],
+                    selection: Some(vec![0]),
+                    round_wait_sec: 0.25,
+                    aggregation_sec: 0.125,
+                    ..Default::default()
+                },
+                RoundRecord {
+                    step: 4,
+                    verdict: RoundVerdict::Refused { held: true },
+                    ..Default::default()
+                },
+            ],
             ..Default::default()
         };
         report.retransmit_exhaustions = 1;
@@ -344,6 +366,7 @@ mod tests {
         let back: TrainingReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.per_worker, report.per_worker);
         assert_eq!(back.retransmit_exhaustions, 1);
+        assert_eq!(back.rounds, report.rounds);
     }
 
     #[test]

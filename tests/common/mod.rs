@@ -54,8 +54,9 @@ pub fn assert_deterministic(config: &RunnerConfig) -> TrainingReport {
 }
 
 /// Bit-for-bit equality of the whole report: the counters, the per-worker
-/// breakdown, the ledger's transitions, the trace and the simulated clock
-/// (the run's seconds, their latency split and the throughput meter).
+/// breakdown, the ledger's transitions, the trace, the simulated clock (the
+/// run's seconds, their latency split and the throughput meter) and every
+/// round's record.
 pub fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, context: &str) {
     assert_eq!(a.label, b.label, "{context}: labels");
     assert_eq!(
@@ -113,6 +114,20 @@ pub fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, context:
             "{context}: suspicion diverged for worker {worker}: {} vs {}",
             x.final_suspicion,
             y.final_suspicion
+        );
+    }
+    assert_eq!(a.rounds.len(), b.rounds.len(), "{context}: round records");
+    for (x, y) in a.rounds.iter().zip(&b.rounds) {
+        let round = format!("{context}: round {}", x.step);
+        assert_eq!((x.step, x.epoch, x.verdict), (y.step, y.epoch, y.verdict), "{round}");
+        assert_eq!(x.wire, y.wire, "{round}: wire outcomes");
+        assert_eq!(x.accepted, y.accepted, "{round}: accepted slots");
+        assert_eq!(x.selection, y.selection, "{round}: selection");
+        assert_eq!(x.round_wait_sec.to_bits(), y.round_wait_sec.to_bits(), "{round}: wait");
+        assert_eq!(
+            x.aggregation_sec.to_bits(),
+            y.aggregation_sec.to_bits(),
+            "{round}: aggregation"
         );
     }
     assert_eq!(a.trace.len(), b.trace.len(), "{context}: trace length");

@@ -34,7 +34,8 @@ use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    ReputationConfig, ReputationLedger, RoundEvidence, RunnerConfig, StandingChange, TransportKind,
+    FaultPlan, ReputationConfig, ReputationLedger, RoundEvidence, RoundRecord, RoundVerdict,
+    RunnerConfig, StandingChange, TransportKind, WorkerReport,
 };
 use common::{assert_deterministic, run};
 use proptest::prelude::*;
@@ -263,6 +264,83 @@ fn reputation_reshuffles_contain_group_collusion_far_beyond_the_composed_bound()
         captured.final_accuracy(),
         contained.final_accuracy()
     );
+}
+
+// ---------------------------------------------------------------------------
+// The report is a fold over the round records
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_report_counter_is_the_sum_of_its_round_records() {
+    // Churn (a seeded crash schedule plus the adaptive rotation), chaos on
+    // eight links and the ledger: every counter the report carries must be
+    // its sum over `rounds`, and the per-worker ledger counts must be the
+    // ledger's own transition log.
+    let mut config = base_config(GarKind::MultiKrum, 4, 19);
+    config.byzantine_count = 4;
+    config.attack = AttackKind::Adaptive;
+    config.adaptive_churn = true;
+    config.fault_plan = FaultPlan::seeded_churn(config.seed, 19, config.max_steps, 3);
+    degrade(&mut config, 8);
+    let report = run(config);
+    let rounds = &report.rounds;
+    assert_eq!(rounds.iter().map(|r| r.step).collect::<Vec<_>>(), (0..40).collect::<Vec<_>>());
+    assert!(report.quarantine_count() > 0 && report.readmission_count() > 0);
+    assert!(report.corrupt_rejects > 0 && report.stale_epoch_rejects > 0);
+
+    let count = |wanted: fn(RoundVerdict) -> bool| {
+        rounds.iter().filter(|r| wanted(r.verdict)).count() as u64
+    };
+    assert_eq!(report.steps_completed, count(|v| v == RoundVerdict::Applied));
+    assert_eq!(report.skipped_updates, count(|v| v == RoundVerdict::Skipped));
+    assert_eq!(report.refused_rounds, count(|v| matches!(v, RoundVerdict::Refused { .. })));
+    let byzantine =
+        |r: &&RoundRecord| r.selection.as_ref().is_some_and(|s| s.iter().any(|&w| w >= 15));
+    assert_eq!(report.byzantine_selected_rounds, rounds.iter().filter(byzantine).count() as u64);
+
+    let mut wire = vec![WorkerReport::default(); 19];
+    for round in rounds {
+        for (stat, slot) in wire.iter_mut().zip(&round.wire) {
+            let Some(slot) = slot else { continue };
+            stat.stale_epoch_rejects += slot.stale_epoch_rejects;
+            stat.corrupt_rejects += slot.corrupt_rejects;
+            stat.retransmit_exhaustions += u64::from(slot.retransmit_exhausted);
+        }
+    }
+    for (stat, sums) in report.per_worker.iter().zip(&wire) {
+        let w = stat.worker;
+        assert_eq!(stat.stale_epoch_rejects, sums.stale_epoch_rejects, "worker {w}");
+        assert_eq!(stat.corrupt_rejects, sums.corrupt_rejects, "worker {w}");
+        assert_eq!(stat.retransmit_exhaustions, sums.retransmit_exhaustions, "worker {w}");
+        let events = |change| {
+            let log = report.quarantine_events.iter();
+            log.filter(|e| e.worker == w && e.change == change).count() as u64
+        };
+        assert_eq!(stat.quarantines, events(StandingChange::Quarantined), "worker {w}");
+        assert_eq!(stat.readmissions, events(StandingChange::Readmitted), "worker {w}");
+    }
+    let total = |field: fn(&WorkerReport) -> u64| wire.iter().map(field).sum::<u64>();
+    assert_eq!(report.stale_epoch_rejects, total(|s| s.stale_epoch_rejects));
+    assert_eq!(report.corrupt_rejects, total(|s| s.corrupt_rejects));
+    assert_eq!(report.retransmit_exhaustions, total(|s| s.retransmit_exhaustions));
+
+    // The clock, in step order: every round but a paused refusal pays its
+    // wait and its aggregation.
+    let (mut wait, mut aggregation, mut clock, mut charged, mut received) = (0.0, 0.0, 0.0, 0, 0);
+    for round in rounds.iter().filter(|r| r.verdict != RoundVerdict::Refused { held: false }) {
+        wait += round.round_wait_sec;
+        aggregation += round.aggregation_sec;
+        clock += round.round_wait_sec + round.aggregation_sec;
+        charged += 1;
+        received += round.wire.iter().flatten().count() as u64;
+    }
+    assert_eq!(report.simulated_time_sec.to_bits(), f64::to_bits(clock));
+    assert_eq!(report.latency.rounds(), charged);
+    assert_eq!(report.latency.compute_comm_sec().to_bits(), f64::to_bits(wait));
+    assert_eq!(report.latency.aggregation_sec().to_bits(), f64::to_bits(aggregation));
+    assert_eq!(report.throughput.model_updates(), charged);
+    assert_eq!(report.throughput.gradients_received(), received);
+    assert_eq!(report.throughput.elapsed_sec().to_bits(), f64::to_bits(clock));
 }
 
 // ---------------------------------------------------------------------------
