@@ -19,30 +19,10 @@
 use crate::gar::{ensure_batch_nonempty, validate_batch, Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
-use agg_tensor::{stats, TensorError, Vector};
+use agg_tensor::{stats, Vector};
 use rayon::prelude::*;
 
 pub use agg_tensor::batch::{DistanceMatrix, GradientBatch};
-
-/// Pairwise squared-distance matrix for a slice of vectors.
-///
-/// Compatibility adapter over the single canonical kernel,
-/// [`GradientBatch::pairwise_squared_distances`]: each unordered pair is
-/// computed exactly once into the flat upper triangle. Distances involving
-/// non-finite coordinates are mapped to `+∞` so corrupt gradients are never
-/// preferred by any score built on top of the matrix.
-///
-/// # Panics
-///
-/// Panics when the vectors disagree on length (distance computation is on
-/// the hot path; callers validate dimensions first).
-pub fn distance_matrix(gradients: &[Vector]) -> DistanceMatrix {
-    match GradientBatch::from_vectors(gradients) {
-        Ok(batch) => batch.pairwise_squared_distances(),
-        Err(TensorError::EmptyInput(_)) => GradientBatch::new(0).pairwise_squared_distances(),
-        Err(e) => panic!("distance_matrix requires equally sized gradients: {e}"),
-    }
-}
 
 /// Krum score of gradient `index` restricted to the `active` set: the sum of
 /// its `neighbours` smallest distances to other active gradients.
@@ -279,6 +259,10 @@ mod tests {
     use super::*;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
+    fn distance_matrix(gradients: &[Vector]) -> DistanceMatrix {
+        GradientBatch::from_vectors(gradients).unwrap().pairwise_squared_distances()
+    }
+
     /// Builds a batch of `honest` gradients around `center` plus `byz` copies
     /// of `attack`.
     fn batch(honest: usize, center: f32, byz: usize, attack: &[f32]) -> Vec<Vector> {
@@ -378,15 +362,6 @@ mod tests {
         for c in 0..out1.len() {
             assert!((out1[c] - out2[c]).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn distance_matrix_maps_nan_to_infinity() {
-        let gs = vec![Vector::from(vec![f32::NAN]), Vector::from(vec![1.0])];
-        let d = distance_matrix(&gs);
-        assert_eq!(d.get(0, 1), f32::INFINITY);
-        assert_eq!(d.get(0, 0), 0.0);
-        assert_eq!(distance_matrix(&[]).n(), 0);
     }
 
     #[test]

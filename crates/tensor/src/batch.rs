@@ -1534,6 +1534,7 @@ mod tests {
         assert_eq!(m.get(1, 2), 18.0);
         let dense = m.to_dense();
         assert_eq!(dense[2][1], 18.0);
+        assert_eq!(GradientBatch::new(2).pairwise_squared_distances().n(), 0);
     }
 
     #[test]
