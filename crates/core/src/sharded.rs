@@ -34,7 +34,7 @@
 //! deterministic shard-order reduce; the coordinate kernels instead run in
 //! shard order and parallelise *inside* each shard over column blocks (a
 //! shard-level fan-out on top of the block-level one is pure nested-dispatch
-//! overhead — see [`ShardedAggregator::coordinate_sharded`]). Either way,
+//! overhead — see `ShardedAggregator::coordinate_sharded`). Either way,
 //! for a fixed shard count the aggregate is bit-for-bit reproducible at any
 //! thread budget (pinned at budgets 1, 2 and 4 by the unit tests below).
 

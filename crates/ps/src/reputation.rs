@@ -462,7 +462,7 @@ pub fn affinity_sample_indices(seed: u64, dimension: usize, max_coords: usize) -
 ///
 /// Cost is `O(n·m)` for the gather plus `O(n²·m)` worst case for the pair
 /// pass over the `m` sampled coordinates — but a pair stops at the first
-/// [`AFFINITY_CHECK_EVERY`]-coordinate check that proves it too far apart,
+/// `AFFINITY_CHECK_EVERY`-coordinate check that proves it too far apart,
 /// so honest traffic (independent rows, apart at the scale of the gradients
 /// themselves) pays `O(n²·16)` and only near-duplicates are summed to the
 /// end. The exit is exact, not a heuristic: the squared differences are

@@ -262,7 +262,7 @@ fn matmul_tn_acc_tile<const R: usize>(
 /// `out: [batch, m]`, each sum starting at `0.0` with `j` ascending.
 ///
 /// The per-element chain over `j` stays sequential; what runs in parallel is
-/// [`LANES`] rows of `a` at a time, read from a transposed, zero-padded copy
+/// `LANES` rows of `a` at a time, read from a transposed, zero-padded copy
 /// of `a` that is built in `scratch`. `scratch` is the caller's so that a
 /// layer reuses one buffer across calls; its contents on entry are ignored.
 ///

@@ -11,14 +11,14 @@
 //! arrivals. Its contract is *bit-identity* with the batch pipeline it
 //! replaces, which pins two things:
 //!
-//! - **Kernel choice.** [`Mode::Flat`] replays the unsharded path by
+//! - **Kernel choice.** `Mode::Flat` replays the unsharded path by
 //!   calling it: the arriving row against the prior rows, four at a time,
 //!   through the same blocked walk (`GradientBatch::tile_distances`) that
 //!   [`GradientBatch::pairwise_squared_distances`] is built on, so each pair
 //!   has the bits of [`ops::squared_distance`] on its two full rows (whose
-//!   value does not depend on which row is named first). [`Mode::Sharded`]
+//!   value does not depend on which row is named first). `Mode::Sharded`
 //!   replays the decomposed path: per-shard partial sums fed by
-//!   [`ops::squared_distance_wide`] over [`DISTANCE_BLOCK`]-column tiles in
+//!   [`ops::squared_distance_wide`] over `DISTANCE_BLOCK`-column tiles in
 //!   ascending block order — the fold of
 //!   [`GradientBatch::pairwise_squared_distance_partials`].
 //! - **Reduce order.** f32 addition is non-associative, so the sharded mode
@@ -156,7 +156,7 @@ impl StreamingDistances {
     /// closed once the row's last block has passed.
     ///
     /// The sharded walk is tile-ordered for cache warmth: the arriving row's
-    /// [`DISTANCE_BLOCK`] slice stays register/L1-hot while every prior row's
+    /// `DISTANCE_BLOCK` slice stays register/L1-hot while every prior row's
     /// matching slice streams past it, and per (shard, pair) the blocks fold
     /// in ascending order — the exact left-fold of the batch partial kernel.
     ///
