@@ -17,8 +17,16 @@
 //! multiply-add), so results are bit-identical to the scalar form — the
 //! training trajectories the determinism suites pin do not move. Rows left
 //! over after the last full tile run as one-row tiles (the operand block is in
-//! L1 by then), leftover columns run the same order in scalar form, and every
-//! kernel is a no-op on an empty operand.
+//! L1 by then), and every kernel is a no-op on an empty operand.
+//!
+//! The at most fifteen columns left over after the last full column tile of
+//! [`matmul_acc`] and [`matmul_tn_acc`] run through the same tiles. The tiles
+//! read a zero-padded copy of that edge of `b` (built on the stack, 64 rows at
+//! a time, so a call allocates nothing), load and store only the real output
+//! columns, and compute the padding lanes as scratch that is never stored.
+//! Each real element still sees its terms in the same order, behind the same
+//! zero-factor skip, with the same roundings. At the ten-column output layer
+//! this replaced a scalar loop that took most of the layer's time.
 //!
 //! # Vector width
 //!
@@ -38,12 +46,9 @@
 //! `*_equals_the_scalar_loop_on_every_edge_shape` tests hold each of them to
 //! the scalar loop bit for bit.
 //!
-//! The at most fifteen leftover columns stay in the public entry at baseline
-//! width: a 256-bit copy of a loop that short only pays its set-up (measured
-//! 1.6–2× slower at the ten-column output layer).
-//!
 //! The three dispatch calls are this module's only `unsafe` (the crate's one
-//! other is the same call in `batch.rs`, for the order-statistic tiles). Calling a
+//! other is the same call in `batch.rs`, for the order-statistic tiles); the
+//! edge columns run inside the dispatched tiles and add none. Calling a
 //! `#[target_feature]` function is undefined behaviour on a CPU without the
 //! feature; each call sits directly under the runtime check for the one
 //! feature its callee enables, and the callees are private to this module.
@@ -59,6 +64,90 @@ const TILE_ROWS: usize = 4;
 const TILE_COLS: usize = 16;
 /// Rows of `a` that [`matmul_nt`] carries side by side (one 128-bit vector).
 const LANES: usize = 4;
+/// Rows of the zero-padded edge operand built at a time, on the stack (4 KiB).
+const EDGE_ROWS: usize = 64;
+
+/// A `TILE_COLS`-wide column panel of a row-major operand, standing for
+/// summation indices `first..first + len`: the row for index `first + p` is
+/// `data[p * stride + col..][..TILE_COLS]`.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    data: &'a [f32],
+    stride: usize,
+    col: usize,
+    first: usize,
+    len: usize,
+}
+
+impl Panel<'_> {
+    #[inline(always)]
+    fn row(&self, p: usize) -> &[f32; TILE_COLS] {
+        self.data[p * self.stride + self.col..][..TILE_COLS]
+            .try_into()
+            .expect("slice has TILE_COLS elements")
+    }
+}
+
+/// The output block a tile accumulates into: rows `i0..i0 + R` of the
+/// row-major `[_, n]` output, columns `j0..j0 + cols` (`cols ≤ TILE_COLS`).
+/// Only those columns are loaded and stored; the tile's other lanes are
+/// scratch.
+#[derive(Clone, Copy)]
+struct Block {
+    n: usize,
+    i0: usize,
+    j0: usize,
+    cols: usize,
+}
+
+impl Block {
+    #[inline(always)]
+    fn load<const R: usize>(&self, out: &[f32]) -> [[f32; TILE_COLS]; R] {
+        let mut acc = [[0.0f32; TILE_COLS]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row[..self.cols].copy_from_slice(&out[(self.i0 + r) * self.n + self.j0..][..self.cols]);
+        }
+        acc
+    }
+
+    #[inline(always)]
+    fn store<const R: usize>(&self, acc: &[[f32; TILE_COLS]; R], out: &mut [f32]) {
+        for (r, row) in acc.iter().enumerate() {
+            out[(self.i0 + r) * self.n + self.j0..][..self.cols].copy_from_slice(&row[..self.cols]);
+        }
+    }
+}
+
+/// Copies columns `col..col + cols` (`cols < TILE_COLS`) of rows
+/// `p0..p0 + pad.len()` of the row-major `[_, stride]` operand `src` into
+/// `pad`, zero past `cols` in every row: the edge operand the tiles read in
+/// place of the ragged last column panel.
+#[inline(always)]
+fn pad_edge(
+    src: &[f32],
+    stride: usize,
+    col: usize,
+    cols: usize,
+    p0: usize,
+    pad: &mut [[f32; TILE_COLS]],
+) {
+    for (p, row) in pad.iter_mut().enumerate() {
+        let start = (p0 + p) * stride + col;
+        match src.get(start..start + TILE_COLS) {
+            // A fixed-width select rather than a `cols`-long copy, which
+            // would be a `memcpy` call per row.
+            Some(window) => {
+                for c in 0..TILE_COLS {
+                    row[c] = if c < cols { window[c] } else { 0.0 };
+                }
+            }
+            None => {
+                *row = [0.0; TILE_COLS];
+                row[..cols].copy_from_slice(&src[start..start + cols]);
+            }
+        }
+    }
+}
 
 /// `out[i][j] += Σ_p a[i][p] · b[p][j]` for `a: [m, k]`, `b: [k, n]`,
 /// `out: [m, n]`, with `p` ascending and every term whose `a[i][p] == 0.0`
@@ -71,21 +160,6 @@ pub fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), m * k, "matmul_acc: a is not [m, k]");
     assert_eq!(b.len(), k * n, "matmul_acc: b is not [k, n]");
     assert_eq!(out.len(), m * n, "matmul_acc: out is not [m, n]");
-    let n_tiled = n - n % TILE_COLS;
-    if n_tiled < n {
-        for i in 0..m {
-            let out_edge = &mut out[i * n + n_tiled..(i + 1) * n];
-            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_edge = &b[p * n + n_tiled..(p + 1) * n];
-                for (o, &bv) in out_edge.iter_mut().zip(b_edge) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2, the one feature `matmul_acc_tiles_avx2` enables, was
@@ -113,40 +187,57 @@ unsafe fn matmul_acc_tiles_avx2(
     matmul_acc_tiles(a, b, out, m, k, n)
 }
 
-/// The register-tiled columns of [`matmul_acc`] (`0..n − n % TILE_COLS`), at
-/// the vector width of whichever function it is inlined into.
+/// All of [`matmul_acc`] after its shape checks, at the vector width of
+/// whichever function it is inlined into. The `n % TILE_COLS` edge columns
+/// run the same tiles over a zero-padded copy of `b`'s edge, `EDGE_ROWS`
+/// rows of it at a time.
 #[inline(always)]
 fn matmul_acc_tiles(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let m_tiled = m - m % TILE_ROWS;
-    for j0 in (0..n - n % TILE_COLS).step_by(TILE_COLS) {
-        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
-            matmul_acc_tile::<TILE_ROWS>(a, b, out, k, n, i0, j0);
-        }
-        for i in m_tiled..m {
-            matmul_acc_tile::<1>(a, b, out, k, n, i, j0);
+    let n_tiled = n - n % TILE_COLS;
+    for j0 in (0..n_tiled).step_by(TILE_COLS) {
+        let panel = Panel { data: b, stride: n, col: j0, first: 0, len: k };
+        matmul_acc_panel(a, panel, out, m, k, Block { n, i0: 0, j0, cols: TILE_COLS });
+    }
+    let cols = n - n_tiled;
+    if cols > 0 {
+        let mut pad = [[0.0f32; TILE_COLS]; EDGE_ROWS];
+        for first in (0..k).step_by(EDGE_ROWS) {
+            let len = EDGE_ROWS.min(k - first);
+            pad_edge(b, n, n_tiled, cols, first, &mut pad[..len]);
+            let panel = Panel { data: pad.as_flattened(), stride: TILE_COLS, col: 0, first, len };
+            matmul_acc_panel(a, panel, out, m, k, Block { n, i0: 0, j0: n_tiled, cols });
         }
     }
 }
 
-/// One `R × TILE_COLS` block of [`matmul_acc`] at output offset `(i0, j0)`.
+/// Every row tile of [`matmul_acc`] over one column panel, for the output
+/// columns of `block` (whose `i0` is ignored).
 #[inline(always)]
+fn matmul_acc_panel(a: &[f32], panel: Panel, out: &mut [f32], m: usize, k: usize, block: Block) {
+    let m_tiled = m - m % TILE_ROWS;
+    for i0 in (0..m_tiled).step_by(TILE_ROWS) {
+        matmul_acc_tile::<TILE_ROWS>(a, panel, out, k, Block { i0, ..block });
+    }
+    for i0 in m_tiled..m {
+        matmul_acc_tile::<1>(a, panel, out, k, Block { i0, ..block });
+    }
+}
+
+/// One `R × TILE_COLS` block of [`matmul_acc`], over the panel's terms.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `p` walks the panel and the `a` rows together
 fn matmul_acc_tile<const R: usize>(
     a: &[f32],
-    b: &[f32],
+    panel: Panel,
     out: &mut [f32],
     k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
+    block: Block,
 ) {
-    let mut acc = [[0.0f32; TILE_COLS]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i0 + r) * n + j0..][..TILE_COLS]);
-    }
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
-    for p in 0..k {
-        let b_row: &[f32; TILE_COLS] =
-            b[p * n + j0..][..TILE_COLS].try_into().expect("slice has TILE_COLS elements");
+    let mut acc = block.load::<R>(out);
+    let a_rows: [&[f32]; R] =
+        std::array::from_fn(|r| &a[(block.i0 + r) * k + panel.first..][..panel.len]);
+    for p in 0..panel.len {
+        let b_row = panel.row(p);
         for r in 0..R {
             let av = a_rows[r][p];
             if av != 0.0 {
@@ -156,9 +247,7 @@ fn matmul_acc_tile<const R: usize>(
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
-        out[(i0 + r) * n + j0..][..TILE_COLS].copy_from_slice(row);
-    }
+    block.store(&acc, out);
 }
 
 /// `out[i][j] += Σ_s a[s][i] · b[s][j]` for `a: [batch, m]`, `b: [batch, n]`,
@@ -172,18 +261,6 @@ pub fn matmul_tn_acc(a: &[f32], b: &[f32], out: &mut [f32], batch: usize, m: usi
     assert_eq!(a.len(), batch * m, "matmul_tn_acc: a is not [batch, m]");
     assert_eq!(b.len(), batch * n, "matmul_tn_acc: b is not [batch, n]");
     assert_eq!(out.len(), m * n, "matmul_tn_acc: out is not [m, n]");
-    let n_tiled = n - n % TILE_COLS;
-    if n_tiled < n {
-        for s in 0..batch {
-            let b_edge = &b[s * n + n_tiled..(s + 1) * n];
-            for (i, &av) in a[s * m..(s + 1) * m].iter().enumerate() {
-                let out_edge = &mut out[i * n + n_tiled..(i + 1) * n];
-                for (o, &bv) in out_edge.iter_mut().zip(b_edge) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2, the one feature `matmul_tn_acc_tiles_avx2` enables,
@@ -211,51 +288,63 @@ unsafe fn matmul_tn_acc_tiles_avx2(
     matmul_tn_acc_tiles(a, b, out, batch, m, n)
 }
 
-/// The register-tiled columns of [`matmul_tn_acc`] (`0..n − n % TILE_COLS`),
-/// at the vector width of whichever function it is inlined into.
+/// All of [`matmul_tn_acc`] after its shape checks, at the vector width of
+/// whichever function it is inlined into. The `n % TILE_COLS` edge columns
+/// run the same tiles over a zero-padded copy of `b`'s edge, `EDGE_ROWS`
+/// samples of it at a time.
 #[inline(always)]
 fn matmul_tn_acc_tiles(a: &[f32], b: &[f32], out: &mut [f32], batch: usize, m: usize, n: usize) {
-    let m_tiled = m - m % TILE_ROWS;
-    for j0 in (0..n - n % TILE_COLS).step_by(TILE_COLS) {
-        for i0 in (0..m_tiled).step_by(TILE_ROWS) {
-            matmul_tn_acc_tile::<TILE_ROWS>(a, b, out, batch, m, n, i0, j0);
-        }
-        for i in m_tiled..m {
-            matmul_tn_acc_tile::<1>(a, b, out, batch, m, n, i, j0);
+    let n_tiled = n - n % TILE_COLS;
+    for j0 in (0..n_tiled).step_by(TILE_COLS) {
+        let panel = Panel { data: b, stride: n, col: j0, first: 0, len: batch };
+        matmul_tn_acc_panel(a, panel, out, m, Block { n, i0: 0, j0, cols: TILE_COLS });
+    }
+    let cols = n - n_tiled;
+    if cols > 0 {
+        let mut pad = [[0.0f32; TILE_COLS]; EDGE_ROWS];
+        for first in (0..batch).step_by(EDGE_ROWS) {
+            let len = EDGE_ROWS.min(batch - first);
+            pad_edge(b, n, n_tiled, cols, first, &mut pad[..len]);
+            let panel = Panel { data: pad.as_flattened(), stride: TILE_COLS, col: 0, first, len };
+            matmul_tn_acc_panel(a, panel, out, m, Block { n, i0: 0, j0: n_tiled, cols });
         }
     }
 }
 
-/// One `R × TILE_COLS` block of [`matmul_tn_acc`] at output offset `(i0, j0)`.
+/// Every row tile of [`matmul_tn_acc`] over one column panel, for the output
+/// columns of `block` (whose `i0` is ignored).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+fn matmul_tn_acc_panel(a: &[f32], panel: Panel, out: &mut [f32], m: usize, block: Block) {
+    let m_tiled = m - m % TILE_ROWS;
+    for i0 in (0..m_tiled).step_by(TILE_ROWS) {
+        matmul_tn_acc_tile::<TILE_ROWS>(a, panel, out, m, Block { i0, ..block });
+    }
+    for i0 in m_tiled..m {
+        matmul_tn_acc_tile::<1>(a, panel, out, m, Block { i0, ..block });
+    }
+}
+
+/// One `R × TILE_COLS` block of [`matmul_tn_acc`], over the panel's samples.
+#[inline(always)]
 fn matmul_tn_acc_tile<const R: usize>(
     a: &[f32],
-    b: &[f32],
+    panel: Panel,
     out: &mut [f32],
-    batch: usize,
     m: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
+    block: Block,
 ) {
-    let mut acc = [[0.0f32; TILE_COLS]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i0 + r) * n + j0..][..TILE_COLS]);
-    }
-    for s in 0..batch {
-        let a_vals: &[f32; R] = a[s * m + i0..][..R].try_into().expect("slice has R elements");
-        let b_row: &[f32; TILE_COLS] =
-            b[s * n + j0..][..TILE_COLS].try_into().expect("slice has TILE_COLS elements");
+    let mut acc = block.load::<R>(out);
+    for s in 0..panel.len {
+        let a_vals: &[f32; R] =
+            a[(panel.first + s) * m + block.i0..][..R].try_into().expect("slice has R elements");
+        let b_row = panel.row(s);
         for r in 0..R {
             for c in 0..TILE_COLS {
                 acc[r][c] += a_vals[r] * b_row[c];
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
-        out[(i0 + r) * n + j0..][..TILE_COLS].copy_from_slice(row);
-    }
+    block.store(&acc, out);
 }
 
 /// `out[s][i] = Σ_j b[i][j] · a[s][j]` for `a: [batch, n]`, `b: [m, n]`,
@@ -464,12 +553,20 @@ mod tests {
         }
     }
 
-    const ROWS: [usize; 8] = [0, 1, 2, 3, 4, 5, 9, 25];
+    /// 70 runs `matmul_tn_acc`'s edge over two `EDGE_ROWS` chunks of samples.
+    const ROWS: [usize; 9] = [0, 1, 2, 3, 4, 5, 9, 25, 70];
     const INNER: [usize; 5] = [0, 1, 3, 7, 33];
     const COLS: [usize; 8] = [0, 1, 10, 15, 16, 17, 33, 48];
     /// The layer shapes the repo benchmark's workloads run (batch, in, out).
-    const ENGINE: [(usize, usize, usize); 4] =
-        [(25, 256, 384), (25, 384, 10), (2, 256, 384), (8, 32, 96)];
+    const ENGINE: [(usize, usize, usize); 7] = [
+        (25, 256, 384),
+        (25, 384, 10),
+        (2, 256, 384),
+        (2, 384, 10),
+        (1, 384, 10),
+        (8, 32, 96),
+        (8, 96, 10),
+    ];
 
     /// Every edge shape (first dimension from `ROWS`, second from `INNER`,
     /// third from `COLS`), then the engine's.
@@ -484,11 +581,15 @@ mod tests {
         shapes
     }
 
-    /// What a tiles-only call must leave behind: the scalar result on the
-    /// tiled columns, the starting value on the edge columns.
-    fn tiled_columns_of(want: &[f32], start: &[f32], n: usize) -> Vec<f32> {
-        let n_tiled = n - n % TILE_COLS;
-        (0..want.len()).map(|idx| if idx % n < n_tiled { want[idx] } else { start[idx] }).collect()
+    /// The output's starting values for a case: ordinary operands, or every
+    /// element `-0.0` (which a term must turn into `+0.0`, and which must
+    /// survive where every term is skipped).
+    fn start(len: usize, seed: u32, case: usize) -> Vec<f32> {
+        if case < 2 {
+            operand(len, seed ^ 0x9e37, false)
+        } else {
+            vec![-0.0; len]
+        }
     }
 
     // Each sweep runs a shape twice: through the public entry, which on a CPU
@@ -499,45 +600,44 @@ mod tests {
 
     #[test]
     fn matmul_acc_equals_the_scalar_loop_on_every_edge_shape() {
-        for (case, specials) in [false, true].into_iter().enumerate() {
+        for (case, specials) in [false, true, true].into_iter().enumerate() {
             for (m, k, n) in shapes() {
-                let seed = (case + 2 * (m + 31 * (k + 37 * n))) as u32;
+                let seed = (case + 3 * (m + 31 * (k + 37 * n))) as u32;
                 let a = operand(m * k, seed, specials);
                 let b = operand(k * n, seed ^ 0x5bd1, specials);
-                let start = operand(m * n, seed ^ 0x9e37, false);
-                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start.clone());
+                let start = start(m * n, seed, case);
+                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start);
                 matmul_acc(&a, &b, &mut got, m, k, n);
                 matmul_acc_tiles(&a, &b, &mut base, m, k, n);
                 scalar::matmul_acc(&a, &b, &mut want, m, k, n);
-                assert_same_bits(&got, &want, &format!("matmul_acc {m}x{k}x{n}"));
-                let want_tiles = tiled_columns_of(&want, &start, n);
-                assert_same_bits(&base, &want_tiles, &format!("matmul_acc_tiles {m}x{k}x{n}"));
+                assert_same_bits(&got, &want, &format!("matmul_acc {m}x{k}x{n} case {case}"));
+                assert_same_bits(
+                    &base,
+                    &want,
+                    &format!("matmul_acc_tiles {m}x{k}x{n} case {case}"),
+                );
             }
         }
     }
 
     #[test]
     fn matmul_tn_acc_equals_the_scalar_loop_on_every_edge_shape() {
-        for (case, specials) in [false, true].into_iter().enumerate() {
+        for (case, specials) in [false, true, true].into_iter().enumerate() {
             for (batch, m, n) in shapes() {
-                let seed = (case + 2 * (batch + 31 * (m + 37 * n))) as u32;
+                let seed = (case + 3 * (batch + 31 * (m + 37 * n))) as u32;
                 let a = operand(batch * m, seed, specials);
                 let b = operand(batch * n, seed ^ 0x5bd1, specials);
-                let start = operand(m * n, seed ^ 0x9e37, false);
-                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start.clone());
+                let start = start(m * n, seed, case);
+                let (mut got, mut base, mut want) = (start.clone(), start.clone(), start);
                 // Twice: the second call starts from a non-trivial sum.
                 for _ in 0..2 {
                     matmul_tn_acc(&a, &b, &mut got, batch, m, n);
                     matmul_tn_acc_tiles(&a, &b, &mut base, batch, m, n);
                     scalar::matmul_tn_acc(&a, &b, &mut want, batch, m, n);
                 }
-                assert_same_bits(&got, &want, &format!("matmul_tn_acc {batch}x{m}x{n}"));
-                let want_tiles = tiled_columns_of(&want, &start, n);
-                assert_same_bits(
-                    &base,
-                    &want_tiles,
-                    &format!("matmul_tn_acc_tiles {batch}x{m}x{n}"),
-                );
+                let what = format!("{batch}x{m}x{n} case {case}");
+                assert_same_bits(&got, &want, &format!("matmul_tn_acc {what}"));
+                assert_same_bits(&base, &want, &format!("matmul_tn_acc_tiles {what}"));
             }
         }
     }
@@ -566,7 +666,7 @@ mod tests {
     #[test]
     fn zero_factor_skips_the_term() {
         // 0 · ∞ would be NaN; the forward kernel must never form it, in a
-        // full tile and on the scalar edge alike.
+        // full tile and on the zero-padded edge alike.
         for n in [TILE_COLS, 3] {
             let a = vec![0.0, -0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0];
             let b = vec![f32::INFINITY; 2 * n];
