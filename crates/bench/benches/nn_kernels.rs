@@ -2,7 +2,7 @@
 //! gradient computation whose cost dominates every round (Figures 3–5).
 
 use agg_data::synthetic::{gaussian_blobs, synthetic_images, BlobConfig, ImageConfig};
-use agg_nn::models;
+use agg_nn::{models, Sequential};
 use agg_tensor::gemm;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -43,10 +43,49 @@ fn bench_engine_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Sequential::gradient_at` the way a round runs it: one model per worker,
+/// visited in turn, every one computing at the same shared parameter vector
+/// (the server's). 19 workers at the 256→384→10 proxy (b = 1, 2, 25) and 256
+/// at 32→96→10 (b = 8), the worker counts and shapes of the repo benchmark's
+/// workloads. Unlike `nn_engine_gradient`, which hot-loops one model, this
+/// keeps each worker's private state (activation caches, and any copy of the
+/// weights a worker might keep) cold between its turns, as in a real round.
+/// `thrpt` is the same nominal rate as in `nn_engine_gradient`.
+fn bench_worker_rotation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nn_worker_rotation");
+    group.sample_size(30);
+    for &(input_dim, hidden, batch, workers) in
+        &[(256, 384, 1, 19), (256, 384, 2, 19), (256, 384, 25, 19), (32, 96, 8, 256)]
+    {
+        let mut models: Vec<Sequential> = (0..workers)
+            .map(|w| models::synthetic_mlp(input_dim, &[hidden], 10, w as u64))
+            .collect();
+        let params = models::synthetic_mlp(input_dim, &[hidden], 10, 0).parameters();
+        let data = gaussian_blobs(
+            &BlobConfig { classes: 10, dim: input_dim, samples: 64, ..Default::default() },
+            1,
+        )
+        .unwrap();
+        let (x, labels) = data.head_batch(batch).unwrap();
+        group.throughput(Throughput::Elements(3 * models[0].flops_per_sample() * batch as u64));
+        let mut turn = 0;
+        group.bench_function(&format!("{input_dim}x{hidden}x10_b{batch}_w{workers}"), |b| {
+            b.iter(|| {
+                let model = &mut models[turn];
+                turn = (turn + 1) % workers;
+                model.gradient_at(black_box(params.as_slice()), &x, &labels).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The three `agg_tensor::gemm` entry points at `paper19`'s first-layer
-/// shape (batch 25, 256 inputs, 384 outputs), each through its public,
-/// runtime-dispatched entry; `thrpt` is executed GFLOP/s (2 · 25 · 256 · 384
-/// per call). The forward operand is dense (no zero activations to skip).
+/// shape (batch 25, 256 inputs, 384 outputs), then the forward and
+/// weight-gradient kernels at its output layer (25 × 384 × 10), each through
+/// its public, runtime-dispatched entry; `thrpt` is executed GFLOP/s
+/// (2 · batch · in · out per call). The forward operands are dense (no zero
+/// activations to skip).
 fn bench_gemm_dispatch(c: &mut Criterion) {
     const BATCH: usize = 25;
     const IN: usize = 256;
@@ -74,6 +113,23 @@ fn bench_gemm_dispatch(c: &mut Criterion) {
     group.bench_function("matmul_nt_25x256x384", |b| {
         b.iter(|| {
             gemm::matmul_nt(black_box(&grad_out), &w, &mut grad_in, &mut scratch, BATCH, IN, OUT)
+        })
+    });
+    // The ten-column output layer (384 → 10), all of it in the kernels' edge
+    // columns: its forward and its weight gradient.
+    const CLASSES: usize = 10;
+    let h = operand(BATCH * OUT, 4);
+    let w_out = operand(OUT * CLASSES, 5);
+    let grad_logits = operand(BATCH * CLASSES, 6);
+    group.throughput(Throughput::Elements((2 * BATCH * OUT * CLASSES) as u64));
+    let mut logits = vec![0.0f32; BATCH * CLASSES];
+    group.bench_function("matmul_acc_25x384x10", |b| {
+        b.iter(|| gemm::matmul_acc(black_box(&h), &w_out, &mut logits, BATCH, OUT, CLASSES))
+    });
+    let mut grad_w_out = vec![0.0f32; OUT * CLASSES];
+    group.bench_function("matmul_tn_acc_25x384x10", |b| {
+        b.iter(|| {
+            gemm::matmul_tn_acc(black_box(&h), &grad_logits, &mut grad_w_out, BATCH, OUT, CLASSES)
         })
     });
     group.finish();
@@ -120,6 +176,7 @@ fn bench_paper_cnn_forward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_shapes,
+    bench_worker_rotation,
     bench_gemm_dispatch,
     bench_mlp_gradient,
     bench_small_cnn_gradient,

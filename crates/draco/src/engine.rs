@@ -195,7 +195,7 @@ impl DracoTrainer {
             GradientBatch::with_capacity(self.model.param_count(), self.assignment.group_count());
 
         for step in 0..self.config.max_steps {
-            let params = self.model.parameters();
+            let mut params = self.model.parameters();
 
             // Every group's honest members compute the gradient of the same
             // mini-batch; collect them first so the adversary can be
@@ -203,8 +203,7 @@ impl DracoTrainer {
             let mut group_honest: Vec<Vector> = Vec::with_capacity(self.assignment.group_count());
             for g in 0..self.assignment.group_count() {
                 let (batch, labels) = self.samplers[g].next_batch(&self.train)?;
-                self.model.set_parameters(&params)?;
-                let eval = self.model.gradient(&batch, &labels)?;
+                let eval = self.model.gradient_at(params.as_slice(), &batch, &labels)?;
                 group_honest.push(eval.gradient);
             }
             let honest_views: Vec<&[f32]> = group_honest.iter().map(Vector::as_slice).collect();
@@ -267,7 +266,6 @@ impl DracoTrainer {
                 let aggregated = decoded_arena
                     .coordinate_mean()
                     .map_err(|e| DracoError::Training(e.to_string()))?;
-                let mut params = self.model.parameters();
                 let lr = self.config.learning_rate.at(self.step);
                 self.optimizer.step(&mut params, &aggregated, lr)?;
                 self.model.set_parameters(&params)?;

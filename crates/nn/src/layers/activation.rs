@@ -28,7 +28,7 @@ impl Layer for Relu {
         Ok(input_shape.to_vec())
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let mask: Vec<bool> = input.as_slice().iter().map(|&x| x > 0.0).collect();
         let out = input.map(agg_tensor::ops::relu);
         self.shape = input.shape().to_vec();
@@ -36,7 +36,12 @@ impl Layer for Relu {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(
+        &mut self,
+        _params: &[f32],
+        grad_output: &Tensor,
+        _grad_params: &mut [f32],
+    ) -> Result<Tensor> {
         let mask = self.mask.take().ok_or(NnError::BackwardBeforeForward("relu"))?;
         let data: Vec<f32> = grad_output
             .as_slice()
@@ -56,7 +61,7 @@ mod tests {
     fn forward_clamps_negatives() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(&[1, 4], vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = relu.forward(&x, true).unwrap();
+        let y = relu.forward(&[], &x, true).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
@@ -64,16 +69,16 @@ mod tests {
     fn backward_masks_gradient() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(&[1, 4], vec![-1.0, 0.5, 2.0, -3.0]).unwrap();
-        relu.forward(&x, true).unwrap();
+        relu.forward(&[], &x, true).unwrap();
         let go = Tensor::from_vec(&[1, 4], vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let gi = relu.backward(&go).unwrap();
+        let gi = relu.backward(&[], &go, &mut []).unwrap();
         assert_eq!(gi.as_slice(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn backward_requires_forward() {
         let mut relu = Relu::new();
-        assert!(relu.backward(&Tensor::zeros(&[1])).is_err());
+        assert!(relu.backward(&[], &Tensor::zeros(&[1]), &mut []).is_err());
     }
 
     #[test]

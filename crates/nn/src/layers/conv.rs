@@ -1,4 +1,9 @@
 //! 2-D convolution layer (direct convolution, NCHW layout).
+//!
+//! Like every parameterised layer, it reads its weights from and writes its
+//! gradient into its sub-slices of the model's flat vectors (see
+//! [`crate::Layer`]): weights `[out_channels, in_channels, kernel, kernel]`
+//! row-major, then the bias.
 
 use crate::init::Init;
 use crate::layer::Layer;
@@ -16,11 +21,9 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    /// `[out_channels, in_channels, kernel, kernel]`, row-major.
-    weights: Vec<f32>,
-    bias: Vec<f32>,
-    grad_weights: Vec<f32>,
-    grad_bias: Vec<f32>,
+    /// Initialiser and seed of the weights (the bias starts at zero).
+    init: Init,
+    seed: u64,
     cached_input: Option<Tensor>,
 }
 
@@ -42,19 +45,14 @@ impl Conv2d {
     ) -> Self {
         assert!(kernel > 0, "kernel size must be positive");
         assert!(stride > 0, "stride must be positive");
-        let fan_in = in_channels * kernel * kernel;
-        let fan_out = out_channels * kernel * kernel;
-        let count = out_channels * in_channels * kernel * kernel;
         Conv2d {
             in_channels,
             out_channels,
             kernel,
             stride,
             padding,
-            weights: init.generate(count, fan_in, fan_out, seed),
-            bias: vec![0.0; out_channels],
-            grad_weights: vec![0.0; count],
-            grad_bias: vec![0.0; out_channels],
+            init,
+            seed,
             cached_input: None,
         }
     }
@@ -90,6 +88,10 @@ impl Conv2d {
         Ok((shape[0], shape[2], shape[3]))
     }
 
+    fn weight_count(&self) -> usize {
+        self.out_channels * self.in_channels * self.kernel * self.kernel
+    }
+
     #[inline]
     fn weight_index(&self, oc: usize, ic: usize, ki: usize, kj: usize) -> usize {
         ((oc * self.in_channels + ic) * self.kernel + ki) * self.kernel + kj
@@ -113,8 +115,9 @@ impl Layer for Conv2d {
         Ok(vec![self.out_channels, oh, ow])
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let (batch, h, w) = self.check_input(input)?;
+        let (weights, bias) = params.split_at(self.weight_count());
         let (oh, ow) = self.spatial_output(h, w)?;
         let x = input.as_slice();
         let mut out = vec![0.0f32; batch * self.out_channels * oh * ow];
@@ -122,7 +125,7 @@ impl Layer for Conv2d {
         let out_plane = oh * ow;
         for n in 0..batch {
             for oc in 0..self.out_channels {
-                let bias = self.bias[oc];
+                let bias = bias[oc];
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut acc = bias;
@@ -140,7 +143,7 @@ impl Layer for Conv2d {
                                         continue;
                                     }
                                     acc += x[x_base + iy as usize * w + ix as usize]
-                                        * self.weights[self.weight_index(oc, ic, ki, kj)];
+                                        * weights[self.weight_index(oc, ic, ki, kj)];
                                 }
                             }
                         }
@@ -153,8 +156,15 @@ impl Layer for Conv2d {
         Tensor::from_vec(&[batch, self.out_channels, oh, ow], out).map_err(NnError::from)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(
+        &mut self,
+        params: &[f32],
+        grad_output: &Tensor,
+        grad_params: &mut [f32],
+    ) -> Result<Tensor> {
         let input = self.cached_input.take().ok_or(NnError::BackwardBeforeForward("conv2d"))?;
+        let weights = &params[..self.weight_count()];
+        let (grad_weights, grad_bias) = grad_params.split_at_mut(self.weight_count());
         let (batch, h, w) = self.check_input(&input)?;
         let (oh, ow) = self.spatial_output(h, w)?;
         let x = input.as_slice();
@@ -170,7 +180,7 @@ impl Layer for Conv2d {
                         if g == 0.0 {
                             continue;
                         }
-                        self.grad_bias[oc] += g;
+                        grad_bias[oc] += g;
                         for ic in 0..self.in_channels {
                             let x_base = (n * self.in_channels + ic) * in_plane;
                             for ki in 0..self.kernel {
@@ -186,8 +196,8 @@ impl Layer for Conv2d {
                                     }
                                     let xi = x_base + iy as usize * w + ix as usize;
                                     let wi = self.weight_index(oc, ic, ki, kj);
-                                    self.grad_weights[wi] += x[xi] * g;
-                                    grad_input[xi] += self.weights[wi] * g;
+                                    grad_weights[wi] += x[xi] * g;
+                                    grad_input[xi] += weights[wi] * g;
                                 }
                             }
                         }
@@ -199,30 +209,14 @@ impl Layer for Conv2d {
     }
 
     fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
+        self.weight_count() + self.out_channels
     }
 
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(&self.weights);
-        out.extend_from_slice(&self.bias);
-    }
-
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(&self.grad_weights);
-        out.extend_from_slice(&self.grad_bias);
-    }
-
-    fn load_params(&mut self, data: &[f32]) -> usize {
-        let nw = self.weights.len();
-        let nb = self.bias.len();
-        self.weights.copy_from_slice(&data[..nw]);
-        self.bias.copy_from_slice(&data[nw..nw + nb]);
-        nw + nb
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weights.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_bias.iter_mut().for_each(|g| *g = 0.0);
+    fn initial_params(&self, out: &mut Vec<f32>) {
+        let fan_in = self.in_channels * self.kernel * self.kernel;
+        let fan_out = self.out_channels * self.kernel * self.kernel;
+        out.extend(self.init.generate(self.weight_count(), fan_in, fan_out, self.seed));
+        out.resize(out.len() + self.out_channels, 0.0);
     }
 
     fn forward_flops(&self, input_shape: &[usize]) -> u64 {
@@ -243,21 +237,20 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
 
-    /// A 1-channel 3x3 identity-kernel convolution for hand checks.
+    /// A 1-channel 3x3 convolution with "same" padding for hand checks.
     fn identity_conv() -> Conv2d {
-        let mut conv = Conv2d::new(1, 1, 3, 1, 1, Init::Zeros, 0);
-        // Kernel with a 1 in the centre: output == input (same padding).
-        let mut params = vec![0.0f32; 10];
-        params[4] = 1.0;
-        conv.load_params(&params);
-        conv
+        Conv2d::new(1, 1, 3, 1, 1, Init::Zeros, 0)
     }
+
+    /// Its parameters: a kernel with a 1 in the centre (output == input),
+    /// zero bias.
+    const IDENTITY: [f32; 10] = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
 
     #[test]
     fn identity_kernel_preserves_input() {
         let mut conv = identity_conv();
         let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let y = conv.forward(&x, true).unwrap();
+        let y = conv.forward(&IDENTITY, &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         assert_eq!(y.as_slice(), x.as_slice());
     }
@@ -277,9 +270,8 @@ mod tests {
         // 2x2 kernel of ones, stride 1, no padding, on a 2x2 input of ones
         // => single output = 4 + bias.
         let mut conv = Conv2d::new(1, 1, 2, 1, 0, Init::Zeros, 0);
-        conv.load_params(&[1.0, 1.0, 1.0, 1.0, 0.5]);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0; 4]).unwrap();
-        let y = conv.forward(&x, true).unwrap();
+        let y = conv.forward(&[1.0, 1.0, 1.0, 1.0, 0.5], &x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.as_slice(), &[4.5]);
     }
@@ -288,13 +280,12 @@ mod tests {
     fn backward_of_identity_kernel_passes_gradient_through() {
         let mut conv = identity_conv();
         let x = Tensor::from_vec(&[1, 1, 3, 3], vec![1.0; 9]).unwrap();
-        conv.forward(&x, true).unwrap();
+        conv.forward(&IDENTITY, &x, true).unwrap();
         let go = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let gi = conv.backward(&go).unwrap();
+        let mut grads = vec![0.0; 10];
+        let gi = conv.backward(&IDENTITY, &go, &mut grads).unwrap();
         assert_eq!(gi.as_slice(), go.as_slice());
         // Bias gradient = sum of output gradients = 45.
-        let mut grads = Vec::new();
-        conv.collect_grads(&mut grads);
         assert_eq!(grads[9], 45.0);
         // Centre weight gradient = sum_i x_i * go_i = 45 (x is all ones).
         assert_eq!(grads[4], 45.0);
@@ -303,19 +294,24 @@ mod tests {
     #[test]
     fn multi_channel_shapes() {
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, Init::HeNormal, 5);
+        let mut params = Vec::new();
+        conv.initial_params(&mut params);
+        assert_eq!(params.len(), conv.param_count());
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = conv.forward(&x, true).unwrap();
+        let y = conv.forward(&params, &x, true).unwrap();
         assert_eq!(y.shape(), &[2, 4, 8, 8]);
-        let gi = conv.backward(&y).unwrap();
+        let mut grads = vec![0.0; params.len()];
+        let gi = conv.backward(&params, &y, &mut grads).unwrap();
         assert_eq!(gi.shape(), &[2, 3, 8, 8]);
     }
 
     #[test]
     fn rejects_bad_input_and_double_backward() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, Init::Zeros, 0);
-        assert!(conv.forward(&Tensor::zeros(&[1, 2, 4, 4]), true).is_err());
-        assert!(conv.forward(&Tensor::zeros(&[1, 1, 2, 2]), true).is_err());
-        assert!(conv.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
+        let params = [0.0; 10];
+        assert!(conv.forward(&params, &Tensor::zeros(&[1, 2, 4, 4]), true).is_err());
+        assert!(conv.forward(&params, &Tensor::zeros(&[1, 1, 2, 2]), true).is_err());
+        assert!(conv.backward(&params, &Tensor::zeros(&[1, 1, 1, 1]), &mut [0.0; 10]).is_err());
     }
 
     #[test]

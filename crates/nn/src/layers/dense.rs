@@ -1,11 +1,14 @@
 //! Fully connected (dense) layer.
 //!
-//! The three products — forward, weight gradient, input gradient — run on the
-//! register-tiled slice kernels in [`agg_tensor::gemm`], called directly on
-//! the layer's flat weight buffers (the layer holds no `Matrix`). The kernels
-//! add the terms of every output element in the order the sample-at-a-time
-//! loops did, so gradients are bit-identical to that scalar form; the test
-//! module keeps those loops as the oracle.
+//! The layer holds no weights: it reads them from its sub-slice of the
+//! model's flat parameter vector and adds its gradient into its sub-slice of
+//! the model's flat gradient (see [`crate::Layer`]), weights first, row-major
+//! `[in_features, out_features]`, then the bias. The three products —
+//! forward, weight gradient, input gradient — run on the register-tiled slice
+//! kernels in [`agg_tensor::gemm`], called directly on those slices. The
+//! kernels add the terms of every output element in the order the
+//! sample-at-a-time loops did, so gradients are bit-identical to that scalar
+//! form; the test module keeps those loops as the oracle.
 
 use crate::init::Init;
 use crate::layer::Layer;
@@ -20,11 +23,9 @@ use agg_tensor::{gemm, Tensor};
 pub struct Dense {
     in_features: usize,
     out_features: usize,
-    /// Row-major `[in_features, out_features]`.
-    weights: Vec<f32>,
-    bias: Vec<f32>,
-    grad_weights: Vec<f32>,
-    grad_bias: Vec<f32>,
+    /// Initialiser and seed of the weights (the bias starts at zero).
+    init: Init,
+    seed: u64,
     cached_input: Option<Tensor>,
     /// Transposed `grad_output` for the input-gradient kernel, kept across
     /// calls so `backward` does not allocate it anew each time.
@@ -32,15 +33,14 @@ pub struct Dense {
 }
 
 impl Dense {
-    /// Creates a dense layer with the given initialiser and seed.
+    /// Creates a dense layer whose initial weights come from `init` and
+    /// `seed`.
     pub fn new(in_features: usize, out_features: usize, init: Init, seed: u64) -> Self {
         Dense {
             in_features,
             out_features,
-            weights: init.generate(in_features * out_features, in_features, out_features, seed),
-            bias: Init::Zeros.generate(out_features, in_features, out_features, seed),
-            grad_weights: vec![0.0; in_features * out_features],
-            grad_bias: vec![0.0; out_features],
+            init,
+            seed,
             cached_input: None,
             grad_output_t: Vec::new(),
         }
@@ -69,9 +69,13 @@ impl Dense {
     }
 
     /// The parameter half of the backward pass: consumes the cached input,
-    /// adds this batch's bias and weight gradients to the accumulated ones
-    /// (samples in order) and returns the batch size.
-    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<usize> {
+    /// adds this batch's weight and bias gradients to `grad_params` (samples
+    /// in order) and returns the batch size.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_output: &Tensor,
+        grad_params: &mut [f32],
+    ) -> Result<usize> {
         let input = self.cached_input.take().ok_or(NnError::BackwardBeforeForward("dense"))?;
         let batch = input.shape()[0];
         if grad_output.shape() != [batch, self.out_features] {
@@ -81,17 +85,19 @@ impl Dense {
                 actual: grad_output.shape().to_vec(),
             });
         }
+        let (grad_weights, grad_bias) =
+            grad_params.split_at_mut(self.in_features * self.out_features);
         let go = grad_output.as_slice();
         for n in 0..batch {
             let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
-            for (gb, &g) in self.grad_bias.iter_mut().zip(go_row) {
+            for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
                 *gb += g;
             }
         }
         gemm::matmul_tn_acc(
             input.as_slice(),
             go,
-            &mut self.grad_weights,
+            grad_weights,
             batch,
             self.in_features,
             self.out_features,
@@ -116,15 +122,16 @@ impl Layer for Dense {
         Ok(vec![self.out_features])
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let batch = self.check_input(input)?;
+        let (weights, bias) = params.split_at(self.in_features * self.out_features);
         let mut out = Vec::with_capacity(batch * self.out_features);
         for _ in 0..batch {
-            out.extend_from_slice(&self.bias);
+            out.extend_from_slice(bias);
         }
         gemm::matmul_acc(
             input.as_slice(),
-            &self.weights,
+            weights,
             &mut out,
             batch,
             self.in_features,
@@ -134,12 +141,17 @@ impl Layer for Dense {
         Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let batch = self.accumulate_param_grads(grad_output)?;
+    fn backward(
+        &mut self,
+        params: &[f32],
+        grad_output: &Tensor,
+        grad_params: &mut [f32],
+    ) -> Result<Tensor> {
+        let batch = self.accumulate_param_grads(grad_output, grad_params)?;
         let mut grad_input = vec![0.0f32; batch * self.in_features];
         gemm::matmul_nt(
             grad_output.as_slice(),
-            &self.weights,
+            &params[..self.in_features * self.out_features],
             &mut grad_input,
             &mut self.grad_output_t,
             batch,
@@ -149,35 +161,23 @@ impl Layer for Dense {
         Tensor::from_vec(&[batch, self.in_features], grad_input).map_err(NnError::from)
     }
 
-    fn backward_params_only(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.accumulate_param_grads(grad_output).map(drop)
+    fn backward_params_only(
+        &mut self,
+        _params: &[f32],
+        grad_output: &Tensor,
+        grad_params: &mut [f32],
+    ) -> Result<()> {
+        self.accumulate_param_grads(grad_output, grad_params).map(drop)
     }
 
     fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
+        (self.in_features + 1) * self.out_features
     }
 
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(&self.weights);
-        out.extend_from_slice(&self.bias);
-    }
-
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(&self.grad_weights);
-        out.extend_from_slice(&self.grad_bias);
-    }
-
-    fn load_params(&mut self, data: &[f32]) -> usize {
-        let nw = self.weights.len();
-        let nb = self.bias.len();
-        self.weights.copy_from_slice(&data[..nw]);
-        self.bias.copy_from_slice(&data[nw..nw + nb]);
-        nw + nb
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weights.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_bias.iter_mut().for_each(|g| *g = 0.0);
+    fn initial_params(&self, out: &mut Vec<f32>) {
+        let (fan_in, fan_out) = (self.in_features, self.out_features);
+        out.extend(self.init.generate(fan_in * fan_out, fan_in, fan_out, self.seed));
+        out.extend(Init::Zeros.generate(fan_out, fan_in, fan_out, self.seed));
     }
 
     fn forward_flops(&self, _input_shape: &[usize]) -> u64 {
@@ -196,28 +196,14 @@ pub(crate) mod oracle {
     pub(crate) struct ScalarDense {
         in_features: usize,
         out_features: usize,
-        weights: Vec<f32>,
-        bias: Vec<f32>,
-        grad_weights: Vec<f32>,
-        grad_bias: Vec<f32>,
         cached_input: Option<Tensor>,
     }
 
     impl ScalarDense {
-        /// A layer holding `params` (weights then bias, as `collect_params`
-        /// lays them out).
-        pub(crate) fn with_params(in_features: usize, out_features: usize, params: &[f32]) -> Self {
-            let (weights, bias) = params.split_at(in_features * out_features);
-            assert_eq!(bias.len(), out_features);
-            ScalarDense {
-                in_features,
-                out_features,
-                weights: weights.to_vec(),
-                bias: bias.to_vec(),
-                grad_weights: vec![0.0; in_features * out_features],
-                grad_bias: vec![0.0; out_features],
-                cached_input: None,
-            }
+        /// A layer of the given shape (weights then bias in `params`, as
+        /// [`Dense`] lays them out).
+        pub(crate) fn new(in_features: usize, out_features: usize) -> Self {
+            ScalarDense { in_features, out_features, cached_input: None }
         }
     }
 
@@ -230,19 +216,20 @@ pub(crate) mod oracle {
             Ok(vec![self.out_features])
         }
 
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+        fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+            let (weights, bias) = params.split_at(self.in_features * self.out_features);
             let batch = input.shape()[0];
             let x = input.as_slice();
             let mut out = vec![0.0f32; batch * self.out_features];
             for n in 0..batch {
                 let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
                 let out_row = &mut out[n * self.out_features..(n + 1) * self.out_features];
-                out_row.copy_from_slice(&self.bias);
+                out_row.copy_from_slice(bias);
                 for (i, &xi) in x_row.iter().enumerate() {
                     if xi == 0.0 {
                         continue;
                     }
-                    let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
+                    let w_row = &weights[i * self.out_features..(i + 1) * self.out_features];
                     for (o, &w) in w_row.iter().enumerate() {
                         out_row[o] += xi * w;
                     }
@@ -252,9 +239,17 @@ pub(crate) mod oracle {
             Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
         }
 
-        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        fn backward(
+            &mut self,
+            params: &[f32],
+            grad_output: &Tensor,
+            grad_params: &mut [f32],
+        ) -> Result<Tensor> {
             let input =
                 self.cached_input.take().ok_or(NnError::BackwardBeforeForward("scalar-dense"))?;
+            let weights = &params[..self.in_features * self.out_features];
+            let (grad_weights, grad_bias) =
+                grad_params.split_at_mut(self.in_features * self.out_features);
             let batch = input.shape()[0];
             let go = grad_output.as_slice();
             let x = input.as_slice();
@@ -263,13 +258,13 @@ pub(crate) mod oracle {
                 let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
                 let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
                 for (o, &g) in go_row.iter().enumerate() {
-                    self.grad_bias[o] += g;
+                    grad_bias[o] += g;
                 }
                 let gi_row = &mut grad_input[n * self.in_features..(n + 1) * self.in_features];
                 for (i, &xi) in x_row.iter().enumerate() {
-                    let w_row = &self.weights[i * self.out_features..(i + 1) * self.out_features];
+                    let w_row = &weights[i * self.out_features..(i + 1) * self.out_features];
                     let gw_row =
-                        &mut self.grad_weights[i * self.out_features..(i + 1) * self.out_features];
+                        &mut grad_weights[i * self.out_features..(i + 1) * self.out_features];
                     let mut acc = 0.0;
                     for (o, &g) in go_row.iter().enumerate() {
                         gw_row[o] += xi * g;
@@ -282,17 +277,7 @@ pub(crate) mod oracle {
         }
 
         fn param_count(&self) -> usize {
-            self.weights.len() + self.bias.len()
-        }
-
-        fn collect_grads(&self, out: &mut Vec<f32>) {
-            out.extend_from_slice(&self.grad_weights);
-            out.extend_from_slice(&self.grad_bias);
-        }
-
-        fn zero_grads(&mut self) {
-            self.grad_weights.iter_mut().for_each(|g| *g = 0.0);
-            self.grad_bias.iter_mut().for_each(|g| *g = 0.0);
+            (self.in_features + 1) * self.out_features
         }
     }
 
@@ -317,18 +302,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// 2 -> 2 with known parameters: W = [[1, 2], [3, 4]], b = [0.5, -0.5].
+    const SIMPLE: [f32; 6] = [1.0, 2.0, 3.0, 4.0, 0.5, -0.5];
+
     fn simple_dense() -> Dense {
-        // 2 -> 2 with known weights: W = [[1, 2], [3, 4]], b = [0.5, -0.5]
-        let mut layer = Dense::new(2, 2, Init::Zeros, 0);
-        layer.load_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
-        layer
+        Dense::new(2, 2, Init::Zeros, 0)
     }
 
     #[test]
     fn forward_matches_hand_computation() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&SIMPLE, &x, true).unwrap();
         // [1*1 + 1*3 + 0.5, 1*2 + 1*4 - 0.5] = [4.5, 5.5]
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
@@ -337,57 +322,58 @@ mod tests {
     fn backward_computes_all_three_gradients() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]).unwrap();
-        layer.forward(&x, true).unwrap();
+        layer.forward(&SIMPLE, &x, true).unwrap();
         let go = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
-        let gi = layer.backward(&go).unwrap();
+        let mut grads = vec![0.0; 6];
+        let gi = layer.backward(&SIMPLE, &go, &mut grads).unwrap();
         // dL/dx_i = sum_o W[i][o] * go[o] => [1+2, 3+4] = [3, 7]
         assert_eq!(gi.as_slice(), &[3.0, 7.0]);
-        let mut grads = Vec::new();
-        layer.collect_grads(&mut grads);
         // dW[i][o] = x_i * go_o => [[1,1],[2,2]]; db = [1,1]
         assert_eq!(grads, vec![1.0, 1.0, 2.0, 2.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn gradients_accumulate_until_zeroed() {
+    fn backward_adds_to_the_gradient_it_is_given() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 0.0]).unwrap();
         let go = Tensor::from_vec(&[1, 2], vec![1.0, 0.0]).unwrap();
+        let mut grads = vec![0.0; 6];
         for _ in 0..2 {
-            layer.forward(&x, true).unwrap();
-            layer.backward(&go).unwrap();
+            layer.forward(&SIMPLE, &x, true).unwrap();
+            layer.backward(&SIMPLE, &go, &mut grads).unwrap();
         }
-        let mut grads = Vec::new();
-        layer.collect_grads(&mut grads);
-        assert_eq!(grads[0], 2.0);
-        layer.zero_grads();
-        grads.clear();
-        layer.collect_grads(&mut grads);
-        assert!(grads.iter().all(|&g| g == 0.0));
+        assert_eq!(grads, vec![2.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
-    fn params_round_trip() {
+    fn initial_params_follow_the_seed() {
         let layer = Dense::new(3, 4, Init::HeNormal, 42);
         let mut params = Vec::new();
-        layer.collect_params(&mut params);
+        layer.initial_params(&mut params);
         assert_eq!(params.len(), layer.param_count());
-        let mut other = Dense::new(3, 4, Init::Zeros, 0);
-        assert_eq!(other.load_params(&params), 16);
-        let mut copied = Vec::new();
-        other.collect_params(&mut copied);
-        assert_eq!(copied, params);
+        assert_eq!(params.len(), 16);
+        assert_eq!(&params[12..], &[0.0; 4], "the bias starts at zero");
+        let mut again = Vec::new();
+        Dense::new(3, 4, Init::HeNormal, 42).initial_params(&mut again);
+        assert_eq!(again, params);
+        let mut other = Vec::new();
+        Dense::new(3, 4, Init::HeNormal, 43).initial_params(&mut other);
+        assert_ne!(other, params);
     }
 
     #[test]
     fn shape_errors() {
         let mut layer = Dense::new(2, 3, Init::Zeros, 0);
+        let params = [0.0; 9];
         let bad = Tensor::zeros(&[1, 5]);
-        assert!(matches!(layer.forward(&bad, true).unwrap_err(), NnError::BadInputShape { .. }));
+        assert!(matches!(
+            layer.forward(&params, &bad, true).unwrap_err(),
+            NnError::BadInputShape { .. }
+        ));
         assert!(layer.output_shape(&[5]).is_err());
         assert_eq!(layer.output_shape(&[2]).unwrap(), vec![3]);
         assert!(matches!(
-            layer.backward(&Tensor::zeros(&[1, 3])).unwrap_err(),
+            layer.backward(&params, &Tensor::zeros(&[1, 3]), &mut [0.0; 9]).unwrap_err(),
             NnError::BackwardBeforeForward(_)
         ));
     }
@@ -396,7 +382,7 @@ mod tests {
     fn batch_processing_is_independent_per_sample() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&SIMPLE, &x, true).unwrap();
         assert_eq!(y.shape(), &[2, 2]);
         assert_eq!(&y.as_slice()[..2], &[1.5, 1.5]); // row [1,0]
         assert_eq!(&y.as_slice()[2..], &[3.5, 3.5]); // row [0,1]
@@ -410,9 +396,10 @@ mod tests {
     #[test]
     fn backward_rejects_a_mis_shaped_grad_output() {
         let mut layer = Dense::new(2, 3, Init::Zeros, 0);
-        layer.forward(&Tensor::zeros(&[2, 2]), true).unwrap();
+        let params = [0.0; 9];
+        layer.forward(&params, &Tensor::zeros(&[2, 2]), true).unwrap();
         assert!(matches!(
-            layer.backward(&Tensor::zeros(&[2, 2])).unwrap_err(),
+            layer.backward(&params, &Tensor::zeros(&[2, 2]), &mut [0.0; 9]).unwrap_err(),
             NnError::BadInputShape { .. }
         ));
     }
@@ -420,12 +407,11 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut layer = simple_dense();
-        let y = layer.forward(&Tensor::zeros(&[0, 2]), true).unwrap();
+        let y = layer.forward(&SIMPLE, &Tensor::zeros(&[0, 2]), true).unwrap();
         assert_eq!(y.shape(), &[0, 2]);
-        let gi = layer.backward(&Tensor::zeros(&[0, 2])).unwrap();
+        let mut grads = vec![0.0; 6];
+        let gi = layer.backward(&SIMPLE, &Tensor::zeros(&[0, 2]), &mut grads).unwrap();
         assert_eq!(gi.shape(), &[0, 2]);
-        let mut grads = Vec::new();
-        layer.collect_grads(&mut grads);
         assert!(grads.iter().all(|&g| g == 0.0));
     }
 
@@ -487,34 +473,31 @@ mod tests {
         )
     }
 
-    /// Forward, then two forward/backward rounds without `zero_grads` in
-    /// between (so the second weight gradient starts from a non-zero sum),
+    /// Forward, then two forward/backward rounds into the same gradient
+    /// buffers (so the second weight gradient starts from a non-zero sum),
     /// comparing every output with the scalar loops.
     fn check_against_the_scalar_loops(case: &Case) {
-        let Case { batch, in_features, out_features, .. } = *case;
+        let Case { batch, in_features, out_features, ref params, .. } = *case;
         let mut tiled = Dense::new(in_features, out_features, Init::Zeros, 0);
-        tiled.load_params(&case.params);
         let mut params_only = tiled.clone();
-        let mut scalar = ScalarDense::with_params(in_features, out_features, &case.params);
+        let mut scalar = ScalarDense::new(in_features, out_features);
         let input = Tensor::from_vec(&[batch, in_features], case.input.clone()).unwrap();
+        let (mut want, mut got, mut got_params_only) =
+            (vec![0.0; params.len()], vec![0.0; params.len()], vec![0.0; params.len()]);
         for grad_output in &case.grad_outputs {
             let grad_output =
                 Tensor::from_vec(&[batch, out_features], grad_output.clone()).unwrap();
-            let want = scalar.forward(&input, true).unwrap();
-            let got = tiled.forward(&input, true).unwrap();
-            assert_eq!(got.shape(), want.shape());
-            assert_same_bits(got.as_slice(), want.as_slice(), "forward");
-            let want = scalar.backward(&grad_output).unwrap();
-            let got = tiled.backward(&grad_output).unwrap();
-            assert_eq!(got.shape(), want.shape());
-            assert_same_bits(got.as_slice(), want.as_slice(), "input gradient");
-            params_only.forward(&input, true).unwrap();
-            params_only.backward_params_only(&grad_output).unwrap();
+            let want_y = scalar.forward(params, &input, true).unwrap();
+            let got_y = tiled.forward(params, &input, true).unwrap();
+            assert_eq!(got_y.shape(), want_y.shape());
+            assert_same_bits(got_y.as_slice(), want_y.as_slice(), "forward");
+            let want_x = scalar.backward(params, &grad_output, &mut want).unwrap();
+            let got_x = tiled.backward(params, &grad_output, &mut got).unwrap();
+            assert_eq!(got_x.shape(), want_x.shape());
+            assert_same_bits(got_x.as_slice(), want_x.as_slice(), "input gradient");
+            params_only.forward(params, &input, true).unwrap();
+            params_only.backward_params_only(params, &grad_output, &mut got_params_only).unwrap();
         }
-        let (mut want, mut got, mut got_params_only) = (Vec::new(), Vec::new(), Vec::new());
-        scalar.collect_grads(&mut want);
-        tiled.collect_grads(&mut got);
-        params_only.collect_grads(&mut got_params_only);
         assert_same_bits(&got, &want, "parameter gradients");
         assert_same_bits(&got_params_only, &want, "parameter gradients, params-only backward");
     }

@@ -49,7 +49,7 @@ impl Layer for Dropout {
         Ok(input_shape.to_vec())
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, train: bool) -> Result<Tensor> {
         self.shape = input.shape().to_vec();
         if !train || self.rate == 0.0 {
             self.mask = Some(vec![1.0; input.len()]);
@@ -66,7 +66,12 @@ impl Layer for Dropout {
         Tensor::from_vec(&self.shape, data).map_err(NnError::from)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(
+        &mut self,
+        _params: &[f32],
+        grad_output: &Tensor,
+        _grad_params: &mut [f32],
+    ) -> Result<Tensor> {
         let mask = self.mask.take().ok_or(NnError::BackwardBeforeForward("dropout"))?;
         let data: Vec<f32> =
             grad_output.as_slice().iter().zip(mask.iter()).map(|(&g, &m)| g * m).collect();
@@ -89,7 +94,7 @@ mod tests {
     fn evaluation_mode_is_identity() {
         let mut dropout = Dropout::new(0.9, 1).unwrap();
         let x = Tensor::from_vec(&[1, 4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = dropout.forward(&x, false).unwrap();
+        let y = dropout.forward(&[], &x, false).unwrap();
         assert_eq!(y, x);
     }
 
@@ -97,7 +102,7 @@ mod tests {
     fn training_mode_zeroes_roughly_rate_fraction() {
         let mut dropout = Dropout::new(0.5, 2).unwrap();
         let x = Tensor::from_vec(&[1, 10_000], vec![1.0; 10_000]).unwrap();
-        let y = dropout.forward(&x, true).unwrap();
+        let y = dropout.forward(&[], &x, true).unwrap();
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         assert!((zeros as f32 / 10_000.0 - 0.5).abs() < 0.05);
         // Survivors are scaled so the expectation is preserved.
@@ -109,13 +114,13 @@ mod tests {
     fn backward_reuses_the_forward_mask() {
         let mut dropout = Dropout::new(0.5, 3).unwrap();
         let x = Tensor::from_vec(&[1, 8], vec![1.0; 8]).unwrap();
-        let y = dropout.forward(&x, true).unwrap();
+        let y = dropout.forward(&[], &x, true).unwrap();
         let go = Tensor::from_vec(&[1, 8], vec![1.0; 8]).unwrap();
-        let gi = dropout.backward(&go).unwrap();
+        let gi = dropout.backward(&[], &go, &mut []).unwrap();
         // Gradient is zero exactly where the activation was dropped.
         for i in 0..8 {
             assert_eq!(gi.as_slice()[i] == 0.0, y.as_slice()[i] == 0.0);
         }
-        assert!(dropout.backward(&go).is_err());
+        assert!(dropout.backward(&[], &go, &mut []).is_err());
     }
 }

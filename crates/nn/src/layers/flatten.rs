@@ -33,7 +33,7 @@ impl Layer for Flatten {
         Ok(vec![input_shape.iter().product()])
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let shape = input.shape();
         if shape.len() < 2 {
             return Err(NnError::BadInputShape {
@@ -48,7 +48,12 @@ impl Layer for Flatten {
         input.reshaped(&[batch, features]).map_err(NnError::from)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn backward(
+        &mut self,
+        _params: &[f32],
+        grad_output: &Tensor,
+        _grad_params: &mut [f32],
+    ) -> Result<Tensor> {
         let shape = self.input_shape.take().ok_or(NnError::BackwardBeforeForward("flatten"))?;
         grad_output.reshaped(&shape).map_err(NnError::from)
     }
@@ -62,9 +67,9 @@ mod tests {
     fn flattens_and_restores_shape() {
         let mut flatten = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 5]);
-        let y = flatten.forward(&x, true).unwrap();
+        let y = flatten.forward(&[], &x, true).unwrap();
         assert_eq!(y.shape(), &[2, 60]);
-        let gi = flatten.backward(&y).unwrap();
+        let gi = flatten.backward(&[], &y, &mut []).unwrap();
         assert_eq!(gi.shape(), &[2, 3, 4, 5]);
     }
 
@@ -79,14 +84,14 @@ mod tests {
     fn preserves_data_order() {
         let mut flatten = Flatten::new();
         let x = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = flatten.forward(&x, true).unwrap();
+        let y = flatten.forward(&[], &x, true).unwrap();
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn errors() {
         let mut flatten = Flatten::new();
-        assert!(flatten.forward(&Tensor::zeros(&[4]), true).is_err());
-        assert!(flatten.backward(&Tensor::zeros(&[1, 4])).is_err());
+        assert!(flatten.forward(&[], &Tensor::zeros(&[4]), true).is_err());
+        assert!(flatten.backward(&[], &Tensor::zeros(&[1, 4]), &mut []).is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! The [`Sequential`] model: an ordered stack of layers with the flattened
-//! parameter/gradient view the parameter-server protocol exchanges.
+//! The [`Sequential`] model: an ordered stack of layers over the flat
+//! parameter and gradient vectors the parameter-server protocol exchanges.
 
 use crate::layer::Layer;
 use crate::loss::{LossOutput, SoftmaxCrossEntropy};
@@ -9,17 +9,28 @@ use agg_tensor::{Tensor, Vector};
 /// A feed-forward stack of layers trained with softmax cross-entropy.
 ///
 /// The model is the unit shipped between the parameter server and the
-/// workers: [`Sequential::parameters`] flattens every layer's weights into a
-/// single [`Vector`] (the `x` of Equation 2), [`Sequential::set_parameters`]
-/// installs such a vector, and [`Sequential::gradient`] runs
-/// forward + backward over a mini-batch and returns the flattened gradient
-/// (the `G(x, ξ)` a worker submits).
+/// workers. Its parameters are one flat vector (the `x` of Equation 2), each
+/// layer's a contiguous sub-slice in layer order, and so is its gradient.
+/// [`Sequential::gradient_at`] runs forward + backward over a mini-batch at a
+/// parameter vector it borrows, and returns the flattened gradient (the
+/// `G(x, ξ)` a worker submits), written once into one zeroed vector: a worker
+/// computes at the server's vector in place and keeps no copy of it.
+///
+/// The model can also hold a resident vector: [`Sequential::set_parameters`]
+/// installs one, and [`Sequential::gradient`], [`Sequential::forward`],
+/// [`Sequential::evaluate_loss`] and [`Sequential::accuracy`] run the same
+/// path at it. Until a vector is installed they run at the layers' initial
+/// values ([`Sequential::parameters`]), which are drawn on first use, so a
+/// model that only ever computes at borrowed vectors never stores any.
 #[derive(Debug)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     loss: SoftmaxCrossEntropy,
     input_shape: Vec<usize>,
     name: String,
+    /// The installed parameter vector, `None` until the first
+    /// `set_parameters` or resident pass.
+    resident: Option<Vector>,
 }
 
 /// Summary of one forward/backward evaluation over a mini-batch.
@@ -42,19 +53,22 @@ impl Sequential {
             loss: SoftmaxCrossEntropy::new(),
             input_shape: input_shape.to_vec(),
             name: name.into(),
+            resident: None,
         }
     }
 
     /// Appends a layer (builder style).
     #[must_use]
     pub fn with_layer(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
+        self.push(layer);
         self
     }
 
-    /// Appends a layer in place.
+    /// Appends a layer in place. An installed parameter vector no longer
+    /// fits the model, so it is dropped.
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
+        self.resident = None;
     }
 
     /// Model name (used by experiment configs and reports).
@@ -110,66 +124,46 @@ impl Sequential {
         total
     }
 
-    /// Flattens all parameters into a single vector.
+    /// The model's parameters as one flat vector: the installed vector, or
+    /// the layers' initial values while none is installed.
     pub fn parameters(&self) -> Vector {
+        if let Some(params) = &self.resident {
+            return params.clone();
+        }
         let mut out = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
-            layer.collect_params(&mut out);
+            layer.initial_params(&mut out);
         }
         Vector::from(out)
     }
 
-    /// Installs a flattened parameter vector.
+    /// Installs a flattened parameter vector as the resident one.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ParameterSizeMismatch`] when the vector length does
     /// not equal [`Sequential::param_count`].
     pub fn set_parameters(&mut self, params: &Vector) -> Result<()> {
-        if params.len() != self.param_count() {
-            return Err(NnError::ParameterSizeMismatch {
-                expected: self.param_count(),
-                actual: params.len(),
-            });
-        }
-        let mut data = params.as_slice();
-        for layer in &mut self.layers {
-            let consumed = layer.load_params(data);
-            data = &data[consumed..];
+        self.check_len(params.len())?;
+        match &mut self.resident {
+            Some(resident) => resident.as_mut_slice().copy_from_slice(params.as_slice()),
+            None => self.resident = Some(params.clone()),
         }
         Ok(())
     }
 
-    /// Flattens the currently accumulated gradients into a single vector.
-    pub fn gradients(&self) -> Vector {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            layer.collect_grads(&mut out);
-        }
-        Vector::from(out)
-    }
-
-    /// Clears all accumulated gradients.
-    pub fn zero_gradients(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
-    /// Forward pass only (inference).
+    /// Forward pass only, at the resident parameters (inference when `train`
+    /// is false).
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train)?;
-        }
-        Ok(x)
+        self.at_resident(|model, params| model.forward_at(params, input, train))
     }
 
-    /// Evaluates the loss on a batch without computing gradients.
+    /// Evaluates the loss on a batch at the resident parameters, without
+    /// computing gradients.
     ///
     /// # Errors
     ///
@@ -189,33 +183,89 @@ impl Sequential {
         Ok(out.correct_predictions as f32 / labels.len().max(1) as f32)
     }
 
-    /// Runs forward + backward on a mini-batch and returns loss, accuracy and
-    /// the flattened gradient of the **mean** loss.
-    ///
-    /// Gradients are zeroed before the backward pass, so consecutive calls
-    /// are independent (one call = one worker gradient estimate).
+    /// [`Sequential::gradient_at`] at the resident parameters.
     ///
     /// # Errors
     ///
-    /// Propagates layer and loss errors; an empty batch is a
-    /// [`NnError::BadInputShape`] (its mean loss is undefined).
+    /// As [`Sequential::gradient_at`].
     pub fn gradient(&mut self, input: &Tensor, labels: &[usize]) -> Result<BatchEvaluation> {
-        self.zero_gradients();
-        let logits = self.forward(input, true)?;
+        self.at_resident(|model, params| model.gradient_at(params, input, labels))
+    }
+
+    /// Runs forward + backward on a mini-batch at `params` and returns loss,
+    /// accuracy and the flattened gradient of the **mean** loss.
+    ///
+    /// `params` is only read, and the gradient starts from zero, so
+    /// consecutive calls are independent (one call = one worker gradient
+    /// estimate) and the resident vector is neither read nor changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParameterSizeMismatch`] when `params` does not hold
+    /// [`Sequential::param_count`] values, and propagates layer and loss
+    /// errors; an empty batch is a [`NnError::BadInputShape`] (its mean loss
+    /// is undefined).
+    pub fn gradient_at(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        labels: &[usize],
+    ) -> Result<BatchEvaluation> {
+        self.check_len(params.len())?;
+        let logits = self.forward_at(params, input, true)?;
         let loss_out = self.loss.evaluate(&logits, labels)?;
-        let mut grad = loss_out.grad_logits.clone();
-        if let Some((first, rest)) = self.layers.split_first_mut() {
-            for layer in rest.iter_mut().rev() {
-                grad = layer.backward(&grad)?;
+        let mut gradient = vec![0.0f32; params.len()];
+        let mut grad = loss_out.grad_logits;
+        let mut end = params.len();
+        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
+            let start = end - layer.param_count();
+            let (own, grad_own) = (&params[start..end], &mut gradient[start..end]);
+            if idx == 0 {
+                // Nobody reads the gradient with respect to the model's input.
+                layer.backward_params_only(own, &grad, grad_own)?;
+            } else {
+                grad = layer.backward(own, &grad, grad_own)?;
             }
-            // Nobody reads the gradient with respect to the model's input.
-            first.backward_params_only(&grad)?;
+            end = start;
         }
         Ok(BatchEvaluation {
             loss: loss_out.loss,
             accuracy: loss_out.correct_predictions as f32 / labels.len().max(1) as f32,
-            gradient: self.gradients(),
+            gradient: Vector::from(gradient),
         })
+    }
+
+    fn check_len(&self, actual: usize) -> Result<()> {
+        let expected = self.param_count();
+        if actual != expected {
+            return Err(NnError::ParameterSizeMismatch { expected, actual });
+        }
+        Ok(())
+    }
+
+    /// The forward pass at `params` (checked by the caller), each layer
+    /// reading its own sub-slice.
+    fn forward_at(&mut self, params: &[f32], input: &Tensor, train: bool) -> Result<Tensor> {
+        let mut x = input.clone();
+        let mut rest = params;
+        for layer in &mut self.layers {
+            let (own, tail) = rest.split_at(layer.param_count());
+            x = layer.forward(own, &x, train)?;
+            rest = tail;
+        }
+        Ok(x)
+    }
+
+    /// Runs `pass` at the resident vector, drawing the initial one first if
+    /// none is installed.
+    fn at_resident<T>(&mut self, pass: impl FnOnce(&mut Self, &[f32]) -> Result<T>) -> Result<T> {
+        let params = match self.resident.take() {
+            Some(params) => params,
+            None => self.parameters(),
+        };
+        let out = pass(self, params.as_slice());
+        self.resident = Some(params);
+        out
     }
 }
 
@@ -258,6 +308,23 @@ mod tests {
         other.set_parameters(&params).unwrap();
         assert_eq!(other.parameters(), params);
         assert!(other.set_parameters(&Vector::zeros(2)).is_err());
+        // The initial values are drawn afresh on each call, identically.
+        assert_eq!(tiny_model(2).parameters(), params);
+    }
+
+    #[test]
+    fn gradient_is_gradient_at_the_resident_vector() {
+        let (x, labels) = batch();
+        let params = tiny_model(9).parameters();
+        let mut borrowed = tiny_model(10);
+        let at = borrowed.gradient_at(params.as_slice(), &x, &labels).unwrap();
+        // Computing at a borrowed vector leaves the model's own values alone.
+        assert_eq!(borrowed.parameters(), tiny_model(10).parameters());
+        let mut resident = tiny_model(10);
+        resident.set_parameters(&params).unwrap();
+        let installed = resident.gradient(&x, &labels).unwrap();
+        assert_eq!(at.gradient, installed.gradient);
+        assert_eq!(at.loss.to_bits(), installed.loss.to_bits());
     }
 
     #[test]
@@ -348,18 +415,17 @@ mod tests {
     fn proxy_mlp_gradient_equals_the_scalar_loops_bit_for_bit() {
         let mut model = synthetic_mlp(256, &[384], 10, 11);
         let params = model.parameters();
-        let (first, second) = params.as_slice().split_at(256 * 384 + 384);
         let mut scalar = Sequential::new("scalar-mlp", &[256])
-            .with_layer(Box::new(ScalarDense::with_params(256, 384, first)))
+            .with_layer(Box::new(ScalarDense::new(256, 384)))
             .with_layer(Box::new(Relu::new()))
-            .with_layer(Box::new(ScalarDense::with_params(384, 10, second)));
+            .with_layer(Box::new(ScalarDense::new(384, 10)));
         let mut rng = seeded_rng(12);
         for batch in [1usize, 2, 25] {
             let x = gaussian_vector(&mut rng, batch * 256, 0.0, 1.0);
             let x = Tensor::from_vec(&[batch, 256], x.as_slice().to_vec()).unwrap();
             let labels: Vec<usize> = (0..batch).map(|n| n % 10).collect();
             let got = model.gradient(&x, &labels).unwrap();
-            let want = scalar.gradient(&x, &labels).unwrap();
+            let want = scalar.gradient_at(params.as_slice(), &x, &labels).unwrap();
             assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "loss at batch {batch}");
             assert_eq!(got.accuracy, want.accuracy);
             assert!(got.gradient.iter().any(|&g| g != 0.0));

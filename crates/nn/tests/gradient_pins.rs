@@ -1,15 +1,17 @@
 //! Bit pins of the flat gradient `Sequential` computes, for the MLP the
 //! benchmark workloads train and for the small CNN (dense, conv, pool, ReLU,
 //! flatten), each at two parameter vectors and two batch sizes. The pins were
-//! captured before the layers moved onto borrowed parameters; any change to
-//! the term order of any layer moves them.
+//! captured while every layer still kept its own copy of the weights and its
+//! own gradient buffers; both entries — `gradient_at` on a borrowed vector,
+//! and `set_parameters` + `gradient` on the resident one — must reproduce
+//! them. Any change to the term order of any layer moves them.
 //!
 //! Every input and parameter is a multiple of a power of two, so nothing in
 //! the setup goes through a transcendental function whose bits could differ
 //! between the debug and release builds.
 
 use agg_nn::models::{small_cnn, synthetic_mlp};
-use agg_nn::Sequential;
+use agg_nn::{NnError, Sequential};
 use agg_tensor::{Tensor, Vector};
 
 /// A deterministic vector of multiples of `1 / scale` in `[-1024, 1024) / scale`,
@@ -113,4 +115,63 @@ fn gradients_match_the_captured_bits() {
         }
     }
     assert!(report.is_empty(), "moved pins:\n{}", report.join("\n"));
+}
+
+#[test]
+fn gradient_at_a_borrowed_vector_matches_the_captured_bits() {
+    let mut report = Vec::new();
+    for case in &CASES {
+        let mut model = (case.build)();
+        let initial = model.parameters();
+        for &(salt, batch, pin) in &case.pins {
+            let params = params_for(&model, salt);
+            let (x, labels) = batch_for(case, batch);
+            let eval = model.gradient_at(params.as_slice(), &x, &labels).unwrap();
+            let got = fingerprint(eval.loss, eval.gradient.as_slice());
+            if got != pin {
+                report.push(format!("{} salt {salt} batch {batch}: {got:#018x}", case.name));
+            }
+        }
+        assert_eq!(model.parameters(), initial, "{}: a borrowed vector was stored", case.name);
+    }
+    assert!(report.is_empty(), "moved pins:\n{}", report.join("\n"));
+}
+
+#[test]
+fn a_call_carries_no_state_into_the_next() {
+    for case in &CASES {
+        let (x, labels) = batch_for(case, 2);
+        let mut used = (case.build)();
+        let (p, q) = (params_for(&used, 1), params_for(&used, 2));
+        used.gradient_at(p.as_slice(), &x, &labels).unwrap();
+        let after_p = used.gradient_at(q.as_slice(), &x, &labels).unwrap();
+        let fresh = (case.build)().gradient_at(q.as_slice(), &x, &labels).unwrap();
+        assert_eq!(after_p.loss.to_bits(), fresh.loss.to_bits(), "{}: loss", case.name);
+        let bits = |g: &Vector| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after_p.gradient), bits(&fresh.gradient), "{}: gradient", case.name);
+    }
+}
+
+#[test]
+fn a_wrong_length_vector_is_a_typed_error() {
+    for case in &CASES {
+        let mut model = (case.build)();
+        let d = model.param_count();
+        let (x, labels) = batch_for(case, 1);
+        for len in [0, d - 1, d + 1] {
+            let params = vec![0.5f32; len];
+            let err = model.gradient_at(&params, &x, &labels).unwrap_err();
+            assert!(
+                matches!(err, NnError::ParameterSizeMismatch { expected, actual }
+                    if expected == d && actual == len),
+                "{}: {err:?}",
+                case.name
+            );
+            let err = model.set_parameters(&Vector::from(params)).unwrap_err();
+            assert!(matches!(err, NnError::ParameterSizeMismatch { .. }), "{}", case.name);
+        }
+        // The model is still usable afterwards.
+        let params = params_for(&model, 1);
+        assert!(model.gradient_at(params.as_slice(), &x, &labels).unwrap().loss.is_finite());
+    }
 }

@@ -41,9 +41,12 @@ pub struct WorkerComputation {
 
 /// One simulated worker process.
 ///
-/// Each worker owns a private copy of the model (as a TensorFlow worker owns
-/// its sub-graph), an i.i.d. mini-batch sampler over its local dataset view,
-/// and the transport its gradients travel over.
+/// Each worker owns its model's layers (as a TensorFlow worker owns its
+/// sub-graph: the shapes, the activation caches, any dropout stream), an
+/// i.i.d. mini-batch sampler over its local dataset view, and the transport
+/// its gradients travel over. It owns no weights: every round it computes at
+/// the server's parameter vector, borrowed in place, so the n workers of a
+/// round share one copy of the model instead of holding n.
 #[derive(Debug)]
 pub struct Worker {
     id: usize,
@@ -84,7 +87,8 @@ impl Worker {
         self.node_flops_per_sec
     }
 
-    /// Computes one mini-batch gradient at the given model parameters.
+    /// Computes one mini-batch gradient at the given model parameters, read
+    /// in place ([`Sequential::gradient_at`]).
     ///
     /// The returned compute time uses the provided closure so the engine's
     /// cost model stays in one place.
@@ -97,9 +101,9 @@ impl Worker {
         params: &Vector,
         compute_time: impl FnOnce(&Sequential, usize) -> f64,
     ) -> Result<WorkerComputation> {
-        self.model.set_parameters(params).map_err(PsError::from)?;
         let (batch, labels) = self.sampler.next_batch(&self.dataset).map_err(PsError::from)?;
-        let evaluation = self.model.gradient(&batch, &labels).map_err(PsError::from)?;
+        let evaluation =
+            self.model.gradient_at(params.as_slice(), &batch, &labels).map_err(PsError::from)?;
         let time = compute_time(&self.model, labels.len());
         Ok(WorkerComputation {
             gradient: evaluation.gradient,
