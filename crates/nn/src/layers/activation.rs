@@ -28,7 +28,7 @@ impl Layer for Relu {
         Ok(input_shape.to_vec())
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let mask: Vec<bool> = input.as_slice().iter().map(|&x| x > 0.0).collect();
         let out = input.map(agg_tensor::ops::relu);
         self.shape = input.shape().to_vec();
@@ -36,12 +36,7 @@ impl Layer for Relu {
         Ok(out)
     }
 
-    fn backward(
-        &mut self,
-        _params: &[f32],
-        grad_output: &Tensor,
-        _grad_params: &mut [f32],
-    ) -> Result<Tensor> {
+    fn backward(&mut self, _: &[f32], grad_output: &Tensor, _: &mut [f32]) -> Result<Tensor> {
         let mask = self.mask.take().ok_or(NnError::BackwardBeforeForward("relu"))?;
         let data: Vec<f32> = grad_output
             .as_slice()

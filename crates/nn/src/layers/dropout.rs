@@ -49,7 +49,7 @@ impl Layer for Dropout {
         Ok(input_shape.to_vec())
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor, train: bool) -> Result<Tensor> {
         self.shape = input.shape().to_vec();
         if !train || self.rate == 0.0 {
             self.mask = Some(vec![1.0; input.len()]);
@@ -66,12 +66,7 @@ impl Layer for Dropout {
         Tensor::from_vec(&self.shape, data).map_err(NnError::from)
     }
 
-    fn backward(
-        &mut self,
-        _params: &[f32],
-        grad_output: &Tensor,
-        _grad_params: &mut [f32],
-    ) -> Result<Tensor> {
+    fn backward(&mut self, _: &[f32], grad_output: &Tensor, _: &mut [f32]) -> Result<Tensor> {
         let mask = self.mask.take().ok_or(NnError::BackwardBeforeForward("dropout"))?;
         let data: Vec<f32> =
             grad_output.as_slice().iter().zip(mask.iter()).map(|(&g, &m)| g * m).collect();

@@ -33,7 +33,7 @@ impl Layer for Flatten {
         Ok(vec![input_shape.iter().product()])
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let shape = input.shape();
         if shape.len() < 2 {
             return Err(NnError::BadInputShape {
@@ -48,12 +48,7 @@ impl Layer for Flatten {
         input.reshaped(&[batch, features]).map_err(NnError::from)
     }
 
-    fn backward(
-        &mut self,
-        _params: &[f32],
-        grad_output: &Tensor,
-        _grad_params: &mut [f32],
-    ) -> Result<Tensor> {
+    fn backward(&mut self, _: &[f32], grad_output: &Tensor, _: &mut [f32]) -> Result<Tensor> {
         let shape = self.input_shape.take().ok_or(NnError::BackwardBeforeForward("flatten"))?;
         grad_output.reshaped(&shape).map_err(NnError::from)
     }

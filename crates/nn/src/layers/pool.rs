@@ -78,7 +78,7 @@ impl Layer for MaxPool2d {
         Ok(vec![input_shape[0], oh, ow])
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
         let shape = input.shape();
         if shape.len() != 4 {
             return Err(NnError::BadInputShape {
@@ -132,12 +132,7 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(&[batch, channels, oh, ow], out).map_err(NnError::from)
     }
 
-    fn backward(
-        &mut self,
-        _params: &[f32],
-        grad_output: &Tensor,
-        _grad_params: &mut [f32],
-    ) -> Result<Tensor> {
+    fn backward(&mut self, _: &[f32], grad_output: &Tensor, _: &mut [f32]) -> Result<Tensor> {
         let (input_shape, argmax) =
             self.cached.take().ok_or(NnError::BackwardBeforeForward("maxpool2d"))?;
         let go = grad_output.as_slice();

@@ -25,8 +25,7 @@
 //! a time, so a call allocates nothing), load and store only the real output
 //! columns, and compute the padding lanes as scratch that is never stored.
 //! Each real element still sees its terms in the same order, behind the same
-//! zero-factor skip, with the same roundings. At the ten-column output layer
-//! this replaced a scalar loop that took most of the layer's time.
+//! zero-factor skip, with the same roundings.
 //!
 //! # Vector width
 //!
@@ -398,7 +397,7 @@ unsafe fn matmul_nt_tiles_avx2(
     matmul_nt_tiles(a, b, out, scratch, batch, m, n)
 }
 
-/// All of [`matmul_nt`] after its shape checks (it has no scalar edge), at
+/// All of [`matmul_nt`] after its shape checks (its lanes run over samples, so it has no column edge), at
 /// the vector width of whichever function it is inlined into.
 #[inline(always)]
 fn matmul_nt_tiles(
