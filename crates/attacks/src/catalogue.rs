@@ -840,7 +840,8 @@ mod tests {
         let mut all = honest.clone();
         all.extend(byz);
         let mk = MultiKrum::new(4).unwrap();
-        let selected = mk.select(&all).unwrap();
+        let batch = agg_tensor::GradientBatch::from_vectors(&all).unwrap();
+        let selected = mk.selected_rows(&batch, None).unwrap().unwrap();
         assert!(
             selected.iter().any(|&i| i >= 11),
             "the stealthy gradient should enter the selection: {selected:?}"

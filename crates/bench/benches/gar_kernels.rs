@@ -195,9 +195,11 @@ fn bench_collusion_sketch(c: &mut Criterion) {
 }
 
 /// The tree tier's selection feedback at the scale tier's shape (n = 256 in
-/// groups of 32, d = 4138, Multi-Krum at both levels): `selected_rows`
-/// re-runs the group stage from the batch, `selected_rows_of` reads a round
-/// the caller already holds — the call the engine makes after applying it.
+/// groups of 32, d = 4138, Multi-Krum at both levels): `selected_rows` is
+/// the group stage plus `selected_rows_of` (what the server's
+/// `tree_selected_rows` runs for a caller that holds no round),
+/// `selected_rows_of` alone reads a round the caller already holds — the
+/// call the engine makes after applying it.
 fn bench_tree_feedback(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_feedback_n256_g32_d4138");
     group.sample_size(10);
@@ -206,7 +208,10 @@ fn bench_tree_feedback(c: &mut Criterion) {
     let tree = TreeAggregator::new(TreeConfig::uniform(GarKind::MultiKrum, 6, 1, 32)).unwrap();
     let round = tree.group_outputs(&batch, &groups).unwrap();
     group.bench_function("selected_rows", |b| {
-        b.iter(|| tree.selected_rows(black_box(&batch), &groups).unwrap())
+        b.iter(|| {
+            let round = tree.group_outputs(black_box(&batch), &groups).unwrap();
+            tree.selected_rows_of(&round).unwrap()
+        })
     });
     group.bench_function("selected_rows_of", |b| {
         b.iter(|| tree.selected_rows_of(black_box(&round)).unwrap())

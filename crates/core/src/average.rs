@@ -1,9 +1,9 @@
 //! Plain gradient averaging — the non-resilient baseline
 //! (`tf.train.SyncReplicasOptimizer` in the paper's evaluation).
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{reduce_columns, Gar, GarProperties, Resilience};
 use crate::Result;
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{GradientBatch, ShardPlan};
 
 /// Coordinate-wise arithmetic mean of all submitted gradients.
 ///
@@ -45,9 +45,14 @@ impl Gar for Average {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        ensure_batch_nonempty("average", batch)?;
-        Ok(batch.coordinate_mean()?)
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.mean_into(None, dst)?))
     }
 }
 
@@ -55,6 +60,7 @@ impl Gar for Average {
 mod tests {
     use super::*;
     use crate::AggregationError;
+    use agg_tensor::Vector;
 
     #[test]
     fn averages_coordinatewise() {

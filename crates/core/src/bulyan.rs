@@ -20,10 +20,10 @@
 //! networks of `agg_tensor::sortnet` (the θ selected rows are far below the
 //! network cap), sharing the closest-to-median window kernel with MeaMed.
 
-use crate::gar::{ensure_batch_nonempty, validate_batch, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_some_finite_row, reduce_columns, Gar, GarProperties, Resilience};
 use crate::multi_krum::krum_scores;
 use crate::{resilience, AggregationError, Result};
-use agg_tensor::{stats, GradientBatch, TensorError, Vector};
+use agg_tensor::{stats, DistanceMatrix, GradientBatch, ShardPlan, TensorError};
 
 /// The Bulyan gradient aggregation rule (strong Byzantine resilience,
 /// requires `n ≥ 4f + 3`).
@@ -61,63 +61,6 @@ impl Bulyan {
     pub fn f(&self) -> usize {
         self.f
     }
-
-    /// Runs the selection phase, returning the indices of the `θ = n − 2f`
-    /// gradients extracted by iterated Krum, in extraction order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggregationError::NotEnoughWorkers`] when `n < 4f + 3`, plus
-    /// the usual batch-validation errors.
-    pub fn select(&self, gradients: &[Vector]) -> Result<Vec<usize>> {
-        validate_batch("bulyan", gradients)?;
-        let batch = GradientBatch::from_vectors(gradients)
-            .expect("validate_batch guarantees a non-empty, consistent batch");
-        self.select_batch(&batch)
-    }
-
-    /// Arena variant of [`Bulyan::select`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Bulyan::select`].
-    pub fn select_batch(&self, batch: &GradientBatch) -> Result<Vec<usize>> {
-        let n = ensure_batch_nonempty("bulyan", batch)?;
-        resilience::check_bulyan(n, self.f)?;
-        // The paper's optimisation: distances are computed once, here.
-        let distances = batch.pairwise_squared_distances();
-        self.select_with_distances(&distances)
-    }
-
-    /// Runs the iterated-Krum selection on an already-computed distance
-    /// matrix (the sharded layer reduces per-shard partial matrices into the
-    /// global one and selects here once, so the sharded selection — and the
-    /// strong-resilience guarantee — is identical to the unsharded rule).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Bulyan::select`], with `n` taken from the matrix.
-    pub fn select_with_distances(
-        &self,
-        distances: &agg_tensor::DistanceMatrix,
-    ) -> Result<Vec<usize>> {
-        let n = distances.n();
-        resilience::check_bulyan(n, self.f)?;
-        let theta = resilience::bulyan_selection_count(n, self.f)?;
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut selected = Vec::with_capacity(theta);
-        for _ in 0..theta {
-            // Neighbour count follows the Krum definition on the *remaining*
-            // set, clamped to at least one neighbour so the last iterations
-            // remain well defined.
-            let neighbours = active.len().saturating_sub(self.f + 2).max(1);
-            let scores = krum_scores(distances, &active, neighbours);
-            let best_pos = stats::k_smallest_indices(&scores, 1)?[0];
-            selected.push(active.remove(best_pos));
-        }
-        Ok(selected)
-    }
 }
 
 impl Gar for Bulyan {
@@ -131,36 +74,55 @@ impl Gar for Bulyan {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("bulyan", batch)?;
-        resilience::check_bulyan(n, self.f)?;
-        // The paper's optimisation: distances are computed once, here.
-        let distances = batch.pairwise_squared_distances();
-        self.aggregate_batch_with_distances(batch, &distances)
+    /// `n ≥ 4f + 3`.
+    fn check(&self, n: usize) -> Result<()> {
+        resilience::check_bulyan(n, self.f)
     }
 
-    fn aggregate_batch_with_distances(
+    fn selects(&self) -> bool {
+        true
+    }
+
+    /// Phase 1: the `θ = n − 2f` rows extracted by iterated Krum, in
+    /// extraction order. The distances are computed once (the paper's
+    /// optimisation); each iteration only re-ranks scores over the shrinking
+    /// active set.
+    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
+        let n = distances.n();
+        let theta = resilience::bulyan_selection_count(n, self.f)?;
+        let mut active: Vec<usize> = (0..n).collect();
+        let mut selected = Vec::with_capacity(theta);
+        for _ in 0..theta {
+            // Neighbour count follows the Krum definition on the *remaining*
+            // set, clamped to at least one neighbour so the last iterations
+            // remain well defined.
+            let neighbours = active.len().saturating_sub(self.f + 2).max(1);
+            let scores = krum_scores(distances, &active, neighbours);
+            let best_pos = stats::k_smallest_indices(&scores, 1)?[0];
+            selected.push(active.remove(best_pos));
+        }
+        Ok(selected)
+    }
+
+    /// Phase 2, fused: for every coordinate of the selected rows, the mean
+    /// of the `β = n − 4f` values closest to the coordinate-wise median.
+    /// Non-finite values rank as infinitely far and are never averaged while
+    /// enough finite values exist; a coordinate that is NaN in every
+    /// selected row means the whole selection is corrupt.
+    fn reduce(
         &self,
         batch: &GradientBatch,
-        distances: &agg_tensor::DistanceMatrix,
-    ) -> Result<Vector> {
-        ensure_batch_nonempty("bulyan", batch)?;
-        if distances.n() != batch.n() {
-            return Err(TensorError::dim(batch.n(), distances.n()).into());
-        }
-        let selected = self.select_with_distances(distances)?;
+        selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
         let beta = resilience::bulyan_beta(batch.n(), self.f)?;
-        if selected.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
-            return Err(AggregationError::AllGradientsCorrupt("bulyan"));
-        }
-        // Phase 2, fused: for every coordinate of the selected rows, average
-        // the β values closest to the coordinate-wise median. Non-finite
-        // values rank as infinitely far and are never selected while enough
-        // finite values exist; a coordinate that is NaN in every selected
-        // row means the whole selection is corrupt.
-        batch.mean_around_median_of_rows(&selected, beta).map_err(|e| match e {
-            TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
-            other => other.into(),
+        ensure_some_finite_row("bulyan", batch, selection)?;
+        reduce_columns(batch, plan, out, |cols, dst| {
+            cols.mean_around_median_into(selection, beta, dst).map_err(|e| match e {
+                TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
+                other => other.into(),
+            })
         })
     }
 }
@@ -169,6 +131,13 @@ impl Gar for Bulyan {
 mod tests {
     use super::*;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
+    use agg_tensor::Vector;
+
+    /// The rows `gar`'s selection phase extracts from `gradients`.
+    fn select(gar: &Bulyan, gradients: &[Vector]) -> Vec<usize> {
+        let batch = GradientBatch::from_vectors(gradients).unwrap();
+        gar.selected_rows(&batch, None).unwrap().unwrap()
+    }
 
     fn honest_batch(n: usize, d: usize, seed: u64) -> Vec<Vector> {
         let mut rng = seeded_rng(seed);
@@ -186,7 +155,7 @@ mod tests {
         // n = 19, f = 4 => theta = 11, beta = 3.
         let gs = honest_batch(19, 4, 1);
         let gar = Bulyan::new(4).unwrap();
-        assert_eq!(gar.select(&gs).unwrap().len(), 11);
+        assert_eq!(select(&gar, &gs).len(), 11);
     }
 
     #[test]
@@ -250,7 +219,7 @@ mod tests {
         let mut gs = vec![Vector::from(vec![2.0, 2.0]); 8];
         gs.push(Vector::from(vec![100.0, 100.0]));
         let gar = Bulyan::new(1).unwrap();
-        let order = gar.select(&gs).unwrap();
+        let order = select(&gar, &gs);
         // theta = 9 - 2 = 7 selections; index 8 (the outlier) must not be
         // among the first 7 extracted because identical gradients score 0.
         assert!(!order.contains(&8));

@@ -2,7 +2,7 @@
 //! the parameter server.
 
 use crate::Result;
-use agg_tensor::{DistanceMatrix, GradientBatch, Vector};
+use agg_tensor::{BatchColumns, DistanceMatrix, GradientBatch, ShardPlan, TensorError, Vector};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -51,6 +51,17 @@ pub struct GarProperties {
     pub tolerates_non_finite: bool,
 }
 
+/// One round of a rule: the aggregate and, for a rule with a selection
+/// phase, the rows that phase kept (lowest Krum score first for Krum and
+/// Multi-Krum, extraction order for Bulyan).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GarRound {
+    /// The vector the server applies.
+    pub aggregate: Vector,
+    /// The selected batch rows, or `None` when every row reaches the reduce.
+    pub selection: Option<Vec<usize>>,
+}
+
 /// A Gradient Aggregation Rule (GAR).
 ///
 /// A GAR consumes the `n` gradient estimates submitted in one synchronous
@@ -59,50 +70,163 @@ pub struct GarProperties {
 /// their input: the server may be replicated and each replica must compute an
 /// identical update (§6 of the paper).
 ///
+/// # How a rule is defined
+///
+/// A rule states each of its pieces once, in its own module, and the
+/// provided [`Gar::round`] runs them in order:
+///
+/// 1. [`Gar::check`] — the precondition for `n` rows, before any distance
+///    pass (an empty batch is refused ahead of it, naming the rule);
+/// 2. when [`Gar::selects`]: the distance pass [`Gar::distances`] (skipped
+///    when the caller supplies the matrix) and the selection [`Gar::select`];
+/// 3. [`Gar::reduce`] — the coordinate-wise reduce of the selected rows (all
+///    rows for a rule without selection), including the checks that follow a
+///    selection, over the column ranges of [`Gar::column_plan`].
+///
+/// Every entry reads that one definition: [`Gar::aggregate_batch`] and
+/// [`Gar::aggregate_batch_with_distances`] are the round's aggregate,
+/// [`Gar::selected_rows`] is its first two steps. The sharded tier
+/// ([`crate::ShardedAggregator`]) overrides only the distance pass and the
+/// column plan; the tree's group stage
+/// ([`crate::TreeAggregator::group_outputs`]) reads a group's output and its
+/// kept rows off one round.
+///
 /// Implementations are `Send + Sync` so the parameter-server simulator can
 /// evaluate them from worker threads and the benchmarks can share them.
 pub trait Gar: Send + Sync + fmt::Debug {
     /// Static properties (name, resilience, preconditions).
     fn properties(&self) -> GarProperties;
 
-    /// Aggregates one round of gradients packed into a contiguous
-    /// [`GradientBatch`] arena — the hot-path entry point.
-    ///
-    /// The arena guarantees dimensional consistency by construction, so
-    /// implementations only check their own preconditions (worker count,
-    /// corruption). Callers that hold gradients as separate vectors use
-    /// [`Gar::aggregate`], which packs them once and delegates here.
+    /// The rule's precondition for a round of `n ≥ 1` rows.
     ///
     /// # Errors
     ///
-    /// Implementations return [`crate::AggregationError`] when the batch is
-    /// empty, too small for the declared `f`, or entirely corrupt.
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector>;
+    /// Returns [`crate::AggregationError`] when `n` does not seat the rule
+    /// (too few rows for the declared `f`, or a selection size out of range).
+    fn check(&self, _n: usize) -> Result<()> {
+        Ok(())
+    }
 
-    /// Aggregates one round when the pairwise squared-distance matrix over
-    /// the batch rows has already been computed — the entry point of the
-    /// streaming round engine, which accumulates distances incrementally as
-    /// rows complete instead of recomputing them behind the round barrier.
-    ///
-    /// The default ignores the matrix and delegates to
-    /// [`Gar::aggregate_batch`]: coordinate-wise rules never consult
-    /// distances, so for them the two entry points are the same function.
-    /// Distance-based rules (Krum, Multi-Krum, Bulyan and their sharded
-    /// wrappers) override this to select directly from the supplied matrix;
-    /// because the streaming accumulator reproduces the batch kernels
-    /// bit-for-bit, both entry points return identical bits there too.
+    /// Whether the rule selects rows over the pairwise distance matrix
+    /// (Krum, Multi-Krum, Bulyan). Only these rules pay for a distance pass;
+    /// the others ignore a supplied matrix.
+    fn selects(&self) -> bool {
+        false
+    }
+
+    /// The distance pass the selection reads: the flat pairwise kernel.
+    fn distances(&self, batch: &GradientBatch) -> DistanceMatrix {
+        batch.pairwise_squared_distances()
+    }
+
+    /// The selection phase over the distances of `n = distances.n()` rows
+    /// that passed [`Gar::check`]. A rule without one keeps every row; the
+    /// round only calls this when [`Gar::selects`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Gar::aggregate_batch`]; overriding
-    /// implementations additionally reject a matrix whose `n` disagrees with
-    /// the batch.
+    /// The rule's precondition for `distances.n()` rows.
+    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
+        Ok((0..distances.n()).collect())
+    }
+
+    /// The column ranges the reduce runs over for a `d`-dimensional batch:
+    /// one range, `0..d`, unless the rule is evaluated sharded.
+    fn column_plan(&self, d: usize) -> ShardPlan {
+        ShardPlan::new(d, 1).expect("one shard is always a valid plan")
+    }
+
+    /// The coordinate-wise reduce of `selection` (every row when `None`),
+    /// run once per range of `plan`, each range writing its own slice of
+    /// `out` (`out.len() == batch.dim()`). The per-column reductions are
+    /// independent, so any plan writes the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::AggregationError::AllGradientsCorrupt`] when the rows
+    /// the rule reduces leave it nothing usable, and propagates kernel
+    /// errors.
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()>;
+
+    /// The first half of a round: the precondition and, for a selecting
+    /// rule, the selection — read off `distances` when the caller already
+    /// holds the matrix, else off the rule's own distance pass. `None` for a
+    /// rule without a selection phase. This is the server's selection
+    /// feedback; it changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::AggregationError::NoGradients`] for an empty batch, the
+    /// rule's precondition, and a dimension error when `distances` covers a
+    /// different number of rows than the batch.
+    fn selected_rows(
+        &self,
+        batch: &GradientBatch,
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<Option<Vec<usize>>> {
+        let n = ensure_batch_nonempty(self.name(), batch)?;
+        self.check(n)?;
+        if !self.selects() {
+            return Ok(None);
+        }
+        let owned;
+        let distances = match distances {
+            Some(matrix) if matrix.n() != n => {
+                return Err(TensorError::dim(n, matrix.n()).into());
+            }
+            Some(matrix) => matrix,
+            None => {
+                owned = self.distances(batch);
+                &owned
+            }
+        };
+        self.select(distances).map(Some)
+    }
+
+    /// One round: [`Gar::selected_rows`], then [`Gar::reduce`] over the
+    /// rule's [`Gar::column_plan`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::selected_rows`] and [`Gar::reduce`].
+    fn round(&self, batch: &GradientBatch, distances: Option<&DistanceMatrix>) -> Result<GarRound> {
+        let selection = self.selected_rows(batch, distances)?;
+        let mut out = vec![0.0f32; batch.dim()];
+        self.reduce(batch, selection.as_deref(), &self.column_plan(batch.dim()), &mut out)?;
+        Ok(GarRound { aggregate: Vector::from(out), selection })
+    }
+
+    /// Aggregates one round of gradients packed into a contiguous
+    /// [`GradientBatch`] arena: [`Gar::round`]'s aggregate.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::round`].
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+        Ok(self.round(batch, None)?.aggregate)
+    }
+
+    /// [`Gar::aggregate_batch`] when the pairwise squared-distance matrix
+    /// over the batch rows is already computed (the streaming round engine
+    /// accumulates it as rows arrive). Rules without a selection phase
+    /// ignore the matrix; the streaming accumulator reproduces the batch
+    /// kernels bit for bit, so both entries return the same bits.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::round`].
     fn aggregate_batch_with_distances(
         &self,
         batch: &GradientBatch,
-        _distances: &DistanceMatrix,
+        distances: &DistanceMatrix,
     ) -> Result<Vector> {
-        self.aggregate_batch(batch)
+        Ok(self.round(batch, Some(distances))?.aggregate)
     }
 
     /// Aggregates one round of gradients (thin adapter over
@@ -127,11 +251,53 @@ pub trait Gar: Send + Sync + fmt::Debug {
     }
 }
 
+/// Runs `kernel` over every column range of `plan`, each call writing its
+/// range's slice of `out`: the column loop of every splittable
+/// [`Gar::reduce`].
+///
+/// # Errors
+///
+/// The first error `kernel` returns.
+pub(crate) fn reduce_columns(
+    batch: &GradientBatch,
+    plan: &ShardPlan,
+    out: &mut [f32],
+    kernel: impl Fn(BatchColumns<'_>, &mut [f32]) -> Result<()>,
+) -> Result<()> {
+    for range in plan.ranges() {
+        kernel(batch.columns(range.clone()), &mut out[range])?;
+    }
+    Ok(())
+}
+
+/// The check that follows a selection phase: at least one of the selected
+/// rows (every row when `None`) is finite throughout.
+///
+/// # Errors
+///
+/// Returns [`crate::AggregationError::AllGradientsCorrupt`] when every such
+/// row carries a non-finite coordinate.
+pub(crate) fn ensure_some_finite_row(
+    rule: &'static str,
+    batch: &GradientBatch,
+    selection: Option<&[usize]>,
+) -> Result<()> {
+    let corrupt = |i: usize| batch.row(i).iter().any(|x| !x.is_finite());
+    let all_corrupt = match selection {
+        Some(rows) => rows.iter().all(|&i| corrupt(i)),
+        None => (0..batch.n()).all(corrupt),
+    };
+    if all_corrupt {
+        return Err(crate::AggregationError::AllGradientsCorrupt(rule));
+    }
+    Ok(())
+}
+
 /// Validates that a batch of gradients is non-empty and dimensionally
 /// consistent, returning the common dimension.
 ///
-/// Every concrete rule calls this before touching the data, so the error
-/// behaviour is uniform across rules.
+/// The slice adapter [`Gar::aggregate`] calls this before packing the
+/// arena, so the error behaviour is uniform across rules.
 ///
 /// # Errors
 ///
@@ -158,8 +324,8 @@ pub fn validate_batch(rule: &'static str, gradients: &[Vector]) -> Result<usize>
 /// Validates that an arena batch is non-empty, returning the gradient count.
 ///
 /// The arena enforces dimensional consistency at construction, so this is
-/// the only structural check an [`Gar::aggregate_batch`] implementation
-/// needs before its rule-specific preconditions.
+/// the only structural check a round needs before the rule's own
+/// precondition ([`Gar::check`]).
 ///
 /// # Errors
 ///

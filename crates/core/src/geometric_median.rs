@@ -8,9 +8,9 @@
 //! GAR: robust to a minority of outliers, but more expensive per round than
 //! Multi-Krum for the same dimension because of its iterative refinement.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
-use agg_tensor::{ops, GradientBatch, Vector};
+use agg_tensor::{ops, GradientBatch, ShardPlan, Vector};
 
 /// Weiszfeld iterations of [`GeometricMedian::new`], the rule the registry
 /// builds.
@@ -68,14 +68,25 @@ impl Gar for GeometricMedian {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("geometric-median", batch)?;
-        resilience::check_median("geometric-median", n, self.f)?;
+    fn check(&self, n: usize) -> Result<()> {
+        resilience::check_median("geometric-median", n, self.f)
+    }
+
+    /// Weiszfeld's fixed-point iteration needs full-dimension distances at
+    /// every step, so it cannot be split by column: the rule ignores the
+    /// plan and reduces the whole batch at once, on the sharded tier too.
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        _plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
         // Non-finite gradients cannot participate in distance computations;
         // they are excluded up front (equivalent to being infinitely far).
         // Rows are borrowed from the arena — no clones.
         let finite: Vec<usize> =
-            (0..n).filter(|&i| batch.row(i).iter().all(|x| x.is_finite())).collect();
+            (0..batch.n()).filter(|&i| batch.row(i).iter().all(|x| x.is_finite())).collect();
         if finite.is_empty() {
             return Err(AggregationError::AllGradientsCorrupt("geometric-median"));
         }
@@ -108,7 +119,8 @@ impl Gar for GeometricMedian {
                 break;
             }
         }
-        Ok(estimate)
+        out.copy_from_slice(estimate.as_slice());
+        Ok(())
     }
 }
 

@@ -7,7 +7,7 @@
 use crate::gar::{Gar, GarProperties, Resilience};
 use crate::multi_krum::MultiKrum;
 use crate::{resilience, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan};
 
 /// The original Krum rule: select the single gradient with the smallest sum
 /// of distances to its `n − f − 2` nearest neighbours.
@@ -33,15 +33,6 @@ impl Krum {
     pub fn f(&self) -> usize {
         self.inner.f()
     }
-
-    /// Index of the gradient Krum would select for this batch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Krum::aggregate`].
-    pub fn select_index(&self, gradients: &[Vector]) -> Result<usize> {
-        Ok(self.inner.select(gradients)?[0])
-    }
 }
 
 impl Default for Krum {
@@ -61,16 +52,28 @@ impl Gar for Krum {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        self.inner.aggregate_batch(batch)
+    // Everything but the name is Multi-Krum's with m = 1.
+
+    fn check(&self, n: usize) -> Result<()> {
+        self.inner.check(n)
     }
 
-    fn aggregate_batch_with_distances(
+    fn selects(&self) -> bool {
+        true
+    }
+
+    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
+        self.inner.select(distances)
+    }
+
+    fn reduce(
         &self,
         batch: &GradientBatch,
-        distances: &agg_tensor::DistanceMatrix,
-    ) -> Result<Vector> {
-        self.inner.aggregate_batch_with_distances(batch, distances)
+        selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        self.inner.reduce(batch, selection, plan, out)
     }
 }
 
@@ -78,6 +81,7 @@ impl Gar for Krum {
 mod tests {
     use super::*;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
+    use agg_tensor::Vector;
 
     #[test]
     fn output_is_one_of_the_inputs() {
@@ -100,8 +104,10 @@ mod tests {
         ];
         gs.push(Vector::from(vec![1e6, -1e6]));
         let gar = Krum::new(1);
-        let idx = gar.select_index(&gs).unwrap();
-        assert!(idx < 6);
+        let batch = GradientBatch::from_vectors(&gs).unwrap();
+        let selected = gar.selected_rows(&batch, None).unwrap().unwrap();
+        assert_eq!(selected.len(), 1);
+        assert!(selected[0] < 6);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use agg_tensor::{DistanceMatrix, GradientBatch};
 pub use average::Average;
 pub use bulyan::Bulyan;
 pub use error::AggregationError;
-pub use gar::{Gar, GarProperties, Resilience};
+pub use gar::{Gar, GarProperties, GarRound, Resilience};
 pub use geometric_median::GeometricMedian;
 pub use krum::Krum;
 pub use meamed::MeaMed;

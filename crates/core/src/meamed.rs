@@ -11,9 +11,9 @@
 //! vertical selection networks of `agg_tensor::sortnet` and grows the
 //! closest-to-median window with the one two-pointer walk both rules use.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{reduce_columns, Gar, GarProperties, Resilience};
 use crate::{resilience, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{GradientBatch, ShardPlan};
 
 /// Coordinate-wise mean of the `n − f` values closest to the median.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,17 +50,28 @@ impl Gar for MeaMed {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("meamed", batch)?;
-        resilience::check_median("meamed", n, self.f)?;
-        let keep = (n - self.f).max(1);
-        Ok(batch.mean_around_median(keep)?)
+    fn check(&self, n: usize) -> Result<()> {
+        resilience::check_median("meamed", n, self.f)
+    }
+
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let keep = batch.n().saturating_sub(self.f).max(1);
+        reduce_columns(batch, plan, out, |cols, dst| {
+            Ok(cols.mean_around_median_into(None, keep, dst)?)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agg_tensor::Vector;
 
     #[test]
     fn equals_average_with_f_zero_and_clean_input() {

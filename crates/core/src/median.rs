@@ -6,9 +6,9 @@
 //! (a pruned Batcher network placing only the median positions), falling
 //! back to scalar quickselect beyond it.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{reduce_columns, Gar, GarProperties, Resilience};
 use crate::{resilience, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{GradientBatch, ShardPlan};
 
 /// Coordinate-wise median of the submitted gradients.
 ///
@@ -53,10 +53,18 @@ impl Gar for CoordinateMedian {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("median", batch)?;
-        resilience::check_median("median", n, self.f)?;
-        Ok(batch.coordinate_median()?)
+    fn check(&self, n: usize) -> Result<()> {
+        resilience::check_median("median", n, self.f)
+    }
+
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.median_into(None, dst)?))
     }
 }
 
@@ -64,6 +72,7 @@ impl Gar for CoordinateMedian {
 mod tests {
     use super::*;
     use crate::AggregationError;
+    use agg_tensor::Vector;
 
     #[test]
     fn median_of_clean_gradients() {

@@ -16,10 +16,10 @@
 //! [`crate::Bulyan`], which re-ranks scores across its iterations instead of
 //! recomputing distances.
 
-use crate::gar::{ensure_batch_nonempty, validate_batch, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_some_finite_row, reduce_columns, Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
-use agg_tensor::{stats, Vector};
+use agg_tensor::{stats, ShardPlan};
 use rayon::prelude::*;
 
 pub use agg_tensor::batch::{DistanceMatrix, GradientBatch};
@@ -164,56 +164,6 @@ impl MultiKrum {
             }
         }
     }
-
-    /// Returns the indices Multi-Krum would select for this batch, lowest
-    /// score first. Exposed for tests, for the Bulyan implementation, and for
-    /// experiment instrumentation (e.g. counting how often a Byzantine
-    /// gradient sneaks into the selection).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiKrum::aggregate`].
-    pub fn select(&self, gradients: &[Vector]) -> Result<Vec<usize>> {
-        validate_batch("multi-krum", gradients)?;
-        let batch = GradientBatch::from_vectors(gradients)
-            .expect("validate_batch guarantees a non-empty, consistent batch");
-        self.select_batch(&batch)
-    }
-
-    /// Arena variant of [`MultiKrum::select`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiKrum::aggregate`].
-    pub fn select_batch(&self, batch: &GradientBatch) -> Result<Vec<usize>> {
-        let n = ensure_batch_nonempty("multi-krum", batch)?;
-        // Preconditions are checked before paying for the O(n²·d) kernel.
-        self.resolve_m(n)?;
-        let distances = batch.pairwise_squared_distances();
-        self.select_with_distances(&distances)
-    }
-
-    /// Runs the selection on an already-computed distance matrix.
-    ///
-    /// This is the entry point of the sharded aggregation layer: squared L2
-    /// distances decompose into per-shard partial sums, so a sharded
-    /// deployment reduces one partial matrix per shard into the global
-    /// matrix and selects here exactly once — the selection (and therefore
-    /// the resilience guarantee) is identical to the unsharded rule.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiKrum::aggregate`], with `n` taken from the
-    /// matrix.
-    pub fn select_with_distances(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
-        let n = distances.n();
-        let m = self.resolve_m(n)?;
-        let neighbours = resilience::krum_neighbour_count(n, self.f)?;
-        let active: Vec<usize> = (0..n).collect();
-        let scores = krum_scores(distances, &active, neighbours);
-        let ranked = stats::k_smallest_indices(&scores, m)?;
-        Ok(ranked)
-    }
 }
 
 impl Gar for MultiKrum {
@@ -227,30 +177,38 @@ impl Gar for MultiKrum {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("multi-krum", batch)?;
-        // Preconditions are checked before paying for the O(n²·d) kernel.
-        self.resolve_m(n)?;
-        let distances = batch.pairwise_squared_distances();
-        self.aggregate_batch_with_distances(batch, &distances)
+    /// `n ≥ 2f + 3` and `m ≤ n − f − 2`.
+    fn check(&self, n: usize) -> Result<()> {
+        self.resolve_m(n).map(drop)
     }
 
-    fn aggregate_batch_with_distances(
+    fn selects(&self) -> bool {
+        true
+    }
+
+    /// The `m` rows with the lowest Krum scores over their `n − f − 2`
+    /// nearest neighbours, lowest score first. On the sharded tier the
+    /// matrix is the shard-reduced one, so the selection — and therefore
+    /// the resilience guarantee — is the unsharded rule's.
+    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
+        let n = distances.n();
+        let m = self.resolve_m(n)?;
+        let neighbours = resilience::krum_neighbour_count(n, self.f)?;
+        let active: Vec<usize> = (0..n).collect();
+        let scores = krum_scores(distances, &active, neighbours);
+        Ok(stats::k_smallest_indices(&scores, m)?)
+    }
+
+    /// The mean of the selected rows, straight out of the arena.
+    fn reduce(
         &self,
         batch: &GradientBatch,
-        distances: &DistanceMatrix,
-    ) -> Result<Vector> {
-        ensure_batch_nonempty("multi-krum", batch)?;
-        if distances.n() != batch.n() {
-            return Err(agg_tensor::TensorError::dim(batch.n(), distances.n()).into());
-        }
-        let selected = self.select_with_distances(distances)?;
-        // Clone-free selection averaging: the selected rows are averaged
-        // straight out of the arena.
-        if selected.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
-            return Err(AggregationError::AllGradientsCorrupt("multi-krum"));
-        }
-        Ok(batch.mean_of_rows(&selected)?)
+        selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        ensure_some_finite_row("multi-krum", batch, selection)?;
+        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
     }
 }
 
@@ -258,9 +216,16 @@ impl Gar for MultiKrum {
 mod tests {
     use super::*;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
+    use agg_tensor::Vector;
 
     fn distance_matrix(gradients: &[Vector]) -> DistanceMatrix {
         GradientBatch::from_vectors(gradients).unwrap().pairwise_squared_distances()
+    }
+
+    /// The rows `gar`'s selection phase keeps for `gradients`.
+    fn select(gar: &MultiKrum, gradients: &[Vector]) -> Vec<usize> {
+        let batch = GradientBatch::from_vectors(gradients).unwrap();
+        gar.selected_rows(&batch, None).unwrap().unwrap()
     }
 
     /// Builds a batch of `honest` gradients around `center` plus `byz` copies
@@ -293,7 +258,7 @@ mod tests {
     fn selection_never_includes_byzantine_outliers() {
         let gs = batch(11, 2.0, 4, &[500.0, 500.0, 500.0]);
         let gar = MultiKrum::new(4).unwrap();
-        let selected = gar.select(&gs).unwrap();
+        let selected = select(&gar, &gs);
         assert_eq!(selected.len(), 15 - 4 - 2);
         assert!(selected.iter().all(|&i| i < 11), "selected = {selected:?}");
     }
@@ -304,7 +269,7 @@ mod tests {
         gs.push(Vector::from(vec![f32::NAN]));
         gs.push(Vector::from(vec![f32::INFINITY]));
         let gar = MultiKrum::new(2).unwrap();
-        let selected = gar.select(&gs).unwrap();
+        let selected = select(&gar, &gs);
         assert!(selected.iter().all(|&i| i < 7));
         assert!(gar.aggregate(&gs).unwrap().is_finite());
     }
@@ -322,7 +287,7 @@ mod tests {
     fn default_m_is_n_minus_f_minus_2() {
         let gs = batch(9, 1.0, 2, &[9.0]);
         let gar = MultiKrum::new(2).unwrap();
-        assert_eq!(gar.select(&gs).unwrap().len(), 11 - 2 - 2);
+        assert_eq!(select(&gar, &gs).len(), 11 - 2 - 2);
     }
 
     #[test]

@@ -151,19 +151,14 @@ impl GarConfig {
             GarKind::MeaMed => Box::new(MeaMed::new(self.f)),
             GarKind::GeometricMedian => Box::new(GeometricMedian::new(self.f)),
             GarKind::Krum => Box::new(Krum::new(self.f)),
-            GarKind::MultiKrum => Box::new(self.krum_selection()?),
+            GarKind::MultiKrum => Box::new(self.multi_krum()?),
             GarKind::Bulyan => Box::new(Bulyan::new(self.f)?),
         })
     }
 
-    /// The Multi-Krum selection behind a Krum-family configuration: `m = 1`
-    /// for Krum, the configured `m` (or the largest admissible one) for
-    /// Multi-Krum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggregationError::InvalidSelectionSize`] when `m == 0`.
-    pub fn krum_selection(&self) -> Result<MultiKrum> {
+    /// The Multi-Krum behind a Krum-family configuration: `m = 1` for Krum,
+    /// the configured `m` (or the largest admissible one) for Multi-Krum.
+    fn multi_krum(&self) -> Result<MultiKrum> {
         match (self.kind, self.m) {
             (GarKind::Krum, _) => MultiKrum::with_selection(self.f, 1),
             (_, Some(m)) => MultiKrum::with_selection(self.f, m),
@@ -182,20 +177,13 @@ impl GarConfig {
     ///
     /// The error the round itself returns when `n` does not seat the rule.
     pub fn work(&self, n: usize) -> Result<GarWork> {
+        self.build()?.check(n)?;
         let (f, all_pairs) = (self.f, n * n.saturating_sub(1) / 2);
         let (pairs, tile_rows, mean_rows) = match self.kind {
             GarKind::Average | GarKind::SelectiveAverage => (0, 0, n),
-            GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed => {
-                resilience::check_median(self.kind.name(), n, f)?;
-                (0, n, 0)
-            }
-            GarKind::GeometricMedian => {
-                resilience::check_median(self.kind.name(), n, f)?;
-                (WEISZFELD_ITERATIONS * n, n, WEISZFELD_ITERATIONS * n)
-            }
-            GarKind::Krum | GarKind::MultiKrum => {
-                (all_pairs, 0, self.krum_selection()?.resolve_m(n)?)
-            }
+            GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed => (0, n, 0),
+            GarKind::GeometricMedian => (WEISZFELD_ITERATIONS * n, n, WEISZFELD_ITERATIONS * n),
+            GarKind::Krum | GarKind::MultiKrum => (all_pairs, 0, self.multi_krum()?.resolve_m(n)?),
             GarKind::Bulyan => (
                 all_pairs,
                 resilience::bulyan_selection_count(n, f)?,

@@ -8,9 +8,9 @@
 //! (sequence numbers) so that received coordinates land at the right offsets;
 //! that part is implemented in `agg-net`.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{reduce_columns, Gar, GarProperties, Resilience};
 use crate::{AggregationError, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{GradientBatch, ShardPlan};
 
 /// Coordinate-wise mean that skips non-finite (lost) coordinates.
 ///
@@ -40,23 +40,28 @@ impl Gar for SelectiveAverage {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        ensure_batch_nonempty("selective-average", batch)?;
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if batch.rows().all(|row| row.iter().all(|x| !x.is_finite())) {
+            return Err(AggregationError::AllGradientsCorrupt("selective-average"));
+        }
         // A coordinate that was lost in every submission becomes a zero
         // update rather than poisoning the model — this matches "not caring
         // what happens at the lower layer": the coordinate simply does not
         // move this step.
-        let out = batch.coordinate_nan_mean()?;
-        if batch.rows().all(|row| row.iter().all(|x| !x.is_finite())) {
-            return Err(AggregationError::AllGradientsCorrupt("selective-average"));
-        }
-        Ok(out)
+        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.nan_mean_into(dst)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agg_tensor::Vector;
 
     #[test]
     fn behaves_like_average_on_clean_input() {

@@ -28,10 +28,10 @@
 //! the flat path's refusal below `resilience_floor`.
 
 use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
-use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, Result};
+use crate::{resilience, AggregationError, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
-use agg_tensor::{DistanceMatrix, GradientBatch, GroupPlan, Vector};
+use agg_tensor::{GradientBatch, GroupPlan, ShardPlan, Vector};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -77,6 +77,18 @@ impl TreeConfig {
     pub fn root_floor(&self) -> usize {
         resilience::resilience_floor(self.root.kind, self.root.f)
     }
+
+    /// [`resilience::check_tree`] for this tree over the live size of every
+    /// group.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AggregationError::NotEnoughWorkers`] naming the root rule
+    /// when too few groups clear the group floor.
+    pub fn check(&self, group_sizes: impl IntoIterator<Item = usize>) -> Result<()> {
+        let (group, root) = (self.group, self.root);
+        resilience::check_tree(group.kind, group.f, root.kind, root.f, group_sizes)
+    }
 }
 
 /// One contributing group's aggregation result.
@@ -107,7 +119,7 @@ pub struct TreeRound {
 
 impl TreeRound {
     /// The live size of every group the round saw, contributing or excluded
-    /// — what [`resilience::check_tree`] judges the round by.
+    /// — what [`TreeConfig::check`] judges the round by.
     pub fn group_sizes(&self) -> impl Iterator<Item = usize> + '_ {
         self.outputs
             .iter()
@@ -208,9 +220,9 @@ impl TreeAggregator {
     /// (in parallel over groups, results in ascending group order);
     /// undersized groups are excluded and reported, never panicked over.
     ///
-    /// A distance-rule group builds its distance matrix once and reads both
-    /// the selection ([`GroupOutput::kept`]) and the aggregate from it, so
-    /// the round carries its own selection feedback
+    /// Each group is one [`Gar::round`] of the group rule, which returns the
+    /// aggregate and the selection ([`GroupOutput::kept`]) together, so the
+    /// round carries its own selection feedback
     /// ([`TreeAggregator::selected_rows_of`]).
     ///
     /// # Errors
@@ -236,14 +248,9 @@ impl TreeAggregator {
             for &row in &members {
                 scratch.push_row(batch.row(row))?;
             }
-            let (output, kept) = match Self::level_selection(&self.config.group, &scratch)? {
-                Some((distances, picked)) => (
-                    self.group_rule.aggregate_batch_with_distances(&scratch, &distances)?,
-                    Some(picked.into_iter().map(|r| members[r]).collect()),
-                ),
-                None => (self.group_rule.aggregate_batch(&scratch)?, None),
-            };
-            Ok(GroupOutput { group, members, output, kept })
+            let round = self.group_rule.round(&scratch, None)?;
+            let kept = round.selection.map(|rows| rows.into_iter().map(|r| members[r]).collect());
+            Ok(GroupOutput { group, members, output: round.aggregate, kept })
         };
         let total_work = batch.n().saturating_mul(batch.dim());
         let results: Vec<Result<GroupOutput>> =
@@ -285,46 +292,19 @@ impl TreeAggregator {
     ///
     /// # Errors
     ///
-    /// Refuses with [`AggregationError::NotEnoughWorkers`] when the
-    /// contributing groups fall below the root floor
-    /// ([`resilience::check_tree`]); propagates group/root aggregation
-    /// errors otherwise.
+    /// Propagates group aggregation errors, then refuses with
+    /// [`AggregationError::NotEnoughWorkers`] when the contributing groups
+    /// fall below the root floor ([`TreeConfig::check`]), then propagates
+    /// root aggregation errors.
     pub fn aggregate_batch_grouped(
         &self,
         batch: &GradientBatch,
         groups: &[usize],
     ) -> Result<Vector> {
-        ensure_batch_nonempty(self.group_rule.properties().name, batch)?;
-        let buckets = self.buckets(batch, groups)?;
-        resilience::check_tree(
-            self.config.group.kind,
-            self.config.group.f,
-            self.config.root.kind,
-            self.config.root.f,
-            buckets.iter().map(|(_, members)| members.len()),
-        )?;
         let round = self.group_outputs(batch, groups)?;
+        self.config.check(round.group_sizes())?;
         let outputs: Vec<Vector> = round.outputs.into_iter().map(|g| g.output).collect();
         self.root_aggregate(&outputs)
-    }
-
-    /// Runs `level`'s selection phase over `batch`: the distance matrix it
-    /// built and the picked row indices, or `None` (and no distance pass)
-    /// when the level's rule has no selection phase.
-    fn level_selection(
-        level: &GarConfig,
-        batch: &GradientBatch,
-    ) -> Result<Option<(DistanceMatrix, Vec<usize>)>> {
-        if !level.kind.uses_distances() {
-            return Ok(None);
-        }
-        let f = level.f;
-        let distances = batch.pairwise_squared_distances();
-        let picked = match level.kind {
-            GarKind::Bulyan => Bulyan::new(f)?.select_with_distances(&distances),
-            _ => level.krum_selection()?.select_with_distances(&distances),
-        }?;
-        Ok(Some((distances, picked)))
     }
 
     /// The selection feedback of a round that already ran: the batch row
@@ -345,7 +325,7 @@ impl TreeAggregator {
     /// their group→root legs: a group whose output was dropped on the wire
     /// can still be credited. That is the behaviour the committed digests
     /// pin; aligning the feedback with the delivered set moves the ledger's
-    /// evidence and is scheduled with ROADMAP item 6, the one change that
+    /// evidence and is scheduled with ROADMAP item 7, the one change that
     /// re-pins the digests.
     ///
     /// # Errors
@@ -354,23 +334,17 @@ impl TreeAggregator {
     /// round's groups fall below the composed floor, plus any root-selection
     /// error.
     pub fn selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
-        if !self.config.root.kind.uses_distances() {
+        if !self.root_rule.selects() {
             return Ok(None);
         }
-        resilience::check_tree(
-            self.config.group.kind,
-            self.config.group.f,
-            self.config.root.kind,
-            self.config.root.f,
-            round.group_sizes(),
-        )?;
+        self.config.check(round.group_sizes())?;
         let dim = round.outputs.first().map_or(0, |group| group.output.len());
         let mut output_batch = GradientBatch::with_capacity(dim, round.outputs.len());
         for group in &round.outputs {
             output_batch.push_row(group.output.as_slice())?;
         }
-        let (_, picked) = Self::level_selection(&self.config.root, &output_batch)?
-            .expect("selecting root rules matched above");
+        let picked =
+            self.root_rule.selected_rows(&output_batch, None)?.expect("the root rule selects");
         let mut rows: Vec<usize> = Vec::new();
         for i in picked {
             let group = &round.outputs[i];
@@ -378,25 +352,6 @@ impl TreeAggregator {
         }
         rows.sort_unstable();
         Ok(Some(rows))
-    }
-
-    /// [`TreeAggregator::selected_rows_of`] for callers that hold no round:
-    /// runs the group stage over `batch` and reads the feedback from it.
-    /// An engine that applied the round already holds its [`TreeRound`] and
-    /// should hand that back instead of paying for a second group stage.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TreeAggregator::aggregate_batch_grouped`].
-    pub fn selected_rows(
-        &self,
-        batch: &GradientBatch,
-        groups: &[usize],
-    ) -> Result<Option<Vec<usize>>> {
-        if !self.config.root.kind.uses_distances() {
-            return Ok(None);
-        }
-        self.selected_rows_of(&self.group_outputs(batch, groups)?)
     }
 }
 
@@ -408,18 +363,26 @@ impl Gar for TreeAggregator {
         self.root_rule.properties()
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        ensure_batch_nonempty(self.group_rule.properties().name, batch)?;
+    /// The whole two-level round over the default contiguous grouping: the
+    /// tree neither selects nor splits columns.
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        _plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
         let plan = self.plan(batch.n())?;
         let groups: Vec<usize> = (0..batch.n()).map(|w| plan.group_of(w)).collect();
-        self.aggregate_batch_grouped(batch, &groups)
+        out.copy_from_slice(self.aggregate_batch_grouped(batch, &groups)?.as_slice());
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gar, MultiKrum};
+    use crate::Gar;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn random_batch(n: usize, d: usize, seed: u64) -> GradientBatch {
@@ -616,7 +579,8 @@ mod tests {
         })
         .unwrap();
         let groups: Vec<usize> = (0..16).map(|w| w / 4).collect();
-        let selected = tree.selected_rows(&batch, &groups).unwrap().unwrap();
+        let round = tree.group_outputs(&batch, &groups).unwrap();
+        let selected = tree.selected_rows_of(&round).unwrap().unwrap();
         assert!(!selected.is_empty());
         for w in 4..8 {
             assert!(!selected.contains(&w), "captured group member {w} selected at the root");
@@ -628,7 +592,8 @@ mod tests {
             group_size: 4,
         })
         .unwrap();
-        assert_eq!(flat_root.selected_rows(&batch, &groups).unwrap(), None);
+        let round = flat_root.group_outputs(&batch, &groups).unwrap();
+        assert_eq!(flat_root.selected_rows_of(&round).unwrap(), None);
     }
 
     /// The rows of `batch` named by `members`, gathered into their own arena.
@@ -640,21 +605,10 @@ mod tests {
         scratch
     }
 
-    /// The pre-change `level_selection`: a level's selection phase through
-    /// the rule's own `select_batch` (its own distance pass).
-    fn select_batch_oracle(level: &GarConfig, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
-        let f = level.f;
-        let picked = match level.kind {
-            GarKind::Krum => MultiKrum::with_selection(f, 1)?.select_batch(batch)?,
-            GarKind::MultiKrum => match level.m {
-                Some(m) => MultiKrum::with_selection(f, m)?,
-                None => MultiKrum::new(f)?,
-            }
-            .select_batch(batch)?,
-            GarKind::Bulyan => Bulyan::new(f)?.select_batch(batch)?,
-            _ => return Ok(None),
-        };
-        Ok(Some(picked))
+    /// A level's selection phase through the rule's own selection entry
+    /// (its own distance pass).
+    fn selection_oracle(level: &GarConfig, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
+        level.build()?.selected_rows(batch, None)
     }
 
     /// The pre-change `selected_rows`, ported as the oracle: every group
@@ -686,19 +640,13 @@ mod tests {
                 contributing.push(members.clone());
             }
         }
-        resilience::check_tree(
-            config.group.kind,
-            config.group.f,
-            config.root.kind,
-            config.root.f,
-            buckets.iter().map(|(_, members)| members.len()),
-        )?;
+        config.check(buckets.iter().map(|(_, members)| members.len()))?;
         let picked =
-            select_batch_oracle(&config.root, &GradientBatch::from_vectors(&outputs)?)?.unwrap();
+            selection_oracle(&config.root, &GradientBatch::from_vectors(&outputs)?)?.unwrap();
         let mut rows: Vec<usize> = Vec::new();
         for i in picked {
             let members = &contributing[i];
-            match select_batch_oracle(&config.group, &gather(batch, members))? {
+            match selection_oracle(&config.group, &gather(batch, members))? {
                 Some(inner) => rows.extend(inner.into_iter().map(|r| members[r])),
                 None => rows.extend(members.iter().copied()),
             }
@@ -740,10 +688,9 @@ mod tests {
         vec![("ragged", contiguous), ("non-dense", sparse), ("shuffled", shuffled)]
     }
 
-    /// One cell of the feedback matrix: the round's own feedback, and the
-    /// kept public `selected_rows`, against the oracle, with the group stage
-    /// at thread budgets 1, 2 and 4; every group output against the group
-    /// rule on the gathered rows, bit for bit.
+    /// One cell of the feedback matrix: the round's own feedback against the
+    /// oracle, with the group stage at thread budgets 1, 2 and 4; every group
+    /// output against the group rule on the gathered rows, bit for bit.
     fn check_feedback(config: TreeConfig, batch: &GradientBatch, groups: &[usize], label: &str) {
         let bits = |v: &Vector| -> Vec<u32> { v.as_slice().iter().map(|x| x.to_bits()).collect() };
         let expected = selected_rows_oracle(config, batch, groups);
@@ -754,7 +701,6 @@ mod tests {
         crate::at_budgets(|| {
             let round = tree.group_outputs(batch, groups).unwrap();
             assert_eq!(tree.selected_rows_of(&round), expected, "{label}");
-            assert_eq!(tree.selected_rows(batch, groups), expected, "{label}");
             assert!(round.outputs.windows(2).all(|w| w[0].group < w[1].group), "{label}");
             for group in &round.outputs {
                 assert!(group.members.windows(2).all(|w| w[0] < w[1]), "{label}");
@@ -803,7 +749,6 @@ mod tests {
         let expected = selected_rows_oracle(config, &batch, &groups);
         assert!(matches!(expected, Err(AggregationError::NotEnoughWorkers { .. })));
         assert_eq!(tree.selected_rows_of(&round), expected);
-        assert_eq!(tree.selected_rows(&batch, &groups), expected);
         // A round with nothing in it is refused the same way, not indexed.
         let empty = TreeRound { outputs: Vec::new(), skipped: Vec::new() };
         assert!(tree.selected_rows_of(&empty).is_err());

@@ -2,9 +2,9 @@
 //! cited in the paper's related work), included as an additional weak
 //! baseline GAR.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
-use crate::{resilience, AggregationError, Result};
-use agg_tensor::{GradientBatch, Vector};
+use crate::gar::{reduce_columns, Gar, GarProperties, Resilience};
+use crate::{resilience, Result};
+use agg_tensor::{GradientBatch, ShardPlan};
 
 /// Coordinate-wise `f`-trimmed mean.
 ///
@@ -46,28 +46,30 @@ impl Gar for TrimmedMean {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        let n = ensure_batch_nonempty("trimmed-mean", batch)?;
-        resilience::check_median("trimmed-mean", n, self.f)?;
-        if n <= 2 * self.f {
-            return Err(AggregationError::NotEnoughWorkers {
-                rule: "trimmed-mean",
-                f: self.f,
-                required: 2 * self.f + 1,
-                actual: n,
-            });
-        }
+    fn check(&self, n: usize) -> Result<()> {
+        resilience::check_median("trimmed-mean", n, self.f)
+    }
+
+    fn reduce(
+        &self,
+        batch: &GradientBatch,
+        _selection: Option<&[usize]>,
+        plan: &ShardPlan,
+        out: &mut [f32],
+    ) -> Result<()> {
         // NaN values are dropped by the fused kernel before trimming (the
         // network path canonicalises them past the kept window); a column
         // left with too few values falls back to the median of whatever
         // finite values remain.
-        Ok(batch.coordinate_trimmed_mean(self.f)?)
+        let trim = self.f;
+        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.trimmed_mean_into(trim, dst)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agg_tensor::Vector;
 
     #[test]
     fn trims_extremes_per_coordinate() {

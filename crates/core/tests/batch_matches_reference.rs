@@ -14,7 +14,7 @@
 //! kernels choose deterministically instead, and continuous random inputs
 //! never land on those measure-zero sets.
 
-use agg_core::{reference, GarConfig, GarKind, GradientBatch, MultiKrum};
+use agg_core::{reference, Gar, GarConfig, GarKind, GradientBatch, MultiKrum};
 use agg_tensor::{stats, Vector};
 use proptest::prelude::*;
 
@@ -151,7 +151,8 @@ proptest! {
             gs[slot] = Vector::from(vec![f32::NAN; d]);
         }
         let corrupt: Vec<usize> = (0..f).map(|k| (k * 5 + 2) % n).collect();
-        let selected = MultiKrum::new(f).unwrap().select(&gs).unwrap();
+        let batch = GradientBatch::from_vectors(&gs).unwrap();
+        let selected = MultiKrum::new(f).unwrap().selected_rows(&batch, None).unwrap().unwrap();
         for i in &selected {
             prop_assert!(!corrupt.contains(i), "corrupt row {i} was selected: {selected:?}");
         }

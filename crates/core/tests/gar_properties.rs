@@ -63,7 +63,8 @@ proptest! {
             all.push(Vector::filled(3, center + off));
         }
         let gar = MultiKrum::new(4).unwrap();
-        let selected = gar.select(&all).unwrap();
+        let batch = agg_tensor::GradientBatch::from_vectors(&all).unwrap();
+        let selected = gar.selected_rows(&batch, None).unwrap().unwrap();
         prop_assert!(selected.iter().all(|&i| i < 11), "selected {:?}", selected);
     }
 

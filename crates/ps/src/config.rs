@@ -20,7 +20,7 @@ use crate::reputation::ReputationConfig;
 use crate::streaming::StreamingConfig;
 use crate::{PsError, Result};
 use agg_attacks::AttackKind;
-use agg_core::{resilience, GarConfig, TreeAggregator, TreeConfig};
+use agg_core::{GarConfig, TreeAggregator, TreeConfig};
 use agg_data::corruption::Corruption;
 use agg_data::synthetic::{gaussian_blobs, synthetic_images, BlobConfig, ImageConfig};
 use agg_data::Dataset;
@@ -355,14 +355,7 @@ impl RunnerConfig {
             // The full roster must clear the composed floor: a run that would
             // refuse every round is a configuration error, not a runtime one.
             let plan = GroupPlan::new(self.workers, tree.group_size).map_err(PsError::from)?;
-            resilience::check_tree(
-                tree.group.kind,
-                tree.group.f,
-                tree.root.kind,
-                tree.root.f,
-                plan.sizes(),
-            )
-            .map_err(PsError::from)?;
+            tree.check(plan.sizes()).map_err(PsError::from)?;
         }
         Ok(())
     }

@@ -944,14 +944,7 @@ impl SyncTrainingEngine {
                 for w in live_workers {
                     live_sizes[plan.group_of(w)] += 1;
                 }
-                resilience::check_tree(
-                    tree.group.kind,
-                    tree.group.f,
-                    tree.root.kind,
-                    tree.root.f,
-                    live_sizes,
-                )
-                .is_ok()
+                tree.check(live_sizes).is_ok()
             }
             _ => live_workers.count() >= resilience::resilience_floor(config.gar.kind, f_eff),
         }

@@ -9,9 +9,7 @@
 //! executions". [`ParameterServer::handle_remote_write`] models that patch.
 
 use crate::{PsError, Result};
-use agg_core::{
-    Bulyan, Gar, GarConfig, GarKind, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound,
-};
+use agg_core::{Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound};
 use agg_nn::optim::{Optimizer, OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
 use agg_tensor::{DistanceMatrix, GradientBatch, Vector};
@@ -32,17 +30,18 @@ pub struct RoundOutcome {
 #[derive(Debug)]
 pub struct ParameterServer {
     params: Vector,
-    gar: Box<dyn Gar>,
-    gar_config: GarConfig,
-    /// When the parameter-server tier is sharded (`shards > 1`), rounds run
-    /// through this shard-parallel evaluation of the same rule instead of
-    /// `gar`. The two are exactly equivalent (global selection over the
+    /// The one rule every flat round, its distance pass and its selection
+    /// feedback run: the plain rule at one shard, its [`ShardedAggregator`]
+    /// above. The two are exactly equivalent (global selection over the
     /// shard-reduced distance matrix), so swapping one for the other is a
     /// deployment decision, never a robustness change.
-    sharded: Option<ShardedAggregator>,
+    gar: Box<dyn Gar>,
+    gar_config: GarConfig,
+    /// Coordinate shards of the parameter-server tier (1: monolithic).
+    shards: usize,
     /// When the hierarchical tier is active, grouped rounds run through this
     /// two-level tree — a full GAR per group, then the root rule over the
-    /// group outputs. Unlike `sharded` this is *not* equivalent to the flat
+    /// group outputs. Unlike sharding this is *not* equivalent to the flat
     /// rule in general (the resilience bound composes:
     /// `f_total = (f_group + 1)(f_root + 1) − 1`), which is why it is driven
     /// only by the explicitly grouped entry points; `apply_round_batch`
@@ -76,7 +75,7 @@ impl ParameterServer {
             params: initial_params,
             gar,
             gar_config,
-            sharded: None,
+            shards: 1,
             tree: None,
             optimizer: optimizer.build(),
             learning_rate,
@@ -110,26 +109,27 @@ impl ParameterServer {
     /// Returns [`PsError`] when `shards` is zero or the rule cannot be
     /// rebuilt.
     pub fn set_shards(&mut self, shards: usize) -> Result<()> {
-        self.sharded = if shards > 1 {
-            if self.tree.is_some() {
+        self.gar = match shards {
+            0 => {
+                return Err(PsError::InvalidConfig(
+                    "the parameter-server tier needs at least one shard".into(),
+                ))
+            }
+            1 => self.gar_config.build().map_err(PsError::from)?,
+            _ if self.tree.is_some() => {
                 return Err(PsError::InvalidConfig(
                     "the tree tier and coordinate sharding are mutually exclusive".into(),
-                ));
+                ))
             }
-            Some(ShardedAggregator::new(self.gar_config, shards).map_err(PsError::from)?)
-        } else if shards == 1 {
-            None
-        } else {
-            return Err(PsError::InvalidConfig(
-                "the parameter-server tier needs at least one shard".into(),
-            ));
+            _ => Box::new(ShardedAggregator::new(self.gar_config, shards).map_err(PsError::from)?),
         };
+        self.shards = shards;
         Ok(())
     }
 
     /// Number of parameter-server shards (1 for the monolithic server).
     pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, ShardedAggregator::shards)
+        self.shards
     }
 
     /// Name of the active aggregation rule.
@@ -148,7 +148,7 @@ impl ParameterServer {
     pub fn set_tree(&mut self, config: Option<TreeConfig>) -> Result<()> {
         self.tree = match config {
             Some(config) => {
-                if self.sharded.is_some() {
+                if self.shards > 1 {
                     return Err(PsError::InvalidConfig(
                         "the tree tier and coordinate sharding are mutually exclusive".into(),
                     ));
@@ -165,6 +165,13 @@ impl ParameterServer {
         self.tree.as_ref()
     }
 
+    /// The installed tree tier, or the error `entry` returns without one.
+    fn tree_tier(&self, entry: &str) -> Result<&TreeAggregator> {
+        self.tree.as_ref().ok_or_else(|| {
+            PsError::InvalidConfig(format!("{entry} requires an installed tree tier"))
+        })
+    }
+
     /// Stage 1 of a hierarchical round: aggregates each group of the batch
     /// (rows labelled by `groups`, one group id per row) with the group rule,
     /// skipping groups below their resilience floor. A pure read; the engine
@@ -177,21 +184,11 @@ impl ParameterServer {
     /// [`PsError::Aggregation`] when the composed bound already rules the
     /// round out or a contributing group's rule fails.
     pub fn tree_group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            PsError::InvalidConfig("tree_group_outputs requires an installed tree tier".into())
-        })?;
-        let config = tree.config();
+        let tree = self.tree_tier("tree_group_outputs")?;
         let round = tree.group_outputs(batch, groups).map_err(PsError::from)?;
         // Refuse before the wire stage when even full delivery could not
         // seat a root round — same check the one-shot grouped path applies.
-        agg_core::resilience::check_tree(
-            config.group.kind,
-            config.group.f,
-            config.root.kind,
-            config.root.f,
-            round.group_sizes(),
-        )
-        .map_err(PsError::from)?;
+        tree.config().check(round.group_sizes()).map_err(PsError::from)?;
         Ok(round)
     }
 
@@ -207,11 +204,7 @@ impl ParameterServer {
     /// optimizer step fails.
     pub fn apply_round_tree_outputs(&mut self, outputs: &[Vector]) -> Result<RoundOutcome> {
         let start = Instant::now();
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            PsError::InvalidConfig(
-                "apply_round_tree_outputs requires an installed tree tier".into(),
-            )
-        })?;
+        let tree = self.tree_tier("apply_round_tree_outputs")?;
         let aggregated = tree.root_aggregate(outputs).map_err(PsError::from)?;
         self.finish_round(aggregated, start)
     }
@@ -229,28 +222,22 @@ impl ParameterServer {
     /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
     /// [`PsError::Aggregation`] when the composed bound fails for the round.
     pub fn tree_selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            PsError::InvalidConfig("tree_selected_rows_of requires an installed tree tier".into())
-        })?;
-        tree.selected_rows_of(round).map_err(PsError::from)
+        self.tree_tier("tree_selected_rows_of")?.selected_rows_of(round).map_err(PsError::from)
     }
 
-    /// [`ParameterServer::tree_selected_rows_of`] for callers that hold no
-    /// round: runs the group stage over `batch` first.
+    /// [`ParameterServer::tree_group_outputs`] followed by
+    /// [`ParameterServer::tree_selected_rows_of`], for callers that hold no
+    /// round.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
-    /// [`PsError::Aggregation`] when the composed bound fails for this batch.
+    /// The errors of those two calls.
     pub fn tree_selected_rows(
         &self,
         batch: &GradientBatch,
         groups: &[usize],
     ) -> Result<Option<Vec<usize>>> {
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            PsError::InvalidConfig("tree_selected_rows requires an installed tree tier".into())
-        })?;
-        tree.selected_rows(batch, groups).map_err(PsError::from)
+        self.tree_selected_rows_of(&self.tree_group_outputs(batch, groups)?)
     }
 
     /// Disables the TensorFlow vulnerability patch (test/demonstration only).
@@ -288,13 +275,7 @@ impl ParameterServer {
     /// when the optimizer step fails.
     pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
         let start = Instant::now();
-        // A sharded tier routes the round through the shard-parallel
-        // evaluation of the same rule; the monolithic path is unchanged.
-        let aggregated = match &self.sharded {
-            Some(sharded) => sharded.aggregate_batch(gradients),
-            None => self.gar.aggregate_batch(gradients),
-        }
-        .map_err(PsError::from)?;
+        let aggregated = self.gar.aggregate_batch(gradients).map_err(PsError::from)?;
         self.finish_round(aggregated, start)
     }
 
@@ -315,11 +296,8 @@ impl ParameterServer {
         distances: &DistanceMatrix,
     ) -> Result<RoundOutcome> {
         let start = Instant::now();
-        let aggregated = match &self.sharded {
-            Some(sharded) => sharded.aggregate_batch_with_distances(gradients, distances),
-            None => self.gar.aggregate_batch_with_distances(gradients, distances),
-        }
-        .map_err(PsError::from)?;
+        let aggregated =
+            self.gar.aggregate_batch_with_distances(gradients, distances).map_err(PsError::from)?;
         self.finish_round(aggregated, start)
     }
 
@@ -333,13 +311,7 @@ impl ParameterServer {
     /// feedback share one O(n²·d) pass. A pure read; preconditions are left
     /// to the round itself.
     pub fn round_distances(&self, batch: &GradientBatch) -> Option<DistanceMatrix> {
-        if !self.gar_config.kind.uses_distances() {
-            return None;
-        }
-        Some(match &self.sharded {
-            Some(sharded) => sharded.global_distances(batch),
-            None => batch.pairwise_squared_distances(),
-        })
+        self.gar.selects().then(|| self.gar.distances(batch))
     }
 
     /// The row indices the active rule's selection phase would pick for this
@@ -358,34 +330,7 @@ impl ParameterServer {
         batch: &GradientBatch,
         distances: Option<&DistanceMatrix>,
     ) -> Result<Option<Vec<usize>>> {
-        if let Some(sharded) = &self.sharded {
-            return match distances {
-                Some(d) => sharded.selected_rows_with_distances(batch, d),
-                None => sharded.selected_rows(batch),
-            }
-            .map_err(PsError::from);
-        }
-        match self.gar_config.kind {
-            GarKind::Krum | GarKind::MultiKrum => {
-                let rule = self.gar_config.krum_selection().map_err(PsError::from)?;
-                match distances {
-                    Some(d) => rule.select_with_distances(d),
-                    None => rule.select_batch(batch),
-                }
-                .map(Some)
-                .map_err(PsError::from)
-            }
-            GarKind::Bulyan => {
-                let rule = Bulyan::new(self.gar_config.f).map_err(PsError::from)?;
-                match distances {
-                    Some(d) => rule.select_with_distances(d),
-                    None => rule.select_batch(batch),
-                }
-                .map(Some)
-                .map_err(PsError::from)
-            }
-            _ => Ok(None),
-        }
+        self.gar.selected_rows(batch, distances).map_err(PsError::from)
     }
 
     fn finish_round(&mut self, mut aggregated: Vector, start: Instant) -> Result<RoundOutcome> {
@@ -543,7 +488,7 @@ mod tests {
             (0..9).map(|i| Vector::from(vec![1.0 + 0.01 * i as f32, -0.5, 2.0])).collect();
         batch_rows.push(Vector::from(vec![1e6, 1e6, 1e6]));
         let batch = GradientBatch::from_vectors(&batch_rows).unwrap();
-        let expected = MultiKrum::new(2).unwrap().select_batch(&batch).unwrap();
+        let expected = MultiKrum::new(2).unwrap().selected_rows(&batch, None).unwrap().unwrap();
 
         // Monolithic, batch path.
         let monolithic = server(GarKind::MultiKrum, 2, 3);

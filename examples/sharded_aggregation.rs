@@ -57,7 +57,7 @@ fn main() {
     // the same rows, so no packet is ever routed per shard.
     let config = GarConfig::new(GarKind::MultiKrum, F);
     let sharded = ShardedAggregator::new(config, SHARDS).expect("valid shard count");
-    for (s, range) in sharded.plan(D).ranges().enumerate() {
+    for (s, range) in sharded.column_plan(D).ranges().enumerate() {
         let columns = batch.columns(range.clone());
         println!(
             "  shard {s}: coordinates {}..{} ({} wide)",
@@ -72,8 +72,9 @@ fn main() {
     let monolithic = MultiKrum::new(F).expect("valid f");
 
     let sharded_selection =
-        sharded.selected_rows(&batch).expect("selects").expect("multi-krum selects");
-    let monolithic_selection = monolithic.select_batch(&batch).expect("selects");
+        sharded.selected_rows(&batch, None).expect("selects").expect("multi-krum selects");
+    let monolithic_selection =
+        monolithic.selected_rows(&batch, None).expect("selects").expect("multi-krum selects");
     println!("\nmonolithic selection: {monolithic_selection:?}");
     println!("sharded selection:    {sharded_selection:?}");
     assert_eq!(sharded_selection, monolithic_selection, "the decomposition is exact");

@@ -9,7 +9,7 @@
 //! * Corrupted-data workers (Figure 7) ruin averaging but not Multi-Krum.
 
 use agg_attacks::{AttackContext, AttackKind, ChurnDirective};
-use agg_core::{Bulyan, Gar, GarConfig, GarKind, MultiKrum, ShardedAggregator};
+use agg_core::{Gar, GarConfig, GarKind, ShardedAggregator};
 use agg_data::corruption::Corruption;
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
@@ -202,14 +202,9 @@ fn sharded_selection_is_identical_to_unsharded_under_every_attack() {
         for kind in [GarKind::Krum, GarKind::MultiKrum, GarKind::Bulyan] {
             let config = GarConfig::new(kind, 4);
             let sharded = ShardedAggregator::new(config, 4).unwrap();
-            let selected = sharded.selected_rows(&batch).unwrap().expect("selection rules select");
-            let unsharded = match kind {
-                GarKind::Krum => MultiKrum::with_selection(4, 1).unwrap().select_batch(&batch),
-                GarKind::MultiKrum => MultiKrum::new(4).unwrap().select_batch(&batch),
-                GarKind::Bulyan => Bulyan::new(4).unwrap().select_batch(&batch),
-                _ => unreachable!(),
-            }
-            .unwrap();
+            let selected =
+                sharded.selected_rows(&batch, None).unwrap().expect("selection rules select");
+            let unsharded = config.build().unwrap().selected_rows(&batch, None).unwrap().unwrap();
             assert_eq!(
                 selected, unsharded,
                 "{kind} under {attack:?}: sharded selection diverged from unsharded"

@@ -12,11 +12,16 @@
 //!
 //! The property is checked for S ∈ {1, 2, 3, 7} over all ten GAR
 //! configurations (the nine registry kinds plus Multi-Krum with an explicit
-//! selection size), on finite batches, on batches carrying NaN/±∞ rows, and
-//! on slot-addressed arenas that went through undelivered-row compaction
-//! (`retain_rows`) — the layout a lossy round hands the server.
+//! selection size), on finite batches, on batches carrying NaN/±∞ rows, on
+//! slot-addressed arenas that went through undelivered-row compaction
+//! (`retain_rows`) — the layout a lossy round hands the server — and on the
+//! empty batch and batches one row below each rule's floor. Failures must
+//! agree too: the same [`AggregationError`] value on both tiers. Each tier's
+//! primed entry (handed its own distance pass) must return its unprimed
+//! entry's bits.
 
-use agg_core::{Gar, GarConfig, GarKind, ShardedAggregator};
+use agg_core::resilience::resilience_floor;
+use agg_core::{AggregationError, Gar, GarConfig, GarKind, ShardedAggregator};
 use agg_tensor::{GradientBatch, Vector};
 use proptest::prelude::*;
 
@@ -45,43 +50,55 @@ fn close(sharded: f32, unsharded: f32) -> bool {
     (sharded - unsharded).abs() <= TOLERANCE * unsharded.abs().max(1.0)
 }
 
+fn bits(v: &Vector) -> Vec<u32> {
+    v.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `rule`'s round through the unprimed entry, after checking that the
+/// primed entry, handed the rule's own distance pass, returns the same bits
+/// or the same error.
+fn primed_agrees(
+    rule: &dyn Gar,
+    batch: &GradientBatch,
+    label: &str,
+) -> Result<Vector, AggregationError> {
+    let unprimed = rule.aggregate_batch(batch);
+    let primed = rule.aggregate_batch_with_distances(batch, &rule.distances(batch));
+    assert_eq!(
+        unprimed.as_ref().map(bits),
+        primed.as_ref().map(bits),
+        "{label}: the primed entry diverged from the unprimed one"
+    );
+    unprimed
+}
+
 /// Runs every configuration through the sharded and unsharded paths at
-/// every shard count, requiring agreement on success and on the aggregate.
+/// every shard count, requiring the same aggregate or the same error, and
+/// the same selection (or the same refusal) as the rule's own selection
+/// entry.
 fn assert_sharded_matches_unsharded(f: usize, batch: &GradientBatch) {
     for config in all_configs(f) {
-        let unsharded = config.build().expect("buildable rule").aggregate_batch(batch);
+        let flat = config.build().expect("buildable rule");
+        let unsharded = primed_agrees(&*flat, batch, &format!("{config} flat"));
+        let reference = flat.selected_rows(batch, None);
         for shards in SHARD_COUNTS {
+            let label = format!("{config} S={shards}");
             let sharded_rule = ShardedAggregator::new(config, shards).expect("valid shards");
-            let sharded = sharded_rule.aggregate_batch(batch);
+            let sharded = primed_agrees(&sharded_rule, batch, &label);
             match (&sharded, &unsharded) {
                 (Ok(a), Ok(b)) => assert_aggregates_close(config, shards, a, b),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!(
-                    "{config} S={shards}: sharded {a:?} disagrees with unsharded {b:?} on success"
-                ),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{label}: sharded and flat fail differently"),
+                (a, b) => {
+                    panic!("{label}: sharded {a:?} disagrees with unsharded {b:?} on success")
+                }
             }
             // The selection phase, when the rule has one, must pick exactly
             // the same workers — the heart of the no-robustness-loss claim.
-            if let Ok(Some(selected)) = sharded_rule.selected_rows(batch) {
-                let reference = match config.kind {
-                    GarKind::Krum | GarKind::MultiKrum => {
-                        let rule = match config.m {
-                            Some(m) => agg_core::MultiKrum::with_selection(config.f, m),
-                            None if config.kind == GarKind::Krum => {
-                                agg_core::MultiKrum::with_selection(config.f, 1)
-                            }
-                            None => agg_core::MultiKrum::new(config.f),
-                        };
-                        rule.expect("valid rule").select_batch(batch).expect("selects")
-                    }
-                    GarKind::Bulyan => agg_core::Bulyan::new(config.f)
-                        .expect("valid rule")
-                        .select_batch(batch)
-                        .expect("selects"),
-                    _ => unreachable!("only selection rules return Some"),
-                };
-                assert_eq!(selected, reference, "{config} S={shards}: sharded selection diverged");
-            }
+            assert_eq!(
+                sharded_rule.selected_rows(batch, None),
+                reference,
+                "{label}: sharded selection diverged"
+            );
         }
     }
 }
@@ -144,6 +161,33 @@ fn corrupt_rows() -> impl Strategy<Value = Vec<Vec<f32>>> {
             rows
         })
     })
+}
+
+#[test]
+fn sharded_and_flat_refuse_the_same_way() {
+    // The empty batch and a batch one row below each rule's floor: every
+    // entry of every tier refuses, with the same error, and an empty batch
+    // names the configured rule.
+    for f in 0..3 {
+        for config in all_configs(f) {
+            let floor = resilience_floor(config.kind, f);
+            for n in [0, floor - 1] {
+                let rows: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32, 1.0, -2.0]).collect();
+                let batch = if n == 0 { GradientBatch::new(3) } else { batch_of(rows) };
+                assert_sharded_matches_unsharded(f, &batch);
+                let refusal = config.build().unwrap().aggregate_batch(&batch).unwrap_err();
+                if n == 0 {
+                    assert_eq!(refusal, AggregationError::NoGradients(config.kind.name()));
+                    assert_eq!(config.build().unwrap().aggregate(&[]).unwrap_err(), refusal);
+                } else {
+                    assert!(
+                        matches!(refusal, AggregationError::NotEnoughWorkers { .. }),
+                        "{config} over {n} rows: {refusal:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
