@@ -10,49 +10,27 @@
 //! This reproduction trains the proxy model (see the `agg_data` crate docs for
 //! why a synthetic task stands in for CIFAR-10) with the same
 //! worker count, GARs and declared `f`, charging simulated time as if the
-//! model were the paper CNN, and prints the same comparisons.
+//! model were the paper CNN, and prints the same comparisons. Draco runs on
+//! the same engine and clock, as a repetition tree.
 
-use agg_bench::{format_overhead, format_time, paper_runner, proxy_experiment};
-use agg_core::GarKind;
-use agg_draco::{DracoConfig, DracoTrainer};
+use agg_bench::{format_overhead, format_time, run_gar};
+use agg_core::{GarKind, TreeConfig};
 use agg_metrics::Table;
-use agg_nn::optim::OptimizerKind;
-use agg_nn::schedule::LearningRate;
-use agg_ps::{CostModel, SyncTrainingEngine, TrainingReport, VirtualModelCost};
-
-fn run_gar(kind: GarKind, f: usize, batch: usize, steps: u64) -> TrainingReport {
-    let config = paper_runner(kind, f, batch, steps);
-    SyncTrainingEngine::new(config)
-        .expect("configuration is valid")
-        .run()
-        .expect("training run completes")
-}
-
-fn run_draco(f: usize, batch: usize, steps: u64) -> TrainingReport {
-    let config = DracoConfig {
-        batch_size: batch,
-        max_steps: steps,
-        eval_every: (steps / 20).max(1),
-        eval_samples: 512,
-        learning_rate: LearningRate::Fixed { rate: 5e-3 },
-        optimizer: OptimizerKind::RmsProp,
-        cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
-        seed: 42,
-        ..DracoConfig::paper_like(proxy_experiment(), 19, f)
-    };
-    DracoTrainer::new(config).expect("valid Draco config").run().expect("Draco run completes")
-}
+use agg_ps::TrainingReport;
 
 fn report_batch_regime(batch: usize, steps: u64) {
     println!("\n--- mini-batch size = {batch} (paper: 250 / 20) ---");
-    let baseline = run_gar(GarKind::Average, 0, batch, steps);
+    let gar = |kind, f| run_gar(kind, f, batch, steps, None, |_| {});
+    let draco =
+        |f| run_gar(GarKind::Average, 0, batch, steps, Some(TreeConfig::repetition(f)), |_| {});
+    let baseline = gar(GarKind::Average, 0);
     let runs: Vec<(&str, TrainingReport)> = vec![
         ("TF (baseline averaging)", baseline.clone()),
-        ("Average (AggregaThor)", run_gar(GarKind::Average, 0, batch, steps)),
-        ("Median", run_gar(GarKind::Median, 4, batch, steps)),
-        ("Multi-Krum (f=4)", run_gar(GarKind::MultiKrum, 4, batch, steps)),
-        ("Bulyan (f=4)", run_gar(GarKind::Bulyan, 4, batch, steps)),
-        ("Draco (f=4)", run_draco(4, batch, steps)),
+        ("Average (AggregaThor)", gar(GarKind::Average, 0)),
+        ("Median", gar(GarKind::Median, 4)),
+        ("Multi-Krum (f=4)", gar(GarKind::MultiKrum, 4)),
+        ("Bulyan (f=4)", gar(GarKind::Bulyan, 4)),
+        ("Draco (f=4)", draco(4)),
     ];
 
     // The paper's statistic: time to reach 50 % of the baseline's final

@@ -41,6 +41,7 @@ fn main() {
         let sim = ThroughputSimulation {
             workers: 19,
             gar: *gar,
+            tree: None,
             batch_size: 100,
             cost,
             link: LinkConfig::datacenter(),

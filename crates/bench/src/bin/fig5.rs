@@ -8,48 +8,40 @@
 //! (b) the ResNet50-class model: gradient computation dominates, so the
 //! robust GARs track averaging closely.
 
-use agg_core::{GarConfig, GarKind};
-use agg_draco::{AssignmentScheme, DracoThroughputSimulation};
+use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_metrics::Table;
 use agg_net::LinkConfig;
 use agg_ps::{CostModel, ThroughputSimulation, VirtualModelCost};
 
 struct System {
     name: &'static str,
-    gar: Option<GarConfig>,
-    /// `Some(f)` marks a Draco row.
-    draco_f: Option<usize>,
+    gar: GarConfig,
+    /// The two-level tier; [`TreeConfig::repetition`] marks a Draco row.
+    tree: Option<TreeConfig>,
+}
+
+impl System {
+    fn flat(name: &'static str, kind: GarKind, f: usize) -> Self {
+        System { name, gar: GarConfig::new(kind, f), tree: None }
+    }
+
+    fn draco(name: &'static str, f: usize) -> Self {
+        let tree = TreeConfig::repetition(f);
+        System { name, gar: tree.root, tree: Some(tree) }
+    }
 }
 
 fn simulate(system: &System, workers: usize, virtual_model: VirtualModelCost) -> Option<f64> {
-    let cost = CostModel::paper_like().with_virtual_model(virtual_model);
-    match (system.gar, system.draco_f) {
-        (Some(gar), None) => {
-            let sim = ThroughputSimulation {
-                workers,
-                gar,
-                batch_size: 100,
-                cost,
-                link: LinkConfig::datacenter(),
-                proxy_dimension: 100_000,
-            };
-            sim.run().ok().map(|r| r.batches_per_sec)
-        }
-        (None, Some(f)) => DracoThroughputSimulation {
-            workers,
-            f,
-            scheme: AssignmentScheme::Repetition,
-            batch_size: 100,
-            cost,
-            link: LinkConfig::datacenter(),
-            dimension: virtual_model.dimension,
-            encode_overhead_factor: 2.0,
-            decode_sec_per_worker_million_params: 0.03,
-        }
-        .run()
-        .ok(),
-        _ => None,
-    }
+    let sim = ThroughputSimulation {
+        workers,
+        gar: system.gar,
+        tree: system.tree,
+        batch_size: 100,
+        cost: CostModel::paper_like().with_virtual_model(virtual_model),
+        link: LinkConfig::datacenter(),
+        proxy_dimension: 100_000,
+    };
+    sim.run().ok().map(|r| r.batches_per_sec)
 }
 
 fn sweep(title: &str, virtual_model: VirtualModelCost, systems: &[System]) {
@@ -74,26 +66,14 @@ fn sweep(title: &str, virtual_model: VirtualModelCost, systems: &[System]) {
 
 fn main() {
     let systems = vec![
-        System {
-            name: "TF/Average",
-            gar: Some(GarConfig::new(GarKind::Average, 0)),
-            draco_f: None,
-        },
-        System { name: "Median", gar: Some(GarConfig::new(GarKind::Median, 4)), draco_f: None },
-        System {
-            name: "Multi-Krum f=1",
-            gar: Some(GarConfig::new(GarKind::MultiKrum, 1)),
-            draco_f: None,
-        },
-        System {
-            name: "Multi-Krum f=4",
-            gar: Some(GarConfig::new(GarKind::MultiKrum, 4)),
-            draco_f: None,
-        },
-        System { name: "Bulyan f=1", gar: Some(GarConfig::new(GarKind::Bulyan, 1)), draco_f: None },
-        System { name: "Bulyan f=2", gar: Some(GarConfig::new(GarKind::Bulyan, 2)), draco_f: None },
-        System { name: "Draco f=1", gar: None, draco_f: Some(1) },
-        System { name: "Draco f=4", gar: None, draco_f: Some(4) },
+        System::flat("TF/Average", GarKind::Average, 0),
+        System::flat("Median", GarKind::Median, 4),
+        System::flat("Multi-Krum f=1", GarKind::MultiKrum, 1),
+        System::flat("Multi-Krum f=4", GarKind::MultiKrum, 4),
+        System::flat("Bulyan f=1", GarKind::Bulyan, 1),
+        System::flat("Bulyan f=2", GarKind::Bulyan, 2),
+        System::draco("Draco f=1", 1),
+        System::draco("Draco f=4", 4),
     ];
 
     sweep(
@@ -104,7 +84,8 @@ fn main() {
     println!(
         "expected shape: systems coincide for small clusters; robust GARs fall below averaging \
          as n grows; higher f => higher throughput; Draco at the bottom ('n/a' = the GAR's \
-         precondition n >= 2f+3 / 4f+3 is not met at that cluster size).\n"
+         precondition n >= 2f+3 / 4f+3, or Draco's group of 2f+1, is not met at that cluster \
+         size).\n"
     );
 
     sweep(

@@ -7,44 +7,22 @@
 //! becomes slightly *faster* (its throughput gain outweighs the extra
 //! noise); the effect shrinks for small mini-batches.
 
-use agg_bench::{format_time, paper_runner, proxy_experiment};
-use agg_core::GarKind;
-use agg_draco::{DracoConfig, DracoTrainer};
+use agg_bench::{format_time, run_gar};
+use agg_core::{GarKind, TreeConfig};
 use agg_metrics::Table;
-use agg_nn::optim::OptimizerKind;
-use agg_nn::schedule::LearningRate;
-use agg_ps::{CostModel, SyncTrainingEngine, TrainingReport, VirtualModelCost};
-
-fn run_gar(kind: GarKind, f: usize, batch: usize, steps: u64) -> TrainingReport {
-    SyncTrainingEngine::new(paper_runner(kind, f, batch, steps))
-        .expect("valid configuration")
-        .run()
-        .expect("run completes")
-}
-
-fn run_draco(f: usize, batch: usize, steps: u64) -> TrainingReport {
-    let config = DracoConfig {
-        batch_size: batch,
-        max_steps: steps,
-        eval_every: (steps / 20).max(1),
-        eval_samples: 512,
-        learning_rate: LearningRate::Fixed { rate: 5e-3 },
-        optimizer: OptimizerKind::RmsProp,
-        cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
-        seed: 42,
-        ..DracoConfig::paper_like(proxy_experiment(), 19, f)
-    };
-    DracoTrainer::new(config).expect("valid config").run().expect("run completes")
-}
+use agg_ps::TrainingReport;
 
 fn regime(batch: usize, steps: u64) {
+    let gar = |kind, f| run_gar(kind, f, batch, steps, None, |_| {});
+    let draco =
+        |f| run_gar(GarKind::Average, 0, batch, steps, Some(TreeConfig::repetition(f)), |_| {});
     let runs: Vec<(&str, TrainingReport)> = vec![
-        ("Multi-Krum f=1", run_gar(GarKind::MultiKrum, 1, batch, steps)),
-        ("Multi-Krum f=4", run_gar(GarKind::MultiKrum, 4, batch, steps)),
-        ("Bulyan f=1", run_gar(GarKind::Bulyan, 1, batch, steps)),
-        ("Bulyan f=4", run_gar(GarKind::Bulyan, 4, batch, steps)),
-        ("Draco f=1", run_draco(1, batch, steps)),
-        ("Draco f=4", run_draco(4, batch, steps)),
+        ("Multi-Krum f=1", gar(GarKind::MultiKrum, 1)),
+        ("Multi-Krum f=4", gar(GarKind::MultiKrum, 4)),
+        ("Bulyan f=1", gar(GarKind::Bulyan, 1)),
+        ("Bulyan f=4", gar(GarKind::Bulyan, 4)),
+        ("Draco f=1", draco(1)),
+        ("Draco f=4", draco(4)),
     ];
     let target = 0.5 * runs.iter().map(|(_, r)| r.final_accuracy()).fold(0.0, f64::max);
     let mut table = Table::new(

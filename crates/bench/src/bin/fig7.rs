@@ -5,19 +5,19 @@
 //! behaviour) while AggregaThor with f = 1 converges like the ideal,
 //! non-Byzantine TensorFlow run.
 
-use agg_bench::{format_time, paper_runner};
+use agg_bench::{format_time, run_gar};
 use agg_core::GarKind;
 use agg_data::corruption::Corruption;
 use agg_metrics::Table;
-use agg_ps::{SyncTrainingEngine, TrainingReport};
+use agg_ps::TrainingReport;
 
 fn run(kind: GarKind, f: usize, poisoned_workers: usize, steps: u64) -> TrainingReport {
-    let mut config = paper_runner(kind, f, 50, steps);
-    config.byzantine_count = poisoned_workers;
-    if poisoned_workers > 0 {
-        config.data_poisoning = Some(Corruption::HugeValues);
-    }
-    SyncTrainingEngine::new(config).expect("valid configuration").run().expect("run completes")
+    run_gar(kind, f, 50, steps, None, |config| {
+        config.byzantine_count = poisoned_workers;
+        if poisoned_workers > 0 {
+            config.data_poisoning = Some(Corruption::HugeValues);
+        }
+    })
 }
 
 fn main() {

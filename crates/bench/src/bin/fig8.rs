@@ -7,11 +7,11 @@
 //! than TensorFlow over gRPC (whose TCP flow collapses under loss), while
 //! non-robust averaging over the lossy transport fails to converge cleanly.
 
-use agg_bench::{format_time, paper_runner};
+use agg_bench::{format_time, run_gar};
 use agg_core::GarKind;
 use agg_metrics::Table;
 use agg_net::{LinkConfig, LossPolicy};
-use agg_ps::{SyncTrainingEngine, TrainingReport, TransportKind};
+use agg_ps::{TrainingReport, TransportKind};
 
 struct Scenario {
     name: &'static str,
@@ -22,11 +22,11 @@ struct Scenario {
 }
 
 fn run(scenario: &Scenario, drop_rate: f64, steps: u64) -> TrainingReport {
-    let mut config = paper_runner(scenario.gar, scenario.f, 50, steps);
-    config.transport = scenario.transport;
-    config.lossy_links = scenario.lossy_links;
-    config.link = LinkConfig::datacenter().with_drop_rate(drop_rate);
-    SyncTrainingEngine::new(config).expect("valid configuration").run().expect("run completes")
+    run_gar(scenario.gar, scenario.f, 50, steps, None, |config| {
+        config.transport = scenario.transport;
+        config.lossy_links = scenario.lossy_links;
+        config.link = LinkConfig::datacenter().with_drop_rate(drop_rate);
+    })
 }
 
 fn report(title: &str, drop_rate: f64, scenarios: &[Scenario], steps: u64) {

@@ -19,10 +19,12 @@
 //! Criterion micro-benchmarks of the GAR kernels (the §4.2 cost analysis)
 //! live under `benches/`.
 
-use agg_core::{GarConfig, GarKind};
+use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_nn::optim::OptimizerKind;
 use agg_nn::schedule::LearningRate;
-use agg_ps::{CostModel, ExperimentKind, RunnerConfig, VirtualModelCost};
+use agg_ps::{
+    CostModel, ExperimentKind, RunnerConfig, SyncTrainingEngine, TrainingReport, VirtualModelCost,
+};
 
 /// The proxy experiment used by every convergence figure: a 32-feature,
 /// 10-class Gaussian-blob task learned by a one-hidden-layer MLP. Small
@@ -51,6 +53,27 @@ pub fn paper_runner(gar: GarKind, f: usize, batch_size: usize, max_steps: u64) -
         seed: 42,
         ..RunnerConfig::quick_default()
     }
+}
+
+/// Trains one system of a figure: [`paper_runner`]`(kind, f, batch_size,
+/// max_steps)`, over `tree` when given (whose root must then be `kind` with
+/// `f`; [`TreeConfig::repetition`] is Draco), with `adjust` applied last.
+///
+/// # Panics
+///
+/// Panics when the configuration is invalid or the run fails: the figure
+/// binaries run fixed, known-good configurations.
+pub fn run_gar(
+    kind: GarKind,
+    f: usize,
+    batch_size: usize,
+    max_steps: u64,
+    tree: Option<TreeConfig>,
+    adjust: impl FnOnce(&mut RunnerConfig),
+) -> TrainingReport {
+    let mut config = RunnerConfig { tree, ..paper_runner(kind, f, batch_size, max_steps) };
+    adjust(&mut config);
+    SyncTrainingEngine::new(config).expect("valid configuration").run().expect("run completes")
 }
 
 /// Formats an optional time-to-accuracy as a table cell.
@@ -86,6 +109,10 @@ mod tests {
             assert!(config.validate().is_ok(), "{kind:?} config invalid");
             assert_eq!(config.workers, 19);
         }
+        let draco = TreeConfig::repetition(4);
+        let config =
+            RunnerConfig { tree: Some(draco), ..paper_runner(GarKind::Average, 0, 25, 10) };
+        assert!(config.validate().is_ok(), "Draco's repetition tree over the paper runner");
     }
 
     #[test]

@@ -51,6 +51,20 @@ pub enum AggregationError {
     #[error("{0}: every candidate gradient contains non-finite coordinates")]
     AllGradientsCorrupt(&'static str),
 
+    /// No row is held by more than half of the round: the majority vote of
+    /// a repetition group cannot decode.
+    #[error(
+        "{rule}: no row is held by more than half of the {n} rows (largest agreeing set {largest})"
+    )]
+    NoMajority {
+        /// Name of the rule.
+        rule: &'static str,
+        /// Size of the largest set of agreeing rows.
+        largest: usize,
+        /// Number of rows voted on.
+        n: usize,
+    },
+
     /// A numeric kernel failed (propagated from `agg-tensor`).
     #[error("numeric kernel failure: {0}")]
     Numeric(String),

@@ -16,6 +16,7 @@
 //! | [`Krum`] | weak | `n ≥ 2f + 3` | §2.3 |
 //! | [`MultiKrum`] | weak | `n ≥ 2f + 3`, `m ≤ n − f − 2` | §2.3, Appendix B.2 |
 //! | [`Bulyan`] | strong | `n ≥ 4f + 3`, `m ≤ n − 2f − 2` | §2.3, Appendix B.3 |
+//! | [`Majority`] | strong, given replicated batches | `n ≥ 2f + 1` | Draco baseline (§4.2) |
 //!
 //! All rules tolerate non-finite (`NaN`, `±∞`) coordinates — the paper calls
 //! this "a crucial feature when facing actual malicious workers" — either by
@@ -46,6 +47,7 @@ pub mod error;
 pub mod gar;
 pub mod geometric_median;
 pub mod krum;
+pub mod majority;
 pub mod meamed;
 pub mod median;
 pub mod multi_krum;
@@ -65,6 +67,7 @@ pub use error::AggregationError;
 pub use gar::{Gar, GarProperties, GarRound, Resilience};
 pub use geometric_median::GeometricMedian;
 pub use krum::Krum;
+pub use majority::Majority;
 pub use meamed::MeaMed;
 pub use median::CoordinateMedian;
 pub use multi_krum::MultiKrum;

@@ -282,6 +282,28 @@ pub fn bulyan(f: usize, gradients: &[Vector]) -> Result<Vector> {
     Ok(Vector::from(out))
 }
 
+/// Draco's majority decoding over the submissions themselves: the first
+/// finite row that more than half of the rows equal coordinate for
+/// coordinate (a row with a NaN or ±∞ coordinate never votes).
+///
+/// # Errors
+///
+/// [`AggregationError::NotEnoughWorkers`] below `2f + 1` rows and
+/// [`AggregationError::NoMajority`] when no row reaches the majority.
+pub fn majority_decode(f: usize, gradients: &[Vector]) -> Result<Vector> {
+    validate_batch("majority", gradients)?;
+    let n = gradients.len();
+    resilience::check_median("majority", n, f)?;
+    let supporters = |candidate: &Vector| {
+        gradients.iter().filter(|&row| candidate.is_finite() && row == candidate).count()
+    };
+    let largest = gradients.iter().map(supporters).max().unwrap_or(0);
+    match gradients.iter().find(|candidate| 2 * supporters(candidate) > n) {
+        Some(winner) => Ok(winner.clone()),
+        None => Err(AggregationError::NoMajority { rule: "majority", largest, n }),
+    }
+}
+
 /// Dispatches one round through the pre-arena implementation of `kind`.
 ///
 /// # Errors
@@ -298,6 +320,7 @@ pub fn aggregate(kind: GarKind, f: usize, gradients: &[Vector]) -> Result<Vector
         GarKind::Krum => multi_krum(f, Some(1), gradients),
         GarKind::MultiKrum => multi_krum(f, None, gradients),
         GarKind::Bulyan => bulyan(f, gradients),
+        GarKind::Majority => majority_decode(f, gradients),
     }
 }
 
@@ -309,8 +332,25 @@ mod tests {
     fn reference_dispatch_covers_every_kind() {
         let gradients: Vec<Vector> =
             (0..19).map(|i| Vector::from(vec![1.0 + 0.01 * i as f32, -1.0])).collect();
+        // The majority vote refuses distinct rows; over a duplicated
+        // majority it decodes.
+        let mut duplicated = gradients.clone();
+        for (i, row) in duplicated.iter_mut().enumerate() {
+            if i == 0 || i % 2 == 1 {
+                *row = Vector::from(vec![0.5, -1.0]);
+            }
+        }
         for kind in GarKind::ALL {
-            let out = aggregate(kind, 4, &gradients).unwrap();
+            let out = match kind {
+                GarKind::Majority => {
+                    assert!(matches!(
+                        aggregate(kind, 4, &gradients),
+                        Err(AggregationError::NoMajority { largest: 1, n: 19, .. })
+                    ));
+                    aggregate(kind, 4, &duplicated).unwrap()
+                }
+                _ => aggregate(kind, 4, &gradients).unwrap(),
+            };
             assert_eq!(out.len(), 2, "{kind} produced the wrong dimension");
             assert!(out.is_finite(), "{kind} produced a non-finite aggregate");
         }

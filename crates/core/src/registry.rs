@@ -5,7 +5,7 @@
 use crate::geometric_median::WEISZFELD_ITERATIONS;
 use crate::{
     resilience, AggregationError, Average, Bulyan, CoordinateMedian, Gar, GeometricMedian, Krum,
-    MeaMed, MultiKrum, Result, SelectiveAverage, TrimmedMean,
+    Majority, MeaMed, MultiKrum, Result, SelectiveAverage, TrimmedMean,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -32,11 +32,13 @@ pub enum GarKind {
     MultiKrum,
     /// Bulyan over Multi-Krum.
     Bulyan,
+    /// Exact-match majority vote: the group rule of Draco's repetition code.
+    Majority,
 }
 
 impl GarKind {
     /// All known kinds, in a stable order (useful for sweeps and listings).
-    pub const ALL: [GarKind; 9] = [
+    pub const ALL: [GarKind; 10] = [
         GarKind::Average,
         GarKind::SelectiveAverage,
         GarKind::Median,
@@ -46,6 +48,7 @@ impl GarKind {
         GarKind::Krum,
         GarKind::MultiKrum,
         GarKind::Bulyan,
+        GarKind::Majority,
     ];
 
     /// Whether this rule selects on the pairwise distance matrix. The
@@ -53,7 +56,15 @@ impl GarKind {
     /// arriving row only for these rules; the others aggregate
     /// coordinate-wise and gain nothing from a pre-computed matrix.
     pub fn uses_distances(self) -> bool {
-        matches!(self, GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan)
+        matches!(self, GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan | GarKind::Majority)
+    }
+
+    /// Whether the rule needs every worker it votes over to compute the
+    /// same mini-batch: Draco's repetition code, whose honest rows agree bit
+    /// for bit only because they are replicas. The engine then gives every
+    /// group one sampler stream and charges the code's encoding work.
+    pub fn replicates_batches(self) -> bool {
+        self == GarKind::Majority
     }
 
     /// The canonical rule name (matches `--aggregator`).
@@ -68,6 +79,7 @@ impl GarKind {
             GarKind::Krum => "krum",
             GarKind::MultiKrum => "multi-krum",
             GarKind::Bulyan => "bulyan",
+            GarKind::Majority => "majority",
         }
     }
 }
@@ -92,6 +104,7 @@ impl FromStr for GarKind {
             "krum" => Ok(GarKind::Krum),
             "multi-krum" | "multikrum" => Ok(GarKind::MultiKrum),
             "bulyan" => Ok(GarKind::Bulyan),
+            "majority" => Ok(GarKind::Majority),
             other => Err(AggregationError::UnknownRule(other.to_string())),
         }
     }
@@ -108,6 +121,8 @@ pub struct GarWork {
     pub tile_rows: usize,
     /// Rows averaged.
     pub mean_rows: usize,
+    /// Rows compared in a repetition code's decode.
+    pub decode_rows: usize,
 }
 
 /// A declarative GAR configuration: which rule, the declared number of
@@ -153,6 +168,7 @@ impl GarConfig {
             GarKind::Krum => Box::new(Krum::new(self.f)),
             GarKind::MultiKrum => Box::new(self.multi_krum()?),
             GarKind::Bulyan => Box::new(Bulyan::new(self.f)?),
+            GarKind::Majority => Box::new(Majority::new(self.f)),
         })
     }
 
@@ -172,6 +188,7 @@ impl GarConfig {
     /// Multi-Krum (1 for Krum), `β = n − 4f` for Bulyan, `n` for averaging.
     /// The geometric median starts from the coordinate median (`n` tile rows)
     /// and then, per Weiszfeld iteration, distances and averages every row.
+    /// The majority vote walks the `C(n, 2)` pairs and decodes `n` rows.
     ///
     /// # Errors
     ///
@@ -179,18 +196,22 @@ impl GarConfig {
     pub fn work(&self, n: usize) -> Result<GarWork> {
         self.build()?.check(n)?;
         let (f, all_pairs) = (self.f, n * n.saturating_sub(1) / 2);
-        let (pairs, tile_rows, mean_rows) = match self.kind {
-            GarKind::Average | GarKind::SelectiveAverage => (0, 0, n),
-            GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed => (0, n, 0),
-            GarKind::GeometricMedian => (WEISZFELD_ITERATIONS * n, n, WEISZFELD_ITERATIONS * n),
-            GarKind::Krum | GarKind::MultiKrum => (all_pairs, 0, self.multi_krum()?.resolve_m(n)?),
+        let (pairs, tile_rows, mean_rows, decode_rows) = match self.kind {
+            GarKind::Average | GarKind::SelectiveAverage => (0, 0, n, 0),
+            GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed => (0, n, 0, 0),
+            GarKind::GeometricMedian => (WEISZFELD_ITERATIONS * n, n, WEISZFELD_ITERATIONS * n, 0),
+            GarKind::Krum | GarKind::MultiKrum => {
+                (all_pairs, 0, self.multi_krum()?.resolve_m(n)?, 0)
+            }
             GarKind::Bulyan => (
                 all_pairs,
                 resilience::bulyan_selection_count(n, f)?,
                 resilience::bulyan_beta(n, f)?,
+                0,
             ),
+            GarKind::Majority => (all_pairs, 0, 0, n),
         };
-        Ok(GarWork { pairs, tile_rows, mean_rows })
+        Ok(GarWork { pairs, tile_rows, mean_rows, decode_rows })
     }
 
     /// Parses a runner-style specification of the form
@@ -301,18 +322,18 @@ mod tests {
     fn work_counts_the_paper_deployment() {
         // n = 19, f = 4: C(19, 2) = 171 pairs, m̃ = 13, θ = 11, β = 3.
         let work = |kind| GarConfig::new(kind, 4).work(19).unwrap();
-        assert_eq!(work(GarKind::Average), GarWork { pairs: 0, tile_rows: 0, mean_rows: 19 });
-        assert_eq!(work(GarKind::Median), GarWork { pairs: 0, tile_rows: 19, mean_rows: 0 });
-        assert_eq!(work(GarKind::Krum), GarWork { pairs: 171, tile_rows: 0, mean_rows: 1 });
-        assert_eq!(work(GarKind::MultiKrum), GarWork { pairs: 171, tile_rows: 0, mean_rows: 13 });
-        assert_eq!(work(GarKind::Bulyan), GarWork { pairs: 171, tile_rows: 11, mean_rows: 3 });
+        let counts =
+            |pairs, tile_rows, mean_rows| GarWork { pairs, tile_rows, mean_rows, decode_rows: 0 };
+        assert_eq!(work(GarKind::Average), counts(0, 0, 19));
+        assert_eq!(work(GarKind::Median), counts(0, 19, 0));
+        assert_eq!(work(GarKind::Krum), counts(171, 0, 1));
+        assert_eq!(work(GarKind::MultiKrum), counts(171, 0, 13));
+        assert_eq!(work(GarKind::Bulyan), counts(171, 11, 3));
+        assert_eq!(work(GarKind::Majority), GarWork { decode_rows: 19, ..counts(171, 0, 0) });
         let explicit = GarConfig::new(GarKind::MultiKrum, 4).with_selection(5);
         assert_eq!(explicit.work(19).unwrap().mean_rows, 5);
         let per_iteration = WEISZFELD_ITERATIONS * 19;
-        assert_eq!(
-            work(GarKind::GeometricMedian),
-            GarWork { pairs: per_iteration, tile_rows: 19, mean_rows: per_iteration }
-        );
+        assert_eq!(work(GarKind::GeometricMedian), counts(per_iteration, 19, per_iteration));
     }
 
     #[test]
@@ -327,11 +348,23 @@ mod tests {
                         let rows: Vec<Vector> =
                             (0..n).map(|i| Vector::from(vec![i as f32, 1.0])).collect();
                         let batch = GradientBatch::from_vectors(&rows).unwrap();
-                        assert_eq!(
-                            config.work(n).is_ok(),
-                            gar.aggregate_batch(&batch).is_ok(),
-                            "{config} over {n} rows"
-                        );
+                        let round = gar.aggregate_batch(&batch);
+                        // Distinct rows never agree, so past its floor the
+                        // majority vote refuses for want of a majority.
+                        let seated = match round {
+                            Err(AggregationError::NoMajority { .. }) => kind == GarKind::Majority,
+                            _ => round.is_ok(),
+                        };
+                        assert_eq!(config.work(n).is_ok(), seated, "{config} over {n} rows");
+                        if kind == GarKind::Majority {
+                            let replicas = vec![Vector::from(vec![0.5, 1.0]); n];
+                            let batch = GradientBatch::from_vectors(&replicas).unwrap();
+                            assert_eq!(
+                                config.work(n).is_ok(),
+                                gar.aggregate_batch(&batch).is_ok(),
+                                "{config} over {n} replicas"
+                            );
+                        }
                     }
                 }
             }

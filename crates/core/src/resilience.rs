@@ -144,7 +144,8 @@ pub fn max_f_bulyan(n: usize) -> Option<usize> {
 
 /// Minimum live worker count below which `rule` loses its resilience
 /// guarantee for a declared `f`: `2f + 3` for the Krum family, `4f + 3` for
-/// Bulyan, `2f + 1` for the coordinate-wise family, and `1` for the
+/// Bulyan, `2f + 1` for the coordinate-wise family and the majority vote of
+/// a repetition group, and `1` for the
 /// non-resilient averaging rules (they aggregate anything, so only an empty
 /// round is inadmissible).
 ///
@@ -154,9 +155,11 @@ pub fn resilience_floor(rule: GarKind, f: usize) -> usize {
     match rule {
         GarKind::Krum | GarKind::MultiKrum => multi_krum_min_workers(f),
         GarKind::Bulyan => bulyan_min_workers(f),
-        GarKind::Median | GarKind::TrimmedMean | GarKind::MeaMed | GarKind::GeometricMedian => {
-            median_min_workers(f)
-        }
+        GarKind::Median
+        | GarKind::TrimmedMean
+        | GarKind::MeaMed
+        | GarKind::GeometricMedian
+        | GarKind::Majority => median_min_workers(f),
         GarKind::Average | GarKind::SelectiveAverage => 1,
     }
 }
@@ -354,6 +357,7 @@ mod tests {
             assert_eq!(resilience_floor(GarKind::TrimmedMean, f), median_min_workers(f));
             assert_eq!(resilience_floor(GarKind::MeaMed, f), median_min_workers(f));
             assert_eq!(resilience_floor(GarKind::GeometricMedian, f), median_min_workers(f));
+            assert_eq!(resilience_floor(GarKind::Majority, f), 2 * f + 1);
             assert_eq!(resilience_floor(GarKind::Average, f), 1);
             assert_eq!(resilience_floor(GarKind::SelectiveAverage, f), 1);
 

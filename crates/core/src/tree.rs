@@ -61,6 +61,19 @@ impl TreeConfig {
         }
     }
 
+    /// Draco's repetition code (Chen et al., 2018) as a tree: groups of
+    /// `2f + 1` workers that compute the same mini-batch, a
+    /// [`GarKind::Majority`] vote in every group, and the decoded group
+    /// gradients averaged at the root. Trailing workers that do not fill a
+    /// group sit below the vote's floor and are excluded.
+    pub fn repetition(f: usize) -> Self {
+        TreeConfig {
+            group: GarConfig::new(GarKind::Majority, f),
+            root: GarConfig::new(GarKind::Average, 0),
+            group_size: 2 * f + 1,
+        }
+    }
+
     /// The composed Byzantine tolerance
     /// `(f_group + 1)(f_root + 1) − 1` of this tree
     /// ([`resilience::composed_max_f`]).
@@ -325,7 +338,7 @@ impl TreeAggregator {
     /// their group→root legs: a group whose output was dropped on the wire
     /// can still be credited. That is the behaviour the committed digests
     /// pin; aligning the feedback with the delivered set moves the ledger's
-    /// evidence and is scheduled with ROADMAP item 7, the one change that
+    /// evidence and is scheduled with ROADMAP item 10, the one change that
     /// re-pins the digests.
     ///
     /// # Errors
@@ -403,6 +416,42 @@ mod tests {
         .is_err());
         assert!(TreeAggregator::new(TreeConfig::uniform(GarKind::MultiKrum, 1, 0, MAX_NETWORK_N))
             .is_ok());
+    }
+
+    #[test]
+    fn repetition_assignment_partitions_workers() {
+        let config = TreeConfig::repetition(1);
+        assert_eq!(config.group_size, 3);
+        let plan = TreeAggregator::new(config).unwrap().plan(9).unwrap();
+        assert_eq!(plan.group_count(), 3);
+        let mut all: Vec<usize> = plan.ranges().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..9).collect::<Vec<_>>());
+        assert!((0..9).all(|w| plan.range(plan.group_of(w)).contains(&w)));
+    }
+
+    #[test]
+    fn leftover_workers_sit_below_the_vote_floor() {
+        // 10 workers in groups of 3: the tenth is a group of its own, below
+        // the vote's 2f + 1 floor, so it is excluded while the three full
+        // groups decode.
+        let config = TreeConfig::repetition(1);
+        let plan = TreeAggregator::new(config).unwrap().plan(10).unwrap();
+        assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![3, 3, 3, 1]);
+        let rows: Vec<Vector> = (0..10).map(|w| Vector::from(vec![(w / 3) as f32; 2])).collect();
+        let batch = GradientBatch::from_vectors(&rows).unwrap();
+        let groups: Vec<usize> = (0..10).map(|w| plan.group_of(w)).collect();
+        let round = TreeAggregator::new(config).unwrap().group_outputs(&batch, &groups).unwrap();
+        assert_eq!(round.outputs.len(), 3);
+        assert_eq!(round.skipped, vec![(3, 1)]);
+    }
+
+    #[test]
+    fn too_few_workers_is_rejected() {
+        let config = TreeConfig::repetition(1);
+        assert!(config.check([2]).is_err());
+        assert!(config.check([3]).is_ok());
+        assert!(TreeAggregator::new(TreeConfig::repetition(16)).is_err(), "groups of 33 > 32");
     }
 
     #[test]

@@ -55,17 +55,22 @@ fn assert_vectors_close(kind: GarKind, actual: &Vector, expected: &Vector) {
 }
 
 /// Runs every rule through both paths and checks they agree on success and
-/// on the produced aggregate.
+/// on the produced aggregate. Over distinct rows the majority vote refuses
+/// on both paths; [`majority_rows`] gives it batches it decodes.
 fn assert_all_rules_match(f: usize, gradients: &[Vector]) {
     for kind in GarKind::ALL {
-        let live = GarConfig::new(kind, f).build().expect("buildable rule");
-        let arena = live.aggregate(gradients);
-        let legacy = reference::aggregate(kind, f, gradients);
-        match (arena, legacy) {
-            (Ok(a), Ok(b)) => assert_vectors_close(kind, &a, &b),
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!("{kind}: arena {a:?} disagrees with reference {b:?} on success"),
-        }
+        assert_rule_matches(kind, f, gradients);
+    }
+}
+
+fn assert_rule_matches(kind: GarKind, f: usize, gradients: &[Vector]) {
+    let live = GarConfig::new(kind, f).build().expect("buildable rule");
+    let arena = live.aggregate(gradients);
+    let legacy = reference::aggregate(kind, f, gradients);
+    match (arena, legacy) {
+        (Ok(a), Ok(b)) => assert_vectors_close(kind, &a, &b),
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!("{kind}: arena {a:?} disagrees with reference {b:?} on success"),
     }
 }
 
@@ -109,7 +114,34 @@ fn corrupt_rows() -> impl Strategy<Value = Vec<Vector>> {
     })
 }
 
+/// A repetition group: `copies` replicas of one row scattered among
+/// traitor rows (some carrying NaN/±∞), `copies` from one below to well
+/// above a majority, so the vote both refuses and decodes.
+fn majority_rows() -> impl Strategy<Value = Vec<Vector>> {
+    (3usize..16, 1usize..12).prop_flat_map(|(n, d)| {
+        let replica = prop::collection::vec(-8.0f32..8.0, d).prop_map(Vector::from);
+        let traitors = prop::collection::vec(
+            prop::collection::vec(sometimes_corrupt(), d).prop_map(Vector::from),
+            n,
+        );
+        (replica, traitors, n / 2..n + 1, 0usize..n).prop_map(
+            |(replica, mut rows, copies, shift)| {
+                let n = rows.len();
+                for k in 0..copies {
+                    rows[(k + shift) % n] = replica.clone();
+                }
+                rows
+            },
+        )
+    })
+}
+
 proptest! {
+    #[test]
+    fn majority_matches_reference_on_replicated_batches(gs in majority_rows(), f in 0usize..4) {
+        assert_rule_matches(GarKind::Majority, f, &gs);
+    }
+
     #[test]
     fn all_rules_match_reference_on_finite_batches(gs in finite_rows(), f in 0usize..3) {
         assert_all_rules_match(f, &gs);

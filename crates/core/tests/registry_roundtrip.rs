@@ -6,7 +6,9 @@ use agg_core::{GarConfig, GarKind, GarProperties, Resilience};
 
 /// The resilience level the paper assigns to each rule: plain and selective
 /// averaging provide none, the Krum/median families are weakly resilient
-/// (Definition 1), and Bulyan is strongly resilient (Definition 2).
+/// (Definition 1), and Bulyan is strongly resilient (Definition 2). Draco's
+/// majority vote returns an honest gradient exactly, so it is strong too
+/// (given the replicated batches it assumes).
 fn paper_resilience(kind: GarKind) -> Resilience {
     match kind {
         GarKind::Average | GarKind::SelectiveAverage => Resilience::None,
@@ -16,7 +18,7 @@ fn paper_resilience(kind: GarKind) -> Resilience {
         | GarKind::GeometricMedian
         | GarKind::Krum
         | GarKind::MultiKrum => Resilience::Weak,
-        GarKind::Bulyan => Resilience::Strong,
+        GarKind::Bulyan | GarKind::Majority => Resilience::Strong,
     }
 }
 

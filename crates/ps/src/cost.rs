@@ -36,6 +36,15 @@ const TILE_NS_PER_ROW_COORD: f64 = 0.87;
 /// Per row-coordinate averaged: `gar_dimension_sweep_n19_f4/average/100000`
 /// (934 µs over 19 × 100 000).
 const MEAN_NS_PER_ROW_COORD: f64 = 0.49;
+/// Per row-coordinate of a repetition code's decode: the 0.03 s per worker
+/// per million parameters the Draco authors report for their decoder, which
+/// is far slower than the comparison itself.
+const DECODE_NS_PER_ROW_COORD: f64 = 30.0;
+
+/// The factor a worker's gradient time is multiplied by under a rule that
+/// replicates batches ([`agg_core::GarKind::replicates_batches`]): the
+/// gradient plus the encoding Draco's authors put at twice its cost.
+pub const REPLICATION_ENCODE_FACTOR: f64 = 3.0;
 
 /// Pretend-costs of a model larger than the proxy actually trained.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -135,10 +144,12 @@ impl CostModel {
     /// Returns [`PsError::Aggregation`] when `rows` does not seat the rule —
     /// the resilience error the round itself would return.
     pub fn aggregation_time(gar: GarConfig, rows: usize, dim: usize) -> Result<f64> {
-        let GarWork { pairs, tile_rows, mean_rows } = gar.work(rows).map_err(PsError::from)?;
+        let GarWork { pairs, tile_rows, mean_rows, decode_rows } =
+            gar.work(rows).map_err(PsError::from)?;
         let ns_per_coord = pairs as f64 * DISTANCE_NS_PER_PAIR_COORD
             + tile_rows as f64 * TILE_NS_PER_ROW_COORD
-            + mean_rows as f64 * MEAN_NS_PER_ROW_COORD;
+            + mean_rows as f64 * MEAN_NS_PER_ROW_COORD
+            + decode_rows as f64 * DECODE_NS_PER_ROW_COORD;
         Ok(ns_per_coord * dim as f64 * 1e-9)
     }
 
@@ -203,6 +214,9 @@ mod tests {
         assert!((doubled.unwrap() / bulyan - 2.0).abs() < 1e-12);
         // A roster below the rule's floor is the round's own refusal.
         assert!(matches!(time(GarKind::Bulyan, 5), Err(PsError::Aggregation(_))));
+        // The majority vote pays its pair walk plus the decode of every row.
+        let ns_per_coord = 171.0 * DISTANCE_NS_PER_PAIR_COORD + 19.0 * DECODE_NS_PER_ROW_COORD;
+        assert_eq!(time(GarKind::Majority, 4).unwrap(), ns_per_coord * 1000.0 * 1e-9);
     }
 
     #[test]

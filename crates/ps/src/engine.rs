@@ -3,7 +3,7 @@
 
 use crate::cluster::{ClusterSpec, PlacementPolicy};
 use crate::config::{RunnerConfig, TransportKind};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, REPLICATION_ENCODE_FACTOR};
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
 use crate::report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport, WorkerReport};
 use crate::reputation::{self, ReputationLedger, RoundEvidence, StandingChange};
@@ -185,6 +185,7 @@ impl SyncTrainingEngine {
             None => None,
         };
 
+        let replicated = replicates_batches(config.gar, config.tree);
         let honest_count = config.workers - config.byzantine_count;
         let mut workers = Vec::with_capacity(config.workers);
         for id in 0..config.workers {
@@ -199,7 +200,15 @@ impl SyncTrainingEngine {
                 WorkerRole::DataPoisoned => Arc::clone(poisoned.as_ref().expect("checked above")),
                 _ => Arc::clone(&clean),
             };
-            let sampler = MiniBatchSampler::new(config.batch_size, config.seed, id as u64)
+            // Under a replicating rule every member of a group draws the
+            // group's mini-batch: the stream of its lowest worker id (the
+            // flat roster is one group).
+            let stream = match &tree_plan {
+                _ if !replicated => id,
+                Some(plan) => plan.range(plan.group_of(id)).start,
+                None => 0,
+            };
+            let sampler = MiniBatchSampler::new(config.batch_size, config.seed, stream as u64)
                 .map_err(PsError::from)?;
             let transport = Self::build_transport(&config, id)?;
             let node = cluster.worker_node(id)?;
@@ -340,6 +349,11 @@ impl SyncTrainingEngine {
     /// Forward FLOPs per sample of the (proxy) model actually trained.
     pub fn model_flops(&self) -> u64 {
         self.model_flops
+    }
+
+    /// The model parameters as the server holds them.
+    pub fn parameters(&self) -> &Vector {
+        self.server.parameters()
     }
 
     /// Per-worker role assignment (for reports and tests).
@@ -614,6 +628,10 @@ impl SyncTrainingEngine {
         self.pipeline.begin_round(n);
         let params = self.server.parameters();
         let (membership, cost) = (&self.membership, self.config.cost);
+        let encode = match replicates_batches(self.config.gar, self.config.tree) {
+            true => REPLICATION_ENCODE_FACTOR,
+            false => 1.0,
+        };
         type Sent = Option<(Option<Vector>, RowTransfer, f64)>;
         let run_worker = |(worker, dst): (&mut Worker, &mut [f32])| -> Result<Sent> {
             if !membership.health(worker.id()).is_live() || worker.role() == WorkerRole::Attacker {
@@ -624,7 +642,7 @@ impl SyncTrainingEngine {
             }
             let node_flops = worker.node_flops_per_sec();
             let computation = worker.compute_gradient(params, |model, batch| {
-                cost.gradient_time(model.flops_per_sample(), batch, node_flops)
+                cost.gradient_time(model.flops_per_sample(), batch, node_flops) * encode
             })?;
             let transfer = worker.send_gradient_into(step, computation.gradient.as_slice(), dst)?;
             let arrival = computation.compute_time_sec + transfer.time_sec * dim_scale;
@@ -970,16 +988,26 @@ impl SyncTrainingEngine {
     }
 }
 
+/// Whether the rule that votes over the workers' rows — the group rule of a
+/// tree, else the flat rule — needs its voters to compute one mini-batch
+/// ([`agg_core::GarKind::replicates_batches`]).
+fn replicates_batches(gar: GarConfig, tree: Option<TreeConfig>) -> bool {
+    tree.map_or(gar, |tree| tree.group).kind.replicates_batches()
+}
+
 /// Cost-only simulation of aggregator throughput (Figures 4 and 5), in closed
 /// form: no model is trained and no gradient is aggregated — one round's
 /// computation, communication and counted aggregation are charged from the
-/// cost model.
+/// cost model, as the engine charges them.
 #[derive(Debug, Clone)]
 pub struct ThroughputSimulation {
     /// Number of workers `n`.
     pub workers: usize,
-    /// GAR under test.
+    /// GAR under test (the root rule of a tree).
     pub gar: GarConfig,
+    /// The two-level tier, whose root must be `gar`; `None` for the flat
+    /// round. [`TreeConfig::repetition`] is Draco.
+    pub tree: Option<TreeConfig>,
     /// Mini-batch size per worker.
     pub batch_size: usize,
     /// Cost model (set a virtual model to emulate the CNN or ResNet50).
@@ -1008,9 +1036,10 @@ impl ThroughputSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::InvalidConfig`] for zero workers or dimension, and
-    /// [`PsError::Aggregation`] when the rule's resilience precondition
-    /// cannot be met with the configured worker count.
+    /// Returns [`PsError::InvalidConfig`] for zero workers or dimension or a
+    /// tree whose root is not `gar`, and [`PsError::Aggregation`] when the
+    /// rule's resilience precondition (a tree's composed one) cannot be met
+    /// with the configured worker count.
     pub fn run(&self) -> Result<ThroughputResult> {
         if self.workers == 0 || self.proxy_dimension == 0 {
             return Err(PsError::InvalidConfig(
@@ -1019,16 +1048,44 @@ impl ThroughputSimulation {
         }
         let node = crate::cluster::Node::grid5000_cpu(0);
         let dim = self.cost.effective_dimension(self.proxy_dimension);
-        let aggregation_time = CostModel::aggregation_time(self.gar, self.workers, dim)?
-            + self.cost.update_time(self.proxy_dimension);
+        // A tree round is charged its slowest group plus the root over the
+        // contributing groups; under a replicating rule each contributing
+        // group (the flat roster is one) yields one batch.
+        let (groups, kernel_sec) = match self.tree {
+            None => (1, CostModel::aggregation_time(self.gar, self.workers, dim)?),
+            Some(tree) if tree.root != self.gar => {
+                return Err(PsError::InvalidConfig(format!(
+                    "the tree's root ({}) must be the simulated rule ({})",
+                    tree.root, self.gar
+                )))
+            }
+            Some(tree) => {
+                let plan = GroupPlan::new(self.workers, tree.group_size).map_err(PsError::from)?;
+                tree.check(plan.sizes()).map_err(PsError::from)?;
+                let groups: Vec<usize> =
+                    plan.sizes().filter(|&size| size >= tree.group_floor()).collect();
+                let mut slowest_group = 0.0f64;
+                for &size in &groups {
+                    slowest_group =
+                        slowest_group.max(CostModel::aggregation_time(tree.group, size, dim)?);
+                }
+                let root = CostModel::aggregation_time(tree.root, groups.len(), dim)?;
+                (groups.len(), slowest_group + root)
+            }
+        };
+        let aggregation_time = kernel_sec + self.cost.update_time(self.proxy_dimension);
 
-        let compute = self.cost.gradient_time(1, self.batch_size, node.flops_per_sec);
+        let (batches, encode) = match replicates_batches(self.gar, self.tree) {
+            true => (groups, REPLICATION_ENCODE_FACTOR),
+            false => (self.workers, 1.0),
+        };
+        let compute = self.cost.gradient_time(1, self.batch_size, node.flops_per_sec) * encode;
         let gradient_bytes = self.cost.payload_bytes(self.proxy_dimension);
         let comm = 2.0 * self.link.transfer_time(gradient_bytes);
         let compute_comm = compute + comm;
         let round_time = compute_comm + aggregation_time;
         Ok(ThroughputResult {
-            batches_per_sec: self.workers as f64 / round_time,
+            batches_per_sec: batches as f64 / round_time,
             round_time_sec: round_time,
             aggregation_time_sec: aggregation_time,
             compute_comm_time_sec: compute_comm,
@@ -1431,6 +1488,7 @@ mod tests {
             cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
             link: LinkConfig::datacenter(),
             proxy_dimension: 20_000,
+            tree: None,
         };
         let result = sim.run().unwrap();
         assert!(result.batches_per_sec > 0.0);
@@ -1451,6 +1509,7 @@ mod tests {
             cost: CostModel::paper_like(),
             link: LinkConfig::datacenter(),
             proxy_dimension: 100,
+            tree: None,
         };
         assert!(matches!(sim.run(), Err(PsError::InvalidConfig(_))));
         // Below the rule's floor the error is the resilience precondition's.
@@ -1499,5 +1558,157 @@ mod tests {
         let per_round =
             CostModel::aggregation_time(config.gar, 7, dim).unwrap() + config.cost.update_time(dim);
         assert_eq!(report.latency.aggregation_sec(), summed(per_round, 3));
+    }
+
+    /// Draco's repetition code with `f` over `workers`: the engine's round
+    /// over [`TreeConfig::repetition`], against the reversed-gradient
+    /// adversary of the paper's comparison.
+    fn draco_config(workers: usize, f: usize) -> RunnerConfig {
+        let tree = TreeConfig::repetition(f);
+        RunnerConfig {
+            gar: tree.root,
+            tree: Some(tree),
+            max_steps: 40,
+            eval_every: 10,
+            attack: AttackKind::Reversed { scale: 100.0 },
+            ..quick_config(GarKind::Average, 0, workers)
+        }
+    }
+
+    /// Closed-form Draco throughput at `n = 18`, `b = 100`, charged as the
+    /// paper CNN.
+    fn draco_throughput(f: usize) -> Result<ThroughputResult> {
+        let tree = TreeConfig::repetition(f);
+        ThroughputSimulation {
+            workers: 18,
+            gar: tree.root,
+            tree: Some(tree),
+            batch_size: 100,
+            cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
+            link: LinkConfig::datacenter(),
+            proxy_dimension: 1_756_426,
+        }
+        .run()
+    }
+
+    #[test]
+    fn draco_trains_without_byzantine_workers() {
+        let report = SyncTrainingEngine::new(draco_config(6, 1)).unwrap().run().unwrap();
+        assert_eq!(report.steps_completed, 40);
+        assert_eq!(report.skipped_updates, 0);
+        assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
+    }
+
+    #[test]
+    fn draco_recovers_exactly_under_tolerated_attack() {
+        // Worker 8 is one traitor in its group of three: the vote removes it
+        // entirely, so the run is the clean run, trace point for trace point.
+        let clean = SyncTrainingEngine::new(draco_config(9, 1)).unwrap().run().unwrap();
+        let mut config = draco_config(9, 1);
+        config.byzantine_count = 1;
+        let report = SyncTrainingEngine::new(config).unwrap().run().unwrap();
+        assert_eq!(report.skipped_updates, 0);
+        assert_eq!(report.trace.points(), clean.trace.points());
+        assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
+    }
+
+    #[test]
+    fn colluding_traitors_beyond_the_code_break_the_group() {
+        // Workers 7 and 8 share the last group of three and send the same
+        // crafted row: they are its majority, which is exactly the boundary
+        // the code documents. Training quality collapses.
+        let mut config = draco_config(9, 1);
+        config.byzantine_count = 2;
+        let report = SyncTrainingEngine::new(config).unwrap().run().unwrap();
+        assert!(
+            report.final_accuracy() < 0.6,
+            "the decoded attack gradient should prevent clean convergence, got {}",
+            report.final_accuracy()
+        );
+    }
+
+    #[test]
+    fn draco_round_time_is_dominated_by_redundancy_and_decoding() {
+        let mut config = draco_config(6, 1);
+        config.cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
+        let report = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
+        // Each round decodes one group of three and averages the two
+        // decoded gradients.
+        let dim = VirtualModelCost::paper_cnn().dimension;
+        let tree = config.tree.unwrap();
+        let per_round = CostModel::aggregation_time(tree.group, 3, dim).unwrap()
+            + CostModel::aggregation_time(tree.root, 2, dim).unwrap()
+            + config.cost.update_time(dim);
+        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 40));
+        assert!(report.latency.aggregation_share() > 0.05);
+        // The workers pay the encoding: against the same tree with a median
+        // in every group, each round waits two more gradients.
+        let median = TreeConfig { group: GarConfig::new(GarKind::Median, 1), ..tree };
+        let plain = RunnerConfig { tree: Some(median), ..config.clone() };
+        let plain = SyncTrainingEngine::new(plain).unwrap().run().unwrap();
+        let gradient = config.cost.gradient_time(1, config.batch_size, 5.0e10);
+        for (draco, plain) in report.rounds.iter().zip(&plain.rounds) {
+            let encoding = draco.round_wait_sec - plain.round_wait_sec;
+            assert!((encoding - 2.0 * gradient).abs() < 1e-9, "{encoding} vs {gradient}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_bad_configs() {
+        assert!(SyncTrainingEngine::new(draco_config(2, 1)).is_err());
+        let mut c = draco_config(6, 1);
+        c.byzantine_count = 10;
+        assert!(SyncTrainingEngine::new(c).is_err());
+        let mut c = draco_config(6, 1);
+        c.batch_size = 0;
+        assert!(SyncTrainingEngine::new(c).is_err());
+    }
+
+    #[test]
+    fn assignment_accessor_matches_configuration() {
+        let tree = TreeConfig::repetition(1);
+        assert_eq!((tree.group_size, tree.group_floor(), tree.root_floor()), (3, 3, 1));
+        // 9 workers: 3 repetition groups, each with its aggregator, + 1 root.
+        let engine = SyncTrainingEngine::new(draco_config(9, 1)).unwrap();
+        assert_eq!(engine.cluster().parameter_server_count(), 4);
+    }
+
+    #[test]
+    fn throughput_is_an_order_of_magnitude_below_the_gar_systems() {
+        // The paper reports ~48 batches/s for TensorFlow with 18 workers and
+        // Draco "at least one order of magnitude slower".
+        let draco = draco_throughput(4).unwrap().batches_per_sec;
+        assert!(draco < 10.0, "Draco throughput {draco} should be far below the TF systems");
+        assert!(draco > 0.1);
+    }
+
+    #[test]
+    fn throughput_is_insensitive_to_f_compared_to_compute() {
+        // Both configurations sit in the same low band (the paper observes
+        // "changing the number of Byzantine workers does not have a
+        // remarkable effect").
+        let t1 = draco_throughput(1).unwrap().batches_per_sec;
+        let t4 = draco_throughput(4).unwrap().batches_per_sec;
+        assert!(t1 < 10.0 && t4 < 10.0);
+        // f = 10 needs groups of 2f + 1 = 21 > 18 workers: no group decodes.
+        assert!(matches!(draco_throughput(10), Err(PsError::Aggregation(_))));
+    }
+
+    #[test]
+    fn throughput_simulation_requires_the_tree_root_to_be_the_rule() {
+        let tree = TreeConfig::repetition(1);
+        let sim = ThroughputSimulation {
+            workers: 9,
+            gar: GarConfig::new(GarKind::Median, 1),
+            tree: Some(tree),
+            batch_size: 10,
+            cost: CostModel::paper_like(),
+            link: LinkConfig::datacenter(),
+            proxy_dimension: 100,
+        };
+        assert!(matches!(sim.run(), Err(PsError::InvalidConfig(_))));
+        // Three groups of three: three decoded batches per round.
+        let draco = ThroughputSimulation { gar: tree.root, ..sim }.run().unwrap();
+        assert_eq!(draco.batches_per_sec * draco.round_time_sec, 3.0);
     }
 }

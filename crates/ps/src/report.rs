@@ -160,7 +160,7 @@ pub struct TrainingReport {
     /// Total simulated wall-clock time of the run, in seconds.
     pub simulated_time_sec: f64,
     /// One record per round of a `SyncTrainingEngine` run, in step order
-    /// (empty for the Draco baseline, which keeps none). Every counter above
+    /// (empty for a report the engine did not produce). Every counter above
     /// except `steps_completed`, the trace and the ledger's transitions is a
     /// fold over these.
     pub rounds: Vec<RoundRecord>,

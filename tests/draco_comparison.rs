@@ -7,35 +7,22 @@
 //!   much larger;
 //! * Draco requires agreement on the data assignment (groups share batches),
 //!   which AggregaThor does not.
+//!
+//! Both sides run on the one engine and are charged by the one clock: Draco
+//! is a repetition tree ([`TreeConfig::repetition`]) whose groups of
+//! `2f + 1` vote by majority and whose root averages.
 
-use agg_core::{GarConfig, GarKind};
-use agg_draco::{
-    AssignmentScheme, DracoConfig, DracoThroughputSimulation, DracoTrainer, GroupAssignment,
-};
+use agg_attacks::AttackKind;
+use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::LinkConfig;
-use agg_nn::optim::OptimizerKind;
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    CostModel, ExperimentKind, RunnerConfig, SyncTrainingEngine, ThroughputSimulation,
-    VirtualModelCost,
+    CostModel, ExperimentKind, RoundVerdict, RunnerConfig, SyncTrainingEngine,
+    ThroughputSimulation, TrainingReport, VirtualModelCost,
 };
 
 fn experiment() -> ExperimentKind {
     ExperimentKind::MlpBlobs { input_dim: 32, hidden: 48, classes: 10, samples: 2000 }
-}
-
-fn draco_config(workers: usize, f: usize) -> DracoConfig {
-    DracoConfig {
-        batch_size: 25,
-        max_steps: 80,
-        eval_every: 20,
-        eval_samples: 256,
-        learning_rate: LearningRate::Fixed { rate: 0.01 },
-        optimizer: OptimizerKind::RmsProp,
-        cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
-        seed: 9,
-        ..DracoConfig::paper_like(experiment(), workers, f)
-    }
 }
 
 fn aggregathor_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
@@ -54,13 +41,25 @@ fn aggregathor_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
     }
 }
 
+/// Draco with `f` over `workers`, against the reversed-gradient adversary
+/// of the paper's comparison.
+fn draco_config(workers: usize, f: usize) -> RunnerConfig {
+    let tree = TreeConfig::repetition(f);
+    RunnerConfig {
+        tree: Some(tree),
+        attack: AttackKind::Reversed { scale: 100.0 },
+        ..aggregathor_config(tree.root.kind, tree.root.f, workers)
+    }
+}
+
+fn run(config: RunnerConfig) -> TrainingReport {
+    SyncTrainingEngine::new(config).unwrap().run().unwrap()
+}
+
 #[test]
 fn both_systems_reach_comparable_final_accuracy() {
-    let draco = DracoTrainer::new(draco_config(19, 4)).unwrap().run().unwrap();
-    let aggregathor = SyncTrainingEngine::new(aggregathor_config(GarKind::MultiKrum, 4, 19))
-        .unwrap()
-        .run()
-        .unwrap();
+    let draco = run(draco_config(19, 4));
+    let aggregathor = run(aggregathor_config(GarKind::MultiKrum, 4, 19));
     assert!(draco.final_accuracy() > 0.65, "draco accuracy {}", draco.final_accuracy());
     assert!(
         aggregathor.final_accuracy() > 0.65,
@@ -72,13 +71,10 @@ fn both_systems_reach_comparable_final_accuracy() {
 #[test]
 fn draco_is_slower_in_simulated_time_than_the_baseline_for_the_same_number_of_steps() {
     // The redundancy (2f + 1 gradients' worth of work per useful batch) plus
-    // the linear-in-n·d decode make Draco's rounds much longer than the
-    // TensorFlow baseline's.
-    let draco = DracoTrainer::new(draco_config(19, 4)).unwrap().run().unwrap();
-    let baseline = SyncTrainingEngine::new(aggregathor_config(GarKind::Average, 0, 19))
-        .unwrap()
-        .run()
-        .unwrap();
+    // the decode make Draco's rounds much longer than the TensorFlow
+    // baseline's.
+    let draco = run(draco_config(19, 4));
+    let baseline = run(aggregathor_config(GarKind::Average, 0, 19));
     assert!(
         draco.simulated_time_sec > 1.5 * baseline.simulated_time_sec,
         "draco {:.1}s vs baseline {:.1}s",
@@ -89,31 +85,19 @@ fn draco_is_slower_in_simulated_time_than_the_baseline_for_the_same_number_of_st
 
 #[test]
 fn draco_throughput_is_an_order_of_magnitude_below_averaging() {
-    let cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
     let averaging = ThroughputSimulation {
         workers: 18,
         gar: GarConfig::new(GarKind::Average, 0),
+        tree: None,
         batch_size: 100,
-        cost,
+        cost: CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn()),
         link: LinkConfig::datacenter(),
         proxy_dimension: 50_000,
-    }
-    .run()
-    .unwrap()
-    .batches_per_sec;
-    let draco = DracoThroughputSimulation {
-        workers: 18,
-        f: 4,
-        scheme: AssignmentScheme::Repetition,
-        batch_size: 100,
-        cost,
-        link: LinkConfig::datacenter(),
-        dimension: 1_756_426,
-        encode_overhead_factor: 2.0,
-        decode_sec_per_worker_million_params: 0.03,
-    }
-    .run()
-    .unwrap();
+    };
+    let tree = TreeConfig::repetition(4);
+    let draco = ThroughputSimulation { gar: tree.root, tree: Some(tree), ..averaging.clone() };
+    let averaging = averaging.run().unwrap().batches_per_sec;
+    let draco = draco.run().unwrap().batches_per_sec;
     assert!(
         averaging > 8.0 * draco,
         "averaging {averaging:.2} batches/s should dwarf Draco {draco:.2} batches/s"
@@ -125,28 +109,50 @@ fn draco_tolerates_exactly_f_byzantine_per_group_and_no_more() {
     // Within the code's tolerance Draco recovers the honest gradient exactly…
     let mut within = draco_config(9, 1);
     within.byzantine_count = 1;
-    let report = DracoTrainer::new(within).unwrap().run().unwrap();
+    let report = run(within);
     assert!(report.final_accuracy() > 0.65, "accuracy {}", report.final_accuracy());
     assert_eq!(report.skipped_updates, 0);
 
     // …but colluding traitors outnumbering the group majority defeat it.
     let mut beyond = draco_config(9, 1);
     beyond.byzantine_count = 2;
-    let report = DracoTrainer::new(beyond).unwrap().run().unwrap();
+    let report = run(beyond);
     assert!(report.final_accuracy() < 0.65, "accuracy {}", report.final_accuracy());
 }
 
 #[test]
 fn draco_requires_grouped_data_assignment_unlike_aggregathor() {
     // The structural difference the paper's related-work section stresses:
-    // Draco's correctness depends on workers sharing mini-batches (group
-    // assignment), whereas every AggregaThor worker samples independently.
-    let assignment = GroupAssignment::new(AssignmentScheme::Repetition, 9, 1).unwrap();
-    assert_eq!(assignment.redundancy(), 3);
-    for g in 0..assignment.group_count() {
-        assert_eq!(assignment.group(g).unwrap().len(), 3);
-    }
-    // AggregaThor's engine imposes no such grouping: every worker has its own
-    // independent sampler stream (checked indirectly by the reproducibility
-    // and convergence tests in end_to_end.rs).
+    // Draco's correctness depends on the members of a group sharing their
+    // mini-batch. With no Byzantine worker every group of a repetition tree
+    // decodes in every round, which can only happen when its members' rows
+    // are bit-equal. Every AggregaThor worker samples its own stream.
+    let report = run(RunnerConfig { max_steps: 20, ..draco_config(9, 1) });
+    assert_eq!(report.rounds.len(), 20);
+    assert!(report.rounds.iter().all(|r| r.verdict == RoundVerdict::Applied));
+    assert_eq!(report.steps_completed, 20);
+}
+
+#[test]
+fn flat_majority_run_equals_a_one_group_repetition_tree() {
+    // 2f + 1 workers are one repetition group: the flat vote and the tree
+    // (vote, then the root's average over its one output) apply the same
+    // updates. Only the clock differs, by the tree's group → root leg.
+    let f = 2;
+    let flat =
+        RunnerConfig { max_steps: 30, ..aggregathor_config(GarKind::Majority, f, 2 * f + 1) };
+    let tree = RunnerConfig { max_steps: 30, ..draco_config(2 * f + 1, f) };
+    let mut flat_engine = SyncTrainingEngine::new(flat).unwrap();
+    let mut tree_engine = SyncTrainingEngine::new(tree).unwrap();
+    let (flat_report, tree_report) = (flat_engine.run().unwrap(), tree_engine.run().unwrap());
+    let bits = |engine: &SyncTrainingEngine| -> Vec<u32> {
+        engine.parameters().as_slice().iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(&flat_engine), bits(&tree_engine));
+    let verdicts = |report: &TrainingReport| -> Vec<RoundVerdict> {
+        report.rounds.iter().map(|r| r.verdict).collect()
+    };
+    assert_eq!(verdicts(&flat_report), vec![RoundVerdict::Applied; 30]);
+    assert_eq!(verdicts(&flat_report), verdicts(&tree_report));
+    assert!(tree_report.simulated_time_sec > flat_report.simulated_time_sec);
 }

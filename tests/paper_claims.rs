@@ -4,8 +4,7 @@
 //! rule's work instead of timing it, every comparison is exact.
 
 use agg_core::resilience::resilience_floor;
-use agg_core::{GarConfig, GarKind};
-use agg_draco::{AssignmentScheme, DracoThroughputSimulation};
+use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::LinkConfig;
 use agg_ps::{CostModel, PsError, ThroughputSimulation, VirtualModelCost};
 
@@ -31,6 +30,7 @@ fn simulation(
     ThroughputSimulation {
         workers,
         gar: GarConfig::new(kind, f),
+        tree: None,
         batch_size: 100,
         cost: CostModel::paper_like().with_virtual_model(model),
         link: LinkConfig::datacenter(),
@@ -43,20 +43,14 @@ fn throughput(kind: GarKind, f: usize, workers: usize, model: VirtualModelCost) 
     simulation(kind, f, workers, model).run().ok().map(|r| r.batches_per_sec)
 }
 
+/// Draco's batches per second: the repetition tree over the same cost model.
 fn draco(f: usize, workers: usize, model: VirtualModelCost) -> Option<f64> {
-    DracoThroughputSimulation {
-        workers,
-        f,
-        scheme: AssignmentScheme::Repetition,
-        batch_size: 100,
-        cost: CostModel::paper_like().with_virtual_model(model),
-        link: LinkConfig::datacenter(),
-        dimension: model.dimension,
-        encode_overhead_factor: 2.0,
-        decode_sec_per_worker_million_params: 0.03,
-    }
-    .run()
-    .ok()
+    let tree = TreeConfig::repetition(f);
+    let sim = ThroughputSimulation {
+        tree: Some(tree),
+        ..simulation(tree.root.kind, tree.root.f, workers, model)
+    };
+    sim.run().ok().map(|r| r.batches_per_sec)
 }
 
 const MODELS: [fn() -> VirtualModelCost; 2] =

@@ -10,8 +10,8 @@
 //! workers. The only admissible divergence is floating-point reassociation
 //! in the distance sums, hence the 1e-6 tolerance.
 //!
-//! The property is checked for S ∈ {1, 2, 3, 7} over all ten GAR
-//! configurations (the nine registry kinds plus Multi-Krum with an explicit
+//! The property is checked for S ∈ {1, 2, 3, 7} over all eleven GAR
+//! configurations (the ten registry kinds plus Multi-Krum with an explicit
 //! selection size), on finite batches, on batches carrying NaN/±∞ rows, on
 //! slot-addressed arenas that went through undelivered-row compaction
 //! (`retain_rows`) — the layout a lossy round hands the server — and on the
@@ -28,7 +28,7 @@ use proptest::prelude::*;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 const TOLERANCE: f32 = 1e-6;
 
-/// The nine registry kinds plus Multi-Krum with an explicit `m`: every GAR
+/// The ten registry kinds plus Multi-Krum with an explicit `m`: every GAR
 /// configuration the framework can build.
 fn all_configs(f: usize) -> Vec<GarConfig> {
     let mut configs: Vec<GarConfig> =
@@ -73,33 +73,38 @@ fn primed_agrees(
 }
 
 /// Runs every configuration through the sharded and unsharded paths at
-/// every shard count, requiring the same aggregate or the same error, and
-/// the same selection (or the same refusal) as the rule's own selection
-/// entry.
+/// every shard count (see [`assert_config_sharded_matches_unsharded`]).
+/// Over distinct rows the majority vote refuses on every tier;
+/// [`majority_rows`] gives it batches it decodes.
 fn assert_sharded_matches_unsharded(f: usize, batch: &GradientBatch) {
     for config in all_configs(f) {
-        let flat = config.build().expect("buildable rule");
-        let unsharded = primed_agrees(&*flat, batch, &format!("{config} flat"));
-        let reference = flat.selected_rows(batch, None);
-        for shards in SHARD_COUNTS {
-            let label = format!("{config} S={shards}");
-            let sharded_rule = ShardedAggregator::new(config, shards).expect("valid shards");
-            let sharded = primed_agrees(&sharded_rule, batch, &label);
-            match (&sharded, &unsharded) {
-                (Ok(a), Ok(b)) => assert_aggregates_close(config, shards, a, b),
-                (Err(a), Err(b)) => assert_eq!(a, b, "{label}: sharded and flat fail differently"),
-                (a, b) => {
-                    panic!("{label}: sharded {a:?} disagrees with unsharded {b:?} on success")
-                }
-            }
-            // The selection phase, when the rule has one, must pick exactly
-            // the same workers — the heart of the no-robustness-loss claim.
-            assert_eq!(
-                sharded_rule.selected_rows(batch, None),
-                reference,
-                "{label}: sharded selection diverged"
-            );
+        assert_config_sharded_matches_unsharded(config, batch);
+    }
+}
+
+/// `config` through the sharded and unsharded paths at every shard count,
+/// requiring the same aggregate or the same error, and the same selection
+/// (or the same refusal) as the rule's own selection entry.
+fn assert_config_sharded_matches_unsharded(config: GarConfig, batch: &GradientBatch) {
+    let flat = config.build().expect("buildable rule");
+    let unsharded = primed_agrees(&*flat, batch, &format!("{config} flat"));
+    let reference = flat.selected_rows(batch, None);
+    for shards in SHARD_COUNTS {
+        let label = format!("{config} S={shards}");
+        let sharded_rule = ShardedAggregator::new(config, shards).expect("valid shards");
+        let sharded = primed_agrees(&sharded_rule, batch, &label);
+        match (&sharded, &unsharded) {
+            (Ok(a), Ok(b)) => assert_aggregates_close(config, shards, a, b),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{label}: sharded and flat fail differently"),
+            (a, b) => panic!("{label}: sharded {a:?} disagrees with unsharded {b:?} on success"),
         }
+        // The selection phase, when the rule has one, must pick exactly the
+        // same workers — the heart of the no-robustness-loss claim.
+        assert_eq!(
+            sharded_rule.selected_rows(batch, None),
+            reference,
+            "{label}: sharded selection diverged"
+        );
     }
 }
 
@@ -163,6 +168,25 @@ fn corrupt_rows() -> impl Strategy<Value = Vec<Vec<f32>>> {
     })
 }
 
+/// A repetition group: `copies` replicas of one row among traitor rows
+/// (some carrying NaN/±∞), `copies` from one below to well above a
+/// majority, so the vote both refuses and decodes.
+fn majority_rows() -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (3usize..16, 1usize..24).prop_flat_map(|(n, d)| {
+        let replica = prop::collection::vec(-8.0f32..8.0, d);
+        let traitors = prop::collection::vec(prop::collection::vec(sometimes_corrupt(), d), n);
+        (replica, traitors, n / 2..n + 1, 0usize..n).prop_map(
+            |(replica, mut rows, copies, shift)| {
+                let n = rows.len();
+                for k in 0..copies {
+                    rows[(k + shift) % n] = replica.clone();
+                }
+                rows
+            },
+        )
+    })
+}
+
 #[test]
 fn sharded_and_flat_refuse_the_same_way() {
     // The empty batch and a batch one row below each rule's floor: every
@@ -191,6 +215,21 @@ fn sharded_and_flat_refuse_the_same_way() {
 }
 
 proptest! {
+    #[test]
+    fn majority_decodes_the_same_sharded_and_flat(rows in majority_rows(), f in 0usize..4) {
+        let batch = batch_of(rows);
+        let config = GarConfig::new(GarKind::Majority, f);
+        assert_config_sharded_matches_unsharded(config, &batch);
+        // Sharded ≡ flat by construction: the copy of one row, bit for bit.
+        if let Ok(flat) = config.build().unwrap().aggregate_batch(&batch) {
+            for shards in SHARD_COUNTS {
+                let sharded = ShardedAggregator::new(config, shards).unwrap();
+                let sharded = sharded.aggregate_batch(&batch).unwrap();
+                prop_assert_eq!(bits(&sharded), bits(&flat));
+            }
+        }
+    }
+
     #[test]
     fn sharded_matches_unsharded_on_finite_batches(rows in finite_rows(), f in 0usize..3) {
         assert_sharded_matches_unsharded(f, &batch_of(rows));

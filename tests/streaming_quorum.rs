@@ -7,8 +7,8 @@
 //! (per-row distance accumulation, matrix extraction over the compacted
 //! slot set, distance-primed aggregation) must be bit-for-bit identical to
 //! explicitly dropping the stragglers and running the plain batch rule on
-//! what is left. The property is checked over all ten GAR configurations
-//! (the nine registry kinds plus Multi-Krum with an explicit selection
+//! what is left. The property is checked over all eleven GAR configurations
+//! (the ten registry kinds plus Multi-Krum with an explicit selection
 //! size), on the flat and the sharded tier, under randomised arrival
 //! orders and straggler sets — including rows carrying NaN/±∞ garbage.
 //!
@@ -30,7 +30,7 @@ use agg_tensor::{GradientBatch, Vector};
 use common::{assert_deterministic, run};
 use proptest::prelude::*;
 
-/// The nine registry kinds plus Multi-Krum with an explicit `m`: every GAR
+/// The ten registry kinds plus Multi-Krum with an explicit `m`: every GAR
 /// configuration the framework can build.
 fn all_configs(f: usize) -> Vec<GarConfig> {
     let mut configs: Vec<GarConfig> =
@@ -61,8 +61,15 @@ fn arrival_order(n: usize, seed: u64) -> Vec<usize> {
 /// fold each accepted row in at its arrival, extract the matrix over the
 /// compacted slot set, compact — and checks the distance-primed aggregate
 /// against the plain batch rule over an explicitly packed batch of the
-/// same accepted rows, bit for bit, for every GAR configuration.
-fn assert_quorum_equals_explicit_drop(rows: &[Vec<f32>], f: usize, shards: usize, seed: u64) {
+/// same accepted rows, bit for bit, for every configuration in `configs`
+/// (the quorum is `n − f` for the first one's `f`).
+fn assert_quorum_equals_explicit_drop(
+    rows: &[Vec<f32>],
+    configs: &[GarConfig],
+    shards: usize,
+    seed: u64,
+) {
+    let f = configs[0].f;
     let n = rows.len();
     let d = rows[0].len();
     let quorum = QuorumPolicy::NMinusF.accept_count(n, f);
@@ -92,7 +99,7 @@ fn assert_quorum_equals_explicit_drop(rows: &[Vec<f32>], f: usize, shards: usize
         kept_slots.iter().map(|&slot| Vector::from(rows[slot].clone())).collect();
     let packed = GradientBatch::from_vectors(&survivors).expect("non-empty quorum");
 
-    for config in all_configs(f) {
+    for &config in configs {
         let (streamed, reference) = if shards > 1 {
             let rule = ShardedAggregator::new(config, shards).expect("valid shards");
             (
@@ -156,6 +163,25 @@ fn corrupt_rows() -> impl Strategy<Value = Vec<Vec<f32>>> {
     })
 }
 
+/// A repetition group: `copies` replicas of one row among traitor rows
+/// (some carrying NaN/±∞), from just below a majority to every row, so
+/// the `n − f` quorum both keeps and breaks the vote's majority.
+fn majority_rows() -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (5usize..16, 1usize..24).prop_flat_map(|(n, d)| {
+        let replica = prop::collection::vec(-8.0f32..8.0, d);
+        let traitors = prop::collection::vec(prop::collection::vec(sometimes_corrupt(), d), n);
+        (replica, traitors, n / 2..n + 1, 0usize..n).prop_map(
+            |(replica, mut rows, copies, shift)| {
+                let n = rows.len();
+                for k in 0..copies {
+                    rows[(k + shift) % n] = replica.clone();
+                }
+                rows
+            },
+        )
+    })
+}
+
 proptest! {
     #[test]
     fn quorum_equals_explicit_drop_on_the_flat_tier(
@@ -163,7 +189,7 @@ proptest! {
         f in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        assert_quorum_equals_explicit_drop(&rows, f, 1, seed);
+        assert_quorum_equals_explicit_drop(&rows, &all_configs(f), 1, seed);
     }
 
     #[test]
@@ -173,7 +199,18 @@ proptest! {
         shards in 2usize..6,
         seed in 0u64..u64::MAX,
     ) {
-        assert_quorum_equals_explicit_drop(&rows, f, shards, seed);
+        assert_quorum_equals_explicit_drop(&rows, &all_configs(f), shards, seed);
+    }
+
+    #[test]
+    fn quorum_equals_explicit_drop_for_the_majority_vote(
+        rows in majority_rows(),
+        f in 0usize..3,
+        shards in 1usize..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        let majority = [GarConfig::new(GarKind::Majority, f)];
+        assert_quorum_equals_explicit_drop(&rows, &majority, shards, seed);
     }
 }
 
