@@ -16,33 +16,19 @@ use agg_tensor::{ops, GradientBatch, ShardPlan, Vector};
 /// builds.
 pub(crate) const WEISZFELD_ITERATIONS: usize = 8;
 
+/// Distance and shift below which a Weiszfeld step stops.
+const WEISZFELD_TOLERANCE: f32 = 1e-6;
+
 /// Weiszfeld-iteration approximation of the geometric median.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometricMedian {
     f: usize,
-    iterations: usize,
-    tolerance: f32,
 }
 
 impl GeometricMedian {
-    /// Creates the rule with the default 8 Weiszfeld iterations.
+    /// Creates the rule (8 Weiszfeld iterations).
     pub fn new(f: usize) -> Self {
-        GeometricMedian { f, iterations: WEISZFELD_ITERATIONS, tolerance: 1e-6 }
-    }
-
-    /// Overrides the number of refinement iterations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggregationError::InvalidArgument`] when `iterations == 0`.
-    pub fn with_iterations(f: usize, iterations: usize) -> Result<Self> {
-        if iterations == 0 {
-            return Err(AggregationError::InvalidArgument {
-                rule: "geometric-median".into(),
-                message: "iterations must be positive".into(),
-            });
-        }
-        Ok(GeometricMedian { f, iterations, tolerance: 1e-6 })
+        GeometricMedian { f }
     }
 
     /// Declared number of Byzantine workers.
@@ -92,14 +78,14 @@ impl Gar for GeometricMedian {
         }
         // Start from the coordinate-wise median — already a robust point.
         let mut estimate = batch.coordinate_median_of_rows(&finite)?;
-        for _ in 0..self.iterations {
+        for _ in 0..WEISZFELD_ITERATIONS {
             let mut weight_sum = 0.0f32;
             let mut next = Vector::zeros(estimate.len());
             let mut coincides = false;
             for &r in &finite {
                 let row = batch.row(r);
                 let distance = ops::squared_distance(estimate.as_slice(), row).sqrt().max(1e-12);
-                if distance <= self.tolerance {
+                if distance <= WEISZFELD_TOLERANCE {
                     coincides = true;
                     break;
                 }
@@ -115,7 +101,7 @@ impl Gar for GeometricMedian {
             next.scale(1.0 / weight_sum);
             let shift = estimate.distance(&next);
             estimate = next;
-            if shift <= self.tolerance {
+            if shift <= WEISZFELD_TOLERANCE {
                 break;
             }
         }
@@ -175,19 +161,8 @@ mod tests {
 
     #[test]
     fn configuration_validation() {
-        assert!(GeometricMedian::with_iterations(1, 0).is_err());
-        assert!(GeometricMedian::with_iterations(1, 4).is_ok());
         assert_eq!(GeometricMedian::default().f(), 0);
         let gar = GeometricMedian::new(2);
         assert!(gar.aggregate(&vec![Vector::zeros(1); 4]).is_err());
-    }
-
-    #[test]
-    fn more_iterations_do_not_move_the_estimate_far() {
-        let gs: Vec<Vector> =
-            (0..9).map(|i| Vector::from(vec![(i % 3) as f32, (i / 3) as f32])).collect();
-        let coarse = GeometricMedian::with_iterations(1, 2).unwrap().aggregate(&gs).unwrap();
-        let fine = GeometricMedian::with_iterations(1, 32).unwrap().aggregate(&gs).unwrap();
-        assert!(coarse.distance(&fine) < 0.5);
     }
 }

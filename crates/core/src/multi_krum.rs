@@ -148,11 +148,6 @@ impl MultiKrum {
         self.f
     }
 
-    /// Configured selection size, if explicitly set.
-    pub fn selection_size(&self) -> Option<usize> {
-        self.m
-    }
-
     /// Resolves the selection size for a batch of `n` gradients.
     pub(crate) fn resolve_m(&self, n: usize) -> Result<usize> {
         let max_m = resilience::multi_krum_max_m(n, self.f)?;

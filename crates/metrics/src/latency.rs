@@ -40,24 +40,6 @@ impl LatencyBreakdown {
         self.rounds
     }
 
-    /// Mean computation + communication time per round.
-    pub fn mean_compute_comm_sec(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.compute_comm_sec / self.rounds as f64
-        }
-    }
-
-    /// Mean aggregation time per round.
-    pub fn mean_aggregation_sec(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.aggregation_sec / self.rounds as f64
-        }
-    }
-
     /// Fraction of total round time spent in aggregation — the percentage the
     /// paper reports (35 % for Median, 27 % for Multi-Krum, 52 % for Bulyan).
     pub fn aggregation_share(&self) -> f64 {
@@ -82,8 +64,6 @@ mod tests {
         assert_eq!(b.rounds(), 2);
         assert!((b.compute_comm_sec() - 1.0).abs() < 1e-9);
         assert!((b.aggregation_sec() - 0.4).abs() < 1e-9);
-        assert!((b.mean_compute_comm_sec() - 0.5).abs() < 1e-9);
-        assert!((b.mean_aggregation_sec() - 0.2).abs() < 1e-9);
         assert!((b.aggregation_share() - 0.4 / 1.4).abs() < 1e-9);
     }
 
@@ -91,8 +71,6 @@ mod tests {
     fn empty_breakdown_is_all_zero() {
         let b = LatencyBreakdown::new();
         assert_eq!(b.aggregation_share(), 0.0);
-        assert_eq!(b.mean_aggregation_sec(), 0.0);
-        assert_eq!(b.mean_compute_comm_sec(), 0.0);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as CSV (header + rows, no title).
     pub fn to_csv(&self) -> String {
         let mut out = self.header.join(",");
@@ -95,7 +90,6 @@ mod tests {
         assert!(s.contains("== Throughput =="));
         assert!(s.contains("workers"));
         assert!(s.contains("20.9"));
-        assert_eq!(t.row_count(), 2);
         assert_eq!(t.title(), "Throughput");
     }
 

@@ -50,15 +50,6 @@ impl ThroughputMeter {
             self.gradients_received as f64 / self.elapsed_sec
         }
     }
-
-    /// Model updates per second.
-    pub fn updates_per_sec(&self) -> f64 {
-        if self.elapsed_sec <= 0.0 {
-            0.0
-        } else {
-            self.model_updates as f64 / self.elapsed_sec
-        }
-    }
 }
 
 #[cfg(test)]
@@ -74,14 +65,12 @@ mod tests {
         assert_eq!(m.model_updates(), 2);
         assert!((m.elapsed_sec() - 1.0).abs() < 1e-9);
         assert!((m.gradients_per_sec() - 38.0).abs() < 1e-9);
-        assert!((m.updates_per_sec() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_meter_reports_zero() {
         let m = ThroughputMeter::new();
         assert_eq!(m.gradients_per_sec(), 0.0);
-        assert_eq!(m.updates_per_sec(), 0.0);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Sequential {
         &self.input_shape
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of trainable parameters (the `d` of the paper).
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
@@ -295,7 +290,6 @@ mod tests {
         let model = tiny_model(1);
         assert_eq!(model.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(model.output_shape().unwrap(), vec![3]);
-        assert_eq!(model.layer_count(), 3);
         assert!(model.flops_per_sample() > 0);
     }
 

@@ -52,17 +52,7 @@ pub fn small_cnn(channels: usize, classes: usize, seed: u64) -> Sequential {
 /// statements are about gradient statistics, not about convolution, so the
 /// MLP gives the same comparative curves at a fraction of the cost.
 pub fn synthetic_mlp(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Sequential {
-    let mut model = Sequential::new("synthetic-mlp", &[input_dim]);
-    let mut in_dim = input_dim;
-    let mut layer_seed = seed;
-    for &h in hidden {
-        model.push(Box::new(Dense::new(in_dim, h, Init::HeNormal, layer_seed)));
-        model.push(Box::new(Relu::new()));
-        in_dim = h;
-        layer_seed += 1;
-    }
-    model.push(Box::new(Dense::new(in_dim, classes, Init::XavierUniform, layer_seed)));
-    model
+    synthetic_mlp_named("synthetic-mlp", input_dim, hidden, classes, seed)
 }
 
 /// The "large model" standing in for ResNet50 in the Figure 5(b) scalability

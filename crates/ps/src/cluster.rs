@@ -1,42 +1,15 @@
-//! Cluster description and policy-based device allocation.
+//! The node model: every worker computes on one kind of machine.
 //!
-//! The paper highlights that AggregaThor "simplifies the experimentation on
-//! large and possibly heterogeneous server farms by providing automatic,
-//! policy-based device selection and cluster-wide allocation". This module is
-//! the simulated counterpart: a cluster is a list of nodes with devices and
-//! relative speeds, jobs (`ps`, `worker`, `eval`) are mapped onto nodes by a
-//! placement policy, and the resulting assignment feeds the cost model.
-
-use crate::{PsError, Result};
-use serde::{Deserialize, Serialize};
-
-/// The kind of compute device a node offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeviceKind {
-    /// General-purpose CPU cores.
-    Cpu,
-    /// A CUDA-class accelerator.
-    Gpu,
-}
-
-/// The role a process plays in the TensorFlow-style cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Job {
-    /// The (trusted) parameter server.
-    ParameterServer,
-    /// A gradient-computing worker.
-    Worker,
-    /// The evaluation node that measures test accuracy out of band.
-    Evaluator,
-}
+//! The paper deploys on Grid5000, one job per node (1 parameter server and
+//! 19 workers on 20 nodes). The simulated clock needs one figure from that
+//! deployment: the sustained FLOP/s a worker node spends on its gradient,
+//! which the engine's Phase 1 and the throughput simulator both charge.
 
 /// One machine in the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Host name (informational).
     pub name: String,
-    /// Device kind the node contributes.
-    pub device: DeviceKind,
     /// Sustained throughput of the node in FLOP/s for the gradient
     /// computation (the cost model divides model FLOPs by this).
     pub flops_per_sec: f64,
@@ -46,388 +19,6 @@ impl Node {
     /// A node modelled after the paper's Grid5000 machines (2× Xeon E5-2630,
     /// treated as ~50 GFLOP/s sustained for this workload).
     pub fn grid5000_cpu(index: usize) -> Self {
-        Node { name: format!("g5k-node-{index}"), device: DeviceKind::Cpu, flops_per_sec: 5.0e10 }
-    }
-
-    /// A GPU node (used by the heterogeneous-cluster tests).
-    pub fn gpu(index: usize) -> Self {
-        Node { name: format!("gpu-node-{index}"), device: DeviceKind::Gpu, flops_per_sec: 5.0e11 }
-    }
-}
-
-/// How jobs are assigned to nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum PlacementPolicy {
-    /// One job per node, round-robin, parameter server first (the paper's
-    /// deployment: 1 PS + 19 workers on 20 nodes).
-    #[default]
-    OneJobPerNode,
-    /// Pack everything onto the first node (the "local deployment" of the
-    /// artifact appendix, used for quick checks).
-    Collocated,
-    /// Prefer GPU nodes for workers, CPU nodes for the parameter server.
-    GpuWorkers,
-}
-
-/// A cluster: nodes plus the placement of the parameter server, the workers
-/// and the evaluator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSpec {
-    nodes: Vec<Node>,
-    /// `assignments[i] = (job, node index)` for every process, in creation
-    /// order: PS shards 0..S, workers 0..n, evaluator.
-    assignments: Vec<(Job, usize)>,
-    workers: usize,
-    /// Number of parameter-server shard processes (1 = monolithic server).
-    ps_shards: usize,
-}
-
-impl ClusterSpec {
-    /// Builds a cluster of `node_count` identical Grid5000-like CPU nodes and
-    /// places 1 parameter server, `workers` workers and 1 evaluator according
-    /// to the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] when there are zero nodes or zero
-    /// workers, or when `OneJobPerNode` does not have enough nodes.
-    pub fn homogeneous(node_count: usize, workers: usize, policy: PlacementPolicy) -> Result<Self> {
-        let nodes: Vec<Node> = (0..node_count).map(Node::grid5000_cpu).collect();
-        ClusterSpec::with_nodes(nodes, workers, policy)
-    }
-
-    /// Like [`ClusterSpec::homogeneous`], but with the parameter-server tier
-    /// split into `ps_shards` shard processes (the paper's multi-server
-    /// deployment). Under `OneJobPerNode` every shard gets its own node.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClusterSpec::with_nodes`], plus
-    /// [`PsError::InvalidConfig`] when `ps_shards` is zero.
-    pub fn homogeneous_sharded(
-        node_count: usize,
-        workers: usize,
-        ps_shards: usize,
-        policy: PlacementPolicy,
-    ) -> Result<Self> {
-        let nodes: Vec<Node> = (0..node_count).map(Node::grid5000_cpu).collect();
-        ClusterSpec::with_nodes_sharded(nodes, workers, ps_shards, policy)
-    }
-
-    /// Hierarchical-aggregation placement: one aggregator job per worker
-    /// group plus a root aggregator. The root is aggregator job 0 (so
-    /// [`ClusterSpec::parameter_server_node`] and
-    /// [`ClusterSpec::root_aggregator_node`] agree) and group `k`'s
-    /// aggregator is job `k + 1`; under `OneJobPerNode` every aggregator gets
-    /// its own node, ahead of the workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] when `groups` is zero, or under the
-    /// same conditions as [`ClusterSpec::with_nodes_sharded`].
-    pub fn homogeneous_tree(
-        node_count: usize,
-        workers: usize,
-        groups: usize,
-        policy: PlacementPolicy,
-    ) -> Result<Self> {
-        if groups == 0 {
-            return Err(PsError::InvalidConfig(
-                "a tree placement needs at least one worker group".into(),
-            ));
-        }
-        ClusterSpec::homogeneous_sharded(node_count, workers, groups + 1, policy)
-    }
-
-    /// The node running the root aggregator of a tree placement.
-    pub fn root_aggregator_node(&self) -> &Node {
-        self.parameter_server_node()
-    }
-
-    /// The node running group `k`'s aggregator in a tree placement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] when `k` is not a placed group
-    /// (including when the cluster was not built by
-    /// [`ClusterSpec::homogeneous_tree`]).
-    pub fn group_aggregator_node(&self, k: usize) -> Result<&Node> {
-        self.parameter_server_shard_node(k + 1)
-    }
-
-    /// The paper's evaluation platform: 20 nodes, 19 workers, 1 PS (the
-    /// evaluator shares the PS node, as the original in-graph deployment
-    /// does).
-    pub fn paper_default() -> Self {
-        ClusterSpec::homogeneous(20, 19, PlacementPolicy::OneJobPerNode)
-            .expect("the paper configuration is valid")
-    }
-
-    /// Builds a cluster from explicit nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] for empty node lists, zero workers,
-    /// or a `OneJobPerNode` placement without enough nodes.
-    pub fn with_nodes(nodes: Vec<Node>, workers: usize, policy: PlacementPolicy) -> Result<Self> {
-        ClusterSpec::with_nodes_sharded(nodes, workers, 1, policy)
-    }
-
-    /// Builds a cluster from explicit nodes with `ps_shards` parameter-server
-    /// shard processes. Shard `s` serves the `s`-th contiguous coordinate
-    /// range of the model; under `OneJobPerNode` each shard occupies its own
-    /// node (nodes `0..ps_shards`), under the packing policies the shards
-    /// collocate with the first parameter-server placement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] for empty node lists, zero workers,
-    /// zero shards, or a `OneJobPerNode` placement without enough nodes.
-    pub fn with_nodes_sharded(
-        nodes: Vec<Node>,
-        workers: usize,
-        ps_shards: usize,
-        policy: PlacementPolicy,
-    ) -> Result<Self> {
-        if nodes.is_empty() {
-            return Err(PsError::InvalidConfig("cluster needs at least one node".into()));
-        }
-        if workers == 0 {
-            return Err(PsError::InvalidConfig("cluster needs at least one worker".into()));
-        }
-        if ps_shards == 0 {
-            return Err(PsError::InvalidConfig(
-                "cluster needs at least one parameter-server shard".into(),
-            ));
-        }
-        let mut assignments = Vec::with_capacity(workers + ps_shards + 1);
-        match policy {
-            PlacementPolicy::Collocated => {
-                for _ in 0..ps_shards {
-                    assignments.push((Job::ParameterServer, 0));
-                }
-                for _ in 0..workers {
-                    assignments.push((Job::Worker, 0));
-                }
-                assignments.push((Job::Evaluator, 0));
-            }
-            PlacementPolicy::OneJobPerNode => {
-                if nodes.len() < workers + ps_shards {
-                    return Err(PsError::InvalidConfig(format!(
-                        "one-job-per-node placement needs {} nodes, cluster has {}",
-                        workers + ps_shards,
-                        nodes.len()
-                    )));
-                }
-                for s in 0..ps_shards {
-                    assignments.push((Job::ParameterServer, s));
-                }
-                for w in 0..workers {
-                    assignments.push((Job::Worker, ps_shards + w));
-                }
-                // The evaluator shares the first PS node (out-of-band
-                // evaluation).
-                assignments.push((Job::Evaluator, 0));
-            }
-            PlacementPolicy::GpuWorkers => {
-                let gpu_nodes: Vec<usize> = nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, n)| n.device == DeviceKind::Gpu)
-                    .map(|(i, _)| i)
-                    .collect();
-                let cpu_nodes: Vec<usize> = nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, n)| n.device == DeviceKind::Cpu)
-                    .map(|(i, _)| i)
-                    .collect();
-                let ps_node = *cpu_nodes.first().unwrap_or(&0);
-                for s in 0..ps_shards {
-                    // Shards spread round-robin over the CPU nodes so a big
-                    // shard tier is not pinned to one box.
-                    let node = cpu_nodes.get(s % cpu_nodes.len().max(1)).copied().unwrap_or(0);
-                    assignments.push((Job::ParameterServer, node));
-                }
-                let preferred: Vec<usize> =
-                    if gpu_nodes.is_empty() { (0..nodes.len()).collect() } else { gpu_nodes };
-                for w in 0..workers {
-                    assignments.push((Job::Worker, preferred[w % preferred.len()]));
-                }
-                assignments.push((Job::Evaluator, ps_node));
-            }
-        }
-        Ok(ClusterSpec { nodes, assignments, workers, ps_shards })
-    }
-
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of parameter-server shard processes (1 = monolithic server).
-    pub fn parameter_server_count(&self) -> usize {
-        self.ps_shards
-    }
-
-    /// The node running parameter-server shard `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] when `s` is out of range.
-    pub fn parameter_server_shard_node(&self, s: usize) -> Result<&Node> {
-        self.assignments
-            .iter()
-            .filter(|(job, _)| *job == Job::ParameterServer)
-            .nth(s)
-            .map(|&(_, i)| &self.nodes[i])
-            .ok_or_else(|| {
-                PsError::InvalidConfig(format!("parameter-server shard {s} is not placed"))
-            })
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The node running the parameter server.
-    pub fn parameter_server_node(&self) -> &Node {
-        let idx = self
-            .assignments
-            .iter()
-            .find(|(job, _)| *job == Job::ParameterServer)
-            .map(|&(_, i)| i)
-            .unwrap_or(0);
-        &self.nodes[idx]
-    }
-
-    /// The node running worker `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::InvalidConfig`] when `w` is out of range.
-    pub fn worker_node(&self, w: usize) -> Result<&Node> {
-        self.assignments
-            .iter()
-            .filter(|(job, _)| *job == Job::Worker)
-            .nth(w)
-            .map(|&(_, i)| &self.nodes[i])
-            .ok_or_else(|| PsError::InvalidConfig(format!("worker {w} is not placed")))
-    }
-
-    /// Full placement listing (job, node name) for reporting.
-    pub fn placement(&self) -> Vec<(Job, &str)> {
-        self.assignments.iter().map(|&(job, i)| (job, self.nodes[i].name.as_str())).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_default_matches_the_evaluation_setup() {
-        let cluster = ClusterSpec::paper_default();
-        assert_eq!(cluster.worker_count(), 19);
-        assert_eq!(cluster.nodes().len(), 20);
-        // Every worker gets its own node, distinct from the PS node.
-        let ps_name = cluster.parameter_server_node().name.clone();
-        for w in 0..19 {
-            assert_ne!(cluster.worker_node(w).unwrap().name, ps_name);
-        }
-    }
-
-    #[test]
-    fn one_job_per_node_requires_enough_nodes() {
-        assert!(ClusterSpec::homogeneous(5, 10, PlacementPolicy::OneJobPerNode).is_err());
-        assert!(ClusterSpec::homogeneous(11, 10, PlacementPolicy::OneJobPerNode).is_ok());
-    }
-
-    #[test]
-    fn collocated_placement_packs_one_node() {
-        let cluster = ClusterSpec::homogeneous(1, 4, PlacementPolicy::Collocated).unwrap();
-        assert_eq!(cluster.worker_count(), 4);
-        for w in 0..4 {
-            assert_eq!(cluster.worker_node(w).unwrap().name, "g5k-node-0");
-        }
-    }
-
-    #[test]
-    fn gpu_policy_prefers_gpu_nodes_for_workers() {
-        let nodes = vec![Node::grid5000_cpu(0), Node::gpu(1), Node::gpu(2)];
-        let cluster = ClusterSpec::with_nodes(nodes, 4, PlacementPolicy::GpuWorkers).unwrap();
-        assert_eq!(cluster.parameter_server_node().device, DeviceKind::Cpu);
-        for w in 0..4 {
-            assert_eq!(cluster.worker_node(w).unwrap().device, DeviceKind::Gpu);
-        }
-    }
-
-    #[test]
-    fn gpu_policy_falls_back_to_cpu_only_clusters() {
-        let nodes = vec![Node::grid5000_cpu(0), Node::grid5000_cpu(1)];
-        let cluster = ClusterSpec::with_nodes(nodes, 3, PlacementPolicy::GpuWorkers).unwrap();
-        assert_eq!(cluster.worker_count(), 3);
-        assert!(cluster.worker_node(0).is_ok());
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        assert!(ClusterSpec::with_nodes(vec![], 1, PlacementPolicy::Collocated).is_err());
-        assert!(ClusterSpec::homogeneous(2, 0, PlacementPolicy::Collocated).is_err());
-        let cluster = ClusterSpec::homogeneous(2, 1, PlacementPolicy::Collocated).unwrap();
-        assert!(cluster.worker_node(5).is_err());
-    }
-
-    #[test]
-    fn sharded_ps_placement_gives_every_shard_its_own_node() {
-        let cluster =
-            ClusterSpec::homogeneous_sharded(10, 6, 4, PlacementPolicy::OneJobPerNode).unwrap();
-        assert_eq!(cluster.parameter_server_count(), 4);
-        assert_eq!(cluster.worker_count(), 6);
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..4 {
-            seen.insert(cluster.parameter_server_shard_node(s).unwrap().name.clone());
-        }
-        assert_eq!(seen.len(), 4, "each shard on a distinct node");
-        for w in 0..6 {
-            let name = cluster.worker_node(w).unwrap().name.clone();
-            assert!(!seen.contains(&name), "workers never share a shard node");
-        }
-        assert!(cluster.parameter_server_shard_node(4).is_err());
-        // Not enough nodes for shards + workers.
-        assert!(ClusterSpec::homogeneous_sharded(9, 6, 4, PlacementPolicy::OneJobPerNode).is_err());
-        assert!(ClusterSpec::homogeneous_sharded(9, 6, 0, PlacementPolicy::Collocated).is_err());
-    }
-
-    #[test]
-    fn tree_placement_gives_every_group_aggregator_a_node() {
-        // 8 workers in 2 groups: root + 2 group aggregators + 8 workers = 11
-        // nodes under one-job-per-node.
-        let cluster =
-            ClusterSpec::homogeneous_tree(11, 8, 2, PlacementPolicy::OneJobPerNode).unwrap();
-        assert_eq!(cluster.parameter_server_count(), 3);
-        let root = cluster.root_aggregator_node().name.clone();
-        let g0 = cluster.group_aggregator_node(0).unwrap().name.clone();
-        let g1 = cluster.group_aggregator_node(1).unwrap().name.clone();
-        assert_ne!(root, g0);
-        assert_ne!(root, g1);
-        assert_ne!(g0, g1);
-        assert!(cluster.group_aggregator_node(2).is_err());
-        for w in 0..8 {
-            let name = cluster.worker_node(w).unwrap().name.clone();
-            assert!(name != root && name != g0 && name != g1);
-        }
-        assert!(ClusterSpec::homogeneous_tree(10, 8, 2, PlacementPolicy::OneJobPerNode).is_err());
-        assert!(ClusterSpec::homogeneous_tree(11, 8, 0, PlacementPolicy::OneJobPerNode).is_err());
-    }
-
-    #[test]
-    fn placement_listing_contains_every_job() {
-        let cluster = ClusterSpec::homogeneous(3, 2, PlacementPolicy::OneJobPerNode).unwrap();
-        let placement = cluster.placement();
-        assert_eq!(placement.len(), 4); // PS + 2 workers + evaluator
-        assert!(placement.iter().any(|(j, _)| *j == Job::ParameterServer));
-        assert!(placement.iter().any(|(j, _)| *j == Job::Evaluator));
+        Node { name: format!("g5k-node-{index}"), flops_per_sec: 5.0e10 }
     }
 }

@@ -3,8 +3,9 @@
 //! The reproduction runs gradient numerics for real but does not own a 20-node
 //! Grid5000 cluster, so wall-clock time is *simulated*:
 //!
-//! * **Gradient computation** — `flops(model) · batch / node_flops_per_sec`
-//!   plus a fixed per-batch overhead (framework/launch cost).
+//! * **Gradient computation** — `flops(model) · batch / node_flops` at the
+//!   one [`crate::cluster::Node`] rate every worker computes at, plus a fixed
+//!   per-batch overhead (framework/launch cost).
 //! * **Communication** — handled by `agg-net`'s transports (bytes over a
 //!   bandwidth/latency link, with the TCP congestion model under loss).
 //! * **Aggregation** — *counted*, not timed: the rule's [`GarWork`] over the
@@ -116,17 +117,18 @@ impl CostModel {
         self.virtual_model.map(|v| v.flops_per_sample).unwrap_or(actual_flops)
     }
 
-    /// Time for one worker to compute one mini-batch gradient.
+    /// Time for one worker to compute one mini-batch gradient on a node
+    /// sustaining `node_flops` FLOP/s.
     pub fn gradient_time(
         &self,
         model_forward_flops: u64,
         batch_size: usize,
-        node_flops_per_sec: f64,
+        node_flops: f64,
     ) -> f64 {
         let flops = self.effective_flops(model_forward_flops) as f64
             * batch_size as f64
             * self.backward_multiplier;
-        self.gradient_overhead_sec + flops / node_flops_per_sec.max(1.0)
+        self.gradient_overhead_sec + flops / node_flops.max(1.0)
     }
 
     /// Time charged for the server's optimizer step.

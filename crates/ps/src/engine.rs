@@ -1,7 +1,7 @@
 //! The synchronous training engine (Equation 4 of the paper) and the
 //! throughput simulator behind the scalability experiments.
 
-use crate::cluster::{ClusterSpec, PlacementPolicy};
+use crate::cluster::Node;
 use crate::config::{RunnerConfig, TransportKind};
 use crate::cost::{CostModel, REPLICATION_ENCODE_FACTOR};
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
@@ -11,7 +11,7 @@ use crate::server::ParameterServer;
 use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
-use agg_attacks::{Attack, AttackContext, AttackKind, ChurnDirective};
+use agg_attacks::{Attack, AttackContext, ChurnDirective};
 use agg_core::{resilience, GarConfig, TreeConfig};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
@@ -71,7 +71,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
-    cluster: ClusterSpec,
     server: ParameterServer,
     workers: Vec<Worker>,
     attack: Box<dyn Attack>,
@@ -79,7 +78,7 @@ pub struct SyncTrainingEngine {
     test_set: Dataset,
     actual_dimension: usize,
     model_flops: u64,
-    /// The round pipeline: two submission arenas flipped every round (worker
+    /// The round pipeline: one submission arena reused every round (worker
     /// `i` owns row `i`; undelivered rows are compacted away before
     /// aggregation) plus, when streaming is enabled for a distance-based
     /// rule, the incremental pairwise-distance accumulator fed per arriving
@@ -123,7 +122,7 @@ struct Aggregation {
     /// The tree tier's slowest group → root leg (0 on the flat tiers): the
     /// legs run in parallel, and a round skipped at the root still waited.
     wire_wait: f64,
-    /// The rule's selection as slots, when the engine reads one.
+    /// The rule's selection as slots (`None` for a rule without one).
     selection: Option<Vec<usize>>,
 }
 
@@ -147,24 +146,6 @@ impl SyncTrainingEngine {
                 Some(GroupPlan::new(config.workers, tree.group_size).map_err(PsError::from)?)
             }
             None => None,
-        };
-
-        // One node per worker plus one per parameter-server shard, matching
-        // the paper's one-job-per-node deployment. In tree mode the
-        // aggregator tier is one job per group plus a root instead.
-        let cluster = match &tree_plan {
-            Some(plan) => ClusterSpec::homogeneous_tree(
-                config.workers + plan.group_count() + 1,
-                config.workers,
-                plan.group_count(),
-                PlacementPolicy::OneJobPerNode,
-            )?,
-            None => ClusterSpec::homogeneous_sharded(
-                config.workers + config.shards,
-                config.workers,
-                config.shards,
-                PlacementPolicy::OneJobPerNode,
-            )?,
         };
 
         let mut server = ParameterServer::new(
@@ -211,17 +192,8 @@ impl SyncTrainingEngine {
             let sampler = MiniBatchSampler::new(config.batch_size, config.seed, stream as u64)
                 .map_err(PsError::from)?;
             let transport = Self::build_transport(&config, id)?;
-            let node = cluster.worker_node(id)?;
             let worker_model = config.experiment.build_model(derive_seed(config.seed, id as u64));
-            workers.push(Worker::new(
-                id,
-                role,
-                worker_model,
-                dataset,
-                sampler,
-                transport,
-                node.flops_per_sec,
-            ));
+            workers.push(Worker::new(id, role, worker_model, dataset, sampler, transport));
         }
 
         // The group-aggregator → root legs of the hierarchical round. A
@@ -263,7 +235,6 @@ impl SyncTrainingEngine {
         };
         Ok(SyncTrainingEngine {
             config,
-            cluster,
             server,
             workers,
             attack,
@@ -334,11 +305,6 @@ impl SyncTrainingEngine {
             }
             _ => Ok(Box::new(ReliableTransport::new(link, codec).map_err(PsError::from)?)),
         }
-    }
-
-    /// The cluster this engine simulates.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
     }
 
     /// The gradient dimension of the (proxy) model actually trained.
@@ -471,16 +437,6 @@ impl SyncTrainingEngine {
     /// nothing is fenced or refused — static membership, bit for bit.
     fn elastic(&self) -> bool {
         !self.config.fault_plan.is_empty() || self.adaptive_churn() || self.reputation.is_some()
-    }
-
-    /// Whether the round computes the rule's selection: only distance-based
-    /// rules select, and only someone must read it — the Byzantine-selection
-    /// counter, the adaptive adversary or the ledger.
-    fn wants_selection(&self) -> bool {
-        self.config.gar.kind.uses_distances()
-            && (self.elastic()
-                || self.config.byzantine_count > 0
-                || matches!(self.config.attack, AttackKind::Adaptive))
     }
 
     /// The factor wire seconds scale by when the cost model charges a larger
@@ -617,17 +573,22 @@ impl SyncTrainingEngine {
     /// simulated arrival time.
     fn gradients(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> Result<Vec<f64>> {
         let (step, n, dim_scale) = (record.step, self.workers.len(), self.dim_scale());
+        // Whether a live attacker crafts this round: only then does anyone
+        // read the honest gradients after they are sent.
+        let roster = n - self.config.byzantine_count..n;
+        let attacking = roster.clone().any(|w| {
+            self.workers[w].role() == WorkerRole::Attacker && self.membership.health(w).is_live()
+        });
 
         // Phase 1: worker `i` delivers straight into arena row `i` (disjoint
         // mutable slices), results are collected in worker-id order, and
         // every worker draws only from its own RNG streams — so the round is
         // deterministic under any schedule, including which thread claims
-        // which run of workers. `begin_round` flips the double buffer: this
-        // round's ingest lands in the arena the previous round's aggregation
-        // was not reading.
+        // which run of workers. Every worker computes at one node rate.
         self.pipeline.begin_round(n);
         let params = self.server.parameters();
         let (membership, cost) = (&self.membership, self.config.cost);
+        let node_flops = Node::grid5000_cpu(0).flops_per_sec;
         let encode = match replicates_batches(self.config.gar, self.config.tree) {
             true => REPLICATION_ENCODE_FACTOR,
             false => 1.0,
@@ -640,14 +601,14 @@ impl SyncTrainingEngine {
                 // "arbitrarily fast" and never extend the round).
                 return Ok(None);
             }
-            let node_flops = worker.node_flops_per_sec();
             let computation = worker.compute_gradient(params, |model, batch| {
                 cost.gradient_time(model.flops_per_sample(), batch, node_flops) * encode
             })?;
             let transfer = worker.send_gradient_into(step, computation.gradient.as_slice(), dst)?;
             let arrival = computation.compute_time_sec + transfer.time_sec * dim_scale;
-            let honest = (worker.role() == WorkerRole::Honest).then_some(computation.gradient);
-            Ok(Some((honest, transfer, arrival)))
+            // The honest gradient outlives its send only for the adversary.
+            let honest = attacking && worker.role() == WorkerRole::Honest;
+            Ok(Some((honest.then_some(computation.gradient), transfer, arrival)))
         };
         let jobs: Vec<(&mut Worker, &mut [f32])> =
             self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
@@ -677,10 +638,6 @@ impl SyncTrainingEngine {
         // seeing every honest gradient as a borrowed row view (§3.1's
         // omniscient attacker, without cloning a coordinate). Roster slot `s`
         // owns `crafted[s − first]`; only the live ones send.
-        let roster = n - self.config.byzantine_count..n;
-        let attacking = roster.clone().any(|w| {
-            self.workers[w].role() == WorkerRole::Attacker && self.membership.health(w).is_live()
-        });
         if attacking {
             let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
             let crafted = self.attack.craft(&self.attack_context(&honest_views, step, history));
@@ -855,19 +812,15 @@ impl SyncTrainingEngine {
     }
 
     /// The flat and sharded round. One distance pass per round: when the
-    /// pipeline streamed no matrix and the selection will want one, build the
-    /// matrix the rule would build and let the round and the selection both
-    /// read it. The pass is the rule's own work moved out of
-    /// `apply_round_batch`; its counted work includes it. The rule is charged
-    /// the compacted rows over one shard's columns: every shard runs on its
-    /// own node (all columns when S = 1).
+    /// pipeline streamed no matrix and the rule selects, build the matrix the
+    /// rule would build and let the round and the selection both read it.
+    /// The pass is the rule's own work moved out of `apply_round_batch`; its
+    /// counted work includes it. The rule is charged the compacted rows over
+    /// one shard's columns: every shard runs on its own node (all columns
+    /// when S = 1).
     fn aggregate_flat(&mut self, streamed: Option<DistanceMatrix>) -> Result<Aggregation> {
-        let wants_selection = self.wants_selection();
         let arena = self.pipeline.arena();
-        let distances = match streamed {
-            None if wants_selection => self.server.round_distances(arena),
-            streamed => streamed,
-        };
+        let distances = streamed.or_else(|| self.server.round_distances(arena));
         match &distances {
             Some(distances) => self.server.apply_round_batch_with_distances(arena, distances),
             None => self.server.apply_round_batch(arena),
@@ -875,11 +828,7 @@ impl SyncTrainingEngine {
         let node_dim = self.config.cost.effective_dimension(self.actual_dimension);
         let node_dim = node_dim.div_ceil(self.config.shards);
         let kernel_sec = CostModel::aggregation_time(self.config.gar, arena.n(), node_dim)?;
-        let selection = if wants_selection {
-            self.server.selected_rows(arena, distances.as_ref())?
-        } else {
-            None
-        };
+        let selection = self.server.selected_rows(arena, distances.as_ref())?;
         Ok(Aggregation { kernel_sec: Ok(kernel_sec), wire_wait: 0.0, selection })
     }
 
@@ -920,8 +869,8 @@ impl SyncTrainingEngine {
             .and_then(|_| CostModel::aggregation_time(tree.root, delivered.len(), dim))
             .map(|root_sec| group_sec + root_sec);
         let selection = match kernel_sec {
-            Ok(_) if self.wants_selection() => self.server.tree_selected_rows_of(&round)?,
-            _ => None,
+            Ok(_) => self.server.tree_selected_rows_of(&round)?,
+            Err(_) => None,
         };
         Ok(Aggregation { kernel_sec, wire_wait, selection })
     }
@@ -1046,7 +995,7 @@ impl ThroughputSimulation {
                 "workers and proxy_dimension must be positive".into(),
             ));
         }
-        let node = crate::cluster::Node::grid5000_cpu(0);
+        let node = Node::grid5000_cpu(0);
         let dim = self.cost.effective_dimension(self.proxy_dimension);
         // A tree round is charged its slowest group plus the root over the
         // contributing groups; under a replicating rule each contributing
@@ -1158,6 +1107,22 @@ mod tests {
     }
 
     #[test]
+    fn a_selecting_rule_reports_its_selection_without_attackers() {
+        // Static Bulyan at its floor n = 4f + 3, no Byzantine slot: the
+        // selection is still read off every applied round.
+        let mut config = quick_config(GarKind::Bulyan, 2, 11);
+        config.max_steps = 12;
+        let report = SyncTrainingEngine::new(config).unwrap().run().unwrap();
+        assert_eq!(report.steps_completed, 12);
+        for record in &report.rounds {
+            assert_eq!(record.verdict, RoundVerdict::Applied);
+            let selection = record.selection.as_ref().expect("Bulyan selects");
+            assert_eq!(selection.len(), 11 - 2 * 2);
+            assert!(selection.iter().all(|slot| record.accepted.binary_search(slot).is_ok()));
+        }
+    }
+
+    #[test]
     fn worker_roles_follow_the_configuration() {
         let mut config = quick_config(GarKind::MultiKrum, 2, 7);
         config.byzantine_count = 2;
@@ -1167,7 +1132,7 @@ mod tests {
         assert_eq!(roles.iter().filter(|r| r.is_byzantine()).count(), 2);
         assert_eq!(roles[0], WorkerRole::Honest);
         assert_eq!(roles[6], WorkerRole::Attacker);
-        assert_eq!(engine.cluster().worker_count(), 7);
+        assert_eq!(roles.len(), 7);
         assert!(engine.model_dimension() > 0);
     }
 
@@ -1221,9 +1186,7 @@ mod tests {
         config.attack = AttackKind::Reversed { scale: 50.0 };
         let monolithic = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
         config.shards = 4;
-        let mut sharded_engine = SyncTrainingEngine::new(config).unwrap();
-        assert_eq!(sharded_engine.cluster().parameter_server_count(), 4);
-        let sharded = sharded_engine.run().unwrap();
+        let sharded = SyncTrainingEngine::new(config).unwrap().run().unwrap();
         assert_eq!(sharded.steps_completed, monolithic.steps_completed);
         assert_eq!(sharded.skipped_updates, monolithic.skipped_updates);
         // The decomposition is exact up to floating-point reassociation in
@@ -1427,10 +1390,7 @@ mod tests {
         let mut config = quick_config(GarKind::Median, 1, 12);
         config.tree = Some(tree);
         config.gar = tree.root;
-        let mut engine = SyncTrainingEngine::new(config).unwrap();
-        // 3 group aggregators + 1 root.
-        assert_eq!(engine.cluster().parameter_server_count(), 4);
-        let report = engine.run().unwrap();
+        let report = SyncTrainingEngine::new(config).unwrap().run().unwrap();
         assert_eq!(report.steps_completed, 60);
         assert_eq!(report.skipped_updates, 0);
         assert!(report.label.contains("tree(g=4)"));
@@ -1646,7 +1606,8 @@ mod tests {
         let median = TreeConfig { group: GarConfig::new(GarKind::Median, 1), ..tree };
         let plain = RunnerConfig { tree: Some(median), ..config.clone() };
         let plain = SyncTrainingEngine::new(plain).unwrap().run().unwrap();
-        let gradient = config.cost.gradient_time(1, config.batch_size, 5.0e10);
+        let gradient =
+            config.cost.gradient_time(1, config.batch_size, Node::grid5000_cpu(0).flops_per_sec);
         for (draco, plain) in report.rounds.iter().zip(&plain.rounds) {
             let encoding = draco.round_wait_sec - plain.round_wait_sec;
             assert!((encoding - 2.0 * gradient).abs() < 1e-9, "{encoding} vs {gradient}");
@@ -1668,9 +1629,8 @@ mod tests {
     fn assignment_accessor_matches_configuration() {
         let tree = TreeConfig::repetition(1);
         assert_eq!((tree.group_size, tree.group_floor(), tree.root_floor()), (3, 3, 1));
-        // 9 workers: 3 repetition groups, each with its aggregator, + 1 root.
-        let engine = SyncTrainingEngine::new(draco_config(9, 1)).unwrap();
-        assert_eq!(engine.cluster().parameter_server_count(), 4);
+        // 9 workers: 3 repetition groups.
+        assert!(SyncTrainingEngine::new(draco_config(9, 1)).is_ok());
     }
 
     #[test]

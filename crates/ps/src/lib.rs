@@ -2,7 +2,7 @@
 //!
 //! This crate is the reproduction's counterpart of the AggregaThor framework
 //! itself (§3 of the paper): a synchronous parameter-server training engine
-//! with Byzantine workers, a cluster/device-allocation model, and the
+//! with Byzantine workers, the node it charges gradient time on, and the
 //! configuration surface of the original `runner.py`.
 //!
 //! The original system distributes real TensorFlow graphs over a Grid5000
@@ -10,8 +10,7 @@
 //! clock while running the *numerics* (gradients, aggregation, model updates)
 //! for real:
 //!
-//! * [`cluster`] — nodes, jobs (`ps` / `worker` / `eval`) and the policy-based
-//!   device allocation the paper advertises.
+//! * [`cluster`] — the Grid5000 node every worker computes on.
 //! * [`config`] — [`config::RunnerConfig`], mirroring the command-line surface
 //!   of `runner.py` (`--aggregator`, `--optimizer`, `--learning-rate`,
 //!   `--nb-workers`, …).
@@ -24,8 +23,8 @@
 //! * [`server`] — the trusted parameter server: GAR + optimizer + the
 //!   access-control patch that keeps Byzantine workers from overwriting the
 //!   shared model directly.
-//! * [`streaming`] — the event-driven round pipeline: double-buffered
-//!   submission arenas, per-row distance accumulation and the quorum policy
+//! * [`streaming`] — the event-driven round pipeline: the submission arena,
+//!   per-row distance accumulation and the quorum policy
 //!   that lets the server aggregate at `n − f` arrivals.
 //! * [`reputation`] — the cross-round suspicion ledger: decayed per-worker
 //!   scores folded from the engine's evidence streams, automatic quarantine
@@ -48,7 +47,7 @@ pub mod server;
 pub mod streaming;
 pub mod worker;
 
-pub use cluster::{ClusterSpec, DeviceKind, Job, Node, PlacementPolicy};
+pub use cluster::Node;
 pub use config::{ExperimentKind, RunnerConfig, TransportKind};
 pub use cost::{CostModel, VirtualModelCost};
 pub use engine::{SyncTrainingEngine, ThroughputSimulation};

@@ -69,9 +69,9 @@ pub struct RoundRecord {
     pub wire: Vec<Option<SlotWire>>,
     /// The slots whose rows made the quorum cut, ascending.
     pub accepted: Vec<usize>,
-    /// The slots the rule's selection phase picked, when the engine computed
-    /// a selection for an applied round (distance-based rules, when someone
-    /// reads it).
+    /// The slots the rule's selection phase picked on an applied round;
+    /// `None` for a rule without a selection phase and for a round that was
+    /// not applied.
     pub selection: Option<Vec<usize>>,
     /// Simulated seconds the server waited: the broadcast plus the slowest
     /// counted arrival, plus the tree tier's slowest group → root leg.
@@ -140,9 +140,7 @@ pub struct TrainingReport {
     pub corrupt_rejects: u64,
     /// Rounds in which the GAR's selection set contained at least one row
     /// submitted by a Byzantine worker (0 means the selected set stayed
-    /// honest every round). Only counted when the engine computes selection
-    /// feedback — distance-based rules with Byzantine workers, an adaptive
-    /// attack, or a fault plan.
+    /// honest every round).
     pub byzantine_selected_rounds: u64,
     /// Worker-rounds in which a worker's retransmit recovery ran out of
     /// budget or deadline with the row still incomplete (the sum of

@@ -1,4 +1,4 @@
-//! The streaming round pipeline: double-buffered submission arenas plus the
+//! The streaming round pipeline: the round's submission arena plus the
 //! incremental distance accumulator.
 //!
 //! The barrier round loop waits for every submission, then starts the
@@ -11,10 +11,9 @@
 //!   quorum is reached the matrix is one cheap cross-shard fold away.
 //!   Bit-identity with the batch kernels is pinned at the tensor layer, so
 //!   flipping streaming on or off never changes a round's result.
-//! * **Double-buffered arenas.** The pipeline owns two submission arenas and
-//!   flips them every round: round `t + 1`'s ingest lands in one arena while
-//!   round `t`'s aggregation can still read the other, so the wire never
-//!   waits on the GAR kernel.
+//! * **One arena.** Training is synchronous (Equation 4): round `t` is
+//!   aggregated and applied before round `t + 1` is broadcast, so one
+//!   submission arena, resized in place every round, is all a round reads.
 //! * **Quorum.** [`QuorumPolicy`] decides when the server stops waiting:
 //!   after every worker (the paper's synchronous baseline), after the first
 //!   `n − f` arrivals (stragglers are indistinguishable from Byzantine
@@ -64,26 +63,18 @@ pub struct StreamingConfig {
     pub quorum: QuorumPolicy,
 }
 
-/// Double-buffered submission arenas plus (optionally) the incremental
-/// distance accumulator — the server-side state of a streaming round.
+/// The submission arena plus (optionally) the incremental distance
+/// accumulator — the server-side state of a streaming round.
 #[derive(Debug)]
 pub struct RoundPipeline {
-    arenas: [GradientBatch; 2],
-    front: usize,
+    arena: GradientBatch,
     distances: Option<StreamingDistances>,
 }
 
 impl RoundPipeline {
-    /// Two empty arenas sized for `workers` rows of dimension `dim`.
+    /// An empty arena sized for `workers` rows of dimension `dim`.
     pub fn new(dim: usize, workers: usize) -> Self {
-        RoundPipeline {
-            arenas: [
-                GradientBatch::with_capacity(dim, workers),
-                GradientBatch::with_capacity(dim, workers),
-            ],
-            front: 0,
-            distances: None,
-        }
+        RoundPipeline { arena: GradientBatch::with_capacity(dim, workers), distances: None }
     }
 
     /// Enables per-row distance accumulation matching the server tier:
@@ -113,13 +104,11 @@ impl RoundPipeline {
         self.distances.is_some()
     }
 
-    /// Flips the buffers and prepares the new front arena for `rows`
-    /// submissions. The previous round's arena is left untouched in the back
-    /// buffer, so an in-flight aggregation can keep reading it while this
-    /// round's ingest proceeds.
+    /// Prepares the arena for `rows` submissions, resized in place (the
+    /// previous round was applied before this one began), and clears the
+    /// distance state.
     pub fn begin_round(&mut self, rows: usize) {
-        self.front ^= 1;
-        self.arenas[self.front].resize_rows(rows);
+        self.arena.resize_rows(rows);
         if let Some(distances) = self.distances.as_mut() {
             distances.reset();
         }
@@ -127,13 +116,13 @@ impl RoundPipeline {
 
     /// The current round's submission arena.
     pub fn arena(&self) -> &GradientBatch {
-        &self.arenas[self.front]
+        &self.arena
     }
 
     /// Mutable view of the current round's submission arena (workers deliver
     /// into disjoint rows of it).
     pub fn arena_mut(&mut self) -> &mut GradientBatch {
-        &mut self.arenas[self.front]
+        &mut self.arena
     }
 
     /// Per-row completion event: folds the freshly completed arena row into
@@ -146,7 +135,7 @@ impl RoundPipeline {
     /// (upstream deduplication is the caller's contract).
     pub fn row_done(&mut self, slot: usize) {
         if let Some(distances) = self.distances.as_mut() {
-            distances.row_arrived(&self.arenas[self.front], slot);
+            distances.row_arrived(&self.arena, slot);
         }
     }
 
@@ -176,16 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn buffers_flip_and_the_back_round_survives() {
+    fn every_round_reuses_the_one_arena() {
         let mut pipeline = RoundPipeline::new(4, 3);
         pipeline.begin_round(3);
-        pipeline.arena_mut().row_mut(0).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let first_round_row = pipeline.arena().row(0).to_vec();
-        pipeline.begin_round(3);
-        pipeline.arena_mut().row_mut(0).copy_from_slice(&[9.0; 4]);
-        // The previous round's arena is in the back buffer, untouched.
-        pipeline.begin_round(3);
-        assert_eq!(pipeline.arena().row(0), first_round_row.as_slice());
+        let first = pipeline.arena().row(0).as_ptr();
+        for rows in [3, 2, 3] {
+            pipeline.begin_round(rows);
+            assert_eq!(pipeline.arena().n(), rows);
+            assert_eq!(pipeline.arena().row(0).as_ptr(), first);
+        }
     }
 
     #[test]

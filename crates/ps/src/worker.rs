@@ -55,7 +55,6 @@ pub struct Worker {
     dataset: Arc<Dataset>,
     sampler: MiniBatchSampler,
     transport: Box<dyn Transport>,
-    node_flops_per_sec: f64,
 }
 
 impl Worker {
@@ -67,9 +66,8 @@ impl Worker {
         dataset: Arc<Dataset>,
         sampler: MiniBatchSampler,
         transport: Box<dyn Transport>,
-        node_flops_per_sec: f64,
     ) -> Self {
-        Worker { id, role, model, dataset, sampler, transport, node_flops_per_sec }
+        Worker { id, role, model, dataset, sampler, transport }
     }
 
     /// Worker index within the cluster.
@@ -80,11 +78,6 @@ impl Worker {
     /// The worker's behaviour.
     pub fn role(&self) -> WorkerRole {
         self.role
-    }
-
-    /// Sustained FLOP/s of the node this worker runs on.
-    pub fn node_flops_per_sec(&self) -> f64 {
-        self.node_flops_per_sec
     }
 
     /// Computes one mini-batch gradient at the given model parameters, read
@@ -127,11 +120,6 @@ impl Worker {
         dst: &mut [f32],
     ) -> Result<RowTransfer> {
         self.transport.transfer_into(self.id as u32, step, gradient, dst).map_err(PsError::from)
-    }
-
-    /// Name of the transport this worker uses (for reports).
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
     }
 
     /// Stamps the membership epoch this worker believes is current into its
@@ -177,7 +165,7 @@ mod tests {
         let transport = Box::new(
             ReliableTransport::new(LinkConfig::datacenter(), GradientCodec::default_mtu()).unwrap(),
         );
-        Worker::new(0, role, model, dataset, sampler, transport, 5e10)
+        Worker::new(0, role, model, dataset, sampler, transport)
     }
 
     #[test]
@@ -229,8 +217,6 @@ mod tests {
         let outcome = worker.send_gradient_into(0, &g, &mut row).unwrap();
         assert!(outcome.delivered);
         assert_eq!(row, g);
-        assert_eq!(worker.transport_name(), "tcp");
         assert_eq!(worker.id(), 0);
-        assert_eq!(worker.node_flops_per_sec(), 5e10);
     }
 }

@@ -174,23 +174,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn matvec(&self, v: &Vector) -> Result<Vector> {
-        if v.len() != self.cols {
-            return Err(TensorError::dim(self.cols, v.len()));
-        }
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            out.push(row.iter().zip(v.iter()).map(|(a, b)| a * b).sum());
-        }
-        Ok(Vector::from(out))
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -281,14 +264,6 @@ mod tests {
         let i = Matrix::identity(2);
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn matvec_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let v = Vector::from(vec![1.0, 1.0]);
-        assert_eq!(a.matvec(&v).unwrap().as_slice(), &[3.0, 7.0]);
-        assert!(a.matvec(&Vector::zeros(3)).is_err());
     }
 
     #[test]

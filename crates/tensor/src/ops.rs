@@ -13,16 +13,6 @@ pub fn relu(x: f32) -> f32 {
     }
 }
 
-/// Derivative of the rectified linear unit with respect to its input.
-#[inline]
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Logistic sigmoid.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
@@ -203,19 +193,6 @@ pub fn min_max_scale(v: &mut Vector) {
     }
 }
 
-/// Clips a gradient vector to a maximum L2 norm, returning the scaling factor
-/// that was applied (1.0 when no clipping happened).
-pub fn clip_by_norm(v: &mut Vector, max_norm: f32) -> f32 {
-    let norm = v.norm();
-    if norm > max_norm && norm > 0.0 {
-        let factor = max_norm / norm;
-        v.scale(factor);
-        factor
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,9 +201,6 @@ mod tests {
     fn relu_and_grad() {
         assert_eq!(relu(2.0), 2.0);
         assert_eq!(relu(-2.0), 0.0);
-        assert_eq!(relu_grad(2.0), 1.0);
-        assert_eq!(relu_grad(-2.0), 0.0);
-        assert_eq!(relu_grad(0.0), 0.0);
     }
 
     #[test]
@@ -302,16 +276,5 @@ mod tests {
         let mut constant = Vector::from(vec![3.0, 3.0]);
         min_max_scale(&mut constant);
         assert_eq!(constant.as_slice(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn clip_by_norm_scales_only_when_needed() {
-        let mut v = Vector::from(vec![3.0, 4.0]);
-        let factor = clip_by_norm(&mut v, 10.0);
-        assert_eq!(factor, 1.0);
-        assert_eq!(v.norm(), 5.0);
-        let factor = clip_by_norm(&mut v, 1.0);
-        assert!((factor - 0.2).abs() < 1e-6);
-        assert!((v.norm() - 1.0).abs() < 1e-6);
     }
 }

@@ -8,7 +8,7 @@
 use crate::Vector;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal, Uniform};
+use rand_distr::{Distribution, Normal};
 
 /// Creates the crate-standard seeded RNG.
 pub fn seeded_rng(seed: u64) -> SmallRng {
@@ -41,12 +41,6 @@ pub fn gaussian_fill(rng: &mut SmallRng, dst: &mut [f32], mean: f32, std: f32) {
     for v in dst {
         *v = normal.sample(rng);
     }
-}
-
-/// Samples a vector of i.i.d. uniform coordinates in `[lo, hi)`.
-pub fn uniform_vector(rng: &mut SmallRng, len: usize, lo: f32, hi: f32) -> Vector {
-    let uniform = Uniform::new(lo, hi);
-    Vector::from_iter((0..len).map(|_| uniform.sample(rng)))
 }
 
 /// Fisher–Yates shuffles indices `0..n` and returns them.
@@ -102,12 +96,6 @@ mod tests {
         let var: f32 =
             v.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / (v.len() - 1) as f32;
         assert!((var.sqrt() - 3.0).abs() < 0.1, "std was {}", var.sqrt());
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let v = uniform_vector(&mut seeded_rng(2), 1000, -1.0, 1.0);
-        assert!(v.iter().all(|&x| (-1.0..1.0).contains(&x)));
     }
 
     #[test]

@@ -108,9 +108,9 @@ impl ShardPlan {
 /// A contiguous partition of the worker range `0..n` into groups of at most
 /// `g` workers — the worker-side counterpart of [`ShardPlan`], shared by the
 /// hierarchical aggregation tier: the tree aggregator runs one GAR per group
-/// over rows `range(group)` of the submission arena, the cluster placement
-/// gives each group its own aggregator job, and the engine derives per-group
-/// membership epochs from it. Keeping the partition arithmetic in one type
+/// over rows `range(group)` of the submission arena, the engine gives each
+/// group its own root-ward link and derives per-group membership epochs from
+/// it. Keeping the partition arithmetic in one type
 /// guarantees the worker the engine assigned to group `k` is the worker whose
 /// rows group `k`'s aggregator reduces.
 ///
@@ -138,7 +138,7 @@ pub struct GroupPlan {
     /// never changes the per-group *capacities* — every group holds exactly
     /// as many workers as its contiguous range — so downstream consumers of
     /// [`GroupPlan::sizes`] (the composed resilience bound, the per-group
-    /// kernels, cluster placement) see the same shape either way; only
+    /// kernels, the root-ward links) see the same shape either way; only
     /// *which* worker sits in which group moves.
     assignment: Option<Vec<usize>>,
 }
@@ -180,8 +180,8 @@ impl GroupPlan {
     /// group id must be in range, and each group must receive exactly as
     /// many workers as its contiguous range holds (`self.sizes()`). This is
     /// the invariant that lets the reshuffled plan drop into every existing
-    /// consumer — group output buffers, per-group floors and cluster jobs
-    /// are sized off `sizes()`, which a valid assignment cannot change.
+    /// consumer — group output buffers, per-group floors and links are
+    /// sized off `sizes()`, which a valid assignment cannot change.
     ///
     /// # Errors
     ///
@@ -207,37 +207,9 @@ impl GroupPlan {
         Ok(())
     }
 
-    /// Builds a plan with an explicit placement in one step (see
-    /// [`GroupPlan::set_assignment`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for a degenerate shape or an
-    /// invalid assignment.
-    pub fn with_assignment(
-        workers: usize,
-        group_size: usize,
-        assignment: Vec<usize>,
-    ) -> Result<Self> {
-        let mut plan = GroupPlan::new(workers, group_size)?;
-        plan.set_assignment(assignment)?;
-        Ok(plan)
-    }
-
-    /// Reverts to the contiguous (identity) placement.
-    pub fn clear_assignment(&mut self) {
-        self.assignment = None;
-    }
-
     /// The explicit worker → group assignment, when one is installed.
     pub fn assignment(&self) -> Option<&[usize]> {
         self.assignment.as_deref()
-    }
-
-    /// `true` when an explicit (possibly non-contiguous) placement is
-    /// installed.
-    pub fn is_permuted(&self) -> bool {
-        self.assignment.is_some()
     }
 
     /// The worker ids of group `k`, in ascending id order — the
@@ -257,10 +229,9 @@ impl GroupPlan {
     }
 
     /// The worker-id range of group `k` under the *contiguous* placement.
-    /// This is build-time layout arithmetic (buffer sizing, cluster
-    /// placement, link topology); runtime consumers that must honor a
-    /// reshuffled placement go through [`GroupPlan::group_of`] /
-    /// [`GroupPlan::members`] instead.
+    /// This is build-time layout arithmetic (buffer sizing, link topology);
+    /// runtime consumers that must honor a reshuffled placement go through
+    /// [`GroupPlan::group_of`] / [`GroupPlan::members`] instead.
     ///
     /// # Panics
     ///
@@ -410,8 +381,8 @@ mod tests {
         // 7 workers in groups of 3: contiguous sizes [3, 3, 1]. A strided
         // deal (0,1,2,0,1,2,0 would overfill group 0) honoring capacities:
         let assignment = vec![0, 1, 2, 0, 1, 0, 1];
-        let plan = GroupPlan::with_assignment(7, 3, assignment.clone()).unwrap();
-        assert!(plan.is_permuted());
+        let mut plan = GroupPlan::new(7, 3).unwrap();
+        plan.set_assignment(assignment.clone()).unwrap();
         assert_eq!(plan.assignment(), Some(assignment.as_slice()));
         assert_eq!(plan.sizes().collect::<Vec<_>>(), vec![3, 3, 1]);
         for (w, &g) in assignment.iter().enumerate() {
@@ -436,26 +407,27 @@ mod tests {
         for k in 0..plan.group_count() {
             assert_eq!(plan.members(k), contiguous.range(k).collect::<Vec<_>>());
         }
-        plan.clear_assignment();
-        assert!(!plan.is_permuted());
     }
 
     #[test]
     fn capacity_violating_assignments_are_rejected() {
+        let assign =
+            |workers, assignment| GroupPlan::new(workers, 3).unwrap().set_assignment(assignment);
         // Wrong length.
-        assert!(GroupPlan::with_assignment(6, 3, vec![0, 1]).is_err());
+        assert!(assign(6, vec![0, 1]).is_err());
         // Out-of-range group id.
-        assert!(GroupPlan::with_assignment(6, 3, vec![0, 0, 0, 1, 1, 2]).is_err());
+        assert!(assign(6, vec![0, 0, 0, 1, 1, 2]).is_err());
         // Right length, valid ids, wrong per-group counts (group 0 overfull).
-        assert!(GroupPlan::with_assignment(6, 3, vec![0, 0, 0, 0, 1, 1]).is_err());
+        assert!(assign(6, vec![0, 0, 0, 0, 1, 1]).is_err());
         // Ragged tail: group 2 holds 1 worker, not 2.
-        assert!(GroupPlan::with_assignment(7, 3, vec![0, 0, 0, 1, 1, 2, 2]).is_err());
+        assert!(assign(7, vec![0, 0, 0, 1, 1, 2, 2]).is_err());
     }
 
     #[test]
     fn members_covers_every_worker_exactly_once() {
         let assignment = vec![0, 1, 0, 1, 2, 0, 1, 0, 1, 2];
-        let plan = GroupPlan::with_assignment(10, 4, assignment).unwrap();
+        let mut plan = GroupPlan::new(10, 4).unwrap();
+        plan.set_assignment(assignment).unwrap();
         let mut seen: Vec<usize> = (0..plan.group_count()).flat_map(|k| plan.members(k)).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());

@@ -48,11 +48,6 @@ impl Tensor {
         &self.shape
     }
 
-    /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -259,7 +254,6 @@ mod tests {
     fn zeros_and_shape() {
         let t = Tensor::zeros(&[2, 3]);
         assert_eq!(t.len(), 6);
-        assert_eq!(t.ndim(), 2);
         assert!(!t.is_empty());
     }
 

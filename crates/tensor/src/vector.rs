@@ -98,16 +98,6 @@ impl Vector {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Squared Euclidean norm.
-    pub fn squared_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn l1_norm(&self) -> f32 {
-        self.data.iter().map(|x| x.abs()).sum::<f32>()
-    }
-
     /// Squared Euclidean distance to another vector of the same length.
     ///
     /// Non-finite coordinates propagate: if either operand holds a NaN the
@@ -383,8 +373,6 @@ mod tests {
         let b = Vector::from(vec![1.0, 2.0]);
         assert_eq!(a.dot(&b).unwrap(), 11.0);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.squared_norm(), 25.0);
-        assert_eq!(a.l1_norm(), 7.0);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Cluster deployment: the framework surface of AggregaThor.
 //!
-//! Shows the pieces the original system exposes through its `deploy.py` /
-//! `runner.py` tools: cluster and device-allocation policies, the runner
-//! configuration (aggregator, optimizer, learning rate), the security patch
-//! that keeps workers from overwriting the shared model, and the admissible
-//! Byzantine-resilience envelopes for a given cluster size.
+//! Shows the pieces the original system exposes through its `runner.py`
+//! tool: the runner's aggregator specifications, the admissible
+//! Byzantine-resilience envelopes for a given cluster size, and the security
+//! patch that keeps workers from overwriting the shared model.
 //!
 //! ```text
 //! cargo run --release -p agg-apps --example cluster_deployment
@@ -14,27 +13,11 @@ use agg_core::{resilience, GarConfig};
 use agg_metrics::Table;
 use agg_nn::optim::{OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
-use agg_ps::{ClusterSpec, ParameterServer, PlacementPolicy};
+use agg_ps::ParameterServer;
 use agg_tensor::Vector;
 
 fn main() {
-    // 1. Cluster description and policy-based placement.
-    let cluster = ClusterSpec::paper_default();
-    println!("cluster: {} nodes, {} workers", cluster.nodes().len(), cluster.worker_count());
-    for (job, node) in cluster.placement().iter().take(5) {
-        println!("  {job:?} -> {node}");
-    }
-    println!("  ... ({} placements total)\n", cluster.placement().len());
-
-    let collocated = ClusterSpec::homogeneous(1, 4, PlacementPolicy::Collocated)
-        .expect("local deployment is valid");
-    println!(
-        "local deployment (artifact appendix): {} workers on node {}\n",
-        collocated.worker_count(),
-        collocated.worker_node(0).expect("placed").name
-    );
-
-    // 2. Runner-style GAR specification strings.
+    // 1. Runner-style GAR specification strings.
     for spec in ["average", "median:f=4", "multi-krum:f=4,m=9", "bulyan:f=4"] {
         let config = GarConfig::parse(spec).expect("valid spec");
         let gar = config.build().expect("builds");
@@ -46,7 +29,7 @@ fn main() {
     }
     println!();
 
-    // 3. Resilience envelope for the paper's 19-worker cluster.
+    // 2. Resilience envelope for the paper's 19-worker cluster.
     let n = 19;
     let mut table = Table::new(
         "Byzantine-resilience envelope for n = 19 workers",
@@ -68,7 +51,7 @@ fn main() {
     ]);
     println!("{table}");
 
-    // 4. The TensorFlow vulnerability patch in action.
+    // 3. The TensorFlow vulnerability patch in action.
     let mut server = ParameterServer::new(
         Vector::zeros(8),
         GarConfig::parse("multi-krum:f=2").expect("valid"),

@@ -16,7 +16,7 @@
 //!   and the pins prove the flag stays inert.
 //! * **Composed resilience holds at engine scale.** A mid-scale tree run
 //!   (n = 64, Multi-Krum at both levels) trains through the full
-//!   cluster-placement + per-group-link path, and the colluding-group
+//!   group-stage + per-group-link path, and the colluding-group
 //!   adversary that concentrates all its workers into the fewest groups is
 //!   still rejected at the root under the composed bound.
 //! * **The tree changes the asymptotics.** A Multi-Krum round at g = 32
