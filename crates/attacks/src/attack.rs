@@ -1,6 +1,6 @@
 //! The [`Attack`] trait and the information an omniscient adversary sees.
 
-use agg_tensor::Vector;
+use agg_tensor::{stats, Vector};
 use std::fmt;
 
 /// Everything the adversary knows when crafting this round's Byzantine
@@ -44,20 +44,20 @@ impl<'a> AttackContext<'a> {
     }
 
     /// Coordinate-wise mean of the honest gradients (the quantity most
-    /// attacks perturb). Zero vector when there are no honest gradients.
+    /// attacks perturb), through the column-blocked
+    /// [`stats::coordinate_mean_of_rows`]: each coordinate sums the rows in
+    /// order, and the blocks run in parallel on a large round. Zero vector
+    /// when there are no honest gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the honest rows disagree on their dimension.
     pub fn honest_mean(&self) -> Vector {
         if self.honest_gradients.is_empty() {
             return Vector::zeros(self.dimension());
         }
-        let mut acc = vec![0.0f32; self.honest_gradients[0].len()];
-        for row in self.honest_gradients {
-            for (a, &v) in acc.iter_mut().zip(*row) {
-                *a += v;
-            }
-        }
-        let scale = 1.0 / self.honest_gradients.len() as f32;
-        acc.iter_mut().for_each(|a| *a *= scale);
-        Vector::from(acc)
+        stats::coordinate_mean_of_rows(self.honest_gradients)
+            .expect("every honest gradient has the model's dimension")
     }
 }
 

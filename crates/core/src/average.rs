@@ -52,7 +52,7 @@ impl Gar for Average {
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.mean_into(None, dst)?))
+        reduce_columns(batch, batch.n(), plan, out, |cols, dst| Ok(cols.mean_into(None, dst)?))
     }
 }
 

@@ -118,7 +118,8 @@ impl Gar for Bulyan {
     ) -> Result<()> {
         let beta = resilience::bulyan_beta(batch.n(), self.f)?;
         ensure_some_finite_row("bulyan", batch, selection)?;
-        reduce_columns(batch, plan, out, |cols, dst| {
+        let rows = selection.map_or(batch.n(), <[usize]>::len);
+        reduce_columns(batch, rows, plan, out, |cols, dst| {
             cols.mean_around_median_into(selection, beta, dst).map_err(|e| match e {
                 TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
                 other => other.into(),

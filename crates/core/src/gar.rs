@@ -2,7 +2,9 @@
 //! the parameter server.
 
 use crate::Result;
+use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::{BatchColumns, DistanceMatrix, GradientBatch, ShardPlan, TensorError, Vector};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -213,10 +215,10 @@ pub trait Gar: Send + Sync + fmt::Debug {
     }
 
     /// [`Gar::aggregate_batch`] when the pairwise squared-distance matrix
-    /// over the batch rows is already computed (the streaming round engine
-    /// accumulates it as rows arrive). Rules without a selection phase
-    /// ignore the matrix; the streaming accumulator reproduces the batch
-    /// kernels bit for bit, so both entries return the same bits.
+    /// over the batch rows is already computed (the engine takes it once per
+    /// round and hands it to both the round and the selection feedback).
+    /// Rules without a selection phase ignore the matrix; given the matrix
+    /// [`Gar::distances`] builds, both entries return the same bits.
     ///
     /// # Errors
     ///
@@ -253,21 +255,37 @@ pub trait Gar: Send + Sync + fmt::Debug {
 
 /// Runs `kernel` over every column range of `plan`, each call writing its
 /// range's slice of `out`: the column loop of every splittable
-/// [`Gar::reduce`].
+/// [`Gar::reduce`]. `rows` is how many rows each column reduces; when a
+/// sharded plan's `rows·d` clears [`PARALLEL_MIN_WORK`] the ranges run in
+/// one parallel region (a kernel's own blocks then run inline on the thread
+/// that claimed its range). Columns are independent, so the bits are the
+/// same either way.
 ///
 /// # Errors
 ///
-/// The first error `kernel` returns.
+/// The error of the first range, in plan order, whose kernel fails.
 pub(crate) fn reduce_columns(
     batch: &GradientBatch,
+    rows: usize,
     plan: &ShardPlan,
     out: &mut [f32],
-    kernel: impl Fn(BatchColumns<'_>, &mut [f32]) -> Result<()>,
+    kernel: impl Fn(BatchColumns<'_>, &mut [f32]) -> Result<()> + Sync,
 ) -> Result<()> {
+    let mut chunks = Vec::with_capacity(plan.shard_count());
+    let mut rest = out;
     for range in plan.ranges() {
-        kernel(batch.columns(range.clone()), &mut out[range])?;
+        let (head, tail) = rest.split_at_mut(range.len());
+        chunks.push((batch.columns(range), head));
+        rest = tail;
     }
-    Ok(())
+    let run = |(cols, dst): (BatchColumns<'_>, &mut [f32])| kernel(cols, dst);
+    let parallel = chunks.len() > 1 && rows.saturating_mul(batch.dim()) >= PARALLEL_MIN_WORK;
+    let parts: Vec<Result<()>> = if parallel {
+        chunks.into_par_iter().map(run).collect()
+    } else {
+        chunks.into_iter().map(run).collect()
+    };
+    parts.into_iter().collect()
 }
 
 /// The check that follows a selection phase: at least one of the selected

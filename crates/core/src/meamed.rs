@@ -62,7 +62,7 @@ impl Gar for MeaMed {
         out: &mut [f32],
     ) -> Result<()> {
         let keep = batch.n().saturating_sub(self.f).max(1);
-        reduce_columns(batch, plan, out, |cols, dst| {
+        reduce_columns(batch, batch.n(), plan, out, |cols, dst| {
             Ok(cols.mean_around_median_into(None, keep, dst)?)
         })
     }

@@ -64,7 +64,7 @@ impl Gar for CoordinateMedian {
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.median_into(None, dst)?))
+        reduce_columns(batch, batch.n(), plan, out, |cols, dst| Ok(cols.median_into(None, dst)?))
     }
 }
 

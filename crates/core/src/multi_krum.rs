@@ -203,7 +203,8 @@ impl Gar for MultiKrum {
         out: &mut [f32],
     ) -> Result<()> {
         ensure_some_finite_row("multi-krum", batch, selection)?;
-        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
+        let rows = selection.map_or(batch.n(), <[usize]>::len);
+        reduce_columns(batch, rows, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
     }
 }
 

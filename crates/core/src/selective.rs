@@ -54,7 +54,7 @@ impl Gar for SelectiveAverage {
         // update rather than poisoning the model — this matches "not caring
         // what happens at the lower layer": the coordinate simply does not
         // move this step.
-        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.nan_mean_into(dst)?))
+        reduce_columns(batch, batch.n(), plan, out, |cols, dst| Ok(cols.nan_mean_into(dst)?))
     }
 }
 

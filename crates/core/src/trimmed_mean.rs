@@ -62,7 +62,9 @@ impl Gar for TrimmedMean {
         // left with too few values falls back to the median of whatever
         // finite values remain.
         let trim = self.f;
-        reduce_columns(batch, plan, out, |cols, dst| Ok(cols.trimmed_mean_into(trim, dst)?))
+        reduce_columns(batch, batch.n(), plan, out, |cols, dst| {
+            Ok(cols.trimmed_mean_into(trim, dst)?)
+        })
     }
 }
 

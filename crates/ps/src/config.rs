@@ -206,9 +206,9 @@ pub struct RunnerConfig {
     pub tree: Option<TreeConfig>,
     /// Simulation cost model.
     pub cost: CostModel,
-    /// Streaming round knobs: per-row distance accumulation (off by
-    /// default, bit-identical to the barrier path either way) and the
-    /// quorum policy deciding when the server stops waiting for stragglers.
+    /// Round knobs: the quorum policy deciding when the server stops
+    /// waiting for stragglers. Its `enabled` flag is retired — the engine
+    /// ignores it (see [`StreamingConfig::enabled`]).
     pub streaming: StreamingConfig,
     /// Optional per-worker extra arrival delay in simulated seconds, added
     /// to each worker's compute + transfer time (Byzantine workers

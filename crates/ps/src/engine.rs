@@ -20,8 +20,9 @@ use agg_net::{
     ChaosPlan, GradientCodec, LinkConfig, LossyTransport, ReliableTransport, RowTransfer, Transport,
 };
 use agg_nn::Sequential;
+use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::rng::derive_seed;
-use agg_tensor::{DistanceMatrix, GroupPlan, Vector};
+use agg_tensor::{GroupPlan, Vector};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -65,9 +66,13 @@ use std::sync::Arc;
 /// guided claiming), so the attacker and crashed slots, which return at
 /// once, leave no core waiting at the barrier.
 ///
-/// The aggregate stage runs at most one O(n²·d) distance pass per flat or
-/// sharded round — the streamed matrix, or one batch pass — which the rule
-/// and the selection both read.
+/// The O(n·d) passes after Phase 1 split their work over rayon too — the
+/// adversary's honest mean, the attackers' sends, the compaction and the
+/// sharded reduce — each item writing its own rows or columns in a fixed
+/// term order, so their bits do not depend on the thread budget either. The aggregate
+/// stage runs at most one O(n²·d) distance pass per flat or sharded round —
+/// the parallel batch kernel over the compacted rows — which the rule and
+/// the selection both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -78,11 +83,11 @@ pub struct SyncTrainingEngine {
     test_set: Dataset,
     actual_dimension: usize,
     model_flops: u64,
-    /// The round pipeline: one submission arena reused every round (worker
-    /// `i` owns row `i`; undelivered rows are compacted away before
-    /// aggregation) plus, when streaming is enabled for a distance-based
-    /// rule, the incremental pairwise-distance accumulator fed per arriving
-    /// row. No per-round `n × d` allocation either way.
+    /// The round pipeline's one submission arena, reused every round (worker
+    /// `i` owns row `i`; undelivered and late rows are compacted away before
+    /// aggregation), so a round allocates no `n × d` buffer. The engine never
+    /// enables the pipeline's per-row distance fold: the aggregate stage
+    /// runs the batch kernel on the compacted rows instead.
     pipeline: RoundPipeline,
     /// The server's membership view: epoch number plus per-worker health,
     /// advanced at the start of every round from the configured fault plan.
@@ -215,14 +220,7 @@ impl SyncTrainingEngine {
             tree_plan.as_ref().map_or_else(Vec::new, |plan| vec![0; plan.group_count()]);
 
         let attack = config.attack.build();
-        let mut pipeline = RoundPipeline::new(actual_dimension, config.workers);
-        // Distance streaming accumulates the *flat* pairwise matrix, which
-        // the per-group rules of the tree tier never read — the flag is a
-        // no-op there rather than an error, so the determinism matrix can
-        // still cross it with tree runs.
-        if config.streaming.enabled && config.gar.kind.uses_distances() && config.tree.is_none() {
-            pipeline.enable_distance_streaming(config.workers, actual_dimension, config.shards)?;
-        }
+        let pipeline = RoundPipeline::new(actual_dimension, config.workers);
         let membership = MembershipView::new(config.workers);
         let ledger = config.reputation.map(|cfg| ReputationLedger::new(cfg, config.workers));
         let affinity_sample = match &config.reputation {
@@ -637,18 +635,33 @@ impl SyncTrainingEngine {
         // Phase 2: the adversary crafts one submission per slot of its roster,
         // seeing every honest gradient as a borrowed row view (§3.1's
         // omniscient attacker, without cloning a coordinate). Roster slot `s`
-        // owns `crafted[s − first]`; only the live ones send.
+        // owns `crafted[s − first]`; only the live ones send, each into its
+        // own arena row over its own transport, as in Phase 1 — so the sends
+        // share one parallel region once their rows clear the gate.
         if attacking {
             let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
             let crafted = self.attack.craft(&self.attack_context(&honest_views, step, history));
-            for (slot, gradient) in roster.zip(&crafted) {
-                if !self.membership.health(slot).is_live() {
-                    continue;
-                }
-                let row = self.pipeline.arena_mut().row_mut(slot);
-                let transfer =
-                    self.workers[slot].send_gradient_into(step, gradient.as_slice(), row)?;
-                record.wire[slot] = Some(SlotWire::from(&transfer));
+            let membership = &self.membership;
+            let rows = self.pipeline.arena_mut().rows_mut().into_iter().skip(roster.start);
+            let sends: Vec<((&mut Worker, &mut [f32]), &Vector)> = self.workers[roster]
+                .iter_mut()
+                .zip(rows)
+                .zip(&crafted)
+                .filter(|((worker, _), _)| membership.health(worker.id()).is_live())
+                .collect();
+            let send = |((worker, row), gradient): ((&mut Worker, &mut [f32]), &Vector)| {
+                let transfer = worker.send_gradient_into(step, gradient.as_slice(), row)?;
+                Ok((worker.id(), SlotWire::from(&transfer)))
+            };
+            let sent: Vec<Result<(usize, SlotWire)>> =
+                if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
+                    sends.into_par_iter().map(send).collect()
+                } else {
+                    sends.into_iter().map(send).collect()
+                };
+            for result in sent {
+                let (slot, wire) = result?;
+                record.wire[slot] = Some(wire);
             }
         }
         Ok(arrival_sec)
@@ -676,16 +689,10 @@ impl SyncTrainingEngine {
             accepted.iter().map(|&slot| arrival_sec[slot]).fold(0.0f64, f64::max)
         };
         record.round_wait_sec = self.broadcast_time() + slowest;
-        // Streaming: each accepted row's distance contributions fold in at
-        // its (simulated) arrival — the per-row completion event — so the
-        // matrix is ready the moment the quorum is. The batch path computes
-        // it from the compacted arena instead; both are pinned bit-identical
-        // at the tensor layer.
-        if self.pipeline.distance_streaming() {
-            for &slot in accepted {
-                self.pipeline.row_done(slot);
-            }
-        }
+        // The cut only decides which rows count. Their distances are taken
+        // after compaction, by the aggregate stage's one parallel batch pass
+        // over the accepted rows; the simulated clock charges that work the
+        // same whatever order the rows arrived in.
         record.accepted = accepted.to_vec();
         record.accepted.sort_unstable();
     }
@@ -791,14 +798,13 @@ impl SyncTrainingEngine {
             .tree_plan
             .as_ref()
             .map(|plan| record.accepted.iter().map(|&slot| plan.group_of(slot)).collect());
-        let streamed = self.pipeline.matrix(&record.accepted);
         self.pipeline.arena_mut().retain_rows(&keep);
         let aggregation = match (groups, self.config.tree) {
             _ if self.pipeline.arena().is_empty() => {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
             }
             (Some(groups), Some(tree)) => self.aggregate_tree(record.step, &groups, tree),
-            _ => self.aggregate_flat(streamed),
+            _ => self.aggregate_flat(),
         };
         let Aggregation { kernel_sec, wire_wait, selection } =
             aggregation.unwrap_or_else(|error| Aggregation {
@@ -812,15 +818,15 @@ impl SyncTrainingEngine {
     }
 
     /// The flat and sharded round. One distance pass per round: when the
-    /// pipeline streamed no matrix and the rule selects, build the matrix the
-    /// rule would build and let the round and the selection both read it.
-    /// The pass is the rule's own work moved out of `apply_round_batch`; its
-    /// counted work includes it. The rule is charged the compacted rows over
-    /// one shard's columns: every shard runs on its own node (all columns
-    /// when S = 1).
-    fn aggregate_flat(&mut self, streamed: Option<DistanceMatrix>) -> Result<Aggregation> {
+    /// rule selects, build the matrix the rule would build over the
+    /// compacted rows (the parallel batch kernel, or the sharded partials)
+    /// and let the round and the selection both read it. The pass is the
+    /// rule's own work moved out of `apply_round_batch`; its counted work
+    /// includes it. The rule is charged the compacted rows over one shard's
+    /// columns: every shard runs on its own node (all columns when S = 1).
+    fn aggregate_flat(&mut self) -> Result<Aggregation> {
         let arena = self.pipeline.arena();
-        let distances = streamed.or_else(|| self.server.round_distances(arena));
+        let distances = self.server.round_distances(arena);
         match &distances {
             Some(distances) => self.server.apply_round_batch_with_distances(arena, distances),
             None => self.server.apply_round_batch(arena),
@@ -1197,40 +1203,6 @@ mod tests {
             sharded.final_accuracy(),
             monolithic.final_accuracy()
         );
-    }
-
-    #[test]
-    fn streaming_engine_matches_the_barrier_engine_bit_for_bit() {
-        // Flipping streaming on changes only when the distance work runs
-        // (per arriving row instead of batch-at-barrier), never the result:
-        // the incremental accumulator is pinned bit-identical to the batch
-        // kernels for both the flat and the sharded tier.
-        for shards in [1usize, 4] {
-            let mut config = quick_config(GarKind::MultiKrum, 2, 9);
-            config.byzantine_count = 2;
-            config.attack = AttackKind::Reversed { scale: 50.0 };
-            config.shards = shards;
-            config.max_steps = 20;
-            config.eval_every = 5;
-            let barrier = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
-            config.streaming.enabled = true;
-            let streaming = SyncTrainingEngine::new(config).unwrap().run().unwrap();
-            assert_eq!(barrier.trace.len(), streaming.trace.len());
-            for (b, s) in barrier.trace.points().iter().zip(streaming.trace.points()) {
-                assert_eq!(
-                    b.accuracy.to_bits(),
-                    s.accuracy.to_bits(),
-                    "accuracy diverged with {shards} shard(s) at step {}",
-                    b.step
-                );
-                assert_eq!(
-                    b.loss.to_bits(),
-                    s.loss.to_bits(),
-                    "loss diverged with {shards} shard(s) at step {}",
-                    b.step
-                );
-            }
-        }
     }
 
     #[test]

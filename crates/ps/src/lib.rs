@@ -23,9 +23,8 @@
 //! * [`server`] — the trusted parameter server: GAR + optimizer + the
 //!   access-control patch that keeps Byzantine workers from overwriting the
 //!   shared model directly.
-//! * [`streaming`] — the event-driven round pipeline: the submission arena,
-//!   per-row distance accumulation and the quorum policy
-//!   that lets the server aggregate at `n − f` arrivals.
+//! * [`streaming`] — the round pipeline: the submission arena and the
+//!   quorum policy that lets the server aggregate at `n − f` arrivals.
 //! * [`reputation`] — the cross-round suspicion ledger: decayed per-worker
 //!   scores folded from the engine's evidence streams, automatic quarantine
 //!   with probationary readmission, and the containment reshuffle policy of

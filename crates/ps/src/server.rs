@@ -280,11 +280,11 @@ impl ParameterServer {
     }
 
     /// Distance-primed variant of [`ParameterServer::apply_round_batch`]: the
-    /// pairwise distance matrix was accumulated incrementally while the
-    /// round's rows arrived (the streaming pipeline), so distance-based
-    /// rules select straight on it instead of recomputing the O(n²·d) batch
-    /// kernel. Rules that do not use distances ignore the matrix; either
-    /// way the round's result is bit-identical to the batch path.
+    /// caller already holds the round's pairwise distance matrix (the
+    /// engine's one [`ParameterServer::round_distances`] pass), so
+    /// distance-based rules select straight on it instead of recomputing the
+    /// O(n²·d) kernel. Rules that do not use distances ignore the matrix;
+    /// either way the round's result is bit-identical to the batch path.
     ///
     /// # Errors
     ///
@@ -316,8 +316,9 @@ impl ParameterServer {
 
     /// The row indices the active rule's selection phase would pick for this
     /// batch (`None` for rules without a selection phase). Works on both the
-    /// monolithic and the sharded tier, and reads a pre-accumulated distance
-    /// matrix when the streaming pipeline supplies one — the engine's
+    /// monolithic and the sharded tier, and reads the round's distance
+    /// matrix when the caller already holds it (the engine's one
+    /// [`ParameterServer::round_distances`] pass) — the engine's
     /// selection-feedback path (adaptive attacks, Byzantine-selection
     /// accounting) and a pure read: no model state changes.
     ///

@@ -1,26 +1,28 @@
-//! The streaming round pipeline: the round's submission arena plus the
-//! incremental distance accumulator.
+//! The round pipeline: the round's submission arena, the quorum policy,
+//! and an incremental distance accumulator the engine no longer runs.
 //!
-//! The barrier round loop waits for every submission, then starts the
-//! O(n²·d) distance work from scratch. The streaming loop inverts that
-//! around per-row completion events:
-//!
-//! * **Per-row distance work.** When a worker's row completes, its distance
-//!   contributions against every previously arrived row fold into
-//!   [`agg_tensor::StreamingDistances`] immediately, so by the time the
-//!   quorum is reached the matrix is one cheap cross-shard fold away.
-//!   Bit-identity with the batch kernels is pinned at the tensor layer, so
-//!   flipping streaming on or off never changes a round's result.
 //! * **One arena.** Training is synchronous (Equation 4): round `t` is
 //!   aggregated and applied before round `t + 1` is broadcast, so one
 //!   submission arena, resized in place every round, is all a round reads.
+//!   Worker `i` writes row `i`; undelivered and late rows are compacted away
+//!   before aggregation.
 //! * **Quorum.** [`QuorumPolicy`] decides when the server stops waiting:
 //!   after every worker (the paper's synchronous baseline), after the first
 //!   `n − f` arrivals (stragglers are indistinguishable from Byzantine
 //!   workers, so a GAR tolerating `f` of them may simply not wait), or after
-//!   an explicit count. Late rows are dropped exactly like transport losses
-//!   — the round compacts them away — which keeps the quorum semantics
-//!   identical whether streaming is on or off.
+//!   an explicit count. Late rows are dropped exactly like transport losses.
+//! * **The per-row fold, kept for the benchmark only.** The engine's arrivals
+//!   are simulated: every row is already in the arena when the quorum cut
+//!   runs, so folding each accepted row's distances "as it arrives" only
+//!   ran the O(n²·d) distance work serially at the cut. The engine now runs
+//!   the parallel batch kernel on the compacted rows instead, which the
+//!   fold is pinned bit-identical to ([`agg_tensor::StreamingDistances`]),
+//!   and the simulated clock charges both the same.
+//!   [`StreamingConfig::enabled`] and this pipeline's fold methods
+//!   ([`RoundPipeline::enable_distance_streaming`],
+//!   [`RoundPipeline::row_done`], [`RoundPipeline::matrix`]) stay only
+//!   because the frozen benchmark's configs and trace replay still name
+//!   them.
 
 use crate::{PsError, Result};
 use agg_tensor::{DistanceMatrix, GradientBatch, StreamingDistances};
@@ -52,19 +54,21 @@ impl QuorumPolicy {
     }
 }
 
-/// Streaming knobs of the round engine.
+/// Round knobs of the engine: the quorum policy, and a retired flag.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct StreamingConfig {
-    /// Run distance work per arriving row instead of batch-at-barrier. Off
-    /// by default; results are bit-identical either way.
+    /// Retired: the engine ignores it and always runs the batch distance
+    /// kernel on the compacted rows, which is bit-identical to the per-row
+    /// fold this flag used to turn on. It stays only because the frozen
+    /// benchmark's workload configs set it and its trace replay reads it.
     pub enabled: bool,
-    /// When the round stops waiting for stragglers. Applies in both modes —
-    /// the quorum semantic is independent of the streaming mechanism.
+    /// When the round stops waiting for stragglers.
     pub quorum: QuorumPolicy,
 }
 
 /// The submission arena plus (optionally) the incremental distance
-/// accumulator — the server-side state of a streaming round.
+/// accumulator. The engine uses the arena only; the accumulator is enabled
+/// by the benchmark's trace replay alone.
 #[derive(Debug)]
 pub struct RoundPipeline {
     arena: GradientBatch,
@@ -77,7 +81,8 @@ impl RoundPipeline {
         RoundPipeline { arena: GradientBatch::with_capacity(dim, workers), distances: None }
     }
 
-    /// Enables per-row distance accumulation matching the server tier:
+    /// Enables per-row distance accumulation matching the server tier (the
+    /// benchmark's replay calls this; the engine does not):
     /// `shards == 1` replays the flat pairwise kernel, `shards > 1` the
     /// column-blocked partial pipeline of the sharded aggregator — both
     /// bit-identical to the batch path they replace.

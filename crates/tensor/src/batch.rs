@@ -181,19 +181,53 @@ impl GradientBatch {
     /// place (order preserved, no reallocation). Used after a lossy round:
     /// every worker owns one slot, then undelivered slots are squeezed out.
     ///
+    /// Every surviving row moves to a lower or equal index, so applying the
+    /// moves in ascending order never overwrites a row before it is read.
+    /// The moves run one column block at a time: blocks never overlap, so
+    /// each block replays the ascending moves on its own columns, and the
+    /// blocks run in parallel when the moved `rows·d` clears
+    /// [`PARALLEL_MIN_WORK`]. When no row moves, nothing is copied.
+    ///
     /// # Panics
     ///
     /// Panics if `keep.len() != self.n()`.
     pub fn retain_rows(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.n, "one keep flag per row");
         let d = self.d;
-        let mut kept = 0usize;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                if i != kept && d > 0 {
-                    self.data.copy_within(i * d..(i + 1) * d, kept * d);
+        // (from, to) for every survivor that changes index, ascending (a
+        // zero-width row has nothing to move).
+        let moves: Vec<(usize, usize)> = keep
+            .iter()
+            .enumerate()
+            .filter(|&(_, &k)| k)
+            .enumerate()
+            .filter_map(|(to, (from, _))| (from != to && d > 0).then_some((from, to)))
+            .collect();
+        let kept = keep.iter().filter(|&&k| k).count();
+        if let (Some(&(_, first)), Some(&(last, _))) = (moves.first(), moves.last()) {
+            // Only rows `first..=last` take part; each block gets its piece
+            // of every one of them, indexed from `first`.
+            let blocks = column_blocks(&(0..d));
+            let mut pieces: Vec<Vec<&mut [f32]>> =
+                blocks.iter().map(|_| Vec::with_capacity(last + 1 - first)).collect();
+            for row in self.data[first * d..(last + 1) * d].chunks_exact_mut(d) {
+                let mut rest = row;
+                for (block, piece) in blocks.iter().zip(&mut pieces) {
+                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(block.len());
+                    piece.push(head);
+                    rest = tail;
                 }
-                kept += 1;
+            }
+            let run = |mut rows: Vec<&mut [f32]>| {
+                for &(from, to) in &moves {
+                    let (below, above) = rows.split_at_mut(from - first);
+                    below[to - first].copy_from_slice(above[0]);
+                }
+            };
+            if moves.len().saturating_mul(d) >= PARALLEL_MIN_WORK {
+                let _: Vec<()> = pieces.into_par_iter().map(run).collect();
+            } else {
+                pieces.into_iter().for_each(run);
             }
         }
         self.data.truncate(kept * d);
@@ -698,50 +732,8 @@ impl GradientBatch {
         Ok(m)
     }
 
-    /// Column ranges of at most [`COLUMN_BLOCK`] columns covering `cols`.
-    ///
-    /// Blocks snap to the global [`COLUMN_BLOCK`] grid rather than to
-    /// `cols.start`: a range starting off-grid (shard boundaries land
-    /// anywhere) takes one short leading block and every block after it is
-    /// grid-aligned — so the network kernels' lane tiles, which snap to the
-    /// same grid, pay their short-leading-tile realignment once per range
-    /// instead of once per block.
-    fn column_blocks(&self, cols: &Range<usize>) -> Vec<Range<usize>> {
-        let mut blocks = Vec::new();
-        let mut start = cols.start;
-        while start < cols.end {
-            let end = ((start / COLUMN_BLOCK + 1) * COLUMN_BLOCK).min(cols.end);
-            blocks.push(start..end);
-            start = end;
-        }
-        blocks
-    }
-
-    /// Pairs each column block with its slice of `out`, in block order, so
-    /// block-parallel drivers write results straight into the caller's
-    /// buffer instead of materialising per-block vectors and concatenating
-    /// (the concatenation copy was pure overhead, and it compounded per
-    /// shard in the sharded tier).
-    fn block_chunks(blocks: Vec<Range<usize>>, out: &mut [f32]) -> Vec<(Range<usize>, &mut [f32])> {
-        let mut chunks = Vec::with_capacity(blocks.len());
-        let mut rest = out;
-        for block in blocks {
-            let (head, tail) = rest.split_at_mut(block.len());
-            chunks.push((block, head));
-            rest = tail;
-        }
-        chunks
-    }
-
-    /// Fused mean kernels: streams every row over each column block once,
-    /// accumulating straight into the caller's output slice (no
-    /// per-coordinate gather at all).
-    ///
-    /// Below the parallel gate the block machinery (range bookkeeping,
-    /// chunked output, rayon dispatch) is pure overhead for a kernel this
-    /// trivially fused, so small batches take a single-pass fast path over
-    /// the whole range. Both paths add each column in the same row order,
-    /// so they are bit-identical.
+    /// Fused mean kernels over `rows` of this batch (all rows when `None`):
+    /// [`mean_rows_into`] after the row check.
     fn mean_blocks(
         &self,
         rows: Option<&[usize]>,
@@ -751,46 +743,8 @@ impl GradientBatch {
         out: &mut [f32],
     ) -> Result<()> {
         let m = self.check_rows(rows, label)?;
-        let width = cols.len();
-        debug_assert_eq!(out.len(), width, "output slice must cover the column range");
-        let run = |(range, acc): (Range<usize>, &mut [f32])| {
-            acc.fill(0.0);
-            let mut count = vec![0u32; if skip_nan { range.len() } else { 0 }];
-            let mut add_row = |row: &[f32]| {
-                let slice = &row[range.clone()];
-                if skip_nan {
-                    for ((a, c), &v) in acc.iter_mut().zip(count.iter_mut()).zip(slice) {
-                        if !v.is_nan() {
-                            *a += v;
-                            *c += 1;
-                        }
-                    }
-                } else {
-                    for (a, &v) in acc.iter_mut().zip(slice) {
-                        *a += v;
-                    }
-                }
-            };
-            match rows {
-                None => (0..self.n).for_each(|r| add_row(self.row(r))),
-                Some(rows) => rows.iter().for_each(|&r| add_row(self.row(r))),
-            }
-            if skip_nan {
-                for (a, &c) in acc.iter_mut().zip(&count) {
-                    *a = if c == 0 { 0.0 } else { *a / c as f32 };
-                }
-            } else {
-                let scale = 1.0 / m as f32;
-                acc.iter_mut().for_each(|a| *a *= scale);
-            }
-        };
-        if m.saturating_mul(width) < PARALLEL_MIN_WORK {
-            // Single pass over the whole range, skipping the block split.
-            run((cols, out));
-            return Ok(());
-        }
-        let chunks = Self::block_chunks(self.column_blocks(&cols), out);
-        let _: Vec<()> = chunks.into_par_iter().map(run).collect();
+        let row = |k: usize| self.row(rows.map_or(k, |rows| rows[k]));
+        mean_rows_into(m, row, skip_nan, cols, out);
         Ok(())
     }
 
@@ -833,7 +787,7 @@ impl GradientBatch {
             }
             Ok(())
         };
-        let chunks = Self::block_chunks(self.column_blocks(&cols), out);
+        let chunks = block_chunks(column_blocks(&cols), out);
         let parts: Vec<Result<()>> = if m.saturating_mul(width) >= PARALLEL_MIN_WORK {
             chunks.into_par_iter().map(run).collect()
         } else {
@@ -937,7 +891,7 @@ impl GradientBatch {
         };
         let run = |(range, dst): (Range<usize>, &mut [f32])| tiles.block(range, dst, width);
         let parallel = m.saturating_mul(cols.len()) >= PARALLEL_MIN_WORK;
-        let chunks = Self::block_chunks(self.column_blocks(&cols), out);
+        let chunks = block_chunks(column_blocks(&cols), out);
         let parts: Vec<Result<()>> = if parallel {
             chunks.into_par_iter().map(run).collect()
         } else {
@@ -945,6 +899,100 @@ impl GradientBatch {
         };
         parts.into_iter().collect()
     }
+}
+
+/// Column ranges of at most [`COLUMN_BLOCK`] columns covering `cols`.
+///
+/// Blocks snap to the global [`COLUMN_BLOCK`] grid rather than to
+/// `cols.start`: a range starting off-grid (shard boundaries land anywhere)
+/// takes one short leading block and every block after it is grid-aligned —
+/// so the network kernels' lane tiles, which snap to the same grid, pay
+/// their short-leading-tile realignment once per range instead of once per
+/// block.
+fn column_blocks(cols: &Range<usize>) -> Vec<Range<usize>> {
+    let mut blocks = Vec::new();
+    let mut start = cols.start;
+    while start < cols.end {
+        let end = ((start / COLUMN_BLOCK + 1) * COLUMN_BLOCK).min(cols.end);
+        blocks.push(start..end);
+        start = end;
+    }
+    blocks
+}
+
+/// Pairs each column block with its slice of `out`, in block order, so
+/// block-parallel drivers write results straight into the caller's buffer
+/// instead of materialising per-block vectors and concatenating (the
+/// concatenation copy was pure overhead, and it compounded per shard in the
+/// sharded tier).
+fn block_chunks(blocks: Vec<Range<usize>>, out: &mut [f32]) -> Vec<(Range<usize>, &mut [f32])> {
+    let mut chunks = Vec::with_capacity(blocks.len());
+    let mut rest = out;
+    for block in blocks {
+        let (head, tail) = rest.split_at_mut(block.len());
+        chunks.push((block, head));
+        rest = tail;
+    }
+    chunks
+}
+
+/// The one fused mean loop, behind every coordinate mean of the workspace
+/// (the batch kernels and [`crate::stats::coordinate_mean_of_rows`]): the
+/// mean over `cols` of the `m ≥ 1` rows `row(0), …, row(m − 1)`, written
+/// into `out` (`out.len() == cols.len()`). Every row is streamed over each
+/// column block once, accumulating straight into `out` (no per-coordinate
+/// gather at all); `skip_nan` skips NaN (lost) coordinates and writes `0.0`
+/// for a column that is NaN in every row.
+///
+/// Below the parallel gate the block machinery (range bookkeeping, chunked
+/// output, rayon dispatch) is pure overhead for a kernel this trivially
+/// fused, so small inputs take a single pass over the whole range; above it
+/// the [`COLUMN_BLOCK`] blocks run in parallel. Both paths add each column
+/// in row order and then scale it, so they are bit-identical.
+pub(crate) fn mean_rows_into<'a>(
+    m: usize,
+    row: impl Fn(usize) -> &'a [f32] + Sync,
+    skip_nan: bool,
+    cols: Range<usize>,
+    out: &mut [f32],
+) {
+    debug_assert!(m > 0, "a mean needs at least one row");
+    debug_assert_eq!(out.len(), cols.len(), "output slice must cover the column range");
+    let width = cols.len();
+    let run = |(range, acc): (Range<usize>, &mut [f32])| {
+        acc.fill(0.0);
+        let mut count = vec![0u32; if skip_nan { range.len() } else { 0 }];
+        for k in 0..m {
+            let slice = &row(k)[range.clone()];
+            if skip_nan {
+                for ((a, c), &v) in acc.iter_mut().zip(count.iter_mut()).zip(slice) {
+                    if !v.is_nan() {
+                        *a += v;
+                        *c += 1;
+                    }
+                }
+            } else {
+                for (a, &v) in acc.iter_mut().zip(slice) {
+                    *a += v;
+                }
+            }
+        }
+        if skip_nan {
+            for (a, &c) in acc.iter_mut().zip(&count) {
+                *a = if c == 0 { 0.0 } else { *a / c as f32 };
+            }
+        } else {
+            let scale = 1.0 / m as f32;
+            acc.iter_mut().for_each(|a| *a *= scale);
+        }
+    };
+    if m.saturating_mul(width) < PARALLEL_MIN_WORK {
+        // Single pass over the whole range, skipping the block split.
+        run((cols, out));
+        return;
+    }
+    let chunks = block_chunks(column_blocks(&cols), out);
+    let _: Vec<()> = chunks.into_par_iter().map(run).collect();
 }
 
 /// The per-coordinate reductions the selection-network tiles serve. Public
@@ -1705,6 +1753,71 @@ mod tests {
         // Resizing restores the slot layout for the next round.
         b.resize_rows(2);
         assert_eq!(b.n(), 2);
+    }
+
+    /// Row-at-a-time compaction, the loop the block-parallel
+    /// [`GradientBatch::retain_rows`] replaced, kept as its oracle.
+    fn retain_rows_row_at_a_time(b: &mut GradientBatch, keep: &[bool]) {
+        let d = b.d;
+        let mut kept = 0usize;
+        for (i, &k) in keep.iter().enumerate() {
+            if k {
+                if i != kept && d > 0 {
+                    b.data.copy_within(i * d..(i + 1) * d, kept * d);
+                }
+                kept += 1;
+            }
+        }
+        b.data.truncate(kept * d);
+        b.n = kept;
+    }
+
+    #[test]
+    fn block_parallel_compaction_equals_the_row_at_a_time_loop() {
+        // At d = 200 003 a single moved row clears PARALLEL_MIN_WORK, so
+        // every pattern that moves a row fans its column blocks out above
+        // budget 1 (the last block ragged); d = 3 and 700 stay serial.
+        type Keeps = fn(usize) -> bool;
+        let n = 9;
+        let patterns: [(&str, Keeps); 5] = [
+            ("drop the first row", |i| i != 0),
+            ("drop the last row", |i| i != 8),
+            ("drop every other row", |i| i % 2 == 0),
+            ("drop all but one", |i| i == 6),
+            ("keep every row", |_| true),
+        ];
+        for d in [3, 700, 200_003] {
+            let mut full = GradientBatch::with_capacity(d, n);
+            for i in 0..n {
+                full.push_row_with(|row| {
+                    for (c, x) in row.iter_mut().enumerate() {
+                        *x = (i * 1_000_003 + c) as f32;
+                    }
+                });
+            }
+            for (name, kept) in &patterns {
+                let keep: Vec<bool> = (0..n).map(*kept).collect();
+                let mut expected = full.clone();
+                retain_rows_row_at_a_time(&mut expected, &keep);
+                for threads in [1, 2, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                    let mut compacted = full.clone();
+                    pool.expect("the shim's pools always build")
+                        .install(|| compacted.retain_rows(&keep));
+                    assert!(compacted == expected, "{name}, d = {d}, budget {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tree_tier_dimension_splits_into_several_column_blocks() {
+        // elastic_tree256's d = 4 138: the coordinate kernels and the
+        // compaction have more than one block to deal out.
+        let blocks = column_blocks(&(0..4_138));
+        assert!(blocks.len() >= 2, "{} block(s)", blocks.len());
+        assert_eq!(blocks.first().map(|b| b.start), Some(0));
+        assert_eq!(blocks.last().map(|b| b.end), Some(4_138));
     }
 
     #[test]

@@ -170,26 +170,41 @@ pub fn k_smallest_indices(values: &[f32], k: usize) -> Result<Vec<usize>> {
     Ok(idx)
 }
 
-/// Coordinate-wise mean of a set of equally sized vectors.
+/// Coordinate-wise mean of a set of equally sized vectors:
+/// [`coordinate_mean_of_rows`] over their slices.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::EmptyInput`] for an empty set and
 /// [`TensorError::DimensionMismatch`] when lengths disagree.
 pub fn coordinate_mean(vectors: &[Vector]) -> Result<Vector> {
-    if vectors.is_empty() {
+    let rows: Vec<&[f32]> = vectors.iter().map(Vector::as_slice).collect();
+    coordinate_mean_of_rows(&rows)
+}
+
+/// Coordinate-wise mean of equally sized row slices, wherever they live
+/// (arena rows, vectors): each coordinate sums the rows in slice order and
+/// is then scaled by `1 / rows.len()`. It runs the one fused mean loop of
+/// the [`GradientBatch`](crate::GradientBatch) kernels, so its column
+/// blocks run in parallel once `rows·d` clears
+/// [`PARALLEL_MIN_WORK`](crate::batch::PARALLEL_MIN_WORK), with the same
+/// bits at any thread budget.
+///
+/// # Errors
+///
+/// Returns [`TensorError::EmptyInput`] for no rows and
+/// [`TensorError::DimensionMismatch`] when lengths disagree.
+pub fn coordinate_mean_of_rows(rows: &[&[f32]]) -> Result<Vector> {
+    let Some(first) = rows.first() else {
         return Err(TensorError::EmptyInput("coordinate_mean"));
+    };
+    let d = first.len();
+    if let Some(row) = rows.iter().find(|row| row.len() != d) {
+        return Err(TensorError::dim(d, row.len()));
     }
-    let d = vectors[0].len();
-    let mut acc = Vector::zeros(d);
-    for v in vectors {
-        if v.len() != d {
-            return Err(TensorError::dim(d, v.len()));
-        }
-        acc.axpy(1.0, v)?;
-    }
-    acc.scale(1.0 / vectors.len() as f32);
-    Ok(acc)
+    let mut out = vec![0.0f32; d];
+    crate::batch::mean_rows_into(rows.len(), |k| rows[k], false, 0..d, &mut out);
+    Ok(Vector::from(out))
 }
 
 /// Coordinate-wise median of a set of equally sized vectors (NaN-tolerant).
@@ -452,6 +467,45 @@ mod tests {
         assert_eq!(k_smallest_indices(&v, 2).unwrap(), vec![2, 3]);
         assert_eq!(k_smallest_indices(&v, 4).unwrap(), vec![2, 3, 0, 1]);
         assert!(k_smallest_indices(&v, 5).is_err());
+    }
+
+    /// The scalar oracle: every coordinate sums the rows in slice order,
+    /// then scales by `1 / rows`.
+    fn row_order_mean(rows: &[&[f32]]) -> Vec<f32> {
+        let mut acc = vec![0.0f32; rows[0].len()];
+        for row in rows {
+            for (a, &v) in acc.iter_mut().zip(*row) {
+                *a += v;
+            }
+        }
+        let scale = 1.0 / rows.len() as f32;
+        acc.iter().map(|a| a * scale).collect()
+    }
+
+    #[test]
+    fn mean_of_rows_equals_the_row_order_loop_at_every_width_and_budget() {
+        // One, two and many column blocks, each below and at or above
+        // PARALLEL_MIN_WORK (rows·d), with a NaN and a +∞ coordinate.
+        let shapes = [(3, 1), (5, 700), (19, 4_138), (400, 500), (200, 1_000), (19, 40_000)];
+        for (n, d) in shapes {
+            let mut data: Vec<Vec<f32>> = (0..n)
+                .map(|i| (0..d).map(|c| ((i * 31 + c * 7) % 113) as f32 * 0.37 - 20.0).collect())
+                .collect();
+            data[1][0] = f32::NAN;
+            data[2][d - 1] = f32::INFINITY;
+            let rows: Vec<&[f32]> = data.iter().map(Vec::as_slice).collect();
+            let expected: Vec<u32> = row_order_mean(&rows).iter().map(|x| x.to_bits()).collect();
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                let mean = pool
+                    .expect("the shim's pools always build")
+                    .install(|| coordinate_mean_of_rows(&rows).unwrap());
+                let bits: Vec<u32> = mean.as_slice().iter().map(|x| x.to_bits()).collect();
+                assert!(bits == expected, "n = {n}, d = {d}, budget {threads}");
+            }
+        }
+        assert!(coordinate_mean_of_rows(&[]).is_err());
+        assert!(coordinate_mean_of_rows(&[&[1.0, 2.0], &[1.0]]).is_err());
     }
 
     #[test]

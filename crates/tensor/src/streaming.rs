@@ -7,6 +7,12 @@
 //! row can start the moment the row is in — overlapping the remaining
 //! ingest instead of waiting behind a barrier.
 //!
+//! The training engine does not use it: its arrivals are simulated, every
+//! row is in the arena before the quorum cut, and folding there only ran the
+//! distance work serially, so the engine takes the parallel batch pass over
+//! the compacted rows. The benchmark's trace replay still drives the fold,
+//! which is why it stays, pinned to the batch kernels as below.
+//!
 //! [`StreamingDistances`] holds the per-pair running state between row
 //! arrivals. Its contract is *bit-identity* with the batch pipeline it
 //! replaces, which pins two things:

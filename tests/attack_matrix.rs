@@ -251,8 +251,8 @@ fn sharded_aggregates_match_unsharded_under_every_attack() {
 fn new_attack_family_survives_flat_sharded_quorum_and_churn() {
     // The omniscient attack family (ALIE, min-max, min-sum, adaptive) against
     // strong resilience, across every deployment shape the server supports:
-    // the flat tier, the S = 4 sharded tier, the streaming round with an
-    // n − f quorum, and elastic membership under a crash→rejoin schedule.
+    // the flat tier, the S = 4 sharded tier, the round with an n − f
+    // quorum, and elastic membership under a crash→rejoin schedule.
     // Bulyan at the paper's deployment size (n = 19, f = 4) must keep
     // learning in every cell of the grid.
     let new_attacks =
@@ -276,10 +276,9 @@ fn new_attack_family_survives_flat_sharded_quorum_and_churn() {
                 "quorum" => {
                     // An n − f quorum admits 15 rows, below Bulyan's 4f + 3
                     // floor, so the quorum cell runs Multi-Krum (floor
-                    // 2f + 3 = 11) — the same pairing the streaming round
+                    // 2f + 3 = 11) — the same pairing the quorum round
                     // uses elsewhere.
                     config.gar = GarConfig::new(GarKind::MultiKrum, 4);
-                    config.streaming.enabled = true;
                     config.streaming.quorum = QuorumPolicy::NMinusF;
                 }
                 "churn" => {

@@ -1,14 +1,14 @@
 //! The determinism harness the engine-level suites share: one report
 //! comparator and one sweep that runs a configuration at several rayon
-//! thread budgets — and with the streaming round pipeline off and on — in
-//! the test's own process.
+//! thread budgets in the test's own process.
 //!
 //! A budget is scoped to one call (`ThreadPool::install`), so budget 1 is
 //! the sequential ordering of every parallel region: Phase 1's worker
-//! fan-out, the sharded tier's shards, the tree tier's groups and the
-//! tensor kernels' blocks. Budgets 2 and 4 deal the same items to threads
-//! differently, so equal reports pin that no region's result depends on
-//! the schedule.
+//! fan-out, Phase 2's attacker sends, the sharded tier's shards (distance
+//! partials and reduce), the tree tier's groups and the tensor kernels'
+//! blocks (the compaction and the honest mean included). Budgets 2 and 4
+//! deal the same items to threads differently, so equal reports pin that no
+//! region's result depends on the schedule.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -41,16 +41,10 @@ pub fn reports_at_budgets(config: &RunnerConfig, budgets: &[usize]) -> Vec<Train
     reports
 }
 
-/// `config` at every budget of [`BUDGETS`] with `streaming.enabled` as
-/// given and flipped, all six reports asserted identical; returns the
-/// budget-1 report of `config` itself.
+/// `config` at every budget of [`BUDGETS`], the three reports asserted
+/// identical; returns the budget-1 report.
 pub fn assert_deterministic(config: &RunnerConfig) -> TrainingReport {
-    let mut flipped = config.clone();
-    flipped.streaming.enabled = !config.streaming.enabled;
-    let report = reports_at_budgets(config, &BUDGETS).swap_remove(0);
-    let other = reports_at_budgets(&flipped, &BUDGETS).swap_remove(0);
-    assert_reports_identical(&report, &other, "streaming flipped");
-    report
+    reports_at_budgets(config, &BUDGETS).swap_remove(0)
 }
 
 /// Bit-for-bit equality of the whole report: the counters, the per-worker

@@ -4,11 +4,10 @@
 //! Two families of pins:
 //!
 //! * **Determinism** — a churn schedule is part of the round state, so the
-//!   parallel phase-1 fan-out, the sharded tier and the streaming round
-//!   pipeline must all produce bit-identical reports (traces *and* the
-//!   elastic counters: refused rounds, stale-epoch rejects, Byzantine
-//!   selections) at thread budgets 1, 2 and 4 with streaming off and on,
-//!   exactly as in `round_determinism`.
+//!   parallel phase-1 fan-out, the sharded tier and the quorum cut must all
+//!   produce bit-identical reports (traces *and* the elastic counters:
+//!   refused rounds, stale-epoch rejects, Byzantine selections) at thread
+//!   budgets 1, 2 and 4, exactly as in `round_determinism`.
 //!
 //! * **Semantics** — a crash→rejoin schedule at the paper's deployment size
 //!   behaves identically under every attack in the new family: rounds below
@@ -92,10 +91,10 @@ fn churn_on_the_sharded_tier_matches_sequential_shard_order() {
 
 #[test]
 fn churn_streaming_quorum_matches_the_barrier_path() {
-    // The full stack at once: churn + streaming distance accumulation + an
-    // n − f quorum. The quorum is computed over the *live* worker count, so
-    // the membership view feeds straight into the accept threshold, and the
-    // result must still match the barrier pipeline bit for bit.
+    // The full stack at once: churn + an n − f quorum. The quorum is
+    // computed over the *live* worker count, so the membership view feeds
+    // straight into the accept threshold, and every budget must agree bit
+    // for bit.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.byzantine_count = 2;
     config.attack = AttackKind::MinSum;

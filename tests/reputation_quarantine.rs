@@ -24,8 +24,8 @@
 //!   below its clique-capture threshold.
 //!
 //! Everything is seeded; the determinism tests below run the flat ledger
-//! and the tree reshuffles at thread budgets 1, 2 and 4 with streaming off
-//! and on, and assert the reports agree bit for bit, ledger state included.
+//! and the tree reshuffles at thread budgets 1, 2 and 4, and assert the
+//! reports agree bit for bit, ledger state included.
 
 mod common;
 
@@ -344,15 +344,15 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across thread budgets and round pipelines
+// Determinism across thread budgets
 // ---------------------------------------------------------------------------
 
 #[test]
 fn quarantine_rounds_are_bit_identical_across_thread_and_streaming_modes() {
     // The full ledger pipeline (evidence fold, affinity sketch, quarantine
     // synthesis, readmission) under the adaptive rotation: every thread
-    // budget, on both round pipelines, must agree bit for bit — scores,
-    // events and per-worker counters included.
+    // budget must agree bit for bit — scores, events and per-worker counters
+    // included.
     let mut config = base_config(GarKind::MultiKrum, 4, 19);
     config.max_steps = 24;
     config.eval_every = 6;

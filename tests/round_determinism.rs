@@ -11,21 +11,27 @@
 //! happens in fixed shard order, so budget 1 (plain shard order) must be
 //! bit-identical to budgets 2 and 4.
 //!
-//! The streaming round pipeline is pinned the same way: with
-//! `streaming.enabled` the distance work for the selection rules runs
-//! incrementally per arriving row instead of batch-at-barrier, and the
-//! result must be bit-identical — the accumulator replays the exact batch
-//! kernels and reduce orders. Every pin below runs its configuration at
-//! budgets 1, 2 and 4 with streaming off and on, in this process
-//! (`common::assert_deterministic`).
+//! Every pass after Phase 1 is pinned the same way: the adversary's honest
+//! mean, the attackers' sends, the compaction of undelivered and late rows,
+//! the distance pass over the compacted rows and the sharded reduce each
+//! split their work over rayon, and each keeps its term order. Every pin
+//! below runs its configuration at budgets 1, 2 and 4 in this process
+//! (`common::assert_deterministic`). Most configurations are small enough
+//! that the kernels stay under the parallel gate; the `stream19`-shaped pin
+//! is large enough that every region fans out.
+//!
+//! The `streaming_*` pins are named for the per-row distance fold the engine
+//! once ran; the engine now always takes the batch pass, which the fold is
+//! pinned bit-identical to at the tensor layer, so they pin the same
+//! configurations on the one pipeline.
 
 mod common;
 
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind};
-use agg_net::{LinkConfig, LossPolicy};
+use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
-use agg_ps::{RunnerConfig, TrainingReport, TransportKind};
+use agg_ps::{QuorumPolicy, RunnerConfig, TrainingReport, TransportKind};
 use common::assert_deterministic;
 
 fn base_config(gar: GarKind, f: usize, workers: usize) -> RunnerConfig {
@@ -77,9 +83,8 @@ fn parallel_engine_matches_sequential_over_lossy_links_with_drops() {
 #[test]
 fn shard_parallel_aggregation_matches_sequential_shard_order() {
     // Multi-Krum over a 4-shard tier: the distance pipeline (per-shard
-    // partials, shard-order reduce, global selection) against the blocked
-    // partial-distance accumulator of the streaming pipeline, at every
-    // budget.
+    // partials, shard-order reduce, global selection) and the sharded
+    // reduce, at every budget.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.shards = 4;
     config.byzantine_count = 2;
@@ -132,8 +137,8 @@ fn shard_parallel_aggregation_matches_sequential_shard_order_over_lossy_links() 
 #[test]
 fn streaming_matches_barrier_bit_for_bit_across_thread_modes() {
     // Krum — Multi-Krum's m = 1 selection — on the 4-shard tier: one
-    // selected row per round, so any drift between the streamed blocked
-    // partials and the sharded batch pipeline changes which row wins.
+    // selected row per round, so any drift in the sharded distance partials
+    // between budgets changes which row wins.
     let mut config = base_config(GarKind::Krum, 2, 9);
     config.byzantine_count = 2;
     config.attack = AttackKind::LittleIsEnough { z: 1.0 };
@@ -144,9 +149,9 @@ fn streaming_matches_barrier_bit_for_bit_across_thread_modes() {
 
 #[test]
 fn streaming_matches_barrier_over_lossy_links_with_whole_row_drops() {
-    // DropGradient removes whole rows from some rounds, so the streaming
-    // accumulator extracts its matrix over a sparse, compacted slot set —
-    // the layout a lossy round actually hands the server.
+    // DropGradient removes whole rows from some rounds, so the distance
+    // pass runs over a sparse, compacted slot set — the layout a lossy round
+    // actually hands the server.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.byzantine_count = 1;
     config.attack = AttackKind::Reversed { scale: 50.0 };
@@ -158,15 +163,65 @@ fn streaming_matches_barrier_over_lossy_links_with_whole_row_drops() {
 
 #[test]
 fn streaming_bulyan_matches_barrier_on_the_sharded_tier() {
-    // Bulyan reuses the streamed matrix for its iterated selection and then
-    // runs its second phase on the arena rows; both halves must be
-    // untouched by the pipeline swap.
+    // Bulyan reuses the round's one matrix for its iterated selection and
+    // then runs its second phase on the arena rows; both halves must agree
+    // at every budget.
     let mut config = base_config(GarKind::Bulyan, 1, 9);
     config.byzantine_count = 1;
     config.attack = AttackKind::Reversed { scale: 50.0 };
     config.shards = 3;
     let report = assert_deterministic(&config);
     assert_eq!(report.steps_completed, 24);
+}
+
+#[test]
+fn a_stream19_shaped_round_is_bit_identical_at_every_budget() {
+    // stream19_sharded in small: S = 4 Multi-Krum under an n − f quorum,
+    // 4 stragglers and 2 sign-flip attackers, the last 6 links lossy with
+    // chaos and retransmit. At d = 104 404 every region after Phase 1 clears
+    // PARALLEL_MIN_WORK — the honest mean's blocks, the two attackers' sends,
+    // a compaction that moves the rows behind each straggler, the sharded
+    // distance partials and the reduce's four ranges — so budgets 2 and 4
+    // deal them to threads.
+    let mut delays = vec![0.0; 19];
+    for straggler in [0, 5, 10, 15] {
+        delays[straggler] = 0.05;
+    }
+    let mut config = RunnerConfig {
+        experiment: agg_ps::ExperimentKind::MlpBlobs {
+            input_dim: 256,
+            hidden: 400,
+            classes: 4,
+            samples: 200,
+        },
+        gar: GarConfig::new(GarKind::MultiKrum, 4),
+        workers: 19,
+        byzantine_count: 2,
+        attack: AttackKind::SignFlip,
+        shards: 4,
+        worker_extra_delay_sec: delays,
+        transport: TransportKind::Lossy { policy: LossPolicy::RandomFill },
+        lossy_links: 6,
+        link: LinkConfig::datacenter().with_drop_rate(0.10),
+        chaos: Some(ChaosConfig::moderate()),
+        retransmit: Some(RetransmitConfig::default()),
+        max_steps: 4,
+        eval_every: 2,
+        eval_samples: 40,
+        batch_size: 2,
+        ..base_config(GarKind::MultiKrum, 4, 19)
+    };
+    config.streaming.quorum = QuorumPolicy::NMinusF;
+    let report = assert_deterministic(&config);
+    assert_eq!(report.steps_completed, 4);
+    for record in &report.rounds {
+        // The quorum cuts straggler 0 every round, so every accepted row
+        // moves down in the compaction.
+        assert_eq!(record.accepted.len(), 15, "step {}", record.step);
+        assert!(!record.accepted.contains(&0), "step {}", record.step);
+        let selection = record.selection.as_ref().expect("Multi-Krum selects");
+        assert!(selection.iter().all(|slot| record.accepted.binary_search(slot).is_ok()));
+    }
 }
 
 #[test]

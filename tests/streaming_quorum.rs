@@ -1,6 +1,6 @@
 //! Quorum rounds must equal lossy-drop rounds, for every rule.
 //!
-//! The streaming engine's quorum policy stops a round at the first `n − f`
+//! The engine's quorum policy stops a round at the first `n − f`
 //! arrivals and compacts the stragglers away. The load-bearing claim is
 //! that this is *exactly* the transport-loss semantics the GARs already
 //! absorb: aggregating the accepted rows through the streaming pipeline
@@ -19,7 +19,7 @@
 //!
 //! And the quorum cut is decided on simulated arrival times, not host
 //! scheduling: a quorum run gives the same report at thread budgets 1, 2
-//! and 4, streaming on and off.
+//! and 4.
 
 mod common;
 
@@ -267,11 +267,10 @@ fn quorum_excludes_byzantine_stragglers() {
 fn quorum_rounds_remain_deterministic_across_thread_modes() {
     // The quorum accept set is decided on simulated arrival times, not host
     // scheduling, so every thread budget must agree bit for bit under a
-    // quorum too, on both round pipelines.
+    // quorum too.
     let mut config = engine_config(GarKind::MultiKrum, 2, 9);
     config.byzantine_count = 2;
     config.attack = AttackKind::Reversed { scale: 50.0 };
-    config.streaming.enabled = true;
     config.streaming.quorum = QuorumPolicy::NMinusF;
     let mut delays = vec![0.0; 9];
     delays[3] = 2.0;

@@ -11,9 +11,7 @@
 //! * **The tree tier is a pure performance change.** Like the phase-1 and
 //!   shard tiers, the grouped stage fans out over rayon but reduces in
 //!   ascending group order, so the same `TrainingReport` bits must come out
-//!   at thread budgets 1, 2 and 4. Each pin also flips `streaming.enabled`:
-//!   streaming distance accumulation is deliberately a no-op in tree mode,
-//!   and the pins prove the flag stays inert.
+//!   at thread budgets 1, 2 and 4.
 //! * **Composed resilience holds at engine scale.** A mid-scale tree run
 //!   (n = 64, Multi-Krum at both levels) trains through the full
 //!   group-stage + per-group-link path, and the colluding-group
