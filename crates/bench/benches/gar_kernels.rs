@@ -11,6 +11,7 @@ use agg_core::{
     TreeConfig, TrimmedMean,
 };
 use agg_ps::reputation::{affinity_sample_indices, collusion_flags};
+use agg_tensor::batch::OrderStatistic;
 use agg_tensor::ops;
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use agg_tensor::{GradientBatch, Vector};
@@ -118,9 +119,10 @@ fn bench_arena_vs_reference(c: &mut Criterion) {
 /// order-statistic reduction, across worker counts spanning the network
 /// range (n = 5, 19, 31 — the cap is 32) and both cache regimes (d = 1k
 /// resident, d = 100k streaming). This is the before/after evidence for the
-/// branch-free lane-major sort path: the quickselect entry points are the
+/// branch-free lane-major sort path: `order_statistic_quickselect` runs the
 /// exact scalar kernels the dispatch falls back to above the cap.
 fn bench_selection_networks(c: &mut Criterion) {
+    const MEDIAN: OrderStatistic = OrderStatistic::Median;
     let mut group = c.benchmark_group("selection_networks");
     group.sample_size(10);
     for &n in &[5usize, 19, 31] {
@@ -136,9 +138,10 @@ fn bench_selection_networks(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("median-quickselect", &label),
                 &batch,
-                |b, batch| b.iter(|| black_box(batch).coordinate_median_quickselect().unwrap()),
+                |b, batch| b.iter(|| black_box(batch).order_statistic_quickselect(MEDIAN).unwrap()),
             );
             let trim = (n / 5).max(1);
+            let trimmed = OrderStatistic::TrimmedMean { trim };
             group.bench_with_input(
                 BenchmarkId::new("trimmed-mean-network", &label),
                 &batch,
@@ -148,10 +151,11 @@ fn bench_selection_networks(c: &mut Criterion) {
                 BenchmarkId::new("trimmed-mean-quickselect", &label),
                 &batch,
                 |b, batch| {
-                    b.iter(|| black_box(batch).coordinate_trimmed_mean_quickselect(trim).unwrap())
+                    b.iter(|| black_box(batch).order_statistic_quickselect(trimmed).unwrap())
                 },
             );
             let keep = n - trim;
+            let around = OrderStatistic::MeanAroundMedian { keep };
             group.bench_with_input(
                 BenchmarkId::new("mean-around-median-network", &label),
                 &batch,
@@ -160,11 +164,7 @@ fn bench_selection_networks(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("mean-around-median-quickselect", &label),
                 &batch,
-                |b, batch| {
-                    b.iter(|| {
-                        black_box(batch).coordinate_mean_around_median_quickselect(keep).unwrap()
-                    })
-                },
+                |b, batch| b.iter(|| black_box(batch).order_statistic_quickselect(around).unwrap()),
             );
         }
     }
@@ -272,6 +272,9 @@ fn bench_pairwise_distances(c: &mut Criterion) {
 /// Blocks run in parallel under the thread budget: `RAYON_NUM_THREADS=1`
 /// compares kernels, not schedules.
 fn bench_order_statistic_tiles(c: &mut Criterion) {
+    const MEDIAN: OrderStatistic = OrderStatistic::Median;
+    const TRIM4: OrderStatistic = OrderStatistic::TrimmedMean { trim: 4 };
+    const KEEP15: OrderStatistic = OrderStatistic::MeanAroundMedian { keep: 15 };
     let mut group = c.benchmark_group("order_statistic_tiles");
     group.sample_size(20);
     let (n, d) = (19usize, 102_538usize);
@@ -279,9 +282,11 @@ fn bench_order_statistic_tiles(c: &mut Criterion) {
     let shape = format!("n{n}_d{d}");
     // Eleven rows in no particular order, as iterated Krum extracts them.
     let selected = [7usize, 2, 16, 11, 0, 18, 5, 13, 9, 3, 14];
+    let mut out = vec![0.0f32; d];
     group.throughput(Throughput::Elements((selected.len() * d) as u64));
     group.bench_with_input(BenchmarkId::new("bulyan_phase2_t11_b3", &shape), &batch, |b, g| {
-        b.iter(|| black_box(g).mean_around_median_of_rows(&selected, 3).unwrap())
+        let view = black_box(g).columns(0..d);
+        b.iter(|| view.mean_around_median_into(Some(&selected), 3, &mut out).unwrap())
     });
     group.throughput(Throughput::Elements((n * d) as u64));
     group.bench_with_input(BenchmarkId::new("meamed_keep15", &shape), &batch, |b, g| {
@@ -296,23 +301,27 @@ fn bench_order_statistic_tiles(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("meamed_keep15_quickselect", &shape),
         &batch,
-        |b, g| b.iter(|| black_box(g).coordinate_mean_around_median_quickselect(15).unwrap()),
+        |b, g| b.iter(|| black_box(g).order_statistic_quickselect(KEEP15).unwrap()),
     );
     group.bench_with_input(BenchmarkId::new("median_quickselect", &shape), &batch, |b, g| {
-        b.iter(|| black_box(g).coordinate_median_quickselect().unwrap())
+        b.iter(|| black_box(g).order_statistic_quickselect(MEDIAN).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("trimmed_f4_quickselect", &shape), &batch, |b, g| {
-        b.iter(|| black_box(g).coordinate_trimmed_mean_quickselect(4).unwrap())
+        b.iter(|| black_box(g).order_statistic_quickselect(TRIM4).unwrap())
     });
 
     let (n, d) = (32usize, 4_138usize);
     let batch = GradientBatch::from_vectors(&gradients(n, d, 11)).unwrap();
     let selected: Vec<usize> = (0..20).map(|i| (i * 13 + 5) % n).collect();
+    let mut out = vec![0.0f32; d];
     group.throughput(Throughput::Elements((selected.len() * d) as u64));
     group.bench_with_input(
         BenchmarkId::new("bulyan_phase2_t20_b8", format!("n{n}_d{d}")),
         &batch,
-        |b, g| b.iter(|| black_box(g).mean_around_median_of_rows(&selected, 8).unwrap()),
+        |b, g| {
+            let view = black_box(g).columns(0..d);
+            b.iter(|| view.mean_around_median_into(Some(&selected), 8, &mut out).unwrap())
+        },
     );
     group.finish();
 }

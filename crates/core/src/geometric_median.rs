@@ -77,7 +77,8 @@ impl Gar for GeometricMedian {
             return Err(AggregationError::AllGradientsCorrupt("geometric-median"));
         }
         // Start from the coordinate-wise median — already a robust point.
-        let mut estimate = batch.coordinate_median_of_rows(&finite)?;
+        let mut estimate = Vector::zeros(batch.dim());
+        batch.columns(0..batch.dim()).median_into(Some(&finite), estimate.as_mut_slice())?;
         for _ in 0..WEISZFELD_ITERATIONS {
             let mut weight_sum = 0.0f32;
             let mut next = Vector::zeros(estimate.len());

@@ -21,8 +21,8 @@
 //! All rules tolerate non-finite (`NaN`, `±∞`) coordinates — the paper calls
 //! this "a crucial feature when facing actual malicious workers" — either by
 //! construction (distance-based rules never select a non-finite gradient when
-//! enough finite ones exist) or through an explicit policy
-//! ([`sanitize::SanitizePolicy`]).
+//! enough finite ones exist) or, for coordinates lost on the wire, through
+//! the transport's loss policy (`agg_net::LossPolicy`, §3.3 of the paper).
 //!
 //! ```
 //! use agg_core::{Gar, MultiKrum};
@@ -54,7 +54,6 @@ pub mod multi_krum;
 pub mod reference;
 pub mod registry;
 pub mod resilience;
-pub mod sanitize;
 pub mod selective;
 pub mod sharded;
 pub mod tree;

@@ -214,7 +214,8 @@ proptest! {
         let d = gs[0].len();
         let mut column = Vec::with_capacity(gs.len());
         let median = batch.coordinate_median();
-        let std = batch.coordinate_std().unwrap();
+        let rows: Vec<&[f32]> = gs.iter().map(Vector::as_slice).collect();
+        let std = stats::coordinate_std_of_rows(&rows).unwrap();
         let nan_mean = batch.coordinate_nan_mean().unwrap();
         for c in 0..d {
             column.clear();

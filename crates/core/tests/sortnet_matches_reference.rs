@@ -35,6 +35,7 @@
 //! the same property at adversarially misaligned offsets.
 
 use agg_core::{reference, GarConfig, GarKind, GradientBatch};
+use agg_tensor::batch::OrderStatistic;
 use agg_tensor::Vector;
 use proptest::prelude::*;
 
@@ -196,18 +197,18 @@ proptest! {
         };
         same(
             batch.coordinate_median(),
-            batch.coordinate_median_quickselect(),
+            batch.order_statistic_quickselect(OrderStatistic::Median),
             "median",
         );
         same(
             batch.coordinate_trimmed_mean(trim),
-            batch.coordinate_trimmed_mean_quickselect(trim),
+            batch.order_statistic_quickselect(OrderStatistic::TrimmedMean { trim }),
             "trimmed-mean",
         );
         let keep = (gs.len() / 2).max(1);
         same(
             batch.mean_around_median(keep),
-            batch.coordinate_mean_around_median_quickselect(keep),
+            batch.order_statistic_quickselect(OrderStatistic::MeanAroundMedian { keep }),
             "mean-around-median",
         );
     }
@@ -227,10 +228,17 @@ proptest! {
         let start = ((d as f64) * start_frac) as usize;
         let cols = start..d;
         let view = batch.columns(cols.clone());
+        let windowed = |kernel: &dyn Fn(&mut [f32]) -> agg_tensor::Result<()>| {
+            let mut out = vec![0.0f32; view.width()];
+            kernel(&mut out).map(|()| Vector::from(out))
+        };
         let pairs: [(agg_tensor::Result<Vector>, agg_tensor::Result<Vector>); 3] = [
-            (batch.coordinate_median(), view.median(None)),
-            (batch.coordinate_trimmed_mean(2), view.trimmed_mean(2)),
-            (batch.mean_around_median(keep), view.mean_around_median(None, keep)),
+            (batch.coordinate_median(), windowed(&|out| view.median_into(None, out))),
+            (batch.coordinate_trimmed_mean(2), windowed(&|out| view.trimmed_mean_into(2, out))),
+            (
+                batch.mean_around_median(keep),
+                windowed(&|out| view.mean_around_median_into(None, keep, out)),
+            ),
         ];
         for (full, windowed) in pairs {
             match (full, windowed) {

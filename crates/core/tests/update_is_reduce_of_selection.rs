@@ -2,10 +2,11 @@
 //! reports: one definition drives both, on the flat tier, on the sharded
 //! tier and in every group of a tree round.
 //!
-//! For Krum and Multi-Krum the aggregate's bits must equal
-//! `mean_of_rows(selection)`; for Bulyan, `mean_around_median_of_rows(
-//! selection, β = n − 4f)`. The batches carry NaN and ±∞ rows, so the
-//! selections are the ones the non-finite policy shapes.
+//! For Krum and Multi-Krum the aggregate's bits must equal the column
+//! view's `mean_into(Some(selection))`; for Bulyan,
+//! `mean_around_median_into(Some(selection), β = n − 4f)`. The batches carry
+//! NaN and ±∞ rows, so the selections are the ones the non-finite policy
+//! shapes.
 
 use agg_core::{
     Gar, GarConfig, GarKind, GarRound, GradientBatch, ShardedAggregator, TreeAggregator, TreeConfig,
@@ -46,11 +47,15 @@ fn selecting_configs(f: usize) -> [GarConfig; 4] {
 
 /// The reduce `config` applies to `selection`, through the flat kernels.
 fn reduce_of(config: GarConfig, batch: &GradientBatch, selection: &[usize]) -> Vector {
+    let (all, mut out) = (batch.columns(0..batch.dim()), vec![0.0f32; batch.dim()]);
     match config.kind {
-        GarKind::Bulyan => batch.mean_around_median_of_rows(selection, batch.n() - 4 * config.f),
-        _ => batch.mean_of_rows(selection),
+        GarKind::Bulyan => {
+            all.mean_around_median_into(Some(selection), batch.n() - 4 * config.f, &mut out)
+        }
+        _ => all.mean_into(Some(selection), &mut out),
     }
-    .unwrap()
+    .unwrap();
+    Vector::from(out)
 }
 
 fn assert_round_is_reduce_of_selection(

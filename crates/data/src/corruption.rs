@@ -3,7 +3,7 @@
 //! actively crafting adversarial gradients.
 
 use crate::dataset::Dataset;
-use crate::{DataError, Result};
+use crate::Result;
 use agg_tensor::rng::{derive_seed, seeded_rng};
 use agg_tensor::Tensor;
 use rand::Rng;
@@ -15,13 +15,6 @@ pub enum Corruption {
     /// Every label `y` is replaced by `(y + 1) mod classes` (systematic label
     /// flipping — the classic poisoning behaviour).
     LabelShift,
-    /// Labels are replaced by uniformly random labels.
-    RandomLabels,
-    /// Features are replaced by uniform noise in `[0, 1]` (garbage inputs).
-    NoiseFeatures,
-    /// A fraction of feature values is zeroed (simulates unreadable/corrupt
-    /// records).
-    ZeroFraction(f32),
     /// Features are replaced by astronomically large magnitudes (malformed
     /// input records). Gradients computed on such data overflow to non-finite
     /// values — the behaviour "to which TensorFlow is intolerant" in the
@@ -33,47 +26,21 @@ pub enum Corruption {
 ///
 /// # Errors
 ///
-/// Returns [`DataError::InvalidConfig`] for invalid corruption parameters
-/// (e.g. a zero fraction outside `[0, 1]`).
+/// Propagates [`crate::DataError`]s from rebuilding the dataset.
 pub fn corrupt(dataset: &Dataset, corruption: Corruption, seed: u64) -> Result<Dataset> {
     let classes = dataset.classes();
-    let mut rng = seeded_rng(derive_seed(seed, 99));
     match corruption {
         Corruption::LabelShift => {
             let labels = dataset.labels().iter().map(|&l| (l + 1) % classes).collect();
             Dataset::new(dataset.samples().clone(), labels, classes)
         }
-        Corruption::RandomLabels => {
-            let labels = dataset.labels().iter().map(|_| rng.gen_range(0..classes)).collect();
-            Dataset::new(dataset.samples().clone(), labels, classes)
-        }
-        Corruption::NoiseFeatures => {
-            let data: Vec<f32> =
-                dataset.samples().as_slice().iter().map(|_| rng.gen_range(0.0..1.0)).collect();
-            let samples = Tensor::from_vec(dataset.samples().shape(), data)?;
-            Dataset::new(samples, dataset.labels().to_vec(), classes)
-        }
         Corruption::HugeValues => {
+            let mut rng = seeded_rng(derive_seed(seed, 99));
             let data: Vec<f32> = dataset
                 .samples()
                 .as_slice()
                 .iter()
                 .map(|_| if rng.gen::<bool>() { 1e30 } else { -1e30 })
-                .collect();
-            let samples = Tensor::from_vec(dataset.samples().shape(), data)?;
-            Dataset::new(samples, dataset.labels().to_vec(), classes)
-        }
-        Corruption::ZeroFraction(fraction) => {
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(DataError::InvalidConfig(format!(
-                    "zero fraction must be in [0, 1], got {fraction}"
-                )));
-            }
-            let data: Vec<f32> = dataset
-                .samples()
-                .as_slice()
-                .iter()
-                .map(|&x| if rng.gen::<f32>() < fraction { 0.0 } else { x })
                 .collect();
             let samples = Tensor::from_vec(dataset.samples().shape(), data)?;
             Dataset::new(samples, dataset.labels().to_vec(), classes)
@@ -103,33 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn random_labels_change_a_substantial_fraction() {
-        let d = data();
-        let c = corrupt(&d, Corruption::RandomLabels, 1).unwrap();
-        let changed = d.labels().iter().zip(c.labels()).filter(|(a, b)| a != b).count();
-        assert!(changed > d.len() / 2);
-    }
-
-    #[test]
-    fn noise_features_keep_labels() {
-        let d = data();
-        let c = corrupt(&d, Corruption::NoiseFeatures, 2).unwrap();
-        assert_eq!(d.labels(), c.labels());
-        assert_ne!(d.samples(), c.samples());
-    }
-
-    #[test]
-    fn zero_fraction_zeroes_about_the_right_amount() {
-        let d = data();
-        let c = corrupt(&d, Corruption::ZeroFraction(0.5), 3).unwrap();
-        let zeros = c.samples().as_slice().iter().filter(|&&x| x == 0.0).count();
-        let total = c.samples().len();
-        let fraction = zeros as f32 / total as f32;
-        assert!((fraction - 0.5).abs() < 0.1, "zeroed fraction {fraction}");
-        assert!(corrupt(&d, Corruption::ZeroFraction(1.5), 3).is_err());
-    }
-
-    #[test]
     fn huge_values_produce_malformed_features() {
         let d = data();
         let c = corrupt(&d, Corruption::HugeValues, 4).unwrap();
@@ -141,8 +81,8 @@ mod tests {
     fn corruption_is_deterministic() {
         let d = data();
         assert_eq!(
-            corrupt(&d, Corruption::RandomLabels, 7).unwrap(),
-            corrupt(&d, Corruption::RandomLabels, 7).unwrap()
+            corrupt(&d, Corruption::HugeValues, 7).unwrap(),
+            corrupt(&d, Corruption::HugeValues, 7).unwrap()
         );
     }
 }

@@ -15,8 +15,8 @@
 //!   class-pattern image datasets (for CNNs, CIFAR-10-shaped).
 //! * [`sampler::MiniBatchSampler`] — per-worker i.i.d. mini-batch draws, the
 //!   sampling model assumed by the paper's convergence analysis.
-//! * [`corruption`] — label flipping and feature corruption used by the
-//!   "corrupted data" Byzantine experiment (Figure 7).
+//! * [`corruption`] — label shifting and huge-valued features, the two
+//!   poisonings of the "corrupted data" Byzantine experiment (Figure 7).
 
 pub mod corruption;
 pub mod dataset;

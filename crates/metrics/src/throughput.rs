@@ -41,8 +41,8 @@ impl ThroughputMeter {
     }
 
     /// Gradients received per second — the y-axis of Figure 5
-    /// ("Throughput (batches/sec)" where every worker contributes one batch
-    /// per round).
+    /// ("Throughput (batches/sec)"), where each distinct mini-batch counts
+    /// once per round: every worker's own, or one per replicating group.
     pub fn gradients_per_sec(&self) -> f64 {
         if self.elapsed_sec <= 0.0 {
             0.0

@@ -420,8 +420,8 @@ impl LossyTransport {
         self.policy
     }
 
-    /// Deterministic pseudo-random fill for lost coordinates (mirrors the
-    /// `RandomFill` sanitisation policy in `agg-core`).
+    /// Deterministic pseudo-random fill for lost coordinates (the
+    /// [`LossPolicy::RandomFill`] policy).
     fn random_fill(index: usize) -> f32 {
         let mut z = (index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

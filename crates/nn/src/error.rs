@@ -47,15 +47,6 @@ pub enum NnError {
         classes: usize,
     },
 
-    /// Invalid hyper-parameter value.
-    #[error("invalid hyper-parameter {name}: {message}")]
-    InvalidHyperParameter {
-        /// Hyper-parameter name.
-        name: &'static str,
-        /// Why the value was rejected.
-        message: String,
-    },
-
     /// An underlying tensor operation failed.
     #[error("tensor operation failed: {0}")]
     Tensor(String),

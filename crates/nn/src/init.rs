@@ -13,8 +13,6 @@ pub enum Init {
     XavierUniform,
     /// He normal: `N(0, sqrt(2 / fan_in))`, the standard choice before ReLU.
     HeNormal,
-    /// Uniform in a fixed small range, for reproducible toy tests.
-    SmallUniform,
 }
 
 impl Init {
@@ -32,7 +30,6 @@ impl Init {
                 let normal = Normal::new(0.0f32, std).expect("std is positive and finite");
                 (0..count).map(|_| normal.sample(&mut rng)).collect()
             }
-            Init::SmallUniform => (0..count).map(|_| rng.gen_range(-0.05..0.05)).collect(),
         }
     }
 }
@@ -74,11 +71,5 @@ mod tests {
             (w.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / w.len() as f32).sqrt();
         let expected = (2.0f32 / 50.0).sqrt();
         assert!((std - expected).abs() < expected * 0.1, "std {std} vs {expected}");
-    }
-
-    #[test]
-    fn small_uniform_is_bounded() {
-        let w = Init::SmallUniform.generate(100, 1, 1, 4);
-        assert!(w.iter().all(|&x| x.abs() <= 0.05));
     }
 }

@@ -33,13 +33,12 @@ pub trait Layer: Send + fmt::Debug {
     /// the input shape.
     fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>>;
 
-    /// Forward pass over a batch at the parameters `params`. `train` enables
-    /// training-only behaviour (e.g. dropout).
+    /// Forward pass over a batch at the parameters `params`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BadInputShape`] on shape mismatch.
-    fn forward(&mut self, params: &[f32], input: &Tensor, train: bool) -> Result<Tensor>;
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor>;
 
     /// Backward pass: receives the loss gradient with respect to this layer's
     /// output, adds the parameter gradient to `grad_params` (laid out like
@@ -105,7 +104,7 @@ mod tests {
         fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>> {
             Ok(input_shape.to_vec())
         }
-        fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+        fn forward(&mut self, _params: &[f32], input: &Tensor) -> Result<Tensor> {
             Ok(input.clone())
         }
         fn backward(
@@ -132,7 +131,7 @@ mod tests {
     fn identity_round_trips() {
         let mut layer = Identity;
         let t = Tensor::zeros(&[2, 3]);
-        let out = layer.forward(&[], &t, true).unwrap();
+        let out = layer.forward(&[], &t).unwrap();
         assert_eq!(out, t);
         assert_eq!(layer.backward(&[], &t, &mut []).unwrap(), t);
         layer.backward_params_only(&[], &t, &mut []).unwrap();

@@ -115,7 +115,7 @@ impl Layer for Conv2d {
         Ok(vec![self.out_channels, oh, ow])
     }
 
-    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
         let (batch, h, w) = self.check_input(input)?;
         let (weights, bias) = params.split_at(self.weight_count());
         let (oh, ow) = self.spatial_output(h, w)?;
@@ -250,7 +250,7 @@ mod tests {
     fn identity_kernel_preserves_input() {
         let mut conv = identity_conv();
         let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
-        let y = conv.forward(&IDENTITY, &x, true).unwrap();
+        let y = conv.forward(&IDENTITY, &x).unwrap();
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         assert_eq!(y.as_slice(), x.as_slice());
     }
@@ -271,7 +271,7 @@ mod tests {
         // => single output = 4 + bias.
         let mut conv = Conv2d::new(1, 1, 2, 1, 0, Init::Zeros, 0);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0; 4]).unwrap();
-        let y = conv.forward(&[1.0, 1.0, 1.0, 1.0, 0.5], &x, true).unwrap();
+        let y = conv.forward(&[1.0, 1.0, 1.0, 1.0, 0.5], &x).unwrap();
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.as_slice(), &[4.5]);
     }
@@ -280,7 +280,7 @@ mod tests {
     fn backward_of_identity_kernel_passes_gradient_through() {
         let mut conv = identity_conv();
         let x = Tensor::from_vec(&[1, 1, 3, 3], vec![1.0; 9]).unwrap();
-        conv.forward(&IDENTITY, &x, true).unwrap();
+        conv.forward(&IDENTITY, &x).unwrap();
         let go = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
         let mut grads = vec![0.0; 10];
         let gi = conv.backward(&IDENTITY, &go, &mut grads).unwrap();
@@ -298,7 +298,7 @@ mod tests {
         conv.initial_params(&mut params);
         assert_eq!(params.len(), conv.param_count());
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = conv.forward(&params, &x, true).unwrap();
+        let y = conv.forward(&params, &x).unwrap();
         assert_eq!(y.shape(), &[2, 4, 8, 8]);
         let mut grads = vec![0.0; params.len()];
         let gi = conv.backward(&params, &y, &mut grads).unwrap();
@@ -309,8 +309,8 @@ mod tests {
     fn rejects_bad_input_and_double_backward() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, Init::Zeros, 0);
         let params = [0.0; 10];
-        assert!(conv.forward(&params, &Tensor::zeros(&[1, 2, 4, 4]), true).is_err());
-        assert!(conv.forward(&params, &Tensor::zeros(&[1, 1, 2, 2]), true).is_err());
+        assert!(conv.forward(&params, &Tensor::zeros(&[1, 2, 4, 4])).is_err());
+        assert!(conv.forward(&params, &Tensor::zeros(&[1, 1, 2, 2])).is_err());
         assert!(conv.backward(&params, &Tensor::zeros(&[1, 1, 1, 1]), &mut [0.0; 10]).is_err());
     }
 

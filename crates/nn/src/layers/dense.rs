@@ -122,7 +122,7 @@ impl Layer for Dense {
         Ok(vec![self.out_features])
     }
 
-    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
         let batch = self.check_input(input)?;
         let (weights, bias) = params.split_at(self.in_features * self.out_features);
         let mut out = Vec::with_capacity(batch * self.out_features);
@@ -216,7 +216,7 @@ pub(crate) mod oracle {
             Ok(vec![self.out_features])
         }
 
-        fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+        fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
             let (weights, bias) = params.split_at(self.in_features * self.out_features);
             let batch = input.shape()[0];
             let x = input.as_slice();
@@ -313,7 +313,7 @@ mod tests {
     fn forward_matches_hand_computation() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
-        let y = layer.forward(&SIMPLE, &x, true).unwrap();
+        let y = layer.forward(&SIMPLE, &x).unwrap();
         // [1*1 + 1*3 + 0.5, 1*2 + 1*4 - 0.5] = [4.5, 5.5]
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
@@ -322,7 +322,7 @@ mod tests {
     fn backward_computes_all_three_gradients() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]).unwrap();
-        layer.forward(&SIMPLE, &x, true).unwrap();
+        layer.forward(&SIMPLE, &x).unwrap();
         let go = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
         let mut grads = vec![0.0; 6];
         let gi = layer.backward(&SIMPLE, &go, &mut grads).unwrap();
@@ -339,7 +339,7 @@ mod tests {
         let go = Tensor::from_vec(&[1, 2], vec![1.0, 0.0]).unwrap();
         let mut grads = vec![0.0; 6];
         for _ in 0..2 {
-            layer.forward(&SIMPLE, &x, true).unwrap();
+            layer.forward(&SIMPLE, &x).unwrap();
             layer.backward(&SIMPLE, &go, &mut grads).unwrap();
         }
         assert_eq!(grads, vec![2.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
@@ -366,10 +366,7 @@ mod tests {
         let mut layer = Dense::new(2, 3, Init::Zeros, 0);
         let params = [0.0; 9];
         let bad = Tensor::zeros(&[1, 5]);
-        assert!(matches!(
-            layer.forward(&params, &bad, true).unwrap_err(),
-            NnError::BadInputShape { .. }
-        ));
+        assert!(matches!(layer.forward(&params, &bad).unwrap_err(), NnError::BadInputShape { .. }));
         assert!(layer.output_shape(&[5]).is_err());
         assert_eq!(layer.output_shape(&[2]).unwrap(), vec![3]);
         assert!(matches!(
@@ -382,7 +379,7 @@ mod tests {
     fn batch_processing_is_independent_per_sample() {
         let mut layer = simple_dense();
         let x = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let y = layer.forward(&SIMPLE, &x, true).unwrap();
+        let y = layer.forward(&SIMPLE, &x).unwrap();
         assert_eq!(y.shape(), &[2, 2]);
         assert_eq!(&y.as_slice()[..2], &[1.5, 1.5]); // row [1,0]
         assert_eq!(&y.as_slice()[2..], &[3.5, 3.5]); // row [0,1]
@@ -397,7 +394,7 @@ mod tests {
     fn backward_rejects_a_mis_shaped_grad_output() {
         let mut layer = Dense::new(2, 3, Init::Zeros, 0);
         let params = [0.0; 9];
-        layer.forward(&params, &Tensor::zeros(&[2, 2]), true).unwrap();
+        layer.forward(&params, &Tensor::zeros(&[2, 2])).unwrap();
         assert!(matches!(
             layer.backward(&params, &Tensor::zeros(&[2, 2]), &mut [0.0; 9]).unwrap_err(),
             NnError::BadInputShape { .. }
@@ -407,7 +404,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut layer = simple_dense();
-        let y = layer.forward(&SIMPLE, &Tensor::zeros(&[0, 2]), true).unwrap();
+        let y = layer.forward(&SIMPLE, &Tensor::zeros(&[0, 2])).unwrap();
         assert_eq!(y.shape(), &[0, 2]);
         let mut grads = vec![0.0; 6];
         let gi = layer.backward(&SIMPLE, &Tensor::zeros(&[0, 2]), &mut grads).unwrap();
@@ -487,15 +484,15 @@ mod tests {
         for grad_output in &case.grad_outputs {
             let grad_output =
                 Tensor::from_vec(&[batch, out_features], grad_output.clone()).unwrap();
-            let want_y = scalar.forward(params, &input, true).unwrap();
-            let got_y = tiled.forward(params, &input, true).unwrap();
+            let want_y = scalar.forward(params, &input).unwrap();
+            let got_y = tiled.forward(params, &input).unwrap();
             assert_eq!(got_y.shape(), want_y.shape());
             assert_same_bits(got_y.as_slice(), want_y.as_slice(), "forward");
             let want_x = scalar.backward(params, &grad_output, &mut want).unwrap();
             let got_x = tiled.backward(params, &grad_output, &mut got).unwrap();
             assert_eq!(got_x.shape(), want_x.shape());
             assert_same_bits(got_x.as_slice(), want_x.as_slice(), "input gradient");
-            params_only.forward(params, &input, true).unwrap();
+            params_only.forward(params, &input).unwrap();
             params_only.backward_params_only(params, &grad_output, &mut got_params_only).unwrap();
         }
         assert_same_bits(&got, &want, "parameter gradients");

@@ -33,7 +33,7 @@ impl Layer for Flatten {
         Ok(vec![input_shape.iter().product()])
     }
 
-    fn forward(&mut self, _: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor) -> Result<Tensor> {
         let shape = input.shape();
         if shape.len() < 2 {
             return Err(NnError::BadInputShape {
@@ -62,7 +62,7 @@ mod tests {
     fn flattens_and_restores_shape() {
         let mut flatten = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 5]);
-        let y = flatten.forward(&[], &x, true).unwrap();
+        let y = flatten.forward(&[], &x).unwrap();
         assert_eq!(y.shape(), &[2, 60]);
         let gi = flatten.backward(&[], &y, &mut []).unwrap();
         assert_eq!(gi.shape(), &[2, 3, 4, 5]);
@@ -79,14 +79,14 @@ mod tests {
     fn preserves_data_order() {
         let mut flatten = Flatten::new();
         let x = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let y = flatten.forward(&[], &x, true).unwrap();
+        let y = flatten.forward(&[], &x).unwrap();
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn errors() {
         let mut flatten = Flatten::new();
-        assert!(flatten.forward(&[], &Tensor::zeros(&[4]), true).is_err());
+        assert!(flatten.forward(&[], &Tensor::zeros(&[4])).is_err());
         assert!(flatten.backward(&[], &Tensor::zeros(&[1, 4]), &mut []).is_err());
     }
 }

@@ -78,7 +78,7 @@ impl Layer for MaxPool2d {
         Ok(vec![input_shape[0], oh, ow])
     }
 
-    fn forward(&mut self, _: &[f32], input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, _: &[f32], input: &Tensor) -> Result<Tensor> {
         let shape = input.shape();
         if shape.len() != 4 {
             return Err(NnError::BadInputShape {
@@ -161,7 +161,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = pool.forward(&[], &x, true).unwrap();
+        let y = pool.forward(&[], &x).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
     }
@@ -170,7 +170,7 @@ mod tests {
     fn backward_routes_gradient_to_the_argmax() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 9.0, 3.0, 2.0]).unwrap();
-        pool.forward(&[], &x, true).unwrap();
+        pool.forward(&[], &x).unwrap();
         let go = Tensor::from_vec(&[1, 1, 1, 1], vec![5.0]).unwrap();
         let gi = pool.backward(&[], &go, &mut []).unwrap();
         assert_eq!(gi.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
@@ -193,7 +193,7 @@ mod tests {
         // 3x3 input pooled to 2x2; last row/col windows extend past the edge.
         let x = Tensor::from_vec(&[1, 1, 3, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
             .unwrap();
-        let y = pool.forward(&[], &x, true).unwrap();
+        let y = pool.forward(&[], &x).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
     }
@@ -201,8 +201,8 @@ mod tests {
     #[test]
     fn errors_on_bad_shapes() {
         let mut pool = MaxPool2d::new(3, 2);
-        assert!(pool.forward(&[], &Tensor::zeros(&[2, 2]), true).is_err());
-        assert!(pool.forward(&[], &Tensor::zeros(&[1, 1, 2, 2]), true).is_err());
+        assert!(pool.forward(&[], &Tensor::zeros(&[2, 2])).is_err());
+        assert!(pool.forward(&[], &Tensor::zeros(&[1, 1, 2, 2])).is_err());
         assert!(pool.output_shape(&[4, 4]).is_err());
         assert!(pool.backward(&[], &Tensor::zeros(&[1, 1, 1, 1]), &mut []).is_err());
     }
@@ -217,7 +217,7 @@ mod tests {
     fn nan_inputs_do_not_poison_the_output() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![f32::NAN, 1.0, 2.0, 3.0]).unwrap();
-        let y = pool.forward(&[], &x, true).unwrap();
+        let y = pool.forward(&[], &x).unwrap();
         assert_eq!(y.as_slice(), &[3.0]);
     }
 }

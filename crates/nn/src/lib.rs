@@ -5,8 +5,8 @@
 //! neural-network library with exactly the pieces the paper's evaluation
 //! needs.
 //!
-//! * [`layer`] / [`layers`] — dense, 2-D convolution, max-pooling, ReLU,
-//!   flatten and dropout layers with hand-written backpropagation.
+//! * [`layer`] / [`layers`] — dense, 2-D convolution, max-pooling, ReLU and
+//!   flatten layers with hand-written backpropagation.
 //! * [`loss`] — softmax cross-entropy (the image-classification loss used
 //!   throughout the paper's evaluation).
 //! * [`model`] — [`model::Sequential`], which chains layers and exposes the
@@ -16,10 +16,10 @@
 //!   (~1.75 M parameters), a fast MLP for convergence experiments, and a
 //!   large model standing in for ResNet50 in the Figure 5(b) scalability
 //!   experiment.
-//! * [`optim`] — SGD, Momentum, Adam, RMSProp, Adagrad and Adadelta update
-//!   rules (the `--optimizer` choices of the original runner).
-//! * [`schedule`] — fixed, polynomial and exponential learning-rate
-//!   schedules (the `--learning-rate` choices of the original runner).
+//! * [`optim`] — the SGD and RMSProp update rules (the `--optimizer`
+//!   choices of the original runner that a run here selects).
+//! * [`schedule`] — the fixed learning rate (the runner's
+//!   `--learning-rate fixed`).
 //! * [`init`] — weight initialisers.
 //!
 //! ```

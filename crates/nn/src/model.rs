@@ -147,14 +147,13 @@ impl Sequential {
         Ok(())
     }
 
-    /// Forward pass only, at the resident parameters (inference when `train`
-    /// is false).
+    /// Forward pass only, at the resident parameters.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        self.at_resident(|model, params| model.forward_at(params, input, train))
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.at_resident(|model, params| model.forward_at(params, input))
     }
 
     /// Evaluates the loss on a batch at the resident parameters, without
@@ -164,7 +163,7 @@ impl Sequential {
     ///
     /// Propagates layer and loss errors.
     pub fn evaluate_loss(&mut self, input: &Tensor, labels: &[usize]) -> Result<LossOutput> {
-        let logits = self.forward(input, false)?;
+        let logits = self.forward(input)?;
         self.loss.evaluate(&logits, labels)
     }
 
@@ -207,7 +206,7 @@ impl Sequential {
         labels: &[usize],
     ) -> Result<BatchEvaluation> {
         self.check_len(params.len())?;
-        let logits = self.forward_at(params, input, true)?;
+        let logits = self.forward_at(params, input)?;
         let loss_out = self.loss.evaluate(&logits, labels)?;
         let mut gradient = vec![0.0f32; params.len()];
         let mut grad = loss_out.grad_logits;
@@ -240,12 +239,12 @@ impl Sequential {
 
     /// The forward pass at `params` (checked by the caller), each layer
     /// reading its own sub-slice.
-    fn forward_at(&mut self, params: &[f32], input: &Tensor, train: bool) -> Result<Tensor> {
+    fn forward_at(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
         let mut x = input.clone();
         let mut rest = params;
         for layer in &mut self.layers {
             let (own, tail) = rest.split_at(layer.param_count());
-            x = layer.forward(own, &x, train)?;
+            x = layer.forward(own, &x)?;
             rest = tail;
         }
         Ok(x)

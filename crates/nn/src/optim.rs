@@ -1,6 +1,6 @@
-//! Optimizers: the `--optimizer` choices of the original AggregaThor runner
-//! (`sgd`, `momentum`, `adam`, `rmsprop`, `adagrad`, `adadelta`), plus the
-//! optional L1/L2 regularisation the runner exposes.
+//! Optimizers: the two `--optimizer` choices of the original AggregaThor
+//! runner that a run here selects (`sgd` and `rmsprop`), plus the optional
+//! L1/L2 regularisation the runner exposes.
 //!
 //! Optimizers operate on the flattened parameter vector the parameter server
 //! holds: the server aggregates the workers' gradients with a GAR and then
@@ -24,9 +24,6 @@ pub trait Optimizer: Send + fmt::Debug {
     /// Returns an error when the gradient length does not match the parameter
     /// length.
     fn step(&mut self, params: &mut Vector, gradient: &Vector, lr: f32) -> Result<()>;
-
-    /// Resets any accumulated state (e.g. when restarting training).
-    fn reset(&mut self) {}
 }
 
 fn check_lengths(params: &Vector, gradient: &Vector) -> Result<()> {
@@ -64,42 +61,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// SGD with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    momentum: f32,
-    velocity: Option<Vector>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD (the paper's Draco comparison uses 0.9).
-    pub fn new(momentum: f32) -> Self {
-        Momentum { momentum, velocity: None }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn name(&self) -> &'static str {
-        "momentum"
-    }
-
-    fn step(&mut self, params: &mut Vector, gradient: &Vector, lr: f32) -> Result<()> {
-        check_lengths(params, gradient)?;
-        let velocity = self.velocity.get_or_insert_with(|| Vector::zeros(params.len()));
-        if velocity.len() != params.len() {
-            *velocity = Vector::zeros(params.len());
-        }
-        velocity.scale(self.momentum);
-        velocity.axpy(1.0, gradient)?;
-        params.axpy(-lr, velocity)?;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.velocity = None;
-    }
-}
-
 /// RMSProp (Tieleman & Hinton, 2012) — the optimizer the paper's evaluation
 /// uses ("we employ an RMSprop optimizer with a fixed initial learning rate
 /// of 10⁻³").
@@ -113,12 +74,7 @@ pub struct RmsProp {
 impl RmsProp {
     /// Creates RMSProp with the conventional decay of 0.9.
     pub fn new() -> Self {
-        RmsProp::with_decay(0.9, 1e-8)
-    }
-
-    /// Creates RMSProp with an explicit decay and epsilon.
-    pub fn with_decay(decay: f32, epsilon: f32) -> Self {
-        RmsProp { decay, epsilon, mean_square: None }
+        RmsProp { decay: 0.9, epsilon: 1e-8, mean_square: None }
     }
 }
 
@@ -146,172 +102,6 @@ impl Optimizer for RmsProp {
         }
         Ok(())
     }
-
-    fn reset(&mut self) {
-        self.mean_square = None;
-    }
-}
-
-/// Adam (adaptive moments).
-#[derive(Debug, Clone)]
-pub struct Adam {
-    beta1: f32,
-    beta2: f32,
-    epsilon: f32,
-    step: u64,
-    first_moment: Option<Vector>,
-    second_moment: Option<Vector>,
-}
-
-impl Adam {
-    /// Creates Adam with the conventional hyper-parameters (0.9, 0.999).
-    pub fn new() -> Self {
-        Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            step: 0,
-            first_moment: None,
-            second_moment: None,
-        }
-    }
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new()
-    }
-}
-
-impl Optimizer for Adam {
-    fn name(&self) -> &'static str {
-        "adam"
-    }
-
-    fn step(&mut self, params: &mut Vector, gradient: &Vector, lr: f32) -> Result<()> {
-        check_lengths(params, gradient)?;
-        let d = params.len();
-        let m = self.first_moment.get_or_insert_with(|| Vector::zeros(d));
-        if m.len() != d {
-            *m = Vector::zeros(d);
-        }
-        let v = self.second_moment.get_or_insert_with(|| Vector::zeros(d));
-        if v.len() != d {
-            *v = Vector::zeros(d);
-        }
-        self.step += 1;
-        let t = self.step as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        for i in 0..d {
-            let g = gradient[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = m[i] / bias1;
-            let v_hat = v[i] / bias2;
-            params[i] -= lr * m_hat / (v_hat.sqrt() + self.epsilon);
-        }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.step = 0;
-        self.first_moment = None;
-        self.second_moment = None;
-    }
-}
-
-/// Adagrad (per-coordinate accumulated squared gradients).
-#[derive(Debug, Clone, Default)]
-pub struct Adagrad {
-    accumulator: Option<Vector>,
-}
-
-impl Adagrad {
-    /// Creates Adagrad.
-    pub fn new() -> Self {
-        Adagrad { accumulator: None }
-    }
-}
-
-impl Optimizer for Adagrad {
-    fn name(&self) -> &'static str {
-        "adagrad"
-    }
-
-    fn step(&mut self, params: &mut Vector, gradient: &Vector, lr: f32) -> Result<()> {
-        check_lengths(params, gradient)?;
-        let acc = self.accumulator.get_or_insert_with(|| Vector::zeros(params.len()));
-        if acc.len() != params.len() {
-            *acc = Vector::zeros(params.len());
-        }
-        for i in 0..params.len() {
-            let g = gradient[i];
-            acc[i] += g * g;
-            params[i] -= lr * g / (acc[i].sqrt() + 1e-8);
-        }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.accumulator = None;
-    }
-}
-
-/// Adadelta (accumulated squared gradients and squared updates, no global
-/// learning rate dependence in the classic formulation; the `lr` argument
-/// scales the final update as TensorFlow does).
-#[derive(Debug, Clone)]
-pub struct Adadelta {
-    rho: f32,
-    epsilon: f32,
-    acc_grad: Option<Vector>,
-    acc_update: Option<Vector>,
-}
-
-impl Adadelta {
-    /// Creates Adadelta with the conventional decay of 0.95.
-    pub fn new() -> Self {
-        Adadelta { rho: 0.95, epsilon: 1e-6, acc_grad: None, acc_update: None }
-    }
-}
-
-impl Default for Adadelta {
-    fn default() -> Self {
-        Adadelta::new()
-    }
-}
-
-impl Optimizer for Adadelta {
-    fn name(&self) -> &'static str {
-        "adadelta"
-    }
-
-    fn step(&mut self, params: &mut Vector, gradient: &Vector, lr: f32) -> Result<()> {
-        check_lengths(params, gradient)?;
-        let d = params.len();
-        let eg = self.acc_grad.get_or_insert_with(|| Vector::zeros(d));
-        if eg.len() != d {
-            *eg = Vector::zeros(d);
-        }
-        let eu = self.acc_update.get_or_insert_with(|| Vector::zeros(d));
-        if eu.len() != d {
-            *eu = Vector::zeros(d);
-        }
-        for i in 0..d {
-            let g = gradient[i];
-            eg[i] = self.rho * eg[i] + (1.0 - self.rho) * g * g;
-            let update = ((eu[i] + self.epsilon).sqrt() / (eg[i] + self.epsilon).sqrt()) * g;
-            eu[i] = self.rho * eu[i] + (1.0 - self.rho) * update * update;
-            params[i] -= lr * update;
-        }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.acc_grad = None;
-        self.acc_update = None;
-    }
 }
 
 /// The optimizer choices exposed by the runner configuration.
@@ -319,16 +109,8 @@ impl Optimizer for Adadelta {
 pub enum OptimizerKind {
     /// Plain SGD.
     Sgd,
-    /// SGD with momentum (field = momentum coefficient).
-    Momentum(f32),
     /// RMSProp.
     RmsProp,
-    /// Adam.
-    Adam,
-    /// Adagrad.
-    Adagrad,
-    /// Adadelta.
-    Adadelta,
 }
 
 impl OptimizerKind {
@@ -336,11 +118,7 @@ impl OptimizerKind {
     pub fn build(&self) -> Box<dyn Optimizer> {
         match self {
             OptimizerKind::Sgd => Box::new(Sgd::new()),
-            OptimizerKind::Momentum(m) => Box::new(Momentum::new(*m)),
             OptimizerKind::RmsProp => Box::new(RmsProp::new()),
-            OptimizerKind::Adam => Box::new(Adam::new()),
-            OptimizerKind::Adagrad => Box::new(Adagrad::new()),
-            OptimizerKind::Adadelta => Box::new(Adadelta::new()),
         }
     }
 }
@@ -403,11 +181,7 @@ mod tests {
     #[test]
     fn all_optimizers_minimise_a_quadratic() {
         assert!(optimise_quadratic(Box::new(Sgd::new()), 0.1, 200) < 1e-3);
-        assert!(optimise_quadratic(Box::new(Momentum::new(0.9)), 0.05, 200) < 1e-2);
         assert!(optimise_quadratic(Box::new(RmsProp::new()), 0.05, 500) < 1e-2);
-        assert!(optimise_quadratic(Box::new(Adam::new()), 0.1, 800) < 1e-2);
-        assert!(optimise_quadratic(Box::new(Adagrad::new()), 0.5, 800) < 1e-2);
-        assert!(optimise_quadratic(Box::new(Adadelta::new()), 10.0, 2000) < 0.3);
     }
 
     #[test]
@@ -420,36 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = Momentum::new(0.5);
-        let mut w = Vector::zeros(1);
-        let g = Vector::from(vec![1.0]);
-        opt.step(&mut w, &g, 1.0).unwrap(); // v=1, w=-1
-        opt.step(&mut w, &g, 1.0).unwrap(); // v=1.5, w=-2.5
-        assert!((w[0] + 2.5).abs() < 1e-6);
-        opt.reset();
-        let mut w2 = Vector::zeros(1);
-        opt.step(&mut w2, &g, 1.0).unwrap();
-        assert!((w2[0] + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn mismatched_lengths_are_rejected() {
         let mut w = Vector::zeros(2);
         let g = Vector::zeros(3);
         assert!(Sgd::new().step(&mut w, &g, 0.1).is_err());
-        assert!(Adam::new().step(&mut w, &g, 0.1).is_err());
         assert!(RmsProp::new().step(&mut w, &g, 0.1).is_err());
     }
 
     #[test]
     fn kind_builds_the_right_optimizer() {
         assert_eq!(OptimizerKind::Sgd.build().name(), "sgd");
-        assert_eq!(OptimizerKind::Momentum(0.9).build().name(), "momentum");
         assert_eq!(OptimizerKind::RmsProp.build().name(), "rmsprop");
-        assert_eq!(OptimizerKind::Adam.build().name(), "adam");
-        assert_eq!(OptimizerKind::Adagrad.build().name(), "adagrad");
-        assert_eq!(OptimizerKind::Adadelta.build().name(), "adadelta");
     }
 
     #[test]

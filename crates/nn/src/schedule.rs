@@ -1,5 +1,5 @@
-//! Learning-rate schedules: the `--learning-rate` choices of the original
-//! runner (`fixed`, `polynomial`, `exponential`).
+//! The learning-rate schedule: the `--learning-rate` choice of the original
+//! runner that a run here selects (`fixed`).
 
 use serde::{Deserialize, Serialize};
 
@@ -11,28 +11,6 @@ pub enum LearningRate {
         /// The constant rate.
         rate: f32,
     },
-    /// Polynomial decay from `initial` to `end` over `decay_steps`, with the
-    /// given `power` (TensorFlow `polynomial_decay` semantics, no cycling).
-    Polynomial {
-        /// Rate at step 0.
-        initial: f32,
-        /// Rate at and after `decay_steps`.
-        end: f32,
-        /// Number of steps over which to decay.
-        decay_steps: u64,
-        /// Decay exponent (1.0 = linear).
-        power: f32,
-    },
-    /// Exponential decay: `initial · decay_rate^(step / decay_steps)`
-    /// (continuous, not staircased).
-    Exponential {
-        /// Rate at step 0.
-        initial: f32,
-        /// Multiplicative decay per `decay_steps` steps.
-        decay_rate: f32,
-        /// Step period of the decay.
-        decay_steps: u64,
-    },
 }
 
 impl LearningRate {
@@ -42,22 +20,9 @@ impl LearningRate {
     }
 
     /// Learning rate at a given model-update step.
-    pub fn at(&self, step: u64) -> f32 {
+    pub fn at(&self, _step: u64) -> f32 {
         match *self {
             LearningRate::Fixed { rate } => rate,
-            LearningRate::Polynomial { initial, end, decay_steps, power } => {
-                if decay_steps == 0 {
-                    return end;
-                }
-                let progress = (step.min(decay_steps) as f32) / decay_steps as f32;
-                (initial - end) * (1.0 - progress).powf(power) + end
-            }
-            LearningRate::Exponential { initial, decay_rate, decay_steps } => {
-                if decay_steps == 0 {
-                    return initial;
-                }
-                initial * decay_rate.powf(step as f32 / decay_steps as f32)
-            }
         }
     }
 }
@@ -77,32 +42,6 @@ mod tests {
         let lr = LearningRate::Fixed { rate: 0.05 };
         assert_eq!(lr.at(0), 0.05);
         assert_eq!(lr.at(1_000_000), 0.05);
-    }
-
-    #[test]
-    fn polynomial_decays_to_end_value() {
-        let lr = LearningRate::Polynomial { initial: 1.0, end: 0.1, decay_steps: 100, power: 1.0 };
-        assert_eq!(lr.at(0), 1.0);
-        assert!((lr.at(50) - 0.55).abs() < 1e-6);
-        assert!((lr.at(100) - 0.1).abs() < 1e-6);
-        // Clamped after decay_steps.
-        assert!((lr.at(500) - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn polynomial_with_zero_steps_is_the_end_rate() {
-        let lr = LearningRate::Polynomial { initial: 1.0, end: 0.2, decay_steps: 0, power: 2.0 };
-        assert_eq!(lr.at(0), 0.2);
-    }
-
-    #[test]
-    fn exponential_halves_every_period() {
-        let lr = LearningRate::Exponential { initial: 0.8, decay_rate: 0.5, decay_steps: 10 };
-        assert_eq!(lr.at(0), 0.8);
-        assert!((lr.at(10) - 0.4).abs() < 1e-6);
-        assert!((lr.at(20) - 0.2).abs() < 1e-6);
-        // Monotone decreasing.
-        assert!(lr.at(5) > lr.at(6));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! |---|---|
 //! | `--experiment` | [`ExperimentKind`] |
 //! | `--aggregator` / `--aggregator-args` | [`RunnerConfig::gar`] |
-//! | `--optimizer` / `--optimizer-args` | [`RunnerConfig::optimizer`] |
-//! | `--learning-rate` / args | [`RunnerConfig::learning_rate`] |
+//! | `--optimizer` `sgd` \| `rmsprop` | [`RunnerConfig::optimizer`] |
+//! | `--learning-rate` `fixed` | [`RunnerConfig::learning_rate`] |
 //! | `--nb-workers` | [`RunnerConfig::workers`] |
 //! | `--max-step` | [`RunnerConfig::max_steps`] |
 //! | `--evaluation-delta` | [`RunnerConfig::eval_every`] |
@@ -299,6 +299,21 @@ impl RunnerConfig {
         if self.eval_every == 0 {
             return Err(PsError::InvalidConfig("eval_every must be positive".into()));
         }
+        let LearningRate::Fixed { rate } = self.learning_rate;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(PsError::InvalidConfig(format!(
+                "the learning rate must be finite and positive, got {rate}"
+            )));
+        }
+        let Regularization { l1, l2 } = self.regularization;
+        if !(l1.is_finite() && l1 >= 0.0 && l2.is_finite() && l2 >= 0.0) {
+            return Err(PsError::InvalidConfig(format!(
+                "the L1/L2 coefficients must be finite and non-negative, got {l1} / {l2}"
+            )));
+        }
+        if self.eval_samples == 0 {
+            return Err(PsError::InvalidConfig("eval_samples must be positive".into()));
+        }
         if self.lossy_links > self.workers {
             return Err(PsError::InvalidConfig(format!(
                 "lossy_links {} exceeds worker count {}",
@@ -394,6 +409,22 @@ mod tests {
 
         let mut c = RunnerConfig::quick_default();
         c.lossy_links = 100;
+        assert!(c.validate().is_err());
+
+        for rate in [f32::NAN, 0.0, -1e-3] {
+            let mut c = RunnerConfig::quick_default();
+            c.learning_rate = LearningRate::Fixed { rate };
+            assert!(c.validate().is_err(), "learning rate {rate} is rejected");
+        }
+
+        for (l1, l2) in [(-0.1, 0.0), (0.0, -0.1), (f32::NAN, 0.0), (0.0, f32::INFINITY)] {
+            let mut c = RunnerConfig::quick_default();
+            c.regularization = Regularization { l1, l2 };
+            assert!(c.validate().is_err(), "regularization {l1} / {l2} is rejected");
+        }
+
+        let mut c = RunnerConfig::quick_default();
+        c.eval_samples = 0;
         assert!(c.validate().is_err());
 
         let mut c = RunnerConfig::quick_default();

@@ -78,6 +78,11 @@ pub struct SyncTrainingEngine {
     config: RunnerConfig,
     server: ParameterServer,
     workers: Vec<Worker>,
+    /// Each worker's mini-batch sampler stream: its own id, or under a
+    /// replicating rule its group's lowest id, so the throughput meter
+    /// counts a group's replicas of one mini-batch once. Nondecreasing in
+    /// worker id.
+    streams: Vec<usize>,
     attack: Box<dyn Attack>,
     eval_model: Sequential,
     test_set: Dataset,
@@ -174,6 +179,7 @@ impl SyncTrainingEngine {
         let replicated = replicates_batches(config.gar, config.tree);
         let honest_count = config.workers - config.byzantine_count;
         let mut workers = Vec::with_capacity(config.workers);
+        let mut streams = Vec::with_capacity(config.workers);
         for id in 0..config.workers {
             let role = if id < honest_count {
                 WorkerRole::Honest
@@ -196,6 +202,7 @@ impl SyncTrainingEngine {
             };
             let sampler = MiniBatchSampler::new(config.batch_size, config.seed, stream as u64)
                 .map_err(PsError::from)?;
+            streams.push(stream);
             let transport = Self::build_transport(&config, id)?;
             let worker_model = config.experiment.build_model(derive_seed(config.seed, id as u64));
             workers.push(Worker::new(id, role, worker_model, dataset, sampler, transport));
@@ -235,6 +242,7 @@ impl SyncTrainingEngine {
             config,
             server,
             workers,
+            streams,
             attack,
             eval_model: model,
             test_set: test,
@@ -346,7 +354,7 @@ impl SyncTrainingEngine {
         self.evaluate(&mut report)?;
         for step in 0..self.config.max_steps {
             let record = self.round(step, &report.rounds)?;
-            report.fold(record, &byzantine);
+            report.fold(record, &byzantine, &self.streams);
             if (step + 1) % self.config.eval_every == 0 || step + 1 == self.config.max_steps {
                 self.evaluate(&mut report)?;
             }

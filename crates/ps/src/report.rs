@@ -149,8 +149,8 @@ pub struct TrainingReport {
     /// see it.
     pub retransmit_exhaustions: u64,
     /// Per-worker breakdown of the wire counters and ledger outcomes, one
-    /// entry per worker slot. Empty when the engine ran without the
-    /// breakdown (e.g. the throughput simulator).
+    /// entry per worker slot. Empty for a report the engine did not
+    /// produce.
     pub per_worker: Vec<WorkerReport>,
     /// Every quarantine/readmission transition the reputation ledger made,
     /// in the order it made them. Empty without a ledger.
@@ -167,8 +167,9 @@ pub struct TrainingReport {
 impl TrainingReport {
     /// Folds one round into the counters, the clock, the latency split and
     /// the throughput meter, then keeps the record. `byzantine` marks the
-    /// slots whose selection counts against the GAR.
-    pub(crate) fn fold(&mut self, record: RoundRecord, byzantine: &[bool]) {
+    /// slots whose selection counts against the GAR; `streams` holds each
+    /// slot's mini-batch sampler stream.
+    pub(crate) fn fold(&mut self, record: RoundRecord, byzantine: &[bool], streams: &[usize]) {
         match record.verdict {
             RoundVerdict::Applied => {}
             RoundVerdict::Skipped => self.skipped_updates += 1,
@@ -187,13 +188,18 @@ impl TrainingReport {
             self.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
         }
         // Every round advances the clock except a paused refusal; the meter
-        // counts every slot that submitted, delivered or not.
+        // counts the distinct mini-batches submitted, delivered or not (a
+        // replicating group's copies of one batch share a stream, and streams
+        // are nondecreasing in slot order).
         if record.verdict != (RoundVerdict::Refused { held: false }) {
             let round_sec = record.round_wait_sec + record.aggregation_sec;
             self.simulated_time_sec += round_sec;
             self.latency.record_round(record.round_wait_sec, record.aggregation_sec);
-            let submissions = record.wire.iter().flatten().count() as u64;
-            self.throughput.record_round(submissions, round_sec);
+            let mut last = None;
+            let batches = (record.wire.iter().zip(streams))
+                .filter(|&(wire, &stream)| wire.is_some() && last.replace(stream) != Some(stream))
+                .count() as u64;
+            self.throughput.record_round(batches, round_sec);
         }
         self.rounds.push(record);
     }

@@ -460,20 +460,6 @@ impl GradientBatch {
         Ok(Vector::from(out))
     }
 
-    /// Coordinate-wise mean of the given rows (clone-free selection
-    /// averaging: Multi-Krum averages its `m` selected gradients without
-    /// materialising them).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for an empty selection and
-    /// [`TensorError::IndexOutOfBounds`] for an invalid row index.
-    pub fn mean_of_rows(&self, rows: &[usize]) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.mean_blocks(Some(rows), false, "mean_of_rows", 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
     /// Coordinate-wise mean that skips NaN (lost) coordinates; a coordinate
     /// that is NaN in every row becomes `0.0` (no update). `±∞` coordinates
     /// participate, exactly like the slice-wise `nan_mean`.
@@ -499,43 +485,6 @@ impl GradientBatch {
         Ok(Vector::from(out))
     }
 
-    /// Coordinate-wise median (NaN-tolerant) restricted to `rows`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBatch::coordinate_median`], plus
-    /// [`TensorError::IndexOutOfBounds`] for an invalid row index.
-    pub fn coordinate_median_of_rows(&self, rows: &[usize]) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.order_statistic(OrderStatistic::Median, Some(rows), 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
-    /// Coordinate-wise sample standard deviation over the finite values of
-    /// each column (0 for fewer than two finite values).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for an empty batch.
-    pub fn coordinate_std(&self) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.column_reduce(None, "coordinate_std", 0..self.d, &mut out, || {
-            let mut finite: Vec<f32> = Vec::new();
-            move |column: &mut Vec<f32>| {
-                finite.clear();
-                finite.extend(column.iter().copied().filter(|x| x.is_finite()));
-                if finite.len() < 2 {
-                    return Ok(0.0);
-                }
-                let mean = finite.iter().sum::<f32>() / finite.len() as f32;
-                let var = finite.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>()
-                    / (finite.len() - 1) as f32;
-                Ok(var.sqrt())
-            }
-        })?;
-        Ok(Vector::from(out))
-    }
-
     /// Coordinate-wise trimmed mean: drops the `trim` smallest and `trim`
     /// largest finite values per coordinate and averages the rest. NaN
     /// values are dropped before trimming; a coordinate left with too few
@@ -549,20 +498,6 @@ impl GradientBatch {
         let mut out = vec![0.0f32; self.d];
         let rule = OrderStatistic::TrimmedMean { trim };
         self.order_statistic(rule, None, 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
-    /// The scalar quickselect trimmed mean: the fallback for batches of more
-    /// than [`MAX_NETWORK_N`] rows, kept publicly callable (on the full
-    /// column range) as the perf baseline of the `selection_networks`
-    /// criterion group.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBatch::coordinate_trimmed_mean`].
-    pub fn coordinate_trimmed_mean_quickselect(&self, trim: usize) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.trimmed_mean_quickselect(None, trim, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -630,33 +565,6 @@ impl GradientBatch {
         Ok(Vector::from(out))
     }
 
-    /// [`GradientBatch::mean_around_median`] restricted to `rows`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions, plus [`TensorError::IndexOutOfBounds`] for an
-    /// invalid row index.
-    pub fn mean_around_median_of_rows(&self, rows: &[usize], keep: usize) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        let rule = OrderStatistic::MeanAroundMedian { keep };
-        self.order_statistic(rule, Some(rows), 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
-    /// The scalar sort-and-walk mean-around-median over the full column
-    /// range: the fallback for batches of more than [`MAX_NETWORK_N`] rows,
-    /// kept publicly callable as the perf baseline of the
-    /// `selection_networks` criterion group.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBatch::mean_around_median`].
-    pub fn coordinate_mean_around_median_quickselect(&self, keep: usize) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.mean_around_median_quickselect(None, keep, 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
     /// The scalar sort-and-walk mean-around-median: the fallback for batches
     /// of more than [`MAX_NETWORK_N`] rows.
     ///
@@ -683,20 +591,6 @@ impl GradientBatch {
                 Ok(mean_of_closest_to_median_sorted(&finite, column.len(), keep))
             }
         })
-    }
-
-    /// The scalar quickselect median: the fallback for batches of more than
-    /// [`MAX_NETWORK_N`] rows, kept publicly callable (on the full column
-    /// range) as the perf baseline of the `selection_networks` criterion
-    /// group.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBatch::coordinate_median`].
-    pub fn coordinate_median_quickselect(&self) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.d];
-        self.median_quickselect(None, 0..self.d, &mut out)?;
-        Ok(Vector::from(out))
     }
 
     fn median_quickselect(
@@ -823,17 +717,29 @@ impl GradientBatch {
             return Err(TensorError::EmptyInput(rule.label()));
         }
         if m > MAX_NETWORK_N {
-            return match rule {
-                OrderStatistic::Median => self.median_quickselect(rows, cols, out),
-                OrderStatistic::TrimmedMean { trim } => {
-                    self.trimmed_mean_quickselect(rows, trim, cols, out)
-                }
-                OrderStatistic::MeanAroundMedian { keep } => {
-                    self.mean_around_median_quickselect(rows, keep, cols, out)
-                }
-            };
+            return self.quickselect(rule, rows, cols, out);
         }
         self.network_reduce(rule, rows, cols, out, width)
+    }
+
+    /// `rule` over `cols` of `rows` through the scalar kernels: the fallback
+    /// for batches of more than [`MAX_NETWORK_N`] rows.
+    fn quickselect(
+        &self,
+        rule: OrderStatistic,
+        rows: Option<&[usize]>,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        match rule {
+            OrderStatistic::Median => self.median_quickselect(rows, cols, out),
+            OrderStatistic::TrimmedMean { trim } => {
+                self.trimmed_mean_quickselect(rows, trim, cols, out)
+            }
+            OrderStatistic::MeanAroundMedian { keep } => {
+                self.mean_around_median_quickselect(rows, keep, cols, out)
+            }
+        }
     }
 
     /// `rule` over every column through the tile body's baseline
@@ -848,6 +754,17 @@ impl GradientBatch {
     ) -> Result<Vector> {
         let mut out = vec![0.0f32; self.d];
         self.order_statistic_at_width(rule, rows, 0..self.d, &mut out, TileWidth::Baseline)?;
+        Ok(Vector::from(out))
+    }
+
+    /// `rule` over every row and column through the scalar kernels, whatever
+    /// the row count: the reference the selection networks are held against
+    /// (`sortnet_matches_reference`) and the baseline of the
+    /// `selection_networks` criterion group. Not part of the API.
+    #[doc(hidden)]
+    pub fn order_statistic_quickselect(&self, rule: OrderStatistic) -> Result<Vector> {
+        let mut out = vec![0.0f32; self.d];
+        self.quickselect(rule, None, 0..self.d, &mut out)?;
         Ok(Vector::from(out))
     }
 
@@ -996,8 +913,9 @@ pub(crate) fn mean_rows_into<'a>(
 }
 
 /// The per-coordinate reductions the selection-network tiles serve. Public
-/// (and hidden) only so `tests/order_statistic_tiles.rs` can name a rule to
-/// [`GradientBatch::order_statistic_at_baseline_width`].
+/// (and hidden) only so the reference tests and benches can name a rule to
+/// [`GradientBatch::order_statistic_at_baseline_width`] and
+/// [`GradientBatch::order_statistic_quickselect`].
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderStatistic {
@@ -1280,8 +1198,8 @@ impl SortedLane<'_> {
 /// surface of the sharded aggregation layer: every coordinate-wise rule runs
 /// one invocation per shard on such a view, and the distance-based rules use
 /// [`BatchColumns::distance_partials`] for their per-shard contribution to
-/// the global distance matrix. Each method returns a vector with one entry
-/// per column of the view, in column order, computed exactly as the
+/// the global distance matrix. Each kernel writes one entry per column of
+/// the view into the caller's `out`, in column order, computed exactly as the
 /// full-width kernel would compute those columns (the per-column reductions
 /// are independent, so restricting the range is bit-identical).
 #[derive(Debug, Clone)]
@@ -1301,15 +1219,6 @@ impl BatchColumns<'_> {
         self.cols.len()
     }
 
-    /// Allocates an output buffer of the view's width, runs `fill` into it
-    /// and wraps the result (the convenience path behind every
-    /// `Vector`-returning kernel on this view).
-    fn collect(&self, fill: impl FnOnce(&mut [f32]) -> Result<()>) -> Result<Vector> {
-        let mut out = vec![0.0f32; self.cols.len()];
-        fill(&mut out)?;
-        Ok(Vector::from(out))
-    }
-
     /// Validates a caller-provided output slice against the view's width.
     fn check_out(&self, out: &[f32]) -> Result<()> {
         if out.len() != self.cols.len() {
@@ -1318,24 +1227,16 @@ impl BatchColumns<'_> {
         Ok(())
     }
 
-    /// Coordinate-wise mean over these columns; `rows` optionally restricts
-    /// the reduction to a row subset (selection averaging).
+    /// Coordinate-wise mean over these columns, written into `out` (one slot
+    /// per column of the view); `rows` optionally restricts the reduction to
+    /// a row subset (selection averaging). Writing into the caller's buffer
+    /// lets a sharded aggregator place every shard's output directly into
+    /// the final update.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBatch::coordinate_mean`] /
-    /// [`GradientBatch::mean_of_rows`].
-    pub fn mean(&self, rows: Option<&[usize]>) -> Result<Vector> {
-        self.collect(|out| self.mean_into(rows, out))
-    }
-
-    /// [`BatchColumns::mean`] written into `out` (one slot per column of the
-    /// view) — the zero-copy path a sharded aggregator uses to place every
-    /// shard's output directly into the final update buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchColumns::mean`], plus
+    /// Returns [`TensorError::EmptyInput`] for an empty batch or selection,
+    /// [`TensorError::IndexOutOfBounds`] for an invalid row index and
     /// [`TensorError::DimensionMismatch`] when `out` does not match the
     /// view's width.
     pub fn mean_into(&self, rows: Option<&[usize]>, out: &mut [f32]) -> Result<()> {
@@ -1344,60 +1245,36 @@ impl BatchColumns<'_> {
         self.batch.mean_blocks(rows, false, label, self.cols.clone(), out)
     }
 
-    /// NaN-skipping coordinate-wise mean over these columns.
+    /// NaN-skipping coordinate-wise mean over these columns, written into
+    /// `out`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBatch::coordinate_nan_mean`].
-    pub fn nan_mean(&self) -> Result<Vector> {
-        self.collect(|out| self.nan_mean_into(out))
-    }
-
-    /// [`BatchColumns::nan_mean`] written into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchColumns::nan_mean`], plus
+    /// Same conditions as [`GradientBatch::coordinate_nan_mean`], plus
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn nan_mean_into(&self, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
         self.batch.mean_blocks(None, true, "coordinate_nan_mean", self.cols.clone(), out)
     }
 
-    /// NaN-tolerant coordinate-wise median over these columns.
+    /// NaN-tolerant coordinate-wise median over these columns, written into
+    /// `out`; `rows` optionally restricts it to a row subset.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBatch::coordinate_median`].
-    pub fn median(&self, rows: Option<&[usize]>) -> Result<Vector> {
-        self.collect(|out| self.median_into(rows, out))
-    }
-
-    /// [`BatchColumns::median`] written into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchColumns::median`], plus
+    /// Same conditions as [`GradientBatch::coordinate_median`], plus
+    /// [`TensorError::IndexOutOfBounds`] for an invalid row index and
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn median_into(&self, rows: Option<&[usize]>, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
         self.batch.order_statistic(OrderStatistic::Median, rows, self.cols.clone(), out)
     }
 
-    /// Coordinate-wise trimmed mean over these columns.
+    /// Coordinate-wise trimmed mean over these columns, written into `out`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBatch::coordinate_trimmed_mean`].
-    pub fn trimmed_mean(&self, trim: usize) -> Result<Vector> {
-        self.collect(|out| self.trimmed_mean_into(trim, out))
-    }
-
-    /// [`BatchColumns::trimmed_mean`] written into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchColumns::trimmed_mean`], plus
+    /// Same conditions as [`GradientBatch::coordinate_trimmed_mean`], plus
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn trimmed_mean_into(&self, trim: usize, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
@@ -1410,20 +1287,13 @@ impl BatchColumns<'_> {
     }
 
     /// Mean of the `keep` values closest to the coordinate-wise median, over
-    /// these columns (MeaMed / Bulyan phase 2).
+    /// these columns (MeaMed / Bulyan phase 2), written into `out`; `rows`
+    /// optionally restricts it to a row subset.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBatch::mean_around_median`].
-    pub fn mean_around_median(&self, rows: Option<&[usize]>, keep: usize) -> Result<Vector> {
-        self.collect(|out| self.mean_around_median_into(rows, keep, out))
-    }
-
-    /// [`BatchColumns::mean_around_median`] written into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchColumns::mean_around_median`], plus
+    /// Same conditions as [`GradientBatch::mean_around_median`], plus
+    /// [`TensorError::IndexOutOfBounds`] for an invalid row index and
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
     pub fn mean_around_median_into(
         &self,
@@ -1548,6 +1418,14 @@ mod tests {
         GradientBatch::from_vectors(&vs).unwrap()
     }
 
+    /// A column-view `_into` kernel run into a fresh buffer of the view's
+    /// width.
+    fn collect(view: &BatchColumns<'_>, kernel: impl FnOnce(&mut [f32]) -> Result<()>) -> Vec<f32> {
+        let mut out = vec![0.0f32; view.width()];
+        kernel(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn construction_and_row_views() {
         let b = batch(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
@@ -1598,9 +1476,10 @@ mod tests {
     fn means_match_slice_kernels() {
         let b = batch(&[&[1.0, 10.0], &[2.0, 20.0], &[3.0, 90.0]]);
         assert_eq!(b.coordinate_mean().unwrap().as_slice(), &[2.0, 40.0]);
-        assert_eq!(b.mean_of_rows(&[0, 2]).unwrap().as_slice(), &[2.0, 50.0]);
-        assert!(b.mean_of_rows(&[]).is_err());
-        assert!(b.mean_of_rows(&[7]).is_err());
+        let view = b.columns(0..2);
+        assert_eq!(collect(&view, |out| view.mean_into(Some(&[0, 2]), out)), [2.0, 50.0]);
+        assert!(view.mean_into(Some(&[]), &mut [0.0; 2]).is_err());
+        assert!(view.mean_into(Some(&[7]), &mut [0.0; 2]).is_err());
     }
 
     #[test]
@@ -1616,7 +1495,8 @@ mod tests {
     fn median_matches_slice_kernel_and_errors_on_all_nan_column() {
         let b = batch(&[&[1.0, f32::NAN], &[3.0, 5.0], &[2.0, 7.0]]);
         assert_eq!(b.coordinate_median().unwrap().as_slice(), &[2.0, 6.0]);
-        assert_eq!(b.coordinate_median_of_rows(&[1, 2]).unwrap().as_slice(), &[2.5, 6.0]);
+        let view = b.columns(0..2);
+        assert_eq!(collect(&view, |out| view.median_into(Some(&[1, 2]), out)), [2.5, 6.0]);
         let all_nan = batch(&[&[f32::NAN], &[f32::NAN]]);
         assert!(all_nan.coordinate_median().is_err());
     }
@@ -1640,14 +1520,6 @@ mod tests {
         assert!((out[0] - 2.05).abs() < 1e-6);
         let corrupt = batch(&[&[f32::NAN], &[1.0], &[f32::INFINITY], &[3.0]]);
         assert_eq!(corrupt.mean_around_median(2).unwrap().as_slice(), &[2.0]);
-    }
-
-    #[test]
-    fn std_matches_slice_variance() {
-        let b = batch(&[&[1.0, 0.0], &[3.0, 0.0]]);
-        let s = b.coordinate_std().unwrap();
-        assert!((s[0] - (2.0f32).sqrt()).abs() < 1e-6);
-        assert_eq!(s[1], 0.0);
     }
 
     #[test]
@@ -1692,14 +1564,14 @@ mod tests {
         b.row_mut(4)[123] = f32::NAN;
         b.row_mut(9)[d - 1] = f32::INFINITY;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let all = b.columns(0..d);
         let kernels = || -> Vec<Vec<u32>> {
             vec![
                 bits(&b.pairwise_squared_distances().data),
                 bits(b.coordinate_mean().unwrap().as_slice()),
                 bits(b.coordinate_nan_mean().unwrap().as_slice()),
-                bits(b.mean_of_rows(&[0, 2, 3, 5, 7, 11, 13, 17]).unwrap().as_slice()),
-                bits(b.coordinate_std().unwrap().as_slice()),
-                bits(b.coordinate_median_quickselect().unwrap().as_slice()),
+                bits(&collect(&all, |out| all.mean_into(Some(&[0, 2, 3, 5, 7, 11, 13, 17]), out))),
+                bits(b.order_statistic_quickselect(OrderStatistic::Median).unwrap().as_slice()),
                 bits(b.coordinate_median().unwrap().as_slice()),
                 bits(b.coordinate_trimmed_mean(4).unwrap().as_slice()),
                 bits(b.mean_around_median(11).unwrap().as_slice()),
@@ -1841,20 +1713,23 @@ mod tests {
         assert_eq!(view.width(), 3);
         assert_eq!(view.range(), cols.clone());
         let full = b.coordinate_mean().unwrap();
-        assert_eq!(view.mean(None).unwrap().as_slice(), &full.as_slice()[cols.clone()]);
+        assert_eq!(collect(&view, |out| view.mean_into(None, out)), &full.as_slice()[cols.clone()]);
         let full = b.coordinate_nan_mean().unwrap();
-        assert_eq!(view.nan_mean().unwrap().as_slice(), &full.as_slice()[cols.clone()]);
+        assert_eq!(collect(&view, |out| view.nan_mean_into(out)), &full.as_slice()[cols.clone()]);
         let full = b.coordinate_median().unwrap();
-        assert_eq!(view.median(None).unwrap().as_slice(), &full.as_slice()[cols.clone()]);
-        let full = b.coordinate_trimmed_mean(1).unwrap();
-        assert_eq!(view.trimmed_mean(1).unwrap().as_slice(), &full.as_slice()[cols.clone()]);
-        let full = b.mean_around_median(2).unwrap();
         assert_eq!(
-            view.mean_around_median(None, 2).unwrap().as_slice(),
+            collect(&view, |out| view.median_into(None, out)),
             &full.as_slice()[cols.clone()]
         );
-        let full = b.mean_of_rows(&[0, 2]).unwrap();
-        assert_eq!(view.mean(Some(&[0, 2])).unwrap().as_slice(), &full.as_slice()[cols]);
+        let full = b.coordinate_trimmed_mean(1).unwrap();
+        let trimmed = collect(&view, |out| view.trimmed_mean_into(1, out));
+        assert_eq!(trimmed, &full.as_slice()[cols.clone()]);
+        let full = b.mean_around_median(2).unwrap();
+        let around = collect(&view, |out| view.mean_around_median_into(None, 2, out));
+        assert_eq!(around, &full.as_slice()[cols.clone()]);
+        let all = b.columns(0..5);
+        let full = collect(&all, |out| all.mean_into(Some(&[0, 2]), out));
+        assert_eq!(collect(&view, |out| view.mean_into(Some(&[0, 2]), out)), &full[cols]);
     }
 
     #[test]

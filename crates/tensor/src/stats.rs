@@ -2,7 +2,8 @@
 //!
 //! These are the numeric building blocks of the paper's gradient aggregation
 //! rules: coordinate-wise medians, trimmed means, selection of the `k` values
-//! closest to a reference, and pairwise squared distances between gradients.
+//! closest to a reference, and per-coordinate means and deviations. (The
+//! pairwise squared distances live on [`crate::GradientBatch`].)
 //!
 //! All functions are careful about non-finite values: the paper stresses that
 //! real malicious workers will send `NaN`/`±Inf` coordinates, so the kernels
@@ -115,29 +116,6 @@ pub fn nan_mean(values: &[f32]) -> Option<f32> {
     } else {
         Some(sum / count as f32)
     }
-}
-
-/// Full pairwise squared-distance matrix between `n` vectors, as dense
-/// nested vectors.
-///
-/// Entry `(i, j)` holds `||v_i - v_j||²`. The matrix is symmetric with a zero
-/// diagonal. This is a compatibility adapter over the single canonical
-/// kernel, [`crate::batch::GradientBatch::pairwise_squared_distances`], which
-/// computes each unordered pair exactly once into a flat upper triangle —
-/// prefer that entry point on the hot path. Like the canonical kernel,
-/// distances involving non-finite coordinates map to `+∞` so corrupt
-/// gradients are never preferred by any score built on the matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyInput`] for an empty input and
-/// [`TensorError::DimensionMismatch`] if the vectors disagree on length.
-pub fn pairwise_squared_distances(vectors: &[Vector]) -> Result<Vec<Vec<f32>>> {
-    let batch = crate::batch::GradientBatch::from_vectors(vectors).map_err(|e| match e {
-        TensorError::EmptyInput(_) => TensorError::EmptyInput("pairwise_squared_distances"),
-        other => other,
-    })?;
-    Ok(batch.pairwise_squared_distances().to_dense())
 }
 
 /// Indices of the `k` smallest values in `values`, in ascending value order.
@@ -338,23 +316,12 @@ pub fn variance(values: &[f32]) -> f32 {
     finite.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / (finite.len() - 1) as f32
 }
 
-/// Coordinate-wise standard deviation across a set of vectors.
+/// Coordinate-wise sample standard deviation across borrowed rows, wherever
+/// they live (arena rows, vectors): the square root of [`variance`] per
+/// column.
 ///
 /// Used by the "little is enough"-style omniscient attack, which perturbs the
 /// honest mean by a multiple of the per-coordinate standard deviation.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyInput`] for an empty set and
-/// [`TensorError::DimensionMismatch`] when lengths disagree.
-pub fn coordinate_std(vectors: &[Vector]) -> Result<Vector> {
-    let rows: Vec<&[f32]> = vectors.iter().map(Vector::as_slice).collect();
-    coordinate_std_of_rows(&rows)
-}
-
-/// [`coordinate_std`] over borrowed rows — the zero-copy variant used when
-/// the gradients already live in a contiguous arena (or any slice storage)
-/// and cloning them into `Vector`s would cost an `n·d` copy.
 ///
 /// # Errors
 ///
@@ -441,27 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_distances_symmetric_zero_diagonal() {
-        let vs = vec![
-            Vector::from(vec![0.0, 0.0]),
-            Vector::from(vec![3.0, 4.0]),
-            Vector::from(vec![0.0, 1.0]),
-        ];
-        let d = pairwise_squared_distances(&vs).unwrap();
-        assert_eq!(d[0][0], 0.0);
-        assert_eq!(d[0][1], 25.0);
-        assert_eq!(d[1][0], 25.0);
-        assert_eq!(d[0][2], 1.0);
-        assert!(pairwise_squared_distances(&[]).is_err());
-    }
-
-    #[test]
-    fn pairwise_distances_rejects_ragged_input() {
-        let vs = vec![Vector::zeros(2), Vector::zeros(3)];
-        assert!(pairwise_squared_distances(&vs).is_err());
-    }
-
-    #[test]
     fn k_smallest_ranks_nan_last() {
         let v = [5.0, f32::NAN, 1.0, 3.0];
         assert_eq!(k_smallest_indices(&v, 2).unwrap(), vec![2, 3]);
@@ -537,8 +483,7 @@ mod tests {
         assert_eq!(variance(&[1.0, 1.0, 1.0]), 0.0);
         assert!((variance(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-6);
         assert_eq!(variance(&[1.0]), 0.0);
-        let vs = vec![Vector::from(vec![1.0, 0.0]), Vector::from(vec![3.0, 0.0])];
-        let s = coordinate_std(&vs).unwrap();
+        let s = coordinate_std_of_rows(&[&[1.0, 0.0], &[3.0, 0.0]]).unwrap();
         assert!((s[0] - (2.0f32).sqrt()).abs() < 1e-6);
         assert_eq!(s[1], 0.0);
     }

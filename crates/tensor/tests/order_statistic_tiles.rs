@@ -21,7 +21,7 @@
 
 use agg_tensor::batch::OrderStatistic;
 use agg_tensor::sortnet::SelectionNetwork;
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::{BatchColumns, GradientBatch, Vector};
 use proptest::prelude::*;
 
 const DIMS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 33, 512, 513, 1029];
@@ -215,6 +215,15 @@ fn scalar_mean_around_median(column: &[f32], keep: usize) -> Option<f32> {
     Some(sum / keep_eff as f32)
 }
 
+/// A column-view `_into` kernel over every column, collected into a vector.
+fn full_width(
+    batch: &GradientBatch,
+    kernel: impl FnOnce(&BatchColumns<'_>, &mut [f32]) -> agg_tensor::Result<()>,
+) -> agg_tensor::Result<Vector> {
+    let mut out = vec![0.0f32; batch.dim()];
+    kernel(&batch.columns(0..batch.dim()), &mut out).map(|()| Vector::from(out))
+}
+
 /// Holds one kernel output to the scalar rule applied to every column of
 /// `rows`. `zero_sign_free`: the network's min/max do not order `−0.0`
 /// against `+0.0`, so a rule that *copies* a value (the median) may return
@@ -257,7 +266,8 @@ proptest! {
         let rule = |column: &[f32]| scalar_mean_around_median(column, keep);
         assert_is_the_scalar_rule(
             "dispatched", &case, &batch, &rows,
-            batch.mean_around_median_of_rows(&rows, keep), rule, false,
+            full_width(&batch, |all, out| all.mean_around_median_into(Some(&rows), keep, out)),
+            rule, false,
         );
         let at_baseline = OrderStatistic::MeanAroundMedian { keep };
         assert_is_the_scalar_rule(
@@ -271,7 +281,7 @@ proptest! {
         let (batch, rows) = build(&case);
         assert_is_the_scalar_rule(
             "dispatched", &case, &batch, &rows,
-            batch.coordinate_median_of_rows(&rows), scalar_median, true,
+            full_width(&batch, |all, out| all.median_into(Some(&rows), out)), scalar_median, true,
         );
         assert_is_the_scalar_rule(
             "baseline", &case, &batch, &rows,

@@ -105,6 +105,15 @@ fn draco_throughput_is_an_order_of_magnitude_below_averaging() {
 }
 
 #[test]
+fn draco_throughput_counts_each_group_batch_once() {
+    // n = 9, f = 1: three groups of three replicas. With no fault every slot
+    // submits, but each group's three copies are one mini-batch.
+    let report = run(RunnerConfig { max_steps: 10, ..draco_config(9, 1) });
+    assert_eq!(report.throughput.model_updates(), 10);
+    assert_eq!(report.throughput.gradients_received(), 3 * report.throughput.model_updates());
+}
+
+#[test]
 fn draco_tolerates_exactly_f_byzantine_per_group_and_no_more() {
     // Within the code's tolerance Draco recovers the honest gradient exactly…
     let mut within = draco_config(9, 1);
