@@ -79,13 +79,14 @@ pub enum ChurnDirective {
     Rejoin(usize),
 }
 
-/// A Byzantine worker behaviour.
+/// A Byzantine worker behaviour; [`AttackKind`](crate::AttackKind) is its
+/// one implementor.
 ///
 /// `craft` returns exactly `ctx.byzantine_count` gradients, row `k` for the
 /// `k`-th attacker slot; the parameter server simulator submits the rows of
-/// the live slots alongside the honest ones. Implementations
-/// must be deterministic functions of the context (including `seed` and
-/// `step`) so experiments replay exactly.
+/// the live slots alongside the honest ones. Both methods are
+/// deterministic functions of the context (including `seed` and `step`), so
+/// experiments replay exactly.
 pub trait Attack: Send + Sync + fmt::Debug {
     /// Short attack name used in experiment configurations and reports.
     fn name(&self) -> &'static str;
@@ -95,12 +96,8 @@ pub trait Attack: Send + Sync + fmt::Debug {
 
     /// Chooses membership transitions for the adversary's own workers at the
     /// start of this round, from the previous round's selection feedback.
-    /// Called only when the engine has attacker-controlled churn enabled;
-    /// the default adversary never churns. Like `craft`, implementations
-    /// must be deterministic functions of the context.
-    fn plan_churn(&self, _ctx: &AttackContext<'_>) -> Vec<ChurnDirective> {
-        Vec::new()
-    }
+    /// Called only when the engine has attacker-controlled churn enabled.
+    fn plan_churn(&self, ctx: &AttackContext<'_>) -> Vec<ChurnDirective>;
 }
 
 #[cfg(test)]

@@ -1,185 +1,304 @@
-//! Concrete attack implementations and the [`AttackKind`] registry.
+//! The [`AttackKind`] catalogue: every adversary behaviour, one variant each.
 
 use crate::attack::{Attack, AttackContext, ChurnDirective};
 use agg_tensor::rng::{derive_seed, gaussian_vector, seeded_rng};
 use agg_tensor::{stats, Vector};
 use serde::{Deserialize, Serialize};
 
-/// Honest behaviour: produces gradients identical to the honest mean.
-///
-/// Used as the "no attack" baseline so every experiment can run through the
-/// same code path with and without an adversary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoAttack;
+/// The adversary's repertoire, as experiment configurations select it. Each
+/// variant is its own [`Attack`]: `craft` and `plan_churn` are one match
+/// over the variants.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum AttackKind {
+    /// Honest behaviour: every attacker row is the honest mean, so each
+    /// experiment runs the same code path with and without an adversary.
+    None,
+    /// Large random gradients, `N(0, magnitude²)` per coordinate (§2.2: "a
+    /// Byzantine worker can propose a gradient that can completely ruin the
+    /// training").
+    Random {
+        /// Standard deviation of each coordinate.
+        magnitude: f32,
+    },
+    /// The reversed-gradient adversary of the paper's Draco comparison
+    /// (§4.1): sends `−scale ·` (honest mean).
+    Reversed {
+        /// Magnification of the reversed direction (Draco's experiments use
+        /// 100).
+        scale: f32,
+    },
+    /// Sign-flipping: the negated honest mean, unmagnified.
+    SignFlip,
+    /// A mixture of `NaN` and `±∞` coordinates — the malformed input a real
+    /// malicious worker (or a lossy transport) produces (§2.3).
+    NonFinite,
+    /// A constant per-coordinate drift: an adversary steering the model
+    /// towards a specific bad optimum.
+    ConstantDrift {
+        /// Drift value of every coordinate.
+        value: f32,
+    },
+    /// The dimensional-leeway attack against weakly Byzantine-resilient GARs
+    /// (the "hidden vulnerability" of El Mhamdi et al., the paper's Fig. 9):
+    /// `mean + z · σ`, with `σ` the per-coordinate standard deviation of the
+    /// honest gradients. The crafted row stays inside the honest cloud, so
+    /// Krum-style selection accepts it, yet over `d ≫ 1` coordinates and
+    /// many steps it biases convergence. Bulyan bounds the per-coordinate
+    /// deviation and resists it.
+    LittleIsEnough {
+        /// Standard-deviation multiple.
+        z: f32,
+    },
+    /// "A Little Is Enough" (Baruch et al.): all attackers collude on
+    /// `mean − z · σ`, by default at the exact `z_max` the worker count
+    /// supports — the strongest shift that still keeps a majority of honest
+    /// workers closer to the crafted row than to each other.
+    Alie {
+        /// Standard-deviation multiple; any non-positive value derives
+        /// `z_max` from `(total_workers, byzantine_count)`.
+        z: f32,
+    },
+    /// The min-max distance attack (Shejwalkar & Houmansadr): `mean + γ·p`
+    /// with the largest `γ` that keeps the crafted row's largest distance to
+    /// an honest row within the largest pairwise honest distance, so no
+    /// distance-based score calls it an outlier.
+    MinMax,
+    /// The min-sum distance attack (Shejwalkar & Houmansadr): like
+    /// [`AttackKind::MinMax`], but the crafted row's *sum* of squared
+    /// distances to the honest rows is bounded by the worst honest row's
+    /// sum — the tighter budget that also fools Krum's scores.
+    MinSum,
+    /// The selection-feedback attacker: it conditions on
+    /// [`AttackContext::previous_selection`].
+    ///
+    /// * No selection yet → a moderate within-variance shift, no churn.
+    /// * An attacker slot was selected last round → a stronger shift, and
+    ///   that slot crashes: it retires at its moment of greatest exposure,
+    ///   before a stateful defence profiles it, and forces an epoch bump.
+    /// * An attacker slot was excluded → a stealthier shift, and that slot
+    ///   rejoins: exclusion already nullifies it, so a fenced first round
+    ///   back costs the adversary nothing.
+    ///
+    /// Directives are restated every round (redundant ones are membership
+    /// no-ops), so the policy is stateless and replays stay deterministic.
+    Adaptive,
+    /// The reputation-evading rotation: identity churn paced slower than a
+    /// suspicion ledger's decay horizon, with jittered stealth gradients.
+    ///
+    /// [`AttackKind::Adaptive`]'s fast rotation pays one stale-epoch fence
+    /// hit per rejoin and crosses a ledger's quarantine threshold within a
+    /// few rounds. Here each window of `period` rounds crashes exactly one
+    /// attacker slot (round-robin), so a slot pays a fence hit only once
+    /// every `byzantine_count · period` rounds, after the previous hit has
+    /// decayed away (16 rounds is past the default ledger's horizon,
+    /// 0.7^16 ≈ 3e-3). The price is less pressure: stealthy `mean − z · σ`
+    /// rows, each jittered per slot and round so no collusion sketch sees a
+    /// clique. The schedule reads only `ctx.step`.
+    SlowRotation {
+        /// Rounds per rotation window (one slot rests per window); zero
+        /// behaves as 1, the fast rotation a ledger catches.
+        period: u64,
+        /// Standard-deviation multiple of the stealth shift.
+        z: f32,
+    },
+    /// The colluding-group attack against the tree tier. Attacker slots are
+    /// the trailing worker ids and the tree partitions workers contiguously,
+    /// so `f` slots own the fewest possible groups — the worst case for the
+    /// composed bound `(f_group + 1)(f_root + 1) − 1`. Inside a group the
+    /// attackers send bit-identical `−scale ·` (honest mean) rows, which a
+    /// fully captured group's GAR emits verbatim; across groups the copies
+    /// differ by a tiny jitter, so the captured outputs collude at the root.
+    /// The tree survives iff the captured groups stay ≤ `f_root`, which is
+    /// what `agg_core::resilience::composed_max_f` promises.
+    GroupCollusion {
+        /// Magnification of the reversed honest mean.
+        scale: f32,
+        /// The tree tier's group size, which aligns the cliques with group
+        /// boundaries; zero behaves as one global clique.
+        group_size: usize,
+    },
+}
 
-impl Attack for NoAttack {
+/// [`AttackKind::Adaptive`]'s shifts in σ multiples: before any selection
+/// feedback, after a round in which an attacker slot was selected, and after
+/// a round of exclusion.
+const ADAPTIVE_Z: (f32, f32, f32) = (0.5, 1.0, 0.2);
+
+impl AttackKind {
+    /// Boxes the attack, for callers that hold a `Box<dyn Attack>`.
+    pub fn build(&self) -> Box<dyn Attack> {
+        Box::new(*self)
+    }
+}
+
+impl Attack for AttackKind {
     fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        vec![ctx.honest_mean(); ctx.byzantine_count]
-    }
-}
-
-/// Large random gradients (`N(0, magnitude²)` per coordinate).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomGradient {
-    /// Standard deviation of each Byzantine coordinate.
-    pub magnitude: f32,
-}
-
-impl Default for RandomGradient {
-    fn default() -> Self {
-        RandomGradient { magnitude: 100.0 }
-    }
-}
-
-impl Attack for RandomGradient {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        (0..ctx.byzantine_count)
-            .map(|k| {
-                let mut rng =
-                    seeded_rng(derive_seed(ctx.seed, ctx.step ^ (k as u64) << 32 | 0xA77));
-                gaussian_vector(&mut rng, ctx.dimension(), 0.0, self.magnitude)
-            })
-            .collect()
-    }
-}
-
-/// The reversed-gradient adversary (the model used for the paper's Draco
-/// comparison): sends `−scale ·` (honest mean).
-#[derive(Debug, Clone, Copy)]
-pub struct ReversedGradient {
-    /// Magnification applied to the reversed direction (Draco's default
-    /// experiments use 100).
-    pub scale: f32,
-}
-
-impl Default for ReversedGradient {
-    fn default() -> Self {
-        ReversedGradient { scale: 100.0 }
-    }
-}
-
-impl Attack for ReversedGradient {
-    fn name(&self) -> &'static str {
-        "reversed"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let mut g = ctx.honest_mean();
-        g.scale(-self.scale);
-        vec![g; ctx.byzantine_count]
-    }
-}
-
-/// Sign-flipping: sends the negated honest mean without magnification.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SignFlip;
-
-impl Attack for SignFlip {
-    fn name(&self) -> &'static str {
-        "sign-flip"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let mut g = ctx.honest_mean();
-        g.scale(-1.0);
-        vec![g; ctx.byzantine_count]
-    }
-}
-
-/// Non-finite gradients: a mixture of `NaN` and `±∞` coordinates — the
-/// malformed input a real malicious worker (or a lossy transport) produces.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NonFinite;
-
-impl Attack for NonFinite {
-    fn name(&self) -> &'static str {
-        "non-finite"
+        match self {
+            AttackKind::None => "none",
+            AttackKind::Random { .. } => "random",
+            AttackKind::Reversed { .. } => "reversed",
+            AttackKind::SignFlip => "sign-flip",
+            AttackKind::NonFinite => "non-finite",
+            AttackKind::ConstantDrift { .. } => "constant-drift",
+            AttackKind::LittleIsEnough { .. } => "little-is-enough",
+            AttackKind::Alie { .. } => "alie",
+            AttackKind::MinMax => "min-max",
+            AttackKind::MinSum => "min-sum",
+            AttackKind::Adaptive => "adaptive",
+            AttackKind::SlowRotation { .. } => "slow-rotation",
+            AttackKind::GroupCollusion { .. } => "group-collusion",
+        }
     }
 
     fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
         let d = ctx.dimension();
-        (0..ctx.byzantine_count)
-            .map(|k| {
-                Vector::from_iter((0..d).map(|i| match (i + k) % 3 {
-                    0 => f32::NAN,
-                    1 => f32::INFINITY,
-                    _ => f32::NEG_INFINITY,
+        let copies = |row: Vector| vec![row; ctx.byzantine_count];
+        let honest = ctx.honest_gradients;
+        match *self {
+            AttackKind::None => copies(ctx.honest_mean()),
+            AttackKind::Random { magnitude } => (0..ctx.byzantine_count)
+                .map(|k| {
+                    let mut rng =
+                        seeded_rng(derive_seed(ctx.seed, ctx.step ^ (k as u64) << 32 | 0xA77));
+                    gaussian_vector(&mut rng, d, 0.0, magnitude)
+                })
+                .collect(),
+            AttackKind::Reversed { scale } => copies(scaled_mean(ctx, -scale)),
+            AttackKind::SignFlip => copies(scaled_mean(ctx, -1.0)),
+            AttackKind::NonFinite => (0..ctx.byzantine_count)
+                .map(|k| {
+                    Vector::from_iter((0..d).map(|i| match (i + k) % 3 {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        _ => f32::NEG_INFINITY,
+                    }))
+                })
+                .collect(),
+            AttackKind::ConstantDrift { value } => copies(Vector::filled(d, value)),
+            AttackKind::LittleIsEnough { z } => copies(shifted_mean(ctx, z)),
+            AttackKind::Alie { z } => {
+                let z = if z > 0.0 {
+                    z
+                } else {
+                    alie_z_max(ctx.total_workers.max(1), ctx.byzantine_count)
+                };
+                copies(shifted_mean(ctx, -z))
+            }
+            AttackKind::MinMax => {
+                let max_pairwise = honest
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, a)| honest[i + 1..].iter().map(move |b| row_distance_sq(a, b)))
+                    .fold(0.0, f64::max);
+                copies(within_distance_budget(ctx, |crafted| {
+                    honest.iter().all(|g| row_distance_sq(crafted, g) <= max_pairwise)
                 }))
-            })
-            .collect()
+            }
+            AttackKind::MinSum => {
+                let sum_to_honest =
+                    |row: &[f32]| honest.iter().map(|g| row_distance_sq(row, g)).sum::<f64>();
+                let max_honest_sum = honest.iter().map(|a| sum_to_honest(a)).fold(0.0, f64::max);
+                copies(within_distance_budget(ctx, |crafted| {
+                    sum_to_honest(crafted) <= max_honest_sum
+                }))
+            }
+            AttackKind::Adaptive => {
+                let (base, aggressive, stealth) = ADAPTIVE_Z;
+                let z = match ctx.previous_selection {
+                    None => base,
+                    Some(selected) if selected.iter().any(|&w| w >= first_attacker(ctx)) => {
+                        aggressive
+                    }
+                    Some(_) => stealth,
+                };
+                copies(shifted_mean(ctx, -z))
+            }
+            AttackKind::SlowRotation { z, .. } => {
+                let shifted = shifted_mean(ctx, -z);
+                (0..ctx.byzantine_count)
+                    .map(|k| {
+                        // Per-slot, per-round jitter: no two crafted rows are
+                        // ever bit-close, so a collusion sketch sees no clique.
+                        let seed =
+                            derive_seed(derive_seed(ctx.seed, 0x5107_A7E0 ^ ctx.step), k as u64);
+                        jittered(ctx, &shifted, 0.2 * z.abs().max(0.1), seed)
+                    })
+                    .collect()
+            }
+            AttackKind::GroupCollusion { scale, group_size } => {
+                let base = scaled_mean(ctx, -scale);
+                let jitter_scale = 0.001 * scale.abs().max(1.0);
+                (0..ctx.byzantine_count)
+                    .map(|k| {
+                        // Identical inside a group, jittered across groups:
+                        // the group aggregate stays extreme while no two
+                        // captured groups hand the root the same bits.
+                        let group = ((first_attacker(ctx) + k) / group_size.max(1)) as u64;
+                        let seed = derive_seed(ctx.seed, 0xC011_ABCD ^ group);
+                        jittered(ctx, &base, jitter_scale, seed)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    fn plan_churn(&self, ctx: &AttackContext<'_>) -> Vec<ChurnDirective> {
+        // Every attacker slot gets a directive each round: the ones `crash`
+        // names go down, the rest (re)join.
+        let restate = |crash: &dyn Fn(usize) -> bool| -> Vec<ChurnDirective> {
+            (first_attacker(ctx)..ctx.total_workers)
+                .map(|slot| {
+                    if crash(slot) {
+                        ChurnDirective::Crash(slot)
+                    } else {
+                        ChurnDirective::Rejoin(slot)
+                    }
+                })
+                .collect()
+        };
+        match *self {
+            AttackKind::Adaptive => match ctx.previous_selection {
+                Some(selected) => restate(&|slot| selected.contains(&slot)),
+                None => Vec::new(),
+            },
+            AttackKind::SlowRotation { period, .. } if ctx.byzantine_count > 0 => {
+                // One slot rests per window; at a window boundary exactly
+                // one slot crashes and the previous rester rejoins through
+                // the epoch fence.
+                let window = ctx.step / period.max(1);
+                let resting = first_attacker(ctx) + (window as usize % ctx.byzantine_count);
+                restate(&|slot| slot == resting)
+            }
+            _ => Vec::new(),
+        }
     }
 }
 
-/// Constant drift towards a fixed target direction, scaled per step — models
-/// an adversary steering the model towards a specific bad optimum.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantDrift {
-    /// Per-coordinate drift value.
-    pub value: f32,
+/// The first attacker slot: attackers are the trailing worker ids, as in
+/// the engine's role layout.
+fn first_attacker(ctx: &AttackContext<'_>) -> usize {
+    ctx.total_workers.saturating_sub(ctx.byzantine_count)
 }
 
-impl Default for ConstantDrift {
-    fn default() -> Self {
-        ConstantDrift { value: 10.0 }
-    }
+/// `factor ·` (honest mean).
+fn scaled_mean(ctx: &AttackContext<'_>, factor: f32) -> Vector {
+    let mut mean = ctx.honest_mean();
+    mean.scale(factor);
+    mean
 }
 
-impl Attack for ConstantDrift {
-    fn name(&self) -> &'static str {
-        "constant-drift"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        vec![Vector::filled(ctx.dimension(), self.value); ctx.byzantine_count]
-    }
+/// `mean + z · σ` over the honest rows.
+fn shifted_mean(ctx: &AttackContext<'_>, z: f32) -> Vector {
+    let mut crafted = ctx.honest_mean();
+    let _ = crafted.axpy(z, &honest_std(ctx));
+    crafted
 }
 
-/// The dimensional-leeway attack against weakly Byzantine-resilient GARs
-/// (the "hidden vulnerability" of El Mhamdi et al., illustrated in the
-/// paper's Figure 9, also known as "a little is enough").
-///
-/// The adversary submits `mean + z · σ` where `σ` is the per-coordinate
-/// standard deviation of the honest gradients and `z` is small enough that
-/// the crafted gradient stays inside the honest point cloud (so Krum-style
-/// selection accepts it) yet, accumulated over `d ≫ 1` coordinates and many
-/// steps, biases convergence towards a poor optimum. Strongly resilient GARs
-/// (Bulyan) bound the per-coordinate deviation and resist it.
-#[derive(Debug, Clone, Copy)]
-pub struct LittleIsEnough {
-    /// Multiple of the per-coordinate standard deviation to add.
-    pub z: f32,
-}
-
-impl Default for LittleIsEnough {
-    fn default() -> Self {
-        LittleIsEnough { z: 1.0 }
-    }
-}
-
-impl Attack for LittleIsEnough {
-    fn name(&self) -> &'static str {
-        "little-is-enough"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let mean = ctx.honest_mean();
-        // The row-view kernel is the right tool here: `craft` receives
-        // borrowed honest rows once per round, so packing them into an arena
-        // would add an O(n·d) copy for a single std computation.
-        let std = stats::coordinate_std_of_rows(ctx.honest_gradients)
-            .unwrap_or_else(|_| Vector::zeros(ctx.dimension()));
-        let mut crafted = mean;
-        let _ = crafted.axpy(self.z, &std);
-        vec![crafted; ctx.byzantine_count]
-    }
+/// `row + scale · N(0, 1)^d`, the noise drawn from the stream `seed`.
+fn jittered(ctx: &AttackContext<'_>, row: &Vector, scale: f32, seed: u64) -> Vector {
+    let mut crafted = row.clone();
+    let _ = crafted.axpy(scale, &gaussian_vector(&mut seeded_rng(seed), ctx.dimension(), 0.0, 1.0));
+    crafted
 }
 
 /// Per-coordinate standard deviation of the honest rows, zero when it
@@ -234,6 +353,36 @@ fn row_distance_sq(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (f64::from(x) - f64::from(y)).powi(2)).sum()
 }
 
+/// The perturbation direction the min-max / min-sum family scales: the unit
+/// vector opposing the honest mean (the "inverse unit vector" choice of
+/// Shejwalkar & Houmansadr), falling back to the std direction when the
+/// mean is (numerically) zero.
+fn perturbation_direction(ctx: &AttackContext<'_>) -> Vector {
+    let mean = ctx.honest_mean();
+    let norm = (mean.as_slice().iter().map(|&v| f64::from(v).powi(2)).sum::<f64>()).sqrt();
+    if norm > 1e-12 {
+        let mut dir = mean;
+        dir.scale(-(1.0 / norm as f32));
+        return dir;
+    }
+    honest_std(ctx)
+}
+
+/// The min-max / min-sum row: `mean + γ·p`, `p` the
+/// [`perturbation_direction`] and `γ` the largest that keeps the row
+/// `admissible`. Fewer than two honest rows leave no budget to measure, so
+/// the row is the mean.
+fn within_distance_budget(ctx: &AttackContext<'_>, admissible: impl Fn(&[f32]) -> bool) -> Vector {
+    let mut crafted = ctx.honest_mean();
+    if ctx.honest_gradients.len() < 2 {
+        return crafted;
+    }
+    let direction = perturbation_direction(ctx);
+    let gamma = max_admissible_gamma(&crafted, &direction, admissible);
+    let _ = crafted.axpy(gamma, &direction);
+    crafted
+}
+
 /// Largest `γ ≥ 0` such that `constraint(mean + γ·direction)` holds, by
 /// deterministic doubling + bisection. `constraint` must hold at γ = 0.
 fn max_admissible_gamma(
@@ -268,443 +417,6 @@ fn max_admissible_gamma(
         }
     }
     lo
-}
-
-/// The perturbation direction the min-max / min-sum family scales: the unit
-/// vector opposing the honest mean (the "inverse unit vector" choice of
-/// Shejwalkar & Houmansadr), falling back to the std direction when the
-/// mean is (numerically) zero.
-fn perturbation_direction(ctx: &AttackContext<'_>) -> Vector {
-    let mean = ctx.honest_mean();
-    let norm = (mean.as_slice().iter().map(|&v| f64::from(v).powi(2)).sum::<f64>()).sqrt();
-    if norm > 1e-12 {
-        let mut dir = mean;
-        dir.scale(-(1.0 / norm as f32));
-        return dir;
-    }
-    honest_std(ctx)
-}
-
-/// The "A Little Is Enough" attack (Baruch et al.): all Byzantine workers
-/// collude on `mean − z · σ`, with `z` defaulting to the exact `z_max` the
-/// worker count supports — the strongest shift that still keeps a majority
-/// of honest workers closer to the crafted gradient than to each other.
-#[derive(Debug, Clone, Copy)]
-pub struct Alie {
-    /// Standard-deviation multiple; any non-positive value derives the
-    /// classic `z_max` from `(total_workers, byzantine_count)`.
-    pub z: f32,
-}
-
-impl Default for Alie {
-    fn default() -> Self {
-        Alie { z: 0.0 }
-    }
-}
-
-impl Attack for Alie {
-    fn name(&self) -> &'static str {
-        "alie"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let z = if self.z > 0.0 {
-            self.z
-        } else {
-            alie_z_max(ctx.total_workers.max(1), ctx.byzantine_count)
-        };
-        let mut crafted = ctx.honest_mean();
-        let _ = crafted.axpy(-z, &honest_std(ctx));
-        vec![crafted; ctx.byzantine_count]
-    }
-}
-
-/// The min-max distance attack (Shejwalkar & Houmansadr): submit
-/// `mean + γ·p` with the largest `γ` keeping the crafted gradient's maximum
-/// distance to any honest gradient within the maximum pairwise honest
-/// distance — so no distance-based score can call it an outlier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinMax;
-
-impl Attack for MinMax {
-    fn name(&self) -> &'static str {
-        "min-max"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let honest = ctx.honest_gradients;
-        if honest.len() < 2 {
-            return vec![ctx.honest_mean(); ctx.byzantine_count];
-        }
-        let mut max_pairwise = 0.0f64;
-        for (i, a) in honest.iter().enumerate() {
-            for b in &honest[i + 1..] {
-                max_pairwise = max_pairwise.max(row_distance_sq(a, b));
-            }
-        }
-        let mean = ctx.honest_mean();
-        let direction = perturbation_direction(ctx);
-        let gamma = max_admissible_gamma(&mean, &direction, |crafted| {
-            honest.iter().all(|g| row_distance_sq(crafted, g) <= max_pairwise)
-        });
-        let mut crafted = mean;
-        let _ = crafted.axpy(gamma, &direction);
-        vec![crafted; ctx.byzantine_count]
-    }
-}
-
-/// The min-sum distance attack (Shejwalkar & Houmansadr): like
-/// [`MinMax`], but the constraint bounds the crafted gradient's *sum* of
-/// squared distances to the honest gradients by the worst honest worker's
-/// sum — the tighter budget that also fools sum-of-distances scores (Krum).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinSum;
-
-impl Attack for MinSum {
-    fn name(&self) -> &'static str {
-        "min-sum"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let honest = ctx.honest_gradients;
-        if honest.len() < 2 {
-            return vec![ctx.honest_mean(); ctx.byzantine_count];
-        }
-        let mut max_honest_sum = 0.0f64;
-        for a in honest {
-            let sum: f64 = honest.iter().map(|b| row_distance_sq(a, b)).sum();
-            max_honest_sum = max_honest_sum.max(sum);
-        }
-        let mean = ctx.honest_mean();
-        let direction = perturbation_direction(ctx);
-        let gamma = max_admissible_gamma(&mean, &direction, |crafted| {
-            honest.iter().map(|g| row_distance_sq(crafted, g)).sum::<f64>() <= max_honest_sum
-        });
-        let mut crafted = mean;
-        let _ = crafted.axpy(gamma, &direction);
-        vec![crafted; ctx.byzantine_count]
-    }
-}
-
-/// An adaptive attacker that conditions on the previous round's selection
-/// set ([`AttackContext::previous_selection`]):
-///
-/// * no selection information yet → a moderate within-variance shift;
-/// * its gradients were selected last round → press the advantage with a
-///   stronger shift;
-/// * it was excluded last round → retreat to a stealthier shift to get
-///   back inside the selection.
-///
-/// The policy itself is stateless — everything it adapts to travels in the
-/// context, so replays stay deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct Adaptive {
-    /// Shift (in σ multiples) used before any selection feedback exists.
-    pub base_z: f32,
-    /// Shift used after a round in which an attacker slot was selected.
-    pub aggressive_z: f32,
-    /// Shift used after a round of exclusion.
-    pub stealth_z: f32,
-}
-
-impl Default for Adaptive {
-    fn default() -> Self {
-        Adaptive { base_z: 0.5, aggressive_z: 1.0, stealth_z: 0.2 }
-    }
-}
-
-impl Attack for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        // Attacker slots are the trailing worker ids, mirroring the
-        // engine's role layout.
-        let first_attacker = ctx.total_workers.saturating_sub(ctx.byzantine_count);
-        let z = match ctx.previous_selection {
-            None => self.base_z,
-            Some(selected) if selected.iter().any(|&w| w >= first_attacker) => self.aggressive_z,
-            Some(_) => self.stealth_z,
-        };
-        let mut crafted = ctx.honest_mean();
-        let _ = crafted.axpy(-z, &honest_std(ctx));
-        vec![crafted; ctx.byzantine_count]
-    }
-
-    /// Times churn from the same feedback channel as the gradient policy —
-    /// an identity-rotation schedule:
-    ///
-    /// * no selection information yet → stay put;
-    /// * an attacker slot was *selected* last round → crash it: the slot
-    ///   retires at its moment of maximum exposure, before a stateful
-    ///   defence can build a profile of it, and forces an epoch bump the
-    ///   server must absorb;
-    /// * an attacker slot was *excluded* (or is sitting out) → rejoin it:
-    ///   exclusion already nullifies its gradients, so coming back with a
-    ///   fenced first round costs the adversary nothing.
-    ///
-    /// Directives are redundant-safe: rejoining a live worker or crashing a
-    /// crashed one is a no-op in the engine's membership view, so the policy
-    /// can restate its intent every round and stay stateless — everything it
-    /// adapts to travels in the context, and replays stay deterministic.
-    fn plan_churn(&self, ctx: &AttackContext<'_>) -> Vec<ChurnDirective> {
-        let first_attacker = ctx.total_workers.saturating_sub(ctx.byzantine_count);
-        let Some(selected) = ctx.previous_selection else {
-            return Vec::new();
-        };
-        (first_attacker..ctx.total_workers)
-            .map(|slot| {
-                if selected.contains(&slot) {
-                    ChurnDirective::Crash(slot)
-                } else {
-                    ChurnDirective::Rejoin(slot)
-                }
-            })
-            .collect()
-    }
-}
-
-/// The reputation-evading rotation: identity churn paced *slower than the
-/// suspicion ledger's decay horizon*, with individually jittered
-/// within-variance gradients.
-///
-/// The fast identity rotation ([`Adaptive::plan_churn`]) pays one
-/// stale-epoch fence hit per rejoin; rotating every round accrues that
-/// evidence faster than geometric decay can forget it, and a reputation
-/// ledger crosses its quarantine threshold within a few rounds. This
-/// variant makes the opposite trade: each window of `period` rounds crashes
-/// exactly one attacker slot (round-robin), so any single slot pays a fence
-/// hit only once every `byzantine_count · period` rounds — by which time the
-/// decayed residual of the previous hit is negligible and the score saw-tooths
-/// below the threshold forever. The cost of evasion is proportionally less
-/// attack pressure: stealthy shifts, no collusion clique (per-slot jitter
-/// keeps pairwise distances above any affinity sketch's epsilon), and most
-/// slots honest-looking most of the time.
-///
-/// The schedule reads only `ctx.step`, so the policy stays stateless and
-/// replays stay deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct SlowRotation {
-    /// Rounds per rotation window; each window crashes the next attacker
-    /// slot in round-robin order. Zero behaves as 1 (fast rotation — the
-    /// degenerate case a ledger catches).
-    pub period: u64,
-    /// Shift (in σ multiples) of the within-variance crafted gradients.
-    pub z: f32,
-}
-
-impl Default for SlowRotation {
-    fn default() -> Self {
-        // A default window comfortably past the default ledger's decay
-        // horizon (0.7^16 ≈ 3e-3): evidence from the previous rotation is
-        // forgotten before the next one lands.
-        SlowRotation { period: 16, z: 0.5 }
-    }
-}
-
-impl SlowRotation {
-    /// The attacker slot resting (crashed) during `step`'s window, if any.
-    fn resting_slot(&self, ctx: &AttackContext<'_>) -> Option<usize> {
-        if ctx.byzantine_count == 0 {
-            return None;
-        }
-        let first_attacker = ctx.total_workers.saturating_sub(ctx.byzantine_count);
-        let window = ctx.step / self.period.max(1);
-        Some(first_attacker + (window as usize % ctx.byzantine_count))
-    }
-}
-
-impl Attack for SlowRotation {
-    fn name(&self) -> &'static str {
-        "slow-rotation"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let mean = ctx.honest_mean();
-        let std = honest_std(ctx);
-        (0..ctx.byzantine_count)
-            .map(|k| {
-                let mut crafted = mean.clone();
-                let _ = crafted.axpy(-self.z, &std);
-                // Per-slot, per-round jitter: no two crafted rows are ever
-                // bit-close, so a collusion-affinity sketch sees no clique.
-                let mut rng = seeded_rng(derive_seed(
-                    derive_seed(ctx.seed, 0x5107_A7E0 ^ ctx.step),
-                    k as u64,
-                ));
-                let _ = crafted.axpy(
-                    0.2 * self.z.abs().max(0.1),
-                    &gaussian_vector(&mut rng, ctx.dimension(), 0.0, 1.0),
-                );
-                crafted
-            })
-            .collect()
-    }
-
-    fn plan_churn(&self, ctx: &AttackContext<'_>) -> Vec<ChurnDirective> {
-        let Some(resting) = self.resting_slot(ctx) else {
-            return Vec::new();
-        };
-        let first_attacker = ctx.total_workers.saturating_sub(ctx.byzantine_count);
-        // Restate the full intent every round (redundant directives are
-        // membership no-ops): the resting slot stays down, everyone else is
-        // (re)joined — at a window boundary exactly one slot crashes and the
-        // previous rester rejoins through the epoch fence.
-        (first_attacker..ctx.total_workers)
-            .map(|slot| {
-                if slot == resting {
-                    ChurnDirective::Crash(slot)
-                } else {
-                    ChurnDirective::Rejoin(slot)
-                }
-            })
-            .collect()
-    }
-}
-
-/// The colluding-group attack against the hierarchical (tree) aggregation
-/// tier. Byzantine slots are the trailing worker ids and the tree's
-/// `GroupPlan` partitions workers contiguously, so an adversary with `f`
-/// slots automatically owns the *fewest possible groups* — the worst case
-/// for the composed bound `f_total = (f_group + 1)(f_root + 1) − 1`.
-///
-/// Within a group the attackers submit bit-identical extreme gradients
-/// (`−scale ·` honest mean): zero intra-group distance means a fully
-/// captured group's distance-based GAR selects the crafted gradient with
-/// certainty and emits it verbatim as the group output. Across captured
-/// groups the copies differ by a tiny per-group jitter — near-zero pairwise
-/// distance at the root, so the captured outputs collude there exactly like
-/// colluding workers do in a flat round. The tree survives iff the number
-/// of captured groups stays ≤ `f_root`, which is precisely what
-/// `agg_core::resilience::composed_max_f` promises.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCollusion {
-    /// Magnification applied to the reversed honest mean.
-    pub scale: f32,
-    /// The tree tier's group size `g`, used to align the collusion cliques
-    /// with group boundaries. Zero behaves as one global clique.
-    pub group_size: usize,
-}
-
-impl Default for GroupCollusion {
-    fn default() -> Self {
-        GroupCollusion { scale: 100.0, group_size: 32 }
-    }
-}
-
-impl Attack for GroupCollusion {
-    fn name(&self) -> &'static str {
-        "group-collusion"
-    }
-
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
-        let mut base = ctx.honest_mean();
-        base.scale(-self.scale);
-        let first_attacker = ctx.total_workers.saturating_sub(ctx.byzantine_count);
-        let group_size = self.group_size.max(1);
-        let jitter_scale = 0.001 * self.scale.abs().max(1.0);
-        (0..ctx.byzantine_count)
-            .map(|k| {
-                // Identical inside a group, jittered across groups: the
-                // per-group aggregate stays extreme while no two captured
-                // groups hand the root the exact same bits.
-                let group = ((first_attacker + k) / group_size) as u64;
-                let mut rng = seeded_rng(derive_seed(ctx.seed, 0xC011_ABCD ^ group));
-                let mut crafted = base.clone();
-                let _ = crafted
-                    .axpy(jitter_scale, &gaussian_vector(&mut rng, ctx.dimension(), 0.0, 1.0));
-                crafted
-            })
-            .collect()
-    }
-}
-
-/// The attack choices exposed to experiment configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AttackKind {
-    /// No attack (honest duplicates of the mean).
-    None,
-    /// Large random gradients.
-    Random {
-        /// Standard deviation of each coordinate.
-        magnitude: f32,
-    },
-    /// Reversed (and magnified) honest mean.
-    Reversed {
-        /// Magnification factor.
-        scale: f32,
-    },
-    /// Negated honest mean.
-    SignFlip,
-    /// NaN / ±∞ coordinates.
-    NonFinite,
-    /// Constant per-coordinate drift.
-    ConstantDrift {
-        /// Drift value.
-        value: f32,
-    },
-    /// The dimensional-leeway ("little is enough") attack.
-    LittleIsEnough {
-        /// Standard-deviation multiple.
-        z: f32,
-    },
-    /// The ALIE within-variance attack (`z ≤ 0` derives the exact `z_max`
-    /// from the worker count).
-    Alie {
-        /// Standard-deviation multiple, or non-positive for auto.
-        z: f32,
-    },
-    /// The min-max distance attack.
-    MinMax,
-    /// The min-sum distance attack.
-    MinSum,
-    /// The selection-feedback adaptive attacker (default shift schedule).
-    Adaptive,
-    /// The reputation-evading rotation: identity churn paced slower than a
-    /// suspicion ledger's decay horizon, with jittered stealth gradients.
-    SlowRotation {
-        /// Rounds per rotation window (one slot rests per window).
-        period: u64,
-        /// Standard-deviation multiple of the stealth shift.
-        z: f32,
-    },
-    /// The colluding-group attack against the hierarchical tree tier.
-    GroupCollusion {
-        /// Magnification of the reversed honest mean.
-        scale: f32,
-        /// The tree tier's group size (aligns collusion cliques with
-        /// group boundaries).
-        group_size: usize,
-    },
-}
-
-impl AttackKind {
-    /// Builds the attack.
-    pub fn build(&self) -> Box<dyn Attack> {
-        match *self {
-            AttackKind::None => Box::new(NoAttack),
-            AttackKind::Random { magnitude } => Box::new(RandomGradient { magnitude }),
-            AttackKind::Reversed { scale } => Box::new(ReversedGradient { scale }),
-            AttackKind::SignFlip => Box::new(SignFlip),
-            AttackKind::NonFinite => Box::new(NonFinite),
-            AttackKind::ConstantDrift { value } => Box::new(ConstantDrift { value }),
-            AttackKind::LittleIsEnough { z } => Box::new(LittleIsEnough { z }),
-            AttackKind::Alie { z } => Box::new(Alie { z }),
-            AttackKind::MinMax => Box::new(MinMax),
-            AttackKind::MinSum => Box::new(MinSum),
-            AttackKind::Adaptive => Box::new(Adaptive::default()),
-            AttackKind::SlowRotation { period, z } => Box::new(SlowRotation { period, z }),
-            AttackKind::GroupCollusion { scale, group_size } => {
-                Box::new(GroupCollusion { scale, group_size })
-            }
-        }
-    }
-
-    /// Canonical name of the attack.
-    pub fn name(&self) -> &'static str {
-        self.build().name()
-    }
 }
 
 #[cfg(test)]
@@ -761,10 +473,9 @@ mod tests {
             AttackKind::GroupCollusion { scale: 100.0, group_size: 4 },
         ];
         for kind in kinds {
-            let attack = kind.build();
-            let crafted = attack.craft(&ctx(&honest_views, &model, 3));
-            assert_eq!(crafted.len(), 3, "{}", attack.name());
-            assert!(crafted.iter().all(|g| g.len() == 6), "{}", attack.name());
+            let crafted = kind.craft(&ctx(&honest_views, &model, 3));
+            assert_eq!(crafted.len(), 3, "{}", kind.name());
+            assert!(crafted.iter().all(|g| g.len() == 6), "{}", kind.name());
         }
     }
 
@@ -783,8 +494,8 @@ mod tests {
             AttackKind::SlowRotation { period: 4, z: 0.5 },
             AttackKind::GroupCollusion { scale: 100.0, group_size: 4 },
         ] {
-            let a = kind.build().craft(&ctx(&honest_views, &model, 2));
-            let b = kind.build().craft(&ctx(&honest_views, &model, 2));
+            let a = kind.craft(&ctx(&honest_views, &model, 2));
+            let b = kind.craft(&ctx(&honest_views, &model, 2));
             assert_eq!(a, b);
         }
     }
@@ -794,7 +505,7 @@ mod tests {
         let honest = honest_cloud(5, 4);
         let honest_views = views(&honest);
         let model = Vector::zeros(4);
-        let crafted = ReversedGradient { scale: 10.0 }.craft(&ctx(&honest_views, &model, 1));
+        let crafted = AttackKind::Reversed { scale: 10.0 }.craft(&ctx(&honest_views, &model, 1));
         let mean = ctx(&honest_views, &model, 1).honest_mean();
         let dot = crafted[0].dot(&mean).unwrap();
         assert!(dot < 0.0);
@@ -805,7 +516,7 @@ mod tests {
         let honest = honest_cloud(4, 9);
         let honest_views = views(&honest);
         let model = Vector::zeros(9);
-        let crafted = NonFinite.craft(&ctx(&honest_views, &model, 2));
+        let crafted = AttackKind::NonFinite.craft(&ctx(&honest_views, &model, 2));
         assert!(crafted.iter().all(|g| !g.is_finite()));
     }
 
@@ -816,7 +527,7 @@ mod tests {
         let honest = honest_cloud(8, 5);
         let honest_views = views(&honest);
         let model = Vector::zeros(5);
-        let byz = ReversedGradient { scale: 100.0 }.craft(&ctx(&honest_views, &model, 1));
+        let byz = AttackKind::Reversed { scale: 100.0 }.craft(&ctx(&honest_views, &model, 1));
         let mut all = honest.clone();
         all.extend(byz);
 
@@ -836,7 +547,7 @@ mod tests {
         let honest_views = views(&honest);
         let model = Vector::zeros(20);
         let context = ctx(&honest_views, &model, 4);
-        let byz = LittleIsEnough { z: 0.5 }.craft(&context);
+        let byz = AttackKind::LittleIsEnough { z: 0.5 }.craft(&context);
         let mut all = honest.clone();
         all.extend(byz);
         let mk = MultiKrum::new(4).unwrap();
@@ -869,7 +580,7 @@ mod tests {
         let honest = honest_cloud(10, 6);
         let honest_views = views(&honest);
         let model = Vector::zeros(6);
-        let attack = SlowRotation { period: 4, z: 0.5 };
+        let attack = AttackKind::SlowRotation { period: 4, z: 0.5 };
         // 3 attacker slots (10, 11, 12), windows of 4 rounds: the resting
         // slot advances round-robin at each window boundary, so any single
         // slot rejoins only once per 12 rounds — slower than a decaying
@@ -899,7 +610,8 @@ mod tests {
         let honest = honest_cloud(10, 16);
         let honest_views = views(&honest);
         let model = Vector::zeros(16);
-        let crafted = SlowRotation::default().craft(&ctx(&honest_views, &model, 3));
+        let crafted =
+            AttackKind::SlowRotation { period: 16, z: 0.5 }.craft(&ctx(&honest_views, &model, 3));
         assert_eq!(crafted.len(), 3);
         for i in 0..crafted.len() {
             for j in i + 1..crafted.len() {
@@ -923,7 +635,7 @@ mod tests {
         let model = Vector::zeros(8);
         let context = ctx(&honest_views, &model, 40);
         assert_eq!(context.total_workers, 64);
-        let crafted = GroupCollusion { scale: 100.0, group_size: 32 }.craft(&context);
+        let crafted = AttackKind::GroupCollusion { scale: 100.0, group_size: 32 }.craft(&context);
         assert_eq!(crafted.len(), 40);
         // Slots 24..32 (first 8 crafted rows) share group 0; slots 32..64
         // (the rest) share group 1.
@@ -962,7 +674,7 @@ mod tests {
         let honest_views = views(&honest);
         let model = Vector::zeros(30);
         let context = ctx(&honest_views, &model, 4);
-        let crafted = Alie::default().craft(&context);
+        let crafted = AttackKind::Alie { z: 0.0 }.craft(&context);
         assert_eq!(crafted.len(), 4);
         let mean = context.honest_mean();
         let std = honest_std(&context);
@@ -979,7 +691,7 @@ mod tests {
         let honest_views = views(&honest);
         let model = Vector::zeros(25);
         let context = ctx(&honest_views, &model, 3);
-        let crafted = MinMax.craft(&context);
+        let crafted = AttackKind::MinMax.craft(&context);
         let mut max_pairwise = 0.0f64;
         for (i, a) in honest_views.iter().enumerate() {
             for b in &honest_views[i + 1..] {
@@ -1001,7 +713,7 @@ mod tests {
         let honest_views = views(&honest);
         let model = Vector::zeros(25);
         let context = ctx(&honest_views, &model, 3);
-        let crafted = MinSum.craft(&context);
+        let crafted = AttackKind::MinSum.craft(&context);
         let mut max_honest_sum = 0.0f64;
         for a in &honest_views {
             let sum: f64 = honest_views.iter().map(|b| row_distance_sq(a, b)).sum();
@@ -1022,17 +734,17 @@ mod tests {
         let honest_views = views(&honest);
         let model = Vector::zeros(12);
         let base_ctx = ctx(&honest_views, &model, 2); // workers 10, 11 are attackers
-        let base = Adaptive::default().craft(&base_ctx)[0].clone();
+        let base = AttackKind::Adaptive.craft(&base_ctx)[0].clone();
 
         // Selected last round (slot 11 is an attacker) → aggressive.
         let selected: Vec<usize> = vec![0, 1, 2, 11];
         let aggressive_ctx = AttackContext { previous_selection: Some(&selected), ..base_ctx };
-        let aggressive = Adaptive::default().craft(&aggressive_ctx)[0].clone();
+        let aggressive = AttackKind::Adaptive.craft(&aggressive_ctx)[0].clone();
 
         // Excluded last round → stealthy.
         let excluded: Vec<usize> = vec![0, 1, 2, 3];
         let stealth_ctx = AttackContext { previous_selection: Some(&excluded), ..base_ctx };
-        let stealth = Adaptive::default().craft(&stealth_ctx)[0].clone();
+        let stealth = AttackKind::Adaptive.craft(&stealth_ctx)[0].clone();
 
         let mean = base_ctx.honest_mean();
         let d_base = row_distance_sq(base.as_slice(), mean.as_slice());
@@ -1059,13 +771,78 @@ mod tests {
             AttackKind::MinSum,
             AttackKind::Adaptive,
         ] {
-            let byz = kind.build().craft(&context);
+            let byz = kind.craft(&context);
             let mut all = honest.clone();
             all.extend(byz);
             let aggregate = Bulyan::new(4).unwrap().aggregate(&all).unwrap();
             for &v in aggregate.as_slice() {
                 assert!((v - 1.0).abs() < 0.5, "{}: coordinate {v} drifted", kind.name());
             }
+        }
+    }
+
+    /// FNV-1a, 64-bit, over a byte stream.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn attack_bits_are_pinned() {
+        // One FNV-1a fold per setting over its crafted rows and churn
+        // directives: byzantine_count 0, 1 and 4 × no selection history, an
+        // attacker selected and the attackers excluded × steps 0..9 (two
+        // slow-rotation windows). A change to any attack's bits shows here.
+        let pins = [
+            (AttackKind::None, 0xc4ea_d07a_395a_6791),
+            (AttackKind::Random { magnitude: 10.0 }, 0x8dbe_d1f4_54c8_7f08),
+            (AttackKind::Reversed { scale: 100.0 }, 0x0dba_fbc6_753d_9b20),
+            (AttackKind::SignFlip, 0x9e8f_bff8_aacf_d691),
+            (AttackKind::NonFinite, 0x513b_d75b_96d8_d313),
+            (AttackKind::ConstantDrift { value: 5.0 }, 0xfea5_c1f3_6ca3_d023),
+            (AttackKind::LittleIsEnough { z: 1.0 }, 0x57e4_4cd2_62c5_b153),
+            (AttackKind::Alie { z: 0.0 }, 0x1409_350e_72b0_7889),
+            (AttackKind::Alie { z: 0.5 }, 0x9ac9_4b2c_0e9e_2fd9),
+            (AttackKind::MinMax, 0x47c7_4ad2_6d5a_b615),
+            (AttackKind::MinSum, 0xeac2_d99c_ec78_606a),
+            (AttackKind::Adaptive, 0xab07_5300_2939_7260),
+            (AttackKind::SlowRotation { period: 4, z: 0.5 }, 0xecd6_ead0_71c9_bf2e),
+            (AttackKind::SlowRotation { period: 0, z: 0.5 }, 0x1e6f_3641_ff7b_45de),
+            (AttackKind::GroupCollusion { scale: 100.0, group_size: 3 }, 0xd316_aeb7_2a1f_f837),
+            (AttackKind::GroupCollusion { scale: 100.0, group_size: 0 }, 0x5b9d_97e8_5c1d_f2e1),
+        ];
+        let honest = honest_cloud(8, 6);
+        let honest_views = views(&honest);
+        let model = Vector::zeros(6);
+        for (kind, pin) in pins {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for byz in [0, 1, 4] {
+                let selected = [0, 1, 2, honest.len() + byz - 1];
+                let excluded = [0, 1, 2, 3];
+                for history in [None, Some(&selected[..]), Some(&excluded[..])] {
+                    for step in 0..9 {
+                        let context = AttackContext {
+                            step,
+                            previous_selection: history,
+                            ..ctx(&honest_views, &model, byz)
+                        };
+                        for row in kind.craft(&context) {
+                            hash = fnv1a(hash, &(row.len() as u64).to_le_bytes());
+                            for &v in row.as_slice() {
+                                hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+                            }
+                        }
+                        for directive in kind.plan_churn(&context) {
+                            let (tag, slot) = match directive {
+                                ChurnDirective::Crash(slot) => (0u8, slot),
+                                ChurnDirective::Rejoin(slot) => (1u8, slot),
+                            };
+                            hash = fnv1a(hash, &[tag]);
+                            hash = fnv1a(hash, &(slot as u64).to_le_bytes());
+                        }
+                    }
+                }
+            }
+            assert_eq!(hash, pin, "{kind:?}: {hash:#018x}");
         }
     }
 }

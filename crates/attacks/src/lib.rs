@@ -8,17 +8,19 @@
 //!
 //! | Attack | Paper reference | Defeats |
 //! |---|---|---|
-//! | [`RandomGradient`] | §2.2 "a Byzantine worker can propose a gradient that can completely ruin the training" | averaging |
-//! | [`ReversedGradient`] | §4.1 (the Draco adversary model) | averaging |
-//! | [`SignFlip`] | classic poisoning baseline | averaging |
-//! | [`NonFinite`] | §2.3 "support non-finite coordinates" | averaging, naive implementations |
-//! | [`ConstantDrift`] | §3.1 goal of the adversary | averaging |
-//! | [`LittleIsEnough`] | §2.2 / Fig. 9 dimensional-leeway attack | weak GARs (degrades), not Bulyan |
-//! | [`Alie`] | "A Little Is Enough" (Baruch et al.), exact `z_max` | weak GARs (degrades), not Bulyan |
-//! | [`MinMax`] | min-max distance attack (Shejwalkar & Houmansadr) | distance outlier tests |
-//! | [`MinSum`] | min-sum distance attack (Shejwalkar & Houmansadr) | sum-of-distances scores |
-//! | [`Adaptive`] | selection-feedback attacker (elastic-membership threat model) | static analyses |
-//! | [`NoAttack`] | baseline | — |
+//! | [`AttackKind::None`] | baseline | — |
+//! | [`AttackKind::Random`] | §2.2 "a Byzantine worker can propose a gradient that can completely ruin the training" | averaging |
+//! | [`AttackKind::Reversed`] | §4.1 (the Draco adversary model) | averaging |
+//! | [`AttackKind::SignFlip`] | classic poisoning baseline | averaging |
+//! | [`AttackKind::NonFinite`] | §2.3 "support non-finite coordinates" | averaging, naive implementations |
+//! | [`AttackKind::ConstantDrift`] | §3.1 goal of the adversary | averaging |
+//! | [`AttackKind::LittleIsEnough`] | §2.2 / Fig. 9 dimensional-leeway attack | weak GARs (degrades), not Bulyan |
+//! | [`AttackKind::Alie`] | "A Little Is Enough" (Baruch et al.), exact `z_max` | weak GARs (degrades), not Bulyan |
+//! | [`AttackKind::MinMax`] | min-max distance attack (Shejwalkar & Houmansadr) | distance outlier tests |
+//! | [`AttackKind::MinSum`] | min-sum distance attack (Shejwalkar & Houmansadr) | sum-of-distances scores |
+//! | [`AttackKind::Adaptive`] | selection-feedback attacker with identity churn (elastic-membership threat model) | static analyses |
+//! | [`AttackKind::SlowRotation`] | churn paced slower than a reputation ledger's decay | suspicion ledgers |
+//! | [`AttackKind::GroupCollusion`] | captured groups colluding at the tree's root | the tree tier past its composed bound |
 //!
 //! Attacks are *omniscient*: [`Attack::craft`] receives all honest gradients
 //! of the round, matching the strongest adversary the paper allows — and,
@@ -29,7 +31,4 @@ pub mod attack;
 pub mod catalogue;
 
 pub use attack::{Attack, AttackContext, ChurnDirective};
-pub use catalogue::{
-    Adaptive, Alie, AttackKind, ConstantDrift, GroupCollusion, LittleIsEnough, MinMax, MinSum,
-    NoAttack, NonFinite, RandomGradient, ReversedGradient, SignFlip, SlowRotation,
-};
+pub use catalogue::AttackKind;

@@ -584,35 +584,6 @@ impl Transport for LossyTransport {
     }
 }
 
-/// Builds a transport by name, mirroring the original framework's choice of
-/// communication backend (gRPC vs lossyMPI).
-///
-/// # Errors
-///
-/// Returns [`NetError::InvalidConfig`] for unknown transport names or invalid
-/// links.
-pub fn build_transport(
-    name: &str,
-    link: LinkConfig,
-    policy: LossPolicy,
-    seed: u64,
-    stream: u64,
-) -> Result<Box<dyn Transport>> {
-    match name {
-        "tcp" | "grpc" | "reliable" => {
-            Ok(Box::new(ReliableTransport::new(link, GradientCodec::default_mtu())?))
-        }
-        "udp" | "lossy" | "lossympi" | "lossy-udp" => Ok(Box::new(LossyTransport::new(
-            link,
-            GradientCodec::default_mtu(),
-            policy,
-            seed,
-            stream,
-        )?)),
-        other => Err(NetError::InvalidConfig(format!("unknown transport '{other}'"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,25 +681,24 @@ mod tests {
     }
 
     #[test]
-    fn transport_registry_builds_by_name() {
-        let link = LinkConfig::datacenter();
-        assert_eq!(
-            build_transport("tcp", link, LossPolicy::RandomFill, 0, 0).unwrap().name(),
-            "tcp"
-        );
-        assert_eq!(
-            build_transport("lossympi", link, LossPolicy::RandomFill, 0, 0).unwrap().name(),
-            "lossy-udp"
-        );
-        assert!(build_transport("pigeon", link, LossPolicy::RandomFill, 0, 0).is_err());
-    }
-
-    #[test]
     fn epoch_fence_rejects_stale_senders_on_both_transports() {
         let link = LinkConfig::datacenter();
         let g = gradient(100);
-        for name in ["tcp", "lossy-udp"] {
-            let mut t = build_transport(name, link, LossPolicy::RandomFill, 2, 0).unwrap();
+        let transports: [Box<dyn Transport>; 2] = [
+            Box::new(ReliableTransport::new(link, GradientCodec::default_mtu()).unwrap()),
+            Box::new(
+                LossyTransport::new(
+                    link,
+                    GradientCodec::default_mtu(),
+                    LossPolicy::RandomFill,
+                    2,
+                    0,
+                )
+                .unwrap(),
+            ),
+        ];
+        for mut t in transports {
+            let name = t.name();
             t.set_epoch(1);
             t.set_expected_epoch(Some(2));
             let mut row = vec![9.0f32; 100];

@@ -314,6 +314,23 @@ impl RunnerConfig {
         if self.eval_samples == 0 {
             return Err(PsError::InvalidConfig("eval_samples must be positive".into()));
         }
+        let attack_is_sane = match self.attack {
+            AttackKind::Random { magnitude } => magnitude.is_finite() && magnitude >= 0.0,
+            AttackKind::Reversed { scale } | AttackKind::GroupCollusion { scale, .. } => {
+                scale.is_finite()
+            }
+            AttackKind::ConstantDrift { value } => value.is_finite(),
+            AttackKind::LittleIsEnough { z }
+            | AttackKind::Alie { z }
+            | AttackKind::SlowRotation { z, .. } => z.is_finite(),
+            _ => true,
+        };
+        if !attack_is_sane {
+            return Err(PsError::InvalidConfig(format!(
+                "attack parameters must be finite and a random magnitude non-negative, got {:?}",
+                self.attack
+            )));
+        }
         if self.lossy_links > self.workers {
             return Err(PsError::InvalidConfig(format!(
                 "lossy_links {} exceeds worker count {}",
@@ -426,6 +443,26 @@ mod tests {
         let mut c = RunnerConfig::quick_default();
         c.eval_samples = 0;
         assert!(c.validate().is_err());
+
+        for attack in [
+            AttackKind::Random { magnitude: f32::INFINITY },
+            AttackKind::Random { magnitude: -1.0 },
+            AttackKind::Reversed { scale: f32::NAN },
+            AttackKind::ConstantDrift { value: f32::NEG_INFINITY },
+            AttackKind::LittleIsEnough { z: f32::NAN },
+            AttackKind::Alie { z: f32::INFINITY },
+            AttackKind::SlowRotation { period: 16, z: f32::NAN },
+            AttackKind::GroupCollusion { scale: f32::INFINITY, group_size: 4 },
+        ] {
+            let mut c = RunnerConfig::quick_default();
+            c.byzantine_count = 2;
+            c.attack = attack;
+            assert!(c.validate().is_err(), "{attack:?} is rejected");
+        }
+        let mut c = RunnerConfig::quick_default();
+        c.byzantine_count = 2;
+        c.attack = AttackKind::Random { magnitude: 0.0 };
+        assert!(c.validate().is_ok(), "a zero magnitude is a valid (silent) attack");
 
         let mut c = RunnerConfig::quick_default();
         c.link = LinkConfig::datacenter().with_drop_rate(2.0);

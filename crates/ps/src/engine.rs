@@ -83,7 +83,6 @@ pub struct SyncTrainingEngine {
     /// counts a group's replicas of one mini-batch once. Nondecreasing in
     /// worker id.
     streams: Vec<usize>,
-    attack: Box<dyn Attack>,
     eval_model: Sequential,
     test_set: Dataset,
     actual_dimension: usize,
@@ -226,7 +225,6 @@ impl SyncTrainingEngine {
         let group_epochs =
             tree_plan.as_ref().map_or_else(Vec::new, |plan| vec![0; plan.group_count()]);
 
-        let attack = config.attack.build();
         let pipeline = RoundPipeline::new(actual_dimension, config.workers);
         let membership = MembershipView::new(config.workers);
         let ledger = config.reputation.map(|cfg| ReputationLedger::new(cfg, config.workers));
@@ -243,7 +241,6 @@ impl SyncTrainingEngine {
             server,
             workers,
             streams,
-            attack,
             eval_model: model,
             test_set: test,
             actual_dimension,
@@ -508,7 +505,9 @@ impl SyncTrainingEngine {
             }
         }
         if self.adaptive_churn() {
-            for directive in self.attack.plan_churn(&self.attack_context(&[], step, history)) {
+            let directives =
+                self.config.attack.plan_churn(&self.attack_context(&[], step, history));
+            for directive in directives {
                 let (worker, action) = match directive {
                     ChurnDirective::Crash(w) => (w, FaultAction::Crash),
                     ChurnDirective::Rejoin(w) => (w, FaultAction::Rejoin),
@@ -648,7 +647,8 @@ impl SyncTrainingEngine {
         // share one parallel region once their rows clear the gate.
         if attacking {
             let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
-            let crafted = self.attack.craft(&self.attack_context(&honest_views, step, history));
+            let crafted =
+                self.config.attack.craft(&self.attack_context(&honest_views, step, history));
             let membership = &self.membership;
             let rows = self.pipeline.arena_mut().rows_mut().into_iter().skip(roster.start);
             let sends: Vec<((&mut Worker, &mut [f32]), &Vector)> = self.workers[roster]
@@ -1334,7 +1334,7 @@ mod tests {
                 total_workers: 9,
                 previous_selection: Some(&[7, 0, 1]),
             };
-            let crafted = config.attack.build().craft(&roster);
+            let crafted = config.attack.craft(&roster);
             assert_eq!(arena.row(sender), crafted[sender - 7].as_slice(), "{attack:?}");
         }
     }
