@@ -422,7 +422,7 @@ fn max_admissible_gamma(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agg_core::{Average, Gar, MultiKrum};
+    use agg_core::{Gar, GarConfig, GarKind};
 
     fn honest_cloud(n: usize, d: usize) -> Vec<Vector> {
         let mut rng = seeded_rng(3);
@@ -531,10 +531,10 @@ mod tests {
         let mut all = honest.clone();
         all.extend(byz);
 
-        let averaged = Average::new().aggregate(&all).unwrap();
+        let averaged = GarConfig::new(GarKind::Average, 0).aggregate(&all).unwrap();
         assert!(averaged[0] < 0.0, "averaging is dragged negative by the attack");
 
-        let robust = MultiKrum::new(1).unwrap().aggregate(&all).unwrap();
+        let robust = GarConfig::new(GarKind::MultiKrum, 1).aggregate(&all).unwrap();
         assert!((robust[0] - 1.0).abs() < 0.3, "Multi-Krum stays near the honest mean");
     }
 
@@ -550,7 +550,7 @@ mod tests {
         let byz = AttackKind::LittleIsEnough { z: 0.5 }.craft(&context);
         let mut all = honest.clone();
         all.extend(byz);
-        let mk = MultiKrum::new(4).unwrap();
+        let mk = GarConfig::new(GarKind::MultiKrum, 4);
         let batch = agg_tensor::GradientBatch::from_vectors(&all).unwrap();
         let selected = mk.selected_rows(&batch, None).unwrap().unwrap();
         assert!(
@@ -760,7 +760,6 @@ mod tests {
     fn within_variance_attacks_never_break_bulyan() {
         // The acceptance-side sanity check at unit scope: under each new
         // attack, Bulyan's aggregate stays near the honest mean.
-        use agg_core::Bulyan;
         let honest = honest_cloud(15, 10);
         let honest_views = views(&honest);
         let model = Vector::zeros(10);
@@ -774,7 +773,7 @@ mod tests {
             let byz = kind.craft(&context);
             let mut all = honest.clone();
             all.extend(byz);
-            let aggregate = Bulyan::new(4).unwrap().aggregate(&all).unwrap();
+            let aggregate = GarConfig::new(GarKind::Bulyan, 4).aggregate(&all).unwrap();
             for &v in aggregate.as_slice() {
                 assert!((v - 1.0).abs() < 0.5, "{}: coordinate {v} drifted", kind.name());
             }

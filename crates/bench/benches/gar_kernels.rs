@@ -6,10 +6,7 @@
 //! both the gradient dimension `d` and the worker count `n` so the scaling
 //! claims can be checked from the Criterion report.
 
-use agg_core::{
-    reference, Average, Bulyan, CoordinateMedian, Gar, GarKind, Krum, MultiKrum, TreeAggregator,
-    TreeConfig, TrimmedMean,
-};
+use agg_core::{reference, Gar, GarConfig, GarKind, TreeAggregator, TreeConfig};
 use agg_ps::reputation::{affinity_sample_indices, collusion_flags};
 use agg_tensor::batch::OrderStatistic;
 use agg_tensor::ops;
@@ -28,16 +25,17 @@ fn bench_dimension_sweep(c: &mut Criterion) {
     group.sample_size(10);
     for &d in &[1_000usize, 10_000, 100_000] {
         let gs = gradients(19, d, 1);
-        let rules: Vec<(&str, Box<dyn Gar>)> = vec![
-            ("average", Box::new(Average::new())),
-            ("median", Box::new(CoordinateMedian::new(4))),
-            ("trimmed-mean", Box::new(TrimmedMean::new(4))),
-            ("krum", Box::new(Krum::new(4))),
-            ("multi-krum", Box::new(MultiKrum::new(4).unwrap())),
-            ("bulyan", Box::new(Bulyan::new(4).unwrap())),
+        let kinds = [
+            GarKind::Average,
+            GarKind::Median,
+            GarKind::TrimmedMean,
+            GarKind::Krum,
+            GarKind::MultiKrum,
+            GarKind::Bulyan,
         ];
-        for (name, gar) in rules {
-            group.bench_with_input(BenchmarkId::new(name, d), &gs, |b, gs| {
+        for kind in kinds {
+            let gar = GarConfig::new(kind, if kind == GarKind::Average { 0 } else { 4 });
+            group.bench_with_input(BenchmarkId::new(kind.name(), d), &gs, |b, gs| {
                 b.iter(|| gar.aggregate(black_box(gs)).unwrap())
             });
         }
@@ -52,9 +50,9 @@ fn bench_worker_sweep(c: &mut Criterion) {
     for &n in &[7usize, 11, 19, 27] {
         let gs = gradients(n, 20_000, 2);
         let f = 1;
-        let mk = MultiKrum::new(f).unwrap();
-        let bulyan = Bulyan::new(f).unwrap();
-        let avg = Average::new();
+        let mk = GarConfig::new(GarKind::MultiKrum, f);
+        let bulyan = GarConfig::new(GarKind::Bulyan, f);
+        let avg = GarConfig::new(GarKind::Average, 0);
         group.bench_with_input(BenchmarkId::new("multi-krum-f1", n), &gs, |b, gs| {
             b.iter(|| mk.aggregate(black_box(gs)).unwrap())
         });
@@ -75,11 +73,11 @@ fn bench_f_ablation(c: &mut Criterion) {
     group.sample_size(10);
     let gs = gradients(19, 20_000, 3);
     for &f in &[1usize, 2, 4] {
-        let mk = MultiKrum::new(f).unwrap();
+        let mk = GarConfig::new(GarKind::MultiKrum, f);
         group.bench_with_input(BenchmarkId::new("multi-krum", f), &gs, |b, gs| {
             b.iter(|| mk.aggregate(black_box(gs)).unwrap())
         });
-        let bulyan = Bulyan::new(f).unwrap();
+        let bulyan = GarConfig::new(GarKind::Bulyan, f);
         group.bench_with_input(BenchmarkId::new("bulyan", f), &gs, |b, gs| {
             b.iter(|| bulyan.aggregate(black_box(gs)).unwrap())
         });
@@ -97,14 +95,14 @@ fn bench_arena_vs_reference(c: &mut Criterion) {
     for &d in &[10_000usize, 100_000] {
         let gs = gradients(19, d, 4);
         let batch = GradientBatch::from_vectors(&gs).unwrap();
-        let mk = MultiKrum::new(4).unwrap();
+        let mk = GarConfig::new(GarKind::MultiKrum, 4);
         group.bench_with_input(BenchmarkId::new("multi-krum-arena", d), &batch, |b, batch| {
             b.iter(|| mk.aggregate_batch(black_box(batch)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("multi-krum-reference", d), &gs, |b, gs| {
             b.iter(|| reference::aggregate(GarKind::MultiKrum, 4, black_box(gs)).unwrap())
         });
-        let bulyan = Bulyan::new(4).unwrap();
+        let bulyan = GarConfig::new(GarKind::Bulyan, 4);
         group.bench_with_input(BenchmarkId::new("bulyan-arena", d), &batch, |b, batch| {
             b.iter(|| bulyan.aggregate_batch(black_box(batch)).unwrap())
         });

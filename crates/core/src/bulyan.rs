@@ -12,130 +12,71 @@
 //!
 //! The implementation follows the paper's optimisation: the O(n²·d) pairwise
 //! distance matrix is computed **once** (it is the Multi-Krum triangular
-//! [`agg_tensor::DistanceMatrix`], each unordered pair computed exactly
-//! once); subsequent selection iterations only re-rank scores over the
-//! shrinking active set, so the additional cost per iteration is O(n²)
-//! rather than O(n²·d). The second phase runs fused over column blocks of
+//! [`DistanceMatrix`], each unordered pair computed exactly once);
+//! subsequent selection iterations only re-rank scores over the shrinking
+//! active set, so the additional cost per iteration is O(n²) rather than
+//! O(n²·d). The second phase runs fused over column blocks of
 //! the [`GradientBatch`] arena through the branch-free vertical selection
 //! networks of `agg_tensor::sortnet` (the θ selected rows are far below the
 //! network cap), sharing the closest-to-median window kernel with MeaMed.
 
-use crate::gar::{ensure_some_finite_row, reduce_columns, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_some_finite_row, reduce_columns};
 use crate::multi_krum::krum_scores;
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::{stats, DistanceMatrix, GradientBatch, ShardPlan, TensorError};
 
-/// The Bulyan gradient aggregation rule (strong Byzantine resilience,
-/// requires `n ≥ 4f + 3`).
-///
-/// ```
-/// use agg_core::{Bulyan, Gar};
-/// use agg_tensor::Vector;
-/// # fn main() -> Result<(), agg_core::AggregationError> {
-/// let gar = Bulyan::new(1)?; // needs n >= 7
-/// let honest = (0..6).map(|i| Vector::from(vec![1.0 + 0.001 * i as f32]));
-/// let byzantine = std::iter::once(Vector::from(vec![1e9]));
-/// let gradients: Vec<_> = honest.chain(byzantine).collect();
-/// let update = gar.aggregate(&gradients)?;
-/// assert!((update[0] - 1.0).abs() < 0.01);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bulyan {
+/// Phase 1: the `θ = n − 2f` rows extracted by iterated Krum, in extraction
+/// order. The distances are computed once (the paper's optimisation); each
+/// iteration only re-ranks scores over the shrinking active set.
+pub(crate) fn select(distances: &DistanceMatrix, f: usize) -> Result<Vec<usize>> {
+    let n = distances.n();
+    let theta = resilience::bulyan_selection_count(n, f)?;
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut selected = Vec::with_capacity(theta);
+    for _ in 0..theta {
+        // Neighbour count follows the Krum definition on the *remaining*
+        // set, clamped to at least one neighbour so the last iterations
+        // remain well defined.
+        let neighbours = active.len().saturating_sub(f + 2).max(1);
+        let scores = krum_scores(distances, &active, neighbours);
+        let best_pos = stats::k_smallest_indices(&scores, 1)?[0];
+        selected.push(active.remove(best_pos));
+    }
+    Ok(selected)
+}
+
+/// Phase 2, fused: for every coordinate of the selected rows, the mean of
+/// the `β = n − 4f` values closest to the coordinate-wise median. Non-finite
+/// values rank as infinitely far and are never averaged while enough finite
+/// values exist; a coordinate that is NaN in every selected row means the
+/// whole selection is corrupt.
+pub(crate) fn reduce(
+    batch: &GradientBatch,
+    selection: Option<&[usize]>,
+    plan: &ShardPlan,
+    out: &mut [f32],
     f: usize,
-}
-
-impl Bulyan {
-    /// Creates Bulyan declared to tolerate `f` Byzantine workers.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; returns `Result` for signature consistency with the
-    /// other configurable rules.
-    pub fn new(f: usize) -> Result<Self> {
-        Ok(Bulyan { f })
-    }
-
-    /// Declared number of Byzantine workers.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-}
-
-impl Gar for Bulyan {
-    fn properties(&self) -> GarProperties {
-        GarProperties {
-            name: "bulyan",
-            resilience: Resilience::Strong,
-            f: self.f,
-            minimum_workers: resilience::bulyan_min_workers(self.f),
-            tolerates_non_finite: true,
-        }
-    }
-
-    /// `n ≥ 4f + 3`.
-    fn check(&self, n: usize) -> Result<()> {
-        resilience::check_bulyan(n, self.f)
-    }
-
-    fn selects(&self) -> bool {
-        true
-    }
-
-    /// Phase 1: the `θ = n − 2f` rows extracted by iterated Krum, in
-    /// extraction order. The distances are computed once (the paper's
-    /// optimisation); each iteration only re-ranks scores over the shrinking
-    /// active set.
-    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
-        let n = distances.n();
-        let theta = resilience::bulyan_selection_count(n, self.f)?;
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut selected = Vec::with_capacity(theta);
-        for _ in 0..theta {
-            // Neighbour count follows the Krum definition on the *remaining*
-            // set, clamped to at least one neighbour so the last iterations
-            // remain well defined.
-            let neighbours = active.len().saturating_sub(self.f + 2).max(1);
-            let scores = krum_scores(distances, &active, neighbours);
-            let best_pos = stats::k_smallest_indices(&scores, 1)?[0];
-            selected.push(active.remove(best_pos));
-        }
-        Ok(selected)
-    }
-
-    /// Phase 2, fused: for every coordinate of the selected rows, the mean
-    /// of the `β = n − 4f` values closest to the coordinate-wise median.
-    /// Non-finite values rank as infinitely far and are never averaged while
-    /// enough finite values exist; a coordinate that is NaN in every
-    /// selected row means the whole selection is corrupt.
-    fn reduce(
-        &self,
-        batch: &GradientBatch,
-        selection: Option<&[usize]>,
-        plan: &ShardPlan,
-        out: &mut [f32],
-    ) -> Result<()> {
-        let beta = resilience::bulyan_beta(batch.n(), self.f)?;
-        ensure_some_finite_row("bulyan", batch, selection)?;
-        let rows = selection.map_or(batch.n(), <[usize]>::len);
-        reduce_columns(batch, rows, plan, out, |cols, dst| {
-            cols.mean_around_median_into(selection, beta, dst).map_err(|e| match e {
-                TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
-                other => other.into(),
-            })
+) -> Result<()> {
+    let beta = resilience::bulyan_beta(batch.n(), f)?;
+    ensure_some_finite_row("bulyan", batch, selection)?;
+    let rows = selection.map_or(batch.n(), <[usize]>::len);
+    reduce_columns(batch, rows, plan, out, |cols, dst| {
+        cols.mean_around_median_into(selection, beta, dst).map_err(|e| match e {
+            TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
+            other => other.into(),
         })
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::resilience::resilience_floor;
+    use crate::{Gar, GarConfig, GarKind, GradientBatch, Resilience};
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
     use agg_tensor::Vector;
 
     /// The rows `gar`'s selection phase extracts from `gradients`.
-    fn select(gar: &Bulyan, gradients: &[Vector]) -> Vec<usize> {
+    fn selected(gar: &GarConfig, gradients: &[Vector]) -> Vec<usize> {
         let batch = GradientBatch::from_vectors(gradients).unwrap();
         gar.selected_rows(&batch, None).unwrap().unwrap()
     }
@@ -155,8 +96,8 @@ mod tests {
     fn paper_setup_selection_counts() {
         // n = 19, f = 4 => theta = 11, beta = 3.
         let gs = honest_batch(19, 4, 1);
-        let gar = Bulyan::new(4).unwrap();
-        assert_eq!(select(&gar, &gs).len(), 11);
+        let gar = GarConfig::new(GarKind::Bulyan, 4);
+        assert_eq!(selected(&gar, &gs).len(), 11);
     }
 
     #[test]
@@ -165,7 +106,7 @@ mod tests {
         for _ in 0..3 {
             gs.push(Vector::from(vec![1e8, -1e8, 1e8]));
         }
-        let gar = Bulyan::new(3).unwrap(); // needs n >= 15, have 18
+        let gar = GarConfig::new(GarKind::Bulyan, 3); // needs n >= 15, have 18
         let out = gar.aggregate(&gs).unwrap();
         for c in 0..3 {
             assert!((out[c] - 1.0).abs() < 0.2, "coordinate {c} was {}", out[c]);
@@ -178,7 +119,7 @@ mod tests {
         // within the range spanned by honest gradients.
         let mut gs = honest_batch(8, 5, 3);
         gs.push(Vector::from(vec![50.0, -50.0, 50.0, -50.0, 50.0]));
-        let gar = Bulyan::new(1).unwrap();
+        let gar = GarConfig::new(GarKind::Bulyan, 1);
         let out = gar.aggregate(&gs).unwrap();
         for c in 0..5 {
             let honest: Vec<f32> = gs[..8].iter().map(|g| g[c]).collect();
@@ -192,7 +133,7 @@ mod tests {
     fn nan_and_infinite_gradients_are_tolerated() {
         let mut gs = honest_batch(8, 3, 4);
         gs.push(Vector::from(vec![f32::NAN, f32::NAN, f32::NAN]));
-        let gar = Bulyan::new(1).unwrap();
+        let gar = GarConfig::new(GarKind::Bulyan, 1);
         let out = gar.aggregate(&gs).unwrap();
         assert!(out.is_finite());
         assert!((out[0] - 1.0).abs() < 0.2);
@@ -200,14 +141,14 @@ mod tests {
 
     #[test]
     fn requires_4f_plus_3_workers() {
-        let gar = Bulyan::new(4).unwrap();
+        let gar = GarConfig::new(GarKind::Bulyan, 4);
         assert!(gar.aggregate(&honest_batch(18, 2, 5)).is_err());
         assert!(gar.aggregate(&honest_batch(19, 2, 5)).is_ok());
     }
 
     #[test]
     fn f_zero_still_aggregates() {
-        let gar = Bulyan::new(0).unwrap();
+        let gar = GarConfig::new(GarKind::Bulyan, 0);
         let gs = honest_batch(5, 2, 6);
         let out = gar.aggregate(&gs).unwrap();
         assert!((out[0] - 1.0).abs() < 0.2);
@@ -219,8 +160,8 @@ mod tests {
         // extracted last (or not at all if theta < n).
         let mut gs = vec![Vector::from(vec![2.0, 2.0]); 8];
         gs.push(Vector::from(vec![100.0, 100.0]));
-        let gar = Bulyan::new(1).unwrap();
-        let order = select(&gar, &gs);
+        let gar = GarConfig::new(GarKind::Bulyan, 1);
+        let order = selected(&gar, &gs);
         // theta = 9 - 2 = 7 selections; index 8 (the outlier) must not be
         // among the first 7 extracted because identical gradients score 0.
         assert!(!order.contains(&8));
@@ -228,9 +169,8 @@ mod tests {
 
     #[test]
     fn properties_report_strong_resilience() {
-        let p = Bulyan::new(2).unwrap().properties();
-        assert_eq!(p.resilience, Resilience::Strong);
-        assert_eq!(p.minimum_workers, 11);
-        assert!(p.tolerates_non_finite);
+        assert_eq!(GarKind::Bulyan.resilience(), Resilience::Strong);
+        assert_eq!(resilience_floor(GarKind::Bulyan, 2), 11);
+        assert!(GarConfig::new(GarKind::Bulyan, 2).selects());
     }
 }

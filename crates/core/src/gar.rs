@@ -34,25 +34,6 @@ impl fmt::Display for Resilience {
     }
 }
 
-/// Static properties of a gradient aggregation rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GarProperties {
-    /// Short machine-readable name (e.g. `"multi-krum"`), matching the
-    /// `--aggregator` flag of the original runner.
-    pub name: &'static str,
-    /// Resilience level provided by the rule.
-    pub resilience: Resilience,
-    /// Declared number of Byzantine workers the rule is configured to
-    /// tolerate.
-    pub f: usize,
-    /// Minimum number of submitted gradients required for `f` Byzantine
-    /// workers.
-    pub minimum_workers: usize,
-    /// Whether the rule tolerates non-finite coordinates without an external
-    /// sanitisation pass.
-    pub tolerates_non_finite: bool,
-}
-
 /// One round of a rule: the aggregate and, for a rule with a selection
 /// phase, the rows that phase kept (lowest Krum score first for Krum and
 /// Multi-Krum, extraction order for Bulyan).
@@ -74,8 +55,9 @@ pub struct GarRound {
 ///
 /// # How a rule is defined
 ///
-/// A rule states each of its pieces once, in its own module, and the
-/// provided [`Gar::round`] runs them in order:
+/// A rule states each of its pieces once, as one arm of a `match` in
+/// [`crate::GarConfig`]'s implementation, and the provided [`Gar::round`]
+/// runs them in order:
 ///
 /// 1. [`Gar::check`] — the precondition for `n` rows, before any distance
 ///    pass (an empty batch is refused ahead of it, naming the rule);
@@ -96,8 +78,9 @@ pub struct GarRound {
 /// Implementations are `Send + Sync` so the parameter-server simulator can
 /// evaluate them from worker threads and the benchmarks can share them.
 pub trait Gar: Send + Sync + fmt::Debug {
-    /// Static properties (name, resilience, preconditions).
-    fn properties(&self) -> GarProperties;
+    /// The rule's name (e.g. `"multi-krum"`), matching the `--aggregator`
+    /// flag of the original runner.
+    fn name(&self) -> &'static str;
 
     /// The rule's precondition for a round of `n ≥ 1` rows.
     ///
@@ -110,8 +93,8 @@ pub trait Gar: Send + Sync + fmt::Debug {
     }
 
     /// Whether the rule selects rows over the pairwise distance matrix
-    /// (Krum, Multi-Krum, Bulyan). Only these rules pay for a distance pass;
-    /// the others ignore a supplied matrix.
+    /// (Krum, Multi-Krum, Bulyan, the majority vote). Only these rules pay
+    /// for a distance pass; the others ignore a supplied matrix.
     fn selects(&self) -> bool {
         false
     }
@@ -240,16 +223,10 @@ pub trait Gar: Send + Sync + fmt::Debug {
     /// violates the rule's preconditions (too few gradients, inconsistent
     /// dimensions) or when every candidate is corrupt.
     fn aggregate(&self, gradients: &[Vector]) -> Result<Vector> {
-        let rule = self.properties().name;
-        validate_batch(rule, gradients)?;
+        validate_batch(self.name(), gradients)?;
         let batch = GradientBatch::from_vectors(gradients)
             .expect("validate_batch guarantees a non-empty, consistent batch");
         self.aggregate_batch(&batch)
-    }
-
-    /// Convenience accessor for the rule name.
-    fn name(&self) -> &'static str {
-        self.properties().name
     }
 }
 

@@ -7,109 +7,64 @@
 //! same model, and the server keeps the value a majority of the group sent.
 //! Honest members' rows are then bit-equal, so at most `f` traitors can
 //! neither outvote them nor forge a majority of their own. The whole scheme
-//! is a tree tier ([`crate::TreeConfig::repetition`]): this rule in every
-//! group, averaging at the root.
+//! is a tree tier ([`crate::TreeConfig::repetition`]): this rule
+//! ([`crate::GarKind::Majority`]) in every group, averaging at the root.
 
-use crate::gar::{ensure_some_finite_row, Gar, GarProperties, Resilience};
-use crate::{resilience, AggregationError, Result};
+use crate::gar::ensure_some_finite_row;
+use crate::{AggregationError, Result};
 use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan};
 
-/// Exact-match majority vote over the rows of one round.
+/// The exact-match vote: the rows at distance exactly 0 from the
+/// lowest-index row that has the most such rows (itself included),
+/// ascending; refused unless they are more than half of the round.
 ///
-/// The vote reads the pairwise distance matrix every selecting rule reads:
-/// two rows agree when their squared distance is exactly 0. A row carrying
-/// a non-finite coordinate sits at `+∞` from every other row, so it never
-/// forms a majority (a lone non-finite row that wins a one-row round is
-/// refused as corrupt). Rows that differ only below the `f32` underflow of
-/// a squared difference (about `1e-23`) agree too; gradients at that scale
-/// carry no update.
-///
-/// ```
-/// use agg_core::{Gar, Majority};
-/// use agg_tensor::Vector;
-/// # fn main() -> Result<(), agg_core::AggregationError> {
-/// // A group of 2f + 1 = 3 with one traitor.
-/// let honest = Vector::from(vec![0.5, -1.0]);
-/// let gradients = vec![honest.clone(), Vector::from(vec![1e6, 1e6]), honest.clone()];
-/// assert_eq!(Majority::new(1).aggregate(&gradients)?, honest);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Majority {
-    f: usize,
+/// The vote reads the pairwise distance matrix every selecting rule reads.
+/// A row carrying a non-finite coordinate sits at `+∞` from every other
+/// row, so it never forms a majority. Rows that differ only below the `f32`
+/// underflow of a squared difference (about `1e-23`) agree too; gradients
+/// at that scale carry no update.
+pub(crate) fn select(distances: &DistanceMatrix) -> Result<Vec<usize>> {
+    let n = distances.n();
+    let agreeing = |i: usize| (0..n).filter(move |&j| distances.get(i, j) == 0.0);
+    let counts: Vec<usize> = (0..n).map(|i| agreeing(i).count()).collect();
+    let (winner, largest) = counts.iter().copied().enumerate().fold((0, 0), |best, (i, count)| {
+        if count > best.1 {
+            (i, count)
+        } else {
+            best
+        }
+    });
+    if 2 * largest <= n {
+        return Err(AggregationError::NoMajority { rule: "majority", largest, n });
+    }
+    Ok(agreeing(winner).collect())
 }
 
-impl Majority {
-    /// Creates the vote for groups that hold at most `f` traitors.
-    pub fn new(f: usize) -> Self {
-        Majority { f }
+/// A copy of the first selected row (the first row when `selection` is
+/// `None`), one column range at a time; a lone non-finite row that wins a
+/// one-row round is refused as corrupt.
+pub(crate) fn reduce(
+    batch: &GradientBatch,
+    selection: Option<&[usize]>,
+    plan: &ShardPlan,
+    out: &mut [f32],
+) -> Result<()> {
+    let first = selection.map_or(0, |rows| rows[0]);
+    ensure_some_finite_row("majority", batch, Some(&[first]))?;
+    for range in plan.ranges() {
+        out[range.clone()].copy_from_slice(&batch.row(first)[range]);
     }
-}
-
-impl Gar for Majority {
-    fn properties(&self) -> GarProperties {
-        GarProperties {
-            name: "majority",
-            resilience: Resilience::Strong,
-            f: self.f,
-            minimum_workers: resilience::median_min_workers(self.f),
-            tolerates_non_finite: true,
-        }
-    }
-
-    fn check(&self, n: usize) -> Result<()> {
-        resilience::check_median("majority", n, self.f)
-    }
-
-    fn selects(&self) -> bool {
-        true
-    }
-
-    /// The rows at distance exactly 0 from the lowest-index row that has the
-    /// most such rows (itself included), ascending; refused unless they are
-    /// more than half of the round.
-    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
-        let n = distances.n();
-        let agreeing = |i: usize| (0..n).filter(move |&j| distances.get(i, j) == 0.0);
-        let counts: Vec<usize> = (0..n).map(|i| agreeing(i).count()).collect();
-        let (winner, largest) = counts
-            .iter()
-            .copied()
-            .enumerate()
-            .fold((0, 0), |best, (i, count)| if count > best.1 { (i, count) } else { best });
-        if 2 * largest <= n {
-            return Err(AggregationError::NoMajority { rule: "majority", largest, n });
-        }
-        Ok(agreeing(winner).collect())
-    }
-
-    /// A copy of the first selected row (the first row when `selection` is
-    /// `None`), one column range at a time.
-    fn reduce(
-        &self,
-        batch: &GradientBatch,
-        selection: Option<&[usize]>,
-        plan: &ShardPlan,
-        out: &mut [f32],
-    ) -> Result<()> {
-        let first = selection.map_or(0, |rows| rows[0]);
-        ensure_some_finite_row("majority", batch, Some(&[first]))?;
-        for range in plan.ranges() {
-            out[range.clone()].copy_from_slice(&batch.row(first)[range]);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TreeAggregator, TreeConfig};
+    use crate::{Gar, GarConfig, GarKind, TreeAggregator, TreeConfig};
     use agg_tensor::Vector;
 
     fn decode(f: usize, submissions: &[Vector]) -> Result<Vector> {
-        Majority::new(f).aggregate(submissions)
+        GarConfig::new(GarKind::Majority, f).aggregate(submissions)
     }
 
     fn bits(v: &Vector) -> Vec<u32> {
@@ -175,7 +130,7 @@ mod tests {
         let traitor_b = Vector::from(vec![f32::INFINITY, 0.0, 0.0, 0.0, f32::NAN]);
         let group = vec![traitor_a, honest.clone(), traitor_b, honest.clone(), honest.clone()];
         let batch = GradientBatch::from_vectors(&group).unwrap();
-        let round = Majority::new(2).round(&batch, None).unwrap();
+        let round = GarConfig::new(GarKind::Majority, 2).round(&batch, None).unwrap();
         assert_eq!(round.selection, Some(vec![1, 3, 4]));
         assert_eq!(bits(&round.aggregate), bits(&honest));
     }
@@ -188,7 +143,7 @@ mod tests {
         let honest = Vector::from(vec![0.25, -0.5, 0.75]);
         let group = vec![honest.clone(), crafted.clone(), honest, crafted.clone(), crafted.clone()];
         let batch = GradientBatch::from_vectors(&group).unwrap();
-        let round = Majority::new(2).round(&batch, None).unwrap();
+        let round = GarConfig::new(GarKind::Majority, 2).round(&batch, None).unwrap();
         assert_eq!(round.selection, Some(vec![1, 3, 4]));
         assert_eq!(bits(&round.aggregate), bits(&crafted));
     }

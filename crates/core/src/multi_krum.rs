@@ -12,31 +12,19 @@
 //! pairwise-distance kernel computes each unordered pair exactly once (flat
 //! upper triangle, rayon-parallel when the work warrants it), scores are
 //! obtained by partial selection over a reusable scratch buffer instead of
-//! allocate-and-sort, and the [`DistanceMatrix`] is shared with
-//! [`crate::Bulyan`], which re-ranks scores across its iterations instead of
-//! recomputing distances.
+//! allocate-and-sort, and the [`DistanceMatrix`] is shared with Bulyan,
+//! which re-ranks scores across its iterations instead of recomputing
+//! distances.
 
-use crate::gar::{ensure_some_finite_row, reduce_columns, Gar, GarProperties, Resilience};
-use crate::{resilience, AggregationError, Result};
+use crate::gar::{ensure_some_finite_row, reduce_columns};
+use crate::{resilience, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
-use agg_tensor::{stats, ShardPlan};
+use agg_tensor::{stats, DistanceMatrix, GradientBatch, ShardPlan};
 use rayon::prelude::*;
 
-pub use agg_tensor::batch::{DistanceMatrix, GradientBatch};
-
-/// Krum score of gradient `index` restricted to the `active` set: the sum of
-/// its `neighbours` smallest distances to other active gradients.
-pub fn krum_score(
-    distances: &DistanceMatrix,
-    active: &[usize],
-    index: usize,
-    neighbours: usize,
-) -> f32 {
-    let mut scratch = Vec::with_capacity(active.len());
-    krum_score_into(distances, active, index, neighbours, &mut scratch)
-}
-
-/// [`krum_score`] over a caller-provided scratch buffer: partial selection
+/// The Krum score of gradient `index` restricted to the `active` set — the
+/// sum of its `neighbours` smallest distances to other active gradients —
+/// over a caller-provided scratch buffer: partial selection
 /// (`select_nth_unstable`) of the `neighbours` smallest distances, no
 /// allocation and no full sort.
 fn krum_score_into(
@@ -59,7 +47,11 @@ fn krum_score_into(
 }
 
 /// Krum scores for every member of `active`, in the same order as `active`.
-pub fn krum_scores(distances: &DistanceMatrix, active: &[usize], neighbours: usize) -> Vec<f32> {
+pub(crate) fn krum_scores(
+    distances: &DistanceMatrix,
+    active: &[usize],
+    neighbours: usize,
+) -> Vec<f32> {
     // Gate on the actual work being dispatched: scoring gathers and
     // partially selects |active| distances for each of the |active| members,
     // i.e. |active|² element operations in total. PARALLEL_MIN_WORK is
@@ -90,127 +82,34 @@ pub fn krum_scores(distances: &DistanceMatrix, active: &[usize], neighbours: usi
     }
 }
 
-/// The Multi-Krum gradient aggregation rule.
-///
-/// ```
-/// use agg_core::{Gar, MultiKrum};
-/// use agg_tensor::Vector;
-/// # fn main() -> Result<(), agg_core::AggregationError> {
-/// let gar = MultiKrum::new(1)?; // tolerate one Byzantine worker, m = n - f - 2
-/// let honest = (0..6).map(|_| Vector::from(vec![1.0, 1.0]));
-/// let byzantine = std::iter::once(Vector::from(vec![-1e6, 1e6]));
-/// let gradients: Vec<_> = honest.chain(byzantine).collect();
-/// let update = gar.aggregate(&gradients)?;
-/// assert!((update[0] - 1.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiKrum {
-    f: usize,
-    /// Explicit selection size; `None` means "use the largest admissible
-    /// value `m̃ = n − f − 2` for the submitted `n`".
-    m: Option<usize>,
+/// The selection phase: the `m` rows with the lowest Krum scores over their
+/// `n − f − 2` nearest neighbours, lowest score first. On the sharded tier
+/// the matrix is the shard-reduced one, so the selection — and therefore the
+/// resilience guarantee — is the unsharded rule's.
+pub(crate) fn select(distances: &DistanceMatrix, f: usize, m: usize) -> Result<Vec<usize>> {
+    let n = distances.n();
+    let neighbours = resilience::krum_neighbour_count(n, f)?;
+    let active: Vec<usize> = (0..n).collect();
+    let scores = krum_scores(distances, &active, neighbours);
+    Ok(stats::k_smallest_indices(&scores, m)?)
 }
 
-impl MultiKrum {
-    /// Creates Multi-Krum with the slowdown-optimal selection size
-    /// `m̃ = n − f − 2` (decided per batch).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; returns `Result` so the constructor signature
-    /// matches [`MultiKrum::with_selection`], which does validate.
-    pub fn new(f: usize) -> Result<Self> {
-        Ok(MultiKrum { f, m: None })
-    }
-
-    /// Creates Multi-Krum with an explicit selection size `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggregationError::InvalidSelectionSize`] when `m == 0`.
-    /// The upper bound `m ≤ n − f − 2` depends on the batch size and is
-    /// enforced at aggregation time.
-    pub fn with_selection(f: usize, m: usize) -> Result<Self> {
-        if m == 0 {
-            return Err(AggregationError::InvalidSelectionSize {
-                rule: "multi-krum",
-                m,
-                max: usize::MAX,
-            });
-        }
-        Ok(MultiKrum { f, m: Some(m) })
-    }
-
-    /// Declared number of Byzantine workers.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// Resolves the selection size for a batch of `n` gradients.
-    pub(crate) fn resolve_m(&self, n: usize) -> Result<usize> {
-        let max_m = resilience::multi_krum_max_m(n, self.f)?;
-        match self.m {
-            None => Ok(max_m),
-            Some(m) if m <= max_m => Ok(m),
-            Some(m) => {
-                Err(AggregationError::InvalidSelectionSize { rule: "multi-krum", m, max: max_m })
-            }
-        }
-    }
-}
-
-impl Gar for MultiKrum {
-    fn properties(&self) -> GarProperties {
-        GarProperties {
-            name: "multi-krum",
-            resilience: Resilience::Weak,
-            f: self.f,
-            minimum_workers: resilience::multi_krum_min_workers(self.f),
-            tolerates_non_finite: true,
-        }
-    }
-
-    /// `n ≥ 2f + 3` and `m ≤ n − f − 2`.
-    fn check(&self, n: usize) -> Result<()> {
-        self.resolve_m(n).map(drop)
-    }
-
-    fn selects(&self) -> bool {
-        true
-    }
-
-    /// The `m` rows with the lowest Krum scores over their `n − f − 2`
-    /// nearest neighbours, lowest score first. On the sharded tier the
-    /// matrix is the shard-reduced one, so the selection — and therefore
-    /// the resilience guarantee — is the unsharded rule's.
-    fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
-        let n = distances.n();
-        let m = self.resolve_m(n)?;
-        let neighbours = resilience::krum_neighbour_count(n, self.f)?;
-        let active: Vec<usize> = (0..n).collect();
-        let scores = krum_scores(distances, &active, neighbours);
-        Ok(stats::k_smallest_indices(&scores, m)?)
-    }
-
-    /// The mean of the selected rows, straight out of the arena.
-    fn reduce(
-        &self,
-        batch: &GradientBatch,
-        selection: Option<&[usize]>,
-        plan: &ShardPlan,
-        out: &mut [f32],
-    ) -> Result<()> {
-        ensure_some_finite_row("multi-krum", batch, selection)?;
-        let rows = selection.map_or(batch.n(), <[usize]>::len);
-        reduce_columns(batch, rows, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
-    }
+/// The mean of the selected rows, straight out of the arena.
+pub(crate) fn reduce(
+    batch: &GradientBatch,
+    selection: Option<&[usize]>,
+    plan: &ShardPlan,
+    out: &mut [f32],
+) -> Result<()> {
+    ensure_some_finite_row("multi-krum", batch, selection)?;
+    let rows = selection.map_or(batch.n(), <[usize]>::len);
+    reduce_columns(batch, rows, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AggregationError, Gar, GarConfig, GarKind};
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
     use agg_tensor::Vector;
 
@@ -219,7 +118,7 @@ mod tests {
     }
 
     /// The rows `gar`'s selection phase keeps for `gradients`.
-    fn select(gar: &MultiKrum, gradients: &[Vector]) -> Vec<usize> {
+    fn selected(gar: &GarConfig, gradients: &[Vector]) -> Vec<usize> {
         let batch = GradientBatch::from_vectors(gradients).unwrap();
         gar.selected_rows(&batch, None).unwrap().unwrap()
     }
@@ -244,7 +143,7 @@ mod tests {
     #[test]
     fn excludes_an_obvious_outlier() {
         let gs = batch(6, 1.0, 1, &[1e9, -1e9]);
-        let gar = MultiKrum::new(1).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 1);
         let out = gar.aggregate(&gs).unwrap();
         assert!((out[0] - 1.0).abs() < 0.1);
         assert!((out[1] - 1.0).abs() < 0.1);
@@ -253,8 +152,8 @@ mod tests {
     #[test]
     fn selection_never_includes_byzantine_outliers() {
         let gs = batch(11, 2.0, 4, &[500.0, 500.0, 500.0]);
-        let gar = MultiKrum::new(4).unwrap();
-        let selected = select(&gar, &gs);
+        let gar = GarConfig::new(GarKind::MultiKrum, 4);
+        let selected = selected(&gar, &gs);
         assert_eq!(selected.len(), 15 - 4 - 2);
         assert!(selected.iter().all(|&i| i < 11), "selected = {selected:?}");
     }
@@ -264,8 +163,8 @@ mod tests {
         let mut gs = batch(7, 0.5, 0, &[0.0]);
         gs.push(Vector::from(vec![f32::NAN]));
         gs.push(Vector::from(vec![f32::INFINITY]));
-        let gar = MultiKrum::new(2).unwrap();
-        let selected = select(&gar, &gs);
+        let gar = GarConfig::new(GarKind::MultiKrum, 2);
+        let selected = selected(&gar, &gs);
         assert!(selected.iter().all(|&i| i < 7));
         assert!(gar.aggregate(&gs).unwrap().is_finite());
     }
@@ -273,7 +172,7 @@ mod tests {
     #[test]
     fn m_equal_one_returns_a_single_input_gradient() {
         let gs = batch(6, 1.0, 1, &[100.0]);
-        let gar = MultiKrum::with_selection(1, 1).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 1).with_selection(1);
         let out = gar.aggregate(&gs).unwrap();
         // With m = 1 the output is exactly one of the honest gradients.
         assert!(gs[..6].iter().any(|g| g == &out));
@@ -282,32 +181,32 @@ mod tests {
     #[test]
     fn default_m_is_n_minus_f_minus_2() {
         let gs = batch(9, 1.0, 2, &[9.0]);
-        let gar = MultiKrum::new(2).unwrap();
-        assert_eq!(select(&gar, &gs).len(), 11 - 2 - 2);
+        let gar = GarConfig::new(GarKind::MultiKrum, 2);
+        assert_eq!(selected(&gar, &gs).len(), 11 - 2 - 2);
     }
 
     #[test]
     fn rejects_undersized_clusters_and_oversized_m() {
-        let gar = MultiKrum::new(4).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 4);
         let gs = vec![Vector::zeros(2); 10]; // needs 11
         assert!(matches!(
             gar.aggregate(&gs).unwrap_err(),
             AggregationError::NotEnoughWorkers { .. }
         ));
-        let gar = MultiKrum::with_selection(1, 10).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 1).with_selection(10);
         let gs = vec![Vector::zeros(2); 7]; // max m = 4
         assert!(matches!(
             gar.aggregate(&gs).unwrap_err(),
             AggregationError::InvalidSelectionSize { m: 10, max: 4, .. }
         ));
-        assert!(MultiKrum::with_selection(1, 0).is_err());
+        assert!(GarConfig::new(GarKind::MultiKrum, 1).with_selection(0).build().is_err());
     }
 
     #[test]
     fn no_byzantine_workers_behaves_like_a_partial_average() {
         // With identical honest gradients the output equals that gradient.
         let gs = vec![Vector::from(vec![3.0, -1.0]); 9];
-        let gar = MultiKrum::new(2).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 2);
         let out = gar.aggregate(&gs).unwrap();
         assert_eq!(out.as_slice(), &[3.0, -1.0]);
     }
@@ -315,7 +214,7 @@ mod tests {
     #[test]
     fn scores_are_permutation_consistent() {
         let gs = batch(8, 1.0, 2, &[50.0, -50.0]);
-        let gar = MultiKrum::new(2).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 2);
         let out1 = gar.aggregate(&gs).unwrap();
         let mut reversed = gs.clone();
         reversed.reverse();
@@ -331,12 +230,10 @@ mod tests {
         // middle point is the distance to its closest neighbour only.
         let gs = vec![Vector::from(vec![0.0]), Vector::from(vec![1.0]), Vector::from(vec![10.0])];
         let d = distance_matrix(&gs);
-        let active = vec![0, 1, 2];
-        assert_eq!(krum_score(&d, &active, 1, 1), 1.0);
-        assert_eq!(krum_score(&d, &active, 0, 1), 1.0);
-        assert_eq!(krum_score(&d, &active, 2, 1), 81.0);
-        let scores = krum_scores(&d, &active, 1);
-        assert_eq!(scores, vec![1.0, 1.0, 81.0]);
+        assert_eq!(krum_scores(&d, &[0, 1, 2], 1), vec![1.0, 1.0, 81.0]);
+        // Restricted to the active set: without the middle point, the
+        // outer two are each other's only neighbour.
+        assert_eq!(krum_scores(&d, &[0, 2], 1), vec![100.0, 100.0]);
     }
 
     #[test]

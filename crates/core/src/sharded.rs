@@ -40,7 +40,7 @@
 //! reproducible at any thread budget (pinned at budgets 1, 2 and 4 by the
 //! unit tests below).
 
-use crate::gar::{Gar, GarProperties};
+use crate::gar::Gar;
 use crate::{AggregationError, GarConfig, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan};
@@ -72,7 +72,7 @@ use std::ops::Range;
 pub struct ShardedAggregator {
     shards: usize,
     /// The unsharded rule, whose definition every round runs.
-    inner: Box<dyn Gar>,
+    rule: GarConfig,
 }
 
 impl ShardedAggregator {
@@ -89,7 +89,7 @@ impl ShardedAggregator {
                 message: "a sharded aggregator needs at least one shard".into(),
             });
         }
-        Ok(ShardedAggregator { shards, inner: config.build()? })
+        Ok(ShardedAggregator { shards, rule: config.validated()? })
     }
 
     /// Number of coordinate shards.
@@ -99,16 +99,16 @@ impl ShardedAggregator {
 }
 
 impl Gar for ShardedAggregator {
-    fn properties(&self) -> GarProperties {
-        self.inner.properties()
+    fn name(&self) -> &'static str {
+        self.rule.name()
     }
 
     fn check(&self, n: usize) -> Result<()> {
-        self.inner.check(n)
+        self.rule.check(n)
     }
 
     fn selects(&self) -> bool {
-        self.inner.selects()
+        self.rule.selects()
     }
 
     /// The global pair-distance matrix assembled from per-shard partials:
@@ -136,7 +136,7 @@ impl Gar for ShardedAggregator {
     }
 
     fn select(&self, distances: &DistanceMatrix) -> Result<Vec<usize>> {
-        self.inner.select(distances)
+        self.rule.select(distances)
     }
 
     /// The `S`-shard partition of `0..d`.
@@ -151,14 +151,14 @@ impl Gar for ShardedAggregator {
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        self.inner.reduce(batch, selection, plan, out)
+        self.rule.reduce(batch, selection, plan, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GarKind, MultiKrum};
+    use crate::GarKind;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
     use agg_tensor::Vector;
 
@@ -178,7 +178,9 @@ mod tests {
         let sharded = ShardedAggregator::new(GarConfig::new(GarKind::Bulyan, 2), 4).unwrap();
         assert_eq!(sharded.name(), "bulyan");
         assert_eq!(sharded.shards(), 4);
-        assert_eq!(sharded.properties().f, 2);
+        assert!(sharded.selects());
+        let median = ShardedAggregator::new(GarConfig::new(GarKind::Median, 2), 4).unwrap();
+        assert!(median.check(4).is_err() && median.check(5).is_ok());
     }
 
     #[test]
@@ -203,7 +205,7 @@ mod tests {
         let config = GarConfig::new(GarKind::MultiKrum, 2);
         let sharded = ShardedAggregator::new(config, 4).unwrap();
         let selected = sharded.selected_rows(&batch, None).unwrap().unwrap();
-        let unsharded = MultiKrum::new(2).unwrap().selected_rows(&batch, None).unwrap().unwrap();
+        let unsharded = config.selected_rows(&batch, None).unwrap().unwrap();
         assert_eq!(selected, unsharded);
         assert!(!selected.contains(&12), "the outlier must not be selected");
     }

@@ -27,7 +27,7 @@
 //! contributing groups no longer clear the root rule's floor, exactly like
 //! the flat path's refusal below `resilience_floor`.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
+use crate::gar::{ensure_batch_nonempty, Gar};
 use crate::{resilience, AggregationError, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
@@ -161,11 +161,9 @@ impl TreeRound {
 /// ```
 #[derive(Debug)]
 pub struct TreeAggregator {
+    /// The group rule (shared by every group: rules are stateless), the root
+    /// rule over the group outputs, and the group size.
     config: TreeConfig,
-    /// The group-level rule (shared by every group: rules are stateless).
-    group_rule: Box<dyn Gar>,
-    /// The root rule over group outputs.
-    root_rule: Box<dyn Gar>,
 }
 
 impl TreeAggregator {
@@ -188,9 +186,9 @@ impl TreeAggregator {
                 ),
             });
         }
-        let group_rule = config.group.build()?;
-        let root_rule = config.root.build()?;
-        Ok(TreeAggregator { config, group_rule, root_rule })
+        config.group.validated()?;
+        config.root.validated()?;
+        Ok(TreeAggregator { config })
     }
 
     /// The tree configuration.
@@ -213,7 +211,7 @@ impl TreeAggregator {
     fn buckets(&self, batch: &GradientBatch, groups: &[usize]) -> Result<Vec<(usize, Vec<usize>)>> {
         if groups.len() != batch.n() {
             return Err(AggregationError::InvalidArgument {
-                rule: self.group_rule.properties().name.to_string(),
+                rule: self.config.group.name().to_string(),
                 message: format!(
                     "group assignment covers {} rows but the batch has {}",
                     groups.len(),
@@ -244,7 +242,7 @@ impl TreeAggregator {
     /// assignment does not match the batch, or a group's aggregation fails
     /// for a reason other than its size (e.g. all rows non-finite).
     pub fn group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
-        ensure_batch_nonempty(self.group_rule.properties().name, batch)?;
+        ensure_batch_nonempty(self.config.group.name(), batch)?;
         let buckets = self.buckets(batch, groups)?;
         let floor = self.config.group_floor();
         let mut skipped = Vec::new();
@@ -261,7 +259,7 @@ impl TreeAggregator {
             for &row in &members {
                 scratch.push_row(batch.row(row))?;
             }
-            let round = self.group_rule.round(&scratch, None)?;
+            let round = self.config.group.round(&scratch, None)?;
             let kept = round.selection.map(|rows| rows.into_iter().map(|r| members[r]).collect());
             Ok(GroupOutput { group, members, output: round.aggregate, kept })
         };
@@ -296,7 +294,7 @@ impl TreeAggregator {
             });
         }
         let batch = GradientBatch::from_vectors(outputs)?;
-        self.root_rule.aggregate_batch(&batch)
+        self.config.root.aggregate_batch(&batch)
     }
 
     /// Full tree round over an explicit row→group assignment (`groups[i]` is
@@ -347,7 +345,8 @@ impl TreeAggregator {
     /// round's groups fall below the composed floor, plus any root-selection
     /// error.
     pub fn selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
-        if !self.root_rule.selects() {
+        let root = self.config.root;
+        if !root.selects() {
             return Ok(None);
         }
         self.config.check(round.group_sizes())?;
@@ -356,8 +355,7 @@ impl TreeAggregator {
         for group in &round.outputs {
             output_batch.push_row(group.output.as_slice())?;
         }
-        let picked =
-            self.root_rule.selected_rows(&output_batch, None)?.expect("the root rule selects");
+        let picked = root.selected_rows(&output_batch, None)?.expect("the root rule selects");
         let mut rows: Vec<usize> = Vec::new();
         for i in picked {
             let group = &round.outputs[i];
@@ -369,11 +367,10 @@ impl TreeAggregator {
 }
 
 impl Gar for TreeAggregator {
-    fn properties(&self) -> GarProperties {
-        // The tree's resilience story is the composed bound; for reporting
-        // purposes it presents the root rule's properties (the defence the
-        // final update passed through).
-        self.root_rule.properties()
+    /// The root rule's name: the defence the final update passed through
+    /// (the tree's resilience is the composed bound).
+    fn name(&self) -> &'static str {
+        self.config.root.name()
     }
 
     /// The whole two-level round over the default contiguous grouping: the
@@ -462,7 +459,7 @@ mod tests {
         assert_eq!(config.root_floor(), 31);
         let tree = TreeAggregator::new(config).unwrap();
         assert_eq!(tree.config(), config);
-        assert_eq!(tree.properties().name, "multi-krum");
+        assert_eq!(tree.name(), "multi-krum");
     }
 
     #[test]

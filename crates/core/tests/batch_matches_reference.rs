@@ -14,7 +14,7 @@
 //! kernels choose deterministically instead, and continuous random inputs
 //! never land on those measure-zero sets.
 
-use agg_core::{reference, Gar, GarConfig, GarKind, GradientBatch, MultiKrum};
+use agg_core::{reference, Gar, GarConfig, GarKind, GradientBatch};
 use agg_tensor::{stats, Vector};
 use proptest::prelude::*;
 
@@ -184,7 +184,7 @@ proptest! {
         }
         let corrupt: Vec<usize> = (0..f).map(|k| (k * 5 + 2) % n).collect();
         let batch = GradientBatch::from_vectors(&gs).unwrap();
-        let selected = MultiKrum::new(f).unwrap().selected_rows(&batch, None).unwrap().unwrap();
+        let selected = GarConfig::new(GarKind::MultiKrum, f).selected_rows(&batch, None).unwrap().unwrap();
         for i in &selected {
             prop_assert!(!corrupt.contains(i), "corrupt row {i} was selected: {selected:?}");
         }

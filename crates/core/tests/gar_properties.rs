@@ -1,7 +1,7 @@
 //! Property-based tests of the Byzantine-resilience invariants the paper
 //! states for each gradient aggregation rule.
 
-use agg_core::{Average, Bulyan, CoordinateMedian, Gar, MultiKrum, TrimmedMean};
+use agg_core::{Gar, GarConfig, GarKind};
 use agg_tensor::Vector;
 use proptest::prelude::*;
 
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let mut all = honest.clone();
         all.extend(byz);
-        let gar = MultiKrum::new(4).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 4);
         let out = gar.aggregate(&all).unwrap();
         for c in 0..4 {
             let lo = honest.iter().map(|g| g[c]).fold(f32::INFINITY, f32::min);
@@ -62,7 +62,7 @@ proptest! {
         for off in &offsets {
             all.push(Vector::filled(3, center + off));
         }
-        let gar = MultiKrum::new(4).unwrap();
+        let gar = GarConfig::new(GarKind::MultiKrum, 4);
         let batch = agg_tensor::GradientBatch::from_vectors(&all).unwrap();
         let selected = gar.selected_rows(&batch, None).unwrap().unwrap();
         prop_assert!(selected.iter().all(|&i| i < 11), "selected {:?}", selected);
@@ -77,7 +77,7 @@ proptest! {
     ) {
         let mut all = honest.clone();
         all.extend(byz);
-        let gar = Bulyan::new(3).unwrap();
+        let gar = GarConfig::new(GarKind::Bulyan, 3);
         let out = gar.aggregate(&all).unwrap();
         for c in 0..3 {
             let lo = honest.iter().map(|g| g[c]).fold(f32::INFINITY, f32::min);
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let mut all = honest.clone();
         all.extend(byz);
-        let gar = CoordinateMedian::new(3);
+        let gar = GarConfig::new(GarKind::Median, 3);
         let out = gar.aggregate(&all).unwrap();
         for c in 0..3 {
             let lo = honest.iter().map(|g| g[c]).fold(f32::INFINITY, f32::min);
@@ -112,7 +112,7 @@ proptest! {
     ) {
         let mut all = honest.clone();
         all.extend(byz);
-        let gar = TrimmedMean::new(2);
+        let gar = GarConfig::new(GarKind::TrimmedMean, 2);
         let out = gar.aggregate(&all).unwrap();
         for c in 0..3 {
             let lo = honest.iter().map(|g| g[c]).fold(f32::INFINITY, f32::min);
@@ -158,11 +158,8 @@ proptest! {
                 (hi - lo) + 1e-3
             })
             .collect();
-        for gar in [
-            Box::new(MultiKrum::new(2).unwrap()) as Box<dyn Gar>,
-            Box::new(Bulyan::new(2).unwrap()) as Box<dyn Gar>,
-            Box::new(CoordinateMedian::new(2)) as Box<dyn Gar>,
-        ] {
+        for kind in [GarKind::MultiKrum, GarKind::Bulyan, GarKind::Median] {
+            let gar = GarConfig::new(kind, 2);
             let a = gar.aggregate(&all).unwrap();
             let b = gar.aggregate(&permuted).unwrap();
             for c in 0..3 {
@@ -179,8 +176,8 @@ proptest! {
     fn multi_krum_close_to_average_without_byzantine(
         (honest, _center) in honest_cluster(9, 3),
     ) {
-        let avg = Average::new().aggregate(&honest).unwrap();
-        let mk = MultiKrum::new(0).unwrap().aggregate(&honest).unwrap();
+        let avg = GarConfig::new(GarKind::Average, 0).aggregate(&honest).unwrap();
+        let mk = GarConfig::new(GarKind::MultiKrum, 0).aggregate(&honest).unwrap();
         for c in 0..3 {
             prop_assert!((avg[c] - mk[c]).abs() < 0.2);
         }

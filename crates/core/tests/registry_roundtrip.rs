@@ -1,8 +1,10 @@
 //! Integration tests of the GAR registry: every rule registered in
 //! `registry.rs` must resolve by name, report the paper-correct resilience
-//! level, and carry configuration/properties that survive a serde round-trip.
+//! level, and carry a configuration and properties that survive a serde
+//! round-trip.
 
-use agg_core::{GarConfig, GarKind, GarProperties, Resilience};
+use agg_core::resilience::resilience_floor;
+use agg_core::{GarConfig, GarKind, Resilience};
 
 /// The resilience level the paper assigns to each rule: plain and selective
 /// averaging provide none, the Krum/median families are weakly resilient
@@ -51,10 +53,8 @@ fn runner_style_specs_resolve_for_every_rule() {
 #[test]
 fn every_rule_reports_the_paper_correct_resilience() {
     for kind in GarKind::ALL {
-        let gar = GarConfig::new(kind, 2).build().unwrap();
-        let properties = gar.properties();
         assert_eq!(
-            properties.resilience,
+            kind.resilience(),
             paper_resilience(kind),
             "{} reports the wrong resilience level",
             kind.name()
@@ -69,13 +69,11 @@ fn declared_f_propagates_into_properties_of_resilient_rules() {
             continue;
         }
         for f in [1usize, 3, 5] {
-            let properties = GarConfig::new(kind, f).build().unwrap().properties();
-            assert_eq!(properties.f, f, "{} dropped its declared f", kind.name());
-            assert!(
-                properties.minimum_workers > f,
-                "{} must need more than f workers",
-                kind.name()
-            );
+            let floor = resilience_floor(kind, f);
+            assert!(floor > f, "{} must need more than f workers", kind.name());
+            let gar = GarConfig::new(kind, f).build().unwrap();
+            assert!(gar.check(floor - 1).is_err(), "{} dropped its declared f", kind.name());
+            assert!(gar.check(floor).is_ok(), "{} refuses its own floor", kind.name());
         }
     }
 }
@@ -83,9 +81,9 @@ fn declared_f_propagates_into_properties_of_resilient_rules() {
 #[test]
 fn gar_properties_round_trip_through_serde() {
     for kind in GarKind::ALL {
-        let properties = GarConfig::new(kind, 2).build().unwrap().properties();
+        let properties = (kind, kind.resilience(), resilience_floor(kind, 2));
         let json = serde_json::to_string(&properties).unwrap();
-        let back: GarProperties = serde_json::from_str(&json).unwrap();
+        let back: (GarKind, Resilience, usize) = serde_json::from_str(&json).unwrap();
         assert_eq!(back, properties, "{} properties changed across serde", kind.name());
     }
 }

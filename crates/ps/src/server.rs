@@ -10,7 +10,7 @@
 
 use crate::{PsError, Result};
 use agg_core::{Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound};
-use agg_nn::optim::{Optimizer, OptimizerKind, Regularization};
+use agg_nn::optim::{OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
 use agg_tensor::{DistanceMatrix, GradientBatch, Vector};
 use std::time::Instant;
@@ -47,7 +47,10 @@ pub struct ParameterServer {
     /// only by the explicitly grouped entry points; `apply_round_batch`
     /// stays flat.
     tree: Option<TreeAggregator>,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: OptimizerKind,
+    /// RMSProp's running mean square of the applied gradient (empty until
+    /// its first step; SGD never fills it).
+    mean_square: Vector,
     learning_rate: LearningRate,
     regularization: Regularization,
     step: u64,
@@ -77,7 +80,8 @@ impl ParameterServer {
             gar_config,
             shards: 1,
             tree: None,
-            optimizer: optimizer.build(),
+            optimizer,
+            mean_square: Vector::zeros(0),
             learning_rate,
             regularization,
             step: 0,
@@ -338,7 +342,7 @@ impl ParameterServer {
         let aggregation_wall_sec = start.elapsed().as_secs_f64();
         self.regularization.apply(&mut aggregated, &self.params).map_err(PsError::from)?;
         let lr = self.learning_rate.at(self.step);
-        self.optimizer.step(&mut self.params, &aggregated, lr).map_err(PsError::from)?;
+        self.optimizer.step(&mut self.mean_square, &mut self.params, &aggregated, lr)?;
         self.step += 1;
         Ok(RoundOutcome { aggregation_wall_sec, learning_rate: lr, step: self.step })
     }
@@ -347,7 +351,7 @@ impl ParameterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agg_core::{GarKind, MultiKrum};
+    use agg_core::GarKind;
 
     fn server(kind: GarKind, f: usize, d: usize) -> ParameterServer {
         ParameterServer::new(
@@ -368,7 +372,7 @@ mod tests {
     /// `aggregate`.
     fn stepped_from_zero(aggregate: &Vector) -> Vector {
         let mut params = Vector::zeros(aggregate.len());
-        OptimizerKind::Sgd.build().step(&mut params, aggregate, 0.1).unwrap();
+        OptimizerKind::Sgd.step(&mut Vector::zeros(0), &mut params, aggregate, 0.1).unwrap();
         params
     }
 
@@ -489,7 +493,8 @@ mod tests {
             (0..9).map(|i| Vector::from(vec![1.0 + 0.01 * i as f32, -0.5, 2.0])).collect();
         batch_rows.push(Vector::from(vec![1e6, 1e6, 1e6]));
         let batch = GradientBatch::from_vectors(&batch_rows).unwrap();
-        let expected = MultiKrum::new(2).unwrap().selected_rows(&batch, None).unwrap().unwrap();
+        let rule = GarConfig::new(GarKind::MultiKrum, 2);
+        let expected = rule.selected_rows(&batch, None).unwrap().unwrap();
 
         // Monolithic, batch path.
         let monolithic = server(GarKind::MultiKrum, 2, 3);

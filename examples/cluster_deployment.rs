@@ -21,10 +21,11 @@ fn main() {
     for spec in ["average", "median:f=4", "multi-krum:f=4,m=9", "bulyan:f=4"] {
         let config = GarConfig::parse(spec).expect("valid spec");
         let gar = config.build().expect("builds");
-        let props = gar.properties();
         println!(
             "--aggregator {spec:<22} -> rule '{}', resilience {}, needs n >= {}",
-            props.name, props.resilience, props.minimum_workers
+            gar.name(),
+            config.kind.resilience(),
+            resilience::resilience_floor(config.kind, config.f)
         );
     }
     println!();

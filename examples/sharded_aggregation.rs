@@ -16,7 +16,7 @@
 //! cargo run --release -p agg-apps --example sharded_aggregation
 //! ```
 
-use agg_core::{Gar, GarConfig, GarKind, MultiKrum, ShardedAggregator};
+use agg_core::{Gar, GarConfig, GarKind, ShardedAggregator};
 use agg_net::{GradientCodec, RoundAssembler};
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use agg_tensor::{GradientBatch, Vector};
@@ -71,7 +71,7 @@ fn main() {
 
     // The aggregation side: Multi-Krum over the sharded tier vs the
     // monolithic server.
-    let monolithic = MultiKrum::new(F).expect("valid f");
+    let monolithic = config;
 
     let sharded_selection =
         sharded.selected_rows(&batch, None).expect("selects").expect("multi-krum selects");
