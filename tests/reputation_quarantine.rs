@@ -34,8 +34,8 @@ use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    FaultPlan, ReputationConfig, ReputationLedger, RoundEvidence, RoundRecord, RoundVerdict,
-    RunnerConfig, StandingChange, TransportKind, WorkerReport,
+    FaultAction, FaultPlan, RefusalPolicy, ReputationConfig, ReputationLedger, RoundEvidence,
+    RoundRecord, RoundVerdict, RunnerConfig, StandingChange, TransportKind, WorkerReport,
 };
 use common::{assert_deterministic, run};
 use proptest::prelude::*;
@@ -341,6 +341,75 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
     assert_eq!(report.throughput.model_updates(), charged);
     assert_eq!(report.throughput.gradients_received(), received);
     assert_eq!(report.throughput.elapsed_sec().to_bits(), f64::to_bits(clock));
+}
+
+/// FNV-1a fold of every figure the report derives from its records: the
+/// charged rounds, the latency split and its share, the batches received
+/// and their rate, and every per-worker row.
+fn view_fingerprint(report: &agg_ps::TrainingReport) -> u64 {
+    let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = vec![
+        report.latency.rounds(),
+        report.latency.compute_comm_sec().to_bits(),
+        report.latency.aggregation_sec().to_bits(),
+        report.latency.aggregation_share().to_bits(),
+        report.throughput.gradients_received(),
+        report.throughput.gradients_per_sec().to_bits(),
+    ];
+    for row in &report.per_worker {
+        words.extend([
+            row.worker as u64,
+            row.stale_epoch_rejects,
+            row.corrupt_rejects,
+            row.retransmit_exhaustions,
+            row.quarantines,
+            row.readmissions,
+            row.final_suspicion.to_bits(),
+        ]);
+    }
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, fnv)
+}
+
+#[test]
+fn report_views_are_pinned() {
+    // (a) Churn, the adaptive rotation, chaos on eight links and the ledger.
+    let mut churn = base_config(GarKind::MultiKrum, 4, 19);
+    churn.byzantine_count = 4;
+    churn.attack = AttackKind::Adaptive;
+    churn.adaptive_churn = true;
+    churn.fault_plan = FaultPlan::seeded_churn(churn.seed, 19, churn.max_steps, 3);
+    degrade(&mut churn, 8);
+    // (b) Draco at n = 9: three groups replicate one mini-batch each, so the
+    // batches received are a third of the submitting slots.
+    let tree = TreeConfig::repetition(1);
+    let mut draco = base_config(tree.root.kind, tree.root.f, 9);
+    draco.tree = Some(tree);
+    draco.reputation = None;
+    // (c) A Bulyan run whose crash drops the live set below the floor for
+    // three rounds, once held (charged) and once paused (not charged).
+    let mut refused = base_config(GarKind::Bulyan, 4, 19);
+    refused.max_steps = 24;
+    refused.eval_every = 6;
+    refused.reputation = None;
+    refused.byzantine_count = 4;
+    refused.attack = AttackKind::Adaptive;
+    refused.fault_plan =
+        FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
+    let held = RunnerConfig { refusal: RefusalPolicy::HoldLastRound, ..refused.clone() };
+    let paused = RunnerConfig { refusal: RefusalPolicy::Pause, ..refused };
+
+    let fingerprints: Vec<u64> =
+        [churn, draco, held, paused].into_iter().map(|c| view_fingerprint(&run(c))).collect();
+    assert_eq!(
+        fingerprints,
+        [
+            0x1807_46ac_2322_0d99,
+            0x2abb_2174_5168_10df,
+            0x53f0_22d5_a8af_4025,
+            0xa150_eb92_9903_9c69
+        ],
+        "FNV-1a folds of the views: churn, Draco, held refusals, paused refusals"
+    );
 }
 
 // ---------------------------------------------------------------------------
