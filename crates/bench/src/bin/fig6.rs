@@ -34,7 +34,7 @@ fn regime(batch: usize, steps: u64) {
             name.to_string(),
             format_time(report.time_to_accuracy(target)),
             format!("{:.3}", report.final_accuracy()),
-            format!("{:.2}", report.throughput.gradients_per_sec()),
+            format!("{:.2}", report.batches_per_sec()),
         ]);
     }
     println!("{table}");

@@ -1,24 +1,17 @@
 //! # agg-metrics — experiment measurement and reporting
 //!
-//! The paper evaluates AggregaThor with three metrics (§4.1):
-//!
-//! * **Accuracy** (top-1 cross-accuracy) with respect to wall-clock time and
-//!   with respect to model updates — captured by [`trace::TrainingTrace`].
-//! * **Throughput** (gradients/batches received by the aggregator per
-//!   second) — captured by [`throughput::ThroughputMeter`].
-//! * **Latency breakdown** per epoch (computation + communication vs
-//!   aggregation time, Figure 4) — captured by
-//!   [`latency::LatencyBreakdown`].
+//! The paper evaluates AggregaThor with three metrics (§4.1): accuracy
+//! (top-1 cross-accuracy) against time and against model updates,
+//! throughput, and the latency split between computation + communication
+//! and aggregation. [`trace::TrainingTrace`] captures the accuracy curve;
+//! the throughput and the latency split are views over a run's round
+//! records (`agg_ps::TrainingReport`).
 //!
 //! [`table`] renders the small text tables and CSV series the experiment
 //! binaries print, so every figure of the paper has a textual counterpart.
 
-pub mod latency;
 pub mod table;
-pub mod throughput;
 pub mod trace;
 
-pub use latency::LatencyBreakdown;
 pub use table::Table;
-pub use throughput::ThroughputMeter;
 pub use trace::{TracePoint, TrainingTrace};

@@ -273,11 +273,6 @@ impl FeedOutcome {
         }
     }
 
-    /// Whether the packet was fenced off for carrying a stale epoch.
-    pub fn is_stale(&self) -> bool {
-        matches!(self, FeedOutcome::StaleEpoch { .. })
-    }
-
     /// Whether the packet was rejected by the integrity envelope.
     pub fn is_corrupt(&self) -> bool {
         matches!(self, FeedOutcome::Corrupt { .. })
@@ -1056,7 +1051,7 @@ mod tests {
             let outcome = assembler.feed(p, &mut row).unwrap();
             assert_eq!(outcome, FeedOutcome::StaleEpoch { packet_epoch: 1, expected_epoch: 2 });
             assert_eq!(outcome.newly_covered(), 0);
-            assert!(outcome.is_stale());
+            assert!(matches!(outcome, FeedOutcome::StaleEpoch { .. }));
         }
         assert!(row.iter().all(|&v| v == -7.5), "a stale packet must never touch the row");
         assert_eq!(assembler.received(), 0);
@@ -1068,10 +1063,12 @@ mod tests {
         assembler.begin_round();
         let mut row = vec![0.0f32; 20];
         for p in &stale {
-            assert!(assembler.feed(p, &mut row).unwrap().is_stale());
+            let outcome = assembler.feed(p, &mut row).unwrap();
+            assert!(matches!(outcome, FeedOutcome::StaleEpoch { .. }));
         }
         for p in codec.split_bytes_epoch(0, 0, 2, &g) {
-            assert!(!assembler.feed(&p, &mut row).unwrap().is_stale());
+            let outcome = assembler.feed(&p, &mut row).unwrap();
+            assert!(!matches!(outcome, FeedOutcome::StaleEpoch { .. }));
         }
         assert!(assembler.is_complete());
         assert_eq!(row, g);

@@ -27,7 +27,6 @@ pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     loss: SoftmaxCrossEntropy,
     input_shape: Vec<usize>,
-    name: String,
     /// The installed parameter vector, `None` until the first
     /// `set_parameters` or resident pass.
     resident: Option<Vector>,
@@ -47,12 +46,11 @@ pub struct BatchEvaluation {
 impl Sequential {
     /// Creates an empty model expecting inputs of `input_shape` (excluding
     /// the batch axis).
-    pub fn new(name: impl Into<String>, input_shape: &[usize]) -> Self {
+    pub fn new(input_shape: &[usize]) -> Self {
         Sequential {
             layers: Vec::new(),
             loss: SoftmaxCrossEntropy::new(),
             input_shape: input_shape.to_vec(),
-            name: name.into(),
             resident: None,
         }
     }
@@ -69,11 +67,6 @@ impl Sequential {
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
         self.resident = None;
-    }
-
-    /// Model name (used by experiment configs and reports).
-    pub fn model_name(&self) -> &str {
-        &self.name
     }
 
     /// The expected per-sample input shape.
@@ -273,7 +266,7 @@ mod tests {
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn tiny_model(seed: u64) -> Sequential {
-        Sequential::new("tiny", &[4])
+        Sequential::new(&[4])
             .with_layer(Box::new(Dense::new(4, 8, Init::HeNormal, seed)))
             .with_layer(Box::new(Relu::new()))
             .with_layer(Box::new(Dense::new(8, 3, Init::HeNormal, seed + 1)))
@@ -408,7 +401,7 @@ mod tests {
     fn proxy_mlp_gradient_equals_the_scalar_loops_bit_for_bit() {
         let mut model = synthetic_mlp(256, &[384], 10, 11);
         let params = model.parameters();
-        let mut scalar = Sequential::new("scalar-mlp", &[256])
+        let mut scalar = Sequential::new(&[256])
             .with_layer(Box::new(ScalarDense::new(256, 384)))
             .with_layer(Box::new(Relu::new()))
             .with_layer(Box::new(ScalarDense::new(384, 10)));

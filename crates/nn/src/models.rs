@@ -13,7 +13,7 @@ use crate::model::Sequential;
 /// With "SAME" padding throughout, the parameter count is ≈ 1.75 M, matching
 /// the paper's description of the model.
 pub fn paper_cnn(seed: u64) -> Sequential {
-    Sequential::new("paper-cnn", &[3, 32, 32])
+    Sequential::new(&[3, 32, 32])
         .with_layer(Box::new(Conv2d::same(3, 64, 5, seed)))
         .with_layer(Box::new(Relu::new()))
         .with_layer(Box::new(MaxPool2d::same(3, 2)))
@@ -33,7 +33,7 @@ pub fn paper_cnn(seed: u64) -> Sequential {
 /// training experiments run in seconds on a laptop while exercising exactly
 /// the same code path (conv → pool → conv → pool → dense stack).
 pub fn small_cnn(channels: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new("small-cnn", &[channels, 8, 8])
+    Sequential::new(&[channels, 8, 8])
         .with_layer(Box::new(Conv2d::same(channels, 8, 3, seed)))
         .with_layer(Box::new(Relu::new()))
         .with_layer(Box::new(MaxPool2d::same(2, 2)))
@@ -52,7 +52,17 @@ pub fn small_cnn(channels: usize, classes: usize, seed: u64) -> Sequential {
 /// statements are about gradient statistics, not about convolution, so the
 /// MLP gives the same comparative curves at a fraction of the cost.
 pub fn synthetic_mlp(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Sequential {
-    synthetic_mlp_named("synthetic-mlp", input_dim, hidden, classes, seed)
+    let mut model = Sequential::new(&[input_dim]);
+    let mut in_dim = input_dim;
+    let mut layer_seed = seed;
+    for &h in hidden {
+        model.push(Box::new(Dense::new(in_dim, h, Init::HeNormal, layer_seed)));
+        model.push(Box::new(Relu::new()));
+        in_dim = h;
+        layer_seed += 1;
+    }
+    model.push(Box::new(Dense::new(in_dim, classes, Init::XavierUniform, layer_seed)));
+    model
 }
 
 /// The "large model" standing in for ResNet50 in the Figure 5(b) scalability
@@ -65,28 +75,7 @@ pub fn synthetic_mlp(input_dim: usize, hidden: &[usize], classes: usize, seed: u
 /// counting, not for accuracy experiments.
 pub fn large_model(seed: u64) -> Sequential {
     // 2048 -> 3072 -> 3072 -> 2048 -> 1000 ≈ 24 M parameters.
-    synthetic_mlp_named("large-resnet50-standin", 2048, &[3072, 3072, 2048], 1000, seed)
-}
-
-/// Same as [`synthetic_mlp`] but with an explicit model name.
-pub fn synthetic_mlp_named(
-    name: &str,
-    input_dim: usize,
-    hidden: &[usize],
-    classes: usize,
-    seed: u64,
-) -> Sequential {
-    let mut model = Sequential::new(name, &[input_dim]);
-    let mut in_dim = input_dim;
-    let mut layer_seed = seed;
-    for &h in hidden {
-        model.push(Box::new(Dense::new(in_dim, h, Init::HeNormal, layer_seed)));
-        model.push(Box::new(Relu::new()));
-        in_dim = h;
-        layer_seed += 1;
-    }
-    model.push(Box::new(Dense::new(in_dim, classes, Init::XavierUniform, layer_seed)));
-    model
+    synthetic_mlp(2048, &[3072, 3072, 2048], 1000, seed)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::cluster::Node;
 use crate::config::{RunnerConfig, TransportKind};
 use crate::cost::{CostModel, REPLICATION_ENCODE_FACTOR};
 use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
-use crate::report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport, WorkerReport};
+use crate::report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport};
 use crate::reputation::{self, ReputationLedger, RoundEvidence, StandingChange};
 use crate::server::ParameterServer;
 use crate::streaming::RoundPipeline;
@@ -47,9 +47,11 @@ use std::sync::Arc;
 ///    the optimizer step, and the rule's selection;
 /// 6. **charge** — the verdict and the round's simulated seconds.
 ///
-/// The report folds every record as it arrives and keeps it
-/// ([`TrainingReport::rounds`]). The adversary's selection feedback and the
-/// ledger's exclusion evidence are read off the earlier records.
+/// The report keeps every record ([`TrainingReport::rounds`]) and folds from
+/// it only the run totals and the simulated clock; the latency split, the
+/// throughput and the per-worker rows are views over the records. The
+/// adversary's selection feedback and the ledger's exclusion evidence are
+/// read off the earlier records.
 ///
 /// Simulated time advances by the broadcast time plus the slowest worker's
 /// compute+transfer time (synchronous training: the server waits for all, or
@@ -79,14 +81,12 @@ pub struct SyncTrainingEngine {
     server: ParameterServer,
     workers: Vec<Worker>,
     /// Each worker's mini-batch sampler stream: its own id, or under a
-    /// replicating rule its group's lowest id, so the throughput meter
-    /// counts a group's replicas of one mini-batch once. Nondecreasing in
-    /// worker id.
+    /// replicating rule its group's lowest id, so a round's record counts a
+    /// group's replicas of one mini-batch once. Nondecreasing in worker id.
     streams: Vec<usize>,
     eval_model: Sequential,
     test_set: Dataset,
     actual_dimension: usize,
-    model_flops: u64,
     /// The round pipeline's one submission arena, reused every round (worker
     /// `i` owns row `i`; undelivered and late rows are compacted away before
     /// aggregation), so a round allocates no `n × d` buffer. The engine never
@@ -146,7 +146,6 @@ impl SyncTrainingEngine {
         config.validate()?;
         let (model, train, test) = config.experiment.build(config.seed)?;
         let actual_dimension = model.param_count();
-        let model_flops = model.flops_per_sample();
 
         // The hierarchical tier partitions the roster into contiguous groups
         // of `tree.group_size` (validated against the sortnet sweet spot).
@@ -244,7 +243,6 @@ impl SyncTrainingEngine {
             eval_model: model,
             test_set: test,
             actual_dimension,
-            model_flops,
             pipeline,
             membership,
             tree_plan,
@@ -310,24 +308,9 @@ impl SyncTrainingEngine {
         }
     }
 
-    /// The gradient dimension of the (proxy) model actually trained.
-    pub fn model_dimension(&self) -> usize {
-        self.actual_dimension
-    }
-
-    /// Forward FLOPs per sample of the (proxy) model actually trained.
-    pub fn model_flops(&self) -> u64 {
-        self.model_flops
-    }
-
     /// The model parameters as the server holds them.
     pub fn parameters(&self) -> &Vector {
         self.server.parameters()
-    }
-
-    /// Per-worker role assignment (for reports and tests).
-    pub fn worker_roles(&self) -> Vec<WorkerRole> {
-        self.workers.iter().map(Worker::role).collect()
     }
 
     /// Runs the configured number of steps and returns the report.
@@ -342,23 +325,22 @@ impl SyncTrainingEngine {
         let mut report = TrainingReport {
             trace: TrainingTrace::new(label.clone()),
             label,
-            per_worker: (0..self.workers.len())
-                .map(|worker| WorkerReport { worker, ..Default::default() })
-                .collect(),
             ..Default::default()
         };
         let byzantine: Vec<bool> = self.workers.iter().map(|w| w.role().is_byzantine()).collect();
         self.evaluate(&mut report)?;
         for step in 0..self.config.max_steps {
             let record = self.round(step, &report.rounds)?;
-            report.fold(record, &byzantine, &self.streams);
+            report.fold(record, &byzantine);
             if (step + 1) % self.config.eval_every == 0 || step + 1 == self.config.max_steps {
                 self.evaluate(&mut report)?;
             }
         }
         report.steps_completed = self.server.step();
+        report.final_suspicion = vec![0.0; self.workers.len()];
         if let Some(ledger) = &self.reputation {
-            report.fold_ledger(ledger.events(), ledger.scores());
+            report.quarantine_events = ledger.events().to_vec();
+            report.final_suspicion = ledger.scores().to_vec();
         }
         Ok(report)
     }
@@ -672,6 +654,13 @@ impl SyncTrainingEngine {
                 record.wire[slot] = Some(wire);
             }
         }
+        // The distinct mini-batches submitted, delivered or not: a replicating
+        // group's copies of one batch share a stream, and streams are
+        // nondecreasing in slot order.
+        let mut last = None;
+        record.batches = (record.wire.iter().zip(&self.streams))
+            .filter(|&(wire, &stream)| wire.is_some() && last.replace(stream) != Some(stream))
+            .count() as u64;
         Ok(arrival_sec)
     }
 
@@ -1142,12 +1131,12 @@ mod tests {
         config.byzantine_count = 2;
         config.attack = AttackKind::Random { magnitude: 10.0 };
         let engine = SyncTrainingEngine::new(config).unwrap();
-        let roles = engine.worker_roles();
+        let roles: Vec<WorkerRole> = engine.workers.iter().map(Worker::role).collect();
         assert_eq!(roles.iter().filter(|r| r.is_byzantine()).count(), 2);
         assert_eq!(roles[0], WorkerRole::Honest);
         assert_eq!(roles[6], WorkerRole::Attacker);
         assert_eq!(roles.len(), 7);
-        assert!(engine.model_dimension() > 0);
+        assert!(engine.actual_dimension > 0);
     }
 
     #[test]
@@ -1157,7 +1146,7 @@ mod tests {
         config.data_poisoning = Some(agg_data::corruption::Corruption::LabelShift);
         let engine = SyncTrainingEngine::new(config).unwrap();
         assert_eq!(
-            engine.worker_roles().iter().filter(|&&r| r == WorkerRole::DataPoisoned).count(),
+            engine.workers.iter().filter(|w| w.role() == WorkerRole::DataPoisoned).count(),
             1
         );
     }
@@ -1287,8 +1276,8 @@ mod tests {
         assert_eq!(verdicts(&held), expected);
 
         // Hold-last-round still broadcasts the held model, so the refused
-        // rounds appear in the latency accounting.
-        assert_eq!(held.latency.rounds(), 8 - 3 + 3);
+        // rounds are charged.
+        assert_eq!(held.charged_rounds(), 8 - 3 + 3);
 
         // Pause refuses the same rounds but records nothing for them: no
         // broadcast, no clock charge.
@@ -1296,7 +1285,7 @@ mod tests {
         let paused = SyncTrainingEngine::new(config).unwrap().run().unwrap();
         assert_eq!(paused.refused_rounds, 3);
         assert_eq!(paused.steps_completed, held.steps_completed);
-        assert_eq!(paused.latency.rounds(), 8 - 3);
+        assert_eq!(paused.charged_rounds(), 8 - 3);
         let paused_refusal = RoundVerdict::Refused { held: false };
         let expected = expected.map(|v| if v == refused { paused_refusal } else { v });
         assert_eq!(verdicts(&paused), expected);
@@ -1458,8 +1447,8 @@ mod tests {
         assert!(matches!(bulyan.run(), Err(PsError::Aggregation(e)) if e.contains("bulyan")));
     }
 
-    /// `rounds` copies of `per_round` summed in order, the way the latency
-    /// breakdown accumulates them.
+    /// `rounds` copies of `per_round` summed in order, the way
+    /// [`TrainingReport::aggregation_sec`] walks the records.
     fn summed(per_round: f64, rounds: u64) -> f64 {
         (0..rounds).fold(0.0, |total, _| total + per_round)
     }
@@ -1482,7 +1471,7 @@ mod tests {
         let per_round = CostModel::aggregation_time(tree.group, 16, dim).unwrap()
             + CostModel::aggregation_time(tree.root, 4, dim).unwrap()
             + config.cost.update_time(dim);
-        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 3));
+        assert_eq!(report.aggregation_sec(), summed(per_round, 3));
     }
 
     #[test]
@@ -1497,7 +1486,7 @@ mod tests {
         let dim = VirtualModelCost::paper_cnn().dimension;
         let per_round =
             CostModel::aggregation_time(config.gar, 7, dim).unwrap() + config.cost.update_time(dim);
-        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 3));
+        assert_eq!(report.aggregation_sec(), summed(per_round, 3));
     }
 
     /// Draco's repetition code with `f` over `workers`: the engine's round
@@ -1579,8 +1568,8 @@ mod tests {
         let per_round = CostModel::aggregation_time(tree.group, 3, dim).unwrap()
             + CostModel::aggregation_time(tree.root, 2, dim).unwrap()
             + config.cost.update_time(dim);
-        assert_eq!(report.latency.aggregation_sec(), summed(per_round, 40));
-        assert!(report.latency.aggregation_share() > 0.05);
+        assert_eq!(report.aggregation_sec(), summed(per_round, 40));
+        assert!(report.aggregation_share() > 0.05);
         // The workers pay the encoding: against the same tree with a median
         // in every group, each round waits two more gradients.
         let median = TreeConfig { group: GarConfig::new(GarKind::Median, 1), ..tree };

@@ -31,8 +31,9 @@
 //!   the tree tier.
 //! * [`engine`] — the synchronous training loop (Equation 4) and the
 //!   throughput simulator used by the scalability experiments.
-//! * [`report`] — the structured result of a run: one record per round and
-//!   the report folded from them (traces, throughput, latency breakdown).
+//! * [`report`] — the structured result of a run: one record per round, the
+//!   run totals and clock folded from them, and the throughput, latency
+//!   split and per-worker rows as views over them.
 
 pub mod cluster;
 pub mod config;

@@ -1,8 +1,10 @@
 //! Structured results of a training run: one [`RoundRecord`] per round, and
-//! the [`TrainingReport`] whose counters are a fold over those records.
+//! the [`TrainingReport`] that keeps them. The report folds only the run
+//! totals and the simulated clock as the records arrive; the latency split,
+//! the throughput and the per-worker rows are views that walk the records.
 
 use crate::reputation::{QuarantineEvent, StandingChange};
-use agg_metrics::{LatencyBreakdown, ThroughputMeter, TrainingTrace};
+use agg_metrics::TrainingTrace;
 use agg_net::RowTransfer;
 use serde::{Deserialize, Serialize};
 
@@ -73,21 +75,24 @@ pub struct RoundRecord {
     /// `None` for a rule without a selection phase and for a round that was
     /// not applied.
     pub selection: Option<Vec<usize>>,
+    /// Distinct mini-batches the submitting slots drew, delivered or not: a
+    /// replicating group's copies of one batch count once.
+    pub batches: u64,
     /// Simulated seconds the server waited: the broadcast plus the slowest
-    /// counted arrival, plus the tree tier's slowest group → root leg.
+    /// counted arrival, plus the tree tier's slowest group → root leg (only
+    /// the broadcast on a held refusal, 0 on a paused one).
     pub round_wait_sec: f64,
     /// Simulated seconds of counted aggregation and the optimizer step (0
     /// unless applied).
     pub aggregation_sec: f64,
 }
 
-/// Per-worker breakdown of the wire and control-plane counters the run
-/// aggregates globally — the operator's view of *which* worker produced the
-/// evidence, and what the reputation ledger made of it.
+/// One worker's share of the run's wire counters and the ledger's verdict on
+/// it: a row of [`TrainingReport::per_worker`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerReport {
-    /// Worker id (the index into [`TrainingReport::per_worker`], repeated
-    /// here so serialized rows stay self-describing).
+    /// Worker id (the row's index, repeated so serialized rows stay
+    /// self-describing).
     pub worker: usize,
     /// Packets of this worker's submissions rejected by the epoch fence.
     pub stale_epoch_rejects: u64,
@@ -113,10 +118,6 @@ pub struct TrainingReport {
     pub label: String,
     /// Accuracy/loss versus simulated time and model updates.
     pub trace: TrainingTrace,
-    /// Aggregator throughput.
-    pub throughput: ThroughputMeter,
-    /// Per-round latency breakdown (Figure 4).
-    pub latency: LatencyBreakdown,
     /// Model updates actually applied.
     pub steps_completed: u64,
     /// Rounds skipped because the GAR rejected the submission (e.g. every
@@ -129,47 +130,45 @@ pub struct TrainingReport {
     /// last model is held or the round pauses.
     pub refused_rounds: u64,
     /// Packets rejected by the epoch fence across the run: late packets from
-    /// evicted workers and first-round submissions of stale-epoch rejoiners
-    /// (the sum of `per_worker`).
+    /// evicted workers and first-round submissions of stale-epoch rejoiners.
     pub stale_epoch_rejects: u64,
     /// Packets rejected by the wire-integrity check (CRC32 mismatch,
     /// truncation, unknown wire version) across the run. Every fault the
     /// chaos plan injects lands here — a corrupted packet never reaches an
     /// arena row; its coordinates are either retransmitted or degrade like a
-    /// transport loss (the sum of `per_worker`).
+    /// transport loss.
     pub corrupt_rejects: u64,
     /// Rounds in which the GAR's selection set contained at least one row
     /// submitted by a Byzantine worker (0 means the selected set stayed
     /// honest every round).
     pub byzantine_selected_rounds: u64,
     /// Worker-rounds in which a worker's retransmit recovery ran out of
-    /// budget or deadline with the row still incomplete (the sum of
-    /// `per_worker`) — previously indistinguishable from a plain transport
-    /// loss; counted separately so the reputation ledger (and operators) can
+    /// budget or deadline with the row still incomplete — counted apart from
+    /// a plain transport loss so the reputation ledger (and operators) can
     /// see it.
     pub retransmit_exhaustions: u64,
-    /// Per-worker breakdown of the wire counters and ledger outcomes, one
-    /// entry per worker slot. Empty for a report the engine did not
-    /// produce.
-    pub per_worker: Vec<WorkerReport>,
     /// Every quarantine/readmission transition the reputation ledger made,
     /// in the order it made them. Empty without a ledger.
     pub quarantine_events: Vec<QuarantineEvent>,
-    /// Total simulated wall-clock time of the run, in seconds.
+    /// Each worker slot's suspicion score when the run ended: one entry per
+    /// slot, zeros without a ledger, empty for a report the engine did not
+    /// produce.
+    pub final_suspicion: Vec<f64>,
+    /// Total simulated wall-clock time of the run, in seconds: every charged
+    /// round's wait plus its aggregation, summed in step order.
     pub simulated_time_sec: f64,
     /// One record per round of a `SyncTrainingEngine` run, in step order
     /// (empty for a report the engine did not produce). Every counter above
-    /// except `steps_completed`, the trace and the ledger's transitions is a
-    /// fold over these.
+    /// except `steps_completed`, the trace and the ledger's outputs is a fold
+    /// over these, and every view below walks them.
     pub rounds: Vec<RoundRecord>,
 }
 
 impl TrainingReport {
-    /// Folds one round into the counters, the clock, the latency split and
-    /// the throughput meter, then keeps the record. `byzantine` marks the
-    /// slots whose selection counts against the GAR; `streams` holds each
-    /// slot's mini-batch sampler stream.
-    pub(crate) fn fold(&mut self, record: RoundRecord, byzantine: &[bool], streams: &[usize]) {
+    /// Folds one round into the counters and the clock, then keeps the
+    /// record. `byzantine` marks the slots whose selection counts against
+    /// the GAR.
+    pub(crate) fn fold(&mut self, record: RoundRecord, byzantine: &[bool]) {
         match record.verdict {
             RoundVerdict::Applied => {}
             RoundVerdict::Skipped => self.skipped_updates += 1,
@@ -178,47 +177,91 @@ impl TrainingReport {
         if record.selection.as_ref().is_some_and(|s| s.iter().any(|&slot| byzantine[slot])) {
             self.byzantine_selected_rounds += 1;
         }
-        for (stat, wire) in self.per_worker.iter_mut().zip(&record.wire) {
-            let Some(wire) = wire else { continue };
-            stat.stale_epoch_rejects += wire.stale_epoch_rejects;
-            stat.corrupt_rejects += wire.corrupt_rejects;
-            stat.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
+        for wire in record.wire.iter().flatten() {
             self.stale_epoch_rejects += wire.stale_epoch_rejects;
             self.corrupt_rejects += wire.corrupt_rejects;
             self.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
         }
-        // Every round advances the clock except a paused refusal; the meter
-        // counts the distinct mini-batches submitted, delivered or not (a
-        // replicating group's copies of one batch share a stream, and streams
-        // are nondecreasing in slot order).
-        if record.verdict != (RoundVerdict::Refused { held: false }) {
-            let round_sec = record.round_wait_sec + record.aggregation_sec;
-            self.simulated_time_sec += round_sec;
-            self.latency.record_round(record.round_wait_sec, record.aggregation_sec);
-            let mut last = None;
-            let batches = (record.wire.iter().zip(streams))
-                .filter(|&(wire, &stream)| wire.is_some() && last.replace(stream) != Some(stream))
-                .count() as u64;
-            self.throughput.record_round(batches, round_sec);
-        }
+        // A paused refusal records zero seconds, so it leaves the clock as is.
+        self.simulated_time_sec += record.round_wait_sec + record.aggregation_sec;
         self.rounds.push(record);
     }
 
-    /// Closes the run with the ledger's view: its transition log, each
-    /// worker's quarantines and readmissions counted off that log, and the
-    /// final suspicion scores.
-    pub(crate) fn fold_ledger(&mut self, events: &[QuarantineEvent], scores: &[f64]) {
-        for event in events {
-            let stat = &mut self.per_worker[event.worker];
-            match event.change {
-                StandingChange::Quarantined => stat.quarantines += 1,
-                StandingChange::Readmitted => stat.readmissions += 1,
+    /// The rounds that advanced the clock, in step order: every round but a
+    /// paused refusal.
+    fn charged(&self) -> impl Iterator<Item = &RoundRecord> {
+        self.rounds.iter().filter(|record| record.verdict != RoundVerdict::Refused { held: false })
+    }
+
+    /// Rounds that advanced the clock: applied, skipped and held-refused
+    /// ones, whether or not they updated the model.
+    pub fn charged_rounds(&self) -> u64 {
+        self.charged().count() as u64
+    }
+
+    /// Total computation + communication seconds: the charged rounds' waits.
+    pub fn compute_comm_sec(&self) -> f64 {
+        self.charged().fold(0.0, |sum, record| sum + record.round_wait_sec)
+    }
+
+    /// Total aggregation seconds of the charged rounds.
+    pub fn aggregation_sec(&self) -> f64 {
+        self.charged().fold(0.0, |sum, record| sum + record.aggregation_sec)
+    }
+
+    /// Fraction of the round time spent in aggregation (Figure 4) — the
+    /// percentage the paper reports (35 % for Median, 27 % for Multi-Krum,
+    /// 52 % for Bulyan).
+    pub fn aggregation_share(&self) -> f64 {
+        let aggregation = self.aggregation_sec();
+        let total = self.compute_comm_sec() + aggregation;
+        if total <= 0.0 {
+            0.0
+        } else {
+            aggregation / total
+        }
+    }
+
+    /// Distinct mini-batches the charged rounds' submitting slots drew.
+    pub fn batches_received(&self) -> u64 {
+        self.charged().map(|record| record.batches).sum()
+    }
+
+    /// Batches received per simulated second — the y-axis of Figure 5
+    /// ("Throughput (batches/sec)").
+    pub fn batches_per_sec(&self) -> f64 {
+        let seconds = self.simulated_time_sec;
+        if seconds <= 0.0 {
+            0.0
+        } else {
+            self.batches_received() as f64 / seconds
+        }
+    }
+
+    /// One row per worker slot: its wire counters summed over the rounds,
+    /// its quarantines and readmissions counted off the ledger's log, and
+    /// its final suspicion. Empty for a report the engine did not produce.
+    pub fn per_worker(&self) -> Vec<WorkerReport> {
+        let mut rows = vec![WorkerReport::default(); self.final_suspicion.len()];
+        for (worker, (row, &score)) in rows.iter_mut().zip(&self.final_suspicion).enumerate() {
+            (row.worker, row.final_suspicion) = (worker, score);
+        }
+        for record in &self.rounds {
+            for (row, wire) in rows.iter_mut().zip(&record.wire) {
+                let Some(wire) = wire else { continue };
+                row.stale_epoch_rejects += wire.stale_epoch_rejects;
+                row.corrupt_rejects += wire.corrupt_rejects;
+                row.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
             }
         }
-        for (stat, &score) in self.per_worker.iter_mut().zip(scores) {
-            stat.final_suspicion = score;
+        for event in &self.quarantine_events {
+            let row = &mut rows[event.worker];
+            match event.change {
+                StandingChange::Quarantined => row.quarantines += 1,
+                StandingChange::Readmitted => row.readmissions += 1,
+            }
         }
-        self.quarantine_events = events.to_vec();
+        rows
     }
 
     /// Final test accuracy (0 when nothing was evaluated).
@@ -271,8 +314,8 @@ impl TrainingReport {
             self.skipped_updates,
             self.simulated_time_sec,
             self.final_accuracy(),
-            self.throughput.gradients_per_sec(),
-            100.0 * self.latency.aggregation_share(),
+            self.batches_per_sec(),
+            100.0 * self.aggregation_share(),
         )
     }
 }
@@ -306,7 +349,10 @@ mod tests {
         assert_eq!(report.corrupt_rejects, 0);
         assert_eq!(report.byzantine_selected_rounds, 0);
         assert_eq!(report.retransmit_exhaustions, 0);
-        assert!(report.per_worker.is_empty());
+        assert!(report.per_worker().is_empty());
+        assert_eq!(report.charged_rounds(), 0);
+        assert_eq!(report.aggregation_share(), 0.0);
+        assert_eq!(report.batches_per_sec(), 0.0);
         assert!(report.quarantine_events.is_empty());
         assert_eq!(report.quarantine_count(), 0);
         assert_eq!(report.readmission_count(), 0);
@@ -327,20 +373,50 @@ mod tests {
         assert!(report.summary().contains("2 quarantined / 1 readmitted by the reputation ledger"));
     }
 
+    /// A round of `verdict` that waited `wait` and aggregated for
+    /// `aggregation` simulated seconds over `batches` mini-batches.
+    fn round(verdict: RoundVerdict, wait: f64, aggregation: f64, batches: u64) -> RoundRecord {
+        RoundRecord {
+            verdict,
+            batches,
+            round_wait_sec: wait,
+            aggregation_sec: aggregation,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn latency_split_sums_the_charged_rounds() {
+        let mut report = TrainingReport::default();
+        let paused = RoundVerdict::Refused { held: false };
+        report.fold(round(RoundVerdict::Applied, 0.4, 0.1, 19), &[]);
+        report.fold(round(paused, 0.0, 0.0, 0), &[]);
+        report.fold(round(RoundVerdict::Skipped, 0.6, 0.3, 19), &[]);
+        assert_eq!(report.charged_rounds(), 2);
+        assert!((report.compute_comm_sec() - 1.0).abs() < 1e-9);
+        assert!((report.aggregation_sec() - 0.4).abs() < 1e-9);
+        assert!((report.aggregation_share() - 0.4 / 1.4).abs() < 1e-9);
+        assert!((report.simulated_time_sec - 1.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn batches_per_sec_divides_by_the_clock() {
+        let mut report = TrainingReport::default();
+        report.fold(round(RoundVerdict::Applied, 0.5, 0.0, 19), &[]);
+        report.fold(round(RoundVerdict::Refused { held: true }, 0.5, 0.0, 0), &[]);
+        report.fold(round(RoundVerdict::Applied, 0.5, 0.0, 19), &[]);
+        assert_eq!(report.batches_received(), 38);
+        assert_eq!(report.charged_rounds(), 3);
+        assert!((report.batches_per_sec() - 38.0 / 1.5).abs() < 1e-9);
+    }
+
     #[test]
     fn per_worker_breakdown_round_trips_through_json() {
-        let mut report = TrainingReport {
-            per_worker: vec![
-                WorkerReport { worker: 0, ..Default::default() },
-                WorkerReport {
-                    worker: 1,
-                    stale_epoch_rejects: 3,
-                    corrupt_rejects: 2,
-                    retransmit_exhaustions: 1,
-                    quarantines: 1,
-                    readmissions: 1,
-                    final_suspicion: 0.75,
-                },
+        let report = TrainingReport {
+            final_suspicion: vec![0.0, 0.75, 0.5],
+            quarantine_events: vec![
+                QuarantineEvent { round: 2, worker: 1, change: StandingChange::Quarantined },
+                QuarantineEvent { round: 5, worker: 1, change: StandingChange::Readmitted },
             ],
             rounds: vec![
                 RoundRecord {
@@ -348,11 +424,16 @@ mod tests {
                     epoch: 1,
                     wire: vec![
                         Some(SlotWire { delivered: true, ..Default::default() }),
-                        None,
+                        Some(SlotWire {
+                            corrupt_rejects: 2,
+                            retransmit_exhausted: true,
+                            ..Default::default()
+                        }),
                         Some(SlotWire { stale_epoch_rejects: 4, ..Default::default() }),
                     ],
                     accepted: vec![0],
                     selection: Some(vec![0]),
+                    batches: 3,
                     round_wait_sec: 0.25,
                     aggregation_sec: 0.125,
                     ..Default::default()
@@ -362,15 +443,35 @@ mod tests {
                     verdict: RoundVerdict::Refused { held: true },
                     ..Default::default()
                 },
+                RoundRecord {
+                    step: 5,
+                    wire: vec![None, Some(SlotWire { corrupt_rejects: 1, ..Default::default() })],
+                    ..Default::default()
+                },
             ],
             ..Default::default()
         };
-        report.retransmit_exhaustions = 1;
         let json = serde_json::to_string(&report).unwrap();
         let back: TrainingReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.per_worker, report.per_worker);
-        assert_eq!(back.retransmit_exhaustions, 1);
         assert_eq!(back.rounds, report.rounds);
+        let rows = back.per_worker();
+        assert_eq!(rows, report.per_worker());
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0], WorkerReport { worker: 0, ..Default::default() });
+        assert_eq!(
+            rows[1],
+            WorkerReport {
+                worker: 1,
+                corrupt_rejects: 3,
+                retransmit_exhaustions: 1,
+                quarantines: 1,
+                readmissions: 1,
+                final_suspicion: 0.75,
+                ..Default::default()
+            }
+        );
+        assert_eq!(rows[2].stale_epoch_rejects, 4);
+        assert_eq!(rows[2].final_suspicion, 0.5);
     }
 
     #[test]

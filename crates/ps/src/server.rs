@@ -99,11 +99,6 @@ impl ParameterServer {
         self.step
     }
 
-    /// The configured GAR.
-    pub fn gar_config(&self) -> GarConfig {
-        self.gar_config
-    }
-
     /// Splits (or un-splits) the parameter-server tier into `shards`
     /// contiguous coordinate shards. Aggregation stays exactly equivalent to
     /// the unsharded rule; `shards = 1` restores the monolithic path.
@@ -242,11 +237,6 @@ impl ParameterServer {
         groups: &[usize],
     ) -> Result<Option<Vec<usize>>> {
         self.tree_selected_rows_of(&self.tree_group_outputs(batch, groups)?)
-    }
-
-    /// Disables the TensorFlow vulnerability patch (test/demonstration only).
-    pub fn allow_remote_writes_for_testing(&mut self) {
-        self.reject_remote_writes = false;
     }
 
     /// A worker attempts to overwrite the shared parameters directly — the
@@ -424,7 +414,7 @@ mod tests {
         // This is the vulnerability of vanilla TensorFlow the paper fixes:
         // without the patch a single worker rewrites the model at will.
         let mut s = server(GarKind::Average, 0, 2);
-        s.allow_remote_writes_for_testing();
+        s.reject_remote_writes = false;
         s.handle_remote_write(3, &Vector::from(vec![9.0, 9.0])).unwrap();
         assert_eq!(s.parameters().as_slice(), &[9.0, 9.0]);
     }
@@ -666,6 +656,6 @@ mod tests {
     fn gar_accessors() {
         let s = server(GarKind::Bulyan, 1, 4);
         assert_eq!(s.gar_name(), "bulyan");
-        assert_eq!(s.gar_config().f, 1);
+        assert_eq!(s.gar_config.f, 1);
     }
 }

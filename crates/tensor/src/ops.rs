@@ -1,8 +1,6 @@
 //! Free-standing elementwise operations and activation primitives shared by
 //! the neural-network crate and the data pipeline.
 
-use crate::Vector;
-
 /// Rectified linear unit.
 #[inline]
 pub fn relu(x: f32) -> f32 {
@@ -78,7 +76,7 @@ pub fn cross_entropy(probabilities: &[f32], label: usize) -> f32 {
 ///
 /// Non-finite coordinates propagate (NaN in, NaN out), matching the
 /// behaviour the robust GARs rely on to exclude malformed gradients.
-/// Operates on raw slices so both [`Vector`] and the contiguous
+/// Operates on raw slices so both [`crate::Vector`] and the contiguous
 /// [`crate::batch::GradientBatch`] rows share one implementation.
 ///
 /// # Panics
@@ -179,20 +177,6 @@ pub fn squared_distance_wide(a: &[f32], b: &[f32]) -> f32 {
     total
 }
 
-/// Min-max scales a vector into `[0, 1]` in place.
-///
-/// Constant vectors map to all-zeros. Mirrors the paper's preprocessing step
-/// ("we perform min-max scaling as a pre-processing step").
-pub fn min_max_scale(v: &mut Vector) {
-    let Ok((lo, hi)) = v.min_max() else { return };
-    let range = hi - lo;
-    if range <= 0.0 || !range.is_finite() {
-        v.map_inplace(|_| 0.0);
-    } else {
-        v.map_inplace(|x| (x - lo) / range);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,15 +250,5 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "len {len}, cut {cut}");
             }
         }
-    }
-
-    #[test]
-    fn min_max_scaling() {
-        let mut v = Vector::from(vec![2.0, 4.0, 6.0]);
-        min_max_scale(&mut v);
-        assert_eq!(v.as_slice(), &[0.0, 0.5, 1.0]);
-        let mut constant = Vector::from(vec![3.0, 3.0]);
-        min_max_scale(&mut constant);
-        assert_eq!(constant.as_slice(), &[0.0, 0.0]);
     }
 }

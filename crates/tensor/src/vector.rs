@@ -191,16 +191,6 @@ impl Vector {
         self.data.iter().filter(|x| !x.is_finite()).count()
     }
 
-    /// Replaces every non-finite coordinate using `f`, which receives the
-    /// coordinate index. Used by the lossy-transport recovery policies.
-    pub fn replace_non_finite<F: FnMut(usize) -> f32>(&mut self, mut f: F) {
-        for (i, x) in self.data.iter_mut().enumerate() {
-            if !x.is_finite() {
-                *x = f(i);
-            }
-        }
-    }
-
     /// Clamps every coordinate into `[lo, hi]`.
     pub fn clamp(&mut self, lo: f32, hi: f32) {
         for x in &mut self.data {
@@ -422,12 +412,9 @@ mod tests {
 
     #[test]
     fn non_finite_handling() {
-        let mut v = Vector::from(vec![1.0, f32::NAN, f32::INFINITY, 4.0]);
+        let v = Vector::from(vec![1.0, f32::NAN, f32::INFINITY, 4.0]);
         assert!(!v.is_finite());
         assert_eq!(v.count_non_finite(), 2);
-        v.replace_non_finite(|i| i as f32);
-        assert_eq!(v.as_slice(), &[1.0, 1.0, 2.0, 4.0]);
-        assert!(v.is_finite());
     }
 
     #[test]

@@ -109,8 +109,8 @@ fn draco_throughput_counts_each_group_batch_once() {
     // n = 9, f = 1: three groups of three replicas. With no fault every slot
     // submits, but each group's three copies are one mini-batch.
     let report = run(RunnerConfig { max_steps: 10, ..draco_config(9, 1) });
-    assert_eq!(report.throughput.model_updates(), 10);
-    assert_eq!(report.throughput.gradients_received(), 3 * report.throughput.model_updates());
+    assert_eq!(report.charged_rounds(), 10);
+    assert_eq!(report.batches_received(), 3 * report.charged_rounds());
 }
 
 #[test]

@@ -241,7 +241,7 @@ fn refusal_policies_degrade_gracefully_not_fatally() {
             RefusalPolicy::HoldLastRound => 24,
             RefusalPolicy::Pause => 21,
         };
-        assert_eq!(report.latency.rounds(), expected_rounds, "{refusal:?}");
+        assert_eq!(report.charged_rounds(), expected_rounds, "{refusal:?}");
         assert!(report.summary().contains("3 refused below the resilience floor"));
     }
 }

@@ -111,14 +111,14 @@ fn byzantine_resilience_costs_simulated_time() {
         t_mk < t_bulyan,
         "Bulyan ({t_bulyan:.3}s) should cost more than Multi-Krum ({t_mk:.3}s)"
     );
-    let waited = |r: &TrainingReport| r.latency.compute_comm_sec().to_bits();
+    let waited = |r: &TrainingReport| r.compute_comm_sec().to_bits();
     assert_eq!(waited(&avg), waited(&mk));
     assert_eq!(waited(&mk), waited(&bulyan));
     // Each gap in simulated time is the gap in counted aggregation time, up
     // to the rounding of the two running sums.
     for (slow, fast) in [(&mk, &avg), (&bulyan, &mk)] {
         let clock_gap = slow.simulated_time_sec - fast.simulated_time_sec;
-        let aggregation_gap = slow.latency.aggregation_sec() - fast.latency.aggregation_sec();
+        let aggregation_gap = slow.aggregation_sec() - fast.aggregation_sec();
         assert!(
             (clock_gap - aggregation_gap).abs() <= 1e-12 * slow.simulated_time_sec,
             "clock gap {clock_gap} vs aggregation gap {aggregation_gap}"

@@ -105,8 +105,8 @@ fn lossy_transport_is_much_faster_than_tcp_under_loss() {
     // Total simulated time also contains the aggregation term, which the
     // engine calibrates from real wall-clock timings when a virtual model is
     // set — a fixed ratio over it would be flaky across machines and loads.
-    let tcp_comm = tcp_report.latency.compute_comm_sec();
-    let udp_comm = udp_report.latency.compute_comm_sec();
+    let tcp_comm = tcp_report.compute_comm_sec();
+    let udp_comm = udp_report.compute_comm_sec();
     assert!(
         tcp_comm > 2.0 * udp_comm,
         "TCP under loss ({tcp_comm:.1}s) should be several times slower than \

@@ -89,8 +89,9 @@ fn honest_workers_under_moderate_chaos_are_never_quarantined() {
     assert!(report.quarantine_events.is_empty(), "honest run must stay quarantine-free");
     assert_eq!(report.quarantine_count(), 0);
     let threshold = ReputationConfig::default().quarantine_threshold;
-    assert_eq!(report.per_worker.len(), 9);
-    for stat in &report.per_worker {
+    let per_worker = report.per_worker();
+    assert_eq!(per_worker.len(), 9);
+    for stat in &per_worker {
         assert!(
             stat.final_suspicion < threshold,
             "worker {} ended at suspicion {} >= threshold {}",
@@ -102,9 +103,9 @@ fn honest_workers_under_moderate_chaos_are_never_quarantined() {
     }
     // The pin is only meaningful if the chaos actually produced evidence.
     assert!(report.corrupt_rejects > 0, "the chaos schedule never landed a fault");
-    let per_worker_corrupt: u64 = report.per_worker.iter().map(|s| s.corrupt_rejects).sum();
+    let per_worker_corrupt: u64 = per_worker.iter().map(|s| s.corrupt_rejects).sum();
     assert_eq!(per_worker_corrupt, report.corrupt_rejects, "breakdown must sum to the global");
-    let per_worker_stale: u64 = report.per_worker.iter().map(|s| s.stale_epoch_rejects).sum();
+    let per_worker_stale: u64 = per_worker.iter().map(|s| s.stale_epoch_rejects).sum();
     assert_eq!(per_worker_stale, report.stale_epoch_rejects);
     assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
 }
@@ -124,11 +125,12 @@ fn retransmit_exhaustion_is_counted_separately_from_plain_loss() {
     config.retransmit = Some(RetransmitConfig::default());
     let report = run(config.clone());
     assert!(report.retransmit_exhaustions > 0, "the partition must exhaust the budget");
+    let per_worker = report.per_worker();
     assert_eq!(
-        report.per_worker[8].retransmit_exhaustions, report.retransmit_exhaustions,
+        per_worker[8].retransmit_exhaustions, report.retransmit_exhaustions,
         "only the partitioned worker exhausts"
     );
-    for stat in &report.per_worker[..8] {
+    for stat in &per_worker[..8] {
         assert_eq!(stat.retransmit_exhaustions, 0, "worker {}", stat.worker);
     }
     // Exhaustion alone (weight 0.25, decay 0.7) saturates far below the
@@ -161,8 +163,9 @@ fn adaptive_rotation_is_quarantined_within_bounded_rounds_and_honest_slots_never
     let report = run(config);
 
     const BOUND: u64 = 8;
-    for slot in 15..19 {
-        let stat = &report.per_worker[slot];
+    let per_worker = report.per_worker();
+    for stat in &per_worker[15..] {
+        let slot = stat.worker;
         assert!(stat.quarantines > 0, "attacker slot {slot} was never quarantined");
         let first = report
             .quarantine_events
@@ -175,7 +178,7 @@ fn adaptive_rotation_is_quarantined_within_bounded_rounds_and_honest_slots_never
             first.round
         );
     }
-    for stat in &report.per_worker[..15] {
+    for stat in &per_worker[..15] {
         assert_eq!(
             stat.quarantines, 0,
             "honest worker {} was quarantined (suspicion {})",
@@ -307,7 +310,7 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
             stat.retransmit_exhaustions += u64::from(slot.retransmit_exhausted);
         }
     }
-    for (stat, sums) in report.per_worker.iter().zip(&wire) {
+    for (stat, sums) in report.per_worker().iter().zip(&wire) {
         let w = stat.worker;
         assert_eq!(stat.stale_epoch_rejects, sums.stale_epoch_rejects, "worker {w}");
         assert_eq!(stat.corrupt_rejects, sums.corrupt_rejects, "worker {w}");
@@ -335,12 +338,10 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
         received += round.wire.iter().flatten().count() as u64;
     }
     assert_eq!(report.simulated_time_sec.to_bits(), f64::to_bits(clock));
-    assert_eq!(report.latency.rounds(), charged);
-    assert_eq!(report.latency.compute_comm_sec().to_bits(), f64::to_bits(wait));
-    assert_eq!(report.latency.aggregation_sec().to_bits(), f64::to_bits(aggregation));
-    assert_eq!(report.throughput.model_updates(), charged);
-    assert_eq!(report.throughput.gradients_received(), received);
-    assert_eq!(report.throughput.elapsed_sec().to_bits(), f64::to_bits(clock));
+    assert_eq!(report.charged_rounds(), charged);
+    assert_eq!(report.compute_comm_sec().to_bits(), f64::to_bits(wait));
+    assert_eq!(report.aggregation_sec().to_bits(), f64::to_bits(aggregation));
+    assert_eq!(report.batches_received(), received);
 }
 
 /// FNV-1a fold of every figure the report derives from its records: the
@@ -349,14 +350,14 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
 fn view_fingerprint(report: &agg_ps::TrainingReport) -> u64 {
     let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
     let mut words = vec![
-        report.latency.rounds(),
-        report.latency.compute_comm_sec().to_bits(),
-        report.latency.aggregation_sec().to_bits(),
-        report.latency.aggregation_share().to_bits(),
-        report.throughput.gradients_received(),
-        report.throughput.gradients_per_sec().to_bits(),
+        report.charged_rounds(),
+        report.compute_comm_sec().to_bits(),
+        report.aggregation_sec().to_bits(),
+        report.aggregation_share().to_bits(),
+        report.batches_received(),
+        report.batches_per_sec().to_bits(),
     ];
-    for row in &report.per_worker {
+    for row in report.per_worker() {
         words.extend([
             row.worker as u64,
             row.stale_epoch_rejects,
@@ -476,7 +477,7 @@ fn tree_reshuffle_rounds_are_bit_identical_across_thread_modes() {
             (16, 19, true),
         ]
     );
-    let suspicion = report.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
+    let suspicion = report.per_worker().iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
         (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(suspicion, 0xbb6c_f736_6aff_0916, "FNV-1a fold of the final_suspicion bits");

@@ -111,7 +111,7 @@ type FeedbackFingerprint = (u64, u64, Vec<(u64, usize, bool)>, u64, u64, u64);
 
 fn feedback_fingerprint(report: &TrainingReport) -> FeedbackFingerprint {
     let last = report.trace.points().last().expect("the run evaluates at the end");
-    let suspicion = report.per_worker.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
+    let suspicion = report.per_worker().iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, stat| {
         (hash ^ stat.final_suspicion.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
     });
     let events = report
