@@ -23,12 +23,14 @@
 mod common;
 
 use agg_attacks::AttackKind;
-use agg_core::{resilience, GarConfig, GarKind};
+use agg_core::{resilience, GarConfig, GarKind, TreeConfig};
+use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
     FaultAction, FaultPlan, QuorumPolicy, RefusalPolicy, RunnerConfig, SyncTrainingEngine,
+    TransportKind,
 };
-use common::{assert_deterministic, run};
+use common::{assert_deterministic, assert_reports_identical, run};
 
 /// The light proxy experiment shared with `round_determinism`: d = 508
 /// parameters, which the default 350-coordinate packet codec splits into
@@ -243,5 +245,55 @@ fn refusal_policies_degrade_gracefully_not_fatally() {
         };
         assert_eq!(report.charged_rounds(), expected_rounds, "{refusal:?}");
         assert!(report.summary().contains("3 refused below the resilience floor"));
+    }
+}
+
+#[test]
+fn static_membership_is_the_empty_plan() {
+    // A rejoin of a live worker is a no-op: it changes no health, bumps no
+    // epoch and fences nothing. A run with only that event must therefore be
+    // the static run, record for record and bit for bit, on every tier.
+    let paper19 = RunnerConfig {
+        byzantine_count: 4,
+        attack: AttackKind::SignFlip,
+        ..base_config(GarKind::MultiKrum, 4, 19)
+    };
+    let mut delays = vec![0.0; 19];
+    for straggler in [0, 5, 10, 15] {
+        delays[straggler] = 0.05;
+    }
+    let mut stream19_sharded = RunnerConfig {
+        byzantine_count: 2,
+        attack: AttackKind::SignFlip,
+        shards: 4,
+        worker_extra_delay_sec: delays,
+        transport: TransportKind::Lossy { policy: LossPolicy::RandomFill },
+        lossy_links: 6,
+        link: LinkConfig::datacenter().with_drop_rate(0.10),
+        chaos: Some(ChaosConfig::moderate()),
+        retransmit: Some(RetransmitConfig::default()),
+        ..base_config(GarKind::MultiKrum, 4, 19)
+    };
+    stream19_sharded.streaming.quorum = QuorumPolicy::NMinusF;
+    let tree = TreeConfig::uniform(GarKind::Median, 1, 0, 8);
+    let two_groups = RunnerConfig {
+        gar: tree.root,
+        tree: Some(tree),
+        byzantine_count: 1,
+        attack: AttackKind::Reversed { scale: 50.0 },
+        ..base_config(GarKind::Median, 0, 16)
+    };
+    for (name, config) in
+        [("paper19", paper19), ("stream19_sharded", stream19_sharded), ("tree", two_groups)]
+    {
+        let mut fixed = SyncTrainingEngine::new(config.clone()).expect("valid config");
+        let fixed_report = fixed.run().expect("static run");
+        let noop = FaultPlan::empty().with(0, 0, FaultAction::Rejoin);
+        let planned = RunnerConfig { fault_plan: noop, ..config };
+        let mut planned = SyncTrainingEngine::new(planned).expect("valid config");
+        let planned_report = planned.run().expect("planned run");
+        assert_reports_identical(&fixed_report, &planned_report, name);
+        assert_eq!(fixed.parameters(), planned.parameters(), "{name}: final parameters");
+        assert_eq!(planned.membership().epoch(), 0, "{name}: a no-op rejoin bumps nothing");
     }
 }
