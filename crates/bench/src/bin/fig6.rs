@@ -27,7 +27,7 @@ fn regime(batch: usize, steps: u64) {
     let target = 0.5 * runs.iter().map(|(_, r)| r.final_accuracy()).fold(0.0, f64::max);
     let mut table = Table::new(
         format!("Figure 6: impact of f on convergence, b = {batch}"),
-        &["system", "time to 50% of best accuracy (s)", "final accuracy", "throughput (grad/s)"],
+        &["system", "time to 50% of best accuracy (s)", "final accuracy", "throughput (batches/s)"],
     );
     for (name, report) in &runs {
         table.add_row(&[

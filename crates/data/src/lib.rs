@@ -11,8 +11,7 @@
 //!
 //! * [`dataset::Dataset`] — an in-memory labelled dataset with train/test
 //!   split.
-//! * [`synthetic`] — Gaussian-blob feature datasets (for MLPs) and rendered
-//!   class-pattern image datasets (for CNNs, CIFAR-10-shaped).
+//! * [`synthetic`] — Gaussian-blob feature datasets (for the MLPs).
 //! * [`sampler::MiniBatchSampler`] — per-worker i.i.d. mini-batch draws, the
 //!   sampling model assumed by the paper's convergence analysis.
 //! * [`corruption`] — label shifting and huge-valued features, the two

@@ -1,16 +1,8 @@
-//! Deterministic synthetic dataset generators.
-//!
-//! Two families are provided:
-//!
-//! * [`gaussian_blobs`] — flat feature vectors drawn from per-class Gaussian
-//!   clusters; the fast workhorse for the convergence experiments (used with
-//!   the MLP models).
-//! * [`synthetic_images`] — CIFAR-10-shaped `[C, H, W]` images where every
-//!   class has a distinct spatial frequency/orientation pattern plus noise;
-//!   exercises the convolutional pipeline end-to-end.
-//!
-//! Both are deterministic in their seed and perform the same min-max scaling
-//! to `[0, 1]` the paper applies to CIFAR-10.
+//! Deterministic synthetic dataset generator: [`gaussian_blobs`], flat
+//! feature vectors drawn from per-class Gaussian clusters, the workhorse of
+//! the convergence experiments (used with the MLP models). It is
+//! deterministic in its seed and performs the same min-max scaling to
+//! `[0, 1]` the paper applies to CIFAR-10.
 
 use crate::dataset::Dataset;
 use crate::{DataError, Result};
@@ -94,86 +86,6 @@ pub fn gaussian_blobs(config: &BlobConfig, seed: u64) -> Result<Dataset> {
     Dataset::new(samples, shuffled_labels, config.classes)
 }
 
-/// Configuration for [`synthetic_images`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ImageConfig {
-    /// Number of classes.
-    pub classes: usize,
-    /// Image channels (3 for the CIFAR-10 stand-in).
-    pub channels: usize,
-    /// Image height.
-    pub height: usize,
-    /// Image width.
-    pub width: usize,
-    /// Total number of samples.
-    pub samples: usize,
-    /// Additive noise standard deviation (in pattern units).
-    pub noise: f32,
-}
-
-impl ImageConfig {
-    /// CIFAR-10-shaped configuration (`3 × 32 × 32`, 10 classes), scaled to a
-    /// requested sample count.
-    pub fn cifar_like(samples: usize) -> Self {
-        ImageConfig { classes: 10, channels: 3, height: 32, width: 32, samples, noise: 0.3 }
-    }
-
-    /// A small `1 × 8 × 8` configuration for fast end-to-end tests.
-    pub fn tiny(samples: usize, classes: usize) -> Self {
-        ImageConfig { classes, channels: 1, height: 8, width: 8, samples, noise: 0.2 }
-    }
-}
-
-/// Generates an image-classification dataset where each class is a distinct
-/// 2-D sinusoidal pattern (different frequency and orientation per class)
-/// plus Gaussian noise, min-max scaled to `[0, 1]`.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidConfig`] for zero-sized configurations.
-pub fn synthetic_images(config: &ImageConfig, seed: u64) -> Result<Dataset> {
-    if config.classes == 0
-        || config.channels == 0
-        || config.height == 0
-        || config.width == 0
-        || config.samples == 0
-    {
-        return Err(DataError::InvalidConfig(
-            "classes, channels, height, width and samples must be positive".to_string(),
-        ));
-    }
-    let noise = Normal::new(0.0f32, config.noise.max(1e-6)).expect("std positive");
-    let mut rng = seeded_rng(derive_seed(seed, 10));
-    let per_sample = config.channels * config.height * config.width;
-    let mut data = Vec::with_capacity(config.samples * per_sample);
-    let mut labels = Vec::with_capacity(config.samples);
-    for i in 0..config.samples {
-        let class = i % config.classes;
-        labels.push(class);
-        // Class-specific frequency and orientation.
-        let freq = 1.0 + class as f32 * 0.5;
-        let angle = class as f32 * std::f32::consts::PI / config.classes as f32;
-        let (sin_a, cos_a) = angle.sin_cos();
-        let phase: f32 = rng.gen_range(0.0..std::f32::consts::TAU);
-        for c in 0..config.channels {
-            let channel_shift = c as f32 * 0.7;
-            for y in 0..config.height {
-                for x in 0..config.width {
-                    let u = x as f32 / config.width as f32;
-                    let v = y as f32 / config.height as f32;
-                    let t = freq * std::f32::consts::TAU * (u * cos_a + v * sin_a);
-                    let value = (t + phase + channel_shift).sin() + noise.sample(&mut rng);
-                    data.push(value);
-                }
-            }
-        }
-    }
-    min_max_scale_flat(&mut data);
-    let samples =
-        Tensor::from_vec(&[config.samples, config.channels, config.height, config.width], data)?;
-    Dataset::new(samples, labels, config.classes)
-}
-
 /// Min-max scales a flat buffer to `[0, 1]` in place (the paper's CIFAR-10
 /// preprocessing step).
 fn min_max_scale_flat(data: &mut [f32]) {
@@ -227,59 +139,5 @@ mod tests {
         assert!(gaussian_blobs(&BlobConfig { classes: 0, ..Default::default() }, 0).is_err());
         assert!(gaussian_blobs(&BlobConfig { samples: 0, ..Default::default() }, 0).is_err());
         assert!(gaussian_blobs(&BlobConfig { dim: 0, ..Default::default() }, 0).is_err());
-    }
-
-    #[test]
-    fn images_have_the_requested_shape() {
-        let config = ImageConfig::tiny(30, 3);
-        let d = synthetic_images(&config, 7).unwrap();
-        assert_eq!(d.len(), 30);
-        assert_eq!(d.sample_shape(), &[1, 8, 8]);
-        assert_eq!(d.classes(), 3);
-        // Scaled to [0, 1].
-        let data = d.samples().as_slice();
-        assert!(data.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
-    }
-
-    #[test]
-    fn cifar_like_images_match_cifar_shape() {
-        let d = synthetic_images(&ImageConfig::cifar_like(20), 3).unwrap();
-        assert_eq!(d.sample_shape(), &[3, 32, 32]);
-        assert_eq!(d.classes(), 10);
-    }
-
-    #[test]
-    fn images_are_deterministic_per_seed() {
-        let config = ImageConfig::tiny(10, 2);
-        assert_eq!(synthetic_images(&config, 5).unwrap(), synthetic_images(&config, 5).unwrap());
-        assert_ne!(synthetic_images(&config, 5).unwrap(), synthetic_images(&config, 6).unwrap());
-    }
-
-    #[test]
-    fn classes_have_distinct_patterns() {
-        // The per-class mean images must differ substantially, otherwise the
-        // dataset would be unlearnable.
-        let config = ImageConfig { noise: 0.05, ..ImageConfig::tiny(40, 2) };
-        let d = synthetic_images(&config, 9).unwrap();
-        let per = 64;
-        let mut means = vec![vec![0.0f32; per]; 2];
-        let mut counts = [0usize; 2];
-        for i in 0..d.len() {
-            let label = d.labels()[i];
-            counts[label] += 1;
-            let sample = d.samples().index_axis0(i).unwrap();
-            for (j, &v) in sample.as_slice().iter().enumerate() {
-                means[label][j] += v;
-            }
-        }
-        for (label, mean) in means.iter_mut().enumerate() {
-            for v in mean.iter_mut() {
-                *v /= counts[label] as f32;
-            }
-        }
-        let diff: f32 =
-            means[0].iter().zip(means[1].iter()).map(|(a, b)| (a - b).abs()).sum::<f32>()
-                / per as f32;
-        assert!(diff > 0.05, "class mean images too similar: {diff}");
     }
 }

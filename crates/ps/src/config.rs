@@ -15,14 +15,14 @@
 //! | (communication backend) | [`RunnerConfig::transport`], [`RunnerConfig::lossy_links`], [`RunnerConfig::link`] |
 
 use crate::cost::CostModel;
-use crate::membership::{self, FaultPlan, RefusalPolicy};
+use crate::membership::{self, FaultPlan};
 use crate::reputation::ReputationConfig;
 use crate::streaming::StreamingConfig;
 use crate::{PsError, Result};
 use agg_attacks::AttackKind;
-use agg_core::{GarConfig, TreeAggregator, TreeConfig};
+use agg_core::{resilience, GarConfig, TreeAggregator, TreeConfig};
 use agg_data::corruption::Corruption;
-use agg_data::synthetic::{gaussian_blobs, synthetic_images, BlobConfig, ImageConfig};
+use agg_data::synthetic::{gaussian_blobs, BlobConfig};
 use agg_data::Dataset;
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::models;
@@ -47,21 +47,6 @@ pub enum ExperimentKind {
         /// Total number of samples generated.
         samples: usize,
     },
-    /// A small CNN over `1 × 8 × 8` synthetic images — exercises the
-    /// convolutional pipeline end to end.
-    TinyImages {
-        /// Number of classes.
-        classes: usize,
-        /// Total number of samples generated.
-        samples: usize,
-    },
-    /// The paper's Table 1 CNN over CIFAR-10-shaped synthetic images.
-    /// Expensive; used by parameter-count checks and micro-benchmarks, not by
-    /// the convergence sweeps.
-    PaperCnn {
-        /// Total number of samples generated.
-        samples: usize,
-    },
 }
 
 impl ExperimentKind {
@@ -73,13 +58,8 @@ impl ExperimentKind {
     /// Builds only the model for this experiment (used to give every worker
     /// its own model replica without regenerating the dataset).
     pub fn build_model(&self, seed: u64) -> Sequential {
-        match *self {
-            ExperimentKind::MlpBlobs { input_dim, hidden, classes, .. } => {
-                models::synthetic_mlp(input_dim, &[hidden], classes, seed)
-            }
-            ExperimentKind::TinyImages { classes, .. } => models::small_cnn(1, classes, seed),
-            ExperimentKind::PaperCnn { .. } => models::paper_cnn(seed),
-        }
+        let ExperimentKind::MlpBlobs { input_dim, hidden, classes, .. } = *self;
+        models::synthetic_mlp(input_dim, &[hidden], classes, seed)
     }
 
     /// Builds the model and the train/test datasets for this experiment.
@@ -88,29 +68,13 @@ impl ExperimentKind {
     ///
     /// Returns [`PsError`] when the synthetic dataset cannot be generated.
     pub fn build(&self, seed: u64) -> Result<(Sequential, Dataset, Dataset)> {
-        match *self {
-            ExperimentKind::MlpBlobs { input_dim, hidden, classes, samples } => {
-                let model = models::synthetic_mlp(input_dim, &[hidden], classes, seed);
-                let data = gaussian_blobs(
-                    &BlobConfig { classes, dim: input_dim, samples, separation: 2.5, noise: 0.6 },
-                    seed,
-                )?;
-                let (train, test) = data.split(0.2)?;
-                Ok((model, train, test))
-            }
-            ExperimentKind::TinyImages { classes, samples } => {
-                let model = models::small_cnn(1, classes, seed);
-                let data = synthetic_images(&ImageConfig::tiny(samples, classes), seed)?;
-                let (train, test) = data.split(0.2)?;
-                Ok((model, train, test))
-            }
-            ExperimentKind::PaperCnn { samples } => {
-                let model = models::paper_cnn(seed);
-                let data = synthetic_images(&ImageConfig::cifar_like(samples), seed)?;
-                let (train, test) = data.split(0.2)?;
-                Ok((model, train, test))
-            }
-        }
+        let ExperimentKind::MlpBlobs { input_dim, classes, samples, .. } = *self;
+        let data = gaussian_blobs(
+            &BlobConfig { classes, dim: input_dim, samples, separation: 2.5, noise: 0.6 },
+            seed,
+        )?;
+        let (train, test) = data.split(0.2)?;
+        Ok((self.build_model(seed), train, test))
     }
 }
 
@@ -218,19 +182,15 @@ pub struct RunnerConfig {
     pub worker_extra_delay_sec: Vec<f64>,
     /// The elastic-membership churn schedule: crashes, rejoins and slow-by
     /// demotions applied at the start of the scheduled rounds. Empty for
-    /// static membership — the seed behaviour, bit for bit. A non-empty plan
-    /// switches the engine into epoch-fenced elastic mode.
+    /// static membership, which is the same epoch-fenced round with no
+    /// transition ever applied.
     pub fault_plan: FaultPlan,
-    /// How the engine degrades when churn drops the live worker set below
-    /// the active rule's resilience floor.
-    pub refusal: RefusalPolicy,
     /// Optional cross-round reputation ledger: decayed per-worker suspicion
     /// scores folded from the engine's evidence streams, driving automatic
     /// quarantine, probationary readmission and (in tree mode) the
     /// containment group reshuffles. `None` keeps the memoryless seed
-    /// behaviour, bit for bit. Enabling it switches the engine into the
-    /// epoch-fenced elastic mode even without a fault plan, since quarantine
-    /// evictions travel through the same membership machinery.
+    /// behaviour, bit for bit. Quarantine evictions and readmissions travel
+    /// through the same membership machinery as a fault plan's events.
     pub reputation: Option<ReputationConfig>,
     /// Experiment seed; everything (data, init, sampling, attacks, links)
     /// derives from it.
@@ -268,7 +228,6 @@ impl RunnerConfig {
             streaming: StreamingConfig::default(),
             worker_extra_delay_sec: Vec::new(),
             fault_plan: FaultPlan::empty(),
-            refusal: RefusalPolicy::default(),
             reputation: None,
             seed: 1,
         }
@@ -388,6 +347,15 @@ impl RunnerConfig {
             // refuse every round is a configuration error, not a runtime one.
             let plan = GroupPlan::new(self.workers, tree.group_size).map_err(PsError::from)?;
             tree.check(plan.sizes()).map_err(PsError::from)?;
+        } else {
+            // The flat tier's counterpart: the full roster must seat the rule.
+            let floor = resilience::resilience_floor(self.gar.kind, self.gar.f);
+            if self.workers < floor {
+                return Err(PsError::InvalidConfig(format!(
+                    "{} workers cannot seat {} (resilience floor {floor})",
+                    self.workers, self.gar
+                )));
+            }
         }
         Ok(())
     }
@@ -484,6 +452,14 @@ mod tests {
         let mut c = RunnerConfig::quick_default();
         c.worker_extra_delay_sec = vec![0.01; c.workers];
         assert!(c.validate().is_ok());
+
+        // A roster below the flat rule's floor: Multi-Krum f = 4 needs 11.
+        let mut c = RunnerConfig::quick_default();
+        c.gar = GarConfig::new(agg_core::GarKind::MultiKrum, 4);
+        c.workers = 5;
+        assert!(c.validate().is_err(), "roster below the resilience floor is rejected");
+        c.workers = 11;
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -515,16 +491,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_and_refusal_round_trip_through_json() {
-        use crate::membership::{FaultAction, FaultPlan, RefusalPolicy};
+    fn fault_plan_round_trips_through_json() {
+        use crate::membership::{FaultAction, FaultPlan};
         let mut c = RunnerConfig::quick_default();
         c.fault_plan =
             FaultPlan::empty().with(2, 1, FaultAction::Crash).with(5, 1, FaultAction::Rejoin);
-        c.refusal = RefusalPolicy::Pause;
         let json = serde_json::to_string(&c).unwrap();
         let back: RunnerConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.fault_plan, c.fault_plan);
-        assert_eq!(back.refusal, RefusalPolicy::Pause);
     }
 
     #[test]
@@ -578,8 +552,8 @@ mod tests {
 
         // Invalid ledger settings are caught by validate().
         let mut bad = RunnerConfig::quick_default();
-        bad.reputation = Some(ReputationConfig { decay: 1.5, ..Default::default() });
-        assert!(bad.validate().is_err(), "out-of-range decay is rejected");
+        bad.reputation = Some(ReputationConfig { affinity_epsilon: -1.0, ..Default::default() });
+        assert!(bad.validate().is_err(), "a negative affinity radius is rejected");
     }
 
     #[test]
@@ -633,11 +607,8 @@ mod tests {
         assert!(model.param_count() > 0);
         assert!(train.len() > test.len());
         assert_eq!(train.classes(), 10);
-
-        let (model, train, _) =
-            ExperimentKind::TinyImages { classes: 4, samples: 100 }.build(3).unwrap();
-        assert_eq!(model.input_shape(), &[1, 8, 8]);
-        assert_eq!(train.sample_shape(), &[1, 8, 8]);
+        assert_eq!(model.input_shape(), &[32]);
+        assert_eq!(train.sample_shape(), &[32]);
     }
 
     #[test]

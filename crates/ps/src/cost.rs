@@ -42,6 +42,13 @@ const MEAN_NS_PER_ROW_COORD: f64 = 0.49;
 /// is far slower than the comparison itself.
 const DECODE_NS_PER_ROW_COORD: f64 = 30.0;
 
+/// Fixed overhead charged per gradient computation (framework dispatch, data
+/// loading), in seconds.
+const GRADIENT_OVERHEAD_SEC: f64 = 5e-3;
+/// Fixed time charged per server model update (optimizer step), per million
+/// parameters.
+const UPDATE_SEC_PER_MILLION_PARAMS: f64 = 2e-3;
+
 /// The factor a worker's gradient time is multiplied by under a rule that
 /// replicates batches ([`agg_core::GarKind::replicates_batches`]): the
 /// gradient plus the encoding Draco's authors put at twice its cost.
@@ -73,15 +80,9 @@ impl VirtualModelCost {
 /// The time model used by the training engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Fixed overhead charged per gradient computation (framework dispatch,
-    /// data loading), in seconds.
-    pub gradient_overhead_sec: f64,
     /// Multiplier applied to forward FLOPs to account for the backward pass
     /// (≈2× forward) and optimizer bookkeeping.
     pub backward_multiplier: f64,
-    /// Fixed time charged per server model update (optimizer step), per
-    /// million parameters.
-    pub update_sec_per_million_params: f64,
     /// Optional virtual model whose dimension/FLOPs are charged instead of
     /// the proxy model's.
     pub virtual_model: Option<VirtualModelCost>,
@@ -93,12 +94,7 @@ impl CostModel {
     /// gradient, matching the ≈48 batches/s the paper reports for 18
     /// workers.
     pub fn paper_like() -> Self {
-        CostModel {
-            gradient_overhead_sec: 5e-3,
-            backward_multiplier: 3.0,
-            update_sec_per_million_params: 2e-3,
-            virtual_model: None,
-        }
+        CostModel { backward_multiplier: 3.0, virtual_model: None }
     }
 
     /// Same cost constants but charging for a virtual (larger) model.
@@ -128,13 +124,13 @@ impl CostModel {
         let flops = self.effective_flops(model_forward_flops) as f64
             * batch_size as f64
             * self.backward_multiplier;
-        self.gradient_overhead_sec + flops / node_flops.max(1.0)
+        GRADIENT_OVERHEAD_SEC + flops / node_flops.max(1.0)
     }
 
     /// Time charged for the server's optimizer step.
     pub fn update_time(&self, actual_dimension: usize) -> f64 {
         let d = self.effective_dimension(actual_dimension) as f64;
-        self.update_sec_per_million_params * d / 1e6
+        UPDATE_SEC_PER_MILLION_PARAMS * d / 1e6
     }
 
     /// Seconds one aggregator node is charged for running `gar` over `rows`

@@ -4,7 +4,7 @@
 use crate::cluster::Node;
 use crate::config::{RunnerConfig, TransportKind};
 use crate::cost::{CostModel, REPLICATION_ENCODE_FACTOR};
-use crate::membership::{FaultAction, MembershipView, RefusalPolicy, WorkerHealth};
+use crate::membership::{FaultAction, MembershipView, WorkerHealth};
 use crate::report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport};
 use crate::reputation::{self, ReputationLedger, RoundEvidence, StandingChange};
 use crate::server::ParameterServer;
@@ -96,7 +96,7 @@ pub struct SyncTrainingEngine {
     /// The server's membership view: epoch number plus per-worker health,
     /// advanced at the start of every round from the configured fault plan.
     /// With an empty plan it stays at epoch 0 / all-live — static
-    /// membership, the seed behaviour bit for bit.
+    /// membership.
     membership: MembershipView,
     /// The worker-to-group partition of the hierarchical tier; `None` on the
     /// flat path. Groups are contiguous worker-id ranges of
@@ -409,21 +409,6 @@ impl SyncTrainingEngine {
         }
     }
 
-    /// Attacker-controlled churn timing: the adversary chooses crash and
-    /// rejoin rounds for its own workers from selection feedback instead of
-    /// following a pre-declared schedule.
-    fn adaptive_churn(&self) -> bool {
-        self.config.adaptive_churn && self.config.byzantine_count > 0
-    }
-
-    /// Whether the epoch-fenced elastic machinery engages: a fault plan,
-    /// attacker-timed churn, or a ledger (whose quarantines and readmissions
-    /// are engine-synthesized transitions). Otherwise the epoch stays 0 and
-    /// nothing is fenced or refused — static membership, bit for bit.
-    fn elastic(&self) -> bool {
-        !self.config.fault_plan.is_empty() || self.adaptive_churn() || self.reputation.is_some()
-    }
-
     /// The factor wire seconds scale by when the cost model charges a larger
     /// virtual model than the proxy that travels.
     fn dim_scale(&self) -> f64 {
@@ -441,11 +426,11 @@ impl SyncTrainingEngine {
     /// the same [`MembershipView`] transition rules, so none can do more than
     /// a fault plan could have scheduled (redundant directives are no-ops,
     /// rejoiners are fenced for one round). Then every link is stamped and
-    /// the floor re-derived; returns `false` when the round is refused.
+    /// the floor re-derived; returns `false` when the round is refused. With
+    /// an empty plan, no ledger and no adversarial churn nothing transitions:
+    /// every link is stamped epoch 0 and the validated roster clears the
+    /// floor.
     fn advance_membership(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> bool {
-        if !self.elastic() {
-            return true;
-        }
         let (step, n, declared_f) = (record.step, self.workers.len(), self.declared_f());
         let mut plan = self.config.fault_plan.clone();
         if let Some(ledger) = &mut self.reputation {
@@ -486,7 +471,10 @@ impl SyncTrainingEngine {
                 ledger.begin_quarantine(step, candidate);
             }
         }
-        if self.adaptive_churn() {
+        // Attacker-controlled churn timing: the adversary chooses crash and
+        // rejoin rounds for its own workers from selection feedback instead
+        // of following a pre-declared schedule.
+        if self.config.adaptive_churn && self.config.byzantine_count > 0 {
             let directives =
                 self.config.attack.plan_churn(&self.attack_context(&[], step, history));
             for directive in directives {
@@ -536,21 +524,16 @@ impl SyncTrainingEngine {
         record.epoch = self.membership.epoch();
         // Every transition re-derives the active rule's floor: a live set
         // that cannot seat it voids the resilience proof, so the server
-        // refuses the round and degrades per policy instead of aggregating
-        // on borrowed assumptions.
+        // refuses the round instead of aggregating on borrowed assumptions.
         let quarantined = self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
         let f_eff = self.config.gar.f.saturating_sub(quarantined);
         let live = |w| self.membership.health(w).is_live();
         if Self::floor_holds(&self.config, self.tree_plan.as_ref(), f_eff, live) {
             return true;
         }
-        let held = self.config.refusal == RefusalPolicy::HoldLastRound;
-        record.verdict = RoundVerdict::Refused { held };
-        // The held model is still broadcast, so the clock pays for the
-        // round; a paused server stays silent.
-        if held {
-            record.round_wait_sec = self.broadcast_time();
-        }
+        record.verdict = RoundVerdict::Refused;
+        // The held model is still broadcast, so the clock pays for the round.
+        record.round_wait_sec = self.broadcast_time();
         false
     }
 
@@ -724,8 +707,7 @@ impl SyncTrainingEngine {
         // round accepted but its selection passed over. A refused round never
         // folds the ledger, so it leaves this evidence to the next one that
         // does.
-        let last =
-            history.iter().rev().find(|r| !matches!(r.verdict, RoundVerdict::Refused { .. }));
+        let last = history.iter().rev().find(|r| r.verdict != RoundVerdict::Refused);
         let excluded = |w| {
             last.is_some_and(|r| {
                 let accepted = r.accepted.binary_search(&w).is_ok();
@@ -1172,10 +1154,14 @@ mod tests {
 
     #[test]
     fn gar_precondition_failures_become_skipped_updates() {
-        // Multi-Krum with f = 4 needs 11 workers; give it only 5, so every
-        // round is rejected and skipped rather than crashing the run.
-        let mut config = quick_config(GarKind::MultiKrum, 4, 5);
+        // Multi-Krum with f = 4 needs 11 rows. The roster seats it, but one
+        // link drops every packet, so every round reaches the rule with 10
+        // rows and is rejected and skipped rather than crashing the run.
+        let mut config = quick_config(GarKind::MultiKrum, 4, 11);
         config.max_steps = 5;
+        config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+        config.lossy_links = 1;
+        config.link = LinkConfig::datacenter().with_drop_rate(1.0);
         let mut engine = SyncTrainingEngine::new(config).unwrap();
         let report = engine.run().unwrap();
         assert_eq!(report.steps_completed, 0);
@@ -1251,14 +1237,14 @@ mod tests {
 
     #[test]
     fn rounds_below_the_resilience_floor_are_refused_not_aggregated() {
-        use crate::membership::{FaultAction, FaultPlan, RefusalPolicy};
+        use crate::membership::{FaultAction, FaultPlan};
         // Bulyan f=4 has floor 4f+3 = 19: one crash among 19 workers drops
         // the live set below it until the rejoin.
         let mut config = quick_config(GarKind::Bulyan, 4, 19);
         config.max_steps = 8;
         config.fault_plan =
             FaultPlan::empty().with(2, 5, FaultAction::Crash).with(5, 5, FaultAction::Rejoin);
-        let held = SyncTrainingEngine::new(config.clone()).unwrap().run().unwrap();
+        let held = SyncTrainingEngine::new(config).unwrap().run().unwrap();
         // Rounds 2, 3, 4 are refused (18 < 19). Round 5 passes the floor
         // again but the rejoiner is fenced, so Bulyan sees 18 rows and the
         // round is skipped by the GAR precondition — the two degradations
@@ -1271,24 +1257,15 @@ mod tests {
             report.rounds.iter().map(|round| round.verdict).collect()
         };
         let (applied, skipped) = (RoundVerdict::Applied, RoundVerdict::Skipped);
-        let refused = RoundVerdict::Refused { held: true };
+        let refused = RoundVerdict::Refused;
         let expected = [applied, applied, refused, refused, refused, skipped, applied, applied];
         assert_eq!(verdicts(&held), expected);
 
-        // Hold-last-round still broadcasts the held model, so the refused
-        // rounds are charged.
-        assert_eq!(held.charged_rounds(), 8 - 3 + 3);
-
-        // Pause refuses the same rounds but records nothing for them: no
-        // broadcast, no clock charge.
-        config.refusal = RefusalPolicy::Pause;
-        let paused = SyncTrainingEngine::new(config).unwrap().run().unwrap();
-        assert_eq!(paused.refused_rounds, 3);
-        assert_eq!(paused.steps_completed, held.steps_completed);
-        assert_eq!(paused.charged_rounds(), 8 - 3);
-        let paused_refusal = RoundVerdict::Refused { held: false };
-        let expected = expected.map(|v| if v == refused { paused_refusal } else { v });
-        assert_eq!(verdicts(&paused), expected);
+        // The server still broadcasts the held model, so the refused rounds
+        // are charged.
+        assert_eq!(held.charged_rounds(), 8);
+        let broadcast = held.rounds[2].round_wait_sec;
+        assert!(broadcast > 0.0 && held.rounds[3..5].iter().all(|r| r.round_wait_sec == broadcast));
     }
 
     #[test]
@@ -1403,7 +1380,7 @@ mod tests {
         assert_eq!(report.steps_completed, 10 - 3 - 1);
         let verdicts: Vec<RoundVerdict> = report.rounds.iter().map(|r| r.verdict).collect();
         let mut expected = vec![RoundVerdict::Applied; 10];
-        expected[3..6].fill(RoundVerdict::Refused { held: true });
+        expected[3..6].fill(RoundVerdict::Refused);
         expected[6] = RoundVerdict::Skipped;
         assert_eq!(verdicts, expected);
     }

@@ -17,8 +17,8 @@
 //! * [`cost`] — the time model: analytic gradient-computation and
 //!   communication costs, and aggregation cost counted from each rule's work.
 //! * [`membership`] — elastic membership: epoch-fenced views over a churning
-//!   worker set, deterministic fault plans, and the resilience-floor refusal
-//!   policy.
+//!   worker set, deterministic fault plans, and the resilience-floor
+//!   refusal.
 //! * [`worker`] — honest, data-poisoned and actively adversarial workers.
 //! * [`server`] — the trusted parameter server: GAR + optimizer + the
 //!   access-control patch that keeps Byzantine workers from overwriting the
@@ -52,9 +52,7 @@ pub use config::{ExperimentKind, RunnerConfig, TransportKind};
 pub use cost::{CostModel, VirtualModelCost};
 pub use engine::{SyncTrainingEngine, ThroughputSimulation};
 pub use error::PsError;
-pub use membership::{
-    FaultAction, FaultEvent, FaultPlan, MembershipView, RefusalPolicy, WorkerHealth,
-};
+pub use membership::{FaultAction, FaultEvent, FaultPlan, MembershipView, WorkerHealth};
 pub use report::{RoundRecord, RoundVerdict, SlotWire, TrainingReport, WorkerReport};
 pub use reputation::{
     QuarantineEvent, ReputationConfig, ReputationLedger, RoundEvidence, StandingChange,

@@ -15,8 +15,12 @@
 //! * **Resilience floor.** After every transition the engine re-derives the
 //!   active rule's minimum worker count via
 //!   [`agg_core::resilience::resilience_floor`] and *refuses to aggregate*
-//!   while the live set is below it, degrading per [`RefusalPolicy`] instead
-//!   of silently running a GAR whose `n ≥ g(f)` precondition no longer holds.
+//!   while the live set is below it: the server holds the last model and
+//!   broadcasts it again instead of silently running a GAR whose `n ≥ g(f)`
+//!   precondition no longer holds.
+//! * **Static membership is the empty plan.** With no event the view stays
+//!   at epoch 0 with every worker live, so the same fenced round runs with
+//!   nothing to fence and nothing to refuse.
 //! * **Determinism.** The view at round `r` is a pure function of the plan
 //!   and `r` ([`MembershipView::at_round`]): replaying the same plan yields
 //!   bit-identical runs under any thread schedule.
@@ -60,8 +64,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic churn schedule: the full list of membership transitions a
-/// run will experience. Empty by default — static membership, the seed
-/// behaviour, bit for bit.
+/// run will experience. Empty by default — static membership.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The scheduled transitions, in any order (the view applies them sorted
@@ -118,20 +121,6 @@ impl FaultPlan {
         events.sort_by_key(|e| e.worker);
         events
     }
-}
-
-/// How the engine degrades when the live set falls below the active rule's
-/// resilience floor (`n < g(f)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RefusalPolicy {
-    /// The server refuses the aggregation but keeps serving the last model:
-    /// the round's broadcast still happens (and is charged to the simulated
-    /// clock), no update is applied. The default.
-    #[default]
-    HoldLastRound,
-    /// The server pauses outright: no broadcast, no clock advance, no update
-    /// — the round is a pure no-op until membership recovers.
-    Pause,
 }
 
 /// Health of one worker slot in the current view.
@@ -392,10 +381,6 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        let policy_json = serde_json::to_string(&RefusalPolicy::Pause).unwrap();
-        let policy: RefusalPolicy = serde_json::from_str(&policy_json).unwrap();
-        assert_eq!(policy, RefusalPolicy::Pause);
-        assert_eq!(RefusalPolicy::default(), RefusalPolicy::HoldLastRound);
     }
 
     #[test]

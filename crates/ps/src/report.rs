@@ -18,13 +18,9 @@ pub enum RoundVerdict {
     /// the quorum cut (e.g. too few of them); no update was applied.
     Skipped,
     /// The live set was below the active rule's resilience floor, so the
-    /// server refused the round before any worker computed. `held` is the
-    /// [`crate::membership::RefusalPolicy`]: a held round still broadcast the
-    /// last model (and is charged for it), a paused one did nothing.
-    Refused {
-        /// Whether the held model was broadcast.
-        held: bool,
-    },
+    /// server refused the round before any worker computed. It still
+    /// broadcast the last model, and the round is charged for it.
+    Refused,
 }
 
 /// What the wire did with one slot's submission in one round.
@@ -80,7 +76,7 @@ pub struct RoundRecord {
     pub batches: u64,
     /// Simulated seconds the server waited: the broadcast plus the slowest
     /// counted arrival, plus the tree tier's slowest group → root leg (only
-    /// the broadcast on a held refusal, 0 on a paused one).
+    /// the broadcast on a refused round).
     pub round_wait_sec: f64,
     /// Simulated seconds of counted aggregation and the optimizer step (0
     /// unless applied).
@@ -126,8 +122,7 @@ pub struct TrainingReport {
     /// Rounds the server *refused* to aggregate because churn dropped the
     /// live worker set below the active rule's resilience floor (elastic
     /// membership). A refusal is a graceful degradation, not an error: the
-    /// configured [`crate::membership::RefusalPolicy`] decides whether the
-    /// last model is held or the round pauses.
+    /// server holds the last model and broadcasts it again.
     pub refused_rounds: u64,
     /// Packets rejected by the epoch fence across the run: late packets from
     /// evicted workers and first-round submissions of stale-epoch rejoiners.
@@ -154,8 +149,8 @@ pub struct TrainingReport {
     /// slot, zeros without a ledger, empty for a report the engine did not
     /// produce.
     pub final_suspicion: Vec<f64>,
-    /// Total simulated wall-clock time of the run, in seconds: every charged
-    /// round's wait plus its aggregation, summed in step order.
+    /// Total simulated wall-clock time of the run, in seconds: every round's
+    /// wait plus its aggregation, summed in step order.
     pub simulated_time_sec: f64,
     /// One record per round of a `SyncTrainingEngine` run, in step order
     /// (empty for a report the engine did not produce). Every counter above
@@ -172,7 +167,7 @@ impl TrainingReport {
         match record.verdict {
             RoundVerdict::Applied => {}
             RoundVerdict::Skipped => self.skipped_updates += 1,
-            RoundVerdict::Refused { .. } => self.refused_rounds += 1,
+            RoundVerdict::Refused => self.refused_rounds += 1,
         }
         if record.selection.as_ref().is_some_and(|s| s.iter().any(|&slot| byzantine[slot])) {
             self.byzantine_selected_rounds += 1;
@@ -182,31 +177,24 @@ impl TrainingReport {
             self.corrupt_rejects += wire.corrupt_rejects;
             self.retransmit_exhaustions += u64::from(wire.retransmit_exhausted);
         }
-        // A paused refusal records zero seconds, so it leaves the clock as is.
         self.simulated_time_sec += record.round_wait_sec + record.aggregation_sec;
         self.rounds.push(record);
     }
 
-    /// The rounds that advanced the clock, in step order: every round but a
-    /// paused refusal.
-    fn charged(&self) -> impl Iterator<Item = &RoundRecord> {
-        self.rounds.iter().filter(|record| record.verdict != RoundVerdict::Refused { held: false })
-    }
-
-    /// Rounds that advanced the clock: applied, skipped and held-refused
-    /// ones, whether or not they updated the model.
+    /// Rounds that advanced the clock: every round, applied, skipped or
+    /// refused, whether or not it updated the model.
     pub fn charged_rounds(&self) -> u64 {
-        self.charged().count() as u64
+        self.rounds.len() as u64
     }
 
-    /// Total computation + communication seconds: the charged rounds' waits.
+    /// Total computation + communication seconds: the rounds' waits.
     pub fn compute_comm_sec(&self) -> f64 {
-        self.charged().fold(0.0, |sum, record| sum + record.round_wait_sec)
+        self.rounds.iter().fold(0.0, |sum, record| sum + record.round_wait_sec)
     }
 
-    /// Total aggregation seconds of the charged rounds.
+    /// Total aggregation seconds of the rounds.
     pub fn aggregation_sec(&self) -> f64 {
-        self.charged().fold(0.0, |sum, record| sum + record.aggregation_sec)
+        self.rounds.iter().fold(0.0, |sum, record| sum + record.aggregation_sec)
     }
 
     /// Fraction of the round time spent in aggregation (Figure 4) — the
@@ -222,9 +210,9 @@ impl TrainingReport {
         }
     }
 
-    /// Distinct mini-batches the charged rounds' submitting slots drew.
+    /// Distinct mini-batches the rounds' submitting slots drew.
     pub fn batches_received(&self) -> u64 {
-        self.charged().map(|record| record.batches).sum()
+        self.rounds.iter().map(|record| record.batches).sum()
     }
 
     /// Batches received per simulated second — the y-axis of Figure 5
@@ -308,7 +296,7 @@ impl TrainingReport {
             )
         };
         format!(
-            "{}: {} steps ({} skipped{refusals}), {:.1}s simulated, final accuracy {:.3}, throughput {:.2} grad/s, aggregation share {:.1}%{quarantines}",
+            "{}: {} steps ({} skipped{refusals}), {:.1}s simulated, final accuracy {:.3}, throughput {:.2} batches/s, aggregation share {:.1}%{quarantines}",
             self.label,
             self.steps_completed,
             self.skipped_updates,
@@ -388,22 +376,21 @@ mod tests {
     #[test]
     fn latency_split_sums_the_charged_rounds() {
         let mut report = TrainingReport::default();
-        let paused = RoundVerdict::Refused { held: false };
         report.fold(round(RoundVerdict::Applied, 0.4, 0.1, 19), &[]);
-        report.fold(round(paused, 0.0, 0.0, 0), &[]);
+        report.fold(round(RoundVerdict::Refused, 0.1, 0.0, 0), &[]);
         report.fold(round(RoundVerdict::Skipped, 0.6, 0.3, 19), &[]);
-        assert_eq!(report.charged_rounds(), 2);
-        assert!((report.compute_comm_sec() - 1.0).abs() < 1e-9);
+        assert_eq!(report.charged_rounds(), 3);
+        assert!((report.compute_comm_sec() - 1.1).abs() < 1e-9);
         assert!((report.aggregation_sec() - 0.4).abs() < 1e-9);
-        assert!((report.aggregation_share() - 0.4 / 1.4).abs() < 1e-9);
-        assert!((report.simulated_time_sec - 1.4).abs() < 1e-9);
+        assert!((report.aggregation_share() - 0.4 / 1.5).abs() < 1e-9);
+        assert!((report.simulated_time_sec - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn batches_per_sec_divides_by_the_clock() {
         let mut report = TrainingReport::default();
         report.fold(round(RoundVerdict::Applied, 0.5, 0.0, 19), &[]);
-        report.fold(round(RoundVerdict::Refused { held: true }, 0.5, 0.0, 0), &[]);
+        report.fold(round(RoundVerdict::Refused, 0.5, 0.0, 0), &[]);
         report.fold(round(RoundVerdict::Applied, 0.5, 0.0, 19), &[]);
         assert_eq!(report.batches_received(), 38);
         assert_eq!(report.charged_rounds(), 3);
@@ -438,11 +425,7 @@ mod tests {
                     aggregation_sec: 0.125,
                     ..Default::default()
                 },
-                RoundRecord {
-                    step: 4,
-                    verdict: RoundVerdict::Refused { held: true },
-                    ..Default::default()
-                },
+                RoundRecord { step: 4, verdict: RoundVerdict::Refused, ..Default::default() },
                 RoundRecord {
                     step: 5,
                     wire: vec![None, Some(SlotWire { corrupt_rejects: 1, ..Default::default() })],

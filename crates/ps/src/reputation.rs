@@ -55,51 +55,57 @@ use crate::{PsError, Result};
 use agg_tensor::rng::{derive_seed, sample_without_replacement, seeded_rng};
 use serde::{Deserialize, Serialize};
 
-/// Tunable knobs of the reputation ledger. `Default` is the profile the
-/// acceptance tests pin: honest chaos saturates at
-/// `(corrupt + exhaustion + straggle + exclusion) / (1 − decay) ≈ 2.67`,
-/// safely under the 3.2 threshold, while one collusion or stale signature
-/// per round crosses it in two to three rounds.
+/// Geometric decay `λ ∈ [0, 1)` applied to every score at the start of each
+/// observed round.
+pub const DECAY: f64 = 0.7;
+/// Accrual when the wire-integrity check rejected packets of the worker's
+/// submission (chaos damage, not necessarily the worker's fault — weighted
+/// low).
+pub const CORRUPT_WEIGHT: f64 = 0.25;
+/// Accrual when the epoch fence rejected the submission. Outside the engine's
+/// own readmissions this is the signature of identity rotation (crash while
+/// exposed, rejoin with stale state) — weighted high.
+pub const STALE_WEIGHT: f64 = 2.5;
+/// Accrual when retransmit recovery ran out of budget or deadline on the
+/// submission (distinguishable from a plain loss since the transport reports
+/// it separately).
+pub const EXHAUSTION_WEIGHT: f64 = 0.25;
+/// Accrual when the submission was delivered but fell past the quorum cut.
+pub const STRAGGLE_WEIGHT: f64 = 0.15;
+/// Accrual when the round's distance-based selection kept the worker's row
+/// out of the selected set (fed from the *previous* round's selection — the
+/// selection-exclusion history).
+pub const EXCLUSION_WEIGHT: f64 = 0.15;
+/// Accrual when the worker's row sat inside a near-duplicate affinity cluster
+/// (see [`collusion_flags`]) — the collusion signature, weighted high.
+pub const COLLUSION_WEIGHT: f64 = 1.5;
+/// Score at which an Active (or Probation) worker becomes a quarantine
+/// candidate.
+pub const QUARANTINE_THRESHOLD: f64 = 3.2;
+/// How many rounds an eviction lasts before the worker is due for
+/// readmission.
+pub const QUARANTINE_ROUNDS: u64 = 12;
+/// Length of the probation window after readmission.
+pub const PROBATION_ROUNDS: u64 = 12;
+/// Multiplier applied to every accrual while a worker is on probation (the
+/// "tightened fencing": relapse is punished faster than first offence).
+pub const PROBATION_MULTIPLIER: f64 = 2.0;
+
+/// The worst-case steady-state score of a worker that accrues the four
+/// routine wire/selection streams (corruption, exhaustion, straggling,
+/// exclusion) every single round: the geometric-series limit `c / (1 − λ)`
+/// ≈ 2.67. The false-positive guarantee needs it below
+/// [`QUARANTINE_THRESHOLD`], which the compiler checks, while one collusion
+/// or stale signature per round crosses the threshold in two to three rounds.
+pub const HONEST_CEILING: f64 =
+    (CORRUPT_WEIGHT + EXHAUSTION_WEIGHT + STRAGGLE_WEIGHT + EXCLUSION_WEIGHT) / (1.0 - DECAY);
+const _: () = assert!(HONEST_CEILING < QUARANTINE_THRESHOLD);
+
+/// The ledger's settings that a run chooses: the collusion sketch, the tree
+/// tier's containment reshuffles and the quarantine cap. The fold's weights,
+/// decay and sentence lengths are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReputationConfig {
-    /// Geometric decay `λ` applied to every score at the start of each
-    /// observed round. Must lie in `[0, 1)`.
-    pub decay: f64,
-    /// Accrual when the wire-integrity check rejected packets of the
-    /// worker's submission (chaos damage, not necessarily the worker's
-    /// fault — weighted low).
-    pub corrupt_weight: f64,
-    /// Accrual when the epoch fence rejected the submission. Outside the
-    /// engine's own readmissions this is the signature of identity rotation
-    /// (crash while exposed, rejoin with stale state) — weighted high.
-    pub stale_weight: f64,
-    /// Accrual when retransmit recovery ran out of budget or deadline on the
-    /// submission (distinguishable from a plain loss since the transport
-    /// reports it separately).
-    pub exhaustion_weight: f64,
-    /// Accrual when the submission was delivered but fell past the quorum
-    /// cut.
-    pub straggle_weight: f64,
-    /// Accrual when the round's distance-based selection kept the worker's
-    /// row out of the selected set (fed from the *previous* round's
-    /// selection — the selection-exclusion history).
-    pub exclusion_weight: f64,
-    /// Accrual when the worker's row sat inside a near-duplicate affinity
-    /// cluster (see [`collusion_flags`]) — the collusion signature, weighted
-    /// high.
-    pub collusion_weight: f64,
-    /// Score at which an Active (or Probation) worker becomes a quarantine
-    /// candidate.
-    pub quarantine_threshold: f64,
-    /// How many rounds an eviction lasts before the worker is due for
-    /// readmission.
-    pub quarantine_rounds: u64,
-    /// Length of the probation window after readmission.
-    pub probation_rounds: u64,
-    /// Multiplier applied to every accrual while a worker is on probation
-    /// (the "tightened fencing": relapse is punished faster than first
-    /// offence).
-    pub probation_multiplier: f64,
     /// Relative distance (to the larger sampled norm of the pair) below
     /// which two sampled rows count as affinity neighbours.
     pub affinity_epsilon: f64,
@@ -128,17 +134,6 @@ pub struct ReputationConfig {
 impl Default for ReputationConfig {
     fn default() -> Self {
         ReputationConfig {
-            decay: 0.7,
-            corrupt_weight: 0.25,
-            stale_weight: 2.5,
-            exhaustion_weight: 0.25,
-            straggle_weight: 0.15,
-            exclusion_weight: 0.15,
-            collusion_weight: 1.5,
-            quarantine_threshold: 3.2,
-            quarantine_rounds: 12,
-            probation_rounds: 12,
-            probation_multiplier: 2.0,
             affinity_epsilon: 0.05,
             affinity_min_cluster: 3,
             affinity_max_coords: 256,
@@ -150,20 +145,6 @@ impl Default for ReputationConfig {
 }
 
 impl ReputationConfig {
-    /// The worst-case steady-state score of a worker that accrues the four
-    /// routine wire/selection streams (corruption, exhaustion, straggling,
-    /// exclusion) every single round: the geometric-series limit
-    /// `c / (1 − λ)`. The false-positive guarantee needs this to sit below
-    /// [`ReputationConfig::quarantine_threshold`] — [`Self::validate`]
-    /// enforces it structurally rather than leaving it to tuning luck.
-    pub fn honest_ceiling(&self) -> f64 {
-        (self.corrupt_weight
-            + self.exhaustion_weight
-            + self.straggle_weight
-            + self.exclusion_weight)
-            / (1.0 - self.decay)
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -171,50 +152,6 @@ impl ReputationConfig {
     /// Returns [`PsError::InvalidConfig`] describing the first violated
     /// constraint.
     pub fn validate(&self) -> Result<()> {
-        if !(0.0..1.0).contains(&self.decay) {
-            return Err(PsError::InvalidConfig(format!(
-                "reputation decay must lie in [0, 1), got {}",
-                self.decay
-            )));
-        }
-        let weights = [
-            ("corrupt_weight", self.corrupt_weight),
-            ("stale_weight", self.stale_weight),
-            ("exhaustion_weight", self.exhaustion_weight),
-            ("straggle_weight", self.straggle_weight),
-            ("exclusion_weight", self.exclusion_weight),
-            ("collusion_weight", self.collusion_weight),
-        ];
-        for (name, w) in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(PsError::InvalidConfig(format!(
-                    "reputation {name} must be finite and non-negative, got {w}"
-                )));
-            }
-        }
-        if !self.quarantine_threshold.is_finite() || self.quarantine_threshold <= 0.0 {
-            return Err(PsError::InvalidConfig(
-                "reputation quarantine_threshold must be positive".into(),
-            ));
-        }
-        if self.honest_ceiling() >= self.quarantine_threshold {
-            return Err(PsError::InvalidConfig(format!(
-                "reputation weights break the false-positive guarantee: the honest steady-state \
-                 ceiling {:.3} reaches the quarantine threshold {:.3}",
-                self.honest_ceiling(),
-                self.quarantine_threshold
-            )));
-        }
-        if self.quarantine_rounds == 0 {
-            return Err(PsError::InvalidConfig(
-                "reputation quarantine_rounds must be positive".into(),
-            ));
-        }
-        if !self.probation_multiplier.is_finite() || self.probation_multiplier < 1.0 {
-            return Err(PsError::InvalidConfig(
-                "reputation probation_multiplier must be ≥ 1".into(),
-            ));
-        }
         if !self.affinity_epsilon.is_finite() || self.affinity_epsilon <= 0.0 {
             return Err(PsError::InvalidConfig(
                 "reputation affinity_epsilon must be positive".into(),
@@ -273,7 +210,7 @@ pub enum WorkerStanding {
         until: u64,
     },
     /// Readmitted under tightened fencing: accruals are multiplied by
-    /// [`ReputationConfig::probation_multiplier`] until the round below.
+    /// [`PROBATION_MULTIPLIER`] until the round below.
     Probation {
         /// First round at which a clean probation lapses back to Active.
         until: u64,
@@ -342,27 +279,27 @@ impl ReputationLedger {
             let e = evidence.get(w).copied().unwrap_or_default();
             let mut accrual = 0.0;
             if e.corrupt {
-                accrual += self.config.corrupt_weight;
+                accrual += CORRUPT_WEIGHT;
             }
             if e.stale {
-                accrual += self.config.stale_weight;
+                accrual += STALE_WEIGHT;
             }
             if e.exhausted {
-                accrual += self.config.exhaustion_weight;
+                accrual += EXHAUSTION_WEIGHT;
             }
             if e.straggled {
-                accrual += self.config.straggle_weight;
+                accrual += STRAGGLE_WEIGHT;
             }
             if e.excluded {
-                accrual += self.config.exclusion_weight;
+                accrual += EXCLUSION_WEIGHT;
             }
             if e.colluding {
-                accrual += self.config.collusion_weight;
+                accrual += COLLUSION_WEIGHT;
             }
             if matches!(self.standing[w], WorkerStanding::Probation { .. }) {
-                accrual *= self.config.probation_multiplier;
+                accrual *= PROBATION_MULTIPLIER;
             }
-            self.scores[w] = self.scores[w] * self.config.decay + accrual;
+            self.scores[w] = self.scores[w] * DECAY + accrual;
         }
     }
 
@@ -374,7 +311,7 @@ impl ReputationLedger {
         let mut out: Vec<usize> = (0..self.scores.len())
             .filter(|&w| {
                 !matches!(self.standing[w], WorkerStanding::Quarantined { .. })
-                    && self.scores[w] >= self.config.quarantine_threshold
+                    && self.scores[w] >= QUARANTINE_THRESHOLD
             })
             .collect();
         out.sort_by(|&a, &b| self.scores[b].total_cmp(&self.scores[a]).then(a.cmp(&b)));
@@ -383,8 +320,7 @@ impl ReputationLedger {
 
     /// Marks a worker quarantined as of `round` and logs the event.
     pub fn begin_quarantine(&mut self, round: u64, worker: usize) {
-        self.standing[worker] =
-            WorkerStanding::Quarantined { until: round + self.config.quarantine_rounds };
+        self.standing[worker] = WorkerStanding::Quarantined { until: round + QUARANTINE_ROUNDS };
         self.events.push(QuarantineEvent { round, worker, change: StandingChange::Quarantined });
     }
 
@@ -399,8 +335,7 @@ impl ReputationLedger {
     /// Readmits a worker on probation as of `round` and logs the event. The
     /// score is whatever the quarantine's decay left of it.
     pub fn readmit(&mut self, round: u64, worker: usize) {
-        self.standing[worker] =
-            WorkerStanding::Probation { until: round + self.config.probation_rounds };
+        self.standing[worker] = WorkerStanding::Probation { until: round + PROBATION_ROUNDS };
         self.events.push(QuarantineEvent { round, worker, change: StandingChange::Readmitted });
     }
 
@@ -703,55 +638,38 @@ mod tests {
 
     #[test]
     fn default_config_is_valid_and_keeps_the_honest_ceiling_below_threshold() {
-        let c = ReputationConfig::default();
-        assert!(c.validate().is_ok());
-        assert!(c.honest_ceiling() < c.quarantine_threshold);
-        // The adversarial signatures do cross: one stale event per three
-        // rounds (the rotation cadence) peaks at stale/(1 − λ³).
-        let rotation_peak = c.stale_weight / (1.0 - c.decay.powi(3));
-        assert!(rotation_peak > c.quarantine_threshold);
+        // The ceiling's bound is checked at compile time, beside the
+        // constants; the adversarial signatures must still cross.
+        assert!(ReputationConfig::default().validate().is_ok());
+        // One stale event per three rounds (the rotation cadence) peaks at
+        // stale/(1 − λ³).
+        assert!(STALE_WEIGHT / (1.0 - DECAY.powi(3)) > QUARANTINE_THRESHOLD);
         // So does one collusion flag every round.
-        assert!(c.collusion_weight / (1.0 - c.decay) > c.quarantine_threshold);
+        const { assert!(COLLUSION_WEIGHT / (1.0 - DECAY) > QUARANTINE_THRESHOLD) };
     }
 
     #[test]
     fn config_validation_rejects_nonsense() {
-        let mut c = ReputationConfig { decay: 1.0, ..Default::default() };
-        assert!(c.validate().is_err(), "decay of 1 never forgets");
-        c = ReputationConfig { stale_weight: -1.0, ..Default::default() };
-        assert!(c.validate().is_err(), "negative weights are rejected");
-        c = ReputationConfig { quarantine_threshold: 0.0, ..Default::default() };
-        assert!(c.validate().is_err(), "zero threshold quarantines everyone");
-        c = ReputationConfig { quarantine_rounds: 0, ..Default::default() };
-        assert!(c.validate().is_err(), "zero-length quarantine is a no-op");
-        c = ReputationConfig { probation_multiplier: 0.5, ..Default::default() };
-        assert!(c.validate().is_err(), "probation must not loosen accrual");
-        c = ReputationConfig { affinity_min_cluster: 1, ..Default::default() };
+        let c = ReputationConfig { affinity_min_cluster: 1, ..Default::default() };
         assert!(c.validate().is_err(), "a single row is not a cluster");
-        // The structural false-positive guard: routine evidence saturating
-        // at or above the threshold is rejected up front.
-        c = ReputationConfig { corrupt_weight: 2.0, ..Default::default() };
-        assert!(c.validate().is_err(), "honest ceiling must stay below the threshold");
     }
 
     #[test]
     fn scores_decay_geometrically_and_accrue_weighted_evidence() {
-        let config = ReputationConfig::default();
-        let mut ledger = ReputationLedger::new(config, 2);
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 2);
         ledger.observe(0, &[evidence(true, false), RoundEvidence::default()]);
-        assert_eq!(ledger.score(0), config.collusion_weight);
+        assert_eq!(ledger.score(0), COLLUSION_WEIGHT);
         assert_eq!(ledger.score(1), 0.0);
         for round in 1..=8 {
             ledger.observe(round, &[RoundEvidence::default(); 2]);
         }
-        let expected = config.collusion_weight * config.decay.powi(8);
+        let expected = COLLUSION_WEIGHT * DECAY.powi(8);
         assert!((ledger.score(0) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn honest_chaos_evidence_never_reaches_the_threshold() {
-        let config = ReputationConfig::default();
-        let mut ledger = ReputationLedger::new(config, 1);
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 1);
         // Worst case: every routine stream fires every round, forever.
         let worst = RoundEvidence {
             corrupt: true,
@@ -763,12 +681,12 @@ mod tests {
         for round in 0..10_000 {
             ledger.observe(round, &[worst]);
             assert!(
-                ledger.score(0) < config.quarantine_threshold,
+                ledger.score(0) < QUARANTINE_THRESHOLD,
                 "round {round}: honest worst-case score {} crossed the threshold",
                 ledger.score(0)
             );
         }
-        assert!(ledger.score(0) <= config.honest_ceiling() + 1e-9);
+        assert!(ledger.score(0) <= HONEST_CEILING + 1e-9);
     }
 
     #[test]
@@ -789,29 +707,29 @@ mod tests {
 
     #[test]
     fn quarantine_walks_the_standing_machine_and_logs_events() {
-        let config =
-            ReputationConfig { quarantine_rounds: 4, probation_rounds: 3, ..Default::default() };
-        let mut ledger = ReputationLedger::new(config, 3);
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 3);
         assert_eq!(ledger.standing(1), WorkerStanding::Active);
 
         ledger.begin_quarantine(10, 1);
         assert!(ledger.is_quarantined(1));
         assert_eq!(ledger.quarantined_count(), 1);
-        assert_eq!(ledger.standing(1), WorkerStanding::Quarantined { until: 14 });
-        assert!(ledger.due_for_readmission(13).is_empty());
-        assert_eq!(ledger.due_for_readmission(14), vec![1]);
+        assert_eq!(ledger.standing(1), WorkerStanding::Quarantined { until: 22 });
+        assert!(ledger.due_for_readmission(21).is_empty());
+        assert_eq!(ledger.due_for_readmission(22), vec![1]);
 
-        ledger.readmit(14, 1);
-        assert_eq!(ledger.standing(1), WorkerStanding::Probation { until: 17 });
+        ledger.readmit(22, 1);
+        assert_eq!(ledger.standing(1), WorkerStanding::Probation { until: 34 });
         assert!(!ledger.is_quarantined(1));
 
         // Probation multiplies accrual; a clean window lapses back to Active.
         ledger.observe(
-            14,
+            22,
             &[RoundEvidence::default(), evidence(true, false), RoundEvidence::default()],
         );
-        assert_eq!(ledger.score(1), config.collusion_weight * config.probation_multiplier);
-        ledger.observe(17, &[RoundEvidence::default(); 3]);
+        assert_eq!(ledger.score(1), COLLUSION_WEIGHT * PROBATION_MULTIPLIER);
+        ledger.observe(33, &[RoundEvidence::default(); 3]);
+        assert!(matches!(ledger.standing(1), WorkerStanding::Probation { .. }));
+        ledger.observe(34, &[RoundEvidence::default(); 3]);
         assert_eq!(ledger.standing(1), WorkerStanding::Active);
 
         let events = ledger.events();
@@ -822,15 +740,14 @@ mod tests {
         );
         assert_eq!(
             events[1],
-            QuarantineEvent { round: 14, worker: 1, change: StandingChange::Readmitted }
+            QuarantineEvent { round: 22, worker: 1, change: StandingChange::Readmitted }
         );
     }
 
     #[test]
     fn candidates_rank_by_score_then_id_and_skip_the_quarantined() {
-        let config = ReputationConfig { quarantine_threshold: 1.0, ..Default::default() };
-        let mut ledger = ReputationLedger::new(config, 4);
-        ledger.scores = vec![2.0, 3.0, 2.0, 0.5];
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 4);
+        ledger.scores = vec![6.4, 9.6, 6.4, 1.6];
         assert_eq!(ledger.quarantine_candidates(), vec![1, 0, 2]);
         ledger.begin_quarantine(0, 1);
         assert_eq!(ledger.quarantine_candidates(), vec![0, 2]);

@@ -132,7 +132,8 @@ impl Worker {
 
     /// Sets the server-side epoch fence on this worker's link: packets
     /// stamped with any other epoch are rejected at the assembler instead of
-    /// filling a row. `None` disables fencing (static membership).
+    /// filling a row. `None` disables fencing; the engine fences every link,
+    /// at epoch 0 under static membership.
     pub fn set_transport_expected_epoch(&mut self, epoch: Option<u32>) {
         self.transport.set_expected_epoch(epoch);
     }

@@ -11,18 +11,6 @@ pub fn relu(x: f32) -> f32 {
     }
 }
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Hyperbolic tangent (thin wrapper, provided for symmetry).
-#[inline]
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
-
 /// Numerically stable softmax over a slice, written into a new `Vec`.
 ///
 /// Subtracts the maximum before exponentiation so large logits do not
@@ -185,13 +173,6 @@ mod tests {
     fn relu_and_grad() {
         assert_eq!(relu(2.0), 2.0);
         assert_eq!(relu(-2.0), 0.0);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded_and_centered() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
-        assert!(sigmoid(10.0) > 0.99);
-        assert!(sigmoid(-10.0) < 0.01);
     }
 
     #[test]

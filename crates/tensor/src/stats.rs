@@ -36,23 +36,6 @@ pub fn median(values: &[f32]) -> Result<f32> {
     }
 }
 
-/// Lower median of a slice (the ⌈n/2⌉-th smallest value), ignoring NaN.
-///
-/// Bulyan's theoretical analysis uses an order-statistic median; the lower
-/// median keeps the output equal to one of the input values.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyInput`] if `values` is empty or all NaN.
-pub fn lower_median(values: &[f32]) -> Result<f32> {
-    let mut finite: Vec<f32> = values.iter().copied().filter(|x| !x.is_nan()).collect();
-    if finite.is_empty() {
-        return Err(TensorError::EmptyInput("lower_median"));
-    }
-    finite.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered above"));
-    Ok(finite[(finite.len() - 1) / 2])
-}
-
 /// Mean of the `beta` values closest to `center` (in absolute difference).
 ///
 /// This is the inner step of Bulyan: for each coordinate, average the
@@ -362,12 +345,6 @@ mod tests {
         assert_eq!(median(&[f32::NAN, 1.0, 3.0]).unwrap(), 2.0);
         assert!(median(&[]).is_err());
         assert!(median(&[f32::NAN]).is_err());
-    }
-
-    #[test]
-    fn lower_median_is_an_input_value() {
-        assert_eq!(lower_median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.0);
-        assert_eq!(lower_median(&[5.0, 1.0, 3.0]).unwrap(), 3.0);
     }
 
     #[test]

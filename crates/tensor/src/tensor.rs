@@ -1,7 +1,7 @@
 //! N-dimensional row-major tensors, used for image batches (N, C, H, W) and
 //! convolution activations in `agg-nn`.
 
-use crate::{Matrix, Result, TensorError, Vector};
+use crate::{Result, TensorError, Vector};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -192,22 +192,6 @@ impl Tensor {
         Vector::from(self.data)
     }
 
-    /// Converts a rank-2 tensor into a [`Matrix`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the rank is not 2.
-    pub fn into_matrix(self) -> Result<Matrix> {
-        if self.shape.len() != 2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: vec![0, 0],
-                op: "into_matrix",
-            });
-        }
-        Matrix::from_vec(self.shape[0], self.shape[1], self.data)
-    }
-
     /// Elementwise map, returning a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
@@ -312,11 +296,8 @@ mod tests {
     #[test]
     fn conversions() {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let m = t.clone().into_matrix().unwrap();
-        assert_eq!(m.get(1, 1), 4.0);
         let v = t.into_vector();
         assert_eq!(v.len(), 4);
-        assert!(Tensor::zeros(&[2, 2, 2]).into_matrix().is_err());
         let back: Tensor = Vector::from(vec![1.0, 2.0]).into();
         assert_eq!(back.shape(), &[2]);
     }

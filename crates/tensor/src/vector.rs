@@ -106,21 +106,10 @@ impl Vector {
     ///
     /// # Panics
     ///
-    /// Panics if the lengths differ; distance computation is on the hot path
-    /// of Multi-Krum so the checked variant is [`Vector::try_squared_distance`].
+    /// Panics if the lengths differ.
     pub fn squared_distance(&self, other: &Vector) -> f32 {
         assert_eq!(self.len(), other.len(), "squared_distance requires equal lengths");
         crate::ops::squared_distance(&self.data, &other.data)
-    }
-
-    /// Shape-checked variant of [`Vector::squared_distance`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] if lengths differ.
-    pub fn try_squared_distance(&self, other: &Vector) -> Result<f32> {
-        self.check_len(other)?;
-        Ok(self.squared_distance(other))
     }
 
     /// Euclidean distance to another vector.
@@ -160,13 +149,6 @@ impl Vector {
         Vector { data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// In-place elementwise map.
-    pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Sum of coordinates.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -196,27 +178,6 @@ impl Vector {
         for x in &mut self.data {
             *x = x.clamp(lo, hi);
         }
-    }
-
-    /// Coordinate-wise minimum and maximum. Ignores NaN coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] if the vector is empty.
-    pub fn min_max(&self) -> Result<(f32, f32)> {
-        if self.data.is_empty() {
-            return Err(TensorError::EmptyInput("min_max"));
-        }
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &x in &self.data {
-            if x.is_nan() {
-                continue;
-            }
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        Ok((lo, hi))
     }
 }
 
@@ -422,13 +383,6 @@ mod tests {
         let a = Vector::from(vec![f32::NAN, 0.0]);
         let b = Vector::zeros(2);
         assert!(a.squared_distance(&b).is_nan());
-    }
-
-    #[test]
-    fn min_max_ignores_nan() {
-        let v = Vector::from(vec![3.0, f32::NAN, -1.0]);
-        assert_eq!(v.min_max().unwrap(), (-1.0, 3.0));
-        assert!(Vector::zeros(0).min_max().is_err());
     }
 
     #[test]

@@ -27,8 +27,7 @@ use agg_core::{resilience, GarConfig, GarKind, TreeConfig};
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    FaultAction, FaultPlan, QuorumPolicy, RefusalPolicy, RunnerConfig, SyncTrainingEngine,
-    TransportKind,
+    FaultAction, FaultPlan, QuorumPolicy, RunnerConfig, SyncTrainingEngine, TransportKind,
 };
 use common::{assert_deterministic, assert_reports_identical, run};
 
@@ -226,26 +225,19 @@ fn adaptive_churn_times_crashes_from_selection_feedback() {
 
 #[test]
 fn refusal_policies_degrade_gracefully_not_fatally() {
-    // Both refusal policies finish the run and report the same refusals;
-    // HoldLastRound keeps charging broadcast rounds, Pause does not record
-    // them, and neither turns a floor violation into an error.
-    for refusal in [RefusalPolicy::HoldLastRound, RefusalPolicy::Pause] {
-        let mut config = base_config(GarKind::Bulyan, 4, 19);
-        config.byzantine_count = 4;
-        config.attack = AttackKind::Adaptive;
-        config.refusal = refusal;
-        config.fault_plan =
-            FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
-        let report = run(config);
-        assert_eq!(report.refused_rounds, 3, "{refusal:?}");
-        assert_eq!(report.steps_completed, 20, "{refusal:?}");
-        let expected_rounds = match refusal {
-            RefusalPolicy::HoldLastRound => 24,
-            RefusalPolicy::Pause => 21,
-        };
-        assert_eq!(report.charged_rounds(), expected_rounds, "{refusal:?}");
-        assert!(report.summary().contains("3 refused below the resilience floor"));
-    }
+    // A refused round holds the last model: the run finishes, reports the
+    // refusals, keeps charging the broadcast rounds and never turns a floor
+    // violation into an error.
+    let mut config = base_config(GarKind::Bulyan, 4, 19);
+    config.byzantine_count = 4;
+    config.attack = AttackKind::Adaptive;
+    config.fault_plan =
+        FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
+    let report = run(config);
+    assert_eq!(report.refused_rounds, 3);
+    assert_eq!(report.steps_completed, 20);
+    assert_eq!(report.charged_rounds(), 24);
+    assert!(report.summary().contains("3 refused below the resilience floor"));
 }
 
 #[test]

@@ -34,7 +34,7 @@ use agg_core::{GarConfig, GarKind, TreeConfig};
 use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
 use agg_nn::schedule::LearningRate;
 use agg_ps::{
-    FaultAction, FaultPlan, RefusalPolicy, ReputationConfig, ReputationLedger, RoundEvidence,
+    reputation, FaultAction, FaultPlan, ReputationConfig, ReputationLedger, RoundEvidence,
     RoundRecord, RoundVerdict, RunnerConfig, StandingChange, TransportKind, WorkerReport,
 };
 use common::{assert_deterministic, run};
@@ -88,7 +88,7 @@ fn honest_workers_under_moderate_chaos_are_never_quarantined() {
 
     assert!(report.quarantine_events.is_empty(), "honest run must stay quarantine-free");
     assert_eq!(report.quarantine_count(), 0);
-    let threshold = ReputationConfig::default().quarantine_threshold;
+    let threshold = reputation::QUARANTINE_THRESHOLD;
     let per_worker = report.per_worker();
     assert_eq!(per_worker.len(), 9);
     for stat in &per_worker {
@@ -296,7 +296,7 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
     };
     assert_eq!(report.steps_completed, count(|v| v == RoundVerdict::Applied));
     assert_eq!(report.skipped_updates, count(|v| v == RoundVerdict::Skipped));
-    assert_eq!(report.refused_rounds, count(|v| matches!(v, RoundVerdict::Refused { .. })));
+    assert_eq!(report.refused_rounds, count(|v| v == RoundVerdict::Refused));
     let byzantine =
         |r: &&RoundRecord| r.selection.as_ref().is_some_and(|s| s.iter().any(|&w| w >= 15));
     assert_eq!(report.byzantine_selected_rounds, rounds.iter().filter(byzantine).count() as u64);
@@ -327,10 +327,10 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
     assert_eq!(report.corrupt_rejects, total(|s| s.corrupt_rejects));
     assert_eq!(report.retransmit_exhaustions, total(|s| s.retransmit_exhaustions));
 
-    // The clock, in step order: every round but a paused refusal pays its
-    // wait and its aggregation.
+    // The clock, in step order: every round pays its wait and its
+    // aggregation.
     let (mut wait, mut aggregation, mut clock, mut charged, mut received) = (0.0, 0.0, 0.0, 0, 0);
-    for round in rounds.iter().filter(|r| r.verdict != RoundVerdict::Refused { held: false }) {
+    for round in rounds {
         wait += round.round_wait_sec;
         aggregation += round.aggregation_sec;
         clock += round.round_wait_sec + round.aggregation_sec;
@@ -387,7 +387,7 @@ fn report_views_are_pinned() {
     draco.tree = Some(tree);
     draco.reputation = None;
     // (c) A Bulyan run whose crash drops the live set below the floor for
-    // three rounds, once held (charged) and once paused (not charged).
+    // three rounds, each held and charged for its broadcast.
     let mut refused = base_config(GarKind::Bulyan, 4, 19);
     refused.max_steps = 24;
     refused.eval_every = 6;
@@ -396,20 +396,13 @@ fn report_views_are_pinned() {
     refused.attack = AttackKind::Adaptive;
     refused.fault_plan =
         FaultPlan::empty().with(8, 2, FaultAction::Crash).with(11, 2, FaultAction::Rejoin);
-    let held = RunnerConfig { refusal: RefusalPolicy::HoldLastRound, ..refused.clone() };
-    let paused = RunnerConfig { refusal: RefusalPolicy::Pause, ..refused };
 
     let fingerprints: Vec<u64> =
-        [churn, draco, held, paused].into_iter().map(|c| view_fingerprint(&run(c))).collect();
+        [churn, draco, refused].into_iter().map(|c| view_fingerprint(&run(c))).collect();
     assert_eq!(
         fingerprints,
-        [
-            0x1807_46ac_2322_0d99,
-            0x2abb_2174_5168_10df,
-            0x53f0_22d5_a8af_4025,
-            0xa150_eb92_9903_9c69
-        ],
-        "FNV-1a folds of the views: churn, Draco, held refusals, paused refusals"
+        [0x1807_46ac_2322_0d99, 0x2abb_2174_5168_10df, 0x53f0_22d5_a8af_4025],
+        "FNV-1a folds of the views: churn, Draco, held refusals"
     );
 }
 
@@ -525,9 +518,8 @@ proptest! {
         // Feed an arbitrary evidence prefix, then go quiet: each quiet
         // round must shrink the score by exactly the decay factor, so any
         // finite evidence burst is eventually forgotten.
-        let config = ReputationConfig::default();
-        let decay = config.decay;
-        let mut ledger = ReputationLedger::new(config, 1);
+        let decay = reputation::DECAY;
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 1);
         for (round, e) in seq.iter().enumerate() {
             ledger.observe(round as u64, std::slice::from_ref(e));
         }
@@ -579,51 +571,14 @@ proptest! {
         // The false-positive guarantee as a property: *no* sequence of
         // honest-plausible evidence reaches the default threshold, because
         // the geometric series of honest weights converges strictly below
-        // it (ReputationConfig::validate rejects configs where it would
-        // not).
-        let config = ReputationConfig::default();
-        let threshold = config.quarantine_threshold;
-        prop_assert!(config.honest_ceiling() < threshold);
-        let mut ledger = ReputationLedger::new(config, 1);
+        // it (a compile-time assertion beside the constants).
+        let threshold = reputation::QUARANTINE_THRESHOLD;
+        let mut ledger = ReputationLedger::new(ReputationConfig::default(), 1);
         for (round, e) in seq.iter().enumerate() {
             ledger.observe(round as u64, std::slice::from_ref(e));
             prop_assert!(ledger.score(0) < threshold,
                 "honest worker crossed at round {round}: {}", ledger.score(0));
         }
         prop_assert!(ledger.quarantine_candidates().is_empty());
-    }
-
-    #[test]
-    fn the_threshold_crossing_is_monotone_in_the_threshold(
-        seq in prop::collection::vec(arbitrary_evidence(), 1..60),
-        lo in 1.0f64..4.0,
-        hi_delta in 0.1f64..4.0,
-    ) {
-        // A stricter (lower) threshold can only quarantine earlier: the
-        // first crossing round is antitone in the threshold. (Configs here
-        // bypass validate() on purpose — the property is about the ledger
-        // fold, not the honest-ceiling guard.)
-        let hi = lo + hi_delta;
-        let first_crossing = |threshold: f64| -> Option<usize> {
-            let config = ReputationConfig {
-                quarantine_threshold: threshold,
-                ..ReputationConfig::default()
-            };
-            let mut ledger = ReputationLedger::new(config, 1);
-            for (round, e) in seq.iter().enumerate() {
-                ledger.observe(round as u64, std::slice::from_ref(e));
-                if !ledger.quarantine_candidates().is_empty() {
-                    return Some(round);
-                }
-            }
-            None
-        };
-        match (first_crossing(lo), first_crossing(hi)) {
-            (None, Some(hi_round)) => prop_assert!(false,
-                "crossed the higher threshold {hi} at round {hi_round} but never the lower {lo}"),
-            (Some(lo_round), Some(hi_round)) => prop_assert!(lo_round <= hi_round,
-                "lower threshold {lo} crossed later ({lo_round}) than higher {hi} ({hi_round})"),
-            _ => {}
-        }
     }
 }
