@@ -415,6 +415,17 @@ impl LossyTransport {
         })
     }
 
+    /// Builds the reassembly state for gradients of `dimension` now instead
+    /// of at the first transfer. Transfers run on whichever thread a
+    /// parallel round hands the link to, so a lazily built buffer lands in
+    /// that thread's allocator arena and the process's memory layout (and
+    /// peak RSS) would follow the first round's schedule; a link built with
+    /// its dimension keeps its long-lived buffers on the building thread.
+    pub fn with_dimension(mut self, dimension: usize) -> Self {
+        self.assembler = Some(RoundAssembler::new(dimension));
+        self
+    }
+
     /// The configured loss policy.
     pub fn policy(&self) -> LossPolicy {
         self.policy
@@ -839,29 +850,38 @@ mod tests {
             (dirty, true, SelectiveNan, fenced_pin),
             (dirty, true, RandomFill, fenced_pin),
         ] {
-            let codec = GradientCodec::new(16).unwrap();
-            let mut t = LossyTransport::new(link, codec, policy, 42, 7).unwrap();
-            if fenced {
-                t.set_epoch(1);
-                t.set_expected_epoch(Some(2));
+            // A link sized at construction transfers exactly like one that
+            // sizes its assembler at the first transfer.
+            for sized in [false, true] {
+                let codec = GradientCodec::new(16).unwrap();
+                let mut t = LossyTransport::new(link, codec, policy, 42, 7).unwrap();
+                if sized {
+                    t = t.with_dimension(g.len());
+                }
+                if fenced {
+                    t.set_epoch(1);
+                    t.set_expected_epoch(Some(2));
+                }
+                let mut row = vec![0.0f32; g.len()];
+                let out = t.transfer_into(3, 5, &g, &mut row).unwrap();
+                let (delivered, time_bits, missing, stale, link_stats, row_crc) = pin;
+                let expected = RowTransfer {
+                    delivered,
+                    time_sec: f64::from_bits(time_bits),
+                    bytes_sent: 6716,
+                    missing_coordinates: missing,
+                    stale_epoch_rejects: stale,
+                    corrupt_rejects: 0,
+                    retransmits: 0,
+                    retransmit_exhausted: false,
+                    link_stats,
+                };
+                let case =
+                    format!("drop {} fenced {fenced} {policy:?} sized {sized}", link.drop_rate);
+                assert_eq!(out, expected, "{case}");
+                let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(crate::crc32(&bytes), row_crc, "row of {case}");
             }
-            let mut row = vec![0.0f32; g.len()];
-            let out = t.transfer_into(3, 5, &g, &mut row).unwrap();
-            let (delivered, time_bits, missing, stale, link_stats, row_crc) = pin;
-            let expected = RowTransfer {
-                delivered,
-                time_sec: f64::from_bits(time_bits),
-                bytes_sent: 6716,
-                missing_coordinates: missing,
-                stale_epoch_rejects: stale,
-                corrupt_rejects: 0,
-                retransmits: 0,
-                retransmit_exhausted: false,
-                link_stats,
-            };
-            assert_eq!(out, expected, "drop {} fenced {fenced} {policy:?}", link.drop_rate);
-            let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
-            assert_eq!(crate::crc32(&bytes), row_crc, "row of {policy:?}, fenced {fenced}");
         }
     }
 

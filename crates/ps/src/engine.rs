@@ -201,7 +201,7 @@ impl SyncTrainingEngine {
             let sampler = MiniBatchSampler::new(config.batch_size, config.seed, stream as u64)
                 .map_err(PsError::from)?;
             streams.push(stream);
-            let transport = Self::build_transport(&config, id)?;
+            let transport = Self::build_transport(&config, id, actual_dimension)?;
             let worker_model = config.experiment.build_model(derive_seed(config.seed, id as u64));
             workers.push(Worker::new(id, role, worker_model, dataset, sampler, transport));
         }
@@ -216,7 +216,8 @@ impl SyncTrainingEngine {
                 .map(|gid| {
                     let degraded =
                         plan.range(gid).end > config.workers.saturating_sub(config.lossy_links);
-                    Self::build_link(&config, (config.workers + gid) as u64, degraded)
+                    let stream = (config.workers + gid) as u64;
+                    Self::build_link(&config, stream, degraded, actual_dimension)
                 })
                 .collect::<Result<_>>()?,
             None => Vec::new(),
@@ -263,7 +264,11 @@ impl SyncTrainingEngine {
         self.reputation.as_ref()
     }
 
-    fn build_transport(config: &RunnerConfig, worker_id: usize) -> Result<Box<dyn Transport>> {
+    fn build_transport(
+        config: &RunnerConfig,
+        worker_id: usize,
+        dimension: usize,
+    ) -> Result<Box<dyn Transport>> {
         // The last `lossy_links` worker↔server links are the ones subject to
         // the configured packet-loss rate (the paper injects its artificial
         // drops with `tc` on the links it studies); the remaining links see a
@@ -271,17 +276,19 @@ impl SyncTrainingEngine {
         // transport or a reliable TCP-like one is decided by
         // `config.transport`, which is exactly the comparison of Figure 8(b).
         let degraded = worker_id >= config.workers.saturating_sub(config.lossy_links);
-        Self::build_link(config, worker_id as u64, degraded)
+        Self::build_link(config, worker_id as u64, degraded, dimension)
     }
 
     /// Builds one link of the configured wire: a worker↔server link (stream
     /// `0..workers`) or a group-aggregator → root leg of the tree tier
     /// (stream `workers + gid`). Each stream draws its own chaos from the
-    /// shared seeded plan.
+    /// shared seeded plan. A lossy link is sized for `dimension` here, on
+    /// the building thread (see [`LossyTransport::with_dimension`]).
     fn build_link(
         config: &RunnerConfig,
         stream: u64,
         degraded: bool,
+        dimension: usize,
     ) -> Result<Box<dyn Transport>> {
         let link =
             if degraded { config.link } else { LinkConfig { drop_rate: 0.0, ..config.link } };
@@ -289,7 +296,8 @@ impl SyncTrainingEngine {
         match config.transport {
             TransportKind::Lossy { policy } if degraded => {
                 let mut transport = LossyTransport::new(link, codec, policy, config.seed, stream)
-                    .map_err(PsError::from)?;
+                    .map_err(PsError::from)?
+                    .with_dimension(dimension);
                 // The chaos schedule and the retransmit recovery live on the
                 // degraded links only — the same links the paper injects its
                 // artificial faults on. Each worker draws its chaos from its
