@@ -134,6 +134,30 @@ mod tests {
         assert!(hi > 0.9, "scaling should use the full range");
     }
 
+    /// FNV-1a, 64-bit, over every sample's bits and every label.
+    fn fingerprint(d: &Dataset) -> u64 {
+        let bits = d.samples().as_slice().iter().map(|x| u64::from(x.to_bits()));
+        let labels = d.labels().iter().map(|&l| l as u64);
+        bits.chain(labels).fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
+            word.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The benchmark workloads' two data shapes, with the spread and noise
+    /// `ExperimentKind::build` passes, at seed 42: every sample's bits and
+    /// every label.
+    #[test]
+    fn blob_bits_are_pinned() {
+        for (dim, pin) in [(256, 0xf87b_c64e_df12_ed5fu64), (32, 0xb5db_fc1f_2ba4_db3b)] {
+            let config =
+                BlobConfig { classes: 10, dim, samples: 4000, separation: 2.5, noise: 0.6 };
+            let d = gaussian_blobs(&config, 42).unwrap();
+            assert_eq!(fingerprint(&d), pin, "4000 x {dim}: {:#018x}", fingerprint(&d));
+        }
+    }
+
     #[test]
     fn blobs_reject_degenerate_configs() {
         assert!(gaussian_blobs(&BlobConfig { classes: 0, ..Default::default() }, 0).is_err());

@@ -83,6 +83,20 @@ mod tests {
     use super::*;
     use agg_tensor::Tensor;
 
+    /// The initial vector of the benchmark workloads' MLP (HeNormal hidden
+    /// layer, XavierUniform output layer, zero biases), FNV-1a over its bits.
+    #[test]
+    fn synthetic_mlp_initial_parameters_are_pinned() {
+        let params = synthetic_mlp(256, &[384], 10, 42).parameters();
+        let hash = params.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!(hash, 0xbe9e_7b86_d024_ac9f, "{hash:#018x}");
+    }
+
     #[test]
     fn paper_cnn_has_about_1_75_million_parameters() {
         let model = paper_cnn(0);
