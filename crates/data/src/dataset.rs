@@ -1,7 +1,7 @@
 //! In-memory labelled datasets.
 
 use crate::{DataError, Result};
-use agg_tensor::Tensor;
+use agg_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
 /// Which portion of a dataset to use.
@@ -81,28 +81,31 @@ impl Dataset {
         &self.labels
     }
 
-    /// Builds the batch tensor and label vector for the given sample indices.
+    /// Builds the batch tensor and label vector for the given sample indices,
+    /// copying the requested rows into one buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::Empty`] for an empty index list and propagates
-    /// indexing errors for out-of-range indices.
+    /// Returns [`DataError::Empty`] for an empty index list and
+    /// [`DataError::Tensor`] for an out-of-range index.
     pub fn batch(&self, indices: &[usize]) -> Result<(Tensor, Vec<usize>)> {
         if indices.is_empty() {
             return Err(DataError::Empty("Dataset::batch"));
         }
-        let mut parts = Vec::with_capacity(indices.len());
+        let row = self.sample_shape().iter().product::<usize>();
+        let data = self.samples.as_slice();
+        let mut rows = Vec::with_capacity(indices.len() * row);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
-            parts.push(self.samples.index_axis0(i)?);
-            labels.push(
-                *self
-                    .labels
-                    .get(i)
-                    .ok_or_else(|| DataError::InvalidConfig(format!("index {i} out of range")))?,
-            );
+            let Some(&label) = self.labels.get(i) else {
+                return Err(TensorError::IndexOutOfBounds { index: i, size: self.len() }.into());
+            };
+            rows.extend_from_slice(&data[i * row..(i + 1) * row]);
+            labels.push(label);
         }
-        Ok((Tensor::stack(&parts)?, labels))
+        let mut shape = self.samples.shape().to_vec();
+        shape[0] = indices.len();
+        Ok((Tensor::from_vec(&shape, rows)?, labels))
     }
 
     /// The first `count` samples as one batch (deterministic; used for test
@@ -117,7 +120,8 @@ impl Dataset {
         self.batch(&indices)
     }
 
-    /// Splits the dataset into a training and a test portion.
+    /// Splits the dataset into a training and a test portion, moving the
+    /// samples: training keeps the buffer and only the test tail is copied.
     ///
     /// `test_fraction` of the samples (rounded down, at least 1 when the
     /// fraction is positive) go to the test set, taken from the end — the
@@ -127,7 +131,7 @@ impl Dataset {
     ///
     /// Returns [`DataError::InvalidConfig`] for fractions outside `[0, 1)` or
     /// splits that would leave either side empty.
-    pub fn split(&self, test_fraction: f64) -> Result<(Dataset, Dataset)> {
+    pub fn split(self, test_fraction: f64) -> Result<(Dataset, Dataset)> {
         if !(0.0..1.0).contains(&test_fraction) {
             return Err(DataError::InvalidConfig(format!(
                 "test fraction must be in [0, 1), got {test_fraction}"
@@ -140,13 +144,21 @@ impl Dataset {
                 "split leaves no training samples (n = {n}, test = {test_n})"
             ))
         })?;
-        let train_idx: Vec<usize> = (0..train_n).collect();
-        let test_idx: Vec<usize> = (train_n..n).collect();
-        let (train_x, train_y) = self.batch(&train_idx)?;
-        let (test_x, test_y) = self.batch(&test_idx)?;
+        let mut train_shape = self.samples.shape().to_vec();
+        let mut test_shape = train_shape.clone();
+        train_shape[0] = train_n;
+        test_shape[0] = test_n;
+        let row = self.sample_shape().iter().product::<usize>();
+        let mut train_x = self.samples.into_vector().into_inner();
+        let test_x = train_x.split_off(train_n * row);
+        let mut train_y = self.labels;
+        let test_y = train_y.split_off(train_n);
+        // `split_off` leaves the full capacity behind: hand the tails back.
+        train_x.shrink_to_fit();
+        train_y.shrink_to_fit();
         Ok((
-            Dataset::new(train_x, train_y, self.classes)?,
-            Dataset::new(test_x, test_y, self.classes)?,
+            Dataset::new(Tensor::from_vec(&train_shape, train_x)?, train_y, self.classes)?,
+            Dataset::new(Tensor::from_vec(&test_shape, test_x)?, test_y, self.classes)?,
         ))
     }
 }
@@ -178,7 +190,8 @@ mod tests {
         assert_eq!(x.as_slice(), &[4.0, 5.0, 0.0, 1.0]);
         assert_eq!(y, vec![0, 0]);
         assert!(d.batch(&[]).is_err());
-        assert!(d.batch(&[9]).is_err());
+        let out_of_range = TensorError::IndexOutOfBounds { index: 9, size: 4 };
+        assert_eq!(d.batch(&[0, 9]).unwrap_err(), DataError::from(out_of_range));
     }
 
     #[test]
@@ -192,12 +205,15 @@ mod tests {
     #[test]
     fn split_partitions_the_samples() {
         let d = toy();
-        let (train, test) = d.split(0.25).unwrap();
+        let (train, test) = d.clone().split(0.25).unwrap();
         assert_eq!(train.len(), 3);
         assert_eq!(test.len(), 1);
         assert_eq!(train.classes(), 2);
         assert_eq!(test.sample_shape(), &[2]);
-        assert!(d.split(1.5).is_err());
+        assert_eq!(train.samples().as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(test.samples().as_slice(), &[6.0, 7.0]);
+        assert_eq!((train.labels(), test.labels()), (&[0, 1, 0][..], &[1][..]));
+        assert!(d.clone().split(1.5).is_err());
         assert!(d.split(-0.1).is_err());
     }
 

@@ -6,10 +6,9 @@
 
 use crate::dataset::Dataset;
 use crate::{DataError, Result};
-use agg_tensor::rng::{derive_seed, seeded_rng};
+use agg_tensor::rng::{derive_seed, gaussian_fill_rows, seeded_rng, shuffled_indices};
 use agg_tensor::Tensor;
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
 /// Configuration for [`gaussian_blobs`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,30 +55,27 @@ pub fn gaussian_blobs(config: &BlobConfig, seed: u64) -> Result<Dataset> {
                 .collect()
         })
         .collect();
-    let noise = Normal::new(0.0f32, config.noise.max(1e-6)).expect("std positive");
+    // Shuffle samples so train/test splits are class-balanced: sample
+    // `order[p]` lands in row `p`. The order has its own stream, so drawing
+    // it first leaves the noise stream as it was.
+    let order = shuffled_indices(&mut seeded_rng(derive_seed(seed, 2)), config.samples);
+    let mut shuffled = vec![0.0; config.samples * config.dim];
+    let mut slots: Vec<Option<&mut [f32]>> = (0..config.samples).map(|_| None).collect();
+    for (row, &i) in shuffled.chunks_mut(config.dim).zip(&order) {
+        slots[i] = Some(row);
+    }
+    // The noise stream runs over the samples in their original order.
+    let rows = slots.into_iter().map(|row| row.expect("`order` is a permutation")).collect();
     let mut sample_rng = seeded_rng(derive_seed(seed, 1));
-    let mut order_rng = seeded_rng(derive_seed(seed, 2));
-
-    let mut data = Vec::with_capacity(config.samples * config.dim);
-    let mut labels = Vec::with_capacity(config.samples);
-    for i in 0..config.samples {
+    gaussian_fill_rows(&mut sample_rng, rows, 0.0, config.noise.max(1e-6));
+    let mut shuffled_labels = Vec::with_capacity(config.samples);
+    for (row, &i) in shuffled.chunks_mut(config.dim).zip(&order) {
         let class = i % config.classes;
-        labels.push(class);
-        for &c in &centers[class] {
-            data.push(c + noise.sample(&mut sample_rng));
+        shuffled_labels.push(class);
+        // Float addition commutes: these are the bits of `centre + noise`.
+        for (x, &c) in row.iter_mut().zip(&centers[class]) {
+            *x += c;
         }
-    }
-    // Shuffle samples so train/test splits are class-balanced.
-    let mut indices: Vec<usize> = (0..config.samples).collect();
-    for i in (1..indices.len()).rev() {
-        let j = order_rng.gen_range(0..=i);
-        indices.swap(i, j);
-    }
-    let mut shuffled = Vec::with_capacity(data.len());
-    let mut shuffled_labels = Vec::with_capacity(labels.len());
-    for &i in &indices {
-        shuffled.extend_from_slice(&data[i * config.dim..(i + 1) * config.dim]);
-        shuffled_labels.push(labels[i]);
     }
     min_max_scale_flat(&mut shuffled);
     let samples = Tensor::from_vec(&[config.samples, config.dim], shuffled)?;
@@ -132,6 +128,59 @@ mod tests {
         let hi = data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         assert!(lo >= 0.0 && hi <= 1.0 + 1e-6);
         assert!(hi > 0.9, "scaling should use the full range");
+    }
+
+    /// The serial generator `gaussian_blobs` replaced (noise drawn sample by
+    /// sample into a buffer in original order, then copied in shuffled
+    /// order), kept as its oracle.
+    fn serial_blobs(config: &BlobConfig, seed: u64) -> Dataset {
+        use rand_distr::{Distribution, Normal};
+        let mut center_rng = seeded_rng(derive_seed(seed, 0));
+        let centers: Vec<Vec<f32>> = (0..config.classes)
+            .map(|_| {
+                (0..config.dim)
+                    .map(|_| center_rng.gen_range(-1.0f32..1.0) * config.separation)
+                    .collect()
+            })
+            .collect();
+        let noise = Normal::new(0.0f32, config.noise.max(1e-6)).unwrap();
+        let mut sample_rng = seeded_rng(derive_seed(seed, 1));
+        let mut order_rng = seeded_rng(derive_seed(seed, 2));
+        let mut data = Vec::with_capacity(config.samples * config.dim);
+        let mut labels = Vec::with_capacity(config.samples);
+        for i in 0..config.samples {
+            let class = i % config.classes;
+            labels.push(class);
+            for &c in &centers[class] {
+                data.push(c + noise.sample(&mut sample_rng));
+            }
+        }
+        let mut indices: Vec<usize> = (0..config.samples).collect();
+        for i in (1..indices.len()).rev() {
+            let j = order_rng.gen_range(0..=i);
+            indices.swap(i, j);
+        }
+        let mut shuffled = Vec::with_capacity(data.len());
+        let mut shuffled_labels = Vec::with_capacity(labels.len());
+        for &i in &indices {
+            shuffled.extend_from_slice(&data[i * config.dim..(i + 1) * config.dim]);
+            shuffled_labels.push(labels[i]);
+        }
+        min_max_scale_flat(&mut shuffled);
+        let samples = Tensor::from_vec(&[config.samples, config.dim], shuffled).unwrap();
+        Dataset::new(samples, shuffled_labels, config.classes).unwrap()
+    }
+
+    #[test]
+    fn blobs_match_the_serial_generator() {
+        for (classes, dim, samples) in [(1, 1, 1), (3, 7, 17), (10, 32, 600), (4, 256, 130)] {
+            let config = BlobConfig { classes, dim, samples, separation: 2.5, noise: 0.6 };
+            for seed in [0, 42] {
+                let (got, want) =
+                    (gaussian_blobs(&config, seed).unwrap(), serial_blobs(&config, seed));
+                assert_eq!(fingerprint(&got), fingerprint(&want), "{config:?}, seed {seed}");
+            }
+        }
     }
 
     /// FNV-1a, 64-bit, over every sample's bits and every label.

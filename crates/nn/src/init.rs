@@ -1,8 +1,7 @@
 //! Weight initialisers.
 
-use agg_tensor::rng::seeded_rng;
+use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
 /// Weight initialisation schemes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +26,7 @@ impl Init {
             }
             Init::HeNormal => {
                 let std = (2.0 / fan_in.max(1) as f32).sqrt();
-                let normal = Normal::new(0.0f32, std).expect("std is positive and finite");
-                (0..count).map(|_| normal.sample(&mut rng)).collect()
+                gaussian_vector(&mut rng, count, 0.0, std).into_inner()
             }
         }
     }
@@ -61,6 +59,24 @@ mod tests {
         assert!(w.iter().all(|&x| x.abs() <= a));
         // Not degenerate.
         assert!(w.iter().any(|&x| x.abs() > a / 10.0));
+    }
+
+    /// The loop `HeNormal` drew before it moved onto the shared fill, kept
+    /// as its oracle.
+    fn serial_he_normal(count: usize, fan_in: usize, seed: u64) -> Vec<f32> {
+        use rand_distr::{Distribution, Normal};
+        let normal = Normal::new(0.0f32, (2.0 / fan_in.max(1) as f32).sqrt()).unwrap();
+        let mut rng = seeded_rng(seed);
+        (0..count).map(|_| normal.sample(&mut rng)).collect()
+    }
+
+    #[test]
+    fn he_normal_matches_the_serial_loop() {
+        for (count, fan_in) in [(1, 1), (100, 10), (256 * 384, 256), (32 * 64 + 5, 32)] {
+            let bits = |w: Vec<f32>| w.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            let got = Init::HeNormal.generate(count, fan_in, 7, 42);
+            assert_eq!(bits(got), bits(serial_he_normal(count, fan_in, 42)), "{count} x {fan_in}");
+        }
     }
 
     #[test]

@@ -1271,7 +1271,7 @@ mod tests {
 
         // The server still broadcasts the held model, so the refused rounds
         // are charged.
-        assert_eq!(held.charged_rounds(), 8);
+        assert_eq!(held.rounds.len(), 8);
         let broadcast = held.rounds[2].round_wait_sec;
         assert!(broadcast > 0.0 && held.rounds[3..5].iter().all(|r| r.round_wait_sec == broadcast));
     }

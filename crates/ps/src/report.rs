@@ -181,12 +181,6 @@ impl TrainingReport {
         self.rounds.push(record);
     }
 
-    /// Rounds that advanced the clock: every round, applied, skipped or
-    /// refused, whether or not it updated the model.
-    pub fn charged_rounds(&self) -> u64 {
-        self.rounds.len() as u64
-    }
-
     /// Total computation + communication seconds: the rounds' waits.
     pub fn compute_comm_sec(&self) -> f64 {
         self.rounds.iter().fold(0.0, |sum, record| sum + record.round_wait_sec)
@@ -338,7 +332,7 @@ mod tests {
         assert_eq!(report.byzantine_selected_rounds, 0);
         assert_eq!(report.retransmit_exhaustions, 0);
         assert!(report.per_worker().is_empty());
-        assert_eq!(report.charged_rounds(), 0);
+        assert!(report.rounds.is_empty());
         assert_eq!(report.aggregation_share(), 0.0);
         assert_eq!(report.batches_per_sec(), 0.0);
         assert!(report.quarantine_events.is_empty());
@@ -379,7 +373,7 @@ mod tests {
         report.fold(round(RoundVerdict::Applied, 0.4, 0.1, 19), &[]);
         report.fold(round(RoundVerdict::Refused, 0.1, 0.0, 0), &[]);
         report.fold(round(RoundVerdict::Skipped, 0.6, 0.3, 19), &[]);
-        assert_eq!(report.charged_rounds(), 3);
+        assert_eq!(report.rounds.len(), 3);
         assert!((report.compute_comm_sec() - 1.1).abs() < 1e-9);
         assert!((report.aggregation_sec() - 0.4).abs() < 1e-9);
         assert!((report.aggregation_share() - 0.4 / 1.5).abs() < 1e-9);
@@ -393,7 +387,7 @@ mod tests {
         report.fold(round(RoundVerdict::Refused, 0.5, 0.0, 0), &[]);
         report.fold(round(RoundVerdict::Applied, 0.5, 0.0, 19), &[]);
         assert_eq!(report.batches_received(), 38);
-        assert_eq!(report.charged_rounds(), 3);
+        assert_eq!(report.rounds.len(), 3);
         assert!((report.batches_per_sec() - 38.0 / 1.5).abs() < 1e-9);
     }
 

@@ -159,34 +159,6 @@ impl Tensor {
         Tensor::from_vec(&self.shape[1..], data)
     }
 
-    /// Stacks tensors of identical shape along a new leading axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for an empty slice and
-    /// [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn stack(parts: &[Tensor]) -> Result<Tensor> {
-        if parts.is_empty() {
-            return Err(TensorError::EmptyInput("Tensor::stack"));
-        }
-        let inner_shape = parts[0].shape.clone();
-        let mut data = Vec::with_capacity(parts.len() * parts[0].len());
-        for p in parts {
-            if p.shape != inner_shape {
-                return Err(TensorError::ShapeMismatch {
-                    left: inner_shape,
-                    right: p.shape.clone(),
-                    op: "stack",
-                });
-            }
-            data.extend_from_slice(&p.data);
-        }
-        let mut shape = Vec::with_capacity(inner_shape.len() + 1);
-        shape.push(parts.len());
-        shape.extend_from_slice(&inner_shape);
-        Tensor::from_vec(&shape, data)
-    }
-
     /// Consumes the tensor and returns a flat [`Vector`].
     pub fn into_vector(self) -> Vector {
         Vector::from(self.data)
@@ -274,23 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn index_axis0_and_stack_round_trip() {
+    fn index_axis0_copies_one_row() {
         let t = Tensor::from_vec(&[2, 3], (0..6).map(|x| x as f32).collect()).unwrap();
         let a = t.index_axis0(0).unwrap();
         let b = t.index_axis0(1).unwrap();
+        assert_eq!(a.shape(), &[3]);
         assert_eq!(a.as_slice(), &[0.0, 1.0, 2.0]);
         assert_eq!(b.as_slice(), &[3.0, 4.0, 5.0]);
-        let restacked = Tensor::stack(&[a, b]).unwrap();
-        assert_eq!(restacked, t);
         assert!(t.index_axis0(2).is_err());
-    }
-
-    #[test]
-    fn stack_rejects_mismatched_shapes() {
-        let a = Tensor::zeros(&[2]);
-        let b = Tensor::zeros(&[3]);
-        assert!(Tensor::stack(&[a, b]).is_err());
-        assert!(Tensor::stack(&[]).is_err());
     }
 
     #[test]

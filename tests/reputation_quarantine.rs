@@ -329,28 +329,26 @@ fn every_report_counter_is_the_sum_of_its_round_records() {
 
     // The clock, in step order: every round pays its wait and its
     // aggregation.
-    let (mut wait, mut aggregation, mut clock, mut charged, mut received) = (0.0, 0.0, 0.0, 0, 0);
+    let (mut wait, mut aggregation, mut clock, mut received) = (0.0, 0.0, 0.0, 0);
     for round in rounds {
         wait += round.round_wait_sec;
         aggregation += round.aggregation_sec;
         clock += round.round_wait_sec + round.aggregation_sec;
-        charged += 1;
         received += round.wire.iter().flatten().count() as u64;
     }
     assert_eq!(report.simulated_time_sec.to_bits(), f64::to_bits(clock));
-    assert_eq!(report.charged_rounds(), charged);
     assert_eq!(report.compute_comm_sec().to_bits(), f64::to_bits(wait));
     assert_eq!(report.aggregation_sec().to_bits(), f64::to_bits(aggregation));
     assert_eq!(report.batches_received(), received);
 }
 
 /// FNV-1a fold of every figure the report derives from its records: the
-/// charged rounds, the latency split and its share, the batches received
+/// round count, the latency split and its share, the batches received
 /// and their rate, and every per-worker row.
 fn view_fingerprint(report: &agg_ps::TrainingReport) -> u64 {
     let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
     let mut words = vec![
-        report.charged_rounds(),
+        report.rounds.len() as u64,
         report.compute_comm_sec().to_bits(),
         report.aggregation_sec().to_bits(),
         report.aggregation_share().to_bits(),
