@@ -81,6 +81,11 @@ impl Dataset {
         &self.labels
     }
 
+    /// The shape of `count` samples: `[count, sample_shape...]`.
+    fn shape_of(&self, count: usize) -> Vec<usize> {
+        [&[count][..], self.sample_shape()].concat()
+    }
+
     /// Builds the batch tensor and label vector for the given sample indices,
     /// copying the requested rows into one buffer.
     ///
@@ -103,9 +108,7 @@ impl Dataset {
             rows.extend_from_slice(&data[i * row..(i + 1) * row]);
             labels.push(label);
         }
-        let mut shape = self.samples.shape().to_vec();
-        shape[0] = indices.len();
-        Ok((Tensor::from_vec(&shape, rows)?, labels))
+        Ok((Tensor::from_vec(&self.shape_of(indices.len()), rows)?, labels))
     }
 
     /// The first `count` samples as one batch (deterministic; used for test
@@ -144,10 +147,7 @@ impl Dataset {
                 "split leaves no training samples (n = {n}, test = {test_n})"
             ))
         })?;
-        let mut train_shape = self.samples.shape().to_vec();
-        let mut test_shape = train_shape.clone();
-        train_shape[0] = train_n;
-        test_shape[0] = test_n;
+        let (train_shape, test_shape) = (self.shape_of(train_n), self.shape_of(test_n));
         let row = self.sample_shape().iter().product::<usize>();
         let mut train_x = self.samples.into_vector().into_inner();
         let test_x = train_x.split_off(train_n * row);

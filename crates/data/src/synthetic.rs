@@ -57,7 +57,7 @@ pub fn gaussian_blobs(config: &BlobConfig, seed: u64) -> Result<Dataset> {
         .collect();
     // Shuffle samples so train/test splits are class-balanced: sample
     // `order[p]` lands in row `p`. The order has its own stream, so drawing
-    // it first leaves the noise stream as it was.
+    // it before the noise changes no value.
     let order = shuffled_indices(&mut seeded_rng(derive_seed(seed, 2)), config.samples);
     let mut shuffled = vec![0.0; config.samples * config.dim];
     let mut slots: Vec<Option<&mut [f32]>> = (0..config.samples).map(|_| None).collect();
