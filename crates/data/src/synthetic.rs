@@ -66,8 +66,7 @@ pub fn gaussian_blobs(config: &BlobConfig, seed: u64) -> Result<Dataset> {
     }
     // The noise stream runs over the samples in their original order.
     let rows = slots.into_iter().map(|row| row.expect("`order` is a permutation")).collect();
-    let mut sample_rng = seeded_rng(derive_seed(seed, 1));
-    gaussian_fill_rows(&mut sample_rng, rows, 0.0, config.noise.max(1e-6));
+    gaussian_fill_rows(&mut seeded_rng(derive_seed(seed, 1)), rows, 0.0, config.noise.max(1e-6));
     let mut shuffled_labels = Vec::with_capacity(config.samples);
     for (row, &i) in shuffled.chunks_mut(config.dim).zip(&order) {
         let class = i % config.classes;
