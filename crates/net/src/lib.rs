@@ -22,8 +22,10 @@
 //!   pays for it with retransmissions and congestion back-off under loss) and
 //!   [`transport::LossyTransport`] (UDP/lossyMPI-like: constant speed, lost
 //!   coordinates surface according to a [`transport::LossPolicy`]). Both
-//!   deliver in place via [`transport::Transport::transfer_into`], so one
-//!   training round goes wire → arena with no intermediate `Vector`.
+//!   send in place via [`transport::Transport::send_in_place`]: the gradient
+//!   goes out from the arena row it was computed into, and the receiver's
+//!   view comes back into the same row, so one training round holds each
+//!   gradient once.
 //!
 //! There is one wire. Every byte a worker sends over the lossy transport
 //! takes the same five calls: [`GradientCodec::split_bytes_epoch`] (encode and

@@ -162,6 +162,11 @@ impl Default for RetransmitConfig {
 /// A one-way gradient transfer channel from a worker to the parameter
 /// server (the model transfer in the opposite direction reuses the same
 /// models with the roles swapped).
+///
+/// Each transport has one send body, [`Transport::send_in_place`]: the
+/// gradient leaves from the row it was written to and the receiver's view
+/// comes back into that row. [`Transport::transfer_into`] and
+/// [`Transport::transfer`] copy the gradient into a row first.
 pub trait Transport: Send + fmt::Debug {
     /// Short transport name (`"tcp"`, `"lossy-udp"`).
     fn name(&self) -> &'static str;
@@ -187,35 +192,56 @@ pub trait Transport: Send + fmt::Debug {
     /// nothing to recover.
     fn set_retransmit(&mut self, _config: Option<RetransmitConfig>) {}
 
-    /// Transfers one gradient straight into `dst` — the hot path. The
-    /// receiver's view of the gradient (after loss and policy handling) is
-    /// written into the caller-provided row, typically one slot of a reused
-    /// `GradientBatch` arena, so a round moves wire → arena with no
-    /// intermediate `Vector`.
+    /// Sends the gradient held in `row` — the hot path — and leaves the
+    /// receiver's view of it (after loss and policy handling) in the same
+    /// row, typically one slot of a reused `GradientBatch` arena, so a round
+    /// moves a gradient from its compute to the server with no second copy
+    /// of it. A reliable link only prices the send and leaves the row as it
+    /// is; a lossy one encodes the row into its packets and assembles what
+    /// arrives back into it.
     ///
     /// # Errors
     ///
     /// Returns [`NetError`] only for structural failures (codec
-    /// inconsistencies, mismatched row length); packet loss is not an error,
-    /// it is the point.
+    /// inconsistencies); packet loss is not an error, it is the point.
+    fn send_in_place(&mut self, worker: u32, step: u64, row: &mut [f32]) -> Result<RowTransfer>;
+
+    /// Transfers one gradient into `dst`: copies it there, then sends it in
+    /// place ([`Transport::send_in_place`]), for callers whose gradient
+    /// lives outside the destination row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::InvalidConfig`] for a mismatched row length, and
+    /// otherwise as [`Transport::send_in_place`].
     fn transfer_into(
         &mut self,
         worker: u32,
         step: u64,
         gradient: &[f32],
         dst: &mut [f32],
-    ) -> Result<RowTransfer>;
+    ) -> Result<RowTransfer> {
+        if dst.len() != gradient.len() {
+            return Err(NetError::InvalidConfig(format!(
+                "destination row has {} coordinates, gradient has {}",
+                dst.len(),
+                gradient.len()
+            )));
+        }
+        dst.copy_from_slice(gradient);
+        self.send_in_place(worker, step, dst)
+    }
 
     /// Transfers one gradient, returning what the receiver observes as an
     /// owned [`Vector`] (convenience wrapper over
-    /// [`Transport::transfer_into`] for callers without an arena).
+    /// [`Transport::send_in_place`] for callers without an arena).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Transport::transfer_into`].
+    /// Same conditions as [`Transport::send_in_place`].
     fn transfer(&mut self, worker: u32, step: u64, gradient: &Vector) -> Result<TransferOutcome> {
-        let mut row = vec![0.0f32; gradient.len()];
-        let outcome = self.transfer_into(worker, step, gradient.as_slice(), &mut row)?;
+        let mut row = gradient.as_slice().to_vec();
+        let outcome = self.send_in_place(worker, step, &mut row)?;
         Ok(TransferOutcome {
             gradient: outcome.delivered.then(|| Vector::from(row)),
             time_sec: outcome.time_sec,
@@ -292,58 +318,27 @@ impl Transport for ReliableTransport {
         self.expected_epoch = epoch;
     }
 
-    fn transfer_into(
-        &mut self,
-        _worker: u32,
-        _step: u64,
-        gradient: &[f32],
-        dst: &mut [f32],
-    ) -> Result<RowTransfer> {
-        if dst.len() != gradient.len() {
-            return Err(NetError::InvalidConfig(format!(
-                "destination row has {} coordinates, gradient has {}",
-                dst.len(),
-                gradient.len()
-            )));
-        }
-        // Reliable delivery means the receiver sees every byte; the cost
-        // model only needs the wire byte count, which is analytic — no
-        // packets are materialised at all.
-        let packet_count = self.codec.packet_count(gradient.len());
-        let payload_bytes = self.codec.wire_bytes_total(gradient.len());
+    /// Prices the send; the row is left as it is, because reliability means
+    /// the receiver sees every byte the worker wrote.
+    fn send_in_place(&mut self, _worker: u32, _step: u64, row: &mut [f32]) -> Result<RowTransfer> {
+        // The cost model only needs the wire byte count, which is analytic —
+        // no packets are materialised at all.
+        let packet_count = self.codec.packet_count(row.len());
+        let payload_bytes = self.codec.wire_bytes_total(row.len());
         let p = self.link.drop_rate;
         // Retransmissions inflate the bytes actually sent.
         let bytes_sent = (payload_bytes as f64 / (1.0 - p).max(1e-3)).ceil() as usize;
         let time_sec = bytes_sent as f64 / self.effective_bandwidth() + self.link.latency_sec;
         // Reliability gets the bytes through, but the membership fence still
         // rejects a sender stamping the wrong epoch: the wire cost was paid
-        // (the sender did not know), the row is not filled.
-        if let Some(expected) = self.expected_epoch {
-            if self.epoch != expected {
-                return Ok(RowTransfer {
-                    delivered: false,
-                    time_sec,
-                    bytes_sent,
-                    missing_coordinates: gradient.len(),
-                    stale_epoch_rejects: packet_count,
-                    corrupt_rejects: 0,
-                    retransmits: 0,
-                    retransmit_exhausted: false,
-                    link_stats: LinkStats {
-                        sent: packet_count,
-                        delivered: packet_count,
-                        ..Default::default()
-                    },
-                });
-            }
-        }
-        dst.copy_from_slice(gradient);
+        // (the sender did not know), the row does not count.
+        let fenced = self.expected_epoch.is_some_and(|expected| self.epoch != expected);
         Ok(RowTransfer {
-            delivered: true,
+            delivered: !fenced,
             time_sec,
             bytes_sent,
-            missing_coordinates: 0,
-            stale_epoch_rejects: 0,
+            missing_coordinates: if fenced { row.len() } else { 0 },
+            stale_epoch_rejects: if fenced { packet_count } else { 0 },
             corrupt_rejects: 0,
             retransmits: 0,
             retransmit_exhausted: false,
@@ -495,14 +490,10 @@ impl Transport for LossyTransport {
     /// deadline. An unset chaos plan draws no fault and an unset retransmit
     /// config never retries: the plain lossy transfer is this body with both
     /// left at `None`.
-    fn transfer_into(
-        &mut self,
-        worker: u32,
-        step: u64,
-        gradient: &[f32],
-        dst: &mut [f32],
-    ) -> Result<RowTransfer> {
-        let packets = self.codec.split_bytes_epoch(worker, step, self.epoch, gradient);
+    fn send_in_place(&mut self, worker: u32, step: u64, row: &mut [f32]) -> Result<RowTransfer> {
+        // The packets own their encoded bytes, so the row is free to take
+        // whatever the receiver assembles from them.
+        let packets = self.codec.split_bytes_epoch(worker, step, self.epoch, row);
         let total = packets.len();
         let mut bytes_sent: usize = packets.iter().map(Bytes::len).sum();
         let (mut delivered, mut link_stats) = self.link.transmit_bytes(&packets);
@@ -511,14 +502,14 @@ impl Transport for LossyTransport {
             let stats = plan.apply(step, self.stream, 0, &mut delivered);
             chaos_delay += stats.delay_sec;
         }
-        let dimension = gradient.len();
+        let dimension = row.len();
         let assembler = match &mut self.assembler {
             Some(a) if a.dimension() == dimension => a,
             slot => slot.insert(RoundAssembler::new(dimension)),
         };
         assembler.set_expected_epoch(self.expected_epoch);
         assembler.begin_round();
-        assembler.feed_all(&delivered, dst)?;
+        assembler.feed_all(&delivered, row)?;
         // UDP pays no congestion penalty: time is bytes / bandwidth + latency,
         // independent of the drop rate (only a tiny metadata retransmission
         // overhead is charged per lost packet).
@@ -562,7 +553,7 @@ impl Transport for LossyTransport {
                 time_sec += self.link_config.transfer_time(
                     resend_bytes + retry_stats.dropped * crate::packet::HEADER_BYTES,
                 );
-                assembler.feed_all(&redelivered, dst)?;
+                assembler.feed_all(&redelivered, row)?;
             }
         }
         let stale_epoch_rejects = assembler.stale_rejects();
@@ -573,13 +564,13 @@ impl Transport for LossyTransport {
         // was not exhausted — the fence, not the wire, stopped the row.
         let fenced = stale_epoch_rejects > 0;
         let missing = if self.policy == LossPolicy::RandomFill && !fenced {
-            assembler.finish_round_with(dst, Self::random_fill)?
+            assembler.finish_round_with(row, Self::random_fill)?
         } else {
-            assembler.finish_round(dst)?
+            assembler.finish_round(row)?
         };
         let non_finite_payload = assembler.non_finite_written();
         Ok(RowTransfer {
-            delivered: !fenced && Self::apply_policy(self.policy, missing, non_finite_payload, dst),
+            delivered: !fenced && Self::apply_policy(self.policy, missing, non_finite_payload, row),
             time_sec,
             bytes_sent,
             missing_coordinates: missing,
@@ -851,8 +842,9 @@ mod tests {
             (dirty, true, RandomFill, fenced_pin),
         ] {
             // A link sized at construction transfers exactly like one that
-            // sizes its assembler at the first transfer.
-            for sized in [false, true] {
+            // sizes its assembler at the first transfer, and a row sent in
+            // place ends exactly like one transferred into a zeroed row.
+            for (sized, in_place) in [(false, false), (true, false), (false, true), (true, true)] {
                 let codec = GradientCodec::new(16).unwrap();
                 let mut t = LossyTransport::new(link, codec, policy, 42, 7).unwrap();
                 if sized {
@@ -862,8 +854,15 @@ mod tests {
                     t.set_epoch(1);
                     t.set_expected_epoch(Some(2));
                 }
-                let mut row = vec![0.0f32; g.len()];
-                let out = t.transfer_into(3, 5, &g, &mut row).unwrap();
+                let (row, out) = if in_place {
+                    let mut row = g.clone();
+                    let out = t.send_in_place(3, 5, &mut row).unwrap();
+                    (row, out)
+                } else {
+                    let mut row = vec![0.0f32; g.len()];
+                    let out = t.transfer_into(3, 5, &g, &mut row).unwrap();
+                    (row, out)
+                };
                 let (delivered, time_bits, missing, stale, link_stats, row_crc) = pin;
                 let expected = RowTransfer {
                     delivered,
@@ -876,13 +875,73 @@ mod tests {
                     retransmit_exhausted: false,
                     link_stats,
                 };
-                let case =
-                    format!("drop {} fenced {fenced} {policy:?} sized {sized}", link.drop_rate);
+                let case = format!(
+                    "drop {} fenced {fenced} {policy:?} sized {sized} in place {in_place}",
+                    link.drop_rate
+                );
                 assert_eq!(out, expected, "{case}");
                 let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
                 assert_eq!(crate::crc32(&bytes), row_crc, "row of {case}");
             }
         }
+    }
+
+    /// One transport of the in-place equivalence cases, built afresh.
+    fn in_place_case(name: &str) -> Box<dyn Transport> {
+        let lossy = LinkConfig::datacenter().with_drop_rate(0.2);
+        let codec = GradientCodec::new(16).unwrap();
+        let lossy_with = |policy| LossyTransport::new(lossy, codec, policy, 9, 4).unwrap();
+        let mut t: Box<dyn Transport> = match name {
+            "reliable" | "reliable fenced" => {
+                Box::new(ReliableTransport::new(lossy, codec).unwrap())
+            }
+            "drop" => Box::new(lossy_with(LossPolicy::DropGradient)),
+            "nan" | "lossy fenced" => Box::new(lossy_with(LossPolicy::SelectiveNan)),
+            _ => Box::new(lossy_with(LossPolicy::RandomFill)),
+        };
+        if name == "chaos + retransmit" {
+            t.set_chaos(Some(ChaosPlan::new(crate::ChaosConfig::moderate(), 9).unwrap()));
+            t.set_retransmit(Some(RetransmitConfig::default()));
+        }
+        if name.ends_with("fenced") {
+            t.set_epoch(1);
+            t.set_expected_epoch(Some(2));
+        }
+        t
+    }
+
+    #[test]
+    fn sending_in_place_equals_transferring_into_a_row() {
+        // Two transports built alike: one transfers each step's gradient into
+        // a row of garbage, the other sends it from the row it was written
+        // to. Over several steps (so the link, chaos and retransmit draws
+        // advance) the rows and every `RowTransfer` field agree bit for bit.
+        let cases = [
+            "reliable",
+            "reliable fenced",
+            "drop",
+            "nan",
+            "fill",
+            "chaos + retransmit",
+            "lossy fenced",
+        ];
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for name in cases {
+            let (mut copying, mut in_place) = (in_place_case(name), in_place_case(name));
+            for step in 0..4u64 {
+                let g: Vec<f32> =
+                    (0..515).map(|i| ((i * 29 + step as usize) % 97) as f32 / 8.0 - 6.0).collect();
+                let mut dst = vec![f32::NAN; g.len()];
+                let want = copying.transfer_into(2, step, &g, &mut dst).unwrap();
+                let mut row = g.clone();
+                let got = in_place.send_in_place(2, step, &mut row).unwrap();
+                assert_eq!(got, want, "{name} step {step}");
+                assert_eq!(bits(&row), bits(&dst), "{name} step {step}");
+            }
+        }
+        let err =
+            in_place_case("reliable").transfer_into(0, 0, &[1.0; 4], &mut [0.0; 3]).unwrap_err();
+        assert!(matches!(err, NetError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Weight initialisers.
 
-use agg_tensor::rng::{gaussian_vector, seeded_rng};
+use agg_tensor::rng::{gaussian_fill, seeded_rng};
 use rand::Rng;
 
 /// Weight initialisation schemes.
@@ -15,18 +15,27 @@ pub enum Init {
 }
 
 impl Init {
-    /// Generates `count` values for a layer with the given fan-in/fan-out.
+    /// Generates `count` values for a layer with the given fan-in/fan-out:
+    /// the allocating wrapper of [`Init::fill`].
     pub fn generate(self, count: usize, fan_in: usize, fan_out: usize, seed: u64) -> Vec<f32> {
+        let mut out = vec![0.0; count];
+        self.fill(&mut out, fan_in, fan_out, seed);
+        out
+    }
+
+    /// Overwrites `out` with the values [`Init::generate`] returns for
+    /// `out.len()` coordinates, in place.
+    pub fn fill(self, out: &mut [f32], fan_in: usize, fan_out: usize, seed: u64) {
         let mut rng = seeded_rng(seed);
         match self {
-            Init::Zeros => vec![0.0; count],
+            Init::Zeros => out.fill(0.0),
             Init::XavierUniform => {
                 let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-                (0..count).map(|_| rng.gen_range(-a..a)).collect()
+                out.iter_mut().for_each(|v| *v = rng.gen_range(-a..a));
             }
             Init::HeNormal => {
                 let std = (2.0 / fan_in.max(1) as f32).sqrt();
-                gaussian_vector(&mut rng, count, 0.0, std).into_inner()
+                gaussian_fill(&mut rng, out, 0.0, std);
             }
         }
     }

@@ -176,8 +176,10 @@ impl Layer for Dense {
 
     fn initial_params(&self, out: &mut Vec<f32>) {
         let (fan_in, fan_out) = (self.in_features, self.out_features);
-        out.extend(self.init.generate(fan_in * fan_out, fan_in, fan_out, self.seed));
-        out.extend(Init::Zeros.generate(fan_out, fan_in, fan_out, self.seed));
+        let start = out.len();
+        // The bias starts at the zeros the resize writes.
+        out.resize(start + self.param_count(), 0.0);
+        self.init.fill(&mut out[start..start + fan_in * fan_out], fan_in, fan_out, self.seed);
     }
 
     fn forward_flops(&self, _input_shape: &[usize]) -> u64 {

@@ -11,10 +11,12 @@ use agg_tensor::{Tensor, Vector};
 /// The model is the unit shipped between the parameter server and the
 /// workers. Its parameters are one flat vector (the `x` of Equation 2), each
 /// layer's a contiguous sub-slice in layer order, and so is its gradient.
-/// [`Sequential::gradient_at`] runs forward + backward over a mini-batch at a
-/// parameter vector it borrows, and returns the flattened gradient (the
-/// `G(x, ξ)` a worker submits), written once into one zeroed vector: a worker
-/// computes at the server's vector in place and keeps no copy of it.
+/// [`Sequential::gradient_into`] runs forward + backward over a mini-batch at
+/// a parameter vector it borrows, and writes the flattened gradient (the
+/// `G(x, ξ)` a worker submits) once into a caller's row: a worker computes at
+/// the server's vector in place, keeps no copy of it, and writes straight
+/// into its arena row. [`Sequential::gradient_at`] returns the same bits in a
+/// fresh vector.
 ///
 /// The model can also hold a resident vector: [`Sequential::set_parameters`]
 /// installs one, and [`Sequential::gradient`], [`Sequential::forward`],
@@ -30,6 +32,16 @@ pub struct Sequential {
     /// The installed parameter vector, `None` until the first
     /// `set_parameters` or resident pass.
     resident: Option<Vector>,
+}
+
+/// The loss and accuracy of one forward/backward pass over a mini-batch
+/// whose gradient went into a caller's row ([`Sequential::gradient_into`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchScore {
+    /// Mean loss over the batch.
+    pub loss: f32,
+    /// Fraction of correctly classified samples in the batch.
+    pub accuracy: f32,
 }
 
 /// Summary of one forward/backward evaluation over a mini-batch.
@@ -180,33 +192,63 @@ impl Sequential {
     }
 
     /// Runs forward + backward on a mini-batch at `params` and returns loss,
-    /// accuracy and the flattened gradient of the **mean** loss.
-    ///
-    /// `params` is only read, and the gradient starts from zero, so
-    /// consecutive calls are independent (one call = one worker gradient
-    /// estimate) and the resident vector is neither read nor changed.
+    /// accuracy and the flattened gradient of the **mean** loss: the
+    /// allocating wrapper of [`Sequential::gradient_into`], with the same
+    /// bits.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ParameterSizeMismatch`] when `params` does not hold
-    /// [`Sequential::param_count`] values, and propagates layer and loss
-    /// errors; an empty batch is a [`NnError::BadInputShape`] (its mean loss
-    /// is undefined).
+    /// As [`Sequential::gradient_into`].
     pub fn gradient_at(
         &mut self,
         params: &[f32],
         input: &Tensor,
         labels: &[usize],
     ) -> Result<BatchEvaluation> {
+        let mut gradient = vec![0.0f32; params.len()];
+        let score = self.gradient_into(params, input, labels, &mut gradient)?;
+        Ok(BatchEvaluation {
+            loss: score.loss,
+            accuracy: score.accuracy,
+            gradient: Vector::from(gradient),
+        })
+    }
+
+    /// Runs forward + backward on a mini-batch at `params` and writes the
+    /// flattened gradient of the **mean** loss into `row`, returning the
+    /// batch's loss and accuracy.
+    ///
+    /// `row` is zero-filled first and each layer accumulates its gradient
+    /// into its own sub-slice, so whatever the row held before (a previous
+    /// round's gradient, `NaN`, `-0.0`) leaves no trace, and a worker writes
+    /// its gradient once, straight into its arena row. `params` is only
+    /// read, so consecutive calls are independent (one call = one worker
+    /// gradient estimate) and the resident vector is neither read nor
+    /// changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParameterSizeMismatch`] when `params` or `row` does
+    /// not hold [`Sequential::param_count`] values, and propagates layer and
+    /// loss errors; an empty batch is a [`NnError::BadInputShape`] (its mean
+    /// loss is undefined).
+    pub fn gradient_into(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        labels: &[usize],
+        row: &mut [f32],
+    ) -> Result<BatchScore> {
         self.check_len(params.len())?;
+        self.check_len(row.len())?;
         let logits = self.forward_at(params, input)?;
         let loss_out = self.loss.evaluate(&logits, labels)?;
-        let mut gradient = vec![0.0f32; params.len()];
+        row.fill(0.0);
         let mut grad = loss_out.grad_logits;
         let mut end = params.len();
         for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
             let start = end - layer.param_count();
-            let (own, grad_own) = (&params[start..end], &mut gradient[start..end]);
+            let (own, grad_own) = (&params[start..end], &mut row[start..end]);
             if idx == 0 {
                 // Nobody reads the gradient with respect to the model's input.
                 layer.backward_params_only(own, &grad, grad_own)?;
@@ -215,10 +257,9 @@ impl Sequential {
             }
             end = start;
         }
-        Ok(BatchEvaluation {
+        Ok(BatchScore {
             loss: loss_out.loss,
             accuracy: loss_out.correct_predictions as f32 / labels.len().max(1) as f32,
-            gradient: Vector::from(gradient),
         })
     }
 

@@ -2,9 +2,10 @@
 //! benchmark workloads train and for the small CNN (dense, conv, pool, ReLU,
 //! flatten), each at two parameter vectors and two batch sizes. The pins were
 //! captured while every layer still kept its own copy of the weights and its
-//! own gradient buffers; both entries — `gradient_at` on a borrowed vector,
-//! and `set_parameters` + `gradient` on the resident one — must reproduce
-//! them. Any change to the term order of any layer moves them.
+//! own gradient buffers; every entry — `gradient_at` on a borrowed vector,
+//! `gradient_into` a used row, and `set_parameters` + `gradient` on the
+//! resident one — must reproduce them. Any change to the term order of any
+//! layer moves them.
 //!
 //! Every input and parameter is a multiple of a power of two, so nothing in
 //! the setup goes through a transcendental function whose bits could differ
@@ -138,6 +139,36 @@ fn gradient_at_a_borrowed_vector_matches_the_captured_bits() {
 }
 
 #[test]
+fn gradient_into_a_used_row_equals_gradient_at() {
+    // The row is an arena row: whatever the last round left there — NaN,
+    // negative zeros, garbage — must leave no trace in the gradient.
+    type Fill = fn(usize) -> f32;
+    let fills: [(&str, Fill); 3] = [
+        ("NaN", |_| f32::NAN),
+        ("-0.0", |_| -0.0),
+        ("garbage", |i| f32::from_bits((i as u32).wrapping_mul(0x9e37_79b9))),
+    ];
+    for case in &CASES {
+        let mut model = (case.build)();
+        for &(salt, batch, pin) in &case.pins {
+            let params = params_for(&model, salt);
+            let (x, labels) = batch_for(case, batch);
+            let want = model.gradient_at(params.as_slice(), &x, &labels).unwrap();
+            for (fill_name, fill) in fills {
+                let mut row: Vec<f32> = (0..model.param_count()).map(fill).collect();
+                let score = model.gradient_into(params.as_slice(), &x, &labels, &mut row).unwrap();
+                let what = format!("{} salt {salt} batch {batch} over {fill_name}", case.name);
+                assert_eq!(fingerprint(score.loss, &row), pin, "{what}");
+                assert_eq!(score.loss.to_bits(), want.loss.to_bits(), "{what}: loss");
+                assert_eq!(score.accuracy.to_bits(), want.accuracy.to_bits(), "{what}: accuracy");
+                let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(want.gradient.as_slice()), "{what}: gradient");
+            }
+        }
+    }
+}
+
+#[test]
 fn a_call_carries_no_state_into_the_next() {
     for case in &CASES {
         let (x, labels) = batch_for(case, 2);
@@ -169,6 +200,16 @@ fn a_wrong_length_vector_is_a_typed_error() {
             );
             let err = model.set_parameters(&Vector::from(params)).unwrap_err();
             assert!(matches!(err, NnError::ParameterSizeMismatch { .. }), "{}", case.name);
+            let good = params_for(&model, 1);
+            let mut row = vec![0.5f32; len];
+            let err = model.gradient_into(good.as_slice(), &x, &labels, &mut row).unwrap_err();
+            assert!(
+                matches!(err, NnError::ParameterSizeMismatch { expected, actual }
+                    if expected == d && actual == len),
+                "{}: row {err:?}",
+                case.name
+            );
+            assert!(row.iter().all(|&v| v == 0.5), "{}: a rejected row is untouched", case.name);
         }
         // The model is still usable afterwards.
         let params = params_for(&model, 1);

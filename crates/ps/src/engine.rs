@@ -35,10 +35,12 @@ use std::sync::Arc;
 ///    adversary's churn directives join the round's scheduled faults, the
 ///    view advances, every link is stamped with its epoch, and a live set
 ///    below the resilience floor refuses the round;
-/// 2. **gradients** — the live honest (and data-poisoned) workers compute a
-///    mini-batch gradient at the broadcast model and send it over their
-///    transports (possibly lossy), then the adversary crafts the Byzantine
-///    submissions knowing every honest gradient (omniscient attacker, §3.1);
+/// 2. **gradients** — compute, craft, send: the live honest (and
+///    data-poisoned) workers compute a mini-batch gradient at the broadcast
+///    model into their arena rows, the adversary crafts the Byzantine
+///    submissions knowing every honest gradient as computed (omniscient
+///    attacker, §3.1), and every row is sent in place over its transport
+///    (possibly lossy);
 /// 3. **quorum cut** — the delivered rows in simulated arrival order, the
 ///    first `quorum` of them accepted;
 /// 4. **ledger** — the round's evidence folds into the suspicion ledger, and
@@ -61,20 +63,20 @@ use std::sync::Arc;
 ///
 /// The gradients stage fans the honest workers out over rayon: every worker
 /// owns its model, sampler and transport (each with its own derived RNG
-/// stream) and delivers its gradient into its own pre-assigned row of one
-/// reused submissions arena, so the round is bit-for-bit identical at any
-/// thread budget (the determinism suites pin budgets 1, 2 and 4). The
+/// stream) and computes and sends its gradient in its own pre-assigned row
+/// of one reused submissions arena, so the round is bit-for-bit identical at
+/// any thread budget (the determinism suites pin budgets 1, 2 and 4). The
 /// threads claim runs of workers from a shared cursor (the rayon shim's
 /// guided claiming), so the attacker and crashed slots, which return at
 /// once, leave no core waiting at the barrier.
 ///
 /// The O(n·d) passes after Phase 1 split their work over rayon too — the
-/// adversary's honest mean, the attackers' sends, the compaction and the
-/// sharded reduce — each item writing its own rows or columns in a fixed
-/// term order, so their bits do not depend on the thread budget either. The aggregate
-/// stage runs at most one O(n²·d) distance pass per flat or sharded round —
-/// the parallel batch kernel over the compacted rows — which the rule and
-/// the selection both read.
+/// adversary's honest mean, the send region after the craft, the compaction
+/// and the sharded reduce — each item writing its own rows or columns in a
+/// fixed term order, so their bits do not depend on the thread budget
+/// either. The aggregate stage runs at most one O(n²·d) distance pass per
+/// flat or sharded round — the parallel batch kernel over the compacted
+/// rows — which the rule and the selection both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -545,24 +547,30 @@ impl SyncTrainingEngine {
         false
     }
 
-    /// Gradients: Phase 1 fans the live honest (and data-poisoned) workers
-    /// out over rayon, then Phase 2 has the adversary craft the attacker
-    /// rows. Fills the record's wire outcomes and returns every slot's
-    /// simulated arrival time.
+    /// Gradients: compute, craft, send. Phase 1 fans the live honest (and
+    /// data-poisoned) workers out over rayon; each computes its gradient
+    /// into its own arena row and sends it from there in place, unless the
+    /// adversary still has to read it. Phase 2 has the adversary craft the
+    /// attacker rows from borrowed views of the honest rows, and one send
+    /// region then sends the held-back honest rows and the crafted ones.
+    /// Fills the record's wire outcomes and returns every slot's simulated
+    /// arrival time.
     fn gradients(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> Result<Vec<f64>> {
         let (step, n, dim_scale) = (record.step, self.workers.len(), self.dim_scale());
         // Whether a live attacker crafts this round: only then does anyone
-        // read the honest gradients after they are sent.
+        // read the honest gradients, and they must see them as computed,
+        // before the wire touches them.
         let roster = n - self.config.byzantine_count..n;
         let attacking = roster.clone().any(|w| {
             self.workers[w].role() == WorkerRole::Attacker && self.membership.health(w).is_live()
         });
 
-        // Phase 1: worker `i` delivers straight into arena row `i` (disjoint
+        // Phase 1: worker `i` computes straight into arena row `i` (disjoint
         // mutable slices), results are collected in worker-id order, and
         // every worker draws only from its own RNG streams — so the round is
         // deterministic under any schedule, including which thread claims
-        // which run of workers. Every worker computes at one node rate.
+        // which run of workers, and whether a row is sent here or after the
+        // craft. Every worker computes at one node rate.
         self.pipeline.begin_round(n);
         let params = self.server.parameters();
         let (membership, cost) = (&self.membership, self.config.cost);
@@ -571,34 +579,84 @@ impl SyncTrainingEngine {
             true => REPLICATION_ENCODE_FACTOR,
             false => 1.0,
         };
-        type Sent = Option<(Option<Vector>, RowTransfer, f64)>;
-        let run_worker = |(worker, dst): (&mut Worker, &mut [f32])| -> Result<Sent> {
+        // A computed slot's compute seconds, and its send unless the row is
+        // held back for the adversary.
+        type Computed = Option<(f64, Option<RowTransfer>)>;
+        let run_worker = |(worker, row): (&mut Worker, &mut [f32])| -> Result<Computed> {
             if !membership.health(worker.id()).is_live() || worker.role() == WorkerRole::Attacker {
                 // Crashed workers compute and submit nothing; attackers are
                 // crafted centrally in Phase 2 (their channels are
                 // "arbitrarily fast" and never extend the round).
                 return Ok(None);
             }
-            let computation = worker.compute_gradient(params, |model, batch| {
+            let compute_sec = worker.compute_into(params, row, |model, batch| {
                 cost.gradient_time(model.flops_per_sample(), batch, node_flops) * encode
             })?;
-            let transfer = worker.send_gradient_into(step, computation.gradient.as_slice(), dst)?;
-            let arrival = computation.compute_time_sec + transfer.time_sec * dim_scale;
-            // The honest gradient outlives its send only for the adversary.
-            let honest = attacking && worker.role() == WorkerRole::Honest;
-            Ok(Some((honest.then_some(computation.gradient), transfer, arrival)))
+            let held = attacking && worker.role() == WorkerRole::Honest;
+            let transfer = if held { None } else { Some(worker.send_in_place(step, row)?) };
+            Ok(Some((compute_sec, transfer)))
         };
         let jobs: Vec<(&mut Worker, &mut [f32])> =
             self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
-        let results: Vec<Result<Sent>> = jobs.into_par_iter().map(run_worker).collect();
-        let mut honest = Vec::new();
+        let results: Vec<Result<Computed>> = jobs.into_par_iter().map(run_worker).collect();
+        let mut held = Vec::new();
         let mut arrival_sec = vec![0.0f64; n];
         record.wire = vec![None; n];
         for (slot, result) in results.into_iter().enumerate() {
-            let Some((gradient, transfer, sec)) = result? else { continue };
-            honest.extend(gradient);
-            record.wire[slot] = Some(SlotWire::from(&transfer));
-            arrival_sec[slot] = sec;
+            let Some((compute_sec, transfer)) = result? else { continue };
+            arrival_sec[slot] = compute_sec;
+            match transfer {
+                Some(transfer) => {
+                    record.wire[slot] = Some(SlotWire::from(&transfer));
+                    arrival_sec[slot] += transfer.time_sec * dim_scale;
+                }
+                None => held.push(slot),
+            }
+        }
+
+        // Phase 2: the adversary crafts one submission per slot of its roster,
+        // seeing every honest gradient as a borrowed view of its arena row
+        // (§3.1's omniscient attacker, without cloning a coordinate). Roster
+        // slot `s` owns `crafted[s − first]`. Then every live slot still to
+        // send — the held honest rows and the live attacker rows, written
+        // from their crafted vectors — sends in place over its own
+        // transport, in one parallel region once the rows clear the gate.
+        if attacking {
+            let arena = self.pipeline.arena();
+            let honest: Vec<&[f32]> = held.iter().map(|&slot| arena.row(slot)).collect();
+            let crafted = self.config.attack.craft(&self.attack_context(&honest, step, history));
+            let membership = &self.membership;
+            let sends: Vec<(&mut Worker, &mut [f32])> = self
+                .workers
+                .iter_mut()
+                .zip(self.pipeline.arena_mut().rows_mut())
+                .filter(|(worker, _)| {
+                    let slot = worker.id();
+                    held.binary_search(&slot).is_ok()
+                        || (roster.contains(&slot) && membership.health(slot).is_live())
+                })
+                .collect();
+            let send = |(worker, row): (&mut Worker, &mut [f32])| {
+                if let Some(k) = worker.id().checked_sub(roster.start) {
+                    row.copy_from_slice(crafted[k].as_slice());
+                }
+                Ok((worker.id(), worker.send_in_place(step, row)?))
+            };
+            let sent: Vec<Result<(usize, RowTransfer)>> =
+                if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
+                    sends.into_par_iter().map(send).collect()
+                } else {
+                    sends.into_iter().map(send).collect()
+                };
+            for result in sent {
+                let (slot, transfer) = result?;
+                record.wire[slot] = Some(SlotWire::from(&transfer));
+                // An attacker's channel is "arbitrarily fast": only an honest
+                // row's send extends its arrival.
+                if !roster.contains(&slot) {
+                    arrival_sec[slot] += transfer.time_sec * dim_scale;
+                }
+            }
         }
         // The straggler knob and slow-by demotions stretch the simulated
         // arrival times (Byzantine submissions included — their channels are
@@ -609,40 +667,6 @@ impl SyncTrainingEngine {
             }
             if let WorkerHealth::Slowed { delay_sec } = self.membership.health(slot) {
                 *sec += delay_sec;
-            }
-        }
-
-        // Phase 2: the adversary crafts one submission per slot of its roster,
-        // seeing every honest gradient as a borrowed row view (§3.1's
-        // omniscient attacker, without cloning a coordinate). Roster slot `s`
-        // owns `crafted[s − first]`; only the live ones send, each into its
-        // own arena row over its own transport, as in Phase 1 — so the sends
-        // share one parallel region once their rows clear the gate.
-        if attacking {
-            let honest_views: Vec<&[f32]> = honest.iter().map(Vector::as_slice).collect();
-            let crafted =
-                self.config.attack.craft(&self.attack_context(&honest_views, step, history));
-            let membership = &self.membership;
-            let rows = self.pipeline.arena_mut().rows_mut().into_iter().skip(roster.start);
-            let sends: Vec<((&mut Worker, &mut [f32]), &Vector)> = self.workers[roster]
-                .iter_mut()
-                .zip(rows)
-                .zip(&crafted)
-                .filter(|((worker, _), _)| membership.health(worker.id()).is_live())
-                .collect();
-            let send = |((worker, row), gradient): ((&mut Worker, &mut [f32]), &Vector)| {
-                let transfer = worker.send_gradient_into(step, gradient.as_slice(), row)?;
-                Ok((worker.id(), SlotWire::from(&transfer)))
-            };
-            let sent: Vec<Result<(usize, SlotWire)>> =
-                if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
-                    sends.into_par_iter().map(send).collect()
-                } else {
-                    sends.into_iter().map(send).collect()
-                };
-            for result in sent {
-                let (slot, wire) = result?;
-                record.wire[slot] = Some(wire);
             }
         }
         // The distinct mini-batches submitted, delivered or not: a replicating
@@ -1311,6 +1335,64 @@ mod tests {
             let crafted = config.attack.craft(&roster);
             assert_eq!(arena.row(sender), crafted[sender - 7].as_slice(), "{attack:?}");
         }
+    }
+
+    #[test]
+    fn the_adversary_crafts_from_the_computed_gradients_not_the_assembled_rows() {
+        // Four honest workers and one sign-flip attacker, every link lossy at
+        // 30 % drop under `SelectiveNan`, so a lost coordinate arrives as NaN.
+        // The same config over reliable links leaves each honest row as
+        // computed. The attacker's row, wherever it arrived, must be the
+        // craft over those computed rows — sending the honest rows before
+        // the craft would have put NaN into every coordinate any honest
+        // link lost.
+        let mut reliable = quick_config(GarKind::MultiKrum, 1, 5);
+        reliable.byzantine_count = 1;
+        reliable.attack = AttackKind::SignFlip;
+        let lossy = RunnerConfig {
+            transport: TransportKind::Lossy { policy: LossPolicy::SelectiveNan },
+            lossy_links: 5,
+            link: LinkConfig::datacenter().with_drop_rate(0.3),
+            ..reliable.clone()
+        };
+        let first_round = |config: RunnerConfig| {
+            let mut engine = SyncTrainingEngine::new(config).unwrap();
+            let mut record = RoundRecord::default();
+            assert!(engine.advance_membership(&[], &mut record));
+            engine.gradients(&[], &mut record).unwrap();
+            assert!(record.wire.iter().all(|wire| wire.is_some_and(|w| w.delivered)));
+            let rows: Vec<Vec<f32>> = engine.pipeline.arena().rows().map(<[f32]>::to_vec).collect();
+            (rows, engine.server.parameters().clone())
+        };
+        let (computed, model) = first_round(reliable.clone());
+        let (assembled, _) = first_round(lossy);
+        let craft = |honest: &[Vec<f32>]| {
+            let honest: Vec<&[f32]> = honest.iter().map(Vec::as_slice).collect();
+            let ctx = AttackContext {
+                honest_gradients: &honest,
+                model: &model,
+                byzantine_count: 1,
+                declared_f: 1,
+                step: 0,
+                seed: reliable.seed,
+                total_workers: 5,
+                previous_selection: None,
+            };
+            reliable.attack.craft(&ctx).remove(0)
+        };
+        let from_computed = craft(&computed[..4]);
+        let from_assembled = craft(&assembled[..4]);
+        assert_eq!(computed[4], from_computed.as_slice().to_vec(), "reliable links send it as is");
+        let (mut arrived, mut lost_upstream) = (0, 0);
+        for (c, &got) in assembled[4].iter().enumerate() {
+            if got.is_nan() {
+                continue;
+            }
+            arrived += 1;
+            assert_eq!(got.to_bits(), from_computed[c].to_bits(), "coordinate {c}");
+            lost_upstream += usize::from(from_assembled[c].is_nan());
+        }
+        assert!(arrived > 0 && lost_upstream > 0, "{arrived} arrived, {lost_upstream} lost");
     }
 
     #[test]

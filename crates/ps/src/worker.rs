@@ -28,17 +28,6 @@ impl WorkerRole {
     }
 }
 
-/// The result of one worker's local step.
-#[derive(Debug, Clone)]
-pub struct WorkerComputation {
-    /// The gradient estimate the worker submits.
-    pub gradient: Vector,
-    /// Training loss observed on the worker's mini-batch.
-    pub loss: f32,
-    /// Seconds of simulated compute time the gradient cost.
-    pub compute_time_sec: f64,
-}
-
 /// One simulated worker process.
 ///
 /// Each worker owns its model's layers (as a TensorFlow worker owns its
@@ -46,7 +35,10 @@ pub struct WorkerComputation {
 /// sampler over its local dataset view, and the transport its gradients
 /// travel over. It owns no weights: every round it computes at the server's
 /// parameter vector, borrowed in place, so the n workers of a round share one
-/// copy of the model instead of holding n.
+/// copy of the model instead of holding n. It owns no gradient buffer
+/// either: it computes into the arena row the engine hands it
+/// ([`Worker::compute_into`]) and sends from that row
+/// ([`Worker::send_in_place`]), so each gradient is written once.
 #[derive(Debug)]
 pub struct Worker {
     id: usize,
@@ -81,45 +73,38 @@ impl Worker {
     }
 
     /// Computes one mini-batch gradient at the given model parameters, read
-    /// in place ([`Sequential::gradient_at`]).
+    /// in place, into `row` ([`Sequential::gradient_into`]) — the worker's
+    /// arena row, so the gradient is written once — and returns its
+    /// simulated compute seconds.
     ///
-    /// The returned compute time uses the provided closure so the engine's
-    /// cost model stays in one place.
+    /// The compute time uses the provided closure so the engine's cost model
+    /// stays in one place.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError`] when the model rejects the parameters or batch.
-    pub fn compute_gradient(
+    /// Returns [`PsError`] when the model rejects the parameters, the row or
+    /// the batch.
+    pub fn compute_into(
         &mut self,
         params: &Vector,
+        row: &mut [f32],
         compute_time: impl FnOnce(&Sequential, usize) -> f64,
-    ) -> Result<WorkerComputation> {
+    ) -> Result<f64> {
         let (batch, labels) = self.sampler.next_batch(&self.dataset).map_err(PsError::from)?;
-        let evaluation =
-            self.model.gradient_at(params.as_slice(), &batch, &labels).map_err(PsError::from)?;
-        let time = compute_time(&self.model, labels.len());
-        Ok(WorkerComputation {
-            gradient: evaluation.gradient,
-            loss: evaluation.loss,
-            compute_time_sec: time,
-        })
+        self.model.gradient_into(params.as_slice(), &batch, &labels, row).map_err(PsError::from)?;
+        Ok(compute_time(&self.model, labels.len()))
     }
 
-    /// Sends a gradient straight into the server's arena row for this worker
-    /// (the zero-copy round path: the receiver's view is written into `dst`,
-    /// no intermediate `Vector`).
+    /// Sends the gradient in `row` to the server over this worker's
+    /// transport ([`Transport::send_in_place`]): the receiver's view of it
+    /// replaces it in the same row.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::Network`] for structural transport failures (loss is
     /// not an error).
-    pub fn send_gradient_into(
-        &mut self,
-        step: u64,
-        gradient: &[f32],
-        dst: &mut [f32],
-    ) -> Result<RowTransfer> {
-        self.transport.transfer_into(self.id as u32, step, gradient, dst).map_err(PsError::from)
+    pub fn send_in_place(&mut self, step: u64, row: &mut [f32]) -> Result<RowTransfer> {
+        self.transport.send_in_place(self.id as u32, step, row).map_err(PsError::from)
     }
 
     /// Stamps the membership epoch this worker believes is current into its
@@ -180,42 +165,46 @@ mod tests {
     fn honest_worker_computes_a_gradient_of_model_dimension() {
         let mut worker = make_worker(WorkerRole::Honest);
         let params = worker.model.parameters();
-        let result = worker.compute_gradient(&params, |_, b| b as f64 * 0.01).unwrap();
-        assert_eq!(result.gradient.len(), params.len());
-        assert!(result.loss.is_finite());
-        assert!((result.compute_time_sec - 0.08).abs() < 1e-9);
+        let mut row = vec![f32::NAN; params.len()];
+        let sec = worker.compute_into(&params, &mut row, |_, b| b as f64 * 0.01).unwrap();
+        assert!(row.iter().all(|g| g.is_finite()), "the row holds only the gradient");
+        assert!(row.iter().any(|&g| g != 0.0));
+        assert!((sec - 0.08).abs() < 1e-9);
     }
 
     #[test]
     fn gradient_rejects_wrong_parameter_size() {
         let mut worker = make_worker(WorkerRole::Honest);
-        assert!(worker.compute_gradient(&Vector::zeros(3), |_, _| 0.0).is_err());
+        let d = worker.model.param_count();
+        assert!(worker.compute_into(&Vector::zeros(3), &mut vec![0.0; d], |_, _| 0.0).is_err());
+        let params = worker.model.parameters();
+        assert!(worker.compute_into(&params, &mut vec![0.0; d + 1], |_, _| 0.0).is_err());
     }
 
     #[test]
     fn epoch_passthroughs_reach_the_transport() {
         let mut worker = make_worker(WorkerRole::Honest);
         let g = vec![1.0f32; 64];
-        let mut dst = vec![0.0f32; 64];
+        let mut row = g.clone();
         // Server fences at epoch 3; the worker still stamps epoch 0.
         worker.set_transport_expected_epoch(Some(3));
-        let fenced = worker.send_gradient_into(0, &g, &mut dst).unwrap();
+        let fenced = worker.send_in_place(0, &mut row).unwrap();
         assert!(!fenced.delivered);
         assert!(fenced.stale_epoch_rejects > 0);
         // Once the worker learns the view, delivery resumes.
         worker.set_transport_epoch(3);
-        let ok = worker.send_gradient_into(1, &g, &mut dst).unwrap();
+        let ok = worker.send_in_place(1, &mut row).unwrap();
         assert!(ok.delivered);
         assert_eq!(ok.stale_epoch_rejects, 0);
-        assert_eq!(dst, g);
+        assert_eq!(row, g);
     }
 
     #[test]
     fn send_gradient_goes_through_the_transport() {
         let mut worker = make_worker(WorkerRole::Honest);
         let g = vec![1.0f32; 100];
-        let mut row = vec![0.0f32; 100];
-        let outcome = worker.send_gradient_into(0, &g, &mut row).unwrap();
+        let mut row = g.clone();
+        let outcome = worker.send_in_place(0, &mut row).unwrap();
         assert!(outcome.delivered);
         assert_eq!(row, g);
         assert_eq!(worker.id(), 0);

@@ -9,18 +9,29 @@
 //!   built (`ExperimentKind::build`, the first step of
 //!   `SyncTrainingEngine::new`), and while the whole engine is, exceeds the
 //!   live bytes once it returns by less than one copy of the dataset: the
-//!   data are drawn into their final buffer and split by moving it.
-//! * **A round.** `alloc.count_per_round` and `alloc.bytes_per_round` after
-//!   warm-up, at the `paper19`, `gar19_bulyan` and `wire19_lossy` shapes:
+//!   data are drawn into their final buffer and split by moving it. At the
+//!   `wire19_lossy` shape the engine keeps under 13 000 000 bytes: the
+//!   data, the models, the n × d arena and each lossy link's assembler, and
+//!   no gradient-sized buffer per worker or per link.
+//! * **A round's budget, in rows** (a row is d × 4 bytes, one gradient). At
+//!   the `paper19` shape the live bytes of a run peak less than 12 rows
+//!   above what the engine holds when it starts: every gradient is written
+//!   into its arena row, so no round holds the honest gradients a second
+//!   time. At the `gar19_bulyan` shape a round allocates less than 4 rows.
+//! * **A round's traffic.** `alloc.count_per_round` and
+//!   `alloc.bytes_per_round` after warm-up at all five benchmark shapes:
 //!   the allocations of a run of `WARM + MEASURED` rounds minus those of a
-//!   run of `WARM` rounds (same seed, so the first rounds are the same), over
-//!   `MEASURED`. Printed (`--nocapture`), not asserted: they are the
-//!   baseline the in-place gradient stage is measured against.
+//!   run of `WARM` rounds (same seed, so the first rounds are the same),
+//!   over `MEASURED`. Printed (`--nocapture`); only the `gar19_bulyan` one
+//!   is bounded.
 
 use agg_attacks::AttackKind;
-use agg_core::{GarConfig, GarKind};
-use agg_net::{LinkConfig, LossPolicy};
-use agg_ps::{ExperimentKind, RunnerConfig, SyncTrainingEngine, TransportKind};
+use agg_core::{GarConfig, GarKind, TreeConfig};
+use agg_net::{ChaosConfig, LinkConfig, LossPolicy, RetransmitConfig};
+use agg_ps::{
+    ExperimentKind, FaultPlan, QuorumPolicy, ReputationConfig, RunnerConfig, SyncTrainingEngine,
+    TransportKind,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -92,6 +103,9 @@ const MEASURED: u64 = 4;
 /// One copy of the `paper19` dataset: 4 000 samples × 256 `f32` features.
 const DATASET_BYTES: usize = 4_000 * 256 * 4;
 
+/// One gradient of the benchmark MLP (d = 256·384 + 384 + 384·10 + 10).
+const ROW_BYTES: usize = 102_538 * 4;
+
 /// The benchmark's workload of this name, for `rounds` rounds, with one
 /// evaluation before the first round and one after the last.
 fn workload(name: &str, rounds: u64) -> RunnerConfig {
@@ -108,6 +122,7 @@ fn workload(name: &str, rounds: u64) -> RunnerConfig {
         seed: 42,
         ..RunnerConfig::quick_default()
     };
+    let lossy = |drop_rate: f64| LinkConfig::datacenter().with_drop_rate(drop_rate);
     match name {
         "paper19" => RunnerConfig {
             gar: GarConfig::new(GarKind::MultiKrum, 4),
@@ -123,10 +138,66 @@ fn workload(name: &str, rounds: u64) -> RunnerConfig {
             gar: GarConfig::new(GarKind::Average, 0),
             transport: TransportKind::Lossy { policy: LossPolicy::RandomFill },
             lossy_links: 19,
-            link: LinkConfig::datacenter().with_drop_rate(0.10),
+            link: lossy(0.10),
             batch_size: 1,
             ..base
         },
+        "stream19_sharded" => {
+            let mut delays = vec![0.0; 19];
+            for straggler in [0, 5, 10, 15] {
+                delays[straggler] = 0.05;
+            }
+            let mut config = RunnerConfig {
+                gar: GarConfig::new(GarKind::MultiKrum, 4),
+                byzantine_count: 2,
+                attack: AttackKind::SignFlip,
+                shards: 4,
+                worker_extra_delay_sec: delays,
+                transport: TransportKind::Lossy { policy: LossPolicy::RandomFill },
+                lossy_links: 6,
+                link: lossy(0.10),
+                chaos: Some(ChaosConfig::moderate()),
+                retransmit: Some(RetransmitConfig::default()),
+                batch_size: 2,
+                ..base
+            };
+            config.streaming.quorum = QuorumPolicy::NMinusF;
+            config
+        }
+        "elastic_tree256" => {
+            let tree = TreeConfig::uniform(GarKind::MultiKrum, 6, 1, 32);
+            // The churn plan of the longest run, cut at this run's end, so a
+            // shorter run is the longer one's prefix.
+            let mut fault_plan = FaultPlan::seeded_churn(42, 256, WARM + MEASURED, 8);
+            fault_plan.events.retain(|event| event.round < rounds);
+            let mut config = RunnerConfig {
+                experiment: ExperimentKind::MlpBlobs {
+                    input_dim: 32,
+                    hidden: 96,
+                    classes: 10,
+                    samples: 4000,
+                },
+                workers: 256,
+                gar: tree.root,
+                tree: Some(tree),
+                byzantine_count: 6,
+                attack: AttackKind::SignFlip,
+                reputation: Some(ReputationConfig {
+                    reshuffle_every: 5,
+                    ..ReputationConfig::default()
+                }),
+                fault_plan,
+                transport: TransportKind::Lossy { policy: LossPolicy::DropGradient },
+                lossy_links: 32,
+                link: lossy(0.05),
+                chaos: Some(ChaosConfig::moderate()),
+                retransmit: Some(RetransmitConfig::default()),
+                batch_size: 8,
+                ..base
+            };
+            config.streaming.quorum = QuorumPolicy::NMinusF;
+            config
+        }
         other => unreachable!("no workload {other}"),
     }
 }
@@ -150,24 +221,49 @@ fn peak_over_kept<T>(build: impl FnOnce() -> T) -> (usize, usize) {
     (after - before, peak - after)
 }
 
+/// How far the live bytes peaked above their level when `work` started.
+fn peak_over_start(work: impl FnOnce()) -> usize {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    work();
+    PEAK.load(Relaxed) - before
+}
+
 #[test]
 fn engine_allocations() {
     // `SyncTrainingEngine::new` builds the data first and then reserves the
     // 7.8 MB gradient arena, which is live when it returns, so its own peak
     // cannot show a transient copy of the dataset: the data build can.
-    let config = workload("paper19", 1);
+    let config = workload("paper19", WARM + MEASURED);
     let (kept, over) = peak_over_kept(|| config.experiment.build(config.seed).unwrap());
     println!("alloc.data_build_kept_bytes {kept} alloc.data_build_peak_over_kept_bytes {over}");
     assert!(over < DATASET_BYTES, "the data build peaked {over} bytes above the {kept} it keeps");
-    let (kept, over) = peak_over_kept(|| SyncTrainingEngine::new(config).unwrap());
+    let (kept, over) = peak_over_kept(|| SyncTrainingEngine::new(config.clone()).unwrap());
     println!("alloc.new_kept_bytes {kept} alloc.new_peak_over_kept_bytes {over}");
     assert!(over < DATASET_BYTES, "the engine build peaked {over} bytes above the {kept} it keeps");
 
-    for name in ["paper19", "gar19_bulyan", "wire19_lossy"] {
+    let mut engine = SyncTrainingEngine::new(config).unwrap();
+    let over = peak_over_start(|| drop(engine.run().unwrap()));
+    let rows = over as f64 / ROW_BYTES as f64;
+    println!("paper19 alloc.run_peak_over_engine_rows {rows:.1}");
+    assert!(rows < 12.0, "a paper19 run peaked {rows:.1} rows above the engine");
+    drop(engine);
+
+    let (kept, _) =
+        peak_over_kept(|| SyncTrainingEngine::new(workload("wire19_lossy", 1)).unwrap());
+    println!("wire19_lossy alloc.new_kept_bytes {kept}");
+    assert!(kept < 13_000_000, "a wire19_lossy engine keeps {kept} bytes");
+
+    for name in ["paper19", "gar19_bulyan", "wire19_lossy", "stream19_sharded", "elastic_tree256"] {
         let (warm_calls, warm_bytes) = run_counts(workload(name, WARM));
         let (calls, bytes) = run_counts(workload(name, WARM + MEASURED));
         let per_round = |total: usize, warm: usize| (total - warm) as f64 / MEASURED as f64;
+        let bytes_per_round = per_round(bytes, warm_bytes);
         println!("{name} alloc.count_per_round {:.1}", per_round(calls, warm_calls));
-        println!("{name} alloc.bytes_per_round {:.0}", per_round(bytes, warm_bytes));
+        println!("{name} alloc.bytes_per_round {bytes_per_round:.0}");
+        if name == "gar19_bulyan" {
+            let rows = bytes_per_round / ROW_BYTES as f64;
+            assert!(rows < 4.0, "a gar19_bulyan round allocates {rows:.1} rows");
+        }
     }
 }
