@@ -20,7 +20,7 @@ fn bench_codec(c: &mut Criterion) {
     for &d in &[10_000usize, 100_000] {
         let gradient = gaussian_vector(&mut seeded_rng(4), d, 0.0, 1.0);
         let mut assembler = RoundAssembler::new(d);
-        let mut row = vec![0.0f32; d];
+        let mut row = gradient.as_slice().to_vec();
         group.bench_with_input(BenchmarkId::new("encode_decode", d), &gradient, |b, g| {
             b.iter(|| {
                 let packets = codec.split_bytes(0, 0, g.as_slice());
@@ -53,8 +53,10 @@ fn bench_crc(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Transport::transfer_into` — the call the engine makes — into a row
-/// reused across iterations, at the two row sizes the lossy workloads send:
+/// `Transport::send_in_place` — the call the engine makes — from a row
+/// reused across iterations and filled with the gradient once (a lossy send
+/// leaves the receiver's view there, which the next iteration sends), at
+/// the two row sizes the lossy workloads send:
 /// d = 4 138 (`elastic_tree256`, 12 packets, where the tail of the
 /// three-packet CRC batches shows) and d = 100 000 (≈ the paper's model,
 /// 286 packets).
@@ -64,13 +66,11 @@ fn bench_transports(c: &mut Criterion) {
     let codec = GradientCodec::default_mtu();
     for (label, d) in [("4138", 4_138usize), ("100k", 100_000)] {
         let gradient = gaussian_vector(&mut seeded_rng(2), d, 0.0, 1.0);
-        let mut row = vec![0.0f32; d];
+        let mut row = gradient.as_slice().to_vec();
 
         let mut reliable = ReliableTransport::new(LinkConfig::datacenter(), codec).unwrap();
         group.bench_function(&format!("reliable_{label}"), |b| {
-            b.iter(|| {
-                reliable.transfer_into(0, 0, black_box(gradient.as_slice()), &mut row).unwrap()
-            })
+            b.iter(|| reliable.send_in_place(0, 0, black_box(&mut row)).unwrap())
         });
 
         let mut lossy = LossyTransport::new(
@@ -82,7 +82,7 @@ fn bench_transports(c: &mut Criterion) {
         )
         .unwrap();
         group.bench_function(&format!("lossy_10pct_{label}"), |b| {
-            b.iter(|| lossy.transfer_into(0, 0, black_box(gradient.as_slice()), &mut row).unwrap())
+            b.iter(|| lossy.send_in_place(0, 0, black_box(&mut row)).unwrap())
         });
     }
     group.finish();

@@ -886,61 +886,102 @@ mod tests {
         }
     }
 
-    /// One transport of the in-place equivalence cases, built afresh.
-    fn in_place_case(name: &str) -> Box<dyn Transport> {
-        let lossy = LinkConfig::datacenter().with_drop_rate(0.2);
-        let codec = GradientCodec::new(16).unwrap();
-        let lossy_with = |policy| LossyTransport::new(lossy, codec, policy, 9, 4).unwrap();
-        let mut t: Box<dyn Transport> = match name {
-            "reliable" | "reliable fenced" => {
-                Box::new(ReliableTransport::new(lossy, codec).unwrap())
-            }
-            "drop" => Box::new(lossy_with(LossPolicy::DropGradient)),
-            "nan" | "lossy fenced" => Box::new(lossy_with(LossPolicy::SelectiveNan)),
-            _ => Box::new(lossy_with(LossPolicy::RandomFill)),
-        };
-        if name == "chaos + retransmit" {
-            t.set_chaos(Some(ChaosPlan::new(crate::ChaosConfig::moderate(), 9).unwrap()));
-            t.set_retransmit(Some(RetransmitConfig::default()));
-        }
-        if name.ends_with("fenced") {
-            t.set_epoch(1);
-            t.set_expected_epoch(Some(2));
-        }
-        t
+    /// A CRC of every `RowTransfer` field, for pinning a run of transfers.
+    fn transfer_crc(out: &RowTransfer) -> u32 {
+        let s = out.link_stats;
+        let fields = [
+            u64::from(out.delivered),
+            out.time_sec.to_bits(),
+            out.bytes_sent as u64,
+            out.missing_coordinates as u64,
+            out.stale_epoch_rejects as u64,
+            out.corrupt_rejects as u64,
+            out.retransmits as u64,
+            u64::from(out.retransmit_exhausted),
+            s.sent as u64,
+            s.delivered as u64,
+            s.dropped as u64,
+            s.duplicated as u64,
+            s.reordered as u64,
+        ];
+        let bytes: Vec<u8> = fields.iter().flat_map(|v| v.to_le_bytes()).collect();
+        crate::crc32(&bytes)
     }
 
     #[test]
-    fn sending_in_place_equals_transferring_into_a_row() {
-        // Two transports built alike: one transfers each step's gradient into
-        // a row of garbage, the other sends it from the row it was written
-        // to. Over several steps (so the link, chaos and retransmit draws
-        // advance) the rows and every `RowTransfer` field agree bit for bit.
+    fn reliable_and_recovering_transfers_match_the_captured_row_transfers() {
+        // Three steps on one transport (so the link, chaos and retransmit
+        // draws advance), each pinned as (CRC of every `RowTransfer` field,
+        // CRC of the row's bytes), values captured at a6607ce, where
+        // `ReliableTransport` had a copying transfer body of its own. Each
+        // case runs through both entries: a transfer into a row of NaN, and
+        // a send in place from the row the gradient was written to.
+        let clean = LinkConfig::datacenter();
+        let dirty =
+            LinkConfig { drop_rate: 0.10, duplicate_rate: 0.05, reorder_rate: 0.05, ..clean };
+        let g: Vec<f32> = (0..1029).map(|i| ((i * 37 % 1024) as f32 - 512.0) / 256.0).collect();
+        let codec = GradientCodec::new(16).unwrap();
+        let build = |case: &str| -> Box<dyn Transport> {
+            let policy = match case {
+                "reliable clean" => return Box::new(ReliableTransport::new(clean, codec).unwrap()),
+                "reliable dirty" => return Box::new(ReliableTransport::new(dirty, codec).unwrap()),
+                "reliable fenced" => {
+                    let mut t = ReliableTransport::new(dirty, codec).unwrap();
+                    t.set_epoch(1);
+                    t.set_expected_epoch(Some(2));
+                    return Box::new(t);
+                }
+                "recovering drop" => LossPolicy::DropGradient,
+                "recovering nan" => LossPolicy::SelectiveNan,
+                _ => LossPolicy::RandomFill,
+            };
+            // One retry: some rows complete, some exhaust the budget.
+            let mut t = LossyTransport::new(dirty, codec, policy, 42, 7).unwrap();
+            t.set_chaos(Some(ChaosPlan::new(crate::ChaosConfig::moderate(), 9).unwrap()));
+            t.set_retransmit(Some(RetransmitConfig { max_retries: 1, ..Default::default() }));
+            Box::new(t)
+        };
+        // The gradient's own bytes: what a delivered, complete row holds.
+        let sent = 0xb3cfee88;
         let cases = [
-            "reliable",
-            "reliable fenced",
-            "drop",
-            "nan",
-            "fill",
-            "chaos + retransmit",
-            "lossy fenced",
+            ("reliable clean", [(0xf04fea7e, sent); 3]),
+            ("reliable dirty", [(0x4c87c23f, sent); 3]),
+            // Fenced, so not delivered, and nothing reads the row: it keeps
+            // the gradient as sent, where a6607ce left it as it was.
+            ("reliable fenced", [(0x098f6cec, sent); 3]),
+            (
+                "recovering drop",
+                [(0x043d5845, 0x3852c782), (0xaf7e3d23, sent), (0x83ac5cf7, 0x1e13aa9e)],
+            ),
+            (
+                "recovering nan",
+                [(0x43e6db52, 0x3852c782), (0xaf7e3d23, sent), (0xc477dfe0, 0x1e13aa9e)],
+            ),
+            (
+                "recovering fill",
+                [(0x43e6db52, 0x096c7362), (0xaf7e3d23, sent), (0xc477dfe0, 0x3777257c)],
+            ),
         ];
-        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for name in cases {
-            let (mut copying, mut in_place) = (in_place_case(name), in_place_case(name));
-            for step in 0..4u64 {
-                let g: Vec<f32> =
-                    (0..515).map(|i| ((i * 29 + step as usize) % 97) as f32 / 8.0 - 6.0).collect();
-                let mut dst = vec![f32::NAN; g.len()];
-                let want = copying.transfer_into(2, step, &g, &mut dst).unwrap();
-                let mut row = g.clone();
-                let got = in_place.send_in_place(2, step, &mut row).unwrap();
-                assert_eq!(got, want, "{name} step {step}");
-                assert_eq!(bits(&row), bits(&dst), "{name} step {step}");
+        for (name, pins) in cases {
+            for in_place in [false, true] {
+                let mut t = build(name);
+                for (step, (transfer_pin, row_pin)) in (0..).zip(pins) {
+                    let mut row = vec![f32::NAN; g.len()];
+                    let out = if in_place {
+                        row.copy_from_slice(&g);
+                        t.send_in_place(3, step, &mut row).unwrap()
+                    } else {
+                        t.transfer_into(3, step, &g, &mut row).unwrap()
+                    };
+                    let case = format!("{name} step {step} in place {in_place}: {out:?}");
+                    assert_eq!(transfer_crc(&out), transfer_pin, "{case}");
+                    let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    assert_eq!(crate::crc32(&bytes), row_pin, "row of {case}");
+                }
             }
         }
         let err =
-            in_place_case("reliable").transfer_into(0, 0, &[1.0; 4], &mut [0.0; 3]).unwrap_err();
+            build("reliable clean").transfer_into(0, 0, &[1.0; 4], &mut [0.0; 3]).unwrap_err();
         assert!(matches!(err, NetError::InvalidConfig(_)), "{err:?}");
     }
 

@@ -35,7 +35,7 @@ pub struct Sequential {
 }
 
 /// The loss and accuracy of one forward/backward pass over a mini-batch
-/// whose gradient went into a caller's row ([`Sequential::gradient_into`]).
+/// ([`Sequential::gradient_into`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchScore {
     /// Mean loss over the batch.
@@ -47,10 +47,8 @@ pub struct BatchScore {
 /// Summary of one forward/backward evaluation over a mini-batch.
 #[derive(Debug, Clone)]
 pub struct BatchEvaluation {
-    /// Mean loss over the batch.
-    pub loss: f32,
-    /// Fraction of correctly classified samples in the batch.
-    pub accuracy: f32,
+    /// The batch's mean loss and accuracy.
+    pub score: BatchScore,
     /// Flattened gradient of the mean loss with respect to every parameter.
     pub gradient: Vector,
 }
@@ -207,11 +205,7 @@ impl Sequential {
     ) -> Result<BatchEvaluation> {
         let mut gradient = vec![0.0f32; params.len()];
         let score = self.gradient_into(params, input, labels, &mut gradient)?;
-        Ok(BatchEvaluation {
-            loss: score.loss,
-            accuracy: score.accuracy,
-            gradient: Vector::from(gradient),
-        })
+        Ok(BatchEvaluation { score, gradient: Vector::from(gradient) })
     }
 
     /// Runs forward + backward on a mini-batch at `params` and writes the
@@ -351,7 +345,7 @@ mod tests {
         resident.set_parameters(&params).unwrap();
         let installed = resident.gradient(&x, &labels).unwrap();
         assert_eq!(at.gradient, installed.gradient);
-        assert_eq!(at.loss.to_bits(), installed.loss.to_bits());
+        assert_eq!(at.score.loss.to_bits(), installed.score.loss.to_bits());
     }
 
     #[test]
@@ -431,7 +425,7 @@ mod tests {
         ));
         // The failed call leaves the model usable.
         let (x, labels) = batch();
-        assert!(model.gradient(&x, &labels).unwrap().loss.is_finite());
+        assert!(model.gradient(&x, &labels).unwrap().score.loss.is_finite());
     }
 
     /// The benchmark's 256→384→10 proxy at the batch sizes its workloads run
@@ -453,8 +447,12 @@ mod tests {
             let labels: Vec<usize> = (0..batch).map(|n| n % 10).collect();
             let got = model.gradient(&x, &labels).unwrap();
             let want = scalar.gradient_at(params.as_slice(), &x, &labels).unwrap();
-            assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "loss at batch {batch}");
-            assert_eq!(got.accuracy, want.accuracy);
+            assert_eq!(
+                got.score.loss.to_bits(),
+                want.score.loss.to_bits(),
+                "loss at batch {batch}"
+            );
+            assert_eq!(got.score.accuracy, want.score.accuracy);
             assert!(got.gradient.iter().any(|&g| g != 0.0));
             assert_same_bits(
                 got.gradient.as_slice(),

@@ -128,7 +128,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 1, 8, 8]);
         let eval = model.gradient(&x, &[0, 1]).unwrap();
         assert_eq!(eval.gradient.len(), model.param_count());
-        assert!(eval.loss.is_finite());
+        assert!(eval.score.loss.is_finite());
     }
 
     #[test]

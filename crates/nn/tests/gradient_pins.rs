@@ -107,9 +107,9 @@ fn gradients_match_the_captured_bits() {
             let (x, labels) = batch_for(case, batch);
             model.set_parameters(&params).unwrap();
             let eval = model.gradient(&x, &labels).unwrap();
-            assert!(eval.loss.is_finite(), "{}: loss {}", case.name, eval.loss);
+            assert!(eval.score.loss.is_finite(), "{}: loss {}", case.name, eval.score.loss);
             assert!(eval.gradient.iter().any(|&g| g != 0.0), "{}: all-zero gradient", case.name);
-            let got = fingerprint(eval.loss, eval.gradient.as_slice());
+            let got = fingerprint(eval.score.loss, eval.gradient.as_slice());
             if got != pin {
                 report.push(format!("{} salt {salt} batch {batch}: {got:#018x}", case.name));
             }
@@ -128,7 +128,7 @@ fn gradient_at_a_borrowed_vector_matches_the_captured_bits() {
             let params = params_for(&model, salt);
             let (x, labels) = batch_for(case, batch);
             let eval = model.gradient_at(params.as_slice(), &x, &labels).unwrap();
-            let got = fingerprint(eval.loss, eval.gradient.as_slice());
+            let got = fingerprint(eval.score.loss, eval.gradient.as_slice());
             if got != pin {
                 report.push(format!("{} salt {salt} batch {batch}: {got:#018x}", case.name));
             }
@@ -159,8 +159,12 @@ fn gradient_into_a_used_row_equals_gradient_at() {
                 let score = model.gradient_into(params.as_slice(), &x, &labels, &mut row).unwrap();
                 let what = format!("{} salt {salt} batch {batch} over {fill_name}", case.name);
                 assert_eq!(fingerprint(score.loss, &row), pin, "{what}");
-                assert_eq!(score.loss.to_bits(), want.loss.to_bits(), "{what}: loss");
-                assert_eq!(score.accuracy.to_bits(), want.accuracy.to_bits(), "{what}: accuracy");
+                assert_eq!(score.loss.to_bits(), want.score.loss.to_bits(), "{what}: loss");
+                assert_eq!(
+                    score.accuracy.to_bits(),
+                    want.score.accuracy.to_bits(),
+                    "{what}: accuracy"
+                );
                 let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&row), bits(want.gradient.as_slice()), "{what}: gradient");
             }
@@ -177,7 +181,7 @@ fn a_call_carries_no_state_into_the_next() {
         used.gradient_at(p.as_slice(), &x, &labels).unwrap();
         let after_p = used.gradient_at(q.as_slice(), &x, &labels).unwrap();
         let fresh = (case.build)().gradient_at(q.as_slice(), &x, &labels).unwrap();
-        assert_eq!(after_p.loss.to_bits(), fresh.loss.to_bits(), "{}: loss", case.name);
+        assert_eq!(after_p.score.loss.to_bits(), fresh.score.loss.to_bits(), "{}: loss", case.name);
         let bits = |g: &Vector| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&after_p.gradient), bits(&fresh.gradient), "{}: gradient", case.name);
     }
@@ -213,6 +217,6 @@ fn a_wrong_length_vector_is_a_typed_error() {
         }
         // The model is still usable afterwards.
         let params = params_for(&model, 1);
-        assert!(model.gradient_at(params.as_slice(), &x, &labels).unwrap().loss.is_finite());
+        assert!(model.gradient_at(params.as_slice(), &x, &labels).unwrap().score.loss.is_finite());
     }
 }

@@ -63,16 +63,16 @@ use std::sync::Arc;
 ///
 /// The gradients stage fans the honest workers out over rayon: every worker
 /// owns its model, sampler and transport (each with its own derived RNG
-/// stream) and computes and sends its gradient in its own pre-assigned row
-/// of one reused submissions arena, so the round is bit-for-bit identical at
-/// any thread budget (the determinism suites pin budgets 1, 2 and 4). The
-/// threads claim runs of workers from a shared cursor (the rayon shim's
-/// guided claiming), so the attacker and crashed slots, which return at
-/// once, leave no core waiting at the barrier.
+/// stream) and computes its gradient into, and later sends it from, its own
+/// pre-assigned row of one reused submissions arena, so the round is
+/// bit-for-bit identical at any thread budget (the determinism suites pin
+/// budgets 1, 2 and 4). The threads claim runs of workers from a shared
+/// cursor (the rayon shim's guided claiming), so the attacker and crashed
+/// slots, which return at once, leave no core waiting at the barrier.
 ///
 /// The O(n·d) passes after Phase 1 split their work over rayon too — the
-/// adversary's honest mean, the send region after the craft, the compaction
-/// and the sharded reduce — each item writing its own rows or columns in a
+/// adversary's honest mean, the send region, the compaction and the
+/// sharded reduce — each item writing its own rows or columns in a
 /// fixed term order, so their bits do not depend on the thread budget
 /// either. The aggregate stage runs at most one O(n²·d) distance pass per
 /// flat or sharded round — the parallel batch kernel over the compacted
@@ -549,28 +549,19 @@ impl SyncTrainingEngine {
 
     /// Gradients: compute, craft, send. Phase 1 fans the live honest (and
     /// data-poisoned) workers out over rayon; each computes its gradient
-    /// into its own arena row and sends it from there in place, unless the
-    /// adversary still has to read it. Phase 2 has the adversary craft the
-    /// attacker rows from borrowed views of the honest rows, and one send
-    /// region then sends the held-back honest rows and the crafted ones.
-    /// Fills the record's wire outcomes and returns every slot's simulated
-    /// arrival time.
+    /// into its own arena row. In a round with a live attacker, Phase 2 has
+    /// the adversary craft the attacker rows from borrowed views of the
+    /// honest rows, as computed. Phase 3 sends every live row in place over
+    /// its worker's transport, in one parallel region. Fills the record's
+    /// wire outcomes and returns every slot's simulated arrival time.
     fn gradients(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> Result<Vec<f64>> {
         let (step, n, dim_scale) = (record.step, self.workers.len(), self.dim_scale());
-        // Whether a live attacker crafts this round: only then does anyone
-        // read the honest gradients, and they must see them as computed,
-        // before the wire touches them.
-        let roster = n - self.config.byzantine_count..n;
-        let attacking = roster.clone().any(|w| {
-            self.workers[w].role() == WorkerRole::Attacker && self.membership.health(w).is_live()
-        });
 
         // Phase 1: worker `i` computes straight into arena row `i` (disjoint
         // mutable slices), results are collected in worker-id order, and
         // every worker draws only from its own RNG streams — so the round is
         // deterministic under any schedule, including which thread claims
-        // which run of workers, and whether a row is sent here or after the
-        // craft. Every worker computes at one node rate.
+        // which run of workers. Every worker computes at one node rate.
         self.pipeline.begin_round(n);
         let params = self.server.parameters();
         let (membership, cost) = (&self.membership, self.config.cost);
@@ -579,10 +570,7 @@ impl SyncTrainingEngine {
             true => REPLICATION_ENCODE_FACTOR,
             false => 1.0,
         };
-        // A computed slot's compute seconds, and its send unless the row is
-        // held back for the adversary.
-        type Computed = Option<(f64, Option<RowTransfer>)>;
-        let run_worker = |(worker, row): (&mut Worker, &mut [f32])| -> Result<Computed> {
+        let run_worker = |(worker, row): (&mut Worker, &mut [f32])| -> Result<Option<f64>> {
             if !membership.health(worker.id()).is_live() || worker.role() == WorkerRole::Attacker {
                 // Crashed workers compute and submit nothing; attackers are
                 // crafted centrally in Phase 2 (their channels are
@@ -592,70 +580,68 @@ impl SyncTrainingEngine {
             let compute_sec = worker.compute_into(params, row, |model, batch| {
                 cost.gradient_time(model.flops_per_sample(), batch, node_flops) * encode
             })?;
-            let held = attacking && worker.role() == WorkerRole::Honest;
-            let transfer = if held { None } else { Some(worker.send_in_place(step, row)?) };
-            Ok(Some((compute_sec, transfer)))
+            Ok(Some(compute_sec))
         };
         let jobs: Vec<(&mut Worker, &mut [f32])> =
             self.workers.iter_mut().zip(self.pipeline.arena_mut().rows_mut()).collect();
-        let results: Vec<Result<Computed>> = jobs.into_par_iter().map(run_worker).collect();
-        let mut held = Vec::new();
+        let computed: Vec<Result<Option<f64>>> = jobs.into_par_iter().map(run_worker).collect();
         let mut arrival_sec = vec![0.0f64; n];
-        record.wire = vec![None; n];
-        for (slot, result) in results.into_iter().enumerate() {
-            let Some((compute_sec, transfer)) = result? else { continue };
-            arrival_sec[slot] = compute_sec;
-            match transfer {
-                Some(transfer) => {
-                    record.wire[slot] = Some(SlotWire::from(&transfer));
-                    arrival_sec[slot] += transfer.time_sec * dim_scale;
-                }
-                None => held.push(slot),
-            }
+        for (slot, result) in computed.into_iter().enumerate() {
+            arrival_sec[slot] = result?.unwrap_or(0.0);
         }
 
-        // Phase 2: the adversary crafts one submission per slot of its roster,
-        // seeing every honest gradient as a borrowed view of its arena row
-        // (§3.1's omniscient attacker, without cloning a coordinate). Roster
-        // slot `s` owns `crafted[s − first]`. Then every live slot still to
-        // send — the held honest rows and the live attacker rows, written
-        // from their crafted vectors — sends in place over its own
-        // transport, in one parallel region once the rows clear the gate.
-        if attacking {
-            let arena = self.pipeline.arena();
-            let honest: Vec<&[f32]> = held.iter().map(|&slot| arena.row(slot)).collect();
-            let crafted = self.config.attack.craft(&self.attack_context(&honest, step, history));
-            let membership = &self.membership;
-            let sends: Vec<(&mut Worker, &mut [f32])> = self
-                .workers
-                .iter_mut()
-                .zip(self.pipeline.arena_mut().rows_mut())
-                .filter(|(worker, _)| {
-                    let slot = worker.id();
-                    held.binary_search(&slot).is_ok()
-                        || (roster.contains(&slot) && membership.health(slot).is_live())
-                })
-                .collect();
-            let send = |(worker, row): (&mut Worker, &mut [f32])| {
-                if let Some(k) = worker.id().checked_sub(roster.start) {
-                    row.copy_from_slice(crafted[k].as_slice());
-                }
-                Ok((worker.id(), worker.send_in_place(step, row)?))
+        // Phase 2: a live attacker's adversary crafts one submission per slot
+        // of its roster, seeing every live honest gradient as a borrowed view
+        // of its arena row (§3.1's omniscient attacker, without cloning a
+        // coordinate), before the wire touches it. Roster slot `s` owns
+        // `crafted[s − roster.start]`.
+        let roster = n - self.config.byzantine_count..n;
+        let live = |w| self.membership.health(w).is_live();
+        let attacking =
+            roster.clone().any(|w| self.workers[w].role() == WorkerRole::Attacker && live(w));
+        let crafted = match attacking {
+            true => {
+                let arena = self.pipeline.arena();
+                let honest: Vec<&[f32]> = (0..n)
+                    .filter(|&w| self.workers[w].role() == WorkerRole::Honest && live(w))
+                    .map(|w| arena.row(w))
+                    .collect();
+                self.config.attack.craft(&self.attack_context(&honest, step, history))
+            }
+            false => Vec::new(),
+        };
+
+        // Phase 3: every live slot sends its row in place over its own
+        // transport — an attacker's row first written from its crafted
+        // vector — in one parallel region once the rows clear the gate.
+        let membership = &self.membership;
+        let sends: Vec<(&mut Worker, &mut [f32])> = self
+            .workers
+            .iter_mut()
+            .zip(self.pipeline.arena_mut().rows_mut())
+            .filter(|(worker, _)| membership.health(worker.id()).is_live())
+            .collect();
+        let send = |(worker, row): (&mut Worker, &mut [f32])| {
+            let attacker = worker.role() == WorkerRole::Attacker;
+            if attacker {
+                row.copy_from_slice(crafted[worker.id() - roster.start].as_slice());
+            }
+            Ok((worker.id(), attacker, worker.send_in_place(step, row)?))
+        };
+        let sent: Vec<Result<(usize, bool, RowTransfer)>> =
+            if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
+                sends.into_par_iter().map(send).collect()
+            } else {
+                sends.into_iter().map(send).collect()
             };
-            let sent: Vec<Result<(usize, RowTransfer)>> =
-                if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
-                    sends.into_par_iter().map(send).collect()
-                } else {
-                    sends.into_iter().map(send).collect()
-                };
-            for result in sent {
-                let (slot, transfer) = result?;
-                record.wire[slot] = Some(SlotWire::from(&transfer));
-                // An attacker's channel is "arbitrarily fast": only an honest
-                // row's send extends its arrival.
-                if !roster.contains(&slot) {
-                    arrival_sec[slot] += transfer.time_sec * dim_scale;
-                }
+        record.wire = vec![None; n];
+        for result in sent {
+            let (slot, attacker, transfer) = result?;
+            record.wire[slot] = Some(SlotWire::from(&transfer));
+            // An attacker's channel is "arbitrarily fast": only a computed
+            // row's send extends its arrival.
+            if !attacker {
+                arrival_sec[slot] += transfer.time_sec * dim_scale;
             }
         }
         // The straggler knob and slow-by demotions stretch the simulated
