@@ -1,8 +1,9 @@
 //! Bit pins of the flat gradient `Sequential` computes, for the MLP the
-//! benchmark workloads train and for the small CNN (dense, conv, pool, ReLU,
-//! flatten), each at two parameter vectors and two batch sizes. The pins were
+//! benchmark workloads train and for a chain two hidden layers deep, each at
+//! two parameter vectors and two batch sizes. The one-hidden-layer pins were
 //! captured while every layer still kept its own copy of the weights and its
-//! own gradient buffers; every entry — `gradient_at` on a borrowed vector,
+//! own gradient buffers, the two-hidden-layer ones while the chain still ran
+//! through a boxed layer trait; every entry — `gradient_at` on a borrowed vector,
 //! `gradient_into` a used row, and `set_parameters` + `gradient` on the
 //! resident one — must reproduce them. Any change to the term order of any
 //! layer moves them.
@@ -11,7 +12,7 @@
 //! the setup goes through a transcendental function whose bits could differ
 //! between the debug and release builds.
 
-use agg_nn::models::{small_cnn, synthetic_mlp};
+use agg_nn::models::synthetic_mlp;
 use agg_nn::{NnError, Sequential};
 use agg_tensor::{Tensor, Vector};
 
@@ -51,8 +52,8 @@ fn mlp() -> Sequential {
     synthetic_mlp(256, &[384], 10, 11)
 }
 
-fn cnn() -> Sequential {
-    small_cnn(3, 10, 5)
+fn deep_mlp() -> Sequential {
+    synthetic_mlp(32, &[64, 16], 4, 13)
 }
 
 const CASES: [Pinned; 2] = [
@@ -69,21 +70,21 @@ const CASES: [Pinned; 2] = [
         ],
     },
     Pinned {
-        name: "small_cnn 3x8x8-10",
-        build: cnn,
-        sample_shape: &[3, 8, 8],
-        classes: 10,
+        name: "synthetic_mlp 32-64-16-4",
+        build: deep_mlp,
+        sample_shape: &[32],
+        classes: 4,
         pins: [
-            (1, 1, 0x73b6_ef2f_2094_897c),
-            (1, 6, 0xe6d1_3dc0_b977_64f5),
-            (2, 1, 0x7777_0e46_5340_ede3),
-            (2, 6, 0xc9f1_2298_c72b_c792),
+            (1, 1, 0xa81d_a134_a769_3b96),
+            (1, 25, 0x00ca_8eab_f29a_4d90),
+            (2, 1, 0xdcb0_ee13_68af_da60),
+            (2, 25, 0x9417_1666_04f6_407a),
         ],
     },
 ];
 
 /// The parameter vector for `salt`: weights of about ±1/8, so activations
-/// neither vanish nor overflow through two layers.
+/// neither vanish nor overflow through the chain.
 fn params_for(model: &Sequential, salt: u64) -> Vector {
     Vector::from(exact_values(model.param_count(), salt * 7919, 8192.0))
 }
