@@ -3,8 +3,7 @@
 
 use agg_data::synthetic::{gaussian_blobs, BlobConfig};
 use agg_nn::{models, Sequential};
-use agg_tensor::rng::{gaussian_vector, seeded_rng};
-use agg_tensor::{gemm, Tensor};
+use agg_tensor::gemm;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 /// `Sequential::gradient` on the model shapes and batch sizes the engine
@@ -150,44 +149,11 @@ fn bench_mlp_gradient(c: &mut Criterion) {
     group.finish();
 }
 
-/// A seeded Gaussian image batch of `shape` (`[batch, C, H, W]`) with
-/// round-robin labels over `classes`.
-fn image_batch(shape: &[usize], classes: usize) -> (Tensor, Vec<usize>) {
-    let len = shape.iter().product();
-    let pixels = gaussian_vector(&mut seeded_rng(1), len, 0.0, 1.0);
-    let labels = (0..shape[0]).map(|n| n % classes).collect();
-    (Tensor::from_vec(shape, pixels.as_slice().to_vec()).unwrap(), labels)
-}
-
-fn bench_small_cnn_gradient(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nn_small_cnn_gradient");
-    group.sample_size(10);
-    let mut model = models::small_cnn(1, 4, 0);
-    let (batch, labels) = image_batch(&[16, 1, 8, 8], 4);
-    group.bench_function("batch16", |b| {
-        b.iter(|| model.gradient(black_box(&batch), black_box(&labels)).unwrap())
-    });
-    group.finish();
-}
-
-fn bench_paper_cnn_forward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nn_paper_cnn_forward");
-    group.sample_size(10);
-    let mut model = models::paper_cnn(0);
-    let (batch, labels) = image_batch(&[1, 3, 32, 32], 10);
-    group.bench_function("single_sample_inference", |b| {
-        b.iter(|| model.evaluate_loss(black_box(&batch), black_box(&labels)).unwrap())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_engine_shapes,
     bench_worker_rotation,
     bench_gemm_dispatch,
-    bench_mlp_gradient,
-    bench_small_cnn_gradient,
-    bench_paper_cnn_forward
+    bench_mlp_gradient
 );
 criterion_main!(benches);

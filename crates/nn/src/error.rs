@@ -5,7 +5,7 @@ use thiserror::Error;
 /// Errors produced while building or running a model.
 #[derive(Debug, Error, Clone, PartialEq)]
 pub enum NnError {
-    /// A layer received an input of an unexpected shape.
+    /// A layer (or the loss) received an input of an unexpected shape.
     #[error("{layer}: expected input shape {expected}, got {actual:?}")]
     BadInputShape {
         /// Layer name.
@@ -15,10 +15,6 @@ pub enum NnError {
         /// Shape actually received.
         actual: Vec<usize>,
     },
-
-    /// `backward` was called before `forward`.
-    #[error("{0}: backward called before forward")]
-    BackwardBeforeForward(&'static str),
 
     /// The provided parameter buffer does not match the model size.
     #[error("parameter buffer has {actual} values, model needs {expected}")]

@@ -1,50 +1,21 @@
-//! Activation layers.
+//! The ReLU between two dense layers, applied in place.
 
-use crate::layer::Layer;
-use crate::{NnError, Result};
-use agg_tensor::Tensor;
-
-/// Rectified linear unit applied elementwise.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    /// Mask of positive pre-activations from the last forward pass.
-    mask: Option<Vec<bool>>,
-    shape: Vec<usize>,
-}
-
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new() -> Self {
-        Relu { mask: None, shape: Vec::new() }
+/// Rectified linear unit over a layer's output, in place.
+pub(crate) fn relu(x: &mut [f32]) {
+    for v in x {
+        *v = agg_tensor::ops::relu(*v);
     }
 }
 
-impl Layer for Relu {
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>> {
-        Ok(input_shape.to_vec())
-    }
-
-    fn forward(&mut self, _: &[f32], input: &Tensor) -> Result<Tensor> {
-        let mask: Vec<bool> = input.as_slice().iter().map(|&x| x > 0.0).collect();
-        let out = input.map(agg_tensor::ops::relu);
-        self.shape = input.shape().to_vec();
-        self.mask = Some(mask);
-        Ok(out)
-    }
-
-    fn backward(&mut self, _: &[f32], grad_output: &Tensor, _: &mut [f32]) -> Result<Tensor> {
-        let mask = self.mask.take().ok_or(NnError::BackwardBeforeForward("relu"))?;
-        let data: Vec<f32> = grad_output
-            .as_slice()
-            .iter()
-            .zip(mask.iter())
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(&self.shape, data).map_err(NnError::from)
+/// The backward pass of [`relu`]: zeroes `grad` wherever the ReLU's output
+/// `activations` is not positive. That is exactly where its input was not
+/// positive, since a ReLU passes a positive input unchanged and sends every
+/// other value, NaN included, to zero.
+pub(crate) fn relu_backward(activations: &[f32], grad: &mut [f32]) {
+    for (g, &a) in grad.iter_mut().zip(activations) {
+        if a <= 0.0 {
+            *g = 0.0;
+        }
     }
 }
 
@@ -54,32 +25,17 @@ mod tests {
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec(&[1, 4], vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = relu.forward(&[], &x).unwrap();
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+        let mut x = [-1.0, 0.0, 2.0, -3.0, f32::NAN, -0.0];
+        relu(&mut x);
+        assert_eq!(x.map(f32::to_bits), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0].map(f32::to_bits));
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec(&[1, 4], vec![-1.0, 0.5, 2.0, -3.0]).unwrap();
-        relu.forward(&[], &x).unwrap();
-        let go = Tensor::from_vec(&[1, 4], vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let gi = relu.backward(&[], &go, &mut []).unwrap();
-        assert_eq!(gi.as_slice(), &[0.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn backward_requires_forward() {
-        let mut relu = Relu::new();
-        assert!(relu.backward(&[], &Tensor::zeros(&[1]), &mut []).is_err());
-    }
-
-    #[test]
-    fn shape_is_preserved() {
-        let relu = Relu::new();
-        assert_eq!(relu.output_shape(&[3, 4, 5]).unwrap(), vec![3, 4, 5]);
-        assert_eq!(relu.param_count(), 0);
+        let mut x = [-1.0, 0.5, 2.0, -3.0];
+        relu(&mut x);
+        let mut g = [1.0, 1.0, 1.0, 1.0];
+        relu_backward(&x, &mut g);
+        assert_eq!(g, [0.0, 1.0, 1.0, 0.0]);
     }
 }

@@ -2,61 +2,47 @@
 //!
 //! The layer holds no weights: it reads them from its sub-slice of the
 //! model's flat parameter vector and adds its gradient into its sub-slice of
-//! the model's flat gradient (see [`crate::Layer`]), weights first, row-major
-//! `[in_features, out_features]`, then the bias. The three products —
-//! forward, weight gradient, input gradient — run on the register-tiled slice
-//! kernels in [`agg_tensor::gemm`], called directly on those slices. The
-//! kernels add the terms of every output element in the order the
-//! sample-at-a-time loops did, so gradients are bit-identical to that scalar
-//! form; the test module keeps those loops as the oracle.
+//! the model's flat gradient, weights first, row-major
+//! `[in_features, out_features]`, then the bias. It keeps no activations
+//! either: [`crate::Sequential`] hands every call the input it needs. The
+//! three products — forward, weight gradient, input gradient — run on the
+//! register-tiled slice kernels in [`agg_tensor::gemm`], called directly on
+//! those slices. The kernels add the terms of every output element in the
+//! order the sample-at-a-time loops did, so gradients are bit-identical to
+//! that scalar form; the test module keeps those loops as the oracle.
 
 use crate::init::Init;
-use crate::layer::Layer;
 use crate::{NnError, Result};
 use agg_tensor::{gemm, Tensor};
 
-/// A fully connected layer: `y = x · W + b`.
-///
-/// Expects rank-2 input `[batch, in_features]` (insert a
-/// [`crate::layers::Flatten`] before it when coming from a convolution).
+/// A fully connected layer: `y = x · W + b`, over `[batch, in_features]`
+/// row-major inputs.
 #[derive(Debug, Clone)]
-pub struct Dense {
+pub(crate) struct Dense {
     in_features: usize,
     out_features: usize,
     /// Initialiser and seed of the weights (the bias starts at zero).
     init: Init,
     seed: u64,
-    cached_input: Option<Tensor>,
     /// Transposed `grad_output` for the input-gradient kernel, kept across
-    /// calls so `backward` does not allocate it anew each time.
+    /// calls so `backward_input` does not allocate it anew each time.
     grad_output_t: Vec<f32>,
 }
 
 impl Dense {
     /// Creates a dense layer whose initial weights come from `init` and
     /// `seed`.
-    pub fn new(in_features: usize, out_features: usize, init: Init, seed: u64) -> Self {
-        Dense {
-            in_features,
-            out_features,
-            init,
-            seed,
-            cached_input: None,
-            grad_output_t: Vec::new(),
-        }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
+    pub(crate) fn new(in_features: usize, out_features: usize, init: Init, seed: u64) -> Self {
+        Dense { in_features, out_features, init, seed, grad_output_t: Vec::new() }
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.out_features
     }
 
-    fn check_input(&self, input: &Tensor) -> Result<usize> {
+    /// The batch size of `input`, which must be `[batch, in_features]`.
+    pub(crate) fn check_input(&self, input: &Tensor) -> Result<usize> {
         let shape = input.shape();
         if shape.len() != 2 || shape[1] != self.in_features {
             return Err(NnError::BadInputShape {
@@ -68,113 +54,14 @@ impl Dense {
         Ok(shape[0])
     }
 
-    /// The parameter half of the backward pass: consumes the cached input,
-    /// adds this batch's weight and bias gradients to `grad_params` (samples
-    /// in order) and returns the batch size.
-    fn accumulate_param_grads(
-        &mut self,
-        grad_output: &Tensor,
-        grad_params: &mut [f32],
-    ) -> Result<usize> {
-        let input = self.cached_input.take().ok_or(NnError::BackwardBeforeForward("dense"))?;
-        let batch = input.shape()[0];
-        if grad_output.shape() != [batch, self.out_features] {
-            return Err(NnError::BadInputShape {
-                layer: "dense",
-                expected: format!("grad_output [{batch}, {}]", self.out_features),
-                actual: grad_output.shape().to_vec(),
-            });
-        }
-        let (grad_weights, grad_bias) =
-            grad_params.split_at_mut(self.in_features * self.out_features);
-        let go = grad_output.as_slice();
-        for n in 0..batch {
-            let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
-            for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
-                *gb += g;
-            }
-        }
-        gemm::matmul_tn_acc(
-            input.as_slice(),
-            go,
-            grad_weights,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        Ok(batch)
-    }
-}
-
-impl Layer for Dense {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>> {
-        if input_shape != [self.in_features] {
-            return Err(NnError::BadInputShape {
-                layer: "dense",
-                expected: format!("[{}]", self.in_features),
-                actual: input_shape.to_vec(),
-            });
-        }
-        Ok(vec![self.out_features])
-    }
-
-    fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
-        let batch = self.check_input(input)?;
-        let (weights, bias) = params.split_at(self.in_features * self.out_features);
-        let mut out = Vec::with_capacity(batch * self.out_features);
-        for _ in 0..batch {
-            out.extend_from_slice(bias);
-        }
-        gemm::matmul_acc(
-            input.as_slice(),
-            weights,
-            &mut out,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
-    }
-
-    fn backward(
-        &mut self,
-        params: &[f32],
-        grad_output: &Tensor,
-        grad_params: &mut [f32],
-    ) -> Result<Tensor> {
-        let batch = self.accumulate_param_grads(grad_output, grad_params)?;
-        let mut grad_input = vec![0.0f32; batch * self.in_features];
-        gemm::matmul_nt(
-            grad_output.as_slice(),
-            &params[..self.in_features * self.out_features],
-            &mut grad_input,
-            &mut self.grad_output_t,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        Tensor::from_vec(&[batch, self.in_features], grad_input).map_err(NnError::from)
-    }
-
-    fn backward_params_only(
-        &mut self,
-        _params: &[f32],
-        grad_output: &Tensor,
-        grad_params: &mut [f32],
-    ) -> Result<()> {
-        self.accumulate_param_grads(grad_output, grad_params).map(drop)
-    }
-
-    fn param_count(&self) -> usize {
+    /// Number of trainable parameters.
+    pub(crate) fn param_count(&self) -> usize {
         (self.in_features + 1) * self.out_features
     }
 
-    fn initial_params(&self, out: &mut Vec<f32>) {
+    /// Appends the initial parameter values to `out`, drawn from the
+    /// initialiser and seed on each call, so repeated calls agree.
+    pub(crate) fn initial_params(&self, out: &mut Vec<f32>) {
         let (fan_in, fan_out) = (self.in_features, self.out_features);
         let start = out.len();
         // The bias starts at the zeros the resize writes.
@@ -182,8 +69,66 @@ impl Layer for Dense {
         self.init.fill(&mut out[start..start + fan_in * fan_out], fan_in, fan_out, self.seed);
     }
 
-    fn forward_flops(&self, _input_shape: &[usize]) -> u64 {
+    /// Forward FLOPs for one sample (a multiply and an add per weight).
+    pub(crate) fn forward_flops(&self) -> u64 {
         2 * self.in_features as u64 * self.out_features as u64
+    }
+
+    /// The `[batch, out_features]` output for `batch` rows of `input`.
+    pub(crate) fn forward(&self, params: &[f32], input: &[f32], batch: usize) -> Vec<f32> {
+        let (weights, bias) = params.split_at(self.in_features * self.out_features);
+        let mut out = Vec::with_capacity(batch * self.out_features);
+        for _ in 0..batch {
+            out.extend_from_slice(bias);
+        }
+        gemm::matmul_acc(input, weights, &mut out, batch, self.in_features, self.out_features);
+        out
+    }
+
+    /// Adds the weight and bias gradients of the `batch` rows of `input` and
+    /// `grad_output` to `grad_params` (samples in order).
+    pub(crate) fn backward_params(
+        &self,
+        input: &[f32],
+        grad_output: &[f32],
+        grad_params: &mut [f32],
+        batch: usize,
+    ) {
+        let (grad_weights, grad_bias) =
+            grad_params.split_at_mut(self.in_features * self.out_features);
+        for go_row in grad_output.chunks_exact(self.out_features).take(batch) {
+            for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
+                *gb += g;
+            }
+        }
+        gemm::matmul_tn_acc(
+            input,
+            grad_output,
+            grad_weights,
+            batch,
+            self.in_features,
+            self.out_features,
+        );
+    }
+
+    /// The `[batch, in_features]` gradient with respect to the input.
+    pub(crate) fn backward_input(
+        &mut self,
+        params: &[f32],
+        grad_output: &[f32],
+        batch: usize,
+    ) -> Vec<f32> {
+        let mut grad_input = vec![0.0f32; batch * self.in_features];
+        gemm::matmul_nt(
+            grad_output,
+            &params[..self.in_features * self.out_features],
+            &mut grad_input,
+            &mut self.grad_output_t,
+            batch,
+            self.in_features,
+            self.out_features,
+        );
+        grad_input
     }
 }
 
@@ -191,37 +136,23 @@ impl Layer for Dense {
 /// kernels, kept as the reference the kernels must equal bit for bit.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::*;
-
     /// A dense layer computed one sample and one input at a time.
     #[derive(Debug)]
     pub(crate) struct ScalarDense {
         in_features: usize,
         out_features: usize,
-        cached_input: Option<Tensor>,
     }
 
     impl ScalarDense {
         /// A layer of the given shape (weights then bias in `params`, as
-        /// [`Dense`] lays them out).
+        /// [`super::Dense`] lays them out).
         pub(crate) fn new(in_features: usize, out_features: usize) -> Self {
-            ScalarDense { in_features, out_features, cached_input: None }
-        }
-    }
-
-    impl Layer for ScalarDense {
-        fn name(&self) -> &'static str {
-            "scalar-dense"
+            ScalarDense { in_features, out_features }
         }
 
-        fn output_shape(&self, _input_shape: &[usize]) -> Result<Vec<usize>> {
-            Ok(vec![self.out_features])
-        }
-
-        fn forward(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
+        /// The `[batch, out_features]` output for `batch` rows of `x`.
+        pub(crate) fn forward(&self, params: &[f32], x: &[f32], batch: usize) -> Vec<f32> {
             let (weights, bias) = params.split_at(self.in_features * self.out_features);
-            let batch = input.shape()[0];
-            let x = input.as_slice();
             let mut out = vec![0.0f32; batch * self.out_features];
             for n in 0..batch {
                 let x_row = &x[n * self.in_features..(n + 1) * self.in_features];
@@ -237,24 +168,22 @@ pub(crate) mod oracle {
                     }
                 }
             }
-            self.cached_input = Some(input.clone());
-            Tensor::from_vec(&[batch, self.out_features], out).map_err(NnError::from)
+            out
         }
 
-        fn backward(
-            &mut self,
+        /// Adds the parameter gradients of the batch to `grad_params` and
+        /// returns the gradient with respect to `x`.
+        pub(crate) fn backward(
+            &self,
             params: &[f32],
-            grad_output: &Tensor,
+            x: &[f32],
+            go: &[f32],
             grad_params: &mut [f32],
-        ) -> Result<Tensor> {
-            let input =
-                self.cached_input.take().ok_or(NnError::BackwardBeforeForward("scalar-dense"))?;
+            batch: usize,
+        ) -> Vec<f32> {
             let weights = &params[..self.in_features * self.out_features];
             let (grad_weights, grad_bias) =
                 grad_params.split_at_mut(self.in_features * self.out_features);
-            let batch = input.shape()[0];
-            let go = grad_output.as_slice();
-            let x = input.as_slice();
             let mut grad_input = vec![0.0f32; batch * self.in_features];
             for n in 0..batch {
                 let go_row = &go[n * self.out_features..(n + 1) * self.out_features];
@@ -275,11 +204,7 @@ pub(crate) mod oracle {
                     gi_row[i] += acc;
                 }
             }
-            Tensor::from_vec(&[batch, self.in_features], grad_input).map_err(NnError::from)
-        }
-
-        fn param_count(&self) -> usize {
-            (self.in_features + 1) * self.out_features
+            grad_input
         }
     }
 
@@ -313,36 +238,31 @@ mod tests {
 
     #[test]
     fn forward_matches_hand_computation() {
-        let mut layer = simple_dense();
-        let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
-        let y = layer.forward(&SIMPLE, &x).unwrap();
+        let layer = simple_dense();
+        let y = layer.forward(&SIMPLE, &[1.0, 1.0], 1);
         // [1*1 + 1*3 + 0.5, 1*2 + 1*4 - 0.5] = [4.5, 5.5]
-        assert_eq!(y.as_slice(), &[4.5, 5.5]);
+        assert_eq!(y, vec![4.5, 5.5]);
     }
 
     #[test]
     fn backward_computes_all_three_gradients() {
         let mut layer = simple_dense();
-        let x = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]).unwrap();
-        layer.forward(&SIMPLE, &x).unwrap();
-        let go = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]).unwrap();
+        let (x, go) = ([1.0, 2.0], [1.0, 1.0]);
         let mut grads = vec![0.0; 6];
-        let gi = layer.backward(&SIMPLE, &go, &mut grads).unwrap();
+        layer.backward_params(&x, &go, &mut grads, 1);
+        let gi = layer.backward_input(&SIMPLE, &go, 1);
         // dL/dx_i = sum_o W[i][o] * go[o] => [1+2, 3+4] = [3, 7]
-        assert_eq!(gi.as_slice(), &[3.0, 7.0]);
+        assert_eq!(gi, vec![3.0, 7.0]);
         // dW[i][o] = x_i * go_o => [[1,1],[2,2]]; db = [1,1]
         assert_eq!(grads, vec![1.0, 1.0, 2.0, 2.0, 1.0, 1.0]);
     }
 
     #[test]
     fn backward_adds_to_the_gradient_it_is_given() {
-        let mut layer = simple_dense();
-        let x = Tensor::from_vec(&[1, 2], vec![1.0, 0.0]).unwrap();
-        let go = Tensor::from_vec(&[1, 2], vec![1.0, 0.0]).unwrap();
+        let layer = simple_dense();
         let mut grads = vec![0.0; 6];
         for _ in 0..2 {
-            layer.forward(&SIMPLE, &x).unwrap();
-            layer.backward(&SIMPLE, &go, &mut grads).unwrap();
+            layer.backward_params(&[1.0, 0.0], &[1.0, 0.0], &mut grads, 1);
         }
         assert_eq!(grads, vec![2.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
     }
@@ -365,52 +285,36 @@ mod tests {
 
     #[test]
     fn shape_errors() {
-        let mut layer = Dense::new(2, 3, Init::Zeros, 0);
-        let params = [0.0; 9];
-        let bad = Tensor::zeros(&[1, 5]);
-        assert!(matches!(layer.forward(&params, &bad).unwrap_err(), NnError::BadInputShape { .. }));
-        assert!(layer.output_shape(&[5]).is_err());
-        assert_eq!(layer.output_shape(&[2]).unwrap(), vec![3]);
+        let layer = Dense::new(2, 3, Init::Zeros, 0);
         assert!(matches!(
-            layer.backward(&params, &Tensor::zeros(&[1, 3]), &mut [0.0; 9]).unwrap_err(),
-            NnError::BackwardBeforeForward(_)
+            layer.check_input(&Tensor::zeros(&[1, 5])).unwrap_err(),
+            NnError::BadInputShape { layer: "dense", .. }
         ));
+        assert!(layer.check_input(&Tensor::zeros(&[2])).is_err());
+        assert_eq!(layer.check_input(&Tensor::zeros(&[4, 2])).unwrap(), 4);
     }
 
     #[test]
     fn batch_processing_is_independent_per_sample() {
-        let mut layer = simple_dense();
-        let x = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let y = layer.forward(&SIMPLE, &x).unwrap();
-        assert_eq!(y.shape(), &[2, 2]);
-        assert_eq!(&y.as_slice()[..2], &[1.5, 1.5]); // row [1,0]
-        assert_eq!(&y.as_slice()[2..], &[3.5, 3.5]); // row [0,1]
+        let layer = simple_dense();
+        let y = layer.forward(&SIMPLE, &[1.0, 0.0, 0.0, 1.0], 2);
+        assert_eq!(y.len(), 4);
+        assert_eq!(&y[..2], &[1.5, 1.5]); // row [1,0]
+        assert_eq!(&y[2..], &[3.5, 3.5]); // row [0,1]
     }
 
     #[test]
     fn flops_estimate_is_positive() {
-        assert_eq!(Dense::new(10, 20, Init::Zeros, 0).forward_flops(&[10]), 400);
-    }
-
-    #[test]
-    fn backward_rejects_a_mis_shaped_grad_output() {
-        let mut layer = Dense::new(2, 3, Init::Zeros, 0);
-        let params = [0.0; 9];
-        layer.forward(&params, &Tensor::zeros(&[2, 2])).unwrap();
-        assert!(matches!(
-            layer.backward(&params, &Tensor::zeros(&[2, 2]), &mut [0.0; 9]).unwrap_err(),
-            NnError::BadInputShape { .. }
-        ));
+        assert_eq!(Dense::new(10, 20, Init::Zeros, 0).forward_flops(), 400);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut layer = simple_dense();
-        let y = layer.forward(&SIMPLE, &Tensor::zeros(&[0, 2])).unwrap();
-        assert_eq!(y.shape(), &[0, 2]);
+        assert!(layer.forward(&SIMPLE, &[], 0).is_empty());
         let mut grads = vec![0.0; 6];
-        let gi = layer.backward(&SIMPLE, &Tensor::zeros(&[0, 2]), &mut grads).unwrap();
-        assert_eq!(gi.shape(), &[0, 2]);
+        layer.backward_params(&[], &[], &mut grads, 0);
+        assert!(layer.backward_input(&SIMPLE, &[], 0).is_empty());
         assert!(grads.iter().all(|&g| g == 0.0));
     }
 
@@ -472,33 +376,24 @@ mod tests {
         )
     }
 
-    /// Forward, then two forward/backward rounds into the same gradient
-    /// buffers (so the second weight gradient starts from a non-zero sum),
-    /// comparing every output with the scalar loops.
+    /// Forward, then two backward rounds into the same gradient buffers (so
+    /// the second weight gradient starts from a non-zero sum), comparing
+    /// every output with the scalar loops.
     fn check_against_the_scalar_loops(case: &Case) {
-        let Case { batch, in_features, out_features, ref params, .. } = *case;
+        let Case { batch, in_features, out_features, ref params, ref input, .. } = *case;
         let mut tiled = Dense::new(in_features, out_features, Init::Zeros, 0);
-        let mut params_only = tiled.clone();
-        let mut scalar = ScalarDense::new(in_features, out_features);
-        let input = Tensor::from_vec(&[batch, in_features], case.input.clone()).unwrap();
-        let (mut want, mut got, mut got_params_only) =
-            (vec![0.0; params.len()], vec![0.0; params.len()], vec![0.0; params.len()]);
+        let scalar = ScalarDense::new(in_features, out_features);
+        let (mut want, mut got) = (vec![0.0; params.len()], vec![0.0; params.len()]);
         for grad_output in &case.grad_outputs {
-            let grad_output =
-                Tensor::from_vec(&[batch, out_features], grad_output.clone()).unwrap();
-            let want_y = scalar.forward(params, &input).unwrap();
-            let got_y = tiled.forward(params, &input).unwrap();
-            assert_eq!(got_y.shape(), want_y.shape());
-            assert_same_bits(got_y.as_slice(), want_y.as_slice(), "forward");
-            let want_x = scalar.backward(params, &grad_output, &mut want).unwrap();
-            let got_x = tiled.backward(params, &grad_output, &mut got).unwrap();
-            assert_eq!(got_x.shape(), want_x.shape());
-            assert_same_bits(got_x.as_slice(), want_x.as_slice(), "input gradient");
-            params_only.forward(params, &input).unwrap();
-            params_only.backward_params_only(params, &grad_output, &mut got_params_only).unwrap();
+            let want_y = scalar.forward(params, input, batch);
+            let got_y = tiled.forward(params, input, batch);
+            assert_same_bits(&got_y, &want_y, "forward");
+            let want_x = scalar.backward(params, input, grad_output, &mut want, batch);
+            tiled.backward_params(input, grad_output, &mut got, batch);
+            let got_x = tiled.backward_input(params, grad_output, batch);
+            assert_same_bits(&got_x, &want_x, "input gradient");
         }
         assert_same_bits(&got, &want, "parameter gradients");
-        assert_same_bits(&got_params_only, &want, "parameter gradients, params-only backward");
     }
 
     proptest! {

@@ -1,13 +1,4 @@
-//! Concrete layer implementations.
+//! The two layer kinds of the chain [`crate::Sequential`] runs.
 
-pub mod activation;
-pub mod conv;
-pub mod dense;
-pub mod flatten;
-pub mod pool;
-
-pub use activation::Relu;
-pub use conv::Conv2d;
-pub use dense::Dense;
-pub use flatten::Flatten;
-pub use pool::MaxPool2d;
+pub(crate) mod activation;
+pub(crate) mod dense;

@@ -5,17 +5,15 @@
 //! neural-network library with exactly the pieces the paper's evaluation
 //! needs.
 //!
-//! * [`layer`] / [`layers`] — dense, 2-D convolution, max-pooling, ReLU and
-//!   flatten layers with hand-written backpropagation.
+//! * [`model`] — [`model::Sequential`], the one network the runs train: a
+//!   chain of dense layers with a ReLU between every two, with hand-written
+//!   backpropagation over the flattened parameter / gradient vectors the
+//!   parameter-server protocol exchanges.
+//! * [`models`] — [`models::synthetic_mlp`], its constructor. The paper's
+//!   Table 1 CNN and ResNet-50 are not built: the simulated clock charges
+//!   their sizes (`agg_ps::VirtualModelCost`).
 //! * [`loss`] — softmax cross-entropy (the image-classification loss used
 //!   throughout the paper's evaluation).
-//! * [`model`] — [`model::Sequential`], which chains layers and exposes the
-//!   flattened parameter / gradient vectors the parameter-server protocol
-//!   exchanges.
-//! * [`models`] — ready-made architectures: the paper's Table 1 CNN
-//!   (~1.75 M parameters), a fast MLP for convergence experiments, and a
-//!   large model standing in for ResNet50 in the Figure 5(b) scalability
-//!   experiment.
 //! * [`optim`] — the SGD and RMSProp update rules (the `--optimizer`
 //!   choices of the original runner that a run here selects).
 //! * [`schedule`] — the fixed learning rate (the runner's
@@ -32,8 +30,7 @@
 
 pub mod error;
 pub mod init;
-pub mod layer;
-pub mod layers;
+mod layers;
 pub mod loss;
 pub mod model;
 pub mod models;
@@ -41,7 +38,6 @@ pub mod optim;
 pub mod schedule;
 
 pub use error::NnError;
-pub use layer::Layer;
 pub use model::Sequential;
 
 /// Crate-wide result alias.

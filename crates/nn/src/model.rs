@@ -1,22 +1,27 @@
-//! The [`Sequential`] model: an ordered stack of layers over the flat
-//! parameter and gradient vectors the parameter-server protocol exchanges.
+//! The [`Sequential`] model: the chain `Dense → ReLU → … → Dense` the runs
+//! train, over the flat parameter and gradient vectors the parameter-server
+//! protocol exchanges.
 
-use crate::layer::Layer;
+use crate::layers::activation::{relu, relu_backward};
+use crate::layers::dense::Dense;
 use crate::loss::{LossOutput, SoftmaxCrossEntropy};
 use crate::{NnError, Result};
 use agg_tensor::{Tensor, Vector};
 
-/// A feed-forward stack of layers trained with softmax cross-entropy.
+/// A multi-layer perceptron trained with softmax cross-entropy: dense layers
+/// with a ReLU after every one but the last
+/// ([`crate::models::synthetic_mlp`] builds it).
 ///
 /// The model is the unit shipped between the parameter server and the
 /// workers. Its parameters are one flat vector (the `x` of Equation 2), each
-/// layer's a contiguous sub-slice in layer order, and so is its gradient.
-/// [`Sequential::gradient_into`] runs forward + backward over a mini-batch at
-/// a parameter vector it borrows, and writes the flattened gradient (the
-/// `G(x, ξ)` a worker submits) once into a caller's row: a worker computes at
-/// the server's vector in place, keeps no copy of it, and writes straight
-/// into its arena row. [`Sequential::gradient_at`] returns the same bits in a
-/// fresh vector.
+/// dense layer's weights then bias a contiguous sub-slice in layer order, and
+/// so is its gradient. [`Sequential::gradient_into`] runs forward, loss and
+/// backward over a mini-batch in one call, at a parameter vector it borrows,
+/// and writes the flattened gradient (the `G(x, ξ)` a worker submits) once
+/// into a caller's row: a worker computes at the server's vector in place,
+/// keeps no copy of it, and writes straight into its arena row. The
+/// activations the backward pass reads live for that call only.
+/// [`Sequential::gradient_at`] returns the same bits in a fresh vector.
 ///
 /// The model can also hold a resident vector: [`Sequential::set_parameters`]
 /// installs one, and [`Sequential::gradient`], [`Sequential::forward`],
@@ -26,9 +31,10 @@ use agg_tensor::{Tensor, Vector};
 /// model that only ever computes at borrowed vectors never stores any.
 #[derive(Debug)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+    /// The dense layers in order, at least one.
+    layers: Vec<Dense>,
     loss: SoftmaxCrossEntropy,
-    input_shape: Vec<usize>,
+    input_shape: [usize; 1],
     /// The installed parameter vector, `None` until the first
     /// `set_parameters` or resident pass.
     resident: Option<Vector>,
@@ -53,30 +59,20 @@ pub struct BatchEvaluation {
     pub gradient: Vector,
 }
 
+/// One forward pass: the batch size, every hidden layer's ReLU output (the
+/// next layer's input, which the backward pass reads) and the logits.
+type Forward = (usize, Vec<Vec<f32>>, Tensor);
+
 impl Sequential {
-    /// Creates an empty model expecting inputs of `input_shape` (excluding
-    /// the batch axis).
-    pub fn new(input_shape: &[usize]) -> Self {
+    /// The chain of `layers` over `input_dim` features.
+    pub(crate) fn new(input_dim: usize, layers: Vec<Dense>) -> Self {
+        assert!(!layers.is_empty(), "a model has at least one layer");
         Sequential {
-            layers: Vec::new(),
+            layers,
             loss: SoftmaxCrossEntropy::new(),
-            input_shape: input_shape.to_vec(),
+            input_shape: [input_dim],
             resident: None,
         }
-    }
-
-    /// Appends a layer (builder style).
-    #[must_use]
-    pub fn with_layer(mut self, layer: Box<dyn Layer>) -> Self {
-        self.push(layer);
-        self
-    }
-
-    /// Appends a layer in place. An installed parameter vector no longer
-    /// fits the model, so it is dropped.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-        self.resident = None;
     }
 
     /// The expected per-sample input shape.
@@ -86,40 +82,12 @@ impl Sequential {
 
     /// Total number of trainable parameters (the `d` of the paper).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Per-layer (name, parameter count) pairs, mirroring Table 1.
-    pub fn layer_summary(&self) -> Vec<(&'static str, usize)> {
-        self.layers.iter().map(|l| (l.name(), l.param_count())).collect()
-    }
-
-    /// Output shape (excluding batch) after every layer, validating the
-    /// layer chain against the configured input shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first layer's shape error if the chain is inconsistent.
-    pub fn output_shape(&self) -> Result<Vec<usize>> {
-        let mut shape = self.input_shape.clone();
-        for layer in &self.layers {
-            shape = layer.output_shape(&shape)?;
-        }
-        Ok(shape)
-    }
-
-    /// Approximate forward FLOPs for one sample, used by the cluster cost
-    /// model.
+    /// Forward FLOPs for one sample, used by the cluster cost model.
     pub fn flops_per_sample(&self) -> u64 {
-        let mut shape = self.input_shape.clone();
-        let mut total = 0u64;
-        for layer in &self.layers {
-            total += layer.forward_flops(&shape);
-            if let Ok(next) = layer.output_shape(&shape) {
-                shape = next;
-            }
-        }
-        total
+        self.layers.iter().map(Dense::forward_flops).sum()
     }
 
     /// The model's parameters as one flat vector: the installed vector, or
@@ -150,13 +118,14 @@ impl Sequential {
         Ok(())
     }
 
-    /// Forward pass only, at the resident parameters.
+    /// Forward pass only, at the resident parameters: the logits.
     ///
     /// # Errors
     ///
-    /// Propagates layer shape errors.
+    /// Returns [`NnError::BadInputShape`] unless `input` is
+    /// `[batch, input features]`.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.at_resident(|model, params| model.forward_at(params, input))
+        self.at_resident(|model, params| Ok(model.forward_at(params, input)?.2))
     }
 
     /// Evaluates the loss on a batch at the resident parameters, without
@@ -164,7 +133,7 @@ impl Sequential {
     ///
     /// # Errors
     ///
-    /// Propagates layer and loss errors.
+    /// Propagates input-shape and loss errors.
     pub fn evaluate_loss(&mut self, input: &Tensor, labels: &[usize]) -> Result<LossOutput> {
         let logits = self.forward(input)?;
         self.loss.evaluate(&logits, labels)
@@ -174,7 +143,7 @@ impl Sequential {
     ///
     /// # Errors
     ///
-    /// Propagates layer and loss errors.
+    /// Propagates input-shape and loss errors.
     pub fn accuracy(&mut self, input: &Tensor, labels: &[usize]) -> Result<f32> {
         let out = self.evaluate_loss(input, labels)?;
         Ok(out.correct_predictions as f32 / labels.len().max(1) as f32)
@@ -208,8 +177,8 @@ impl Sequential {
         Ok(BatchEvaluation { score, gradient: Vector::from(gradient) })
     }
 
-    /// Runs forward + backward on a mini-batch at `params` and writes the
-    /// flattened gradient of the **mean** loss into `row`, returning the
+    /// Runs forward, loss and backward on a mini-batch at `params` and writes
+    /// the flattened gradient of the **mean** loss into `row`, returning the
     /// batch's loss and accuracy.
     ///
     /// `row` is zero-filled first and each layer accumulates its gradient
@@ -223,9 +192,9 @@ impl Sequential {
     /// # Errors
     ///
     /// Returns [`NnError::ParameterSizeMismatch`] when `params` or `row` does
-    /// not hold [`Sequential::param_count`] values, and propagates layer and
-    /// loss errors; an empty batch is a [`NnError::BadInputShape`] (its mean
-    /// loss is undefined).
+    /// not hold [`Sequential::param_count`] values, and propagates
+    /// input-shape and loss errors; an empty batch is a
+    /// [`NnError::BadInputShape`] (its mean loss is undefined).
     pub fn gradient_into(
         &mut self,
         params: &[f32],
@@ -235,19 +204,19 @@ impl Sequential {
     ) -> Result<BatchScore> {
         self.check_len(params.len())?;
         self.check_len(row.len())?;
-        let logits = self.forward_at(params, input)?;
+        let (batch, hidden, logits) = self.forward_at(params, input)?;
         let loss_out = self.loss.evaluate(&logits, labels)?;
         row.fill(0.0);
-        let mut grad = loss_out.grad_logits;
+        let mut grad = loss_out.grad_logits.into_vector().into_inner();
         let mut end = params.len();
-        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (k, layer) in self.layers.iter_mut().enumerate().rev() {
             let start = end - layer.param_count();
-            let (own, grad_own) = (&params[start..end], &mut row[start..end]);
-            if idx == 0 {
-                // Nobody reads the gradient with respect to the model's input.
-                layer.backward_params_only(own, &grad, grad_own)?;
-            } else {
-                grad = layer.backward(own, &grad, grad_own)?;
+            let layer_input = if k == 0 { input.as_slice() } else { &hidden[k - 1] };
+            layer.backward_params(layer_input, &grad, &mut row[start..end], batch);
+            // Nobody reads the gradient with respect to the model's input.
+            if k > 0 {
+                grad = layer.backward_input(&params[start..end], &grad, batch);
+                relu_backward(&hidden[k - 1], &mut grad);
             }
             end = start;
         }
@@ -266,16 +235,24 @@ impl Sequential {
     }
 
     /// The forward pass at `params` (checked by the caller), each layer
-    /// reading its own sub-slice.
-    fn forward_at(&mut self, params: &[f32], input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
+    /// reading its own sub-slice; the first reads the caller's batch in
+    /// place.
+    fn forward_at(&self, params: &[f32], input: &Tensor) -> Result<Forward> {
+        let (last, hidden_layers) = self.layers.split_last().expect("at least one layer");
+        let batch = self.layers[0].check_input(input)?;
+        let mut hidden: Vec<Vec<f32>> = Vec::with_capacity(hidden_layers.len());
         let mut rest = params;
-        for layer in &mut self.layers {
+        for layer in hidden_layers {
             let (own, tail) = rest.split_at(layer.param_count());
-            x = layer.forward(own, &x)?;
+            let mut out =
+                layer.forward(own, hidden.last().map_or(input.as_slice(), Vec::as_slice), batch);
+            relu(&mut out);
+            hidden.push(out);
             rest = tail;
         }
-        Ok(x)
+        let x = hidden.last().map_or(input.as_slice(), Vec::as_slice);
+        let logits = Tensor::from_vec(&[batch, last.out_features()], last.forward(rest, x, batch))?;
+        Ok((batch, hidden, logits))
     }
 
     /// Runs `pass` at the resident vector, drawing the initial one first if
@@ -294,17 +271,12 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::Init;
     use crate::layers::dense::oracle::{assert_same_bits, ScalarDense};
-    use crate::layers::{Dense, Relu};
     use crate::models::synthetic_mlp;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
 
     fn tiny_model(seed: u64) -> Sequential {
-        Sequential::new(&[4])
-            .with_layer(Box::new(Dense::new(4, 8, Init::HeNormal, seed)))
-            .with_layer(Box::new(Relu::new()))
-            .with_layer(Box::new(Dense::new(8, 3, Init::HeNormal, seed + 1)))
+        synthetic_mlp(4, &[8], 3, seed)
     }
 
     fn batch() -> (Tensor, Vec<usize>) {
@@ -316,8 +288,8 @@ mod tests {
     fn param_count_and_shapes() {
         let model = tiny_model(1);
         assert_eq!(model.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
-        assert_eq!(model.output_shape().unwrap(), vec![3]);
-        assert!(model.flops_per_sample() > 0);
+        assert_eq!(model.input_shape(), &[4]);
+        assert_eq!(model.flops_per_sample(), 2 * (4 * 8 + 8 * 3));
     }
 
     #[test]
@@ -429,34 +401,42 @@ mod tests {
     }
 
     /// The benchmark's 256→384→10 proxy at the batch sizes its workloads run
-    /// yields, bit for bit, the gradient and loss of the same model built on
-    /// the sample-at-a-time loops: the training trajectory does not depend on
-    /// which kernels computed it.
+    /// yields, bit for bit, the gradient and loss of the same chain built by
+    /// hand on the sample-at-a-time loops (a ReLU masking by its input's
+    /// sign): the training trajectory does not depend on which kernels
+    /// computed it.
     #[test]
     fn proxy_mlp_gradient_equals_the_scalar_loops_bit_for_bit() {
         let mut model = synthetic_mlp(256, &[384], 10, 11);
         let params = model.parameters();
-        let mut scalar = Sequential::new(&[256])
-            .with_layer(Box::new(ScalarDense::new(256, 384)))
-            .with_layer(Box::new(Relu::new()))
-            .with_layer(Box::new(ScalarDense::new(384, 10)));
+        let (p0, p1) = params.as_slice().split_at(257 * 384);
+        let (hidden, output) = (ScalarDense::new(256, 384), ScalarDense::new(384, 10));
         let mut rng = seeded_rng(12);
         for batch in [1usize, 2, 25] {
             let x = gaussian_vector(&mut rng, batch * 256, 0.0, 1.0);
             let x = Tensor::from_vec(&[batch, 256], x.as_slice().to_vec()).unwrap();
             let labels: Vec<usize> = (0..batch).map(|n| n % 10).collect();
             let got = model.gradient(&x, &labels).unwrap();
-            let want = scalar.gradient_at(params.as_slice(), &x, &labels).unwrap();
-            assert_eq!(
-                got.score.loss.to_bits(),
-                want.score.loss.to_bits(),
-                "loss at batch {batch}"
-            );
-            assert_eq!(got.score.accuracy, want.score.accuracy);
+
+            let pre = hidden.forward(p0, x.as_slice(), batch);
+            let mask: Vec<bool> = pre.iter().map(|&v| v > 0.0).collect();
+            let h: Vec<f32> = pre.iter().map(|&v| agg_tensor::ops::relu(v)).collect();
+            let logits = Tensor::from_vec(&[batch, 10], output.forward(p1, &h, batch)).unwrap();
+            let want = SoftmaxCrossEntropy::new().evaluate(&logits, &labels).unwrap();
+            let mut want_gradient = vec![0.0f32; params.len()];
+            let (g0, g1) = want_gradient.split_at_mut(p0.len());
+            let grad_h = output.backward(p1, &h, want.grad_logits.as_slice(), g1, batch);
+            let grad_pre: Vec<f32> =
+                grad_h.iter().zip(&mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
+            hidden.backward(p0, x.as_slice(), &grad_pre, g0, batch);
+
+            assert_eq!(got.score.loss.to_bits(), want.loss.to_bits(), "loss at batch {batch}");
+            let want_accuracy = want.correct_predictions as f32 / batch as f32;
+            assert_eq!(got.score.accuracy, want_accuracy);
             assert!(got.gradient.iter().any(|&g| g != 0.0));
             assert_same_bits(
                 got.gradient.as_slice(),
-                want.gradient.as_slice(),
+                &want_gradient,
                 &format!("gradient at batch {batch}"),
             );
         }

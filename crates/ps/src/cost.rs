@@ -17,8 +17,9 @@
 //! The optional [`VirtualModelCost`] sets that effective dimension: the
 //! Figure 3–8 experiments train a small proxy model for accuracy while
 //! charging time as if the model were the paper's 1.75 M-parameter CNN (or
-//! the ResNet50 stand-in), which preserves the compute/communication/
-//! aggregation ratios the figures depend on.
+//! ResNet-50), which preserves the compute/communication/aggregation ratios
+//! the figures depend on. [`PAPER_CNN_LAYERS`] is that CNN's Table 1 as
+//! shape arithmetic.
 
 use crate::{PsError, Result};
 use agg_core::{GarConfig, GarWork};
@@ -64,18 +65,112 @@ pub struct VirtualModelCost {
 }
 
 impl VirtualModelCost {
-    /// The paper's Table 1 CNN (≈1.75 M parameters, ≈65 MFLOP forward per
-    /// sample).
+    /// The paper's Table 1 CNN: the 1 756 426 parameters
+    /// [`PAPER_CNN_LAYERS`] adds up, and 65 MFLOP forward per sample, which
+    /// rounds down the table's 65.56 MFLOP.
     pub fn paper_cnn() -> Self {
         VirtualModelCost { dimension: 1_756_426, flops_per_sample: 65_000_000 }
     }
 
-    /// The ResNet50-class large model of Figure 5(b) (≈25 M parameters,
-    /// ≈4 GFLOP forward per sample).
+    /// ResNet-50, the large model of Figure 5(b): 25 M parameters, rounding
+    /// down the 25.6 M of the standard implementation, and 4 GFLOP forward
+    /// per sample, rounding up the 3.8 × 10⁹ FLOPs of He et al., "Deep
+    /// Residual Learning for Image Recognition" (CVPR 2016), Table 1. That
+    /// figure counts a multiply-add once, where [`PAPER_CNN_LAYERS`] counts
+    /// it twice.
     pub fn resnet50() -> Self {
         VirtualModelCost { dimension: 25_000_000, flops_per_sample: 4_000_000_000 }
     }
 }
+
+/// What a row of [`PAPER_CNN_LAYERS`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CnnLayerKind {
+    /// A 2-D convolution with "SAME" padding.
+    Conv,
+    /// Max-pooling with "SAME" padding: no parameters, and no FLOPs counted.
+    MaxPool,
+    /// A fully connected layer: a 1 × 1 kernel over a 1 × 1 map.
+    Dense,
+}
+
+/// One layer of the paper's Table 1 CNN, as shape arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CnnLayer {
+    /// The layer's name in Table 1.
+    pub name: &'static str,
+    /// What the layer computes.
+    pub kind: CnnLayerKind,
+    /// Side of the square kernel or window.
+    pub kernel: u64,
+    /// Input channels (input features of a dense layer).
+    pub in_channels: u64,
+    /// Output channels (units of a dense layer).
+    pub channels: u64,
+    /// Stride of the kernel or window.
+    pub stride: u64,
+    /// Side of the square output map.
+    pub output: u64,
+}
+
+impl CnnLayer {
+    /// Weights and biases: `(kernel² · in_channels + 1) · channels`.
+    pub fn params(&self) -> u64 {
+        match self.kind {
+            CnnLayerKind::MaxPool => 0,
+            _ => (self.kernel * self.kernel * self.in_channels + 1) * self.channels,
+        }
+    }
+
+    /// Forward FLOPs per sample, a multiply and an add per weight and output
+    /// position: `2 · kernel² · in_channels · channels · output²`.
+    pub fn flops(&self) -> u64 {
+        match self.kind {
+            CnnLayerKind::MaxPool => 0,
+            _ => {
+                2 * self.kernel
+                    * self.kernel
+                    * self.in_channels
+                    * self.channels
+                    * self.output.pow(2)
+            }
+        }
+    }
+}
+
+const fn cnn_layer(
+    name: &'static str,
+    kind: CnnLayerKind,
+    kernel: u64,
+    in_channels: u64,
+    channels: u64,
+    stride: u64,
+    output: u64,
+) -> CnnLayer {
+    CnnLayer { name, kind, kernel, in_channels, channels, stride, output }
+}
+
+/// The paper's Table 1 CNN on 32 × 32 × 3 inputs, a ReLU after every
+/// convolution and hidden dense layer:
+///
+/// | Input | Conv1 | Pool1 | Conv2 | Pool2 | FC1 | FC2 | FC3 |
+/// |---|---|---|---|---|---|---|---|
+/// | 32×32×3 | 5×5×64, stride 1 | 3×3, stride 2 | 5×5×64, stride 1 | 3×3, stride 2 | 384 | 192 | 10 |
+///
+/// The reproduction trains an MLP and charges this model's time through
+/// [`VirtualModelCost::paper_cnn`].
+pub const PAPER_CNN_LAYERS: [CnnLayer; 7] = {
+    use CnnLayerKind::{Conv, Dense, MaxPool};
+    [
+        cnn_layer("conv1", Conv, 5, 3, 64, 1, 32),
+        cnn_layer("pool1", MaxPool, 3, 64, 64, 2, 16),
+        cnn_layer("conv2", Conv, 5, 64, 64, 1, 16),
+        cnn_layer("pool2", MaxPool, 3, 64, 64, 2, 8),
+        cnn_layer("fc1", Dense, 1, 64 * 8 * 8, 384, 1, 1),
+        cnn_layer("fc2", Dense, 1, 384, 192, 1, 1),
+        cnn_layer("fc3", Dense, 1, 192, 10, 1, 1),
+    ]
+};
 
 /// The time model used by the training engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,6 +268,51 @@ mod tests {
         let cost = CostModel::paper_like().with_virtual_model(VirtualModelCost::paper_cnn());
         let t = cost.gradient_time(1, 100, 5.0e10);
         assert!(t > 0.1 && t < 1.5, "gradient time {t} out of the plausible range");
+    }
+
+    /// The figures agg-nn's convolution layers gave for the CNN they built
+    /// (`models::paper_cnn(0)`: `layer_summary()`, `param_count()` and
+    /// `flops_per_sample()`), before the crate shrank to the MLP.
+    #[test]
+    fn paper_cnn_has_about_1_75_million_parameters() {
+        let params: Vec<u64> = PAPER_CNN_LAYERS
+            .iter()
+            .filter(|l| l.kind != CnnLayerKind::MaxPool)
+            .map(CnnLayer::params)
+            .collect();
+        assert_eq!(params, [4_864, 102_464, 1_573_248, 73_920, 1_930]);
+        let total: u64 = PAPER_CNN_LAYERS.iter().map(CnnLayer::params).sum();
+        assert_eq!(total, 1_756_426);
+        assert_eq!(total as usize, VirtualModelCost::paper_cnn().dimension);
+        let flops: u64 = PAPER_CNN_LAYERS.iter().map(CnnLayer::flops).sum();
+        assert_eq!(flops, 65_556_224);
+        // The clock charges 556 224 FLOPs (0.85 %) fewer per sample.
+        assert_eq!(flops - VirtualModelCost::paper_cnn().flops_per_sample, 556_224);
+    }
+
+    /// "SAME" padding maps a side of `w` to `ceil(w / stride)`; every layer
+    /// reads the channels of the one before it, and FC1 the flattened
+    /// 64 × 8 × 8 map.
+    #[test]
+    fn paper_cnn_layer_chain_is_consistent() {
+        let (mut side, mut channels) = (32, 3);
+        for layer in PAPER_CNN_LAYERS {
+            match layer.kind {
+                CnnLayerKind::Dense => {
+                    assert_eq!(layer.in_channels, channels * side * side, "{}", layer.name);
+                    assert_eq!((layer.kernel, layer.output), (1, 1), "{}", layer.name);
+                }
+                _ => {
+                    assert_eq!(layer.in_channels, channels, "{}", layer.name);
+                    assert_eq!(layer.output, side.div_ceil(layer.stride), "{}", layer.name);
+                }
+            }
+            if layer.kind == CnnLayerKind::MaxPool {
+                assert_eq!((layer.params(), layer.flops(), layer.channels), (0, 0, channels));
+            }
+            (side, channels) = (layer.output, layer.channels);
+        }
+        assert_eq!(channels, 10);
     }
 
     #[test]

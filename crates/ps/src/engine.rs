@@ -22,7 +22,7 @@ use agg_net::{
 use agg_nn::Sequential;
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::rng::derive_seed;
-use agg_tensor::{GroupPlan, Vector};
+use agg_tensor::{GroupPlan, Tensor, Vector};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -87,7 +87,9 @@ pub struct SyncTrainingEngine {
     /// group's replicas of one mini-batch once. Nondecreasing in worker id.
     streams: Vec<usize>,
     eval_model: Sequential,
-    test_set: Dataset,
+    /// The first `eval_samples` rows of the test set and their labels,
+    /// gathered once: every evaluation reads this batch.
+    eval_batch: (Tensor, Vec<usize>),
     actual_dimension: usize,
     /// The round pipeline's one submission arena, reused every round (worker
     /// `i` owns row `i`; undelivered and late rows are compacted away before
@@ -148,6 +150,9 @@ impl SyncTrainingEngine {
         config.validate()?;
         let (model, train, test) = config.experiment.build(config.seed)?;
         let actual_dimension = model.param_count();
+        // Evaluation reads only the test set's first rows: keep those alone.
+        let eval_batch = test.head_batch(config.eval_samples).map_err(PsError::from)?;
+        drop(test);
 
         // The hierarchical tier partitions the roster into contiguous groups
         // of `tree.group_size` (validated against the sortnet sweet spot).
@@ -244,7 +249,7 @@ impl SyncTrainingEngine {
             workers,
             streams,
             eval_model: model,
-            test_set: test,
+            eval_batch,
             actual_dimension,
             pipeline,
             membership,
@@ -926,9 +931,8 @@ impl SyncTrainingEngine {
     /// clock (matching the paper's `/job:eval` design).
     fn evaluate(&mut self, report: &mut TrainingReport) -> Result<()> {
         self.eval_model.set_parameters(self.server.parameters()).map_err(PsError::from)?;
-        let (batch, labels) =
-            self.test_set.head_batch(self.config.eval_samples).map_err(PsError::from)?;
-        let out = self.eval_model.evaluate_loss(&batch, &labels).map_err(PsError::from)?;
+        let (batch, labels) = &self.eval_batch;
+        let out = self.eval_model.evaluate_loss(batch, labels).map_err(PsError::from)?;
         let accuracy = out.correct_predictions as f64 / labels.len().max(1) as f64;
         report.trace.record(TracePoint {
             step: self.server.step(),

@@ -31,7 +31,7 @@ impl WorkerRole {
 /// One simulated worker process.
 ///
 /// Each worker owns its model's layers (as a TensorFlow worker owns its
-/// sub-graph: the shapes and the activation caches), an i.i.d. mini-batch
+/// sub-graph: the shapes and a reused transpose scratch), an i.i.d. mini-batch
 /// sampler over its local dataset view, and the transport its gradients
 /// travel over. It owns no weights: every round it computes at the server's
 /// parameter vector, borrowed in place, so the n workers of a round share one

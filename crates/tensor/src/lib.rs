@@ -10,8 +10,8 @@
 //! * [`gemm`] — the register-tiled dense products over plain slices that
 //!   `agg-nn`'s `Dense` layer runs its forward and backward passes on (and
 //!   that [`Matrix::matmul`] wraps), bit-identical to the scalar triple loop.
-//! * [`Tensor`] — an n-dimensional array (row-major) used by convolutional
-//!   layers and data pipelines.
+//! * [`Tensor`] — an n-dimensional array (row-major): the mini-batches the
+//!   data pipelines hand out and the logits a model computes.
 //! * [`GradientBatch`] — a contiguous row-major `n×d` arena holding one
 //!   round of gradients, plus the fused, cache-friendly aggregation kernels
 //!   (triangular pairwise distances, column-block medians/means). This is

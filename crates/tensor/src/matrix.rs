@@ -1,9 +1,9 @@
 //! Row-major 2-D matrices: a small owned-matrix API for tests, examples and
 //! callers that want shape checking.
 //!
-//! Nothing on the training path holds a [`Matrix`]: `agg-nn`'s `Dense` keeps
-//! its weights as flat slices and calls the [`crate::gemm`] kernels directly,
-//! and `Conv2d` is direct loops (there is no im2col lowering).
+//! Nothing on the training path holds a [`Matrix`]: `agg-nn`'s dense layers
+//! keep their weights as flat slices and call the [`crate::gemm`] kernels
+//! directly.
 //! [`Matrix::matmul`] is a shape-checked wrapper over the same
 //! [`crate::gemm::matmul_acc`] kernel `Dense::forward` uses.
 

@@ -1,5 +1,5 @@
-//! N-dimensional row-major tensors, used for image batches (N, C, H, W) and
-//! convolution activations in `agg-nn`.
+//! N-dimensional row-major tensors: the `[batch, features]` mini-batches the
+//! datasets hand out and the logits `agg-nn` computes.
 
 use crate::{Result, TensorError, Vector};
 use serde::{Deserialize, Serialize};
@@ -68,79 +68,10 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reshapes in place without moving data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidReshape`] if the element count changes.
-    pub fn reshape(&mut self, shape: &[usize]) -> Result<()> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::InvalidReshape {
-                elements: self.data.len(),
-                shape: shape.to_vec(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(())
-    }
-
-    /// Returns a reshaped copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidReshape`] if the element count changes.
-    pub fn reshaped(&self, shape: &[usize]) -> Result<Tensor> {
-        let mut t = self.clone();
-        t.reshape(shape)?;
-        Ok(t)
-    }
-
-    /// Flat offset of a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] if the index rank differs
-    /// from the tensor rank, or [`TensorError::IndexOutOfBounds`] when any
-    /// coordinate exceeds its axis.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
-        if index.len() != self.shape.len() {
-            return Err(TensorError::dim(self.shape.len(), index.len()));
-        }
-        let mut off = 0;
-        for (&i, &s) in index.iter().zip(self.shape.iter()) {
-            if i >= s {
-                return Err(TensorError::IndexOutOfBounds { index: i, size: s });
-            }
-            off = off * s + i;
-        }
-        Ok(off)
-    }
-
-    /// Element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tensor::offset`].
-    pub fn get(&self, index: &[usize]) -> Result<f32> {
-        Ok(self.data[self.offset(index)?])
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tensor::offset`].
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
-        let off = self.offset(index)?;
-        self.data[off] = value;
-        Ok(())
-    }
-
     /// Splits the leading axis, returning the `i`-th sub-tensor (a copy).
     ///
-    /// For a batch tensor of shape `[N, C, H, W]` this returns sample `i`
-    /// with shape `[C, H, W]`.
+    /// For a batch tensor of shape `[N, F]` this returns sample `i` with
+    /// shape `[F]`.
     ///
     /// # Errors
     ///
@@ -217,32 +148,6 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(Tensor::from_vec(&[2, 2], vec![0.0; 4]).is_ok());
         assert!(Tensor::from_vec(&[2, 2], vec![0.0; 5]).is_err());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::from_vec(&[2, 3], (0..6).map(|x| x as f32).collect()).unwrap();
-        t.reshape(&[3, 2]).unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.get(&[2, 1]).unwrap(), 5.0);
-        assert!(t.reshape(&[4, 2]).is_err());
-    }
-
-    #[test]
-    fn indexing_row_major() {
-        let t = Tensor::from_vec(&[2, 2, 2], (0..8).map(|x| x as f32).collect()).unwrap();
-        assert_eq!(t.get(&[0, 0, 0]).unwrap(), 0.0);
-        assert_eq!(t.get(&[1, 0, 1]).unwrap(), 5.0);
-        assert_eq!(t.get(&[1, 1, 1]).unwrap(), 7.0);
-        assert!(t.get(&[2, 0, 0]).is_err());
-        assert!(t.get(&[0, 0]).is_err());
-    }
-
-    #[test]
-    fn set_then_get() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        t.set(&[1, 0], 9.0).unwrap();
-        assert_eq!(t.get(&[1, 0]).unwrap(), 9.0);
     }
 
     #[test]
