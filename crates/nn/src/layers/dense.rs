@@ -96,7 +96,7 @@ impl Dense {
     ) {
         let (grad_weights, grad_bias) =
             grad_params.split_at_mut(self.in_features * self.out_features);
-        for go_row in grad_output.chunks_exact(self.out_features).take(batch) {
+        for go_row in grad_output.chunks_exact(self.out_features) {
             for (gb, &g) in grad_bias.iter_mut().zip(go_row) {
                 *gb += g;
             }
