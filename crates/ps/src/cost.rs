@@ -270,6 +270,17 @@ mod tests {
         assert!(t > 0.1 && t < 1.5, "gradient time {t} out of the plausible range");
     }
 
+    #[test]
+    fn param_count_matches_table1_first_conv() {
+        // Table 1: conv 5x5x64 on 3-channel input -> 5*5*3*64 + 64 = 4864.
+        let conv1 = PAPER_CNN_LAYERS[0];
+        assert_eq!(conv1.name, "conv1");
+        assert_eq!(conv1.kind, CnnLayerKind::Conv);
+        assert_eq!((conv1.kernel, conv1.in_channels, conv1.channels), (5, 3, 64));
+        assert_eq!(conv1.params(), 5 * 5 * 3 * 64 + 64);
+        assert_eq!(conv1.params(), 4864);
+    }
+
     /// The figures agg-nn's convolution layers gave for the CNN they built
     /// (`models::paper_cnn(0)`: `layer_summary()`, `param_count()` and
     /// `flops_per_sample()`), before the crate shrank to the MLP.
