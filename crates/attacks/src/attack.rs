@@ -51,13 +51,29 @@ impl<'a> AttackContext<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the honest rows disagree on their dimension.
+    /// Panics when an honest row does not have the model's dimension.
     pub fn honest_mean(&self) -> Vector {
+        let mut mean = Vector::zeros(self.dimension());
+        self.honest_mean_into(mean.as_mut_slice());
+        mean
+    }
+
+    /// [`AttackContext::honest_mean`] written into `out` (an attacker's
+    /// arena row), with the same bits, through
+    /// [`stats::coordinate_mean_of_rows_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when an honest row or `out` does not have the model's
+    /// dimension.
+    pub fn honest_mean_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.dimension(), "the mean has the model's dimension");
         if self.honest_gradients.is_empty() {
-            return Vector::zeros(self.dimension());
+            out.fill(0.0);
+            return;
         }
-        stats::coordinate_mean_of_rows(self.honest_gradients)
-            .expect("every honest gradient has the model's dimension")
+        stats::coordinate_mean_of_rows_into(self.honest_gradients, out)
+            .expect("every honest gradient has the model's dimension");
     }
 }
 
@@ -82,17 +98,33 @@ pub enum ChurnDirective {
 /// A Byzantine worker behaviour; [`AttackKind`](crate::AttackKind) is its
 /// one implementor.
 ///
-/// `craft` returns exactly `ctx.byzantine_count` gradients, row `k` for the
-/// `k`-th attacker slot; the parameter server simulator submits the rows of
-/// the live slots alongside the honest ones. Both methods are
-/// deterministic functions of the context (including `seed` and `step`), so
-/// experiments replay exactly.
+/// `craft_into` writes exactly `ctx.byzantine_count` gradients, row `k` for
+/// the `k`-th attacker slot; the parameter server simulator hands it the
+/// attacker slots' own arena rows and submits the rows of the live slots
+/// alongside the honest ones. Every method is a deterministic function of
+/// the context (including `seed` and `step`), so experiments replay exactly.
 pub trait Attack: Send + Sync + fmt::Debug {
     /// Short attack name used in experiment configurations and reports.
     fn name(&self) -> &'static str;
 
-    /// Crafts this round's Byzantine gradients.
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector>;
+    /// Crafts this round's Byzantine gradients into `rows`, one per roster
+    /// slot, overwriting whatever they held. A kind whose slots all send the
+    /// same bits writes the first row and copies it into the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are `ctx.byzantine_count` rows of the model's
+    /// dimension.
+    fn craft_into(&self, ctx: &AttackContext<'_>, rows: &mut [&mut [f32]]);
+
+    /// Crafts this round's Byzantine gradients as owned vectors: the
+    /// allocating wrapper of [`Attack::craft_into`], with the same bits.
+    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
+        let mut crafted = vec![Vector::zeros(ctx.dimension()); ctx.byzantine_count];
+        let mut rows: Vec<&mut [f32]> = crafted.iter_mut().map(Vector::as_mut_slice).collect();
+        self.craft_into(ctx, &mut rows);
+        crafted
+    }
 
     /// Chooses membership transitions for the adversary's own workers at the
     /// start of this round, from the previous round's selection feedback.

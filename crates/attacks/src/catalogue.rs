@@ -1,12 +1,12 @@
 //! The [`AttackKind`] catalogue: every adversary behaviour, one variant each.
 
 use crate::attack::{Attack, AttackContext, ChurnDirective};
-use agg_tensor::rng::{derive_seed, gaussian_vector, seeded_rng};
+use agg_tensor::rng::{derive_seed, gaussian_fill, seeded_rng};
 use agg_tensor::{stats, Vector};
 use serde::{Deserialize, Serialize};
 
 /// The adversary's repertoire, as experiment configurations select it. Each
-/// variant is its own [`Attack`]: `craft` and `plan_churn` are one match
+/// variant is its own [`Attack`]: `craft_into` and `plan_churn` are one match
 /// over the variants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AttackKind {
@@ -150,39 +150,46 @@ impl Attack for AttackKind {
         }
     }
 
-    fn craft(&self, ctx: &AttackContext<'_>) -> Vec<Vector> {
+    fn craft_into(&self, ctx: &AttackContext<'_>, rows: &mut [&mut [f32]]) {
         let d = ctx.dimension();
-        let copies = |row: Vector| vec![row; ctx.byzantine_count];
+        assert_eq!(rows.len(), ctx.byzantine_count, "one row per roster slot");
+        assert!(rows.iter().all(|row| row.len() == d), "every row has the model's dimension");
         let honest = ctx.honest_gradients;
         match *self {
-            AttackKind::None => copies(ctx.honest_mean()),
-            AttackKind::Random { magnitude } => (0..ctx.byzantine_count)
-                .map(|k| {
+            AttackKind::None => write_copies(rows, |row| ctx.honest_mean_into(row)),
+            AttackKind::Random { magnitude } => {
+                for (k, row) in rows.iter_mut().enumerate() {
                     let mut rng =
                         seeded_rng(derive_seed(ctx.seed, ctx.step ^ (k as u64) << 32 | 0xA77));
-                    gaussian_vector(&mut rng, d, 0.0, magnitude)
-                })
-                .collect(),
-            AttackKind::Reversed { scale } => copies(scaled_mean(ctx, -scale)),
-            AttackKind::SignFlip => copies(scaled_mean(ctx, -1.0)),
-            AttackKind::NonFinite => (0..ctx.byzantine_count)
-                .map(|k| {
-                    Vector::from_iter((0..d).map(|i| match (i + k) % 3 {
-                        0 => f32::NAN,
-                        1 => f32::INFINITY,
-                        _ => f32::NEG_INFINITY,
-                    }))
-                })
-                .collect(),
-            AttackKind::ConstantDrift { value } => copies(Vector::filled(d, value)),
-            AttackKind::LittleIsEnough { z } => copies(shifted_mean(ctx, z)),
+                    gaussian_fill(&mut rng, row, 0.0, magnitude);
+                }
+            }
+            AttackKind::Reversed { scale } => {
+                write_copies(rows, |row| scaled_mean_into(ctx, -scale, row))
+            }
+            AttackKind::SignFlip => write_copies(rows, |row| scaled_mean_into(ctx, -1.0, row)),
+            AttackKind::NonFinite => {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    for (i, v) in row.iter_mut().enumerate() {
+                        *v = match (i + k) % 3 {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            _ => f32::NEG_INFINITY,
+                        };
+                    }
+                }
+            }
+            AttackKind::ConstantDrift { value } => write_copies(rows, |row| row.fill(value)),
+            AttackKind::LittleIsEnough { z } => {
+                write_copies(rows, |row| shifted_mean_into(ctx, z, row))
+            }
             AttackKind::Alie { z } => {
                 let z = if z > 0.0 {
                     z
                 } else {
                     alie_z_max(ctx.total_workers.max(1), ctx.byzantine_count)
                 };
-                copies(shifted_mean(ctx, -z))
+                write_copies(rows, |row| shifted_mean_into(ctx, -z, row))
             }
             AttackKind::MinMax => {
                 let max_pairwise = honest
@@ -190,17 +197,21 @@ impl Attack for AttackKind {
                     .enumerate()
                     .flat_map(|(i, a)| honest[i + 1..].iter().map(move |b| row_distance_sq(a, b)))
                     .fold(0.0, f64::max);
-                copies(within_distance_budget(ctx, |crafted| {
-                    honest.iter().all(|g| row_distance_sq(crafted, g) <= max_pairwise)
-                }))
+                write_copies(rows, |row| {
+                    within_distance_budget_into(ctx, row, |crafted| {
+                        honest.iter().all(|g| row_distance_sq(crafted, g) <= max_pairwise)
+                    })
+                })
             }
             AttackKind::MinSum => {
                 let sum_to_honest =
                     |row: &[f32]| honest.iter().map(|g| row_distance_sq(row, g)).sum::<f64>();
                 let max_honest_sum = honest.iter().map(|a| sum_to_honest(a)).fold(0.0, f64::max);
-                copies(within_distance_budget(ctx, |crafted| {
-                    sum_to_honest(crafted) <= max_honest_sum
-                }))
+                write_copies(rows, |row| {
+                    within_distance_budget_into(ctx, row, |crafted| {
+                        sum_to_honest(crafted) <= max_honest_sum
+                    })
+                })
             }
             AttackKind::Adaptive => {
                 let (base, aggressive, stealth) = ADAPTIVE_Z;
@@ -211,33 +222,30 @@ impl Attack for AttackKind {
                     }
                     Some(_) => stealth,
                 };
-                copies(shifted_mean(ctx, -z))
+                write_copies(rows, |row| shifted_mean_into(ctx, -z, row))
             }
             AttackKind::SlowRotation { z, .. } => {
-                let shifted = shifted_mean(ctx, -z);
-                (0..ctx.byzantine_count)
-                    .map(|k| {
-                        // Per-slot, per-round jitter: no two crafted rows are
-                        // ever bit-close, so a collusion sketch sees no clique.
-                        let seed =
-                            derive_seed(derive_seed(ctx.seed, 0x5107_A7E0 ^ ctx.step), k as u64);
-                        jittered(ctx, &shifted, 0.2 * z.abs().max(0.1), seed)
-                    })
-                    .collect()
+                write_copies(rows, |row| shifted_mean_into(ctx, -z, row));
+                let mut noise = vec![0.0f32; d];
+                for (k, row) in rows.iter_mut().enumerate() {
+                    // Per-slot, per-round jitter: no two crafted rows are
+                    // ever bit-close, so a collusion sketch sees no clique.
+                    let seed = derive_seed(derive_seed(ctx.seed, 0x5107_A7E0 ^ ctx.step), k as u64);
+                    jitter(row, 0.2 * z.abs().max(0.1), seed, &mut noise);
+                }
             }
             AttackKind::GroupCollusion { scale, group_size } => {
-                let base = scaled_mean(ctx, -scale);
+                write_copies(rows, |row| scaled_mean_into(ctx, -scale, row));
                 let jitter_scale = 0.001 * scale.abs().max(1.0);
-                (0..ctx.byzantine_count)
-                    .map(|k| {
-                        // Identical inside a group, jittered across groups:
-                        // the group aggregate stays extreme while no two
-                        // captured groups hand the root the same bits.
-                        let group = ((first_attacker(ctx) + k) / group_size.max(1)) as u64;
-                        let seed = derive_seed(ctx.seed, 0xC011_ABCD ^ group);
-                        jittered(ctx, &base, jitter_scale, seed)
-                    })
-                    .collect()
+                let mut noise = vec![0.0f32; d];
+                for (k, row) in rows.iter_mut().enumerate() {
+                    // Identical inside a group, jittered across groups: the
+                    // group aggregate stays extreme while no two captured
+                    // groups hand the root the same bits.
+                    let group = ((first_attacker(ctx) + k) / group_size.max(1)) as u64;
+                    let seed = derive_seed(ctx.seed, 0xC011_ABCD ^ group);
+                    jitter(row, jitter_scale, seed, &mut noise);
+                }
             }
         }
     }
@@ -280,25 +288,41 @@ fn first_attacker(ctx: &AttackContext<'_>) -> usize {
     ctx.total_workers.saturating_sub(ctx.byzantine_count)
 }
 
-/// `factor ·` (honest mean).
-fn scaled_mean(ctx: &AttackContext<'_>, factor: f32) -> Vector {
-    let mut mean = ctx.honest_mean();
-    mean.scale(factor);
-    mean
+/// Writes one crafted row with `craft` into the first of `rows` and copies
+/// it into the rest: the kinds whose every slot sends the same bits.
+fn write_copies(rows: &mut [&mut [f32]], craft: impl FnOnce(&mut [f32])) {
+    if let Some((first, rest)) = rows.split_first_mut() {
+        craft(first);
+        for row in rest {
+            row.copy_from_slice(first);
+        }
+    }
 }
 
-/// `mean + z · σ` over the honest rows.
-fn shifted_mean(ctx: &AttackContext<'_>, z: f32) -> Vector {
-    let mut crafted = ctx.honest_mean();
-    let _ = crafted.axpy(z, &honest_std(ctx));
-    crafted
+/// `y += alpha · x`, coordinate by coordinate ([`Vector::axpy`] on slices).
+fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    for (a, &b) in y.iter_mut().zip(x) {
+        *a += alpha * b;
+    }
 }
 
-/// `row + scale · N(0, 1)^d`, the noise drawn from the stream `seed`.
-fn jittered(ctx: &AttackContext<'_>, row: &Vector, scale: f32, seed: u64) -> Vector {
-    let mut crafted = row.clone();
-    let _ = crafted.axpy(scale, &gaussian_vector(&mut seeded_rng(seed), ctx.dimension(), 0.0, 1.0));
-    crafted
+/// Writes `factor ·` (honest mean) into `row`.
+fn scaled_mean_into(ctx: &AttackContext<'_>, factor: f32, row: &mut [f32]) {
+    ctx.honest_mean_into(row);
+    row.iter_mut().for_each(|v| *v *= factor);
+}
+
+/// Writes `mean + z · σ` over the honest rows into `row`.
+fn shifted_mean_into(ctx: &AttackContext<'_>, z: f32, row: &mut [f32]) {
+    ctx.honest_mean_into(row);
+    axpy(row, z, honest_std(ctx).as_slice());
+}
+
+/// `row += scale · N(0, 1)^d`, the noise drawn from the stream `seed` into
+/// the caller's `noise` scratch.
+fn jitter(row: &mut [f32], scale: f32, seed: u64, noise: &mut [f32]) {
+    gaussian_fill(&mut seeded_rng(seed), noise, 0.0, 1.0);
+    axpy(row, scale, noise);
 }
 
 /// Per-coordinate standard deviation of the honest rows, zero when it
@@ -354,53 +378,57 @@ fn row_distance_sq(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// The perturbation direction the min-max / min-sum family scales: the unit
-/// vector opposing the honest mean (the "inverse unit vector" choice of
+/// vector opposing the honest `mean` (the "inverse unit vector" choice of
 /// Shejwalkar & Houmansadr), falling back to the std direction when the
 /// mean is (numerically) zero.
-fn perturbation_direction(ctx: &AttackContext<'_>) -> Vector {
-    let mean = ctx.honest_mean();
-    let norm = (mean.as_slice().iter().map(|&v| f64::from(v).powi(2)).sum::<f64>()).sqrt();
+fn perturbation_direction(ctx: &AttackContext<'_>, mean: &[f32]) -> Vector {
+    let norm = (mean.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>()).sqrt();
     if norm > 1e-12 {
-        let mut dir = mean;
+        let mut dir = Vector::from(mean.to_vec());
         dir.scale(-(1.0 / norm as f32));
         return dir;
     }
     honest_std(ctx)
 }
 
-/// The min-max / min-sum row: `mean + γ·p`, `p` the
+/// Writes the min-max / min-sum row into `row`: `mean + γ·p`, `p` the
 /// [`perturbation_direction`] and `γ` the largest that keeps the row
 /// `admissible`. Fewer than two honest rows leave no budget to measure, so
 /// the row is the mean.
-fn within_distance_budget(ctx: &AttackContext<'_>, admissible: impl Fn(&[f32]) -> bool) -> Vector {
-    let mut crafted = ctx.honest_mean();
+fn within_distance_budget_into(
+    ctx: &AttackContext<'_>,
+    row: &mut [f32],
+    admissible: impl Fn(&[f32]) -> bool,
+) {
+    ctx.honest_mean_into(row);
     if ctx.honest_gradients.len() < 2 {
-        return crafted;
+        return;
     }
-    let direction = perturbation_direction(ctx);
-    let gamma = max_admissible_gamma(&crafted, &direction, admissible);
-    let _ = crafted.axpy(gamma, &direction);
-    crafted
+    let direction = perturbation_direction(ctx, row);
+    let gamma = max_admissible_gamma(row, direction.as_slice(), admissible);
+    axpy(row, gamma, direction.as_slice());
 }
 
 /// Largest `γ ≥ 0` such that `constraint(mean + γ·direction)` holds, by
-/// deterministic doubling + bisection. `constraint` must hold at γ = 0.
+/// deterministic doubling + bisection, every candidate written into one
+/// scratch row. `constraint` must hold at γ = 0.
 fn max_admissible_gamma(
-    mean: &Vector,
-    direction: &Vector,
+    mean: &[f32],
+    direction: &[f32],
     constraint: impl Fn(&[f32]) -> bool,
 ) -> f32 {
-    let crafted_at = |gamma: f32| {
-        let mut crafted = mean.clone();
-        let _ = crafted.axpy(gamma, direction);
-        crafted
+    let mut candidate = mean.to_vec();
+    let mut admits = |gamma: f32| {
+        candidate.copy_from_slice(mean);
+        axpy(&mut candidate, gamma, direction);
+        constraint(&candidate)
     };
-    if !constraint(crafted_at(0.0).as_slice()) {
+    if !admits(0.0) {
         return 0.0;
     }
     let mut hi = 1.0f32;
     let mut doublings = 0;
-    while constraint(crafted_at(hi).as_slice()) && doublings < 40 {
+    while admits(hi) && doublings < 40 {
         hi *= 2.0;
         doublings += 1;
     }
@@ -410,7 +438,7 @@ fn max_admissible_gamma(
     let mut lo = if doublings == 0 { 0.0 } else { hi / 2.0 };
     for _ in 0..30 {
         let mid = 0.5 * (lo + hi);
-        if constraint(crafted_at(mid).as_slice()) {
+        if admits(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -423,6 +451,7 @@ fn max_admissible_gamma(
 mod tests {
     use super::*;
     use agg_core::{Gar, GarConfig, GarKind};
+    use agg_tensor::rng::gaussian_vector;
 
     fn honest_cloud(n: usize, d: usize) -> Vec<Vector> {
         let mut rng = seeded_rng(3);
@@ -457,26 +486,76 @@ mod tests {
         let honest = honest_cloud(8, 6);
         let honest_views = views(&honest);
         let model = Vector::zeros(6);
-        let kinds = [
-            AttackKind::None,
-            AttackKind::Random { magnitude: 10.0 },
-            AttackKind::Reversed { scale: 100.0 },
-            AttackKind::SignFlip,
-            AttackKind::NonFinite,
-            AttackKind::ConstantDrift { value: 5.0 },
-            AttackKind::LittleIsEnough { z: 1.0 },
-            AttackKind::Alie { z: 0.0 },
-            AttackKind::MinMax,
-            AttackKind::MinSum,
-            AttackKind::Adaptive,
-            AttackKind::SlowRotation { period: 4, z: 0.5 },
-            AttackKind::GroupCollusion { scale: 100.0, group_size: 4 },
-        ];
-        for kind in kinds {
+        for kind in EVERY_KIND {
             let crafted = kind.craft(&ctx(&honest_views, &model, 3));
             assert_eq!(crafted.len(), 3, "{}", kind.name());
             assert!(crafted.iter().all(|g| g.len() == 6), "{}", kind.name());
         }
+    }
+
+    /// One of every variant (both `Alie` branches).
+    const EVERY_KIND: [AttackKind; 14] = [
+        AttackKind::None,
+        AttackKind::Random { magnitude: 10.0 },
+        AttackKind::Reversed { scale: 100.0 },
+        AttackKind::SignFlip,
+        AttackKind::NonFinite,
+        AttackKind::ConstantDrift { value: 5.0 },
+        AttackKind::LittleIsEnough { z: 1.0 },
+        AttackKind::Alie { z: 0.0 },
+        AttackKind::Alie { z: 0.5 },
+        AttackKind::MinMax,
+        AttackKind::MinSum,
+        AttackKind::Adaptive,
+        AttackKind::SlowRotation { period: 4, z: 0.5 },
+        AttackKind::GroupCollusion { scale: 100.0, group_size: 3 },
+    ];
+
+    #[test]
+    fn craft_into_used_rows_equals_craft_bit_for_bit() {
+        // Rows that held NaN, or another round's crafted rows, end with
+        // exactly the bits `craft` returns: every coordinate is overwritten.
+        let honest = honest_cloud(8, 6);
+        let honest_views = views(&honest);
+        let model = Vector::zeros(6);
+        let selected = [0, 1, 9];
+        for kind in EVERY_KIND {
+            for byz in [1, 3] {
+                for (step, history) in [(0, None), (5, Some(&selected[..]))] {
+                    let context = AttackContext {
+                        step,
+                        previous_selection: history,
+                        ..ctx(&honest_views, &model, byz)
+                    };
+                    let crafted = kind.craft(&context);
+                    let earlier = kind.craft(&AttackContext { step: step + 1, ..context });
+                    for mut used in [
+                        vec![vec![f32::NAN; 6]; byz],
+                        earlier.iter().map(|r| r.as_slice().to_vec()).collect(),
+                    ] {
+                        let mut rows: Vec<&mut [f32]> =
+                            used.iter_mut().map(Vec::as_mut_slice).collect();
+                        kind.craft_into(&context, &mut rows);
+                        for (got, want) in used.iter().zip(&crafted) {
+                            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                            let want: Vec<u32> =
+                                want.as_slice().iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(got, want, "{kind:?} k = {byz} step {step}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per roster slot")]
+    fn craft_into_wants_one_row_per_roster_slot() {
+        let honest = honest_cloud(4, 3);
+        let honest_views = views(&honest);
+        let model = Vector::zeros(3);
+        let mut row = [0.0f32; 3];
+        AttackKind::SignFlip.craft_into(&ctx(&honest_views, &model, 2), &mut [&mut row[..]]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use agg_net::packet::{wire_integrity_errors, CRC_LANES};
 use agg_net::{
-    crc32, GradientCodec, LinkConfig, LossPolicy, LossyTransport, ReliableTransport,
-    RoundAssembler, Transport,
+    crc32, ChaosConfig, ChaosPlan, GradientCodec, LinkConfig, LossPolicy, LossyTransport,
+    ReliableTransport, RetransmitConfig, RoundAssembler, Transport,
 };
 use agg_tensor::rng::{gaussian_vector, seeded_rng};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -59,7 +59,11 @@ fn bench_crc(c: &mut Criterion) {
 /// the two row sizes the lossy workloads send:
 /// d = 4 138 (`elastic_tree256`, 12 packets, where the tail of the
 /// three-packet CRC batches shows) and d = 100 000 (≈ the paper's model,
-/// 286 packets).
+/// 286 packets). `lossy_10pct` is a plain lossy send; `lossy_chaos_retransmit`
+/// is `stream19_sharded`'s degraded link (10 % drop, `ChaosConfig::moderate`,
+/// the default `RetransmitConfig`), one step further per iteration so every
+/// send draws fresh chaos: the first transmission and the NACK/retransmit
+/// rounds of the one lossy send body.
 fn bench_transports(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_transports");
     group.sample_size(20);
@@ -83,6 +87,24 @@ fn bench_transports(c: &mut Criterion) {
         .unwrap();
         group.bench_function(&format!("lossy_10pct_{label}"), |b| {
             b.iter(|| lossy.send_in_place(0, 0, black_box(&mut row)).unwrap())
+        });
+
+        let mut recovering = LossyTransport::new(
+            LinkConfig::datacenter().with_drop_rate(0.10),
+            codec,
+            LossPolicy::RandomFill,
+            3,
+            0,
+        )
+        .unwrap();
+        recovering.set_chaos(Some(ChaosPlan::new(ChaosConfig::moderate(), 3).unwrap()));
+        recovering.set_retransmit(Some(RetransmitConfig::default()));
+        let mut step = 0u64;
+        group.bench_function(&format!("lossy_chaos_retransmit_{label}"), |b| {
+            b.iter(|| {
+                step += 1;
+                recovering.send_in_place(0, step, black_box(&mut row)).unwrap()
+            })
         });
     }
     group.finish();

@@ -15,14 +15,16 @@
 //! * received coordinates are tracked in a **compact bitset** (one bit per
 //!   coordinate, reused across rounds), so counting what went missing is a
 //!   popcount over `d/64` words;
-//! * packets arrive as cheap [`Bytes`] views of the sender's contiguous
-//!   encode buffer, so the whole wire → arena path copies each coordinate
-//!   exactly once.
+//! * the lossy transport encodes each arriving packet from the row into a
+//!   few-packet scratch just before it is fed, a run of three at a time, so
+//!   the whole wire → arena path holds no more than a run of encoded packets
+//!   and copies each coordinate once each way.
 //!
-//! Every packet goes through one ingest, [`RoundAssembler::feed_all`] over
-//! the batch a link delivered; [`RoundAssembler::feed`] is its batch of one.
-//! It is the wire's only validator. It checks, in this order, and stops at
-//! the first failure:
+//! Every packet goes through one ingest: the transport feeds it its runs of
+//! encoded arrivals, [`RoundAssembler::feed_all`] a batch of [`Bytes`] a
+//! link delivered, and [`RoundAssembler::feed`] is its batch of one. It is
+//! the wire's only validator. It checks, in this order, and stops at the
+//! first failure:
 //!
 //! 1. **dimension** — the destination row matches the assembler
 //!    ([`NetError::InvalidConfig`]);
@@ -413,10 +415,19 @@ impl RoundAssembler {
     pub fn feed_all(&mut self, packets: &[Bytes], dst: &mut [f32]) -> Result<()> {
         self.check_row(dst)?;
         for batch in packets.chunks(CRC_LANES) {
-            let verdicts = wire_integrity_errors(batch);
-            for (packet, integrity) in batch.iter().zip(verdicts) {
-                self.ingest(packet, integrity, dst)?;
-            }
+            self.feed_run(batch, dst)?;
+        }
+        Ok(())
+    }
+
+    /// The one ingest over a run of at most [`CRC_LANES`] packets, in
+    /// order: their integrity decided side by side, then steps 3–9 on each.
+    /// `dst` is checked by the caller; the lossy transport feeds its runs of
+    /// encoded arrivals here as they leave its scratch.
+    pub(crate) fn feed_run<P: AsRef<[u8]>>(&mut self, run: &[P], dst: &mut [f32]) -> Result<()> {
+        let verdicts = wire_integrity_errors(run);
+        for (packet, integrity) in run.iter().zip(verdicts) {
+            self.ingest(packet.as_ref(), integrity, dst)?;
         }
         Ok(())
     }

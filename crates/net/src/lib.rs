@@ -27,14 +27,18 @@
 //!   view comes back into the same row, so one training round holds each
 //!   gradient once.
 //!
-//! There is one wire. Every byte a worker sends over the lossy transport
-//! takes the same five calls: [`GradientCodec::split_bytes_epoch`] (encode and
-//! seal) → [`LossyLink::transmit_bytes`] (drop / duplicate / reorder) →
-//! [`ChaosPlan::apply`] (damage, when a plan is installed) →
-//! [`RoundAssembler::feed_all`] (verify three packets at a time, validate,
-//! scatter) → [`RoundAssembler::finish_round_with`] (fill what never
-//! arrived: the `RandomFill` value, or NaN). Retransmit rounds repeat the
-//! middle three for the packets still missing.
+//! There is one wire. Every send over the lossy transport takes the same
+//! steps: the link draws which packet ids arrive, duplicated and reordered
+//! ([`LossyLink::transmit_bytes`]'s draws), the chaos plan draws their
+//! damage ([`ChaosPlan::apply`]'s draws, when a plan is installed), then the
+//! arrivals are encoded from the row three at a time, damaged as drawn and
+//! fed to the assembler's one ingest (verify three packets at a time,
+//! validate, scatter; [`RoundAssembler::feed_all`] is that ingest over
+//! encoded packets), and [`RoundAssembler::finish_round_with`] fills what
+//! never arrived: the `RandomFill` value, or NaN. Retransmit rounds repeat
+//! the draws and the feed for the packets still missing, encoding them
+//! again from the row. [`GradientCodec::split_bytes_epoch`] encodes a whole
+//! split with the same encoder.
 //!
 //! Nothing here opens real sockets: the parameter-server simulator in
 //! `agg-ps` drives these models and charges the returned transfer times to

@@ -3,6 +3,13 @@
 //! plus the seeded chaos layer ([`ChaosPlan`]) that damages the packets a
 //! link *does* deliver: bit flips, truncation, duplication-with-mutation,
 //! reorder bursts, delay spikes and transient partitions.
+//!
+//! Both draw a send's fate without reading a packet's bytes: the link's
+//! draws depend only on how many packets there are, the chaos plan's also
+//! on their lengths. So the lossy transport draws the fate over packet ids
+//! first and encodes only the packets that arrive, damaged as drawn;
+//! [`LossyLink::transmit_bytes`] and [`ChaosPlan::apply`] run the same
+//! draws over encoded [`Bytes`].
 
 use crate::{NetError, Result};
 use agg_tensor::rng::{derive_seed, seeded_rng};
@@ -123,19 +130,38 @@ impl LossyLink {
 
     /// Pushes a batch of encoded packets through the link, returning the
     /// delivered packets (in arrival order) and the statistics of what
-    /// happened. `Bytes` views are reference-counted, so delivery (and
+    /// happened, by the same draws the lossy transport makes over packet
+    /// ids. `Bytes` views are reference-counted, so delivery (and
     /// duplication) clones a pointer, not a payload.
     pub fn transmit_bytes(&mut self, packets: &[Bytes]) -> (Vec<Bytes>, LinkStats) {
-        let mut stats = LinkStats { sent: packets.len(), ..Default::default() };
-        let mut delivered: Vec<Bytes> = Vec::with_capacity(packets.len());
+        let mut delivered = Vec::with_capacity(packets.len());
+        let stats = self.transmit(packets.iter().cloned(), &mut delivered);
+        (delivered, stats)
+    }
+
+    /// The link's fate for one batch: which of `packets` arrive and in what
+    /// order, written into `delivered` (cleared first). Per packet it draws
+    /// a drop and, for a survivor, a duplicate; then one reorder pass swaps
+    /// each selected arrival with a random one. The draws depend only on how
+    /// many packets there are and how many survive, never on their bytes,
+    /// so a batch of packet ids draws the arrivals a batch of encoded
+    /// packets would.
+    pub(crate) fn transmit<T: Clone>(
+        &mut self,
+        packets: impl IntoIterator<Item = T>,
+        delivered: &mut Vec<T>,
+    ) -> LinkStats {
+        let mut stats = LinkStats::default();
+        delivered.clear();
         for p in packets {
+            stats.sent += 1;
             if self.rng.gen::<f64>() < self.config.drop_rate {
                 stats.dropped += 1;
                 continue;
             }
             delivered.push(p.clone());
             if self.rng.gen::<f64>() < self.config.duplicate_rate {
-                delivered.push(p.clone());
+                delivered.push(p);
                 stats.duplicated += 1;
             }
         }
@@ -151,7 +177,7 @@ impl LossyLink {
             }
         }
         stats.delivered = delivered.len();
-        (delivered, stats)
+        stats
     }
 }
 
@@ -331,15 +357,32 @@ impl ChaosPlan {
     }
 
     /// Applies the faults scheduled for `(step, stream, attempt)` to a batch
-    /// of delivered packets, in place. `stream` identifies the sender (the
-    /// same id the transport's [`LossyLink`] uses), `attempt` is 0 for the
-    /// original transmission and increments per retransmission.
+    /// of delivered packets, in place, by the same draws the lossy transport
+    /// makes over its arrivals before it encodes them. `stream` identifies
+    /// the sender (the same id the transport's [`LossyLink`] uses),
+    /// `attempt` is 0 for the original transmission and increments per
+    /// retransmission.
     pub fn apply(
         &self,
         step: u64,
         stream: u64,
         attempt: u32,
         packets: &mut Vec<Bytes>,
+    ) -> ChaosStats {
+        self.damage(step, stream, attempt, packets)
+    }
+
+    /// The faults scheduled for `(step, stream, attempt)`, drawn over a
+    /// batch of arrivals and realised on them in place. Every draw depends
+    /// only on the arrivals' count and byte lengths, so a batch of
+    /// descriptors of packets not yet encoded draws exactly the faults a
+    /// batch of encoded packets would.
+    pub(crate) fn damage<P: Damageable>(
+        &self,
+        step: u64,
+        stream: u64,
+        attempt: u32,
+        packets: &mut Vec<P>,
     ) -> ChaosStats {
         let per_send = derive_seed(derive_seed(self.seed, 0xC0A5 ^ stream), step);
         let mut rng = seeded_rng(derive_seed(per_send, attempt as u64));
@@ -358,22 +401,21 @@ impl ChaosPlan {
         // realisation differs, so Corrupt and Drop select the same victims.
         let originals = packets.len();
         let mut doomed = vec![false; originals];
-        let mut appended: Vec<Bytes> = Vec::new();
+        let mut appended: Vec<P> = Vec::new();
         let flip = self.config.bit_flip_rate;
         let truncate = flip + self.config.truncate_rate;
         let mutate = truncate + self.config.mutate_duplicate_rate;
         for (i, doom) in doomed.iter_mut().enumerate() {
             let draw = rng.gen::<f64>();
-            let len = packets[i].len().max(1);
+            let wire_len = packets[i].wire_len();
+            let len = wire_len.max(1);
             if draw < flip {
                 stats.bit_flips += 1;
                 let bit = rng.gen_range(0..len * 8);
                 match self.mode {
                     ChaosMode::Corrupt => {
-                        if !packets[i].is_empty() {
-                            let mut bytes = packets[i].to_vec();
-                            bytes[bit / 8] ^= 1 << (bit % 8);
-                            packets[i] = Bytes::from(bytes);
+                        if wire_len > 0 {
+                            packets[i] = packets[i].flipped(bit);
                         }
                     }
                     ChaosMode::Drop => *doom = true,
@@ -384,9 +426,7 @@ impl ChaosPlan {
                 // short header or a checksum over fewer bytes than sealed).
                 let keep = rng.gen_range(0..len);
                 match self.mode {
-                    ChaosMode::Corrupt => {
-                        packets[i] = packets[i].slice(0..keep.min(packets[i].len()))
-                    }
+                    ChaosMode::Corrupt => packets[i] = packets[i].truncated(keep.min(wire_len)),
                     ChaosMode::Drop => *doom = true,
                 }
             } else if draw < mutate {
@@ -395,10 +435,8 @@ impl ChaosPlan {
                 // In Drop mode the damaged copy simply never materialises —
                 // rejecting a corrupt duplicate and not sending it are the
                 // same thing to the assembler.
-                if self.mode == ChaosMode::Corrupt && !packets[i].is_empty() {
-                    let mut bytes = packets[i].to_vec();
-                    bytes[bit / 8] ^= 1 << (bit % 8);
-                    appended.push(Bytes::from(bytes));
+                if self.mode == ChaosMode::Corrupt && wire_len > 0 {
+                    appended.push(packets[i].flipped(bit));
                 }
             }
         }
@@ -421,6 +459,37 @@ impl ChaosPlan {
             packets[start..end].reverse();
         }
         stats
+    }
+}
+
+/// A packet as the chaos layer sees it: a byte length, and the two kinds of
+/// damage it can take. Encoded [`Bytes`] take it on their bytes; the lossy
+/// transport's arrival descriptors record it, to realise on the bytes when
+/// the packet is encoded.
+pub(crate) trait Damageable {
+    /// The packet's length on the wire, in bytes.
+    fn wire_len(&self) -> usize;
+
+    /// A copy of the packet with bit `bit` (`< 8 · wire_len`) flipped.
+    fn flipped(&self, bit: usize) -> Self;
+
+    /// The packet cut to its first `keep` (`≤ wire_len`) bytes.
+    fn truncated(&self, keep: usize) -> Self;
+}
+
+impl Damageable for Bytes {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn flipped(&self, bit: usize) -> Self {
+        let mut bytes = self.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        Bytes::from(bytes)
+    }
+
+    fn truncated(&self, keep: usize) -> Self {
+        self.slice(0..keep)
     }
 }
 

@@ -22,9 +22,16 @@
 //! coordinates belong; the epoch stamp lets the receiver fence off late
 //! packets from evicted workers; the checksum covers header and payload, so a
 //! bit-flipped or truncated packet is rejected instead of scattered into a
-//! gradient row. [`GradientCodec::split_bytes_epoch`] is the format's only
-//! encoder; its only decoder is the header parse inside
-//! [`crate::RoundAssembler::feed_all`], behind [`wire_integrity_errors`].
+//! gradient row.
+//!
+//! The format has one encoder, which writes a run of up to [`CRC_LANES`]
+//! packets, each from its sequence number and the coordinates it carries,
+//! and seals the run side by side. [`GradientCodec::split_bytes_epoch`] runs
+//! it over a whole split into one buffer; the lossy transport runs it only
+//! over the packets that arrive, a run at a time into a few-packet scratch,
+//! so no send holds its whole encoded row. Its only decoder is the header
+//! parse inside the [`crate::RoundAssembler`] ingest, behind
+//! [`wire_integrity_errors`].
 //!
 //! The checksum is CRC-32C, and it is the one pass over a packet besides the
 //! copy itself. A single CRC-32C chain is bound by the `crc32` instruction's
@@ -40,7 +47,7 @@
 //! --bench net_codec` prints both as `net_crc/{one_chain,three_chains}_100k`.
 
 use crate::{NetError, Result};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::ops::Range;
 
 /// Number of header bytes in the wire format: worker (4), step (8),
@@ -347,7 +354,12 @@ fn header_word(data: &[u8], at: usize) -> u32 {
 pub fn put_f32_slice_le(buf: &mut BytesMut, values: &[f32]) {
     let start = buf.len();
     buf.resize(start + 4 * values.len(), 0);
-    for (dst, &v) in buf[start..].chunks_exact_mut(4).zip(values) {
+    write_f32_slice_le(&mut buf[start..], values);
+}
+
+/// [`put_f32_slice_le`] into the first `4 * values.len()` bytes of `dst`.
+fn write_f32_slice_le(dst: &mut [u8], values: &[f32]) {
+    for (dst, &v) in dst.chunks_exact_mut(4).zip(values) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
 }
@@ -424,12 +436,79 @@ impl GradientCodec {
         self.packet_count(d) * HEADER_BYTES + 4 * d
     }
 
+    /// The coordinates packet `seq` of a `d`-coordinate gradient carries.
+    fn packet_coords(&self, d: usize, seq: usize) -> Range<usize> {
+        let offset = (seq * self.coords_per_packet).min(d);
+        offset..(offset + self.coords_per_packet).min(d)
+    }
+
+    /// Wire length (header + payload) of packet `seq` of a `d`-coordinate
+    /// gradient, known from the sequence number alone.
+    pub fn packet_len(&self, d: usize, seq: usize) -> usize {
+        HEADER_BYTES + 4 * self.packet_coords(d, seq).len()
+    }
+
+    /// The wire's one encoder: writes packets `seqs` (at most
+    /// [`CRC_LANES`]) of `gradient` back to back from the front of `buf`,
+    /// headers via the field writers and payloads via the bulk
+    /// little-endian pass, seals them side by side while they are in cache,
+    /// and returns each packet's byte range in `buf` (lanes past
+    /// `seqs.len()` are empty). A packet's bytes depend only on the stamp,
+    /// its sequence number and the coordinates it carries, so any packet
+    /// can be encoded again, alone or in any run, with the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`CRC_LANES`] packets, a sequence
+    /// number is past the split, or `buf` cannot hold the run.
+    pub(crate) fn encode_run(
+        &self,
+        stamp: PacketStamp,
+        gradient: &[f32],
+        seqs: &[usize],
+        buf: &mut [u8],
+    ) -> [Range<usize>; CRC_LANES] {
+        assert!(seqs.len() <= CRC_LANES, "at most {CRC_LANES} packets per sealed run");
+        let d = gradient.len();
+        let total = self.packet_count(d);
+        let mut ranges: [Range<usize>; CRC_LANES] = std::array::from_fn(|_| 0..0);
+        let mut at = 0;
+        for (range, &seq) in ranges.iter_mut().zip(seqs) {
+            assert!(seq < total, "packet {seq} of a {total}-packet split");
+            let coords = self.packet_coords(d, seq);
+            let fields = [
+                &stamp.worker.to_le_bytes()[..],
+                &stamp.step.to_le_bytes(),
+                &(seq as u32).to_le_bytes(),
+                &(total as u32).to_le_bytes(),
+                &(coords.start as u32).to_le_bytes(),
+                &(coords.len() as u32).to_le_bytes(),
+                &stamp.epoch.to_le_bytes(),
+                &WIRE_VERSION.to_le_bytes(),
+                // Checksum placeholder, patched by seal_packets.
+                &[0; 4],
+            ];
+            let packet = &mut buf[at..at + HEADER_BYTES + 4 * coords.len()];
+            let mut field_at = 0;
+            for field in fields {
+                packet[field_at..field_at + field.len()].copy_from_slice(field);
+                field_at += field.len();
+            }
+            write_f32_slice_le(&mut packet[HEADER_BYTES..], &gradient[coords]);
+            *range = at..at + packet.len();
+            at = range.end;
+        }
+        seal_packets(buf, &ranges[..seqs.len()]);
+        ranges
+    }
+
     /// Splits a gradient into **encoded wire packets**: every packet of the
-    /// gradient is written into one contiguous `BytesMut` (headers via the
-    /// header writers, payload via the bulk [`put_f32_slice_le`] pass),
-    /// sealed [`CRC_LANES`] packets at a time while they are still in cache,
-    /// and handed out as zero-copy [`Bytes`] slices of that single buffer
-    /// (freezing it moves the buffer, it does not copy it).
+    /// gradient is written into one contiguous `BytesMut` by the wire's
+    /// encoder, [`CRC_LANES`] packets at a time, and handed out as zero-copy
+    /// [`Bytes`] slices of that single buffer (freezing it moves the buffer,
+    /// it does not copy it). The lossy transport never builds this buffer:
+    /// it encodes only the packets that arrive, a run at a time, with the
+    /// same encoder and the same bytes.
     ///
     /// Packets are stamped with epoch 0 (static membership); see
     /// [`GradientCodec::split_bytes_epoch`].
@@ -448,32 +527,33 @@ impl GradientCodec {
     ) -> Vec<Bytes> {
         let d = gradient.len();
         let total = self.packet_count(d);
+        let stamp = PacketStamp { worker, step, epoch };
         let mut buf = BytesMut::with_capacity(self.wire_bytes_total(d));
+        buf.resize(self.wire_bytes_total(d), 0);
         let mut bounds = Vec::with_capacity(total);
-        for seq in 0..total {
-            let offset = seq * self.coords_per_packet;
-            let chunk = &gradient[offset..(offset + self.coords_per_packet).min(d)];
-            let start = buf.len();
-            buf.put_u32_le(worker);
-            buf.put_u64_le(step);
-            buf.put_u32_le(seq as u32);
-            buf.put_u32_le(total as u32);
-            buf.put_u32_le(offset as u32);
-            buf.put_u32_le(chunk.len() as u32);
-            buf.put_u32_le(epoch);
-            buf.put_u32_le(WIRE_VERSION);
-            buf.put_u32_le(0); // checksum placeholder, patched by seal_packets
-            put_f32_slice_le(&mut buf, chunk);
-            bounds.push(start..buf.len());
-            // Seal each batch of CRC_LANES packets while it is still in cache.
-            if bounds.len() % CRC_LANES == 0 || seq + 1 == total {
-                let batch = (bounds.len() - 1) / CRC_LANES * CRC_LANES;
-                seal_packets(&mut buf, &bounds[batch..]);
+        let mut at = 0;
+        let seqs: Vec<usize> = (0..total).collect();
+        for run in seqs.chunks(CRC_LANES) {
+            let ranges = self.encode_run(stamp, gradient, run, &mut buf[at..]);
+            for range in &ranges[..run.len()] {
+                bounds.push(at + range.start..at + range.end);
             }
+            at += ranges[run.len() - 1].end;
         }
         let frozen = buf.freeze();
         bounds.into_iter().map(|range| frozen.slice(range)).collect()
     }
+}
+
+/// The sender's identity every packet of one gradient carries in its header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PacketStamp {
+    /// Worker that produced the gradient.
+    pub(crate) worker: u32,
+    /// Model-update step the gradient belongs to.
+    pub(crate) step: u64,
+    /// Membership epoch the sender believed current.
+    pub(crate) epoch: u32,
 }
 
 impl Default for GradientCodec {
@@ -547,6 +627,53 @@ mod tests {
         let mut row = vec![-1.0f32; 35];
         assert_eq!(RoundAssembler::new(35).assemble_into(&packets, &mut row).unwrap(), 0);
         assert_eq!(row, g);
+    }
+
+    #[test]
+    fn a_nacked_packet_encoded_again_from_a_partly_assembled_row_is_the_split_packet() {
+        // In place, the row the sender encodes from is the row the receiver
+        // assembles into. Accepted packets write the row's own bits back
+        // (quiet and signalling NaNs, -0.0, subnormals and infinities
+        // included), so the packets still missing encode from it exactly as
+        // the split encoded them from the gradient, in a run or alone.
+        let codec = GradientCodec::new(7).unwrap();
+        let g: Vec<f32> = (0..40u32)
+            .map(|i| match i % 5 {
+                0 => f32::from_bits(0x7FC0_0000 | i),
+                1 => -0.0,
+                2 => f32::from_bits(0x7F80_0001 + i),
+                3 => f32::from_bits(1 + i),
+                _ => f32::NEG_INFINITY,
+            })
+            .collect();
+        let split = codec.split_bytes_epoch(4, 9, 2, &g);
+        assert_eq!(split.len(), 6);
+        let mut row = g.clone();
+        let mut assembler = RoundAssembler::new(g.len());
+        assembler.begin_round();
+        for seq in [5, 0, 2, 5] {
+            assert!(matches!(
+                assembler.feed(&split[seq], &mut row),
+                Ok(FeedOutcome::Accepted { .. })
+            ));
+        }
+        assert_eq!(
+            row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            g.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let nacked: Vec<usize> =
+            (0..split.len()).filter(|&s| !assembler.sequence_seen(s)).collect();
+        assert_eq!(nacked, [1, 3, 4]);
+        let stamp = PacketStamp { worker: 4, step: 9, epoch: 2 };
+        let mut buf = vec![0u8; CRC_LANES * (HEADER_BYTES + 4 * 7)];
+        let ranges = codec.encode_run(stamp, &row, &nacked, &mut buf);
+        for (range, &seq) in ranges.iter().zip(&nacked) {
+            assert_eq!(&buf[range.clone()], &split[seq][..], "packet {seq} in a run");
+        }
+        for seq in [5, 3] {
+            let [alone, ..] = codec.encode_run(stamp, &row, &[seq], &mut buf);
+            assert_eq!(&buf[alone], &split[seq][..], "packet {seq} alone");
+        }
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! handling whatever the lossy channel fails to deliver (§3.3).
 
 use crate::assembler::RoundAssembler;
-use crate::link::{ChaosPlan, LinkConfig, LinkStats, LossyLink};
-use crate::packet::GradientCodec;
+use crate::link::{ChaosPlan, Damageable, LinkConfig, LinkStats, LossyLink};
+use crate::packet::{GradientCodec, PacketStamp, CRC_LANES, HEADER_BYTES};
 use crate::{NetError, Result};
 use agg_tensor::Vector;
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -355,11 +354,14 @@ impl Transport for ReliableTransport {
 ///
 /// Packets travel at full link speed with no retransmission of gradient
 /// payload; whatever is lost is handled by the configured [`LossPolicy`].
-/// The wire path is zero-copy: the gradient is encoded into one contiguous
-/// buffer, the link shuffles reference-counted views of it, and the
-/// [`RoundAssembler`] scatters whatever arrives straight into the caller's
-/// arena row. Optional [`ChaosPlan`] damage and bounded
-/// [`RetransmitConfig`] recovery are parameters of the same transfer.
+/// A send streams its packets: the link and the chaos plan first draw the
+/// send's fate over packet ids, then the packets that arrive are encoded
+/// from the row a run of [`CRC_LANES`] at a time into a few-packet scratch
+/// the transport owns, damaged as drawn, and fed to the [`RoundAssembler`],
+/// which scatters them straight into the caller's arena row. No buffer of
+/// the whole encoded row exists, and a dropped packet is never encoded.
+/// Optional [`ChaosPlan`] damage and bounded [`RetransmitConfig`] recovery
+/// are parameters of the same send.
 #[derive(Debug)]
 pub struct LossyTransport {
     link: LossyLink,
@@ -381,6 +383,87 @@ pub struct LossyTransport {
     /// The link's stream id, reused as the chaos stream so a replay of the
     /// same `(seed, stream, step, attempt)` damages the same packets.
     stream: u64,
+    /// The current transmission's arrivals, reused across sends.
+    arrivals: Vec<Arrival>,
+    /// Room for one run of [`CRC_LANES`] encoded packets, reused across
+    /// sends.
+    scratch: Vec<u8>,
+}
+
+/// One packet of a lossy send as the wire delivers it: its id, its length
+/// on the wire, and what the chaos plan did to it. The packet's bytes exist
+/// only once it arrives, encoded from the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Arrival {
+    seq: u32,
+    len: u32,
+    damage: Damage,
+}
+
+/// The damage a [`ChaosPlan`] does to one arriving packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Damage {
+    Intact,
+    /// One bit flipped, counted from the packet's first byte.
+    FlippedBit(u32),
+    /// Cut to its first this many bytes.
+    TruncatedTo(u32),
+}
+
+impl Arrival {
+    /// Packet `seq` of a `d`-coordinate gradient, undamaged.
+    fn intact(codec: &GradientCodec, d: usize, seq: usize) -> Self {
+        let len = codec.packet_len(d, seq) as u32;
+        Arrival { seq: seq as u32, len, damage: Damage::Intact }
+    }
+}
+
+impl Damageable for Arrival {
+    fn wire_len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn flipped(&self, bit: usize) -> Self {
+        debug_assert_eq!(self.damage, Damage::Intact, "a packet takes one fault at most");
+        Arrival { damage: Damage::FlippedBit(bit as u32), ..*self }
+    }
+
+    fn truncated(&self, keep: usize) -> Self {
+        debug_assert_eq!(self.damage, Damage::Intact, "a packet takes one fault at most");
+        Arrival { damage: Damage::TruncatedTo(keep as u32), ..*self }
+    }
+}
+
+/// Encodes the packets of `arrivals` from `row`, a run of [`CRC_LANES`] at a
+/// time, into `scratch`, realises each one's damage on its sealed bytes, and
+/// feeds the run to `assembler`, in arrival order.
+fn feed_arrivals(
+    codec: &GradientCodec,
+    stamp: PacketStamp,
+    arrivals: &[Arrival],
+    scratch: &mut [u8],
+    assembler: &mut RoundAssembler,
+    row: &mut [f32],
+) -> Result<()> {
+    for run in arrivals.chunks(CRC_LANES) {
+        let mut seqs = [0usize; CRC_LANES];
+        for (seq, arrival) in seqs.iter_mut().zip(run) {
+            *seq = arrival.seq as usize;
+        }
+        let mut ranges = codec.encode_run(stamp, row, &seqs[..run.len()], scratch);
+        for (range, arrival) in ranges.iter_mut().zip(run) {
+            match arrival.damage {
+                Damage::Intact => {}
+                Damage::FlippedBit(bit) => {
+                    scratch[range.start + bit as usize / 8] ^= 1 << (bit % 8);
+                }
+                Damage::TruncatedTo(keep) => range.end = range.start + keep as usize,
+            }
+        }
+        let lanes = ranges.map(|range| &scratch[range]);
+        assembler.feed_run(&lanes[..run.len()], row)?;
+    }
+    Ok(())
 }
 
 impl LossyTransport {
@@ -407,6 +490,8 @@ impl LossyTransport {
             chaos: None,
             retransmit: None,
             stream,
+            arrivals: Vec::new(),
+            scratch: vec![0; CRC_LANES * (HEADER_BYTES + 4 * codec.coords_per_packet())],
         })
     }
 
@@ -415,9 +500,11 @@ impl LossyTransport {
     /// parallel round hands the link to, so a lazily built buffer lands in
     /// that thread's allocator arena and the process's memory layout (and
     /// peak RSS) would follow the first round's schedule; a link built with
-    /// its dimension keeps its long-lived buffers on the building thread.
+    /// its dimension keeps its long-lived buffers (the assembler's bitsets
+    /// and room for one send's arrivals) on the building thread.
     pub fn with_dimension(mut self, dimension: usize) -> Self {
         self.assembler = Some(RoundAssembler::new(dimension));
+        self.arrivals.reserve(self.codec.packet_count(dimension));
         self
     }
 
@@ -490,34 +577,50 @@ impl Transport for LossyTransport {
     /// deadline. An unset chaos plan draws no fault and an unset retransmit
     /// config never retries: the plain lossy transfer is this body with both
     /// left at `None`.
+    ///
+    /// Each transmission draws its fate first: the link's arrivals over
+    /// packet ids, then the chaos plan's damage over those arrivals. Only
+    /// then are the arriving packets encoded from the row, a run at a time,
+    /// and fed to the assembler; the bytes put on the wire are arithmetic.
     fn send_in_place(&mut self, worker: u32, step: u64, row: &mut [f32]) -> Result<RowTransfer> {
-        // The packets own their encoded bytes, so the row is free to take
-        // whatever the receiver assembles from them.
-        let packets = self.codec.split_bytes_epoch(worker, step, self.epoch, row);
-        let total = packets.len();
-        let mut bytes_sent: usize = packets.iter().map(Bytes::len).sum();
-        let (mut delivered, mut link_stats) = self.link.transmit_bytes(&packets);
-        let mut chaos_delay = 0.0f64;
-        if let Some(plan) = &self.chaos {
-            let stats = plan.apply(step, self.stream, 0, &mut delivered);
-            chaos_delay += stats.delay_sec;
-        }
+        let LossyTransport {
+            link,
+            link_config,
+            codec,
+            policy,
+            assembler,
+            epoch,
+            expected_epoch,
+            chaos,
+            retransmit,
+            stream,
+            arrivals,
+            scratch,
+        } = self;
         let dimension = row.len();
-        let assembler = match &mut self.assembler {
+        let total = codec.packet_count(dimension);
+        let stamp = PacketStamp { worker, step, epoch: *epoch };
+        let assembler = match assembler {
             Some(a) if a.dimension() == dimension => a,
             slot => slot.insert(RoundAssembler::new(dimension)),
         };
-        assembler.set_expected_epoch(self.expected_epoch);
+        assembler.set_expected_epoch(*expected_epoch);
         assembler.begin_round();
-        assembler.feed_all(&delivered, row)?;
+        let packet = |seq| Arrival::intact(codec, dimension, seq);
+        let mut bytes_sent = codec.wire_bytes_total(dimension);
+        let mut link_stats = link.transmit((0..total).map(packet), arrivals);
+        let mut chaos_delay = 0.0f64;
+        if let Some(plan) = chaos {
+            chaos_delay += plan.damage(step, *stream, 0, arrivals).delay_sec;
+        }
+        feed_arrivals(codec, stamp, arrivals, scratch, assembler, row)?;
         // UDP pays no congestion penalty: time is bytes / bandwidth + latency,
         // independent of the drop rate (only a tiny metadata retransmission
         // overhead is charged per lost packet).
-        let metadata_overhead = link_stats.dropped * crate::packet::HEADER_BYTES;
-        let mut time_sec =
-            self.link_config.transfer_time(bytes_sent + metadata_overhead) + chaos_delay;
+        let metadata_overhead = link_stats.dropped * HEADER_BYTES;
+        let mut time_sec = link_config.transfer_time(bytes_sent + metadata_overhead) + chaos_delay;
         let mut retransmits = 0usize;
-        if let Some(config) = self.retransmit {
+        if let Some(config) = *retransmit {
             let mut backoff = config.initial_backoff_sec;
             // A fenced round never retries: every packet shares the stale
             // epoch stamp, so re-sending it can only be fenced again.
@@ -527,33 +630,34 @@ impl Transport for LossyTransport {
                 && time_sec + backoff <= config.round_deadline_sec
             {
                 // The NACK names exactly the packet ids the assembler has
-                // not accepted; the sender re-sends those packets unchanged
-                // (packet `s` of the split is sequence `s`). Each retry pays
-                // its backoff, its wire time, and a fresh fault draw on the
-                // chaos plan's `attempt` axis.
-                let resend: Vec<Bytes> = (0..total)
-                    .filter(|&s| !assembler.sequence_seen(s))
-                    .map(|s| packets[s].clone())
-                    .collect();
+                // not accepted, and the sender encodes those packets again
+                // from the row. That needs no stored packets: the assembler
+                // writes only accepted packets, whose payload bits are the
+                // row's own (a flipped or truncated packet fails the CRC),
+                // and the gap fill runs only in `finish_round` after this
+                // loop, so until then every coordinate of the row still holds
+                // the sender's bits. Each retry pays its backoff, its wire
+                // time, and a fresh fault draw on the chaos plan's `attempt`
+                // axis.
+                let nacked = |seq: &usize| !assembler.sequence_seen(*seq);
+                let resend_bytes: usize =
+                    (0..total).filter(nacked).map(|seq| codec.packet_len(dimension, seq)).sum();
                 retransmits += 1;
                 time_sec += backoff;
                 backoff *= config.backoff_factor;
-                let resend_bytes: usize = resend.iter().map(Bytes::len).sum();
                 bytes_sent += resend_bytes;
-                let (mut redelivered, retry_stats) = self.link.transmit_bytes(&resend);
-                if let Some(plan) = &self.chaos {
-                    let stats = plan.apply(step, self.stream, retransmits as u32, &mut redelivered);
-                    time_sec += stats.delay_sec;
+                let retry_stats = link.transmit((0..total).filter(nacked).map(packet), arrivals);
+                if let Some(plan) = chaos {
+                    time_sec += plan.damage(step, *stream, retransmits as u32, arrivals).delay_sec;
                 }
                 link_stats.sent += retry_stats.sent;
                 link_stats.delivered += retry_stats.delivered;
                 link_stats.dropped += retry_stats.dropped;
                 link_stats.duplicated += retry_stats.duplicated;
                 link_stats.reordered += retry_stats.reordered;
-                time_sec += self.link_config.transfer_time(
-                    resend_bytes + retry_stats.dropped * crate::packet::HEADER_BYTES,
-                );
-                assembler.feed_all(&redelivered, row)?;
+                time_sec +=
+                    link_config.transfer_time(resend_bytes + retry_stats.dropped * HEADER_BYTES);
+                feed_arrivals(codec, stamp, arrivals, scratch, assembler, row)?;
             }
         }
         let stale_epoch_rejects = assembler.stale_rejects();
@@ -563,14 +667,14 @@ impl Transport for LossyTransport {
         // the NaN fill. A fenced round never retried either, so its budget
         // was not exhausted — the fence, not the wire, stopped the row.
         let fenced = stale_epoch_rejects > 0;
-        let missing = if self.policy == LossPolicy::RandomFill && !fenced {
+        let missing = if *policy == LossPolicy::RandomFill && !fenced {
             assembler.finish_round_with(row, Self::random_fill)?
         } else {
             assembler.finish_round(row)?
         };
         let non_finite_payload = assembler.non_finite_written();
         Ok(RowTransfer {
-            delivered: !fenced && Self::apply_policy(self.policy, missing, non_finite_payload, row),
+            delivered: !fenced && Self::apply_policy(*policy, missing, non_finite_payload, row),
             time_sec,
             bytes_sent,
             missing_coordinates: missing,
@@ -580,7 +684,7 @@ impl Transport for LossyTransport {
             // The recovery protocol was on and the row still ended
             // incomplete: the retry budget / round deadline ran out with
             // coordinates missing.
-            retransmit_exhausted: !fenced && self.retransmit.is_some() && missing > 0,
+            retransmit_exhausted: !fenced && retransmit.is_some() && missing > 0,
             link_stats,
         })
     }
@@ -983,6 +1087,238 @@ mod tests {
         let err =
             build("reliable clean").transfer_into(0, 0, &[1.0; 4], &mut [0.0; 3]).unwrap_err();
         assert!(matches!(err, NetError::InvalidConfig(_)), "{err:?}");
+    }
+
+    /// The lossy send as it ran before it streamed its packets, over the
+    /// public wrappers: the whole row split into one buffer, the packets
+    /// pushed through the link and damaged as `Bytes`, and every retry
+    /// re-sending the stored packets. The oracle the streamed send is held
+    /// to, bit for bit.
+    struct SplitSend {
+        link: LossyLink,
+        link_config: LinkConfig,
+        codec: GradientCodec,
+        policy: LossPolicy,
+        chaos: Option<ChaosPlan>,
+        retransmit: Option<RetransmitConfig>,
+        stream: u64,
+        epochs: (u32, Option<u32>),
+    }
+
+    impl SplitSend {
+        fn send(&mut self, worker: u32, step: u64, row: &mut [f32]) -> RowTransfer {
+            let packets = self.codec.split_bytes_epoch(worker, step, self.epochs.0, row);
+            let mut bytes_sent: usize = packets.iter().map(|p| p.len()).sum();
+            let (mut delivered, mut link_stats) = self.link.transmit_bytes(&packets);
+            let mut chaos_delay = 0.0f64;
+            if let Some(plan) = &self.chaos {
+                chaos_delay += plan.apply(step, self.stream, 0, &mut delivered).delay_sec;
+            }
+            let mut assembler = RoundAssembler::new(row.len());
+            assembler.set_expected_epoch(self.epochs.1);
+            assembler.begin_round();
+            assembler.feed_all(&delivered, row).unwrap();
+            let overhead = link_stats.dropped * HEADER_BYTES;
+            let mut time_sec = self.link_config.transfer_time(bytes_sent + overhead) + chaos_delay;
+            let mut retransmits = 0usize;
+            if let Some(config) = self.retransmit {
+                let mut backoff = config.initial_backoff_sec;
+                while retransmits < config.max_retries as usize
+                    && !assembler.is_complete()
+                    && assembler.stale_rejects() == 0
+                    && time_sec + backoff <= config.round_deadline_sec
+                {
+                    let resend: Vec<_> = (0..packets.len())
+                        .filter(|&s| !assembler.sequence_seen(s))
+                        .map(|s| packets[s].clone())
+                        .collect();
+                    retransmits += 1;
+                    time_sec += backoff;
+                    backoff *= config.backoff_factor;
+                    let resend_bytes: usize = resend.iter().map(|p| p.len()).sum();
+                    bytes_sent += resend_bytes;
+                    let (mut redelivered, retry) = self.link.transmit_bytes(&resend);
+                    if let Some(plan) = &self.chaos {
+                        let attempt = retransmits as u32;
+                        time_sec +=
+                            plan.apply(step, self.stream, attempt, &mut redelivered).delay_sec;
+                    }
+                    link_stats.sent += retry.sent;
+                    link_stats.delivered += retry.delivered;
+                    link_stats.dropped += retry.dropped;
+                    link_stats.duplicated += retry.duplicated;
+                    link_stats.reordered += retry.reordered;
+                    time_sec +=
+                        self.link_config.transfer_time(resend_bytes + retry.dropped * HEADER_BYTES);
+                    assembler.feed_all(&redelivered, row).unwrap();
+                }
+            }
+            let stale_epoch_rejects = assembler.stale_rejects();
+            let fenced = stale_epoch_rejects > 0;
+            let missing = if self.policy == LossPolicy::RandomFill && !fenced {
+                assembler.finish_round_with(row, LossyTransport::random_fill).unwrap()
+            } else {
+                assembler.finish_round(row).unwrap()
+            };
+            let non_finite = assembler.non_finite_written();
+            RowTransfer {
+                delivered: !fenced
+                    && LossyTransport::apply_policy(self.policy, missing, non_finite, row),
+                time_sec,
+                bytes_sent,
+                missing_coordinates: missing,
+                stale_epoch_rejects,
+                corrupt_rejects: assembler.corrupt_rejects(),
+                retransmits,
+                retransmit_exhausted: !fenced && self.retransmit.is_some() && missing > 0,
+                link_stats,
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_sends_equal_the_split_sends_they_replace() {
+        // Every wire shape the engine builds and harsher ones: clean, lossy
+        // and very lossy links; no chaos, moderate chaos in both modes and a
+        // heavy mix; no recovery, the default and a deep retry budget; a
+        // fenced sender; rows of 0, 5 and 1 029 coordinates with NaN and ±∞
+        // in them. Each case runs eight steps on one transport, so the link
+        // and chaos draws advance as they do in a run.
+        let heavy = crate::ChaosConfig {
+            bit_flip_rate: 0.2,
+            truncate_rate: 0.2,
+            mutate_duplicate_rate: 0.2,
+            reorder_burst_rate: 0.5,
+            partition_rate: 0.1,
+            ..crate::ChaosConfig::moderate()
+        };
+        let moderate = crate::ChaosConfig::moderate();
+        let chaos_configs = [
+            None,
+            Some(moderate),
+            Some(crate::ChaosConfig { mode: crate::ChaosMode::Drop, ..moderate }),
+            Some(heavy),
+        ];
+        let deep =
+            RetransmitConfig { max_retries: 6, round_deadline_sec: 1.0, ..Default::default() };
+        let codec = GradientCodec::new(16).unwrap();
+        let mut cases = 0;
+        for d in [0usize, 5, 1029] {
+            let g: Vec<f32> = (0..d)
+                .map(|i| match i % 97 {
+                    3 => f32::NAN,
+                    50 => f32::NEG_INFINITY,
+                    _ => ((i * 37 % 1024) as f32 - 512.0) / 256.0,
+                })
+                .collect();
+            for drop_rate in [0.0, 0.1, 0.4] {
+                let link = LinkConfig {
+                    drop_rate,
+                    duplicate_rate: 0.05,
+                    reorder_rate: 0.1,
+                    ..LinkConfig::datacenter()
+                };
+                for chaos in chaos_configs {
+                    for retransmit in [None, Some(RetransmitConfig::default()), Some(deep)] {
+                        for (policy, epochs) in [
+                            (LossPolicy::RandomFill, (0, None)),
+                            (LossPolicy::DropGradient, (2, Some(2))),
+                            (LossPolicy::SelectiveNan, (1, Some(2))),
+                        ] {
+                            let plan = chaos.map(|c| ChaosPlan::new(c, 5).unwrap());
+                            let mut streamed =
+                                LossyTransport::new(link, codec, policy, 17, 4).unwrap();
+                            streamed.set_chaos(plan.clone());
+                            streamed.set_retransmit(retransmit);
+                            streamed.set_epoch(epochs.0);
+                            streamed.set_expected_epoch(epochs.1);
+                            let mut split = SplitSend {
+                                link: LossyLink::new(link, 17, 4).unwrap(),
+                                link_config: link,
+                                codec,
+                                policy,
+                                chaos: plan,
+                                retransmit,
+                                stream: 4,
+                                epochs,
+                            };
+                            for step in 0..8 {
+                                let (mut a, mut b) = (g.clone(), g.clone());
+                                let got = streamed.send_in_place(2, step, &mut a).unwrap();
+                                let want = split.send(2, step, &mut b);
+                                let case = format!(
+                                    "d {d} drop {drop_rate} {chaos:?} {retransmit:?} {policy:?} \
+                                     step {step}"
+                                );
+                                assert_eq!(got, want, "{case}");
+                                let bits = |row: &[f32]| {
+                                    row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                                };
+                                assert_eq!(bits(&a), bits(&b), "row of {case}");
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 3 * 3 * 4 * 3 * 3 * 8);
+    }
+
+    #[test]
+    fn chaos_retransmit_transfers_match_the_captured_row_transfers() {
+        // Six steps on one transport per chaos mode, each pinned as (CRC of
+        // every `RowTransfer` field, CRC of the row's bytes), values captured
+        // before the lossy send streamed its packets, when every send split
+        // the row into a buffer of its own. A 20 % drop rate under moderate
+        // chaos and the default three retries: some rows need a second
+        // retransmit, so some packet is NACKed twice.
+        let link = LinkConfig {
+            drop_rate: 0.20,
+            duplicate_rate: 0.05,
+            reorder_rate: 0.05,
+            ..LinkConfig::datacenter()
+        };
+        let g: Vec<f32> = (0..1029).map(|i| ((i * 37 % 1024) as f32 - 512.0) / 256.0).collect();
+        let codec = GradientCodec::new(16).unwrap();
+        let (short_0, short_1, short_4, sent) = (0xdc1621e9, 0xaaf04960, 0xebde2f66, 0xb3cfee88);
+        let corrupt = [
+            (0x5fa5eeb9, short_0),
+            (0x7ce76821, short_1),
+            (0x9daf3f52, sent),
+            (0x018c11c4, sent),
+            (0xe713e2b6, short_4),
+            (0x53d56b77, sent),
+        ];
+        // The same victims, removed instead of damaged: the same rows, and
+        // the same fields but the corrupt rejects.
+        let dropped = [
+            (0xf1e60dba, short_0),
+            (0x737daed9, short_1),
+            (0x33ecdc51, sent),
+            (0xa055343f, sent),
+            (0xdad9f64b, short_4),
+            (0x6185b972, sent),
+        ];
+        for (mode, pins) in
+            [(crate::ChaosMode::Corrupt, corrupt), (crate::ChaosMode::Drop, dropped)]
+        {
+            let mut t = LossyTransport::new(link, codec, LossPolicy::SelectiveNan, 42, 7).unwrap();
+            let plan = ChaosPlan::new(crate::ChaosConfig::moderate(), 9).unwrap().with_mode(mode);
+            t.set_chaos(Some(plan));
+            t.set_retransmit(Some(RetransmitConfig::default()));
+            let mut nacked_twice = false;
+            for (step, (transfer_pin, row_pin)) in (0..).zip(pins) {
+                let mut row = g.clone();
+                let out = t.send_in_place(3, step, &mut row).unwrap();
+                nacked_twice |= out.retransmits >= 2;
+                let case = format!("{mode:?} step {step}: {out:?}");
+                assert_eq!(transfer_crc(&out), transfer_pin, "{case}");
+                let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(crate::crc32(&bytes), row_pin, "row of {case}");
+            }
+            assert!(nacked_twice, "{mode:?}: no row needed a second retransmit");
+        }
     }
 
     #[test]

@@ -22,9 +22,6 @@ pub struct LossOutput {
     /// Gradient of the mean loss with respect to the logits, shaped like the
     /// logits tensor.
     pub grad_logits: Tensor,
-    /// Per-sample probability assigned to the correct class (useful for
-    /// diagnostics).
-    pub correct_probabilities: Vec<f32>,
     /// Number of samples whose argmax prediction equals the label.
     pub correct_predictions: usize,
 }
@@ -60,7 +57,6 @@ impl SoftmaxCrossEntropy {
         let x = logits.as_slice();
         let mut grad = vec![0.0f32; batch * classes];
         let mut total_loss = 0.0;
-        let mut correct_probabilities = Vec::with_capacity(batch);
         let mut correct_predictions = 0;
         for n in 0..batch {
             let label = labels[n];
@@ -70,7 +66,6 @@ impl SoftmaxCrossEntropy {
             let row = &x[n * classes..(n + 1) * classes];
             let probs = softmax(row);
             total_loss += cross_entropy(&probs, label);
-            correct_probabilities.push(probs[label]);
             if agg_tensor::ops::argmax(row) == Some(label) {
                 correct_predictions += 1;
             }
@@ -82,7 +77,6 @@ impl SoftmaxCrossEntropy {
         Ok(LossOutput {
             loss: total_loss / batch as f32,
             grad_logits: Tensor::from_vec(&[batch, classes], grad)?,
-            correct_probabilities,
             correct_predictions,
         })
     }

@@ -26,7 +26,8 @@ use agg_tensor::{Tensor, Vector};
 /// The model can also hold a resident vector: [`Sequential::set_parameters`]
 /// installs one, and [`Sequential::gradient`], [`Sequential::forward`],
 /// [`Sequential::evaluate_loss`] and [`Sequential::accuracy`] run the same
-/// path at it. Until a vector is installed they run at the layers' initial
+/// path at it ([`Sequential::evaluate_loss_at`] evaluates at a borrowed
+/// vector instead). Until a vector is installed they run at the layers' initial
 /// values ([`Sequential::parameters`]), which are drawn on first use, so a
 /// model that only ever computes at borrowed vectors never stores any.
 #[derive(Debug)]
@@ -135,7 +136,27 @@ impl Sequential {
     ///
     /// Propagates input-shape and loss errors.
     pub fn evaluate_loss(&mut self, input: &Tensor, labels: &[usize]) -> Result<LossOutput> {
-        let logits = self.forward(input)?;
+        self.at_resident(|model, params| model.evaluate_loss_at(params, input, labels))
+    }
+
+    /// Evaluates the loss on a batch at `params`, a vector it borrows,
+    /// without computing gradients: the same bits as
+    /// [`Sequential::evaluate_loss`] after installing `params`, with no copy
+    /// of them and the resident vector neither read nor changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParameterSizeMismatch`] when `params` does not hold
+    /// [`Sequential::param_count`] values, and propagates input-shape and
+    /// loss errors.
+    pub fn evaluate_loss_at(
+        &self,
+        params: &[f32],
+        input: &Tensor,
+        labels: &[usize],
+    ) -> Result<LossOutput> {
+        self.check_len(params.len())?;
+        let (_, _, logits) = self.forward_at(params, input)?;
         self.loss.evaluate(&logits, labels)
     }
 
@@ -303,6 +324,22 @@ mod tests {
         assert!(other.set_parameters(&Vector::zeros(2)).is_err());
         // The initial values are drawn afresh on each call, identically.
         assert_eq!(tiny_model(2).parameters(), params);
+    }
+
+    #[test]
+    fn evaluate_loss_at_is_evaluate_loss_at_the_resident_vector() {
+        let (x, labels) = batch();
+        let params = tiny_model(11).parameters();
+        let borrowed = tiny_model(12);
+        let at = borrowed.evaluate_loss_at(params.as_slice(), &x, &labels).unwrap();
+        assert_eq!(borrowed.parameters(), tiny_model(12).parameters());
+        let mut resident = tiny_model(12);
+        resident.set_parameters(&params).unwrap();
+        let installed = resident.evaluate_loss(&x, &labels).unwrap();
+        assert_eq!(at.loss.to_bits(), installed.loss.to_bits());
+        assert_eq!(at.grad_logits, installed.grad_logits);
+        assert_eq!(at.correct_predictions, installed.correct_predictions);
+        assert!(borrowed.evaluate_loss_at(&[0.0; 2], &x, &labels).is_err());
     }
 
     #[test]

@@ -86,6 +86,8 @@ pub struct SyncTrainingEngine {
     /// replicating rule its group's lowest id, so a round's record counts a
     /// group's replicas of one mini-batch once. Nondecreasing in worker id.
     streams: Vec<usize>,
+    /// The evaluator's model. It evaluates at the server's vector in place
+    /// ([`Sequential::evaluate_loss_at`]), so it never holds a copy of it.
     eval_model: Sequential,
     /// The first `eval_samples` rows of the test set and their labels,
     /// gathered once: every evaluation reads this batch.
@@ -282,8 +284,7 @@ impl SyncTrainingEngine {
         // clean network. Whether the degraded links run the lossy UDP-like
         // transport or a reliable TCP-like one is decided by
         // `config.transport`, which is exactly the comparison of Figure 8(b).
-        let degraded = worker_id >= config.workers.saturating_sub(config.lossy_links);
-        Self::build_link(config, worker_id as u64, degraded, dimension)
+        Self::build_link(config, worker_id as u64, degraded_link(config, worker_id), dimension)
     }
 
     /// Builds one link of the configured wire: a worker↔server link (stream
@@ -394,32 +395,28 @@ impl SyncTrainingEngine {
         )
     }
 
-    /// What the run tolerates: the flat rule's declared `f`, or the composed
-    /// bound `(f_group + 1)(f_root + 1) − 1` of the tree tier. Quorum
-    /// accounting and the adversary's declared-f knowledge both see this
-    /// figure.
-    fn declared_f(&self) -> usize {
-        self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f())
-    }
-
     /// What the adversary knows this round (§3.1), over its configured
     /// roster: the trailing `byzantine_count` of all the workers, whether or
     /// not churn or the ledger has taken some of them out of the view. Its
-    /// selection feedback is the last selection an earlier round made.
+    /// selection feedback is the last selection an earlier round made. It
+    /// reads only the configuration and the server's `model`, so the
+    /// gradients stage can build it while it writes the attacker rows of
+    /// the arena the honest views borrow from.
     fn attack_context<'a>(
-        &'a self,
+        config: &RunnerConfig,
+        model: &'a Vector,
         honest: &'a [&'a [f32]],
         step: u64,
         history: &'a [RoundRecord],
     ) -> AttackContext<'a> {
         AttackContext {
             honest_gradients: honest,
-            model: self.server.parameters(),
-            byzantine_count: self.config.byzantine_count,
-            declared_f: self.declared_f(),
+            model,
+            byzantine_count: config.byzantine_count,
+            declared_f: declared_f(config),
             step,
-            seed: self.config.seed,
-            total_workers: self.workers.len(),
+            seed: config.seed,
+            total_workers: config.workers,
             previous_selection: history.iter().rev().find_map(|r| r.selection.as_deref()),
         }
     }
@@ -446,7 +443,7 @@ impl SyncTrainingEngine {
     /// every link is stamped epoch 0 and the validated roster clears the
     /// floor.
     fn advance_membership(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> bool {
-        let (step, n, declared_f) = (record.step, self.workers.len(), self.declared_f());
+        let (step, n, declared_f) = (record.step, self.workers.len(), declared_f(&self.config));
         let mut plan = self.config.fault_plan.clone();
         if let Some(ledger) = &mut self.reputation {
             // Readmissions first: a lapsed quarantine rejoins on probation
@@ -490,8 +487,9 @@ impl SyncTrainingEngine {
         // rejoin rounds for its own workers from selection feedback instead
         // of following a pre-declared schedule.
         if self.config.adaptive_churn && self.config.byzantine_count > 0 {
-            let directives =
-                self.config.attack.plan_churn(&self.attack_context(&[], step, history));
+            let model = self.server.parameters();
+            let ctx = Self::attack_context(&self.config, model, &[], step, history);
+            let directives = self.config.attack.plan_churn(&ctx);
             for directive in directives {
                 let (worker, action) = match directive {
                     ChurnDirective::Crash(w) => (w, FaultAction::Crash),
@@ -596,45 +594,45 @@ impl SyncTrainingEngine {
         }
 
         // Phase 2: a live attacker's adversary crafts one submission per slot
-        // of its roster, seeing every live honest gradient as a borrowed view
-        // of its arena row (§3.1's omniscient attacker, without cloning a
-        // coordinate), before the wire touches it. Roster slot `s` owns
-        // `crafted[s − roster.start]`.
+        // of its roster straight into the roster's arena rows, seeing every
+        // live honest gradient as a borrowed view of its arena row (§3.1's
+        // omniscient attacker, without cloning a coordinate), before the wire
+        // touches any of them. Honest ids are exactly `0..roster.start`, so
+        // the arena splits there into the honest views and the attacker rows,
+        // and roster slot `s` owns row `s`.
         let roster = n - self.config.byzantine_count..n;
-        let live = |w| self.membership.health(w).is_live();
+        let membership = &self.membership;
+        let live = |w| membership.health(w).is_live();
         let attacking =
             roster.clone().any(|w| self.workers[w].role() == WorkerRole::Attacker && live(w));
-        let crafted = match attacking {
-            true => {
-                let arena = self.pipeline.arena();
-                let honest: Vec<&[f32]> = (0..n)
-                    .filter(|&w| self.workers[w].role() == WorkerRole::Honest && live(w))
-                    .map(|w| arena.row(w))
-                    .collect();
-                self.config.attack.craft(&self.attack_context(&honest, step, history))
-            }
-            false => Vec::new(),
-        };
+        if attacking {
+            let mut rows = self.pipeline.arena_mut().rows_mut();
+            let (honest_rows, attacker_rows) = rows.split_at_mut(roster.start);
+            let honest: Vec<&[f32]> =
+                (0..roster.start).filter(|&w| live(w)).map(|w| &*honest_rows[w]).collect();
+            let model = self.server.parameters();
+            let ctx = Self::attack_context(&self.config, model, &honest, step, history);
+            self.config.attack.craft_into(&ctx, attacker_rows);
+        }
 
         // Phase 3: every live slot sends its row in place over its own
-        // transport — an attacker's row first written from its crafted
-        // vector — in one parallel region once the rows clear the gate.
-        let membership = &self.membership;
+        // transport. A reliable send only prices the row, so the sends fan
+        // out only when the lossy ones, which encode and assemble their row,
+        // clear the gate.
         let sends: Vec<(&mut Worker, &mut [f32])> = self
             .workers
             .iter_mut()
             .zip(self.pipeline.arena_mut().rows_mut())
-            .filter(|(worker, _)| membership.health(worker.id()).is_live())
+            .filter(|(worker, _)| live(worker.id()))
             .collect();
+        let lossy_sends =
+            sends.iter().filter(|(worker, _)| lossy_link(&self.config, worker.id())).count();
         let send = |(worker, row): (&mut Worker, &mut [f32])| {
             let attacker = worker.role() == WorkerRole::Attacker;
-            if attacker {
-                row.copy_from_slice(crafted[worker.id() - roster.start].as_slice());
-            }
             Ok((worker.id(), attacker, worker.send_in_place(step, row)?))
         };
         let sent: Vec<Result<(usize, bool, RowTransfer)>> =
-            if sends.len().saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
+            if lossy_sends.saturating_mul(self.actual_dimension) >= PARALLEL_MIN_WORK {
                 sends.into_par_iter().map(send).collect()
             } else {
                 sends.into_iter().map(send).collect()
@@ -680,7 +678,7 @@ impl SyncTrainingEngine {
     /// saving.
     fn quorum_cut(&mut self, arrival_sec: &[f64], record: &mut RoundRecord) {
         let live = self.membership.live_count();
-        let quorum = self.config.streaming.quorum.accept_count(live, self.declared_f());
+        let quorum = self.config.streaming.quorum.accept_count(live, declared_f(&self.config));
         let mut arrivals: Vec<usize> = (0..arrival_sec.len())
             .filter(|&slot| record.wire[slot].is_some_and(|wire| wire.delivered))
             .collect();
@@ -929,10 +927,10 @@ impl SyncTrainingEngine {
     /// point at the report's clock. Evaluation runs on the dedicated
     /// evaluator node, out of band, so it does not advance the simulated
     /// clock (matching the paper's `/job:eval` design).
-    fn evaluate(&mut self, report: &mut TrainingReport) -> Result<()> {
-        self.eval_model.set_parameters(self.server.parameters()).map_err(PsError::from)?;
+    fn evaluate(&self, report: &mut TrainingReport) -> Result<()> {
         let (batch, labels) = &self.eval_batch;
-        let out = self.eval_model.evaluate_loss(batch, labels).map_err(PsError::from)?;
+        let params = self.server.parameters().as_slice();
+        let out = self.eval_model.evaluate_loss_at(params, batch, labels).map_err(PsError::from)?;
         let accuracy = out.correct_predictions as f64 / labels.len().max(1) as f64;
         report.trace.record(TracePoint {
             step: self.server.step(),
@@ -942,6 +940,26 @@ impl SyncTrainingEngine {
         });
         Ok(())
     }
+}
+
+/// What the run tolerates: the flat rule's declared `f`, or the composed
+/// bound `(f_group + 1)(f_root + 1) − 1` of the tree tier. Quorum accounting
+/// and the adversary's declared-f knowledge both see this figure.
+fn declared_f(config: &RunnerConfig) -> usize {
+    config.tree.map_or(config.gar.f, |tree| tree.composed_max_f())
+}
+
+/// Whether worker `id`'s link is one of the last `lossy_links`, the ones the
+/// configured loss rate, chaos and retransmit apply to.
+fn degraded_link(config: &RunnerConfig, id: usize) -> bool {
+    id >= config.workers.saturating_sub(config.lossy_links)
+}
+
+/// Whether worker `id` sends over the lossy transport, which encodes its row
+/// and assembles what arrives back into it: work that scales with d, where
+/// a reliable send only prices the row.
+fn lossy_link(config: &RunnerConfig, id: usize) -> bool {
+    matches!(config.transport, TransportKind::Lossy { .. }) && degraded_link(config, id)
 }
 
 /// Whether the rule that votes over the workers' rows — the group rule of a

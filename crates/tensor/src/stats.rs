@@ -156,16 +156,30 @@ pub fn coordinate_mean(vectors: &[Vector]) -> Result<Vector> {
 /// Returns [`TensorError::EmptyInput`] for no rows and
 /// [`TensorError::DimensionMismatch`] when lengths disagree.
 pub fn coordinate_mean_of_rows(rows: &[&[f32]]) -> Result<Vector> {
-    let Some(first) = rows.first() else {
+    let d = rows.first().map_or(0, |row| row.len());
+    let mut out = vec![0.0f32; d];
+    coordinate_mean_of_rows_into(rows, &mut out)?;
+    Ok(Vector::from(out))
+}
+
+/// [`coordinate_mean_of_rows`] written into `out`, a slice the caller owns
+/// (an arena row), with the same bits: whatever `out` held is overwritten.
+///
+/// # Errors
+///
+/// Returns [`TensorError::EmptyInput`] for no rows and
+/// [`TensorError::DimensionMismatch`] when the rows or `out` disagree on
+/// their length.
+pub fn coordinate_mean_of_rows_into(rows: &[&[f32]], out: &mut [f32]) -> Result<()> {
+    if rows.is_empty() {
         return Err(TensorError::EmptyInput("coordinate_mean"));
-    };
-    let d = first.len();
+    }
+    let d = out.len();
     if let Some(row) = rows.iter().find(|row| row.len() != d) {
         return Err(TensorError::dim(d, row.len()));
     }
-    let mut out = vec![0.0f32; d];
-    crate::batch::mean_rows_into(rows.len(), |k| rows[k], false, 0..d, &mut out);
-    Ok(Vector::from(out))
+    crate::batch::mean_rows_into(rows.len(), |k| rows[k], false, 0..d, out);
+    Ok(())
 }
 
 /// Coordinate-wise median of a set of equally sized vectors (NaN-tolerant).
@@ -418,17 +432,25 @@ mod tests {
             data[2][d - 1] = f32::INFINITY;
             let rows: Vec<&[f32]> = data.iter().map(Vec::as_slice).collect();
             let expected: Vec<u32> = row_order_mean(&rows).iter().map(|x| x.to_bits()).collect();
-            for threads in [1, 2, 4] {
+            let pool_at = |threads| {
                 let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-                let mean = pool
-                    .expect("the shim's pools always build")
-                    .install(|| coordinate_mean_of_rows(&rows).unwrap());
+                pool.expect("the shim's pools always build")
+            };
+            for threads in [1, 2, 4] {
+                let mean = pool_at(threads).install(|| coordinate_mean_of_rows(&rows).unwrap());
                 let bits: Vec<u32> = mean.as_slice().iter().map(|x| x.to_bits()).collect();
                 assert!(bits == expected, "n = {n}, d = {d}, budget {threads}");
+                // The in-place form overwrites whatever its row held.
+                let mut row = vec![f32::NAN; d];
+                pool_at(threads).install(|| coordinate_mean_of_rows_into(&rows, &mut row).unwrap());
+                let bits: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                assert!(bits == expected, "into: n = {n}, d = {d}, budget {threads}");
             }
         }
         assert!(coordinate_mean_of_rows(&[]).is_err());
         assert!(coordinate_mean_of_rows(&[&[1.0, 2.0], &[1.0]]).is_err());
+        assert!(coordinate_mean_of_rows_into(&[], &mut [0.0; 2]).is_err());
+        assert!(coordinate_mean_of_rows_into(&[&[1.0, 2.0]], &mut [0.0; 3]).is_err());
     }
 
     #[test]
