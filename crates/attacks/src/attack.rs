@@ -66,7 +66,7 @@ impl<'a> AttackContext<'a> {
     ///
     /// Panics when an honest row or `out` does not have the model's
     /// dimension.
-    pub fn honest_mean_into(&self, out: &mut [f32]) {
+    pub(crate) fn honest_mean_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.dimension(), "the mean has the model's dimension");
         if self.honest_gradients.is_empty() {
             out.fill(0.0);

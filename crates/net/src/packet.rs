@@ -444,7 +444,7 @@ impl GradientCodec {
 
     /// Wire length (header + payload) of packet `seq` of a `d`-coordinate
     /// gradient, known from the sequence number alone.
-    pub fn packet_len(&self, d: usize, seq: usize) -> usize {
+    pub(crate) fn packet_len(&self, d: usize, seq: usize) -> usize {
         HEADER_BYTES + 4 * self.packet_coords(d, seq).len()
     }
 
