@@ -226,7 +226,12 @@ fn bench_tree_feedback(c: &mut Criterion) {
 /// walks, not schedules), `per_pair_rows` is one `ops::squared_distance`
 /// per pair over two whole rows (the walk the kernel replaced, sequential),
 /// `partials_s1` is the sharded tier's sixteen-lane kernel with one shard
-/// (different bits). `thrpt` counts pair-coordinates, so ns per
+/// (different bits). `rows_of/n32_in_n256_d4138` is the tree's group walk
+/// as a round runs it: `pairwise_squared_distances_over` 32 rows scattered
+/// across a 256-row arena (every eighth row, offset by the group's seat),
+/// read where they sit — beside `blocked_pair_tiled/n32_d4138`, the same
+/// walk over 32 contiguous rows, it shows what reading rows in place costs
+/// the kernel. `thrpt` counts pair-coordinates, so ns per
 /// pair-coordinate is its reciprocal and the nominal read rate in GB/s —
 /// two `f32` per pair-coordinate, the figure to hold against the traced
 /// run's `roofline.stream_sum_gbps` — is 8 × `thrpt`.
@@ -253,6 +258,12 @@ fn bench_pairwise_distances(c: &mut Criterion) {
             b.iter(|| black_box(g).pairwise_squared_distance_partials(0..d))
         });
     }
+    let arena = GradientBatch::from_vectors(&gradients(256, 4_138, 9)).unwrap();
+    let members: Vec<usize> = (0..32).map(|k| 8 * k + 5).collect();
+    group.throughput(Throughput::Elements((32 * 31 / 2 * 4_138) as u64));
+    group.bench_with_input(BenchmarkId::new("rows_of", "n32_in_n256_d4138"), &arena, |b, g| {
+        b.iter(|| black_box(g).pairwise_squared_distances_over(&members))
+    });
     group.finish();
 }
 

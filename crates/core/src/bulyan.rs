@@ -52,16 +52,16 @@ pub(crate) fn select(distances: &DistanceMatrix, f: usize) -> Result<Vec<usize>>
 /// whole selection is corrupt.
 pub(crate) fn reduce(
     batch: &GradientBatch,
-    selection: Option<&[usize]>,
+    n: usize,
+    selection: &[usize],
     plan: &ShardPlan,
     out: &mut [f32],
     f: usize,
 ) -> Result<()> {
-    let beta = resilience::bulyan_beta(batch.n(), f)?;
+    let beta = resilience::bulyan_beta(n, f)?;
     ensure_some_finite_row("bulyan", batch, selection)?;
-    let rows = selection.map_or(batch.n(), <[usize]>::len);
-    reduce_columns(batch, rows, plan, out, |cols, dst| {
-        cols.mean_around_median_into(selection, beta, dst).map_err(|e| match e {
+    reduce_columns(batch, selection.len(), plan, out, |cols, dst| {
+        cols.mean_around_median_into(Some(selection), beta, dst).map_err(|e| match e {
             TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
             other => other.into(),
         })

@@ -36,12 +36,12 @@ impl fmt::Display for Resilience {
 
 /// One round of a rule: the aggregate and, for a rule with a selection
 /// phase, the rows that phase kept (lowest Krum score first for Krum and
-/// Multi-Krum, extraction order for Bulyan).
+/// Multi-Krum, extraction order for Bulyan), as arena row ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GarRound {
     /// The vector the server applies.
     pub aggregate: Vector,
-    /// The selected batch rows, or `None` when every row reaches the reduce.
+    /// The selected arena rows, or `None` when every row reaches the reduce.
     pub selection: Option<Vec<usize>>,
 }
 
@@ -56,24 +56,30 @@ pub struct GarRound {
 /// # How a rule is defined
 ///
 /// A rule states each of its pieces once, as one arm of a `match` in
-/// [`crate::GarConfig`]'s implementation, and the provided [`Gar::round`]
-/// runs them in order:
+/// [`crate::GarConfig`]'s implementation, and the provided [`Gar::round_over`]
+/// runs them in order over a list of row ids into one arena — the rows the
+/// round reduces, read where they landed, never copied into a batch of
+/// their own:
 ///
 /// 1. [`Gar::check`] — the precondition for `n` rows, before any distance
-///    pass (an empty batch is refused ahead of it, naming the rule);
-/// 2. when [`Gar::selects`]: the distance pass [`Gar::distances`] (skipped
-///    when the caller supplies the matrix) and the selection [`Gar::select`];
+///    pass (an empty row list is refused ahead of it, naming the rule);
+/// 2. when [`Gar::selects`]: the distance pass [`Gar::distances_over`]
+///    (skipped when the caller supplies the matrix) and the selection
+///    [`Gar::select`], whose positions map back to arena row ids;
 /// 3. [`Gar::reduce`] — the coordinate-wise reduce of the selected rows (all
-///    rows for a rule without selection), including the checks that follow a
-///    selection, over the column ranges of [`Gar::column_plan`].
+///    listed rows for a rule without selection), including the checks that
+///    follow a selection, over the column ranges of [`Gar::column_plan`].
 ///
-/// Every entry reads that one definition: [`Gar::aggregate_batch`] and
-/// [`Gar::aggregate_batch_with_distances`] are the round's aggregate,
-/// [`Gar::selected_rows`] is its first two steps. The sharded tier
+/// Every coordinate is summed over the same rows in the same order as it
+/// would be over those rows compacted into their own batch, so a round over
+/// a row list has the bits of the compacted round. The all-rows entries —
+/// [`Gar::round`], [`Gar::selected_rows`], [`Gar::distances`],
+/// [`Gar::aggregate_batch`] and [`Gar::aggregate_batch_with_distances`] —
+/// are that one body over `0..n`. The sharded tier
 /// ([`crate::ShardedAggregator`]) overrides only the distance pass and the
 /// column plan; the tree's group stage
-/// ([`crate::TreeAggregator::group_outputs`]) reads a group's output and its
-/// kept rows off one round.
+/// ([`crate::TreeAggregator::group_outputs_over`]) runs one round per group
+/// over the group's member ids.
 ///
 /// Implementations are `Send + Sync` so the parameter-server simulator can
 /// evaluate them from worker threads and the benchmarks can share them.
@@ -99,14 +105,22 @@ pub trait Gar: Send + Sync + fmt::Debug {
         false
     }
 
-    /// The distance pass the selection reads: the flat pairwise kernel.
+    /// The distance pass over the arena rows `rows` (entry `(a, b)` is the
+    /// distance between rows `rows[a]` and `rows[b]`) that the selection
+    /// reads: the flat pairwise kernel.
+    fn distances_over(&self, batch: &GradientBatch, rows: &[usize]) -> DistanceMatrix {
+        batch.pairwise_squared_distances_over(rows)
+    }
+
+    /// [`Gar::distances_over`] every row of `batch`.
     fn distances(&self, batch: &GradientBatch) -> DistanceMatrix {
-        batch.pairwise_squared_distances()
+        self.distances_over(batch, &all_rows(batch))
     }
 
     /// The selection phase over the distances of `n = distances.n()` rows
-    /// that passed [`Gar::check`]. A rule without one keeps every row; the
-    /// round only calls this when [`Gar::selects`].
+    /// that passed [`Gar::check`], as positions `0..n` of the matrix. A rule
+    /// without one keeps every row; the round only calls this when
+    /// [`Gar::selects`].
     ///
     /// # Errors
     ///
@@ -121,9 +135,11 @@ pub trait Gar: Send + Sync + fmt::Debug {
         ShardPlan::new(d, 1).expect("one shard is always a valid plan")
     }
 
-    /// The coordinate-wise reduce of `selection` (every row when `None`),
-    /// run once per range of `plan`, each range writing its own slice of
-    /// `out` (`out.len() == batch.dim()`). The per-column reductions are
+    /// The coordinate-wise reduce of the round over the arena rows `rows`:
+    /// of `selection` (arena row ids, a subset of `rows`) when the rule
+    /// selected, else of every row in `rows`. It runs once per range of
+    /// `plan`, each range writing its own slice of `out`
+    /// (`out.len() == batch.dim()`). The per-column reductions are
     /// independent, so any plan writes the same bits.
     ///
     /// # Errors
@@ -134,28 +150,31 @@ pub trait Gar: Send + Sync + fmt::Debug {
     fn reduce(
         &self,
         batch: &GradientBatch,
+        rows: &[usize],
         selection: Option<&[usize]>,
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()>;
 
-    /// The first half of a round: the precondition and, for a selecting
-    /// rule, the selection — read off `distances` when the caller already
-    /// holds the matrix, else off the rule's own distance pass. `None` for a
-    /// rule without a selection phase. This is the server's selection
-    /// feedback; it changes nothing.
+    /// The first half of a round over the arena rows `rows`: the
+    /// precondition and, for a selecting rule, the selection as arena row
+    /// ids — read off `distances` (over `rows`, in list order) when the
+    /// caller already holds the matrix, else off the rule's own distance
+    /// pass. `None` for a rule without a selection phase. It changes
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// [`crate::AggregationError::NoGradients`] for an empty batch, the
-    /// rule's precondition, and a dimension error when `distances` covers a
-    /// different number of rows than the batch.
-    fn selected_rows(
+    /// [`crate::AggregationError::NoGradients`] for an empty row list, an
+    /// index error for a row id past the arena, the rule's precondition, and
+    /// a dimension error when `distances` covers a different number of rows.
+    fn selected_rows_over(
         &self,
         batch: &GradientBatch,
+        rows: &[usize],
         distances: Option<&DistanceMatrix>,
     ) -> Result<Option<Vec<usize>>> {
-        let n = ensure_batch_nonempty(self.name(), batch)?;
+        let n = ensure_rows(self.name(), batch, rows)?;
         self.check(n)?;
         if !self.selects() {
             return Ok(None);
@@ -167,24 +186,54 @@ pub trait Gar: Send + Sync + fmt::Debug {
             }
             Some(matrix) => matrix,
             None => {
-                owned = self.distances(batch);
+                owned = self.distances_over(batch, rows);
                 &owned
             }
         };
-        self.select(distances).map(Some)
+        let picked = self.select(distances)?;
+        Ok(Some(picked.into_iter().map(|k| rows[k]).collect()))
     }
 
-    /// One round: [`Gar::selected_rows`], then [`Gar::reduce`] over the
-    /// rule's [`Gar::column_plan`].
+    /// [`Gar::selected_rows_over`] every row of `batch`: the server's
+    /// selection feedback for a compacted batch.
     ///
     /// # Errors
     ///
-    /// The errors of [`Gar::selected_rows`] and [`Gar::reduce`].
-    fn round(&self, batch: &GradientBatch, distances: Option<&DistanceMatrix>) -> Result<GarRound> {
-        let selection = self.selected_rows(batch, distances)?;
+    /// The errors of [`Gar::selected_rows_over`].
+    fn selected_rows(
+        &self,
+        batch: &GradientBatch,
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<Option<Vec<usize>>> {
+        self.selected_rows_over(batch, &all_rows(batch), distances)
+    }
+
+    /// One round over the arena rows `rows`: [`Gar::selected_rows_over`],
+    /// then [`Gar::reduce`] over the rule's [`Gar::column_plan`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::selected_rows_over`] and [`Gar::reduce`].
+    fn round_over(
+        &self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<GarRound> {
+        let selection = self.selected_rows_over(batch, rows, distances)?;
         let mut out = vec![0.0f32; batch.dim()];
-        self.reduce(batch, selection.as_deref(), &self.column_plan(batch.dim()), &mut out)?;
+        let plan = self.column_plan(batch.dim());
+        self.reduce(batch, rows, selection.as_deref(), &plan, &mut out)?;
         Ok(GarRound { aggregate: Vector::from(out), selection })
+    }
+
+    /// [`Gar::round_over`] every row of `batch`.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::round_over`].
+    fn round(&self, batch: &GradientBatch, distances: Option<&DistanceMatrix>) -> Result<GarRound> {
+        self.round_over(batch, &all_rows(batch), distances)
     }
 
     /// Aggregates one round of gradients packed into a contiguous
@@ -198,10 +247,9 @@ pub trait Gar: Send + Sync + fmt::Debug {
     }
 
     /// [`Gar::aggregate_batch`] when the pairwise squared-distance matrix
-    /// over the batch rows is already computed (the engine takes it once per
-    /// round and hands it to both the round and the selection feedback).
-    /// Rules without a selection phase ignore the matrix; given the matrix
-    /// [`Gar::distances`] builds, both entries return the same bits.
+    /// over the batch rows is already computed. Rules without a selection
+    /// phase ignore the matrix; given the matrix [`Gar::distances`] builds,
+    /// both entries return the same bits.
     ///
     /// # Errors
     ///
@@ -228,6 +276,11 @@ pub trait Gar: Send + Sync + fmt::Debug {
             .expect("validate_batch guarantees a non-empty, consistent batch");
         self.aggregate_batch(&batch)
     }
+}
+
+/// Every row id of `batch`, in order: the row list of the all-rows entries.
+pub(crate) fn all_rows(batch: &GradientBatch) -> Vec<usize> {
+    (0..batch.n()).collect()
 }
 
 /// Runs `kernel` over every column range of `plan`, each call writing its
@@ -265,8 +318,8 @@ pub(crate) fn reduce_columns(
     parts.into_iter().collect()
 }
 
-/// The check that follows a selection phase: at least one of the selected
-/// rows (every row when `None`) is finite throughout.
+/// The check that follows a selection phase: at least one of the arena rows
+/// `rows` (the selection, or every row of the round) is finite throughout.
 ///
 /// # Errors
 ///
@@ -275,14 +328,9 @@ pub(crate) fn reduce_columns(
 pub(crate) fn ensure_some_finite_row(
     rule: &'static str,
     batch: &GradientBatch,
-    selection: Option<&[usize]>,
+    rows: &[usize],
 ) -> Result<()> {
-    let corrupt = |i: usize| batch.row(i).iter().any(|x| !x.is_finite());
-    let all_corrupt = match selection {
-        Some(rows) => rows.iter().all(|&i| corrupt(i)),
-        None => (0..batch.n()).all(corrupt),
-    };
-    if all_corrupt {
+    if rows.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
         return Err(crate::AggregationError::AllGradientsCorrupt(rule));
     }
     Ok(())
@@ -316,20 +364,28 @@ pub fn validate_batch(rule: &'static str, gradients: &[Vector]) -> Result<usize>
     Ok(d)
 }
 
-/// Validates that an arena batch is non-empty, returning the gradient count.
+/// Validates a round's row list against its arena, returning the row count.
 ///
-/// The arena enforces dimensional consistency at construction, so this is
-/// the only structural check a round needs before the rule's own
-/// precondition ([`Gar::check`]).
+/// The arena enforces dimensional consistency at construction, so a
+/// non-empty list of in-range row ids is the only structural check a round
+/// needs before the rule's own precondition ([`Gar::check`]).
 ///
 /// # Errors
 ///
-/// Returns [`crate::AggregationError::NoGradients`].
-pub fn ensure_batch_nonempty(rule: &'static str, batch: &GradientBatch) -> Result<usize> {
-    if batch.is_empty() {
+/// Returns [`crate::AggregationError::NoGradients`] for an empty list and an
+/// index error for a row id past the arena.
+pub(crate) fn ensure_rows(
+    rule: &'static str,
+    batch: &GradientBatch,
+    rows: &[usize],
+) -> Result<usize> {
+    if rows.is_empty() {
         return Err(crate::AggregationError::NoGradients(rule));
     }
-    Ok(batch.n())
+    if let Some(&index) = rows.iter().find(|&&r| r >= batch.n()) {
+        return Err(TensorError::IndexOutOfBounds { index, size: batch.n() }.into());
+    }
+    Ok(rows.len())
 }
 
 #[cfg(test)]

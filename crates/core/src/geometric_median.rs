@@ -17,16 +17,16 @@ pub(crate) const WEISZFELD_ITERATIONS: usize = 8;
 /// Distance and shift below which a Weiszfeld step stops.
 const WEISZFELD_TOLERANCE: f32 = 1e-6;
 
-/// The Weiszfeld approximation of the geometric median of `batch`'s finite
-/// rows, written to `out`. The fixed-point iteration needs full-dimension
-/// distances at every step, so it cannot be split by column: the rule
-/// reduces the whole batch at once, on the sharded tier too.
-pub(crate) fn reduce(batch: &GradientBatch, out: &mut [f32]) -> Result<()> {
+/// The Weiszfeld approximation of the geometric median of the finite arena
+/// rows among `rows`, written to `out`. The fixed-point iteration needs
+/// full-dimension distances at every step, so it cannot be split by column:
+/// the rule reduces all its rows at once, on the sharded tier too.
+pub(crate) fn reduce(batch: &GradientBatch, rows: &[usize], out: &mut [f32]) -> Result<()> {
     // Non-finite gradients cannot participate in distance computations;
     // they are excluded up front (equivalent to being infinitely far).
     // Rows are borrowed from the arena — no clones.
     let finite: Vec<usize> =
-        (0..batch.n()).filter(|&i| batch.row(i).iter().all(|x| x.is_finite())).collect();
+        rows.iter().copied().filter(|&i| batch.row(i).iter().all(|x| x.is_finite())).collect();
     if finite.is_empty() {
         return Err(AggregationError::AllGradientsCorrupt("geometric-median"));
     }

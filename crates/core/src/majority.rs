@@ -40,17 +40,17 @@ pub(crate) fn select(distances: &DistanceMatrix) -> Result<Vec<usize>> {
     Ok(agreeing(winner).collect())
 }
 
-/// A copy of the first selected row (the first row when `selection` is
-/// `None`), one column range at a time; a lone non-finite row that wins a
-/// one-row round is refused as corrupt.
+/// A copy of the first selected row (the first row of the round when the
+/// rule did not select), one column range at a time; a lone non-finite row
+/// that wins a one-row round is refused as corrupt.
 pub(crate) fn reduce(
     batch: &GradientBatch,
-    selection: Option<&[usize]>,
+    selection: &[usize],
     plan: &ShardPlan,
     out: &mut [f32],
 ) -> Result<()> {
-    let first = selection.map_or(0, |rows| rows[0]);
-    ensure_some_finite_row("majority", batch, Some(&[first]))?;
+    let first = selection[0];
+    ensure_some_finite_row("majority", batch, &[first])?;
     for range in plan.ranges() {
         out[range.clone()].copy_from_slice(&batch.row(first)[range]);
     }

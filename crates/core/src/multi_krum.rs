@@ -97,13 +97,14 @@ pub(crate) fn select(distances: &DistanceMatrix, f: usize, m: usize) -> Result<V
 /// The mean of the selected rows, straight out of the arena.
 pub(crate) fn reduce(
     batch: &GradientBatch,
-    selection: Option<&[usize]>,
+    selection: &[usize],
     plan: &ShardPlan,
     out: &mut [f32],
 ) -> Result<()> {
     ensure_some_finite_row("multi-krum", batch, selection)?;
-    let rows = selection.map_or(batch.n(), <[usize]>::len);
-    reduce_columns(batch, rows, plan, out, |cols, dst| Ok(cols.mean_into(selection, dst)?))
+    reduce_columns(batch, selection.len(), plan, out, |cols, dst| {
+        Ok(cols.mean_into(Some(selection), dst)?)
+    })
 }
 
 #[cfg(test)]

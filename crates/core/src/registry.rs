@@ -386,39 +386,42 @@ impl Gar for GarConfig {
     fn reduce(
         &self,
         batch: &GradientBatch,
+        rows: &[usize],
         selection: Option<&[usize]>,
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        let (n, f) = (batch.n(), self.f);
+        let (n, f, all) = (rows.len(), self.f, Some(rows));
         match self.kind {
             GarKind::Average => {
-                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.mean_into(None, dst)?))
+                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.mean_into(all, dst)?))
             }
             GarKind::SelectiveAverage => {
-                if batch.rows().all(|row| row.iter().all(|x| !x.is_finite())) {
+                if rows.iter().all(|&r| batch.row(r).iter().all(|x| !x.is_finite())) {
                     return Err(AggregationError::AllGradientsCorrupt("selective-average"));
                 }
-                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.nan_mean_into(dst)?))
+                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.nan_mean_into(all, dst)?))
             }
             GarKind::Median => {
-                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.median_into(None, dst)?))
+                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.median_into(all, dst)?))
             }
             // NaN values are dropped before trimming; a column left with too
             // few values falls back to the median of the finite ones.
-            GarKind::TrimmedMean => {
-                reduce_columns(batch, n, plan, out, |cols, dst| Ok(cols.trimmed_mean_into(f, dst)?))
-            }
+            GarKind::TrimmedMean => reduce_columns(batch, n, plan, out, |cols, dst| {
+                Ok(cols.trimmed_mean_into(all, f, dst)?)
+            }),
             GarKind::MeaMed => {
                 let keep = n.saturating_sub(f).max(1);
                 reduce_columns(batch, n, plan, out, |cols, dst| {
-                    Ok(cols.mean_around_median_into(None, keep, dst)?)
+                    Ok(cols.mean_around_median_into(all, keep, dst)?)
                 })
             }
-            GarKind::GeometricMedian => geometric_median::reduce(batch, out),
-            GarKind::Krum | GarKind::MultiKrum => multi_krum::reduce(batch, selection, plan, out),
-            GarKind::Bulyan => bulyan::reduce(batch, selection, plan, out, f),
-            GarKind::Majority => majority::reduce(batch, selection, plan, out),
+            GarKind::GeometricMedian => geometric_median::reduce(batch, rows, out),
+            GarKind::Krum | GarKind::MultiKrum => {
+                multi_krum::reduce(batch, selection.unwrap_or(rows), plan, out)
+            }
+            GarKind::Bulyan => bulyan::reduce(batch, n, selection.unwrap_or(rows), plan, out, f),
+            GarKind::Majority => majority::reduce(batch, selection.unwrap_or(rows), plan, out),
         }
     }
 }

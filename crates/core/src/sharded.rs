@@ -111,16 +111,16 @@ impl Gar for ShardedAggregator {
         self.rule.selects()
     }
 
-    /// The global pair-distance matrix assembled from per-shard partials:
-    /// shard-parallel compute (when the total pair-coordinate count clears
-    /// [`PARALLEL_MIN_WORK`]; the fan-out preserves shard order),
-    /// shard-order reduce, one non-finite → `+∞` mapping at the end (NaN
-    /// propagates faithfully through the raw sums).
-    fn distances(&self, batch: &GradientBatch) -> DistanceMatrix {
-        let n = batch.n();
+    /// The global pair-distance matrix over the arena rows `rows`, assembled
+    /// from per-shard partials: shard-parallel compute (when the total
+    /// pair-coordinate count clears [`PARALLEL_MIN_WORK`]; the fan-out
+    /// preserves shard order), shard-order reduce, one non-finite → `+∞`
+    /// mapping at the end (NaN propagates faithfully through the raw sums).
+    fn distances_over(&self, batch: &GradientBatch, rows: &[usize]) -> DistanceMatrix {
+        let n = rows.len();
         let ranges: Vec<_> = self.column_plan(batch.dim()).ranges().collect();
         let pairs = n.saturating_sub(1) * n / 2;
-        let partial = |range: Range<usize>| batch.columns(range).distance_partials();
+        let partial = |range: Range<usize>| batch.columns(range).distance_partials(Some(rows));
         let partials: Vec<DistanceMatrix> =
             if self.shards > 1 && pairs.saturating_mul(batch.dim()) >= PARALLEL_MIN_WORK {
                 ranges.into_par_iter().map(partial).collect()
@@ -147,11 +147,12 @@ impl Gar for ShardedAggregator {
     fn reduce(
         &self,
         batch: &GradientBatch,
+        rows: &[usize],
         selection: Option<&[usize]>,
         plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        self.rule.reduce(batch, selection, plan, out)
+        self.rule.reduce(batch, rows, selection, plan, out)
     }
 }
 

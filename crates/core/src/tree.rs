@@ -8,8 +8,10 @@
 //! workers into groups of `g ≤ MAX_NETWORK_N`
 //! ([`agg_tensor::GroupPlan`]), run the group GAR on each group's rows —
 //! every group reuses the existing arena + selection-network kernels exactly
-//! at their sweet spot — and run the root GAR over the `⌈n/g⌉` group
-//! outputs:
+//! at their sweet spot, reading its members' rows where they sit in the one
+//! submission arena ([`Gar::round_over`] over the member ids; no group
+//! copies its rows into a batch of its own) — and run the root GAR over the
+//! `⌈n/g⌉` group outputs:
 //!
 //! ```text
 //! O(n²·d)  →  O(n·g·d + (n/g)²·d)
@@ -27,7 +29,7 @@
 //! contributing groups no longer clear the root rule's floor, exactly like
 //! the flat path's refusal below `resilience_floor`.
 
-use crate::gar::{ensure_batch_nonempty, Gar};
+use crate::gar::{all_rows, ensure_rows, Gar};
 use crate::{resilience, AggregationError, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
@@ -109,11 +111,12 @@ impl TreeConfig {
 pub struct GroupOutput {
     /// Group id in the [`GroupPlan`].
     pub group: usize,
-    /// The batch row indices the group reduced, in ascending order.
+    /// The arena row ids the group reduced, in the order of the round's row
+    /// list (ascending when that list is).
     pub members: Vec<usize>,
     /// The group GAR's aggregate over those rows.
     pub output: Vector,
-    /// The batch rows the group rule's selection phase kept — the subset of
+    /// The arena rows the group rule's selection phase kept — the subset of
     /// `members` that reached `output` — or `None` when the group rule has
     /// no selection phase (every member contributed).
     pub kept: Option<Vec<usize>>,
@@ -205,45 +208,65 @@ impl TreeAggregator {
         Ok(GroupPlan::new(workers, self.config.group_size)?)
     }
 
-    /// Buckets `groups[i]` (the group id of batch row `i`) into ascending
-    /// per-group member lists. Group ids need not be dense: rows of evicted
-    /// groups simply never appear.
-    fn buckets(&self, batch: &GradientBatch, groups: &[usize]) -> Result<Vec<(usize, Vec<usize>)>> {
-        if groups.len() != batch.n() {
+    /// Buckets the round's arena rows by group (`groups[k]` is the group id
+    /// of row `rows[k]`) into per-group member lists, in row-list order.
+    /// Group ids need not be dense: rows of evicted groups simply never
+    /// appear.
+    fn buckets(&self, rows: &[usize], groups: &[usize]) -> Result<Vec<(usize, Vec<usize>)>> {
+        if groups.len() != rows.len() {
             return Err(AggregationError::InvalidArgument {
                 rule: self.config.group.name().to_string(),
                 message: format!(
-                    "group assignment covers {} rows but the batch has {}",
+                    "group assignment covers {} rows but the round has {}",
                     groups.len(),
-                    batch.n()
+                    rows.len()
                 ),
             });
         }
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (row, &gid) in groups.iter().enumerate() {
+        for (&row, &gid) in rows.iter().zip(groups) {
             buckets.entry(gid).or_default().push(row);
         }
         Ok(buckets.into_iter().collect())
     }
 
-    /// Runs the per-group stage: every group whose live member count clears
-    /// the group rule's resilience floor is aggregated with the group GAR
-    /// (in parallel over groups, results in ascending group order);
-    /// undersized groups are excluded and reported, never panicked over.
+    /// [`TreeAggregator::group_outputs_over`] every row of `batch`
+    /// (`groups[i]` is the group id of batch row `i`).
     ///
-    /// Each group is one [`Gar::round`] of the group rule, which returns the
-    /// aggregate and the selection ([`GroupOutput::kept`]) together, so the
-    /// round carries its own selection feedback
+    /// # Errors
+    ///
+    /// The errors of [`TreeAggregator::group_outputs_over`].
+    pub fn group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
+        self.group_outputs_over(batch, &all_rows(batch), groups)
+    }
+
+    /// Runs the per-group stage over the arena rows `rows`, `groups[k]`
+    /// being the group id of row `rows[k]`: every group whose live member
+    /// count clears the group rule's resilience floor is aggregated with the
+    /// group GAR (in parallel over groups, results in ascending group
+    /// order); undersized groups are excluded and reported, never panicked
+    /// over.
+    ///
+    /// Each group is one [`Gar::round_over`] of the group rule over its
+    /// member ids, which reads the rows where they sit in the arena and
+    /// returns the aggregate and the selection ([`GroupOutput::kept`], as
+    /// arena ids) together, so the round carries its own selection feedback
     /// ([`TreeAggregator::selected_rows_of`]).
     ///
     /// # Errors
     ///
-    /// Returns [`AggregationError`] when the batch is empty, the group
-    /// assignment does not match the batch, or a group's aggregation fails
-    /// for a reason other than its size (e.g. all rows non-finite).
-    pub fn group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
-        ensure_batch_nonempty(self.config.group.name(), batch)?;
-        let buckets = self.buckets(batch, groups)?;
+    /// Returns [`AggregationError`] when the row list is empty or names a row
+    /// past the arena, the group assignment does not match it, or a group's
+    /// aggregation fails for a reason other than its size (e.g. all rows
+    /// non-finite).
+    pub fn group_outputs_over(
+        &self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        groups: &[usize],
+    ) -> Result<TreeRound> {
+        ensure_rows(self.config.group.name(), batch, rows)?;
+        let buckets = self.buckets(rows, groups)?;
         let floor = self.config.group_floor();
         let mut skipped = Vec::new();
         let mut contributing: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -255,15 +278,10 @@ impl TreeAggregator {
             }
         }
         let aggregate_group = |(group, members): (usize, Vec<usize>)| -> Result<GroupOutput> {
-            let mut scratch = GradientBatch::with_capacity(batch.dim(), members.len());
-            for &row in &members {
-                scratch.push_row(batch.row(row))?;
-            }
-            let round = self.config.group.round(&scratch, None)?;
-            let kept = round.selection.map(|rows| rows.into_iter().map(|r| members[r]).collect());
-            Ok(GroupOutput { group, members, output: round.aggregate, kept })
+            let round = self.config.group.round_over(batch, &members, None)?;
+            Ok(GroupOutput { group, members, output: round.aggregate, kept: round.selection })
         };
-        let total_work = batch.n().saturating_mul(batch.dim());
+        let total_work = rows.len().saturating_mul(batch.dim());
         let results: Vec<Result<GroupOutput>> =
             if contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
                 contributing.into_par_iter().map(aggregate_group).collect()
@@ -303,23 +321,34 @@ impl TreeAggregator {
     ///
     /// # Errors
     ///
-    /// Propagates group aggregation errors, then refuses with
-    /// [`AggregationError::NotEnoughWorkers`] when the contributing groups
-    /// fall below the root floor ([`TreeConfig::check`]), then propagates
-    /// root aggregation errors.
+    /// The errors of the grouped round ([`TreeAggregator::group_outputs_over`],
+    /// then [`TreeConfig::check`], then the root rule).
     pub fn aggregate_batch_grouped(
         &self,
         batch: &GradientBatch,
         groups: &[usize],
     ) -> Result<Vector> {
-        let round = self.group_outputs(batch, groups)?;
+        self.aggregate_grouped_over(batch, &all_rows(batch), groups)
+    }
+
+    /// The whole two-level round over the arena rows `rows`, grouped by
+    /// `groups`: the group stage, then a refusal with
+    /// [`AggregationError::NotEnoughWorkers`] when the contributing groups
+    /// fall below the root floor ([`TreeConfig::check`]), then the root rule.
+    fn aggregate_grouped_over(
+        &self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        groups: &[usize],
+    ) -> Result<Vector> {
+        let round = self.group_outputs_over(batch, rows, groups)?;
         self.config.check(round.group_sizes())?;
         let outputs: Vec<Vector> = round.outputs.into_iter().map(|g| g.output).collect();
         self.root_aggregate(&outputs)
     }
 
-    /// The selection feedback of a round that already ran: the batch row
-    /// indices that contributed to the root rule's selection, ascending
+    /// The selection feedback of a round that already ran: the arena row
+    /// ids that contributed to the root rule's selection, ascending
     /// (`None` for non-selecting root rules). A row is "selected" iff its
     /// group's output made the root selection AND the group rule's own
     /// selection phase kept the row ([`GroupOutput::kept`]; all live members
@@ -373,18 +402,20 @@ impl Gar for TreeAggregator {
         self.config.root.name()
     }
 
-    /// The whole two-level round over the default contiguous grouping: the
-    /// tree neither selects nor splits columns.
+    /// The whole two-level round over the default contiguous grouping of
+    /// the row list (the `k`-th row sits in group `k / g`): the tree neither
+    /// selects nor splits columns.
     fn reduce(
         &self,
         batch: &GradientBatch,
+        rows: &[usize],
         _selection: Option<&[usize]>,
         _plan: &ShardPlan,
         out: &mut [f32],
     ) -> Result<()> {
-        let plan = self.plan(batch.n())?;
-        let groups: Vec<usize> = (0..batch.n()).map(|w| plan.group_of(w)).collect();
-        out.copy_from_slice(self.aggregate_batch_grouped(batch, &groups)?.as_slice());
+        let plan = self.plan(rows.len())?;
+        let groups: Vec<usize> = (0..rows.len()).map(|k| plan.group_of(k)).collect();
+        out.copy_from_slice(self.aggregate_grouped_over(batch, rows, &groups)?.as_slice());
         Ok(())
     }
 }

@@ -234,7 +234,7 @@ proptest! {
         };
         let pairs: [(agg_tensor::Result<Vector>, agg_tensor::Result<Vector>); 3] = [
             (batch.coordinate_median(), windowed(&|out| view.median_into(None, out))),
-            (batch.coordinate_trimmed_mean(2), windowed(&|out| view.trimmed_mean_into(2, out))),
+            (batch.coordinate_trimmed_mean(2), windowed(&|out| view.trimmed_mean_into(None, 2, out))),
             (
                 batch.mean_around_median(keep),
                 windowed(&|out| view.mean_around_median_into(None, keep, out)),

@@ -46,7 +46,9 @@ use std::sync::Arc;
 /// 4. **ledger** — the round's evidence folds into the suspicion ledger, and
 ///    the tree tier's containment reshuffle runs;
 /// 5. **aggregate** — the flat, sharded or tree rule over the accepted rows,
-///    the optimizer step, and the rule's selection;
+///    read where they landed in the arena (the rule runs over the list of
+///    accepted slots; nothing is compacted or copied), the optimizer step,
+///    and the rule's selection;
 /// 6. **charge** — the verdict and the round's simulated seconds.
 ///
 /// The report keeps every record ([`TrainingReport::rounds`]) and folds from
@@ -71,12 +73,12 @@ use std::sync::Arc;
 /// slots, which return at once, leave no core waiting at the barrier.
 ///
 /// The O(n·d) passes after Phase 1 split their work over rayon too — the
-/// adversary's honest mean, the send region, the compaction and the
-/// sharded reduce — each item writing its own rows or columns in a
-/// fixed term order, so their bits do not depend on the thread budget
-/// either. The aggregate stage runs at most one O(n²·d) distance pass per
-/// flat or sharded round — the parallel batch kernel over the compacted
-/// rows — which the rule and the selection both read.
+/// adversary's honest mean, the send region and the sharded reduce — each
+/// item writing its own rows or columns in a fixed term order, so their bits
+/// do not depend on the thread budget either. The aggregate stage runs at
+/// most one O(n²·d) distance pass per flat or sharded round — the parallel
+/// batch kernel over the accepted rows — which the rule and the selection
+/// both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -93,11 +95,13 @@ pub struct SyncTrainingEngine {
     /// gathered once: every evaluation reads this batch.
     eval_batch: (Tensor, Vec<usize>),
     actual_dimension: usize,
-    /// The round pipeline's one submission arena, reused every round (worker
-    /// `i` owns row `i`; undelivered and late rows are compacted away before
-    /// aggregation), so a round allocates no `n × d` buffer. The engine never
-    /// enables the pipeline's per-row distance fold: the aggregate stage
-    /// runs the batch kernel on the compacted rows instead.
+    /// The round pipeline's one submission arena, reused every round: worker
+    /// `i` owns row `i` for the whole run, so a round allocates no `n × d`
+    /// buffer. The rule reads the accepted rows where they landed;
+    /// undelivered and late rows are skipped, never compacted away, and the
+    /// next round overwrites them. The engine never enables the pipeline's
+    /// per-row distance fold: the aggregate stage runs the batch kernel over
+    /// the accepted rows instead.
     pipeline: RoundPipeline,
     /// The server's membership view: epoch number plus per-worker health,
     /// advanced at the start of every round from the configured fault plan.
@@ -691,9 +695,9 @@ impl SyncTrainingEngine {
         };
         record.round_wait_sec = self.broadcast_time() + slowest;
         // The cut only decides which rows count. Their distances are taken
-        // after compaction, by the aggregate stage's one parallel batch pass
-        // over the accepted rows; the simulated clock charges that work the
-        // same whatever order the rows arrived in.
+        // by the aggregate stage's one parallel batch pass over the accepted
+        // rows; the simulated clock charges that work the same whatever
+        // order the rows arrived in.
         record.accepted = accepted.to_vec();
         record.accepted.sort_unstable();
     }
@@ -707,7 +711,7 @@ impl SyncTrainingEngine {
         let Some(ledger) = self.reputation.as_mut() else { return Ok(()) };
         let (step, cfg) = (record.step, *ledger.config());
         // Collusion-affinity sketches over the delivered arena rows
-        // (slot-indexed — the arena is compacted only after this).
+        // (slot-indexed, like the arena itself).
         let arena = self.pipeline.arena();
         let rows: Vec<Option<&[f32]>> = (0..record.wire.len())
             .map(|w| record.wire[w].is_some_and(|wire| wire.delivered).then(|| arena.row(w)))
@@ -782,77 +786,64 @@ impl SyncTrainingEngine {
         Ok(())
     }
 
-    /// Aggregate: compacts the arena to the accepted rows, then the round's
-    /// one entry for the flat, sharded and tree tiers — the rule, the
-    /// optimizer step and the selection, mapped back to slots. An error
-    /// before the tree legs shipped comes back as a round that waited for
-    /// no leg; the charge stage tells a skip from a failure.
+    /// Aggregate: the round's one entry for the flat, sharded and tree tiers
+    /// over the accepted slots, which are arena row ids — the rule, the
+    /// optimizer step and the selection, all read where the rows landed. An
+    /// error before the tree legs shipped comes back as a round that waited
+    /// for no leg; the charge stage tells a skip from a failure.
     fn aggregate(&mut self, record: &RoundRecord) -> Aggregation {
-        let mut keep = vec![false; record.wire.len()];
-        for &slot in &record.accepted {
-            keep[slot] = true;
-        }
-        // The group id of every surviving row, in arena order — the tree
+        let rows = &record.accepted;
+        // The group id of every accepted row, in row-list order — the tree
         // tier's counterpart of the distance matrix.
         let groups: Option<Vec<usize>> = self
             .tree_plan
             .as_ref()
-            .map(|plan| record.accepted.iter().map(|&slot| plan.group_of(slot)).collect());
-        self.pipeline.arena_mut().retain_rows(&keep);
+            .map(|plan| rows.iter().map(|&slot| plan.group_of(slot)).collect());
         let aggregation = match (groups, self.config.tree) {
-            _ if self.pipeline.arena().is_empty() => {
+            _ if rows.is_empty() => {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
             }
-            (Some(groups), Some(tree)) => self.aggregate_tree(record.step, &groups, tree),
-            _ => self.aggregate_flat(),
+            (Some(groups), Some(tree)) => self.aggregate_tree(record.step, rows, &groups, tree),
+            _ => self.aggregate_flat(rows),
         };
-        let Aggregation { kernel_sec, wire_wait, selection } =
-            aggregation.unwrap_or_else(|error| Aggregation {
-                kernel_sec: Err(error),
-                wire_wait: 0.0,
-                selection: None,
-            });
-        let selection =
-            selection.map(|rows| rows.iter().map(|&row| record.accepted[row]).collect());
-        Aggregation { kernel_sec, wire_wait, selection }
+        aggregation.unwrap_or_else(|error| Aggregation {
+            kernel_sec: Err(error),
+            wire_wait: 0.0,
+            selection: None,
+        })
     }
 
-    /// The flat and sharded round. One distance pass per round: when the
-    /// rule selects, build the matrix the rule would build over the
-    /// compacted rows (the parallel batch kernel, or the sharded partials)
-    /// and let the round and the selection both read it. The pass is the
-    /// rule's own work moved out of `apply_round_batch`; its counted work
-    /// includes it. The rule is charged the compacted rows over one shard's
-    /// columns: every shard runs on its own node (all columns when S = 1).
-    fn aggregate_flat(&mut self) -> Result<Aggregation> {
-        let arena = self.pipeline.arena();
-        let distances = self.server.round_distances(arena);
-        match &distances {
-            Some(distances) => self.server.apply_round_batch_with_distances(arena, distances),
-            None => self.server.apply_round_batch(arena),
-        }?;
+    /// The flat and sharded round over the accepted rows: one server round,
+    /// which runs the rule's one distance pass (the parallel batch kernel,
+    /// or the sharded partials) and hands back the aggregate's selection
+    /// with the outcome. The rule is charged the accepted rows over one
+    /// shard's columns: every shard runs on its own node (all columns when
+    /// S = 1).
+    fn aggregate_flat(&mut self, rows: &[usize]) -> Result<Aggregation> {
+        let (_, selection) = self.server.apply_round_over(self.pipeline.arena(), rows, None)?;
         let node_dim = self.config.cost.effective_dimension(self.actual_dimension);
         let node_dim = node_dim.div_ceil(self.config.shards);
-        let kernel_sec = CostModel::aggregation_time(self.config.gar, arena.n(), node_dim)?;
-        let selection = self.server.selected_rows(arena, distances.as_ref())?;
+        let kernel_sec = CostModel::aggregation_time(self.config.gar, rows.len(), node_dim)?;
         Ok(Aggregation { kernel_sec: Ok(kernel_sec), wire_wait: 0.0, selection })
     }
 
-    /// The hierarchical round: the group stage on the compacted arena, the
-    /// group outputs shipped root-ward over the per-group links (chaos,
-    /// retransmit and all — a dropped output leaves the root one input
-    /// fewer), then the root rule and the optimizer step. The kernel charge
-    /// is the slowest group (the groups run on their own nodes in parallel)
-    /// plus the root over the delivered outputs; the selection is read off
-    /// the group stage that ran, not a second one.
+    /// The hierarchical round: the group stage over the accepted rows, each
+    /// group reading its members where they landed, the group outputs
+    /// shipped root-ward over the per-group links (chaos, retransmit and all
+    /// — a dropped output leaves the root one input fewer), then the root
+    /// rule and the optimizer step. The kernel charge is the slowest group
+    /// (the groups run on their own nodes in parallel) plus the root over
+    /// the delivered outputs; the selection is read off the group stage that
+    /// ran, not a second one.
     fn aggregate_tree(
         &mut self,
         step: u64,
+        rows: &[usize],
         groups: &[usize],
         tree: TreeConfig,
     ) -> Result<Aggregation> {
         let dim = self.config.cost.effective_dimension(self.actual_dimension);
-        let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
+        let round = self.server.tree_group_outputs_over(self.pipeline.arena(), rows, groups)?;
         let mut group_sec = 0.0f64;
         for group in &round.outputs {
             let sec = CostModel::aggregation_time(tree.group, group.members.len(), dim)?;

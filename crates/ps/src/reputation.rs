@@ -52,8 +52,11 @@
 //! honest majority clique-free.
 
 use crate::{PsError, Result};
+use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::rng::{derive_seed, sample_without_replacement, seeded_rng};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Geometric decay `λ ∈ [0, 1)` applied to every score at the start of each
 /// observed round.
@@ -406,23 +409,87 @@ pub fn affinity_sample_indices(seed: u64, dimension: usize, max_coords: usize) -
 /// is monotone, so a partial sum already past `epsilon × scale` means the
 /// full sum is too (or is NaN, which fails the edge test as well); NaN
 /// partials never compare greater, run to the end and fall to the final
-/// comparison. Computed sequentially — bit-deterministic under any thread
-/// schedule.
+/// comparison.
+///
+/// Both passes run on the thread budget when the pair pass clears
+/// [`PARALLEL_MIN_WORK`] at 16 coordinates a pair (the honest cost): the
+/// gather, one contiguous block of 32 sketches per item (each sampled
+/// coordinate is a cache miss of its own, so the gather costs more than its
+/// element count says), and the pairs, the triangle in `(i, j)` order cut
+/// into two halves of equal pair count. A pair's test
+/// depends only on its two sketches and the edges are joined in `(i, j)`
+/// order, so the flags are bit-deterministic under any thread schedule.
 pub fn collusion_flags(
     rows: &[Option<&[f32]>],
     sample: &[usize],
     epsilon: f64,
     min_cluster: usize,
 ) -> Vec<bool> {
-    let n = rows.len();
-    let sketches: Vec<Option<Vec<f64>>> = rows
-        .iter()
-        .map(|row| row.map(|r| sample.iter().map(|&i| f64::from(r[i])).collect()))
+    let (n, m) = (rows.len(), sample.len());
+    let pairs = n * n.saturating_sub(1) / 2;
+    let parallel = pairs.saturating_mul(AFFINITY_CHECK_EVERY) >= PARALLEL_MIN_WORK;
+    // Allocated here, on the calling thread, and only filled on the thread
+    // budget (see `SKETCH_BLOCK_ROWS`); an absent row's sketch stays zero
+    // and is never read.
+    let mut blocks: Vec<Vec<f64>> =
+        rows.chunks(SKETCH_BLOCK_ROWS).map(|block| vec![0.0f64; block.len() * m]).collect();
+    let gather = |(block, sketches): (&[Option<&[f32]>], &mut Vec<f64>)| {
+        for (row, dst) in block.iter().zip(sketches.chunks_exact_mut(m.max(1))) {
+            if let Some(row) = row {
+                for (x, &c) in dst.iter_mut().zip(sample) {
+                    *x = f64::from(row[c]);
+                }
+            }
+        }
+    };
+    let fills: Vec<_> = rows.chunks(SKETCH_BLOCK_ROWS).zip(&mut blocks).collect();
+    if parallel {
+        let _: Vec<()> = fills.into_par_iter().map(gather).collect();
+    } else {
+        fills.into_iter().for_each(gather);
+    }
+    let sketches: Vec<Option<&[f64]>> = (0..n)
+        .map(|i| {
+            let k = i % SKETCH_BLOCK_ROWS;
+            rows[i].map(|_| &blocks[i / SKETCH_BLOCK_ROWS][k * m..(k + 1) * m])
+        })
         .collect();
     let norms: Vec<f64> = sketches
         .iter()
-        .map(|s| s.as_ref().map_or(0.0, |v| v.iter().map(|x| x * x).sum::<f64>().sqrt()))
+        .map(|s| s.map_or(0.0, |v| v.iter().map(|x| x * x).sum::<f64>().sqrt()))
         .collect();
+
+    // The affinity edges among the flat pairs `range` of the triangle
+    // `(0, 1), (0, 2), …, (n − 2, n − 1)`, in that order.
+    let edges_in = |range: Range<usize>| -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        // Row `i`'s pairs `(i, i + 1), …, (i, n − 1)` start at flat index
+        // `first`; each pass of the loop takes the run of them in `range`.
+        let (mut i, mut first, mut p) = (0, 0, range.start);
+        while p < range.end {
+            while first + (n - 1 - i) <= p {
+                first += n - 1 - i;
+                i += 1;
+            }
+            let later = i + 1 + (p - first)..(i + 1 + (range.end - first)).min(n);
+            p += later.len();
+            let Some(a) = sketches[i] else { continue };
+            for j in later {
+                let Some(b) = sketches[j] else { continue };
+                let scale = norms[i].max(norms[j]);
+                if scale > 0.0 && sketches_within(a, b, epsilon * scale) {
+                    edges.push((i, j));
+                }
+            }
+        }
+        edges
+    };
+    let halves = vec![0..pairs / 2, pairs / 2..pairs];
+    let halves: Vec<Vec<(usize, usize)>> = if parallel {
+        halves.into_par_iter().map(edges_in).collect()
+    } else {
+        halves.into_iter().map(edges_in).collect()
+    };
 
     // Union-find over the affinity edges; a clique of colluders is a single
     // component however its pairwise edges land.
@@ -434,33 +501,32 @@ pub fn collusion_flags(
         }
         x
     }
-    for i in 0..n {
-        let Some(a) = &sketches[i] else { continue };
-        for j in (i + 1)..n {
-            let Some(b) = &sketches[j] else { continue };
-            let scale = norms[i].max(norms[j]);
-            if scale <= 0.0 {
-                continue;
-            }
-            if sketches_within(a, b, epsilon * scale) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
+    for &(i, j) in halves.iter().flatten() {
+        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+        if ri != rj {
+            parent[ri] = rj;
         }
     }
     let mut component_size = vec![0usize; n];
-    for (i, sketch) in sketches.iter().enumerate() {
-        if sketch.is_some() {
+    for (i, row) in rows.iter().enumerate() {
+        if row.is_some() {
             let root = find(&mut parent, i);
             component_size[root] += 1;
         }
     }
     (0..n)
-        .map(|i| sketches[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
+        .map(|i| rows[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
         .collect()
 }
+
+/// Rows per contiguous sketch block of [`collusion_flags`]: 64 KiB at the
+/// default 256 sampled coordinates, under glibc's 128 KiB mmap threshold.
+/// One `n × m` buffer (512 KiB at `elastic_tree256`'s n = 256) lands above
+/// it, and the threshold's dynamic adjustment then keeps the freed buffer
+/// resident in the heap: that run's `peak_rss_mb` read 0.15 MB higher. The
+/// blocks are allocated on the calling thread for the same reason: blocks
+/// a helper thread allocated stayed in its own malloc arena (+0.06 MB).
+const SKETCH_BLOCK_ROWS: usize = 32;
 
 /// How many sampled coordinates [`collusion_flags`] adds to a pair's
 /// distance between checks for the early exit.
@@ -926,6 +992,50 @@ mod tests {
             // The planted clique is what the sketch exists to find.
             if epsilon >= 0.05 && clique >= min_cluster {
                 prop_assert!(flags[..clique].iter().all(|&f| f), "clique of {} missed", clique);
+            }
+        }
+    }
+
+    /// The scale tier's shape (n = 256 rows of d = 4138, m = 256 sampled
+    /// coordinates, ε = 0.05, cluster minimum 3, the inputs of the
+    /// `collusion_flags_n256_m256` bench): all-honest rows, a jittered
+    /// 6-clique, six identical attackers two of which sent nothing, and NaN
+    /// coordinates in honest and clique rows. The two halves of the pair
+    /// triangle run in parallel at this size; the flags must equal the
+    /// serial oracle's at thread budgets 1 and 2.
+    #[test]
+    fn parallel_halves_match_the_serial_oracle_at_the_scale_tier() {
+        let (n, d) = (256, 4_138);
+        let sample = affinity_sample_indices(7, d, 256);
+        let mut rng = seeded_rng(6);
+        let honest: Vec<Vec<f32>> = (0..n)
+            .map(|_| agg_tensor::rng::gaussian_vector(&mut rng, d, 0.0, 1.0).as_slice().to_vec())
+            .collect();
+        let mut clique = honest.clone();
+        for (k, row) in clique.iter_mut().enumerate().take(6).skip(1) {
+            *row = honest[0].iter().map(|&x| x + 1e-4 * k as f32).collect();
+        }
+        let mut attackers = honest.clone();
+        attackers[n - 6..].fill(honest[0].iter().map(|&x| -x).collect());
+        let mut nan = clique.clone();
+        nan[2][sample[0]] = f32::NAN;
+        nan[40][sample[100]] = f32::NAN;
+        nan[41] = vec![f32::NAN; d];
+        let cases = [
+            ("honest", &honest, vec![], 0),
+            ("clique6", &clique, vec![], 6),
+            ("attackers6", &attackers, vec![n - 6, n - 3], 4),
+            ("nan", &nan, vec![], 5),
+        ];
+        for (name, rows, missing, flagged) in cases {
+            let views: Vec<Option<&[f32]>> =
+                (0..n).map(|w| (!missing.contains(&w)).then(|| rows[w].as_slice())).collect();
+            let expected = collusion_flags_full_sum(&views, &sample, 0.05, 3);
+            assert_eq!(expected.iter().filter(|&&f| f).count(), flagged, "{name}");
+            for threads in [1, 2] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let flags = pool.install(|| collusion_flags(&views, &sample, 0.05, 3));
+                assert_eq!(flags, expected, "{name} at {threads} threads");
             }
         }
     }

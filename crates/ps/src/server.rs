@@ -9,7 +9,9 @@
 //! executions". [`ParameterServer::handle_remote_write`] models that patch.
 
 use crate::{PsError, Result};
-use agg_core::{Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound};
+use agg_core::{
+    Gar, GarConfig, GarRound, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound,
+};
 use agg_nn::optim::{OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
 use agg_tensor::{DistanceMatrix, GradientBatch, Vector};
@@ -44,7 +46,7 @@ pub struct ParameterServer {
     /// group outputs. Unlike sharding this is *not* equivalent to the flat
     /// rule in general (the resilience bound composes:
     /// `f_total = (f_group + 1)(f_root + 1) − 1`), which is why it is driven
-    /// only by the explicitly grouped entry points; `apply_round_batch`
+    /// only by the explicitly grouped entry points; `apply_round_over`
     /// stays flat.
     tree: Option<TreeAggregator>,
     optimizer: OptimizerKind,
@@ -171,24 +173,41 @@ impl ParameterServer {
         })
     }
 
-    /// Stage 1 of a hierarchical round: aggregates each group of the batch
-    /// (rows labelled by `groups`, one group id per row) with the group rule,
-    /// skipping groups below their resilience floor. A pure read; the engine
-    /// ships the returned outputs over the inter-group links before the root
-    /// stage.
+    /// Stage 1 of a hierarchical round over the arena rows `rows`:
+    /// aggregates each group (`groups[k]` is the group id of row `rows[k]`)
+    /// with the group rule, reading every member's row where it sits in the
+    /// arena, and skips groups below their resilience floor. A pure read;
+    /// the engine ships the returned outputs over the inter-group links
+    /// before the root stage.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
     /// [`PsError::Aggregation`] when the composed bound already rules the
     /// round out or a contributing group's rule fails.
-    pub fn tree_group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
+    pub fn tree_group_outputs_over(
+        &self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        groups: &[usize],
+    ) -> Result<TreeRound> {
         let tree = self.tree_tier("tree_group_outputs")?;
-        let round = tree.group_outputs(batch, groups).map_err(PsError::from)?;
+        let round = tree.group_outputs_over(batch, rows, groups).map_err(PsError::from)?;
         // Refuse before the wire stage when even full delivery could not
         // seat a root round — same check the one-shot grouped path applies.
         tree.config().check(round.group_sizes()).map_err(PsError::from)?;
         Ok(round)
+    }
+
+    /// [`ParameterServer::tree_group_outputs_over`] every row of `batch`
+    /// (`groups[i]` is the group id of batch row `i`).
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ParameterServer::tree_group_outputs_over`].
+    pub fn tree_group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
+        let rows: Vec<usize> = (0..batch.n()).collect();
+        self.tree_group_outputs_over(batch, &rows, groups)
     }
 
     /// Stage 2 of a hierarchical round: runs the root rule over the group
@@ -209,10 +228,10 @@ impl ParameterServer {
     }
 
     /// Tree-tier counterpart of [`ParameterServer::selected_rows`], read from
-    /// the round that ran: the batch rows whose *groups* the root rule's
+    /// the round that ran: the arena rows whose *groups* the root rule's
     /// selection phase picks and whose group rule kept them (`None` when the
     /// root rule has no selection phase). `round` is what
-    /// [`ParameterServer::tree_group_outputs`] returned for the applied
+    /// [`ParameterServer::tree_group_outputs_over`] returned for the applied
     /// round, so the feedback costs one root selection, not a second group
     /// stage. A pure read.
     ///
@@ -258,41 +277,58 @@ impl ParameterServer {
         Ok(())
     }
 
-    /// Aggregates one round of submitted gradients, packed into a contiguous
-    /// [`GradientBatch`] (the engine packs each round's submissions once),
-    /// and applies the optimizer step. Returns the measured aggregation time.
+    /// One round over the arena rows `rows`, read where they sit in
+    /// `batch`: the active rule's aggregate, then the optimizer step.
+    /// Returns the measured aggregation time and the rule's selection as
+    /// arena row ids (`None` for a rule without a selection phase), both off
+    /// the one round, so the selection feedback costs no second distance
+    /// pass. `distances`, when given, is the round's pairwise matrix over
+    /// `rows` in list order; distance-based rules select straight on it.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::Aggregation`] when the GAR rejects the submission
-    /// (e.g. not enough gradients for the declared `f`), and [`PsError::Model`]
-    /// when the optimizer step fails.
-    pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
+    /// Returns [`PsError::Aggregation`] when the GAR rejects the round (an
+    /// empty row list, not enough rows for the declared `f`, or a matrix of
+    /// another size), and [`PsError::Model`] when the optimizer step fails.
+    pub fn apply_round_over(
+        &mut self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<(RoundOutcome, Option<Vec<usize>>)> {
         let start = Instant::now();
-        let aggregated = self.gar.aggregate_batch(gradients).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let GarRound { aggregate, selection } =
+            self.gar.round_over(batch, rows, distances).map_err(PsError::from)?;
+        Ok((self.finish_round(aggregate, start)?, selection))
     }
 
-    /// Distance-primed variant of [`ParameterServer::apply_round_batch`]: the
-    /// caller already holds the round's pairwise distance matrix (the
-    /// engine's one [`ParameterServer::round_distances`] pass), so
-    /// distance-based rules select straight on it instead of recomputing the
-    /// O(n²·d) kernel. Rules that do not use distances ignore the matrix;
-    /// either way the round's result is bit-identical to the batch path.
+    /// [`ParameterServer::apply_round_over`] every row of `gradients`,
+    /// returning the outcome.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ParameterServer::apply_round_batch`], plus an
-    /// aggregation error when the matrix does not match the batch.
+    /// The errors of [`ParameterServer::apply_round_over`].
+    pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
+        let rows: Vec<usize> = (0..gradients.n()).collect();
+        Ok(self.apply_round_over(gradients, &rows, None)?.0)
+    }
+
+    /// [`ParameterServer::apply_round_batch`] primed with the round's
+    /// pairwise distance matrix, so distance-based rules select straight on
+    /// it instead of recomputing the O(n²·d) kernel. Rules that do not use
+    /// distances ignore the matrix; either way the round's result is
+    /// bit-identical to the batch path.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ParameterServer::apply_round_over`].
     pub fn apply_round_batch_with_distances(
         &mut self,
         gradients: &GradientBatch,
         distances: &DistanceMatrix,
     ) -> Result<RoundOutcome> {
-        let start = Instant::now();
-        let aggregated =
-            self.gar.aggregate_batch_with_distances(gradients, distances).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let rows: Vec<usize> = (0..gradients.n()).collect();
+        Ok(self.apply_round_over(gradients, &rows, Some(distances))?.0)
     }
 
     /// The pairwise distance matrix this tier's own
@@ -302,8 +338,9 @@ impl ParameterServer {
     /// no distances. Handing it to
     /// [`ParameterServer::apply_round_batch_with_distances`] and
     /// [`ParameterServer::selected_rows`] makes a round and its selection
-    /// feedback share one O(n²·d) pass. A pure read; preconditions are left
-    /// to the round itself.
+    /// feedback share one O(n²·d) pass (the engine's
+    /// [`ParameterServer::apply_round_over`] gets both off one round). A
+    /// pure read; preconditions are left to the round itself.
     pub fn round_distances(&self, batch: &GradientBatch) -> Option<DistanceMatrix> {
         self.gar.selects().then(|| self.gar.distances(batch))
     }
@@ -311,10 +348,9 @@ impl ParameterServer {
     /// The row indices the active rule's selection phase would pick for this
     /// batch (`None` for rules without a selection phase). Works on both the
     /// monolithic and the sharded tier, and reads the round's distance
-    /// matrix when the caller already holds it (the engine's one
-    /// [`ParameterServer::round_distances`] pass) — the engine's
-    /// selection-feedback path (adaptive attacks, Byzantine-selection
-    /// accounting) and a pure read: no model state changes.
+    /// matrix when the caller already holds it
+    /// ([`ParameterServer::round_distances`]). A pure read: no model state
+    /// changes.
     ///
     /// # Errors
     ///

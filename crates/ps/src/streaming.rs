@@ -3,9 +3,10 @@
 //!
 //! * **One arena.** Training is synchronous (Equation 4): round `t` is
 //!   aggregated and applied before round `t + 1` is broadcast, so one
-//!   submission arena, resized in place every round, is all a round reads.
-//!   Worker `i` writes row `i`; undelivered and late rows are compacted away
-//!   before aggregation.
+//!   submission arena of `n` rows is all a round reads. Worker `i` writes
+//!   row `i`; the engine's rule reads the accepted rows where they landed
+//!   (a list of row ids), so undelivered and late rows are skipped, never
+//!   compacted away or re-zeroed.
 //! * **Quorum.** [`QuorumPolicy`] decides when the server stops waiting:
 //!   after every worker (the paper's synchronous baseline), after the first
 //!   `n − f` arrivals (stragglers are indistinguishable from Byzantine
@@ -15,7 +16,7 @@
 //!   are simulated: every row is already in the arena when the quorum cut
 //!   runs, so folding each accepted row's distances "as it arrives" only
 //!   ran the O(n²·d) distance work serially at the cut. The engine now runs
-//!   the parallel batch kernel on the compacted rows instead, which the
+//!   the parallel batch kernel over the accepted rows instead, which the
 //!   fold is pinned bit-identical to ([`agg_tensor::StreamingDistances`]),
 //!   and the simulated clock charges both the same.
 //!   [`StreamingConfig::enabled`] and this pipeline's fold methods
@@ -58,7 +59,7 @@ impl QuorumPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct StreamingConfig {
     /// Retired: the engine ignores it and always runs the batch distance
-    /// kernel on the compacted rows, which is bit-identical to the per-row
+    /// kernel over the accepted rows, which is bit-identical to the per-row
     /// fold this flag used to turn on. It stays only because the frozen
     /// benchmark's workload configs set it and its trace replay reads it.
     pub enabled: bool,
@@ -109,9 +110,12 @@ impl RoundPipeline {
         self.distances.is_some()
     }
 
-    /// Prepares the arena for `rows` submissions, resized in place (the
-    /// previous round was applied before this one began), and clears the
-    /// distance state.
+    /// Prepares the arena for `rows` submissions and clears the distance
+    /// state. The engine's arena already holds its `n` rows, so this keeps
+    /// them as they are: every live worker's gradient write zero-fills its
+    /// own row, and a row nobody wrote this round is never read. Only an
+    /// arena compacted since the last round (the benchmark's replay calls
+    /// [`GradientBatch::retain_rows`]) grows back, its new rows zero-filled.
     pub fn begin_round(&mut self, rows: usize) {
         self.arena.resize_rows(rows);
         if let Some(distances) = self.distances.as_mut() {

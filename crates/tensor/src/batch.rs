@@ -178,8 +178,12 @@ impl GradientBatch {
     }
 
     /// Keeps only the rows whose flag is `true`, compacting the survivors in
-    /// place (order preserved, no reallocation). Used after a lossy round:
-    /// every worker owns one slot, then undelivered slots are squeezed out.
+    /// place (order preserved, no reallocation).
+    ///
+    /// No round of the engine calls this: every rule runs over a list of row
+    /// ids into the arena (the `*_over` kernels), so the rows are read where
+    /// they landed. It stays for the benchmark's frozen trace replay, which
+    /// compacts its arena and times the copy as `tensor.retain_rows`.
     ///
     /// Every surviving row moves to a lower or equal index, so applying the
     /// moves in ascending order never overwrites a row before it is read.
@@ -296,29 +300,43 @@ impl GradientBatch {
         Vector::from(self.row(i))
     }
 
-    /// Upper-triangular pairwise squared-distance matrix.
-    ///
-    /// Each unordered pair `(i, j)` is computed exactly once — the O(n²·d)
-    /// kernel that is Multi-Krum's distance phase and that Bulyan reuses
-    /// across its selection iterations. Every entry has the bits of
-    /// [`ops::squared_distance`] on the two full rows (the order pinned
-    /// there; `tests/distance_kernels.rs` checks it entry for entry), then
-    /// distances involving non-finite coordinates map to `+∞` so corrupt
-    /// gradients are never preferred by any score built on top.
-    ///
-    /// The walk is cache-blocked and pair-tiled (`tile_distances`): row `i`
-    /// meets up to `PAIR_TILE` = 4 consecutive later rows at a time, and the
-    /// tiles, taken in flat-triangle order, are cut into `DISTANCE_GROUPS` = 8
-    /// contiguous groups. The groups are the parallel items when `pairs·d`
-    /// clears [`PARALLEL_MIN_WORK`]; a pair's bits depend on neither the cut
-    /// nor the thread count.
+    /// Upper-triangular pairwise squared-distance matrix over every row:
+    /// [`GradientBatch::pairwise_squared_distances_over`] of `0..n`.
     pub fn pairwise_squared_distances(&self) -> DistanceMatrix {
-        let n = self.n;
+        self.pairwise_squared_distances_over(&(0..self.n).collect::<Vec<usize>>())
+    }
+
+    /// Upper-triangular pairwise squared-distance matrix over the rows
+    /// `rows`, read where they sit in the arena: entry `(a, b)` is the
+    /// distance between rows `rows[a]` and `rows[b]`.
+    ///
+    /// Each unordered pair is computed exactly once — the O(m²·d) kernel
+    /// that is Multi-Krum's distance phase and that Bulyan reuses across its
+    /// selection iterations. Every entry has the bits of
+    /// [`ops::squared_distance`] on the two full rows (the order pinned
+    /// there; `tests/distance_kernels.rs` checks it entry for entry), so the
+    /// matrix over a row list equals the matrix of those rows copied into a
+    /// batch of their own, bit for bit. Distances involving non-finite
+    /// coordinates then map to `+∞`, so corrupt gradients are never preferred
+    /// by any score built on top.
+    ///
+    /// The walk is cache-blocked and pair-tiled (`tile_distances`): row
+    /// `rows[a]` meets up to `PAIR_TILE` = 4 consecutive later rows of the
+    /// list at a time, and the tiles, taken in flat-triangle order, are cut
+    /// into `DISTANCE_GROUPS` = 8 contiguous groups. The groups are the
+    /// parallel items when `pairs·d` clears [`PARALLEL_MIN_WORK`]; a pair's
+    /// bits depend on neither the cut nor the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row id is out of range.
+    pub fn pairwise_squared_distances_over(&self, rows: &[usize]) -> DistanceMatrix {
+        let n = rows.len();
         let pair_count = n.saturating_sub(1) * n / 2;
-        let later: Vec<usize> = (0..n).collect();
-        // Enumerating i, then j > i in steps, keeps the flat triangle's order.
-        let tiles: Vec<(usize, &[usize])> =
-            (0..n).flat_map(|i| later[i + 1..].chunks(PAIR_TILE).map(move |js| (i, js))).collect();
+        // Enumerating a, then b > a in steps, keeps the flat triangle's order.
+        let tiles: Vec<(usize, &[usize])> = (0..n)
+            .flat_map(|a| rows[a + 1..].chunks(PAIR_TILE).map(move |js| (rows[a], js)))
+            .collect();
         let groups: Vec<&[(usize, &[usize])]> =
             tiles.chunks(tiles.len().div_ceil(DISTANCE_GROUPS).max(1)).collect();
         let run = |group: &[(usize, &[usize])]| self.tile_distances(group);
@@ -381,47 +399,14 @@ impl GradientBatch {
             .collect()
     }
 
-    /// Raw per-pair partial squared distances over the column range `cols`:
-    /// entry `(i, j)` is `Σ_{c ∈ cols} (row_i[c] − row_j[c])²`.
-    ///
-    /// This is the sharded half of the distance decomposition: squared L2
-    /// distances are sums over disjoint coordinate ranges, so accumulating
-    /// one partial matrix per shard (in fixed shard order — see
-    /// [`DistanceMatrix::accumulate`]) reproduces the full-dimension matrix
-    /// exactly, up to floating-point reassociation. Unlike
-    /// [`GradientBatch::pairwise_squared_distances`] the partials are *raw*:
-    /// non-finite sums are left in place (they stay non-finite through any
-    /// accumulation) and the caller maps them to `+∞` once, after the
-    /// cross-shard reduce, via [`DistanceMatrix::map_non_finite_to_infinity`].
-    ///
-    /// The kernel is column-blocked (all pairs revisit one L2-resident tile
-    /// before moving on) with a sixteen-lane inner loop, and deliberately
-    /// sequential: the sharded aggregator parallelises across shards, and a
-    /// deterministic per-shard kernel is what makes the round bit-identical
-    /// under any thread count.
+    /// Raw per-pair partial squared distances over the column range `cols`
+    /// of every row: [`BatchColumns::distance_partials`] with no row list.
     ///
     /// # Panics
     ///
     /// Panics when `cols` is not contained in `0..self.dim()`.
     pub fn pairwise_squared_distance_partials(&self, cols: Range<usize>) -> DistanceMatrix {
-        self.check_cols(&cols);
-        let n = self.n;
-        let pair_count = n.saturating_sub(1) * n / 2;
-        let mut data = vec![0.0f32; pair_count];
-        let mut start = cols.start;
-        while start < cols.end {
-            let end = (start + DISTANCE_BLOCK).min(cols.end);
-            let mut p = 0usize;
-            for i in 0..n {
-                let a = &self.row(i)[start..end];
-                for j in (i + 1)..n {
-                    data[p] += ops::squared_distance_wide(a, &self.row(j)[start..end]);
-                    p += 1;
-                }
-            }
-            start = end;
-        }
-        DistanceMatrix { n, data }
+        self.columns(cols).distance_partials(None)
     }
 
     /// A view of the column range `cols`, exposing the same fused coordinate
@@ -1246,15 +1231,16 @@ impl BatchColumns<'_> {
     }
 
     /// NaN-skipping coordinate-wise mean over these columns, written into
-    /// `out`.
+    /// `out`; `rows` optionally restricts it to a row subset.
     ///
     /// # Errors
     ///
     /// Same conditions as [`GradientBatch::coordinate_nan_mean`], plus
+    /// [`TensorError::IndexOutOfBounds`] for an invalid row index and
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
-    pub fn nan_mean_into(&self, out: &mut [f32]) -> Result<()> {
+    pub fn nan_mean_into(&self, rows: Option<&[usize]>, out: &mut [f32]) -> Result<()> {
         self.check_out(out)?;
-        self.batch.mean_blocks(None, true, "coordinate_nan_mean", self.cols.clone(), out)
+        self.batch.mean_blocks(rows, true, "coordinate_nan_mean", self.cols.clone(), out)
     }
 
     /// NaN-tolerant coordinate-wise median over these columns, written into
@@ -1270,20 +1256,23 @@ impl BatchColumns<'_> {
         self.batch.order_statistic(OrderStatistic::Median, rows, self.cols.clone(), out)
     }
 
-    /// Coordinate-wise trimmed mean over these columns, written into `out`.
+    /// Coordinate-wise trimmed mean over these columns, written into `out`;
+    /// `rows` optionally restricts it to a row subset.
     ///
     /// # Errors
     ///
     /// Same conditions as [`GradientBatch::coordinate_trimmed_mean`], plus
+    /// [`TensorError::IndexOutOfBounds`] for an invalid row index and
     /// [`TensorError::DimensionMismatch`] on a mis-sized `out`.
-    pub fn trimmed_mean_into(&self, trim: usize, out: &mut [f32]) -> Result<()> {
+    pub fn trimmed_mean_into(
+        &self,
+        rows: Option<&[usize]>,
+        trim: usize,
+        out: &mut [f32],
+    ) -> Result<()> {
         self.check_out(out)?;
-        self.batch.order_statistic(
-            OrderStatistic::TrimmedMean { trim },
-            None,
-            self.cols.clone(),
-            out,
-        )
+        let rule = OrderStatistic::TrimmedMean { trim };
+        self.batch.order_statistic(rule, rows, self.cols.clone(), out)
     }
 
     /// Mean of the `keep` values closest to the coordinate-wise median, over
@@ -1306,10 +1295,51 @@ impl BatchColumns<'_> {
         self.batch.order_statistic(rule, rows, self.cols.clone(), out)
     }
 
-    /// Raw per-pair partial squared distances over these columns (see
-    /// [`GradientBatch::pairwise_squared_distance_partials`]).
-    pub fn distance_partials(&self) -> DistanceMatrix {
-        self.batch.pairwise_squared_distance_partials(self.cols.clone())
+    /// Raw per-pair partial squared distances over these columns, of `rows`
+    /// (every row when `None`): entry `(a, b)` is
+    /// `Σ_{c ∈ cols} (row_a[c] − row_b[c])²` for the `a`-th and `b`-th row of
+    /// the list, read where they sit in the arena.
+    ///
+    /// This is the sharded half of the distance decomposition: squared L2
+    /// distances are sums over disjoint coordinate ranges, so accumulating
+    /// one partial matrix per shard (in fixed shard order — see
+    /// [`DistanceMatrix::accumulate`]) reproduces the full-dimension matrix
+    /// exactly, up to floating-point reassociation. Unlike
+    /// [`GradientBatch::pairwise_squared_distances`] the partials are *raw*:
+    /// non-finite sums are left in place (they stay non-finite through any
+    /// accumulation) and the caller maps them to `+∞` once, after the
+    /// cross-shard reduce, via [`DistanceMatrix::map_non_finite_to_infinity`].
+    ///
+    /// The kernel is column-blocked (all pairs revisit one L2-resident tile
+    /// before moving on) with a sixteen-lane inner loop, and deliberately
+    /// sequential: the sharded aggregator parallelises across shards, and a
+    /// deterministic per-shard kernel is what makes the round bit-identical
+    /// under any thread count. A pair's bits depend only on its two rows, so
+    /// the partials over a row list equal those of the rows copied into a
+    /// batch of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row id is out of range.
+    pub fn distance_partials(&self, rows: Option<&[usize]>) -> DistanceMatrix {
+        let batch = self.batch;
+        let n = rows.map_or(batch.n, <[usize]>::len);
+        let row = |k: usize| batch.row(rows.map_or(k, |rows| rows[k]));
+        let mut data = vec![0.0f32; n.saturating_sub(1) * n / 2];
+        let mut start = self.cols.start;
+        while start < self.cols.end {
+            let end = (start + DISTANCE_BLOCK).min(self.cols.end);
+            let mut p = 0usize;
+            for a in 0..n {
+                let x = &row(a)[start..end];
+                for b in (a + 1)..n {
+                    data[p] += ops::squared_distance_wide(x, &row(b)[start..end]);
+                    p += 1;
+                }
+            }
+            start = end;
+        }
+        DistanceMatrix { n, data }
     }
 }
 
@@ -1715,14 +1745,17 @@ mod tests {
         let full = b.coordinate_mean().unwrap();
         assert_eq!(collect(&view, |out| view.mean_into(None, out)), &full.as_slice()[cols.clone()]);
         let full = b.coordinate_nan_mean().unwrap();
-        assert_eq!(collect(&view, |out| view.nan_mean_into(out)), &full.as_slice()[cols.clone()]);
+        assert_eq!(
+            collect(&view, |out| view.nan_mean_into(None, out)),
+            &full.as_slice()[cols.clone()]
+        );
         let full = b.coordinate_median().unwrap();
         assert_eq!(
             collect(&view, |out| view.median_into(None, out)),
             &full.as_slice()[cols.clone()]
         );
         let full = b.coordinate_trimmed_mean(1).unwrap();
-        let trimmed = collect(&view, |out| view.trimmed_mean_into(1, out));
+        let trimmed = collect(&view, |out| view.trimmed_mean_into(None, 1, out));
         assert_eq!(trimmed, &full.as_slice()[cols.clone()]);
         let full = b.mean_around_median(2).unwrap();
         let around = collect(&view, |out| view.mean_around_median_into(None, 2, out));
@@ -1752,7 +1785,7 @@ mod tests {
             let plan = crate::ShardPlan::new(d, shards).unwrap();
             let mut acc = DistanceMatrix::zeros(n);
             for range in plan.ranges() {
-                acc.accumulate(&b.columns(range).distance_partials());
+                acc.accumulate(&b.columns(range).distance_partials(None));
             }
             acc.map_non_finite_to_infinity();
             for i in 0..n {
@@ -1774,7 +1807,7 @@ mod tests {
         let plan = crate::ShardPlan::new(3, 3).unwrap();
         let mut acc = DistanceMatrix::zeros(3);
         for range in plan.ranges() {
-            acc.accumulate(&b.columns(range).distance_partials());
+            acc.accumulate(&b.columns(range).distance_partials(None));
         }
         acc.map_non_finite_to_infinity();
         assert_eq!(acc.get(0, 1), f32::INFINITY);

@@ -10,7 +10,7 @@
 //! The training engine does not use it: its arrivals are simulated, every
 //! row is in the arena before the quorum cut, and folding there only ran the
 //! distance work serially, so the engine takes the parallel batch pass over
-//! the compacted rows. The benchmark's trace replay still drives the fold,
+//! the accepted rows. The benchmark's trace replay still drives the fold,
 //! which is why it stays, pinned to the batch kernels as below.
 //!
 //! [`StreamingDistances`] holds the per-pair running state between row

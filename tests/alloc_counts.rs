@@ -27,7 +27,13 @@
 //!   the allocations of a run of `WARM + MEASURED` rounds minus those of a
 //!   run of `WARM` rounds (same seed, so the first rounds are the same),
 //!   over `MEASURED`. Printed (`--nocapture`); the `gar19_bulyan` and
-//!   `wire19_lossy` ones are bounded.
+//!   `wire19_lossy` ones are bounded, and an `elastic_tree256` round
+//!   allocates less than one row per worker (256 rows of its d = 4138): the
+//!   rules read the accepted rows where they landed in the arena, so no tree
+//!   group copies its 32 members into a batch of its own.
+//! * **Counts that reproduce.** Two runs of one shape allocate the same
+//!   calls and bytes, at thread budget 1 and at thread budget 2: no parallel
+//!   region allocates by how its work fell to the threads.
 
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind, TreeConfig};
@@ -112,6 +118,13 @@ const ROW_BYTES: usize = 102_538 * 4;
 
 /// The n × d gradient arena of the n = 19 shapes.
 const ARENA_BYTES: usize = 19 * ROW_BYTES;
+
+/// One gradient of `elastic_tree256`'s MLP (d = 32·96 + 96 + 96·10 + 10).
+const TREE_ROW_BYTES: usize = 4_138 * 4;
+
+/// The five benchmark shapes.
+const SHAPES: [&str; 5] =
+    ["paper19", "gar19_bulyan", "wire19_lossy", "stream19_sharded", "elastic_tree256"];
 
 /// The benchmark's workload of this name, for `rounds` rounds, with one
 /// evaluation before the first round and one after the last.
@@ -262,7 +275,7 @@ fn engine_allocations() {
     println!("wire19_lossy alloc.new_kept_bytes {kept} alloc.new_kept_rows_over_arena {rows:.1}");
     assert!(rows < 4.0, "a wire19_lossy engine keeps {rows:.1} rows past its data and arena");
 
-    for name in ["paper19", "gar19_bulyan", "wire19_lossy", "stream19_sharded", "elastic_tree256"] {
+    for name in SHAPES {
         let (warm_calls, warm_bytes) = run_counts(workload(name, WARM));
         let (calls, bytes) = run_counts(workload(name, WARM + MEASURED));
         let per_round = |total: usize, warm: usize| (total - warm) as f64 / MEASURED as f64;
@@ -272,6 +285,19 @@ fn engine_allocations() {
         if name == "gar19_bulyan" || name == "wire19_lossy" {
             let rows = bytes_per_round / ROW_BYTES as f64;
             assert!(rows < 4.0, "a {name} round allocates {rows:.1} rows");
+        }
+        if name == "elastic_tree256" {
+            let rows = bytes_per_round / TREE_ROW_BYTES as f64;
+            assert!(rows < 256.0, "an {name} round allocates {rows:.0} rows");
+        }
+    }
+
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for name in SHAPES {
+            let runs = [(); 2].map(|()| pool.install(|| run_counts(workload(name, WARM))));
+            println!("{name} alloc.run_counts_at_{threads}_threads {:?}", runs[0]);
+            assert_eq!(runs[0], runs[1], "two {name} runs at {threads} threads allocate apart");
         }
     }
 }

@@ -15,10 +15,11 @@
 //!   simulated time pays for the retries).
 //! * **Recovery exhausted ≡ a transport loss.** A worker partitioned past
 //!   its retry budget degrades exactly like a quorum straggler: the row is
-//!   compacted away and the `n − f` round aggregates the same survivor set.
+//!   left out of the accepted slots and the `n − f` round aggregates the
+//!   same survivor set.
 //!
-//! The engine has one round pipeline (the batch distance kernel on the
-//! compacted rows), so each training-loop contract runs once per
+//! The engine has one round pipeline (the batch distance kernel over the
+//! accepted rows), so each training-loop contract runs once per
 //! configuration.
 
 use agg_core::{GarConfig, GarKind};
