@@ -416,9 +416,9 @@ pub fn affinity_sample_indices(seed: u64, dimension: usize, max_coords: usize) -
 /// gather, one contiguous block of 32 sketches per item (each sampled
 /// coordinate is a cache miss of its own, so the gather costs more than its
 /// element count says), and the pairs, the triangle in `(i, j)` order cut
-/// into two halves of equal pair count. A pair's test
-/// depends only on its two sketches and the edges are joined in `(i, j)`
-/// order, so the flags are bit-deterministic under any thread schedule.
+/// into two halves of equal pair count. A pair's test depends only on its
+/// two sketches and the edges are joined in `(i, j)` order, so the flags
+/// are bit-deterministic under any thread schedule.
 pub fn collusion_flags(
     rows: &[Option<&[f32]>],
     sample: &[usize],
@@ -508,14 +508,14 @@ pub fn collusion_flags(
         }
     }
     let mut component_size = vec![0usize; n];
-    for (i, row) in rows.iter().enumerate() {
-        if row.is_some() {
+    for (i, sketch) in sketches.iter().enumerate() {
+        if sketch.is_some() {
             let root = find(&mut parent, i);
             component_size[root] += 1;
         }
     }
     (0..n)
-        .map(|i| rows[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
+        .map(|i| sketches[i].is_some() && component_size[find(&mut parent, i)] >= min_cluster)
         .collect()
 }
 
