@@ -401,6 +401,19 @@ mod tests {
     }
 
     #[test]
+    fn a_round_refuses_an_empty_row_list_and_ids_past_the_arena() {
+        let batch = GradientBatch::from_vectors(&[Vector::zeros(2), Vector::zeros(2)]).unwrap();
+        let rule = crate::GarConfig::new(crate::GarKind::Average, 0);
+        assert_eq!(
+            rule.round_over(&batch, &[], None),
+            Err(AggregationError::NoGradients("average"))
+        );
+        let past = TensorError::IndexOutOfBounds { index: 2, size: 2 };
+        assert_eq!(rule.round_over(&batch, &[1, 2], None), Err(past.into()));
+        assert!(rule.round_over(&batch, &[1], None).is_ok());
+    }
+
+    #[test]
     fn validate_batch_accepts_consistent_input() {
         let gs = vec![Vector::zeros(3), Vector::zeros(3)];
         assert_eq!(validate_batch("test", &gs).unwrap(), 3);
