@@ -208,22 +208,41 @@ pub trait Gar: Send + Sync + fmt::Debug {
         self.selected_rows_over(batch, &all_rows(batch), distances)
     }
 
-    /// One round over the arena rows `rows`: [`Gar::selected_rows_over`],
-    /// then [`Gar::reduce`] over the rule's [`Gar::column_plan`].
+    /// One round over the arena rows `rows`, its aggregate written into
+    /// `out` (`out.len() == batch.dim()`, zeroed first):
+    /// [`Gar::selected_rows_over`], then [`Gar::reduce`] over the rule's
+    /// [`Gar::column_plan`]. Returns the selection.
     ///
     /// # Errors
     ///
     /// The errors of [`Gar::selected_rows_over`] and [`Gar::reduce`].
+    fn round_into(
+        &self,
+        batch: &GradientBatch,
+        rows: &[usize],
+        distances: Option<&DistanceMatrix>,
+        out: &mut [f32],
+    ) -> Result<Option<Vec<usize>>> {
+        let selection = self.selected_rows_over(batch, rows, distances)?;
+        out.fill(0.0);
+        let plan = self.column_plan(batch.dim());
+        self.reduce(batch, rows, selection.as_deref(), &plan, out)?;
+        Ok(selection)
+    }
+
+    /// [`Gar::round_into`] a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Gar::round_into`].
     fn round_over(
         &self,
         batch: &GradientBatch,
         rows: &[usize],
         distances: Option<&DistanceMatrix>,
     ) -> Result<GarRound> {
-        let selection = self.selected_rows_over(batch, rows, distances)?;
         let mut out = vec![0.0f32; batch.dim()];
-        let plan = self.column_plan(batch.dim());
-        self.reduce(batch, rows, selection.as_deref(), &plan, &mut out)?;
+        let selection = self.round_into(batch, rows, distances, &mut out)?;
         Ok(GarRound { aggregate: Vector::from(out), selection })
     }
 

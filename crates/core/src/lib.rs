@@ -66,7 +66,9 @@ pub use error::AggregationError;
 pub use gar::{Gar, GarRound, Resilience};
 pub use registry::{GarConfig, GarKind, GarWork};
 pub use sharded::ShardedAggregator;
-pub use tree::{GroupOutput, TreeAggregator, TreeConfig, TreeRound};
+pub use tree::{
+    group_stage, root_feedback, root_round, GroupOutput, TreeAggregator, TreeConfig, TreeRound,
+};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AggregationError>;

@@ -440,7 +440,10 @@ mod tests {
         // with the brute-force evaluation — count the groups whose size
         // clears the group floor, compare against the root floor — for
         // every level-rule combination the tree tier supports, including
-        // f = 0 groups. Never a panic, never an under-count.
+        // f = 0 groups. Never a panic, never an under-count. g = n is the
+        // flat roster: one group, which under the identity root (an f = 0
+        // average, `TreeConfig::one_group`) must seat every rule exactly
+        // at its flat floor.
         let combos = [
             (GarKind::MultiKrum, 4usize, GarKind::MultiKrum, 2usize),
             (GarKind::MultiKrum, 0, GarKind::MultiKrum, 0),
@@ -450,7 +453,18 @@ mod tests {
             (GarKind::Average, 0, GarKind::Average, 0),
         ];
         for n in 1..=128usize {
-            for g in [1usize, 4, 8, 17, 32] {
+            for kind in GarKind::ALL {
+                for f in 0..=n {
+                    let one_group = crate::TreeConfig::one_group(crate::GarConfig::new(kind, f), n);
+                    assert_eq!(
+                        one_group.check([n]).is_ok(),
+                        n >= resilience_floor(kind, f),
+                        "one group of n={n}: {kind} f={f}"
+                    );
+                    assert_eq!(one_group.composed_max_f(), f, "the identity root adds no budget");
+                }
+            }
+            for g in [1usize, 4, 8, 17, 32, n] {
                 let group_count = n.div_ceil(g);
                 let sizes: Vec<usize> = (0..group_count)
                     .map(|k| if (k + 1) * g <= n { g } else { n - k * g })

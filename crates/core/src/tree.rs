@@ -9,13 +9,21 @@
 //! ([`agg_tensor::GroupPlan`]), run the group GAR on each group's rows —
 //! every group reuses the existing arena + selection-network kernels exactly
 //! at their sweet spot, reading its members' rows where they sit in the one
-//! submission arena ([`Gar::round_over`] over the member ids; no group
+//! submission arena ([`Gar::round_into`] over the member ids; no group
 //! copies its rows into a batch of its own) — and run the root GAR over the
 //! `⌈n/g⌉` group outputs:
 //!
 //! ```text
 //! O(n²·d)  →  O(n·g·d + (n/g)²·d)
 //! ```
+//!
+//! A round has one shape, three functions over two arenas: [`group_stage`]
+//! writes every group's aggregate into that group's row of a group-output
+//! arena, [`root_feedback`] reads the root's selection over those rows, and
+//! [`root_round`] reduces the rows that reached the root where they sit.
+//! The flat round is the same shape with one group of the flat rule under
+//! the identity root ([`TreeConfig::one_group`]); [`TreeAggregator`] is the
+//! whole tree as one [`Gar`].
 //!
 //! Resilience composes by capture counting
 //! ([`crate::resilience::composed_max_f`]): the adversary needs
@@ -76,6 +84,17 @@ impl TreeConfig {
         }
     }
 
+    /// The flat round over `workers` as the one-group tree: `gar` in the
+    /// one group, under the identity root. The identity passes its one
+    /// output straight through, so it is read here as an f = 0 average: a
+    /// floor of one output, and no budget of its own — [`TreeConfig::check`]
+    /// holds iff the group seats `gar`, and [`TreeConfig::composed_max_f`]
+    /// is `gar.f`. It describes the round's floor and budget; no root rule
+    /// runs.
+    pub fn one_group(gar: GarConfig, workers: usize) -> Self {
+        TreeConfig { group: gar, root: GarConfig::new(GarKind::Average, 0), group_size: workers }
+    }
+
     /// The composed Byzantine tolerance
     /// `(f_group + 1)(f_root + 1) − 1` of this tree
     /// ([`resilience::composed_max_f`]).
@@ -106,16 +125,18 @@ impl TreeConfig {
     }
 }
 
-/// One contributing group's aggregation result.
+/// One contributing group's aggregation result. `O` is where the group's
+/// aggregate is: an owned [`Vector`], or `()` when [`group_stage`] wrote it
+/// into row `group` of the round's group-output arena.
 #[derive(Debug, Clone)]
-pub struct GroupOutput {
+pub struct GroupOutput<O = Vector> {
     /// Group id in the [`GroupPlan`].
     pub group: usize,
     /// The arena row ids the group reduced, in the order of the round's row
     /// list (ascending when that list is).
     pub members: Vec<usize>,
     /// The group GAR's aggregate over those rows.
-    pub output: Vector,
+    pub output: O,
     /// The arena rows the group rule's selection phase kept — the subset of
     /// `members` that reached `output` — or `None` when the group rule has
     /// no selection phase (every member contributed).
@@ -126,14 +147,14 @@ pub struct GroupOutput {
 /// ascending group order) plus the groups that were excluded for sitting
 /// below the group rule's resilience floor.
 #[derive(Debug, Clone)]
-pub struct TreeRound {
+pub struct TreeRound<O = Vector> {
     /// Contributing groups, ascending by group id.
-    pub outputs: Vec<GroupOutput>,
+    pub outputs: Vec<GroupOutput<O>>,
     /// `(group id, live member count)` of every excluded group.
     pub skipped: Vec<(usize, usize)>,
 }
 
-impl TreeRound {
+impl<O> TreeRound<O> {
     /// The live size of every group the round saw, contributing or excluded
     /// — what [`TreeConfig::check`] judges the round by.
     pub fn group_sizes(&self) -> impl Iterator<Item = usize> + '_ {
@@ -142,6 +163,163 @@ impl TreeRound {
             .map(|group| group.members.len())
             .chain(self.skipped.iter().map(|&(_, size)| size))
     }
+}
+
+/// The group stage of a round over the arena rows `rows`, `groups[k]` being
+/// the group id of row `rows[k]`: every group whose member count clears
+/// `floor` is reduced by `rule` — one [`Gar::round_into`] over its member
+/// ids, read where they sit in `batch`, written into row `group` of
+/// `outputs` (in parallel over groups, results in ascending group order);
+/// undersized groups are excluded and reported, never panicked over. Group
+/// ids need not be dense: rows of evicted groups simply never appear.
+///
+/// The flat round is this stage with one group and the server's own rule
+/// (its sharded form above one shard); a tree's groups run the group rule.
+/// Every output row carries its group's selection ([`GroupOutput::kept`],
+/// as arena ids), so the round holds its own selection feedback
+/// ([`root_feedback`]).
+///
+/// # Errors
+///
+/// Returns [`AggregationError`] when the row list is empty or names a row
+/// past the arena, the group assignment does not match it, a group id has
+/// no row in `outputs`, or a group's aggregation fails for a reason other
+/// than its size (e.g. all rows non-finite).
+pub fn group_stage(
+    rule: &dyn Gar,
+    floor: usize,
+    batch: &GradientBatch,
+    rows: &[usize],
+    groups: &[usize],
+    outputs: &mut GradientBatch,
+) -> Result<TreeRound<()>> {
+    ensure_rows(rule.name(), batch, rows)?;
+    let invalid = |message: String| AggregationError::InvalidArgument {
+        rule: rule.name().to_string(),
+        message,
+    };
+    if groups.len() != rows.len() {
+        return Err(invalid(format!(
+            "group assignment covers {} rows but the round has {}",
+            groups.len(),
+            rows.len()
+        )));
+    }
+    let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (&row, &gid) in rows.iter().zip(groups) {
+        buckets.entry(gid).or_default().push(row);
+    }
+    let mut slots = outputs.rows_mut();
+    let mut skipped = Vec::new();
+    let mut contributing = Vec::new();
+    for (gid, members) in buckets {
+        if members.len() < floor {
+            skipped.push((gid, members.len()));
+            continue;
+        }
+        let row = slots.get_mut(gid).map(std::mem::take);
+        let row = row.ok_or_else(|| invalid(format!("group {gid} has no output row")))?;
+        contributing.push((gid, members, row));
+    }
+    let aggregate_group = |(group, members, row): (usize, Vec<usize>, &mut [f32])| {
+        let kept = rule.round_into(batch, &members, None, row)?;
+        Ok(GroupOutput { group, members, output: (), kept })
+    };
+    let total_work = rows.len().saturating_mul(batch.dim());
+    let results: Vec<Result<GroupOutput<()>>> =
+        if contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
+            contributing.into_par_iter().map(aggregate_group).collect()
+        } else {
+            contributing.into_iter().map(aggregate_group).collect()
+        };
+    let outputs = results.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(TreeRound { outputs, skipped })
+}
+
+/// The root's selection feedback for a round whose group stage ran: the
+/// arena row ids that reached the update, ascending — a row is "selected"
+/// iff the root rule's selection phase picks its group's output AND the
+/// group rule's own selection kept the row ([`GroupOutput::kept`]; every
+/// member counts when the group rule has no selection phase, e.g. Median
+/// groups) — or `None` when the root has no selection phase. The second
+/// condition matters for attribution: a root-selected group may itself have
+/// excluded an outlier member, and that member did not touch the update.
+/// `output_rows[k]` is the row of `outputs` holding `round.outputs[k]`'s
+/// aggregate, ascending. With no root rule (`None`: the identity over the
+/// one group of the flat round) the feedback is that group's own
+/// selection, in the rule's order.
+///
+/// The root selection runs over *every* group output of the round, although
+/// the root rule only sees the outputs that survive their group→root legs:
+/// a group whose output was dropped on the wire can still be credited. That
+/// is the behaviour the committed digests pin; aligning the feedback with
+/// the delivered set moves the ledger's evidence and is scheduled with
+/// ROADMAP item 10, the one change that re-pins the digests.
+///
+/// # Errors
+///
+/// The root rule's selection errors over `output_rows`.
+pub fn root_feedback<O>(
+    root: Option<GarConfig>,
+    round: &TreeRound<O>,
+    outputs: &GradientBatch,
+    output_rows: &[usize],
+) -> Result<Option<Vec<usize>>> {
+    let Some(root) = root else {
+        return Ok(round.outputs.first().and_then(|group| group.kept.clone()));
+    };
+    if !root.selects() {
+        return Ok(None);
+    }
+    let picked = root.selected_rows_over(outputs, output_rows, None)?.expect("the root selects");
+    let mut rows: Vec<usize> = Vec::new();
+    for row in picked {
+        let group = &round.outputs[output_rows.partition_point(|&r| r < row)];
+        rows.extend(group.kept.as_ref().unwrap_or(&group.members));
+    }
+    rows.sort_unstable();
+    Ok(Some(rows))
+}
+
+/// The root rule over the group outputs in the rows `delivered` of
+/// `outputs`, the ones that survived their group→root legs, read where they
+/// sit and reduced into `out` (`out.len() == outputs.dim()`), so an output
+/// lost on the wire degrades exactly like an excluded group.
+///
+/// # Errors
+///
+/// Returns [`AggregationError::NotEnoughWorkers`] (naming the root rule)
+/// when fewer outputs remain than the root floor, plus any root-rule
+/// aggregation error.
+pub fn root_round(
+    root: GarConfig,
+    outputs: &GradientBatch,
+    delivered: &[usize],
+    out: &mut [f32],
+) -> Result<()> {
+    let required = resilience::resilience_floor(root.kind, root.f);
+    if delivered.len() < required {
+        return Err(AggregationError::NotEnoughWorkers {
+            rule: root.kind.name(),
+            f: root.f,
+            required,
+            actual: delivered.len(),
+        });
+    }
+    root.round_into(outputs, delivered, None, out)?;
+    Ok(())
+}
+
+/// `vectors` packed into an arena of their own, one row each.
+fn packed<'a>(
+    dim: usize,
+    vectors: impl ExactSizeIterator<Item = &'a Vector>,
+) -> Result<GradientBatch> {
+    let mut batch = GradientBatch::with_capacity(dim, vectors.len());
+    for vector in vectors {
+        batch.push_row(vector.as_slice())?;
+    }
+    Ok(batch)
 }
 
 /// A gradient aggregation rule evaluated as a two-level tree over worker
@@ -208,28 +386,6 @@ impl TreeAggregator {
         Ok(GroupPlan::new(workers, self.config.group_size)?)
     }
 
-    /// Buckets the round's arena rows by group (`groups[k]` is the group id
-    /// of row `rows[k]`) into per-group member lists, in row-list order.
-    /// Group ids need not be dense: rows of evicted groups simply never
-    /// appear.
-    fn buckets(&self, rows: &[usize], groups: &[usize]) -> Result<Vec<(usize, Vec<usize>)>> {
-        if groups.len() != rows.len() {
-            return Err(AggregationError::InvalidArgument {
-                rule: self.config.group.name().to_string(),
-                message: format!(
-                    "group assignment covers {} rows but the round has {}",
-                    groups.len(),
-                    rows.len()
-                ),
-            });
-        }
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (&row, &gid) in rows.iter().zip(groups) {
-            buckets.entry(gid).or_default().push(row);
-        }
-        Ok(buckets.into_iter().collect())
-    }
-
     /// [`TreeAggregator::group_outputs_over`] every row of `batch`
     /// (`groups[i]` is the group id of batch row `i`).
     ///
@@ -240,79 +396,48 @@ impl TreeAggregator {
         self.group_outputs_over(batch, &all_rows(batch), groups)
     }
 
-    /// Runs the per-group stage over the arena rows `rows`, `groups[k]`
-    /// being the group id of row `rows[k]`: every group whose live member
-    /// count clears the group rule's resilience floor is aggregated with the
-    /// group GAR (in parallel over groups, results in ascending group
-    /// order); undersized groups are excluded and reported, never panicked
-    /// over.
-    ///
-    /// Each group is one [`Gar::round_over`] of the group rule over its
-    /// member ids, which reads the rows where they sit in the arena and
-    /// returns the aggregate and the selection ([`GroupOutput::kept`], as
-    /// arena ids) together, so the round carries its own selection feedback
-    /// ([`TreeAggregator::selected_rows_of`]).
+    /// [`group_stage`] of the group rule over the arena rows `rows`
+    /// (`groups[k]` is the group id of row `rows[k]`), each group's output
+    /// copied into a vector of its own.
     ///
     /// # Errors
     ///
-    /// Returns [`AggregationError`] when the row list is empty or names a row
-    /// past the arena, the group assignment does not match it, or a group's
-    /// aggregation fails for a reason other than its size (e.g. all rows
-    /// non-finite).
+    /// The errors of [`group_stage`].
     pub fn group_outputs_over(
         &self,
         batch: &GradientBatch,
         rows: &[usize],
         groups: &[usize],
     ) -> Result<TreeRound> {
-        ensure_rows(self.config.group.name(), batch, rows)?;
-        let buckets = self.buckets(rows, groups)?;
+        let mut outputs = GradientBatch::with_capacity(batch.dim(), 0);
+        outputs.resize_rows(groups.iter().max().map_or(0, |&gid| gid + 1));
         let floor = self.config.group_floor();
-        let mut skipped = Vec::new();
-        let mut contributing: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (gid, members) in buckets {
-            if members.len() >= floor {
-                contributing.push((gid, members));
-            } else {
-                skipped.push((gid, members.len()));
-            }
-        }
-        let aggregate_group = |(group, members): (usize, Vec<usize>)| -> Result<GroupOutput> {
-            let round = self.config.group.round_over(batch, &members, None)?;
-            Ok(GroupOutput { group, members, output: round.aggregate, kept: round.selection })
-        };
-        let total_work = rows.len().saturating_mul(batch.dim());
-        let results: Vec<Result<GroupOutput>> =
-            if contributing.len() > 1 && total_work >= PARALLEL_MIN_WORK {
-                contributing.into_par_iter().map(aggregate_group).collect()
-            } else {
-                contributing.into_iter().map(aggregate_group).collect()
-            };
-        let outputs = results.into_iter().collect::<Result<Vec<GroupOutput>>>()?;
-        Ok(TreeRound { outputs, skipped })
+        let round = group_stage(&self.config.group, floor, batch, rows, groups, &mut outputs)?;
+        let outputs = round
+            .outputs
+            .into_iter()
+            .map(|g| GroupOutput {
+                output: outputs.row_vector(g.group),
+                group: g.group,
+                members: g.members,
+                kept: g.kept,
+            })
+            .collect();
+        Ok(TreeRound { outputs, skipped: round.skipped })
     }
 
-    /// Runs the root GAR over already-computed group outputs (the engine
-    /// calls this after carrying each output over its group→root link, so
-    /// outputs lost on the wire degrade exactly like an excluded group).
+    /// [`root_round`] over already-computed group outputs, packed into an
+    /// arena of their own.
     ///
     /// # Errors
     ///
-    /// Returns [`AggregationError::NotEnoughWorkers`] (naming the root rule)
-    /// when fewer outputs remain than the root floor, plus any root-rule
-    /// aggregation error.
+    /// The errors of [`root_round`].
     pub fn root_aggregate(&self, outputs: &[Vector]) -> Result<Vector> {
-        let required = self.config.root_floor();
-        if outputs.len() < required {
-            return Err(AggregationError::NotEnoughWorkers {
-                rule: self.config.root.kind.name(),
-                f: self.config.root.f,
-                required,
-                actual: outputs.len(),
-            });
-        }
-        let batch = GradientBatch::from_vectors(outputs)?;
-        self.config.root.aggregate_batch(&batch)
+        let dim = outputs.first().map_or(0, Vector::len);
+        let batch = packed(dim, outputs.iter())?;
+        let mut update = vec![0.0; dim];
+        root_round(self.config.root, &batch, &all_rows(&batch), &mut update)?;
+        Ok(Vector::from(update))
     }
 
     /// Full tree round over an explicit row→group assignment (`groups[i]` is
@@ -347,26 +472,9 @@ impl TreeAggregator {
         self.root_aggregate(&outputs)
     }
 
-    /// The selection feedback of a round that already ran: the arena row
-    /// ids that contributed to the root rule's selection, ascending
-    /// (`None` for non-selecting root rules). A row is "selected" iff its
-    /// group's output made the root selection AND the group rule's own
-    /// selection phase kept the row ([`GroupOutput::kept`]; all live members
-    /// count when the group rule has no selection phase, e.g. Median
-    /// groups). The second condition matters for attribution: a
-    /// root-selected group may itself have excluded an outlier member, and
-    /// that member did not touch the applied update.
-    ///
-    /// Costs one root selection over `round.outputs` and a union of row
-    /// lists; the group stage is not re-run.
-    ///
-    /// The root selection here runs over *every* group output of the round,
-    /// although the engine's root rule only saw the outputs that survived
-    /// their group→root legs: a group whose output was dropped on the wire
-    /// can still be credited. That is the behaviour the committed digests
-    /// pin; aligning the feedback with the delivered set moves the ledger's
-    /// evidence and is scheduled with ROADMAP item 10, the one change that
-    /// re-pins the digests.
+    /// [`root_feedback`] of the root rule over a round that already ran,
+    /// its outputs packed into an arena of their own (`None` for
+    /// non-selecting root rules). The group stage is not re-run.
     ///
     /// # Errors
     ///
@@ -380,18 +488,8 @@ impl TreeAggregator {
         }
         self.config.check(round.group_sizes())?;
         let dim = round.outputs.first().map_or(0, |group| group.output.len());
-        let mut output_batch = GradientBatch::with_capacity(dim, round.outputs.len());
-        for group in &round.outputs {
-            output_batch.push_row(group.output.as_slice())?;
-        }
-        let picked = root.selected_rows(&output_batch, None)?.expect("the root rule selects");
-        let mut rows: Vec<usize> = Vec::new();
-        for i in picked {
-            let group = &round.outputs[i];
-            rows.extend(group.kept.as_ref().unwrap_or(&group.members));
-        }
-        rows.sort_unstable();
-        Ok(Some(rows))
+        let outputs = packed(dim, round.outputs.iter().map(|group| &group.output))?;
+        root_feedback(Some(root), round, &outputs, &all_rows(&outputs))
     }
 }
 

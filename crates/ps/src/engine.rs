@@ -12,7 +12,7 @@ use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
 use agg_attacks::{Attack, AttackContext, ChurnDirective};
-use agg_core::{resilience, GarConfig, TreeConfig};
+use agg_core::{root_feedback, GarConfig, TreeConfig};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
 use agg_metrics::{TracePoint, TrainingTrace};
@@ -22,7 +22,7 @@ use agg_net::{
 use agg_nn::Sequential;
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::rng::derive_seed;
-use agg_tensor::{GroupPlan, Tensor, Vector};
+use agg_tensor::{GradientBatch, GroupPlan, Tensor, Vector};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -45,10 +45,14 @@ use std::sync::Arc;
 ///    first `quorum` of them accepted;
 /// 4. **ledger** — the round's evidence folds into the suspicion ledger, and
 ///    the tree tier's containment reshuffle runs;
-/// 5. **aggregate** — the flat, sharded or tree rule over the accepted rows,
-///    read where they landed in the arena (the rule runs over the list of
-///    accepted slots; nothing is compacted or copied), the optimizer step,
-///    and the rule's selection;
+/// 5. **aggregate** — one shape for every tier: each group's rule over its
+///    accepted rows, read where they landed in the arena (the rule runs over
+///    the list of accepted slots; nothing is compacted or copied), into its
+///    row of a group-output arena; the root's selection feedback over those
+///    rows; each group → root leg sent in place; the root over the delivered
+///    rows, read in place, and the optimizer step. The flat roster is one
+///    group of the server's rule (sharded above one shard) under the
+///    identity root, which has no leg;
 /// 6. **charge** — the verdict and the round's simulated seconds.
 ///
 /// The report keeps every record ([`TrainingReport::rounds`]) and folds from
@@ -76,9 +80,9 @@ use std::sync::Arc;
 /// adversary's honest mean, the send region and the sharded reduce — each
 /// item writing its own rows or columns in a fixed term order, so their bits
 /// do not depend on the thread budget either. The aggregate stage runs at
-/// most one O(n²·d) distance pass per flat or sharded round — the parallel
-/// batch kernel over the accepted rows — which the rule and the selection
-/// both read.
+/// most one distance pass per group — the parallel batch kernel (or the
+/// sharded partials) over the group's accepted rows — which the rule and the
+/// selection both read.
 #[derive(Debug)]
 pub struct SyncTrainingEngine {
     config: RunnerConfig,
@@ -108,20 +112,27 @@ pub struct SyncTrainingEngine {
     /// With an empty plan it stays at epoch 0 / all-live — static
     /// membership.
     membership: MembershipView,
-    /// The worker-to-group partition of the hierarchical tier; `None` on the
-    /// flat path. Groups are contiguous worker-id ranges of
-    /// `tree.group_size`, the last one ragged when `n` is not divisible.
-    tree_plan: Option<GroupPlan>,
+    /// The worker-to-group partition: contiguous worker-id ranges of
+    /// `tree.group_size` on the tree tier (the last one ragged when `n` is
+    /// not divisible, reshuffled by containment), one group of `n` on the
+    /// flat roster.
+    plan: GroupPlan,
+    /// The round's group-output arena, one row per group, built once: each
+    /// group's rule writes its aggregate into its own row, the group → root
+    /// leg sends that row in place, and the root reads the delivered rows
+    /// where they sit.
+    group_outputs: GradientBatch,
     /// One transport per group for the group-aggregator → root leg of the
-    /// hierarchical round. Groups whose worker range overlaps the degraded
-    /// links inherit the lossy/chaos/retransmit wire (each with its own
-    /// chaos stream past the worker streams); the rest stay reliable.
-    tree_links: Vec<Box<dyn Transport>>,
-    /// Per-group membership epochs of the hierarchical tier: a crash or
-    /// rejoin bumps only the epoch of the group it happened in, so the
-    /// epoch fence stays local — workers in untouched groups are never
-    /// re-stamped. Empty on the flat path, which fences at the global
-    /// view epoch as before.
+    /// tree tier. Groups whose worker range overlaps the degraded links
+    /// inherit the lossy/chaos/retransmit wire (each with its own chaos
+    /// stream past the worker streams); the rest stay reliable. Empty on the
+    /// flat roster, whose identity root reads its one group's row with no
+    /// leg.
+    root_links: Vec<Box<dyn Transport>>,
+    /// Per-group membership epochs of the tree tier: a crash or rejoin bumps
+    /// only the epoch of the group it happened in, so the epoch fence stays
+    /// local — workers in untouched groups are never re-stamped. The flat
+    /// roster fences at the view's epoch instead.
     group_epochs: Vec<u32>,
     /// The cross-round suspicion ledger driving automatic quarantine,
     /// probationary readmission and the tree tier's containment reshuffles.
@@ -138,8 +149,9 @@ struct Aggregation {
     /// The counted kernel seconds of an applied round, or the error that
     /// stopped it (the rule's precondition for a skipped round).
     kernel_sec: Result<f64>,
-    /// The tree tier's slowest group → root leg (0 on the flat tiers): the
-    /// legs run in parallel, and a round skipped at the root still waited.
+    /// The slowest group → root leg: the legs run in parallel, and a round
+    /// skipped at the root still waited. 0 on the flat roster, whose
+    /// identity root has no leg.
     wire_wait: f64,
     /// The rule's selection as slots (`None` for a rule without one).
     selection: Option<Vec<usize>>,
@@ -160,14 +172,11 @@ impl SyncTrainingEngine {
         let eval_batch = test.head_batch(config.eval_samples).map_err(PsError::from)?;
         drop(test);
 
-        // The hierarchical tier partitions the roster into contiguous groups
-        // of `tree.group_size` (validated against the sortnet sweet spot).
-        let tree_plan = match &config.tree {
-            Some(tree) => {
-                Some(GroupPlan::new(config.workers, tree.group_size).map_err(PsError::from)?)
-            }
-            None => None,
-        };
+        // The tree tier partitions the roster into contiguous groups of
+        // `tree.group_size` (validated against the sortnet sweet spot); the
+        // flat roster is one group.
+        let group_size = levels(config.gar, config.tree, config.workers).group_size;
+        let plan = GroupPlan::new(config.workers, group_size).map_err(PsError::from)?;
 
         let mut server = ParameterServer::new(
             model.parameters(),
@@ -204,13 +213,8 @@ impl SyncTrainingEngine {
                 _ => Arc::clone(&clean),
             };
             // Under a replicating rule every member of a group draws the
-            // group's mini-batch: the stream of its lowest worker id (the
-            // flat roster is one group).
-            let stream = match &tree_plan {
-                _ if !replicated => id,
-                Some(plan) => plan.range(plan.group_of(id)).start,
-                None => 0,
-            };
+            // group's mini-batch: the stream of its lowest worker id.
+            let stream = if replicated { plan.range(plan.group_of(id)).start } else { id };
             let sampler = MiniBatchSampler::new(config.batch_size, config.seed, stream as u64)
                 .map_err(PsError::from)?;
             streams.push(stream);
@@ -224,19 +228,18 @@ impl SyncTrainingEngine {
         // worker link (the trailing `lossy_links` ids), so the chaos-afflicted
         // region of the cluster stays contiguous across both levels; each leg
         // draws its chaos from its own stream past the worker streams.
-        let tree_links: Vec<Box<dyn Transport>> = match &tree_plan {
-            Some(plan) => (0..plan.group_count())
-                .map(|gid| {
-                    let degraded =
-                        plan.range(gid).end > config.workers.saturating_sub(config.lossy_links);
-                    let stream = (config.workers + gid) as u64;
-                    Self::build_link(&config, stream, degraded, actual_dimension)
-                })
-                .collect::<Result<_>>()?,
-            None => Vec::new(),
-        };
-        let group_epochs =
-            tree_plan.as_ref().map_or_else(Vec::new, |plan| vec![0; plan.group_count()]);
+        let legs = if config.tree.is_some() { plan.group_count() } else { 0 };
+        let root_links: Vec<Box<dyn Transport>> = (0..legs)
+            .map(|gid| {
+                let degraded =
+                    plan.range(gid).end > config.workers.saturating_sub(config.lossy_links);
+                let stream = (config.workers + gid) as u64;
+                Self::build_link(&config, stream, degraded, actual_dimension)
+            })
+            .collect::<Result<_>>()?;
+        let group_epochs = vec![0; plan.group_count()];
+        let mut group_outputs = GradientBatch::with_capacity(actual_dimension, plan.group_count());
+        group_outputs.resize_rows(plan.group_count());
 
         let pipeline = RoundPipeline::new(actual_dimension, config.workers);
         let membership = MembershipView::new(config.workers);
@@ -259,8 +262,9 @@ impl SyncTrainingEngine {
             actual_dimension,
             pipeline,
             membership,
-            tree_plan,
-            tree_links,
+            plan,
+            group_outputs,
+            root_links,
             group_epochs,
             reputation: ledger,
             affinity_sample,
@@ -478,8 +482,7 @@ impl SyncTrainingEngine {
                 live_sim[candidate] = false;
                 // `+ 1`: the candidate's own quarantine.
                 let f_eff = self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
-                let tree_plan = self.tree_plan.as_ref();
-                if !Self::floor_holds(&self.config, tree_plan, f_eff, |w| live_sim[w]) {
+                if !Self::floor_holds(&self.config, &self.plan, f_eff, |w| live_sim[w]) {
                     live_sim[candidate] = was_live;
                     continue;
                 }
@@ -513,19 +516,17 @@ impl SyncTrainingEngine {
             }
         }
         let transitions = self.membership.apply_round(&plan, step);
-        // Tree mode fences per group: a crash or rejoin bumps only the epoch
-        // of the group it happened in, so view changes never invalidate
-        // in-flight rounds of untouched groups. The flat tier fences at the
-        // view's epoch.
-        if let Some(plan) = &self.tree_plan {
-            for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
-                self.group_epochs[plan.group_of(w)] += 1;
-            }
+        // The tree tier fences per group: a crash or rejoin bumps only the
+        // epoch of the group it happened in, so view changes never
+        // invalidate in-flight rounds of untouched groups. The flat roster
+        // fences at the view's epoch.
+        for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
+            self.group_epochs[self.plan.group_of(w)] += 1;
         }
         for worker in &mut self.workers {
             let id = worker.id();
-            let epoch = match &self.tree_plan {
-                Some(plan) => self.group_epochs[plan.group_of(id)],
+            let epoch = match self.config.tree {
+                Some(_) => self.group_epochs[self.plan.group_of(id)],
                 None => self.membership.epoch(),
             };
             // The server side of every link fences at this worker's epoch.
@@ -545,7 +546,7 @@ impl SyncTrainingEngine {
         let quarantined = self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
         let f_eff = self.config.gar.f.saturating_sub(quarantined);
         let live = |w| self.membership.health(w).is_live();
-        if Self::floor_holds(&self.config, self.tree_plan.as_ref(), f_eff, live) {
+        if Self::floor_holds(&self.config, &self.plan, f_eff, live) {
             return true;
         }
         record.verdict = RoundVerdict::Refused;
@@ -756,120 +757,98 @@ impl SyncTrainingEngine {
         // Epoch-boundary containment reshuffle of the tree tier: re-seat the
         // most-suspect workers into sacrificial groups whose per-level f
         // budget covers them, then bump every group's epoch — a view change
-        // for the whole tier.
-        if cfg.reshuffle_every > 0 && step % cfg.reshuffle_every == 0 {
-            if let Some(plan) = &mut self.tree_plan {
-                let sizes: Vec<usize> = plan.sizes().collect();
-                // Quarantined/crashed slots deliver nothing; the placement
-                // must know, or it will starve a group below its floor by
-                // piling dead seats into it.
-                let live: Vec<bool> =
-                    (0..self.workers.len()).map(|w| self.membership.health(w).is_live()).collect();
-                let next = reputation::containment_assignment(
-                    ledger.scores(),
-                    &live,
-                    &sizes,
-                    cfg.suspect_cutoff,
-                    self.config.seed,
-                    step,
-                );
-                let current: Vec<usize> =
-                    (0..self.workers.len()).map(|w| plan.group_of(w)).collect();
-                if next != current {
-                    plan.set_assignment(next).map_err(PsError::from)?;
-                    for epoch in &mut self.group_epochs {
-                        *epoch += 1;
-                    }
+        // for the whole tier. One group has nothing to re-seat.
+        if cfg.reshuffle_every > 0 && step % cfg.reshuffle_every == 0 && self.plan.group_count() > 1
+        {
+            let plan = &mut self.plan;
+            let sizes: Vec<usize> = plan.sizes().collect();
+            // Quarantined/crashed slots deliver nothing; the placement must
+            // know, or it will starve a group below its floor by piling dead
+            // seats into it.
+            let live: Vec<bool> =
+                (0..self.workers.len()).map(|w| self.membership.health(w).is_live()).collect();
+            let next = reputation::containment_assignment(
+                ledger.scores(),
+                &live,
+                &sizes,
+                cfg.suspect_cutoff,
+                self.config.seed,
+                step,
+            );
+            let current: Vec<usize> = (0..self.workers.len()).map(|w| plan.group_of(w)).collect();
+            if next != current {
+                plan.set_assignment(next).map_err(PsError::from)?;
+                for epoch in &mut self.group_epochs {
+                    *epoch += 1;
                 }
             }
         }
         Ok(())
     }
 
-    /// Aggregate: the round's one entry for the flat, sharded and tree tiers
-    /// over the accepted slots, which are arena row ids — the rule, the
-    /// optimizer step and the selection, all read where the rows landed. An
-    /// error before the tree legs shipped comes back as a round that waited
-    /// for no leg; the charge stage tells a skip from a failure.
+    /// Aggregate: one body for every tier over the accepted slots, which
+    /// are arena row ids. The group stage runs each group's rule over its
+    /// members where they landed, into the group's row of the group-output
+    /// arena; the root's selection feedback is read over those rows; each
+    /// group → root leg sends its row in place over its link (chaos,
+    /// retransmit and all — a dropped output leaves the root one input
+    /// fewer); the root reads the delivered rows in place and the optimizer
+    /// steps. The flat roster is one group under the identity root, with no
+    /// leg. An error before the legs shipped comes back as a round that
+    /// waited for no leg; the charge stage tells a skip from a failure.
     fn aggregate(&mut self, record: &RoundRecord) -> Aggregation {
-        let rows = &record.accepted;
-        // The group id of every accepted row, in row-list order — the tree
-        // tier's counterpart of the distance matrix.
-        let groups: Option<Vec<usize>> = self
-            .tree_plan
-            .as_ref()
-            .map(|plan| rows.iter().map(|&slot| plan.group_of(slot)).collect());
-        let aggregation = match (groups, self.config.tree) {
-            _ if rows.is_empty() => {
-                Err(PsError::Aggregation("no submissions survived the transport".into()))
-            }
-            (Some(groups), Some(tree)) => self.aggregate_tree(record.step, rows, &groups, tree),
-            _ => self.aggregate_flat(rows),
-        };
-        aggregation.unwrap_or_else(|error| Aggregation {
-            kernel_sec: Err(error),
-            wire_wait: 0.0,
-            selection: None,
-        })
+        let mut aggregation = Aggregation { kernel_sec: Ok(0.0), wire_wait: 0.0, selection: None };
+        aggregation.kernel_sec = self.aggregate_rows(record, &mut aggregation);
+        aggregation
     }
 
-    /// The flat and sharded round over the accepted rows: one server round,
-    /// which runs the rule's one distance pass (the parallel batch kernel,
-    /// or the sharded partials) and hands back the aggregate's selection
-    /// with the outcome. The rule is charged the accepted rows over one
-    /// shard's columns: every shard runs on its own node (all columns when
-    /// S = 1).
-    fn aggregate_flat(&mut self, rows: &[usize]) -> Result<Aggregation> {
-        let (_, selection) = self.server.apply_round_over(self.pipeline.arena(), rows, None)?;
-        let node_dim = self.config.cost.effective_dimension(self.actual_dimension);
-        let node_dim = node_dim.div_ceil(self.config.shards);
-        let kernel_sec = CostModel::aggregation_time(self.config.gar, rows.len(), node_dim)?;
-        Ok(Aggregation { kernel_sec: Ok(kernel_sec), wire_wait: 0.0, selection })
-    }
-
-    /// The hierarchical round: the group stage over the accepted rows, each
-    /// group reading its members where they landed, the group outputs
-    /// shipped root-ward over the per-group links (chaos, retransmit and all
-    /// — a dropped output leaves the root one input fewer), then the root
-    /// rule and the optimizer step. The kernel charge is the slowest group
-    /// (the groups run on their own nodes in parallel) plus the root over
-    /// the delivered outputs; the selection is read off the group stage that
-    /// ran, not a second one.
-    fn aggregate_tree(
+    /// [`SyncTrainingEngine::aggregate`]'s body: the counted kernel seconds
+    /// of an applied round, its selection and the slowest leg's wait written
+    /// into `aggregation`. The kernel charge is the slowest group (the
+    /// groups run on their own nodes in parallel, each over one shard's
+    /// columns: all columns when S = 1) plus the root rule over the
+    /// delivered outputs (nothing for the identity).
+    fn aggregate_rows(
         &mut self,
-        step: u64,
-        rows: &[usize],
-        groups: &[usize],
-        tree: TreeConfig,
-    ) -> Result<Aggregation> {
+        record: &RoundRecord,
+        aggregation: &mut Aggregation,
+    ) -> Result<f64> {
+        let rows = &record.accepted;
+        if rows.is_empty() {
+            return Err(PsError::Aggregation("no submissions survived the transport".into()));
+        }
+        let groups: Vec<usize> = rows.iter().map(|&slot| self.plan.group_of(slot)).collect();
+        let (n, dim_scale) = (self.workers.len(), self.dim_scale());
+        let outputs = &mut self.group_outputs;
+        let round = self.server.group_stage(self.pipeline.arena(), rows, &groups, outputs)?;
         let dim = self.config.cost.effective_dimension(self.actual_dimension);
-        let round = self.server.tree_group_outputs_over(self.pipeline.arena(), rows, groups)?;
+        let group_rule = levels(self.config.gar, self.config.tree, n).group;
         let mut group_sec = 0.0f64;
         for group in &round.outputs {
-            let sec = CostModel::aggregation_time(tree.group, group.members.len(), dim)?;
+            let node_dim = dim.div_ceil(self.config.shards);
+            let sec = CostModel::aggregation_time(group_rule, group.members.len(), node_dim)?;
             group_sec = group_sec.max(sec);
         }
-        let (n, dim_scale) = (self.workers.len(), self.dim_scale());
-        let mut wire_wait = 0.0f64;
-        let mut delivered = Vec::with_capacity(round.outputs.len());
-        for output in &round.outputs {
-            let link = &mut self.tree_links[output.group];
-            let outcome = link
-                .transfer((n + output.group) as u32, step, &output.output)
-                .map_err(PsError::from)?;
-            wire_wait = wire_wait.max(outcome.time_sec * dim_scale);
-            delivered.extend(outcome.gradient);
+        let rows: Vec<usize> = round.outputs.iter().map(|output| output.group).collect();
+        let root = self.config.tree.map(|tree| tree.root);
+        let selection = root_feedback(root, &round, outputs, &rows)?;
+        let mut delivered = Vec::with_capacity(rows.len());
+        for group in rows {
+            if let Some(link) = self.root_links.get_mut(group) {
+                let leg =
+                    link.send_in_place((n + group) as u32, record.step, outputs.row_mut(group))?;
+                aggregation.wire_wait = aggregation.wire_wait.max(leg.time_sec * dim_scale);
+                if !leg.delivered {
+                    continue;
+                }
+            }
+            delivered.push(group);
         }
-        let kernel_sec = self
-            .server
-            .apply_round_tree_outputs(&delivered)
-            .and_then(|_| CostModel::aggregation_time(tree.root, delivered.len(), dim))
-            .map(|root_sec| group_sec + root_sec);
-        let selection = match kernel_sec {
-            Ok(_) => self.server.tree_selected_rows_of(&round)?,
-            Err(_) => None,
-        };
-        Ok(Aggregation { kernel_sec, wire_wait, selection })
+        self.server.apply_root(outputs, &delivered)?;
+        let root_sec =
+            root.map_or(Ok(0.0), |root| CostModel::aggregation_time(root, delivered.len(), dim))?;
+        aggregation.selection = selection;
+        Ok(group_sec + root_sec)
     }
 
     /// Charge: the verdict, and the round's seconds beyond the wait — the
@@ -890,28 +869,26 @@ impl SyncTrainingEngine {
         Ok(())
     }
 
-    /// Whether the live set (`live` by worker id) still seats the active
-    /// rule's resilience proof: the composed two-level bound over the live
-    /// partition on the tree tier, `g(f_eff)` live workers on the flat tier.
-    /// `f_eff` is the declared `f` less the slots the ledger holds in
-    /// quarantine, which no longer count against the adversary's budget.
+    /// Whether the live set (`live` by worker id) still seats the round:
+    /// the composed two-level bound of the run's [`levels`] over the live
+    /// size of every group of `plan`. Only the flat roster — the one group
+    /// under the identity root — discounts quarantined slots: its rule is
+    /// judged at `f_eff`, the declared `f` less the slots the ledger holds
+    /// in quarantine, which no longer count against the adversary's budget.
+    /// A tree's groups keep their declared budget, so a tree can refuse a
+    /// live set the same rule would seat flat.
     fn floor_holds(
         config: &RunnerConfig,
-        tree_plan: Option<&GroupPlan>,
+        plan: &GroupPlan,
         f_eff: usize,
         live: impl Fn(usize) -> bool,
     ) -> bool {
-        let live_workers = (0..config.workers).filter(|&w| live(w));
-        match (tree_plan, &config.tree) {
-            (Some(plan), Some(tree)) => {
-                let mut live_sizes = vec![0usize; plan.group_count()];
-                for w in live_workers {
-                    live_sizes[plan.group_of(w)] += 1;
-                }
-                tree.check(live_sizes).is_ok()
-            }
-            _ => live_workers.count() >= resilience::resilience_floor(config.gar.kind, f_eff),
+        let mut live_sizes = vec![0usize; plan.group_count()];
+        for w in (0..config.workers).filter(|&w| live(w)) {
+            live_sizes[plan.group_of(w)] += 1;
         }
+        let flat = GarConfig { f: f_eff, ..config.gar };
+        levels(flat, config.tree, config.workers).check(live_sizes).is_ok()
     }
 
     /// Evaluates test accuracy at the current parameters and records a trace
@@ -933,11 +910,19 @@ impl SyncTrainingEngine {
     }
 }
 
-/// What the run tolerates: the flat rule's declared `f`, or the composed
-/// bound `(f_group + 1)(f_root + 1) − 1` of the tree tier. Quorum accounting
-/// and the adversary's declared-f knowledge both see this figure.
+/// The round's two levels: `tree`, or the flat rule `gar` over `workers`
+/// as the one-group tree under the identity root
+/// ([`TreeConfig::one_group`]).
+fn levels(gar: GarConfig, tree: Option<TreeConfig>, workers: usize) -> TreeConfig {
+    tree.unwrap_or(TreeConfig::one_group(gar, workers))
+}
+
+/// What the run tolerates: the composed bound `(f_group + 1)(f_root + 1) − 1`
+/// of its levels, which is the flat rule's declared `f` under the identity
+/// root. Quorum accounting and the adversary's declared-f knowledge both see
+/// this figure.
 fn declared_f(config: &RunnerConfig) -> usize {
-    config.tree.map_or(config.gar.f, |tree| tree.composed_max_f())
+    levels(config.gar, config.tree, config.workers).composed_max_f()
 }
 
 /// Whether worker `id`'s link is one of the last `lossy_links`, the ones the
@@ -1472,6 +1457,30 @@ mod tests {
         expected[3..6].fill(RoundVerdict::Refused);
         expected[6] = RoundVerdict::Skipped;
         assert_eq!(verdicts, expected);
+    }
+
+    #[test]
+    fn only_the_flat_roster_discounts_quarantined_slots() {
+        // Worker 6 is quarantined: the ledger's count lowers `f_eff` by one.
+        let live = |w: usize| w != 6;
+        // Flat Multi-Krum f = 2 over 7 workers sits at its floor 2f + 3 = 7:
+        // six live workers seat the rule at f_eff = 1 (floor 5), not at 2.
+        let flat = quick_config(GarKind::MultiKrum, 2, 7);
+        let one_group = GroupPlan::new(7, 7).unwrap();
+        assert!(SyncTrainingEngine::floor_holds(&flat, &one_group, 2, |_| true));
+        assert!(!SyncTrainingEngine::floor_holds(&flat, &one_group, 2, live));
+        assert!(SyncTrainingEngine::floor_holds(&flat, &one_group, 1, live));
+        // Multi-Krum f = 1 groups of 5 (floor 5) under a Multi-Krum f = 0
+        // root (3 groups) over 15 workers: the quarantined slot leaves group
+        // 1 four live members, and no discount seats it — the tree keeps its
+        // declared group budget.
+        let mut tree = quick_config(GarKind::MultiKrum, 0, 15);
+        tree.tree = Some(TreeConfig::uniform(GarKind::MultiKrum, 1, 0, 5));
+        let groups = GroupPlan::new(15, 5).unwrap();
+        for f_eff in [1, 0] {
+            assert!(SyncTrainingEngine::floor_holds(&tree, &groups, f_eff, |_| true));
+            assert!(!SyncTrainingEngine::floor_holds(&tree, &groups, f_eff, live));
+        }
     }
 
     #[test]

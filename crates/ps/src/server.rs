@@ -10,7 +10,8 @@
 
 use crate::{PsError, Result};
 use agg_core::{
-    Gar, GarConfig, GarRound, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound,
+    group_stage, root_round, Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig,
+    TreeRound,
 };
 use agg_nn::optim::{OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
@@ -29,26 +30,35 @@ pub struct RoundOutcome {
 }
 
 /// The synchronous parameter server.
+///
+/// Every round has one shape: a group stage over the submission arena
+/// ([`ParameterServer::group_stage`]), each group's aggregate written into
+/// its row of a group-output arena, then the root over the outputs that
+/// reached it and the optimizer step ([`ParameterServer::apply_root`]). The flat roster is one group running
+/// the server's own rule under the identity root; the tree tier runs its
+/// group rule in every group and its root rule over the outputs.
 #[derive(Debug)]
 pub struct ParameterServer {
     params: Vector,
-    /// The one rule every flat round, its distance pass and its selection
-    /// feedback run: the plain rule at one shard, its [`ShardedAggregator`]
-    /// above. The two are exactly equivalent (global selection over the
-    /// shard-reduced distance matrix), so swapping one for the other is a
-    /// deployment decision, never a robustness change.
+    /// The flat roster's rule, which its one group runs: the plain rule at
+    /// one shard, its [`ShardedAggregator`] above. The two are exactly
+    /// equivalent (global selection over the shard-reduced distance matrix),
+    /// so swapping one for the other is a deployment decision, never a
+    /// robustness change.
     gar: Box<dyn Gar>,
     gar_config: GarConfig,
     /// Coordinate shards of the parameter-server tier (1: monolithic).
     shards: usize,
-    /// When the hierarchical tier is active, grouped rounds run through this
-    /// two-level tree — a full GAR per group, then the root rule over the
-    /// group outputs. Unlike sharding this is *not* equivalent to the flat
-    /// rule in general (the resilience bound composes:
-    /// `f_total = (f_group + 1)(f_root + 1) − 1`), which is why it is driven
-    /// only by the explicitly grouped entry points; `apply_round_over`
-    /// stays flat.
+    /// The hierarchical tier, when active: the rule every group runs and
+    /// the root rule over the group outputs. Unlike sharding this is *not*
+    /// equivalent to the flat rule in general (the resilience bound
+    /// composes: `f_total = (f_group + 1)(f_root + 1) − 1`). `None` is the
+    /// flat roster: one group of the server's own rule, under the identity
+    /// root.
     tree: Option<TreeAggregator>,
+    /// The tree root's aggregate, reused every round (the flat roster's
+    /// identity root applies its one group's row instead).
+    update: Vec<f32>,
     optimizer: OptimizerKind,
     /// RMSProp's running mean square of the applied gradient (empty until
     /// its first step; SGD never fills it).
@@ -82,6 +92,7 @@ impl ParameterServer {
             gar_config,
             shards: 1,
             tree: None,
+            update: Vec::new(),
             optimizer,
             mean_square: Vector::zeros(0),
             learning_rate,
@@ -139,7 +150,7 @@ impl ParameterServer {
     }
 
     /// Installs (or removes) the hierarchical aggregation tier. `None`
-    /// restores the flat path.
+    /// restores the flat roster.
     ///
     /// # Errors
     ///
@@ -173,41 +184,82 @@ impl ParameterServer {
         })
     }
 
-    /// Stage 1 of a hierarchical round over the arena rows `rows`:
-    /// aggregates each group (`groups[k]` is the group id of row `rows[k]`)
-    /// with the group rule, reading every member's row where it sits in the
-    /// arena, and skips groups below their resilience floor. A pure read;
-    /// the engine ships the returned outputs over the inter-group links
-    /// before the root stage.
+    /// The group stage of a round over the arena rows `rows` (`groups[k]` is
+    /// the group id of row `rows[k]`): every group that seats the group rule
+    /// reduces its members where they sit in `batch` into row `group` of
+    /// `outputs` ([`group_stage`]). The flat roster is one group of the
+    /// server's own rule (its sharded form above one shard) under the
+    /// identity root ([`TreeConfig::one_group`]). Then the composed floor
+    /// over every group the round saw: a round that even full delivery could
+    /// not seat is refused before any output ships. A pure read of the model.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
-    /// [`PsError::Aggregation`] when the composed bound already rules the
-    /// round out or a contributing group's rule fails.
-    pub fn tree_group_outputs_over(
+    /// Returns [`PsError::Aggregation`] when the composed bound rules the
+    /// round out, the rows or groups are malformed, or a contributing
+    /// group's rule fails.
+    pub fn group_stage(
         &self,
         batch: &GradientBatch,
         rows: &[usize],
         groups: &[usize],
-    ) -> Result<TreeRound> {
-        let tree = self.tree_tier("tree_group_outputs")?;
-        let round = tree.group_outputs_over(batch, rows, groups).map_err(PsError::from)?;
-        // Refuse before the wire stage when even full delivery could not
-        // seat a root round — same check the one-shot grouped path applies.
-        tree.config().check(round.group_sizes()).map_err(PsError::from)?;
+        outputs: &mut GradientBatch,
+    ) -> Result<TreeRound<()>> {
+        let flat = TreeConfig::one_group(self.gar_config, rows.len());
+        let levels = self.tree.as_ref().map_or(flat, TreeAggregator::config);
+        let rule: &dyn Gar = if self.tree.is_some() { &levels.group } else { &*self.gar };
+        let round = group_stage(rule, levels.group_floor(), batch, rows, groups, outputs)?;
+        levels.check(round.group_sizes())?;
         Ok(round)
     }
 
-    /// [`ParameterServer::tree_group_outputs_over`] every row of `batch`
-    /// (`groups[i]` is the group id of batch row `i`).
+    /// The root over the group outputs in the rows `delivered` of
+    /// `outputs`, read where they sit, then the optimizer step: the tree's
+    /// root rule ([`root_round`]), or on the flat roster the identity, which
+    /// applies its one group's row. The outcome's `aggregation_wall_sec`
+    /// times the root alone: the group stage ran before the legs.
     ///
     /// # Errors
     ///
-    /// The errors of [`ParameterServer::tree_group_outputs_over`].
+    /// Returns [`PsError::Aggregation`] when fewer outputs arrived than the
+    /// root rule's floor (dropped inter-group packets degrade into a skipped
+    /// round, never an unsound aggregate), and [`PsError::Model`] when the
+    /// optimizer step fails.
+    pub fn apply_root(
+        &mut self,
+        outputs: &mut GradientBatch,
+        delivered: &[usize],
+    ) -> Result<RoundOutcome> {
+        let start = Instant::now();
+        let Some(tree) = &self.tree else {
+            let no_output = || PsError::Aggregation("no group output reached the root".into());
+            let &row = delivered.first().ok_or_else(no_output)?;
+            return self.finish_round(outputs.row_mut(row), start);
+        };
+        let mut update = std::mem::take(&mut self.update);
+        update.resize(outputs.dim(), 0.0);
+        let outcome = root_round(tree.config().root, outputs, delivered, &mut update)
+            .map_err(PsError::from)
+            .and_then(|()| self.finish_round(&mut update, start));
+        self.update = update;
+        outcome
+    }
+
+    /// Stage 1 of a hierarchical round over every row of `batch`
+    /// (`groups[i]` is the group id of batch row `i`), each group's output
+    /// in a vector of its own, refused when the composed bound rules the
+    /// round out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
+    /// [`PsError::Aggregation`] when the composed bound fails or a
+    /// contributing group's rule fails.
     pub fn tree_group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
-        let rows: Vec<usize> = (0..batch.n()).collect();
-        self.tree_group_outputs_over(batch, &rows, groups)
+        let tree = self.tree_tier("tree_group_outputs")?;
+        let round = tree.group_outputs(batch, groups)?;
+        tree.config().check(round.group_sizes())?;
+        Ok(round)
     }
 
     /// Stage 2 of a hierarchical round: runs the root rule over the group
@@ -216,31 +268,25 @@ impl ParameterServer {
     /// # Errors
     ///
     /// Returns [`PsError::InvalidConfig`] when no tree tier is installed,
-    /// [`PsError::Aggregation`] when fewer outputs arrived than the root
-    /// rule's floor (dropped inter-group packets degrade into a refused
-    /// round, never an unsound aggregate), and [`PsError::Model`] when the
-    /// optimizer step fails.
+    /// and the errors of [`ParameterServer::apply_root`].
     pub fn apply_round_tree_outputs(&mut self, outputs: &[Vector]) -> Result<RoundOutcome> {
         let start = Instant::now();
-        let tree = self.tree_tier("apply_round_tree_outputs")?;
-        let aggregated = tree.root_aggregate(outputs).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let mut aggregated = self.tree_tier("apply_round_tree_outputs")?.root_aggregate(outputs)?;
+        self.finish_round(aggregated.as_mut_slice(), start)
     }
 
     /// Tree-tier counterpart of [`ParameterServer::selected_rows`], read from
-    /// the round that ran: the arena rows whose *groups* the root rule's
-    /// selection phase picks and whose group rule kept them (`None` when the
-    /// root rule has no selection phase). `round` is what
-    /// [`ParameterServer::tree_group_outputs_over`] returned for the applied
-    /// round, so the feedback costs one root selection, not a second group
-    /// stage. A pure read.
+    /// a round [`ParameterServer::tree_group_outputs`] returned: the arena
+    /// rows whose *groups* the root rule's selection phase picks and whose
+    /// group rule kept them (`None` when the root rule has no selection
+    /// phase). A pure read.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::InvalidConfig`] when no tree tier is installed, and
     /// [`PsError::Aggregation`] when the composed bound fails for the round.
     pub fn tree_selected_rows_of(&self, round: &TreeRound) -> Result<Option<Vec<usize>>> {
-        self.tree_tier("tree_selected_rows_of")?.selected_rows_of(round).map_err(PsError::from)
+        Ok(self.tree_tier("tree_selected_rows_of")?.selected_rows_of(round)?)
     }
 
     /// [`ParameterServer::tree_group_outputs`] followed by
@@ -277,40 +323,16 @@ impl ParameterServer {
         Ok(())
     }
 
-    /// One round over the arena rows `rows`, read where they sit in
-    /// `batch`: the active rule's aggregate, then the optimizer step.
-    /// Returns the measured aggregation time and the rule's selection as
-    /// arena row ids (`None` for a rule without a selection phase), both off
-    /// the one round, so the selection feedback costs no second distance
-    /// pass. `distances`, when given, is the round's pairwise matrix over
-    /// `rows` in list order; distance-based rules select straight on it.
+    /// One flat round over every row of `gradients`: the rule's aggregate,
+    /// then the optimizer step.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::Aggregation`] when the GAR rejects the round (an
-    /// empty row list, not enough rows for the declared `f`, or a matrix of
-    /// another size), and [`PsError::Model`] when the optimizer step fails.
-    pub fn apply_round_over(
-        &mut self,
-        batch: &GradientBatch,
-        rows: &[usize],
-        distances: Option<&DistanceMatrix>,
-    ) -> Result<(RoundOutcome, Option<Vec<usize>>)> {
-        let start = Instant::now();
-        let GarRound { aggregate, selection } =
-            self.gar.round_over(batch, rows, distances).map_err(PsError::from)?;
-        Ok((self.finish_round(aggregate, start)?, selection))
-    }
-
-    /// [`ParameterServer::apply_round_over`] every row of `gradients`,
-    /// returning the outcome.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`ParameterServer::apply_round_over`].
+    /// empty batch or not enough rows for the declared `f`), and
+    /// [`PsError::Model`] when the optimizer step fails.
     pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
-        let rows: Vec<usize> = (0..gradients.n()).collect();
-        Ok(self.apply_round_over(gradients, &rows, None)?.0)
+        self.apply_round_primed(gradients, None)
     }
 
     /// [`ParameterServer::apply_round_batch`] primed with the round's
@@ -321,14 +343,24 @@ impl ParameterServer {
     ///
     /// # Errors
     ///
-    /// The errors of [`ParameterServer::apply_round_over`].
+    /// The errors of [`ParameterServer::apply_round_batch`], and
+    /// [`PsError::Aggregation`] for a matrix of another size.
     pub fn apply_round_batch_with_distances(
         &mut self,
         gradients: &GradientBatch,
         distances: &DistanceMatrix,
     ) -> Result<RoundOutcome> {
-        let rows: Vec<usize> = (0..gradients.n()).collect();
-        Ok(self.apply_round_over(gradients, &rows, Some(distances))?.0)
+        self.apply_round_primed(gradients, Some(distances))
+    }
+
+    fn apply_round_primed(
+        &mut self,
+        gradients: &GradientBatch,
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<RoundOutcome> {
+        let start = Instant::now();
+        let mut aggregate = self.gar.round(gradients, distances)?.aggregate;
+        self.finish_round(aggregate.as_mut_slice(), start)
     }
 
     /// The pairwise distance matrix this tier's own
@@ -338,9 +370,8 @@ impl ParameterServer {
     /// no distances. Handing it to
     /// [`ParameterServer::apply_round_batch_with_distances`] and
     /// [`ParameterServer::selected_rows`] makes a round and its selection
-    /// feedback share one O(n²·d) pass (the engine's
-    /// [`ParameterServer::apply_round_over`] gets both off one round). A
-    /// pure read; preconditions are left to the round itself.
+    /// feedback share one O(n²·d) pass. A pure read; preconditions are left
+    /// to the round itself.
     pub fn round_distances(&self, batch: &GradientBatch) -> Option<DistanceMatrix> {
         self.gar.selects().then(|| self.gar.distances(batch))
     }
@@ -361,14 +392,16 @@ impl ParameterServer {
         batch: &GradientBatch,
         distances: Option<&DistanceMatrix>,
     ) -> Result<Option<Vec<usize>>> {
-        self.gar.selected_rows(batch, distances).map_err(PsError::from)
+        Ok(self.gar.selected_rows(batch, distances)?)
     }
 
-    fn finish_round(&mut self, mut aggregated: Vector, start: Instant) -> Result<RoundOutcome> {
+    /// Regularizes `aggregated` in place and takes the optimizer step along
+    /// it.
+    fn finish_round(&mut self, aggregated: &mut [f32], start: Instant) -> Result<RoundOutcome> {
         let aggregation_wall_sec = start.elapsed().as_secs_f64();
-        self.regularization.apply(&mut aggregated, &self.params).map_err(PsError::from)?;
+        self.regularization.apply(aggregated, &self.params).map_err(PsError::from)?;
         let lr = self.learning_rate.at(self.step);
-        self.optimizer.step(&mut self.mean_square, &mut self.params, &aggregated, lr)?;
+        self.optimizer.step(&mut self.mean_square, &mut self.params, aggregated, lr)?;
         self.step += 1;
         Ok(RoundOutcome { aggregation_wall_sec, learning_rate: lr, step: self.step })
     }
@@ -398,7 +431,9 @@ mod tests {
     /// `aggregate`.
     fn stepped_from_zero(aggregate: &Vector) -> Vector {
         let mut params = Vector::zeros(aggregate.len());
-        OptimizerKind::Sgd.step(&mut Vector::zeros(0), &mut params, aggregate, 0.1).unwrap();
+        OptimizerKind::Sgd
+            .step(&mut Vector::zeros(0), &mut params, aggregate.as_slice(), 0.1)
+            .unwrap();
         params
     }
 

@@ -28,9 +28,11 @@
 //!   run of `WARM` rounds (same seed, so the first rounds are the same),
 //!   over `MEASURED`. Printed (`--nocapture`); the `gar19_bulyan` and
 //!   `wire19_lossy` ones are bounded, and an `elastic_tree256` round
-//!   allocates less than one row per worker (256 rows of its d = 4138): the
-//!   rules read the accepted rows where they landed in the arena, so no tree
-//!   group copies its 32 members into a batch of its own.
+//!   allocates less than 190 rows of its d = 4138: the rules read the
+//!   accepted rows where they landed in the arena, so no tree group copies
+//!   its 32 members into a batch of its own, and the root reads the group
+//!   outputs where the groups wrote them, so no output is copied into a
+//!   vector, a leg's buffer or a root batch of its own.
 //! * **Counts that reproduce.** Two runs of one shape allocate the same
 //!   calls and bytes, at thread budget 1 and at thread budget 2: no parallel
 //!   region allocates by how its work fell to the threads.
@@ -288,7 +290,7 @@ fn engine_allocations() {
         }
         if name == "elastic_tree256" {
             let rows = bytes_per_round / TREE_ROW_BYTES as f64;
-            assert!(rows < 256.0, "an {name} round allocates {rows:.0} rows");
+            assert!(rows < 190.0, "an {name} round allocates {rows:.0} rows");
         }
     }
 
