@@ -67,7 +67,8 @@ pub use gar::{Gar, GarRound, Resilience};
 pub use registry::{GarConfig, GarKind, GarWork};
 pub use sharded::ShardedAggregator;
 pub use tree::{
-    group_stage, root_feedback, root_round, GroupOutput, TreeAggregator, TreeConfig, TreeRound,
+    group_stage, root_feedback, root_round, GroupOutput, Levels, TreeAggregator, TreeConfig,
+    TreeRound,
 };
 
 /// Crate-wide result alias.

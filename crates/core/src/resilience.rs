@@ -441,9 +441,9 @@ mod tests {
         // clears the group floor, compare against the root floor — for
         // every level-rule combination the tree tier supports, including
         // f = 0 groups. Never a panic, never an under-count. g = n is the
-        // flat roster: one group, which under the identity root (an f = 0
-        // average, `TreeConfig::one_group`) must seat every rule exactly
-        // at its flat floor.
+        // flat roster: one group, which under the identity root
+        // (`Levels` with no root) must seat every rule exactly at its flat
+        // floor, and refuse naming the rule.
         let combos = [
             (GarKind::MultiKrum, 4usize, GarKind::MultiKrum, 2usize),
             (GarKind::MultiKrum, 0, GarKind::MultiKrum, 0),
@@ -455,12 +455,15 @@ mod tests {
         for n in 1..=128usize {
             for kind in GarKind::ALL {
                 for f in 0..=n {
-                    let one_group = crate::TreeConfig::one_group(crate::GarConfig::new(kind, f), n);
-                    assert_eq!(
-                        one_group.check([n]).is_ok(),
-                        n >= resilience_floor(kind, f),
-                        "one group of n={n}: {kind} f={f}"
-                    );
+                    let one_group = crate::Levels::new(crate::GarConfig::new(kind, f), None, n);
+                    match one_group.check([n]) {
+                        Ok(()) => assert!(n >= resilience_floor(kind, f), "n={n}: {kind} f={f}"),
+                        Err(AggregationError::NotEnoughWorkers { rule, .. }) => {
+                            assert!(n < resilience_floor(kind, f), "n={n}: {kind} f={f}");
+                            assert_eq!(rule, kind.name());
+                        }
+                        Err(other) => panic!("n={n}: {kind} f={f}: {other}"),
+                    }
                     assert_eq!(one_group.composed_max_f(), f, "the identity root adds no budget");
                 }
             }

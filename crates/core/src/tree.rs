@@ -21,9 +21,9 @@
 //! writes every group's aggregate into that group's row of a group-output
 //! arena, [`root_feedback`] reads the root's selection over those rows, and
 //! [`root_round`] reduces the rows that reached the root where they sit.
-//! The flat round is the same shape with one group of the flat rule under
-//! the identity root ([`TreeConfig::one_group`]); [`TreeAggregator`] is the
-//! whole tree as one [`Gar`].
+//! A round's [`Levels`] name its group rule and its root: the flat round is
+//! the same shape with one group of the flat rule under the identity root,
+//! and [`TreeAggregator`] is the whole tree as one [`Gar`].
 //!
 //! Resilience composes by capture counting
 //! ([`crate::resilience::composed_max_f`]): the adversary needs
@@ -84,17 +84,6 @@ impl TreeConfig {
         }
     }
 
-    /// The flat round over `workers` as the one-group tree: `gar` in the
-    /// one group, under the identity root. The identity passes its one
-    /// output straight through, so it is read here as an f = 0 average: a
-    /// floor of one output, and no budget of its own — [`TreeConfig::check`]
-    /// holds iff the group seats `gar`, and [`TreeConfig::composed_max_f`]
-    /// is `gar.f`. It describes the round's floor and budget; no root rule
-    /// runs.
-    pub fn one_group(gar: GarConfig, workers: usize) -> Self {
-        TreeConfig { group: gar, root: GarConfig::new(GarKind::Average, 0), group_size: workers }
-    }
-
     /// The composed Byzantine tolerance
     /// `(f_group + 1)(f_root + 1) − 1` of this tree
     /// ([`resilience::composed_max_f`]).
@@ -122,6 +111,87 @@ impl TreeConfig {
     pub fn check(&self, group_sizes: impl IntoIterator<Item = usize>) -> Result<()> {
         let (group, root) = (self.group, self.root);
         resilience::check_tree(group.kind, group.f, root.kind, root.f, group_sizes)
+    }
+}
+
+/// The two levels every round runs: the rule each group runs over its
+/// members' rows, the root over the group outputs, and the group size. A
+/// tree's levels are its [`TreeConfig`]. The flat round is one group of the
+/// flat rule under the identity root (`root: None`), which passes its one
+/// output through and has no floor, budget or leg of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Levels {
+    /// The rule every group runs.
+    pub group: GarConfig,
+    /// The rule over the group outputs; `None` is the identity.
+    pub root: Option<GarConfig>,
+    /// Workers per group: `tree.group_size`, or every worker.
+    pub group_size: usize,
+}
+
+impl Levels {
+    /// `tree`'s levels, or the flat rule `gar` over `workers` as one group
+    /// under the identity root.
+    pub fn new(gar: GarConfig, tree: Option<TreeConfig>, workers: usize) -> Self {
+        match tree {
+            Some(tree) => {
+                Levels { group: tree.group, root: Some(tree.root), group_size: tree.group_size }
+            }
+            None => Levels { group: gar, root: None, group_size: workers },
+        }
+    }
+
+    /// The composed tolerance `(f_group + 1)(f_root + 1) − 1`: the group
+    /// rule's `f` under the identity.
+    pub fn composed_max_f(&self) -> usize {
+        resilience::composed_max_f(self.group.f, self.root.map_or(0, |root| root.f))
+    }
+
+    /// Minimum members a group needs to contribute to the round.
+    pub fn group_floor(&self) -> usize {
+        resilience::resilience_floor(self.group.kind, self.group.f)
+    }
+
+    /// The levels a live set is judged at while `quarantined` slots sit in
+    /// the ledger's quarantine: under the identity root the group rule's
+    /// `f` less those slots, which no longer count against the adversary's
+    /// budget; a tree's levels keep their declared budgets. So only the
+    /// flat round discounts quarantined slots, and a tree can refuse a live
+    /// set its group rule would seat flat.
+    pub fn discounted(self, quarantined: usize) -> Self {
+        match self.root {
+            Some(_) => self,
+            None => Levels {
+                group: GarConfig { f: self.group.f.saturating_sub(quarantined), ..self.group },
+                ..self
+            },
+        }
+    }
+
+    /// Whether groups of these live sizes seat the round: under a root,
+    /// [`resilience::check_tree`]; under the identity, the one group must
+    /// seat the group rule itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AggregationError::NotEnoughWorkers`] naming the root rule
+    /// when too few groups clear the group floor, or under the identity
+    /// naming the group rule when its one group falls below its floor.
+    pub fn check(&self, group_sizes: impl IntoIterator<Item = usize>) -> Result<()> {
+        let group = self.group;
+        if let Some(root) = self.root {
+            return resilience::check_tree(group.kind, group.f, root.kind, root.f, group_sizes);
+        }
+        let (required, actual) = (self.group_floor(), group_sizes.into_iter().sum());
+        if actual < required {
+            return Err(AggregationError::NotEnoughWorkers {
+                rule: group.kind.name(),
+                f: group.f,
+                required,
+                actual,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -281,33 +351,37 @@ pub fn root_feedback<O>(
     Ok(Some(rows))
 }
 
-/// The root rule over the group outputs in the rows `delivered` of
+/// The root of a round over the group outputs in the rows `delivered` of
 /// `outputs`, the ones that survived their group→root legs, read where they
-/// sit and reduced into `out` (`out.len() == outputs.dim()`), so an output
-/// lost on the wire degrades exactly like an excluded group.
+/// sit, so an output lost on the wire degrades exactly like an excluded
+/// group. Returns the round's aggregate: the root rule's, reduced into
+/// `update` (resized to `outputs.dim()`), or under the identity root
+/// (`None`) the one delivered row itself, in place.
 ///
 /// # Errors
 ///
 /// Returns [`AggregationError::NotEnoughWorkers`] (naming the root rule)
-/// when fewer outputs remain than the root floor, plus any root-rule
-/// aggregation error.
-pub fn root_round(
-    root: GarConfig,
-    outputs: &GradientBatch,
+/// when fewer outputs remain than the root floor — under the identity, when
+/// none does — plus any root-rule aggregation error.
+pub fn root_round<'a>(
+    root: Option<GarConfig>,
+    outputs: &'a mut GradientBatch,
     delivered: &[usize],
-    out: &mut [f32],
-) -> Result<()> {
-    let required = resilience::resilience_floor(root.kind, root.f);
+    update: &'a mut Vec<f32>,
+) -> Result<&'a mut [f32]> {
+    let required = root.map_or(1, |root| resilience::resilience_floor(root.kind, root.f));
     if delivered.len() < required {
         return Err(AggregationError::NotEnoughWorkers {
-            rule: root.kind.name(),
-            f: root.f,
+            rule: root.map_or("identity", |root| root.kind.name()),
+            f: root.map_or(0, |root| root.f),
             required,
             actual: delivered.len(),
         });
     }
-    root.round_into(outputs, delivered, None, out)?;
-    Ok(())
+    let Some(root) = root else { return Ok(outputs.row_mut(delivered[0])) };
+    update.resize(outputs.dim(), 0.0);
+    root.round_into(outputs, delivered, None, update)?;
+    Ok(update)
 }
 
 /// `vectors` packed into an arena of their own, one row each.
@@ -434,9 +508,10 @@ impl TreeAggregator {
     /// The errors of [`root_round`].
     pub fn root_aggregate(&self, outputs: &[Vector]) -> Result<Vector> {
         let dim = outputs.first().map_or(0, Vector::len);
-        let batch = packed(dim, outputs.iter())?;
-        let mut update = vec![0.0; dim];
-        root_round(self.config.root, &batch, &all_rows(&batch), &mut update)?;
+        let mut batch = packed(dim, outputs.iter())?;
+        let mut update = Vec::new();
+        let rows = all_rows(&batch);
+        root_round(Some(self.config.root), &mut batch, &rows, &mut update)?;
         Ok(Vector::from(update))
     }
 

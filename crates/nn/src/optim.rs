@@ -7,7 +7,7 @@
 //! applies one optimizer step (Equation 4 of the paper).
 
 use crate::{NnError, Result};
-use agg_tensor::Vector;
+use agg_tensor::{ops, Vector};
 use serde::{Deserialize, Serialize};
 
 /// RMSProp's decay of the running mean square (the conventional 0.9).
@@ -53,11 +53,7 @@ impl OptimizerKind {
             });
         }
         match self {
-            OptimizerKind::Sgd => {
-                for (p, g) in params.as_mut_slice().iter_mut().zip(gradient) {
-                    *p += -lr * g;
-                }
-            }
+            OptimizerKind::Sgd => ops::axpy(params.as_mut_slice(), -lr, gradient),
             OptimizerKind::RmsProp => rmsprop_step(mean_square, params, gradient, lr),
         }
         Ok(())

@@ -12,7 +12,7 @@ use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
 use agg_attacks::{Attack, AttackContext, ChurnDirective};
-use agg_core::{root_feedback, GarConfig, TreeConfig};
+use agg_core::{root_feedback, GarConfig, Levels, TreeConfig};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
 use agg_metrics::{TracePoint, TrainingTrace};
@@ -112,16 +112,15 @@ pub struct SyncTrainingEngine {
     /// With an empty plan it stays at epoch 0 / all-live — static
     /// membership.
     membership: MembershipView,
-    /// The worker-to-group partition: contiguous worker-id ranges of
-    /// `tree.group_size` on the tree tier (the last one ragged when `n` is
-    /// not divisible, reshuffled by containment), one group of `n` on the
-    /// flat roster.
+    /// The levels every round runs ([`ParameterServer::levels`]): the tree's
+    /// group and root rules, or the flat rule as one group under the
+    /// identity root.
+    levels: Levels,
+    /// The worker-to-group partition: contiguous worker-id ranges of the
+    /// levels' group size (on the tree tier the last one ragged when `n` is
+    /// not divisible, reshuffled by containment; one group of `n` on the
+    /// flat roster).
     plan: GroupPlan,
-    /// The round's group-output arena, one row per group, built once: each
-    /// group's rule writes its aggregate into its own row, the group → root
-    /// leg sends that row in place, and the root reads the delivered rows
-    /// where they sit.
-    group_outputs: GradientBatch,
     /// One transport per group for the group-aggregator → root leg of the
     /// tree tier. Groups whose worker range overlaps the degraded links
     /// inherit the lossy/chaos/retransmit wire (each with its own chaos
@@ -129,10 +128,12 @@ pub struct SyncTrainingEngine {
     /// flat roster, whose identity root reads its one group's row with no
     /// leg.
     root_links: Vec<Box<dyn Transport>>,
-    /// Per-group membership epochs of the tree tier: a crash or rejoin bumps
-    /// only the epoch of the group it happened in, so the epoch fence stays
-    /// local — workers in untouched groups are never re-stamped. The flat
-    /// roster fences at the view's epoch instead.
+    /// Per-group membership epochs, which every link is stamped and fenced
+    /// at: a crash or rejoin bumps only the epoch of the group it happened
+    /// in, so the epoch fence stays local — workers in untouched groups are
+    /// never re-stamped. The flat roster's one epoch moves in exactly the
+    /// rounds the view's epoch does, and a link only compares stamps for
+    /// equality, so it fences exactly as the view's epoch would.
     group_epochs: Vec<u32>,
     /// The cross-round suspicion ledger driving automatic quarantine,
     /// probationary readmission and the tree tier's containment reshuffles.
@@ -172,12 +173,6 @@ impl SyncTrainingEngine {
         let eval_batch = test.head_batch(config.eval_samples).map_err(PsError::from)?;
         drop(test);
 
-        // The tree tier partitions the roster into contiguous groups of
-        // `tree.group_size` (validated against the sortnet sweet spot); the
-        // flat roster is one group.
-        let group_size = levels(config.gar, config.tree, config.workers).group_size;
-        let plan = GroupPlan::new(config.workers, group_size).map_err(PsError::from)?;
-
         let mut server = ParameterServer::new(
             model.parameters(),
             config.gar,
@@ -187,6 +182,11 @@ impl SyncTrainingEngine {
         )?;
         server.set_shards(config.shards)?;
         server.set_tree(config.tree)?;
+        // The tree tier partitions the roster into contiguous groups of
+        // `tree.group_size` (validated against the sortnet sweet spot); the
+        // flat roster is one group.
+        let levels = server.levels(config.workers);
+        let plan = GroupPlan::new(config.workers, levels.group_size).map_err(PsError::from)?;
 
         let clean = Arc::new(train);
         let poisoned: Option<Arc<Dataset>> = match &config.data_poisoning {
@@ -196,7 +196,7 @@ impl SyncTrainingEngine {
             None => None,
         };
 
-        let replicated = replicates_batches(config.gar, config.tree);
+        let replicated = levels.group.kind.replicates_batches();
         let honest_count = config.workers - config.byzantine_count;
         let mut workers = Vec::with_capacity(config.workers);
         let mut streams = Vec::with_capacity(config.workers);
@@ -227,8 +227,9 @@ impl SyncTrainingEngine {
         // group's leg is degraded exactly when the group contains a degraded
         // worker link (the trailing `lossy_links` ids), so the chaos-afflicted
         // region of the cluster stays contiguous across both levels; each leg
-        // draws its chaos from its own stream past the worker streams.
-        let legs = if config.tree.is_some() { plan.group_count() } else { 0 };
+        // draws its chaos from its own stream past the worker streams. The
+        // identity root has no leg.
+        let legs = levels.root.map_or(0, |_| plan.group_count());
         let root_links: Vec<Box<dyn Transport>> = (0..legs)
             .map(|gid| {
                 let degraded =
@@ -238,8 +239,6 @@ impl SyncTrainingEngine {
             })
             .collect::<Result<_>>()?;
         let group_epochs = vec![0; plan.group_count()];
-        let mut group_outputs = GradientBatch::with_capacity(actual_dimension, plan.group_count());
-        group_outputs.resize_rows(plan.group_count());
 
         let pipeline = RoundPipeline::new(actual_dimension, config.workers);
         let membership = MembershipView::new(config.workers);
@@ -262,8 +261,8 @@ impl SyncTrainingEngine {
             actual_dimension,
             pipeline,
             membership,
+            levels,
             plan,
-            group_outputs,
             root_links,
             group_epochs,
             reputation: ledger,
@@ -412,6 +411,7 @@ impl SyncTrainingEngine {
     /// the arena the honest views borrow from.
     fn attack_context<'a>(
         config: &RunnerConfig,
+        declared_f: usize,
         model: &'a Vector,
         honest: &'a [&'a [f32]],
         step: u64,
@@ -421,7 +421,7 @@ impl SyncTrainingEngine {
             honest_gradients: honest,
             model,
             byzantine_count: config.byzantine_count,
-            declared_f: declared_f(config),
+            declared_f,
             step,
             seed: config.seed,
             total_workers: config.workers,
@@ -451,7 +451,8 @@ impl SyncTrainingEngine {
     /// every link is stamped epoch 0 and the validated roster clears the
     /// floor.
     fn advance_membership(&mut self, history: &[RoundRecord], record: &mut RoundRecord) -> bool {
-        let (step, n, declared_f) = (record.step, self.workers.len(), declared_f(&self.config));
+        let (step, n, levels) = (record.step, self.workers.len(), self.levels);
+        let declared_f = levels.composed_max_f();
         let mut plan = self.config.fault_plan.clone();
         if let Some(ledger) = &mut self.reputation {
             // Readmissions first: a lapsed quarantine rejoins on probation
@@ -481,8 +482,8 @@ impl SyncTrainingEngine {
                 let was_live = live_sim[candidate];
                 live_sim[candidate] = false;
                 // `+ 1`: the candidate's own quarantine.
-                let f_eff = self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
-                if !Self::floor_holds(&self.config, &self.plan, f_eff, |w| live_sim[w]) {
+                let quarantined = ledger.quarantined_count() + 1;
+                if !floor_holds(levels, &self.plan, quarantined, |w| live_sim[w]) {
                     live_sim[candidate] = was_live;
                     continue;
                 }
@@ -495,7 +496,7 @@ impl SyncTrainingEngine {
         // of following a pre-declared schedule.
         if self.config.adaptive_churn && self.config.byzantine_count > 0 {
             let model = self.server.parameters();
-            let ctx = Self::attack_context(&self.config, model, &[], step, history);
+            let ctx = Self::attack_context(&self.config, declared_f, model, &[], step, history);
             let directives = self.config.attack.plan_churn(&ctx);
             for directive in directives {
                 let (worker, action) = match directive {
@@ -516,19 +517,15 @@ impl SyncTrainingEngine {
             }
         }
         let transitions = self.membership.apply_round(&plan, step);
-        // The tree tier fences per group: a crash or rejoin bumps only the
-        // epoch of the group it happened in, so view changes never
-        // invalidate in-flight rounds of untouched groups. The flat roster
-        // fences at the view's epoch.
+        // Every link fences at its group's epoch: a crash or rejoin bumps
+        // only the epoch of the group it happened in, so view changes never
+        // invalidate in-flight rounds of untouched groups.
         for &w in transitions.crashed.iter().chain(&transitions.rejoined) {
             self.group_epochs[self.plan.group_of(w)] += 1;
         }
         for worker in &mut self.workers {
             let id = worker.id();
-            let epoch = match self.config.tree {
-                Some(_) => self.group_epochs[self.plan.group_of(id)],
-                None => self.membership.epoch(),
-            };
+            let epoch = self.group_epochs[self.plan.group_of(id)];
             // The server side of every link fences at this worker's epoch.
             // Live workers that did not just rejoin have taken part in the
             // view change and stamp it too; a rejoiner still carries the
@@ -544,9 +541,8 @@ impl SyncTrainingEngine {
         // that cannot seat it voids the resilience proof, so the server
         // refuses the round instead of aggregating on borrowed assumptions.
         let quarantined = self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count);
-        let f_eff = self.config.gar.f.saturating_sub(quarantined);
         let live = |w| self.membership.health(w).is_live();
-        if Self::floor_holds(&self.config, &self.plan, f_eff, live) {
+        if floor_holds(levels, &self.plan, quarantined, live) {
             return true;
         }
         record.verdict = RoundVerdict::Refused;
@@ -574,7 +570,7 @@ impl SyncTrainingEngine {
         let params = self.server.parameters();
         let (membership, cost) = (&self.membership, self.config.cost);
         let node_flops = Node::grid5000_cpu(0).flops_per_sec;
-        let encode = match replicates_batches(self.config.gar, self.config.tree) {
+        let encode = match self.levels.group.kind.replicates_batches() {
             true => REPLICATION_ENCODE_FACTOR,
             false => 1.0,
         };
@@ -616,7 +612,8 @@ impl SyncTrainingEngine {
             let honest: Vec<&[f32]> =
                 (0..roster.start).filter(|&w| live(w)).map(|w| &*honest_rows[w]).collect();
             let model = self.server.parameters();
-            let ctx = Self::attack_context(&self.config, model, &honest, step, history);
+            let declared_f = self.levels.composed_max_f();
+            let ctx = Self::attack_context(&self.config, declared_f, model, &honest, step, history);
             self.config.attack.craft_into(&ctx, attacker_rows);
         }
 
@@ -683,7 +680,7 @@ impl SyncTrainingEngine {
     /// saving.
     fn quorum_cut(&mut self, arrival_sec: &[f64], record: &mut RoundRecord) {
         let live = self.membership.live_count();
-        let quorum = self.config.streaming.quorum.accept_count(live, declared_f(&self.config));
+        let quorum = self.config.streaming.quorum.accept_count(live, self.levels.composed_max_f());
         let mut arrivals: Vec<usize> = (0..arrival_sec.len())
             .filter(|&slot| record.wire[slot].is_some_and(|wire| wire.delivered))
             .collect();
@@ -787,15 +784,16 @@ impl SyncTrainingEngine {
     }
 
     /// Aggregate: one body for every tier over the accepted slots, which
-    /// are arena row ids. The group stage runs each group's rule over its
-    /// members where they landed, into the group's row of the group-output
-    /// arena; the root's selection feedback is read over those rows; each
-    /// group → root leg sends its row in place over its link (chaos,
-    /// retransmit and all — a dropped output leaves the root one input
-    /// fewer); the root reads the delivered rows in place and the optimizer
-    /// steps. The flat roster is one group under the identity root, with no
-    /// leg. An error before the legs shipped comes back as a round that
-    /// waited for no leg; the charge stage tells a skip from a failure.
+    /// are arena row ids, and a group-output arena built for the round, one
+    /// row per group and dropped with it. The group stage runs each group's
+    /// rule over its members where they landed, into the group's row; the
+    /// root's selection feedback is read over those rows; each group → root
+    /// leg sends its row in place over its link (chaos, retransmit and all —
+    /// a dropped output leaves the root one input fewer); the root reads the
+    /// delivered rows in place and the optimizer steps. The flat roster is
+    /// one group under the identity root, with no leg. An error before the
+    /// legs shipped comes back as a round that waited for no leg; the charge
+    /// stage tells a skip from a failure.
     fn aggregate(&mut self, record: &RoundRecord) -> Aggregation {
         let mut aggregation = Aggregation { kernel_sec: Ok(0.0), wire_wait: 0.0, selection: None };
         aggregation.kernel_sec = self.aggregate_rows(record, &mut aggregation);
@@ -813,25 +811,26 @@ impl SyncTrainingEngine {
         record: &RoundRecord,
         aggregation: &mut Aggregation,
     ) -> Result<f64> {
-        let rows = &record.accepted;
+        let (rows, levels) = (&record.accepted, self.levels);
         if rows.is_empty() {
             return Err(PsError::Aggregation("no submissions survived the transport".into()));
         }
         let groups: Vec<usize> = rows.iter().map(|&slot| self.plan.group_of(slot)).collect();
         let (n, dim_scale) = (self.workers.len(), self.dim_scale());
-        let outputs = &mut self.group_outputs;
-        let round = self.server.group_stage(self.pipeline.arena(), rows, &groups, outputs)?;
+        let group_count = self.plan.group_count();
+        let mut outputs = GradientBatch::with_capacity(self.actual_dimension, group_count);
+        outputs.resize_rows(group_count);
+        let round =
+            self.server.group_stage(&levels, self.pipeline.arena(), rows, &groups, &mut outputs)?;
         let dim = self.config.cost.effective_dimension(self.actual_dimension);
-        let group_rule = levels(self.config.gar, self.config.tree, n).group;
         let mut group_sec = 0.0f64;
         for group in &round.outputs {
             let node_dim = dim.div_ceil(self.config.shards);
-            let sec = CostModel::aggregation_time(group_rule, group.members.len(), node_dim)?;
+            let sec = CostModel::aggregation_time(levels.group, group.members.len(), node_dim)?;
             group_sec = group_sec.max(sec);
         }
         let rows: Vec<usize> = round.outputs.iter().map(|output| output.group).collect();
-        let root = self.config.tree.map(|tree| tree.root);
-        let selection = root_feedback(root, &round, outputs, &rows)?;
+        let selection = root_feedback(levels.root, &round, &outputs, &rows)?;
         let mut delivered = Vec::with_capacity(rows.len());
         for group in rows {
             if let Some(link) = self.root_links.get_mut(group) {
@@ -844,7 +843,8 @@ impl SyncTrainingEngine {
             }
             delivered.push(group);
         }
-        self.server.apply_root(outputs, &delivered)?;
+        self.server.apply_root(&levels, &mut outputs, &delivered)?;
+        let root = levels.root;
         let root_sec =
             root.map_or(Ok(0.0), |root| CostModel::aggregation_time(root, delivered.len(), dim))?;
         aggregation.selection = selection;
@@ -869,28 +869,6 @@ impl SyncTrainingEngine {
         Ok(())
     }
 
-    /// Whether the live set (`live` by worker id) still seats the round:
-    /// the composed two-level bound of the run's [`levels`] over the live
-    /// size of every group of `plan`. Only the flat roster — the one group
-    /// under the identity root — discounts quarantined slots: its rule is
-    /// judged at `f_eff`, the declared `f` less the slots the ledger holds
-    /// in quarantine, which no longer count against the adversary's budget.
-    /// A tree's groups keep their declared budget, so a tree can refuse a
-    /// live set the same rule would seat flat.
-    fn floor_holds(
-        config: &RunnerConfig,
-        plan: &GroupPlan,
-        f_eff: usize,
-        live: impl Fn(usize) -> bool,
-    ) -> bool {
-        let mut live_sizes = vec![0usize; plan.group_count()];
-        for w in (0..config.workers).filter(|&w| live(w)) {
-            live_sizes[plan.group_of(w)] += 1;
-        }
-        let flat = GarConfig { f: f_eff, ..config.gar };
-        levels(flat, config.tree, config.workers).check(live_sizes).is_ok()
-    }
-
     /// Evaluates test accuracy at the current parameters and records a trace
     /// point at the report's clock. Evaluation runs on the dedicated
     /// evaluator node, out of band, so it does not advance the simulated
@@ -910,19 +888,22 @@ impl SyncTrainingEngine {
     }
 }
 
-/// The round's two levels: `tree`, or the flat rule `gar` over `workers`
-/// as the one-group tree under the identity root
-/// ([`TreeConfig::one_group`]).
-fn levels(gar: GarConfig, tree: Option<TreeConfig>, workers: usize) -> TreeConfig {
-    tree.unwrap_or(TreeConfig::one_group(gar, workers))
-}
-
-/// What the run tolerates: the composed bound `(f_group + 1)(f_root + 1) − 1`
-/// of its levels, which is the flat rule's declared `f` under the identity
-/// root. Quorum accounting and the adversary's declared-f knowledge both see
-/// this figure.
-fn declared_f(config: &RunnerConfig) -> usize {
-    levels(config.gar, config.tree, config.workers).composed_max_f()
+/// Whether the live set (`live` by worker id) still seats a round of
+/// `levels` while `quarantined` slots sit in the ledger's quarantine:
+/// [`Levels::check`] of the [`Levels::discounted`] levels over the live size
+/// of every group of `plan`. Only the flat roster discounts quarantined
+/// slots.
+fn floor_holds(
+    levels: Levels,
+    plan: &GroupPlan,
+    quarantined: usize,
+    live: impl Fn(usize) -> bool,
+) -> bool {
+    let mut live_sizes = vec![0usize; plan.group_count()];
+    for w in (0..plan.workers()).filter(|&w| live(w)) {
+        live_sizes[plan.group_of(w)] += 1;
+    }
+    levels.discounted(quarantined).check(live_sizes).is_ok()
 }
 
 /// Whether worker `id`'s link is one of the last `lossy_links`, the ones the
@@ -936,13 +917,6 @@ fn degraded_link(config: &RunnerConfig, id: usize) -> bool {
 /// a reliable send only prices the row.
 fn lossy_link(config: &RunnerConfig, id: usize) -> bool {
     matches!(config.transport, TransportKind::Lossy { .. }) && degraded_link(config, id)
-}
-
-/// Whether the rule that votes over the workers' rows — the group rule of a
-/// tree, else the flat rule — needs its voters to compute one mini-batch
-/// ([`agg_core::GarKind::replicates_batches`]).
-fn replicates_batches(gar: GarConfig, tree: Option<TreeConfig>) -> bool {
-    tree.map_or(gar, |tree| tree.group).kind.replicates_batches()
 }
 
 /// Cost-only simulation of aggregator throughput (Figures 4 and 5), in closed
@@ -998,35 +972,32 @@ impl ThroughputSimulation {
         }
         let node = Node::grid5000_cpu(0);
         let dim = self.cost.effective_dimension(self.proxy_dimension);
-        // A tree round is charged its slowest group plus the root over the
-        // contributing groups; under a replicating rule each contributing
-        // group (the flat roster is one) yields one batch.
-        let (groups, kernel_sec) = match self.tree {
-            None => (1, CostModel::aggregation_time(self.gar, self.workers, dim)?),
-            Some(tree) if tree.root != self.gar => {
-                return Err(PsError::InvalidConfig(format!(
-                    "the tree's root ({}) must be the simulated rule ({})",
-                    tree.root, self.gar
-                )))
-            }
-            Some(tree) => {
-                let plan = GroupPlan::new(self.workers, tree.group_size).map_err(PsError::from)?;
-                tree.check(plan.sizes()).map_err(PsError::from)?;
-                let groups: Vec<usize> =
-                    plan.sizes().filter(|&size| size >= tree.group_floor()).collect();
-                let mut slowest_group = 0.0f64;
-                for &size in &groups {
-                    slowest_group =
-                        slowest_group.max(CostModel::aggregation_time(tree.group, size, dim)?);
-                }
-                let root = CostModel::aggregation_time(tree.root, groups.len(), dim)?;
-                (groups.len(), slowest_group + root)
-            }
-        };
+        // A round is charged its slowest group plus the root over the
+        // contributing groups (nothing for the identity root of the flat
+        // roster's one group); under a replicating rule each contributing
+        // group yields one batch.
+        if let Some(tree) = self.tree.filter(|tree| tree.root != self.gar) {
+            return Err(PsError::InvalidConfig(format!(
+                "the tree's root ({}) must be the simulated rule ({})",
+                tree.root, self.gar
+            )));
+        }
+        let levels = Levels::new(self.gar, self.tree, self.workers);
+        let plan = GroupPlan::new(self.workers, levels.group_size).map_err(PsError::from)?;
+        levels.check(plan.sizes()).map_err(PsError::from)?;
+        let groups: Vec<usize> =
+            plan.sizes().filter(|&size| size >= levels.group_floor()).collect();
+        let mut kernel_sec = 0.0f64;
+        for &size in &groups {
+            kernel_sec = kernel_sec.max(CostModel::aggregation_time(levels.group, size, dim)?);
+        }
+        if let Some(root) = levels.root {
+            kernel_sec += CostModel::aggregation_time(root, groups.len(), dim)?;
+        }
         let aggregation_time = kernel_sec + self.cost.update_time(self.proxy_dimension);
 
-        let (batches, encode) = match replicates_batches(self.gar, self.tree) {
-            true => (groups, REPLICATION_ENCODE_FACTOR),
+        let (batches, encode) = match levels.group.kind.replicates_batches() {
+            true => (groups.len(), REPLICATION_ENCODE_FACTOR),
             false => (self.workers, 1.0),
         };
         let compute = self.cost.gradient_time(1, self.batch_size, node.flops_per_sec) * encode;
@@ -1461,26 +1432,57 @@ mod tests {
 
     #[test]
     fn only_the_flat_roster_discounts_quarantined_slots() {
-        // Worker 6 is quarantined: the ledger's count lowers `f_eff` by one.
+        // Worker 6 is quarantined: the ledger's count of one lowers the flat
+        // rule's f by one.
         let live = |w: usize| w != 6;
         // Flat Multi-Krum f = 2 over 7 workers sits at its floor 2f + 3 = 7:
-        // six live workers seat the rule at f_eff = 1 (floor 5), not at 2.
-        let flat = quick_config(GarKind::MultiKrum, 2, 7);
+        // six live workers seat the rule at f = 1 (floor 5), not at 2.
+        let flat = Levels::new(GarConfig::new(GarKind::MultiKrum, 2), None, 7);
         let one_group = GroupPlan::new(7, 7).unwrap();
-        assert!(SyncTrainingEngine::floor_holds(&flat, &one_group, 2, |_| true));
-        assert!(!SyncTrainingEngine::floor_holds(&flat, &one_group, 2, live));
-        assert!(SyncTrainingEngine::floor_holds(&flat, &one_group, 1, live));
+        assert!(floor_holds(flat, &one_group, 0, |_| true));
+        assert!(!floor_holds(flat, &one_group, 0, live));
+        assert!(floor_holds(flat, &one_group, 1, live));
         // Multi-Krum f = 1 groups of 5 (floor 5) under a Multi-Krum f = 0
         // root (3 groups) over 15 workers: the quarantined slot leaves group
         // 1 four live members, and no discount seats it — the tree keeps its
         // declared group budget.
-        let mut tree = quick_config(GarKind::MultiKrum, 0, 15);
-        tree.tree = Some(TreeConfig::uniform(GarKind::MultiKrum, 1, 0, 5));
+        let tree = TreeConfig::uniform(GarKind::MultiKrum, 1, 0, 5);
+        let tree = Levels::new(tree.root, Some(tree), 15);
         let groups = GroupPlan::new(15, 5).unwrap();
-        for f_eff in [1, 0] {
-            assert!(SyncTrainingEngine::floor_holds(&tree, &groups, f_eff, |_| true));
-            assert!(!SyncTrainingEngine::floor_holds(&tree, &groups, f_eff, live));
+        for quarantined in [0, 1, 2] {
+            assert!(floor_holds(tree, &groups, quarantined, |_| true));
+            assert!(!floor_holds(tree, &groups, quarantined, live));
         }
+    }
+
+    #[test]
+    fn the_flat_rosters_group_epoch_moves_in_the_rounds_the_view_epoch_does() {
+        use crate::membership::FaultPlan;
+        // Links compare epoch stamps only for equality, so the flat roster's
+        // one group epoch fences exactly as the view's epoch would if both
+        // move in the same rounds — even when one round crashes or rejoins
+        // several workers (the group epoch then moves by more than one).
+        let mut config = quick_config(GarKind::Median, 1, 7);
+        config.max_steps = 8;
+        config.fault_plan = FaultPlan::empty()
+            .with(1, 5, FaultAction::Crash)
+            .with(1, 6, FaultAction::Crash)
+            .with(3, 5, FaultAction::Rejoin)
+            .with(5, 6, FaultAction::Rejoin)
+            .with(5, 4, FaultAction::Crash)
+            .with(6, 4, FaultAction::Rejoin);
+        let mut engine = SyncTrainingEngine::new(config).unwrap();
+        let mut history: Vec<RoundRecord> = Vec::new();
+        let mut moved = Vec::new();
+        for step in 0..8 {
+            let (view, group) = (engine.membership.epoch(), engine.group_epochs[0]);
+            history.push(engine.round(step, &history).unwrap());
+            let moved_view = engine.membership.epoch() != view;
+            assert_eq!(moved_view, engine.group_epochs[0] != group, "round {step}");
+            moved.push(moved_view);
+        }
+        assert_eq!(moved, [false, true, false, true, false, true, true, false]);
+        assert_eq!((engine.membership.epoch(), engine.group_epochs[0]), (4, 6));
     }
 
     #[test]

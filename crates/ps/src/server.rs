@@ -10,7 +10,7 @@
 
 use crate::{PsError, Result};
 use agg_core::{
-    group_stage, root_round, Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig,
+    group_stage, root_round, Gar, GarConfig, Levels, ShardedAggregator, TreeAggregator, TreeConfig,
     TreeRound,
 };
 use agg_nn::optim::{OptimizerKind, Regularization};
@@ -31,20 +31,23 @@ pub struct RoundOutcome {
 
 /// The synchronous parameter server.
 ///
-/// Every round has one shape: a group stage over the submission arena
+/// Every round has one shape over the round's [`Levels`]
+/// ([`ParameterServer::levels`]): a group stage over the submission arena
 /// ([`ParameterServer::group_stage`]), each group's aggregate written into
 /// its row of a group-output arena, then the root over the outputs that
-/// reached it and the optimizer step ([`ParameterServer::apply_root`]). The flat roster is one group running
-/// the server's own rule under the identity root; the tree tier runs its
-/// group rule in every group and its root rule over the outputs.
+/// reached it and the optimizer step ([`ParameterServer::apply_root`]). The
+/// flat roster is one group running the server's own rule under the
+/// identity root; the tree tier runs its group rule in every group and its
+/// root rule over the outputs.
 #[derive(Debug)]
 pub struct ParameterServer {
     params: Vector,
-    /// The flat roster's rule, which its one group runs: the plain rule at
-    /// one shard, its [`ShardedAggregator`] above. The two are exactly
-    /// equivalent (global selection over the shard-reduced distance matrix),
-    /// so swapping one for the other is a deployment decision, never a
-    /// robustness change.
+    /// The rule every group of a round runs: the group level of
+    /// [`ParameterServer::levels`] — the flat rule on the flat roster, the
+    /// tree's group rule on a tree — as the plain rule at one shard and its
+    /// [`ShardedAggregator`] above. The two are exactly equivalent (global
+    /// selection over the shard-reduced distance matrix), so swapping one
+    /// for the other is a deployment decision, never a robustness change.
     gar: Box<dyn Gar>,
     gar_config: GarConfig,
     /// Coordinate shards of the parameter-server tier (1: monolithic).
@@ -53,12 +56,8 @@ pub struct ParameterServer {
     /// the root rule over the group outputs. Unlike sharding this is *not*
     /// equivalent to the flat rule in general (the resilience bound
     /// composes: `f_total = (f_group + 1)(f_root + 1) − 1`). `None` is the
-    /// flat roster: one group of the server's own rule, under the identity
-    /// root.
+    /// flat roster.
     tree: Option<TreeAggregator>,
-    /// The tree root's aggregate, reused every round (the flat roster's
-    /// identity root applies its one group's row instead).
-    update: Vec<f32>,
     optimizer: OptimizerKind,
     /// RMSProp's running mean square of the applied gradient (empty until
     /// its first step; SGD never fills it).
@@ -92,7 +91,6 @@ impl ParameterServer {
             gar_config,
             shards: 1,
             tree: None,
-            update: Vec::new(),
             optimizer,
             mean_square: Vector::zeros(0),
             learning_rate,
@@ -118,25 +116,16 @@ impl ParameterServer {
     ///
     /// # Errors
     ///
-    /// Returns [`PsError`] when `shards` is zero or the rule cannot be
-    /// rebuilt.
+    /// Returns [`PsError`] when `shards` is zero, when the tree tier is
+    /// active and `shards > 1` (the two tiers are mutually exclusive), or
+    /// when the rule cannot be rebuilt.
     pub fn set_shards(&mut self, shards: usize) -> Result<()> {
-        self.gar = match shards {
-            0 => {
-                return Err(PsError::InvalidConfig(
-                    "the parameter-server tier needs at least one shard".into(),
-                ))
-            }
-            1 => self.gar_config.build().map_err(PsError::from)?,
-            _ if self.tree.is_some() => {
-                return Err(PsError::InvalidConfig(
-                    "the tree tier and coordinate sharding are mutually exclusive".into(),
-                ))
-            }
-            _ => Box::new(ShardedAggregator::new(self.gar_config, shards).map_err(PsError::from)?),
-        };
-        self.shards = shards;
-        Ok(())
+        if shards == 0 {
+            return Err(PsError::InvalidConfig(
+                "the parameter-server tier needs at least one shard".into(),
+            ));
+        }
+        self.rebuild(shards, self.tree.as_ref().map(TreeAggregator::config))
     }
 
     /// Number of parameter-server shards (1 for the monolithic server).
@@ -146,7 +135,7 @@ impl ParameterServer {
 
     /// Name of the active aggregation rule.
     pub fn gar_name(&self) -> &'static str {
-        self.gar.name()
+        self.gar_config.kind.name()
     }
 
     /// Installs (or removes) the hierarchical aggregation tier. `None`
@@ -158,23 +147,37 @@ impl ParameterServer {
     /// oversized groups, unbuildable rules) or when the coordinate-sharded
     /// tier is already active — the two tiers are mutually exclusive.
     pub fn set_tree(&mut self, config: Option<TreeConfig>) -> Result<()> {
-        self.tree = match config {
-            Some(config) => {
-                if self.shards > 1 {
-                    return Err(PsError::InvalidConfig(
-                        "the tree tier and coordinate sharding are mutually exclusive".into(),
-                    ));
-                }
-                Some(TreeAggregator::new(config).map_err(PsError::from)?)
-            }
-            None => None,
+        self.rebuild(self.shards, config)
+    }
+
+    /// Installs `shards` and `tree`, and the rule every group runs.
+    fn rebuild(&mut self, shards: usize, tree: Option<TreeConfig>) -> Result<()> {
+        if shards > 1 && tree.is_some() {
+            return Err(PsError::InvalidConfig(
+                "the tree tier and coordinate sharding are mutually exclusive".into(),
+            ));
+        }
+        let tree = tree.map(TreeAggregator::new).transpose().map_err(PsError::from)?;
+        let group = tree.as_ref().map_or(self.gar_config, |tree| tree.config().group);
+        self.gar = match shards {
+            1 => group.build().map_err(PsError::from)?,
+            _ => Box::new(ShardedAggregator::new(group, shards).map_err(PsError::from)?),
         };
+        (self.shards, self.tree) = (shards, tree);
         Ok(())
     }
 
     /// The active hierarchical tier, if any.
     pub fn tree(&self) -> Option<&TreeAggregator> {
         self.tree.as_ref()
+    }
+
+    /// The levels of every round over `workers`: the installed tree's, or
+    /// the flat rule as one group of `workers` under the identity root.
+    /// [`ParameterServer::group_stage`] and [`ParameterServer::apply_root`]
+    /// run a round of them.
+    pub fn levels(&self, workers: usize) -> Levels {
+        Levels::new(self.gar_config, self.tree.as_ref().map(TreeAggregator::config), workers)
     }
 
     /// The installed tree tier, or the error `entry` returns without one.
@@ -184,65 +187,53 @@ impl ParameterServer {
         })
     }
 
-    /// The group stage of a round over the arena rows `rows` (`groups[k]` is
-    /// the group id of row `rows[k]`): every group that seats the group rule
-    /// reduces its members where they sit in `batch` into row `group` of
-    /// `outputs` ([`group_stage`]). The flat roster is one group of the
-    /// server's own rule (its sharded form above one shard) under the
-    /// identity root ([`TreeConfig::one_group`]). Then the composed floor
-    /// over every group the round saw: a round that even full delivery could
-    /// not seat is refused before any output ships. A pure read of the model.
+    /// The group stage of a round of `levels` ([`ParameterServer::levels`])
+    /// over the arena rows `rows` (`groups[k]` is the group id of row
+    /// `rows[k]`): every group that seats the group rule reduces its members
+    /// where they sit in `batch` into row `group` of `outputs`
+    /// ([`group_stage`]). Then [`Levels::check`] over every group the round
+    /// saw: a round that even full delivery could not seat is refused before
+    /// any output ships. A pure read of the model.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::Aggregation`] when the composed bound rules the
-    /// round out, the rows or groups are malformed, or a contributing
-    /// group's rule fails.
+    /// Returns [`PsError::Aggregation`] when the levels rule the round out,
+    /// the rows or groups are malformed, or a contributing group's rule
+    /// fails.
     pub fn group_stage(
         &self,
+        levels: &Levels,
         batch: &GradientBatch,
         rows: &[usize],
         groups: &[usize],
         outputs: &mut GradientBatch,
     ) -> Result<TreeRound<()>> {
-        let flat = TreeConfig::one_group(self.gar_config, rows.len());
-        let levels = self.tree.as_ref().map_or(flat, TreeAggregator::config);
-        let rule: &dyn Gar = if self.tree.is_some() { &levels.group } else { &*self.gar };
-        let round = group_stage(rule, levels.group_floor(), batch, rows, groups, outputs)?;
+        let round = group_stage(&*self.gar, levels.group_floor(), batch, rows, groups, outputs)?;
         levels.check(round.group_sizes())?;
         Ok(round)
     }
 
-    /// The root over the group outputs in the rows `delivered` of
-    /// `outputs`, read where they sit, then the optimizer step: the tree's
-    /// root rule ([`root_round`]), or on the flat roster the identity, which
-    /// applies its one group's row. The outcome's `aggregation_wall_sec`
-    /// times the root alone: the group stage ran before the legs.
+    /// The root of `levels` over the group outputs in the rows `delivered`
+    /// of `outputs`, read where they sit ([`root_round`]), then the
+    /// optimizer step. The outcome's `aggregation_wall_sec` times the root
+    /// alone: the group stage ran before the legs.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::Aggregation`] when fewer outputs arrived than the
-    /// root rule's floor (dropped inter-group packets degrade into a skipped
+    /// root's floor (dropped inter-group packets degrade into a skipped
     /// round, never an unsound aggregate), and [`PsError::Model`] when the
     /// optimizer step fails.
     pub fn apply_root(
         &mut self,
+        levels: &Levels,
         outputs: &mut GradientBatch,
         delivered: &[usize],
     ) -> Result<RoundOutcome> {
         let start = Instant::now();
-        let Some(tree) = &self.tree else {
-            let no_output = || PsError::Aggregation("no group output reached the root".into());
-            let &row = delivered.first().ok_or_else(no_output)?;
-            return self.finish_round(outputs.row_mut(row), start);
-        };
-        let mut update = std::mem::take(&mut self.update);
-        update.resize(outputs.dim(), 0.0);
-        let outcome = root_round(tree.config().root, outputs, delivered, &mut update)
-            .map_err(PsError::from)
-            .and_then(|()| self.finish_round(&mut update, start));
-        self.update = update;
-        outcome
+        let mut update = Vec::new();
+        let aggregate = root_round(levels.root, outputs, delivered, &mut update)?;
+        self.finish_round(aggregate, start)
     }
 
     /// Stage 1 of a hierarchical round over every row of `batch`

@@ -11,6 +11,13 @@ pub fn relu(x: f32) -> f32 {
     }
 }
 
+/// In-place `y += alpha * x` over the common length of the two slices.
+pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    for (a, b) in y.iter_mut().zip(x) {
+        *a += alpha * b;
+    }
+}
+
 /// Numerically stable softmax over a slice, written into a new `Vec`.
 ///
 /// Subtracts the maximum before exponentiation so large logits do not

@@ -124,9 +124,7 @@ impl Vector {
     /// Returns [`TensorError::DimensionMismatch`] if lengths differ.
     pub fn axpy(&mut self, alpha: f32, other: &Vector) -> Result<()> {
         self.check_len(other)?;
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
+        crate::ops::axpy(&mut self.data, alpha, &other.data);
         Ok(())
     }
 
