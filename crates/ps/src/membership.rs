@@ -7,8 +7,10 @@
 //! in the round — driven by a deterministic [`FaultPlan`]:
 //!
 //! * **Epochs.** Every change to the *live set* (a crash or a rejoin)
-//!   increments the view's epoch. The epoch is stamped into every wire packet
-//!   ([`agg_net::GradientCodec::split_bytes_epoch`]) and fenced at the
+//!   increments the view's epoch. The engine stamps every wire packet with
+//!   the epoch of its worker's group, which moves in every round the view's
+//!   epoch moves for that group
+//!   ([`agg_net::GradientCodec::split_bytes_epoch`]), and fences it at the
 //!   server's assemblers, so a late packet from an evicted worker — or a
 //!   rejoiner that has not yet learned the new view — can never fill a row of
 //!   the current round.
