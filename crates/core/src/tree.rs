@@ -90,28 +90,6 @@ impl TreeConfig {
     pub fn composed_max_f(&self) -> usize {
         resilience::composed_max_f(self.group.f, self.root.f)
     }
-
-    /// Minimum members a group needs to contribute to the round.
-    pub fn group_floor(&self) -> usize {
-        resilience::resilience_floor(self.group.kind, self.group.f)
-    }
-
-    /// Minimum contributing groups the root round needs.
-    pub fn root_floor(&self) -> usize {
-        resilience::resilience_floor(self.root.kind, self.root.f)
-    }
-
-    /// [`resilience::check_tree`] for this tree over the live size of every
-    /// group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggregationError::NotEnoughWorkers`] naming the root rule
-    /// when too few groups clear the group floor.
-    pub fn check(&self, group_sizes: impl IntoIterator<Item = usize>) -> Result<()> {
-        let (group, root) = (self.group, self.root);
-        resilience::check_tree(group.kind, group.f, root.kind, root.f, group_sizes)
-    }
 }
 
 /// The two levels every round runs: the rule each group runs over its
@@ -133,12 +111,7 @@ impl Levels {
     /// `tree`'s levels, or the flat rule `gar` over `workers` as one group
     /// under the identity root.
     pub fn new(gar: GarConfig, tree: Option<TreeConfig>, workers: usize) -> Self {
-        match tree {
-            Some(tree) => {
-                Levels { group: tree.group, root: Some(tree.root), group_size: tree.group_size }
-            }
-            None => Levels { group: gar, root: None, group_size: workers },
-        }
+        tree.map_or(Levels { group: gar, root: None, group_size: workers }, Levels::from)
     }
 
     /// The composed tolerance `(f_group + 1)(f_root + 1) − 1`: the group
@@ -195,6 +168,12 @@ impl Levels {
     }
 }
 
+impl From<TreeConfig> for Levels {
+    fn from(tree: TreeConfig) -> Self {
+        Levels { group: tree.group, root: Some(tree.root), group_size: tree.group_size }
+    }
+}
+
 /// One contributing group's aggregation result. `O` is where the group's
 /// aggregate is: an owned [`Vector`], or `()` when [`group_stage`] wrote it
 /// into row `group` of the round's group-output arena.
@@ -226,7 +205,7 @@ pub struct TreeRound<O = Vector> {
 
 impl<O> TreeRound<O> {
     /// The live size of every group the round saw, contributing or excluded
-    /// — what [`TreeConfig::check`] judges the round by.
+    /// — what [`Levels::check`] judges the round by.
     pub fn group_sizes(&self) -> impl Iterator<Item = usize> + '_ {
         self.outputs
             .iter()
@@ -485,7 +464,7 @@ impl TreeAggregator {
     ) -> Result<TreeRound> {
         let mut outputs = GradientBatch::with_capacity(batch.dim(), 0);
         outputs.resize_rows(groups.iter().max().map_or(0, |&gid| gid + 1));
-        let floor = self.config.group_floor();
+        let floor = Levels::from(self.config).group_floor();
         let round = group_stage(&self.config.group, floor, batch, rows, groups, &mut outputs)?;
         let outputs = round
             .outputs
@@ -522,7 +501,7 @@ impl TreeAggregator {
     /// # Errors
     ///
     /// The errors of the grouped round ([`TreeAggregator::group_outputs_over`],
-    /// then [`TreeConfig::check`], then the root rule).
+    /// then [`Levels::check`], then the root rule).
     pub fn aggregate_batch_grouped(
         &self,
         batch: &GradientBatch,
@@ -534,7 +513,7 @@ impl TreeAggregator {
     /// The whole two-level round over the arena rows `rows`, grouped by
     /// `groups`: the group stage, then a refusal with
     /// [`AggregationError::NotEnoughWorkers`] when the contributing groups
-    /// fall below the root floor ([`TreeConfig::check`]), then the root rule.
+    /// fall below the root floor ([`Levels::check`]), then the root rule.
     fn aggregate_grouped_over(
         &self,
         batch: &GradientBatch,
@@ -542,7 +521,7 @@ impl TreeAggregator {
         groups: &[usize],
     ) -> Result<Vector> {
         let round = self.group_outputs_over(batch, rows, groups)?;
-        self.config.check(round.group_sizes())?;
+        Levels::from(self.config).check(round.group_sizes())?;
         let outputs: Vec<Vector> = round.outputs.into_iter().map(|g| g.output).collect();
         self.root_aggregate(&outputs)
     }
@@ -561,7 +540,7 @@ impl TreeAggregator {
         if !root.selects() {
             return Ok(None);
         }
-        self.config.check(round.group_sizes())?;
+        Levels::from(self.config).check(round.group_sizes())?;
         let dim = round.outputs.first().map_or(0, |group| group.output.len());
         let outputs = packed(dim, round.outputs.iter().map(|group| &group.output))?;
         root_feedback(Some(root), round, &outputs, &all_rows(&outputs))
@@ -649,9 +628,9 @@ mod tests {
 
     #[test]
     fn too_few_workers_is_rejected() {
-        let config = TreeConfig::repetition(1);
-        assert!(config.check([2]).is_err());
-        assert!(config.check([3]).is_ok());
+        let levels = Levels::from(TreeConfig::repetition(1));
+        assert!(levels.check([2]).is_err());
+        assert!(levels.check([3]).is_ok());
         assert!(TreeAggregator::new(TreeConfig::repetition(16)).is_err(), "groups of 33 > 32");
     }
 
@@ -659,8 +638,8 @@ mod tests {
     fn config_accessors_expose_the_composed_bound() {
         let config = TreeConfig::uniform(GarKind::MultiKrum, 14, 14, 32);
         assert_eq!(config.composed_max_f(), 224);
-        assert_eq!(config.group_floor(), 31);
-        assert_eq!(config.root_floor(), 31);
+        assert_eq!(Levels::from(config).group_floor(), 31);
+        assert_eq!(resilience::resilience_floor(config.root.kind, config.root.f), 31);
         let tree = TreeAggregator::new(config).unwrap();
         assert_eq!(tree.config(), config);
         assert_eq!(tree.name(), "multi-krum");
@@ -885,12 +864,12 @@ mod tests {
         let mut contributing: Vec<Vec<usize>> = Vec::new();
         let mut outputs: Vec<Vector> = Vec::new();
         for (_, members) in &buckets {
-            if members.len() >= config.group_floor() {
+            if members.len() >= Levels::from(config).group_floor() {
                 outputs.push(group_rule.aggregate_batch(&gather(batch, members))?);
                 contributing.push(members.clone());
             }
         }
-        config.check(buckets.iter().map(|(_, members)| members.len()))?;
+        Levels::from(config).check(buckets.iter().map(|(_, members)| members.len()))?;
         let picked =
             selection_oracle(&config.root, &GradientBatch::from_vectors(&outputs)?)?.unwrap();
         let mut rows: Vec<usize> = Vec::new();

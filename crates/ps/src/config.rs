@@ -20,7 +20,7 @@ use crate::reputation::ReputationConfig;
 use crate::streaming::StreamingConfig;
 use crate::{PsError, Result};
 use agg_attacks::AttackKind;
-use agg_core::{resilience, GarConfig, TreeAggregator, TreeConfig};
+use agg_core::{GarConfig, Levels, TreeAggregator, TreeConfig};
 use agg_data::corruption::Corruption;
 use agg_data::synthetic::{gaussian_blobs, BlobConfig};
 use agg_data::Dataset;
@@ -238,7 +238,8 @@ impl RunnerConfig {
     /// # Errors
     ///
     /// Returns [`PsError::InvalidConfig`] describing the first violated
-    /// constraint.
+    /// constraint, or [`PsError::Aggregation`] when the full roster cannot
+    /// seat the round's levels.
     pub fn validate(&self) -> Result<()> {
         if self.workers == 0 {
             return Err(PsError::InvalidConfig("at least one worker is required".into()));
@@ -343,20 +344,12 @@ impl RunnerConfig {
             }
             // Surface group-size / rule errors early, exactly like `gar`.
             TreeAggregator::new(*tree).map_err(PsError::from)?;
-            // The full roster must clear the composed floor: a run that would
-            // refuse every round is a configuration error, not a runtime one.
-            let plan = GroupPlan::new(self.workers, tree.group_size).map_err(PsError::from)?;
-            tree.check(plan.sizes()).map_err(PsError::from)?;
-        } else {
-            // The flat tier's counterpart: the full roster must seat the rule.
-            let floor = resilience::resilience_floor(self.gar.kind, self.gar.f);
-            if self.workers < floor {
-                return Err(PsError::InvalidConfig(format!(
-                    "{} workers cannot seat {} (resilience floor {floor})",
-                    self.workers, self.gar
-                )));
-            }
         }
+        // The full roster must seat the round's levels: a run that would
+        // refuse every round is a configuration error, not a runtime one.
+        let levels = Levels::new(self.gar, self.tree, self.workers);
+        let plan = GroupPlan::new(self.workers, levels.group_size).map_err(PsError::from)?;
+        levels.check(plan.sizes()).map_err(PsError::from)?;
         Ok(())
     }
 }

@@ -1674,7 +1674,11 @@ mod tests {
     #[test]
     fn assignment_accessor_matches_configuration() {
         let tree = TreeConfig::repetition(1);
-        assert_eq!((tree.group_size, tree.group_floor(), tree.root_floor()), (3, 3, 1));
+        let floors = (
+            Levels::from(tree).group_floor(),
+            agg_core::resilience::resilience_floor(tree.root.kind, tree.root.f),
+        );
+        assert_eq!((tree.group_size, floors), (3, (3, 1)));
         // 9 workers: 3 repetition groups.
         assert!(SyncTrainingEngine::new(draco_config(9, 1)).is_ok());
     }

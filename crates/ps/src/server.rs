@@ -249,7 +249,7 @@ impl ParameterServer {
     pub fn tree_group_outputs(&self, batch: &GradientBatch, groups: &[usize]) -> Result<TreeRound> {
         let tree = self.tree_tier("tree_group_outputs")?;
         let round = tree.group_outputs(batch, groups)?;
-        tree.config().check(round.group_sizes())?;
+        Levels::from(tree.config()).check(round.group_sizes())?;
         Ok(round)
     }
 
